@@ -60,14 +60,15 @@
 // carry runs of up to n consecutive data messages as one transport
 // unit — one channel operation, one protocol update, one coalesced TCP
 // frame per run — multiplying throughput on chains of cheap kernels
-// (~10x at n = 64 on the goroutine backend, see BENCH_batching.json).
+// (~4x at n = 64 on the goroutine backend, ~8x over TCP workers).
 // Batching never changes the logical stream: credits stay in payload
 // units, kernels observe every element in sequence order, and per-edge
 // data/dummy counts are identical to an unbatched run.  Kernels may
 // opt into vectorized execution by implementing SpanKernel; Sources
 // and Sinks opt into bulk ingestion/delivery via SpanSource and
-// SpanSink.  The default n = 1 is the legacy one-message-at-a-time
-// path.
+// SpanSink.  The default n = 1 is the same path at length one: a
+// SpanKernel's ProcessSpan then receives spans of a single element, on
+// engine scratch it must not retain.
 //
 // # Time-aware stages
 //

@@ -261,20 +261,22 @@ type flowSourceKernel[In any] struct {
 }
 
 func (k flowSourceKernel[In]) Process(seq uint64, in []Input) map[int]any {
-	v, ok := castPayload[In](k.slot, "source", seq, in[0].Payload)
-	if !ok {
+	p := in[0].Payload
+	if _, ok := castPayload[In](k.slot, "source", seq, p); !ok {
 		return nil
 	}
-	return broadcast(k.nOut, v)
+	return broadcast(k.nOut, p)
 }
 
+// ProcessSpan forwards each checked payload as the interface value it
+// arrived in: converting the asserted In back to any would allocate a
+// fresh box per message.
 func (k flowSourceKernel[In]) ProcessSpan(_ uint64, in, out []any) int {
 	for j, p := range in {
-		v, ok := assertAs[In](p)
-		if !ok {
+		if _, ok := assertAs[In](p); !ok {
 			return j
 		}
-		out[j] = v
+		out[j] = p
 	}
 	return len(in)
 }

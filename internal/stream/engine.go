@@ -29,7 +29,7 @@ package stream
 //     and sink node loops through grant tokens, so a quiet source or a
 //     backpressuring sink stalls only its own session.
 //
-// A per-engine watchdog watches each session's own progress counter and
+// A per-engine watchdog watches each session's own liveness counters and
 // in-flight Source/Sink callbacks, so a wedged session is reported as a
 // DeadlockError naming that session while its neighbours keep streaming.
 
@@ -203,11 +203,12 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 			nIn = 1 // sources receive one synthetic input
 		}
 		n.runIn = make([]Input, nIn)
+		n.spans = make([][]Message, len(n.out))
 		n.allTrue = make([]bool, len(n.out))
 		for i := range n.allTrue {
 			n.allTrue[i] = true
 		}
-		if sk, ok := k.(SpanKernel); ok && n.batch > 1 {
+		if sk, ok := k.(SpanKernel); ok {
 			n.spanK = sk
 			n.spanIn = make([]any, n.batch)
 			n.spanOut = make([]any, n.batch)
@@ -290,6 +291,7 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 		ctx: sctx, cancel: cancel,
 		source: cfg.Source, spanSrc: cfg.SpanSource,
 		sink: cfg.Sink, spanSink: cfg.SpanSink,
+		live:      make([]ownedCounter, len(e.nodes)),
 		data:      make([]int64, e.g.NumEdges()),
 		dummies:   make([]int64, e.g.NumEdges()),
 		occupancy: make([]atomic.Int64, e.g.NumEdges()),
@@ -401,8 +403,9 @@ func (e *Engine) unregister(id proto.SessionID) {
 	e.mu.Unlock()
 }
 
-// watchdog scans the active sessions once per period: a session with no
-// progress across a full period and no in-flight Source/Sink callback is
+// watchdog scans the active sessions once per period: a session whose
+// liveness counters, summed over the nodes, did not move across a full
+// period, with no in-flight Source/Sink callback and no armed timer, is
 // wedged, and fails with a DeadlockError naming it.  Sessions blocked in
 // user code (a quiet source, a backpressuring sink) are the outside
 // world's pace, not deadlock, exactly as in the one-shot Run.
@@ -421,7 +424,10 @@ func (e *Engine) watchdog() {
 			}
 			e.mu.Unlock()
 			for _, ses := range active {
-				cur := ses.progress.Load()
+				var cur int64
+				for i := range ses.live {
+					cur += ses.live[i].n.Load()
+				}
 				if ses.watched && cur == ses.lastProgress && ses.external.Load() == 0 && ses.timersArmed.Load() == 0 {
 					chans, stalled := e.snapshot(ses)
 					ses.end(&DeadlockError{Session: ses.id, Channels: chans, Stalled: stalled}, nil)
@@ -496,9 +502,15 @@ type EngineSession struct {
 	sink     SinkFunc
 	spanSink SpanSinkFunc
 
-	// progress counts protocol events for the watchdog; external counts
-	// in-flight Source/Sink callbacks (blocked user code is not a wedge).
-	progress atomic.Int64
+	// live[n] counts node n's protocol events for the watchdog, which sums
+	// them: one padded counter per node, bumped only by that node's
+	// goroutine — once per batch of absorbed events (markDirty) and once
+	// per firing — so liveness accounting never bounces a cache line
+	// between cores.  Sends and sink hand-offs need no bump of their own:
+	// they run, without blocking, in the advance pass of an event or a
+	// firing that already counted.  external counts in-flight Source/Sink
+	// callbacks (blocked user code is not a wedge).
+	live     []ownedCounter
 	external atomic.Int64
 	// timersArmed counts the session's armed time-aware flush timers; the
 	// watchdog treats an armed timer like in-flight external work (a
@@ -554,6 +566,13 @@ type EngineSession struct {
 	abortAcks atomic.Int64
 	doneOnce  sync.Once
 	done      chan struct{}
+}
+
+// ownedCounter is an atomic counter alone on its cache line: one
+// goroutine bumps it, the watchdog reads it.
+type ownedCounter struct {
+	n atomic.Int64
+	_ [56]byte
 }
 
 // closeDone resolves Wait/Done exactly once and retires the session
@@ -635,9 +654,10 @@ func (s *EngineSession) finishFromSink() {
 // and a slow consumer applies backpressure to its own source only.
 // Every payload is published to the shared buffer before the next Next
 // call — a request/response feedback source never sees the engine hold
-// one payload while demanding another — but the publish is a short
-// mutex-guarded append, and the mailbox kick coalesces: under load the
-// source node drains whole runs of payloads per event.
+// one payload while demanding another — but the publish is one slot
+// write and a tail store on the lock-free SPSC ring, and the mailbox kick
+// coalesces: under load the source node drains whole runs of payloads
+// per event.
 func (s *EngineSession) ingestPump(src *engineNode) {
 	if s.spanSrc != nil {
 		s.spanIngestPump(src)
@@ -784,13 +804,9 @@ func (s *EngineSession) sinkPump(sink *engineNode) {
 					}
 					// Recycle the emission buffers: the Emit/EmitSpan
 					// contract says the slices are only valid during the
-					// call, so once delivered they go back to the pools
-					// (payloads zeroed first to drop the references).
-					for j := range em.pays {
-						em.pays[j] = nil
-					}
-					payFree.Put(em.pays[:0])
-					seqFree.Put(em.seqs[:0])
+					// call, so once delivered they go back to the pools.
+					payFree.put(em.pays)
+					seqFree.put(em.seqs)
 				} else {
 					s.external.Add(1)
 					err := s.sink(s.ctx, em.seq, em.payload)
@@ -852,43 +868,46 @@ type event struct {
 	free bool
 }
 
+// slicePool recycles slice backing arrays.  It pools *[]T, not []T —
+// boxing a slice header into the pool's interface allocates on every Put —
+// and keeps the emptied boxes in a second pool, so a steady-state
+// get/put cycle allocates nothing.
+type slicePool[T any] struct{ full, boxes sync.Pool }
+
+// get returns an empty slice with capacity ≥ k.
+func (p *slicePool[T]) get(k int) []T {
+	if b, _ := p.full.Get().(*[]T); b != nil {
+		s := *b
+		*b = nil
+		p.boxes.Put(b)
+		if cap(s) >= k {
+			return s[:0]
+		}
+	}
+	return make([]T, 0, k)
+}
+
+// put zeroes s (pooled arrays never retain payloads) and recycles it.
+func (p *slicePool[T]) put(s []T) {
+	clear(s)
+	b, _ := p.boxes.Get().(*[]T)
+	if b == nil {
+		b = new([]T)
+	}
+	*b = s[:0]
+	p.full.Put(b)
+}
+
 // spanFree recycles span backing arrays across the engine's hot path:
 // fireRun/fireSourceRun draw from it and the absorbing node returns
-// each whole-shipped span (event.free) after copying it out.  Pooled
-// slices are zeroed by the receiver, so they never retain payloads.
-var spanFree = sync.Pool{New: func() any { return []Message(nil) }}
-
-// getSpan returns an empty span with capacity ≥ k.
-func getSpan(k int) []Message {
-	sp := spanFree.Get().([]Message)
-	if cap(sp) < k {
-		return make([]Message, 0, k)
-	}
-	return sp[:0]
-}
-
-// seqFree/payFree recycle the batched sink-emission buffers; the sink
-// pump returns them (payloads zeroed) after delivering a span.
+// each whole-shipped span (event.free) after copying it out.  seqFree
+// and payFree recycle the batched sink-emission buffers; the sink pump
+// returns them after delivering a span.
 var (
-	seqFree = sync.Pool{New: func() any { return []uint64(nil) }}
-	payFree = sync.Pool{New: func() any { return []any(nil) }}
+	spanFree slicePool[Message]
+	seqFree  slicePool[uint64]
+	payFree  slicePool[any]
 )
-
-func getSeqBuf(k int) []uint64 {
-	s := seqFree.Get().([]uint64)
-	if cap(s) < k {
-		return make([]uint64, 0, k)
-	}
-	return s[:0]
-}
-
-func getPayBuf(k int) []any {
-	p := payFree.Get().([]any)
-	if cap(p) < k {
-		return make([]any, 0, k)
-	}
-	return p[:0]
-}
 
 // mailbox is the unbounded MPSC queue feeding one node loop.  Posts
 // never block, which is what keeps the node loops deadlock-free among
@@ -973,11 +992,15 @@ type engineNode struct {
 	// batched kernels must not retain it across calls (the per-element
 	// path keeps allocating fresh slices, so batch == 1 is unaffected).
 	runIn []Input
+	// spans is the batched path's per-out-position run accumulator, nil
+	// between firings (the runs themselves are pooled and shipped).
+	spans [][]Message
 	// allTrue is the constant all-edges-emitted mask handed to FireRun
 	// by the full-mask fast path.
 	allTrue []bool
-	// spanK is non-nil when the kernel vectorizes (SpanKernel) and the
-	// node batches; spanIn/spanOut are its reusable argument slices.
+	// spanK is non-nil when the kernel vectorizes (SpanKernel), at any
+	// batch width — batch 1 is a span of length one; spanIn/spanOut are
+	// its reusable argument slices, batch long.
 	spanK           SpanKernel
 	spanIn, spanOut []any
 	// timed is non-nil when the kernel is time-aware (TimedKernel); the
@@ -1009,8 +1032,10 @@ const obsSampleRate = 8
 // counterpart of what a one-shot NodeLoop keeps on its stack.
 type nodeSession struct {
 	ses *EngineSession
+	// live is this node's slot of the session's liveness counters.
+	live *atomic.Int64
 	// heads[i] is the FIFO of arrived, unconsumed messages on in-pos i.
-	heads [][]Message
+	heads []fifo[Message]
 	// engine is this session's dummy-protocol state at this node.
 	engine *proto.Engine
 	// pendingMsg[i]/pendingSet[i] park the firing's message for out-pos i
@@ -1035,12 +1060,12 @@ type nodeSession struct {
 	// an observer attached, owned by the node goroutine.
 	stallSince []int64
 
-	nextSeq      uint64 // source only: next ingestion sequence number
-	ingestQ      []any  // source only: granted payloads awaiting firing
-	grants       int    // source only: grant tokens outstanding at the pump
-	srcDone      bool   // source only: the stream's source ended
-	sinkInflight int    // sink only: emissions outstanding at the pump
-	finishOnIdle bool   // sink only: EOS consumed, waiting for the pump
+	nextSeq      uint64    // source only: next ingestion sequence number
+	ingestQ      fifo[any] // source only: granted payloads awaiting firing
+	grants       int       // source only: grant tokens outstanding at the pump
+	srcDone      bool      // source only: the stream's source ended
+	sinkInflight int       // sink only: emissions outstanding at the pump
+	finishOnIdle bool      // sink only: EOS consumed, waiting for the pump
 	done         bool
 	aborted      bool // session ended; state dropped, skip advances
 	dirty        bool // queued in the node's per-batch advance list
@@ -1068,7 +1093,7 @@ func (n *engineNode) run() {
 		// costs one fire loop and one batched credit ack per session,
 		// not one per event.
 		for i := range evs {
-			n.absorb(evs[i])
+			n.absorb(&evs[i])
 			evs[i] = event{} // release references before slice reuse
 		}
 		var t0 time.Time
@@ -1110,6 +1135,7 @@ func (n *engineNode) obsDrainSession(ses *EngineSession) {
 
 func (n *engineNode) markDirty(ns *nodeSession) {
 	if !ns.dirty {
+		ns.live.Add(1) // an absorbed event is liveness; once per batch is enough
 		ns.dirty = true
 		n.dirty = append(n.dirty, ns)
 	}
@@ -1117,7 +1143,7 @@ func (n *engineNode) markDirty(ns *nodeSession) {
 
 // absorb applies one event's state change and marks the session for the
 // batch's advance pass.
-func (n *engineNode) absorb(ev event) {
+func (n *engineNode) absorb(ev *event) {
 	if ev.kind == evAbort {
 		if ns := n.sess[ev.ses.id]; ns != nil {
 			ns.aborted = true
@@ -1141,7 +1167,8 @@ func (n *engineNode) absorb(ev event) {
 	if ev.kind == evOpen {
 		ns := &nodeSession{
 			ses:        ev.ses,
-			heads:      make([][]Message, len(n.in)),
+			live:       &ev.ses.live[n.id].n,
+			heads:      make([]fifo[Message], len(n.in)),
 			engine:     proto.NewEngine(n.out, proto.Config{Algorithm: n.e.cfg.Algorithm, Intervals: n.e.cfg.Intervals}),
 			pendingMsg: make([]Message, len(n.out)),
 			pendingSet: make([]bool, len(n.out)),
@@ -1153,7 +1180,6 @@ func (n *engineNode) absorb(ev event) {
 			ns.stallSince = make([]int64, len(n.out))
 		}
 		n.sess[ev.ses.id] = ns
-		ev.ses.progress.Add(1)
 		n.markDirty(ns)
 		return
 	}
@@ -1164,16 +1190,12 @@ func (n *engineNode) absorb(ev event) {
 	switch ev.kind {
 	case evMsg:
 		if ev.span != nil {
-			ns.heads[ev.pos] = append(ns.heads[ev.pos], ev.span...)
+			ns.heads[ev.pos].pushAll(ev.span)
 			if ev.free {
-				sp := ev.span
-				for i := range sp {
-					sp[i] = Message{} // drop payload refs before pooling
-				}
-				spanFree.Put(sp[:0])
+				spanFree.put(ev.span)
 			}
 		} else {
-			ns.heads[ev.pos] = append(ns.heads[ev.pos], ev.msg)
+			ns.heads[ev.pos].push(ev.msg)
 		}
 	case evCredit:
 		ns.inflight[ev.pos] -= ev.cnt
@@ -1191,7 +1213,7 @@ func (n *engineNode) absorb(ev event) {
 		if t != h {
 			ring, mask := ev.ses.ring, ev.ses.ringMask
 			for i := h; i < t; i++ {
-				ns.ingestQ = append(ns.ingestQ, ring[i&mask])
+				ns.ingestQ.push(ring[i&mask])
 				ring[i&mask] = nil
 			}
 			ev.ses.ingHead.Store(t)
@@ -1206,7 +1228,6 @@ func (n *engineNode) absorb(ev event) {
 	case evTick:
 		ns.tickDue = true
 	}
-	ev.ses.progress.Add(1)
 	n.markDirty(ns)
 }
 
@@ -1256,7 +1277,7 @@ func (n *engineNode) advance(ns *nodeSession) {
 // pump granted up to its window.
 func (n *engineNode) advanceSource(ns *nodeSession) {
 	for !ns.done && ns.pendingN == 0 {
-		if len(ns.ingestQ) > 0 {
+		if ns.ingestQ.len() > 0 {
 			if len(n.out) == 0 && ns.ses.sink != nil && ns.sinkInflight >= n.e.sinkWin {
 				break // degenerate source-sink: pump window full
 			}
@@ -1264,12 +1285,8 @@ func (n *engineNode) advanceSource(ns *nodeSession) {
 				n.fireSourceRun(ns)
 				continue
 			}
-			payload := ns.ingestQ[0]
-			ns.ingestQ[0] = nil
-			ns.ingestQ = ns.ingestQ[1:]
-			if len(ns.ingestQ) == 0 {
-				ns.ingestQ = nil // let the drained backing array go
-			}
+			payload := ns.ingestQ.live()[0]
+			ns.ingestQ.pop(1)
 			n.fireSource(ns, payload)
 			continue
 		}
@@ -1294,7 +1311,7 @@ func (n *engineNode) advanceSource(ns *nodeSession) {
 	// round-trips a grant per payload: grants post as one counter add
 	// plus a non-blocking wake.
 	if !ns.done && !ns.srcDone {
-		if k := n.e.srcWin - ns.grants - len(ns.ingestQ); k > 0 {
+		if k := n.e.srcWin - ns.grants - ns.ingestQ.len(); k > 0 {
 			ns.grants += k
 			ns.ses.readyN.Add(int64(k))
 			select {
@@ -1306,11 +1323,14 @@ func (n *engineNode) advanceSource(ns *nodeSession) {
 }
 
 // flushCredits acks this advance's consumed heads upstream, one batched
-// credit event per in-edge.
+// credit event per in-edge, and takes them off the edge's occupancy in
+// the same step: per message, the decrement kept the counter's cache
+// line bouncing between the edge's two nodes.
 func (n *engineNode) flushCredits(ns *nodeSession) {
 	for i, c := range n.creditAcc {
 		if c > 0 {
 			n.creditAcc[i] = 0
+			ns.ses.occupancy[n.in[i]].Add(-int64(c))
 			n.upstream[i].mb.post(event{kind: evCredit, ses: ns.ses, pos: n.upPos[i], cnt: c})
 		}
 	}
@@ -1354,7 +1374,6 @@ func (n *engineNode) flush(ns *nodeSession) {
 			edge := n.out[i]
 			ns.ses.data[edge] += int64(m) // spans carry data only
 			ns.ses.occupancy[edge].Add(int64(m))
-			ns.ses.progress.Add(1)
 			if n.obsOut != nil {
 				n.obsUnstall(ns, i, &now)
 				om := n.obsOut[i]
@@ -1385,7 +1404,6 @@ func (n *engineNode) flush(ns *nodeSession) {
 			ns.ses.dummies[edge]++
 		}
 		ns.ses.occupancy[edge].Add(1)
-		ns.ses.progress.Add(1)
 		if n.obsOut != nil {
 			n.obsUnstall(ns, i, &now)
 			om := n.obsOut[i]
@@ -1437,10 +1455,10 @@ func (n *engineNode) setPending(ns *nodeSession, pos int, m Message) {
 // happened.  This is NodeLoop's consume step, demuxed per session.
 func (n *engineNode) fireOnce(ns *nodeSession) bool {
 	for i := range ns.heads {
-		if len(ns.heads[i]) == 0 {
+		if ns.heads[i].len() == 0 {
 			return false
 		}
-		n.seqs[i] = ns.heads[i][0].Seq
+		n.seqs[i] = ns.heads[i].live()[0].Seq
 	}
 	minSeq := proto.MinSeq(n.seqs)
 	if minSeq == proto.EOSSeq {
@@ -1460,7 +1478,7 @@ func (n *engineNode) fireOnce(ns *nodeSession) bool {
 	}
 	anyData := false
 	for i := range ns.heads {
-		h := &ns.heads[i][0]
+		h := &ns.heads[i].live()[0]
 		if h.Seq == minSeq && h.Kind == Data {
 			anyData = true
 		}
@@ -1468,9 +1486,13 @@ func (n *engineNode) fireOnce(ns *nodeSession) bool {
 	if len(n.out) == 0 && anyData && ns.sinkInflight >= n.e.sinkWin {
 		return false // the sink pump's window is full
 	}
+	if anyData && len(n.in) == 1 && n.spanOne(ns, minSeq, ns.heads[0].live()[0].Payload) {
+		n.popHead(ns, 0)
+		return true
+	}
 	inputs := make([]Input, len(n.in))
 	for i := range ns.heads {
-		h := ns.heads[i][0]
+		h := ns.heads[i].live()[0]
 		if h.Seq != minSeq {
 			continue
 		}
@@ -1482,7 +1504,7 @@ func (n *engineNode) fireOnce(ns *nodeSession) bool {
 	var outs map[int]any
 	if anyData {
 		outs = n.kernel.Process(minSeq, inputs)
-		ns.ses.progress.Add(1)
+		ns.live.Add(1)
 		if n.obsN != nil {
 			n.obsN.Firings.Add(1)
 		}
@@ -1498,19 +1520,48 @@ func (n *engineNode) fireOnce(ns *nodeSession) bool {
 // acked in one batch by flushCredits at the end of the advance.
 func (n *engineNode) popHead(ns *nodeSession, i int) { n.popHeads(ns, i, 1) }
 
-// popHeads consumes the first k messages of in-pos i with one shift.
+// popHeads consumes the first k messages of in-pos i.
 func (n *engineNode) popHeads(ns *nodeSession, i, k int) {
-	q := ns.heads[i]
-	copy(q, q[k:])
-	for j := len(q) - k; j < len(q); j++ {
-		q[j] = Message{}
-	}
-	ns.heads[i] = q[:len(q)-k]
-	ns.ses.occupancy[n.in[i]].Add(-int64(k))
+	ns.heads[i].pop(k)
 	if n.obsIn != nil {
 		n.obsIn[i].Consumed.Add(int64(k))
 	}
 	n.creditAcc[i] += k
+}
+
+// spanOne is the batch-1 firing of a single present payload through a
+// vectorizing kernel: a span of length one on the node's scratch, fired
+// with the all-emitted mask and parked on every out-edge as a plain
+// message — no input slice, no output map, nothing the node does not
+// own.  It reports false, with nothing changed but the kernel having
+// declined the element, when the node has no SpanKernel or the kernel
+// returns 0; the caller then routes the element through Process, once.
+func (n *engineNode) spanOne(ns *nodeSession, seq uint64, payload any) bool {
+	if n.spanK == nil {
+		return false
+	}
+	n.spanIn[0] = payload
+	vec := n.spanK.ProcessSpan(seq, n.spanIn[:1], n.spanOut[:1])
+	out := n.spanOut[0]
+	n.spanIn[0], n.spanOut[0] = nil, nil
+	if vec == 0 {
+		return false
+	}
+	ns.live.Add(1)
+	if n.obsN != nil {
+		n.obsN.Spans.Add(1)
+		n.obsN.SpanMsgs.Add(1)
+		n.obsN.Firings.Add(1)
+	}
+	if len(n.out) == 0 {
+		n.sinkEmit(ns, seq, out)
+	}
+	ns.engine.Fire(seq, n.allTrue) // every edge emits: never a dummy
+	for i := range n.out {
+		n.setPending(ns, i, Message{Seq: seq, Kind: Data, Payload: out})
+	}
+	n.flush(ns)
+	return true
 }
 
 // parkSpan parks a batched run for out-pos i; the slot is free (the node
@@ -1526,7 +1577,7 @@ func (n *engineNode) parkSpan(ns *nodeSession, pos int, span []Message) {
 // consumes a run of consecutive data heads in one protocol step.  The
 // kernel still runs once per element — in sequence order, exactly as the
 // per-element path would call it — but the protocol work amortizes: one
-// FireRun instead of k Fires, one head shift, one credit batch, one span
+// FireRun instead of k Fires, one head pop, one credit batch, one span
 // send per out-edge.  The run extends only while every element emits data
 // on every out-edge (so FireRun's no-dummy precondition holds trivially);
 // the first element that filters anything ends the run — its prefix
@@ -1534,7 +1585,7 @@ func (n *engineNode) parkSpan(ns *nodeSession, pos int, span []Message) {
 // outputs already computed (kernels may be stateful, so Process is never
 // re-invoked).  Reports whether anything was consumed.
 func (n *engineNode) fireRun(ns *nodeSession) bool {
-	q := ns.heads[0]
+	q := ns.heads[0].live()
 	if len(q) == 0 {
 		return false
 	}
@@ -1563,14 +1614,14 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 		}
 	}
 
-	var spans [][]Message // per out-pos accumulated data run
-	var emSeqs []uint64   // sink only: accumulated emissions
+	spans := n.spans    // per out-pos accumulated data run, filled lazily
+	var emSeqs []uint64 // sink only: accumulated emissions
 	var emPays []any
 	committed := 0
 	var partialOuts map[int]any
 	var partialSeq uint64
 	partial := false
-	if n.spanK != nil && k > 1 {
+	if n.spanK != nil {
 		// Vectorized kernel: one ProcessSpan call maps the accepted
 		// prefix with no per-element output maps; a declined element
 		// falls through to the per-element loop below, in order.
@@ -1589,17 +1640,16 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 				n.obsS.SinkMsgs.Add(int64(vec))
 			}
 			if ns.ses.sink != nil && vec > 0 {
-				emSeqs = getSeqBuf(k)
-				emPays = getPayBuf(k)
+				emSeqs = seqFree.get(k)
+				emPays = payFree.get(k)
 				for j := 0; j < vec; j++ {
 					emSeqs = append(emSeqs, q[j].Seq)
 					emPays = append(emPays, n.spanOut[j])
 				}
 			}
 		} else if vec > 0 {
-			spans = make([][]Message, len(n.out))
 			for i := range spans {
-				span := getSpan(k)
+				span := spanFree.get(k)
 				for j := 0; j < vec; j++ {
 					span = append(span, Message{Seq: q[j].Seq, Kind: Data, Payload: n.spanOut[j]})
 				}
@@ -1625,8 +1675,8 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 			}
 			if ns.ses.sink != nil {
 				if emPays == nil {
-					emSeqs = getSeqBuf(k)
-					emPays = getPayBuf(k)
+					emSeqs = seqFree.get(k)
+					emPays = payFree.get(k)
 				}
 				emSeqs = append(emSeqs, seq)
 				emPays = append(emPays, SinkPayload(n.runIn, outs))
@@ -1645,10 +1695,9 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 			partial, partialOuts, partialSeq = true, outs, seq
 			break
 		}
-		if spans == nil {
-			spans = make([][]Message, len(n.out))
+		if committed == 0 {
 			for i := range spans {
-				spans[i] = getSpan(k)
+				spans[i] = spanFree.get(k)
 			}
 		}
 		for i := range n.out {
@@ -1670,14 +1719,15 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 			ns.engine.FireRun(q[0].Seq, q[committed-1].Seq, n.allTrue)
 			for i := range n.out {
 				n.parkSpan(ns, i, spans[i])
+				spans[i] = nil
 			}
 		}
 		n.popHeads(ns, 0, committed)
-		ns.ses.progress.Add(int64(committed))
+		ns.live.Add(int64(committed))
 	}
 	if partial {
 		n.popHeads(ns, 0, 1)
-		ns.ses.progress.Add(1)
+		ns.live.Add(1)
 		n.queueFiring(ns, partialSeq, partialOuts)
 	}
 	n.flush(ns)
@@ -1739,11 +1789,10 @@ func (n *engineNode) advanceTimed(ns *nodeSession) {
 // fired in the node's private output-sequence space (see timed.go).
 // Reports whether anything was consumed.
 func (n *engineNode) fireTimed(ns *nodeSession) bool {
-	q := ns.heads[0]
-	if len(q) == 0 {
+	if ns.heads[0].len() == 0 {
 		return false
 	}
-	h := q[0]
+	h := ns.heads[0].live()[0]
 	if h.Seq == proto.EOSSeq {
 		n.popHead(ns, 0)
 		n.stopTimer(ns)
@@ -1759,7 +1808,7 @@ func (n *engineNode) fireTimed(ns *nodeSession) bool {
 		n.runIn[0] = Input{Present: true, Payload: h.Payload}
 		n.timed.Process(h.Seq, n.runIn)
 		n.runIn[0] = Input{}
-		ns.ses.progress.Add(1)
+		ns.live.Add(1)
 		if n.obsN != nil {
 			n.obsN.Firings.Add(1)
 		}
@@ -1782,14 +1831,14 @@ func (n *engineNode) fireTimedEmissions(ns *nodeSession) {
 	last := first + uint64(len(ems)) - 1
 	ns.engine.FireRun(first, last, n.allTrue)
 	for i := range n.out {
-		span := getSpan(len(ems))
+		span := spanFree.get(len(ems))
 		for j, e := range ems {
 			span = append(span, Message{Seq: first + uint64(j), Kind: Data, Payload: e})
 		}
 		n.parkSpan(ns, i, span)
 	}
 	ns.outSeq = last + 1
-	ns.ses.progress.Add(int64(len(ems)))
+	ns.live.Add(int64(len(ems)))
 	if n.obsN != nil {
 		n.obsN.Spans.Add(1)
 		n.obsN.SpanMsgs.Add(int64(len(ems)))
@@ -1849,9 +1898,12 @@ func (n *engineNode) stopTimer(ns *nodeSession) {
 func (n *engineNode) fireSource(ns *nodeSession, payload any) {
 	seq := ns.nextSeq
 	ns.nextSeq++
+	if n.spanOne(ns, seq, payload) {
+		return
+	}
 	in := []Input{{Present: true, Payload: payload}}
 	outs := n.kernel.Process(seq, in)
-	ns.ses.progress.Add(1)
+	ns.live.Add(1)
 	if n.obsN != nil {
 		n.obsN.Firings.Add(1)
 	}
@@ -1868,20 +1920,21 @@ func (n *engineNode) fireSource(ns *nodeSession, payload any) {
 // so request/response feedback sources never see the engine hold a
 // payload while demanding another; batching happens here, on the queue.
 func (n *engineNode) fireSourceRun(ns *nodeSession) {
-	k := len(ns.ingestQ)
+	q := ns.ingestQ.live()
+	k := len(q)
 	if k > n.batch {
 		k = n.batch
 	}
-	var spans [][]Message
+	spans := n.spans // filled lazily, as in fireRun
 	committed := 0
 	var partialOuts map[int]any
 	var partialSeq uint64
 	partial := false
-	if n.spanK != nil && k > 1 {
+	if n.spanK != nil {
 		// Vectorized kernel: see fireRun (sources are never sinks here —
 		// advanceSource only batches when out-edges exist).
 		for j := 0; j < k; j++ {
-			n.spanIn[j] = ns.ingestQ[j]
+			n.spanIn[j] = q[j]
 		}
 		vec := n.spanK.ProcessSpan(ns.nextSeq, n.spanIn[:k], n.spanOut[:k])
 		if n.obsN != nil && vec > 0 {
@@ -1890,9 +1943,8 @@ func (n *engineNode) fireSourceRun(ns *nodeSession) {
 			n.obsN.Firings.Add(int64(vec))
 		}
 		if vec > 0 {
-			spans = make([][]Message, len(n.out))
 			for i := range spans {
-				span := getSpan(k)
+				span := spanFree.get(k)
 				for j := 0; j < vec; j++ {
 					span = append(span, Message{Seq: ns.nextSeq + uint64(j), Kind: Data, Payload: n.spanOut[j]})
 				}
@@ -1906,7 +1958,7 @@ func (n *engineNode) fireSourceRun(ns *nodeSession) {
 	}
 	for j := committed; j < k; j++ {
 		seq := ns.nextSeq + uint64(j)
-		n.runIn[0] = Input{Present: true, Payload: ns.ingestQ[j]}
+		n.runIn[0] = Input{Present: true, Payload: q[j]}
 		outs := n.kernel.Process(seq, n.runIn)
 		if n.obsN != nil {
 			n.obsN.Firings.Add(1)
@@ -1922,10 +1974,9 @@ func (n *engineNode) fireSourceRun(ns *nodeSession) {
 			partial, partialOuts, partialSeq = true, outs, seq
 			break
 		}
-		if spans == nil {
-			spans = make([][]Message, len(n.out))
+		if committed == 0 {
 			for i := range spans {
-				spans[i] = getSpan(k)
+				spans[i] = spanFree.get(k)
 			}
 		}
 		for i := range n.out {
@@ -1939,24 +1990,19 @@ func (n *engineNode) fireSourceRun(ns *nodeSession) {
 	if partial {
 		consumed++
 	}
-	for j := 0; j < consumed; j++ {
-		ns.ingestQ[j] = nil
-	}
-	ns.ingestQ = ns.ingestQ[consumed:]
-	if len(ns.ingestQ) == 0 {
-		ns.ingestQ = nil
-	}
+	ns.ingestQ.pop(consumed)
 	if committed > 0 {
 		ns.engine.FireRun(ns.nextSeq, ns.nextSeq+uint64(committed)-1, n.allTrue)
 		for i := range n.out {
 			n.parkSpan(ns, i, spans[i])
+			spans[i] = nil
 		}
 		ns.nextSeq += uint64(committed)
-		ns.ses.progress.Add(int64(committed))
+		ns.live.Add(int64(committed))
 	}
 	if partial {
 		ns.nextSeq++
-		ns.ses.progress.Add(1)
+		ns.live.Add(1)
 		n.queueFiring(ns, partialSeq, partialOuts)
 	}
 	n.flush(ns)
@@ -1965,7 +2011,6 @@ func (n *engineNode) fireSourceRun(ns *nodeSession) {
 // sinkEmit counts one sink firing and hands it to the session's pump.
 func (n *engineNode) sinkEmit(ns *nodeSession, seq uint64, payload any) {
 	ns.ses.sinkData++
-	ns.ses.progress.Add(1)
 	if n.obsS != nil {
 		n.obsS.SinkMsgs.Add(1)
 	}

@@ -82,13 +82,16 @@ type KernelFunc func(seq uint64, in []Input) map[int]any
 func (f KernelFunc) Process(seq uint64, in []Input) map[int]any { return f(seq, in) }
 
 // SpanKernel is an optional extension of Kernel for the vectorized hot
-// path (Config.MaxBatch > 1).  A kernel that maps each element to
-// exactly one output payload — emitted on every out-edge, never
-// filtered — can process a whole run of consecutive data elements in a
-// single call: ProcessSpan receives the run's payloads in (carrying the
-// consecutive sequence numbers seq0, seq0+1, …), writes the output
-// payloads to out (len(out) == len(in)), and returns the length of the
-// prefix it processed.  Returning n < len(in) declines element n — the
+// path.  A kernel that maps each element to exactly one output payload
+// — emitted on every out-edge, never filtered — can process a whole run
+// of consecutive data elements in a single call: ProcessSpan receives
+// the run's payloads in (carrying the consecutive sequence numbers
+// seq0, seq0+1, …), writes the output payloads to out (len(out) ==
+// len(in)), and returns the length of the prefix it processed.  The run
+// is as long as the node's batch width allows and may have length one
+// at any Config.MaxBatch — at batch 1 every element is a span of one —
+// and in and out are engine scratch, reused by the next call: a kernel
+// must never retain them.  Returning n < len(in) declines element n — the
 // engine routes it (and everything after it) through Process, in order,
 // so a kernel may vectorize the common case and fall back per element
 // for filtering, per-edge divergence, or type errors.  The engine calls
@@ -197,7 +200,8 @@ type Config struct {
 	// path: single-input nodes consume up to MaxBatch consecutive data
 	// messages per protocol step and forward them as one span (one
 	// mailbox post, one credit batch, one amortized timer refresh).
-	// Zero or one keeps the per-element legacy path bit-identical.
+	// Zero or one fires per element (a SpanKernel then sees spans of
+	// length one); the logical stream is bit-identical at every width.
 	// Credits stay in payload units — a span of k messages consumes k
 	// credits — so the windowed backpressure semantics are unchanged,
 	// as are the per-edge logical data/dummy counts.  The one-shot Run

@@ -22,10 +22,12 @@ type KernelFunc = stream.KernelFunc
 // Input is the per-edge aligned input handed to kernels.
 type Input = stream.Input
 
-// SpanKernel is the optional vectorized kernel interface: a batched
-// backend hands a whole run of consecutive elements to ProcessSpan in
-// one call instead of invoking Process per element.  See
-// stream.SpanKernel for the prefix-decline contract.
+// SpanKernel is the optional vectorized kernel interface: a backend
+// hands a whole run of consecutive elements to ProcessSpan in one call
+// instead of invoking Process per element.  The run may have length one
+// at any batch setting, and its in and out slices are engine scratch,
+// never to be retained.  See stream.SpanKernel for the prefix-decline
+// contract.
 type SpanKernel = stream.SpanKernel
 
 // mapKernel is a single-input map kernel that vectorizes: Process
