@@ -2,7 +2,6 @@ package streamdag
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -52,55 +51,12 @@ func TestLoadTopologyAuto(t *testing.T) {
 // through the public facade.
 func TestDistributedPublicAPI(t *testing.T) {
 	topo := fig2(t)
-	a, err := Analyze(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iv, err := a.Intervals(Propagation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := Partition{
-		topo.Node("A"): "left",
-		topo.Node("B"): "right",
-		topo.Node("C"): "right",
-	}
-	addrs := map[string]string{"left": "127.0.0.1:0", "right": "127.0.0.1:0"}
+	assign := map[string]string{"A": "left", "B": "right", "C": "right"}
 	kernels := RouteKernels(topo, DropEdge(2)) // starve A→C
-	cfg := DistConfig{
-		Inputs: 100, Algorithm: Propagation, Intervals: iv,
-		WatchdogTimeout: 5 * time.Second,
-	}
-	var workers []*DistWorker
-	for _, name := range []string{"left", "right"} {
-		w, err := NewDistWorker(topo, name, part, addrs, kernels, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers = append(workers, w)
-	}
-	for _, w := range workers {
-		if err := w.Listen(); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(w.Addr(), "127.0.0.1:") {
-			t.Errorf("Addr = %s", w.Addr())
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(workers))
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *DistWorker) {
-			defer wg.Done()
-			_, errs[i] = w.Run()
-		}(i, w)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
+	if _, err := runCounting(topo, 100, WithKernels(kernels),
+		WithAlgorithm(Propagation), WithWatchdog(5*time.Second),
+		WithBackend(Distributed(assign))); err != nil {
+		t.Fatal(err)
 	}
 }
 

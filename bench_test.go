@@ -19,6 +19,7 @@ package streamdag
 // show up as how ns/op scales across the size sub-benchmarks.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -320,20 +321,14 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 	topo.Channel("s0", "s1", 64)
 	topo.Channel("s1", "s2", 64)
 	topo.Channel("s2", "s3", 64)
-	a, err := Analyze(topo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	iv, err := a.Intervals(NonPropagation)
+	p, err := Build(topo, WithAlgorithm(NonPropagation))
 	if err != nil {
 		b.Fatal(err)
 	}
 	const items = 20000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		stats, err := Run(topo, nil, RunConfig{
-			Inputs: items, Algorithm: NonPropagation, Intervals: iv,
-		})
+		stats, err := p.Run(context.Background(), CountingSource(items), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -358,25 +353,15 @@ func BenchmarkReplicatedThroughput(b *testing.B) {
 			topo.Channel("s0", "s1", 64)
 			topo.Channel("s1", "s2", 64)
 			topo.Channel("s2", "s3", 64)
-			rep, err := Replicate(topo, ReplicationPlan{"s1": k})
+			p, err := Build(topo, WithAlgorithm(NonPropagation),
+				WithReplication(ReplicationPlan{"s1": k}))
 			if err != nil {
 				b.Fatal(err)
 			}
-			a, err := Analyze(rep.Topology())
-			if err != nil {
-				b.Fatal(err)
-			}
-			iv, err := a.Intervals(NonPropagation)
-			if err != nil {
-				b.Fatal(err)
-			}
-			kernels := rep.Kernels(nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				stats, err := Run(rep.Topology(), kernels, RunConfig{
-					Inputs: items, Algorithm: NonPropagation, Intervals: iv,
-				})
+				stats, err := p.Run(context.Background(), CountingSource(items), nil)
 				if err != nil {
 					b.Fatal(err)
 				}

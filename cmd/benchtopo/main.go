@@ -9,7 +9,7 @@
 // Usage:
 //
 //	benchtopo [-family sp|ladder|general|all] [-reps 5] > scaling.csv
-//	benchtopo -family throughput [-api legacy|pipeline|typed|engine|both|all|<list>]
+//	benchtopo -family throughput [-api pipeline|typed|engine|all|<list>]
 //	          [-replicate 1,2,4] [-sessions 1,16,64] [-stage block|spin]
 //	          [-cost 100] [-inputs 20000] [-batch 1,64]
 //	          [-backend runtime,simulator,distributed]
@@ -25,14 +25,13 @@
 // The throughput family runs a three-stage pipeline gen → work → out on
 // the goroutine runtime with the Propagation protocol, expanding the hot
 // "work" stage into k replicas per -replicate.  -api selects the entry
-// point: "legacy" drives the deprecated Run/RunConfig path, "pipeline"
-// drives streamdag.Build + Pipeline.Run with a real Source, "typed"
-// drives the Flow builder (NewFlow + Stage.Replicate + Compile) over the
-// same shape, "engine" drives the long-lived Engine API (one resident
-// engine, streams as concurrent sessions), and "both"
-// ("legacy,pipeline") / "all" / any comma list interleave them for
-// regression comparisons — BENCH_typed.json records the typed-vs-kernel
-// comparison from "-api pipeline,typed".  -sessions multiplies the
+// point: "pipeline" (the default) drives streamdag.Build + Pipeline.Run
+// with a real Source, "typed" drives the Flow builder (NewFlow +
+// Stage.Replicate + Compile) over the same shape, "engine" drives the
+// long-lived Engine API (one resident engine, streams as concurrent
+// sessions), and "all" / any comma list interleave them for regression
+// comparisons — BENCH_typed.json records the typed-vs-kernel comparison
+// from "-api pipeline,typed".  -sessions multiplies the
 // workload into N streams of -inputs each: the engine api serves them as
 // N concurrent sessions over one resident engine, while the per-run apis
 // execute N fresh runs — the amortized-vs-per-run comparison
@@ -44,8 +43,7 @@
 // produces its own row, so "-batch 1,64" measures the batched hot path
 // against the per-message baseline — BENCH_batching.json records that
 // sweep.  -backend sweeps the execution backend (runtime, simulator,
-// distributed); the legacy api predates both knobs and is skipped for
-// rows with a batch > 1 or a non-runtime backend.  -json additionally
+// distributed).  -json additionally
 // writes the machine-readable records (topology, backend, api, msgs/sec,
 // dummy overhead %, …) that seed the repo's BENCH_*.json performance
 // trajectory.
@@ -106,7 +104,7 @@ func main() {
 	family := flag.String("family", "all", "sp, ladder, general, all, or throughput")
 	reps := flag.Int("reps", 5, "repetitions per point (minimum time reported)")
 	seed := flag.Int64("seed", 1, "generator seed")
-	api := flag.String("api", "legacy", "throughput entry points: legacy, pipeline, typed, engine, both, all, or a comma list")
+	api := flag.String("api", "pipeline", "throughput entry points: pipeline, typed, engine, all, or a comma list")
 	replicate := flag.String("replicate", "1,2,4", "comma-separated replica counts for the hot stage (throughput family)")
 	sessions := flag.String("sessions", "1", "comma-separated stream counts (throughput family): N streams of -inputs each — concurrent sessions on the engine api, sequential fresh runs elsewhere")
 	stage := flag.String("stage", "block", "hot-stage cost model: block (sleep) or spin (CPU) (throughput family)")
@@ -120,7 +118,7 @@ func main() {
 	windows := flag.String("window", "250us,1ms,4ms", "window family: comma-separated tumbling-window widths")
 	spikeAt := flag.Uint64("spike-at", 2000, "scale family: message index where the load spike begins")
 	spikeLen := flag.Uint64("spike-len", 4000, "scale family: number of flood-rate messages in the spike")
-	metrics := flag.Bool("metrics", false, "attach an Observer to each throughput run and print its final Snapshot as JSON alongside the bench line (throughput family; skipped for the legacy api)")
+	metrics := flag.Bool("metrics", false, "attach an Observer to each throughput run and print its final Snapshot as JSON alongside the bench line (throughput family)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	blockprofile := flag.String("blockprofile", "", "write a goroutine blocking profile at exit to this file")
@@ -204,8 +202,8 @@ type throughputRecord struct {
 
 // runThroughput streams N sessions of `inputs` each through gen → work →
 // out for each replica count, with the hot "work" stage expanded by
-// streamdag.Replicate — through the legacy Run entry point, the Pipeline
-// API, the typed Flow builder, or the long-lived Engine.
+// streamdag.Replicate — through the Pipeline API, the typed Flow builder,
+// or the long-lived Engine.
 func runThroughput(api, replicate, sessions, stage string, cost int, inputs uint64, batch, backend string, reps int, jsonOut string, metrics bool) {
 	if reps < 1 {
 		reps = 1
@@ -238,15 +236,13 @@ func runThroughput(api, replicate, sessions, stage string, cost int, inputs uint
 	}
 	var apis []string
 	switch api {
-	case "both":
-		apis = []string{"legacy", "pipeline"}
 	case "all":
-		apis = []string{"legacy", "pipeline", "typed", "engine"}
+		apis = []string{"pipeline", "typed", "engine"}
 	default:
 		for _, part := range strings.Split(api, ",") {
 			part = strings.TrimSpace(part)
 			switch part {
-			case "legacy", "pipeline", "typed", "engine":
+			case "pipeline", "typed", "engine":
 				apis = append(apis, part)
 			default:
 				fmt.Fprintf(os.Stderr, "benchtopo: unknown -api %q\n", part)
@@ -270,9 +266,6 @@ func runThroughput(api, replicate, sessions, stage string, cost int, inputs uint
 			for _, be := range backends {
 				for _, b := range bs {
 					for _, a := range apis {
-						if a == "legacy" && (b > 1 || be != "runtime") {
-							continue // the legacy Run path predates both knobs
-						}
 						// Best-of-reps: scheduling and GC noise dominate short
 						// batches, and the fastest repetition is the least-noisy
 						// estimate of each mode's attainable throughput.
@@ -291,17 +284,14 @@ func runThroughput(api, replicate, sessions, stage string, cost int, inputs uint
 								// printed next to the bench line covers exactly the
 								// winning repetition's traffic.
 								var obs *streamdag.Observer
-								if metrics && a != "legacy" {
+								if metrics {
 									obs = streamdag.NewObserver()
 								}
 								var cand throughputRecord
-								switch a {
-								case "pipeline":
-									cand = runPipelineAPI(k, n, b, be, hot, stage, desc, inputs, obs)
-								case "typed":
+								if a == "typed" {
 									cand = runTypedAPI(k, n, b, be, hotTyped, stage, desc, inputs, obs)
-								default:
-									cand = runPipeline(k, n, hot, stage, desc, inputs)
+								} else {
+									cand = runPipelineAPI(k, n, b, be, hot, stage, desc, inputs, obs)
 								}
 								if r == 0 || cand.MsgsPerSec > rec.MsgsPerSec {
 									rec = cand
@@ -348,7 +338,7 @@ func runThroughput(api, replicate, sessions, stage string, cost int, inputs uint
 }
 
 // stageKernel builds the hot stage's kernel by wrapping the typed cost
-// model, so the legacy/pipeline and typed entry points pay the identical
+// model, so the pipeline and typed entry points pay the identical
 // per-message cost and the BENCH_typed.json comparison measures API
 // overhead only.
 func stageKernel(stage string, cost int) (streamdag.Kernel, string) {
@@ -508,44 +498,6 @@ func makeThroughputRecord(api, backend string, k, n, batch int, stage, desc stri
 	}
 }
 
-func runPipeline(k, n int, hot streamdag.Kernel, stage, desc string, inputs uint64) throughputRecord {
-	rep, err := streamdag.BuildReplicated(fmt.Sprintf(`
-topology hotstage {
-  buffer 64
-  gen -> work*%d -> out
-}`, k))
-	if err != nil {
-		fatal(err)
-	}
-	topo := rep.Topology()
-	analysis, err := streamdag.Analyze(topo)
-	if err != nil {
-		fatal(err)
-	}
-	iv, err := analysis.Intervals(streamdag.Propagation)
-	if err != nil {
-		fatal(err)
-	}
-	kernels := rep.Kernels(map[streamdag.NodeID]streamdag.Kernel{
-		rep.Original().Node("work"): hot,
-	})
-	start := time.Now()
-	var agg aggStats
-	for i := 0; i < n; i++ {
-		stats, err := streamdag.Run(topo, kernels, streamdag.RunConfig{
-			Inputs:          inputs,
-			Algorithm:       streamdag.Propagation,
-			Intervals:       iv,
-			WatchdogTimeout: 30 * time.Second,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		agg.add(stats)
-	}
-	return makeThroughputRecord("legacy", "runtime", k, n, 1, stage, desc, inputs, agg, time.Since(start))
-}
-
 // hotstagePipeline builds the gen → work×k → out pipeline the pipeline
 // and engine entry points share, at the given transport batch size and
 // execution backend.
@@ -585,10 +537,9 @@ func hotstagePipeline(k, batch int, backend string, hot streamdag.Kernel, obs *s
 	return pipe
 }
 
-// runPipelineAPI is runPipeline through the Build + Pipeline.Run
-// surface: the n streams run as n fresh Run calls — each one spins up
-// and tears down a full runtime, which is exactly the per-run cost the
-// engine mode amortizes.
+// runPipelineAPI drives the Build + Pipeline.Run surface: the n streams
+// run as n fresh Run calls — each one spins up and tears down a full
+// runtime, which is exactly the per-run cost the engine mode amortizes.
 func runPipelineAPI(k, n, batch int, backend string, hot streamdag.Kernel, stage, desc string, inputs uint64, obs *streamdag.Observer) throughputRecord {
 	pipe := hotstagePipeline(k, batch, backend, hot, obs)
 	start := time.Now()

@@ -50,9 +50,9 @@
 // protocol state and the per-edge buffer windows are per session, so
 // the deadlock-freedom guarantee holds for each stream independently,
 // and a wedged session is reported by a DeadlockError naming its id
-// while the others keep streaming.  Pipeline.Run remains as the
-// one-shot wrapper (engine up, one session, engine down); services
-// streaming more than once should hold an Engine.
+// while the others keep streaming.  Pipeline.Run is engine up, one
+// session, engine down; services streaming more than once should hold
+// an Engine.
 //
 // # Batched hot path
 //
@@ -88,6 +88,7 @@
 // replicated or placed inside a Split branch — Compile rejects those
 // placements with an explanatory error.
 //
-// The pre-Pipeline entry points (Run, Simulate, NewDistWorker) remain
-// as deprecated wrappers.
+// Simulate runs the bare deterministic simulator on a topology and a
+// filter, with no kernels or payloads — the oracle the test suites
+// compare the backends against.
 package streamdag

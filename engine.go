@@ -197,7 +197,8 @@ func (e *Engine) Open(ctx context.Context, source Source, sink Sink) (*Session, 
 	if err != nil {
 		cancel()
 		s.release()
-		return nil, err
+		// A Close racing this Open can reach the backend first.
+		return nil, closedErr(err)
 	}
 	s.bs = bs
 	go func() {
@@ -322,6 +323,17 @@ func (s *Session) ID() SessionID { return s.id }
 // (even on pipelines with Stateful stages).
 func (s *Session) Done() <-chan struct{} { return s.pubDone }
 
+// closedErr maps a backend's engine-closed error onto the public
+// ErrEngineClosed and returns any other error unchanged.
+func closedErr(err error) error {
+	if errors.Is(err, stream.ErrEngineClosed) ||
+		errors.Is(err, sim.ErrEngineClosed) ||
+		errors.Is(err, dist.ErrEngineClosed) {
+		return ErrEngineClosed
+	}
+	return err
+}
+
 // Cancel aborts the session; Wait returns context.Canceled.  Other
 // sessions on the engine are unaffected.
 func (s *Session) Cancel() {
@@ -339,11 +351,8 @@ func (s *Session) Wait() (*RunStats, error) {
 	stats, err := s.bs.wait()
 	s.release()
 	if err != nil {
+		err = closedErr(err)
 		switch {
-		case errors.Is(err, stream.ErrEngineClosed),
-			errors.Is(err, sim.ErrEngineClosed),
-			errors.Is(err, dist.ErrEngineClosed):
-			err = ErrEngineClosed
 		case errors.Is(err, context.Canceled) && s.evicted.Load():
 			// A retired generation's drain deadline cancelled the session
 			// (no retry policy to migrate it under).
@@ -541,7 +550,7 @@ func (s *simSession) wait() (*RunStats, error) {
 	return convertStats(res.DataMsgs, res.DummyMsgs, res.SinkData, res.Elapsed), nil
 }
 
-// convertStats copies a backend's per-edge count maps into a RunStats.
+// convertStats copies the simulator's per-edge count maps into a RunStats.
 func convertStats(data, dummies map[EdgeID]int64, sink int64, elapsed time.Duration) *RunStats {
 	stats := &RunStats{
 		Data:     make(map[EdgeID]int64, len(data)),
@@ -610,10 +619,4 @@ type distSession struct{ ses *dist.EngineSession }
 
 func (s distSession) done() <-chan struct{} { return s.ses.Done() }
 
-func (s distSession) wait() (*RunStats, error) {
-	st, err := s.ses.Wait()
-	if err != nil {
-		return nil, err
-	}
-	return convertStats(st.Data, st.Dummies, st.SinkData, st.Elapsed), nil
-}
+func (s distSession) wait() (*RunStats, error) { return s.ses.Wait() }

@@ -12,15 +12,15 @@ import (
 )
 
 // Tests for the Engine API: single-session parity with Pipeline.Run and
-// with the deprecated legacy Run, goroutine reclamation after Close,
+// with the simulator oracle, goroutine reclamation after Close,
 // per-session deadlock attribution, cross-backend multi-session
 // equivalence, and the typed SessionOf surface.
 
 // TestEngineSingleSessionParity is the acceptance check: on every
 // backend, one Engine.Open session is bit-identical — per-edge data and
 // dummy counts, sink sequence order and payloads — to a Pipeline.Run of
-// the same build, which in turn matches the deprecated legacy Run's
-// counts on the goroutine path.
+// the same build, which in turn matches the bare simulator's counts on
+// the goroutine path.
 func TestEngineSingleSessionParity(t *testing.T) {
 	const n = 90
 	opts := append(fig1Kernels(), WithWatchdog(10*time.Second))
@@ -72,9 +72,9 @@ func TestEngineSingleSessionParity(t *testing.T) {
 		}
 	}
 
-	// The deprecated legacy Run (pre-Pipeline API) pins the same counts
-	// for the synthetic arrangement, so the parity chain reaches all the
-	// way back: legacy Run == Pipeline.Run == Engine session.
+	// The bare simulator pins the same counts for the synthetic
+	// arrangement, so the parity chain is anchored on the oracle:
+	// Simulate == Pipeline.Run == Engine session.
 	topo := fig1Topo()
 	f := Periodic(3)
 	a, err := Analyze(topo)
@@ -85,12 +85,9 @@ func TestEngineSingleSessionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := Run(topo, RouteKernels(topo, f), RunConfig{
-		Inputs: n, Algorithm: Propagation, Intervals: iv,
-		WatchdogTimeout: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
+	oracle := Simulate(topo, f, SimConfig{Inputs: n, Algorithm: Propagation, Intervals: iv})
+	if !oracle.Completed {
+		t.Fatalf("simulator deadlocked: %v", oracle.Blocked)
 	}
 	p, err := Build(fig1Topo(), WithRouting(f), WithWatchdog(10*time.Second))
 	if err != nil {
@@ -109,17 +106,17 @@ func TestEngineSingleSessionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SinkData != legacy.SinkData {
-		t.Errorf("SinkData = %d, legacy %d", stats.SinkData, legacy.SinkData)
+	if stats.SinkData != oracle.SinkData {
+		t.Errorf("SinkData = %d, simulator %d", stats.SinkData, oracle.SinkData)
 	}
-	for e, want := range legacy.Data {
+	for e, want := range oracle.DataMsgs {
 		if stats.Data[e] != want {
-			t.Errorf("edge %d data = %d, legacy %d", e, stats.Data[e], want)
+			t.Errorf("edge %d data = %d, simulator %d", e, stats.Data[e], want)
 		}
 	}
-	for e, want := range legacy.Dummies {
+	for e, want := range oracle.DummyMsgs {
 		if stats.Dummies[e] != want {
-			t.Errorf("edge %d dummies = %d, legacy %d", e, stats.Dummies[e], want)
+			t.Errorf("edge %d dummies = %d, simulator %d", e, stats.Dummies[e], want)
 		}
 	}
 }
@@ -263,7 +260,7 @@ func TestEngineCloseReclaimsGoroutinesAllBackends(t *testing.T) {
 // unprotected engine: the session whose payloads starve the A→C chord
 // wedges (its sink starves — the paper's Fig. 2), the clean session
 // completes, and the wedged session's error is a DeadlockError naming
-// its session id.
+// its session id — on the goroutine and the distributed backend alike.
 func TestEngineDeadlockNamesWedgedSession(t *testing.T) {
 	topo := fig2(t)
 	var ac EdgeID
@@ -303,52 +300,60 @@ func TestEngineDeadlockNamesWedgedSession(t *testing.T) {
 		id := NodeID(n)
 		kernels[id] = kernelFor(g.Out(id))
 	}
-	p, err := Build(fig2(t), WithKernels(kernels), WithoutAvoidance(),
-		WithWatchdog(200*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := p.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	// Every runtime backend reports the wedge as the one *DeadlockError.
+	for _, backend := range []Backend{
+		Goroutines(),
+		Distributed(map[string]string{"A": "left", "B": "right", "C": "right"}),
+	} {
+		t.Run(backend.String(), func(t *testing.T) {
+			p, err := Build(fig2(t), WithKernels(kernels), WithoutAvoidance(),
+				WithWatchdog(200*time.Millisecond), WithBackend(backend))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := p.Engine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
 
-	starved := make([]any, 64)
-	clean := make([]any, 64)
-	for i := range starved {
-		starved[i] = "starve"
-		clean[i] = "flow"
-	}
-	bad, err := eng.Open(context.Background(), SliceSource(starved...), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := eng.Open(context.Background(), SliceSource(clean...), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := good.Wait(); err != nil {
-		t.Fatalf("healthy session failed: %v", err)
-	}
-	_, err = bad.Wait()
-	var derr *DeadlockError
-	if !errors.As(err, &derr) {
-		t.Fatalf("wedged session err = %v, want *DeadlockError", err)
-	}
-	if derr.Session != bad.ID() {
-		t.Fatalf("DeadlockError names session %d, want %d (the wedged one)", derr.Session, bad.ID())
-	}
-	if !strings.Contains(err.Error(), fmt.Sprintf("session %d", bad.ID())) {
-		t.Fatalf("error text %q does not name the session", err)
-	}
-	// The wedge report must also say *where* the stream stalled: the
-	// embedded snapshot names the saturated edges.
-	if len(derr.Stalled) == 0 {
-		t.Fatalf("DeadlockError %v names no stalled edges", derr)
-	}
-	if !strings.Contains(err.Error(), "stalled on: ") {
-		t.Fatalf("error text %q does not name where the stream stalled", err)
+			starved := make([]any, 64)
+			clean := make([]any, 64)
+			for i := range starved {
+				starved[i] = "starve"
+				clean[i] = "flow"
+			}
+			bad, err := eng.Open(context.Background(), SliceSource(starved...), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			good, err := eng.Open(context.Background(), SliceSource(clean...), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := good.Wait(); err != nil {
+				t.Fatalf("healthy session failed: %v", err)
+			}
+			_, err = bad.Wait()
+			var derr *DeadlockError
+			if !errors.As(err, &derr) {
+				t.Fatalf("wedged session err = %v, want *DeadlockError", err)
+			}
+			if derr.Session != bad.ID() {
+				t.Fatalf("DeadlockError names session %d, want %d (the wedged one)", derr.Session, bad.ID())
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("session %d", bad.ID())) {
+				t.Fatalf("error text %q does not name the session", err)
+			}
+			// The wedge report must also say *where* the stream stalled: the
+			// embedded snapshot names the saturated edges.
+			if len(derr.Stalled) == 0 {
+				t.Fatalf("DeadlockError %v names no stalled edges", derr)
+			}
+			if !strings.Contains(err.Error(), "stalled on: ") {
+				t.Fatalf("error text %q does not name where the stream stalled", err)
+			}
+		})
 	}
 }
 

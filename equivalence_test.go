@@ -41,10 +41,8 @@ func assertRunMatchesSimulate(t *testing.T, topo *Topology, f Filter, alg Algori
 	if !simRes.Completed {
 		t.Fatalf("simulator deadlocked: %v", simRes.Blocked)
 	}
-	runRes, err := Run(topo, RouteKernels(topo, f), RunConfig{
-		Inputs: inputs, Algorithm: alg, Intervals: iv,
-		WatchdogTimeout: 5 * time.Second,
-	})
+	runRes, err := runCounting(topo, inputs, WithKernels(RouteKernels(topo, f)),
+		WithAlgorithm(alg), WithWatchdog(5*time.Second))
 	if err != nil {
 		t.Fatalf("runtime: %v", err)
 	}

@@ -19,23 +19,18 @@ import (
 //
 //	'H' hello  — magic "SDG1" + sender worker name; first frame on every
 //	             connection.
-//	'M' msg    — edge uint32, seq uint64, kind byte, then (Data only) an
-//	             encoded payload.  One per protocol message on a cross
-//	             edge; the sender holds a flow-control credit for it.
-//	'C' credit — edge uint32.  Returned by the consumer of a cross edge
-//	             when a message leaves the edge's buffer, releasing one
-//	             window slot at the sender.
-//	'D' done   — the sending worker's nodes have all terminated.
-//	'S' smsg   — session uint64, then the msg layout.  The session-
-//	             multiplexed counterpart of 'M', used by the resident
-//	             Engine: the session id routes the message to that
-//	             session's per-edge buffer, and the sender holds one of
-//	             that session's credits for it.
+//	'S' smsg   — session uint64, edge uint32, seq uint64, kind byte, then
+//	             (Data only) an encoded payload.  One per protocol
+//	             message on a cross edge: the session id routes it to
+//	             that session's per-edge buffer, and the sender holds one
+//	             of that session's credits for it.
 //	'c' scred  — session uint64, edge uint32: a per-session credit,
-//	             releasing one slot of that session's window for the
-//	             edge.  Per-session windows are what carry the paper's
-//	             finite buffer capacities — and with them the deadlock-
-//	             freedom guarantee — stream-by-stream over a shared wire.
+//	             returned by the consumer of a cross edge when a message
+//	             leaves the edge's buffer, releasing one slot of that
+//	             session's window for the edge.  Per-session windows are
+//	             what carry the paper's finite buffer capacities — and
+//	             with them the deadlock-freedom guarantee —
+//	             stream-by-stream over a shared wire.
 //	'B' batch  — uint32 count, then count × (uint32 len + sub-body).  A
 //	             transport-level aggregate: the coalescing writer packs
 //	             the frames queued for one peer into a single wire frame
@@ -52,9 +47,6 @@ import (
 // frames need no further addressing.
 const (
 	frameHello      byte = 'H'
-	frameMsg        byte = 'M'
-	frameCredit     byte = 'C'
-	frameDone       byte = 'D'
 	frameSessMsg    byte = 'S'
 	frameSessCredit byte = 'c'
 	frameBatch      byte = 'B'
@@ -95,8 +87,7 @@ func frameFor(body []byte) []byte {
 
 // readFrameReuse reads one frame into *buf, growing it only when a frame
 // outsizes every previous one; the returned slice aliases *buf and is
-// valid until the next call.  Safe on the resident Engine's read path
-// because every parser copies the bytes it retains past dispatch
+// valid until the next call.  Safe on the read path because every parser copies the bytes it retains past dispatch
 // (decodePayload copies strings, byte slices, and gob values).
 func readFrameReuse(r io.Reader, buf *[]byte) ([]byte, error) {
 	var hdr [4]byte
@@ -199,61 +190,8 @@ func parseHello(body []byte) (string, error) {
 	return string(body[1+len(helloMagic):]), nil
 }
 
-func creditBody(e graph.EdgeID) []byte {
-	b := make([]byte, 5)
-	b[0] = frameCredit
-	binary.BigEndian.PutUint32(b[1:], uint32(e))
-	return b
-}
-
-func msgBody(e graph.EdgeID, m stream.Message) ([]byte, error) {
-	b := make([]byte, 0, 16)
-	b = append(b, frameMsg)
-	b = binary.BigEndian.AppendUint32(b, uint32(e))
-	b = binary.BigEndian.AppendUint64(b, m.Seq)
-	b = append(b, byte(m.Kind))
-	if m.Kind == stream.Data {
-		var err error
-		b, err = appendPayload(b, m.Payload)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-func parseMsg(body []byte) (graph.EdgeID, stream.Message, error) {
-	if len(body) < 14 {
-		return 0, stream.Message{}, fmt.Errorf("dist: short msg frame (%d bytes)", len(body))
-	}
-	e := graph.EdgeID(binary.BigEndian.Uint32(body[1:]))
-	m := stream.Message{
-		Seq:  binary.BigEndian.Uint64(body[5:]),
-		Kind: stream.Kind(body[13]),
-	}
-	if m.Kind == stream.Data {
-		var err error
-		m.Payload, err = decodePayload(body[14:])
-		if err != nil {
-			return 0, stream.Message{}, err
-		}
-	}
-	return e, m, nil
-}
-
-func parseCredit(body []byte) (graph.EdgeID, error) {
-	if len(body) != 5 {
-		return 0, fmt.Errorf("dist: bad credit frame (%d bytes)", len(body))
-	}
-	return graph.EdgeID(binary.BigEndian.Uint32(body[1:])), nil
-}
-
-func sessMsgBody(sid proto.SessionID, e graph.EdgeID, m stream.Message) ([]byte, error) {
-	return appendSessMsg(make([]byte, 0, 24), sid, e, m)
-}
-
-// appendSessMsg is sessMsgBody into a caller-supplied (typically pooled)
-// buffer.
+// appendSessMsg encodes a session message body into a caller-supplied
+// (typically pooled) buffer.
 func appendSessMsg(b []byte, sid proto.SessionID, e graph.EdgeID, m stream.Message) ([]byte, error) {
 	b = append(b, frameSessMsg)
 	b = binary.BigEndian.AppendUint64(b, uint64(sid))
@@ -290,12 +228,8 @@ func parseSessMsg(body []byte) (proto.SessionID, graph.EdgeID, stream.Message, e
 	return sid, e, m, nil
 }
 
-func sessCreditBody(sid proto.SessionID, e graph.EdgeID) []byte {
-	return appendSessCredit(make([]byte, 0, 13), sid, e)
-}
-
-// appendSessCredit is sessCreditBody into a caller-supplied (typically
-// pooled) buffer.
+// appendSessCredit encodes a session credit body into a caller-supplied
+// (typically pooled) buffer.
 func appendSessCredit(b []byte, sid proto.SessionID, e graph.EdgeID) []byte {
 	b = append(b, frameSessCredit)
 	b = binary.BigEndian.AppendUint64(b, uint64(sid))

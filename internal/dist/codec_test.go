@@ -52,7 +52,7 @@ func TestMsgFrameRoundTrip(t *testing.T) {
 		{Seq: ^uint64(0), Kind: stream.EOS},
 	}
 	for _, m := range msgs {
-		body, err := msgBody(3, m)
+		body, err := appendSessMsg(nil, 42, 3, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,12 +63,12 @@ func TestMsgFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, got, err := parseMsg(read)
+		sid, e, got, err := parseSessMsg(read)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e != 3 || !reflect.DeepEqual(got, m) {
-			t.Errorf("round trip (3, %+v) → (%d, %+v)", m, e, got)
+		if sid != 42 || e != 3 || !reflect.DeepEqual(got, m) {
+			t.Errorf("round trip (42, 3, %+v) → (%d, %d, %+v)", m, sid, e, got)
 		}
 	}
 }
@@ -81,9 +81,9 @@ func TestHelloAndCreditFrames(t *testing.T) {
 	if _, err := parseHello([]byte("XBAD!junk")); err == nil {
 		t.Error("bad hello accepted")
 	}
-	e, err := parseCredit(creditBody(12))
-	if err != nil || e != 12 {
-		t.Errorf("credit round trip = %d, %v", e, err)
+	sid, e, err := parseSessCredit(appendSessCredit(nil, 42, 12))
+	if err != nil || sid != 42 || e != 12 {
+		t.Errorf("credit round trip = %d, %d, %v", sid, e, err)
 	}
 }
 

@@ -5,94 +5,69 @@
 // preserves each edge's finite buffer capacity over the wire.  Because
 // the deadlock-avoidance intervals of Buhler et al. are computed against
 // those capacities, the same dummy-message protection that works
-// in-process works across machines — each worker drives the shared
+// in-process works across workers — each worker drives the shared
 // per-node protocol engine (internal/proto) around its local nodes, so
 // the transport is the only thing that changes between backends.
 //
-// Lifecycle: construct every worker with NewWorker, call Listen on every
-// worker (port 0 allocates; Addr reports the bound address), then call
-// Run on all of them concurrently.  Run returns the worker's traffic
-// stats once the stream drains everywhere, or an error when its progress
-// watchdog detects a wedged network.
+// Lifecycle: NewEngine builds one resident worker per partition name,
+// all hosted in the calling process on loopback listeners, and connects
+// the peer mesh; Engine.Open serves each stream as a session over them;
+// Engine.Close tears them down.  Workers in separate processes are not
+// supported.
 package dist
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net"
-	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"streamdag/internal/cs4"
 	"streamdag/internal/graph"
 	"streamdag/internal/ival"
 	"streamdag/internal/obs"
-	"streamdag/internal/proto"
 	"streamdag/internal/stream"
 )
 
 // Partition assigns every node of the topology to a named worker.
 type Partition map[graph.NodeID]string
 
-// Config parameterizes a distributed run (mirrors stream.Config).
+// Config parameterizes NewEngine (mirrors stream.Config).
 type Config struct {
-	// Inputs is the number of sequence numbers generated at the source
-	// when Source is nil (the legacy synthetic arrangement).
-	Inputs uint64
-	// Source, when non-nil, supplies the payloads injected at the
-	// topology's source node; only the worker hosting the source uses
-	// it, and Inputs is then ignored.  Payloads must round-trip the wire
-	// codec (scalar fast paths, or gob-registered types).
-	Source stream.SourceFunc
-	// Sink, when non-nil, receives the sink node's data-carrying
-	// firings in ascending sequence order; only the worker hosting the
-	// sink uses it.
-	Sink stream.SinkFunc
 	// Algorithm selects the dummy protocol when Intervals != nil.
 	Algorithm cs4.Algorithm
 	// Intervals are per-edge dummy intervals (nil disables avoidance).
 	Intervals map[graph.EdgeID]ival.Interval
-	// WatchdogTimeout is how long a worker waits without local progress
-	// before declaring deadlock.  Zero defaults to one second.  Unlike
-	// the in-process runtime, each worker only observes its own progress
-	// (messages moved, credits exchanged, done frames), so set this
-	// comfortably above the longest stretch any single kernel firing on
-	// any worker can keep the wire silent; after a worker's own nodes
-	// finish it tolerates doneGraceTicks quiet periods before giving up
-	// on its peers.
+	// WatchdogTimeout is how long the watchdog waits without progress in
+	// a session (messages moved, credits exchanged, on any worker) before
+	// declaring it deadlocked.  Zero defaults to one second.
 	WatchdogTimeout time.Duration
-	// DialTimeout bounds connection establishment to each peer at the
-	// start of Run.  Zero defaults to ten seconds.
+	// DialTimeout bounds connection establishment to each peer.  Zero
+	// defaults to ten seconds.
 	DialTimeout time.Duration
-	// MaxBatch, when > 1, turns on transport-level write coalescing in
-	// the resident Engine: each peer link runs a dedicated writer that
-	// drains everything queued per wakeup and packs up to MaxBatch frames
-	// into a single aggregate wire frame — one syscall per batch instead
-	// of one per message.  Draining is eager (a lone frame goes out
-	// immediately in its plain form), so the message timing the protocol
-	// observes is unchanged and the per-session logical stream — data,
-	// dummies, credits — is identical to the unbatched wire.  Values of
-	// 0 and 1 keep the legacy one-frame-per-write path; the one-shot Run
-	// ignores the field entirely.
+	// MaxBatch, when > 1, turns on transport-level write coalescing:
+	// each peer link runs a dedicated writer that drains everything
+	// queued per wakeup and packs up to MaxBatch frames into a single
+	// aggregate wire frame — one syscall per batch instead of one per
+	// message.  Draining is eager (a lone frame goes out immediately in
+	// its plain form), so the message timing the protocol observes is
+	// unchanged and the per-session logical stream — data, dummies,
+	// credits — is identical to the unbatched wire.  Values of 0 and 1
+	// write one frame per message.
 	MaxBatch int
-	// Obs, when non-nil, receives per-node/per-edge/per-session telemetry
-	// from the resident Engine, plus per-link wire stats (frames, bodies,
-	// bytes) keyed "sender→receiver".  All workers share the one Metrics —
-	// the Engine hosts them in-process.  Nil compiles instrumentation out
-	// of the hot paths.  The one-shot Worker ignores the field.
+	// Obs, when non-nil, receives per-node/per-edge/per-session
+	// telemetry, plus per-link wire stats (frames, bodies, bytes) keyed
+	// "sender→receiver".  All workers share the one Metrics — the Engine
+	// hosts them in-process.  Nil compiles instrumentation out of the hot
+	// paths.
 	Obs *obs.Metrics
-	// HeartbeatInterval enables liveness tracking on the resident
-	// Engine: each worker sends a beat frame to every peer it holds a
-	// link to once per interval (any frame counts as a beat, so loaded
-	// links pay nothing), and a monitor declares a worker down — failing
-	// its sessions with a *fault.WorkerDownError naming it — after
-	// HeartbeatMiss intervals of silence.  Zero disables heartbeats and
-	// keeps the legacy fail-everything behavior on transport errors.
-	// The one-shot Worker ignores the field.
+	// HeartbeatInterval enables liveness tracking: each worker sends a
+	// beat frame to every peer it holds a link to once per interval (any
+	// frame counts as a beat, so loaded links pay nothing), and a monitor
+	// declares a worker down — failing its sessions with a
+	// *fault.WorkerDownError naming it — after HeartbeatMiss intervals of
+	// silence.  Zero disables heartbeats: a dead worker is then noticed
+	// only when a read or write on one of its links fails.
 	HeartbeatInterval time.Duration
 	// HeartbeatMiss is how many consecutive silent intervals are
 	// tolerated before a worker is declared down; <1 defaults to 3.
@@ -104,75 +79,11 @@ type Config struct {
 	Restart bool
 }
 
-// Stats is one worker's traffic summary.  Data and Dummies count messages
-// this worker sent, keyed by edge; summing Stats across all workers
-// counts every edge exactly once.
-type Stats struct {
-	Data    map[graph.EdgeID]int64
-	Dummies map[graph.EdgeID]int64
-	// SinkData counts data messages consumed by the sink, when this
-	// worker hosts it.
-	SinkData int64
-	Elapsed  time.Duration
-}
-
-// TotalDummies sums dummy messages across edges.
-func (s *Stats) TotalDummies() int64 {
-	var n int64
-	for _, v := range s.Dummies {
-		n += v
-	}
-	return n
-}
-
-// DeadlockError reports a wedged worker with a snapshot of its channel
-// and flow-control state.
-type DeadlockError struct {
-	// Worker is the reporting worker's name; empty when the resident
-	// Engine reports across all its in-process workers.
-	Worker string
-	// Session is the wedged logical stream when the error comes from the
-	// multi-session Engine; zero for single-stream runs.  Sessions own
-	// their buffers and windows, so a wedge is attributed to the one
-	// stream that stalled, not to the whole engine.
-	Session proto.SessionID
-	// Channels maps "from→to" to "occupied/capacity".  For inbound and
-	// local edges this is buffer occupancy; for outbound cross edges it
-	// is the number of unacknowledged in-flight messages.
-	Channels map[string]string
-	// Stalled names the edges (as "from→to") whose buffer or credit
-	// window was exhausted when the wedge was detected — where the stream
-	// stalled, not just which session.  Sorted; possibly empty when the
-	// wedge is pure input starvation.
-	Stalled []string
-}
-
-func (e *DeadlockError) Error() string {
-	keys := make([]string, 0, len(e.Channels))
-	for k := range e.Channels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	switch {
-	case e.Session != 0:
-		fmt.Fprintf(&b, "dist: session %d deadlock detected; channel occupancy:", e.Session)
-	default:
-		fmt.Fprintf(&b, "dist: worker %q deadlock detected; channel occupancy:", e.Worker)
-	}
-	for _, k := range keys {
-		fmt.Fprintf(&b, " %s=%s", k, e.Channels[k])
-	}
-	if len(e.Stalled) > 0 {
-		fmt.Fprintf(&b, "; stalled on: %s", strings.Join(e.Stalled, ", "))
-	}
-	return b.String()
-}
+// Stats is a session's traffic summary, merged across the workers.
+type Stats = stream.Stats
 
 // CallbackError reports a failure raised by the application's Source or
-// Sink callback.  It is a distinct type so multi-worker supervisors can
-// prefer it over the secondary connection-teardown errors that ripple
-// through the peers once the failing worker closes its links.
+// Sink callback.
 type CallbackError struct {
 	// Op is "source" or "sink".
 	Op  string
@@ -184,36 +95,22 @@ func (e *CallbackError) Error() string { return fmt.Sprintf("dist: %s: %v", e.Op
 // Unwrap exposes the callback's error for errors.Is/As.
 func (e *CallbackError) Unwrap() error { return e.Err }
 
-// doneSignal is a close-once notification that a peer's nodes finished.
-type doneSignal struct {
-	once sync.Once
-	ch   chan struct{}
-}
-
-// addrsMu serializes access to address maps shared between in-process
-// workers: Listen publishes bound addresses into the shared map while
-// other workers may be listening or dialing concurrently.
+// addrsMu serializes access to the address book the in-process workers
+// share: listen publishes bound addresses into it while other workers may
+// be listening or dialing concurrently.
 var addrsMu sync.Mutex
-
-// doneGraceTicks is how many quiet watchdog periods a finished worker
-// tolerates while waiting for its peers' done frames.  A worker that has
-// drained its own nodes can no longer observe remote progress except
-// through arriving credits and done frames, so it waits longer than the
-// single period the live watchdog uses before declaring the peers stuck.
-const doneGraceTicks = 10
 
 // peerLink is an outbound connection to one peer worker; all frames this
 // worker sends to that peer share it.
 //
-// With coalescing enabled (resident Engine links when Config.MaxBatch
-// > 1), send hands encoded bodies to a dedicated writer goroutine that
-// drains the queue as fast as the wire accepts it, packing everything
-// pending — up to maxBodies per frame — into one batch frame per
-// syscall.  Draining is eager: the writer never waits for a batch to
-// fill, so flow-control timing (and with it the deadlock argument) is
-// unchanged, and per-link FIFO order holds because messages and credits
-// share the one queue.  send takes ownership of body either way; drained
-// bodies return to bodyPool.
+// With coalescing enabled (Config.MaxBatch > 1), send hands encoded
+// bodies to a dedicated writer goroutine that drains the queue as fast
+// as the wire accepts it, packing everything pending — up to maxBodies
+// per frame — into one batch frame per syscall.  Draining is eager: the
+// writer never waits for a batch to fill, so flow-control timing (and
+// with it the deadlock argument) is unchanged, and per-link FIFO order
+// holds because messages and credits share the one queue.  send takes
+// ownership of body either way; drained bodies return to bodyPool.
 type peerLink struct {
 	name string
 	conn net.Conn
@@ -380,631 +277,4 @@ func (p *peerLink) flushPending(bodies [][]byte) error {
 		putBody(frame)
 	}
 	return nil
-}
-
-// Worker hosts a subset of a topology's nodes.
-type Worker struct {
-	g       *graph.Graph
-	name    string
-	part    Partition
-	addrs   map[string]string
-	kernels map[graph.NodeID]stream.Kernel
-	cfg     Config
-
-	local     []graph.NodeID // nodes hosted here
-	inbox     []chan stream.Message
-	window    []*window // per edge; non-nil = outbound cross edge
-	creditTo  []string  // per edge; != "" = inbound cross edge's sender
-	peerNames []string  // peers this worker exchanges frames with
-
-	ln    net.Listener
-	peers map[string]*peerLink
-
-	mu       sync.Mutex
-	accepted []net.Conn
-	closed   bool
-	runErr   error
-
-	// peerDone is immutable after NewWorker; each signal is closed once
-	// when that peer's done frame arrives.
-	peerDone map[string]*doneSignal
-
-	abort     chan struct{}
-	abortOnce sync.Once
-	progress  atomic.Int64
-	// external counts in-flight Source/Sink callbacks; the watchdog
-	// treats time blocked in user code as progress (a quiet source or a
-	// backpressuring sink is not a wedged network).
-	external atomic.Int64
-	connWG   sync.WaitGroup
-
-	// runCtx/runCancel are set by RunContext for the run's duration;
-	// cancelling unblocks Source/Sink callbacks on teardown.
-	runCtx    context.Context
-	runCancel context.CancelFunc
-	source    stream.SourceFunc
-
-	dataCounts  []atomic.Int64
-	dummyCounts []atomic.Int64
-	sinkData    atomic.Int64
-}
-
-// NewWorker prepares the worker named name for its share of g.  partition
-// must assign every node to a worker whose listen address appears in
-// addrs; kernels is keyed by node (nil entries default to passthrough).
-func NewWorker(g *graph.Graph, name string, partition Partition,
-	addrs map[string]string, kernels map[graph.NodeID]stream.Kernel, cfg Config) (*Worker, error) {
-
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	addrsMu.Lock()
-	_, haveSelf := addrs[name]
-	addrsMu.Unlock()
-	if !haveSelf {
-		return nil, fmt.Errorf("dist: no listen address for worker %q", name)
-	}
-	for n := 0; n < g.NumNodes(); n++ {
-		owner, ok := partition[graph.NodeID(n)]
-		if !ok {
-			return nil, fmt.Errorf("dist: node %q not assigned to any worker", g.Name(graph.NodeID(n)))
-		}
-		addrsMu.Lock()
-		_, ok = addrs[owner]
-		addrsMu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("dist: node %q assigned to unknown worker %q", g.Name(graph.NodeID(n)), owner)
-		}
-	}
-	w := &Worker{
-		g:           g,
-		name:        name,
-		part:        partition,
-		addrs:       addrs,
-		kernels:     make(map[graph.NodeID]stream.Kernel, len(kernels)),
-		cfg:         cfg,
-		inbox:       make([]chan stream.Message, g.NumEdges()),
-		window:      make([]*window, g.NumEdges()),
-		creditTo:    make([]string, g.NumEdges()),
-		peers:       make(map[string]*peerLink),
-		peerDone:    make(map[string]*doneSignal),
-		abort:       make(chan struct{}),
-		dataCounts:  make([]atomic.Int64, g.NumEdges()),
-		dummyCounts: make([]atomic.Int64, g.NumEdges()),
-	}
-	for id, k := range kernels {
-		w.kernels[id] = k
-	}
-	for n := 0; n < g.NumNodes(); n++ {
-		if partition[graph.NodeID(n)] == name {
-			w.local = append(w.local, graph.NodeID(n))
-		}
-	}
-	peerSet := make(map[string]bool)
-	for _, e := range g.Edges() {
-		fromOwner, toOwner := partition[e.From], partition[e.To]
-		if toOwner == name {
-			w.inbox[e.ID] = make(chan stream.Message, e.Buf)
-			if fromOwner != name {
-				w.creditTo[e.ID] = fromOwner
-				peerSet[fromOwner] = true
-			}
-		}
-		if fromOwner == name && toOwner != name {
-			w.window[e.ID] = newWindow(e.Buf)
-			peerSet[toOwner] = true
-		}
-	}
-	for p := range peerSet {
-		w.peerNames = append(w.peerNames, p)
-		w.peerDone[p] = &doneSignal{ch: make(chan struct{})}
-	}
-	sort.Strings(w.peerNames)
-	return w, nil
-}
-
-// Listen binds the worker's TCP listener.  Call Listen on every worker
-// before Run on any, so peers can connect.  When workers share one addrs
-// map (the in-process/loopback arrangement), Listen publishes the bound
-// address back into it, which is how ":0" port allocations become
-// dialable by peers; workers in separate processes must be given concrete
-// addresses instead.
-func (w *Worker) Listen() error {
-	if w.ln != nil {
-		return errors.New("dist: Listen called twice")
-	}
-	addrsMu.Lock()
-	addr := w.addrs[w.name]
-	addrsMu.Unlock()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	w.ln = ln
-	addrsMu.Lock()
-	w.addrs[w.name] = ln.Addr().String()
-	addrsMu.Unlock()
-	return nil
-}
-
-// Addr returns the bound listen address ("host:port"), valid after
-// Listen; it resolves port-0 allocations.
-func (w *Worker) Addr() string {
-	if w.ln == nil {
-		return ""
-	}
-	return w.ln.Addr().String()
-}
-
-// Close releases the worker's listener without running it, for
-// supervisors whose multi-worker setup fails partway: a worker that
-// never reaches Run would otherwise leak its bound listener.  A worker
-// that has Run tears itself down; Close is then redundant but harmless.
-func (w *Worker) Close() error {
-	if w.ln != nil {
-		return w.ln.Close()
-	}
-	return nil
-}
-
-// Run executes this worker's nodes until the stream drains on every
-// worker or the progress watchdog detects deadlock.  All workers must
-// Run concurrently.
-func (w *Worker) Run() (*Stats, error) { return w.RunContext(context.Background()) }
-
-// RunContext is Run with cancellation: when ctx is cancelled the worker
-// fails with ctx.Err(), aborts its nodes, and tears down its
-// connections (which in turn unwedges its peers).
-func (w *Worker) RunContext(ctx context.Context) (*Stats, error) {
-	if w.ln == nil {
-		return nil, errors.New("dist: Run before Listen")
-	}
-	if w.cfg.WatchdogTimeout == 0 {
-		w.cfg.WatchdogTimeout = time.Second
-	}
-	start := time.Now()
-	w.runCtx, w.runCancel = context.WithCancel(ctx)
-	defer w.runCancel()
-	w.source = w.cfg.Source
-	if w.source == nil {
-		w.source = stream.SyntheticSource(w.cfg.Inputs)
-	}
-	ctxDone := make(chan struct{})
-	defer close(ctxDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			w.fail(ctx.Err())
-		case <-ctxDone:
-		}
-	}()
-	go w.acceptLoop()
-	for _, p := range w.peerNames {
-		link, err := w.dial(p)
-		if err != nil {
-			w.fail(err)
-			w.closeAll()
-			w.connWG.Wait()
-			return nil, err
-		}
-		w.peers[p] = link
-	}
-
-	var wg sync.WaitGroup
-	for _, id := range w.local {
-		wg.Add(1)
-		go func(id graph.NodeID) {
-			defer wg.Done()
-			w.nodeLoop(id)
-		}(id)
-	}
-	nodesDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(nodesDone)
-	}()
-
-	if err := w.supervise(nodesDone); err != nil {
-		w.closeAll()
-		<-nodesDone
-		w.connWG.Wait()
-		return nil, err
-	}
-	w.closeAll()
-	w.connWG.Wait()
-	if err := w.err(); err != nil {
-		return nil, err
-	}
-	stats := &Stats{
-		Data:     make(map[graph.EdgeID]int64),
-		Dummies:  make(map[graph.EdgeID]int64),
-		SinkData: w.sinkData.Load(),
-		Elapsed:  time.Since(start),
-	}
-	for _, e := range w.g.Edges() {
-		if w.part[e.From] != w.name {
-			continue
-		}
-		stats.Data[e.ID] = w.dataCounts[e.ID].Load()
-		stats.Dummies[e.ID] = w.dummyCounts[e.ID].Load()
-	}
-	return stats, nil
-}
-
-// supervise is the watchdog: it waits for the local nodes and then for
-// every peer's done frame, declaring deadlock whenever a full watchdog
-// period passes with no local progress (messages moved, credits returned)
-// and the run has not finished.
-func (w *Worker) supervise(nodesDone chan struct{}) error {
-	ticker := time.NewTicker(w.cfg.WatchdogTimeout)
-	defer ticker.Stop()
-	last := w.progress.Load()
-	doneSent := false
-	quietTicks := 0
-	remaining := append([]string(nil), w.peerNames...)
-	for {
-		if !doneSent {
-			select {
-			case <-nodesDone:
-				// Local nodes drained; tell the peers and keep watching
-				// until they all report the same.
-				for _, p := range w.peerNames {
-					if err := w.peers[p].send([]byte{frameDone}); err != nil {
-						w.fail(fmt.Errorf("dist: sending done to %q: %w", p, err))
-						return w.err()
-					}
-				}
-				doneSent = true
-				continue
-			case <-w.abort:
-				return w.err()
-			case <-ticker.C:
-			}
-		} else {
-			if len(remaining) == 0 {
-				return nil
-			}
-			select {
-			case <-w.peerDone[remaining[0]].ch:
-				remaining = remaining[1:]
-				continue
-			case <-w.abort:
-				return w.err()
-			case <-ticker.C:
-			}
-		}
-		cur := w.progress.Load()
-		if cur != last || w.external.Load() != 0 {
-			last = cur
-			quietTicks = 0
-			continue
-		}
-		quietTicks++
-		if !doneSent {
-			// Live nodes with no local progress for a full period: the
-			// classic wedged configuration.
-			derr := w.snapshotDeadlock()
-			w.fail(derr)
-			return derr
-		}
-		if quietTicks >= doneGraceTicks {
-			// Our nodes drained but a peer never reported done and the
-			// wire has been silent for the whole grace window.
-			derr := fmt.Errorf("dist: worker %q finished but peers %v did not; no progress for %v",
-				w.name, remaining, time.Duration(quietTicks)*w.cfg.WatchdogTimeout)
-			w.fail(derr)
-			return derr
-		}
-	}
-}
-
-// snapshotDeadlock captures the stuck configuration for diagnostics.
-// Occupancies are racy but indicative, as in the goroutine runtime.
-func (w *Worker) snapshotDeadlock() *DeadlockError {
-	derr := &DeadlockError{Worker: w.name, Channels: make(map[string]string)}
-	for _, e := range w.g.Edges() {
-		key := fmt.Sprintf("%s→%s", w.g.Name(e.From), w.g.Name(e.To))
-		if ch := w.inbox[e.ID]; ch != nil {
-			derr.Channels[key] = fmt.Sprintf("%d/%d", len(ch), cap(ch))
-			if cap(ch) > 0 && len(ch) == cap(ch) {
-				derr.Stalled = append(derr.Stalled, key)
-			}
-		} else if win := w.window[e.ID]; win != nil {
-			derr.Channels[key] = fmt.Sprintf("%d/%d in flight",
-				win.capacity()-win.available(), win.capacity())
-			if win.capacity() > 0 && win.available() == 0 {
-				derr.Stalled = append(derr.Stalled, key)
-			}
-		}
-	}
-	sort.Strings(derr.Stalled)
-	return derr
-}
-
-func (w *Worker) acceptLoop() {
-	for {
-		c, err := w.ln.Accept()
-		if err != nil {
-			return
-		}
-		w.mu.Lock()
-		if w.closed {
-			// Teardown already snapshotted the accepted list; close the
-			// straggler here or nobody will.
-			w.mu.Unlock()
-			c.Close()
-			return
-		}
-		w.accepted = append(w.accepted, c)
-		// Add must happen before closeAll's connWG.Wait can observe zero,
-		// so it stays inside the same critical section as the closed check.
-		w.connWG.Add(1)
-		w.mu.Unlock()
-		go w.serveConn(c)
-	}
-}
-
-// serveConn reads frames from one inbound connection: messages are
-// enqueued on their edge's buffer (credit accounting guarantees space),
-// credits release window slots, and done marks the peer finished.
-func (w *Worker) serveConn(c net.Conn) {
-	defer w.connWG.Done()
-	defer c.Close()
-	hello, err := readFrame(c)
-	if err != nil {
-		return
-	}
-	peer, err := parseHello(hello)
-	if err != nil {
-		// Pre-hello the connection is unauthenticated: a stray client
-		// (port scanner, health check) must not take the worker down.
-		// Drop the connection; real peers retry nothing — they only ever
-		// dial once with a correct hello.
-		return
-	}
-	for {
-		body, err := readFrame(c)
-		if err != nil {
-			// EOF or teardown; stalls are the watchdog's job.
-			return
-		}
-		switch body[0] {
-		case frameMsg:
-			e, m, err := parseMsg(body)
-			if err != nil {
-				w.fail(err)
-				return
-			}
-			if int(e) >= len(w.inbox) || w.inbox[e] == nil {
-				w.fail(fmt.Errorf("dist: worker %q received message for foreign edge %d", w.name, e))
-				return
-			}
-			select {
-			case w.inbox[e] <- m:
-				w.progress.Add(1)
-			case <-w.abort:
-				return
-			}
-		case frameCredit:
-			e, err := parseCredit(body)
-			if err != nil {
-				w.fail(err)
-				return
-			}
-			if int(e) >= len(w.window) || w.window[e] == nil || !w.window[e].release() {
-				w.fail(fmt.Errorf("dist: worker %q received bogus credit for edge %d from %q", w.name, e, peer))
-				return
-			}
-			w.progress.Add(1)
-		case frameDone:
-			if sig, ok := w.peerDone[peer]; ok {
-				sig.once.Do(func() { close(sig.ch) })
-			}
-			w.progress.Add(1)
-		default:
-			w.fail(fmt.Errorf("dist: unknown frame type %q from %q", body[0], peer))
-			return
-		}
-	}
-}
-
-func (w *Worker) dial(peer string) (*peerLink, error) {
-	timeout := w.cfg.DialTimeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
-	var lastErr error
-	for {
-		addrsMu.Lock()
-		addr := w.addrs[peer]
-		addrsMu.Unlock()
-		c, err := net.DialTimeout("tcp", addr, time.Until(deadline))
-		if err == nil {
-			link := &peerLink{name: peer, conn: c}
-			if err := link.send(helloBody(w.name)); err != nil {
-				c.Close()
-				return nil, err
-			}
-			return link, nil
-		}
-		lastErr = err
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("dist: worker %q cannot reach %q at %s: %w",
-				w.name, peer, addr, lastErr)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-func (w *Worker) fail(err error) {
-	w.mu.Lock()
-	if w.runErr == nil {
-		w.runErr = err
-	}
-	cancel := w.runCancel
-	w.mu.Unlock()
-	w.abortOnce.Do(func() {
-		close(w.abort)
-		if cancel != nil {
-			cancel()
-		}
-	})
-}
-
-func (w *Worker) err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.runErr
-}
-
-// closeAll tears down the transport: abort any blocked node, stop the
-// listener, and close every connection so reader loops exit.
-func (w *Worker) closeAll() {
-	w.abortOnce.Do(func() { close(w.abort) })
-	w.ln.Close()
-	for _, link := range w.peers {
-		link.conn.Close()
-	}
-	w.mu.Lock()
-	conns := w.accepted
-	w.accepted = nil
-	w.closed = true
-	w.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-// nodeLoop runs one hosted node.  The node semantics — input alignment,
-// kernel invocation, the shared protocol engine — are stream.NodeLoop,
-// identical to the goroutine runtime; only the ports differ: local
-// buffers or credit-gated TCP frames.
-func (w *Worker) nodeLoop(id graph.NodeID) {
-	in := w.g.In(id)
-	out := w.g.Out(id)
-	kernel := w.kernels[id]
-	if kernel == nil {
-		kernel = stream.Passthrough(len(out))
-	}
-	engine := proto.NewEngine(out, proto.Config{
-		Algorithm: w.cfg.Algorithm,
-		Intervals: w.cfg.Intervals,
-	})
-	stream.NodeLoop(len(in), len(out), kernel, engine,
-		&nodePorts{w: w, in: in, out: out})
-}
-
-// nodePorts adapts one hosted node's edges to stream.Ports.
-type nodePorts struct {
-	w       *Worker
-	in, out []graph.EdgeID
-}
-
-// Recv implements stream.Ports over the in-edge's buffer, which is fed
-// locally or by the TCP reader.
-func (p *nodePorts) Recv(i int) (stream.Message, bool) {
-	select {
-	case m := <-p.w.inbox[p.in[i]]:
-		p.w.progress.Add(1)
-		return m, true
-	case <-p.w.abort:
-		return stream.Message{}, false
-	}
-}
-
-// Send implements stream.Ports.
-func (p *nodePorts) Send(i int, m stream.Message) bool { return p.w.sendOne(p.out[i], m) }
-
-// Consumed implements stream.Ports: popping a message from an inbound
-// cross edge returns a flow-control credit to the sending worker.
-func (p *nodePorts) Consumed(i int) bool { return p.w.returnCredit(p.in[i]) }
-
-// Ingest implements stream.Ports: the worker hosting the source node
-// pulls the next payload from the run's source.
-func (p *nodePorts) Ingest() (any, bool) {
-	select {
-	case <-p.w.abort:
-		return nil, false
-	default:
-	}
-	p.w.external.Add(1)
-	payload, ok, err := p.w.source(p.w.runCtx)
-	p.w.external.Add(-1)
-	if err != nil {
-		p.w.fail(&CallbackError{Op: "source", Err: err})
-		return nil, false
-	}
-	if ok {
-		p.w.progress.Add(1)
-	}
-	return payload, ok
-}
-
-// SinkEmit implements stream.Ports: the worker hosting the sink node
-// counts the firing and hands it to the run's sink.
-func (p *nodePorts) SinkEmit(seq uint64, payload any) bool {
-	p.w.sinkData.Add(1)
-	p.w.progress.Add(1)
-	if p.w.cfg.Sink == nil {
-		return true
-	}
-	p.w.external.Add(1)
-	err := p.w.cfg.Sink(p.w.runCtx, seq, payload)
-	p.w.external.Add(-1)
-	if err != nil {
-		p.w.fail(&CallbackError{Op: "sink", Err: err})
-		return false
-	}
-	return true
-}
-
-// returnCredit acknowledges consumption of one message on an inbound
-// cross edge, releasing a window slot at the sending worker.
-func (w *Worker) returnCredit(e graph.EdgeID) bool {
-	peer := w.creditTo[e]
-	if peer == "" {
-		return true
-	}
-	if err := w.peers[peer].send(creditBody(e)); err != nil {
-		w.fail(fmt.Errorf("dist: returning credit to %q: %w", peer, err))
-		return false
-	}
-	return true
-}
-
-// sendOne delivers one message on edge e: into the local buffer when the
-// consumer is hosted here, or as a credit-gated frame to the consumer's
-// worker otherwise.
-func (w *Worker) sendOne(e graph.EdgeID, m stream.Message) bool {
-	if win := w.window[e]; win != nil {
-		if !win.acquire(w.abort) {
-			return false
-		}
-		body, err := msgBody(e, m)
-		if err != nil {
-			w.fail(err)
-			return false
-		}
-		peer := w.part[w.g.Edge(e).To]
-		if err := w.peers[peer].send(body); err != nil {
-			w.fail(fmt.Errorf("dist: sending on %s→%s to %q: %w",
-				w.g.Name(w.g.Edge(e).From), w.g.Name(w.g.Edge(e).To), peer, err))
-			return false
-		}
-	} else {
-		select {
-		case w.inbox[e] <- m:
-		case <-w.abort:
-			return false
-		}
-	}
-	switch m.Kind {
-	case stream.Data:
-		w.dataCounts[e].Add(1)
-	case stream.Dummy:
-		w.dummyCounts[e].Add(1)
-	}
-	w.progress.Add(1)
-	return true
 }

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -54,72 +53,74 @@ func routeKernels(g *graph.Graph, f workload.FilterFunc) map[graph.NodeID]stream
 	return ks
 }
 
-// launch builds, listens, and runs one worker per name concurrently,
-// returning each worker's stats and error.
-func launch(t *testing.T, g *graph.Graph, part Partition, names []string,
-	kernels map[graph.NodeID]stream.Kernel, cfg Config) ([]*Stats, []error) {
+// runOnce is the lifecycle every single-stream test here drives: engine
+// up over the partition's workers, one session of the sequence numbers
+// 0..inputs-1, Wait, engine down.
+func runOnce(g *graph.Graph, part Partition, kernels map[graph.NodeID]stream.Kernel, cfg Config, inputs uint64) (*Stats, error) {
+	eng, err := NewEngine(g, part, kernels, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	ses, err := eng.Open(SessionIO{ID: 1, Source: stream.SyntheticSource(inputs)})
+	if err != nil {
+		return nil, err
+	}
+	return ses.Wait()
+}
+
+// batchWidths are the Config.MaxBatch settings the multi-worker cases
+// run at: one frame per write, and write coalescing on.
+var batchWidths = []int{1, 64}
+
+// assertMatchesSim checks a session's per-edge data and dummy counts and
+// its sink total against the deterministic simulator's.
+func assertMatchesSim(t *testing.T, g *graph.Graph, stats *Stats, oracle *sim.Result) {
 	t.Helper()
-	addrs := make(map[string]string, len(names))
-	for _, n := range names {
-		addrs[n] = "127.0.0.1:0"
-	}
-	workers := make([]*Worker, len(names))
-	for i, n := range names {
-		w, err := NewWorker(g, n, part, addrs, kernels, cfg)
-		if err != nil {
-			t.Fatal(err)
+	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
+		if stats.Data[e] != oracle.DataMsgs[e] {
+			t.Errorf("edge %d: %d data msgs over TCP, simulator says %d", e, stats.Data[e], oracle.DataMsgs[e])
 		}
-		workers[i] = w
-	}
-	for _, w := range workers {
-		if err := w.Listen(); err != nil {
-			t.Fatal(err)
+		if stats.Dummies[e] != oracle.DummyMsgs[e] {
+			t.Errorf("edge %d: %d dummies over TCP, simulator says %d", e, stats.Dummies[e], oracle.DummyMsgs[e])
 		}
 	}
-	stats := make([]*Stats, len(workers))
-	errs := make([]error, len(workers))
-	var wg sync.WaitGroup
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *Worker) {
-			defer wg.Done()
-			stats[i], errs[i] = w.Run()
-		}(i, w)
+	if stats.SinkData != oracle.SinkData {
+		t.Errorf("sink consumed %d data msgs, simulator says %d", stats.SinkData, oracle.SinkData)
 	}
-	wg.Wait()
-	return stats, errs
 }
 
 // TestFig2DeadlockWithoutIntervals reproduces the paper's Fig. 2 failure
 // over loopback TCP: with A starving the chord A→C and no dummy
-// intervals, the join wedges and every worker's watchdog fires.
+// intervals, the join wedges — as the simulator says it must — and the
+// watchdog fires.
 func TestFig2DeadlockWithoutIntervals(t *testing.T) {
 	g, ac := fig2(2)
 	part := Partition{g.MustNode("A"): "splitter", g.MustNode("B"): "backend", g.MustNode("C"): "backend"}
-	kernels := routeKernels(g, workload.DropEdge(ac))
-	_, errs := launch(t, g, part, []string{"splitter", "backend"}, kernels, Config{
-		Inputs:          1000,
-		WatchdogTimeout: 300 * time.Millisecond,
-	})
-	sawDeadlock := false
-	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("worker %d completed; want deadlock", i)
-		}
-		var derr *DeadlockError
-		if errors.As(err, &derr) {
-			sawDeadlock = true
-		}
+	filter := workload.DropEdge(ac)
+	const inputs = 1000
+	if oracle := sim.Run(g, sim.Filter(filter), sim.Config{Inputs: inputs}); oracle.Completed {
+		t.Fatal("simulator completed; want deadlock")
 	}
-	if !sawDeadlock {
-		t.Fatalf("no worker reported DeadlockError; got %v", errs)
+	for _, batch := range batchWidths {
+		_, err := runOnce(g, part, routeKernels(g, filter), Config{
+			WatchdogTimeout: 300 * time.Millisecond,
+			MaxBatch:        batch,
+		}, inputs)
+		if err == nil {
+			t.Fatalf("batch %d: session completed; want deadlock", batch)
+		}
+		var derr *stream.DeadlockError
+		if !errors.As(err, &derr) {
+			t.Fatalf("batch %d: no DeadlockError; got %v", batch, err)
+		}
 	}
 }
 
 // TestFig2CompletesWithPropagation runs the same adversarial filtering
-// with Propagation intervals: the run completes, and the combined
-// per-edge traffic matches the deterministic simulator exactly — the two
-// backends share one protocol engine, so their message counts must agree.
+// with Propagation intervals: the run completes, and the per-edge
+// traffic matches the deterministic simulator exactly — the two backends
+// share one protocol engine, so their message counts must agree.
 func TestFig2CompletesWithPropagation(t *testing.T) {
 	g, ac := fig2(2)
 	dec, err := cs4.Classify(g)
@@ -133,18 +134,6 @@ func TestFig2CompletesWithPropagation(t *testing.T) {
 	const inputs = 2000
 	filter := workload.DropEdge(ac)
 	part := Partition{g.MustNode("A"): "splitter", g.MustNode("B"): "backend", g.MustNode("C"): "backend"}
-	stats, errs := launch(t, g, part, []string{"splitter", "backend"}, routeKernels(g, filter), Config{
-		Inputs:          inputs,
-		Algorithm:       cs4.Propagation,
-		Intervals:       iv,
-		WatchdogTimeout: 5 * time.Second,
-	})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
-
 	oracle := sim.Run(g, sim.Filter(filter), sim.Config{
 		Inputs:    inputs,
 		Algorithm: cs4.Propagation,
@@ -153,31 +142,20 @@ func TestFig2CompletesWithPropagation(t *testing.T) {
 	if !oracle.Completed {
 		t.Fatalf("simulator deadlocked: %v", oracle.Blocked)
 	}
-	var sinkData int64
-	data := make(map[graph.EdgeID]int64)
-	dummies := make(map[graph.EdgeID]int64)
-	for _, s := range stats {
-		sinkData += s.SinkData
-		for e, n := range s.Data {
-			data[e] += n
+	for _, batch := range batchWidths {
+		stats, err := runOnce(g, part, routeKernels(g, filter), Config{
+			Algorithm:       cs4.Propagation,
+			Intervals:       iv,
+			WatchdogTimeout: 5 * time.Second,
+			MaxBatch:        batch,
+		}, inputs)
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
 		}
-		for e, n := range s.Dummies {
-			dummies[e] += n
+		assertMatchesSim(t, g, stats, oracle)
+		if stats.SinkData != inputs {
+			t.Errorf("batch %d: sink consumed %d data msgs, want %d (nothing is filtered on the surviving path)", batch, stats.SinkData, inputs)
 		}
-	}
-	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
-		if data[e] != oracle.DataMsgs[e] {
-			t.Errorf("edge %d: %d data msgs over TCP, simulator says %d", e, data[e], oracle.DataMsgs[e])
-		}
-		if dummies[e] != oracle.DummyMsgs[e] {
-			t.Errorf("edge %d: %d dummies over TCP, simulator says %d", e, dummies[e], oracle.DummyMsgs[e])
-		}
-	}
-	if sinkData != oracle.SinkData {
-		t.Errorf("sink consumed %d data msgs, simulator says %d", sinkData, oracle.SinkData)
-	}
-	if sinkData != inputs {
-		t.Errorf("sink consumed %d data msgs, want %d (nothing is filtered on the surviving path)", sinkData, inputs)
 	}
 }
 
@@ -194,21 +172,22 @@ func TestThreeWorkerPartition(t *testing.T) {
 	g.AddEdge(l, k, 2)
 	g.AddEdge(r, k, 2)
 	part := Partition{s: "w0", l: "w1", r: "w2", k: "w0"}
-	stats, errs := launch(t, g, part, []string{"w0", "w1", "w2"}, nil, Config{
-		Inputs:          500,
-		WatchdogTimeout: 5 * time.Second,
-	})
-	for i, err := range errs {
+	oracle := sim.Run(g, sim.Filter(workload.PassAll), sim.Config{Inputs: 500})
+	if !oracle.Completed {
+		t.Fatalf("simulator deadlocked: %v", oracle.Blocked)
+	}
+	for _, batch := range batchWidths {
+		stats, err := runOnce(g, part, nil, Config{
+			WatchdogTimeout: 5 * time.Second,
+			MaxBatch:        batch,
+		}, 500)
 		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
+			t.Fatalf("batch %d: %v", batch, err)
 		}
-	}
-	var sinkData int64
-	for _, s := range stats {
-		sinkData += s.SinkData
-	}
-	if sinkData != 500 {
-		t.Errorf("sink consumed %d, want 500", sinkData)
+		assertMatchesSim(t, g, stats, oracle)
+		if stats.SinkData != 500 {
+			t.Errorf("batch %d: sink consumed %d, want 500", batch, stats.SinkData)
+		}
 	}
 }
 
@@ -263,24 +242,18 @@ func TestWindowExhaustion(t *testing.T) {
 	}
 }
 
-// TestNewWorkerValidation checks partition/address validation.
-func TestNewWorkerValidation(t *testing.T) {
+// TestNewEngineValidation checks partition validation.
+func TestNewEngineValidation(t *testing.T) {
 	g, _ := fig2(2)
-	addrs := map[string]string{"w": "127.0.0.1:0"}
 	full := Partition{g.MustNode("A"): "w", g.MustNode("B"): "w", g.MustNode("C"): "w"}
-	if _, err := NewWorker(g, "w", Partition{g.MustNode("A"): "w"}, addrs, nil, Config{}); err == nil {
+	if _, err := NewEngine(g, Partition{g.MustNode("A"): "w"}, nil, Config{}); err == nil {
 		t.Error("partial partition accepted")
 	}
-	if _, err := NewWorker(g, "w", Partition{g.MustNode("A"): "w", g.MustNode("B"): "ghost", g.MustNode("C"): "w"},
-		addrs, nil, Config{}); err == nil {
-		t.Error("partition onto unknown worker accepted")
+	eng, err := NewEngine(g, full, nil, Config{})
+	if err != nil {
+		t.Fatalf("valid single-worker setup rejected: %v", err)
 	}
-	if _, err := NewWorker(g, "ghost", full, addrs, nil, Config{}); err == nil {
-		t.Error("worker without a listen address accepted")
-	}
-	if _, err := NewWorker(g, "w", full, addrs, nil, Config{}); err != nil {
-		t.Errorf("valid single-worker setup rejected: %v", err)
-	}
+	eng.Close()
 }
 
 // TestSingleWorkerNoPeers runs a whole topology on one worker: the
@@ -290,14 +263,14 @@ func TestSingleWorkerNoPeers(t *testing.T) {
 	dec, _ := cs4.Classify(g)
 	iv, _ := dec.Intervals(cs4.Propagation)
 	part := Partition{g.MustNode("A"): "solo", g.MustNode("B"): "solo", g.MustNode("C"): "solo"}
-	stats, errs := launch(t, g, part, []string{"solo"}, routeKernels(g, workload.DropEdge(ac)), Config{
-		Inputs: 300, Algorithm: cs4.Propagation, Intervals: iv,
+	stats, err := runOnce(g, part, routeKernels(g, workload.DropEdge(ac)), Config{
+		Algorithm: cs4.Propagation, Intervals: iv,
 		WatchdogTimeout: 5 * time.Second,
-	})
-	if errs[0] != nil {
-		t.Fatal(errs[0])
+	}, 300)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats[0].SinkData != 300 {
-		t.Errorf("sink consumed %d, want 300", stats[0].SinkData)
+	if stats.SinkData != 300 {
+		t.Errorf("sink consumed %d, want 300", stats.SinkData)
 	}
 }

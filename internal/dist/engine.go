@@ -2,21 +2,19 @@ package dist
 
 // This file is the resident multi-session distributed runtime: an Engine
 // keeps a set of in-process workers — listeners, dialed peer links, frame
-// readers — alive across unboundedly many logical streams, so the
-// per-run costs of the one-shot Worker lifecycle (binding listeners,
-// dialing peers, tearing both down) are paid once per topology.
+// readers — alive across unboundedly many logical streams, so binding
+// listeners and dialing peers are paid once per topology.
 //
 // Sessions are multiplexed over the shared TCP links by tagging message
 // and credit frames with the session id ('S'/'c' frames).  Everything
 // that carries the protocol's safety argument is per session: each
 // session gets its own per-edge buffers, its own credit windows sized to
-// the edges' capacities, and its own node goroutines running the shared
-// stream.NodeLoop — so each session is, protocol-wise, exactly a
-// single-stream distributed run, and the dummy intervals protect it
-// independently of its neighbours.  The transport (connections, frame
-// readers) is the only shared layer, and it never blocks on a session:
-// inbound frames land in per-session buffers whose space is guaranteed
-// by that session's credits.
+// the edges' capacities, and its own node goroutines (nodeloop.go) — so
+// each session is, protocol-wise, a stream running alone on the topology,
+// and the dummy intervals protect it independently of its neighbours.
+// The transport (connections, frame readers) is the only shared layer,
+// and it never blocks on a session: inbound frames land in per-session
+// buffers whose space is guaranteed by that session's credits.
 //
 // The Engine hosts all workers in the calling process (the arrangement
 // the public Distributed backend uses); cross-worker traffic still
@@ -100,9 +98,8 @@ type Engine struct {
 }
 
 // NewEngine builds the resident workers (one per distinct partition
-// name), binds their listeners, and connects the peer mesh.  The Config
-// fields Source, Sink, and Inputs are ignored — ingestion and delivery
-// are per session.
+// name), binds their listeners, and connects the peer mesh; ingestion and
+// delivery are per session (SessionIO).
 func NewEngine(g *graph.Graph, partition Partition, kernels map[graph.NodeID]stream.Kernel, cfg Config) (*Engine, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -610,7 +607,7 @@ func (e *Engine) watchdog() {
 						continue
 					}
 					chans, stalled := e.snapshot(ses)
-					ses.end(&DeadlockError{Session: ses.id, Channels: chans, Stalled: stalled}, nil)
+					ses.end(&stream.DeadlockError{Session: ses.id, Channels: chans, Stalled: stalled}, nil)
 					continue
 				}
 				ses.lastProgress = cur
@@ -667,7 +664,7 @@ type EngineSession struct {
 	progress atomic.Int64
 	external atomic.Int64
 	// timersArmed counts armed time-aware flush timers across the
-	// session's nodes (sessionPorts.TimerArmed); the watchdog treats an
+	// session's nodes (sessionPorts.runTimed); the watchdog treats an
 	// armed timer like in-flight external work — a session quietly idle
 	// inside an open window is the clock's pace, not a wedge.
 	timersArmed  atomic.Int64
@@ -1010,16 +1007,15 @@ func (w *engineWorker) start(ws *workerSession) {
 				Algorithm: w.e.cfg.Algorithm,
 				Intervals: w.e.cfg.Intervals,
 			})
-			stream.NodeLoop(len(in), len(out), kernel, engine,
-				&sessionPorts{w: w, ws: ws, in: in, out: out})
+			(&sessionPorts{w: w, ws: ws, in: in, out: out}).run(kernel, engine)
 		}(id)
 	}
 }
 
 // obsKernel decorates a node's kernel with telemetry: one Firing and the
-// wall-clock service time per Process invocation.  The distributed
-// NodeLoop is strictly per-element, so wrapping the plain Kernel
-// interface loses nothing.
+// wall-clock service time per Process invocation.  The distributed node
+// loop is strictly per-element, so wrapping the plain Kernel interface
+// loses nothing.
 type obsKernel struct {
 	k stream.Kernel
 	n *obs.NodeMetrics
@@ -1035,7 +1031,7 @@ func (o *obsKernel) Process(seq uint64, ins []stream.Input) map[int]any {
 
 // obsTimedKernel is obsKernel for a time-aware kernel: Process keeps
 // the telemetry decoration while the TimedKernel methods pass through,
-// so stream.NodeLoop still dispatches the timed loop.
+// so sessionPorts.run still dispatches the timed loop.
 type obsTimedKernel struct {
 	obsKernel
 	t  stream.TimedKernel
@@ -1254,15 +1250,20 @@ func (w *engineWorker) close() {
 	w.connWG.Wait()
 }
 
-// sessionPorts adapts one hosted node's edges to stream.Ports for one
-// session: local buffers, or session-tagged credit-gated TCP frames.
+// sessionPorts is the transport one hosted node's loop (nodeloop.go)
+// drives for one session, addressed by in-/out-edge position: local
+// buffers, or session-tagged credit-gated TCP frames.  send may be called
+// concurrently for distinct out positions (one firing's sends are issued
+// in parallel; see DESIGN.md, "Protocol soundness" note 2).
 type sessionPorts struct {
 	w       *engineWorker
 	ws      *workerSession
 	in, out []graph.EdgeID
 }
 
-func (p *sessionPorts) Recv(i int) (stream.Message, bool) {
+// recv blocks for the next message on in-edge position i, returning
+// ok=false when the session is aborted.
+func (p *sessionPorts) recv(i int) (stream.Message, bool) {
 	select {
 	case m := <-p.ws.inbox[p.in[i]]:
 		if p.w.obsE != nil {
@@ -1275,7 +1276,9 @@ func (p *sessionPorts) Recv(i int) (stream.Message, bool) {
 	}
 }
 
-func (p *sessionPorts) Send(i int, m stream.Message) bool {
+// send delivers m on out-edge position i, blocking on backpressure and
+// returning false when the session is aborted.
+func (p *sessionPorts) send(i int, m stream.Message) bool {
 	e := p.out[i]
 	ses := p.ws.ses
 	om := p.w.obsE
@@ -1351,14 +1354,10 @@ func (p *sessionPorts) Send(i int, m stream.Message) bool {
 	return true
 }
 
-// TimerArmed implements stream.TimerPorts: the timed node loop reports
-// flush-timer transitions here so the engine watchdog can tell a
-// quietly open window from a wedge.
-func (p *sessionPorts) TimerArmed(delta int) {
-	p.ws.ses.timersArmed.Add(int64(delta))
-}
-
-func (p *sessionPorts) Consumed(i int) bool {
+// consumed reports that one message was popped from in-edge position i:
+// on an inbound cross edge it returns a flow-control credit to the
+// sending worker.  False aborts the node.
+func (p *sessionPorts) consumed(i int) bool {
 	e := p.in[i]
 	peer := p.w.creditTo[e]
 	if peer == "" {
@@ -1376,7 +1375,9 @@ func (p *sessionPorts) Consumed(i int) bool {
 	return true
 }
 
-func (p *sessionPorts) Ingest() (any, bool) {
+// ingest returns the next payload to inject at the source node; ok=false
+// ends the stream (EOS follows) or signals an abort.
+func (p *sessionPorts) ingest() (any, bool) {
 	ses := p.ws.ses
 	select {
 	case <-ses.abort:
@@ -1396,7 +1397,10 @@ func (p *sessionPorts) Ingest() (any, bool) {
 	return payload, ok
 }
 
-func (p *sessionPorts) SinkEmit(seq uint64, payload any) bool {
+// sinkEmit delivers one data-carrying firing at the sink node —
+// emissions arrive in ascending sequence order — blocking on sink
+// backpressure and returning false when the session is aborted.
+func (p *sessionPorts) sinkEmit(seq uint64, payload any) bool {
 	ses := p.ws.ses
 	ses.sinkData.Add(1)
 	if m := p.w.e.cfg.Obs; m != nil {

@@ -10,6 +10,7 @@ import (
 	"streamdag/internal/cs4"
 	"streamdag/internal/graph"
 	"streamdag/internal/proto"
+	"streamdag/internal/sim"
 	"streamdag/internal/stream"
 	"streamdag/internal/workload"
 )
@@ -40,8 +41,8 @@ func engineKernels(g *graph.Graph, f workload.FilterFunc) map[graph.NodeID]strea
 }
 
 // TestEngineSessionsMatchSoloRuns streams several concurrent sessions
-// over one resident two-worker engine: per-session counts must equal a
-// solo single-stream Worker run, and each session must receive exactly
+// over one resident two-worker engine: per-session counts must equal the
+// simulator's for a solo stream, and each session must receive exactly
 // its own payloads in order.
 func TestEngineSessionsMatchSoloRuns(t *testing.T) {
 	g := workload.Fig2Triangle(2)
@@ -70,12 +71,14 @@ func TestEngineSessionsMatchSoloRuns(t *testing.T) {
 	}
 	cfg := Config{Algorithm: cs4.Propagation, Intervals: iv, WatchdogTimeout: 5 * time.Second}
 
-	// Solo reference: the legacy one-shot two-worker run.
+	// Solo reference: the deterministic simulator.
 	const inputs = 120
-	solo := runPair(t, g, part, engineKernels(g, drop), Config{
+	solo := sim.Run(g, sim.Filter(drop), sim.Config{
 		Inputs: inputs, Algorithm: cs4.Propagation, Intervals: iv,
-		WatchdogTimeout: 5 * time.Second,
 	})
+	if !solo.Completed {
+		t.Fatalf("solo run deadlocked: %v", solo.Blocked)
+	}
 
 	eng, err := NewEngine(g, part, engineKernels(g, drop), cfg)
 	if err != nil {
@@ -124,13 +127,13 @@ func TestEngineSessionsMatchSoloRuns(t *testing.T) {
 				errs[s] = fmt.Errorf("session %d SinkData = %d, solo %d", s, stats.SinkData, solo.SinkData)
 				return
 			}
-			for e, want := range solo.Data {
+			for e, want := range solo.DataMsgs {
 				if stats.Data[e] != want {
 					errs[s] = fmt.Errorf("session %d edge %d data = %d, solo %d", s, e, stats.Data[e], want)
 					return
 				}
 			}
-			for e, want := range solo.Dummies {
+			for e, want := range solo.DummyMsgs {
 				if stats.Dummies[e] != want {
 					errs[s] = fmt.Errorf("session %d edge %d dummies = %d, solo %d", s, e, stats.Dummies[e], want)
 					return
@@ -158,48 +161,4 @@ func TestEngineSessionsMatchSoloRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-}
-
-// runPair runs a one-shot two-worker distributed stream and merges the
-// stats, as the legacy Distributed backend does.
-func runPair(t *testing.T, g *graph.Graph, part Partition, kernels map[graph.NodeID]stream.Kernel, cfg Config) *Stats {
-	t.Helper()
-	addrs := map[string]string{"alpha": "127.0.0.1:0", "beta": "127.0.0.1:0"}
-	wa, err := NewWorker(g, "alpha", part, addrs, kernels, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb, err := NewWorker(g, "beta", part, addrs, kernels, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wa.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wb.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	var (
-		wg     sync.WaitGroup
-		sa, sb *Stats
-		ea, eb error
-	)
-	wg.Add(2)
-	go func() { defer wg.Done(); sa, ea = wa.Run() }()
-	go func() { defer wg.Done(); sb, eb = wb.Run() }()
-	wg.Wait()
-	if ea != nil || eb != nil {
-		t.Fatalf("solo run: %v / %v", ea, eb)
-	}
-	merged := &Stats{Data: map[graph.EdgeID]int64{}, Dummies: map[graph.EdgeID]int64{}}
-	for _, s := range []*Stats{sa, sb} {
-		for e, n := range s.Data {
-			merged.Data[e] += n
-		}
-		for e, n := range s.Dummies {
-			merged.Dummies[e] += n
-		}
-		merged.SinkData += s.SinkData
-	}
-	return merged
 }

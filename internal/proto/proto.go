@@ -41,8 +41,8 @@ const EOSSeq = math.MaxUint64
 // own per-edge buffer window, so the deadlock-freedom guarantee of the
 // dummy intervals applies to each session independently — a message
 // tagged (session, kind, seq) participates only in its session's
-// protocol.  Zero is reserved for "not session-scoped" (the legacy
-// single-stream runtimes).
+// protocol.  Zero is reserved for "not session-scoped" (sim.Run's single
+// stream).
 type SessionID uint64
 
 // Kind discriminates protocol messages.

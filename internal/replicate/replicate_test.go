@@ -1,7 +1,6 @@
 package replicate
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -14,6 +13,21 @@ import (
 	"streamdag/internal/stream"
 	"streamdag/internal/workload"
 )
+
+// runOnce streams the sequence numbers 0..inputs-1 through one session
+// of a goroutine engine: engine up, one Open, Wait, engine down.
+func runOnce(g *graph.Graph, ks map[graph.NodeID]stream.Kernel, cfg stream.Config, inputs uint64) (*stream.Stats, error) {
+	eng, err := stream.NewEngine(g, ks, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	ses, err := eng.Open(stream.SessionConfig{ID: 1, Source: stream.SyntheticSource(inputs)})
+	if err != nil {
+		return nil, err
+	}
+	return ses.Wait()
+}
 
 // pipeline builds src → work → snk with uniform buffers.
 func pipeline(buf int) *graph.Graph {
@@ -299,11 +313,11 @@ func TestMergerEmitsInSequenceOrder(t *testing.T) {
 		}),
 	}
 	alg := cs4.Propagation
-	_, err = stream.Run(context.Background(), r.Graph(), r.Kernels(orig), stream.Config{
-		Inputs: inputs, Algorithm: alg,
+	_, err = runOnce(r.Graph(), r.Kernels(orig), stream.Config{
+		Algorithm:       alg,
 		Intervals:       intervalsFor(t, r.Graph(), alg),
 		WatchdogTimeout: 5 * time.Second,
-	})
+	}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,10 +406,10 @@ func TestKernelsBundleRoundTrip(t *testing.T) {
 			return outs
 		})
 	}
-	runRes, err := stream.Run(context.Background(), r.Graph(), r.Kernels(orig), stream.Config{
-		Inputs: inputs, Algorithm: alg, Intervals: iv,
+	runRes, err := runOnce(r.Graph(), r.Kernels(orig), stream.Config{
+		Algorithm: alg, Intervals: iv,
 		WatchdogTimeout: 5 * time.Second,
-	})
+	}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package stream_test
 
 import (
-	"context"
-
 	"testing"
 
 	"streamdag/internal/cs4"
@@ -35,7 +33,7 @@ func TestParallelEdgesRuntime(t *testing.T) {
 			return map[int]any{0: seq}
 		}),
 	}
-	if _, err := stream.Run(context.Background(), g, ks, stream.Config{Inputs: 64}); err != nil {
+	if _, err := runOnce(g, ks, stream.Config{}, 64); err != nil {
 		t.Fatal(err)
 	}
 	if pairs != 64 {
@@ -86,9 +84,9 @@ func TestParallelEdgeDeadlockAvoidance(t *testing.T) {
 			return outs
 		})
 	}
-	if _, err := stream.Run(context.Background(), g, ks, stream.Config{
-		Inputs: 100, Algorithm: cs4.NonPropagation, Intervals: iv,
-	}); err != nil {
+	if _, err := runOnce(g, ks, stream.Config{
+		Algorithm: cs4.NonPropagation, Intervals: iv,
+	}, 100); err != nil {
 		t.Fatalf("protected runtime run failed: %v", err)
 	}
 }

@@ -2,9 +2,8 @@ package stream
 
 // This file is the resident multi-session runtime: an Engine keeps one
 // event-loop goroutine per node alive across unboundedly many logical
-// streams (sessions), so the per-run costs of the one-shot Run — spawning
-// node goroutines, allocating channels — are paid once per topology
-// instead of once per stream.
+// streams (sessions), so spawning the node goroutines is paid once per
+// topology instead of once per stream.
 //
 // Session isolation is the load-bearing property.  Every session owns its
 // own sequence space, its own proto.Engine instance per node (dummy
@@ -141,9 +140,9 @@ func (e *Engine) Drain(ctx context.Context) error {
 	}
 }
 
-// NewEngine spins up the resident node loops for g.  The Config fields
-// Source, Sink, and Inputs are ignored — ingestion and delivery are per
-// session.  g must be a validated two-terminal DAG.
+// NewEngine spins up the resident node loops for g; ingestion and
+// delivery are per session (SessionConfig).  g must be a two-terminal
+// DAG.
 func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*Engine, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -408,7 +407,7 @@ func (e *Engine) unregister(id proto.SessionID) {
 // period, with no in-flight Source/Sink callback and no armed timer, is
 // wedged, and fails with a DeadlockError naming it.  Sessions blocked in
 // user code (a quiet source, a backpressuring sink) are the outside
-// world's pace, not deadlock, exactly as in the one-shot Run.
+// world's pace, not deadlock.
 func (e *Engine) watchdog() {
 	ticker := time.NewTicker(e.cfg.WatchdogTimeout)
 	defer ticker.Stop()
@@ -443,9 +442,9 @@ func (e *Engine) watchdog() {
 // snapshot renders the session's per-edge occupancy (sent, not yet
 // consumed) and names the edges whose credit window is exhausted — the
 // channels the wedged session's producers were blocked on.  Reads are
-// the session's occupancy atomics: racy but indicative, as in the
-// one-shot Run, and safe from the watchdog goroutine (the node-owned
-// inflight counters are never touched here).
+// the session's occupancy atomics: racy but indicative, and safe from the
+// watchdog goroutine (the node-owned inflight counters are never touched
+// here).
 func (e *Engine) snapshot(ses *EngineSession) (map[string]string, []string) {
 	chans := make(map[string]string, e.g.NumEdges())
 	var stalled []string
@@ -1028,8 +1027,7 @@ type engineNode struct {
 // power of two keeps the tick test a mask.
 const obsSampleRate = 8
 
-// nodeSession is one node's protocol state for one session: the demuxed
-// counterpart of what a one-shot NodeLoop keeps on its stack.
+// nodeSession is one node's protocol state for one session.
 type nodeSession struct {
 	ses *EngineSession
 	// live is this node's slot of the session's liveness counters.
@@ -1452,7 +1450,7 @@ func (n *engineNode) setPending(ns *nodeSession, pos int, m Message) {
 }
 
 // fireOnce attempts one aligned firing; it reports whether anything
-// happened.  This is NodeLoop's consume step, demuxed per session.
+// happened.
 func (n *engineNode) fireOnce(ns *nodeSession) bool {
 	for i := range ns.heads {
 		if ns.heads[i].len() == 0 {

@@ -12,6 +12,7 @@ import (
 	"streamdag/internal/cs4"
 	"streamdag/internal/graph"
 	"streamdag/internal/proto"
+	"streamdag/internal/sim"
 	"streamdag/internal/stream"
 	"streamdag/internal/workload"
 )
@@ -29,10 +30,10 @@ func sliceSource(payloads []any) stream.SourceFunc {
 	}
 }
 
-// TestEngineSingleSessionMatchesRun pins parity at the transport level: a
+// TestEngineSingleSessionMatchesSim pins parity with the oracle: a
 // one-session engine run produces the identical per-edge data and dummy
-// counts, and the same sink total, as the one-shot Run.
-func TestEngineSingleSessionMatchesRun(t *testing.T) {
+// counts, and the same sink total, as the deterministic simulator.
+func TestEngineSingleSessionMatchesSim(t *testing.T) {
 	g := workload.Fig2Triangle(2)
 	d, err := cs4.Classify(g)
 	if err != nil {
@@ -44,12 +45,11 @@ func TestEngineSingleSessionMatchesRun(t *testing.T) {
 	}
 	drop := workload.DropEdge(edgeByNames(t, g, "A", "C"))
 	const inputs = 500
-	ref, err := stream.Run(context.Background(), g, filterKernels(g, drop), stream.Config{
+	ref := sim.Run(g, sim.Filter(drop), sim.Config{
 		Inputs: inputs, Algorithm: cs4.Propagation, Intervals: iv,
-		WatchdogTimeout: 5 * time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
+	if !ref.Completed {
+		t.Fatalf("simulator deadlocked: %v", ref.Blocked)
 	}
 
 	eng, err := stream.NewEngine(g, filterKernels(g, drop), stream.Config{
@@ -70,12 +70,12 @@ func TestEngineSingleSessionMatchesRun(t *testing.T) {
 	if got.SinkData != ref.SinkData {
 		t.Errorf("SinkData = %d, want %d", got.SinkData, ref.SinkData)
 	}
-	for e, want := range ref.Data {
+	for e, want := range ref.DataMsgs {
 		if got.Data[e] != want {
 			t.Errorf("edge %d data = %d, want %d", e, got.Data[e], want)
 		}
 	}
-	for e, want := range ref.Dummies {
+	for e, want := range ref.DummyMsgs {
 		if got.Dummies[e] != want {
 			t.Errorf("edge %d dummies = %d, want %d", e, got.Dummies[e], want)
 		}

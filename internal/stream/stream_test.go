@@ -1,8 +1,6 @@
 package stream_test
 
 import (
-	"context"
-
 	"math/rand"
 	"testing"
 	"time"
@@ -54,6 +52,21 @@ func filterKernels(g *graph.Graph, f workload.FilterFunc) map[graph.NodeID]strea
 	return ks
 }
 
+// runOnce is the lifecycle every single-stream test here drives: engine
+// up, one session of the sequence numbers 0..inputs-1, Wait, engine down.
+func runOnce(g *graph.Graph, ks map[graph.NodeID]stream.Kernel, cfg stream.Config, inputs uint64) (*stream.Stats, error) {
+	eng, err := stream.NewEngine(g, ks, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	ses, err := eng.Open(stream.SessionConfig{ID: 1, Source: stream.SyntheticSource(inputs)})
+	if err != nil {
+		return nil, err
+	}
+	return ses.Wait()
+}
+
 func TestPipelinePayloadIntegrity(t *testing.T) {
 	g := workload.Pipeline(4, 2)
 	var got []uint64
@@ -65,7 +78,7 @@ func TestPipelinePayloadIntegrity(t *testing.T) {
 		}
 		return nil
 	})
-	stats, err := stream.Run(context.Background(), g, ks, stream.Config{Inputs: 50})
+	stats, err := runOnce(g, ks, stream.Config{}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +101,9 @@ func TestPipelinePayloadIntegrity(t *testing.T) {
 func TestFig2DeadlockWatchdog(t *testing.T) {
 	g := workload.Fig2Triangle(2)
 	drop := workload.DropEdge(edgeByNames(t, g, "A", "C"))
-	_, err := stream.Run(context.Background(), g, filterKernels(g, drop), stream.Config{
-		Inputs:          100,
+	_, err := runOnce(g, filterKernels(g, drop), stream.Config{
 		WatchdogTimeout: 100 * time.Millisecond,
-	})
+	}, 100)
 	derr, ok := err.(*stream.DeadlockError)
 	if !ok {
 		t.Fatalf("err = %v, want stream.DeadlockError", err)
@@ -116,10 +128,10 @@ func TestFig2AvoidanceRuntime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := stream.Run(context.Background(), g, filterKernels(g, drop), stream.Config{
-			Inputs: 300, Algorithm: alg, Intervals: iv,
+		stats, err := runOnce(g, filterKernels(g, drop), stream.Config{
+			Algorithm: alg, Intervals: iv,
 			WatchdogTimeout: 2 * time.Second,
-		})
+		}, 300)
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -147,10 +159,10 @@ func TestRuntimeMatchesSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := stream.Run(context.Background(), g, filterKernels(g, filter), stream.Config{
-			Inputs: 80, Algorithm: cs4.Propagation, Intervals: iv,
+		stats, err := runOnce(g, filterKernels(g, filter), stream.Config{
+			Algorithm: cs4.Propagation, Intervals: iv,
 			WatchdogTimeout: 5 * time.Second,
-		})
+		}, 80)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, g)
 		}
@@ -175,7 +187,7 @@ func TestRuntimeMatchesSimulator(t *testing.T) {
 
 func TestDefaultKernelsPassthrough(t *testing.T) {
 	g := workload.Fig1SplitJoin(2)
-	stats, err := stream.Run(context.Background(), g, nil, stream.Config{Inputs: 40})
+	stats, err := runOnce(g, nil, stream.Config{}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +206,7 @@ func TestRunRejectsInvalidGraph(t *testing.T) {
 	c := g.AddNode("c")
 	g.AddEdge(a, c, 1)
 	g.AddEdge(b, c, 1) // two sources
-	if _, err := stream.Run(context.Background(), g, nil, stream.Config{Inputs: 1}); err == nil {
+	if _, err := runOnce(g, nil, stream.Config{}, 1); err == nil {
 		t.Error("two-source graph accepted")
 	}
 }
@@ -222,7 +234,7 @@ func TestTransformingKernels(t *testing.T) {
 			return nil
 		}),
 	}
-	if _, err := stream.Run(context.Background(), g, ks, stream.Config{Inputs: 5}); err != nil {
+	if _, err := runOnce(g, ks, stream.Config{}, 5); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{0, 1, 4, 9, 16}

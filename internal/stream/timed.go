@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"streamdag/internal/clock"
-	"streamdag/internal/proto"
 )
 
 // This file is the time-aware node contract shared by all three
@@ -58,155 +57,4 @@ type TimedKernel interface {
 	// produce an emission, if any pending state exists.  The engines arm
 	// their flush timer to it after every advance.
 	NextDeadline() (time.Time, bool)
-}
-
-// TimerPorts is optionally implemented by a Ports transport that wants
-// to know whether the node's flush timer is armed — the distributed
-// runtime counts armed timers per session so its progress watchdog
-// does not mistake a quietly open window for a deadlock.
-type TimerPorts interface {
-	// TimerArmed records a transition of the node's flush timer: +1 when
-	// it arms, -1 when it fires or is stopped.
-	TimerArmed(delta int)
-}
-
-// timedNodeLoop runs one time-aware node to completion over the given
-// ports: a single in-edge consumed silently (data feeds the kernel,
-// dummies and protocol alignment are absorbed), emissions fired in the
-// node's private output-sequence space, and a flush timer armed to the
-// kernel's next deadline between events.  NodeLoop dispatches here; the
-// Flow builder guarantees the in-degree-1 shape.
-func timedNodeLoop(nOut int, kernel TimedKernel, engine *proto.Engine, p Ports) {
-	clk := kernel.TimedClock()
-	tp, _ := p.(TimerPorts)
-
-	// The receive pump turns the blocking Recv into a channel so the
-	// main loop can select it against the flush timer.  done unblocks
-	// the pump if the loop exits first (an aborted send).
-	type rec struct {
-		m  Message
-		ok bool
-	}
-	recvCh := make(chan rec)
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		for {
-			m, ok := p.Recv(0)
-			select {
-			case recvCh <- rec{m, ok}:
-			case <-done:
-				return
-			}
-			if !ok {
-				return
-			}
-		}
-	}()
-
-	// tickCh carries at most one pending wakeup; the timer callback must
-	// never block (it runs on the clock's goroutine).
-	tickCh := make(chan struct{}, 1)
-	var timer clock.Timer
-	armed := false
-	disarm := func() {
-		if armed {
-			armed = false
-			if timer != nil {
-				timer.Stop()
-			}
-			if tp != nil {
-				tp.TimerArmed(-1)
-			}
-		}
-	}
-	defer disarm()
-	rearm := func() {
-		when, ok := kernel.NextDeadline()
-		if !ok {
-			disarm()
-			return
-		}
-		d := when.Sub(clk.Now())
-		if d < 0 {
-			d = 0
-		}
-		if timer == nil {
-			timer = clk.AfterFunc(d, func() {
-				select {
-				case tickCh <- struct{}{}:
-				default:
-				}
-			})
-		} else {
-			timer.Reset(d)
-		}
-		if !armed {
-			armed = true
-			if tp != nil {
-				tp.TimerArmed(+1)
-			}
-		}
-	}
-
-	outSeq := uint64(0)
-	emitted := make([]bool, nOut)
-	for i := range emitted {
-		emitted[i] = true
-	}
-	// drain fires one output firing per queued emission, broadcast on
-	// every out-edge with the all-emitted mask (never a dummy).
-	drain := func() bool {
-		for _, e := range kernel.TakeEmissions() {
-			engine.Fire(outSeq, emitted)
-			msgs := make([]Message, nOut)
-			targets := make([]int, nOut)
-			for i := 0; i < nOut; i++ {
-				targets[i] = i
-				msgs[i] = Message{Seq: outSeq, Kind: Data, Payload: e}
-			}
-			if !sendAll(p, targets, msgs) {
-				return false
-			}
-			outSeq++
-		}
-		return true
-	}
-
-	for {
-		select {
-		case r := <-recvCh:
-			if !r.ok {
-				return
-			}
-			if r.m.Seq == proto.EOSSeq {
-				if !p.Consumed(0) {
-					return
-				}
-				disarm()
-				kernel.Flush()
-				if !drain() {
-					return
-				}
-				broadcastEOS(p, nOut)
-				return
-			}
-			if r.m.Kind == Data {
-				kernel.Process(r.m.Seq, []Input{{Present: true, Payload: r.m.Payload}})
-			}
-			if !p.Consumed(0) {
-				return
-			}
-			if !drain() {
-				return
-			}
-			rearm()
-		case <-tickCh:
-			kernel.Tick(clk.Now())
-			if !drain() {
-				return
-			}
-			rearm()
-		}
-	}
 }

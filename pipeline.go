@@ -18,8 +18,7 @@ import (
 // the chosen dummy protocol, and delivers sink-node emissions to a Sink
 // in sequence order — on any of the three backends (goroutine runtime,
 // deterministic simulator, distributed TCP workers), selected with
-// WithBackend.  The legacy Run / Simulate / NewDistWorker entry points
-// survive as thin wrappers.
+// WithBackend.
 
 // Pipeline is a built streaming computation: a validated (and possibly
 // replicated) topology together with its classification, its dummy
@@ -164,9 +163,9 @@ func WithWatchdog(d time.Duration) Option {
 // are still accounted in payload units (a run of k messages consumes k
 // window slots), kernels still fire once per element in sequence order,
 // and the logical stream — per-edge data and dummy counts, sink
-// delivery order — is identical to an unbatched run.  n = 1 keeps the
-// legacy one-message-at-a-time path; Flow stages can override their own
-// node's batch size with Stage.Batch.
+// delivery order — is identical to an unbatched run.  n = 1 moves one
+// message at a time; Flow stages can override their own node's batch
+// size with Stage.Batch.
 func WithMaxBatch(n int) Option {
 	return func(c *buildConfig) {
 		if n < 1 && c.err == nil {
@@ -524,9 +523,9 @@ func (p *Pipeline) Replication() *Replicated { return p.rep }
 // error, or when deadlock is detected.  A nil sink discards emissions
 // (they are still counted).
 //
-// Run is a compatibility wrapper over the Engine API — it spins up a
-// resident engine, opens one session, waits, and closes — so every run
-// re-pays the per-process setup the Engine exists to amortize.  Services
+// Run is a convenience over the Engine API — it spins up a resident
+// engine, opens one session, waits, and closes — so every run re-pays
+// the per-process setup the Engine exists to amortize.  Services
 // streaming more than once should hold a Pipeline.Engine and Open a
 // session per stream.
 //
@@ -642,7 +641,6 @@ func (simulatorBackend) String() string { return "simulator" }
 // this process.
 type distributedBackend struct {
 	assign map[string]string
-	addrs  map[string]string
 }
 
 // Distributed executes the pipeline across TCP-connected workers, all
@@ -655,7 +653,7 @@ type distributedBackend struct {
 // topology's source node and the Sink fed by the worker hosting the
 // sink; payloads crossing workers must round-trip the wire codec
 // (scalars, strings, []byte natively; other types via gob.Register).
-// For workers in separate processes, use NewDistWorker directly.
+// Workers in separate processes are not currently supported.
 func Distributed(assign map[string]string) Backend {
 	return distributedBackend{assign: assign}
 }

@@ -245,8 +245,7 @@ func TestPipelineCancelMidStream(t *testing.T) {
 }
 
 // TestPipelineCancelBlockedSource cancels runs whose source never
-// delivers — the shutdown path the legacy API lacked — on every
-// backend.
+// delivers, on every backend.
 func TestPipelineCancelBlockedSource(t *testing.T) {
 	for name, p := range backendsFor(t, fig1Topo,
 		append(fig1Kernels(), WithWatchdog(time.Minute))...) {
@@ -367,48 +366,5 @@ func TestPipelineWithoutAvoidance(t *testing.T) {
 	}
 	if _, err := build().Run(context.Background(), CountingSource(200), nil); err != nil {
 		t.Fatalf("protected run failed: %v", err)
-	}
-}
-
-// TestPipelineCountingSourceMatchesLegacy pins wrapper compatibility:
-// the deprecated Run with Inputs: n equals Build + CountingSource(n).
-func TestPipelineCountingSourceMatchesLegacy(t *testing.T) {
-	topo := fig1Topo()
-	f := Periodic(3)
-	a, err := Analyze(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iv, err := a.Intervals(Propagation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Run(topo, RouteKernels(topo, f), RunConfig{
-		Inputs: 90, Algorithm: Propagation, Intervals: iv,
-		WatchdogTimeout: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Build(fig1Topo(), WithRouting(f), WithWatchdog(10*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := p.Run(context.Background(), CountingSource(90), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SinkData != legacy.SinkData {
-		t.Errorf("SinkData = %d, legacy %d", stats.SinkData, legacy.SinkData)
-	}
-	for e, want := range legacy.Data {
-		if stats.Data[e] != want {
-			t.Errorf("edge %d data = %d, legacy %d", e, stats.Data[e], want)
-		}
-	}
-	for e, want := range legacy.Dummies {
-		if stats.Dummies[e] != want {
-			t.Errorf("edge %d dummies = %d, legacy %d", e, stats.Dummies[e], want)
-		}
 	}
 }

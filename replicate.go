@@ -13,8 +13,7 @@ import (
 // a series-parallel composition, so SP topologies stay SP and CS4
 // topologies stay CS4 — recompute intervals on the expanded topology and
 // the paper's safety guarantee carries over unchanged, on all three
-// backends (Run, Simulate, NewDistWorker).  See DESIGN.md,
-// "Data-parallel replication".
+// backends.  See DESIGN.md, "Data-parallel replication".
 
 // ReplicationPlan maps node names to replica counts.  Counts of 1 leave
 // the node untouched; counts above 1 expand it.
@@ -70,8 +69,9 @@ func (r *Replicated) Original() *Topology { return r.orig }
 // Kernels maps kernels keyed by ORIGINAL node IDs onto the expanded
 // topology: replicas share the replicated node's kernel (which must
 // therefore be safe for concurrent use), and the synthetic splitter and
-// merger kernels are supplied automatically.  The result is what Run and
-// NewDistWorker expect for the expanded topology.
+// merger kernels are supplied automatically.  The result is what
+// Build(r.Topology(), WithKernels(...)) expects for the expanded
+// topology.
 func (r *Replicated) Kernels(orig map[NodeID]Kernel) map[NodeID]Kernel {
 	return r.res.Kernels(orig)
 }

@@ -1,7 +1,6 @@
 package streamdag
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -134,77 +133,31 @@ func TestReplicatedThreeBackendEquivalence(t *testing.T) {
 			t.Fatalf("%v: simulator deadlocked: %v", alg, simRes.Blocked)
 		}
 
-		runRes, err := Run(nt, RouteKernels(nt, filter), RunConfig{
-			Inputs: inputs, Algorithm: alg, Intervals: iv,
-			WatchdogTimeout: 5 * time.Second,
-		})
+		runRes, err := runCounting(nt, inputs, WithKernels(RouteKernels(nt, filter)),
+			WithAlgorithm(alg), WithWatchdog(5*time.Second))
 		if err != nil {
 			t.Fatalf("%v: runtime: %v", alg, err)
 		}
 
 		// Distributed: replicas of B land on different workers.
 		g := nt.Graph()
-		part := Partition{}
+		assign := make(map[string]string, g.NumNodes())
 		w2 := map[string]bool{"B.2": true, "B.3": true, "B.merge": true, "D": true}
 		for n := 0; n < g.NumNodes(); n++ {
 			name := g.Name(NodeID(n))
 			if w2[name] {
-				part[NodeID(n)] = "beta"
+				assign[name] = "beta"
 			} else {
-				part[NodeID(n)] = "alpha"
+				assign[name] = "alpha"
 			}
 		}
-		addrs := map[string]string{"alpha": "127.0.0.1:0", "beta": "127.0.0.1:0"}
-		cfg := DistConfig{
-			Inputs: inputs, Algorithm: alg, Intervals: iv,
-			WatchdogTimeout: 5 * time.Second,
+		distRes, err := runCounting(nt, inputs, WithKernels(RouteKernels(nt, filter)),
+			WithAlgorithm(alg), WithWatchdog(5*time.Second),
+			WithBackend(Distributed(assign)))
+		if err != nil {
+			t.Fatalf("%v: distributed: %v", alg, err)
 		}
-		kernels := RouteKernels(nt, filter)
-		var workers []*DistWorker
-		for _, name := range []string{"alpha", "beta"} {
-			w, err := NewDistWorker(nt, name, part, addrs, kernels, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			workers = append(workers, w)
-		}
-		for _, w := range workers {
-			if err := w.Listen(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		distData := make(map[EdgeID]int64)
-		distDummies := make(map[EdgeID]int64)
-		var distSink int64
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		errs := make([]error, len(workers))
-		for i, w := range workers {
-			wg.Add(1)
-			go func(i int, w *DistWorker) {
-				defer wg.Done()
-				stats, err := w.Run()
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				for e, n := range stats.Data {
-					distData[e] += n
-				}
-				for e, n := range stats.Dummies {
-					distDummies[e] += n
-				}
-				distSink += stats.SinkData
-			}(i, w)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("%v: worker %d: %v", alg, i, err)
-			}
-		}
+		distData, distDummies, distSink := distRes.Data, distRes.Dummies, distRes.SinkData
 
 		for e := EdgeID(0); int(e) < g.NumEdges(); e++ {
 			from, to, _ := nt.Edge(e)
@@ -236,14 +189,6 @@ func TestReplicatedBundlesOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	nt := rep.Topology()
-	a, err := Analyze(nt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iv, err := a.Intervals(NonPropagation)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Payload kernels on the ORIGINAL topology: B doubles, C drops odd
 	// sequence numbers, D sums whatever arrived.
 	orig := map[NodeID]Kernel{
@@ -263,64 +208,27 @@ func TestReplicatedBundlesOverTCP(t *testing.T) {
 			return map[int]any{0: in[0].Payload}
 		}),
 	}
-	cfg := DistConfig{
-		Inputs: inputs, Algorithm: NonPropagation, Intervals: iv,
-		WatchdogTimeout: 5 * time.Second,
-	}
 	g := nt.Graph()
-	part := Partition{}
+	assign := make(map[string]string, g.NumNodes())
 	beta := map[string]bool{"B.2": true, "B.merge": true, "C": true, "D": true}
 	for n := 0; n < g.NumNodes(); n++ {
-		if beta[g.Name(NodeID(n))] {
-			part[NodeID(n)] = "beta"
+		name := g.Name(NodeID(n))
+		if beta[name] {
+			assign[name] = "beta"
 		} else {
-			part[NodeID(n)] = "alpha"
+			assign[name] = "alpha"
 		}
 	}
-	addrs := map[string]string{"alpha": "127.0.0.1:0", "beta": "127.0.0.1:0"}
-	kernels := rep.Kernels(orig)
-	var workers []*DistWorker
-	for _, name := range []string{"alpha", "beta"} {
-		w, err := NewDistWorker(nt, name, part, addrs, kernels, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers = append(workers, w)
+	distRes, err := runCounting(nt, inputs, WithKernels(rep.Kernels(orig)),
+		WithAlgorithm(NonPropagation), WithWatchdog(5*time.Second),
+		WithBackend(Distributed(assign)))
+	if err != nil {
+		t.Fatalf("distributed: %v", err)
 	}
-	for _, w := range workers {
-		if err := w.Listen(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var distSink int64
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	errs := make([]error, len(workers))
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *DistWorker) {
-			defer wg.Done()
-			stats, err := w.Run()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			mu.Lock()
-			distSink += stats.SinkData
-			mu.Unlock()
-		}(i, w)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
+	distSink := distRes.SinkData
 
-	local, err := Run(nt, rep.Kernels(orig), RunConfig{
-		Inputs: inputs, Algorithm: NonPropagation, Intervals: iv,
-		WatchdogTimeout: 5 * time.Second,
-	})
+	local, err := runCounting(nt, inputs, WithKernels(rep.Kernels(orig)),
+		WithAlgorithm(NonPropagation), WithWatchdog(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,15 @@
 package streamdag
 
 import (
-	"context"
-	"time"
-
 	"streamdag/internal/graph"
 	"streamdag/internal/sim"
 	"streamdag/internal/stream"
 	"streamdag/internal/workload"
 )
 
-// This file exposes execution: the goroutine runtime and the deterministic
-// simulator, plus filtering-behavior constructors for experiments.
+// This file exposes the kernel vocabulary the backends execute, the bare
+// deterministic simulator, and filtering-behavior constructors for
+// experiments.
 
 // Kernel is user compute code for one node; see stream.Kernel.
 type Kernel = stream.Kernel
@@ -72,41 +70,13 @@ func MapKernel(outs int, fn func(any) any) Kernel {
 	return mapKernel{outs: outs, fn: fn}
 }
 
-// RunConfig parameterizes Run.
-type RunConfig struct {
-	// Inputs is the number of sequence numbers generated at the source.
-	Inputs uint64
-	// Algorithm selects the dummy protocol when Intervals != nil.
-	Algorithm Algorithm
-	// Intervals are the per-edge dummy intervals from Analysis.Intervals;
-	// nil runs without deadlock avoidance.
-	Intervals map[EdgeID]Interval
-	// WatchdogTimeout is how long Run waits without progress before
-	// reporting deadlock (default one second).
-	WatchdogTimeout time.Duration
-}
-
-// RunStats summarizes a completed run.
+// RunStats summarizes a completed session.
 type RunStats = stream.Stats
 
-// DeadlockError is returned by Run when the watchdog detects a wedged
-// network; it carries a channel-occupancy snapshot.
+// DeadlockError is a session's outcome when the watchdog of a runtime
+// backend (Goroutines or Distributed) finds it wedged; it names the
+// session and carries a channel-occupancy snapshot.
 type DeadlockError = stream.DeadlockError
-
-// Run executes the topology on goroutines and buffered channels.  Nodes
-// without kernels forward their first present input on every output.
-//
-// Deprecated: Run survives as a thin wrapper over the Pipeline API.  New
-// code should Build the topology and call Pipeline.Run with a real
-// Source and Sink (and a cancellable context).
-func Run(t *Topology, kernels map[NodeID]Kernel, cfg RunConfig) (*RunStats, error) {
-	return stream.Run(context.Background(), t.g, kernels, stream.Config{
-		Inputs:          cfg.Inputs,
-		Algorithm:       cfg.Algorithm,
-		Intervals:       cfg.Intervals,
-		WatchdogTimeout: cfg.WatchdogTimeout,
-	})
-}
 
 // Filter decides routing for simulation and for RouteKernels: whether a
 // node forwards sequence number seq on its out-edge e.  Must be pure.
@@ -155,12 +125,10 @@ type SimConfig struct {
 // detection and per-edge traffic counts.
 type SimResult = sim.Result
 
-// Simulate runs the deterministic simulator: exact deadlock detection,
-// schedule-independent results.
-//
-// Deprecated: Simulate survives as a thin wrapper over the Pipeline
-// API.  New code should Build the topology with
-// WithBackend(Simulator()) and call Pipeline.Run.
+// Simulate runs the deterministic simulator on a bare topology and
+// filter: exact deadlock detection, schedule-independent results.  It is
+// the oracle the test suites compare the backends against; to stream real
+// payloads through kernels, Build with WithBackend(Simulator()).
 func Simulate(t *Topology, f Filter, cfg SimConfig) *SimResult {
 	return sim.Run(t.g, sim.Filter(f), sim.Config{
 		Inputs:    cfg.Inputs,

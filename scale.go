@@ -709,7 +709,7 @@ func (b distributedBackend) forPlan(np, old *Pipeline) (Backend, error) {
 		assign[name] = w
 		load[w]++
 	}
-	return distributedBackend{assign: assign, addrs: b.addrs}, nil
+	return distributedBackend{assign: assign}, nil
 }
 
 // splitRepName classifies an expanded-topology name the rescale path

@@ -9,8 +9,8 @@ import (
 // API: a Source supplies the payloads injected at the topology's source
 // node, and a Sink receives the sink node's data-carrying firings in
 // ascending sequence order.  Constructors cover the common shapes —
-// channels, slices, callbacks, a collector — plus the synthetic
-// sequence-number source the legacy entry points used.
+// channels, slices, callbacks, a collector — plus a synthetic
+// sequence-number source.
 
 // Source supplies the stream's payloads: Pipeline.Run pulls from it at
 // the topology's source node, assigning consecutive sequence numbers in
@@ -121,10 +121,9 @@ func SliceSource(payloads ...any) Source {
 	return &sliceSource{payloads: payloads}
 }
 
-// CountingSource is the legacy synthetic arrangement: n payloads that
-// are the sequence numbers 0..n-1 themselves (as uint64) — what
-// RunConfig.Inputs used to generate.  It implements SpanSource, so
-// batched runtimes ingest it in bulk.
+// CountingSource is the synthetic arrangement: n payloads that are the
+// sequence numbers 0..n-1 themselves (as uint64).  It implements
+// SpanSource, so batched runtimes ingest it in bulk.
 func CountingSource(n uint64) Source {
 	return &countingSource{n: n}
 }

@@ -1,10 +1,22 @@
 package streamdag
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 )
+
+// runCounting is the one-stream lifecycle of the tests: Build, then
+// Pipeline.Run (engine up, one session, engine down) over the sequence
+// numbers 0..inputs-1 with a discarding sink.
+func runCounting(topo *Topology, inputs uint64, opts ...Option) (*RunStats, error) {
+	p, err := Build(topo, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(context.Background(), CountingSource(inputs), nil)
+}
 
 func fig2(t *testing.T) *Topology {
 	t.Helper()
@@ -132,9 +144,8 @@ func TestEndToEndDeadlockAndAvoidance(t *testing.T) {
 	if r.Completed {
 		t.Fatal("expected simulated deadlock")
 	}
-	if _, err := Run(topo, RouteKernels(topo, drop), RunConfig{
-		Inputs: 100, WatchdogTimeout: 100 * time.Millisecond,
-	}); err == nil {
+	if _, err := runCounting(topo, 100, WithKernels(RouteKernels(topo, drop)),
+		WithoutAvoidance(), WithWatchdog(100*time.Millisecond)); err == nil {
 		t.Fatal("expected runtime deadlock")
 	}
 	// Protected: both complete.
@@ -147,9 +158,8 @@ func TestEndToEndDeadlockAndAvoidance(t *testing.T) {
 		if !r.Completed {
 			t.Fatalf("%v: simulated deadlock: %v", alg, r.Blocked)
 		}
-		if _, err := Run(topo, RouteKernels(topo, drop), RunConfig{
-			Inputs: 100, Algorithm: alg, Intervals: iv,
-		}); err != nil {
+		if _, err := runCounting(topo, 100, WithKernels(RouteKernels(topo, drop)),
+			WithAlgorithm(alg)); err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
 	}
