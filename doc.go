@@ -58,9 +58,9 @@
 //
 // WithMaxBatch(n) (per-stage: Stage.Batch) lets the runtime backends
 // carry runs of up to n consecutive data messages as one transport
-// unit — one channel operation, one protocol update, one coalesced TCP
-// frame per run — multiplying throughput on chains of cheap kernels
-// (~4x at n = 64 on the goroutine backend, ~8x over TCP workers).
+// unit — one channel operation, one protocol update, one TCP frame per
+// run — multiplying throughput on chains of cheap kernels (~4x at
+// n = 64 on the goroutine backend, ~3.5x over TCP workers).
 // Batching never changes the logical stream: credits stay in payload
 // units, kernels observe every element in sequence order, and per-edge
 // data/dummy counts are identical to an unbatched run.  Kernels may

@@ -326,9 +326,7 @@ func (s *Session) Done() <-chan struct{} { return s.pubDone }
 // closedErr maps a backend's engine-closed error onto the public
 // ErrEngineClosed and returns any other error unchanged.
 func closedErr(err error) error {
-	if errors.Is(err, stream.ErrEngineClosed) ||
-		errors.Is(err, sim.ErrEngineClosed) ||
-		errors.Is(err, dist.ErrEngineClosed) {
+	if errors.Is(err, stream.ErrEngineClosed) || errors.Is(err, sim.ErrEngineClosed) {
 		return ErrEngineClosed
 	}
 	return err
@@ -437,7 +435,10 @@ func (goroutineBackend) newEngine(p *Pipeline) (backendEngine, error) {
 	return &goroutineEngine{eng: eng}, nil
 }
 
-func (g *goroutineEngine) open(ctx context.Context, id SessionID, source Source, sink Sink) (backendSession, error) {
+// sessionConfig is the session the goroutine and distributed backends
+// open for a public Open: the endpoints' bulk forms ride along whenever
+// the source or sink offers them.
+func sessionConfig(ctx context.Context, id SessionID, source Source, sink Sink) stream.SessionConfig {
 	cfg := stream.SessionConfig{ID: id, Ctx: ctx, Source: sourceFunc(source)}
 	if ss, ok := source.(SpanSource); ok {
 		cfg.SpanSource = ss.NextSpan
@@ -448,11 +449,15 @@ func (g *goroutineEngine) open(ctx context.Context, id SessionID, source Source,
 			cfg.SpanSink = bs.EmitSpan
 		}
 	}
-	ses, err := g.eng.Open(cfg)
+	return cfg
+}
+
+func (g *goroutineEngine) open(ctx context.Context, id SessionID, source Source, sink Sink) (backendSession, error) {
+	ses, err := g.eng.Open(sessionConfig(ctx, id, source, sink))
 	if err != nil {
 		return nil, err
 	}
-	return goroutineSession{ses}, nil
+	return streamSession{ses}, nil
 }
 
 func (g *goroutineEngine) close() error { return g.eng.Close() }
@@ -463,10 +468,12 @@ func (g *goroutineEngine) killWorker(string) error {
 	return errors.New("streamdag: the goroutines backend has no workers to kill (use the Distributed backend, or WithFaultInjection on the Simulator)")
 }
 
-type goroutineSession struct{ ses *stream.EngineSession }
+// streamSession is an open stream on either backend that runs the stream
+// engine's node loops.
+type streamSession struct{ ses *stream.EngineSession }
 
-func (s goroutineSession) wait() (*RunStats, error) { return s.ses.Wait() }
-func (s goroutineSession) done() <-chan struct{}    { return s.ses.Done() }
+func (s streamSession) wait() (*RunStats, error) { return s.ses.Wait() }
+func (s streamSession) done() <-chan struct{}    { return s.ses.Done() }
 
 // simEngine adapts sim.Engine.
 type simEngine struct{ eng *sim.Engine }
@@ -586,6 +593,7 @@ func (b distributedBackend) newEngine(p *Pipeline) (backendEngine, error) {
 		Intervals:         p.intervals,
 		WatchdogTimeout:   p.watchdog,
 		MaxBatch:          p.maxBatch,
+		NodeBatch:         p.resolvedNodeBatch(),
 		Obs:               p.obsMetrics(),
 		HeartbeatInterval: p.hbInterval,
 		HeartbeatMiss:     p.hbMiss,
@@ -598,15 +606,11 @@ func (b distributedBackend) newEngine(p *Pipeline) (backendEngine, error) {
 }
 
 func (de *distEngine) open(ctx context.Context, id SessionID, source Source, sink Sink) (backendSession, error) {
-	io := dist.SessionIO{ID: id, Ctx: ctx, Source: sourceFunc(source)}
-	if sink != nil {
-		io.Sink = sinkFunc(sink)
-	}
-	ses, err := de.eng.Open(io)
+	ses, err := de.eng.Open(sessionConfig(ctx, id, source, sink))
 	if err != nil {
 		return nil, err
 	}
-	return distSession{ses}, nil
+	return streamSession{ses}, nil
 }
 
 func (de *distEngine) close() error { return de.eng.Close() }
@@ -614,9 +618,3 @@ func (de *distEngine) close() error { return de.eng.Close() }
 func (de *distEngine) drain(ctx context.Context) error { return de.eng.Drain(ctx) }
 
 func (de *distEngine) killWorker(name string) error { return de.eng.KillWorker(name) }
-
-type distSession struct{ ses *dist.EngineSession }
-
-func (s distSession) done() <-chan struct{} { return s.ses.Done() }
-
-func (s distSession) wait() (*RunStats, error) { return s.ses.Wait() }

@@ -353,6 +353,13 @@ func TestEngineDeadlockNamesWedgedSession(t *testing.T) {
 			if !strings.Contains(err.Error(), "stalled on: ") {
 				t.Fatalf("error text %q does not name where the stream stalled", err)
 			}
+			// One wedge report: each stalled edge once, in order, whichever
+			// workers its two ends run on.
+			for i := 1; i < len(derr.Stalled); i++ {
+				if derr.Stalled[i-1] >= derr.Stalled[i] {
+					t.Fatalf("Stalled = %q is not sorted and duplicate-free", derr.Stalled)
+				}
+			}
 		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"streamdag/internal/graph"
 	"streamdag/internal/proto"
@@ -17,26 +16,22 @@ import (
 // Wire format: every frame is a 4-byte big-endian length followed by a
 // body.  The first body byte is the frame type:
 //
-//	'H' hello  — magic "SDG1" + sender worker name; first frame on every
+//	'H' hello  — magic "SDG2" + sender worker name; first frame on every
 //	             connection.
-//	'S' smsg   — session uint64, edge uint32, seq uint64, kind byte, then
-//	             (Data only) an encoded payload.  One per protocol
-//	             message on a cross edge: the session id routes it to
-//	             that session's per-edge buffer, and the sender holds one
-//	             of that session's credits for it.
-//	'c' scred  — session uint64, edge uint32: a per-session credit,
-//	             returned by the consumer of a cross edge when a message
-//	             leaves the edge's buffer, releasing one slot of that
-//	             session's window for the edge.  Per-session windows are
-//	             what carry the paper's finite buffer capacities — and
-//	             with them the deadlock-freedom guarantee —
-//	             stream-by-stream over a shared wire.
-//	'B' batch  — uint32 count, then count × (uint32 len + sub-body).  A
-//	             transport-level aggregate: the coalescing writer packs
-//	             the frames queued for one peer into a single wire frame
-//	             (one syscall for the lot), and the receiver dispatches
-//	             each sub-body exactly as if it had arrived alone.
-//	             Batches never nest and never arrive empty.
+//	'S' run    — session uint64, edge uint32, count uint32, then count
+//	             elements in send order, each a uvarint sequence delta
+//	             (from the previous element; the first from zero, and
+//	             every later one ≥ 1), a kind byte and — Data only — an
+//	             encoded payload.  It is one span of the stream engine on
+//	             a cross edge: a run of 1 is a dummy, an EOS or a lone
+//	             datum.  The sender holds count of the session's credits
+//	             for the edge, so count never exceeds the edge's capacity.
+//	'c' credit — session uint64, edge uint32, count uint32: the consumer
+//	             of a cross edge popped count messages of the session,
+//	             releasing as many slots of the producer's window.  The
+//	             per-session windows are what carry the paper's finite
+//	             buffer capacities — and with them the deadlock-freedom
+//	             guarantee — stream-by-stream over a shared wire.
 //	'b' beat   — no body beyond the type: a liveness heartbeat on an
 //	             otherwise idle link.  The sender is identified by the
 //	             connection's hello; receivers treat ANY arriving frame
@@ -44,52 +39,35 @@ import (
 //	             quiet and cost nothing under load.
 //
 // Edge IDs are global (both sides build them from the same topology), so
-// frames need no further addressing.
+// frames need no further addressing.  A link writer concatenates the
+// frames of one drain into a single write; there is no aggregate frame.
 const (
-	frameHello      byte = 'H'
-	frameSessMsg    byte = 'S'
-	frameSessCredit byte = 'c'
-	frameBatch      byte = 'B'
-	frameBeat       byte = 'b'
+	frameHello  byte = 'H'
+	frameRun    byte = 'S'
+	frameCredit byte = 'c'
+	frameBeat   byte = 'b'
 )
 
-// appendBeat encodes a heartbeat frame body.
-func appendBeat(b []byte) []byte { return append(b, frameBeat) }
-
-const helloMagic = "SDG1"
+const helloMagic = "SDG2"
 
 // maxFrame bounds a frame body; larger announcements indicate a corrupt
 // or hostile stream.
 const maxFrame = 1 << 26
 
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrame {
-		return nil, fmt.Errorf("dist: bad frame length %d", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
+// runSplit is the body size at which appendRun closes a frame and opens
+// the next, so a run of large payloads does not add up to one frame past
+// maxFrame.
+const runSplit = 1 << 16
 
-func frameFor(body []byte) []byte {
-	f := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(f, uint32(len(body)))
-	copy(f[4:], body)
-	return f
-}
+// runHeader is a run frame's body up to its first element.
+const runHeader = 1 + 8 + 4 + 4
 
-// readFrameReuse reads one frame into *buf, growing it only when a frame
-// outsizes every previous one; the returned slice aliases *buf and is
-// valid until the next call.  Safe on the read path because every parser copies the bytes it retains past dispatch
-// (decodePayload copies strings, byte slices, and gob values).
-func readFrameReuse(r io.Reader, buf *[]byte) ([]byte, error) {
+// readFrame reads one frame into *buf, growing it only when a frame
+// outsizes every previous one; the returned body aliases *buf and is
+// valid until the next call.  Safe on the read path because every parser
+// copies the bytes it retains (decodePayload copies strings, byte slices
+// and gob values).
+func readFrame(r io.Reader, buf *[]byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -108,78 +86,21 @@ func readFrameReuse(r io.Reader, buf *[]byte) ([]byte, error) {
 	return b, nil
 }
 
-// bodyPool recycles frame-body encode buffers on the batched hot path:
-// the session ports draw from it to encode messages and credits, and the
-// coalescing writer returns each body once its bytes are on the wire.
-var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
-
-func getBody() []byte { return (*bodyPool.Get().(*[]byte))[:0] }
-
-func putBody(b []byte) {
-	// Don't pin oversized buffers (a one-off huge payload) in the pool.
-	if cap(b) == 0 || cap(b) > 1<<16 {
-		return
-	}
-	b = b[:0]
-	bodyPool.Put(&b)
+// beginFrame appends a frame's length placeholder and type byte and
+// returns where the frame starts; endFrame patches the length in.
+func beginFrame(dst []byte, kind byte) ([]byte, int) {
+	return append(dst, 0, 0, 0, 0, kind), len(dst)
 }
 
-// appendBatchFrame appends one complete batch wire frame — outer length
-// header included — packing bodies in order.
-func appendBatchFrame(dst []byte, bodies [][]byte) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, frameBatch)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(bodies)))
-	for _, b := range bodies {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
-		dst = append(dst, b...)
-	}
+func endFrame(dst []byte, start int) {
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+}
+
+func appendHello(dst []byte, name string) []byte {
+	dst, start := beginFrame(dst, frameHello)
+	dst = append(append(dst, helloMagic...), name...)
+	endFrame(dst, start)
 	return dst
-}
-
-// forEachBatchBody walks a batch frame body, invoking fn on every
-// sub-body in order.  Sub-bodies alias body, which is safe because every
-// parser copies the data it retains.  Empty batches, nested batches,
-// zero-length or truncated sub-bodies, and trailing garbage are all
-// rejected; fn's error aborts the walk.
-func forEachBatchBody(body []byte, fn func([]byte) error) error {
-	if len(body) < 5 || body[0] != frameBatch {
-		return fmt.Errorf("dist: bad batch frame (%d bytes)", len(body))
-	}
-	count := binary.BigEndian.Uint32(body[1:])
-	if count == 0 {
-		return fmt.Errorf("dist: empty batch frame")
-	}
-	rest := body[5:]
-	for i := uint32(0); i < count; i++ {
-		if len(rest) < 4 {
-			return fmt.Errorf("dist: truncated batch frame (sub %d of %d)", i, count)
-		}
-		n := binary.BigEndian.Uint32(rest)
-		rest = rest[4:]
-		if n == 0 || uint64(n) > uint64(len(rest)) {
-			return fmt.Errorf("dist: bad sub-frame length %d in batch", n)
-		}
-		if rest[0] == frameBatch {
-			return fmt.Errorf("dist: nested batch frame")
-		}
-		if err := fn(rest[:n]); err != nil {
-			return err
-		}
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("dist: %d trailing bytes in batch frame", len(rest))
-	}
-	return nil
-}
-
-func helloBody(name string) []byte {
-	b := make([]byte, 0, 1+len(helloMagic)+len(name))
-	b = append(b, frameHello)
-	b = append(b, helloMagic...)
-	return append(b, name...)
 }
 
 func parseHello(body []byte) (string, error) {
@@ -190,62 +111,121 @@ func parseHello(body []byte) (string, error) {
 	return string(body[1+len(helloMagic):]), nil
 }
 
-// appendSessMsg encodes a session message body into a caller-supplied
-// (typically pooled) buffer.
-func appendSessMsg(b []byte, sid proto.SessionID, e graph.EdgeID, m stream.Message) ([]byte, error) {
-	b = append(b, frameSessMsg)
-	b = binary.BigEndian.AppendUint64(b, uint64(sid))
-	b = binary.BigEndian.AppendUint32(b, uint32(e))
-	b = binary.BigEndian.AppendUint64(b, m.Seq)
-	b = append(b, byte(m.Kind))
-	if m.Kind == stream.Data {
-		var err error
-		b, err = appendPayload(b, m.Payload)
-		if err != nil {
-			return nil, err
+// appendBeat appends a heartbeat frame.
+func appendBeat(dst []byte) []byte {
+	dst, start := beginFrame(dst, frameBeat)
+	endFrame(dst, start)
+	return dst
+}
+
+// appendRun appends run as run frames (length headers included) and
+// returns how many: one, or several when the payloads are large
+// (runSplit).  On error — an unencodable payload, or one too large for
+// any frame — dst comes back as it went in.
+func appendRun(dst []byte, sid proto.SessionID, e graph.EdgeID, run []stream.Message) (_ []byte, frames int, err error) {
+	origin := len(dst)
+	for len(run) > 0 {
+		var start int
+		dst, start = beginFrame(dst, frameRun)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(sid))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(e))
+		countAt := len(dst)
+		dst = append(dst, 0, 0, 0, 0)
+		n, prev := 0, uint64(0)
+		for n < len(run) && (n == 0 || len(dst)-start < runSplit) {
+			m := &run[n]
+			dst = binary.AppendUvarint(dst, m.Seq-prev)
+			dst = append(dst, byte(m.Kind))
+			if m.Kind == stream.Data {
+				if dst, err = appendPayload(dst, m.Payload); err != nil {
+					return dst[:origin], 0, err
+				}
+			}
+			prev = m.Seq
+			n++
 		}
-	}
-	return b, nil
-}
-
-func parseSessMsg(body []byte) (proto.SessionID, graph.EdgeID, stream.Message, error) {
-	if len(body) < 22 {
-		return 0, 0, stream.Message{}, fmt.Errorf("dist: short session msg frame (%d bytes)", len(body))
-	}
-	sid := proto.SessionID(binary.BigEndian.Uint64(body[1:]))
-	e := graph.EdgeID(binary.BigEndian.Uint32(body[9:]))
-	m := stream.Message{
-		Seq:  binary.BigEndian.Uint64(body[13:]),
-		Kind: stream.Kind(body[21]),
-	}
-	if m.Kind == stream.Data {
-		var err error
-		m.Payload, err = decodePayload(body[22:])
-		if err != nil {
-			return 0, 0, stream.Message{}, err
+		if size := len(dst) - start - 4; size > maxFrame {
+			return dst[:origin], 0, fmt.Errorf("dist: run frame of %d bytes on edge %d exceeds the %d-byte limit (payload too large)",
+				size, e, maxFrame)
 		}
+		binary.BigEndian.PutUint32(dst[countAt:], uint32(n))
+		endFrame(dst, start)
+		run = run[n:]
+		frames++
 	}
-	return sid, e, m, nil
+	return dst, frames, nil
 }
 
-// appendSessCredit encodes a session credit body into a caller-supplied
-// (typically pooled) buffer.
-func appendSessCredit(b []byte, sid proto.SessionID, e graph.EdgeID) []byte {
-	b = append(b, frameSessCredit)
-	b = binary.BigEndian.AppendUint64(b, uint64(sid))
-	return binary.BigEndian.AppendUint32(b, uint32(e))
+// parseRunHeader splits a run frame body into its addressing and its
+// elements; the caller checks edge and count against the topology before
+// decoding (decodeRun).
+func parseRunHeader(body []byte) (sid proto.SessionID, e graph.EdgeID, count int, elems []byte, err error) {
+	if len(body) < runHeader {
+		return 0, 0, 0, nil, fmt.Errorf("dist: short run frame (%d bytes)", len(body))
+	}
+	sid = proto.SessionID(binary.BigEndian.Uint64(body[1:]))
+	e = graph.EdgeID(binary.BigEndian.Uint32(body[9:]))
+	count = int(binary.BigEndian.Uint32(body[13:]))
+	return sid, e, count, body[runHeader:], nil
 }
 
-func parseSessCredit(body []byte) (proto.SessionID, graph.EdgeID, error) {
-	if len(body) != 13 {
-		return 0, 0, fmt.Errorf("dist: bad session credit frame (%d bytes)", len(body))
+// decodeRun decodes count elements into run[:0] (reusing its backing
+// array) and returns the run.  Sequence numbers must ascend, kinds must
+// be known, and the elements must fill b exactly.
+func decodeRun(b []byte, count int, run []stream.Message) ([]stream.Message, error) {
+	run = run[:0]
+	var seq uint64
+	for i := 0; i < count; i++ {
+		delta, n := binary.Uvarint(b)
+		if n <= 0 || len(b) < n+1 {
+			return nil, fmt.Errorf("dist: run frame truncated at element %d of %d", i, count)
+		}
+		if i > 0 && (delta == 0 || seq+delta < seq) {
+			return nil, fmt.Errorf("dist: run frame element %d of %d does not ascend (seq %d, delta %d)", i, count, seq, delta)
+		}
+		seq += delta
+		m := stream.Message{Seq: seq, Kind: stream.Kind(b[n])}
+		b = b[n+1:]
+		switch m.Kind {
+		case stream.Data:
+			var err error
+			if m.Payload, b, err = decodePayload(b); err != nil {
+				return nil, fmt.Errorf("dist: run frame element %d of %d: %w", i, count, err)
+			}
+		case stream.Dummy, stream.EOS:
+		default:
+			return nil, fmt.Errorf("dist: run frame element %d of %d has unknown kind %d", i, count, m.Kind)
+		}
+		run = append(run, m)
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("dist: %d trailing bytes in run frame", len(b))
+	}
+	return run, nil
+}
+
+// appendCredit appends a credit frame returning n credits.
+func appendCredit(dst []byte, sid proto.SessionID, e graph.EdgeID, n int) []byte {
+	dst, start := beginFrame(dst, frameCredit)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(sid))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(e))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	endFrame(dst, start)
+	return dst
+}
+
+func parseCredit(body []byte) (proto.SessionID, graph.EdgeID, int, error) {
+	if len(body) != 17 {
+		return 0, 0, 0, fmt.Errorf("dist: bad credit frame (%d bytes)", len(body))
 	}
 	return proto.SessionID(binary.BigEndian.Uint64(body[1:])),
-		graph.EdgeID(binary.BigEndian.Uint32(body[9:])), nil
+		graph.EdgeID(binary.BigEndian.Uint32(body[9:])),
+		int(binary.BigEndian.Uint32(body[13:])), nil
 }
 
-// Payload encoding: one type byte plus a fixed or length-delimited value.
-// The common scalar payloads round-trip to the same concrete Go type;
+// Payload encoding: one type byte plus a fixed or length-prefixed value
+// (uvarint length), so payloads can follow one another in a run.  The
+// common scalar payloads round-trip to the same concrete Go type;
 // everything else falls back to gob, which requires the concrete type to
 // be registered with gob.Register by the application.
 const (
@@ -273,9 +253,9 @@ func appendPayload(b []byte, v any) ([]byte, error) {
 	case float64:
 		return binary.BigEndian.AppendUint64(append(b, pFloat64), math.Float64bits(x)), nil
 	case string:
-		return append(append(b, pString), x...), nil
+		return append(binary.AppendUvarint(append(b, pString), uint64(len(x))), x...), nil
 	case []byte:
-		return append(append(b, pBytes), x...), nil
+		return append(binary.AppendUvarint(append(b, pBytes), uint64(len(x))), x...), nil
 	case bool:
 		n := byte(0)
 		if x {
@@ -284,63 +264,62 @@ func appendPayload(b []byte, v any) ([]byte, error) {
 		return append(b, pBool, n), nil
 	default:
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-			return nil, fmt.Errorf("dist: payload %T not encodable (register it with gob.Register): %w", v, err)
+		boxed := v // gob wants a pointer; taking v's would heap-allocate it on every call
+		if err := gob.NewEncoder(&buf).Encode(&boxed); err != nil {
+			return b, fmt.Errorf("dist: payload %T not encodable (register it with gob.Register): %w", v, err)
 		}
-		return append(append(b, pGob), buf.Bytes()...), nil
+		return append(binary.AppendUvarint(append(b, pGob), uint64(buf.Len())), buf.Bytes()...), nil
 	}
 }
 
-func decodePayload(b []byte) (any, error) {
+// decodePayload decodes the payload at the head of b and returns what
+// follows it.  Nothing it returns aliases b.
+func decodePayload(b []byte) (v any, rest []byte, err error) {
 	if len(b) == 0 {
-		return nil, fmt.Errorf("dist: empty payload")
+		return nil, nil, fmt.Errorf("dist: empty payload")
 	}
-	t, rest := b[0], b[1:]
-	fixed := func(n int) error {
-		if len(rest) != n {
-			return fmt.Errorf("dist: payload type %d wants %d bytes, got %d", t, n, len(rest))
-		}
-		return nil
-	}
+	t, b := b[0], b[1:]
 	switch t {
 	case pNil:
-		return nil, fixed(0)
-	case pUint64:
-		if err := fixed(8); err != nil {
-			return nil, err
+		return nil, b, nil
+	case pUint64, pInt64, pInt, pFloat64:
+		if len(b) < 8 {
+			return nil, nil, fmt.Errorf("dist: payload type %d wants 8 bytes, got %d", t, len(b))
 		}
-		return binary.BigEndian.Uint64(rest), nil
-	case pInt64:
-		if err := fixed(8); err != nil {
-			return nil, err
+		u, rest := binary.BigEndian.Uint64(b), b[8:]
+		switch t {
+		case pUint64:
+			return u, rest, nil
+		case pInt64:
+			return int64(u), rest, nil
+		case pInt:
+			return int(u), rest, nil
+		default:
+			return math.Float64frombits(u), rest, nil
 		}
-		return int64(binary.BigEndian.Uint64(rest)), nil
-	case pInt:
-		if err := fixed(8); err != nil {
-			return nil, err
-		}
-		return int(binary.BigEndian.Uint64(rest)), nil
-	case pFloat64:
-		if err := fixed(8); err != nil {
-			return nil, err
-		}
-		return math.Float64frombits(binary.BigEndian.Uint64(rest)), nil
-	case pString:
-		return string(rest), nil
-	case pBytes:
-		return append([]byte(nil), rest...), nil
 	case pBool:
-		if err := fixed(1); err != nil {
-			return nil, err
+		if len(b) < 1 {
+			return nil, nil, fmt.Errorf("dist: payload type %d wants 1 byte, got 0", t)
 		}
-		return rest[0] == 1, nil
-	case pGob:
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(rest)).Decode(&v); err != nil {
-			return nil, fmt.Errorf("dist: payload not decodable (register its type with gob.Register): %w", err)
+		return b[0] == 1, b[1:], nil
+	case pString, pBytes, pGob:
+		size, n := binary.Uvarint(b)
+		if n <= 0 || size > uint64(len(b)-n) {
+			return nil, nil, fmt.Errorf("dist: payload type %d announces %d bytes, %d left", t, size, len(b)-max(n, 0))
 		}
-		return v, nil
+		val, rest := b[n:n+int(size)], b[n+int(size):]
+		switch t {
+		case pString:
+			return string(val), rest, nil
+		case pBytes:
+			return append([]byte(nil), val...), rest, nil
+		}
+		var boxed any // not &v: a result whose address is taken is heap-allocated on every call
+		if err := gob.NewDecoder(bytes.NewReader(val)).Decode(&boxed); err != nil {
+			return nil, nil, fmt.Errorf("dist: payload not decodable (register its type with gob.Register): %w", err)
+		}
+		return boxed, rest, nil
 	default:
-		return nil, fmt.Errorf("dist: unknown payload type %d", t)
+		return nil, nil, fmt.Errorf("dist: unknown payload type %d", t)
 	}
 }

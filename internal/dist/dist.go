@@ -1,25 +1,40 @@
 // Package dist is the TCP-distributed runtime for streaming computations
 // with filtering: the topology's nodes are partitioned across named
-// workers, local edges stay buffered Go channels, and cross edges become
-// length-prefixed frames over TCP with credit-based flow control that
-// preserves each edge's finite buffer capacity over the wire.  Because
-// the deadlock-avoidance intervals of Buhler et al. are computed against
-// those capacities, the same dummy-message protection that works
-// in-process works across workers — each worker drives the shared
-// per-node protocol engine (internal/proto) around its local nodes, so
-// the transport is the only thing that changes between backends.
+// workers, and an edge whose two ends sit on different workers crosses a
+// real TCP link.  The node semantics are not re-implemented here: one
+// resident stream.Engine runs every node — spans, ProcessSpan, span
+// sources and sinks, timed stages, the watchdog and its wedge report —
+// and this package is the detour its cross edges take (stream/cross.go).
+// The producing node's sends and the consuming node's credit returns are
+// posted into the sending worker's per-link outbox; a link writer drains
+// the outbox, encodes each wake-up's parcels as run and credit frames
+// (codec.go) and issues one write; the receiving worker's frame reader
+// decodes them and posts the same events into the real node's mailbox.
+// The sender-side window is the stream engine's own per-session
+// inflight-vs-capacity check, so a cross edge never holds more messages
+// than the capacity the deadlock-avoidance intervals of Buhler et al.
+// were computed against, by the same code as in-process.
 //
-// Lifecycle: NewEngine builds one resident worker per partition name,
-// all hosted in the calling process on loopback listeners, and connects
-// the peer mesh; Engine.Open serves each stream as a session over them;
-// Engine.Close tears them down.  Workers in separate processes are not
-// supported.
+// Nothing on the wire path can wedge the protocol.  A frame reader never
+// blocks on a session: mailboxes are unbounded, and what a session can
+// have queued in them is bounded by its windows.  So a peer's socket
+// always drains, a link writer stuck in a full socket always gets going
+// again, and node loops never wait on a writer at all (outbox posts do
+// not block).
+//
+// Lifecycle: NewEngine builds one resident worker per partition name —
+// a loopback listener, a dialed link to every peer it shares an edge
+// with — all hosted in the calling process, plus the stream engine over
+// the whole topology; Engine.Open serves each stream as a session;
+// Engine.Close tears everything down.  Workers in separate processes are
+// not supported: sessions, their counters and their Source/Sink live in
+// the one process.
 package dist
 
 import (
-	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamdag/internal/cs4"
@@ -45,16 +60,15 @@ type Config struct {
 	// DialTimeout bounds connection establishment to each peer.  Zero
 	// defaults to ten seconds.
 	DialTimeout time.Duration
-	// MaxBatch, when > 1, turns on transport-level write coalescing:
-	// each peer link runs a dedicated writer that drains everything
-	// queued per wakeup and packs up to MaxBatch frames into a single
-	// aggregate wire frame — one syscall per batch instead of one per
-	// message.  Draining is eager (a lone frame goes out immediately in
-	// its plain form), so the message timing the protocol observes is
-	// unchanged and the per-session logical stream — data, dummies,
-	// credits — is identical to the unbatched wire.  Values of 0 and 1
-	// write one frame per message.
+	// MaxBatch is stream.Config.MaxBatch: the vectorization width of the
+	// node loops, and so the longest run a single send puts in one frame.
+	// The wire itself has no batching knob: a link writer is always on
+	// and always eager — it writes whatever is queued per wake-up, never
+	// waiting for more — so the message timing the protocol observes, and
+	// each session's logical stream, are the same at every width.
 	MaxBatch int
+	// NodeBatch is stream.Config.NodeBatch (the Flow tier's Stage.Batch).
+	NodeBatch map[graph.NodeID]int
 	// Obs, when non-nil, receives per-node/per-edge/per-session
 	// telemetry, plus per-link wire stats (frames, bodies, bytes) keyed
 	// "sender→receiver".  All workers share the one Metrics — the Engine
@@ -79,21 +93,22 @@ type Config struct {
 	Restart bool
 }
 
-// Stats is a session's traffic summary, merged across the workers.
+// Stats is a session's traffic summary.
 type Stats = stream.Stats
 
-// CallbackError reports a failure raised by the application's Source or
-// Sink callback.
-type CallbackError struct {
-	// Op is "source" or "sink".
-	Op  string
-	Err error
-}
+// SessionIO parameterizes one Engine.Open.
+type SessionIO = stream.SessionConfig
 
-func (e *CallbackError) Error() string { return fmt.Sprintf("dist: %s: %v", e.Op, e.Err) }
+// EngineSession is one logical stream served by the engine.
+type EngineSession = stream.EngineSession
 
-// Unwrap exposes the callback's error for errors.Is/As.
-func (e *CallbackError) Unwrap() error { return e.Err }
+// ErrEngineClosed is returned by Engine.Open after Close, and is the
+// failure recorded against sessions still active when Close runs.
+var ErrEngineClosed = stream.ErrEngineClosed
+
+// ErrEngineDraining is returned by Engine.Open while a Drain is in
+// progress (or after one completed).
+var ErrEngineDraining = stream.ErrEngineDraining
 
 // addrsMu serializes access to the address book the in-process workers
 // share: listen publishes bound addresses into it while other workers may
@@ -102,179 +117,47 @@ var addrsMu sync.Mutex
 
 // peerLink is an outbound connection to one peer worker; all frames this
 // worker sends to that peer share it.
-//
-// With coalescing enabled (Config.MaxBatch > 1), send hands encoded
-// bodies to a dedicated writer goroutine that drains the queue as fast
-// as the wire accepts it, packing everything pending — up to maxBodies
-// per frame — into one batch frame per syscall.  Draining is eager: the
-// writer never waits for a batch to fill, so flow-control timing (and
-// with it the deadlock argument) is unchanged, and per-link FIFO order
-// holds because messages and credits share the one queue.  send takes
-// ownership of body either way; drained bodies return to bodyPool.
 type peerLink struct {
-	name string
 	conn net.Conn
 	// gen is the generation of the peer this link was dialed against (the
 	// Engine bumps a worker's generation every time it is declared down),
 	// so errors surfacing on a stale link after the peer was already
 	// replaced are recognized and suppressed.
 	gen int
-	mu  sync.Mutex
+	// mu orders the link writer's batches with the heartbeat sender.
+	mu sync.Mutex
 	// stats, when non-nil, receives this link's transmit-side wire
-	// telemetry: one TxFrame per conn.Write, one TxBody per logical body
-	// (so TxBodies/TxFrames is the realized coalescing factor).
+	// telemetry.
 	stats *obs.LinkMetrics
-
-	coalesce  bool
-	maxBodies int
-	qmu       sync.Mutex
-	qcond     *sync.Cond
-	queue     [][]byte
-	qclosed   bool
-	qerr      error
-	wg        sync.WaitGroup
 }
 
-func (p *peerLink) send(body []byte) error {
-	if len(body) > maxFrame {
-		return fmt.Errorf("dist: frame of %d bytes to %q exceeds the %d-byte limit (payload too large)",
-			len(body), p.name, maxFrame)
-	}
-	if p.coalesce {
-		return p.enqueue(body)
-	}
-	f := frameFor(body)
+// write sends frames — one or more complete frames carrying bodies
+// protocol messages and credits — in one conn.Write.
+func (p *peerLink) write(frames []byte, nframes, bodies int) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	n, err := p.conn.Write(f)
+	n, err := p.conn.Write(frames)
+	p.mu.Unlock()
 	if p.stats != nil {
-		p.stats.TxFrames.Add(1)
-		p.stats.TxBodies.Add(1)
+		p.stats.TxFrames.Add(int64(nframes))
+		p.stats.TxBodies.Add(int64(bodies))
 		p.stats.TxBytes.Add(int64(n))
 	}
-	putBody(body)
 	return err
 }
 
-// startCoalescer switches the link to queued writes and launches the
-// drain goroutine.  Call once, after the synchronous hello, before any
-// concurrent sends; onErr reports an asynchronous write failure exactly
-// once.
-func (p *peerLink) startCoalescer(maxBodies int, onErr func(error)) {
-	p.coalesce = true
-	p.maxBodies = maxBodies
-	p.qcond = sync.NewCond(&p.qmu)
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.writeLoop(onErr)
-	}()
-}
-
-// stopCoalescer wakes the writer for exit and waits for it.  Pending
-// frames are dropped — the engine only stops the writer at teardown,
-// after every session has already ended.  Harmless when the coalescer
-// was never started.
-func (p *peerLink) stopCoalescer() {
-	if !p.coalesce {
-		return
-	}
-	p.qmu.Lock()
-	p.qclosed = true
-	p.qmu.Unlock()
-	p.qcond.Broadcast()
-	p.wg.Wait()
-}
-
-func (p *peerLink) enqueue(body []byte) error {
-	p.qmu.Lock()
-	if p.qerr != nil || p.qclosed {
-		err := p.qerr
-		p.qmu.Unlock()
-		if err == nil {
-			err = net.ErrClosed
-		}
-		return err
-	}
-	p.queue = append(p.queue, body)
-	p.qmu.Unlock()
-	p.qcond.Signal()
-	return nil
-}
-
-func (p *peerLink) writeLoop(onErr func(error)) {
-	var pending [][]byte
-	for {
-		p.qmu.Lock()
-		for len(p.queue) == 0 && !p.qclosed {
-			p.qcond.Wait()
-		}
-		if p.qclosed {
-			p.qmu.Unlock()
-			return
-		}
-		// Slice ping-pong: take the whole queue, hand back the drained
-		// (now empty) slice so steady state allocates nothing.
-		pending, p.queue = p.queue, pending[:0]
-		p.qmu.Unlock()
-		if err := p.flushPending(pending); err != nil {
-			p.qmu.Lock()
-			p.qerr = err
-			p.qmu.Unlock()
-			onErr(err)
-			return
-		}
-		for i := range pending {
-			putBody(pending[i])
-			pending[i] = nil
-		}
-	}
-}
-
-// flushPending writes the drained bodies in order, packing runs of up to
-// maxBodies (bounded by maxFrame) into one batch frame per conn.Write; a
-// lone body goes out as a plain frame, byte-identical to the sync path.
-func (p *peerLink) flushPending(bodies [][]byte) error {
-	var frame []byte
-	for len(bodies) > 0 {
-		n, size := 0, 0
-		for n < len(bodies) && n < p.maxBodies {
-			need := 4 + len(bodies[n])
-			if n > 0 && 5+size+need > maxFrame {
-				break
-			}
-			size += need
-			n++
-		}
-		if n == 1 {
-			wrote, err := p.conn.Write(frameFor(bodies[0]))
-			if err != nil {
-				return err
-			}
-			if p.stats != nil {
-				p.stats.TxFrames.Add(1)
-				p.stats.TxBodies.Add(1)
-				p.stats.TxBytes.Add(int64(wrote))
-			}
-		} else {
-			if frame == nil {
-				frame = getBody()
-			}
-			frame = appendBatchFrame(frame[:0], bodies[:n])
-			wrote, err := p.conn.Write(frame)
-			if err != nil {
-				return err
-			}
-			if p.stats != nil {
-				p.stats.TxFrames.Add(1)
-				p.stats.TxBodies.Add(int64(n))
-				p.stats.TxBytes.Add(int64(wrote))
-			}
-		}
-		bodies = bodies[n:]
-	}
-	if frame != nil {
-		putBody(frame)
-	}
-	return nil
+// carrier is one direction of one worker pair: the outbox the stream
+// engine posts that direction's cross-edge traffic into, and the link
+// currently carrying it.  The outbox lives as long as the Engine; the
+// link swaps when either end is restarted.
+type carrier struct {
+	from, to string
+	box      *stream.Outbox
+	link     atomic.Pointer[peerLink]
+	// fence makes the wire a synchronization edge inside this process:
+	// the writer bumps it before a write and the reader of the same
+	// direction loads it after each frame, so what a node did before
+	// posting (the per-edge counters it bumped) happens-before what the
+	// receiving node does with the message — which a socket alone would
+	// not establish, although all workers share one address space.
+	fence atomic.Uint64
 }

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -70,7 +72,7 @@ func runOnce(g *graph.Graph, part Partition, kernels map[graph.NodeID]stream.Ker
 }
 
 // batchWidths are the Config.MaxBatch settings the multi-worker cases
-// run at: one frame per write, and write coalescing on.
+// run at: per-element firing, and 64-wide spans.
 var batchWidths = []int{1, 64}
 
 // assertMatchesSim checks a session's per-edge data and dummy counts and
@@ -191,54 +193,103 @@ func TestThreeWorkerPartition(t *testing.T) {
 	}
 }
 
-// TestWindowExhaustion is the flow-control unit test: a window of n
-// credits admits exactly n sends, blocks the n+1st until a credit is
-// returned, and rejects credits beyond its capacity.
-func TestWindowExhaustion(t *testing.T) {
-	const n = 3
-	win := newWindow(n)
-	for i := 0; i < n; i++ {
-		if !win.tryAcquire() {
-			t.Fatalf("acquire %d/%d failed with credits available", i+1, n)
+// TestFilteredSplitJoinSpansSplitAcrossFrames is where spans meet the
+// wire: a filtering split/join over three workers at MaxBatch 64 with
+// every edge — cross edges included — of capacity 8, so a node's 64-wide
+// span cannot ship whole: it parks, and leaves as window-sized prefixes
+// in separate run frames as credits come back.  Per-edge data and dummy
+// counts and the sink's (seq, payload) sequence must equal the
+// simulator's.
+func TestFilteredSplitJoinSpansSplitAcrossFrames(t *testing.T) {
+	const buf, branches, inputs = 8, 3, 3000
+	g := graph.New()
+	src, pre, split := g.AddNode("src"), g.AddNode("pre"), g.AddNode("split")
+	join, snk := g.AddNode("join"), g.AddNode("snk")
+	g.AddEdge(src, pre, buf)
+	g.AddEdge(pre, split, buf)
+	for i := 0; i < branches; i++ {
+		b := g.AddNode(fmt.Sprintf("b%d", i))
+		g.AddEdge(split, b, buf)
+		g.AddEdge(b, join, buf)
+	}
+	g.AddEdge(join, snk, buf)
+	part := Partition{}
+	for n := 0; n < g.NumNodes(); n++ {
+		part[graph.NodeID(n)] = fmt.Sprintf("w%d", n%3)
+	}
+	dec, err := cs4.Classify(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv, err := dec.Intervals(cs4.Propagation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the split filters: every other node is a vectorizing
+	// passthrough whose spans the split's partial firings break.
+	kernels := routeKernels(g, workload.Bernoulli(0.6, 11))
+	for n := 0; n < g.NumNodes(); n++ {
+		if id := graph.NodeID(n); id != split {
+			kernels[id] = stream.Passthrough(g.OutDegree(id))
 		}
 	}
-	if win.tryAcquire() {
-		t.Fatal("acquired beyond the window capacity")
+	type emission struct {
+		seq     uint64
+		payload any
 	}
-	if win.available() != 0 {
-		t.Fatalf("available = %d, want 0", win.available())
+	record := func(into *[]emission) stream.SinkFunc {
+		return func(_ context.Context, seq uint64, payload any) error {
+			*into = append(*into, emission{seq, payload})
+			return nil
+		}
 	}
-
-	// A blocked acquire resumes when a credit is returned…
-	abort := make(chan struct{})
-	got := make(chan bool, 1)
-	go func() { got <- win.acquire(abort) }()
-	select {
-	case <-got:
-		t.Fatal("acquire returned with the window exhausted")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if !win.release() {
-		t.Fatal("release into exhausted window failed")
-	}
-	if ok := <-got; !ok {
-		t.Fatal("acquire failed after credit return")
+	var want []emission
+	oracle := sim.Run(g, nil, sim.Config{
+		Kernels: kernels, Source: stream.SyntheticSource(inputs), Sink: record(&want),
+		Algorithm: cs4.Propagation, Intervals: iv,
+	})
+	if !oracle.Completed {
+		t.Fatalf("simulator: %s %v", oracle.Reason, oracle.Blocked)
 	}
 
-	// …and abort unblocks a send that would otherwise wait forever.
-	go func() { got <- win.acquire(abort) }()
-	close(abort)
-	if ok := <-got; ok {
-		t.Fatal("acquire succeeded after abort")
+	m := graphMetrics(g)
+	eng, err := NewEngine(g, part, kernels, Config{
+		Algorithm: cs4.Propagation, Intervals: iv,
+		WatchdogTimeout: 5 * time.Second, MaxBatch: 64, Obs: m,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Returning more credits than were consumed is a protocol violation.
-	win.release() // the one taken by the successful blocked acquire
-	if !win.release() || !win.release() {
-		t.Fatal("legitimate credit returns rejected")
+	defer eng.Close()
+	var got []emission
+	ses, err := eng.Open(SessionIO{ID: 1, Source: stream.SyntheticSource(inputs), Sink: record(&got)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if win.release() {
-		t.Fatal("window accepted a credit beyond its capacity")
+	stats, err := ses.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesSim(t, g, stats, oracle)
+	if len(got) != len(want) {
+		t.Fatalf("%d sink emissions over TCP, simulator %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sink emission %d = %+v over TCP, simulator %+v", i, got[i], want[i])
+		}
+	}
+	// The case only bites if spans formed and found their window short.
+	snap := m.Snapshot()
+	var spans, spanMsgs, stalls int64
+	for _, n := range snap.Nodes {
+		spans, spanMsgs = spans+n.Spans, spanMsgs+n.SpanMsgs
+	}
+	for _, e := range snap.Edges {
+		stalls += e.CreditStalls
+	}
+	if spanMsgs <= spans || stalls == 0 {
+		t.Errorf("%d messages in %d spans, %d credit stalls: spans never split across frames", spanMsgs, spans, stalls)
 	}
 }
 

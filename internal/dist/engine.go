@@ -1,27 +1,24 @@
 package dist
 
-// This file is the resident multi-session distributed runtime: an Engine
-// keeps a set of in-process workers — listeners, dialed peer links, frame
-// readers — alive across unboundedly many logical streams, so binding
-// listeners and dialing peers are paid once per topology.
+// This file is the resident distributed runtime: an Engine keeps a set of
+// in-process workers — listeners, dialed peer links, frame readers, link
+// writers — and one stream.Engine over the whole topology alive across
+// unboundedly many logical streams, so binding listeners, dialing peers
+// and spawning node loops are paid once per topology.
 //
-// Sessions are multiplexed over the shared TCP links by tagging message
-// and credit frames with the session id ('S'/'c' frames).  Everything
-// that carries the protocol's safety argument is per session: each
-// session gets its own per-edge buffers, its own credit windows sized to
-// the edges' capacities, and its own node goroutines (nodeloop.go) — so
-// each session is, protocol-wise, a stream running alone on the topology,
-// and the dummy intervals protect it independently of its neighbours.
-// The transport (connections, frame readers) is the only shared layer,
-// and it never blocks on a session: inbound frames land in per-session
-// buffers whose space is guaranteed by that session's credits.
-//
-// The Engine hosts all workers in the calling process (the arrangement
-// the public Distributed backend uses); cross-worker traffic still
-// round-trips real TCP frames and per-session credit windows, so the
-// wire protocol is exercised end to end.
+// Sessions are the stream engine's: each owns its sequence space, its
+// per-node protocol state and its per-edge credit windows, so each is,
+// protocol-wise, a stream running alone on the topology, and the dummy
+// intervals protect it independently of its neighbours.  They are
+// multiplexed over the shared TCP links by the session id every run and
+// credit frame carries.  What this file adds to a session is what a wire
+// can do to it: a worker that dies fails the sessions open at that
+// moment with a *fault.WorkerDownError naming it, and a frame that does
+// not parse, or names an edge or a count the topology rules out, fails
+// them with an error naming the frame.
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -31,35 +28,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"streamdag/internal/clock"
 	"streamdag/internal/fault"
 	"streamdag/internal/graph"
 	"streamdag/internal/obs"
-	"streamdag/internal/proto"
 	"streamdag/internal/stream"
 )
-
-// ErrEngineClosed is returned by Engine.Open after Close, and is the
-// failure recorded against sessions still active when Close runs.
-var ErrEngineClosed = errors.New("dist: engine closed")
-
-// ErrEngineDraining is returned by Engine.Open while a Drain is in
-// progress (or after one completed).
-var ErrEngineDraining = errors.New("dist: engine draining")
-
-// SessionIO parameterizes one Engine.Open.
-type SessionIO struct {
-	// ID tags the session's frames; nonzero and unique per engine.
-	ID proto.SessionID
-	// Source supplies the session's payloads (pulled by the worker
-	// hosting the topology's source node); required.
-	Source stream.SourceFunc
-	// Sink receives the session's sink-node data firings in ascending
-	// sequence order; nil discards (firings are still counted).
-	Sink stream.SinkFunc
-	// Ctx cancels the session; nil means Background.
-	Ctx context.Context
-}
 
 // Engine is the resident distributed runtime for one topology.
 type Engine struct {
@@ -69,12 +42,15 @@ type Engine struct {
 	names []string          // worker names, sorted
 	addrs map[string]string // shared live address book (addrsMu)
 
-	mu       sync.Mutex
-	workers  []*engineWorker // same order as names; entries swap on restart
-	byName   map[string]int  // worker name → index into workers
-	sessions map[proto.SessionID]*EngineSession
-	closed   bool
-	draining bool
+	// eng runs every node of the topology; carriers are the detours of its
+	// cross edges, one per direction of every worker pair sharing an edge.
+	eng      *stream.Engine
+	carriers map[[2]string]*carrier // keyed {from, to}
+
+	mu      sync.Mutex
+	workers []*engineWorker // same order as names; entries swap on restart
+	byName  map[string]int  // worker name → index into workers
+	closed  bool
 	// repairing counts in-flight handleWorkerDown calls; Open waits for
 	// zero (so retried sessions land on a whole topology, not mid-swap)
 	// and Close refuses to tear workers down under a repair.
@@ -94,18 +70,15 @@ type Engine struct {
 	closedA atomic.Bool       // lock-free closed check for hot error paths
 
 	stop chan struct{}
-	wg   sync.WaitGroup // watchdog, monitor, beat senders
+	wg   sync.WaitGroup // link writers, monitor, beat senders
 }
 
-// NewEngine builds the resident workers (one per distinct partition
-// name), binds their listeners, and connects the peer mesh; ingestion and
-// delivery are per session (SessionIO).
+// NewEngine starts the node loops, builds the resident workers (one per
+// distinct partition name), binds their listeners, and connects the peer
+// mesh; ingestion and delivery are per session (SessionIO).
 func NewEngine(g *graph.Graph, partition Partition, kernels map[graph.NodeID]stream.Kernel, cfg Config) (*Engine, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.WatchdogTimeout == 0 {
-		cfg.WatchdogTimeout = time.Second
 	}
 	names := make(map[string]bool)
 	for n := 0; n < g.NumNodes(); n++ {
@@ -124,12 +97,15 @@ func NewEngine(g *graph.Graph, partition Partition, kernels map[graph.NodeID]str
 	for _, w := range ordered {
 		addrs[w] = "127.0.0.1:0"
 	}
+	if cfg.HeartbeatMiss < 1 {
+		cfg.HeartbeatMiss = 3
+	}
 	e := &Engine{
 		g: g, part: partition, cfg: cfg,
 		names:    ordered,
 		addrs:    addrs,
+		carriers: make(map[[2]string]*carrier),
 		byName:   make(map[string]int, len(ordered)),
-		sessions: make(map[proto.SessionID]*EngineSession),
 		down:     make(map[string]bool, len(ordered)),
 		gen:      make(map[string]int, len(ordered)),
 		stop:     make(chan struct{}),
@@ -138,19 +114,37 @@ func NewEngine(g *graph.Graph, partition Partition, kernels map[graph.NodeID]str
 	if m := cfg.Obs; m != nil {
 		e.obsF = m.Faults()
 	}
-	if cfg.HeartbeatMiss < 1 {
-		cfg.HeartbeatMiss = 3
-		e.cfg.HeartbeatMiss = 3
-	}
 	if cfg.HeartbeatInterval > 0 && len(ordered) > 1 {
 		e.det = fault.NewDetector(cfg.HeartbeatInterval, cfg.HeartbeatMiss, ordered, time.Now())
 	}
+	cross := make(map[graph.EdgeID]stream.CrossEdge)
+	for _, ed := range g.Edges() {
+		if from, to := partition[ed.From], partition[ed.To]; from != to {
+			cross[ed.ID] = stream.CrossEdge{Msgs: e.carrier(from, to).box, Credits: e.carrier(to, from).box}
+		}
+	}
+	eng, err := stream.NewEngine(g, kernels, stream.Config{
+		Algorithm:       cfg.Algorithm,
+		Intervals:       cfg.Intervals,
+		WatchdogTimeout: cfg.WatchdogTimeout,
+		MaxBatch:        cfg.MaxBatch,
+		NodeBatch:       cfg.NodeBatch,
+		Cross:           cross,
+		Obs:             cfg.Obs,
+	})
+	if err != nil {
+		return nil, err
+	}
+	e.eng = eng
+	for _, c := range e.carriers {
+		e.wg.Add(1)
+		go e.writeLoop(c)
+	}
 	for i, name := range ordered {
 		e.byName[name] = i
-		e.workers = append(e.workers, newEngineWorker(e, name, addrs))
+		e.workers = append(e.workers, newEngineWorker(e, name))
 	}
 	for _, w := range e.workers {
-		w.kernels = kernels
 		if err := w.listen(); err != nil {
 			e.Close()
 			return nil, err
@@ -173,40 +167,69 @@ func NewEngine(g *graph.Graph, partition Partition, kernels map[graph.NodeID]str
 			e.monitor()
 		}()
 	}
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		e.watchdog()
-	}()
 	return e, nil
 }
 
-// Open starts one logical stream over the resident workers.  The session
-// is registered on every worker before any of its node goroutines start,
-// so no frame can arrive ahead of its buffers.
+// carrier returns (creating on first use, NewEngine only) the carrier of
+// the from→to direction.
+func (e *Engine) carrier(from, to string) *carrier {
+	key := [2]string{from, to}
+	c := e.carriers[key]
+	if c == nil {
+		c = &carrier{from: from, to: to, box: stream.NewOutbox()}
+		e.carriers[key] = c
+	}
+	return c
+}
+
+// writeLoop is the from→to link's writer: it encodes everything the node
+// loops queued per wake-up into one buffer and issues one write on
+// whichever link currently carries the direction.  It never waits for a
+// batch to fill, so flow-control timing is what the node loops make it,
+// and per-link FIFO order holds because messages and credits share the
+// one outbox.  A parcel that cannot be encoded fails its session; a
+// write that fails reports the peer down (the sessions fail with it, and
+// what they still had queued is skipped by Drain).
+func (e *Engine) writeLoop(c *carrier) {
+	defer e.wg.Done()
+	var buf []byte
+	var frames, bodies int
+	encode := func(p stream.Parcel) {
+		if p.Run == nil {
+			buf = appendCredit(buf, p.Session.ID(), p.Edge, p.Credits)
+			frames, bodies = frames+1, bodies+p.Credits
+			return
+		}
+		var n int
+		var err error
+		if buf, n, err = appendRun(buf, p.Session.ID(), p.Edge, p.Run); err != nil {
+			p.Session.Fail(err)
+			return
+		}
+		frames, bodies = frames+n, bodies+len(p.Run)
+	}
+	for c.box.Drain(encode) {
+		if link := c.link.Load(); link != nil && len(buf) > 0 {
+			c.fence.Add(1)
+			if err := link.write(buf, frames, bodies); err != nil {
+				e.noteWorkerDown(c.from, c.to, link.gen,
+					fmt.Errorf("dist: write from %q to %q: %w", c.from, c.to, err))
+			}
+		}
+		if cap(buf) > 1<<20 {
+			buf = nil // don't pin a one-off huge batch
+		}
+		buf, frames, bodies = buf[:0], 0, 0
+	}
+}
+
+// Open starts one logical stream.  It holds the engine lock across the
+// stream engine's Open, so a session is either refused because a worker
+// is down or visible to the repair that fails the sessions of one that
+// goes down later — never in between.
 func (e *Engine) Open(io SessionIO) (*EngineSession, error) {
-	if io.Source == nil {
-		return nil, errors.New("dist: engine session requires a Source")
-	}
-	if io.ID == 0 {
-		return nil, errors.New("dist: engine session requires a nonzero id")
-	}
-	ctx := io.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sctx, cancel := context.WithCancel(ctx)
-	ses := &EngineSession{
-		id: io.ID, e: e,
-		ctx: sctx, cancel: cancel,
-		source: io.Source, sink: io.Sink,
-		abort:   make(chan struct{}),
-		data:    make([]atomic.Int64, e.g.NumEdges()),
-		dummies: make([]atomic.Int64, e.g.NumEdges()),
-		done:    make(chan struct{}),
-		start:   time.Now(),
-	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	// A repair in flight is a topology mid-swap; wait it out so the
 	// session starts on a whole mesh (this is what lets the retry layer
 	// re-open immediately after a WorkerDownError).
@@ -214,82 +237,16 @@ func (e *Engine) Open(io SessionIO) (*EngineSession, error) {
 		e.repairCond.Wait()
 	}
 	if e.closed {
-		e.mu.Unlock()
-		cancel()
 		return nil, ErrEngineClosed
 	}
-	if e.draining {
-		e.mu.Unlock()
-		cancel()
-		return nil, ErrEngineDraining
-	}
 	if name := e.deadWorker(); name != "" {
-		e.mu.Unlock()
-		cancel()
-		addrsMu.Lock()
-		addr := e.addrs[name]
-		addrsMu.Unlock()
-		return nil, &fault.WorkerDownError{Worker: name, Addr: addr}
+		return nil, &fault.WorkerDownError{Worker: name, Addr: e.addrOf(name)}
 	}
-	if _, dup := e.sessions[ses.id]; dup {
-		e.mu.Unlock()
-		cancel()
-		return nil, fmt.Errorf("dist: session id %d already open", ses.id)
-	}
-	e.sessions[ses.id] = ses
-	workers := append([]*engineWorker(nil), e.workers...)
-	e.mu.Unlock()
-	if m := e.cfg.Obs; m != nil {
-		sm := m.Sessions()
-		sm.Opened.Add(1)
-		sm.Active.Add(1)
-	}
-
-	// Phase 1: every worker allocates the session's buffers and windows.
-	states := make([]*workerSession, len(workers))
-	for i, w := range workers {
-		states[i] = w.register(ses)
-	}
-	// Phase 2: node goroutines start only once every worker can route
-	// the session's frames.
-	for i, w := range workers {
-		w.start(states[i])
-	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			ses.end(ctx.Err(), nil)
-		case <-ses.done:
-		}
-	}()
-	// Sole closer of done: whether the session drained or was aborted,
-	// every node goroutine has exited first, so Wait/Done imply full
-	// quiescence — no kernel runs for this session afterwards.
-	go func() {
-		ses.nodeWG.Wait()
-		ses.finish()
-		// An aborted session strands in-flight messages in its inboxes;
-		// fold them into the drained counts (every node goroutine has
-		// exited, so the buffers are final) to keep the queue-depth
-		// gauge convergent.  A drained session's inboxes are empty.
-		if m := e.cfg.Obs; m != nil {
-			for _, ws := range states {
-				for edge, ch := range ws.inbox {
-					if ch != nil {
-						if r := len(ch); r > 0 {
-							m.Edge(edge).Consumed.Add(int64(r))
-						}
-					}
-				}
-			}
-		}
-		close(ses.done)
-	}()
-	return ses, nil
+	return e.eng.Open(io)
 }
 
 // Close fails every active session with ErrEngineClosed and tears the
-// resident workers down; idempotent.
+// node loops and the resident workers down; idempotent.
 func (e *Engine) Close() error {
 	e.closedA.Store(true)
 	e.mu.Lock()
@@ -303,21 +260,15 @@ func (e *Engine) Close() error {
 	for e.repairing > 0 {
 		e.repairCond.Wait()
 	}
-	active := make([]*EngineSession, 0, len(e.sessions))
-	for _, s := range e.sessions {
-		active = append(active, s)
-	}
 	workers := append([]*engineWorker(nil), e.workers...)
 	e.mu.Unlock()
-	for _, s := range active {
-		s.end(ErrEngineClosed, nil)
-	}
+	e.eng.Close()
 	close(e.stop)
 	for _, w := range workers {
 		w.close()
 	}
-	for _, s := range active {
-		<-s.done
+	for _, c := range e.carriers {
+		c.box.Close()
 	}
 	e.wg.Wait()
 	return nil
@@ -328,38 +279,11 @@ func (e *Engine) Close() error {
 // close the engine; callers Close after a successful drain.
 func (e *Engine) Drain(ctx context.Context) error {
 	t0 := time.Now()
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrEngineClosed
+	err := e.eng.Drain(ctx)
+	if err == nil && e.obsF != nil {
+		e.obsF.DrainTime.Add(int64(time.Since(t0)))
 	}
-	e.draining = true
-	e.mu.Unlock()
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	for {
-		e.mu.Lock()
-		n := len(e.sessions)
-		e.mu.Unlock()
-		if n == 0 {
-			if e.obsF != nil {
-				e.obsF.Drains.Add(1)
-				e.obsF.DrainTime.Add(int64(time.Since(t0)))
-			}
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
-}
-
-func (e *Engine) unregister(id proto.SessionID) {
-	e.mu.Lock()
-	delete(e.sessions, id)
-	e.mu.Unlock()
+	return err
 }
 
 // workerSnapshot copies the live worker set (entries swap on restart).
@@ -367,6 +291,12 @@ func (e *Engine) workerSnapshot() []*engineWorker {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]*engineWorker(nil), e.workers...)
+}
+
+func (e *Engine) addrOf(name string) string {
+	addrsMu.Lock()
+	defer addrsMu.Unlock()
+	return e.addrs[name]
 }
 
 // deadWorker returns the name of a worker currently declared down, or ""
@@ -394,16 +324,16 @@ func (e *Engine) genOf(name string) int {
 // noteWorkerDown is the single entry point for declaring a worker dead:
 // transport errors, missed heartbeats, and KillWorker all land here.  It
 // dedups — only the first report per incarnation spawns the handler —
-// and drops reports that cannot be trusted: from a reporter that is
-// itself the dying worker (a killed worker's own failed sends must not
-// condemn healthy peers), or carrying a stale generation (errors on a
-// link to an incarnation that was already replaced).
-func (e *Engine) noteWorkerDown(reporter *engineWorker, name string, gen int, cause error) {
+// and drops reports that cannot be trusted: from a reporter ("" for
+// none) that is itself the dying worker (a killed worker's own failed
+// sends must not condemn healthy peers), or carrying a stale generation
+// (errors on a link to an incarnation that was already replaced).
+func (e *Engine) noteWorkerDown(reporter, name string, gen int, cause error) {
 	if e.closedA.Load() {
 		return
 	}
 	e.downMu.Lock()
-	if e.down[name] || gen != e.gen[name] || (reporter != nil && e.down[reporter.name]) {
+	if e.down[name] || gen != e.gen[name] || (reporter != "" && e.down[reporter]) {
 		e.downMu.Unlock()
 		return
 	}
@@ -439,34 +369,29 @@ func (e *Engine) handleWorkerDown(name string, cause error) {
 		return
 	}
 	old := e.workers[e.byName[name]]
-	active := make([]*EngineSession, 0, len(e.sessions))
-	ids := make([]uint64, 0, len(e.sessions))
-	for id, s := range e.sessions {
-		active = append(active, s)
-		ids = append(ids, uint64(id))
-	}
+	active := e.eng.Active()
 	e.mu.Unlock()
+	ids := make([]uint64, len(active))
+	for i, s := range active {
+		ids[i] = uint64(s.ID())
+	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	addrsMu.Lock()
-	addr := e.addrs[name]
-	addrsMu.Unlock()
 	if e.obsF != nil {
 		e.obsF.WorkersDown.Add(1)
 	}
 	if e.det != nil {
 		e.det.MarkDead(name)
 	}
-	wd := &fault.WorkerDownError{Worker: name, Addr: addr, Sessions: ids, Cause: cause}
+	wd := &fault.WorkerDownError{Worker: name, Addr: e.addrOf(name), Sessions: ids, Cause: cause}
 	for _, s := range active {
-		s.end(wd, nil)
+		s.Fail(wd)
 	}
-	// Ending the sessions first unblocks their node goroutines via abort;
-	// closing the worker then tears its listener and links down.  The dead
-	// worker's own in-flight sends fail here — those reports are
+	// Closing the worker tears its listener and links down.  The dead
+	// worker's own in-flight writes fail here — those reports are
 	// suppressed by the reporter-down rule above.
 	old.close()
 	if e.cfg.Restart && !e.closedA.Load() {
-		if err := e.restartWorker(name, old); err == nil {
+		if err := e.restartWorker(name); err == nil {
 			if e.obsF != nil {
 				e.obsF.Reconnects.Add(1)
 			}
@@ -484,12 +409,11 @@ func (e *Engine) handleWorkerDown(name string, cause error) {
 // listener (the address book is updated under addrsMu), new dialed
 // links, and every survivor's link to it re-dialed against the new
 // generation.  Sessions are not resumed — the layer above re-opens.
-func (e *Engine) restartWorker(name string, old *engineWorker) error {
+func (e *Engine) restartWorker(name string) error {
 	addrsMu.Lock()
 	e.addrs[name] = "127.0.0.1:0"
 	addrsMu.Unlock()
-	nw := newEngineWorker(e, name, e.addrs)
-	nw.kernels = old.kernels
+	nw := newEngineWorker(e, name)
 	if err := nw.listen(); err != nil {
 		return err
 	}
@@ -526,7 +450,7 @@ func (e *Engine) KillWorker(name string) error {
 	if !ok {
 		return fmt.Errorf("dist: no worker %q", name)
 	}
-	e.noteWorkerDown(nil, name, e.genOf(name), errors.New("dist: worker killed"))
+	e.noteWorkerDown("", name, e.genOf(name), errors.New("dist: worker killed"))
 	return nil
 }
 
@@ -536,393 +460,149 @@ func (e *Engine) KillWorker(name string) error {
 func (e *Engine) monitor() {
 	ticker := time.NewTicker(e.cfg.HeartbeatInterval)
 	defer ticker.Stop()
+	// The silence that counts starts now, with the beat senders running —
+	// not when the detector was built, before the mesh was dialed.
+	prev := time.Now()
+	for _, name := range e.names {
+		e.det.Revive(name, prev)
+	}
 	for {
 		select {
 		case <-e.stop:
 			return
 		case <-ticker.C:
-			for _, name := range e.det.Expired(time.Now()) {
+			// All workers share this process: when the monitor's own tick
+			// is late, whatever held it up (a descheduled VM, a long pause)
+			// held the beat senders and frame readers up too, and the
+			// silence proves nothing.  Give them a tick to catch up.
+			now := time.Now()
+			late := now.Sub(prev) > 2*e.cfg.HeartbeatInterval
+			prev = now
+			if late {
+				continue
+			}
+			for _, name := range e.det.Expired(now) {
 				if e.obsF != nil {
 					e.obsF.HeartbeatsMissed.Add(1)
 				}
-				e.noteWorkerDown(nil, name, e.genOf(name),
+				e.noteWorkerDown("", name, e.genOf(name),
 					fmt.Errorf("dist: worker %q missed %d heartbeat intervals", name, e.cfg.HeartbeatMiss))
 			}
 		}
 	}
 }
 
-// fail is the engine-wide failure path (a torn connection, a protocol
-// violation): every active session dies with the transport error.
+// fail is the engine-wide failure path (a frame that violates the
+// protocol): every active session dies with the error.
 func (e *Engine) fail(err error) {
-	e.mu.Lock()
-	active := make([]*EngineSession, 0, len(e.sessions))
-	for _, s := range e.sessions {
-		active = append(active, s)
+	for _, s := range e.eng.Active() {
+		s.Fail(err)
 	}
-	e.mu.Unlock()
-	for _, s := range active {
-		s.end(err, nil)
-	}
-}
-
-// watchdog scans the active sessions once per period, as in the stream
-// engine: no progress across a full period with no in-flight Source/Sink
-// callback is a wedge, attributed to the one session that stalled.
-func (e *Engine) watchdog() {
-	ticker := time.NewTicker(e.cfg.WatchdogTimeout)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-ticker.C:
-			e.mu.Lock()
-			repairing := e.repairing > 0
-			active := make([]*EngineSession, 0, len(e.sessions))
-			for _, s := range e.sessions {
-				active = append(active, s)
-			}
-			e.mu.Unlock()
-			if repairing {
-				// A worker swap stalls everything legitimately; don't let
-				// the recovery window read as a wedge.
-				continue
-			}
-			dead := e.deadWorker()
-			for _, ses := range active {
-				cur := ses.progress.Load()
-				if ses.watched && cur == ses.lastProgress && ses.external.Load() == 0 && ses.timersArmed.Load() == 0 {
-					if dead != "" {
-						// The stall is already attributed: a dead worker with
-						// no restart coming.  Name it instead of reporting a
-						// protocol deadlock that isn't one.
-						addrsMu.Lock()
-						addr := e.addrs[dead]
-						addrsMu.Unlock()
-						ses.end(&fault.WorkerDownError{
-							Worker: dead, Addr: addr,
-							Sessions: []uint64{uint64(ses.id)},
-						}, nil)
-						continue
-					}
-					chans, stalled := e.snapshot(ses)
-					ses.end(&stream.DeadlockError{Session: ses.id, Channels: chans, Stalled: stalled}, nil)
-					continue
-				}
-				ses.lastProgress = cur
-				ses.watched = true
-			}
-		}
-	}
-}
-
-// snapshot renders the session's buffer and window occupancy across all
-// workers, plus the sorted list of edges whose buffer or credit window
-// is exhausted — where the stream stalled.  Reads are racy but
-// indicative.
-func (e *Engine) snapshot(ses *EngineSession) (map[string]string, []string) {
-	chans := make(map[string]string, e.g.NumEdges())
-	var stalled []string
-	for _, w := range e.workerSnapshot() {
-		ws := w.session(ses.id)
-		if ws == nil {
-			continue
-		}
-		for _, ed := range e.g.Edges() {
-			key := fmt.Sprintf("%s→%s", e.g.Name(ed.From), e.g.Name(ed.To))
-			if ch := ws.inbox[ed.ID]; ch != nil {
-				chans[key] = fmt.Sprintf("%d/%d", len(ch), cap(ch))
-				if cap(ch) > 0 && len(ch) == cap(ch) {
-					stalled = append(stalled, key)
-				}
-			} else if win := ws.window[ed.ID]; win != nil {
-				chans[key] = fmt.Sprintf("%d/%d in flight",
-					win.capacity()-win.available(), win.capacity())
-				if win.capacity() > 0 && win.available() == 0 {
-					stalled = append(stalled, key)
-				}
-			}
-		}
-	}
-	sort.Strings(stalled)
-	return chans, stalled
-}
-
-// EngineSession is one logical stream served by the resident workers.
-type EngineSession struct {
-	id     proto.SessionID
-	e      *Engine
-	ctx    context.Context
-	cancel context.CancelFunc
-	source stream.SourceFunc
-	sink   stream.SinkFunc
-
-	abort  chan struct{} // closed on end: unblocks this session's nodes
-	nodeWG sync.WaitGroup
-
-	progress atomic.Int64
-	external atomic.Int64
-	// timersArmed counts armed time-aware flush timers across the
-	// session's nodes (sessionPorts.runTimed); the watchdog treats an
-	// armed timer like in-flight external work — a session quietly idle
-	// inside an open window is the clock's pace, not a wedge.
-	timersArmed  atomic.Int64
-	lastProgress int64
-	watched      bool
-
-	data     []atomic.Int64
-	dummies  []atomic.Int64
-	sinkData atomic.Int64
-	start    time.Time
-
-	endOnce sync.Once
-	ended   atomic.Bool
-	err     error
-	stats   *Stats
-	done    chan struct{}
-}
-
-// ID returns the session's id.
-func (s *EngineSession) ID() proto.SessionID { return s.id }
-
-// Done is closed when the session has resolved.
-func (s *EngineSession) Done() <-chan struct{} { return s.done }
-
-// Wait blocks until the session drains or fails and returns its merged
-// cross-worker stats.
-func (s *EngineSession) Wait() (*Stats, error) {
-	<-s.done
-	return s.stats, s.err
-}
-
-// Cancel aborts the session; other sessions are unaffected.
-func (s *EngineSession) Cancel() { s.end(context.Canceled, nil) }
-
-// end records the session's outcome exactly once and tears its node
-// goroutines down (abort unblocks every port); done is closed by the
-// Open watcher once they have all exited.
-func (s *EngineSession) end(err error, stats *Stats) {
-	s.endOnce.Do(func() {
-		s.ended.Store(true)
-		s.err = err
-		s.stats = stats
-		if m := s.e.cfg.Obs; m != nil {
-			sm := m.Sessions()
-			sm.Active.Add(-1)
-			if err == nil {
-				sm.Completed.Add(1)
-			} else {
-				sm.Failed.Add(1)
-			}
-			sm.Latency.Observe(int64(time.Since(s.start)))
-		}
-		s.cancel()
-		close(s.abort)
-		s.e.unregister(s.id)
-		for _, w := range s.e.workerSnapshot() {
-			w.drop(s.id)
-		}
-	})
-}
-
-// finish resolves a drained session: every node goroutine has returned,
-// which happens-after every send, so the counters are final.
-func (s *EngineSession) finish() {
-	if s.ended.Load() {
-		return
-	}
-	stats := &Stats{
-		Data:     make(map[graph.EdgeID]int64, len(s.data)),
-		Dummies:  make(map[graph.EdgeID]int64, len(s.dummies)),
-		SinkData: s.sinkData.Load(),
-		Elapsed:  time.Since(s.start),
-	}
-	for i := range s.data {
-		stats.Data[graph.EdgeID(i)] = s.data[i].Load()
-		stats.Dummies[graph.EdgeID(i)] = s.dummies[i].Load()
-	}
-	s.end(nil, stats)
 }
 
 // ---------------------------------------------------------------------
 // Resident workers.
 
-// engineWorker is one resident worker: a listener, a set of peer links,
-// and the per-session state of the nodes it hosts.
+// engineWorker is one resident worker's transport: a listener, the frame
+// readers of its accepted connections, and the links it dialed.  The
+// nodes the partition assigns to it run in the Engine's stream engine.
 type engineWorker struct {
-	e       *Engine
-	name    string
-	addrs   map[string]string
-	kernels map[graph.NodeID]stream.Kernel
+	e         *Engine
+	name      string
+	peerNames []string // every worker this one shares an edge with, sorted
 
-	local     []graph.NodeID
-	creditTo  []string // per edge; != "" = inbound cross edge's sender
-	crossOut  []bool   // per edge; true = outbound cross edge
-	peerNames []string
-	// obsE holds the per-edge telemetry slots, resolved once at
-	// construction; nil when Config.Obs is nil, so the port hot paths pay
-	// a single nil check with observation off.
-	obsE []*obs.EdgeMetrics
-
-	ln net.Listener
-	// peers maps peer name → link slot.  The map's shape is fixed at
-	// construction (one slot per peerName); the slot's pointer swaps
-	// atomically when a dead peer is restarted and its link re-dialed, so
-	// the send hot path reads it lock-free.
-	peers map[string]*peerSlot
-
+	ln     net.Listener
 	hbStop chan struct{} // non-nil when this worker sends heartbeats
 
 	mu       sync.Mutex
-	sessions map[proto.SessionID]*workerSession
 	accepted []net.Conn
 	closed   bool
 	connWG   sync.WaitGroup
 }
 
-// peerSlot holds the current link to one peer; see engineWorker.peers.
-type peerSlot struct{ p atomic.Pointer[peerLink] }
-
-// peer returns the current link to the named peer (nil before dialPeers).
-func (w *engineWorker) peer(name string) *peerLink {
-	s := w.peers[name]
-	if s == nil {
-		return nil
-	}
-	return s.p.Load()
-}
-
-// workerSession is one worker's share of a session: per-edge buffers for
-// the edges it consumes, per-edge windows for the cross edges it sends.
-type workerSession struct {
-	ses    *EngineSession
-	inbox  []chan stream.Message
-	window []*window
-}
-
-func newEngineWorker(e *Engine, name string, addrs map[string]string) *engineWorker {
-	w := &engineWorker{
-		e: e, name: name, addrs: addrs,
-		creditTo: make([]string, e.g.NumEdges()),
-		crossOut: make([]bool, e.g.NumEdges()),
-		peers:    make(map[string]*peerSlot),
-		sessions: make(map[proto.SessionID]*workerSession),
-	}
-	for n := 0; n < e.g.NumNodes(); n++ {
-		if e.part[graph.NodeID(n)] == name {
-			w.local = append(w.local, graph.NodeID(n))
+func newEngineWorker(e *Engine, name string) *engineWorker {
+	w := &engineWorker{e: e, name: name}
+	for key := range e.carriers {
+		if key[0] == name {
+			w.peerNames = append(w.peerNames, key[1])
 		}
-	}
-	peerSet := make(map[string]bool)
-	for _, ed := range e.g.Edges() {
-		fromOwner, toOwner := e.part[ed.From], e.part[ed.To]
-		if toOwner == name && fromOwner != name {
-			w.creditTo[ed.ID] = fromOwner
-			peerSet[fromOwner] = true
-		}
-		if fromOwner == name && toOwner != name {
-			w.crossOut[ed.ID] = true
-			peerSet[toOwner] = true
-		}
-	}
-	for p := range peerSet {
-		w.peerNames = append(w.peerNames, p)
-		w.peers[p] = &peerSlot{}
 	}
 	sort.Strings(w.peerNames)
-	if m := e.cfg.Obs; m != nil {
-		w.obsE = make([]*obs.EdgeMetrics, e.g.NumEdges())
-		for i := range w.obsE {
-			w.obsE[i] = m.Edge(i)
-		}
-	}
 	return w
 }
 
 func (w *engineWorker) listen() error {
-	addrsMu.Lock()
-	addr := w.addrs[w.name]
-	addrsMu.Unlock()
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", w.e.addrOf(w.name))
 	if err != nil {
 		return err
 	}
 	w.ln = ln
 	addrsMu.Lock()
-	w.addrs[w.name] = ln.Addr().String()
+	w.e.addrs[w.name] = ln.Addr().String()
 	addrsMu.Unlock()
 	return nil
 }
 
 func (w *engineWorker) dialPeers() error {
 	for _, p := range w.peerNames {
-		link, err := w.dialOne(p)
-		if err != nil {
+		if err := w.redial(p); err != nil {
 			return err
 		}
-		w.peers[p].p.Store(link)
 	}
 	return nil
 }
 
-// dialOne connects to one peer (retrying until DialTimeout), performs
-// the hello, and arms the coalescer.  The link records the peer's
-// current death generation so later errors on it can be aged.
-func (w *engineWorker) dialOne(p string) (*peerLink, error) {
-	timeout := w.e.cfg.DialTimeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
-	var lastErr error
-	for {
-		addrsMu.Lock()
-		addr := w.addrs[p]
-		addrsMu.Unlock()
-		c, err := net.DialTimeout("tcp", addr, time.Until(deadline))
-		if err == nil {
-			link := &peerLink{name: p, conn: c, gen: w.e.genOf(p)}
-			if m := w.e.cfg.Obs; m != nil {
-				link.stats = m.Link(w.name + "→" + p)
-			}
-			if err := link.send(helloBody(w.name)); err != nil {
-				c.Close()
-				return nil, err
-			}
-			if w.e.cfg.MaxBatch > 1 {
-				peer := p
-				link.startCoalescer(w.e.cfg.MaxBatch, func(err error) {
-					w.e.noteWorkerDown(w, peer, link.gen,
-						fmt.Errorf("dist: coalesced write to %q: %w", peer, err))
-				})
-			}
-			return link, nil
-		}
-		lastErr = err
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("dist: worker %q cannot reach %q at %s: %w", w.name, p, addr, lastErr)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// redial replaces this worker's link to a restarted peer: dial the new
-// incarnation, swap the slot, and retire the stale link.  Workers whose
-// edge set never links to peer have no slot and nothing to redial.
+// redial points this worker's direction of the pair at a fresh link to
+// peer — at start-up, or when peer was restarted — and retires the link
+// it replaces.  Workers that share no edge with peer have nothing to do.
 func (w *engineWorker) redial(peer string) error {
-	if _, ok := w.peers[peer]; !ok {
+	c := w.e.carriers[[2]string{w.name, peer}]
+	if c == nil {
 		return nil
 	}
 	link, err := w.dialOne(peer)
 	if err != nil {
 		return err
 	}
-	if old := w.peers[peer].p.Swap(link); old != nil {
-		old.stopCoalescer()
+	if old := c.link.Swap(link); old != nil {
 		old.conn.Close()
 	}
 	return nil
+}
+
+// dialOne connects to one peer (retrying until DialTimeout) and sends
+// the hello.  The link records the peer's current death generation so
+// later errors on it can be aged.
+func (w *engineWorker) dialOne(p string) (*peerLink, error) {
+	timeout := w.e.cfg.DialTimeout
+	if timeout == 0 {
+		timeout = 10 * time.Second
+	}
+	deadline := time.Now().Add(timeout)
+	for {
+		addr := w.e.addrOf(p)
+		c, err := net.DialTimeout("tcp", addr, time.Until(deadline))
+		if err == nil {
+			link := &peerLink{conn: c, gen: w.e.genOf(p)}
+			if m := w.e.cfg.Obs; m != nil {
+				link.stats = m.Link(w.name + "→" + p)
+			}
+			if err := link.write(appendHello(nil, w.name), 1, 0); err != nil {
+				c.Close()
+				return nil, err
+			}
+			return link, nil
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("dist: worker %q cannot reach %q at %s: %w", w.name, p, addr, err)
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// link returns this worker's current link to peer (nil before dialPeers).
+func (w *engineWorker) link(peer string) *peerLink {
+	return w.e.carriers[[2]string{w.name, peer}].link.Load()
 }
 
 // startHeartbeat launches the liveness sender: one beat frame per
@@ -942,131 +622,24 @@ func (w *engineWorker) beatLoop() {
 	defer w.e.wg.Done()
 	ticker := time.NewTicker(w.e.cfg.HeartbeatInterval)
 	defer ticker.Stop()
+	beat := appendBeat(nil)
 	for {
 		select {
 		case <-w.hbStop:
 			return
 		case <-ticker.C:
 			for _, p := range w.peerNames {
-				link := w.peer(p)
+				link := w.link(p)
 				if link == nil {
 					continue
 				}
-				if err := link.send(appendBeat(getBody())); err != nil {
-					w.e.noteWorkerDown(w, p, link.gen,
+				if err := link.write(beat, 1, 0); err != nil {
+					w.e.noteWorkerDown(w.name, p, link.gen,
 						fmt.Errorf("dist: heartbeat from %q to %q: %w", w.name, p, err))
 				}
 			}
 		}
 	}
-}
-
-// register allocates the session's buffers and windows on this worker.
-func (w *engineWorker) register(ses *EngineSession) *workerSession {
-	ws := &workerSession{
-		ses:    ses,
-		inbox:  make([]chan stream.Message, w.e.g.NumEdges()),
-		window: make([]*window, w.e.g.NumEdges()),
-	}
-	for _, ed := range w.e.g.Edges() {
-		if w.e.part[ed.To] == w.name {
-			ws.inbox[ed.ID] = make(chan stream.Message, ed.Buf)
-		}
-		if w.crossOut[ed.ID] {
-			ws.window[ed.ID] = newWindow(ed.Buf)
-		}
-	}
-	w.mu.Lock()
-	w.sessions[ses.id] = ws
-	w.mu.Unlock()
-	return ws
-}
-
-// start launches the session's node goroutines on this worker.
-func (w *engineWorker) start(ws *workerSession) {
-	for _, id := range w.local {
-		ws.ses.nodeWG.Add(1)
-		go func(id graph.NodeID) {
-			defer ws.ses.nodeWG.Done()
-			in := w.e.g.In(id)
-			out := w.e.g.Out(id)
-			kernel := w.kernels[id]
-			if kernel == nil {
-				kernel = stream.Passthrough(len(out))
-			}
-			if m := w.e.cfg.Obs; m != nil {
-				if tk, ok := kernel.(stream.TimedKernel); ok {
-					// A plain obsKernel would hide the TimedKernel methods
-					// and silently demote the node to per-seq firing.
-					kernel = &obsTimedKernel{obsKernel{k: kernel, n: m.Node(int(id))}, tk, m.Time()}
-				} else {
-					kernel = &obsKernel{k: kernel, n: m.Node(int(id))}
-				}
-			}
-			engine := proto.NewEngine(out, proto.Config{
-				Algorithm: w.e.cfg.Algorithm,
-				Intervals: w.e.cfg.Intervals,
-			})
-			(&sessionPorts{w: w, ws: ws, in: in, out: out}).run(kernel, engine)
-		}(id)
-	}
-}
-
-// obsKernel decorates a node's kernel with telemetry: one Firing and the
-// wall-clock service time per Process invocation.  The distributed node
-// loop is strictly per-element, so wrapping the plain Kernel interface
-// loses nothing.
-type obsKernel struct {
-	k stream.Kernel
-	n *obs.NodeMetrics
-}
-
-func (o *obsKernel) Process(seq uint64, ins []stream.Input) map[int]any {
-	t0 := time.Now()
-	outs := o.k.Process(seq, ins)
-	o.n.ServiceTime.Add(int64(time.Since(t0)))
-	o.n.Firings.Add(1)
-	return outs
-}
-
-// obsTimedKernel is obsKernel for a time-aware kernel: Process keeps
-// the telemetry decoration while the TimedKernel methods pass through,
-// so sessionPorts.run still dispatches the timed loop.
-type obsTimedKernel struct {
-	obsKernel
-	t  stream.TimedKernel
-	tm *obs.TimeMetrics
-}
-
-func (o *obsTimedKernel) TimedClock() clock.Clock { return o.t.TimedClock() }
-
-func (o *obsTimedKernel) Tick(now time.Time) {
-	o.t.Tick(now)
-	o.tm.TimerTicks.Add(1)
-}
-
-func (o *obsTimedKernel) Flush() { o.t.Flush() }
-
-func (o *obsTimedKernel) TakeEmissions() []any {
-	ems := o.t.TakeEmissions()
-	if len(ems) > 0 {
-		o.tm.TimedEmissions.Add(int64(len(ems)))
-	}
-	return ems
-}
-
-func (o *obsTimedKernel) NextDeadline() (time.Time, bool) { return o.t.NextDeadline() }
-
-func (w *engineWorker) session(id proto.SessionID) *workerSession {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sessions[id]
-}
-
-func (w *engineWorker) drop(id proto.SessionID) {
-	w.mu.Lock()
-	delete(w.sessions, id)
-	w.mu.Unlock()
 }
 
 func (w *engineWorker) acceptLoop() {
@@ -1088,22 +661,32 @@ func (w *engineWorker) acceptLoop() {
 	}
 }
 
-// serveConn demuxes one inbound connection's frames into per-session
-// state.  Frames for unknown sessions are dropped, not errors: a session
-// that failed locally keeps receiving its peers' in-flight frames until
-// they observe the teardown.  The read buffer is reused across frames
-// (parsers copy whatever they retain), so steady-state reads allocate
-// nothing beyond decoded payloads.
+// readBuffer sizes a connection's buffered reader: large enough that a
+// writer's whole batch of frames usually costs one read syscall.
+const readBuffer = 64 << 10
+
+// serveConn reads one inbound connection's frames and hands their
+// contents to the node loops.  It never blocks on a session — deliveries
+// are mailbox posts — so the peer's writer always drains.  The frame
+// buffer and the run scratch are reused across frames (parsers copy
+// whatever they retain, Deliver copies the run), so steady-state reads
+// allocate nothing beyond decoded payloads.
 func (w *engineWorker) serveConn(c net.Conn) {
 	defer w.connWG.Done()
 	defer c.Close()
-	hello, err := readFrame(c)
+	r := bufio.NewReaderSize(c, readBuffer)
+	var buf []byte
+	hello, err := readFrame(r, &buf)
 	if err != nil {
 		return
 	}
 	peer, err := parseHello(hello)
 	if err != nil {
 		return // stray client; not a peer
+	}
+	in := w.e.carriers[[2]string{peer, w.name}]
+	if in == nil {
+		return // no edge between the two: nothing it could carry
 	}
 	var rx *obs.LinkMetrics
 	if m := w.e.cfg.Obs; m != nil {
@@ -1113,16 +696,17 @@ func (w *engineWorker) serveConn(c net.Conn) {
 	// after the peer has already been replaced is stale, not news.
 	gen := w.e.genOf(peer)
 	det := w.e.det
-	var buf []byte
+	var run []stream.Message
 	for {
-		body, err := readFrameReuse(c, &buf)
+		body, err := readFrame(r, &buf)
 		if err != nil {
 			if !w.isClosed() {
-				w.e.noteWorkerDown(w, peer, gen,
+				w.e.noteWorkerDown(w.name, peer, gen,
 					fmt.Errorf("dist: link from %q to %q broke: %w", peer, w.name, err))
 			}
 			return
 		}
+		in.fence.Load()
 		if det != nil {
 			det.Beat(peer, time.Now())
 		}
@@ -1130,7 +714,8 @@ func (w *engineWorker) serveConn(c net.Conn) {
 			rx.RxFrames.Add(1)
 			rx.RxBytes.Add(int64(len(body)) + 4)
 		}
-		if !w.handleBody(body) {
+		if err := w.handleBody(peer, body, &run); err != nil {
+			w.e.fail(err)
 			return
 		}
 	}
@@ -1142,84 +727,69 @@ func (w *engineWorker) isClosed() bool {
 	return w.closed
 }
 
-// errConnDone aborts a batch walk after a sub-body already failed the
-// connection (the failure is reported where it happened).
-var errConnDone = errors.New("dist: connection done")
-
-// handleBody dispatches one frame body; false tears the connection down.
-// A batch frame's sub-bodies come back through it one at a time, exactly
-// as if each had arrived in its own frame (nesting is rejected by the
-// batch walker).
-func (w *engineWorker) handleBody(body []byte) bool {
+// handleBody dispatches one frame body from peer; an error fails the
+// engine's sessions and tears the connection down.  Everything in the
+// frame is input from outside the program: the edge must be one that
+// runs between the two workers in the frame's direction, and a count
+// must fit the edge's capacity — what the sender's window would have
+// allowed — before anything is decoded or posted.  Frames for sessions
+// that are not open are dropped by the stream engine, not errors: a
+// session that failed keeps receiving its peers' in-flight frames until
+// they observe the teardown.
+func (w *engineWorker) handleBody(peer string, body []byte, run *[]stream.Message) error {
 	switch body[0] {
 	case frameBeat:
 		// Pure liveness; serveConn already recorded the arrival.
-		return true
-	case frameBatch:
-		err := forEachBatchBody(body, func(sub []byte) error {
-			if !w.handleBody(sub) {
-				return errConnDone
-			}
-			return nil
-		})
+		return nil
+	case frameRun:
+		sid, edge, count, elems, err := parseRunHeader(body)
 		if err != nil {
-			if err != errConnDone {
-				w.e.fail(err)
-			}
-			return false
+			return err
 		}
-		return true
-	case frameSessMsg:
-		sid, e, m, err := parseSessMsg(body)
+		if err = w.checkCross(edge, count, peer, w.name); err == nil {
+			var msgs []stream.Message
+			if msgs, err = decodeRun(elems, count, *run); err == nil {
+				err = w.e.eng.Deliver(sid, edge, msgs)
+				clear(msgs)
+				*run = msgs
+			}
+		}
 		if err != nil {
-			w.e.fail(err)
-			return false
+			return fmt.Errorf("dist: worker %q: run frame from %q for session %d on edge %d: %w", w.name, peer, sid, edge, err)
 		}
-		ws := w.session(sid)
-		if ws == nil {
-			// The session ended before the frame arrived; the sender
-			// already counted it, so credit the drained side to keep the
-			// queue-depth gauge convergent.
-			if om := w.obsE; om != nil && int(e) < len(om) {
-				om[e].Consumed.Add(1)
-			}
-			return true
-		}
-		if int(e) >= len(ws.inbox) || ws.inbox[e] == nil {
-			w.e.fail(fmt.Errorf("dist: worker %q received session message for foreign edge %d", w.name, e))
-			return false
-		}
-		// The sender holds one of this session's credits, so the
-		// buffer has room; select on abort anyway for teardown races.
-		select {
-		case ws.inbox[e] <- m:
-			ws.ses.progress.Add(1)
-		case <-ws.ses.abort:
-			if om := w.obsE; om != nil {
-				om[e].Consumed.Add(1)
-			}
-		}
-		return true
-	case frameSessCredit:
-		sid, e, err := parseSessCredit(body)
+		return nil
+	case frameCredit:
+		sid, edge, n, err := parseCredit(body)
 		if err != nil {
-			w.e.fail(err)
-			return false
+			return err
 		}
-		ws := w.session(sid)
-		if ws == nil {
-			return true
+		if err = w.checkCross(edge, n, w.name, peer); err == nil {
+			err = w.e.eng.Credit(sid, edge, n)
 		}
-		if int(e) >= len(ws.window) || ws.window[e] == nil || !ws.window[e].release() {
-			w.e.fail(fmt.Errorf("dist: worker %q received bogus session credit for edge %d", w.name, e))
-			return false
+		if err != nil {
+			return fmt.Errorf("dist: worker %q: credit frame from %q for session %d on edge %d: %w", w.name, peer, sid, edge, err)
 		}
-		ws.ses.progress.Add(1)
-		return true
+		return nil
 	default:
-		w.e.fail(fmt.Errorf("dist: unknown frame type %q on engine worker %q", body[0], w.name))
-		return false
+		return fmt.Errorf("dist: worker %q: unknown frame type %q from %q", w.name, body[0], peer)
 	}
+}
+
+// checkCross accepts a frame's edge and count if the edge runs from a
+// node on worker from to a node on worker to and the count is one the
+// edge's window allows.
+func (w *engineWorker) checkCross(edge graph.EdgeID, count int, from, to string) error {
+	if int(edge) >= w.e.g.NumEdges() {
+		return errors.New("no such edge")
+	}
+	ed := w.e.g.Edge(edge)
+	if w.e.part[ed.From] != from || w.e.part[ed.To] != to {
+		return fmt.Errorf("the edge runs %q→%q, not %q→%q", w.e.part[ed.From], w.e.part[ed.To], from, to)
+	}
+	if count < 1 || count > ed.Buf {
+		return fmt.Errorf("count %d outside the edge's capacity 1..%d", count, ed.Buf)
+	}
+	return nil
 }
 
 func (w *engineWorker) close() {
@@ -1238,9 +808,8 @@ func (w *engineWorker) close() {
 	if w.ln != nil {
 		w.ln.Close()
 	}
-	for _, slot := range w.peers {
-		if link := slot.p.Load(); link != nil {
-			link.stopCoalescer()
+	for _, p := range w.peerNames {
+		if link := w.link(p); link != nil {
 			link.conn.Close()
 		}
 	}
@@ -1248,174 +817,4 @@ func (w *engineWorker) close() {
 		c.Close()
 	}
 	w.connWG.Wait()
-}
-
-// sessionPorts is the transport one hosted node's loop (nodeloop.go)
-// drives for one session, addressed by in-/out-edge position: local
-// buffers, or session-tagged credit-gated TCP frames.  send may be called
-// concurrently for distinct out positions (one firing's sends are issued
-// in parallel; see DESIGN.md, "Protocol soundness" note 2).
-type sessionPorts struct {
-	w       *engineWorker
-	ws      *workerSession
-	in, out []graph.EdgeID
-}
-
-// recv blocks for the next message on in-edge position i, returning
-// ok=false when the session is aborted.
-func (p *sessionPorts) recv(i int) (stream.Message, bool) {
-	select {
-	case m := <-p.ws.inbox[p.in[i]]:
-		if p.w.obsE != nil {
-			p.w.obsE[p.in[i]].Consumed.Add(1)
-		}
-		p.ws.ses.progress.Add(1)
-		return m, true
-	case <-p.ws.ses.abort:
-		return stream.Message{}, false
-	}
-}
-
-// send delivers m on out-edge position i, blocking on backpressure and
-// returning false when the session is aborted.
-func (p *sessionPorts) send(i int, m stream.Message) bool {
-	e := p.out[i]
-	ses := p.ws.ses
-	om := p.w.obsE
-	if win := p.ws.window[e]; win != nil {
-		// With observation on, a send that finds the window empty is a
-		// credit stall: count the episode and its wall-clock duration.
-		if om == nil || win.tryAcquire() {
-			if om == nil && !win.acquire(ses.abort) {
-				return false
-			}
-		} else {
-			om[e].CreditStalls.Add(1)
-			t0 := time.Now()
-			if !win.acquire(ses.abort) {
-				return false
-			}
-			om[e].CreditStallTime.Add(int64(time.Since(t0)))
-		}
-		body, err := appendSessMsg(getBody(), ses.id, e, m)
-		if err != nil {
-			putBody(body)
-			ses.end(err, nil)
-			return false
-		}
-		peer := p.w.e.part[p.w.e.g.Edge(e).To]
-		link := p.w.peer(peer)
-		if link == nil {
-			putBody(body)
-			return false
-		}
-		if err := link.send(body); err != nil {
-			p.w.e.noteWorkerDown(p.w, peer, link.gen,
-				fmt.Errorf("dist: sending on session %d to %q: %w", ses.id, peer, err))
-			return false
-		}
-	} else if om == nil {
-		select {
-		case p.ws.inbox[e] <- m:
-		case <-ses.abort:
-			return false
-		}
-	} else {
-		select {
-		case p.ws.inbox[e] <- m:
-		default:
-			om[e].CreditStalls.Add(1)
-			t0 := time.Now()
-			select {
-			case p.ws.inbox[e] <- m:
-				om[e].CreditStallTime.Add(int64(time.Since(t0)))
-			case <-ses.abort:
-				om[e].CreditStallTime.Add(int64(time.Since(t0)))
-				return false
-			}
-		}
-	}
-	switch m.Kind {
-	case stream.Data:
-		ses.data[e].Add(1)
-		if om != nil {
-			om[e].Data.Add(1)
-		}
-	case stream.Dummy:
-		ses.dummies[e].Add(1)
-		if om != nil {
-			om[e].Dummies.Add(1)
-		}
-	}
-	if om != nil {
-		om[e].Sent.Add(1)
-	}
-	ses.progress.Add(1)
-	return true
-}
-
-// consumed reports that one message was popped from in-edge position i:
-// on an inbound cross edge it returns a flow-control credit to the
-// sending worker.  False aborts the node.
-func (p *sessionPorts) consumed(i int) bool {
-	e := p.in[i]
-	peer := p.w.creditTo[e]
-	if peer == "" {
-		return true
-	}
-	link := p.w.peer(peer)
-	if link == nil {
-		return false
-	}
-	if err := link.send(appendSessCredit(getBody(), p.ws.ses.id, e)); err != nil {
-		p.w.e.noteWorkerDown(p.w, peer, link.gen,
-			fmt.Errorf("dist: returning session %d credit to %q: %w", p.ws.ses.id, peer, err))
-		return false
-	}
-	return true
-}
-
-// ingest returns the next payload to inject at the source node; ok=false
-// ends the stream (EOS follows) or signals an abort.
-func (p *sessionPorts) ingest() (any, bool) {
-	ses := p.ws.ses
-	select {
-	case <-ses.abort:
-		return nil, false
-	default:
-	}
-	ses.external.Add(1)
-	payload, ok, err := ses.source(ses.ctx)
-	ses.external.Add(-1)
-	if err != nil {
-		ses.end(&CallbackError{Op: "source", Err: err}, nil)
-		return nil, false
-	}
-	if ok {
-		ses.progress.Add(1)
-	}
-	return payload, ok
-}
-
-// sinkEmit delivers one data-carrying firing at the sink node —
-// emissions arrive in ascending sequence order — blocking on sink
-// backpressure and returning false when the session is aborted.
-func (p *sessionPorts) sinkEmit(seq uint64, payload any) bool {
-	ses := p.ws.ses
-	ses.sinkData.Add(1)
-	if m := p.w.e.cfg.Obs; m != nil {
-		m.Sessions().SinkMsgs.Add(1)
-	}
-	ses.progress.Add(1)
-	if ses.sink == nil {
-		return true
-	}
-	ses.external.Add(1)
-	err := ses.sink(ses.ctx, seq, payload)
-	ses.external.Add(-1)
-	if err != nil {
-		ses.end(&CallbackError{Op: "sink", Err: err}, nil)
-		return false
-	}
-	return true
 }

@@ -1,9 +1,9 @@
 package dist
 
-// Transport coalescing parity: a resident engine with MaxBatch > 1 packs
-// many session frames per syscall, but the logical stream each session
-// observes — per-edge data/dummy counts and the ordered sink sequence —
-// must be identical to the unbatched engine's.
+// Batch-width parity: a resident engine with MaxBatch > 1 moves spans —
+// many messages per run frame, many frames per write — but the logical
+// stream each session observes — per-edge data/dummy counts and the
+// ordered sink sequence — must be identical to the unbatched engine's.
 
 import (
 	"context"

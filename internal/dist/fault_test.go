@@ -182,9 +182,9 @@ func TestEngineKillWorkerRestart(t *testing.T) {
 	}
 }
 
-// TestEngineKillWorkerRestartCoalesced exercises the repair path with
-// the coalescing writer on (MaxBatch > 1), where link teardown also has
-// to stop and restart writer goroutines.
+// TestEngineKillWorkerRestartCoalesced exercises the repair path at
+// MaxBatch > 1, where the links being swapped carry spans and a link
+// writer may be mid-batch when its connection drops.
 func TestEngineKillWorkerRestartCoalesced(t *testing.T) {
 	g, part, cfg := faultTopo(t)
 	cfg.Restart = true

@@ -153,8 +153,8 @@ type TimeMetrics struct {
 
 // LinkMetrics is one distributed worker→peer link's transport counters.
 type LinkMetrics struct {
-	TxFrames atomic.Int64 // wire frames written (a batch frame counts once)
-	TxBodies atomic.Int64 // protocol bodies carried (batch sub-frames each count)
+	TxFrames atomic.Int64 // wire frames written (run, credit, hello, beat)
+	TxBodies atomic.Int64 // protocol units carried: a run frame's messages, a credit frame's credits
 	TxBytes  atomic.Int64
 	RxFrames atomic.Int64
 	RxBytes  atomic.Int64

@@ -1,0 +1,160 @@
+package stream
+
+// This file is the seam a transport plugs into: an edge named in
+// Config.Cross keeps both of its nodes in this Engine — same node loops,
+// same per-session credit window, same counters — but the producer's
+// messages and the consumer's credit returns are posted into the edge's
+// outboxes instead of the neighbour's mailbox.  The transport drains the
+// outboxes, moves the parcels however it likes (internal/dist: one TCP
+// link per worker pair), and hands them back on the far side through
+// Deliver and Credit.  The sender-side window is the node's own
+// inflight-vs-capacity check, so a cross edge never holds more messages —
+// queued, on the wire or unconsumed — than the capacity the dummy
+// intervals were computed against.
+
+import (
+	"fmt"
+
+	"streamdag/internal/graph"
+	"streamdag/internal/proto"
+)
+
+// CrossEdge names the carriers of one cross edge: Msgs takes what the
+// producing node sends, Credits what the consuming node acknowledges.
+// Edges that share a transport link share an Outbox.
+type CrossEdge struct {
+	Msgs    *Outbox
+	Credits *Outbox
+}
+
+// crossEnds locates a cross edge's two ends in the node loops.
+type crossEnds struct {
+	from   *engineNode // producer, at out-position outPos
+	to     *engineNode // consumer, at in-position inPos
+	outPos int
+	inPos  int
+}
+
+// Outbox is the unbounded queue between the node loops and one transport
+// writer.  Posts never block — its occupancy is bounded by the posting
+// sessions' windows, like a node's mailbox — and the single drainer takes
+// everything queued per wake-up.
+type Outbox struct {
+	mb    *mailbox
+	spare []event
+	one   [1]Message
+}
+
+// NewOutbox returns an empty outbox.
+func NewOutbox() *Outbox { return &Outbox{mb: newMailbox()} }
+
+// Close wakes the drainer for exit; Drain returns false once the queue
+// is empty.  Later posts are dropped.
+func (o *Outbox) Close() { o.mb.close() }
+
+// Parcel is one unit drained from an Outbox: a run of messages for the
+// edge's consumer (Run, in send order) or, when Run is nil, Credits
+// acknowledged messages for its producer.
+type Parcel struct {
+	Session *EngineSession
+	Edge    graph.EdgeID
+	Run     []Message
+	Credits int
+}
+
+// Drain blocks for the next batch and calls visit for each parcel in
+// post order, skipping sessions that have ended; it reports false when
+// the outbox is closed and drained.  A parcel's Run is valid only during
+// the call: the span goes back to the engine's pool afterwards.  One
+// goroutine drains an outbox at a time.
+func (o *Outbox) Drain(visit func(Parcel)) bool {
+	evs, ok := o.mb.takeAll(o.spare)
+	if !ok {
+		return false
+	}
+	for i := range evs {
+		ev := &evs[i]
+		if !ev.ses.ended.Load() {
+			p := Parcel{Session: ev.ses, Edge: graph.EdgeID(ev.pos)}
+			switch {
+			case ev.kind == evCredit:
+				p.Credits = ev.cnt
+			case ev.span != nil:
+				p.Run = ev.span
+			default:
+				o.one[0] = ev.msg
+				p.Run = o.one[:]
+			}
+			visit(p)
+		}
+		// The writer is where a span's in-process ownership ends; the
+		// receiving side's Deliver starts a fresh one.
+		if ev.free {
+			spanFree.put(ev.span)
+		}
+		evs[i] = event{}
+	}
+	o.one[0] = Message{}
+	o.spare = evs
+	return true
+}
+
+// Deliver hands a run that crossed the wire on edge to the edge's
+// consuming node, for the session with that id; run is copied.  A session
+// that is not (or no longer) open drops the run — its peers' frames stay
+// in flight until they observe the teardown.  The error is for an edge
+// not named in Config.Cross.
+func (e *Engine) Deliver(sid proto.SessionID, edge graph.EdgeID, run []Message) error {
+	if int(edge) >= len(e.cross) || e.cross[edge].to == nil {
+		return fmt.Errorf("stream: edge %d is not a cross edge", edge)
+	}
+	ses := e.session(sid)
+	if ses == nil || len(run) == 0 {
+		return nil
+	}
+	c := &e.cross[edge]
+	ev := event{kind: evMsg, ses: ses, pos: c.inPos}
+	if len(run) == 1 {
+		ev.msg = run[0]
+	} else {
+		ev.span, ev.free = append(spanFree.get(len(run)), run...), true
+	}
+	c.to.mb.post(ev)
+	return nil
+}
+
+// Credit returns n credits that crossed the wire on edge to the edge's
+// producing node.  More than the session has in flight there fails the
+// session (the node owns the count); the error is for an edge not named
+// in Config.Cross.
+func (e *Engine) Credit(sid proto.SessionID, edge graph.EdgeID, n int) error {
+	if int(edge) >= len(e.cross) || e.cross[edge].from == nil {
+		return fmt.Errorf("stream: edge %d is not a cross edge", edge)
+	}
+	if ses := e.session(sid); ses != nil && n > 0 {
+		c := &e.cross[edge]
+		c.from.mb.post(event{kind: evCredit, ses: ses, pos: c.outPos, cnt: n})
+	}
+	return nil
+}
+
+func (e *Engine) session(id proto.SessionID) *EngineSession {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.sessions[id]
+}
+
+// Active returns the sessions that have not ended.
+func (e *Engine) Active() []*EngineSession {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	active := make([]*EngineSession, 0, len(e.sessions))
+	for _, s := range e.sessions {
+		active = append(active, s)
+	}
+	return active
+}
+
+// Fail ends the session with err, as a failed Source or Sink would; a
+// session that has already resolved keeps its outcome.
+func (s *EngineSession) Fail(err error) { s.end(err, nil) }

@@ -88,6 +88,9 @@ type Engine struct {
 	nodes  []*engineNode
 	source *engineNode // the topology's unique source node
 	sink   *engineNode // the topology's unique sink node
+	// cross[edge] names both ends of a Config.Cross edge (zero otherwise):
+	// where Deliver and Credit re-enter the node loops.
+	cross []crossEnds
 
 	// srcWin/sinkWin are the ingest and sink pump windows, in payload
 	// units; the defaults scale with the endpoint nodes' batch widths so
@@ -217,23 +220,36 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		}
 		e.nodes[i] = n
 	}
-	// Wire the neighbour tables: who feeds in-position i, who consumes
-	// out-position i, and where each edge sits in the neighbour's order.
+	// Wire the neighbour tables: whose mailbox takes in-position i's
+	// credits and out-position i's messages, and the position the event
+	// carries.  A local edge posts straight into the neighbour's mailbox
+	// under the edge's position in the neighbour's order; a cross edge
+	// posts into its carrier's outbox under the edge id, and comes back
+	// in through Deliver/Credit on the far side of the wire.
+	if len(cfg.Cross) > 0 {
+		e.cross = make([]crossEnds, g.NumEdges())
+	}
 	for _, n := range e.nodes {
-		n.upstream = make([]*engineNode, len(n.in))
+		n.upMB = make([]*mailbox, len(n.in))
 		n.upPos = make([]int, len(n.in))
 		for i, edge := range n.in {
 			up := e.nodes[g.Edge(edge).From]
-			n.upstream[i] = up
-			n.upPos[i] = edgeIndex(up.out, edge)
+			n.upMB[i], n.upPos[i] = up.mb, edgeIndex(up.out, edge)
+			if c, ok := cfg.Cross[edge]; ok {
+				e.cross[edge].to, e.cross[edge].inPos = n, i
+				n.upMB[i], n.upPos[i] = c.Credits.mb, int(edge)
+			}
 		}
-		n.downstream = make([]*engineNode, len(n.out))
+		n.downMB = make([]*mailbox, len(n.out))
 		n.downPos = make([]int, len(n.out))
 		n.outCap = make([]int, len(n.out))
 		for i, edge := range n.out {
 			down := e.nodes[g.Edge(edge).To]
-			n.downstream[i] = down
-			n.downPos[i] = edgeIndex(down.in, edge)
+			n.downMB[i], n.downPos[i] = down.mb, edgeIndex(down.in, edge)
+			if c, ok := cfg.Cross[edge]; ok {
+				e.cross[edge].from, e.cross[edge].outPos = n, i
+				n.downMB[i], n.downPos[i] = c.Msgs.mb, int(edge)
+			}
 			n.outCap[i] = g.Edge(edge).Buf
 		}
 	}
@@ -368,12 +384,8 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
-	active := make([]*EngineSession, 0, len(e.sessions))
-	for _, s := range e.sessions {
-		active = append(active, s)
-	}
 	e.mu.Unlock()
-	for _, s := range active {
+	for _, s := range e.Active() {
 		s.end(ErrEngineClosed, nil)
 	}
 	close(e.stop)
@@ -416,13 +428,7 @@ func (e *Engine) watchdog() {
 		case <-e.stop:
 			return
 		case <-ticker.C:
-			e.mu.Lock()
-			active := make([]*EngineSession, 0, len(e.sessions))
-			for _, s := range e.sessions {
-				active = append(active, s)
-			}
-			e.mu.Unlock()
-			for _, ses := range active {
+			for _, ses := range e.Active() {
 				var cur int64
 				for i := range ses.live {
 					cur += ses.live[i].n.Load()
@@ -969,11 +975,15 @@ type engineNode struct {
 	out    []graph.EdgeID
 	mb     *mailbox
 
-	upstream   []*engineNode
-	upPos      []int // in-edge i's position in upstream[i].out
-	downstream []*engineNode
-	downPos    []int // out-edge i's position in downstream[i].in
-	outCap     []int
+	// upMB[i] takes in-edge i's credit returns and downMB[i] out-edge i's
+	// messages: the neighbour's mailbox, tagged upPos/downPos with the
+	// edge's position in the neighbour's order — or, for a cross edge, its
+	// carrier's outbox, tagged with the edge id.
+	upMB    []*mailbox
+	upPos   []int
+	downMB  []*mailbox
+	downPos []int
+	outCap  []int
 
 	// batch is the node's vectorization width (>= 1): how many
 	// consecutive data messages a single-input node may consume, and a
@@ -1196,6 +1206,10 @@ func (n *engineNode) absorb(ev *event) {
 			ns.heads[ev.pos].push(ev.msg)
 		}
 	case evCredit:
+		if ev.cnt > ns.inflight[ev.pos] {
+			n.failCredit(ns, ev)
+			return
+		}
 		ns.inflight[ev.pos] -= ev.cnt
 	case evIngest:
 		// Clear the kick before draining: a payload published after the
@@ -1227,6 +1241,18 @@ func (n *engineNode) absorb(ev *event) {
 		ns.tickDue = true
 	}
 	n.markDirty(ns)
+}
+
+// failCredit fails a session that was returned more credits than it has
+// in flight on an out-edge.  Only a remote consumer can do that (a corrupt
+// or hostile credit frame): a local one acks exactly what it popped.
+// Kept out of absorb so the check costs the hot path one compare.
+//
+//go:noinline
+func (n *engineNode) failCredit(ns *nodeSession, ev *event) {
+	ed := n.e.g.Edge(n.out[ev.pos])
+	ns.ses.end(fmt.Errorf("stream: session %d: credit for %d messages on edge %s→%s with %d in flight",
+		ns.ses.id, ev.cnt, n.e.g.Name(ed.From), n.e.g.Name(ed.To), ns.inflight[ev.pos]), nil)
 }
 
 // advance drives the session's state machine at this node as far as it
@@ -1329,7 +1355,7 @@ func (n *engineNode) flushCredits(ns *nodeSession) {
 		if c > 0 {
 			n.creditAcc[i] = 0
 			ns.ses.occupancy[n.in[i]].Add(-int64(c))
-			n.upstream[i].mb.post(event{kind: evCredit, ses: ns.ses, pos: n.upPos[i], cnt: c})
+			n.upMB[i].post(event{kind: evCredit, ses: ns.ses, pos: n.upPos[i], cnt: c})
 		}
 	}
 }
@@ -1378,7 +1404,7 @@ func (n *engineNode) flush(ns *nodeSession) {
 				om.Data.Add(int64(m))
 				om.Sent.Add(int64(m))
 			}
-			n.downstream[i].mb.post(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i], span: part, free: free})
+			n.downMB[i].post(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i], span: part, free: free})
 			// A split span leaves the window full; the single behind a
 			// fully flushed one is handled below.
 		}
@@ -1413,7 +1439,7 @@ func (n *engineNode) flush(ns *nodeSession) {
 			}
 			om.Sent.Add(1)
 		}
-		n.downstream[i].mb.post(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i], msg: m})
+		n.downMB[i].post(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i], msg: m})
 	}
 }
 

@@ -199,6 +199,10 @@ type Config struct {
 	// NodeBatch overrides MaxBatch for individual nodes (the Flow
 	// tier's Stage.Batch knob); absent nodes use MaxBatch.
 	NodeBatch map[graph.NodeID]int
+	// Cross names the edges a transport carries between workers
+	// (cross.go); every other edge is a mailbox hop.  Nil outside
+	// internal/dist.
+	Cross map[graph.EdgeID]CrossEdge
 	// Obs, when non-nil, receives per-node, per-edge, and per-session
 	// telemetry (see internal/obs).  Nil — the default — compiles the
 	// instrumentation out of the hot path: every site is behind a
@@ -232,9 +236,9 @@ type DeadlockError struct {
 	// state and buffer windows — so the error names the one that stalled
 	// rather than blaming the whole engine.
 	Session proto.SessionID
-	// Channels maps "from→to" to "occupied/capacity" (the distributed
-	// backend reports an outbound cross-worker edge as "n/capacity in
-	// flight": messages sent and not yet acknowledged).
+	// Channels maps "from→to" to "occupied/capacity": messages sent and
+	// not yet consumed, wherever they are (a cross-worker edge's may be
+	// queued for the wire, on it, or at the consumer).
 	Channels map[string]string
 	// Stalled names the edges whose buffer window was exhausted when the
 	// watchdog fired — the channels the wedged session's producers were

@@ -16,8 +16,9 @@ package streamdag
 //     credit-stall episodes with their cumulative stall time;
 //   - per session: opened/active/completed/failed, sink deliveries, and
 //     an open→EOF latency histogram;
-//   - per link (distributed backend): frames, coalesced bodies, and bytes
-//     in each direction, keyed "sender→receiver".
+//   - per link (distributed backend): frames, the messages and credits
+//     they carried, and bytes in each direction, keyed
+//     "sender→receiver".
 //
 // Time unit: wall-clock nanoseconds on the concurrent backends; virtual
 // scheduler steps on the simulator, which makes simulator snapshots
