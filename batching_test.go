@@ -3,9 +3,13 @@ package streamdag
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"streamdag/internal/stream"
+	"streamdag/internal/workload"
 )
 
 // Batching is transport-level only: a pipeline built WithMaxBatch(n)
@@ -141,6 +145,112 @@ func TestBatchedEngineSessionsParity(t *testing.T) {
 			t.Fatal(errs[s])
 		}
 		requireSameStream(t, fmt.Sprintf("session %d", s), refStats, stats[s], refSeen, seen[s].Emissions())
+	}
+}
+
+// TestGeneratedMixedRunsCrossTheWire is the Distributed row of the
+// generated-case differential check (internal/stream's
+// TestRuntimeMatchesSimulator has the goroutine rows): random CS4
+// topologies with 64-deep channels, a source filtering per edge, every
+// node on its own worker so that every edge is a TCP hop, batch 64 — the
+// runs that mix data and dummies travel in the wire's run frames and must
+// leave per-edge data and dummy counts and the sink sequence exactly the
+// simulator's at batch 1.
+func TestGeneratedMixedRunsCrossTheWire(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 3; trial++ {
+		topo := &Topology{g: workload.RandomCS4(rng, 1+rng.Intn(3), 64, 0.5)}
+		g := topo.Graph()
+		seed := uint64(trial)
+		f := SourceRouting(g.Source(), Bernoulli(0.4, seed), PerInputBernoulli(0.7, seed))
+		assign := make(map[string]string, g.NumNodes())
+		for n := 0; n < g.NumNodes(); n++ {
+			assign[g.Name(NodeID(n))] = fmt.Sprintf("w%d", n)
+		}
+		run := func(opts ...Option) (*RunStats, []Emission) {
+			pipe, err := Build(topo, append(opts, WithRouting(f), WithWatchdog(10*time.Second))...)
+			if err != nil {
+				t.Fatalf("trial %d: %v\n%s", trial, err, g)
+			}
+			var col Collector
+			stats, err := pipe.Run(context.Background(), CountingSource(2000), &col)
+			if err != nil {
+				t.Fatalf("trial %d: %v\n%s", trial, err, g)
+			}
+			return stats, col.Emissions()
+		}
+		refStats, refSeen := run(WithBackend(Simulator()))
+		if refStats.TotalDummies() == 0 {
+			t.Fatalf("trial %d: no dummy traffic; the case would not notice a protocol change\n%s", trial, g)
+		}
+		stats, seen := run(WithBackend(Distributed(assign)), WithMaxBatch(64))
+		requireSameStream(t, fmt.Sprintf("trial %d", trial), refStats, stats, refSeen, seen)
+	}
+}
+
+// TestRoutedFiringAllocBudget is the allocation gate of the paper's path:
+// on a 4-way split/join whose split filters each branch at p = 0.1 — data
+// on a tenth of the branch edges, dummies on most of the rest, a join
+// aligning four inputs — every node a RouteKernels kernel, a firing must
+// cost the stream engine well under one allocation at steady state, at
+// batch 64 and at batch 1: the kernels write into node scratch and the
+// runs are pooled, so what is left is per session.  (A result map or an
+// input slice per firing, as Process-only kernels once cost, is one to
+// three.)
+func TestRoutedFiringAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation benchmark")
+	}
+	topo := NewTopology()
+	topo.Channel("in", "split", 64)
+	for i := 0; i < 4; i++ {
+		a, b := fmt.Sprintf("b%da", i), fmt.Sprintf("b%db", i)
+		topo.Channel("split", a, 64)
+		topo.Channel(a, b, 64)
+		topo.Channel(b, "join", 64)
+	}
+	topo.Channel("join", "out", 64)
+	f := SourceRouting(topo.Node("split"), Bernoulli(0.1, 1), PassAll)
+	a, err := Analyze(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv, err := a.Intervals(Propagation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const inputs = 4096
+	for _, batch := range []int{1, 64} {
+		eng, err := stream.NewEngine(topo.Graph(), RouteKernels(topo, f), stream.Config{
+			Algorithm: Propagation, Intervals: iv, MaxBatch: batch, WatchdogTimeout: 10 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var id SessionID
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				id++
+				var next uint64
+				ses, err := eng.Open(stream.SessionConfig{ID: id, Source: func(context.Context) (any, bool, error) {
+					next++ // payloads below 256 box without allocating
+					return next % 200, next <= inputs, nil
+				}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ses.Wait(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		eng.Close()
+		perFiring := float64(res.AllocsPerOp()) / inputs / float64(topo.Graph().NumNodes())
+		t.Logf("batch %d: %.3f allocations per firing (every node fires once per input)", batch, perFiring)
+		if perFiring > 0.25 {
+			t.Errorf("batch %d: a routed firing allocates %.2f times; want under 0.25", batch, perFiring)
+		}
 	}
 }
 

@@ -236,28 +236,6 @@ func (e *Engine) Restore(lastSent []int64) error {
 	return nil
 }
 
-// Batch is a contiguous run of data messages travelling as one unit: the
-// payloads of sequence numbers First..First+len(Payloads)-1, in order.
-// It is the vectorized hot-path representation shared by the backends —
-// a batch of k elements consumes k credits, counts as k logical data
-// messages per edge, and is bit-identical (in logical counts and sink
-// order) to sending its elements one at a time.  Batches carry Data
-// only; Dummy and EOS always travel as single messages.
-type Batch struct {
-	// First is the sequence number of Payloads[0]; element i carries
-	// sequence number First+i.
-	First uint64
-	// Payloads are the contiguous data payloads.
-	Payloads []any
-}
-
-// Last returns the sequence number of the final element.  It must not be
-// called on an empty batch.
-func (b Batch) Last() uint64 { return b.First + uint64(len(b.Payloads)) - 1 }
-
-// Len returns the number of logical messages the batch carries.
-func (b Batch) Len() int { return len(b.Payloads) }
-
 // FireRun records a contiguous run of firings — sequence numbers
 // first..last inclusive, every one of which emitted data on exactly the
 // edges of emitted — in one step, amortizing the per-firing timer scan

@@ -219,17 +219,6 @@ func TestFireRunRefusalLeavesStateIntact(t *testing.T) {
 	}
 }
 
-// TestBatch checks the Batch helpers.
-func TestBatch(t *testing.T) {
-	b := Batch{First: 7, Payloads: []any{"a", "b", "c"}}
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", b.Len())
-	}
-	if b.Last() != 9 {
-		t.Fatalf("Last = %d, want 9", b.Last())
-	}
-}
-
 // TestEngineCounts pins the protocol-level span accounting: Fire counts
 // firings (and each dummy it generates), a committed FireRun counts one
 // run plus the elements it carried, and a declined FireRun counts

@@ -331,23 +331,32 @@ func (r *Result) Kernels(orig map[graph.NodeID]stream.Kernel) map[graph.NodeID]s
 }
 
 // splitterKernel routes the aligned inputs of sequence number s, as one
-// SplitBundle, to replica s mod k.
-func splitterKernel(k int) stream.Kernel {
-	return stream.KernelFunc(func(seq uint64, in []stream.Input) map[int]any {
-		present := false
-		for _, i := range in {
-			if i.Present {
-				present = true
-				break
-			}
-		}
-		if !present {
-			return nil
-		}
-		b := SplitBundle{In: make([]stream.Input, len(in))}
-		copy(b.In, in)
+// SplitBundle, to replica s mod k.  It is a stream.SliceKernel: on an
+// Engine the firing costs the bundle (the inputs are node scratch and
+// must be copied) and nothing else.
+type splitterKernel int
+
+func (k splitterKernel) Process(seq uint64, in []stream.Input) map[int]any {
+	if b, ok := k.bundle(in); ok {
 		return map[int]any{int(seq % uint64(k)): b}
-	})
+	}
+	return nil
+}
+
+func (k splitterKernel) ProcessInto(seq uint64, in []stream.Input, out []any, present []bool) {
+	if b, ok := k.bundle(in); ok {
+		r := seq % uint64(k)
+		out[r], present[r] = b, true
+	}
+}
+
+func (splitterKernel) bundle(in []stream.Input) (SplitBundle, bool) {
+	for _, i := range in {
+		if i.Present {
+			return SplitBundle{In: append([]stream.Input(nil), in...)}, true
+		}
+	}
+	return SplitBundle{}, false
 }
 
 // replicaKernel runs the original kernel on the bundled inputs and
@@ -368,7 +377,9 @@ func replicaKernel(inner stream.Kernel) stream.Kernel {
 // positions.  At most one replica carries data for any sequence number
 // (the splitter routed it), and the minimum-sequence alignment rule
 // fires the merger in strict sequence order, so emission order and
-// per-edge counts match the unreplicated node exactly.
+// per-edge counts match the unreplicated node exactly.  Its output is
+// the map the bundle already carries, so it allocates nothing through
+// the Engine's Process adapter either.
 func mergerKernel() stream.Kernel {
 	return stream.KernelFunc(func(_ uint64, in []stream.Input) map[int]any {
 		for _, i := range in {

@@ -191,8 +191,7 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		}
 		n.sess = make(map[proto.SessionID]*nodeSession)
 		n.creditAcc = make([]int, len(n.in))
-		n.emitted = make([]bool, len(n.out))
-		n.seqs = make([]uint64, len(n.in))
+		n.cur = make([]int, len(n.in))
 		n.batch = cfg.MaxBatch
 		if b, ok := cfg.NodeBatch[id]; ok {
 			n.batch = b
@@ -200,23 +199,34 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		if n.batch < 1 {
 			n.batch = 1
 		}
-		nIn := len(n.in)
-		if nIn == 0 {
-			nIn = 1 // sources receive one synthetic input
-		}
-		n.runIn = make([]Input, nIn)
-		n.spans = make([][]Message, len(n.out))
+		// Sources receive one synthetic input; a node without out-edges
+		// keeps one output slot, the SinkPayload hook.
+		n.kin = make([]Input, max(len(n.in), 1))
+		n.kout = make([]any, max(len(n.out), 1))
+		n.present = make([]bool, max(len(n.out), 1))
+		n.acc = make([][]Message, len(n.out))
+		n.accDummy = make([]int, len(n.out))
 		n.allTrue = make([]bool, len(n.out))
 		for i := range n.allTrue {
 			n.allTrue[i] = true
 		}
-		if sk, ok := k.(SpanKernel); ok {
-			n.spanK = sk
-			n.spanIn = make([]any, n.batch)
-			n.spanOut = make([]any, n.batch)
+		if sk, ok := k.(SliceKernel); ok {
+			n.kern = sk
+		} else {
+			n.kern = mapAdapter{k}
 		}
 		if tk, ok := k.(TimedKernel); ok && len(n.in) == 1 && len(n.out) > 0 {
-			n.timed = tk
+			// A time-aware node fires its kernel's emissions, queued like
+			// a source's payloads, unchanged on every out-edge.
+			n.timed, n.spanK = tk, passthroughKernel{}
+		} else if sk, ok := k.(SpanKernel); ok && len(n.in) <= 1 {
+			n.spanK = sk
+		}
+		n.queued = len(n.in) == 0 || n.timed != nil
+		if n.spanK != nil {
+			n.spanIn = make([]any, n.batch)
+			n.spanOut = make([]any, n.batch)
+			n.spanSeq = make([]uint64, n.batch)
 		}
 		e.nodes[i] = n
 	}
@@ -863,13 +873,13 @@ type event struct {
 	pos  int // in-edge position (evMsg), out-edge position (evCredit)
 	cnt  int // batched count (evCredit, evSinkDone)
 	msg  Message
-	// span is a batched evMsg: a run of messages delivered as one event
-	// (one mailbox post instead of len(span)).  The slice is immutable
-	// once posted — senders park and split it by re-slicing only.
+	// span is a batched evMsg: a run of messages — data and dummies
+	// interleaved in sequence order — delivered as one event (one mailbox
+	// post instead of len(span)).  A run always ships whole, so its
+	// receiver owns the backing array.
 	span []Message
-	// free marks a span whose backing array the receiver owns outright
-	// (shipped whole, never split): after absorbing it, the receiver
-	// zeroes it and returns it to spanFree.
+	// free marks a span the receiver recycles: after absorbing it, the
+	// receiver zeroes it and returns it to spanFree.
 	free bool
 }
 
@@ -903,10 +913,10 @@ func (p *slicePool[T]) put(s []T) {
 	p.full.Put(b)
 }
 
-// spanFree recycles span backing arrays across the engine's hot path:
-// fireRun/fireSourceRun draw from it and the absorbing node returns
-// each whole-shipped span (event.free) after copying it out.  seqFree
-// and payFree recycle the batched sink-emission buffers; the sink pump
+// spanFree recycles run backing arrays across the engine's hot path:
+// fireRun draws its out-edge accumulators from it and the absorbing node
+// returns each span (event.free) after copying it out.  seqFree and
+// payFree recycle the batched sink-emission buffers; the sink pump
 // returns them after delivering a span.
 var (
 	spanFree slicePool[Message]
@@ -985,37 +995,47 @@ type engineNode struct {
 	downPos []int
 	outCap  []int
 
-	// batch is the node's vectorization width (>= 1): how many
-	// consecutive data messages a single-input node may consume, and a
-	// source may ingest, per protocol step.
+	// batch is the node's vectorization width (>= 1): how many aligned
+	// firings one pass of fireRun may take.
 	batch int
+	// kern is the kernel in the firing path's calling convention (a
+	// Process-only kernel is adapted once, at NewEngine).  spanK is non-nil
+	// when the node has at most one in-edge and the kernel vectorizes
+	// (SpanKernel), at any batch width — batch 1 is a span of length one.
+	kern  SliceKernel
+	spanK SpanKernel
+	// timed is non-nil when the kernel is time-aware (TimedKernel); the
+	// node then consumes its input silently and fires only for the
+	// kernel's own emissions, re-sequenced (see timed.go).  queued marks
+	// the nodes whose firings come from ns.ingestQ at ns.nextSeq rather
+	// than from aligned heads: the source and the time-aware nodes.
+	timed  TimedKernel
+	queued bool
 
-	// sess, the dirty list, and the scratch masks are owned by the node
-	// goroutine.
+	// sess, the dirty list, and the scratch below are owned by the node
+	// goroutine; the scratch is reused by every firing of every session.
 	sess      map[proto.SessionID]*nodeSession
 	dirty     []*nodeSession
 	creditAcc []int // per in-pos credits consumed this advance
-	emitted   []bool
-	seqs      []uint64
-	// runIn is the reusable kernel-input slice of the batched path;
-	// batched kernels must not retain it across calls (the per-element
-	// path keeps allocating fresh slices, so batch == 1 is unaffected).
-	runIn []Input
-	// spans is the batched path's per-out-position run accumulator, nil
-	// between firings (the runs themselves are pooled and shipped).
-	spans [][]Message
-	// allTrue is the constant all-edges-emitted mask handed to FireRun
-	// by the full-mask fast path.
-	allTrue []bool
-	// spanK is non-nil when the kernel vectorizes (SpanKernel), at any
-	// batch width — batch 1 is a span of length one; spanIn/spanOut are
-	// its reusable argument slices, batch long.
-	spanK           SpanKernel
+	cur       []int // per in-pos heads taken by the pass in progress
+	// kin, kout and present are a firing's kernel arguments; spanIn,
+	// spanOut and spanSeq, batch long, a ProcessSpan stretch's.
+	kin             []Input
+	kout            []any
+	present         []bool
 	spanIn, spanOut []any
-	// timed is non-nil when the kernel is time-aware (TimedKernel); the
-	// node then consumes its input silently and fires only for the
-	// kernel's own emissions, re-sequenced (see timed.go).
-	timed TimedKernel
+	spanSeq         []uint64
+	// acc[i] accumulates the pass's run for out-pos i (drawn from
+	// spanFree, shipped with the event) and accDummy[i] counts the dummies
+	// in it.
+	acc      [][]Message
+	accDummy []int
+	// emSeqs/emPays accumulate a sink's emissions the same way.
+	emSeqs []uint64
+	emPays []any
+	// allTrue is the constant all-edges-emitted mask handed to FireRun
+	// by a ProcessSpan stretch.
+	allTrue []bool
 
 	// Observability pointers, nil when Config.Obs is nil (the default):
 	// the node's counters, the shared session counters, and the node's
@@ -1046,20 +1066,13 @@ type nodeSession struct {
 	heads []fifo[Message]
 	// engine is this session's dummy-protocol state at this node.
 	engine *proto.Engine
-	// pendingMsg[i]/pendingSet[i] park the firing's message for out-pos i
-	// until the window has room; pendingN counts set slots.  A node fires
-	// only with no pending sends, so at most one message per position.
+	// pendingMsg[i]/pendingSet[i] park the one message a pass may produce
+	// beyond out-pos i's window — its last firing's, or an EOS — until a
+	// credit makes room; pendingN counts set slots.  A node fires only
+	// with no pending sends.
 	pendingMsg []Message
 	pendingSet []bool
 	pendingN   int
-	// pendSpan[i] parks a batched run for out-pos i (nil = none); it
-	// counts once in pendingN and flushes ahead of pendingMsg[i], which
-	// can only hold the younger message of a run broken by a filtering
-	// element.  pendSplit[i] records that the parked span has already
-	// shipped a prefix, so its backing array is shared and must not be
-	// recycled by the final part's receiver.
-	pendSpan  [][]Message
-	pendSplit []bool
 	// inflight[i] counts messages sent but not yet credited on out-pos i;
 	// the window is full at outCap[i].
 	inflight []int
@@ -1068,22 +1081,24 @@ type nodeSession struct {
 	// an observer attached, owned by the node goroutine.
 	stallSince []int64
 
-	nextSeq      uint64    // source only: next ingestion sequence number
-	ingestQ      fifo[any] // source only: granted payloads awaiting firing
-	grants       int       // source only: grant tokens outstanding at the pump
-	srcDone      bool      // source only: the stream's source ended
-	sinkInflight int       // sink only: emissions outstanding at the pump
-	finishOnIdle bool      // sink only: EOS consumed, waiting for the pump
+	// The firing queue of a queued node: a source's granted payloads, a
+	// time-aware node's matured emissions.  nextSeq is the sequence number
+	// the queue's head fires at, and srcDone says nothing more will be
+	// queued, so EOS follows the last firing.
+	nextSeq      uint64
+	ingestQ      fifo[any]
+	srcDone      bool
+	grants       int  // source only: grant tokens outstanding at the pump
+	sinkInflight int  // sink only: emissions outstanding at the pump
+	finishOnIdle bool // sink only: EOS consumed, waiting for the pump
 	done         bool
 	aborted      bool // session ended; state dropped, skip advances
 	dirty        bool // queued in the node's per-batch advance list
 
-	// Time-aware node state (n.timed != nil only).  outSeq is the node's
-	// private output-sequence counter; tickDue records an absorbed but
-	// not-yet-delivered flush-timer wakeup; timer is the session's one
-	// flush timer (allocated once, Reset thereafter) and timerArmed its
-	// contribution to ses.timersArmed.
-	outSeq     uint64
+	// Time-aware node state (n.timed != nil only).  tickDue records an
+	// absorbed but not-yet-delivered flush-timer wakeup; timer is the
+	// session's one flush timer (allocated once, Reset thereafter) and
+	// timerArmed its contribution to ses.timersArmed.
 	tickDue    bool
 	timer      clock.Timer
 	timerArmed bool
@@ -1180,8 +1195,6 @@ func (n *engineNode) absorb(ev *event) {
 			engine:     proto.NewEngine(n.out, proto.Config{Algorithm: n.e.cfg.Algorithm, Intervals: n.e.cfg.Intervals}),
 			pendingMsg: make([]Message, len(n.out)),
 			pendingSet: make([]bool, len(n.out)),
-			pendSpan:   make([][]Message, len(n.out)),
-			pendSplit:  make([]bool, len(n.out)),
 			inflight:   make([]int, len(n.out)),
 		}
 		if n.obsN != nil {
@@ -1256,32 +1269,23 @@ func (n *engineNode) failCredit(ns *nodeSession, ev *event) {
 }
 
 // advance drives the session's state machine at this node as far as it
-// can go without blocking: flush parked sends, fire while inputs align,
-// re-grant ingest window, ack consumed heads, and reclaim drained state.
+// can go without blocking: flush parked sends, fire while inputs align
+// and sends land, re-grant the ingest window, ack consumed heads, and
+// reclaim drained state.
 func (n *engineNode) advance(ns *nodeSession) {
 	if ns.aborted {
 		return
 	}
 	n.flush(ns)
-	if n.timed != nil {
-		n.advanceTimed(ns)
-	} else if len(n.in) == 0 {
-		n.advanceSource(ns)
+	if n.queued {
+		n.advanceQueued(ns)
 	} else {
-		batched := n.batch > 1 && len(n.in) == 1
-		for !ns.done && ns.pendingN == 0 {
-			var fired bool
-			if batched {
-				fired = n.fireRun(ns)
-			} else {
-				fired = n.fireOnce(ns)
-			}
-			if !fired {
-				break
-			}
-			n.flush(ns)
+		for !ns.done && ns.pendingN == 0 && n.fireRun(ns) {
 		}
-		n.flushCredits(ns)
+	}
+	n.flushCredits(ns)
+	if n.timed != nil {
+		n.armTimer(ns)
 	}
 	// A sink whose EOS arrived while Emits were still at the pump
 	// finishes on the pump's final ack.
@@ -1296,45 +1300,45 @@ func (n *engineNode) advance(ns *nodeSession) {
 	}
 }
 
-// advanceSource fires queued payloads while sends land, broadcasts EOS
-// once the source has ended and the queue drained, and keeps the ingest
-// pump granted up to its window.
-func (n *engineNode) advanceSource(ns *nodeSession) {
+// advanceQueued is the advance body of a queued node: fire the queue
+// while sends land, and end the stream once nothing more will be queued
+// and the queue has drained.  The source's queue is refilled by its pump,
+// which is kept granted up to the ingest window; a time-aware node
+// refills its own, by delivering a due flush-timer tick and consuming
+// inputs, but only with the queue empty and nothing parked — a tick that
+// finds sends parked is deferred (the credit that drains them re-runs the
+// advance) and the timer stays disarmed meanwhile, so a genuinely wedged
+// downstream still trips the watchdog instead of being masked by an
+// immediately-due timer respinning forever.
+func (n *engineNode) advanceQueued(ns *nodeSession) {
+loop:
 	for !ns.done && ns.pendingN == 0 {
-		if ns.ingestQ.len() > 0 {
-			if len(n.out) == 0 && ns.ses.sink != nil && ns.sinkInflight >= n.e.sinkWin {
-				break // degenerate source-sink: pump window full
+		switch {
+		case ns.ingestQ.len() > 0:
+			if !n.fireRun(ns) {
+				break loop // degenerate source-sink: pump window full
 			}
-			if n.batch > 1 && len(n.out) > 0 {
-				n.fireSourceRun(ns)
-				continue
+		case ns.srcDone:
+			n.endStream(ns)
+		case n.timed == nil:
+			break loop
+		case ns.tickDue:
+			ns.tickDue = false
+			n.timed.Tick(n.timed.TimedClock().Now())
+			if m := n.e.cfg.Obs; m != nil {
+				m.Time().TimerTicks.Add(1)
 			}
-			payload := ns.ingestQ.live()[0]
-			ns.ingestQ.pop(1)
-			n.fireSource(ns, payload)
-			continue
+			n.queueEmissions(ns)
+		case !n.consumeTimed(ns):
+			break loop
 		}
-		if ns.srcDone {
-			ns.done = true
-			if len(n.out) == 0 {
-				// Degenerate single-node topology: the source is the sink.
-				n.finishSink(ns)
-				return
-			}
-			for i := range n.out {
-				n.setPending(ns, i, Message{Seq: proto.EOSSeq, Kind: EOS})
-			}
-			n.flush(ns)
-			return
-		}
-		break
 	}
 	// Keep the pump running ahead, up to the ingest window of
 	// outstanding payloads (granted or queued) — backpressure still
 	// propagates once the queue fills, but a fast source no longer
 	// round-trips a grant per payload: grants post as one counter add
 	// plus a non-blocking wake.
-	if !ns.done && !ns.srcDone {
+	if n.timed == nil && !ns.done && !ns.srcDone {
 		if k := n.e.srcWin - ns.grants - ns.ingestQ.len(); k > 0 {
 			ns.grants += k
 			ns.ses.readyN.Add(int64(k))
@@ -1344,6 +1348,20 @@ func (n *engineNode) advanceSource(ns *nodeSession) {
 			}
 		}
 	}
+}
+
+// endStream finishes the session at this node after its last firing:
+// EOS on every out-edge, or the session's completion at the sink.
+func (n *engineNode) endStream(ns *nodeSession) {
+	ns.done = true
+	if len(n.out) == 0 {
+		n.finishSink(ns)
+		return
+	}
+	for i := range n.out {
+		n.setPending(ns, i, Message{Seq: proto.EOSSeq, Kind: EOS})
+	}
+	n.flush(ns)
 }
 
 // flushCredits acks this advance's consumed heads upstream, one batched
@@ -1360,58 +1378,17 @@ func (n *engineNode) flushCredits(ns *nodeSession) {
 	}
 }
 
-// flush delivers parked sends whose windows have room.  A parked span
-// goes first (its messages predate any single parked behind it) and may
-// split: the window-sized prefix ships now, the rest stays parked — the
-// downstream absorbs elements identically either way, and credits keep
-// counting payload units.
+// flush delivers parked sends whose windows have room.
 func (n *engineNode) flush(ns *nodeSession) {
 	if ns.pendingN == 0 {
 		return
 	}
 	var now int64 // lazily stamped wall clock for stall accounting
-	for i := range ns.pendingSet {
-		if sp := ns.pendSpan[i]; sp != nil {
-			room := n.outCap[i] - ns.inflight[i]
-			if room <= 0 {
-				n.obsStall(ns, i, &now)
-				continue
-			}
-			m := len(sp)
-			if m > room {
-				m = room
-			}
-			part := sp[:m]
-			free := false
-			if m == len(sp) {
-				// The receiver owns the backing array outright only if no
-				// earlier prefix of this span shipped separately.
-				free = !ns.pendSplit[i]
-				ns.pendSpan[i] = nil
-				ns.pendSplit[i] = false
-				ns.pendingN--
-			} else {
-				ns.pendSpan[i] = sp[m:]
-				ns.pendSplit[i] = true
-			}
-			ns.inflight[i] += m
-			edge := n.out[i]
-			ns.ses.data[edge] += int64(m) // spans carry data only
-			ns.ses.occupancy[edge].Add(int64(m))
-			if n.obsOut != nil {
-				n.obsUnstall(ns, i, &now)
-				om := n.obsOut[i]
-				om.Data.Add(int64(m))
-				om.Sent.Add(int64(m))
-			}
-			n.downMB[i].post(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i], span: part, free: free})
-			// A split span leaves the window full; the single behind a
-			// fully flushed one is handled below.
-		}
-		if !ns.pendingSet[i] {
+	for i, set := range ns.pendingSet {
+		if !set {
 			continue
 		}
-		if ns.inflight[i] >= n.outCap[i] {
+		if n.room(ns, i) <= 0 {
 			n.obsStall(ns, i, &now)
 			continue
 		}
@@ -1419,27 +1396,83 @@ func (n *engineNode) flush(ns *nodeSession) {
 		ns.pendingSet[i] = false
 		ns.pendingMsg[i] = Message{}
 		ns.pendingN--
-		ns.inflight[i]++
-		edge := n.out[i]
+		data, dummies := 0, 0
 		switch m.Kind {
 		case Data:
-			ns.ses.data[edge]++
+			data = 1
 		case Dummy:
-			ns.ses.dummies[edge]++
+			dummies = 1
 		}
-		ns.ses.occupancy[edge].Add(1)
-		if n.obsOut != nil {
-			n.obsUnstall(ns, i, &now)
-			om := n.obsOut[i]
-			switch m.Kind {
-			case Data:
-				om.Data.Add(1)
-			case Dummy:
-				om.Dummies.Add(1)
-			}
-			om.Sent.Add(1)
-		}
+		n.sent(ns, i, 1, data, dummies, &now)
 		n.downMB[i].post(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i], msg: m})
+	}
+}
+
+// ship sends each out-edge the run the pass accumulated for it, whole:
+// one window update, one occupancy add and one post per edge, whatever
+// the run's length and mix.  A run one longer than the window held at
+// pass start ends in the firing that stopped the pass; that message
+// parks, exactly as a per-message firing's blocked send would.
+func (n *engineNode) ship(ns *nodeSession) {
+	var now int64
+	for i, run := range n.acc {
+		m, d := len(run), n.accDummy[i]
+		if m == 0 {
+			continue
+		}
+		n.accDummy[i] = 0
+		var over Message // copied out: a shipped run's array is the receiver's
+		parks := m > n.room(ns, i)
+		if parks {
+			m--
+			over, run[m] = run[m], Message{}
+			if over.Kind == Dummy {
+				d--
+			}
+			run = run[:m]
+		}
+		switch {
+		case m == 0:
+			n.acc[i] = run
+		case m == 1:
+			// A run of one travels in the event itself and the
+			// accumulator stays with the node: batch 1 never touches
+			// the span pool.
+			n.sent(ns, i, 1, 1-d, d, &now)
+			n.downMB[i].post(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i], msg: run[0]})
+			run[0] = Message{}
+			n.acc[i] = run[:0]
+		default:
+			n.sent(ns, i, m, m-d, d, &now)
+			n.downMB[i].post(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i], span: run, free: true})
+			n.acc[i] = nil
+		}
+		if parks {
+			n.setPending(ns, i, over)
+			n.obsStall(ns, i, &now)
+		}
+	}
+}
+
+// sent accounts for m messages leaving on out-pos i — the window, the
+// session's per-edge counts by kind (an EOS is neither), occupancy and
+// telemetry — with no look at the messages themselves.
+func (n *engineNode) sent(ns *nodeSession, i, m, data, dummies int, now *int64) {
+	ns.inflight[i] += m
+	edge := n.out[i]
+	ns.ses.data[edge] += int64(data)
+	if dummies != 0 {
+		ns.ses.dummies[edge] += int64(dummies)
+	}
+	ns.ses.occupancy[edge].Add(int64(m))
+	if n.obsOut != nil {
+		n.obsUnstall(ns, i, now)
+		om := n.obsOut[i]
+		om.Data.Add(int64(data))
+		if dummies != 0 {
+			om.Dummies.Add(int64(dummies))
+		}
+		om.Sent.Add(int64(m))
 	}
 }
 
@@ -1469,82 +1502,19 @@ func (n *engineNode) obsUnstall(ns *nodeSession, i int, now *int64) {
 	ns.stallSince[i] = 0
 }
 
+// room is how many more messages out-pos i's window holds; sends only
+// happen between passes, so it is constant while one fires.
+func (n *engineNode) room(ns *nodeSession, i int) int { return n.outCap[i] - ns.inflight[i] }
+
 func (n *engineNode) setPending(ns *nodeSession, pos int, m Message) {
 	ns.pendingMsg[pos] = m
 	ns.pendingSet[pos] = true
 	ns.pendingN++
 }
 
-// fireOnce attempts one aligned firing; it reports whether anything
-// happened.
-func (n *engineNode) fireOnce(ns *nodeSession) bool {
-	for i := range ns.heads {
-		if ns.heads[i].len() == 0 {
-			return false
-		}
-		n.seqs[i] = ns.heads[i].live()[0].Seq
-	}
-	minSeq := proto.MinSeq(n.seqs)
-	if minSeq == proto.EOSSeq {
-		// All EOS: drain, forward, finish this session at this node.
-		for i := range ns.heads {
-			n.popHead(ns, i)
-		}
-		ns.done = true
-		if len(n.out) == 0 {
-			n.finishSink(ns)
-			return true
-		}
-		for i := range n.out {
-			n.setPending(ns, i, Message{Seq: proto.EOSSeq, Kind: EOS})
-		}
-		return true
-	}
-	anyData := false
-	for i := range ns.heads {
-		h := &ns.heads[i].live()[0]
-		if h.Seq == minSeq && h.Kind == Data {
-			anyData = true
-		}
-	}
-	if len(n.out) == 0 && anyData && ns.sinkInflight >= n.e.sinkWin {
-		return false // the sink pump's window is full
-	}
-	if anyData && len(n.in) == 1 && n.spanOne(ns, minSeq, ns.heads[0].live()[0].Payload) {
-		n.popHead(ns, 0)
-		return true
-	}
-	inputs := make([]Input, len(n.in))
-	for i := range ns.heads {
-		h := ns.heads[i].live()[0]
-		if h.Seq != minSeq {
-			continue
-		}
-		if h.Kind == Data {
-			inputs[i] = Input{Present: true, Payload: h.Payload}
-		}
-		n.popHead(ns, i)
-	}
-	var outs map[int]any
-	if anyData {
-		outs = n.kernel.Process(minSeq, inputs)
-		ns.live.Add(1)
-		if n.obsN != nil {
-			n.obsN.Firings.Add(1)
-		}
-		if len(n.out) == 0 {
-			n.sinkEmit(ns, minSeq, SinkPayload(inputs, outs))
-		}
-	}
-	n.queueFiring(ns, minSeq, outs)
-	return true
-}
-
-// popHead consumes the head of in-pos i; the credit is accumulated and
-// acked in one batch by flushCredits at the end of the advance.
-func (n *engineNode) popHead(ns *nodeSession, i int) { n.popHeads(ns, i, 1) }
-
-// popHeads consumes the first k messages of in-pos i.
+// popHeads consumes the first k messages of in-pos i; the credit is
+// accumulated and acked in one batch by flushCredits at the end of the
+// advance.
 func (n *engineNode) popHeads(ns *nodeSession, i, k int) {
 	ns.heads[i].pop(k)
 	if n.obsIn != nil {
@@ -1553,320 +1523,307 @@ func (n *engineNode) popHeads(ns *nodeSession, i, k int) {
 	n.creditAcc[i] += k
 }
 
-// spanOne is the batch-1 firing of a single present payload through a
-// vectorizing kernel: a span of length one on the node's scratch, fired
-// with the all-emitted mask and parked on every out-edge as a plain
-// message — no input slice, no output map, nothing the node does not
-// own.  It reports false, with nothing changed but the kernel having
-// declined the element, when the node has no SpanKernel or the kernel
-// returns 0; the caller then routes the element through Process, once.
-func (n *engineNode) spanOne(ns *nodeSession, seq uint64, payload any) bool {
-	if n.spanK == nil {
+// fireRun is the node's one firing body, at every in-degree, output mask
+// and batch width: a pass of up to batch firings, each aligned on the
+// minimum sequence number across the heads (a queued node's next payload
+// at its next sequence number is the trivial case) and each deciding its
+// dummies with its own proto.Fire, whose messages — data and dummies
+// interleaved, in sequence order — accumulate into one run per out-edge
+// that ship sends once.  Protocol state, per-edge counts and sink order
+// are those of firing per message; only the grouping in transit differs.
+//
+// Nothing is held back waiting for more input — a pass takes what is
+// queued now — and a pass stops at the first firing that sends past an
+// out-edge window, so a blocked node has consumed exactly what firing
+// per message would have: batching never buffers beyond the edge
+// capacities the dummy intervals were computed against.  A sink's pass
+// stops where the pump's window does.  Reports whether anything was
+// consumed; all-EOS heads are a pass of their own.
+//
+// The pass fires, then sends, in two calls rather than nested ones: a
+// node goroutine's deepest stack is a send growing a mailbox, and under
+// fire's frame it would outgrow the stack a goroutine starts with, on
+// every node of every new engine.
+func (n *engineNode) fireRun(ns *nodeSession) bool {
+	fired, data, eos := n.fire(ns)
+	if eos {
+		for i := range ns.heads {
+			n.popHeads(ns, i, 1)
+		}
+		n.endStream(ns)
+		return true
+	}
+	if fired == 0 {
 		return false
 	}
-	n.spanIn[0] = payload
-	vec := n.spanK.ProcessSpan(seq, n.spanIn[:1], n.spanOut[:1])
-	out := n.spanOut[0]
-	n.spanIn[0], n.spanOut[0] = nil, nil
-	if vec == 0 {
-		return false
+	if n.queued {
+		ns.ingestQ.pop(fired)
+		ns.nextSeq += uint64(fired)
 	}
-	ns.live.Add(1)
+	for i, c := range n.cur {
+		if c > 0 {
+			n.popHeads(ns, i, c)
+			n.cur[i] = 0
+		}
+	}
+	ns.live.Add(int64(fired))
 	if n.obsN != nil {
-		n.obsN.Spans.Add(1)
-		n.obsN.SpanMsgs.Add(1)
-		n.obsN.Firings.Add(1)
+		n.obsN.Firings.Add(int64(data))
 	}
 	if len(n.out) == 0 {
-		n.sinkEmit(ns, seq, out)
+		n.sinkEmit(ns, data)
+	} else {
+		n.ship(ns)
 	}
-	ns.engine.Fire(seq, n.allTrue) // every edge emits: never a dummy
-	for i := range n.out {
-		n.setPending(ns, i, Message{Seq: seq, Kind: Data, Payload: out})
-	}
-	n.flush(ns)
 	return true
 }
 
-// parkSpan parks a batched run for out-pos i; the slot is free (the node
-// fires only with pendingN == 0, and a run commits its spans before any
-// trailing per-element firing parks singles).
-func (n *engineNode) parkSpan(ns *nodeSession, pos int, span []Message) {
-	ns.pendSpan[pos] = span
-	ns.pendSplit[pos] = false
-	ns.pendingN++
-}
-
-// fireRun is fireOnce's vectorized counterpart for single-input nodes: it
-// consumes a run of consecutive data heads in one protocol step.  The
-// kernel still runs once per element — in sequence order, exactly as the
-// per-element path would call it — but the protocol work amortizes: one
-// FireRun instead of k Fires, one head pop, one credit batch, one span
-// send per out-edge.  The run extends only while every element emits data
-// on every out-edge (so FireRun's no-dummy precondition holds trivially);
-// the first element that filters anything ends the run — its prefix
-// commits batched, the element itself goes through queueFiring with the
-// outputs already computed (kernels may be stateful, so Process is never
-// re-invoked).  Reports whether anything was consumed.
-func (n *engineNode) fireRun(ns *nodeSession) bool {
-	q := ns.heads[0].live()
-	if len(q) == 0 {
-		return false
-	}
-	if q[0].Kind != Data {
-		// Dummy and EOS heads keep their per-element semantics.
-		return n.fireOnce(ns)
-	}
-	isSink := len(n.out) == 0
-	k := len(q)
-	if k > n.batch {
-		k = n.batch
-	}
-	if isSink && ns.ses.sink != nil {
-		room := n.e.sinkWin - ns.sinkInflight
-		if room <= 0 {
-			return false // the sink pump's window is full
-		}
-		if k > room {
-			k = room
-		}
-	}
-	for j := 1; j < k; j++ {
-		if q[j].Kind != Data {
-			k = j
-			break
-		}
-	}
-
-	spans := n.spans    // per out-pos accumulated data run, filled lazily
-	var emSeqs []uint64 // sink only: accumulated emissions
-	var emPays []any
-	committed := 0
-	var partialOuts map[int]any
-	var partialSeq uint64
-	partial := false
-	if n.spanK != nil {
-		// Vectorized kernel: one ProcessSpan call maps the accepted
-		// prefix with no per-element output maps; a declined element
-		// falls through to the per-element loop below, in order.
-		for j := 0; j < k; j++ {
-			n.spanIn[j] = q[j].Payload
-		}
-		vec := n.spanK.ProcessSpan(q[0].Seq, n.spanIn[:k], n.spanOut[:k])
-		if n.obsN != nil && vec > 0 {
-			n.obsN.Spans.Add(1)
-			n.obsN.SpanMsgs.Add(int64(vec))
-			n.obsN.Firings.Add(int64(vec))
-		}
-		if isSink {
-			ns.ses.sinkData += int64(vec)
-			if n.obsS != nil {
-				n.obsS.SinkMsgs.Add(int64(vec))
+// fire takes the pass's firings and accumulates their output, consuming
+// nothing yet: it returns how many firings it took (cur has them per
+// in-edge) and how many carried data, or eos when every head is EOS.
+// The kernel runs once per data-carrying firing, or once per stretch of
+// data-only firings where it vectorizes (stretch); dummy-only firings
+// never reach it.
+func (n *engineNode) fire(ns *nodeSession) (fired, data int, eos bool) {
+	need := ns.ingestQ.len() // what is queued bounds the pass's firings
+	if !n.queued {
+		for i := range ns.heads {
+			k := ns.heads[i].len()
+			if k == 0 {
+				return 0, 0, false // the common empty pass, before any set-up
 			}
-			if ns.ses.sink != nil && vec > 0 {
-				emSeqs = seqFree.get(k)
-				emPays = payFree.get(k)
-				for j := 0; j < vec; j++ {
-					emSeqs = append(emSeqs, q[j].Seq)
-					emPays = append(emPays, n.spanOut[j])
+			need += k
+		}
+	}
+	need = min(need, n.batch)
+	nOut := len(n.out)
+	for i := range n.acc {
+		if cap(n.acc[i]) < need {
+			n.acc[i] = spanFree.get(need)
+		}
+	}
+	sinkRoom := n.batch
+	emits := nOut == 0 && ns.ses.sink != nil // firings go to the sink pump
+	if emits {
+		sinkRoom = n.e.sinkWin - ns.sinkInflight
+		if cap(n.emPays) < need {
+			n.emSeqs, n.emPays = seqFree.get(need), payFree.get(need)
+		}
+	}
+pass:
+	for full := false; fired < n.batch && data < sinkRoom && !full; {
+		if n.spanK != nil {
+			k := n.stretch(ns, fired, sinkRoom-data)
+			vec := 0
+			if k > 0 {
+				vec = n.spanK.ProcessSpan(n.spanSeq[0], n.spanIn[:k], n.spanOut[:k])
+			}
+			if vec > 0 {
+				if nOut > 0 {
+					// Every edge emits on every element: never a dummy.
+					ns.engine.FireRun(n.spanSeq[0], n.spanSeq[vec-1], n.allTrue)
+				} else if emits {
+					n.emSeqs = append(n.emSeqs, n.spanSeq[:vec]...)
+					n.emPays = append(n.emPays, n.spanOut[:vec]...)
+				}
+				for i, run := range n.acc {
+					for j := 0; j < vec; j++ {
+						run = append(run, Message{Seq: n.spanSeq[j], Kind: Data, Payload: n.spanOut[j]})
+					}
+					n.acc[i] = run
+					full = full || len(run) > n.room(ns, i)
+				}
+				if !n.queued {
+					n.cur[0] += vec
+				}
+				fired, data = fired+vec, data+vec
+				if n.obsN != nil {
+					n.obsN.Spans.Add(1)
+					n.obsN.SpanMsgs.Add(int64(vec))
 				}
 			}
-		} else if vec > 0 {
-			for i := range spans {
-				span := spanFree.get(k)
-				for j := 0; j < vec; j++ {
-					span = append(span, Message{Seq: q[j].Seq, Kind: Data, Payload: n.spanOut[j]})
-				}
-				spans[i] = span
+			for j := 0; j < k; j++ { // not clear(): a call per tiny slice
+				n.spanIn[j], n.spanOut[j] = nil, nil
 			}
-		}
-		committed = vec
-		for j := 0; j < k; j++ {
-			n.spanIn[j], n.spanOut[j] = nil, nil
-		}
-	}
-	for j := committed; j < k; j++ {
-		seq := q[j].Seq
-		n.runIn[0] = Input{Present: true, Payload: q[j].Payload}
-		outs := n.kernel.Process(seq, n.runIn)
-		if n.obsN != nil {
-			n.obsN.Firings.Add(1)
-		}
-		if isSink {
-			ns.ses.sinkData++
-			if n.obsS != nil {
-				n.obsS.SinkMsgs.Add(1)
+			if vec == k && k > 0 {
+				continue
 			}
-			if ns.ses.sink != nil {
-				if emPays == nil {
-					emSeqs = seqFree.get(k)
-					emPays = payFree.get(k)
-				}
-				emSeqs = append(emSeqs, seq)
-				emPays = append(emPays, SinkPayload(n.runIn, outs))
-			}
-			committed++
-			continue
+			// The kernel declined element vec, or the cursor is not at a
+			// data firing: this one goes through the per-firing path.
 		}
-		full := true
-		for i := range n.out {
-			if _, ok := outs[i]; !ok {
-				full = false
+		var seq uint64
+		anyData := n.queued
+		if n.queued {
+			q := ns.ingestQ.live()
+			if fired == len(q) {
 				break
 			}
-		}
-		if !full {
-			partial, partialOuts, partialSeq = true, outs, seq
-			break
-		}
-		if committed == 0 {
-			for i := range spans {
-				spans[i] = spanFree.get(k)
-			}
-		}
-		for i := range n.out {
-			spans[i] = append(spans[i], Message{Seq: seq, Kind: Data, Payload: outs[i]})
-		}
-		committed++
-	}
-	n.runIn[0] = Input{}
-
-	if committed > 0 {
-		if isSink {
-			if emPays != nil {
-				// room was checked above, so the send never blocks.
-				ns.ses.sinkCh <- emission{seqs: emSeqs, pays: emPays}
-				ns.sinkInflight += committed
-			}
+			seq, n.kin[0] = ns.nextSeq+uint64(fired), Input{Present: true, Payload: q[fired]}
 		} else {
-			// All-true masks never dummy, so FireRun always accepts.
-			ns.engine.FireRun(q[0].Seq, q[committed-1].Seq, n.allTrue)
-			for i := range n.out {
-				n.parkSpan(ns, i, spans[i])
-				spans[i] = nil
+			seq = proto.EOSSeq
+			for i := range ns.heads {
+				q := ns.heads[i].live()
+				if n.cur[i] == len(q) {
+					break pass // an input has nothing queued: no alignment yet
+				}
+				seq = min(seq, q[n.cur[i]].Seq)
+			}
+			if seq == proto.EOSSeq {
+				eos = fired == 0 // else after this pass's run
+				break
+			}
+			for i := range ns.heads {
+				h := &ns.heads[i].live()[n.cur[i]]
+				n.kin[i] = Input{}
+				if h.Seq == seq {
+					n.cur[i]++
+					if h.Kind == Data {
+						n.kin[i], anyData = Input{Present: true, Payload: h.Payload}, true
+					}
+				}
 			}
 		}
-		n.popHeads(ns, 0, committed)
-		ns.live.Add(int64(committed))
-	}
-	if partial {
-		n.popHeads(ns, 0, 1)
-		ns.live.Add(1)
-		n.queueFiring(ns, partialSeq, partialOuts)
-	}
-	n.flush(ns)
-	return true
-}
-
-// queueFiring parks the firing's messages — data per the kernel, dummies
-// per the shared protocol engine — and flushes what fits.
-func (n *engineNode) queueFiring(ns *nodeSession, seq uint64, outs map[int]any) {
-	for i := range n.emitted {
-		_, n.emitted[i] = outs[i]
-	}
-	dummy := ns.engine.Fire(seq, n.emitted)
-	for i := range n.emitted {
-		switch {
-		case n.emitted[i]:
-			n.setPending(ns, i, Message{Seq: seq, Kind: Data, Payload: outs[i]})
-		case dummy[i]:
-			n.setPending(ns, i, Message{Seq: seq, Kind: Dummy})
-		}
-	}
-	n.flush(ns)
-}
-
-// advanceTimed is the advance body for a time-aware node: deliver a due
-// flush-timer tick, consume inputs while sends land, and (re)arm the
-// session's flush timer to the kernel's next deadline.  A tick that
-// finds parked sends is deferred — the credit that drains them re-runs
-// the advance — and the timer stays disarmed meanwhile, so a genuinely
-// wedged downstream still trips the watchdog instead of being masked by
-// an immediately-due timer respinning forever.
-func (n *engineNode) advanceTimed(ns *nodeSession) {
-	if ns.tickDue {
-		ns.tickDue = false
-		if !ns.done && ns.pendingN == 0 {
-			n.timed.Tick(n.timed.TimedClock().Now())
-			if m := n.e.cfg.Obs; m != nil {
-				m.Time().TimerTicks.Add(1)
+		if anyData {
+			n.kern.ProcessInto(seq, n.kin, n.kout, n.present)
+			data++
+			if emits {
+				n.emSeqs = append(n.emSeqs, seq)
+				n.emPays = append(n.emPays, n.sinkPayload())
 			}
-			n.fireTimedEmissions(ns)
-			n.flush(ns)
-		} else if !ns.done {
-			ns.tickDue = true
 		}
-	}
-	for !ns.done && ns.pendingN == 0 {
-		if !n.fireTimed(ns) {
-			break
+		dummy := ns.engine.Fire(seq, n.present[:nOut])
+		for i := 0; i < nOut; i++ {
+			switch {
+			case n.present[i]:
+				n.acc[i] = append(n.acc[i], Message{Seq: seq, Kind: Data, Payload: n.kout[i]})
+			case dummy[i]:
+				n.acc[i] = append(n.acc[i], Message{Seq: seq, Kind: Dummy})
+				n.accDummy[i]++
+			default:
+				continue
+			}
+			full = full || len(n.acc[i]) > n.room(ns, i)
 		}
-		n.flush(ns)
+		if anyData {
+			clear(n.kin)
+			for i := range n.kout {
+				n.kout[i], n.present[i] = nil, false
+			}
+		}
+		fired++
 	}
-	n.flushCredits(ns)
-	n.armTimer(ns)
+	return fired, data, eos
 }
 
-// fireTimed consumes one input head of a time-aware node.  The input's
+// stretch stages, in spanIn/spanSeq, the longest run of data-only firings
+// at the pass's cursor that the batch, the sink pump's window (limit) and
+// the out-edge windows allow — one past the tightest window: the firing
+// whose send parks — and returns its length.  Zero leaves the cursor's
+// firing (a dummy, an EOS, or nothing yet) to the per-firing path.
+func (n *engineNode) stretch(ns *nodeSession, fired, limit int) int {
+	k := min(n.batch-fired, limit)
+	for i, run := range n.acc {
+		k = min(k, n.room(ns, i)-len(run)+1)
+	}
+	if n.queued {
+		q := ns.ingestQ.live()[fired:]
+		k = min(k, len(q))
+		for j := 0; j < k; j++ {
+			n.spanIn[j], n.spanSeq[j] = q[j], ns.nextSeq+uint64(fired+j)
+		}
+		return k
+	}
+	q := ns.heads[0].live()[n.cur[0]:]
+	k = min(k, len(q))
+	for j := 0; j < k; j++ {
+		if q[j].Kind != Data {
+			return j
+		}
+		n.spanIn[j], n.spanSeq[j] = q[j].Payload, q[j].Seq
+	}
+	return k
+}
+
+// sinkPayload is SinkPayload on the firing's scratch: the kernel's slot-0
+// output when it chose to return one, else the first present input.
+func (n *engineNode) sinkPayload() any {
+	if n.present[0] {
+		return n.kout[0]
+	}
+	for _, i := range n.kin {
+		if i.Present {
+			return i.Payload
+		}
+	}
+	return nil
+}
+
+// sinkEmit counts the pass's data sink firings and hands them to the
+// session's pump as one emission.
+func (n *engineNode) sinkEmit(ns *nodeSession, data int) {
+	if data == 0 {
+		return
+	}
+	ns.ses.sinkData += int64(data)
+	if n.obsS != nil {
+		n.obsS.SinkMsgs.Add(int64(data))
+	}
+	if ns.ses.sink == nil {
+		return
+	}
+	// The pass stopped at the pump window's room and every queued
+	// emission carries at least one payload: the send never blocks.
+	if data == 1 {
+		ns.ses.sinkCh <- emission{seq: n.emSeqs[0], payload: n.emPays[0]}
+		n.emPays[0] = nil
+		n.emSeqs, n.emPays = n.emSeqs[:0], n.emPays[:0]
+	} else {
+		ns.ses.sinkCh <- emission{seqs: n.emSeqs, pays: n.emPays}
+		n.emSeqs, n.emPays = nil, nil
+	}
+	ns.sinkInflight += data
+}
+
+// consumeTimed consumes one input head of a time-aware node.  The input's
 // protocol alignment is absorbed silently — dummies are dropped, data
-// feeds the kernel — and any emissions the consumption matured are
-// fired in the node's private output-sequence space (see timed.go).
-// Reports whether anything was consumed.
-func (n *engineNode) fireTimed(ns *nodeSession) bool {
+// feeds the kernel, EOS flushes it and ends the queue — and whatever the
+// consumption matured is queued to fire in the node's private
+// output-sequence space (see timed.go).  Reports whether anything was
+// consumed.
+func (n *engineNode) consumeTimed(ns *nodeSession) bool {
 	if ns.heads[0].len() == 0 {
 		return false
 	}
 	h := ns.heads[0].live()[0]
-	if h.Seq == proto.EOSSeq {
-		n.popHead(ns, 0)
+	n.popHeads(ns, 0, 1)
+	switch {
+	case h.Seq == proto.EOSSeq:
 		n.stopTimer(ns)
 		n.timed.Flush()
-		n.fireTimedEmissions(ns)
-		ns.done = true
-		for i := range n.out {
-			n.setPending(ns, i, Message{Seq: proto.EOSSeq, Kind: EOS})
-		}
-		return true
-	}
-	if h.Kind == Data {
-		n.runIn[0] = Input{Present: true, Payload: h.Payload}
-		n.timed.Process(h.Seq, n.runIn)
-		n.runIn[0] = Input{}
+		ns.srcDone = true
+	case h.Kind == Data:
+		n.kin[0] = Input{Present: true, Payload: h.Payload}
+		n.timed.Process(h.Seq, n.kin)
+		n.kin[0] = Input{}
 		ns.live.Add(1)
 		if n.obsN != nil {
 			n.obsN.Firings.Add(1)
 		}
 	}
-	n.popHead(ns, 0)
-	n.fireTimedEmissions(ns)
+	n.queueEmissions(ns)
 	return true
 }
 
-// fireTimedEmissions drains the kernel's matured emissions as one
-// batched run of firings at the node's next output sequence numbers,
-// broadcast on every out-edge with the all-emitted mask — never a
-// dummy; see timed.go for why re-sequencing is protocol-safe.
-func (n *engineNode) fireTimedEmissions(ns *nodeSession) {
+// queueEmissions moves the kernel's matured emissions to the firing
+// queue: each fires at the node's next output sequence number, broadcast
+// on every out-edge with the all-emitted mask — never a dummy; see
+// timed.go for why re-sequencing is protocol-safe.
+func (n *engineNode) queueEmissions(ns *nodeSession) {
 	ems := n.timed.TakeEmissions()
 	if len(ems) == 0 {
 		return
 	}
-	first := ns.outSeq
-	last := first + uint64(len(ems)) - 1
-	ns.engine.FireRun(first, last, n.allTrue)
-	for i := range n.out {
-		span := spanFree.get(len(ems))
-		for j, e := range ems {
-			span = append(span, Message{Seq: first + uint64(j), Kind: Data, Payload: e})
-		}
-		n.parkSpan(ns, i, span)
-	}
-	ns.outSeq = last + 1
-	ns.live.Add(int64(len(ems)))
-	if n.obsN != nil {
-		n.obsN.Spans.Add(1)
-		n.obsN.SpanMsgs.Add(int64(len(ems)))
-	}
+	ns.ingestQ.pushAll(ems)
 	if m := n.e.cfg.Obs; m != nil {
 		m.Time().TimedEmissions.Add(int64(len(ems)))
 	}
@@ -1916,134 +1873,6 @@ func (n *engineNode) stopTimer(ns *nodeSession) {
 		ns.timerArmed = false
 		ns.ses.timersArmed.Add(-1)
 	}
-}
-
-// fireSource processes one ingested payload at the source node.
-func (n *engineNode) fireSource(ns *nodeSession, payload any) {
-	seq := ns.nextSeq
-	ns.nextSeq++
-	if n.spanOne(ns, seq, payload) {
-		return
-	}
-	in := []Input{{Present: true, Payload: payload}}
-	outs := n.kernel.Process(seq, in)
-	ns.live.Add(1)
-	if n.obsN != nil {
-		n.obsN.Firings.Add(1)
-	}
-	if len(n.out) == 0 {
-		n.sinkEmit(ns, seq, SinkPayload(in, outs))
-	}
-	n.queueFiring(ns, seq, outs)
-}
-
-// fireSourceRun is fireSource's vectorized counterpart: it ingests up to
-// batch queued payloads at consecutive sequence numbers in one protocol
-// step, with the same full-mask-or-fallback contract as fireRun.  The
-// ingest pump is untouched — it still posts one payload per Source.Next,
-// so request/response feedback sources never see the engine hold a
-// payload while demanding another; batching happens here, on the queue.
-func (n *engineNode) fireSourceRun(ns *nodeSession) {
-	q := ns.ingestQ.live()
-	k := len(q)
-	if k > n.batch {
-		k = n.batch
-	}
-	spans := n.spans // filled lazily, as in fireRun
-	committed := 0
-	var partialOuts map[int]any
-	var partialSeq uint64
-	partial := false
-	if n.spanK != nil {
-		// Vectorized kernel: see fireRun (sources are never sinks here —
-		// advanceSource only batches when out-edges exist).
-		for j := 0; j < k; j++ {
-			n.spanIn[j] = q[j]
-		}
-		vec := n.spanK.ProcessSpan(ns.nextSeq, n.spanIn[:k], n.spanOut[:k])
-		if n.obsN != nil && vec > 0 {
-			n.obsN.Spans.Add(1)
-			n.obsN.SpanMsgs.Add(int64(vec))
-			n.obsN.Firings.Add(int64(vec))
-		}
-		if vec > 0 {
-			for i := range spans {
-				span := spanFree.get(k)
-				for j := 0; j < vec; j++ {
-					span = append(span, Message{Seq: ns.nextSeq + uint64(j), Kind: Data, Payload: n.spanOut[j]})
-				}
-				spans[i] = span
-			}
-		}
-		committed = vec
-		for j := 0; j < k; j++ {
-			n.spanIn[j], n.spanOut[j] = nil, nil
-		}
-	}
-	for j := committed; j < k; j++ {
-		seq := ns.nextSeq + uint64(j)
-		n.runIn[0] = Input{Present: true, Payload: q[j]}
-		outs := n.kernel.Process(seq, n.runIn)
-		if n.obsN != nil {
-			n.obsN.Firings.Add(1)
-		}
-		full := true
-		for i := range n.out {
-			if _, ok := outs[i]; !ok {
-				full = false
-				break
-			}
-		}
-		if !full {
-			partial, partialOuts, partialSeq = true, outs, seq
-			break
-		}
-		if committed == 0 {
-			for i := range spans {
-				spans[i] = spanFree.get(k)
-			}
-		}
-		for i := range n.out {
-			spans[i] = append(spans[i], Message{Seq: seq, Kind: Data, Payload: outs[i]})
-		}
-		committed++
-	}
-	n.runIn[0] = Input{}
-
-	consumed := committed
-	if partial {
-		consumed++
-	}
-	ns.ingestQ.pop(consumed)
-	if committed > 0 {
-		ns.engine.FireRun(ns.nextSeq, ns.nextSeq+uint64(committed)-1, n.allTrue)
-		for i := range n.out {
-			n.parkSpan(ns, i, spans[i])
-			spans[i] = nil
-		}
-		ns.nextSeq += uint64(committed)
-		ns.live.Add(int64(committed))
-	}
-	if partial {
-		ns.nextSeq++
-		ns.live.Add(1)
-		n.queueFiring(ns, partialSeq, partialOuts)
-	}
-	n.flush(ns)
-}
-
-// sinkEmit counts one sink firing and hands it to the session's pump.
-func (n *engineNode) sinkEmit(ns *nodeSession, seq uint64, payload any) {
-	ns.ses.sinkData++
-	if n.obsS != nil {
-		n.obsS.SinkMsgs.Add(1)
-	}
-	if ns.ses.sink == nil {
-		return
-	}
-	// sinkInflight < sinkWindow, so the channel has room: never blocks.
-	ns.ses.sinkCh <- emission{seq: seq, payload: payload}
-	ns.sinkInflight++
 }
 
 // finishSink resolves the session at the sink node: immediately when the

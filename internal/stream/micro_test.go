@@ -1,17 +1,21 @@
 package stream
 
-// Layer microbenchmarks for the pieces a batch-1 message crosses between
-// two kernels (ROADMAP 1a): the head queue, the mailbox, and one firing.
-// Every benchmark's ns/op is per message.
+// Layer microbenchmarks for the pieces a message crosses between two
+// kernels: the head queue, the mailbox, and one pass of the firing loop —
+// a batch-1 all-data firing, and a 64-firing pass over runs that mix data
+// and dummies.  Every benchmark's ns/op and allocs/op are per message.
 //
-//	go test -run '^$' -bench 'Fifo|Mailbox|FireOnce' -benchmem ./internal/stream
+//	go test -run '^$' -bench 'Fifo|Mailbox|Fire|MixedRun' -benchmem ./internal/stream
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"streamdag/internal/cs4"
 	"streamdag/internal/graph"
+	"streamdag/internal/ival"
 	"streamdag/internal/workload"
 )
 
@@ -48,20 +52,29 @@ func BenchmarkMailboxPostTake(b *testing.B) {
 	}
 }
 
-// benchFireOnce times one batch-1 firing of a single-input node — head
-// push, fireOnce, send — with the given kernel.  The engine is built and
-// closed first, so the benchmark's goroutine is the only one touching the
-// node and its sends fall on a closed mailbox: the cost measured is the
-// firing's own.
-func benchFireOnce(b *testing.B, k Kernel) {
-	g := workload.Pipeline(3, 4)
-	mid := g.MustNode("s1")
-	e, err := NewEngine(g, map[graph.NodeID]Kernel{mid: k}, Config{WatchdogTimeout: time.Hour})
+// firingBench is one node of a built-and-closed engine with one session
+// opened on it by hand: the benchmark's goroutine is the only one touching
+// the node, so what it times is the firing loop's own cost.  The mailboxes
+// of the node's consumers are reopened and drained by the benchmark the
+// way a receiving node would (recycle), so sends cost a real post and runs
+// return to the pool.
+type firingBench struct {
+	n     *engineNode
+	ns    *nodeSession
+	spare []event
+}
+
+func newFiringBench(b *testing.B, g *graph.Graph, node graph.NodeID, ks map[graph.NodeID]Kernel, cfg Config) *firingBench {
+	cfg.WatchdogTimeout = time.Hour
+	e, err := NewEngine(g, ks, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	e.Close()
-	n := e.nodes[mid]
+	n := e.nodes[node]
+	for _, mb := range n.downMB {
+		mb.closed = false
+	}
 	ses := &EngineSession{
 		id: 1, e: e,
 		live:      make([]ownedCounter, len(e.nodes)),
@@ -70,22 +83,98 @@ func benchFireOnce(b *testing.B, k Kernel) {
 		occupancy: make([]atomic.Int64, g.NumEdges()),
 	}
 	n.absorb(&event{kind: evOpen, ses: ses})
-	ns := n.sess[ses.id]
+	return &firingBench{n: n, ns: n.sess[ses.id]}
+}
+
+// recycle drains what the node sent, as the receivers would, and returns
+// the credit an undrained downstream never does.
+func (f *firingBench) recycle() (msgs int) {
+	for i, mb := range f.n.downMB {
+		f.ns.inflight[i] = 0
+		if len(mb.q) == 0 {
+			continue // takeAll would wait
+		}
+		evs, _ := mb.takeAll(f.spare)
+		for j := range evs {
+			if evs[j].span != nil {
+				msgs += len(evs[j].span)
+				spanFree.put(evs[j].span)
+			} else {
+				msgs++
+			}
+			evs[j] = event{}
+		}
+		f.spare = evs
+	}
+	return msgs
+}
+
+// benchFireOnce times one batch-1 firing of a single-input node — head
+// push, one pass, send — with the given kernel.
+func benchFireOnce(b *testing.B, k Kernel) {
+	g := workload.Pipeline(3, 4)
+	mid := g.MustNode("s1")
+	f := newFiringBench(b, g, mid, map[graph.NodeID]Kernel{mid: k}, Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ns.heads[0].push(Message{Seq: uint64(i), Kind: Data, Payload: i & 0xff})
-		ns.inflight[0] = 0 // the credit an undrained downstream never returns
-		if !n.fireOnce(ns) {
+		f.ns.heads[0].push(Message{Seq: uint64(i), Kind: Data, Payload: i & 0xff})
+		if !f.n.fireRun(f.ns) {
 			b.Fatal("aligned head did not fire")
 		}
+		f.recycle()
 	}
 }
 
 // The same kernel through its two doors: Passthrough is a SpanKernel
 // (span of length one on node scratch); wrapped in a KernelFunc only its
-// Process is visible (input slice and output map per firing).
+// Process is visible (an output map per firing, adapted at NewEngine).
 func BenchmarkFireOnceSpanKernel(b *testing.B) { benchFireOnce(b, Passthrough(1)) }
 func BenchmarkFireOnceMapKernel(b *testing.B) {
 	benchFireOnce(b, KernelFunc(Passthrough(1).Process))
 }
+
+// benchMixedRunHop times a node with the given in-degree and one out-edge
+// consuming runs of 64 aligned sequence numbers per in-edge, one message in
+// ten data and the rest dummies, under the Propagation protocol: one pass
+// of 64 firings, most of them dummy-only (no kernel call, a cascade dummy
+// out), shipped as one mixed run.  Per edge message means per message
+// consumed or sent.
+func benchMixedRunHop(b *testing.B, inputs int) {
+	g := graph.New()
+	src, join, out := g.AddNode("src"), g.AddNode("join"), g.AddNode("out")
+	for i := 0; i < inputs; i++ {
+		w := g.AddNode(fmt.Sprintf("w%d", i))
+		g.AddEdge(src, w, 64)
+		g.AddEdge(w, join, 64)
+	}
+	g.AddEdge(join, out, 64)
+	iv := make(map[graph.EdgeID]ival.Interval, g.NumEdges())
+	for _, e := range g.Edges() {
+		iv[e.ID] = ival.FromInt(1)
+	}
+	f := newFiringBench(b, g, join, nil, Config{Algorithm: cs4.Propagation, Intervals: iv, MaxBatch: 64})
+	const run = 64
+	edgeMsgs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += edgeMsgs {
+		base := uint64(i) * run
+		for j := uint64(0); j < run; j++ {
+			for in := 0; in < inputs; in++ {
+				m := Message{Seq: base + j, Kind: Dummy}
+				if (int(j)+3*in)%10 == 0 {
+					m.Kind, m.Payload = Data, int(j)
+				}
+				f.ns.heads[in].push(m)
+			}
+		}
+		if !f.n.fireRun(f.ns) || f.ns.heads[0].len() != 0 {
+			b.Fatal("a run of aligned heads did not fire in one pass")
+		}
+		edgeMsgs = run*inputs + f.recycle()
+	}
+}
+
+func BenchmarkMixedRunHop1In(b *testing.B) { benchMixedRunHop(b, 1) }
+func BenchmarkMixedRunHop4In(b *testing.B) { benchMixedRunHop(b, 4) }

@@ -69,7 +69,8 @@ type Input struct {
 // (graph.Graph.Out order).  Absent keys mean the input is filtered with
 // respect to that channel.  Sources (no in-edges) receive a single
 // synthetic present Input carrying the ingested payload and are invoked
-// once per payload, in ingestion order.
+// once per payload, in ingestion order.  in is engine scratch at every
+// width — do not retain it (copy the payloads out).
 type Kernel interface {
 	Process(seq uint64, in []Input) map[int]any
 }
@@ -80,24 +81,49 @@ type KernelFunc func(seq uint64, in []Input) map[int]any
 // Process implements Kernel.
 func (f KernelFunc) Process(seq uint64, in []Input) map[int]any { return f(seq, in) }
 
+// SliceKernel is the calling convention of the Engine's firing path: the
+// outputs go into node-owned scratch instead of a fresh map.  ProcessInto
+// sets out[i] and present[i] = true for every out-edge position i it
+// emits on; both slices arrive zeroed, one slot per out-edge (one slot,
+// the SinkPayload hook, at a node without out-edges), and like in they
+// are reused by the next firing.  NewEngine adapts every other Kernel
+// once, so the firing path never reads a map; the library's routing
+// kernels and replication's splitter implement it natively, and a routed
+// firing allocates nothing.
+type SliceKernel interface {
+	Kernel
+	ProcessInto(seq uint64, in []Input, out []any, present []bool)
+}
+
+// mapAdapter is the SliceKernel form of a Kernel that only has Process.
+type mapAdapter struct{ Kernel }
+
+func (a mapAdapter) ProcessInto(seq uint64, in []Input, out []any, present []bool) {
+	outs := a.Process(seq, in)
+	for i := range out {
+		out[i], present[i] = outs[i]
+	}
+}
+
 // SpanKernel is an optional extension of Kernel for the vectorized hot
 // path.  A kernel that maps each element to exactly one output payload
 // — emitted on every out-edge, never filtered — can process a whole run
-// of consecutive data elements in a single call: ProcessSpan receives
-// the run's payloads in (carrying the consecutive sequence numbers
-// seq0, seq0+1, …), writes the output payloads to out (len(out) ==
-// len(in)), and returns the length of the prefix it processed.  The run
-// is as long as the node's batch width allows and may have length one
-// at any Config.MaxBatch — at batch 1 every element is a span of one —
-// and in and out are engine scratch, reused by the next call: a kernel
-// must never retain them.  Returning n < len(in) declines element n — the
-// engine routes it (and everything after it) through Process, in order,
-// so a kernel may vectorize the common case and fall back per element
-// for filtering, per-edge divergence, or type errors.  The engine calls
-// ProcessSpan only where it would have called Process once per element
-// with a single present input, so a stateful kernel observes the same
-// element sequence either way.  Kernels that do not implement the
-// interface are simply invoked per element.
+// of data elements in a single call: ProcessSpan receives the run's
+// payloads in (seq0 is the first one's sequence number), writes the
+// output payloads to out (len(out) == len(in)), and returns the length
+// of the prefix it processed.  The run is as long as the node's batch
+// width, its queued input and its out-edge windows allow and may have
+// length one at any Config.MaxBatch — at batch 1 every element is a span
+// of one — and in and out are engine scratch, reused by the next call: a
+// kernel must never retain them.  Returning n < len(in) declines element
+// n — the engine fires it through Process and offers what follows to
+// ProcessSpan again, in order, so a kernel may vectorize the common case
+// and fall back per element for filtering, per-edge divergence, or type
+// errors.  The engine calls ProcessSpan only at nodes with at most one
+// in-edge, where it would have called Process once per element with a
+// single present input, so a stateful kernel observes the same element
+// sequence either way.  Kernels that do not implement the interface are
+// simply invoked per element.
 type SpanKernel interface {
 	Kernel
 	ProcessSpan(seq0 uint64, in, out []any) int
@@ -124,6 +150,17 @@ func (p passthroughKernel) Process(_ uint64, in []Input) map[int]any {
 		out[i] = payload
 	}
 	return out
+}
+
+func (p passthroughKernel) ProcessInto(_ uint64, in []Input, out []any, present []bool) {
+	for _, i := range in {
+		if i.Present {
+			for o := range out {
+				out[o], present[o] = i.Payload, true
+			}
+			return
+		}
+	}
 }
 
 func (p passthroughKernel) ProcessSpan(_ uint64, in, out []any) int {
@@ -186,15 +223,16 @@ type Config struct {
 	// WatchdogTimeout is how long the watchdog waits without progress in
 	// a session before declaring it deadlocked.  Zero defaults to one second.
 	WatchdogTimeout time.Duration
-	// MaxBatch is the vectorization width of the Engine's hot path:
-	// single-input nodes consume up to MaxBatch consecutive data messages
-	// per protocol step and forward them as one span (one mailbox post,
-	// one credit batch, one amortized timer refresh).
-	// Zero or one fires per element (a SpanKernel then sees spans of
-	// length one); the logical stream is bit-identical at every width.
-	// Credits stay in payload units — a span of k messages consumes k
-	// credits — so the windowed backpressure semantics are unchanged,
-	// as are the per-edge logical data/dummy counts.
+	// MaxBatch is the width of the Engine's firing pass: a node takes up
+	// to MaxBatch aligned firings per protocol step — at any in-degree,
+	// data and dummies alike — and forwards what they send as one run per
+	// out-edge (one mailbox post, one credit batch), stopping early at the
+	// first send an out-edge window cannot take.  Zero or one fires per
+	// element (a SpanKernel then sees spans of length one); the logical
+	// stream is bit-identical at every width.  Credits stay in message
+	// units — a run of k messages consumes k credits — so the windowed
+	// backpressure semantics are unchanged, as are the per-edge logical
+	// data/dummy counts.
 	MaxBatch int
 	// NodeBatch overrides MaxBatch for individual nodes (the Flow
 	// tier's Stage.Batch knob); absent nodes use MaxBatch.

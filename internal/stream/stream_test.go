@@ -1,7 +1,10 @@
 package stream_test
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -141,48 +144,108 @@ func TestFig2AvoidanceRuntime(t *testing.T) {
 	}
 }
 
-// TestRuntimeMatchesSimulator: per-node behavior is deterministic (a Kahn
-// network), so per-edge data and dummy counts must match the deterministic
-// simulator exactly, regardless of goroutine scheduling.
+// simRun is engineRun's oracle: the deterministic simulator over the same
+// kernels, returning its result and exact sink delivery sequence.
+func simRun(g *graph.Graph, kernels map[graph.NodeID]stream.Kernel, cfg stream.Config, inputs uint64) (*sim.Result, []stream.Message) {
+	var seen []stream.Message
+	res := sim.Run(g, nil, sim.Config{
+		Algorithm: cfg.Algorithm, Intervals: cfg.Intervals,
+		Kernels: kernels,
+		Source:  stream.SyntheticSource(inputs),
+		Sink: func(_ context.Context, seq uint64, payload any) error {
+			seen = append(seen, stream.Message{Seq: seq, Kind: stream.Data, Payload: payload})
+			return nil
+		},
+	})
+	return res, seen
+}
+
+// requireMatchesSim compares an engine session with the simulator's run
+// of the same case: per-edge data counts, per-edge dummy counts and the
+// sink (seq, payload) sequence.
+func requireMatchesSim(t *testing.T, label string, g *graph.Graph, stats *stream.Stats, seen []stream.Message, ref *sim.Result, refSeen []stream.Message) {
+	t.Helper()
+	for _, e := range g.Edges() {
+		if stats.Data[e.ID] != ref.DataMsgs[e.ID] || stats.Dummies[e.ID] != ref.DummyMsgs[e.ID] {
+			t.Fatalf("%s: edge %d carried %d data, %d dummies; the simulator %d, %d\n%s", label, e.ID,
+				stats.Data[e.ID], stats.Dummies[e.ID], ref.DataMsgs[e.ID], ref.DummyMsgs[e.ID], g)
+		}
+	}
+	if len(seen) != len(refSeen) {
+		t.Fatalf("%s: %d sink deliveries, the simulator %d\n%s", label, len(seen), len(refSeen), g)
+	}
+	for i := range seen {
+		if seen[i] != refSeen[i] {
+			t.Fatalf("%s: sink[%d] = %+v, the simulator %+v\n%s", label, i, seen[i], refSeen[i], g)
+		}
+	}
+}
+
+// TestRuntimeMatchesSimulator is the differential check over generated
+// cases: per-node behavior is deterministic (a Kahn network), so whatever
+// the goroutine scheduling, the batch width or how runs happen to group
+// in transit, per-edge data counts, per-edge dummy counts and the sink
+// sequence must equal the deterministic simulator's.  Topologies are
+// drawn from the three CS4 generators with buffer capacities from
+// [1, maxBuf], the source filters per edge (the split whose branches the
+// dummies keep alive) and every other node per input, under both
+// protocols; batch 7 and 64 against capacities of 1 and 2 make nearly
+// every pass end at a window, batch 64 against 64 makes long mixed runs.
 func TestRuntimeMatchesSimulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
-	for trial := 0; trial < 25; trial++ {
-		g := workload.RandomSP(rng, 2+rng.Intn(6), 3)
-		perEdge := workload.Bernoulli(0.4, uint64(trial))
-		filter := workload.SourceRouting(g.Source(), perEdge,
-			workload.PerInputBernoulli(0.7, uint64(trial)))
-		d, err := cs4.Classify(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		iv, err := d.Intervals(cs4.Propagation)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := runOnce(g, filterKernels(g, filter), stream.Config{
-			Algorithm: cs4.Propagation, Intervals: iv,
-			WatchdogTimeout: 5 * time.Second,
-		}, 80)
-		if err != nil {
-			t.Fatalf("trial %d: %v\n%s", trial, err, g)
-		}
-		ref := sim.Run(g, sim.Filter(filter), sim.Config{
-			Algorithm: cs4.Propagation, Intervals: iv, Inputs: 80,
-		})
-		if !ref.Completed {
-			t.Fatalf("trial %d: simulator deadlocked but runtime completed", trial)
-		}
-		for _, e := range g.Edges() {
-			if stats.Data[e.ID] != ref.DataMsgs[e.ID] {
-				t.Fatalf("trial %d edge %d: data %d vs sim %d\n%s",
-					trial, e.ID, stats.Data[e.ID], ref.DataMsgs[e.ID], g)
+	families := map[string]func() *graph.Graph{}
+	for _, maxBuf := range []int{1, 2, 64} {
+		maxBuf := maxBuf
+		families[fmt.Sprintf("sp/buf%d", maxBuf)] = func() *graph.Graph { return workload.RandomSP(rng, 2+rng.Intn(6), maxBuf) }
+		families[fmt.Sprintf("cs4/buf%d", maxBuf)] = func() *graph.Graph { return workload.RandomCS4(rng, 1+rng.Intn(3), maxBuf, 0.5) }
+		families[fmt.Sprintf("ladder/buf%d", maxBuf)] = func() *graph.Graph { return workload.RandomLadder(rng, 1+rng.Intn(3), maxBuf, 0.3, 0.3) }
+	}
+	names := make([]string, 0, len(families))
+	for name := range families {
+		names = append(names, name)
+	}
+	sort.Strings(names) // one rng: draw in a fixed order
+	const inputs = 300
+	var dummies, mixed int64 // what the cases exercised, so the check cannot go vacuous
+	for _, name := range names {
+		for trial := 0; trial < 4; trial++ {
+			g := families[name]()
+			seed := uint64(trial)
+			filter := workload.SourceRouting(g.Source(), workload.Bernoulli(0.4, seed),
+				workload.PerInputBernoulli(0.7, seed))
+			d, err := cs4.Classify(g)
+			if err != nil {
+				t.Fatalf("%s trial %d: %v\n%s", name, trial, err, g)
 			}
-			if stats.Dummies[e.ID] != ref.DummyMsgs[e.ID] {
-				t.Fatalf("trial %d edge %d: dummies %d vs sim %d\n%s",
-					trial, e.ID, stats.Dummies[e.ID], ref.DummyMsgs[e.ID], g)
+			for _, alg := range []cs4.Algorithm{cs4.Propagation, cs4.NonPropagation} {
+				iv, err := d.Intervals(alg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := stream.Config{Algorithm: alg, Intervals: iv, WatchdogTimeout: 5 * time.Second}
+				ref, refSeen := simRun(g, filterKernels(g, filter), cfg, inputs)
+				if !ref.Completed {
+					t.Fatalf("%s trial %d: simulator: %s\n%s", name, trial, ref.Reason, g)
+				}
+				dummies += ref.TotalDummy()
+				for _, e := range g.Edges() {
+					if ref.DataMsgs[e.ID] > 0 && ref.DummyMsgs[e.ID] > 0 {
+						mixed++
+					}
+				}
+				for _, batch := range []int{1, 7, 64} {
+					cfg.MaxBatch = batch
+					stats, seen := engineRun(t, g, filterKernels(g, filter), cfg, inputs)
+					label := fmt.Sprintf("%s trial %d alg %v batch %d", name, trial, alg, batch)
+					requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
+				}
 			}
 		}
 	}
+	if dummies == 0 || mixed == 0 {
+		t.Fatalf("the generated cases sent %d dummies and had %d edges carrying both kinds; the test would not notice a protocol change", dummies, mixed)
+	}
+	t.Logf("%d dummies; %d (case, edge) pairs carried data and dummies interleaved", dummies, mixed)
 }
 
 func TestDefaultKernelsPassthrough(t *testing.T) {

@@ -344,7 +344,10 @@ func TestPipelineSinkError(t *testing.T) {
 }
 
 // TestPipelineWithoutAvoidance reproduces the paper's deadlock through
-// the new API: the same build minus intervals wedges under filtering.
+// the new API: the same build minus intervals wedges under filtering —
+// at batch 64 as at batch 1, since a batched node stops at its out-edge
+// windows (internal/stream's TestBatchedNodeStopsAtItsWindow pins the
+// exact count).
 func TestPipelineWithoutAvoidance(t *testing.T) {
 	topo := fig2(t)
 	var ac EdgeID
@@ -361,10 +364,14 @@ func TestPipelineWithoutAvoidance(t *testing.T) {
 		}
 		return p
 	}
-	if _, err := build(WithoutAvoidance()).Run(context.Background(), CountingSource(200), nil); err == nil {
-		t.Fatal("unprotected run completed; want deadlock")
-	}
-	if _, err := build().Run(context.Background(), CountingSource(200), nil); err != nil {
-		t.Fatalf("protected run failed: %v", err)
+	for _, batch := range []int{1, 64} {
+		_, err := build(WithoutAvoidance(), WithMaxBatch(batch)).Run(context.Background(), CountingSource(200), nil)
+		var dl *DeadlockError
+		if !errors.As(err, &dl) {
+			t.Fatalf("batch %d: unprotected run returned %v; want *DeadlockError", batch, err)
+		}
+		if _, err := build(WithMaxBatch(batch)).Run(context.Background(), CountingSource(200), nil); err != nil {
+			t.Fatalf("batch %d: protected run failed: %v", batch, err)
+		}
 	}
 }

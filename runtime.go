@@ -85,29 +85,51 @@ type Filter = workload.FilterFunc
 // RouteKernels builds a kernel per node that forwards the first present
 // payload (the sequence number at the source) on the out-edges selected
 // by f — the runtime counterpart of simulating with the same filter.
+// The kernels implement stream.SliceKernel, so a routed firing on an
+// Engine allocates nothing.
 func RouteKernels(t *Topology, f Filter) map[NodeID]Kernel {
 	ks := make(map[NodeID]Kernel, t.g.NumNodes())
 	for n := 0; n < t.g.NumNodes(); n++ {
 		id := graph.NodeID(n)
-		out := t.g.Out(id)
-		ks[id] = stream.KernelFunc(func(seq uint64, in []stream.Input) map[int]any {
-			var payload any = seq
-			for _, i := range in {
-				if i.Present {
-					payload = i.Payload
-					break
-				}
-			}
-			outs := make(map[int]any, len(out))
-			for i, e := range out {
-				if f(id, seq, e) {
-					outs[i] = payload
-				}
-			}
-			return outs
-		})
+		ks[id] = routeKernel{id: id, out: t.g.Out(id), f: f}
 	}
 	return ks
+}
+
+// routeKernel is one node's RouteKernels kernel.
+type routeKernel struct {
+	id  graph.NodeID
+	out []graph.EdgeID
+	f   Filter
+}
+
+func (k routeKernel) payload(seq uint64, in []Input) any {
+	for _, i := range in {
+		if i.Present {
+			return i.Payload
+		}
+	}
+	return seq
+}
+
+func (k routeKernel) Process(seq uint64, in []Input) map[int]any {
+	payload := k.payload(seq, in)
+	outs := make(map[int]any, len(k.out))
+	for i, e := range k.out {
+		if k.f(k.id, seq, e) {
+			outs[i] = payload
+		}
+	}
+	return outs
+}
+
+func (k routeKernel) ProcessInto(seq uint64, in []Input, out []any, present []bool) {
+	payload := k.payload(seq, in)
+	for i, e := range k.out {
+		if k.f(k.id, seq, e) {
+			out[i], present[i] = payload, true
+		}
+	}
 }
 
 // SimConfig parameterizes Simulate.
