@@ -254,6 +254,57 @@ func TestRoutedFiringAllocBudget(t *testing.T) {
 	}
 }
 
+// raceDetector is set by race_test.go in -race builds.
+var raceDetector bool
+
+// TestTimedIngestAllocBudget is the allocation gate of the time-aware
+// path: Map → TumblingWindow(1h) → Map on a fake clock at batch 64.  The
+// window node ingests runs into kernel-owned scratch and one open window,
+// so a consumed input costs the whole pipeline — transport, kernels and
+// the per-session set-up spread over the stream — at most a twentieth of an
+// allocation.  (A clock-keyed slice per element, as the per-element ingest
+// once built, is one.)
+func TestTimedIngestAllocBudget(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("allocation benchmark")
+	}
+	const inputs = 1 << 14
+	input := make([]any, inputs)
+	for i := range input {
+		input[i] = i % 200 // payloads below 256 box without allocating
+	}
+	pipe, err := NewFlow[int, int]().
+		Then(Map("pre", func(v int) int { return v + 1 })).
+		Then(TumblingWindow[int]("win", time.Hour)).
+		Then(Map("size", func(w Window[int]) int { return len(w.Items) % 200 })).
+		Compile(WithMaxBatch(64), WithClock(NewFakeClock()), WithWatchdog(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := pipe.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ses, err := eng.Open(context.Background(), SliceSource(input...), DiscardSink())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := ses.Wait(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	perInput := float64(res.AllocsPerOp()) / inputs
+	t.Logf("%.4f allocations per input", perInput)
+	if perInput > 0.05 {
+		t.Errorf("a windowed input allocates %.3f times; want at most 0.05", perInput)
+	}
+}
+
 // TestBatchOptionValidation pins the knobs' input checking.
 func TestBatchOptionValidation(t *testing.T) {
 	topo := NewTopology()

@@ -19,8 +19,6 @@
 //	          [-replicate 1,2,4] [-batch 1] [-inputs 20000] [-json BENCH_fault.json]
 //	benchtopo -family scale [-spike-at 2000] [-spike-len 4000] [-inputs 8000]
 //	          [-replicate 1,2,4] [-cost 100] [-json BENCH_scale.json]
-//	benchtopo -family window [-window 250us,1ms,4ms] [-inputs 200000]
-//	          [-json BENCH_window.json]
 //
 // The throughput family runs a three-stage pipeline gen → work → out on
 // the goroutine runtime with the Propagation protocol, expanding the hot
@@ -55,12 +53,6 @@
 // timing how long until deliveries resume.  Records land in
 // BENCH_fault.json, including an exactly-once verdict for the retried
 // stream.
-//
-// The window family measures what the time-aware stage layer costs: the
-// same message stream through a bare map stage (the raw baseline) and
-// through TumblingWindow at each -window width, on the goroutine
-// runtime.  Each row records throughput and its ratio to the baseline;
-// the records seed BENCH_window.json.
 //
 // The scale family measures elastic replication (WithAutoscale): the
 // gen → work → out shape serves a stream of request sessions over one
@@ -115,7 +107,6 @@ func main() {
 	jsonOut := flag.String("json", "", "write throughput records as JSON to this file (- for stdout)")
 	killWorker := flag.String("kill-worker", "w1", "fault family: name of the distributed worker to kill (w0=source, w1=hot stage, w2=sink)")
 	killStep := flag.Int("kill-step", 1000, "fault family: kill the worker after this many sink deliveries")
-	windows := flag.String("window", "250us,1ms,4ms", "window family: comma-separated tumbling-window widths")
 	spikeAt := flag.Uint64("spike-at", 2000, "scale family: message index where the load spike begins")
 	spikeLen := flag.Uint64("spike-len", 4000, "scale family: number of flood-rate messages in the spike")
 	metrics := flag.Bool("metrics", false, "attach an Observer to each throughput run and print its final Snapshot as JSON alongside the bench line (throughput family)")
@@ -170,8 +161,6 @@ func main() {
 		runFault(*killWorker, *killStep, *replicate, *stage, *cost, *inputs, *batch, *jsonOut)
 	case "scale":
 		runScale(*replicate, *stage, *cost, *inputs, *spikeAt, *spikeLen, *jsonOut)
-	case "window":
-		runWindow(*windows, *inputs, *reps, *jsonOut)
 	default:
 		fmt.Fprintf(os.Stderr, "benchtopo: unknown family %q\n", *family)
 		os.Exit(2)
@@ -937,136 +926,6 @@ func runFault(worker string, killStep int, replicate, stage string, cost int, in
 				rec.Inputs, rec.ElapsedSec, rec.RecoveryLatencySec, rec.SessionRetries,
 				rec.WorkersDown, rec.Reconnects, rec.SinkData, rec.DeliveredOnce)
 		}
-	}
-	enc, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	enc = append(enc, '\n')
-	if jsonOut == "-" {
-		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(jsonOut, enc, 0o644); err != nil {
-		fatal(err)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Window family: time-aware stage overhead.  The same uint64 stream runs
-// through gen → work → out bare (the raw baseline) and with a
-// TumblingWindow stage appended after the hot map at each requested
-// width; the contrast is what the timed path — per-element clock reads,
-// window bookkeeping, re-sequenced protocol firing — costs against the
-// plain vectorized path.  The records seed BENCH_window.json.
-
-// windowRecord is one machine-readable windowed-throughput measurement.
-type windowRecord struct {
-	Topology    string  `json:"topology"`
-	Backend     string  `json:"backend"`
-	Variant     string  `json:"variant"`
-	WindowWidth string  `json:"window_width"`
-	Inputs      uint64  `json:"inputs"`
-	Cores       int     `json:"cores"`
-	ElapsedSec  float64 `json:"elapsed_sec"`
-	MsgsPerSec  float64 `json:"msgs_per_sec"`
-	Emissions   int64   `json:"emissions"`
-	VsRawPct    float64 `json:"vs_raw_pct"`
-}
-
-// countSink counts deliveries without retaining payloads — the window
-// family's sink, cheap enough to keep the stage under test on the
-// critical path.
-type countSink struct{ n int64 }
-
-func (s *countSink) Emit(context.Context, uint64, any) error {
-	s.n++
-	return nil
-}
-
-// runWindowVariant streams `inputs` messages through the flow once and
-// returns (elapsed, emissions).
-func runWindowVariant(pipe *streamdag.Pipeline, inputs uint64) (time.Duration, int64) {
-	sink := &countSink{}
-	start := time.Now()
-	if _, err := pipe.Run(context.Background(), streamdag.CountingSource(inputs), sink); err != nil {
-		fatal(err)
-	}
-	return time.Since(start), sink.n
-}
-
-// runWindow measures raw vs windowed throughput: a baseline row with no
-// time-aware stage, then one row per tumbling-window width, best of
-// -reps runs each.
-func runWindow(widths string, inputs uint64, reps int, jsonOut string) {
-	if reps < 1 {
-		reps = 1
-	}
-	var ws []time.Duration
-	for _, part := range strings.Split(widths, ",") {
-		d, err := time.ParseDuration(strings.TrimSpace(part))
-		if err != nil || d <= 0 {
-			fmt.Fprintf(os.Stderr, "benchtopo: bad -window %q\n", part)
-			os.Exit(2)
-		}
-		ws = append(ws, d)
-	}
-	if jsonOut == "" {
-		jsonOut = "BENCH_window.json"
-	}
-	csv := os.Stdout
-	if jsonOut == "-" {
-		csv = os.Stderr
-	}
-	compile := func(width time.Duration) *streamdag.Pipeline {
-		flow := streamdag.NewFlow[uint64, any]().Buffer(256).
-			Then(streamdag.Map("work", func(v uint64) uint64 { return v ^ v<<13 }))
-		if width > 0 {
-			flow = flow.Then(streamdag.TumblingWindow[uint64]("win", width))
-		}
-		pipe, err := flow.Compile(
-			streamdag.WithAlgorithm(streamdag.Propagation),
-			streamdag.WithWatchdog(30*time.Second),
-			streamdag.WithMaxBatch(64),
-		)
-		if err != nil {
-			fatal(err)
-		}
-		return pipe
-	}
-	measure := func(variant, width string, pipe *streamdag.Pipeline) windowRecord {
-		var best time.Duration
-		var ems int64
-		for r := 0; r < reps; r++ {
-			elapsed, n := runWindowVariant(pipe, inputs)
-			if r == 0 || elapsed < best {
-				best, ems = elapsed, n
-			}
-		}
-		return windowRecord{
-			Topology:    "hotstage",
-			Backend:     "runtime",
-			Variant:     variant,
-			WindowWidth: width,
-			Inputs:      inputs,
-			Cores:       runtime.NumCPU(),
-			ElapsedSec:  best.Seconds(),
-			MsgsPerSec:  float64(inputs) / best.Seconds(),
-			Emissions:   ems,
-		}
-	}
-	fmt.Fprintln(csv, "topology,backend,variant,window_width,inputs,seconds,msgs_per_sec,emissions,vs_raw_pct")
-	records := []windowRecord{measure("raw", "", compile(0))}
-	records[0].VsRawPct = 100
-	for _, w := range ws {
-		rec := measure("tumbling", w.String(), compile(w))
-		rec.VsRawPct = 100 * rec.MsgsPerSec / records[0].MsgsPerSec
-		records = append(records, rec)
-	}
-	for _, rec := range records {
-		fmt.Fprintf(csv, "%s,%s,%s,%s,%d,%.4f,%.1f,%d,%.1f\n",
-			rec.Topology, rec.Backend, rec.Variant, rec.WindowWidth, rec.Inputs,
-			rec.ElapsedSec, rec.MsgsPerSec, rec.Emissions, rec.VsRawPct)
 	}
 	enc, err := json.MarshalIndent(records, "", "  ")
 	if err != nil {

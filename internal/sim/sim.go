@@ -248,6 +248,9 @@ type node struct {
 	// stream/timed.go for the re-sequencing contract).
 	timed  stream.TimedKernel
 	outSeq uint64
+	// runIn is the payload half of a time-aware node's one-element ingest
+	// run; seqs, one long at a single-input node, is the other.
+	runIn [1]any
 	// obsN is the node's telemetry slot, nil when observation is off.
 	obsN *obs.NodeMetrics
 }
@@ -684,8 +687,10 @@ func (s *state) step(nd *node) bool {
 // deadline is delivered first (virtual time outranks queued input, so a
 // window closing at T never absorbs an element the clock says arrived
 // after T), then one input is consumed — dummies silently, data into
-// the kernel, EOS via the unconditional Flush — and any matured
-// emissions fire in the node's private output-sequence space.
+// the kernel as a run of one at the step's clock reading (the run-form
+// ingest the runtime backends call with longer runs), EOS via the
+// unconditional Flush — and any matured emissions fire in the node's
+// private output-sequence space.
 func (s *state) stepTimed(nd *node) bool {
 	now := s.cfg.Clock.Now()
 	if when, ok := nd.timed.NextDeadline(); ok && !when.After(now) {
@@ -721,9 +726,9 @@ func (s *state) stepTimed(nd *node) bool {
 		return true
 	}
 	if m.kind == Data {
-		nd.ins[0] = stream.Input{Present: true, Payload: m.payload}
-		nd.timed.Process(m.seq, nd.ins)
-		nd.ins[0] = stream.Input{}
+		nd.seqs[0], nd.runIn[0] = m.seq, m.payload
+		nd.timed.Ingest(now, nd.seqs, nd.runIn[:])
+		nd.runIn[0] = nil
 		if nd.obsN != nil {
 			nd.obsN.Firings.Add(1)
 		}

@@ -1784,31 +1784,47 @@ func (n *engineNode) sinkEmit(ns *nodeSession, data int) {
 	ns.sinkInflight += data
 }
 
-// consumeTimed consumes one input head of a time-aware node.  The input's
-// protocol alignment is absorbed silently — dummies are dropped, data
-// feeds the kernel, EOS flushes it and ends the queue — and whatever the
-// consumption matured is queued to fire in the node's private
-// output-sequence space (see timed.go).  Reports whether anything was
-// consumed.
+// consumeTimed consumes one run of a time-aware node's input: up to batch
+// queued heads under one clock reading.  The input's protocol alignment is
+// absorbed silently — each stretch of data heads feeds the kernel in one
+// Ingest call (staged in the span scratch, idle between firing passes),
+// dummies are dropped, EOS flushes the kernel and ends the queue — and
+// what the run matured is queued to fire in the node's private
+// output-sequence space (see timed.go).  Reports whether it consumed.
 func (n *engineNode) consumeTimed(ns *nodeSession) bool {
-	if ns.heads[0].len() == 0 {
+	q := ns.heads[0].live()
+	if len(q) == 0 {
 		return false
 	}
-	h := ns.heads[0].live()[0]
-	n.popHeads(ns, 0, 1)
-	switch {
-	case h.Seq == proto.EOSSeq:
-		n.stopTimer(ns)
-		n.timed.Flush()
-		ns.srcDone = true
-	case h.Kind == Data:
-		n.kin[0] = Input{Present: true, Payload: h.Payload}
-		n.timed.Process(h.Seq, n.kin)
-		n.kin[0] = Input{}
-		ns.live.Add(1)
-		if n.obsN != nil {
-			n.obsN.Firings.Add(1)
+	q = q[:min(len(q), n.batch)]
+	now := n.timed.TimedClock().Now()
+	k, data := 0, 0
+	for k < len(q) {
+		m := 0
+		for ; k < len(q) && q[k].Kind == Data && q[k].Seq != proto.EOSSeq; k++ {
+			n.spanIn[m], n.spanSeq[m] = q[k].Payload, q[k].Seq
+			m++
 		}
+		if m > 0 {
+			n.timed.Ingest(now, n.spanSeq[:m], n.spanIn[:m])
+			clear(n.spanIn[:m])
+			data += m
+		}
+		if k == len(q) {
+			break
+		}
+		k++ // the head that ended the stretch: a dummy is dropped
+		if q[k-1].Seq == proto.EOSSeq {
+			n.stopTimer(ns)
+			n.timed.Flush()
+			ns.srcDone = true
+			break
+		}
+	}
+	n.popHeads(ns, 0, k)
+	ns.live.Add(int64(data))
+	if n.obsN != nil {
+		n.obsN.Firings.Add(int64(data))
 	}
 	n.queueEmissions(ns)
 	return true

@@ -2,10 +2,11 @@ package stream
 
 // Layer microbenchmarks for the pieces a message crosses between two
 // kernels: the head queue, the mailbox, and one pass of the firing loop —
-// a batch-1 all-data firing, and a 64-firing pass over runs that mix data
-// and dummies.  Every benchmark's ns/op and allocs/op are per message.
+// a batch-1 all-data firing, a 64-firing pass over runs that mix data
+// and dummies, and a time-aware node's ingest of a 64-head run.  Every
+// benchmark's ns/op and allocs/op are per message.
 //
-//	go test -run '^$' -bench 'Fifo|Mailbox|Fire|MixedRun' -benchmem ./internal/stream
+//	go test -run '^$' -bench 'Fifo|Mailbox|Fire|MixedRun|TimedIngest' -benchmem ./internal/stream
 
 import (
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"streamdag/internal/clock"
 	"streamdag/internal/cs4"
 	"streamdag/internal/graph"
 	"streamdag/internal/ival"
@@ -64,7 +66,7 @@ type firingBench struct {
 	spare []event
 }
 
-func newFiringBench(b *testing.B, g *graph.Graph, node graph.NodeID, ks map[graph.NodeID]Kernel, cfg Config) *firingBench {
+func newFiringBench(b testing.TB, g *graph.Graph, node graph.NodeID, ks map[graph.NodeID]Kernel, cfg Config) *firingBench {
 	cfg.WatchdogTimeout = time.Hour
 	e, err := NewEngine(g, ks, cfg)
 	if err != nil {
@@ -178,3 +180,35 @@ func benchMixedRunHop(b *testing.B, inputs int) {
 
 func BenchmarkMixedRunHop1In(b *testing.B) { benchMixedRunHop(b, 1) }
 func BenchmarkMixedRunHop4In(b *testing.B) { benchMixedRunHop(b, 4) }
+
+// BenchmarkTimedIngestRun times a time-aware node's advance over a run of
+// 64 queued heads — all data, or every other one a dummy, which cuts the
+// run into 32 one-element stretches — into a kernel that only counts: the
+// clock reading, the staging, the Ingest calls, the batched credit and the
+// timer re-arm, per head consumed.
+func BenchmarkTimedIngestRun(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		dummies bool
+	}{{"data", false}, {"half_dummies", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			f := newTimedBench(b, &stubTimed{clk: clock.NewFake()}, 64)
+			const run = 64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += run {
+				for j := 0; j < run; j++ {
+					m := Message{Seq: uint64(i + j), Kind: Data, Payload: j}
+					if tc.dummies && j%2 == 1 {
+						m = Message{Seq: m.Seq, Kind: Dummy}
+					}
+					f.ns.heads[0].push(m)
+				}
+				f.n.advance(f.ns)
+				if f.ns.heads[0].len() != 0 {
+					b.Fatal("a run of queued heads was not consumed in one advance")
+				}
+			}
+		})
+	}
+}

@@ -28,8 +28,22 @@ import (
 // forfeit is alignment with sibling branches keyed to the ORIGINAL
 // sequence space — which is why the Flow builder rejects time-aware
 // stages inside Split branches, where a seq-keyed merge join awaits.
+//
+// Input reaches the kernel in runs: a node takes what is queued on its
+// in-edge, reads the clock once, and hands each maximal stretch of data
+// heads — at most its batch width long — to Ingest with that reading
+// (dummies are dropped, EOS is the Flush).  A run's elements thus all
+// "arrive" when the node took the run up: exactly when each would have read
+// the clock itself on a fake clock or the simulator, where time cannot move
+// inside a pass, and at most one run early on the wall clock.  Process is
+// the one-element form for holders of a plain Kernel; no engine calls it.
 type TimedKernel interface {
 	Kernel
+
+	// Ingest consumes a run of data elements, payloads[j] at input sequence
+	// number seqs[j], all arriving at now (a TimedClock reading).  Both
+	// slices are the caller's scratch: keep payloads, never the slices.
+	Ingest(now time.Time, seqs []uint64, payloads []any)
 
 	// TimedClock returns the clock the kernel reads.  The engines use it
 	// to arm flush timers (wall backends) or to advance virtual time

@@ -1,0 +1,132 @@
+package stream
+
+// Tests of the time-aware node's run-form ingest (timed.go), driven by
+// hand on one node of a closed engine the way the layer microbenchmarks
+// are: the test's goroutine is the node loop, so what the node reads,
+// calls and credits is exact.
+
+import (
+	"fmt"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"streamdag/internal/clock"
+	"streamdag/internal/graph"
+	"streamdag/internal/proto"
+	"streamdag/internal/workload"
+)
+
+// stubTimed is a TimedKernel that swallows its input and records how it
+// arrived.  Its Process reads the clock as the stage library's one-element
+// adapter does, so an engine that fell back to it would show in the read
+// count.
+type stubTimed struct {
+	clk   clock.Clock
+	keep  bool     // record calls (tests; the benchmarks only count)
+	calls []string // "ingest<seqs>" per run, "flush"
+	n     int      // elements ingested
+}
+
+func (k *stubTimed) Process(seq uint64, in []Input) map[int]any {
+	k.Ingest(k.clk.Now(), []uint64{seq}, []any{in[0].Payload})
+	return nil
+}
+
+func (k *stubTimed) Ingest(_ time.Time, seqs []uint64, payloads []any) {
+	if len(seqs) != len(payloads) {
+		panic("stubTimed: run halves differ in length")
+	}
+	if k.keep {
+		k.calls = append(k.calls, fmt.Sprint("ingest", seqs))
+	}
+	k.n += len(payloads)
+}
+
+func (k *stubTimed) TimedClock() clock.Clock { return k.clk }
+func (k *stubTimed) Tick(time.Time)          {}
+func (k *stubTimed) TakeEmissions() []any    { return nil }
+
+func (k *stubTimed) Flush() {
+	if k.keep {
+		k.calls = append(k.calls, "flush")
+	}
+}
+
+// NextDeadline keeps a deadline pending once anything arrived, as an open
+// window does: every advance then pays armTimer's clock read too.
+func (k *stubTimed) NextDeadline() (time.Time, bool) {
+	return clock.Epoch.Add(time.Hour), k.n > 0
+}
+
+// countingClock counts the readings taken of a fake clock.
+type countingClock struct {
+	*clock.Fake
+	reads atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads.Add(1)
+	return c.Fake.Now()
+}
+
+// newTimedBench puts k in the middle of a 3-node chain at the given batch
+// width and returns the hand-driven node.
+func newTimedBench(b testing.TB, k *stubTimed, batch int) *firingBench {
+	g := workload.Pipeline(3, 4)
+	mid := g.MustNode("s1")
+	return newFiringBench(b, g, mid, map[graph.NodeID]Kernel{mid: k}, Config{MaxBatch: batch})
+}
+
+// TestTimedIngestReadsClockPerRun pins the run contract's cost: a
+// time-aware node at batch 64 reads the clock once per run it picks up
+// (plus armTimer's reading per advance), not once per element.
+func TestTimedIngestReadsClockPerRun(t *testing.T) {
+	const n, batch = 64000, 64
+	clk := &countingClock{Fake: clock.NewFake()}
+	k := &stubTimed{clk: clk}
+	f := newTimedBench(t, k, batch)
+	run := make([]Message, batch)
+	for i := 0; i < n; i += batch {
+		for j := range run {
+			run[j] = Message{Seq: uint64(i + j), Kind: Data, Payload: j}
+		}
+		f.n.absorb(&event{kind: evMsg, ses: f.ns.ses, span: run})
+		f.n.advance(f.ns)
+	}
+	if k.n != n {
+		t.Fatalf("kernel ingested %d elements, want %d", k.n, n)
+	}
+	if reads := clk.reads.Load(); reads > n/16 {
+		t.Errorf("%d inputs at batch %d read the clock %d times; want at most %d (one per run and one per advance)",
+			n, batch, reads, n/16)
+	}
+}
+
+// TestTimedIngestSplitsRunsAtDummies pins what a mixed run becomes: the
+// data stretches reach the kernel whole and in order, a dummy only ends a
+// stretch, EOS is the Flush, and every head consumed — whatever its kind —
+// is credited upstream in the advance's one batched ack.
+func TestTimedIngestSplitsRunsAtDummies(t *testing.T) {
+	k := &stubTimed{clk: clock.NewFake(), keep: true}
+	f := newTimedBench(t, k, 64)
+	up := f.n.upMB[0]
+	up.closed = false
+	f.n.absorb(&event{kind: evMsg, ses: f.ns.ses, span: []Message{
+		{Seq: 0, Kind: Data, Payload: "a"},
+		{Seq: 1, Kind: Dummy},
+		{Seq: 2, Kind: Data, Payload: "b"},
+		{Seq: 3, Kind: Data, Payload: "c"},
+		{Seq: proto.EOSSeq, Kind: EOS},
+	}})
+	f.n.advance(f.ns)
+	if got, want := fmt.Sprint(k.calls), "[ingest[0] ingest[2 3] flush]"; got != want {
+		t.Errorf("kernel saw %s, want %s", got, want)
+	}
+	if len(up.q) != 1 || up.q[0].kind != evCredit || up.q[0].cnt != 5 {
+		t.Errorf("upstream got %+v, want one credit for 5 heads", up.q)
+	}
+	if !f.ns.done {
+		t.Error("EOS did not end the stream at the node")
+	}
+}

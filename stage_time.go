@@ -104,7 +104,16 @@ func (c *timedCore) TimedClock() clock.Clock {
 	return c.clk
 }
 
-func (c *timedCore) now() time.Time { return c.TimedClock().Now() }
+// processOne is Kernel.Process for a time-aware kernel: a run of one at
+// the kernel's own clock reading.  It exists for callers that hold only a
+// Kernel; the engines ingest runs (stream.TimedKernel.Ingest) and never
+// call it.
+func processOne(k stream.TimedKernel, seq uint64, in []Input) map[int]any {
+	if p, ok := firstPresent(in); ok {
+		k.Ingest(k.TimedClock().Now(), []uint64{seq}, []any{p})
+	}
+	return nil
+}
 
 // emit queues v for the next TakeEmissions drain.  The tap runs here —
 // at emission, where the stage's output actually materializes — because
@@ -212,6 +221,11 @@ type windowKernel[T any] struct {
 	slot         *stageErrSlot
 	width, slide time.Duration
 	open         []*openWindow[T] // ascending by start
+	// vals is the run being ingested, cast; lastLen is how many items the
+	// last window the clock closed held, the capacity the next one opens
+	// with.
+	vals    []T
+	lastLen int
 }
 
 func (k *windowKernel[T]) reset() {
@@ -220,45 +234,44 @@ func (k *windowKernel[T]) reset() {
 }
 
 func (k *windowKernel[T]) Process(seq uint64, in []Input) map[int]any {
-	p, ok := firstPresent(in)
-	if !ok {
-		return nil
-	}
-	v, ok := castPayload[T](k.slot, k.name, seq, p)
-	if !ok {
-		return nil
-	}
-	t := k.now()
-	// Every window covering t: starts walk down from the aligned slot
-	// until the window no longer reaches t (one iteration when tumbling).
-	var starts []time.Time
-	for s := alignTime(t, k.slide); s.Add(k.width).After(t); s = s.Add(-k.slide) {
-		starts = append(starts, s)
-	}
-	for i := len(starts) - 1; i >= 0; i-- {
-		k.add(starts[i], v)
-	}
-	return nil
+	return processOne(k, seq, in)
 }
 
-// add appends v to the open window starting at start, creating it in
-// start order if absent.  The scan runs from the back: arrivals touch
-// the most recent windows.
-func (k *windowKernel[T]) add(start time.Time, v T) {
-	for i := len(k.open) - 1; i >= 0; i-- {
-		w := k.open[i]
-		if w.start.Equal(start) {
-			w.items = append(w.items, v)
-			return
-		}
-		if w.start.Before(start) {
-			k.open = append(k.open, nil)
-			copy(k.open[i+2:], k.open[i+1:])
-			k.open[i+1] = &openWindow[T]{start: start, items: []T{v}}
-			return
+func (k *windowKernel[T]) Ingest(now time.Time, seqs []uint64, payloads []any) {
+	vals := k.vals[:0]
+	for j, p := range payloads {
+		if v, ok := castPayload[T](k.slot, k.name, seqs[j], p); ok {
+			vals = append(vals, v)
 		}
 	}
-	k.open = append([]*openWindow[T]{{start: start, items: []T{v}}}, k.open...)
+	if len(vals) > 0 {
+		// Every window covering now takes the whole run: starts walk down
+		// from the aligned slot until the window no longer reaches now
+		// (one iteration when tumbling).
+		for s := alignTime(now, k.slide); s.Add(k.width).After(now); s = s.Add(-k.slide) {
+			w := k.window(s)
+			w.items = append(w.items, vals...)
+		}
+	}
+	clear(vals)
+	k.vals = vals
+}
+
+// window returns the open window starting at start, creating it in start
+// order if absent.  The scan runs from the back: arrivals touch the most
+// recent windows.
+func (k *windowKernel[T]) window(start time.Time) *openWindow[T] {
+	i := len(k.open)
+	for ; i > 0 && !k.open[i-1].start.Before(start); i-- {
+		if k.open[i-1].start.Equal(start) {
+			return k.open[i-1]
+		}
+	}
+	w := &openWindow[T]{start: start, items: make([]T, 0, k.lastLen)}
+	k.open = append(k.open, nil)
+	copy(k.open[i+1:], k.open[i:])
+	k.open[i] = w
+	return w
 }
 
 func (k *windowKernel[T]) Tick(now time.Time) {
@@ -270,6 +283,7 @@ func (k *windowKernel[T]) Tick(now time.Time) {
 			break
 		}
 		k.emit(Window[T]{Start: w.start, End: end, Items: w.items})
+		k.lastLen = len(w.items)
 	}
 	k.open = k.open[i:]
 }
@@ -340,27 +354,27 @@ func (k *sessionWindowKernel[T]) closeSession() {
 }
 
 func (k *sessionWindowKernel[T]) Process(seq uint64, in []Input) map[int]any {
-	p, ok := firstPresent(in)
-	if !ok {
-		return nil
+	return processOne(k, seq, in)
+}
+
+func (k *sessionWindowKernel[T]) Ingest(now time.Time, seqs []uint64, payloads []any) {
+	for j, p := range payloads {
+		v, ok := castPayload[T](k.slot, k.name, seqs[j], p)
+		if !ok {
+			continue
+		}
+		// A stale open session (its gap elapsed, timer delivery still in
+		// flight) closes before this element opens the next one.
+		if k.open && !now.Before(k.last.Add(k.gap)) {
+			k.closeSession()
+		}
+		if !k.open {
+			k.open = true
+			k.start = now
+		}
+		k.items = append(k.items, v)
+		k.last = now
 	}
-	v, ok := castPayload[T](k.slot, k.name, seq, p)
-	if !ok {
-		return nil
-	}
-	t := k.now()
-	// A stale open session (its gap elapsed, timer delivery still in
-	// flight) closes before this element opens the next one.
-	if k.open && !t.Before(k.last.Add(k.gap)) {
-		k.closeSession()
-	}
-	if !k.open {
-		k.open = true
-		k.start = t
-	}
-	k.items = append(k.items, v)
-	k.last = t
-	return nil
 }
 
 func (k *sessionWindowKernel[T]) Tick(now time.Time) {
@@ -427,21 +441,21 @@ func (k *throttleKernel[T]) reset() {
 }
 
 func (k *throttleKernel[T]) Process(seq uint64, in []Input) map[int]any {
-	p, ok := firstPresent(in)
-	if !ok {
-		return nil
+	return processOne(k, seq, in)
+}
+
+func (k *throttleKernel[T]) Ingest(now time.Time, seqs []uint64, payloads []any) {
+	for j, p := range payloads {
+		v, ok := castPayload[T](k.slot, k.name, seqs[j], p)
+		if !ok {
+			continue
+		}
+		if !k.passed || now.Sub(k.lastPass) >= k.interval {
+			k.passed = true
+			k.lastPass = now
+			k.emit(v)
+		}
 	}
-	v, ok := castPayload[T](k.slot, k.name, seq, p)
-	if !ok {
-		return nil
-	}
-	t := k.now()
-	if !k.passed || t.Sub(k.lastPass) >= k.interval {
-		k.passed = true
-		k.lastPass = t
-		k.emit(v)
-	}
-	return nil
 }
 
 func (k *throttleKernel[T]) Tick(time.Time) {}
@@ -496,24 +510,24 @@ func (k *debounceKernel[T]) reset() {
 }
 
 func (k *debounceKernel[T]) Process(seq uint64, in []Input) map[int]any {
-	p, ok := firstPresent(in)
-	if !ok {
-		return nil
+	return processOne(k, seq, in)
+}
+
+func (k *debounceKernel[T]) Ingest(now time.Time, seqs []uint64, payloads []any) {
+	for j, p := range payloads {
+		v, ok := castPayload[T](k.slot, k.name, seqs[j], p)
+		if !ok {
+			continue
+		}
+		// A held element whose quiet period already elapsed (timer delivery
+		// still in flight) emits before this arrival replaces it.
+		if k.held && !now.Before(k.due) {
+			k.emit(k.pending)
+		}
+		k.held = true
+		k.pending = v
+		k.due = now.Add(k.quiet)
 	}
-	v, ok := castPayload[T](k.slot, k.name, seq, p)
-	if !ok {
-		return nil
-	}
-	t := k.now()
-	// A held element whose quiet period already elapsed (timer delivery
-	// still in flight) emits before this arrival replaces it.
-	if k.held && !t.Before(k.due) {
-		k.emit(k.pending)
-	}
-	k.held = true
-	k.pending = v
-	k.due = t.Add(k.quiet)
-	return nil
 }
 
 func (k *debounceKernel[T]) Tick(now time.Time) {
@@ -592,32 +606,32 @@ func (k *dedupeKernel[T]) reset() {
 }
 
 func (k *dedupeKernel[T]) Process(seq uint64, in []Input) map[int]any {
-	p, ok := firstPresent(in)
-	if !ok {
-		return nil
-	}
-	v, ok := castPayload[T](k.slot, k.name, seq, p)
-	if !ok {
-		return nil
-	}
-	t := k.now()
-	if at, seen := k.seen[v]; seen && t.Sub(at) < k.ttl {
-		return nil
-	}
-	if k.seen == nil {
-		k.seen = make(map[T]time.Time)
-	}
-	k.seen[v] = t
-	k.emit(v)
-	if k.ops++; k.ops >= dedupeSweep {
-		k.ops = 0
-		for key, at := range k.seen {
-			if t.Sub(at) >= k.ttl {
-				delete(k.seen, key)
+	return processOne(k, seq, in)
+}
+
+func (k *dedupeKernel[T]) Ingest(now time.Time, seqs []uint64, payloads []any) {
+	for j, p := range payloads {
+		v, ok := castPayload[T](k.slot, k.name, seqs[j], p)
+		if !ok {
+			continue
+		}
+		if at, seen := k.seen[v]; seen && now.Sub(at) < k.ttl {
+			continue
+		}
+		if k.seen == nil {
+			k.seen = make(map[T]time.Time)
+		}
+		k.seen[v] = now
+		k.emit(v)
+		if k.ops++; k.ops >= dedupeSweep {
+			k.ops = 0
+			for key, at := range k.seen {
+				if now.Sub(at) >= k.ttl {
+					delete(k.seen, key)
+				}
 			}
 		}
 	}
-	return nil
 }
 
 func (k *dedupeKernel[T]) Tick(time.Time) {}
@@ -672,27 +686,27 @@ func (k *sampleKernel[T]) reset() {
 }
 
 func (k *sampleKernel[T]) Process(seq uint64, in []Input) map[int]any {
-	p, ok := firstPresent(in)
-	if !ok {
-		return nil
+	return processOne(k, seq, in)
+}
+
+func (k *sampleKernel[T]) Ingest(now time.Time, seqs []uint64, payloads []any) {
+	for j, p := range payloads {
+		v, ok := castPayload[T](k.slot, k.name, seqs[j], p)
+		if !ok {
+			continue
+		}
+		// A held sample whose slot already ended (timer delivery in flight)
+		// emits before this arrival starts the next slot.
+		if k.held && !now.Before(k.due) {
+			k.emit(k.latest)
+			k.held = false
+		}
+		if !k.held {
+			k.held = true
+			k.due = alignTime(now, k.interval).Add(k.interval)
+		}
+		k.latest = v
 	}
-	v, ok := castPayload[T](k.slot, k.name, seq, p)
-	if !ok {
-		return nil
-	}
-	t := k.now()
-	// A held sample whose slot already ended (timer delivery in flight)
-	// emits before this arrival starts the next slot.
-	if k.held && !t.Before(k.due) {
-		k.emit(k.latest)
-		k.held = false
-	}
-	if !k.held {
-		k.held = true
-		k.due = alignTime(t, k.interval).Add(k.interval)
-	}
-	k.latest = v
-	return nil
 }
 
 func (k *sampleKernel[T]) Tick(now time.Time) {

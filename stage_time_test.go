@@ -181,10 +181,11 @@ func TestSimWindowDeterministic(t *testing.T) {
 }
 
 // TestSimTimedStagesDeterministic pins the non-window timed stages'
-// simulator output the same way.
+// simulator output the same way, at every batch width: the simulator
+// ingests a run of one per step whatever the width.
 func TestSimTimedStagesDeterministic(t *testing.T) {
-	run := func(stage Stage, input []any) string {
-		out := runTimed(t, stage, input, WithBackend(Simulator()))
+	run := func(stage Stage, input []any, batch int) string {
+		out := runTimed(t, stage, input, WithBackend(Simulator()), WithMaxBatch(batch))
 		parts := make([]string, len(out))
 		for i, p := range out {
 			parts[i] = fmtTimed(p)
@@ -208,67 +209,89 @@ func TestSimTimedStagesDeterministic(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := run(tc.mk(), tc.input)
-			again := run(tc.mk(), tc.input)
-			if got != again {
-				t.Fatalf("repeated simulator runs differ:\n  %s\n  %s", got, again)
-			}
-			if got != tc.want {
-				t.Errorf("pinned output changed:\n got  %s\n want %s", got, tc.want)
+			for _, batch := range timedBatches {
+				got := run(tc.mk(), tc.input, batch)
+				again := run(tc.mk(), tc.input, batch)
+				if got != again {
+					t.Fatalf("batch %d: repeated simulator runs differ:\n  %s\n  %s", batch, got, again)
+				}
+				if got != tc.want {
+					t.Errorf("batch %d: pinned output changed:\n got  %s\n want %s", batch, got, tc.want)
+				}
 			}
 		})
 	}
 }
 
+// timedBatches are the widths the run-form ingest is pinned at: a run of
+// one, a width that divides nothing, and the benchmark's.
+var timedBatches = []int{1, 7, 64}
+
 // TestTimedParityAcrossBackends runs every time-aware stage on all three
-// backends with intervals far longer than the test, where the semantics
-// are wall-clock-tolerant and exact: nothing closes mid-stream, so each
-// stage's output is determined by arrival order alone and must agree
-// across the goroutine runtime, the simulator, and the TCP workers.
+// backends with intervals far longer than the test, on a fake clock (the
+// simulator's own, or one nobody advances): nothing closes mid-stream, so
+// each stage's output is determined by arrival order alone and must agree
+// across the goroutine runtime, the simulator, and the TCP workers, at
+// every batch width — on the short pinned input and on a long one, whose
+// 200 elements arrive in runs wider than one.
 func TestTimedParityAcrossBackends(t *testing.T) {
 	const long = time.Hour
+	all, mod5 := make([]int, 200), make([]int, 200)
+	for i := range all {
+		all[i], mod5[i] = i, i%5
+	}
+	window := fmt.Sprintf("W%v", all)
 	cases := []struct {
-		name  string
-		mk    func() Stage
-		input []any
-		want  string
+		name     string
+		mk       func() Stage
+		input    []any
+		want     string
+		long     []any
+		longWant string
 	}{
 		{"tumbling", func() Stage { return TumblingWindow[int]("win", long) },
-			intPayloads(1, 2, 3), "W[1 2 3]"},
+			intPayloads(1, 2, 3), "W[1 2 3]", intPayloads(all...), window},
 		{"session", func() Stage { return SessionWindow[int]("win", long) },
-			intPayloads(1, 2, 3), "W[1 2 3]"},
+			intPayloads(1, 2, 3), "W[1 2 3]", intPayloads(all...), window},
 		{"sliding", func() Stage { return SlidingWindow[int]("win", long, long) },
-			intPayloads(1, 2, 3), "W[1 2 3]"},
+			intPayloads(1, 2, 3), "W[1 2 3]", intPayloads(all...), window},
 		{"throttle", func() Stage { return Throttle[int]("thr", long) },
-			intPayloads(1, 2, 3, 4, 5), "1"},
+			intPayloads(1, 2, 3, 4, 5), "1", intPayloads(all...), "0"},
 		{"debounce", func() Stage { return Debounce[int]("deb", long) },
-			intPayloads(1, 2, 3, 4, 5), "5"},
+			intPayloads(1, 2, 3, 4, 5), "5", intPayloads(all...), "199"},
 		{"dedupe", func() Stage { return Dedupe[int]("ddp", long) },
-			intPayloads(1, 2, 1, 3, 2, 4), "1 2 3 4"},
+			intPayloads(1, 2, 1, 3, 2, 4), "1 2 3 4", intPayloads(mod5...), "0 1 2 3 4"},
 		{"sample", func() Stage { return Sample[int]("smp", long) },
-			intPayloads(1, 2, 3), "3"},
+			intPayloads(1, 2, 3), "3", intPayloads(all...), "199"},
 	}
 	backends := func(stageName string) map[string][]Option {
 		return map[string][]Option{
-			"goroutines": {},
+			"goroutines": {WithClock(NewFakeClock())},
 			"simulator":  {WithBackend(Simulator())},
 			// The timed node and the sink stay co-located so Window[int]
 			// payloads never cross the wire codec.
 			"distributed": {WithBackend(Distributed(map[string]string{
 				"source": "w0", stageName: "w1", "sink": "w1",
-			})), WithWatchdog(10 * time.Second)},
+			})), WithClock(NewFakeClock()), WithWatchdog(10 * time.Second)},
 		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for name, opts := range backends(tc.mk().Name()) {
-				out := runTimed(t, tc.mk(), tc.input, opts...)
-				parts := make([]string, len(out))
-				for i, p := range out {
-					parts[i] = fmtTimed(p)
-				}
-				if got := strings.Join(parts, " "); got != tc.want {
-					t.Errorf("%s: got %q, want %q", name, got, tc.want)
+				for _, batch := range timedBatches {
+					for _, in := range []struct {
+						input []any
+						want  string
+					}{{tc.input, tc.want}, {tc.long, tc.longWant}} {
+						out := runTimed(t, tc.mk(), in.input, append(opts, WithMaxBatch(batch))...)
+						parts := make([]string, len(out))
+						for i, p := range out {
+							parts[i] = fmtTimed(p)
+						}
+						if got := strings.Join(parts, " "); got != in.want {
+							t.Errorf("%s, batch %d, %d inputs: got %q, want %q", name, batch, len(in.input), got, in.want)
+						}
+					}
 				}
 			}
 		})
@@ -430,5 +453,126 @@ func TestTimedRetryReset(t *testing.T) {
 	letters := dlq.Letters()
 	if len(letters) != 1 || letters[0].Payload != any(7) || letters[0].Seq != 0 {
 		t.Fatalf("dead letters %v, want one letter carrying 7 at seq 0", letters)
+	}
+}
+
+// TestTimedAfterFilteringSplit puts a window behind a split whose branches
+// both filter, so the merge forwards dummies for the sequence numbers
+// neither kept and the time-aware node's runs mix data and dummies.  At
+// every batch width, on every backend, the windows partition the merged
+// stream in order, and the per-edge data and dummy counts upstream of the
+// window — what the protocol computed — are the simulator's at batch 1.
+func TestTimedAfterFilteringSplit(t *testing.T) {
+	const n = 600
+	input := make([]any, n)
+	var merged []int
+	for i := range input {
+		input[i] = i
+		if i%3 == 0 || i%4 == 0 {
+			merged = append(merged, i)
+		}
+	}
+	run := func(width time.Duration, opts ...Option) (*Pipeline, *RunStats, [][]int) {
+		t.Helper()
+		pipe, err := NewFlow[int, any]().
+			Then(Split(
+				Merge("join", func(parts []Maybe[int]) (int, bool) {
+					if parts[0].OK {
+						return parts[0].Value, true
+					}
+					return parts[1].Value, true
+				}),
+				FilterStage("threes", func(v int) bool { return v%3 == 0 }),
+				FilterStage("fours", func(v int) bool { return v%4 == 0 }),
+			)).
+			Then(TumblingWindow[int]("win", width)).
+			Compile(append(opts, WithWatchdog(10*time.Second))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := &Collector{}
+		stats, err := pipe.Run(context.Background(), SliceSource(input...), col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var windows [][]int
+		for _, e := range col.Emissions() {
+			windows = append(windows, e.Payload.(Window[int]).Items)
+		}
+		return pipe, stats, windows
+	}
+	checkPartition := func(label string, windows [][]int) {
+		t.Helper()
+		var got []int
+		for _, w := range windows {
+			got = append(got, w...)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(merged) {
+			t.Errorf("%s: windows hold %v, want the merged stream %v", label, got, merged)
+		}
+	}
+
+	// The simulator's clock moves, so a short width cuts the stream into
+	// several windows; they must still partition it.
+	_, _, short := run(4*time.Millisecond, WithBackend(Simulator()))
+	if len(short) < 2 {
+		t.Fatalf("simulator cut %d windows at 4ms; the partition check needs several", len(short))
+	}
+	checkPartition("simulator, 4ms", short)
+
+	ref, refStats, windows := run(time.Hour, WithBackend(Simulator()))
+	checkPartition("simulator", windows)
+	g := ref.Topology().Graph()
+	into := g.In(g.MustNode("win"))[0]
+	if refStats.Dummies[into] == 0 {
+		t.Fatal("no dummies reach the window; the case would not exercise mixed runs")
+	}
+	assign := map[string]string{"win": "w1", "sink": "w1"} // Window[int] stays off the wire
+	for i := 0; i < g.NumNodes(); i++ {
+		if name := g.Name(NodeID(i)); assign[name] == "" {
+			assign[name] = "w0"
+		}
+	}
+	for name, backend := range map[string]Backend{
+		"goroutines": Goroutines(), "simulator": Simulator(), "distributed": Distributed(assign),
+	} {
+		for _, batch := range timedBatches {
+			label := fmt.Sprintf("%s, batch %d", name, batch)
+			opts := []Option{WithBackend(backend), WithMaxBatch(batch)}
+			if name != "simulator" {
+				opts = append(opts, WithClock(NewFakeClock()))
+			}
+			_, stats, windows := run(time.Hour, opts...)
+			checkPartition(label, windows)
+			for e := range refStats.Data {
+				if stats.Data[e] != refStats.Data[e] || stats.Dummies[e] != refStats.Dummies[e] {
+					t.Errorf("%s: edge %d carried %d data, %d dummies; the simulator %d, %d",
+						label, e, stats.Data[e], stats.Dummies[e], refStats.Data[e], refStats.Dummies[e])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkWindowKernelRun times the tumbling kernel alone, per element,
+// fed runs of one and of 64 under one clock reading each, with a window
+// closing every 4096 elements.
+func BenchmarkWindowKernelRun(b *testing.B) {
+	for _, run := range []int{1, 64} {
+		b.Run(fmt.Sprintf("run%d", run), func(b *testing.B) {
+			k := &windowKernel[int]{name: "win", width: time.Millisecond, slide: time.Millisecond}
+			seqs, pays := make([]uint64, run), intPayloads(make([]int, run)...)
+			now := clock.Epoch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += run {
+				k.Ingest(now, seqs, pays)
+				if i%4096 == 0 {
+					now = now.Add(time.Millisecond)
+					k.Tick(now)
+					k.TakeEmissions()
+				}
+			}
+		})
 	}
 }
