@@ -1,7 +1,8 @@
 package streamdag
 
-// The benchmark harness regenerates every figure-level claim of the paper
-// (see DESIGN.md's per-experiment index and EXPERIMENTS.md for results):
+// These benchmarks regenerate every figure-level claim of the paper
+// (`go run ./cmd/experiments` prints the results as tables and checks
+// them):
 //
 //	E2   Fig. 2 deadlock demonstration
 //	E3   Fig. 3 worked intervals
@@ -15,8 +16,8 @@ package streamdag
 //	E12  dummy-traffic overhead, Propagation vs Non-Propagation
 //	E13  conclusion's butterfly rewrite
 //
-// plus the design-decision ablations from DESIGN.md.  Complexity claims
-// show up as how ns/op scales across the size sub-benchmarks.
+// plus the design-decision ablations.  Complexity claims show up as how
+// ns/op scales across the size sub-benchmarks.
 
 import (
 	"context"
@@ -315,7 +316,11 @@ func BenchmarkAblation_LadderLinearVsPairs(b *testing.B) {
 }
 
 // BenchmarkRuntimeThroughput measures the goroutine runtime end to end on
-// a protected pipeline (messages/second as items processed per op).
+// a protected pipeline (messages/second as items processed per op).  It
+// is the profiling entry point for the runtime — `go test -run '^$' -bench
+// RuntimeThroughput -cpuprofile|-memprofile|-blockprofile <file> .` —
+// and reports no figure the docs quote: throughput claims come from
+// `bash bench/run.sh` (DESIGN.md "Cost budget").
 func BenchmarkRuntimeThroughput(b *testing.B) {
 	topo := NewTopology()
 	topo.Channel("s0", "s1", 64)
@@ -337,39 +342,4 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(items*b.N)/b.Elapsed().Seconds(), "msgs/s")
-}
-
-// BenchmarkReplicatedThroughput measures the replication subsystem end to
-// end: the same protected pipeline with its middle stage expanded into k
-// replicas behind the round-robin splitter and ordered merger.  With a
-// free-running stage this prices the transform's overhead (splitter,
-// bundling, merger); a stage that blocks or burns CPU scales with k
-// instead (see cmd/benchtopo -family throughput).
-func BenchmarkReplicatedThroughput(b *testing.B) {
-	const items = 20000
-	for _, k := range []int{1, 4} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			topo := NewTopology()
-			topo.Channel("s0", "s1", 64)
-			topo.Channel("s1", "s2", 64)
-			topo.Channel("s2", "s3", 64)
-			p, err := Build(topo, WithAlgorithm(NonPropagation),
-				WithReplication(ReplicationPlan{"s1": k}))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stats, err := p.Run(context.Background(), CountingSource(items), nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if stats.SinkData != items {
-					b.Fatalf("sink saw %d", stats.SinkData)
-				}
-			}
-			b.ReportMetric(float64(items*b.N)/b.Elapsed().Seconds(), "msgs/s")
-		})
-	}
 }

@@ -16,7 +16,7 @@
 //     simulator oracle's.
 //
 // The process exits non-zero if any check fails, which is what CI's
-// examples-vet job runs.
+// examples job runs.
 //
 //	go run ./examples/logstats
 package main

@@ -566,13 +566,17 @@ func autoscaleTier() {
 	}
 
 	obs := streamdag.NewObserver()
+	type scaleEvt struct {
+		at time.Time // when OnEvent reported it, i.e. once the swap was applied
+		streamdag.ScaleEvent
+	}
 	var (
 		evMu   sync.Mutex
-		events []streamdag.ScaleEvent
+		events []scaleEvt
 	)
 	// Shallow buffers bound the vectorized span size so utilization
 	// accrues smoothly across detector samples instead of landing in
-	// one lump (same reasoning as benchtopo -family scale).
+	// one lump.
 	pipe, err := streamdag.NewFlow[uint64, uint64]().
 		Buffer(64).
 		Observe(obs).
@@ -588,7 +592,7 @@ func autoscaleTier() {
 				DrainTimeout:    5 * time.Second,
 				OnEvent: func(ev streamdag.ScaleEvent) {
 					evMu.Lock()
-					events = append(events, ev)
+					events = append(events, scaleEvt{time.Now(), ev})
 					evMu.Unlock()
 				},
 			}),
@@ -623,10 +627,14 @@ func autoscaleTier() {
 	// generation they were opened on, so back-to-back requests keep the
 	// newest generation busy while a drained one retires.
 	start := time.Now()
+	var floodStart time.Time
 	var q []pendingReq
 	for i := 0; i < quietBatches+floodBatches+quietBatches; i++ {
 		var src streamdag.Source
 		if i >= quietBatches && i < quietBatches+floodBatches {
+			if i == quietBatches {
+				floodStart = time.Now()
+			}
 			src = streamdag.CountingSource(batch) // flood: no think time
 		} else {
 			src = &pacedReqSource{n: batch, gap: 300 * time.Microsecond}
@@ -658,12 +666,18 @@ func autoscaleTier() {
 		if ev.Err != nil || !ev.Auto {
 			continue
 		}
-		if ev.ToK > ev.FromK {
-			ups++
-		} else {
-			downs++
-		}
 		fmt.Printf("  scale event: %s %d->%d (%s)\n", ev.Node, ev.FromK, ev.ToK, ev.Reason)
+		if ev.ToK <= ev.FromK {
+			downs++
+			continue
+		}
+		ups++
+		if ups == 1 {
+			// Negative where the hot stage costs more than the quiet
+			// phase's think time: the quiet phase is already a spike.
+			fmt.Printf("  time to scale: %d ms from the first flood request to the first applied scale-up\n",
+				ev.at.Sub(floodStart).Milliseconds())
+		}
 	}
 	evMu.Unlock()
 

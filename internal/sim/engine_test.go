@@ -3,6 +3,7 @@ package sim_test
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"streamdag/internal/cs4"
@@ -76,16 +77,29 @@ func TestEngineDeterministicInterleaving(t *testing.T) {
 			Kernels:   engineKernels(g, workload.DropEdge(ac)),
 		})
 		defer eng.Close()
+		// The scheduler admits opened sessions at round boundaries and
+		// runs beside this goroutine, so pin the round: session 0 waits
+		// inside its first source call until all three are open, and the
+		// other two join at round 2 however the goroutines are timed.
+		entered, allOpen := make(chan struct{}), make(chan struct{})
 		sessions := make([]*sim.EngineSession, 3)
 		for s := range sessions {
 			payloads := make([]any, 50+10*s)
 			for i := range payloads {
 				payloads[i] = fmt.Sprintf("s%d-%d", s, i)
 			}
+			src := sliceSrc(payloads)
+			if s == 0 {
+				first, once := src, sync.Once{}
+				src = func(ctx context.Context) (any, bool, error) {
+					once.Do(func() { close(entered); <-allOpen })
+					return first(ctx)
+				}
+			}
 			sid := s
 			ses, err := eng.Open(sim.SessionIO{
 				ID:     proto.SessionID(s + 1),
-				Source: sliceSrc(payloads),
+				Source: src,
 				Sink: func(_ context.Context, seq uint64, payload any) error {
 					transcript = append(transcript, fmt.Sprintf("s%d:%d:%v", sid, seq, payload))
 					return nil
@@ -95,7 +109,11 @@ func TestEngineDeterministicInterleaving(t *testing.T) {
 				t.Fatal(err)
 			}
 			sessions[s] = ses
+			if s == 0 {
+				<-entered
+			}
 		}
+		close(allOpen)
 		for _, ses := range sessions {
 			res := ses.Wait()
 			if !res.Completed {

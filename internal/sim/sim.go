@@ -68,7 +68,7 @@ type Config struct {
 	// messages entirely (the unsafe baseline).  +∞ entries never send.
 	Intervals map[graph.EdgeID]ival.Interval
 	// Rounding converts rational Non-Propagation intervals to integer
-	// send gaps.  The paper rounds up (Fig. 3); see EXPERIMENTS.md E10.
+	// send gaps.  The paper rounds up (Fig. 3); see cmd/experiments E10.
 	// Defaults to ceiling.
 	Rounding Rounding
 	// Inputs is the number of sequence numbers injected at the source
