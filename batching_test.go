@@ -305,6 +305,52 @@ func TestTimedIngestAllocBudget(t *testing.T) {
 	}
 }
 
+// TestSpanMapAllocBudget is the allocation gate of the boxes a Map stage
+// makes: three uint64 Maps at batch 64, fed payloads boxed in advance and
+// all past the runtime's preallocated small integers, each box their
+// span's outputs into one slab — so an input costs the pipeline at most a
+// tenth of an allocation, not one box per stage (≈ 3).
+func TestSpanMapAllocBudget(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("allocation benchmark")
+	}
+	const inputs = 1 << 14
+	input := make([]any, inputs)
+	for i := range input {
+		input[i] = uint64(1000 + i)
+	}
+	pipe, err := NewFlow[uint64, uint64]().Buffer(256).Then(
+		Map("s1", func(v uint64) uint64 { return v + 7 }),
+		Map("s2", func(v uint64) uint64 { return 3 * v }),
+		Map("s3", func(v uint64) uint64 { return v ^ 0xff00 }),
+	).Compile(WithMaxBatch(64), WithWatchdog(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := pipe.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ses, err := eng.Open(context.Background(), SliceSource(input...), DiscardSink())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := ses.Wait(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	perInput := float64(res.AllocsPerOp()) / inputs
+	t.Logf("%.4f allocations per input", perInput)
+	if perInput > 0.1 {
+		t.Errorf("an input through three Maps allocates %.3f times; want at most 0.1", perInput)
+	}
+}
+
 // TestBatchOptionValidation pins the knobs' input checking.
 func TestBatchOptionValidation(t *testing.T) {
 	topo := NewTopology()

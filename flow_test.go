@@ -3,6 +3,7 @@ package streamdag
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -200,6 +201,35 @@ func TestFlowRuntimeTypeError(t *testing.T) {
 	// The slot is per-Run: a clean rerun succeeds.
 	if _, err := pipe.Run(context.Background(), SliceSourceOf(4, 5), &col); err != nil {
 		t.Fatalf("clean rerun: %v", err)
+	}
+
+	// At batch 64 the Map itself meets the string, mid-span: it declines
+	// there, and every element it committed on either side — boxed into
+	// its span's slab — must arrive with its value.
+	pipe, err = NewFlow[any, uint64]().
+		Then(Map("m", func(v uint64) uint64 { return 3 * v })).
+		Compile(WithWatchdog(5*time.Second), WithMaxBatch(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make([]any, 200)
+	for i := range in {
+		in[i] = uint64(1000 + i)
+	}
+	in[100] = "oops"
+	var wide TypedCollector[uint64]
+	_, err = pipe.Run(context.Background(), SliceSource(in...), &wide)
+	if !errors.As(err, &terr) || terr.Stage != "m" || !terr.Runtime || terr.Seq != 100 {
+		t.Fatalf("batch 64: err = %v, want the Map's *StageTypeError at seq 100", err)
+	}
+	var want []uint64
+	for i := range in {
+		if i != 100 {
+			want = append(want, 3*uint64(1000+i))
+		}
+	}
+	if vals := wide.Values(); fmt.Sprint(vals) != fmt.Sprint(want) {
+		t.Fatalf("batch 64: surviving values %v, want %v", vals, want)
 	}
 }
 

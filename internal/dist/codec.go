@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 
+	"streamdag/internal/box"
 	"streamdag/internal/graph"
 	"streamdag/internal/proto"
 	"streamdag/internal/stream"
@@ -175,6 +176,7 @@ func parseRunHeader(body []byte) (sid proto.SessionID, e graph.EdgeID, count int
 func decodeRun(b []byte, count int, run []stream.Message) ([]stream.Message, error) {
 	run = run[:0]
 	var seq uint64
+	var words []uint64 // the frame's one slab for 8-byte scalar payloads
 	for i := 0; i < count; i++ {
 		delta, n := binary.Uvarint(b)
 		if n <= 0 || len(b) < n+1 {
@@ -189,7 +191,9 @@ func decodeRun(b []byte, count int, run []stream.Message) ([]stream.Message, err
 		switch m.Kind {
 		case stream.Data:
 			var err error
-			if m.Payload, b, err = decodePayload(b); err != nil {
+			// An 8-byte scalar takes 9 bytes, so len(b)/9 bounds the slab
+			// of a frame that announces more elements than it carries.
+			if m.Payload, b, err = decodeRunPayload(b, &words, min(count-i, len(b)/9)); err != nil {
 				return nil, fmt.Errorf("dist: run frame element %d of %d: %w", i, count, err)
 			}
 		case stream.Dummy, stream.EOS:
@@ -270,6 +274,36 @@ func appendPayload(b []byte, v any) ([]byte, error) {
 		}
 		return append(binary.AppendUvarint(append(b, pGob), uint64(buf.Len())), buf.Bytes()...), nil
 	}
+}
+
+// The Boxers of the 8-byte scalar payloads.
+var (
+	boxUint64  = box.For[uint64]()
+	boxInt64   = box.For[int64]()
+	boxInt     = box.For[int]()
+	boxFloat64 = box.For[float64]()
+)
+
+// decodeRunPayload is decodePayload for an element of a run frame: an
+// 8-byte scalar is boxed in words, the frame's one slab for them (box.Word;
+// left bounds how many the frame holds from this one on), and anything
+// else is decodePayload's.
+func decodeRunPayload(b []byte, words *[]uint64, left int) (any, []byte, error) {
+	if len(b) < 9 {
+		return decodePayload(b)
+	}
+	u, rest := binary.BigEndian.Uint64(b[1:]), b[9:]
+	switch b[0] {
+	case pUint64:
+		return boxUint64.Word(u, words, left), rest, nil
+	case pInt64:
+		return boxInt64.Word(int64(u), words, left), rest, nil
+	case pInt:
+		return boxInt.Word(int(u), words, left), rest, nil
+	case pFloat64:
+		return boxFloat64.Word(math.Float64frombits(u), words, left), rest, nil
+	}
+	return decodePayload(b)
 }
 
 // decodePayload decodes the payload at the head of b and returns what

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -198,10 +199,41 @@ func TestRunFrameRejectsMalformed(t *testing.T) {
 	}
 }
 
+// mixedRun is a run of k elements mixing every shape a run frame
+// carries: 8-byte scalars of each type past the runtime's small integers
+// (boxed in the frame's slab), a small one, dummies, strings and gob
+// payloads.
+func mixedRun(k int) []stream.Message {
+	run := make([]stream.Message, k)
+	for i := range run {
+		m := stream.Message{Seq: uint64(10 + 3*i), Kind: stream.Data}
+		switch i % 8 {
+		case 0:
+			m.Payload = uint64(1000 + i)
+		case 1:
+			m.Payload = int64(-1000 - i)
+		case 2:
+			m.Payload = 1000 + i
+		case 3:
+			m.Payload = 1000.5 + float64(i)
+		case 4:
+			m.Kind = stream.Dummy
+		case 5:
+			m.Payload = "string " + strconv.Itoa(i)
+		case 6:
+			m.Payload = []int{i, -i} // gob
+		case 7:
+			m.Payload = uint64(i % 256)
+		}
+		run[i] = m
+	}
+	return run
+}
+
 // TestRunDecodedPayloadsSurviveBufferReuse pins the aliasing contract the
 // reused read buffer relies on: everything decodeRun returns must be a
-// copy, so clobbering the frame bytes afterwards cannot corrupt a
-// decoded payload.
+// copy, so clobbering the frame bytes afterwards — or decoding the next
+// frame into them — cannot corrupt a decoded payload.
 func TestRunDecodedPayloadsSurviveBufferReuse(t *testing.T) {
 	wire, _, err := appendRun(nil, 7, 1, []stream.Message{
 		{Seq: 1, Kind: stream.Data, Payload: "retained string"},
@@ -224,6 +256,28 @@ func TestRunDecodedPayloadsSurviveBufferReuse(t *testing.T) {
 	}
 	if got := msgs[1].Payload.([]byte); !bytes.Equal(got, []byte("retained bytes")) {
 		t.Errorf("bytes payload corrupted by buffer reuse: %q", got)
+	}
+
+	mixed := mixedRun(64)
+	if wire, _, err = appendRun(nil, 7, 1, mixed); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(wire)
+	_, _, first := readRun(t, r, &buf)
+	next, _, err := appendRun(nil, 7, 1, uint64Run(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Reset(next)
+	readRun(t, r, &buf)
+	for i := range buf {
+		buf[i] = 0xEE
+	}
+	for i := range wire {
+		wire[i] = 0xDD
+	}
+	if !reflect.DeepEqual(first, mixed) {
+		t.Errorf("mixed 64-run corrupted by buffer reuse:\n got %v\nwant %v", first, mixed)
 	}
 }
 

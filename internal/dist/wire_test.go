@@ -126,8 +126,14 @@ func FuzzFrameBody(f *testing.F) {
 		{Seq: 9, Kind: stream.Data, Payload: uint64(5)},
 	})
 	eos, _, _ := appendRun(nil, 1, 0, []stream.Message{{Seq: proto.EOSSeq, Kind: stream.EOS}})
+	// Mixed runs: one the edge's capacity admits, so it is decoded and
+	// delivered, and a 64-run the worker must reject by its count.
+	mixed, _, _ := appendRun(nil, 1, 0, mixedRun(wireBuf))
+	mixed64, _, _ := appendRun(nil, 1, 0, mixedRun(64))
 	f.Add(run[4:])
 	f.Add(eos[4:])
+	f.Add(mixed[4:])
+	f.Add(mixed64[4:])
 	f.Add(appendCredit(nil, 1, 1, 2)[4:])
 	f.Add(appendBeat(nil)[4:])
 	f.Add(runBody(1, 0, 0))

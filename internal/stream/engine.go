@@ -1097,11 +1097,13 @@ type nodeSession struct {
 
 	// Time-aware node state (n.timed != nil only).  tickDue records an
 	// absorbed but not-yet-delivered flush-timer wakeup; timer is the
-	// session's one flush timer (allocated once, Reset thereafter) and
-	// timerArmed its contribution to ses.timersArmed.
+	// session's one flush timer (allocated once, Reset thereafter),
+	// timerArmed its contribution to ses.timersArmed and armedAt the
+	// deadline it is pending for (zero once its tick is delivered).
 	tickDue    bool
 	timer      clock.Timer
 	timerArmed bool
+	armedAt    time.Time
 }
 
 func (n *engineNode) run() {
@@ -1323,7 +1325,7 @@ loop:
 		case n.timed == nil:
 			break loop
 		case ns.tickDue:
-			ns.tickDue = false
+			ns.tickDue, ns.armedAt = false, time.Time{}
 			n.timed.Tick(n.timed.TimedClock().Now())
 			if m := n.e.cfg.Obs; m != nil {
 				m.Time().TimerTicks.Add(1)
@@ -1849,18 +1851,24 @@ func (n *engineNode) queueEmissions(ns *nodeSession) {
 // deadline, maintaining the session's armed-timer count so the watchdog
 // does not mistake a quietly open window for a deadlock.  No deadline,
 // a finished session, or an undelivered tick leaves the timer stopped
-// (the tick case already has its wakeup queued behind parked sends).
+// (the tick case already has its wakeup queued behind parked sends).  A
+// timer still pending for the same deadline is left alone: the runs of
+// one open window cost no clock read and no Reset.
 func (n *engineNode) armTimer(ns *nodeSession) {
 	if ns.done || ns.aborted || ns.tickDue {
 		n.stopTimer(ns)
 		return
 	}
-	clk := n.timed.TimedClock()
 	when, ok := n.timed.NextDeadline()
 	if !ok {
 		n.stopTimer(ns)
 		return
 	}
+	if ns.timerArmed && when.Equal(ns.armedAt) {
+		return
+	}
+	ns.armedAt = when
+	clk := n.timed.TimedClock()
 	d := when.Sub(clk.Now())
 	if d < 0 {
 		d = 0

@@ -115,7 +115,10 @@ func (a mapAdapter) ProcessInto(seq uint64, in []Input, out []any, present []boo
 // width, its queued input and its out-edge windows allow and may have
 // length one at any Config.MaxBatch — at batch 1 every element is a span
 // of one — and in and out are engine scratch, reused by the next call: a
-// kernel must never retain them.  Returning n < len(in) declines element
+// kernel must never retain them.  The payloads it writes to out may share
+// one backing array (a Flow Map boxes a span's outputs into one slab,
+// internal/box): an interface value is immutable, so sharing is never
+// visible.  Returning n < len(in) declines element
 // n — the engine fires it through Process and offers what follows to
 // ProcessSpan again, in order, so a kernel may vectorize the common case
 // and fall back per element for filtering, per-edge divergence, or type

@@ -53,21 +53,37 @@ func (k *stubTimed) Flush() {
 	}
 }
 
-// NextDeadline keeps a deadline pending once anything arrived, as an open
-// window does: every advance then pays armTimer's clock read too.
+// NextDeadline keeps one deadline pending once anything arrived, as an
+// open window does, so the node keeps its flush timer armed.
 func (k *stubTimed) NextDeadline() (time.Time, bool) {
 	return clock.Epoch.Add(time.Hour), k.n > 0
 }
 
-// countingClock counts the readings taken of a fake clock.
+// countingClock counts the readings taken of a fake clock and the times a
+// timer was armed on it (AfterFunc or Reset).
 type countingClock struct {
 	*clock.Fake
-	reads atomic.Int64
+	reads, arms atomic.Int64
 }
 
 func (c *countingClock) Now() time.Time {
 	c.reads.Add(1)
 	return c.Fake.Now()
+}
+
+func (c *countingClock) AfterFunc(d time.Duration, f func()) clock.Timer {
+	c.arms.Add(1)
+	return countingTimer{c.Fake.AfterFunc(d, f), &c.arms}
+}
+
+type countingTimer struct {
+	clock.Timer
+	arms *atomic.Int64
+}
+
+func (t countingTimer) Reset(d time.Duration) bool {
+	t.arms.Add(1)
+	return t.Timer.Reset(d)
 }
 
 // newTimedBench puts k in the middle of a 3-node chain at the given batch
@@ -80,7 +96,7 @@ func newTimedBench(b testing.TB, k *stubTimed, batch int) *firingBench {
 
 // TestTimedIngestReadsClockPerRun pins the run contract's cost: a
 // time-aware node at batch 64 reads the clock once per run it picks up
-// (plus armTimer's reading per advance), not once per element.
+// (plus armTimer's reading when the deadline moves), not once per element.
 func TestTimedIngestReadsClockPerRun(t *testing.T) {
 	const n, batch = 64000, 64
 	clk := &countingClock{Fake: clock.NewFake()}
@@ -100,6 +116,40 @@ func TestTimedIngestReadsClockPerRun(t *testing.T) {
 	if reads := clk.reads.Load(); reads > n/16 {
 		t.Errorf("%d inputs at batch %d read the clock %d times; want at most %d (one per run and one per advance)",
 			n, batch, reads, n/16)
+	}
+}
+
+// TestTimedTimerArmedOncePerDeadline: runs landing inside one open window
+// leave its deadline where it was, so the flush timer is armed once and
+// each run reads the clock once (its ingest); a delivered tick disarms
+// it, and the next run arms it again.
+func TestTimedTimerArmedOncePerDeadline(t *testing.T) {
+	const runs, batch = 100, 64
+	clk := &countingClock{Fake: clock.NewFake()}
+	k := &stubTimed{clk: clk}
+	f := newTimedBench(t, k, batch)
+	run := make([]Message, batch)
+	seq := 0
+	feed := func() {
+		for j := range run {
+			run[j] = Message{Seq: uint64(seq), Kind: Data, Payload: j}
+			seq++
+		}
+		f.n.absorb(&event{kind: evMsg, ses: f.ns.ses, span: run})
+		f.n.advance(f.ns)
+	}
+	for i := 0; i < runs; i++ {
+		feed()
+	}
+	if arms, reads := clk.arms.Load(), clk.reads.Load(); arms != 1 || reads != runs+1 {
+		t.Errorf("%d runs in one window armed the timer %d times and read the clock %d times; want 1 and %d",
+			runs, arms, reads, runs+1)
+	}
+	f.n.absorb(&event{kind: evTick, ses: f.ns.ses})
+	f.n.advance(f.ns)
+	feed()
+	if arms := clk.arms.Load(); arms != 2 {
+		t.Errorf("after a delivered tick the timer was armed %d times in all; want 2", arms)
 	}
 }
 

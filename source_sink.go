@@ -3,6 +3,8 @@ package streamdag
 import (
 	"context"
 	"sync"
+
+	"streamdag/internal/box"
 )
 
 // This file defines the ingestion and delivery endpoints of the Pipeline
@@ -57,13 +59,20 @@ func (c *countingSource) Next(context.Context) (any, bool, error) {
 	return v, true, nil
 }
 
+// boxUint64 boxes a fill of CountingSource's payloads into one slab.
+var boxUint64 = box.For[uint64]()
+
 func (c *countingSource) NextSpan(_ context.Context, buf []any) (int, bool, error) {
-	k := 0
-	for ; k < len(buf) && c.next < c.n; k++ {
-		buf[k] = c.next
+	n := len(buf)
+	if left := c.n - c.next; left < uint64(n) {
+		n = int(left)
+	}
+	var slab []uint64
+	for k := 0; k < n; k++ {
+		buf[k] = boxUint64.One(c.next, &slab, n-k)
 		c.next++
 	}
-	return k, c.next >= c.n, nil
+	return n, c.next >= c.n, nil
 }
 
 // Rewind implements ReplayableSource: the count restarts at zero.

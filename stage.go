@@ -3,6 +3,8 @@ package streamdag
 import (
 	"fmt"
 	"reflect"
+
+	"streamdag/internal/box"
 )
 
 // This file defines the typed stage primitives of the Flow builder: the
@@ -239,9 +241,9 @@ func (s *mapStage[A, B]) inType() reflect.Type  { return typeOf[A]() }
 func (s *mapStage[A, B]) outType() reflect.Type { return typeOf[B]() }
 
 func (s *mapStage[A, B]) lower(lw *lowering, from string) (string, error) {
-	fn, name, slot := s.fn, s.name, lw.slot
+	fn, name, slot, boxer := s.fn, s.name, lw.slot, box.For[B]()
 	return s.lowerSimple(lw, from, func(nIn, nOut int) Kernel {
-		return flowMapKernel[A, B]{nOut: nOut, name: name, slot: slot, fn: fn}
+		return flowMapKernel[A, B]{nOut: nOut, name: name, slot: slot, fn: fn, boxer: boxer}
 	})
 }
 
@@ -249,12 +251,15 @@ func (s *mapStage[A, B]) lower(lw *lowering, from string) (string, error) {
 // SpanKernel so batched backends apply fn across a whole run in one
 // call; a payload whose dynamic type is not A declines the rest of the
 // span, which routes it to Process — the per-element path that records
-// the StageTypeError and filters it.
+// the StageTypeError and filters it.  A span's outputs are boxed into one
+// slab (internal/box), local to the call because a replicated stage's
+// kernel runs on several goroutines.
 type flowMapKernel[A, B any] struct {
-	nOut int
-	name string
-	slot *stageErrSlot
-	fn   func(A) B
+	nOut  int
+	name  string
+	slot  *stageErrSlot
+	fn    func(A) B
+	boxer box.Boxer[B]
 }
 
 func (k flowMapKernel[A, B]) Process(seq uint64, in []Input) map[int]any {
@@ -270,12 +275,13 @@ func (k flowMapKernel[A, B]) Process(seq uint64, in []Input) map[int]any {
 }
 
 func (k flowMapKernel[A, B]) ProcessSpan(_ uint64, in, out []any) int {
+	var slab []B
 	for j, p := range in {
 		v, ok := assertAs[A](p)
 		if !ok {
 			return j
 		}
-		out[j] = k.fn(v)
+		out[j] = k.boxer.One(k.fn(v), &slab, len(in)-j)
 	}
 	return len(in)
 }
