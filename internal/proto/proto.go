@@ -174,6 +174,17 @@ func NewEngine(out []graph.EdgeID, cfg Config) *Engine {
 	return e
 }
 
+// Reset returns the engine to the state NewEngine built it in, for a new
+// stream at the same node: every timer back to "nothing sent" and the
+// accounting zeroed.  The integerized intervals are the node's, not the
+// stream's, and stay.
+func (e *Engine) Reset() {
+	for i := range e.lastSent {
+		e.lastSent[i] = -1
+	}
+	e.counts = Counts{}
+}
+
 // Fire records one firing at sequence number seq and decides the protocol
 // messages that must accompany it.  emitted[i] reports whether the node
 // sends a data message on out-edge i this firing (the kernel's or

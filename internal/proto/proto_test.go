@@ -253,3 +253,38 @@ func TestEngineCounts(t *testing.T) {
 		t.Fatalf("after one 5-element run: Runs=%d RunMsgs=%d, want 1 and 5", c.Runs, c.RunMsgs)
 	}
 }
+
+// TestResetMatchesFresh pins Reset as the recycling contract: an engine
+// left partway through its intervals and then Reset decides every firing
+// of a new stream exactly as a freshly built engine does, and counts
+// from zero.
+func TestResetMatchesFresh(t *testing.T) {
+	out := []graph.EdgeID{0, 1, 2}
+	iv := map[graph.EdgeID]ival.Interval{0: ival.FromInt(3), 1: ival.FromInt(5), 2: ival.Inf()}
+	for _, alg := range []cs4.Algorithm{cs4.Propagation, cs4.NonPropagation} {
+		cfg := Config{Algorithm: alg, Intervals: iv}
+		used := NewEngine(out, cfg)
+		for seq := uint64(0); seq < 7; seq++ {
+			used.Fire(seq, []bool{seq%4 == 0, false, seq%2 == 0})
+		}
+		used.FireRun(7, 9, []bool{true, true, true})
+		used.Reset()
+		fresh := NewEngine(out, cfg)
+		if used.Counts() != fresh.Counts() {
+			t.Fatalf("%v: Reset left counts %+v", alg, used.Counts())
+		}
+		for seq := uint64(0); seq < 40; seq++ {
+			em := []bool{seq%7 == 0, seq%3 == 0, false}
+			got := append([]bool(nil), used.Fire(seq, em)...)
+			want := fresh.Fire(seq, em)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v: seq %d edge %d: reset engine sends dummy=%v, fresh %v", alg, seq, i, got[i], want[i])
+				}
+			}
+		}
+		if used.Counts() != fresh.Counts() {
+			t.Fatalf("%v: counts %+v after Reset, fresh %+v", alg, used.Counts(), fresh.Counts())
+		}
+	}
+}

@@ -1014,8 +1014,13 @@ type engineNode struct {
 
 	// sess, the dirty list, and the scratch below are owned by the node
 	// goroutine; the scratch is reused by every firing of every session.
-	sess      map[proto.SessionID]*nodeSession
-	dirty     []*nodeSession
+	sess  map[proto.SessionID]*nodeSession
+	dirty []*nodeSession
+	// retiring holds the batch's retired sessions until its advance loop
+	// is over, and free the released ones the next evOpen reuses (at most
+	// freeSessions; see retire and release).
+	retiring  []*nodeSession
+	free      []*nodeSession
 	creditAcc []int // per in-pos credits consumed this advance
 	cur       []int // per in-pos heads taken by the pass in progress
 	// kin, kout and present are a firing's kernel arguments; spanIn,
@@ -1057,7 +1062,10 @@ type engineNode struct {
 // power of two keeps the tick test a mask.
 const obsSampleRate = 8
 
-// nodeSession is one node's protocol state for one session.
+// nodeSession is one node's protocol state for one session.  A node
+// recycles them: a retired one is emptied and kept for the next evOpen
+// (release), so a short session does not rebuild its slices, its
+// proto.Engine and its head arrays at every node.
 type nodeSession struct {
 	ses *EngineSession
 	// live is this node's slot of the session's liveness counters.
@@ -1092,7 +1100,7 @@ type nodeSession struct {
 	sinkInflight int  // sink only: emissions outstanding at the pump
 	finishOnIdle bool // sink only: EOS consumed, waiting for the pump
 	done         bool
-	aborted      bool // session ended; state dropped, skip advances
+	retired      bool // detached from the node; skip advances (see retire)
 	dirty        bool // queued in the node's per-batch advance list
 
 	// Time-aware node state (n.timed != nil only).  tickDue records an
@@ -1136,6 +1144,11 @@ func (n *engineNode) run() {
 			n.obsN.ServiceTime.Add(int64(time.Since(t0)) * obsSampleRate)
 		}
 		n.dirty = n.dirty[:0]
+		for i, ns := range n.retiring {
+			n.release(ns)
+			n.retiring[i] = nil
+		}
+		n.retiring = n.retiring[:0]
 		spare = evs
 	}
 }
@@ -1166,16 +1179,91 @@ func (n *engineNode) markDirty(ns *nodeSession) {
 	}
 }
 
+// freeSessions caps a node's free list of released sessions.  The list
+// only has to cover the sessions that retire between two opens (the
+// harness's session_churn keeps four in flight), and what each one keeps
+// is bounded: its arrays, emptied — a head array under 4 × its in-edge's
+// Buf messages of 32 bytes (a head never holds more than the edge's
+// window; see fifo), a queued node's ingest array under 4 × the longest
+// queue it held (a source's is its ingest window) — plus about 0.3 KB of
+// struct, proto.Engine and per-out-edge slices.  A node with one in-edge
+// of Buf 64 thus retains at most 16 × (8 + 0.3) KB ≈ 133 KB.
+const freeSessions = 16
+
+// openSession returns the node's state for a new session: a released one
+// from the free list, or a fresh one when the list is empty.
+func (n *engineNode) openSession(ses *EngineSession) *nodeSession {
+	var ns *nodeSession
+	if k := len(n.free) - 1; k >= 0 {
+		ns, n.free[k] = n.free[k], nil
+		n.free = n.free[:k]
+	} else {
+		ns = &nodeSession{
+			heads:      make([]fifo[Message], len(n.in)),
+			engine:     proto.NewEngine(n.out, proto.Config{Algorithm: n.e.cfg.Algorithm, Intervals: n.e.cfg.Intervals}),
+			pendingMsg: make([]Message, len(n.out)),
+			pendingSet: make([]bool, len(n.out)),
+			inflight:   make([]int, len(n.out)),
+		}
+		if n.obsN != nil {
+			ns.stallSince = make([]int64, len(n.out))
+		}
+	}
+	ns.ses, ns.live = ses, &ses.live[n.id].n
+	return ns
+}
+
+// retire is the one exit of a node session: the session was aborted, or
+// it is over at this node (EOS sent, or the sink finished).  It detaches
+// the state from the node at once and queues it for release after the
+// batch's advance loop, since n.dirty may still hold it.  Retiring twice
+// is a no-op — a sink that finishes inside advance retires in finishSink
+// and again in advance's reclaim — so one state never reaches the free
+// list twice.
+func (n *engineNode) retire(ns *nodeSession) {
+	if ns.retired {
+		return
+	}
+	ns.retired = true
+	if n.timed != nil {
+		n.stopTimer(ns)
+	}
+	delete(n.sess, ns.ses.id)
+	n.retiring = append(n.retiring, ns)
+}
+
+// release empties a retired session and keeps it for the next evOpen, up
+// to freeSessions; past the cap it is left to the collector.  Arrays stay,
+// zeroed (no payload outlives its session); scalars, the session pointer
+// and the flush timer — stopped at retire, its closure bound to the old
+// session — are dropped by rebuilding the struct around the arrays.
+func (n *engineNode) release(ns *nodeSession) {
+	if len(n.free) >= freeSessions {
+		return
+	}
+	for i := range ns.heads {
+		ns.heads[i].reset()
+	}
+	ns.ingestQ.reset()
+	ns.engine.Reset()
+	clear(ns.pendingMsg)
+	clear(ns.pendingSet)
+	clear(ns.inflight)
+	clear(ns.stallSince)
+	*ns = nodeSession{
+		heads: ns.heads, engine: ns.engine, ingestQ: ns.ingestQ,
+		pendingMsg: ns.pendingMsg, pendingSet: ns.pendingSet,
+		inflight: ns.inflight, stallSince: ns.stallSince,
+	}
+	n.free = append(n.free, ns)
+}
+
 // absorb applies one event's state change and marks the session for the
 // batch's advance pass.
 func (n *engineNode) absorb(ev *event) {
 	if ev.kind == evAbort {
 		if ns := n.sess[ev.ses.id]; ns != nil {
-			ns.aborted = true
-			if n.timed != nil {
-				n.stopTimer(ns)
-			}
-			delete(n.sess, ev.ses.id)
+			n.retire(ns)
 		}
 		if ev.ses.abortAcks.Add(1) == int64(len(n.e.nodes)) {
 			n.obsDrainSession(ev.ses)
@@ -1190,18 +1278,7 @@ func (n *engineNode) absorb(ev *event) {
 		return
 	}
 	if ev.kind == evOpen {
-		ns := &nodeSession{
-			ses:        ev.ses,
-			live:       &ev.ses.live[n.id].n,
-			heads:      make([]fifo[Message], len(n.in)),
-			engine:     proto.NewEngine(n.out, proto.Config{Algorithm: n.e.cfg.Algorithm, Intervals: n.e.cfg.Intervals}),
-			pendingMsg: make([]Message, len(n.out)),
-			pendingSet: make([]bool, len(n.out)),
-			inflight:   make([]int, len(n.out)),
-		}
-		if n.obsN != nil {
-			ns.stallSince = make([]int64, len(n.out))
-		}
+		ns := n.openSession(ev.ses)
 		n.sess[ev.ses.id] = ns
 		n.markDirty(ns)
 		return
@@ -1275,7 +1352,7 @@ func (n *engineNode) failCredit(ns *nodeSession, ev *event) {
 // and sends land, re-grant the ingest window, ack consumed heads, and
 // reclaim drained state.
 func (n *engineNode) advance(ns *nodeSession) {
-	if ns.aborted {
+	if ns.retired {
 		return
 	}
 	n.flush(ns)
@@ -1296,9 +1373,9 @@ func (n *engineNode) advance(ns *nodeSession) {
 		return
 	}
 	// Reclaim drained state — except at a sink still waiting for its
-	// pump's final Emit (finishSink owns that deletion).
+	// pump's final Emit (finishSink retires it then).
 	if ns.done && ns.pendingN == 0 && !ns.finishOnIdle {
-		delete(n.sess, ns.ses.id)
+		n.retire(ns)
 	}
 }
 
@@ -1855,7 +1932,7 @@ func (n *engineNode) queueEmissions(ns *nodeSession) {
 // timer still pending for the same deadline is left alone: the runs of
 // one open window cost no clock read and no Reset.
 func (n *engineNode) armTimer(ns *nodeSession) {
-	if ns.done || ns.aborted || ns.tickDue {
+	if ns.done || ns.retired || ns.tickDue {
 		n.stopTimer(ns)
 		return
 	}
@@ -1906,6 +1983,6 @@ func (n *engineNode) finishSink(ns *nodeSession) {
 		ns.finishOnIdle = true
 		return
 	}
-	delete(n.sess, ns.ses.id)
+	n.retire(ns)
 	ns.ses.finishFromSink()
 }

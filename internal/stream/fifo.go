@@ -13,7 +13,8 @@ package stream
 // deepest backlog: from then on a push that finds the tail exhausted
 // slides the live part — at most half the array, after at least as many
 // pops — back to the front, so steady state neither allocates nor costs
-// more than one move per message.
+// more than one move per message.  Its capacity therefore stays under four
+// times the deepest backlog (or 8 slots): it only grows from below twice it.
 type fifo[T any] struct {
 	buf  []T
 	head int
@@ -47,6 +48,13 @@ func (q *fifo[T]) pop(k int) {
 	if q.head == len(q.buf) {
 		q.buf, q.head = q.buf[:0], 0
 	}
+}
+
+// reset empties the queue and keeps its array for the next session that
+// reuses it, zeroing the live slots so no payload outlives its session.
+func (q *fifo[T]) reset() {
+	clear(q.live())
+	q.buf, q.head = q.buf[:0], 0
 }
 
 // reserve makes room for k more elements behind an exhausted tail:

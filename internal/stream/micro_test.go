@@ -3,12 +3,14 @@ package stream
 // Layer microbenchmarks for the pieces a message crosses between two
 // kernels: the head queue, the mailbox, and one pass of the firing loop —
 // a batch-1 all-data firing, a 64-firing pass over runs that mix data
-// and dummies, and a time-aware node's ingest of a 64-head run.  Every
-// benchmark's ns/op and allocs/op are per message.
+// and dummies, and a time-aware node's ingest of a 64-head run — and the
+// layer above them, one short session.  Every benchmark's ns/op and
+// allocs/op are per message, except the session's, which are per session.
 //
-//	go test -run '^$' -bench 'Fifo|Mailbox|Fire|MixedRun|TimedIngest' -benchmem ./internal/stream
+//	go test -run '^$' -bench 'Fifo|Mailbox|Fire|MixedRun|TimedIngest|SessionCycle' -benchmem ./internal/stream
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"streamdag/internal/cs4"
 	"streamdag/internal/graph"
 	"streamdag/internal/ival"
+	"streamdag/internal/proto"
 	"streamdag/internal/workload"
 )
 
@@ -210,5 +213,29 @@ func BenchmarkTimedIngestRun(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSessionCycle times one short session on a resident engine: Open
+// → Wait of 64 messages through a source, three passthrough stages and a
+// sink at batch 1, with a sink pump — the session's set-up, its messages
+// and its teardown, per op.
+func BenchmarkSessionCycle(b *testing.B) {
+	e, err := NewEngine(workload.Pipeline(5, 256), nil, Config{WatchdogTimeout: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	sink := func(context.Context, uint64, any) error { return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ses, err := e.Open(SessionConfig{ID: proto.SessionID(i + 1), Source: SyntheticSource(64), Sink: sink})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ses.Wait(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
