@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"streamdag/internal/clock"
 	"streamdag/internal/dist"
@@ -54,15 +52,18 @@ var ErrEngineClosed = errors.New("streamdag: engine closed")
 // Simulator backend, concurrent sessions additionally require
 // non-blocking Sources and Sinks (see Simulator).
 type Engine struct {
-	mu       sync.Mutex
-	p        *Pipeline // the CURRENT generation's pipeline (rescales swap it)
-	cur      *engineGen
-	old      []*engineGen // retired generations still draining sessions
-	nextID   uint64
-	active   int
+	mu     sync.Mutex
+	p      *Pipeline // the CURRENT generation's pipeline (rescales swap it)
+	cur    *engineGen
+	old    []*engineGen // retired generations still draining sessions
+	nextID uint64
+	// sessions holds every session from Open until it resolves (see
+	// Session.release); its length is the engine's active count.
 	sessions map[SessionID]*Session
 	closed   bool
 	draining bool
+	// idle is made by the first Drain and closed when sessions empties.
+	idle chan struct{}
 
 	scaleMu sync.Mutex // serializes rescales (manual and automatic)
 	ctl     *scaleController
@@ -154,11 +155,11 @@ func (e *Engine) Open(ctx context.Context, source Source, sink Sink) (*Session, 
 		e.mu.Unlock()
 		return nil, ErrEngineDraining
 	}
-	if len(e.p.resets) > 0 && e.active > 0 {
+	if len(e.p.resets) > 0 && len(e.sessions) > 0 {
 		e.mu.Unlock()
 		return nil, errors.New("streamdag: Engine.Open: pipeline has Stateful stages, which sessions would share; wait for the active session before opening another")
 	}
-	if e.active == 0 {
+	if len(e.sessions) == 0 {
 		// Fresh stream generation: re-initialize Stateful stage state and
 		// clear the stage-type-error slot, exactly as Run used to per
 		// run.  Under the lock, so a concurrently opened session cannot
@@ -170,46 +171,44 @@ func (e *Engine) Open(ctx context.Context, source Source, sink Sink) (*Session, 
 			e.p.flowSlot.clear()
 		}
 	}
-	e.active++
 	g := e.cur
 	g.active++
 	id := SessionID(e.nextID)
 	e.nextID++
-	sctx, cancel := context.WithCancel(ctx)
-	s := &Session{id: id, eng: e, gen: g, parent: ctx, cancel: cancel, pubDone: make(chan struct{})}
+	s := &Session{id: id, eng: e, gen: g}
 	if g.pipe.retry.Attempts() > 1 {
 		// Armed before the session is visible in e.sessions, so a drain
 		// deadline always finds the migration handle.
 		s.rc = &retryCtl{}
 	}
 	// Registered before the backend opens, so a concurrent Close always
-	// sees (and cancels) this session.
+	// sees (and ends) this session.
 	e.sessions[id] = s
 	e.mu.Unlock()
 
+	// The backend owns the session's one context and done channel;
+	// release runs just before done closes, so an Open issued right after
+	// <-Done() neither trips the stateful gate nor skips the
+	// fresh-generation resets.
 	var bs backendSession
 	var err error
-	if g.pipe.retry.Attempts() > 1 {
-		bs, err = e.openRetrying(s, sctx, id, source, sink)
+	if s.rc != nil {
+		bs, err = e.openRetrying(s, ctx, id, source, sink)
 	} else {
-		bs, err = g.impl.open(sctx, id, source, sink)
+		bs, err = g.impl.open(ctx, id, source, sink, s.release)
 	}
 	if err != nil {
-		cancel()
 		s.release()
 		// A Close racing this Open can reach the backend first.
 		return nil, closedErr(err)
 	}
+	e.mu.Lock()
 	s.bs = bs
-	go func() {
-		<-bs.done()
-		cancel()
-		// Bookkeeping is retired before Done observers wake, so an Open
-		// issued right after <-Done() neither trips the stateful gate nor
-		// skips the fresh-generation resets.
-		s.release()
-		close(s.pubDone)
-	}()
+	cause := s.cause
+	e.mu.Unlock()
+	if cause != nil {
+		bs.cancel(cause)
+	}
 	return s, nil
 }
 
@@ -236,11 +235,11 @@ func (e *Engine) Close() error {
 	cur := e.cur
 	gens = append(gens, cur)
 	e.mu.Unlock()
-	// Cancel sessions first: the simulator's scheduler may be parked
-	// inside a session's blocking Source/Sink callback, and cancellation
-	// is what returns control so the backend can shut down.
+	// End sessions first: the simulator's scheduler may be parked inside
+	// a session's blocking Source/Sink callback, and cancellation is what
+	// returns control so the backend can shut down.
 	for _, s := range active {
-		s.cancel()
+		s.end(ErrEngineClosed)
 	}
 	for _, g := range gens {
 		g.closeImpl()
@@ -248,48 +247,57 @@ func (e *Engine) Close() error {
 	return cur.closeErr
 }
 
-func (e *Engine) isClosed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
-}
-
 // Session is one logical stream being served by an Engine.
 type Session struct {
-	id      SessionID
-	eng     *Engine
-	gen     *engineGen // generation whose runtime serves the session (e.mu)
-	bs      backendSession
-	parent  context.Context
-	cancel  context.CancelFunc
-	pubDone chan struct{}
-	userCxl atomic.Bool
-	evicted atomic.Bool // cancelled by a drain deadline, not by the user
-	rc      *retryCtl   // non-nil on retry-armed sessions (see fault.go)
-	relOnce sync.Once
+	id  SessionID
+	eng *Engine
+	gen *engineGen // generation whose runtime serves the session (e.mu)
+	bs  backendSession
+	// cause is an end that arrived before bs was set (see end); e.mu.
+	cause   error
+	rc      *retryCtl // non-nil on retry-armed sessions (see fault.go)
 	slotErr *StageTypeError
 }
 
-// release retires the session from the engine's bookkeeping exactly
-// once; both Wait and the completion watcher call it, so the stateful
-// single-session gate is already free when Wait returns.  The shared
-// stage-type-error slot is snapshotted first: release is what lets a
-// subsequent Open start a fresh generation (and clear the slot), so the
-// capture happens-before any clear and Wait cannot lose the error.
+// end ends the session with cause.  A Close or eviction can reach a
+// session before Open has its backend session; the cause is then
+// recorded under e.mu, and Open applies it once it has one.
+func (s *Session) end(cause error) {
+	e := s.eng
+	e.mu.Lock()
+	bs := s.bs
+	if bs == nil {
+		s.cause = cause
+	}
+	e.mu.Unlock()
+	if bs != nil {
+		bs.cancel(cause)
+	}
+}
+
+// release retires the session from the engine's bookkeeping.  It runs
+// exactly once: just before the backend session's done channel closes
+// (the retry loop's, for retry-armed sessions), or on a failed Open.
+// The shared stage-type-error slot is snapshotted first: release is what
+// lets a subsequent Open start a fresh generation (and clear the slot),
+// so the capture happens-before any clear and Wait cannot lose the
+// error.
 func (s *Session) release() {
-	s.relOnce.Do(func() {
-		e := s.eng
-		// The slot is shared across generations (withPlan copies the
-		// pointer), so any generation's handle reads the same error.
-		if slot := e.pipe().flowSlot; slot != nil {
-			s.slotErr = slot.load()
-		}
-		e.mu.Lock()
-		e.active--
-		delete(e.sessions, s.id)
-		e.releaseGenLocked(s.gen)
-		e.mu.Unlock()
-	})
+	e := s.eng
+	e.mu.Lock()
+	// The slot is shared across generations (withPlan copies the
+	// pointer), so any generation's handle reads the same error.
+	if slot := e.p.flowSlot; slot != nil {
+		s.slotErr = slot.load()
+	}
+	delete(e.sessions, s.id)
+	e.releaseGenLocked(s.gen)
+	if len(e.sessions) == 0 && e.idle != nil {
+		// Draining: no Open registers a session after this, so the
+		// registry empties once.
+		close(e.idle)
+	}
+	e.mu.Unlock()
 }
 
 // releaseGenLocked retires one session from its generation's
@@ -297,9 +305,6 @@ func (s *Session) release() {
 // drain gate opens and it drops off the engine's books.  Caller holds
 // e.mu.
 func (e *Engine) releaseGenLocked(g *engineGen) {
-	if g == nil {
-		return
-	}
 	g.active--
 	if g.retired && g.active <= 0 && !g.drainedDone {
 		g.drainedDone = true
@@ -321,7 +326,7 @@ func (s *Session) ID() SessionID { return s.id }
 // cancelled) and been retired from the engine's bookkeeping; Wait then
 // returns without blocking, and a fresh Open may follow immediately
 // (even on pipelines with Stateful stages).
-func (s *Session) Done() <-chan struct{} { return s.pubDone }
+func (s *Session) Done() <-chan struct{} { return s.bs.done() }
 
 // closedErr maps a backend's engine-closed error onto the public
 // ErrEngineClosed and returns any other error unchanged.
@@ -334,35 +339,21 @@ func closedErr(err error) error {
 
 // Cancel aborts the session; Wait returns context.Canceled.  Other
 // sessions on the engine are unaffected.
-func (s *Session) Cancel() {
-	s.userCxl.Store(true)
-	s.cancel()
-}
+func (s *Session) Cancel() { s.bs.cancel(context.Canceled) }
 
 // Wait blocks until the session resolves and returns its stats: per-edge
 // data and dummy counts, the sink total, and the session's elapsed time.
-// For flow-compiled pipelines a payload that reached a stage with the
-// wrong dynamic type was filtered there, and the first such mismatch is
-// returned as a *StageTypeError (the error slot is engine-scoped: under
-// concurrent sessions it reports the engine's first mismatch).
+// An ended session's error is the cause that ended it, verbatim:
+// context.Canceled after Cancel, the Open context's cause when that ends
+// first, ErrEngineClosed after Engine.Close, ErrSessionEvicted after a
+// rescale's drain deadline.  For flow-compiled pipelines a payload that
+// reached a stage with the wrong dynamic type was filtered there, and
+// the first such mismatch is returned as a *StageTypeError (the error
+// slot is engine-scoped: under concurrent sessions it reports the
+// engine's first mismatch).
 func (s *Session) Wait() (*RunStats, error) {
 	stats, err := s.bs.wait()
-	s.release()
-	if err != nil {
-		err = closedErr(err)
-		switch {
-		case errors.Is(err, context.Canceled) && s.evicted.Load():
-			// A retired generation's drain deadline cancelled the session
-			// (no retry policy to migrate it under).
-			err = ErrSessionEvicted
-		case errors.Is(err, context.Canceled) && !s.userCxl.Load() &&
-			s.parent.Err() == nil && s.eng.isClosed():
-			// The cancellation came from Engine.Close, not from the
-			// caller: report the lifecycle error, uniformly across
-			// backends.
-			err = ErrEngineClosed
-		}
-	}
+	err = closedErr(err)
 	if terr := s.slotErr; terr != nil {
 		if err != nil {
 			return nil, errors.Join(err, terr)
@@ -377,11 +368,10 @@ func (s *Session) Wait() (*RunStats, error) {
 
 // backendEngine is a backend's resident runtime for one pipeline.
 type backendEngine interface {
-	open(ctx context.Context, id SessionID, source Source, sink Sink) (backendSession, error)
+	// open starts a session whose context is a child of ctx; onDone, when
+	// non-nil, runs once just before the session's done channel closes.
+	open(ctx context.Context, id SessionID, source Source, sink Sink, onDone func()) (backendSession, error)
 	close() error
-	// drain stops the backend admitting sessions and waits out the
-	// in-flight ones (Engine.Drain's worker half).
-	drain(ctx context.Context) error
 	// killWorker crashes a named worker mid-stream; backends without
 	// workers return an error.
 	killWorker(name string) error
@@ -391,6 +381,9 @@ type backendEngine interface {
 type backendSession interface {
 	wait() (*RunStats, error)
 	done() <-chan struct{}
+	// cancel ends the session with cause, which wait then returns
+	// verbatim; a session that has already resolved keeps its outcome.
+	cancel(cause error)
 }
 
 // resolvedNodeBatch maps the pipeline's per-stage Batch marks (keyed by
@@ -438,8 +431,8 @@ func (goroutineBackend) newEngine(p *Pipeline) (backendEngine, error) {
 // sessionConfig is the session the goroutine and distributed backends
 // open for a public Open: the endpoints' bulk forms ride along whenever
 // the source or sink offers them.
-func sessionConfig(ctx context.Context, id SessionID, source Source, sink Sink) stream.SessionConfig {
-	cfg := stream.SessionConfig{ID: id, Ctx: ctx, Source: sourceFunc(source)}
+func sessionConfig(ctx context.Context, id SessionID, source Source, sink Sink, onDone func()) stream.SessionConfig {
+	cfg := stream.SessionConfig{ID: id, Ctx: ctx, Source: sourceFunc(source), OnDone: onDone}
 	if ss, ok := source.(SpanSource); ok {
 		cfg.SpanSource = ss.NextSpan
 	}
@@ -452,8 +445,8 @@ func sessionConfig(ctx context.Context, id SessionID, source Source, sink Sink) 
 	return cfg
 }
 
-func (g *goroutineEngine) open(ctx context.Context, id SessionID, source Source, sink Sink) (backendSession, error) {
-	ses, err := g.eng.Open(sessionConfig(ctx, id, source, sink))
+func (g *goroutineEngine) open(ctx context.Context, id SessionID, source Source, sink Sink, onDone func()) (backendSession, error) {
+	ses, err := g.eng.Open(sessionConfig(ctx, id, source, sink, onDone))
 	if err != nil {
 		return nil, err
 	}
@@ -461,8 +454,6 @@ func (g *goroutineEngine) open(ctx context.Context, id SessionID, source Source,
 }
 
 func (g *goroutineEngine) close() error { return g.eng.Close() }
-
-func (g *goroutineEngine) drain(ctx context.Context) error { return g.eng.Drain(ctx) }
 
 func (g *goroutineEngine) killWorker(string) error {
 	return errors.New("streamdag: the goroutines backend has no workers to kill (use the Distributed backend, or WithFaultInjection on the Simulator)")
@@ -474,6 +465,7 @@ type streamSession struct{ ses *stream.EngineSession }
 
 func (s streamSession) wait() (*RunStats, error) { return s.ses.Wait() }
 func (s streamSession) done() <-chan struct{}    { return s.ses.Done() }
+func (s streamSession) cancel(cause error)       { s.ses.Fail(cause) }
 
 // simEngine adapts sim.Engine.
 type simEngine struct{ eng *sim.Engine }
@@ -518,8 +510,8 @@ func (simulatorBackend) newEngine(p *Pipeline) (backendEngine, error) {
 	return &simEngine{eng: sim.NewEngine(p.topo.g, cfg)}, nil
 }
 
-func (se *simEngine) open(ctx context.Context, id SessionID, source Source, sink Sink) (backendSession, error) {
-	io := sim.SessionIO{ID: id, Ctx: ctx, Source: sourceFunc(source)}
+func (se *simEngine) open(ctx context.Context, id SessionID, source Source, sink Sink, onDone func()) (backendSession, error) {
+	io := sim.SessionIO{ID: id, Ctx: ctx, Source: sourceFunc(source), OnDone: onDone}
 	if sink != nil {
 		io.Sink = sinkFunc(sink)
 	}
@@ -527,51 +519,31 @@ func (se *simEngine) open(ctx context.Context, id SessionID, source Source, sink
 	if err != nil {
 		return nil, err
 	}
-	return &simSession{ses: ses, id: id}, nil
+	return simSession{ses}, nil
 }
 
 func (se *simEngine) close() error { return se.eng.Close() }
-
-func (se *simEngine) drain(ctx context.Context) error { return se.eng.Drain(ctx) }
 
 func (se *simEngine) killWorker(string) error {
 	return errors.New("streamdag: the simulator kills workers deterministically via WithFaultInjection, not at runtime")
 }
 
-type simSession struct {
-	ses *sim.EngineSession
-	id  SessionID
-}
+type simSession struct{ ses *sim.EngineSession }
 
-func (s *simSession) done() <-chan struct{} { return s.ses.Done() }
+func (s simSession) done() <-chan struct{} { return s.ses.Done() }
+func (s simSession) cancel(cause error)    { s.ses.Fail(cause) }
 
-func (s *simSession) wait() (*RunStats, error) {
+func (s simSession) wait() (*RunStats, error) {
 	res := s.ses.Wait()
 	if !res.Completed {
 		if res.Err != nil {
 			return nil, res.Err
 		}
 		return nil, fmt.Errorf("streamdag: simulator session %d %s: %s",
-			s.id, res.Reason, strings.Join(res.Blocked, "; "))
+			s.ses.ID(), res.Reason, strings.Join(res.Blocked, "; "))
 	}
-	return convertStats(res.DataMsgs, res.DummyMsgs, res.SinkData, res.Elapsed), nil
-}
-
-// convertStats copies the simulator's per-edge count maps into a RunStats.
-func convertStats(data, dummies map[EdgeID]int64, sink int64, elapsed time.Duration) *RunStats {
-	stats := &RunStats{
-		Data:     make(map[EdgeID]int64, len(data)),
-		Dummies:  make(map[EdgeID]int64, len(dummies)),
-		SinkData: sink,
-		Elapsed:  elapsed,
-	}
-	for e, n := range data {
-		stats.Data[e] = n
-	}
-	for e, n := range dummies {
-		stats.Dummies[e] = n
-	}
-	return stats
+	// The resolved session's counts are final: its maps become the stats.
+	return &RunStats{Data: res.DataMsgs, Dummies: res.DummyMsgs, SinkData: res.SinkData, Elapsed: res.Elapsed}, nil
 }
 
 // distEngine adapts dist.Engine.
@@ -605,8 +577,8 @@ func (b distributedBackend) newEngine(p *Pipeline) (backendEngine, error) {
 	return &distEngine{eng: eng}, nil
 }
 
-func (de *distEngine) open(ctx context.Context, id SessionID, source Source, sink Sink) (backendSession, error) {
-	ses, err := de.eng.Open(sessionConfig(ctx, id, source, sink))
+func (de *distEngine) open(ctx context.Context, id SessionID, source Source, sink Sink, onDone func()) (backendSession, error) {
+	ses, err := de.eng.Open(sessionConfig(ctx, id, source, sink, onDone))
 	if err != nil {
 		return nil, err
 	}
@@ -614,7 +586,5 @@ func (de *distEngine) open(ctx context.Context, id SessionID, source Source, sin
 }
 
 func (de *distEngine) close() error { return de.eng.Close() }
-
-func (de *distEngine) drain(ctx context.Context) error { return de.eng.Drain(ctx) }
 
 func (de *distEngine) killWorker(name string) error { return de.eng.KillWorker(name) }

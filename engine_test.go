@@ -620,35 +620,106 @@ func TestEngineOpenAfterClose(t *testing.T) {
 	}
 }
 
-// TestEngineCloseFailsActiveSessions: sessions alive at Close resolve
-// with ErrEngineClosed.
+// TestEngineCloseFailsActiveSessions: a session ends with the cause that
+// ended it, verbatim, on every backend — Session.Cancel with
+// context.Canceled, its Open context's deadline with
+// context.DeadlineExceeded, Engine.Close with ErrEngineClosed — although
+// its Source, blocked on a quiet channel, answers every ending with
+// ctx.Err().  (TestRescaleEvictsBareSession covers ErrSessionEvicted.)
 func TestEngineCloseFailsActiveSessions(t *testing.T) {
-	for name, p := range backendsFor(t, fig1Topo,
-		append(fig1Kernels(), WithWatchdog(time.Minute))...) {
-		eng, err := p.Engine()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	ends := []struct {
+		name string
+		want error
+		ctx  func() (context.Context, context.CancelFunc)
+		end  func(*Engine, *Session) error
+	}{
+		{"cancel", context.Canceled,
+			func() (context.Context, context.CancelFunc) { return context.WithCancel(context.Background()) },
+			func(_ *Engine, s *Session) error { s.Cancel(); return nil }},
+		{"deadline", context.DeadlineExceeded,
+			func() (context.Context, context.CancelFunc) {
+				return context.WithTimeout(context.Background(), 50*time.Millisecond)
+			},
+			func(*Engine, *Session) error { return nil }},
+		{"close", ErrEngineClosed,
+			func() (context.Context, context.CancelFunc) { return context.WithCancel(context.Background()) },
+			func(e *Engine, _ *Session) error { return e.Close() }},
+	}
+	for _, end := range ends {
+		for name, p := range backendsFor(t, fig1Topo, append(fig1Kernels(), WithWatchdog(time.Minute))...) {
+			t.Run(end.name+"/"+name, func(t *testing.T) {
+				eng, err := p.Engine()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Close()
+				ctx, cancel := end.ctx()
+				defer cancel()
+				ses, err := eng.Open(ctx, ChannelSource(make(chan any)), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				time.Sleep(20 * time.Millisecond)
+				if err := end.end(eng, ses); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case <-ses.Done():
+				case <-time.After(10 * time.Second):
+					t.Fatal("session did not resolve")
+				}
+				if _, err := ses.Wait(); err != end.want {
+					t.Fatalf("session err = %v, want %v verbatim", err, end.want)
+				}
+			})
 		}
-		ses, err := eng.Open(context.Background(), ChannelSource(make(chan any)), nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		done := make(chan error, 1)
-		go func() {
-			_, err := ses.Wait()
-			done <- err
-		}()
+	}
+}
+
+// TestSessionGoroutineBudget pins what one open session costs in
+// goroutines on each backend, as the runtime.NumGoroutine delta over 100
+// sessions blocked on a quiet ChannelSource.  A session's context and
+// done channel are its backend's, so nothing watches either: the
+// concurrent backends run the ingest pump, plus a sink pump when there is
+// a Sink, and the simulator, whose one scheduler runs every session,
+// runs none.
+func TestSessionGoroutineBudget(t *testing.T) {
+	const sessions = 100
+	rows := []struct {
+		name string
+		sink func() Sink
+		want map[string]int
+	}{
+		{"nil sink", func() Sink { return nil }, map[string]int{"goroutines": 1, "distributed": 1, "simulator": 0}},
+		{"collector", func() Sink { return &Collector{} }, map[string]int{"goroutines": 2, "distributed": 2, "simulator": 0}},
+	}
+	settled := func() int {
 		time.Sleep(20 * time.Millisecond)
-		if err := eng.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", name, err)
-		}
-		select {
-		case err := <-done:
-			if !errors.Is(err, ErrEngineClosed) {
-				t.Fatalf("%s: session err = %v, want ErrEngineClosed", name, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: session did not resolve after Close", name)
+		return runtime.NumGoroutine()
+	}
+	for _, row := range rows {
+		for name, p := range backendsFor(t, fig1Topo, append(fig1Kernels(), WithWatchdog(time.Minute))...) {
+			t.Run(row.name+"/"+name, func(t *testing.T) {
+				eng, err := p.Engine()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Close()
+				quiet := make(chan any)
+				base := settled()
+				for i := 0; i < sessions; i++ {
+					if _, err := eng.Open(context.Background(), ChannelSource(quiet), row.sink()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				per := float64(settled()-base) / sessions
+				t.Logf("%.2f goroutines per open session", per)
+				// A tenth of a goroutine per session absorbs unrelated
+				// goroutines starting or exiting during the count.
+				if want := row.want[name]; per > float64(want)+0.1 {
+					t.Errorf("%.2f goroutines per open session; want %d", per, want)
+				}
+			})
 		}
 	}
 }

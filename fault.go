@@ -173,29 +173,46 @@ func WithPartition(assign map[string]string) Option {
 // ErrEngineDraining, in-flight sessions run to completion (or ctx
 // expires), and the returned Checkpoint carries what a successor engine
 // needs to resume — the topology fingerprint and the session-ID
-// allocator, so resumed streams never collide with drained ones.  The
-// engine itself stays open for inspection; Close it afterwards.
+// allocator, so resumed streams never collide with drained ones.  An
+// in-flight session is one session however many attempts it takes:
+// under WithRetry, a failed session's retry (or a rescale's migration)
+// still opens during the drain.  The engine itself stays open for
+// inspection; Close it afterwards.
 func (e *Engine) Drain(ctx context.Context) (*Checkpoint, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	began := time.Now()
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return nil, ErrEngineClosed
 	}
 	e.draining = true
-	gens := append([]*engineGen{}, e.old...)
-	gens = append(gens, e.cur)
-	e.mu.Unlock()
-	for _, g := range gens {
-		if err := g.impl.drain(ctx); err != nil {
-			return nil, err
+	if e.idle == nil {
+		e.idle = make(chan struct{})
+		if len(e.sessions) == 0 {
+			close(e.idle)
 		}
+	}
+	idle := e.idle
+	e.mu.Unlock()
+	select {
+	case <-idle:
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 	e.mu.Lock()
 	ck := &Checkpoint{Topology: e.p.fingerprint(), NextSession: e.nextID}
+	m := e.p.obsMetrics()
 	e.mu.Unlock()
+	if m != nil {
+		f := m.Faults()
+		f.Drains.Add(1)
+		if !m.Virtual() {
+			f.DrainTime.Add(time.Since(began).Nanoseconds())
+		}
+	}
 	return ck, nil
 }
 
@@ -254,26 +271,26 @@ func (p *Pipeline) fingerprint() string {
 // The retry layer.
 
 // retryCtl is the per-session handle the rescale path uses to move a
-// retry-armed session between engine generations: evict cancels the
+// retry-armed session between engine generations: evict ends the
 // in-flight attempt and marks the session so the retry loop re-opens it
 // on the current generation (a migration) instead of counting the
-// cancellation as a failure.
+// failure.
 type retryCtl struct {
 	mu      sync.Mutex
-	cancel  context.CancelFunc
+	attempt backendSession
 	evicted bool
 }
 
-// arm installs the cancel func of the attempt now in flight.  If an
-// evict raced in before the attempt opened, it fires immediately — the
-// attempt dies at birth and the loop migrates it.
-func (rc *retryCtl) arm(cancel context.CancelFunc) {
+// arm installs the attempt now in flight.  If an evict raced in before
+// the attempt opened, it fires immediately — the attempt dies at birth
+// and the loop migrates it.
+func (rc *retryCtl) arm(attempt backendSession) {
 	rc.mu.Lock()
-	rc.cancel = cancel
+	rc.attempt = attempt
 	ev := rc.evicted
 	rc.mu.Unlock()
 	if ev {
-		cancel()
+		attempt.cancel(ErrSessionEvicted)
 	}
 }
 
@@ -281,10 +298,10 @@ func (rc *retryCtl) arm(cancel context.CancelFunc) {
 func (rc *retryCtl) evict() {
 	rc.mu.Lock()
 	rc.evicted = true
-	cancel := rc.cancel
+	attempt := rc.attempt
 	rc.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	if attempt != nil {
+		attempt.cancel(ErrSessionEvicted)
 	}
 }
 
@@ -301,10 +318,11 @@ func (rc *retryCtl) takeEvicted() bool {
 // sessions.  The first attempt opens synchronously (so Open still
 // reports immediate failures); the controller goroutine watches it and
 // re-opens on retryable failures, rewinding the source and letting the
-// dedupSink suppress re-deliveries.  Each attempt gets its own
-// sub-context, so a rescale's drain deadline can abort just the attempt
-// — the session then migrates to the new generation on its next one.
-func (e *Engine) openRetrying(s *Session, ctx context.Context, id SessionID, source Source, sink Sink) (backendSession, error) {
+// dedupSink suppress re-deliveries.  The session keeps one context
+// across its attempts, each a backend session under it, so a rescale's
+// drain deadline can end just the attempt — the session then migrates
+// to the new generation on its next one.
+func (e *Engine) openRetrying(s *Session, parent context.Context, id SessionID, source Source, sink Sink) (backendSession, error) {
 	rs, ok := source.(ReplayableSource)
 	if !ok {
 		return nil, fmt.Errorf("streamdag: WithRetry requires a ReplayableSource, got %T: a retried session re-ingests from the start", source)
@@ -318,24 +336,26 @@ func (e *Engine) openRetrying(s *Session, ctx context.Context, id SessionID, sou
 		inner: sink, dlq: g.pipe.dlq, session: uint64(id),
 		obsF: obsF, hw: -1, errSeq: -1, prevErr: -1, attempt: 1,
 	}
-	actx, acancel := context.WithCancel(ctx)
-	s.rc.arm(acancel)
-	first, err := g.impl.open(actx, id, fenceSource(ds, 0, rs), attemptSink{d: ds})
+	ctx, cancel := context.WithCancelCause(parent)
+	first, err := g.impl.open(ctx, id, fenceSource(ds, 0, rs), attemptSink{d: ds}, nil)
 	if err != nil {
-		acancel()
+		cancel(nil)
 		return nil, err
 	}
-	out := &retrySession{doneC: make(chan struct{})}
+	s.rc.arm(first)
+	out := &retrySession{doneC: make(chan struct{}), end: cancel}
 	go e.retryLoop(s, ctx, id, rs, ds, first, out)
 	return out, nil
 }
 
 // retrySession is the stable handle the public Session wraps while the
-// controller swaps backend sessions underneath it.
+// controller swaps backend sessions underneath it; end cancels the
+// session's context, and with it the attempt in flight.
 type retrySession struct {
 	stats *RunStats
 	err   error
 	doneC chan struct{}
+	end   context.CancelCauseFunc
 }
 
 func (r *retrySession) wait() (*RunStats, error) {
@@ -344,9 +364,14 @@ func (r *retrySession) wait() (*RunStats, error) {
 }
 
 func (r *retrySession) done() <-chan struct{} { return r.doneC }
+func (r *retrySession) cancel(cause error)    { r.end(cause) }
 
 func (e *Engine) retryLoop(s *Session, ctx context.Context, id SessionID, src ReplayableSource, ds *dedupSink, bs backendSession, out *retrySession) {
-	defer close(out.doneC)
+	defer func() {
+		out.end(nil)
+		s.release()
+		close(out.doneC)
+	}()
 	pol := s.gen.pipe.retry
 	attempt := 1
 	for {
@@ -356,9 +381,9 @@ func (e *Engine) retryLoop(s *Session, ctx context.Context, id SessionID, src Re
 			return
 		}
 		if ctx.Err() != nil {
-			// The session itself was cancelled (user, engine close), not
-			// just the attempt.
-			out.err = err
+			// The session itself was ended (user, parent context, engine
+			// close), not just the attempt.
+			out.err = context.Cause(ctx)
 			return
 		}
 		migrate := s.rc.takeEvicted()
@@ -372,7 +397,7 @@ func (e *Engine) retryLoop(s *Session, ctx context.Context, id SessionID, src Re
 			if d := pol.Delay(attempt); d > 0 {
 				select {
 				case <-ctx.Done():
-					out.err = ctx.Err()
+					out.err = context.Cause(ctx)
 					return
 				case <-time.After(d):
 				}
@@ -416,16 +441,14 @@ func (e *Engine) retryLoop(s *Session, ctx context.Context, id SessionID, src Re
 				m.Faults().SessionRetries.Add(1)
 			}
 		}
-		actx, acancel := context.WithCancel(ctx)
-		s.rc.arm(acancel)
 		// A fresh backend session ID per attempt: the failed one may not
 		// be fully retired backend-side yet, and reuse would collide.
-		nbs, oerr := g.impl.open(actx, e.allocBackendID(), fenceSource(ds, ep, src), attemptSink{d: ds, epoch: ep})
+		nbs, oerr := g.impl.open(ctx, e.allocBackendID(), fenceSource(ds, ep, src), attemptSink{d: ds, epoch: ep}, nil)
 		if oerr != nil {
-			acancel()
 			out.err = fmt.Errorf("streamdag: session %d retry attempt %d: %w (after: %v)", id, attempt, oerr, err)
 			return
 		}
+		s.rc.arm(nbs)
 		bs = nbs
 	}
 }

@@ -489,45 +489,59 @@ func TestDrainCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestDrainWaitsForActiveSessions: Drain must let an in-flight session
-// run to completion (and Opens issued during the drain are refused).
+// TestDrainWaitsForActiveSessions: on every backend, Drain must let an
+// in-flight session run to completion, refuse Opens issued during the
+// drain, and count itself once — at the engine, whichever backend runs
+// it (its duration only on wall-clock backends).
 func TestDrainWaitsForActiveSessions(t *testing.T) {
-	p, err := Build(fig1Topo(), fig1Kernels()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := p.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	for name, p := range backendsFor(t, fig1Topo, fig1Kernels()...) {
+		t.Run(name, func(t *testing.T) {
+			o := NewObserver()
+			p, err := Build(fig1Topo(), append(fig1Kernels(), WithBackend(p.backend), WithObserver(o))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := p.Engine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
 
-	var col Collector
-	gs := &gateSink{inner: &col, at: 1, gate: make(chan struct{}), slow: 200 * time.Microsecond}
-	ses, err := eng.Open(context.Background(), SliceSource(payloads(200)...), gs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-gs.gate
+			var col Collector
+			gs := &gateSink{inner: &col, at: 1, gate: make(chan struct{}), slow: 200 * time.Microsecond}
+			ses, err := eng.Open(context.Background(), SliceSource(payloads(200)...), gs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-gs.gate
 
-	openErr := make(chan error, 1)
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		_, err := eng.Open(context.Background(), SliceSource(payloads(4)...), DiscardSink())
-		openErr <- err
-	}()
-	ck, err := eng.Drain(context.Background())
-	if err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	if ck == nil {
-		t.Fatal("Drain returned a nil checkpoint")
-	}
-	if stats, err := ses.Wait(); err != nil || stats.SinkData == 0 {
-		t.Fatalf("drained session: stats=%v err=%v", stats, err)
-	}
-	if err := <-openErr; !errors.Is(err, ErrEngineDraining) {
-		t.Errorf("Open during Drain = %v, want ErrEngineDraining", err)
+			openErr := make(chan error, 1)
+			go func() {
+				time.Sleep(2 * time.Millisecond)
+				_, err := eng.Open(context.Background(), SliceSource(payloads(4)...), DiscardSink())
+				openErr <- err
+			}()
+			ck, err := eng.Drain(context.Background())
+			if err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+			if ck == nil {
+				t.Fatal("Drain returned a nil checkpoint")
+			}
+			if stats, err := ses.Wait(); err != nil || stats.SinkData == 0 {
+				t.Fatalf("drained session: stats=%v err=%v", stats, err)
+			}
+			if err := <-openErr; !errors.Is(err, ErrEngineDraining) {
+				t.Errorf("Open during Drain = %v, want ErrEngineDraining", err)
+			}
+			f := o.Snapshot().Faults
+			if f.Drains != 1 {
+				t.Errorf("Faults().Drains = %d, want 1", f.Drains)
+			}
+			if virtual := name == "simulator"; virtual != (f.DrainTime == 0) {
+				t.Errorf("Faults().DrainTime = %d on %s (counted on wall-clock backends only)", f.DrainTime, name)
+			}
+		})
 	}
 }
 

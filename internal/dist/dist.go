@@ -106,10 +106,6 @@ type EngineSession = stream.EngineSession
 // failure recorded against sessions still active when Close runs.
 var ErrEngineClosed = stream.ErrEngineClosed
 
-// ErrEngineDraining is returned by Engine.Open while a Drain is in
-// progress (or after one completed).
-var ErrEngineDraining = stream.ErrEngineDraining
-
 // addrsMu serializes access to the address book the in-process workers
 // share: listen publishes bound addresses into it while other workers may
 // be listening or dialing concurrently.

@@ -19,7 +19,6 @@ package dist
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -272,18 +271,6 @@ func (e *Engine) Close() error {
 	}
 	e.wg.Wait()
 	return nil
-}
-
-// Drain stops admitting sessions (Open returns ErrEngineDraining) and
-// waits for the in-flight ones to resolve, or for ctx.  It does not
-// close the engine; callers Close after a successful drain.
-func (e *Engine) Drain(ctx context.Context) error {
-	t0 := time.Now()
-	err := e.eng.Drain(ctx)
-	if err == nil && e.obsF != nil {
-		e.obsF.DrainTime.Add(int64(time.Since(t0)))
-	}
-	return err
 }
 
 // workerSnapshot copies the live worker set (entries swap on restart).

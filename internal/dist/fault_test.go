@@ -247,27 +247,3 @@ func TestEngineHeartbeatIdleNoFalsePositive(t *testing.T) {
 		t.Fatalf("delivered %d payloads, want %d", got, inputs)
 	}
 }
-
-// TestEngineDrainDist: Drain refuses new sessions and returns once the
-// in-flight session resolves.
-func TestEngineDrainDist(t *testing.T) {
-	g, part, cfg := faultTopo(t)
-	eng, err := NewEngine(g, part, engineKernels(g, keepAll), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	const inputs = 200
-	ses, _, _, _ := openCounted(t, eng, 1, inputs, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := eng.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if _, err := eng.Open(SessionIO{ID: 2, Source: func(context.Context) (any, bool, error) { return nil, false, nil }}); !errors.Is(err, ErrEngineDraining) {
-		t.Fatalf("open during drain: %v, want ErrEngineDraining", err)
-	}
-	if _, err := ses.Wait(); err != nil {
-		t.Fatalf("drained session: %v", err)
-	}
-}

@@ -30,9 +30,6 @@ import (
 // when Engine.Close runs, and returned by Open afterwards.
 var ErrEngineClosed = errors.New("sim: engine closed")
 
-// ErrEngineDraining is returned by Open while a Drain is in progress.
-var ErrEngineDraining = errors.New("sim: engine draining")
-
 // SessionIO parameterizes one Engine.Open: the session's private rim.
 type SessionIO struct {
 	// ID tags the session for diagnostics; nonzero, unique per engine.
@@ -42,8 +39,11 @@ type SessionIO struct {
 	Source stream.SourceFunc
 	// Sink receives the session's sink-node data firings in order.
 	Sink stream.SinkFunc
-	// Ctx cancels the session; nil means Background.
+	// Ctx cancels the session with its cause; nil means Background.
 	Ctx context.Context
+	// OnDone, when non-nil, runs once on the scheduler goroutine just
+	// before the session's done channel closes.
+	OnDone func()
 }
 
 // Engine serves concurrent deterministic sessions over one topology.
@@ -55,23 +55,21 @@ type Engine struct {
 	// goroutine.
 	arms []*faultArm
 
-	mu       sync.Mutex
-	queue    []*EngineSession
-	closed   bool
-	draining bool
-	// activeN counts unresolved sessions (queued or scheduled); Drain
-	// polls it to zero.
-	activeN int
-	wake    chan struct{}
-	done    chan struct{}
+	mu     sync.Mutex
+	queue  []*EngineSession
+	closed bool
+	wake   chan struct{}
+	done   chan struct{}
 }
 
 // EngineSession is one logical stream scheduled by an Engine.
 type EngineSession struct {
-	id    proto.SessionID
-	st    *state
-	start time.Time
-	done  chan struct{}
+	id     proto.SessionID
+	st     *state
+	start  time.Time
+	cancel context.CancelCauseFunc
+	onDone func()
+	done   chan struct{}
 }
 
 // ID returns the session's id.
@@ -84,6 +82,24 @@ func (s *EngineSession) Done() <-chan struct{} { return s.done }
 func (s *EngineSession) Wait() *Result {
 	<-s.done
 	return s.st.res
+}
+
+// Fail cancels the session with cause: unless it has already resolved,
+// its Result carries Reason "canceled" and Err cause.
+func (s *EngineSession) Fail(cause error) { s.cancel(cause) }
+
+// resolve publishes the session's outcome: telemetry, OnDone, then done.
+// Scheduler goroutine only.
+func (s *EngineSession) resolve() {
+	s.st.res.Elapsed = time.Since(s.start)
+	if s.st.obsS != nil {
+		s.st.finishObs()
+	}
+	s.cancel(nil)
+	if s.onDone != nil {
+		s.onDone()
+	}
+	close(s.done)
 }
 
 // NewEngine starts the resident scheduler for g under cfg (the Source,
@@ -110,17 +126,24 @@ func (e *Engine) Open(io SessionIO) (*EngineSession, error) {
 	cfg := e.cfg
 	cfg.Source = io.Source
 	cfg.Sink = io.Sink
-	cfg.Ctx = io.Ctx
+	parent := io.Ctx
+	if parent == nil {
+		parent = context.Background()
+	}
+	var cancel context.CancelCauseFunc
+	cfg.Ctx, cancel = context.WithCancelCause(parent)
 	if cfg.Kernels == nil {
 		// Engine sessions always run kernel mode: real payloads in, real
 		// emissions out, exactly like the concurrent backends.
 		cfg.Kernels = map[graph.NodeID]stream.Kernel{}
 	}
 	ses := &EngineSession{
-		id:    io.ID,
-		st:    newState(e.g, nil, cfg),
-		start: time.Now(),
-		done:  make(chan struct{}),
+		id:     io.ID,
+		st:     newState(e.g, nil, cfg),
+		start:  time.Now(),
+		cancel: cancel,
+		onDone: io.OnDone,
+		done:   make(chan struct{}),
 	}
 	ses.st.sid = uint64(io.ID)
 	if e.arms != nil {
@@ -133,14 +156,10 @@ func (e *Engine) Open(io SessionIO) (*EngineSession, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
+		cancel(nil)
 		return nil, ErrEngineClosed
 	}
-	if e.draining {
-		e.mu.Unlock()
-		return nil, ErrEngineDraining
-	}
 	e.queue = append(e.queue, ses)
-	e.activeN++
 	e.mu.Unlock()
 	select {
 	case e.wake <- struct{}{}:
@@ -167,41 +186,6 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// resolved notes one session's resolution for Drain's accounting.
-func (e *Engine) resolved() {
-	e.mu.Lock()
-	e.activeN--
-	e.mu.Unlock()
-}
-
-// Drain stops admitting sessions (Open returns ErrEngineDraining) and
-// waits for the in-flight ones to resolve, or for ctx.  It does not
-// close the engine; callers Close after a successful drain.
-func (e *Engine) Drain(ctx context.Context) error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrEngineClosed
-	}
-	e.draining = true
-	e.mu.Unlock()
-	tick := time.NewTicker(200 * time.Microsecond)
-	defer tick.Stop()
-	for {
-		e.mu.Lock()
-		n := e.activeN
-		e.mu.Unlock()
-		if n <= 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
-}
-
 // schedule is the resident scheduler: one sweep per active session per
 // round, sessions in open order.
 func (e *Engine) schedule() {
@@ -218,12 +202,7 @@ func (e *Engine) schedule() {
 			for _, ses := range active {
 				ses.st.res.Reason = "canceled"
 				ses.st.res.Err = ErrEngineClosed
-				ses.st.res.Elapsed = time.Since(ses.start)
-				if ses.st.obsS != nil {
-					ses.st.finishObs()
-				}
-				e.resolved()
-				close(ses.done)
+				ses.resolve()
 			}
 			return
 		}
@@ -234,12 +213,7 @@ func (e *Engine) schedule() {
 		live := active[:0]
 		for _, ses := range active {
 			if ses.st.advanceOnce() {
-				ses.st.res.Elapsed = time.Since(ses.start)
-				if ses.st.obsS != nil {
-					ses.st.finishObs()
-				}
-				e.resolved()
-				close(ses.done)
+				ses.resolve()
 				continue
 			}
 			live = append(live, ses)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"streamdag/internal/cs4"
 	"streamdag/internal/fault"
@@ -214,33 +213,5 @@ func TestEngineSharedFault(t *testing.T) {
 				t.Fatalf("session %d delivery %d = %q, want %q", s, i, got[s][i], want[i])
 			}
 		}
-	}
-}
-
-// TestEngineDrain: Drain refuses new sessions, waits out in-flight
-// ones, and leaves the engine closable.
-func TestEngineDrain(t *testing.T) {
-	g, cfg := faultFixture(t)
-	eng := sim.NewEngine(g, cfg)
-	defer eng.Close()
-	ses, err := eng.Open(sim.SessionIO{ID: 1, Source: sliceSrc(payloadsN(200))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := eng.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if _, err := eng.Open(sim.SessionIO{ID: 2, Source: sliceSrc(payloadsN(1))}); !errors.Is(err, sim.ErrEngineDraining) {
-		t.Fatalf("open during drain: %v, want ErrEngineDraining", err)
-	}
-	select {
-	case <-ses.Done():
-	default:
-		t.Fatal("drain returned with the session unresolved")
-	}
-	if res := ses.Wait(); !res.Completed {
-		t.Fatalf("drained session: %s", res.Reason)
 	}
 }

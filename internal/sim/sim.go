@@ -88,8 +88,8 @@ type Config struct {
 	// in ascending sequence order (kernel mode).
 	Sink stream.SinkFunc
 	// Ctx, when non-nil, is polled between scheduler steps; cancellation
-	// stops the run with Reason "canceled" and Err = Ctx.Err().  It is
-	// also the context passed to Source and Sink.
+	// stops the run with Reason "canceled" and Err = context.Cause(Ctx).
+	// It is also the context passed to Source and Sink.
 	Ctx context.Context
 	// MaxSteps bounds the scheduler; 0 means no bound.  Runs exceeding
 	// the bound report Completed=false with Reason "step budget".
@@ -458,9 +458,7 @@ func (s *state) run() {
 // is deadlock: the stream's channels are self-contained, so nothing
 // outside the sweep can unblock it.
 func (s *state) advanceOnce() (done bool) {
-	if err := s.cfg.Ctx.Err(); err != nil {
-		s.res.Reason = "canceled"
-		s.res.Err = err
+	if s.canceled() {
 		return true
 	}
 	if s.orc != nil && s.faultTick() {
@@ -480,12 +478,8 @@ func (s *state) advanceOnce() (done bool) {
 				s.res.Reason = "step budget"
 				return true
 			}
-			if s.res.Steps%1024 == 0 {
-				if err := s.cfg.Ctx.Err(); err != nil {
-					s.res.Reason = "canceled"
-					s.res.Err = err
-					return true
-				}
+			if s.res.Steps%1024 == 0 && s.canceled() {
+				return true
 			}
 		}
 		if s.failed {
@@ -537,16 +531,31 @@ func (s *state) jumpToNextDeadline() bool {
 	return true
 }
 
+// canceled reports whether the run's context is done, recording Reason
+// "canceled" and the context's cause as the outcome.
+func (s *state) canceled() bool {
+	if s.cfg.Ctx.Err() == nil {
+		return false
+	}
+	s.res.Reason = "canceled"
+	s.res.Err = context.Cause(s.cfg.Ctx)
+	return true
+}
+
 // fail records the first source/sink failure and stops the scheduler
 // (later failures are consequences of the first and do not overwrite
-// it).
+// it).  A failure after the run's context is done is a callback echoing
+// the cancellation, so the cancellation's cause is recorded instead.
 func (s *state) fail(reason string, err error) {
 	if s.failed {
 		return
 	}
+	s.failed = true
+	if s.canceled() {
+		return
+	}
 	s.res.Reason = reason
 	s.res.Err = err
-	s.failed = true
 }
 
 func (s *state) allDone() bool {

@@ -138,10 +138,15 @@ func (e *Engine) Credit(sid proto.SessionID, edge graph.EdgeID, n int) error {
 	return nil
 }
 
+// session returns the open session with the given id, or nil.
 func (e *Engine) session(id proto.SessionID) *EngineSession {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.sessions[id]
+	s := e.sessions[id]
+	e.mu.Unlock()
+	if s == nil || s.ended.Load() {
+		return nil
+	}
+	return s
 }
 
 // Active returns the sessions that have not ended.
@@ -150,7 +155,9 @@ func (e *Engine) Active() []*EngineSession {
 	defer e.mu.Unlock()
 	active := make([]*EngineSession, 0, len(e.sessions))
 	for _, s := range e.sessions {
-		active = append(active, s)
+		if !s.ended.Load() {
+			active = append(active, s)
+		}
 	}
 	return active
 }

@@ -51,10 +51,6 @@ import (
 // failure recorded against sessions still active when Close runs.
 var ErrEngineClosed = errors.New("stream: engine closed")
 
-// ErrEngineDraining is returned by Engine.Open while a Drain is in
-// progress (or after one completed).
-var ErrEngineDraining = errors.New("stream: engine draining")
-
 // SessionConfig parameterizes one Engine.Open.
 type SessionConfig struct {
 	// ID tags the session's protocol messages; the caller (the public
@@ -73,8 +69,12 @@ type SessionConfig struct {
 	// one call instead of Sink per element (Sink still handles unbatched
 	// emissions and is required whenever SpanSink is set).
 	SpanSink SpanSinkFunc
-	// Ctx cancels the session (not the engine); nil means Background.
+	// Ctx cancels the session (not the engine) with its cause; nil means
+	// Background.
 	Ctx context.Context
+	// OnDone, when non-nil, runs once just before the session's done
+	// channel closes, on whichever goroutine resolves it.
+	OnDone func()
 }
 
 // Engine is the resident runtime for one compiled topology.  Create it
@@ -98,49 +98,16 @@ type Engine struct {
 	srcWin  int
 	sinkWin int
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// sessions holds every session from Open until its done channel
+	// closes (Active skips the ended ones).  Close force-resolves what is
+	// left once the node loops are gone, so an end() racing Close's
+	// mailbox teardown cannot strand a Wait.
 	sessions map[proto.SessionID]*EngineSession
-	// undone tracks every session whose done channel has not closed yet
-	// (a superset of sessions: end() unregisters before the abort acks
-	// finish).  Close force-resolves them once the node loops are gone,
-	// so an end() racing Close's mailbox teardown cannot strand a Wait.
-	undone   map[proto.SessionID]*EngineSession
 	closed   bool
-	draining bool
 
 	stop chan struct{}
 	wg   sync.WaitGroup
-}
-
-// Drain stops admitting sessions (Open returns ErrEngineDraining) and
-// waits for the in-flight ones to resolve, or for ctx.  It does not
-// close the engine; callers Close after a successful drain.
-func (e *Engine) Drain(ctx context.Context) error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrEngineClosed
-	}
-	e.draining = true
-	e.mu.Unlock()
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	for {
-		e.mu.Lock()
-		n := len(e.undone)
-		e.mu.Unlock()
-		if n == 0 {
-			if m := e.cfg.Obs; m != nil {
-				m.Faults().Drains.Add(1)
-			}
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
 }
 
 // NewEngine spins up the resident node loops for g; ingestion and
@@ -158,7 +125,6 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		kernels:  kernels,
 		cfg:      cfg,
 		sessions: make(map[proto.SessionID]*EngineSession),
-		undone:   make(map[proto.SessionID]*EngineSession),
 		stop:     make(chan struct{}),
 	}
 	e.nodes = make([]*engineNode, g.NumNodes())
@@ -306,11 +272,11 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 	if cfg.ID == 0 {
 		return nil, errors.New("stream: engine session requires a nonzero id")
 	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+	parent := cfg.Ctx
+	if parent == nil {
+		parent = context.Background()
 	}
-	sctx, cancel := context.WithCancel(ctx)
+	sctx, cancel := context.WithCancelCause(parent)
 	ses := &EngineSession{
 		id: cfg.ID, e: e,
 		ctx: sctx, cancel: cancel,
@@ -323,6 +289,7 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 		ready:     make(chan struct{}, 1),
 		done:      make(chan struct{}),
 		start:     time.Now(),
+		onDone:    cfg.OnDone,
 	}
 	// Size the ingest ring to the grant window (next power of two for
 	// mask indexing): occupancy never exceeds outstanding grants, so the
@@ -342,21 +309,15 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		cancel()
+		cancel(nil)
 		return nil, ErrEngineClosed
-	}
-	if e.draining {
-		e.mu.Unlock()
-		cancel()
-		return nil, ErrEngineDraining
 	}
 	if _, dup := e.sessions[ses.id]; dup {
 		e.mu.Unlock()
-		cancel()
+		cancel(nil)
 		return nil, fmt.Errorf("stream: session id %d already open", ses.id)
 	}
 	e.sessions[ses.id] = ses
-	e.undone[ses.id] = ses
 	e.mu.Unlock()
 	if m := e.cfg.Obs; m != nil {
 		sm := m.Sessions()
@@ -371,13 +332,9 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 	for _, n := range e.nodes {
 		n.mb.post(event{kind: evOpen, ses: ses})
 	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			ses.end(ctx.Err(), nil)
-		case <-ses.done:
-		}
-	}()
+	if parent.Done() != nil {
+		ses.stopParent = context.AfterFunc(parent, func() { ses.end(context.Cause(parent), nil) })
+	}
 	if cfg.Sink != nil {
 		go ses.sinkPump(e.sink)
 	}
@@ -407,8 +364,8 @@ func (e *Engine) Close() error {
 	// short by the mailbox teardown resolves here instead of hanging its
 	// Wait (its outcome was already recorded by end()).
 	e.mu.Lock()
-	stranded := make([]*EngineSession, 0, len(e.undone))
-	for _, s := range e.undone {
+	stranded := make([]*EngineSession, 0, len(e.sessions))
+	for _, s := range e.sessions {
 		stranded = append(stranded, s)
 	}
 	e.mu.Unlock()
@@ -416,12 +373,6 @@ func (e *Engine) Close() error {
 		s.closeDone()
 	}
 	return nil
-}
-
-func (e *Engine) unregister(id proto.SessionID) {
-	e.mu.Lock()
-	delete(e.sessions, id)
-	e.mu.Unlock()
 }
 
 // watchdog scans the active sessions once per period: a session whose
@@ -511,7 +462,7 @@ type EngineSession struct {
 	id       proto.SessionID
 	e        *Engine
 	ctx      context.Context
-	cancel   context.CancelFunc
+	cancel   context.CancelCauseFunc
 	source   SourceFunc
 	spanSrc  SpanSourceFunc
 	sink     SinkFunc
@@ -581,6 +532,13 @@ type EngineSession struct {
 	abortAcks atomic.Int64
 	doneOnce  sync.Once
 	done      chan struct{}
+
+	// Cold, and last so they share no cache line with the fields above
+	// that cross goroutines: onDone is SessionConfig.OnDone, and
+	// stopParent unregisters the parent context's AfterFunc (nil when
+	// the parent can never be cancelled).
+	onDone     func()
+	stopParent func() bool
 }
 
 // ownedCounter is an atomic counter alone on its cache line: one
@@ -590,14 +548,17 @@ type ownedCounter struct {
 	_ [56]byte
 }
 
-// closeDone resolves Wait/Done exactly once and retires the session
-// from the engine's undone set.
+// closeDone resolves Wait/Done exactly once: the session leaves the
+// engine's registry, OnDone runs, and done closes.
 func (s *EngineSession) closeDone() {
 	s.doneOnce.Do(func() {
-		close(s.done)
 		s.e.mu.Lock()
-		delete(s.e.undone, s.id)
+		delete(s.e.sessions, s.id)
 		s.e.mu.Unlock()
+		if s.onDone != nil {
+			s.onDone()
+		}
+		close(s.done)
 	})
 }
 
@@ -613,15 +574,11 @@ func (s *EngineSession) Wait() (*Stats, error) {
 	return s.stats, s.err
 }
 
-// Cancel aborts the session (its Wait returns context.Canceled); other
-// sessions on the engine are unaffected.
-func (s *EngineSession) Cancel() { s.end(context.Canceled, nil) }
-
 // end resolves the session exactly once: record the outcome, cancel the
-// session context (unblocking the pumps), and post the abort that makes
-// every node drop the session's state.  done closes only when the last
-// node acknowledges the abort (see handle evAbort), so observers of
-// Wait/Done see a fully detached session.
+// session context with it as the cause (unblocking the pumps), and post
+// the abort that makes every node drop the session's state.  done closes
+// only when the last node acknowledges the abort (see handle evAbort), so
+// observers of Wait/Done see a fully detached session.
 func (s *EngineSession) end(err error, stats *Stats) {
 	s.endOnce.Do(func() {
 		s.ended.Store(true)
@@ -637,12 +594,25 @@ func (s *EngineSession) end(err error, stats *Stats) {
 			}
 			sm.Latency.Observe(int64(time.Since(s.start)))
 		}
-		s.cancel()
-		s.e.unregister(s.id)
+		s.cancel(err)
+		if s.stopParent != nil {
+			s.stopParent()
+		}
 		for _, n := range s.e.nodes {
 			n.mb.post(event{kind: evAbort, ses: s})
 		}
 	})
+}
+
+// callbackFailed ends the session with a Source or Sink error — unless
+// the session's context is already done, in which case the callback only
+// echoed the cancellation and the session ends with its cause.
+func (s *EngineSession) callbackFailed(what string, err error) {
+	if cause := context.Cause(s.ctx); cause != nil {
+		s.end(cause, nil)
+		return
+	}
+	s.end(fmt.Errorf("stream: %s: %w", what, err), nil)
 }
 
 // finishFromSink completes the session successfully; only the sink node's
@@ -696,7 +666,7 @@ func (s *EngineSession) ingestPump(src *engineNode) {
 			payload, ok, err := s.source(s.ctx)
 			if err != nil {
 				s.external.Add(-1)
-				s.end(fmt.Errorf("stream: source: %w", err), nil)
+				s.callbackFailed("source", err)
 				return
 			}
 			if ok {
@@ -749,7 +719,7 @@ func (s *EngineSession) spanIngestPump(src *engineNode) {
 			n, eof, err := s.spanSrc(s.ctx, scratch[:m])
 			s.external.Add(-1)
 			if err != nil {
-				s.end(fmt.Errorf("stream: source: %w", err), nil)
+				s.callbackFailed("source", err)
 				return
 			}
 			if n < 0 || int64(n) > m {
@@ -798,7 +768,7 @@ func (s *EngineSession) sinkPump(sink *engineNode) {
 					s.external.Add(1)
 					if s.spanSink != nil {
 						if err := s.spanSink(s.ctx, em.seqs, em.pays); err != nil {
-							s.end(fmt.Errorf("stream: sink: %w", err), nil)
+							s.callbackFailed("sink", err)
 							failed = true
 						} else {
 							acked += len(em.pays)
@@ -806,7 +776,7 @@ func (s *EngineSession) sinkPump(sink *engineNode) {
 					} else {
 						for j := range em.pays {
 							if err := s.sink(s.ctx, em.seqs[j], em.pays[j]); err != nil {
-								s.end(fmt.Errorf("stream: sink: %w", err), nil)
+								s.callbackFailed("sink", err)
 								failed = true
 								break
 							}
@@ -827,7 +797,7 @@ func (s *EngineSession) sinkPump(sink *engineNode) {
 					err := s.sink(s.ctx, em.seq, em.payload)
 					s.external.Add(-1)
 					if err != nil {
-						s.end(fmt.Errorf("stream: sink: %w", err), nil)
+						s.callbackFailed("sink", err)
 						return
 					}
 					acked++

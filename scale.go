@@ -481,8 +481,7 @@ func (e *Engine) evictGen(g *engineGen) {
 		rc.evict()
 	}
 	for _, s := range kill {
-		s.evicted.Store(true)
-		s.cancel()
+		s.end(ErrSessionEvicted)
 	}
 	if len(kill) > 0 {
 		if m := p.obsMetrics(); m != nil {
