@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -305,25 +306,33 @@ func TestTimedIngestAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSpanMapAllocBudget is the allocation gate of the boxes a Map stage
-// makes: three uint64 Maps at batch 64, fed payloads boxed in advance and
-// all past the runtime's preallocated small integers, each box their
-// span's outputs into one slab — so an input costs the pipeline at most a
-// tenth of an allocation, not one box per stage (≈ 3).
-func TestSpanMapAllocBudget(t *testing.T) {
-	if testing.Short() || raceDetector {
-		t.Skip("allocation benchmark")
-	}
+// mapChainAllocs is the allocations per input of three uint64 Maps, each
+// tapped with tap when it is non-nil, at the given batch width: payloads
+// boxed in advance and all past the runtime's preallocated small integers,
+// from a SliceSource into a DiscardSink, so what is counted is what the
+// Maps box and what the engine itself costs per message.
+func mapChainAllocs(t *testing.T, batch int, tap func(any)) float64 {
+	t.Helper()
 	const inputs = 1 << 14
 	input := make([]any, inputs)
 	for i := range input {
 		input[i] = uint64(1000 + i)
 	}
-	pipe, err := NewFlow[uint64, uint64]().Buffer(256).Then(
+	stages := []Stage{
 		Map("s1", func(v uint64) uint64 { return v + 7 }),
 		Map("s2", func(v uint64) uint64 { return 3 * v }),
 		Map("s3", func(v uint64) uint64 { return v ^ 0xff00 }),
-	).Compile(WithMaxBatch(64), WithWatchdog(10*time.Second))
+	}
+	if tap != nil {
+		for i, s := range stages {
+			stages[i] = s.Tap(tap)
+		}
+	}
+	opts := []Option{WithWatchdog(10 * time.Second)}
+	if batch > 1 {
+		opts = append(opts, WithMaxBatch(batch))
+	}
+	pipe, err := NewFlow[uint64, uint64]().Buffer(256).Then(stages...).Compile(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,10 +353,56 @@ func TestSpanMapAllocBudget(t *testing.T) {
 			}
 		}
 	})
-	perInput := float64(res.AllocsPerOp()) / inputs
+	return float64(res.AllocsPerOp()) / inputs
+}
+
+// TestSpanMapAllocBudget is the allocation gate of the boxes a Map stage
+// makes at batch 64: each Map node boxes its outputs into chunks its own
+// arena keeps across spans, so an input costs the pipeline at most a
+// fiftieth of an allocation, not one box per stage (≈ 3).
+func TestSpanMapAllocBudget(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("allocation benchmark")
+	}
+	perInput := mapChainAllocs(t, 64, nil)
 	t.Logf("%.4f allocations per input", perInput)
-	if perInput > 0.1 {
-		t.Errorf("an input through three Maps allocates %.3f times; want at most 0.1", perInput)
+	if perInput > 0.02 {
+		t.Errorf("an input through three Maps allocates %.3f times; want at most 0.02", perInput)
+	}
+}
+
+// TestBatch1MapAllocBudget is the same gate at batch 1, where every span
+// has length one: a node's arena outlives its spans, so a run of one
+// carves a slot from the node's chunk like any other run, and the three
+// Maps cost at most a twentieth of an allocation per input, not one box
+// per stage (≈ 3).
+func TestBatch1MapAllocBudget(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("allocation benchmark")
+	}
+	perInput := mapChainAllocs(t, 1, nil)
+	t.Logf("%.4f allocations per input", perInput)
+	if perInput > 0.05 {
+		t.Errorf("an input through three batch-1 Maps allocates %.3f times; want at most 0.05", perInput)
+	}
+}
+
+// TestTappedMapKeepsItsArena: a Tap wraps a Map's kernel, and the wrapper
+// hands each node the tap over the Map's own per-node copy, so a tapped
+// chain at batch 1 allocates no more than the untapped one.
+func TestTappedMapKeepsItsArena(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("allocation benchmark")
+	}
+	var seen atomic.Int64
+	plain := mapChainAllocs(t, 1, nil)
+	tapped := mapChainAllocs(t, 1, func(any) { seen.Add(1) })
+	t.Logf("allocations per input: %.4f untapped, %.4f tapped", plain, tapped)
+	if seen.Load() == 0 {
+		t.Fatal("the taps saw nothing")
+	}
+	if tapped > plain+0.01 {
+		t.Errorf("a tapped batch-1 chain allocates %.3f per input, the untapped one %.3f", tapped, plain)
 	}
 }
 

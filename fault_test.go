@@ -489,6 +489,74 @@ func TestDrainCheckpointResume(t *testing.T) {
 	}
 }
 
+// FuzzDecodeCheckpoint feeds arbitrary bytes to DecodeCheckpoint and
+// whatever decodes to Resume on a 3-Map pipeline's engine: every input
+// returns — a decode error and no checkpoint, or a checkpoint Resume
+// takes exactly when its topology is the engine's — and none panics.
+// The seed corpus, a real checkpoint, truncations of it and a checkpoint
+// of another topology, runs under plain `go test`.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	build := func() *Engine {
+		pipe, err := NewFlow[uint64, uint64]().Then(
+			Map("s1", func(v uint64) uint64 { return v + 7 }),
+			Map("s2", func(v uint64) uint64 { return 3 * v }),
+			Map("s3", func(v uint64) uint64 { return v ^ 0xff00 }),
+		).Compile()
+		if err != nil {
+			f.Fatal(err)
+		}
+		eng, err := pipe.Engine()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return eng
+	}
+	drained := build()
+	ses, err := drained.Open(context.Background(), CountingSource(100), DiscardSink())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := ses.Wait(); err != nil {
+		f.Fatal(err)
+	}
+	ck, err := drained.Drain(context.Background())
+	if err != nil {
+		f.Fatal(err)
+	}
+	drained.Close()
+	blob, err := ck.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, n := range []int{len(blob), len(blob) - 1, len(blob) / 2, 5, 1, 0} {
+		f.Add(blob[:n])
+	}
+	other, err := (&Checkpoint{Topology: "a,b|0>1", NextSession: 1 << 40}).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(other)
+
+	eng := build()
+	defer eng.Close()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := DecodeCheckpoint(data)
+		if err != nil {
+			if ck != nil {
+				t.Fatalf("DecodeCheckpoint returned a checkpoint and %v", err)
+			}
+			return
+		}
+		if ck == nil {
+			t.Fatal("DecodeCheckpoint returned neither a checkpoint nor an error")
+		}
+		err = eng.Resume(ck)
+		if same := ck.Topology == eng.pipe().fingerprint(); (err == nil) != same {
+			t.Fatalf("Resume of a checkpoint for topology %q: %v", ck.Topology, err)
+		}
+	})
+}
+
 // TestDrainWaitsForActiveSessions: on every backend, Drain must let an
 // in-flight session run to completion, refuse Opens issued during the
 // drain, and count itself once — at the engine, whichever backend runs

@@ -205,7 +205,7 @@ func TestFlowRuntimeTypeError(t *testing.T) {
 
 	// At batch 64 the Map itself meets the string, mid-span: it declines
 	// there, and every element it committed on either side — boxed into
-	// its span's slab — must arrive with its value.
+	// its node's chunk — must arrive with its value.
 	pipe, err = NewFlow[any, uint64]().
 		Then(Map("m", func(v uint64) uint64 { return 3 * v })).
 		Compile(WithWatchdog(5*time.Second), WithMaxBatch(64))

@@ -1,18 +1,19 @@
-// Package box converts runs of values to interface values ("boxes" them)
-// with one heap allocation per run instead of one per value.  It is the
-// only package in the module that imports unsafe.
+// Package box converts values to interface values ("boxes" them) without
+// a heap allocation per value.  It is the only package in the module that
+// imports unsafe.
 //
 // Converting a T to any copies the value into a fresh heap object unless
 // the runtime needs none: T is an interface or pointer-shaped (the value
 // is the interface's data word), zero-size, bool or a byte, or an integer
 // or float of 2, 4 or 8 bytes whose bits read below 256 (the runtime's
-// static small integers), an empty string or a nil slice.  A Boxer boxes
+// static small integers), an empty string or a nil slice.  An Arena boxes
 // those values exactly as Go does.  It copies every other value into a
-// slab — one []T allocated on first need with room for the rest of the
-// run — and points the interface's data word into it.  A slot is written
-// once, before its interface exists, and never again, so the boxed value
-// is as immutable as a conventional box; the garbage collector keeps the
-// slab alive while any of its values is referenced.
+// chunk — a []T it allocates when the last one is full and keeps across
+// runs — and points the interface's data word into it.  A slot is written
+// once, before its interface exists, and never again, and a chunk is never
+// resliced, so the boxed value is as immutable as a conventional box; the
+// garbage collector keeps the chunk alive while any of its values is
+// referenced.
 package box
 
 import (
@@ -20,19 +21,24 @@ import (
 	"unsafe"
 )
 
-// maxSize is the largest T, in bytes, that goes into a slab; larger
-// values are boxed one by one.  A retained value pins its whole slab,
-// so the cap bounds what one payload kept past its run holds to
-// run length × 64 B (4 KiB at batch 64); past it, copying the value
-// costs about as much as the allocation a slab would save.
+// maxSize is the largest T, in bytes, that goes into a chunk; larger
+// values are boxed one by one: past it, copying the value costs about as
+// much as the allocation a chunk would save.
 const maxSize = 64
+
+// A chunk holds firstChunk slots, then twice as many as the one before,
+// up to maxChunk bytes — the most a retained value can pin.
+const (
+	firstChunk = 8
+	maxChunk   = 4 << 10
+)
 
 // rule is how a Boxer decides whether a value needs an allocation.
 type rule uint8
 
 const (
 	asGo    rule = iota // boxes as Go does, without allocating, or exceeds maxSize
-	slabbed             // always allocates: goes into the slab
+	chunked             // always allocates: goes into a chunk
 	word2               // 2-byte integer: free below 256 (runtime.convT16)
 	word4               // 4-byte integer or float32: free below 256 (runtime.convT32)
 	word8               // 8-byte integer or float64: free below 256 (runtime.convT64)
@@ -45,22 +51,29 @@ type eface struct {
 	typ, data unsafe.Pointer
 }
 
-// Boxer boxes values of type T.  Its zero value boxes every value as Go
-// does; For returns one that uses slabs.
+// Boxer is what an Arena needs to know about T, resolved once by For.
 type Boxer[T any] struct {
 	typ  unsafe.Pointer // T's type word
 	rule rule
+	ptrs bool // T holds pointers: a chunk lasts one run (Arena.Store)
+	full int  // slots in a chunk of maxChunk bytes
 }
 
 // For returns the Boxer of T.  It inspects T by reflection, so resolve it
-// once — at package init or when a stage is lowered — not per value.
+// once — at package init or when a stage is lowered — not per value or
+// per Arena.
 func For[T any]() Boxer[T] {
 	var zero T
 	e := any(zero)
 	ef := (*eface)(unsafe.Pointer(&e))
+	t := reflect.TypeOf((*T)(nil)).Elem()
 	// An interface T boxes to its dynamic value and a pointer-shaped T is
 	// its own data word, so only those box a zero value to a nil one.
-	return Boxer[T]{typ: ef.typ, rule: ruleOf(reflect.TypeOf((*T)(nil)).Elem(), ef.data == nil)}
+	b := Boxer[T]{typ: ef.typ, rule: ruleOf(t, ef.data == nil), ptrs: hasPointers(t)}
+	if t.Size() > 0 {
+		b.full = maxChunk / int(t.Size())
+	}
+	return b
 }
 
 func ruleOf(t reflect.Type, direct bool) rule {
@@ -85,7 +98,27 @@ func ruleOf(t reflect.Type, direct bool) rule {
 	case reflect.Slice:
 		return slice
 	}
-	return slabbed
+	return chunked
+}
+
+// hasPointers reports whether a value of type t holds a pointer the
+// garbage collector follows.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.Slice, reflect.String:
+		return true
+	}
+	return false
 }
 
 // free reports whether the runtime boxes the T at p without allocating.
@@ -107,27 +140,80 @@ func (b Boxer[T]) free(p unsafe.Pointer) bool {
 	return false
 }
 
-// One returns v as an interface value.  slab is the run's slab: nil at
-// the start of a run and then left to One, which allocates it on first
-// need with room for left values (v and the left − 1 after it), never
-// grows it and never writes a slot twice — so it must never be
-// resliced or reused for another run.  A value the runtime boxes without
-// allocating is boxed as usual, as is one that would need a fresh slab
-// for itself alone (left ≤ 1), since that slab costs what its box does.
-func (b Boxer[T]) One(v T, slab *[]T, left int) any {
-	if b.free(unsafe.Pointer(&v)) {
+// at returns the interface value of the T stored at p.
+func (b Boxer[T]) at(p unsafe.Pointer) any {
+	var r any
+	e := (*eface)(unsafe.Pointer(&r))
+	e.typ, e.data = b.typ, p
+	return r
+}
+
+// Arena boxes one producer's values of type T; it is not safe for
+// concurrent use.  A run of values loads the arena's chunk into a local,
+// boxes each value with Box and stores the chunk back once, so the loop
+// carves from a local rather than through the arena.  A chunk outlives
+// its run, so a run of one value carves one slot like any other.
+//
+// A T that holds pointers is the exception: its chunk lasts one run,
+// sized to the run (one slab per run), so an idle producer pins nobody's
+// memory — and a run of one is boxed as Go does, since a chunk of one
+// costs what its box does.  The zero Arena boxes every value as Go does.
+type Arena[T any] struct {
+	b     Boxer[T]
+	chunk []T // between runs; always nil for a T that holds pointers
+	next  int // slots in the next chunk; ≤ 1 boxes as Go does instead
+}
+
+// Arena returns an empty arena for b's type.  It does no reflection.
+func (b Boxer[T]) Arena() Arena[T] {
+	return Arena[T]{b: b, next: min(firstChunk, b.full)}
+}
+
+// Load hands the arena's chunk to a run of n values; the arena holds none
+// until Store takes it back, so a run that never stores it only loses the
+// chunk's free slots.  n sizes the chunk of a T that holds pointers.
+func (a *Arena[T]) Load(n int) []T {
+	if a.b.ptrs {
+		a.next = min(n, a.b.full)
+		return nil
+	}
+	c := a.chunk
+	a.chunk = nil
+	return c
+}
+
+// Store takes back the chunk Load handed out, and drops it if T holds
+// pointers.
+func (a *Arena[T]) Store(c []T) {
+	if !a.b.ptrs {
+		a.chunk = c
+	}
+}
+
+// Box returns v as an interface value, carving its slot, if it needs one,
+// from c — the chunk Load handed out.
+func (a *Arena[T]) Box(v T, c *[]T) any {
+	if a.b.free(unsafe.Pointer(&v)) {
 		return v
 	}
-	if p := push(slab, v, left); p != nil {
-		return b.at(p)
+	if p := a.carve(c, v); p != nil {
+		return a.b.at(p)
 	}
 	return v
 }
 
-// Word is One for the 8-byte integers and floats a decoder reads as
-// 64-bit words: v goes into a []uint64 slab that values of several such
-// types can share.  For any other T it boxes v as Go does.
-func (b Boxer[T]) Word(v T, slab *[]uint64, left int) any {
+// One boxes a run of one value.
+func (a *Arena[T]) One(v T) any {
+	c := a.Load(1)
+	x := a.Box(v, &c)
+	a.Store(c)
+	return x
+}
+
+// Word is Box for the 8-byte integers and floats a decoder reads as
+// 64-bit words: v goes into c, a chunk of words, whose slots values of
+// several such types can share.  For any other T it boxes v as Go does.
+func (b Boxer[T]) Word(v T, words *Arena[uint64], c *[]uint64) any {
 	if b.rule != word8 {
 		return v
 	}
@@ -135,31 +221,27 @@ func (b Boxer[T]) Word(v T, slab *[]uint64, left int) any {
 	if u < 256 {
 		return v
 	}
-	if p := push(slab, u, left); p != nil {
+	if p := words.carve(c, u); p != nil {
 		return b.at(p)
 	}
 	return v
 }
 
-// push appends v to the slab and returns the address of its slot, or nil
-// when the slab is full and left ≤ 1.
-func push[E any](slab *[]E, v E, left int) unsafe.Pointer {
-	s := *slab
+// carve appends v to the chunk *c and returns the address of its slot,
+// replacing a full chunk with a fresh one — or returns nil when the fresh
+// one would be a chunk of one.
+func (a *Arena[E]) carve(c *[]E, v E) unsafe.Pointer {
+	s := *c
 	if len(s) == cap(s) {
-		if left <= 1 {
+		if a.next <= 1 {
 			return nil
 		}
-		s = make([]E, 0, left)
+		s = make([]E, 0, a.next)
+		if !a.b.ptrs {
+			a.next = min(2*a.next, a.b.full)
+		}
 	}
 	s = append(s, v)
-	*slab = s
+	*c = s
 	return unsafe.Pointer(&s[len(s)-1])
-}
-
-// at returns the interface value of the T stored at p.
-func (b Boxer[T]) at(p unsafe.Pointer) any {
-	var r any
-	e := (*eface)(unsafe.Pointer(&r))
-	e.typ, e.data = b.typ, p
-	return r
 }

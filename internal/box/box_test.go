@@ -53,19 +53,30 @@ func guarded(f func() string) (s string) {
 	return f()
 }
 
-// checkRun boxes vals as one run and holds every result to the
-// conventional box of the same value under each way a consumer can read
-// an interface value.
-func checkRun[T any](t *testing.T, vals ...T) {
-	t.Helper()
-	b := For[T]()
-	var slab []T
+// boxRun boxes vals as one run of a.
+func boxRun[T any](a *Arena[T], vals ...T) []any {
+	c := a.Load(len(vals))
 	got := make([]any, len(vals))
 	for i, v := range vals {
-		got[i] = b.One(v, &slab, len(vals)-i)
+		got[i] = a.Box(v, &c)
 	}
-	for i, v := range vals {
-		g, want := got[i], any(v)
+	a.Store(c)
+	return got
+}
+
+// checkRun boxes vals as a run, then each again as a run of one, and holds
+// every result to the conventional box of the same value under each way a
+// consumer can read an interface value.
+func checkRun[T any](t *testing.T, vals ...T) {
+	t.Helper()
+	a := For[T]().Arena()
+	got := boxRun(&a, vals...)
+	for _, v := range vals {
+		got = append(got, a.One(v))
+	}
+	for i, g := range got {
+		v := vals[i%len(vals)]
+		want := any(v)
 		x, ok := g.(T)
 		wx, wok := want.(T)
 		if ok != wok || !reflect.DeepEqual(x, wx) {
@@ -108,30 +119,32 @@ func TestOneMatchesConventionalBox(t *testing.T) {
 }
 
 func TestWordMatchesConventionalBox(t *testing.T) {
-	var words []uint64
+	words := For[uint64]().Arena()
+	c := words.Load(5)
 	got := []any{
-		For[uint64]().Word(1000, &words, 5),
-		For[int64]().Word(-3, &words, 4),
-		For[float64]().Word(2.5, &words, 3),
-		For[int]().Word(1<<40, &words, 2),
-		For[uint64]().Word(1<<63, &words, 1),
+		For[uint64]().Word(1000, &words, &c),
+		For[int64]().Word(-3, &words, &c),
+		For[float64]().Word(2.5, &words, &c),
+		For[int]().Word(1<<40, &words, &c),
+		For[uint64]().Word(1<<63, &words, &c),
 	}
+	words.Store(c)
 	want := []any{uint64(1000), int64(-3), 2.5, 1 << 40, uint64(1 << 63)}
 	for i := range want {
 		if got[i] != want[i] || reflect.TypeOf(got[i]) != reflect.TypeOf(want[i]) || fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
 			t.Errorf("value %d: %T %v, want %T %v", i, got[i], got[i], want[i], want[i])
 		}
 	}
-	if len(words) != 5 || cap(words) != 5 {
-		t.Errorf("five values of four types took a slab of len %d cap %d; want one slab of 5", len(words), cap(words))
+	if len(words.chunk) != 5 || cap(words.chunk) != firstChunk {
+		t.Errorf("five values of four types took a chunk of len %d cap %d; want five slots of one first chunk", len(words.chunk), cap(words.chunk))
 	}
-	if s := For[string]().Word("not a word", &words, 1); s != "not a word" {
+	if s := For[string]().Word("not a word", &words, &c); s != "not a word" {
 		t.Errorf("a non-word T boxed to %v", s)
 	}
 }
 
 // TestFreeValuesAllocateNothing: what the runtime boxes without
-// allocating, One does too, and it never forces a slab.
+// allocating, an Arena does too, and it never carves a slot for it.
 func TestFreeValuesAllocateNothing(t *testing.T) {
 	x := 1
 	free(t, uint64(0), uint64(255), uint64(7))
@@ -151,72 +164,145 @@ func TestFreeValuesAllocateNothing(t *testing.T) {
 
 func free[T any](t *testing.T, vals ...T) {
 	t.Helper()
-	b := For[T]()
-	var slab []T
+	a := For[T]().Arena()
 	var sink any
 	if n := testing.AllocsPerRun(100, func() {
+		c := a.Load(64)
 		for _, v := range vals {
-			sink = b.One(v, &slab, 64)
+			sink = a.Box(v, &c)
 		}
+		a.Store(c)
 	}); n != 0 {
 		t.Errorf("%T: boxing %v allocated %v times, want 0", vals[0], vals, n)
 	}
-	if slab != nil {
-		t.Errorf("%T: free values forced a slab of cap %d", vals[0], cap(slab))
+	if a.chunk != nil {
+		t.Errorf("%T: free values carved a chunk of cap %d", vals[0], cap(a.chunk))
 	}
 	_ = sink
 }
 
-// TestOneSlabPerRun pins the budget: a run of 64 boxed values costs one
-// allocation, and a run of one costs what its box does — never a slab.
-func TestOneSlabPerRun(t *testing.T) {
-	b := For[uint64]()
+// TestChunksGrowToTheCap: a pointer-free T's chunks start at firstChunk
+// slots and double, run after run, up to maxChunk bytes, and no slot is
+// ever written twice; a stream of runs of one then costs one allocation
+// per full chunk, not one per value.
+func TestChunksGrowToTheCap(t *testing.T) {
+	growth(t, func(i int) uint64 { return uint64(1000 + i) })
+	growth(t, func(i int) [64]byte { return [64]byte{0: byte(i), 63: byte(i >> 8)} })
+	a := For[uint64]().Arena()
+	for i := 0; i < 4*a.b.full; i++ { // past the growth: every chunk is full size
+		a.One(uint64(1000 + i))
+	}
 	var sink any
 	if n := testing.AllocsPerRun(100, func() {
-		var slab []uint64
-		for i := 0; i < 64; i++ {
-			sink = b.One(uint64(1000+i), &slab, 64-i)
+		for i := 0; i < a.b.full; i++ {
+			sink = a.One(uint64(1000 + i))
 		}
 	}); n != 1 {
-		t.Errorf("a run of 64 allocated %v times, want 1", n)
+		t.Errorf("%d runs of one allocated %v times, want 1 (one full chunk)", a.b.full, n)
 	}
-	var slab []uint64
-	sink = b.One(1000, &slab, 1)
-	if slab != nil || sink != uint64(1000) {
-		t.Errorf("a run of one took a slab of cap %d (boxed %v)", cap(slab), sink)
-	}
-	rec := For[record]()
-	if n := testing.AllocsPerRun(100, func() {
-		var slab []record
-		for i := 0; i < 64; i++ {
-			sink = rec.One(record{N: uint64(i)}, &slab, 64-i)
+	_ = sink
+}
+
+// growth boxes three full chunks' worth of val(i) as runs of one and
+// checks the chunk capacities it went through and every value boxed.
+func growth[T comparable](t *testing.T, val func(i int) T) {
+	t.Helper()
+	a := For[T]().Arena()
+	var caps []int
+	var boxed []any
+	for i := 0; i < 3*a.b.full; i++ {
+		boxed = append(boxed, a.One(val(i)))
+		if n := len(caps); n == 0 || caps[n-1] != cap(a.chunk) {
+			caps = append(caps, cap(a.chunk))
 		}
-	}); n != 1 {
-		t.Errorf("a run of 64 records allocated %v times, want 1", n)
 	}
-	var big [][9]uint64 // past maxSize: boxed per value
-	if x := For[[9]uint64]().One([9]uint64{1: 7}, &big, 64); big != nil || x != [9]uint64{1: 7} {
-		t.Errorf("a %d-byte value took a slab of cap %d (boxed %v)", 72, cap(big), x)
+	var want []int
+	for c := firstChunk; c < a.b.full; c *= 2 {
+		want = append(want, c)
+	}
+	want = append(want, a.b.full)
+	if a.b.full*int(reflect.TypeOf(val(0)).Size()) != maxChunk || !reflect.DeepEqual(caps, want) {
+		t.Errorf("%T: chunk caps %v, want %v", val(0), caps, want)
+	}
+	for i, x := range boxed {
+		if x != any(val(i)) {
+			t.Fatalf("%T: value %d reads %v", val(0), i, x)
+		}
 	}
 }
 
-// TestGCKeepsSlabValues boxes 1,000 runs of pointer-carrying structs,
-// keeps every 7th value and drops the rest, then collects three times
-// with churn in between: every kept value, and everything it points to,
-// must read back intact.
+// TestOneSlabPerRun pins the pointer-holding case: a T that holds pointers
+// keeps one chunk per run, sized to the run, and Store drops it, so an
+// idle arena pins nothing; a run of one is boxed as Go does.
+func TestOneSlabPerRun(t *testing.T) {
+	rec := For[record]()
+	a := rec.Arena()
+	var sink any
+	if n := testing.AllocsPerRun(100, func() {
+		c := a.Load(64)
+		for i := 0; i < 64; i++ {
+			sink = a.Box(record{N: uint64(i)}, &c)
+		}
+		if cap(c) != 64 {
+			t.Errorf("a run of 64 records carved a chunk of cap %d", cap(c))
+		}
+		a.Store(c)
+	}); n != 1 {
+		t.Errorf("a run of 64 records allocated %v times, want 1", n)
+	}
+	if a.chunk != nil {
+		t.Errorf("a pointer-holding chunk of cap %d outlived its run", cap(a.chunk))
+	}
+	c := a.Load(1)
+	sink = a.Box(record{Name: "alone"}, &c)
+	if c != nil || sink.(record).Name != "alone" {
+		t.Errorf("a run of one record took a chunk of cap %d (boxed %v)", cap(c), sink)
+	}
+	a.Store(c)
+	c = a.Load(10 * maxChunk)
+	for i := 0; i < 2*rec.full; i++ {
+		a.Box(record{N: uint64(i)}, &c)
+	}
+	if cap(c) != rec.full {
+		t.Errorf("a long run of records carved a chunk of cap %d; want the %d-byte cap, %d slots", cap(c), maxChunk, rec.full)
+	}
+	a.Store(c)
+	strs := For[string]().Arena()
+	sc := strs.Load(3)
+	strs.Box("x", &sc)
+	strs.Store(sc)
+	if strs.chunk != nil {
+		t.Error("a string chunk outlived its run")
+	}
+	big := For[[9]uint64]().Arena() // past maxSize: boxed per value
+	bc := big.Load(64)
+	if x := big.Box([9]uint64{1: 7}, &bc); bc != nil || x != ([9]uint64{1: 7}) {
+		t.Errorf("a %d-byte value took a chunk of cap %d (boxed %v)", 72, cap(bc), x)
+	}
+}
+
+// TestGCKeepsSlabValues boxes 1,000 runs of pointer-carrying structs and
+// 64,000 uint64s as runs of one, keeps every 7th value and drops the
+// rest, then collects three times with churn in between: every kept
+// value, and everything it points to, must read back intact.
 func TestGCKeepsSlabValues(t *testing.T) {
 	const runs, width = 1000, 64
-	b := For[record]()
-	var kept []any
+	a := For[record]().Arena()
+	words := For[uint64]().Arena()
+	var kept, keptWords []any
 	for r := 0; r < runs; r++ {
-		var slab []record
+		c := a.Load(width)
 		for i := 0; i < width; i++ {
 			id := r*width + i
 			v := record{Name: strconv.Itoa(id), Next: &record{Name: "next " + strconv.Itoa(id)}, N: uint64(id)}
-			if x := b.One(v, &slab, width-i); id%7 == 0 {
+			x := a.Box(v, &c)
+			w := words.One(uint64(1000 + id))
+			if id%7 == 0 {
 				kept = append(kept, x)
+				keptWords = append(keptWords, w)
 			}
 		}
+		a.Store(c)
 	}
 	var churn [][]*record
 	for i := 0; i < 3; i++ {
@@ -232,6 +318,9 @@ func TestGCKeepsSlabValues(t *testing.T) {
 		v := x.(record)
 		if v.Name != strconv.Itoa(id) || v.N != uint64(id) || v.Next == nil || v.Next.Name != "next "+strconv.Itoa(id) {
 			t.Fatalf("kept value %d read back as %+v after GC", id, v)
+		}
+		if w := keptWords[k]; w != uint64(1000+id) {
+			t.Fatalf("kept word %d read back as %v after GC", id, w)
 		}
 	}
 }

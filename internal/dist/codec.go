@@ -171,12 +171,14 @@ func parseRunHeader(body []byte) (sid proto.SessionID, e graph.EdgeID, count int
 }
 
 // decodeRun decodes count elements into run[:0] (reusing its backing
-// array) and returns the run.  Sequence numbers must ascend, kinds must
-// be known, and the elements must fill b exactly.
-func decodeRun(b []byte, count int, run []stream.Message) ([]stream.Message, error) {
+// array) and returns the run; words, the link reader's, boxes its 8-byte
+// scalar payloads (an error drops the chunk with the frame).  Sequence
+// numbers must ascend, kinds must be known, and the elements must fill b
+// exactly.
+func decodeRun(b []byte, count int, run []stream.Message, words *box.Arena[uint64]) ([]stream.Message, error) {
 	run = run[:0]
 	var seq uint64
-	var words []uint64 // the frame's one slab for 8-byte scalar payloads
+	c := words.Load(count)
 	for i := 0; i < count; i++ {
 		delta, n := binary.Uvarint(b)
 		if n <= 0 || len(b) < n+1 {
@@ -191,9 +193,7 @@ func decodeRun(b []byte, count int, run []stream.Message) ([]stream.Message, err
 		switch m.Kind {
 		case stream.Data:
 			var err error
-			// An 8-byte scalar takes 9 bytes, so len(b)/9 bounds the slab
-			// of a frame that announces more elements than it carries.
-			if m.Payload, b, err = decodeRunPayload(b, &words, min(count-i, len(b)/9)); err != nil {
+			if m.Payload, b, err = decodeRunPayload(b, words, &c); err != nil {
 				return nil, fmt.Errorf("dist: run frame element %d of %d: %w", i, count, err)
 			}
 		case stream.Dummy, stream.EOS:
@@ -205,6 +205,7 @@ func decodeRun(b []byte, count int, run []stream.Message) ([]stream.Message, err
 	if len(b) != 0 {
 		return nil, fmt.Errorf("dist: %d trailing bytes in run frame", len(b))
 	}
+	words.Store(c)
 	return run, nil
 }
 
@@ -285,23 +286,22 @@ var (
 )
 
 // decodeRunPayload is decodePayload for an element of a run frame: an
-// 8-byte scalar is boxed in words, the frame's one slab for them (box.Word;
-// left bounds how many the frame holds from this one on), and anything
-// else is decodePayload's.
-func decodeRunPayload(b []byte, words *[]uint64, left int) (any, []byte, error) {
+// 8-byte scalar is boxed into c, the chunk of the words arena its four
+// types share (box.Word), and anything else is decodePayload's.
+func decodeRunPayload(b []byte, words *box.Arena[uint64], c *[]uint64) (any, []byte, error) {
 	if len(b) < 9 {
 		return decodePayload(b)
 	}
 	u, rest := binary.BigEndian.Uint64(b[1:]), b[9:]
 	switch b[0] {
 	case pUint64:
-		return boxUint64.Word(u, words, left), rest, nil
+		return boxUint64.Word(u, words, c), rest, nil
 	case pInt64:
-		return boxInt64.Word(int64(u), words, left), rest, nil
+		return boxInt64.Word(int64(u), words, c), rest, nil
 	case pInt:
-		return boxInt.Word(int(u), words, left), rest, nil
+		return boxInt.Word(int(u), words, c), rest, nil
 	case pFloat64:
-		return boxFloat64.Word(math.Float64frombits(u), words, left), rest, nil
+		return boxFloat64.Word(math.Float64frombits(u), words, c), rest, nil
 	}
 	return decodePayload(b)
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"streamdag/internal/box"
 	"streamdag/internal/stream"
 )
 
@@ -67,8 +68,9 @@ func TestPayloadUnencodable(t *testing.T) {
 	}
 }
 
-// readRun reads one frame off the wire and decodes it as a run frame.
-func readRun(t *testing.T, wire *bytes.Reader, buf *[]byte) (uint64, uint32, []stream.Message) {
+// readRun reads one frame off the wire into buf and decodes it as a run
+// frame, boxing its scalars from words.
+func readRun(t *testing.T, wire *bytes.Reader, buf *[]byte, words *box.Arena[uint64]) (uint64, uint32, []stream.Message) {
 	t.Helper()
 	body, err := readFrame(wire, buf)
 	if err != nil {
@@ -81,7 +83,7 @@ func readRun(t *testing.T, wire *bytes.Reader, buf *[]byte) (uint64, uint32, []s
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := decodeRun(elems, count, nil)
+	run, err := decodeRun(elems, count, nil, words)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +114,9 @@ func TestRunFrameRoundTrip(t *testing.T) {
 	wire = appendCredit(wire, 42, 5, 17)
 	r := bytes.NewReader(wire)
 	var buf []byte
+	words := boxUint64.Arena()
 	for _, want := range runs {
-		sid, e, got := readRun(t, r, &buf)
+		sid, e, got := readRun(t, r, &buf, &words)
 		if sid != 42 || e != 3 || !reflect.DeepEqual(got, want) {
 			t.Errorf("round trip (42, 3, %+v) → (%d, %d, %+v)", want, sid, e, got)
 		}
@@ -149,9 +152,10 @@ func TestRunFrameLarge(t *testing.T) {
 	}
 	r := bytes.NewReader(wire)
 	var buf []byte
+	words := boxUint64.Arena()
 	var got []stream.Message
 	for i := 0; i < frames; i++ {
-		_, _, part := readRun(t, r, &buf)
+		_, _, part := readRun(t, r, &buf, &words)
 		got = append(got, part...)
 	}
 	if !reflect.DeepEqual(got, run) {
@@ -184,7 +188,8 @@ func TestRunFrameRejectsMalformed(t *testing.T) {
 		{"sequence overflow", 2, cat(elem(^uint64(0), stream.EOS), elem(1, stream.Dummy)), "does not ascend"},
 	}
 	for _, tc := range cases {
-		_, err := decodeRun(tc.elems, tc.count, nil)
+		words := boxUint64.Arena()
+		_, err := decodeRun(tc.elems, tc.count, nil, &words)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		} else if !strings.Contains(err.Error(), tc.want) {
@@ -201,7 +206,7 @@ func TestRunFrameRejectsMalformed(t *testing.T) {
 
 // mixedRun is a run of k elements mixing every shape a run frame
 // carries: 8-byte scalars of each type past the runtime's small integers
-// (boxed in the frame's slab), a small one, dummies, strings and gob
+// (boxed in the link's word arena), a small one, dummies, strings and gob
 // payloads.
 func mixedRun(k int) []stream.Message {
 	run := make([]stream.Message, k)
@@ -243,7 +248,8 @@ func TestRunDecodedPayloadsSurviveBufferReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf []byte
-	_, _, msgs := readRun(t, bytes.NewReader(wire), &buf)
+	words := boxUint64.Arena()
+	_, _, msgs := readRun(t, bytes.NewReader(wire), &buf, &words)
 	// Simulate the transport reusing every buffer involved.
 	for i := range buf {
 		buf[i] = 0xEE
@@ -263,13 +269,13 @@ func TestRunDecodedPayloadsSurviveBufferReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := bytes.NewReader(wire)
-	_, _, first := readRun(t, r, &buf)
+	_, _, first := readRun(t, r, &buf, &words)
 	next, _, err := appendRun(nil, 7, 1, uint64Run(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Reset(next)
-	readRun(t, r, &buf)
+	readRun(t, r, &buf, &words)
 	for i := range buf {
 		buf[i] = 0xEE
 	}

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"streamdag/internal/box"
 	"streamdag/internal/fault"
 	"streamdag/internal/graph"
 	"streamdag/internal/obs"
@@ -656,8 +657,9 @@ const readBuffer = 64 << 10
 // contents to the node loops.  It never blocks on a session — deliveries
 // are mailbox posts — so the peer's writer always drains.  The frame
 // buffer and the run scratch are reused across frames (parsers copy
-// whatever they retain, Deliver copies the run), so steady-state reads
-// allocate nothing beyond decoded payloads.
+// whatever they retain, Deliver copies the run), and the frames' 8-byte
+// scalar payloads are boxed from one word arena per connection, which
+// this goroutine alone uses.
 func (w *engineWorker) serveConn(c net.Conn) {
 	defer w.connWG.Done()
 	defer c.Close()
@@ -684,6 +686,7 @@ func (w *engineWorker) serveConn(c net.Conn) {
 	gen := w.e.genOf(peer)
 	det := w.e.det
 	var run []stream.Message
+	words := boxUint64.Arena()
 	for {
 		body, err := readFrame(r, &buf)
 		if err != nil {
@@ -701,7 +704,7 @@ func (w *engineWorker) serveConn(c net.Conn) {
 			rx.RxFrames.Add(1)
 			rx.RxBytes.Add(int64(len(body)) + 4)
 		}
-		if err := w.handleBody(peer, body, &run); err != nil {
+		if err := w.handleBody(peer, body, &run, &words); err != nil {
 			w.e.fail(err)
 			return
 		}
@@ -723,7 +726,7 @@ func (w *engineWorker) isClosed() bool {
 // that are not open are dropped by the stream engine, not errors: a
 // session that failed keeps receiving its peers' in-flight frames until
 // they observe the teardown.
-func (w *engineWorker) handleBody(peer string, body []byte, run *[]stream.Message) error {
+func (w *engineWorker) handleBody(peer string, body []byte, run *[]stream.Message, words *box.Arena[uint64]) error {
 	switch body[0] {
 	case frameBeat:
 		// Pure liveness; serveConn already recorded the arrival.
@@ -735,7 +738,7 @@ func (w *engineWorker) handleBody(peer string, body []byte, run *[]stream.Messag
 		}
 		if err = w.checkCross(edge, count, peer, w.name); err == nil {
 			var msgs []stream.Message
-			if msgs, err = decodeRun(elems, count, *run); err == nil {
+			if msgs, err = decodeRun(elems, count, *run, words); err == nil {
 				err = w.e.eng.Deliver(sid, edge, msgs)
 				clear(msgs)
 				*run = msgs

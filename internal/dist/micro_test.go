@@ -62,10 +62,11 @@ func benchDecodeRun(b *testing.B, k int) {
 		b.Fatal(err)
 	}
 	var scratch []stream.Message
+	words := boxUint64.Arena()
 	perMsg(b, k, func() {
 		_, _, count, elems, err := parseRunHeader(wire[4:])
 		if err == nil {
-			scratch, err = decodeRun(elems, count, scratch)
+			scratch, err = decodeRun(elems, count, scratch, &words)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -135,7 +136,9 @@ func BenchmarkLinkRoundTripBatch64(b *testing.B) { benchLink(b, 64) }
 
 // TestRunCodecAllocations pins the codec's steady-state allocation
 // budget: encoding into a warmed buffer allocates nothing, and decoding
-// a run of 8-byte scalars allocates one slab for all their boxes.
+// a run of 8-byte scalars carves all their boxes from the link's word
+// arena — at most one chunk per run, an eighth of one once the chunks
+// reach their cap.
 func TestRunCodecAllocations(t *testing.T) {
 	run := uint64Run(64)
 	buf, _, err := appendRun(nil, proto.SessionID(7), graph.EdgeID(3), run)
@@ -150,9 +153,10 @@ func TestRunCodecAllocations(t *testing.T) {
 	}
 	wire, _, _ := appendRun(nil, 7, 3, run)
 	scratch := make([]stream.Message, 0, 64)
+	words := boxUint64.Arena()
 	if n := testing.AllocsPerRun(100, func() {
 		_, _, count, elems, _ := parseRunHeader(wire[4:])
-		scratch, _ = decodeRun(elems, count, scratch)
+		scratch, _ = decodeRun(elems, count, scratch, &words)
 	}); n > 1 {
 		t.Errorf("decoding a 64-run: %v allocs, want at most one per run", n)
 	}

@@ -148,6 +148,7 @@ func FuzzFrameBody(f *testing.F) {
 	w1 := eng.workers[eng.byName["w1"]]
 	var id uint64
 	var scratch []stream.Message
+	words := boxUint64.Arena()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) == 0 || len(body) > maxFrame {
 			return // readFrame never hands these on
@@ -158,7 +159,7 @@ func FuzzFrameBody(f *testing.F) {
 			body = append([]byte(nil), body...)
 			binary.BigEndian.PutUint64(body[1:], id)
 		}
-		_ = w1.handleBody("w0", body, &scratch)
+		_ = w1.handleBody("w0", body, &scratch, &words)
 		cancel()
 		select {
 		case <-ses.Done():
@@ -195,7 +196,7 @@ func TestCreditNeverDrivesInflightNegative(t *testing.T) {
 	// from w1 returning wireBuf of them passes the capacity check and must
 	// be caught by the node that owns the count.
 	var scratch []stream.Message
-	if err := w0.handleBody("w1", appendCredit(nil, 1, graph.EdgeID(0), wireBuf)[4:], &scratch); err != nil {
+	if err := w0.handleBody("w1", appendCredit(nil, 1, graph.EdgeID(0), wireBuf)[4:], &scratch, nil); err != nil {
 		t.Fatalf("dispatcher rejected a credit within the edge's capacity: %v", err)
 	}
 	select {

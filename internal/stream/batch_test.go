@@ -350,12 +350,15 @@ func TestBatchedAllocRegression(t *testing.T) {
 	}
 }
 
-// TestBatch1HopAllocBudget is the batch-1 allocation gate: a message
-// crossing a 3-stage Passthrough chain at MaxBatch 1 — four hops, every
-// kernel a SpanKernel — must cost at most one allocation per hop.  A
-// batch-1 firing is a span of length one on node scratch, so the budget
-// is generous; the Process path it replaced paid an input slice and an
-// output map per node.
+// TestBatch1HopAllocBudget is the batch-1 allocation gate of the hop
+// itself: a message crossing a 3-stage Passthrough chain at MaxBatch 1 —
+// four hops, every kernel a SpanKernel — must cost at most one allocation
+// per hop.  A batch-1 firing is a span of length one on node scratch and
+// Passthrough makes no payload, so a hop reads ≈ 0.001 and the budget is
+// generous; the Process path it replaced paid an input slice and an
+// output map per node.  Payload boxes are not a per-hop cost either: a
+// Flow Map boxes into its node's arena at batch 1 as at any width (the
+// root package's TestBatch1MapAllocBudget).
 func TestBatch1HopAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation benchmark")

@@ -81,9 +81,8 @@ type SessionConfig struct {
 // with NewEngine, serve any number of concurrent sessions with Open, and
 // reclaim the node goroutines with Close.
 type Engine struct {
-	g       *graph.Graph
-	kernels map[graph.NodeID]Kernel
-	cfg     Config
+	g   *graph.Graph
+	cfg Config
 
 	nodes  []*engineNode
 	source *engineNode // the topology's unique source node
@@ -122,7 +121,6 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 	}
 	e := &Engine{
 		g:        g,
-		kernels:  kernels,
 		cfg:      cfg,
 		sessions: make(map[proto.SessionID]*EngineSession),
 		stop:     make(chan struct{}),
@@ -133,9 +131,11 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		k := kernels[id]
 		if k == nil {
 			k = Passthrough(g.OutDegree(id))
+		} else if pn, ok := k.(PerNode); ok {
+			k = pn.ForNode()
 		}
 		n := &engineNode{
-			e: e, id: id, kernel: k,
+			e: e, id: id,
 			in:  g.In(id),
 			out: g.Out(id),
 			mb:  newMailbox(),
@@ -948,12 +948,11 @@ func (m *mailbox) close() {
 
 // engineNode is one resident node loop.
 type engineNode struct {
-	e      *Engine
-	id     graph.NodeID
-	kernel Kernel
-	in     []graph.EdgeID
-	out    []graph.EdgeID
-	mb     *mailbox
+	e   *Engine
+	id  graph.NodeID
+	in  []graph.EdgeID
+	out []graph.EdgeID
+	mb  *mailbox
 
 	// upMB[i] takes in-edge i's credit returns and downMB[i] out-edge i's
 	// messages: the neighbour's mailbox, tagged upPos/downPos with the

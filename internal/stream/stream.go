@@ -116,9 +116,10 @@ func (a mapAdapter) ProcessInto(seq uint64, in []Input, out []any, present []boo
 // length one at any Config.MaxBatch — at batch 1 every element is a span
 // of one — and in and out are engine scratch, reused by the next call: a
 // kernel must never retain them.  The payloads it writes to out may share
-// one backing array (a Flow Map boxes a span's outputs into one slab,
-// internal/box): an interface value is immutable, so sharing is never
-// visible.  Returning n < len(in) declines element
+// a node-owned chunk with each other and with earlier calls' (a Flow Map's
+// per-node copy, PerNode, boxes its outputs into chunks it keeps across
+// calls, internal/box): an interface value is immutable, so sharing is
+// never visible.  Returning n < len(in) declines element
 // n — the engine fires it through Process and offers what follows to
 // ProcessSpan again, in order, so a kernel may vectorize the common case
 // and fall back per element for filtering, per-edge divergence, or type
@@ -130,6 +131,17 @@ func (a mapAdapter) ProcessInto(seq uint64, in []Input, out []any, present []boo
 type SpanKernel interface {
 	Kernel
 	ProcessSpan(seq0 uint64, in, out []any) int
+}
+
+// PerNode is implemented by a kernel that keeps per-node state for its
+// span path.  One kernel value serves every engine built from the same
+// kernels and, behind a Process-only wrapper, every replica of a
+// replicated node, so NewEngine calls ForNode once per node and runs the
+// copy it returns there: the node's own loop is the copy's only caller.
+// The simulator calls only Process and never asks for a copy.
+type PerNode interface {
+	Kernel
+	ForNode() Kernel
 }
 
 // passthroughKernel forwards the first present input payload on every

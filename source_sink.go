@@ -45,21 +45,23 @@ type SpanSource interface {
 	NextSpan(ctx context.Context, buf []any) (n int, eof bool, err error)
 }
 
-// countingSource implements SpanSource for CountingSource.
+// countingSource implements SpanSource for CountingSource.  A source is
+// pulled by one goroutine at a time, so its payloads are boxed from one
+// arena of its own.
 type countingSource struct {
 	next, n uint64
+	arena   box.Arena[uint64]
 }
 
 func (c *countingSource) Next(context.Context) (any, bool, error) {
 	if c.next >= c.n {
 		return nil, false, nil
 	}
-	v := c.next
+	v := c.arena.One(c.next)
 	c.next++
 	return v, true, nil
 }
 
-// boxUint64 boxes a fill of CountingSource's payloads into one slab.
 var boxUint64 = box.For[uint64]()
 
 func (c *countingSource) NextSpan(_ context.Context, buf []any) (int, bool, error) {
@@ -67,11 +69,12 @@ func (c *countingSource) NextSpan(_ context.Context, buf []any) (int, bool, erro
 	if left := c.n - c.next; left < uint64(n) {
 		n = int(left)
 	}
-	var slab []uint64
+	ch := c.arena.Load(n)
 	for k := 0; k < n; k++ {
-		buf[k] = boxUint64.One(c.next, &slab, n-k)
+		buf[k] = c.arena.Box(c.next, &ch)
 		c.next++
 	}
+	c.arena.Store(ch)
 	return n, c.next >= c.n, nil
 }
 
@@ -134,7 +137,7 @@ func SliceSource(payloads ...any) Source {
 // sequence numbers 0..n-1 themselves (as uint64).  It implements
 // SpanSource, so batched runtimes ingest it in bulk.
 func CountingSource(n uint64) Source {
-	return &countingSource{n: n}
+	return &countingSource{n: n, arena: boxUint64.Arena()}
 }
 
 // Emission is one sink-node delivery: the firing's sequence number and

@@ -5,6 +5,7 @@ import (
 	"reflect"
 
 	"streamdag/internal/box"
+	"streamdag/internal/stream"
 )
 
 // This file defines the typed stage primitives of the Flow builder: the
@@ -251,15 +252,25 @@ func (s *mapStage[A, B]) lower(lw *lowering, from string) (string, error) {
 // SpanKernel so batched backends apply fn across a whole run in one
 // call; a payload whose dynamic type is not A declines the rest of the
 // span, which routes it to Process — the per-element path that records
-// the StageTypeError and filters it.  A span's outputs are boxed into one
-// slab (internal/box), local to the call because a replicated stage's
-// kernel runs on several goroutines.
+// the StageTypeError and filters it.  The lowered kernel is shared by
+// every engine built from the pipeline and by a replicated stage's
+// replicas (which call only Process), so ProcessSpan runs only on an
+// engine node's own copy (ForNode), whose arena boxes the node's outputs
+// into chunks it keeps across calls (internal/box).
 type flowMapKernel[A, B any] struct {
 	nOut  int
 	name  string
 	slot  *stageErrSlot
 	fn    func(A) B
 	boxer box.Boxer[B]
+	arena *box.Arena[B] // set in the per-node copy only
+}
+
+// ForNode implements stream.PerNode.
+func (k flowMapKernel[A, B]) ForNode() Kernel {
+	a := k.boxer.Arena()
+	k.arena = &a
+	return k
 }
 
 func (k flowMapKernel[A, B]) Process(seq uint64, in []Input) map[int]any {
@@ -275,15 +286,17 @@ func (k flowMapKernel[A, B]) Process(seq uint64, in []Input) map[int]any {
 }
 
 func (k flowMapKernel[A, B]) ProcessSpan(_ uint64, in, out []any) int {
-	var slab []B
+	c, n := k.arena.Load(len(in)), len(in)
 	for j, p := range in {
 		v, ok := assertAs[A](p)
 		if !ok {
-			return j
+			n = j
+			break
 		}
-		out[j] = k.boxer.One(k.fn(v), &slab, len(in)-j)
+		out[j] = k.arena.Box(k.fn(v), &c)
 	}
-	return len(in)
+	k.arena.Store(c)
+	return n
 }
 
 type filterStage[A any] struct {
@@ -546,6 +559,17 @@ func (t tapKernel) Process(seq uint64, in []Input) map[int]any {
 type tapSpanKernel struct {
 	tapKernel
 	sk SpanKernel
+}
+
+// ForNode implements stream.PerNode: when the tapped kernel keeps
+// per-node state, each node gets the tap over its own copy.
+func (t tapSpanKernel) ForNode() Kernel {
+	pn, ok := t.sk.(stream.PerNode)
+	if !ok {
+		return t
+	}
+	k := pn.ForNode()
+	return tapSpanKernel{tapKernel: tapKernel{k: k, fn: t.fn}, sk: k.(SpanKernel)}
 }
 
 func (t tapSpanKernel) ProcessSpan(seq0 uint64, in, out []any) int {
