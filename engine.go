@@ -195,7 +195,7 @@ func (e *Engine) Open(ctx context.Context, source Source, sink Sink) (*Session, 
 	if s.rc != nil {
 		bs, err = e.openRetrying(s, ctx, id, source, sink)
 	} else {
-		bs, err = g.impl.open(ctx, id, source, sink, s.release)
+		bs, err = g.impl.open(ctx, id, source, sink, (*releaseHook)(s))
 	}
 	if err != nil {
 		s.release()
@@ -300,6 +300,13 @@ func (s *Session) release() {
 	e.mu.Unlock()
 }
 
+// releaseHook is a Session as its backend session's DoneHook: the pointer
+// converts without allocating, where the method value s.release would
+// allocate a closure per session.
+type releaseHook Session
+
+func (h *releaseHook) SessionDone() { (*Session)(h).release() }
+
 // releaseGenLocked retires one session from its generation's
 // accounting; when a retired generation's last session leaves, its
 // drain gate opens and it drops off the engine's books.  Caller holds
@@ -369,8 +376,8 @@ func (s *Session) Wait() (*RunStats, error) {
 // backendEngine is a backend's resident runtime for one pipeline.
 type backendEngine interface {
 	// open starts a session whose context is a child of ctx; onDone, when
-	// non-nil, runs once just before the session's done channel closes.
-	open(ctx context.Context, id SessionID, source Source, sink Sink, onDone func()) (backendSession, error)
+	// non-nil, is told once just before the session's done channel closes.
+	open(ctx context.Context, id SessionID, source Source, sink Sink, onDone stream.DoneHook) (backendSession, error)
 	close() error
 	// killWorker crashes a named worker mid-stream; backends without
 	// workers return an error.
@@ -431,7 +438,7 @@ func (goroutineBackend) newEngine(p *Pipeline) (backendEngine, error) {
 // sessionConfig is the session the goroutine and distributed backends
 // open for a public Open: the endpoints' bulk forms ride along whenever
 // the source or sink offers them.
-func sessionConfig(ctx context.Context, id SessionID, source Source, sink Sink, onDone func()) stream.SessionConfig {
+func sessionConfig(ctx context.Context, id SessionID, source Source, sink Sink, onDone stream.DoneHook) stream.SessionConfig {
 	cfg := stream.SessionConfig{ID: id, Ctx: ctx, Source: sourceFunc(source), OnDone: onDone}
 	if ss, ok := source.(SpanSource); ok {
 		cfg.SpanSource = ss.NextSpan
@@ -445,7 +452,7 @@ func sessionConfig(ctx context.Context, id SessionID, source Source, sink Sink, 
 	return cfg
 }
 
-func (g *goroutineEngine) open(ctx context.Context, id SessionID, source Source, sink Sink, onDone func()) (backendSession, error) {
+func (g *goroutineEngine) open(ctx context.Context, id SessionID, source Source, sink Sink, onDone stream.DoneHook) (backendSession, error) {
 	ses, err := g.eng.Open(sessionConfig(ctx, id, source, sink, onDone))
 	if err != nil {
 		return nil, err
@@ -510,7 +517,7 @@ func (simulatorBackend) newEngine(p *Pipeline) (backendEngine, error) {
 	return &simEngine{eng: sim.NewEngine(p.topo.g, cfg)}, nil
 }
 
-func (se *simEngine) open(ctx context.Context, id SessionID, source Source, sink Sink, onDone func()) (backendSession, error) {
+func (se *simEngine) open(ctx context.Context, id SessionID, source Source, sink Sink, onDone stream.DoneHook) (backendSession, error) {
 	io := sim.SessionIO{ID: id, Ctx: ctx, Source: sourceFunc(source), OnDone: onDone}
 	if sink != nil {
 		io.Sink = sinkFunc(sink)
@@ -577,7 +584,7 @@ func (b distributedBackend) newEngine(p *Pipeline) (backendEngine, error) {
 	return &distEngine{eng: eng}, nil
 }
 
-func (de *distEngine) open(ctx context.Context, id SessionID, source Source, sink Sink, onDone func()) (backendSession, error) {
+func (de *distEngine) open(ctx context.Context, id SessionID, source Source, sink Sink, onDone stream.DoneHook) (backendSession, error) {
 	ses, err := de.eng.Open(sessionConfig(ctx, id, source, sink, onDone))
 	if err != nil {
 		return nil, err

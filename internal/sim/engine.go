@@ -41,9 +41,9 @@ type SessionIO struct {
 	Sink stream.SinkFunc
 	// Ctx cancels the session with its cause; nil means Background.
 	Ctx context.Context
-	// OnDone, when non-nil, runs once on the scheduler goroutine just
+	// OnDone, when non-nil, is told once on the scheduler goroutine just
 	// before the session's done channel closes.
-	OnDone func()
+	OnDone stream.DoneHook
 }
 
 // Engine serves concurrent deterministic sessions over one topology.
@@ -68,7 +68,7 @@ type EngineSession struct {
 	st     *state
 	start  time.Time
 	cancel context.CancelCauseFunc
-	onDone func()
+	onDone stream.DoneHook
 	done   chan struct{}
 }
 
@@ -97,7 +97,7 @@ func (s *EngineSession) resolve() {
 	}
 	s.cancel(nil)
 	if s.onDone != nil {
-		s.onDone()
+		s.onDone.SessionDone()
 	}
 	close(s.done)
 }

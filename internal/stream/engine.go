@@ -72,10 +72,16 @@ type SessionConfig struct {
 	// Ctx cancels the session (not the engine) with its cause; nil means
 	// Background.
 	Ctx context.Context
-	// OnDone, when non-nil, runs once just before the session's done
+	// OnDone, when non-nil, is told once just before the session's done
 	// channel closes, on whichever goroutine resolves it.
-	OnDone func()
+	OnDone DoneHook
 }
+
+// DoneHook is told that its session has resolved.  It is an interface
+// rather than a func so that a caller can pass a pointer it already holds:
+// the conversion allocates nothing, where a method value would allocate a
+// closure per session.
+type DoneHook interface{ SessionDone() }
 
 // Engine is the resident runtime for one compiled topology.  Create it
 // with NewEngine, serve any number of concurrent sessions with Open, and
@@ -104,6 +110,9 @@ type Engine struct {
 	// mailbox teardown cannot strand a Wait.
 	sessions map[proto.SessionID]*EngineSession
 	closed   bool
+	// free holds scrubbed session buffers for the next Open, at most
+	// freeSessions (see EngineSession.unhold).
+	free []*sessionBufs
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -269,6 +278,9 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 	if cfg.Source == nil && cfg.SpanSource == nil {
 		return nil, errors.New("stream: engine session requires a Source")
 	}
+	if cfg.SpanSink != nil && cfg.Sink == nil {
+		return nil, errors.New("stream: engine session with a SpanSink requires a Sink")
+	}
 	if cfg.ID == 0 {
 		return nil, errors.New("stream: engine session requires a nonzero id")
 	}
@@ -282,30 +294,16 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 		ctx: sctx, cancel: cancel,
 		source: cfg.Source, spanSrc: cfg.SpanSource,
 		sink: cfg.Sink, spanSink: cfg.SpanSink,
-		live:      make([]ownedCounter, len(e.nodes)),
-		data:      make([]int64, e.g.NumEdges()),
-		dummies:   make([]int64, e.g.NumEdges()),
-		occupancy: make([]atomic.Int64, e.g.NumEdges()),
-		ready:     make(chan struct{}, 1),
-		done:      make(chan struct{}),
-		start:     time.Now(),
-		onDone:    cfg.OnDone,
+		done:   make(chan struct{}),
+		start:  time.Now(),
+		onDone: cfg.OnDone,
 	}
-	// Size the ingest ring to the grant window (next power of two for
-	// mask indexing): occupancy never exceeds outstanding grants, so the
-	// pump never has to wait for ring space.
-	rcap := 1
-	for rcap < e.srcWin {
-		rcap <<= 1
-	}
-	ses.ring = make([]any, rcap)
-	ses.ringMask = uint64(rcap - 1)
+	// One hold for the done resolution and one per pump (see unhold).
+	holds := int32(2)
 	if cfg.Sink != nil {
-		// Every queued emission carries at least one payload and the
-		// element count is capped at sinkWin, so sinkWin slots never
-		// block a batched sinkEmit.
-		ses.sinkCh = make(chan emission, e.sinkWin)
+		holds++
 	}
+	ses.holds.Store(holds)
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -317,6 +315,9 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 		cancel(nil)
 		return nil, fmt.Errorf("stream: session id %d already open", ses.id)
 	}
+	// The buffers are in place before the session is registered: the
+	// watchdog reads the counters of every registered session.
+	ses.sessionBufs = e.takeBufs(cfg)
 	e.sessions[ses.id] = ses
 	e.mu.Unlock()
 	if m := e.cfg.Obs; m != nil {
@@ -340,6 +341,46 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 	}
 	go ses.ingestPump(e.source)
 	return ses, nil
+}
+
+// takeBufs returns buffers for a new session: scrubbed ones from the free
+// list, or fresh ones when it is empty.  The sink channel and the span
+// scratch are made the first time a session needs them and kept after.
+// Caller holds e.mu.
+func (e *Engine) takeBufs(cfg SessionConfig) *sessionBufs {
+	var b *sessionBufs
+	if k := len(e.free) - 1; k >= 0 {
+		b, e.free[k] = e.free[k], nil
+		e.free = e.free[:k]
+	} else {
+		// Size the ingest ring to the grant window (next power of two for
+		// mask indexing): occupancy never exceeds outstanding grants, so
+		// the pump never has to wait for ring space.
+		rcap := 1
+		for rcap < e.srcWin {
+			rcap <<= 1
+		}
+		b = &sessionBufs{
+			live:      make([]ownedCounter, len(e.nodes)),
+			data:      make([]int64, e.g.NumEdges()),
+			dummies:   make([]int64, e.g.NumEdges()),
+			occupancy: make([]atomic.Int64, e.g.NumEdges()),
+			ready:     make(chan struct{}, 1),
+			ring:      make([]any, rcap),
+			ringMask:  uint64(rcap - 1),
+		}
+	}
+	if cfg.Sink != nil && b.sinkCh == nil {
+		// Every queued emission carries at least one payload and the
+		// element count is capped at sinkWin, so sinkWin slots never
+		// block a batched sinkEmit.
+		b.sinkCh = make(chan emission, e.sinkWin)
+		b.wake = make(chan struct{}, 1)
+	}
+	if cfg.SpanSource != nil && b.scratch == nil {
+		b.scratch = make([]any, e.srcWin)
+	}
+	return b
 }
 
 // Close fails every active session with ErrEngineClosed and drains the
@@ -458,6 +499,12 @@ const ingestWindow = 16
 const sinkWindow = 16
 
 // EngineSession is one logical stream being served by an Engine.
+//
+// Its fields fall in three groups, padded apart: what every node loop
+// reads on every message and nobody writes once the session streams, what
+// the pumps and the rim nodes write on every message, and the cold rest.
+// A read-mostly field on a line the pumps write would miss in every node's
+// cache at every message.
 type EngineSession struct {
 	id       proto.SessionID
 	e        *Engine
@@ -467,38 +514,20 @@ type EngineSession struct {
 	spanSrc  SpanSourceFunc
 	sink     SinkFunc
 	spanSink SpanSinkFunc
+	// The session's buffers, borrowed from the engine's free list for as
+	// long as the session holds them (see unhold).  The pointer is set
+	// before the session is registered and never changes.
+	*sessionBufs
+	ended atomic.Bool // set once, by end
 
-	// live[n] counts node n's protocol events for the watchdog, which sums
-	// them: one padded counter per node, bumped only by that node's
-	// goroutine — once per batch of absorbed events (markDirty) and once
-	// per firing — so liveness accounting never bounces a cache line
-	// between cores.  Sends and sink hand-offs need no bump of their own:
-	// they run, without blocking, in the advance pass of an event or a
-	// firing that already counted.  external counts in-flight Source/Sink
-	// callbacks (blocked user code is not a wedge).
-	live     []ownedCounter
+	_ [64]byte
+
+	// external counts in-flight Source/Sink callbacks (blocked user code
+	// is not a wedge).
 	external atomic.Int64
-	// timersArmed counts the session's armed time-aware flush timers; the
-	// watchdog treats an armed timer like in-flight external work (a
-	// session quietly idle inside an open window is the clock's pace, not
-	// a wedge).
-	timersArmed atomic.Int64
-	// lastProgress/watched belong to the engine watchdog goroutine.
-	lastProgress int64
-	watched      bool
-
-	// occupancy[e] counts messages sent but not yet consumed on edge e,
-	// for deadlock snapshots (racy reads by the watchdog).
-	occupancy []atomic.Int64
-
-	// data/dummies/sinkData are each written by exactly one node
-	// goroutine and read after completion (the sink node's final EOS
-	// happens-after every send, via the mailbox chain).
-	data     []int64
-	dummies  []int64
+	// sinkData is written by the sink node's goroutine and read at
+	// completion, like the per-edge counts.
 	sinkData int64
-	start    time.Time
-
 	// Ingest handoff.  The source node issues grants by adding to readyN
 	// and waking the pump through the one-slot ready channel; the pump
 	// publishes each payload to the single-producer single-consumer ring
@@ -510,19 +539,27 @@ type EngineSession struct {
 	// the pump writes ingTail and only the source node's goroutine writes
 	// ingHead; ingEOF is set (once) after the last payload's tail store,
 	// so a reader that observes it also observes every payload.
-	ready    chan struct{}
-	readyN   atomic.Int64
-	ring     []any
-	ringMask uint64
-	ingHead  atomic.Uint64
-	ingTail  atomic.Uint64
-	ingEOF   atomic.Bool
-	ingKick  atomic.Bool
+	readyN  atomic.Int64
+	ingHead atomic.Uint64
+	ingTail atomic.Uint64
+	ingEOF  atomic.Bool
+	ingKick atomic.Bool
 
-	sinkCh chan emission // sink node → sink pump; nil without a Sink
+	_ [64]byte
+
+	// holds counts who still uses the buffers (see unhold).
+	holds atomic.Int32
+	// timersArmed counts the session's armed time-aware flush timers; the
+	// watchdog treats an armed timer like in-flight external work (a
+	// session quietly idle inside an open window is the clock's pace, not
+	// a wedge).
+	timersArmed atomic.Int64
+	// lastProgress/watched belong to the engine watchdog goroutine.
+	lastProgress int64
+	watched      bool
+	start        time.Time
 
 	endOnce sync.Once
-	ended   atomic.Bool
 	err     error
 	stats   *Stats
 	// abortAcks counts nodes that have processed this session's evAbort;
@@ -532,13 +569,46 @@ type EngineSession struct {
 	abortAcks atomic.Int64
 	doneOnce  sync.Once
 	done      chan struct{}
-
-	// Cold, and last so they share no cache line with the fields above
-	// that cross goroutines: onDone is SessionConfig.OnDone, and
-	// stopParent unregisters the parent context's AfterFunc (nil when
-	// the parent can never be cancelled).
-	onDone     func()
+	// onDone is SessionConfig.OnDone; stopParent unregisters the parent
+	// context's AfterFunc (nil when the parent can never be cancelled).
+	onDone     DoneHook
 	stopParent func() bool
+}
+
+// sessionBufs are the parts of a session that its node loops and pumps
+// use while it streams and that no one reads once it is over.  The engine
+// keeps them on a free list, so a short session does not rebuild them.
+type sessionBufs struct {
+	// live[n] counts node n's protocol events for the watchdog, which sums
+	// them: one padded counter per node, bumped only by that node's
+	// goroutine — once per batch of absorbed events (markDirty) and once
+	// per firing — so liveness accounting never bounces a cache line
+	// between cores.  Sends and sink hand-offs need no bump of their own:
+	// they run, without blocking, in the advance pass of an event or a
+	// firing that already counted.
+	live []ownedCounter
+	// occupancy[e] counts messages sent but not yet consumed on edge e,
+	// for deadlock snapshots (racy reads by the watchdog).
+	occupancy []atomic.Int64
+	// data/dummies are each written by exactly one node goroutine and
+	// read at completion (the sink node's final EOS happens-after every
+	// send, via the mailbox chain).
+	data    []int64
+	dummies []int64
+
+	// ready wakes the ingest pump (grants, and end); ring is the ingest
+	// ring, ringMask its index mask; scratch is the span ingest pump's
+	// fill buffer (made for the first SpanSource session).
+	ready    chan struct{}
+	ring     []any
+	ringMask uint64
+	scratch  []any
+
+	// sinkCh carries the sink node's emissions to the sink pump, and end
+	// wakes the pump through wake; both are made for the first session
+	// with a Sink.
+	sinkCh chan emission
+	wake   chan struct{}
 }
 
 // ownedCounter is an atomic counter alone on its cache line: one
@@ -548,15 +618,67 @@ type ownedCounter struct {
 	_ [56]byte
 }
 
+// unhold gives up one of the session's holds on its buffers.  The done
+// resolution holds them (node loops write them until the last abort ack)
+// and so does each pump until it returns — a pump stuck in user code that
+// ignores its context keeps them until it comes back.  The last hold to
+// go scrubs them and returns them to the engine's free list, or leaves
+// them to the collector when the list already keeps freeSessions sets.
+func (s *EngineSession) unhold() {
+	if s.holds.Add(-1) != 0 {
+		return
+	}
+	s.scrub()
+	e := s.e
+	e.mu.Lock()
+	if len(e.free) < freeSessions {
+		e.free = append(e.free, s.sessionBufs)
+	}
+	e.mu.Unlock()
+}
+
+// scrub empties the buffers for their next session: counters zeroed (the
+// atomics with stores, since a watchdog scan that listed the old session
+// may still read them), ring and scratch cleared so no payload outlives
+// its session, stale ready and wake tokens drained, and emissions the sink
+// pump never took handed back to the pools.
+func (b *sessionBufs) scrub() {
+	for i := range b.live {
+		b.live[i].n.Store(0)
+	}
+	for i := range b.occupancy {
+		b.occupancy[i].Store(0)
+	}
+	clear(b.data)
+	clear(b.dummies)
+	clear(b.ring)
+	clear(b.scratch)
+	for {
+		select {
+		case <-b.ready:
+		case <-b.wake:
+		case em := <-b.sinkCh:
+			if em.pays != nil {
+				payFree.put(em.pays)
+				seqFree.put(em.seqs)
+			}
+		default:
+			return
+		}
+	}
+}
+
 // closeDone resolves Wait/Done exactly once: the session leaves the
-// engine's registry, OnDone runs, and done closes.
+// engine's registry and gives up its buffers, OnDone runs, and done
+// closes.
 func (s *EngineSession) closeDone() {
 	s.doneOnce.Do(func() {
 		s.e.mu.Lock()
 		delete(s.e.sessions, s.id)
 		s.e.mu.Unlock()
+		s.unhold()
 		if s.onDone != nil {
-			s.onDone()
+			s.onDone.SessionDone()
 		}
 		close(s.done)
 	})
@@ -574,16 +696,30 @@ func (s *EngineSession) Wait() (*Stats, error) {
 	return s.stats, s.err
 }
 
-// end resolves the session exactly once: record the outcome, cancel the
-// session context with it as the cause (unblocking the pumps), and post
-// the abort that makes every node drop the session's state.  done closes
-// only when the last node acknowledges the abort (see handle evAbort), so
-// observers of Wait/Done see a fully detached session.
+// end resolves the session exactly once: record the outcome, wake the
+// pumps so they see it, cancel the session context with it as the cause
+// (unblocking Source/Sink calls that honour it), and post the abort that
+// makes every node drop the session's state.  done closes only when the
+// last node acknowledges the abort (see handle evAbort), so observers of
+// Wait/Done see a fully detached session.
+//
+// The pumps wait on their own channels, not on the context: its done
+// channel is then made only if user code asks for it.  The pokes follow
+// the ended store and never block (one-slot channels; a token already
+// there wakes the pump just as well).
 func (s *EngineSession) end(err error, stats *Stats) {
 	s.endOnce.Do(func() {
 		s.ended.Store(true)
 		s.err = err
 		s.stats = stats
+		select {
+		case s.ready <- struct{}{}:
+		default:
+		}
+		select {
+		case s.wake <- struct{}{}:
+		default:
+		}
 		if m := s.e.cfg.Obs; m != nil {
 			sm := m.Sessions()
 			sm.Active.Add(-1)
@@ -644,6 +780,7 @@ func (s *EngineSession) finishFromSink() {
 // coalesces: under load the source node drains whole runs of payloads
 // per event.
 func (s *EngineSession) ingestPump(src *engineNode) {
+	defer s.unhold()
 	if s.spanSrc != nil {
 		s.spanIngestPump(src)
 		return
@@ -651,12 +788,11 @@ func (s *EngineSession) ingestPump(src *engineNode) {
 	for {
 		g := s.readyN.Swap(0)
 		if g == 0 {
-			select {
-			case <-s.ready:
-				continue
-			case <-s.ctx.Done():
+			if s.ended.Load() {
 				return
 			}
+			<-s.ready
+			continue
 		}
 		// One external-callback window covers the whole granted run: the
 		// watchdog only needs to know user code may be blocking, not how
@@ -699,16 +835,15 @@ func (s *EngineSession) ingestPump(src *engineNode) {
 // store publishes it, and one kick wakes the source node — so a fast
 // source pays the handoff per window instead of per payload.
 func (s *EngineSession) spanIngestPump(src *engineNode) {
-	scratch := make([]any, s.e.srcWin)
+	scratch := s.scratch
 	for {
 		g := s.readyN.Swap(0)
 		if g == 0 {
-			select {
-			case <-s.ready:
-				continue
-			case <-s.ctx.Done():
+			if s.ended.Load() {
 				return
 			}
+			<-s.ready
+			continue
 		}
 		for g > 0 {
 			m := g
@@ -755,6 +890,7 @@ func (s *EngineSession) spanIngestPump(src *engineNode) {
 // per batch rather than per emission.  The pump stops at the first Emit
 // error; emissions still queued behind it are never delivered.
 func (s *EngineSession) sinkPump(sink *engineNode) {
+	defer s.unhold()
 	for {
 		select {
 		case em := <-s.sinkCh:
@@ -813,7 +949,7 @@ func (s *EngineSession) sinkPump(sink *engineNode) {
 				}
 			}
 			sink.mb.post(event{kind: evSinkDone, ses: s, cnt: acked})
-		case <-s.ctx.Done():
+		case <-s.wake: // only end pokes it
 			return
 		}
 	}
@@ -1156,7 +1292,11 @@ func (n *engineNode) markDirty(ns *nodeSession) {
 // window; see fifo), a queued node's ingest array under 4 × the longest
 // queue it held (a source's is its ingest window) — plus about 0.3 KB of
 // struct, proto.Engine and per-out-edge slices.  A node with one in-edge
-// of Buf 64 thus retains at most 16 × (8 + 0.3) KB ≈ 133 KB.
+// of Buf 64 thus retains at most 16 × (8 + 0.3) KB ≈ 133 KB.  The engine's
+// free list of session buffers (takeBufs, unhold) has the same cap; one
+// entry is a padded counter per node, three counters per edge, the ingest
+// ring and span scratch (a grant window each) and the sink channel (a
+// sink window of 72-byte emissions), about 2.5 KB on a five-node chain.
 const freeSessions = 16
 
 // openSession returns the node's state for a new session: a released one

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -310,6 +311,27 @@ func TestEngineOpenAfterCloseFails(t *testing.T) {
 	}
 	if _, err := eng.Open(stream.SessionConfig{ID: 1, Source: stream.SyntheticSource(1)}); !errors.Is(err, stream.ErrEngineClosed) {
 		t.Fatalf("Open after Close = %v, want ErrEngineClosed", err)
+	}
+}
+
+// TestEngineSpanSinkRequiresSink: a SpanSink only takes batched runs, and
+// without a Sink no sink pump starts, so the session's emissions would be
+// dropped without a word.  Open refuses it instead.
+func TestEngineSpanSinkRequiresSink(t *testing.T) {
+	eng, err := stream.NewEngine(workload.Pipeline(3, 2), nil, stream.Config{MaxBatch: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	_, err = eng.Open(stream.SessionConfig{
+		ID: 1, Source: stream.SyntheticSource(10),
+		SpanSink: func(context.Context, []uint64, []any) error { return nil },
+	})
+	if err == nil || !strings.Contains(err.Error(), "requires a Sink") {
+		t.Fatalf("Open with a SpanSink and no Sink = %v, want an error naming the missing Sink", err)
+	}
+	if len(eng.Active()) != 0 {
+		t.Fatal("a refused session was registered")
 	}
 }
 

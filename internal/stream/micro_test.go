@@ -12,7 +12,6 @@ package stream
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,13 +79,7 @@ func newFiringBench(b testing.TB, g *graph.Graph, node graph.NodeID, ks map[grap
 	for _, mb := range n.downMB {
 		mb.closed = false
 	}
-	ses := &EngineSession{
-		id: 1, e: e,
-		live:      make([]ownedCounter, len(e.nodes)),
-		data:      make([]int64, g.NumEdges()),
-		dummies:   make([]int64, g.NumEdges()),
-		occupancy: make([]atomic.Int64, g.NumEdges()),
-	}
+	ses := &EngineSession{id: 1, e: e, sessionBufs: e.takeBufs(SessionConfig{})}
 	n.absorb(&event{kind: evOpen, ses: ses})
 	return &firingBench{n: n, ns: n.sess[ses.id]}
 }

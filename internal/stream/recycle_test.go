@@ -1,12 +1,15 @@
 package stream
 
-// Tests of the nodes' free lists of retired sessions (engine.go, retire
-// and release), read after Close: the node loops have exited, so the test
+// Tests of the free lists of retired sessions — each node's (engine.go,
+// retire and release) and the engine's of session buffers (takeBufs and
+// unhold) — read after Close: the node loops have exited, so the test
 // goroutine sees their final state.
 
 import (
 	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,7 +75,8 @@ func TestNodeSessionReleasedOnce(t *testing.T) {
 
 // TestFreeListBoundedAfterSessionBurst: 1,000 sessions open at once — all
 // of them live at every node before any streams — and drain; each node then
-// keeps at most freeSessions of their states, not all 1,000.
+// keeps at most freeSessions of their states, and the engine at most
+// freeSessions of their buffers, not all 1,000.
 func TestFreeListBoundedAfterSessionBurst(t *testing.T) {
 	e, err := NewEngine(workload.Pipeline(4, 2), nil, Config{WatchdogTimeout: 10 * time.Second})
 	if err != nil {
@@ -101,6 +105,190 @@ func TestFreeListBoundedAfterSessionBurst(t *testing.T) {
 	for _, n := range e.nodes {
 		if len(n.free) > freeSessions {
 			t.Errorf("node %d keeps %d retired sessions; the cap is %d", n.id, len(n.free), freeSessions)
+		}
+	}
+	if free := freeBufs(t, e, sessions); len(free) == 0 || len(free) > freeSessions {
+		t.Errorf("the engine keeps %d sessions' buffers; want 1 to %d", len(free), freeSessions)
+	}
+}
+
+// TestSessionBufsScrubbed drives the buffers through every way a session
+// leaves them — finished with and without a sink, on the plain and the span
+// pumps, cancelled with a blocked sink (emissions queued in the sink
+// channel), failed by its source mid-fill, and stuck in a Source.Next that
+// ignores its context until after the engine's next sessions ran — and
+// checks each free-listed set once every hold is gone: every counter zero,
+// ring and scratch empty, no token or emission left in a channel, and no set
+// listed twice.
+func TestSessionBufsScrubbed(t *testing.T) {
+	e, err := NewEngine(workload.Pipeline(4, 8), nil, Config{MaxBatch: 8, WatchdogTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opened []*EngineSession
+	open := func(cfg SessionConfig) *EngineSession {
+		t.Helper()
+		cfg.ID = proto.SessionID(len(opened) + 1)
+		ses, err := e.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opened = append(opened, ses)
+		return ses
+	}
+	finish := func(cfg SessionConfig) {
+		t.Helper()
+		if _, err := open(cfg).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sink := func(context.Context, uint64, any) error { return nil }
+	spanSink := func(context.Context, []uint64, []any) error { return nil }
+	spanSrc := func() SpanSourceFunc {
+		next := SyntheticSource(100)
+		return func(ctx context.Context, buf []any) (int, bool, error) {
+			for i := range buf {
+				v, ok, err := next(ctx)
+				if !ok || err != nil {
+					return i, true, err
+				}
+				buf[i] = v
+			}
+			return len(buf), false, nil
+		}
+	}
+
+	finish(SessionConfig{Source: SyntheticSource(100)})
+	finish(SessionConfig{Source: SyntheticSource(100), Sink: sink})
+	finish(SessionConfig{SpanSource: spanSrc(), Sink: sink, SpanSink: spanSink})
+
+	// Cancelled with its sink blocked, once backpressure has stopped its
+	// source: the sink channel holds the emissions behind the blocked one.
+	var pulled atomic.Int64
+	next := SyntheticSource(1 << 20)
+	blocked := open(SessionConfig{
+		Source: func(ctx context.Context) (any, bool, error) {
+			pulled.Add(1)
+			return next(ctx)
+		},
+		Sink: func(ctx context.Context, _ uint64, _ any) error {
+			<-ctx.Done()
+			return ctx.Err()
+		},
+	})
+	for last, still := int64(-1), 0; still < 10; time.Sleep(2 * time.Millisecond) {
+		if n := pulled.Load(); n != last {
+			last, still = n, 0
+		} else {
+			still++
+		}
+	}
+	if len(blocked.sinkCh) == 0 {
+		t.Fatal("a stalled session with a blocked sink has no emission queued")
+	}
+	blocked.Fail(context.Canceled)
+	if _, err := blocked.Wait(); err != context.Canceled {
+		t.Fatalf("blocked session: %v, want context.Canceled", err)
+	}
+
+	// Failed by its span source halfway through a fill.
+	boom := errors.New("boom")
+	failed := open(SessionConfig{
+		SpanSource: func(_ context.Context, buf []any) (int, bool, error) {
+			for i := range buf[:len(buf)/2] {
+				buf[i] = i
+			}
+			return 0, false, boom
+		},
+		Sink: sink,
+	})
+	if _, err := failed.Wait(); !errors.Is(err, boom) {
+		t.Fatalf("failing source: %v, want boom", err)
+	}
+
+	// Stuck in Next past its end: its pump keeps the buffers until it
+	// returns, and sessions opened meanwhile take others.
+	release := make(chan struct{})
+	var pulls atomic.Int64
+	stuck := open(SessionConfig{
+		Source: func(context.Context) (any, bool, error) {
+			if pulls.Add(1) > 5 {
+				<-release
+			}
+			return 1, true, nil
+		},
+		Sink: sink,
+	})
+	for pulls.Load() <= 5 {
+		time.Sleep(time.Millisecond)
+	}
+	stuck.Fail(context.Canceled)
+	if _, err := stuck.Wait(); err != context.Canceled {
+		t.Fatalf("stuck session: %v, want context.Canceled", err)
+	}
+	for i := 0; i < 3; i++ {
+		if ses := open(SessionConfig{Source: SyntheticSource(50), Sink: sink}); ses.sessionBufs == stuck.sessionBufs {
+			t.Fatal("a session got the buffers a stuck pump still holds")
+		} else if _, err := ses.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	e.Close()
+
+	free := freeBufs(t, e, opened)
+	seen := make(map[*sessionBufs]bool, len(free))
+	for _, b := range free {
+		if seen[b] {
+			t.Fatal("one set of session buffers is on the free list twice")
+		}
+		seen[b] = true
+		for i := range b.live {
+			if b.live[i].n.Load() != 0 {
+				t.Fatalf("live[%d] = %d after scrub", i, b.live[i].n.Load())
+			}
+		}
+		for i := range b.occupancy {
+			if b.occupancy[i].Load() != 0 || b.data[i] != 0 || b.dummies[i] != 0 {
+				t.Fatalf("edge %d counters after scrub: occupancy %d, data %d, dummies %d", i, b.occupancy[i].Load(), b.data[i], b.dummies[i])
+			}
+		}
+		for _, s := range [][]any{b.ring, b.scratch} {
+			for i, v := range s {
+				if v != nil {
+					t.Fatalf("slot %d still holds %v after scrub", i, v)
+				}
+			}
+		}
+		if len(b.ready) != 0 || len(b.wake) != 0 || len(b.sinkCh) != 0 {
+			t.Fatalf("after scrub: %d ready, %d wake tokens, %d emissions", len(b.ready), len(b.wake), len(b.sinkCh))
+		}
+	}
+	if !seen[stuck.sessionBufs] {
+		t.Fatal("the stuck session's buffers did not return to the free list once its pump did")
+	}
+}
+
+// freeBufs waits until every set of buffers the sessions used is back —
+// a pump may give its hold up after its session resolved, and Close does
+// not wait for pumps — and returns the engine's free list.  The list then
+// has one entry per set, up to freeSessions.
+func freeBufs(t *testing.T, e *Engine, sessions []*EngineSession) []*sessionBufs {
+	t.Helper()
+	sets := make(map[*sessionBufs]bool)
+	for _, ses := range sessions {
+		sets[ses.sessionBufs] = true
+	}
+	want := min(len(sets), freeSessions)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		e.mu.Lock()
+		free := append([]*sessionBufs(nil), e.free...)
+		e.mu.Unlock()
+		if len(free) >= want {
+			return free
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sets of session buffers on the free list after 5 s; want %d", len(free), want)
 		}
 	}
 }

@@ -13,10 +13,11 @@ import (
 	"streamdag/internal/workload"
 )
 
-// Each node of a resident engine keeps its retired sessions' state and
-// reuses it for the next session (internal/stream, release).  These tests
-// pin that reuse as invisible: a session running on state a cancelled one
-// left behind streams exactly what a fresh topology would.
+// Each node of a resident engine keeps its retired sessions' state, and the
+// engine its finished sessions' buffers, and reuses them for the next
+// session (internal/stream, release and unhold).  These tests pin that reuse
+// as invisible: a session running on state a cancelled one left behind
+// streams exactly what a fresh topology would.
 
 // recycleRow is one engine configuration of TestRecycledNodeSessionsMatchFresh.
 type recycleRow struct {
@@ -148,6 +149,129 @@ func TestRecycledNodeSessionsMatchFresh(t *testing.T) {
 	}
 }
 
+// TestRecycledStreamSessionsMatchFresh is the stream half of the same
+// check: the engine keeps a finished session's counters, ingest ring, span
+// scratch and sink channel for the next Open (internal/stream, unhold).
+// On one resident engine, clean sessions — alternately a plain Source and
+// Sink and a SpanSource and SpanSink — are interleaved with a session
+// cancelled while its sink blocks (its sink channel full at the end) and
+// with one whose Source blocks in Next ignoring its context: it is
+// cancelled, clean sessions run while its pump still holds its buffers,
+// and then it is released.  Every clean session's per-edge counts and sink
+// sequence must equal the simulator's.
+func TestRecycledStreamSessionsMatchFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	g := workload.RandomCS4(rng, 2, 8, 0.5)
+	topo := &Topology{g: g}
+	routing := SourceRouting(g.Source(), Bernoulli(0.4, 30), PerInputBernoulli(0.7, 30))
+	build := func(opts ...Option) (*Pipeline, error) {
+		return Build(topo, append(opts, WithRouting(routing), WithWatchdog(10*time.Second))...)
+	}
+	assign := make(map[string]string, g.NumNodes())
+	for n := 0; n < g.NumNodes(); n++ {
+		assign[g.Name(NodeID(n))] = fmt.Sprintf("w%d", n%2)
+	}
+	const inputs = 400
+	ref, err := build(WithBackend(Simulator()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refCol Collector
+	refStats, err := ref.Run(context.Background(), CountingSource(inputs), &refCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refStats.SinkData == 0 || refStats.TotalDummies() == 0 {
+		t.Fatal("the reference must deliver data and send dummies")
+	}
+	for _, row := range []struct {
+		name string
+		opts []Option
+	}{
+		{"goroutines/batch1", nil},
+		{"goroutines/batch64", []Option{WithMaxBatch(64)}},
+		{"distributed/batch64", []Option{WithBackend(Distributed(assign)), WithMaxBatch(64)}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			pipe, err := build(row.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := pipe.Engine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			clean := 0
+			runClean := func() {
+				t.Helper()
+				var src Source = CountingSource(inputs)
+				col := &spanCollector{}
+				var sink Sink = col
+				if clean%2 == 0 {
+					// Hide the span forms: the plain pump paths.
+					src, sink = SourceFunc(src.Next), SinkFunc(col.Emit)
+				}
+				clean++
+				ses, err := eng.Open(context.Background(), src, sink)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats, err := ses.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameStream(t, fmt.Sprintf("clean session %d", clean), refStats, stats, refCol.Emissions(), col.Emissions())
+			}
+
+			runClean()
+			cancelWhenStalled(t, eng, 0)
+			runClean()
+
+			release := make(chan struct{})
+			var pulls atomic.Int64
+			stuck := SourceFunc(func(context.Context) (any, bool, error) {
+				n := pulls.Add(1)
+				if n > 20 {
+					<-release // ignores its context
+				}
+				return uint64(n - 1), true, nil
+			})
+			ses, err := eng.Open(context.Background(), stuck, &Collector{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pulls.Load() <= 20 {
+				time.Sleep(time.Millisecond)
+			}
+			ses.Cancel()
+			if _, err := ses.Wait(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("session stuck in its source: %v, want context.Canceled", err)
+			}
+			for i := 0; i < 3; i++ {
+				runClean()
+			}
+			close(release)
+			for last := int64(-1); pulls.Load() != last; time.Sleep(5 * time.Millisecond) {
+				last = pulls.Load()
+			}
+			for i := 0; i < 3; i++ {
+				runClean()
+			}
+		})
+	}
+}
+
+// spanCollector is a Collector that also takes whole runs (SpanSink).
+type spanCollector struct{ Collector }
+
+func (c *spanCollector) EmitSpan(ctx context.Context, seqs []uint64, pays []any) error {
+	for i, seq := range seqs {
+		c.Emit(ctx, seq, pays[i])
+	}
+	return nil
+}
+
 // cancelWhenStalled opens a session that cannot finish — its sink blocks
 // after three emissions, and its source streams without end or goes quiet
 // after quiet payloads — waits until the source has not been pulled for
@@ -195,16 +319,20 @@ func cancelWhenStalled(t *testing.T, eng *Engine, quiet int64) {
 // TestSessionCycleAllocBudget is the allocation gate of a short session on
 // a resident engine: Open → Wait of 64 messages through three Maps at batch
 // 1, the session_churn shape.  Payloads stay below 256 so no box is counted;
-// what is left is the session's own set-up and teardown.  Each node reuses a
-// retired session's state instead of rebuilding it (95 → 35 allocations),
-// and a session is one object with one context and one done channel, both
-// its backend's (35 → 28).  The 28 left: the public Session and its release
-// hook (2); the Source/Sink adapters and span method values (4) and the
-// test's own CountingSource (1); the stream session — struct, four
-// per-node/per-edge counter slices, ready and done channels, ingest ring,
-// sink channel and buffer, two pump goroutines, span scratch (13); the one
-// context (3); and the completion Stats with its two maps (5).  The budget
-// is 31.
+// what is left is the session's own set-up and teardown.  Node state and
+// the stream session's buffers are recycled, and the release hook is the
+// Session pointer itself, so the 17 left are what a session cannot share:
+//   - the public Session (1);
+//   - the Source/Sink adapters and the NextSpan/EmitSpan method values (4),
+//     since stream.SessionConfig's endpoint fields are funcs;
+//   - the test's own CountingSource (1);
+//   - the stream session struct and its done channel, which callers keep
+//     and which closes (2);
+//   - the two pump goroutines (2);
+//   - the session context and its cancel func (2);
+//   - the completion Stats with its two maps, which the caller owns (5).
+//
+// The budget is 20.
 func TestSessionCycleAllocBudget(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("allocation benchmark")
@@ -232,7 +360,7 @@ func TestSessionCycleAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f allocations per 64-message session", allocs)
-	if allocs > 31 {
-		t.Errorf("a 64-message session allocates %.1f times; want at most 31", allocs)
+	if allocs > 20 {
+		t.Errorf("a 64-message session allocates %.1f times; want at most 20", allocs)
 	}
 }
