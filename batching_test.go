@@ -2,8 +2,10 @@ package streamdag
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -86,6 +88,55 @@ func TestBatchedParityAllBackends(t *testing.T) {
 				requireSameStream(t, fmt.Sprintf("batch %d", batch), refStats, stats, refSeen, seen)
 			}
 		})
+	}
+}
+
+// TestSimulatorIgnoresBatch pins that the Simulator does not model batch
+// width: the reference schedule fires one element per step, so at
+// WithMaxBatch 1, 7 and 64 a filtering split/join feeding a stateful
+// stage yields the same RunStats, the same sink sequence, and the same
+// observer snapshot — step counts, spans and session latency included.
+func TestSimulatorIgnoresBatch(t *testing.T) {
+	run := func(batch int) (*RunStats, []Emission, string) {
+		o := NewObserver()
+		pipe, err := NewFlow[uint64, uint64]().Buffer(4).
+			Then(Split(
+				Merge2("join", func(a, b Maybe[uint64]) (uint64, bool) { return a.Value + b.Value, a.OK || b.OK }),
+				FilterStage("thirds", func(v uint64) bool { return v%3 == 0 }),
+				FilterStage("odds", func(v uint64) bool { return v%2 == 1 }),
+			)).
+			Then(Stateful("runsum", uint64(0), func(sum, v uint64) (uint64, uint64, bool) { return sum + v, sum + v, true })).
+			Compile(WithBackend(Simulator()), WithMaxBatch(batch), WithObserver(o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var col Collector
+		stats, err := pipe.Run(context.Background(), CountingSource(600), &col)
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		stats.Elapsed = 0 // wall clock: the one field the schedule does not decide
+		snap, err := json.Marshal(o.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats, col.Emissions(), string(snap)
+	}
+	refStats, refSeen, refSnap := run(1)
+	if refStats.TotalDummies() == 0 {
+		t.Fatal("the workload sent no dummies; it does not exercise filtering")
+	}
+	for _, batch := range []int{7, 64} {
+		stats, seen, snap := run(batch)
+		if !reflect.DeepEqual(stats, refStats) {
+			t.Errorf("batch %d: RunStats %+v, batch 1 %+v", batch, stats, refStats)
+		}
+		if !reflect.DeepEqual(seen, refSeen) {
+			t.Errorf("batch %d: sink sequence differs from batch 1", batch)
+		}
+		if snap != refSnap {
+			t.Errorf("batch %d: observer snapshot differs from batch 1:\n%s\n%s", batch, snap, refSnap)
+		}
 	}
 }
 

@@ -463,7 +463,7 @@ func (g *goroutineEngine) open(ctx context.Context, id SessionID, source Source,
 func (g *goroutineEngine) close() error { return g.eng.Close() }
 
 func (g *goroutineEngine) killWorker(string) error {
-	return errors.New("streamdag: the goroutines backend has no workers to kill (use the Distributed backend, or WithFaultInjection on the Simulator)")
+	return errors.New("streamdag: the goroutines backend has no workers to kill (use the Distributed backend)")
 }
 
 // streamSession is an open stream on either backend that runs the stream
@@ -478,27 +478,13 @@ func (s streamSession) cancel(cause error)       { s.ses.Fail(cause) }
 type simEngine struct{ eng *sim.Engine }
 
 func (simulatorBackend) newEngine(p *Pipeline) (backendEngine, error) {
-	var part map[graph.NodeID]string
-	if len(p.faultParts) > 0 {
-		part = make(map[graph.NodeID]string, len(p.faultParts))
-		for name, w := range p.faultParts {
-			id, ok := p.topo.g.NodeByName(name)
-			if !ok {
-				return nil, fmt.Errorf("streamdag: WithPartition: no node %q in the executed topology", name)
-			}
-			part[id] = w
-		}
-	}
+	// No batch width: the simulator fires one element per step at any
+	// WithMaxBatch, which is what makes it the batched backends' oracle.
 	cfg := sim.Config{
-		Kernels:         p.kernels,
-		Algorithm:       p.alg,
-		Intervals:       p.intervals,
-		MaxBatch:        p.maxBatch,
-		NodeBatch:       p.resolvedNodeBatch(),
-		Obs:             p.obsMetrics(),
-		Partition:       part,
-		Faults:          p.faults,
-		CheckpointEvery: p.ckptEvery,
+		Kernels:   p.kernels,
+		Algorithm: p.alg,
+		Intervals: p.intervals,
+		Obs:       p.obsMetrics(),
 	}
 	// The simulator's timed path needs the deterministic fake — Build
 	// created one when no WithClock was given.  An explicit non-fake
@@ -532,7 +518,7 @@ func (se *simEngine) open(ctx context.Context, id SessionID, source Source, sink
 func (se *simEngine) close() error { return se.eng.Close() }
 
 func (se *simEngine) killWorker(string) error {
-	return errors.New("streamdag: the simulator kills workers deterministically via WithFaultInjection, not at runtime")
+	return errors.New("streamdag: the simulator backend has no workers to kill (use the Distributed backend)")
 }
 
 type simSession struct{ ses *sim.EngineSession }

@@ -16,15 +16,12 @@ import (
 
 // This file is the fault-tolerance surface of the Pipeline API, built on
 // internal/fault: typed worker-death errors, session retry with a
-// dead-letter sink for poisoned payloads, deterministic fault injection
-// on the Simulator backend, heartbeats and worker restart on the
-// Distributed backend, and graceful drain with a resumable checkpoint.
+// dead-letter sink for poisoned payloads, heartbeats and worker restart
+// on the Distributed backend, and graceful drain with a resumable
+// checkpoint.
 //
-// The division of labour mirrors the backends.  The simulator recovers
-// *inside* a session — a transient injected kill rolls the session back
-// to its last coordinated checkpoint and re-executes, bit-identically.
-// The distributed runtime recovers *around* sessions: a dead worker
-// fails its sessions fast with a *WorkerDownError naming it, the
+// There is one recovery protocol, and it works around sessions: a dead
+// worker fails its sessions fast with a *WorkerDownError naming it, the
 // supervisor respawns the worker and re-dials the mesh, and the retry
 // layer here re-opens the failed sessions on the repaired topology.  A
 // ReplayableSource plus the sink's high-water de-duplication make the
@@ -53,10 +50,6 @@ type DeadLetterSink = fault.DeadLetterSink
 // DeadLetterQueue is an in-memory DeadLetterSink for tests and small
 // deployments.
 type DeadLetterQueue = fault.Queue
-
-// FaultInjection is one deterministic fault for the Simulator backend:
-// kill the named worker at a virtual step (see WithFaultInjection).
-type FaultInjection = fault.Injection
 
 // Checkpoint is the resumable state Engine.Drain returns; feed it to a
 // fresh Engine's Resume so session IDs continue instead of colliding.
@@ -126,44 +119,6 @@ func WithHeartbeat(interval time.Duration, miss int) Option {
 // a worker death — Open reports the dead worker until Close.
 func WithWorkerRestart() Option {
 	return func(c *buildConfig) { c.restart = true }
-}
-
-// WithFaultInjection arms deterministic faults on the Simulator
-// backend: each injection kills its worker (see WithPartition) when a
-// session's virtual step counter reaches Step, making "kill worker W at
-// step N" a reproducible table test.  A transient kill under
-// WithCheckpointEvery rolls the session back and re-executes
-// bit-identically; a Permanent kill (or one with no checkpointing)
-// fails the session with a *WorkerDownError.  Runtime backends ignore
-// injections — kill real workers with Engine.KillWorker.
-func WithFaultInjection(inj ...FaultInjection) Option {
-	return func(c *buildConfig) { c.faults = append(c.faults, inj...) }
-}
-
-// WithCheckpointEvery has the Simulator backend take a coordinated
-// whole-session checkpoint — channel contents, per-node dummy-timer
-// phase, source position, sink high-water mark — every n virtual steps,
-// which is what makes injected transient kills survivable (the session
-// rolls back to the last checkpoint instead of dying).  n <= 0 disables
-// checkpointing.
-func WithCheckpointEvery(n int64) Option {
-	return func(c *buildConfig) { c.ckptEvery = n }
-}
-
-// WithPartition assigns nodes (by executed-topology name) to named
-// fault domains ("workers") on the Simulator backend, so fault
-// injections have a blast radius to hit.  Nodes left unassigned belong
-// to no domain and survive every injection.  The Distributed backend
-// takes its real partition from Distributed(assign) and ignores this.
-func WithPartition(assign map[string]string) Option {
-	return func(c *buildConfig) {
-		if c.faultParts == nil {
-			c.faultParts = make(map[string]string, len(assign))
-		}
-		for name, w := range assign {
-			c.faultParts[name] = w
-		}
-	}
 }
 
 // ---------------------------------------------------------------------

@@ -3,7 +3,6 @@ package streamdag
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -11,137 +10,9 @@ import (
 	"time"
 )
 
-// Public-API fault-tolerance tests: the simulator fault-injection matrix
-// (the oracle — every kill×step×batch×replication cell must leave the
-// stream bit-identical to an undisturbed run), the distributed
-// kill/restart/retry path end-to-end, dead-letter routing for poisoned
-// payloads, drain/checkpoint/resume, and the unsupported-backend edges.
-
-// simFaultOpts builds the Simulator option set for one matrix cell:
-// fig. 1 kernels, transport batch, node→worker partition, and (k > 1)
-// B replicated k ways.  A fresh slice per call — cells must not share
-// option backing arrays.
-func simFaultOpts(k, batch int) []Option {
-	opts := append(fig1Kernels(),
-		WithBackend(Simulator()),
-		WithMaxBatch(batch),
-		WithPartition(fig1Partition(k)),
-	)
-	if k > 1 {
-		opts = append(opts, WithReplication(ReplicationPlan{"B": k}))
-	}
-	return opts
-}
-
-// fig1Partition spreads fig. 1 across three simulated workers: the
-// source and sink on w0, B (and all its replicas when expanded) on w1,
-// C on w2.  Partition names refer to the executed topology, so the
-// replicated variant names B.split/B.i/B.merge explicitly.
-func fig1Partition(k int) map[string]string {
-	part := map[string]string{"A": "w0", "C": "w2", "D": "w0"}
-	if k <= 1 {
-		part["B"] = "w1"
-		return part
-	}
-	part["B.split"] = "w1"
-	part["B.merge"] = "w1"
-	for i := 1; i <= k; i++ {
-		part[fmt.Sprintf("B.%d", i)] = "w1"
-	}
-	return part
-}
-
-// TestSimFaultInjectionMatrix is the oracle's acceptance matrix: kill
-// each of the three workers at an early, mid, and late virtual step,
-// crossed with transport batch 1/64 and replication k=1/4.  Every cell
-// runs under checkpointing, so the transient kill rolls the session
-// back — and the completed stream must be bit-identical to the same
-// build with no fault armed.
-func TestSimFaultInjectionMatrix(t *testing.T) {
-	const n = 120
-	for _, k := range []int{1, 4} {
-		for _, batch := range []int{1, 64} {
-			var refCol Collector
-			ref, err := Build(fig1Topo(), simFaultOpts(k, batch)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refStats, err := ref.Run(context.Background(), SliceSource(payloads(n)...), &refCol)
-			if err != nil {
-				t.Fatalf("k=%d batch=%d: no-fault run: %v", k, batch, err)
-			}
-			for _, worker := range []string{"w0", "w1", "w2"} {
-				for _, step := range []int64{2, 35, 100} {
-					name := fmt.Sprintf("k=%d/batch=%d/kill=%s@step=%d", k, batch, worker, step)
-					t.Run(name, func(t *testing.T) {
-						o := NewObserver()
-						p, err := Build(fig1Topo(), append(simFaultOpts(k, batch),
-							WithCheckpointEvery(7),
-							WithFaultInjection(FaultInjection{Worker: worker, Step: step}),
-							WithObserver(o))...)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var col Collector
-						stats, err := p.Run(context.Background(), SliceSource(payloads(n)...), &col)
-						if err != nil {
-							t.Fatalf("faulted run: %v", err)
-						}
-						requireSameStream(t, "vs no-fault", refStats, stats, refCol.Emissions(), col.Emissions())
-						f := o.Snapshot().Faults
-						if f.WorkersDown < 1 || f.Recoveries < 1 {
-							t.Errorf("fault counters: workers_down=%d recoveries=%d, want both >= 1 (injection never fired?)",
-								f.WorkersDown, f.Recoveries)
-						}
-					})
-				}
-			}
-		}
-	}
-}
-
-// TestSimPermanentKillTyped pins the unrecoverable path: a Permanent
-// injection must fail the session with a *WorkerDownError naming the
-// worker, checkpointing or not.
-func TestSimPermanentKillTyped(t *testing.T) {
-	p, err := Build(fig1Topo(), append(simFaultOpts(1, 1),
-		WithCheckpointEvery(7),
-		WithFaultInjection(FaultInjection{Worker: "w1", Step: 20, Permanent: true}))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = p.Run(context.Background(), SliceSource(payloads(120)...), DiscardSink())
-	var wd *WorkerDownError
-	if !errors.As(err, &wd) {
-		t.Fatalf("error = %v, want *WorkerDownError", err)
-	}
-	if wd.Worker != "w1" {
-		t.Errorf("Worker = %q, want w1", wd.Worker)
-	}
-	if !IsWorkerDown(err) {
-		t.Error("IsWorkerDown = false")
-	}
-}
-
-// TestSimTransientKillWithoutCheckpointFails pins that checkpointing is
-// what makes a transient kill survivable: without WithCheckpointEvery
-// there is nothing to roll back to, so even a non-permanent injection
-// fails the session with the typed error.
-func TestSimTransientKillWithoutCheckpointFails(t *testing.T) {
-	p, err := Build(fig1Topo(), append(simFaultOpts(1, 1),
-		WithFaultInjection(FaultInjection{Worker: "w2", Step: 20}))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = p.Run(context.Background(), SliceSource(payloads(120)...), DiscardSink())
-	var wd *WorkerDownError
-	if !errors.As(err, &wd) {
-		t.Fatalf("error = %v, want *WorkerDownError", err)
-	}
-	if wd.Worker != "w2" {
-		t.Errorf("Worker = %q, want w2", wd.Worker)
-	}
-}
+// Public-API fault-tolerance tests: the distributed kill/restart/retry
+// path end-to-end, dead-letter routing for poisoned payloads,
+// drain/checkpoint/resume, and the unsupported-backend edges.
 
 // gateSink wraps a Collector, closing gate after the at-th delivery so a
 // test can act (kill a worker) provably mid-stream, and slowing each
@@ -640,25 +511,5 @@ func TestHeartbeatOptionValidation(t *testing.T) {
 		WithHeartbeat(-time.Second, 3))...)
 	if err == nil || !strings.Contains(err.Error(), "heartbeat") {
 		t.Fatalf("Build with negative heartbeat = %v, want build error", err)
-	}
-}
-
-// TestPartitionUnknownNode: WithPartition names must exist in the
-// executed topology.
-func TestPartitionUnknownNode(t *testing.T) {
-	_, err := Build(fig1Topo(), append(fig1Kernels(),
-		WithBackend(Simulator()),
-		WithPartition(map[string]string{"Z": "w0"}))...)
-	if err == nil {
-		// The partition is resolved when the backend engine starts.
-		p, berr := Build(fig1Topo(), append(fig1Kernels(),
-			WithBackend(Simulator()),
-			WithPartition(map[string]string{"Z": "w0"}))...)
-		if berr != nil {
-			t.Fatal(berr)
-		}
-		if _, err := p.Engine(); err == nil || !strings.Contains(err.Error(), `"Z"`) {
-			t.Fatalf("Engine with unknown partition node = %v, want error naming Z", err)
-		}
 	}
 }

@@ -1,14 +1,13 @@
 // Package fault is the engine-wide fault-tolerance vocabulary shared by
-// the three backends and the public API: typed worker-death errors,
-// session retry policies, dead-letter routing for poisoned payloads,
-// heartbeat liveness detection, deterministic fault-injection specs for
-// the simulator oracle, and the checkpoint format that lets a drained or
-// restarted topology resume its sessions.
+// the backends and the public API: typed worker-death errors, session
+// retry policies, dead-letter routing for poisoned payloads, heartbeat
+// liveness detection, and the checkpoint a drained engine hands its
+// successor.
 //
 // Like internal/proto, the package is pure mechanism: no goroutines, no
 // sockets, no clocks of its own.  The distributed backend feeds the
-// Detector real heartbeat arrivals; the simulator feeds it virtual
-// steps; the public retry layer turns RetryPolicy into actual sleeps.
+// Detector real heartbeat arrivals; the public retry layer turns
+// RetryPolicy into actual sleeps.
 // That split keeps every policy decision deterministic and unit-testable
 // without a network.
 package fault
@@ -31,8 +30,7 @@ import (
 type WorkerDownError struct {
 	// Worker is the partition name of the dead worker.
 	Worker string
-	// Addr is the worker's last known listen address ("" for simulated
-	// workers, which have no transport).
+	// Addr is the worker's last known listen address ("" if unknown).
 	Addr string
 	// Sessions are the IDs of the sessions that were active on the
 	// topology when the worker died, ascending.
@@ -158,23 +156,6 @@ func (q *Queue) Len() int {
 	return len(q.letters)
 }
 
-// Injection is one deterministic fault for the simulator oracle: kill
-// the named worker when the session's virtual step counter reaches Step.
-// With checkpointing enabled a transient injection is survivable (the
-// session rolls back and re-executes); Permanent marks the worker's
-// nodes unrecoverable, so affected sessions must fail with a
-// *WorkerDownError naming it.
-type Injection struct {
-	// Worker is the partition name to kill (must appear in the
-	// simulator's partition map).
-	Worker string
-	// Step is the virtual step at which the fault fires.
-	Step int64
-	// Permanent marks the worker as unrecoverable: no rollback, the
-	// session fails with *WorkerDownError.
-	Permanent bool
-}
-
 // Detector tracks per-worker heartbeat arrivals and decides liveness.
 // Time is explicit (callers pass now) so the distributed monitor can use
 // the wall clock while tests drive it deterministically.  Safe for
@@ -271,53 +252,16 @@ func (d *Detector) Dead(w string) bool {
 	return d.dead[w]
 }
 
-// Checkpoint format.  A checkpoint captures exactly the protocol state
-// the paper's deadlock-avoidance machinery needs to resume a session
-// mid-stream without re-running it from sequence zero: per-node dummy-
-// timer phase (proto.Engine.Snapshot), the session's source position,
-// and the sink high-water mark that makes re-delivery after resume
-// idempotent.  Credit windows are deliberately absent: windows are
-// reset to full on resume (every buffered in-flight message a
-// checkpointed session had is either drained before the checkpoint or
-// re-produced by replaying the source from NextSeq), so persisting
-// their transient occupancy would be both redundant and unsound.
-
-// NodeCheckpoint is one node's protocol state: the per-out-edge
-// lastSent sequence numbers that define its dummy-timer phase.
-type NodeCheckpoint struct {
-	// Node is the topology NodeID.
-	Node int
-	// LastSent mirrors proto.Engine.Snapshot for the node's out-edges.
-	LastSent []int64
-}
-
-// SessionCheckpoint is one session's resumable state.
-type SessionCheckpoint struct {
-	// Session is the public session ID.
-	Session uint64
-	// NextSeq is the next source sequence number the session had not yet
-	// ingested; resume re-reads the source from here.
-	NextSeq uint64
-	// SinkSeq is the highest sink sequence number already delivered
-	// (-1 if none): deliveries at or below it are suppressed on resume.
-	SinkSeq int64
-	// SinkCount is the number of sink deliveries made, for accounting.
-	SinkCount int64
-	// Nodes carries the per-node dummy-timer phase, ascending by Node.
-	Nodes []NodeCheckpoint
-}
-
-// Checkpoint is a whole-engine snapshot taken by Drain: the sessions
-// that had not finished, plus the ID allocator state so resumed engines
-// never reuse an ID.
+// Checkpoint is what Drain hands a successor engine: the topology it
+// belongs to and the session-ID allocator, so resumed engines never
+// reuse an ID.  It carries no per-session state — Drain returns only
+// after every session has finished.
 type Checkpoint struct {
 	// Topology fingerprints the graph the checkpoint belongs to;
 	// restoring onto a different topology is refused.
 	Topology string
 	// NextSession is the engine's next unallocated session ID.
 	NextSession uint64
-	// Sessions are the in-flight sessions at drain time, ascending by ID.
-	Sessions []SessionCheckpoint
 }
 
 // Encode serializes the checkpoint with gob.

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
@@ -145,15 +147,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	ck := &Checkpoint{
 		Topology:    "A,B|0>1",
 		NextSession: 42,
-		Sessions: []SessionCheckpoint{
-			{
-				Session: 7, NextSeq: 130, SinkSeq: 119, SinkCount: 80,
-				Nodes: []NodeCheckpoint{
-					{Node: 0, LastSent: []int64{129, -1}},
-					{Node: 1, LastSent: []int64{119}},
-				},
-			},
-		},
 	}
 	blob, err := ck.Encode()
 	if err != nil {
@@ -168,5 +161,44 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint([]byte("not a checkpoint")); err == nil {
 		t.Fatal("Decode of garbage: no error")
+	}
+}
+
+// TestCheckpointDecodesOldSessions: checkpoints once carried a per-session
+// list that Drain never filled.  A blob encoded with it still decodes —
+// gob skips fields the receiver does not have — to the same topology and
+// allocator.
+func TestCheckpointDecodesOldSessions(t *testing.T) {
+	type nodeCheckpoint struct {
+		Node     int
+		LastSent []int64
+	}
+	type sessionCheckpoint struct {
+		Session, NextSeq   uint64
+		SinkSeq, SinkCount int64
+		Nodes              []nodeCheckpoint
+	}
+	type oldCheckpoint struct {
+		Topology    string
+		NextSession uint64
+		Sessions    []sessionCheckpoint
+	}
+	var buf bytes.Buffer
+	old := oldCheckpoint{
+		Topology: "A,B|0>1", NextSession: 42,
+		Sessions: []sessionCheckpoint{{
+			Session: 7, NextSeq: 130, SinkSeq: 119, SinkCount: 80,
+			Nodes: []nodeCheckpoint{{Node: 0, LastSent: []int64{129, -1}}},
+		}},
+	}
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeCheckpoint(buf.Bytes())
+	if err != nil {
+		t.Fatalf("Decode of a checkpoint with Sessions: %v", err)
+	}
+	if want := (&Checkpoint{Topology: "A,B|0>1", NextSession: 42}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
 	}
 }

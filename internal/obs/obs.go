@@ -111,8 +111,6 @@ type FaultMetrics struct {
 	SessionRetries atomic.Int64
 	// DeadLettered counts payloads routed to the dead-letter sink.
 	DeadLettered atomic.Int64
-	// Recoveries counts checkpoint rollbacks (simulator fault oracle).
-	Recoveries atomic.Int64
 	// Drains counts completed Engine.Drain calls; DrainTime is their
 	// cumulative duration (ns, or steps in virtual-time mode).
 	Drains    atomic.Int64
@@ -364,7 +362,6 @@ type FaultSnapshot struct {
 	Reconnects       int64 `json:"reconnects"`
 	SessionRetries   int64 `json:"session_retries"`
 	DeadLettered     int64 `json:"dead_lettered"`
-	Recoveries       int64 `json:"recoveries"`
 	Drains           int64 `json:"drains"`
 	DrainTime        int64 `json:"drain_time"`
 }
@@ -473,7 +470,6 @@ func (m *Metrics) Snapshot() *Snapshot {
 		Reconnects:       f.Reconnects.Load(),
 		SessionRetries:   f.SessionRetries.Load(),
 		DeadLettered:     f.DeadLettered.Load(),
-		Recoveries:       f.Recoveries.Load(),
 		Drains:           f.Drains.Load(),
 		DrainTime:        f.DrainTime.Load(),
 	}
@@ -562,7 +558,6 @@ func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
 		Reconnects:       s.Faults.Reconnects - prev.Faults.Reconnects,
 		SessionRetries:   s.Faults.SessionRetries - prev.Faults.SessionRetries,
 		DeadLettered:     s.Faults.DeadLettered - prev.Faults.DeadLettered,
-		Recoveries:       s.Faults.Recoveries - prev.Faults.Recoveries,
 		Drains:           s.Faults.Drains - prev.Faults.Drains,
 		DrainTime:        s.Faults.DrainTime - prev.Faults.DrainTime,
 	}
@@ -730,9 +725,6 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 	p("# HELP streamdag_fault_dead_lettered_total Payloads routed to the dead-letter sink.\n")
 	p("# TYPE streamdag_fault_dead_lettered_total counter\n")
 	p("streamdag_fault_dead_lettered_total %d\n", s.Faults.DeadLettered)
-	p("# HELP streamdag_fault_recoveries_total Checkpoint rollbacks (simulator fault oracle).\n")
-	p("# TYPE streamdag_fault_recoveries_total counter\n")
-	p("streamdag_fault_recoveries_total %d\n", s.Faults.Recoveries)
 	p("# HELP streamdag_fault_drains_total Completed engine drains.\n")
 	p("# TYPE streamdag_fault_drains_total counter\n")
 	p("streamdag_fault_drains_total %d\n", s.Faults.Drains)

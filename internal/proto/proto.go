@@ -22,7 +22,6 @@
 package proto
 
 import (
-	"fmt"
 	"math"
 
 	"streamdag/internal/cs4"
@@ -224,28 +223,6 @@ func (e *Engine) Fire(seq uint64, emitted []bool) (dummy []bool) {
 // Gap returns the integerized send gap of out-edge i (0 = never), for
 // diagnostics and tests.
 func (e *Engine) Gap(i int) uint64 { return e.sendAt[i] }
-
-// Snapshot returns a copy of the engine's dummy-timer phase: the
-// last-sent sequence number per out-edge.  Together with the (static)
-// integerized intervals this is the engine's complete mutable protocol
-// state, so Restore on a freshly built engine for the same node resumes
-// the protocol exactly — the checkpoint/resume and simulator-rollback
-// paths depend on continuing a snapshotted engine being bit-identical
-// to never having stopped it.  Counts are diagnostics, not protocol
-// state, and are not captured.
-func (e *Engine) Snapshot() []int64 {
-	return append([]int64(nil), e.lastSent...)
-}
-
-// Restore sets the engine's dummy-timer phase from a Snapshot taken on
-// an engine with the same out-edge count.
-func (e *Engine) Restore(lastSent []int64) error {
-	if len(lastSent) != len(e.lastSent) {
-		return fmt.Errorf("proto: restore: %d timers, engine has %d", len(lastSent), len(e.lastSent))
-	}
-	copy(e.lastSent, lastSent)
-	return nil
-}
 
 // FireRun records a contiguous run of firings — sequence numbers
 // first..last inclusive, every one of which emitted data on exactly the

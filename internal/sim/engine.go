@@ -50,10 +50,6 @@ type SessionIO struct {
 type Engine struct {
 	g   *graph.Graph
 	cfg Config
-	// arms are the engine-shared fault injections: a worker dies once,
-	// for every session (see fault.go).  Touched only on the scheduler
-	// goroutine.
-	arms []*faultArm
 
 	mu     sync.Mutex
 	queue  []*EngineSession
@@ -112,9 +108,6 @@ func NewEngine(g *graph.Graph, cfg Config) *Engine {
 		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
-	for _, inj := range cfg.Faults {
-		e.arms = append(e.arms, &faultArm{inj: inj})
-	}
 	go e.schedule()
 	return e
 }
@@ -144,10 +137,6 @@ func (e *Engine) Open(io SessionIO) (*EngineSession, error) {
 		cancel: cancel,
 		onDone: io.OnDone,
 		done:   make(chan struct{}),
-	}
-	ses.st.sid = uint64(io.ID)
-	if e.arms != nil {
-		ses.st.attachArms(e.arms)
 	}
 	if s := ses.st.obsS; s != nil {
 		s.Opened.Add(1)

@@ -11,6 +11,12 @@
 // deterministic schedule is a sound and complete deadlock oracle.  The
 // simulator is the ground truth for the safety experiments (E10–E12) and
 // for validating the runtime itself.
+//
+// The simulator is a specification, not a second runtime: every step is
+// one firing of one element, and batch width is not modelled.  Batching
+// is a transport property of the runtime backends that must leave the
+// logical stream unchanged, which is exactly what comparing a batched
+// engine against this one-element schedule checks.
 package sim
 
 import (
@@ -22,7 +28,6 @@ import (
 
 	"streamdag/internal/clock"
 	"streamdag/internal/cs4"
-	"streamdag/internal/fault"
 	"streamdag/internal/graph"
 	"streamdag/internal/ival"
 	"streamdag/internal/obs"
@@ -82,10 +87,10 @@ type Config struct {
 	// default to stream.Passthrough.
 	Kernels map[graph.NodeID]stream.Kernel
 	// Source, when non-nil, supplies the payloads injected at the source
-	// node (kernel mode); Inputs is then ignored.
+	// node; Inputs is then ignored.
 	Source stream.SourceFunc
 	// Sink, when non-nil, receives the sink node's data-carrying firings
-	// in ascending sequence order (kernel mode).
+	// in ascending sequence order.
 	Sink stream.SinkFunc
 	// Ctx, when non-nil, is polled between scheduler steps; cancellation
 	// stops the run with Reason "canceled" and Err = context.Cause(Ctx).
@@ -94,34 +99,10 @@ type Config struct {
 	// MaxSteps bounds the scheduler; 0 means no bound.  Runs exceeding
 	// the bound report Completed=false with Reason "step budget".
 	MaxSteps int64
-	// MaxBatch is the kernel-mode vectorization width: single-input
-	// nodes consume up to MaxBatch consecutive data messages per
-	// scheduler step with one amortized protocol commit (the goroutine
-	// engine's hot path, swept deterministically).  Per-edge logical
-	// data/dummy counts and the sink sequence are bit-identical to
-	// batch 1; the Steps count is not (a run counts one step).  Zero or
-	// one keeps the per-element path; filter mode and Trace runs ignore
-	// it.
+	// MaxBatch is ignored: batch width is a transport property of the
+	// runtime backends, and the reference schedule fires one element per
+	// step at any width (see the package doc).
 	MaxBatch int
-	// NodeBatch overrides MaxBatch per node.
-	NodeBatch map[graph.NodeID]int
-	// Partition names the worker hosting each node, for fault
-	// attribution: an Injection kills a named worker, and only sessions
-	// whose topology has nodes on that worker observe it.  Nil means the
-	// whole topology is one unnamed process (every injection hits it).
-	Partition map[graph.NodeID]string
-	// Faults are deterministic fault injections: kill worker W when the
-	// session's virtual step counter reaches N.  With CheckpointEvery
-	// set, a non-Permanent injection is survivable — the session rolls
-	// back to its last checkpoint and re-executes, with replayed source
-	// payloads and exactly-once sink delivery; otherwise (or when
-	// Permanent) the session fails with a *fault.WorkerDownError naming
-	// the worker.  See fault.go.
-	Faults []fault.Injection
-	// CheckpointEvery takes a coordinated session checkpoint every N
-	// virtual steps (0 disables checkpointing, making every injection
-	// fatal to the session).
-	CheckpointEvery int64
 	// Trace, if non-nil, receives one line per consume/emit event; for
 	// debugging only.
 	Trace func(string)
@@ -232,16 +213,13 @@ type node struct {
 	// kernel is the node's compute code in kernel mode; nil in filter
 	// mode.
 	kernel stream.Kernel
-	// emitted and seqs are per-firing scratch masks for engine calls;
-	// ins is the kernel-mode aligned-input scratch; allTrue is the
-	// constant all-edges-emitted mask of the batched fast path.
+	// emitted, seqs and ins are per-firing scratch: the data mask handed
+	// to the engine, the input heads' sequence numbers, and the aligned
+	// inputs (a source has one, its ingested payload).
 	emitted []bool
 	seqs    []uint64
 	ins     []stream.Input
-	allTrue []bool
-	// batch is the node's vectorization width (>= 1, kernel mode only).
-	batch int
-	done  bool
+	done    bool
 	// timed is non-nil when the kernel is time-aware; the node then
 	// consumes its input silently and fires only for the kernel's own
 	// emissions at outSeq, its private output-sequence counter (see
@@ -317,23 +295,20 @@ func newState(g *graph.Graph, filter Filter, cfg Config) *state {
 	if cfg.Ctx == nil {
 		cfg.Ctx = context.Background()
 	}
-	kernelMode := cfg.Kernels != nil
-	if kernelMode && cfg.Source == nil {
+	if cfg.Source == nil {
 		cfg.Source = stream.SyntheticSource(cfg.Inputs)
 	}
 	s := &state{
 		g:          g,
 		filter:     filter,
 		cfg:        cfg,
-		kernelMode: kernelMode,
+		kernelMode: cfg.Kernels != nil,
 		chans:      make([]chanState, g.NumEdges()),
 		res: &Result{
 			DataMsgs:  make(map[graph.EdgeID]int64, g.NumEdges()),
 			DummyMsgs: make(map[graph.EdgeID]int64, g.NumEdges()),
 		},
-		sinkHW: -1,
 	}
-	s.orc = newOracle(cfg)
 	if cfg.Clock != nil {
 		s.vbase = cfg.Clock.Now()
 		s.stepDur = cfg.StepDuration
@@ -347,7 +322,6 @@ func newState(g *graph.Graph, filter Filter, cfg Config) *state {
 	if m := cfg.Obs; m != nil {
 		m.SetVirtual(true)
 		s.obsS = m.Sessions()
-		s.obsF = m.Faults()
 		for i := range s.chans {
 			s.chans[i].obsE = m.Edge(i)
 		}
@@ -361,26 +335,11 @@ func newState(g *graph.Graph, filter Filter, cfg Config) *state {
 		nd.engine = proto.NewEngine(nd.out, protoConfig(cfg))
 		nd.emitted = make([]bool, len(nd.out))
 		nd.seqs = make([]uint64, len(nd.in))
-		nd.batch = cfg.MaxBatch
-		if b, ok := cfg.NodeBatch[n]; ok {
-			nd.batch = b
-		}
-		if nd.batch < 1 {
-			nd.batch = 1
-		}
-		if kernelMode {
+		nd.ins = make([]stream.Input, max(len(nd.in), 1))
+		if s.kernelMode {
 			nd.kernel = cfg.Kernels[n]
 			if nd.kernel == nil {
 				nd.kernel = stream.Passthrough(len(nd.out))
-			}
-			nIn := len(nd.in)
-			if nIn == 0 {
-				nIn = 1 // sources receive one synthetic input
-			}
-			nd.ins = make([]stream.Input, nIn)
-			nd.allTrue = make([]bool, len(nd.out))
-			for i := range nd.allTrue {
-				nd.allTrue[i] = true
 			}
 			if tk, ok := nd.kernel.(stream.TimedKernel); ok && len(nd.in) == 1 && len(nd.out) > 0 && cfg.Clock != nil {
 				nd.timed = tk
@@ -425,21 +384,9 @@ type state struct {
 	chans      []chanState
 	res        *Result
 	nextIn     uint64 // next external input seq at the source
-	srcEOS     bool
-	failed     bool // a source/sink error already set res.Reason/Err
-	// sid is the public session ID for fault attribution (0 for Run).
-	sid uint64
-	// orc is the fault-injection oracle, nil when the run has no faults
-	// and no checkpointing.
-	orc *oracle
-	// sinkHW is the highest sink sequence number delivered externally
-	// (-1 none): after a rollback, re-executed deliveries at or below it
-	// are suppressed so the sink sequence is exactly-once.
-	sinkHW int64
-	// obsS is the session telemetry slot, nil when observation is off;
-	// obsF the engine-wide fault counters.
+	failed     bool   // a source/sink error already set res.Reason/Err
+	// obsS is the session telemetry slot, nil when observation is off.
 	obsS *obs.SessionMetrics
-	obsF *obs.FaultMetrics
 	// vbase/stepDur map this session's Steps onto the shared virtual
 	// clock (Clock != nil only): each round moves time to
 	// vbase + Steps·stepDur, never backwards.
@@ -459,9 +406,6 @@ func (s *state) run() {
 // outside the sweep can unblock it.
 func (s *state) advanceOnce() (done bool) {
 	if s.canceled() {
-		return true
-	}
-	if s.orc != nil && s.faultTick() {
 		return true
 	}
 	if s.cfg.Clock != nil {
@@ -582,62 +526,16 @@ func (s *state) step(nd *node) bool {
 	// goroutine runtime mirrors this with concurrent sends per firing).
 	// The node consumes its next input only when all sends have landed.
 	if len(nd.pending) > 0 {
-		delivered := false
-		rest := nd.pending[:0]
-		for _, p := range nd.pending {
-			ch := &s.chans[p.edge]
-			if ch.full() {
-				if ch.obsE != nil && !p.stalled {
-					p.stalled = true
-					p.stallTick = s.res.Steps
-					ch.obsE.CreditStalls.Add(1)
-				}
-				rest = append(rest, p)
-				continue
-			}
-			if ch.obsE != nil {
-				if p.stalled {
-					ch.obsE.CreditStallTime.Add(s.res.Steps - p.stallTick)
-				}
-				ch.obsE.Sent.Add(1)
-				switch p.msg.kind {
-				case Data:
-					ch.obsE.Data.Add(1)
-				case Dummy:
-					ch.obsE.Dummies.Add(1)
-				}
-			}
-			ch.buf = append(ch.buf, p.msg)
-			delivered = true
-			switch p.msg.kind {
-			case Data:
-				s.res.DataMsgs[p.edge]++
-			case Dummy:
-				s.res.DummyMsgs[p.edge]++
-			}
-		}
-		nd.pending = rest
-		if delivered {
-			return true
-		}
-		return false
+		return s.deliver(nd)
 	}
 	if nd.done {
 		return false
 	}
 	if len(nd.in) == 0 {
-		if s.kernelMode && nd.batch > 1 && len(nd.out) > 0 && s.cfg.Trace == nil {
-			return s.stepSourceRun(nd)
-		}
 		return s.stepSource(nd)
 	}
 	if nd.timed != nil {
 		return s.stepTimed(nd)
-	}
-	if s.kernelMode && nd.batch > 1 && len(nd.in) == 1 && s.cfg.Trace == nil {
-		if ch := &s.chans[nd.in[0]]; !ch.empty() && ch.buf[0].kind == Data {
-			return s.stepRunConsume(nd)
-		}
 	}
 	// Consume: every in-channel must be non-empty.
 	for i, e := range nd.in {
@@ -649,46 +547,105 @@ func (s *state) step(nd *node) bool {
 	}
 	minSeq := proto.MinSeq(nd.seqs)
 	if minSeq == proto.EOSSeq {
-		// All heads are EOS: drain them, broadcast EOS, finish.
+		// All heads are EOS: drain them and finish.
 		for _, e := range nd.in {
-			ch := &s.chans[e]
-			ch.buf = ch.buf[1:]
-			if ch.obsE != nil {
-				ch.obsE.Consumed.Add(1)
-			}
+			s.pop(e)
 		}
-		for _, e := range nd.out {
-			nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: math.MaxUint64, kind: EOS}})
-		}
-		nd.done = true
-		return true
+		return s.finish(nd)
 	}
-	// Pop all heads with seq == minSeq; note whether any carried data
-	// (capturing the aligned inputs in kernel mode).
+	// Pop all heads with seq == minSeq, capturing the aligned inputs.
 	anyData := false
 	for i, e := range nd.in {
-		ch := &s.chans[e]
-		if s.kernelMode {
-			nd.ins[i] = stream.Input{}
+		nd.ins[i] = stream.Input{}
+		if nd.seqs[i] != minSeq {
+			continue
 		}
-		if ch.buf[0].seq == minSeq {
-			if ch.buf[0].kind == Data {
-				anyData = true
-				if s.kernelMode {
-					nd.ins[i] = stream.Input{Present: true, Payload: ch.buf[0].payload}
-				}
+		if m := s.pop(e); m.kind == Data {
+			anyData = true
+			nd.ins[i] = stream.Input{Present: true, Payload: m.payload}
+		}
+	}
+	s.fire(nd, minSeq, anyData)
+	return true
+}
+
+// deliver moves nd's pending sends into every channel with room and
+// reports whether any landed.
+func (s *state) deliver(nd *node) bool {
+	delivered := false
+	rest := nd.pending[:0]
+	for _, p := range nd.pending {
+		ch := &s.chans[p.edge]
+		if ch.full() {
+			if ch.obsE != nil && !p.stalled {
+				p.stalled = true
+				p.stallTick = s.res.Steps
+				ch.obsE.CreditStalls.Add(1)
 			}
-			ch.buf = ch.buf[1:]
-			if ch.obsE != nil {
-				ch.obsE.Consumed.Add(1)
+			rest = append(rest, p)
+			continue
+		}
+		ch.buf = append(ch.buf, p.msg)
+		delivered = true
+		switch p.msg.kind {
+		case Data:
+			s.res.DataMsgs[p.edge]++
+		case Dummy:
+			s.res.DummyMsgs[p.edge]++
+		}
+		if ch.obsE != nil {
+			if p.stalled {
+				ch.obsE.CreditStallTime.Add(s.res.Steps - p.stallTick)
+			}
+			ch.obsE.Sent.Add(1)
+			switch p.msg.kind {
+			case Data:
+				ch.obsE.Data.Add(1)
+			case Dummy:
+				ch.obsE.Dummies.Add(1)
 			}
 		}
 	}
-	if s.kernelMode {
-		s.emitKernel(nd, minSeq, anyData)
-	} else {
-		s.emit(nd, minSeq, anyData)
+	nd.pending = rest
+	return delivered
+}
+
+// pop dequeues the head of e's channel.
+func (s *state) pop(e graph.EdgeID) message {
+	ch := &s.chans[e]
+	m := ch.buf[0]
+	ch.buf = ch.buf[1:]
+	if ch.obsE != nil {
+		ch.obsE.Consumed.Add(1)
 	}
+	return m
+}
+
+// finish broadcasts EOS on every out-edge and retires nd; it is always
+// progress.
+func (s *state) finish(nd *node) bool {
+	for _, e := range nd.out {
+		nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: proto.EOSSeq, kind: EOS}})
+	}
+	nd.done = true
+	return true
+}
+
+// stepSource injects the next external input at the source node: the
+// next Source payload (synthetic sequence numbers unless the caller gave
+// one) fired at the next sequence number, or EOS once it is exhausted.
+func (s *state) stepSource(nd *node) bool {
+	payload, ok, err := s.cfg.Source(s.cfg.Ctx)
+	if err != nil {
+		s.fail("source error", fmt.Errorf("sim: source: %w", err))
+		return false
+	}
+	if !ok {
+		return s.finish(nd)
+	}
+	nd.ins[0] = stream.Input{Present: true, Payload: payload}
+	s.fire(nd, s.nextIn, true)
+	s.nextIn++
 	return true
 }
 
@@ -713,26 +670,17 @@ func (s *state) stepTimed(nd *node) bool {
 		s.drainTimed(nd)
 		return true // the consumed deadline is progress even if it emitted nothing
 	}
-	ch := &s.chans[nd.in[0]]
-	if ch.empty() {
+	if s.chans[nd.in[0]].empty() {
 		return false
 	}
-	m := ch.buf[0]
-	ch.buf = ch.buf[1:]
-	if ch.obsE != nil {
-		ch.obsE.Consumed.Add(1)
-	}
+	m := s.pop(nd.in[0])
 	if nd.obsN != nil {
 		nd.obsN.ServiceTime.Add(1)
 	}
 	if m.seq == proto.EOSSeq {
 		nd.timed.Flush()
 		s.drainTimed(nd)
-		for _, e := range nd.out {
-			nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: math.MaxUint64, kind: EOS}})
-		}
-		nd.done = true
-		return true
+		return s.finish(nd)
 	}
 	if m.kind == Data {
 		nd.seqs[0], nd.runIn[0] = m.seq, m.payload
@@ -752,236 +700,27 @@ func (s *state) stepTimed(nd *node) bool {
 // protocol-safety half of the re-sequencing contract (stream/timed.go).
 func (s *state) drainTimed(nd *node) {
 	ems := nd.timed.TakeEmissions()
-	if len(ems) == 0 {
-		return
+	for i := range nd.emitted {
+		nd.emitted[i] = true
 	}
-	first := nd.outSeq
-	for j, em := range ems {
+	for _, em := range ems {
 		for _, e := range nd.out {
-			nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: first + uint64(j), kind: Data, payload: em}})
+			nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: nd.outSeq, kind: Data, payload: em}})
 		}
+		nd.engine.Fire(nd.outSeq, nd.emitted)
+		nd.outSeq++
 	}
-	nd.engine.FireRun(first, first+uint64(len(ems))-1, nd.allTrue)
-	nd.outSeq = first + uint64(len(ems))
-	if m := s.cfg.Obs; m != nil {
+	if m := s.cfg.Obs; m != nil && len(ems) > 0 {
 		m.Time().TimedEmissions.Add(int64(len(ems)))
 	}
 }
 
-// stepSource injects external inputs at the source node: synthetic
-// sequence numbers in filter mode, ingested payloads in kernel mode.
-func (s *state) stepSource(nd *node) bool {
-	if s.srcEOS {
-		return false
-	}
-	if s.kernelMode {
-		payload, ok, err := s.pull()
-		if err != nil {
-			s.fail("source error", fmt.Errorf("sim: source: %w", err))
-			return false
-		}
-		if !ok {
-			for _, e := range nd.out {
-				nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: math.MaxUint64, kind: EOS}})
-			}
-			s.srcEOS = true
-			nd.done = true
-			return true
-		}
-		seq := s.nextIn
-		s.nextIn++
-		ins := []stream.Input{{Present: true, Payload: payload}}
-		outs := nd.kernel.Process(seq, ins)
-		if nd.obsN != nil {
-			nd.obsN.ServiceTime.Add(1)
-			nd.obsN.Firings.Add(1)
-		}
-		if len(nd.out) == 0 {
-			// Degenerate single-node topology: the source is the sink.
-			if err := s.sinkDeliver(seq, ins, outs); err != nil {
-				s.fail("sink error", fmt.Errorf("sim: sink: %w", err))
-				return false
-			}
-		}
-		s.deliverKernel(nd, seq, outs)
-		s.trace(nd, seq, true)
-		return true
-	}
-	if s.nextIn >= s.cfg.Inputs {
-		for _, e := range nd.out {
-			nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: math.MaxUint64, kind: EOS}})
-		}
-		s.srcEOS = true
-		nd.done = true
-		return true
-	}
-	s.emit(nd, s.nextIn, true)
-	s.nextIn++
-	return true
-}
-
-// stepRunConsume is the kernel-mode batched consume for single-input
-// nodes: a run of consecutive data heads is processed in one scheduler
-// step.  Kernels still run once per element in sequence order — exactly
-// the calls the per-element path would make — but the protocol commits
-// once (proto.Engine.FireRun with the all-emitted mask, which never
-// dummies), so per-edge logical counts and the sink sequence stay
-// bit-identical to batch 1.  The first element that filters any out-edge
-// ends the run: its prefix commits batched and the element itself goes
-// through deliverKernel with its already-computed outputs (kernels may
-// be stateful; Process is never re-invoked).
-func (s *state) stepRunConsume(nd *node) bool {
-	ch := &s.chans[nd.in[0]]
-	k := len(ch.buf)
-	if k > nd.batch {
-		k = nd.batch
-	}
-	for j := 1; j < k; j++ {
-		if ch.buf[j].kind != Data {
-			k = j
-			break
-		}
-	}
-	isSink := len(nd.out) == 0
-	committed := 0
-	var partialOuts map[int]any
-	var partialSeq uint64
-	partial := false
-	firstSeq := ch.buf[0].seq
-	lastSeq := firstSeq
-	for j := 0; j < k; j++ {
-		m := ch.buf[j]
-		nd.ins[0] = stream.Input{Present: true, Payload: m.payload}
-		outs := nd.kernel.Process(m.seq, nd.ins)
-		if nd.obsN != nil {
-			nd.obsN.Firings.Add(1)
-		}
-		if isSink {
-			if err := s.sinkDeliver(m.seq, nd.ins, outs); err != nil {
-				s.fail("sink error", fmt.Errorf("sim: sink: %w", err))
-				ch.buf = ch.buf[j+1:]
-				if ch.obsE != nil {
-					ch.obsE.Consumed.Add(int64(j + 1))
-				}
-				return true
-			}
-			committed++
-			lastSeq = m.seq
-			continue
-		}
-		full := true
-		for i := range nd.out {
-			if _, ok := outs[i]; !ok {
-				full = false
-				break
-			}
-		}
-		if !full {
-			partial, partialOuts, partialSeq = true, outs, m.seq
-			break
-		}
-		for i, e := range nd.out {
-			nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: m.seq, kind: Data, payload: outs[i]}})
-		}
-		committed++
-		lastSeq = m.seq
-	}
-	nd.ins[0] = stream.Input{}
-	consumed := committed
-	if partial {
-		consumed++
-	}
-	ch.buf = ch.buf[consumed:]
-	if ch.obsE != nil {
-		ch.obsE.Consumed.Add(int64(consumed))
-	}
-	if nd.obsN != nil {
-		// One virtual step of service; the committed prefix is one
-		// vectorized run.
-		nd.obsN.ServiceTime.Add(1)
-		if committed > 0 {
-			nd.obsN.Spans.Add(1)
-			nd.obsN.SpanMsgs.Add(int64(committed))
-		}
-	}
-	if committed > 0 && !isSink {
-		nd.engine.FireRun(firstSeq, lastSeq, nd.allTrue)
-	}
-	if partial {
-		s.deliverKernel(nd, partialSeq, partialOuts)
-	}
-	return true
-}
-
-// stepSourceRun is stepRunConsume's ingestion counterpart: up to batch
-// payloads are pulled and fired at consecutive sequence numbers in one
-// scheduler step, with the same full-mask-or-fallback protocol commit.
-// End of stream or a source error mid-run commits the preceding prefix
-// first, exactly as the per-element path would have.
-func (s *state) stepSourceRun(nd *node) bool {
-	if s.srcEOS {
-		return false
-	}
-	committed := 0
-	firstSeq := s.nextIn
-	commit := func() {
-		if committed > 0 {
-			nd.engine.FireRun(firstSeq, firstSeq+uint64(committed)-1, nd.allTrue)
-			s.nextIn += uint64(committed)
-			if nd.obsN != nil {
-				nd.obsN.ServiceTime.Add(1)
-				nd.obsN.Spans.Add(1)
-				nd.obsN.SpanMsgs.Add(int64(committed))
-			}
-		}
-	}
-	for j := 0; j < nd.batch; j++ {
-		payload, ok, err := s.pull()
-		if err != nil {
-			commit()
-			s.fail("source error", fmt.Errorf("sim: source: %w", err))
-			return committed > 0
-		}
-		if !ok {
-			commit()
-			for _, e := range nd.out {
-				nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: math.MaxUint64, kind: EOS}})
-			}
-			s.srcEOS = true
-			nd.done = true
-			return true
-		}
-		seq := firstSeq + uint64(j)
-		nd.ins[0] = stream.Input{Present: true, Payload: payload}
-		outs := nd.kernel.Process(seq, nd.ins)
-		if nd.obsN != nil {
-			nd.obsN.Firings.Add(1)
-		}
-		full := true
-		for i := range nd.out {
-			if _, ok := outs[i]; !ok {
-				full = false
-				break
-			}
-		}
-		if !full {
-			commit()
-			s.nextIn++
-			s.deliverKernel(nd, seq, outs)
-			nd.ins[0] = stream.Input{}
-			return true
-		}
-		for i, e := range nd.out {
-			nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: seq, kind: Data, payload: outs[i]}})
-		}
-		committed++
-	}
-	nd.ins[0] = stream.Input{}
-	commit()
-	return true
-}
-
-// emit applies the filter and the dummy protocol for sequence number seq.
+// fire is one firing of nd at sequence number seq on the aligned inputs
+// in nd.ins: decide which out-edges carry data, deliver a sink's data,
+// and queue the data plus the dummies the protocol engine requires.  In
+// kernel mode the kernel decides (an edge carries data iff it has an
+// output) and its outputs are the payloads; in filter mode the Filter
+// decides.  A firing without data emits none, but may still dummy.
 //
 // Protocol notes (see DESIGN.md, "Fidelity notes"):
 //
@@ -1001,87 +740,29 @@ func (s *state) stepSourceRun(nd *node) bool {
 //     interior edges under Propagation).  Splits that emit data on some
 //     outputs are covered by timers: in a CS4 graph every out-edge of a
 //     node with two or more out-edges has a finite Propagation interval.
-func (s *state) emit(nd *node, seq uint64, haveData bool) {
+func (s *state) fire(nd *node, seq uint64, anyData bool) {
 	if nd.obsN != nil {
 		nd.obsN.ServiceTime.Add(1)
-		if haveData {
+		if anyData {
 			nd.obsN.Firings.Add(1)
 		}
 	}
-	if haveData && len(nd.out) == 0 {
-		s.res.SinkData++
-		if int64(seq) > s.sinkHW {
-			s.sinkHW = int64(seq)
-			if s.obsS != nil {
-				s.obsS.SinkMsgs.Add(1)
-			}
-		}
-	}
-	for i, e := range nd.out {
-		nd.emitted[i] = haveData && s.filter(nd.id, seq, e)
-		if nd.emitted[i] {
-			nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: seq, kind: Data}})
-		}
-	}
-	dummy := nd.engine.Fire(seq, nd.emitted)
-	for i, e := range nd.out {
-		if dummy[i] {
-			nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: seq, kind: Dummy}})
-		}
-	}
-	s.trace(nd, seq, haveData)
-}
-
-// emitKernel is emit's kernel-mode counterpart: it mirrors the runtime's
-// NodeLoop firing exactly — kernel invocation on the aligned inputs,
-// sink delivery, then data and protocol dummies per the shared engine.
-func (s *state) emitKernel(nd *node, seq uint64, anyData bool) {
 	var outs map[int]any
-	if nd.obsN != nil {
-		nd.obsN.ServiceTime.Add(1)
-	}
-	if anyData {
+	if anyData && s.kernelMode {
 		outs = nd.kernel.Process(seq, nd.ins)
-		if nd.obsN != nil {
-			nd.obsN.Firings.Add(1)
-		}
-		if len(nd.out) == 0 {
-			if err := s.sinkDeliver(seq, nd.ins, outs); err != nil {
-				s.fail("sink error", fmt.Errorf("sim: sink: %w", err))
-				return
-			}
+	}
+	if anyData && len(nd.out) == 0 {
+		if err := s.sinkDeliver(seq, nd.ins, outs); err != nil {
+			s.fail("sink error", fmt.Errorf("sim: sink: %w", err))
+			return
 		}
 	}
-	s.deliverKernel(nd, seq, outs)
-	s.trace(nd, seq, anyData)
-}
-
-// sinkDeliver records one data-carrying sink firing and delivers its
-// payload to the session's Sink exactly once: after a fault rollback,
-// re-executed firings at or below the delivered high-water mark are
-// suppressed (sink firings arrive in ascending sequence order, so the
-// mark is exact).  Without faults the mark just trails the sequence and
-// the path is identical to direct delivery.
-func (s *state) sinkDeliver(seq uint64, ins []stream.Input, outs map[int]any) error {
-	s.res.SinkData++
-	if int64(seq) <= s.sinkHW {
-		return nil
-	}
-	s.sinkHW = int64(seq)
-	if s.obsS != nil {
-		s.obsS.SinkMsgs.Add(1)
-	}
-	if s.cfg.Sink != nil {
-		return s.cfg.Sink(s.cfg.Ctx, seq, stream.SinkPayload(ins, outs))
-	}
-	return nil
-}
-
-// deliverKernel queues one kernel-mode firing's messages: data where the
-// kernel emitted, dummies where the engine requires them.
-func (s *state) deliverKernel(nd *node, seq uint64, outs map[int]any) {
-	for i := range nd.out {
-		_, nd.emitted[i] = outs[i]
+	for i, e := range nd.out {
+		if s.kernelMode {
+			_, nd.emitted[i] = outs[i]
+		} else {
+			nd.emitted[i] = anyData && s.filter(nd.id, seq, e)
+		}
 	}
 	dummy := nd.engine.Fire(seq, nd.emitted)
 	for i, e := range nd.out {
@@ -1092,6 +773,20 @@ func (s *state) deliverKernel(nd *node, seq uint64, outs map[int]any) {
 			nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: seq, kind: Dummy}})
 		}
 	}
+	s.trace(nd, seq, anyData)
+}
+
+// sinkDeliver records one data-carrying sink firing and hands its
+// payload to the Sink.
+func (s *state) sinkDeliver(seq uint64, ins []stream.Input, outs map[int]any) error {
+	s.res.SinkData++
+	if s.obsS != nil {
+		s.obsS.SinkMsgs.Add(1)
+	}
+	if s.cfg.Sink != nil {
+		return s.cfg.Sink(s.cfg.Ctx, seq, stream.SinkPayload(ins, outs))
+	}
+	return nil
 }
 
 // trace reports one firing's queued messages (pending is empty when a

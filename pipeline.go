@@ -58,9 +58,6 @@ type Pipeline struct {
 	hbInterval time.Duration
 	hbMiss     int
 	restart    bool
-	faults     []FaultInjection
-	ckptEvery  int64
-	faultParts map[string]string // simulator fault domains, by node name
 
 	// Flow-compiled pipelines carry the shared runtime type-error slot
 	// and the per-Run reset hooks (stateful stage state, see stage.go);
@@ -102,9 +99,6 @@ type buildConfig struct {
 	hbInterval time.Duration
 	hbMiss     int
 	restart    bool
-	faults     []FaultInjection
-	ckptEvery  int64
-	faultParts map[string]string
 	clk        clock.Clock
 	err        error // first option error; reported by Build
 }
@@ -168,7 +162,8 @@ func WithWatchdog(d time.Duration) Option {
 // and the logical stream — per-edge data and dummy counts, sink
 // delivery order — is identical to an unbatched run.  n = 1 moves one
 // message at a time; Flow stages can override their own node's batch
-// size with Stage.Batch.
+// size with Stage.Batch.  The Simulator ignores n: it fires one element
+// per step, the reference schedule the batched backends must match.
 func WithMaxBatch(n int) Option {
 	return func(c *buildConfig) {
 		if n < 1 && c.err == nil {
@@ -295,7 +290,6 @@ func Build(t *Topology, opts ...Option) (*Pipeline, error) {
 		elastic: cfg.elastic,
 		retry:   cfg.retry, dlq: cfg.dlq,
 		hbInterval: cfg.hbInterval, hbMiss: cfg.hbMiss, restart: cfg.restart,
-		faults: cfg.faults, ckptEvery: cfg.ckptEvery, faultParts: cfg.faultParts,
 		clk: cfg.clk,
 	}
 	// Resolve the time-aware stages' clock: an explicit WithClock wins;
