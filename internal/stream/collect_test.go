@@ -16,7 +16,7 @@ import (
 
 // TestCancelledSessionPayloadsCollected: recycled buffers must not keep a
 // finished session's payloads alive.  A session is cancelled with its sink
-// blocked (emissions queued in the sink channel) while its Source is stuck
+// blocked (emissions queued in the sink ring) while its Source is stuck
 // in Next ignoring the context; released, the source hands its pump more
 // payloads, which land in the ring after the end where no node drains them.
 // Once the buffers are back on the engine's free list — the engine still
@@ -54,9 +54,9 @@ func TestCancelledSessionPayloadsCollected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); pulls.Load() <= before || len(ses.sinkCh) < e.sinkWin-1; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); pulls.Load() <= before || sinkQueued(ses) < uint64(e.sinkWin); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("after 5 s: %d pulls, %d emissions queued", pulls.Load(), len(ses.sinkCh))
+			t.Fatalf("after 5 s: %d pulls, %d emissions queued", pulls.Load(), sinkQueued(ses))
 		}
 	}
 	ses.Fail(context.Canceled)

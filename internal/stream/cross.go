@@ -31,8 +31,8 @@ type CrossEdge struct {
 type crossEnds struct {
 	from   *engineNode // producer, at out-position outPos
 	to     *engineNode // consumer, at in-position inPos
-	outPos int
-	inPos  int
+	outPos int32
+	inPos  int32
 }
 
 // Outbox is the unbounded queue between the node loops and one transport
@@ -80,7 +80,7 @@ func (o *Outbox) Drain(visit func(Parcel)) bool {
 			case ev.kind == evCredit:
 				p.Credits = ev.cnt
 			case ev.span != nil:
-				p.Run = ev.span
+				p.Run = *ev.span
 			default:
 				o.one[0] = ev.msg
 				p.Run = o.one[:]
@@ -89,7 +89,7 @@ func (o *Outbox) Drain(visit func(Parcel)) bool {
 		}
 		// The writer is where a span's in-process ownership ends; the
 		// receiving side's Deliver starts a fresh one.
-		if ev.free {
+		if ev.span != nil {
 			spanFree.put(ev.span)
 		}
 		evs[i] = event{}
@@ -117,7 +117,8 @@ func (e *Engine) Deliver(sid proto.SessionID, edge graph.EdgeID, run []Message) 
 	if len(run) == 1 {
 		ev.msg = run[0]
 	} else {
-		ev.span, ev.free = append(spanFree.get(len(run)), run...), true
+		ev.span = spanFree.get(len(run))
+		*ev.span = append(*ev.span, run...)
 	}
 	c.to.mb.post(ev)
 	return nil

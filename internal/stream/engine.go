@@ -36,6 +36,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -164,7 +165,6 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 				n.obsOut[i] = m.Edge(int(edge))
 			}
 		}
-		n.sess = make(map[proto.SessionID]*nodeSession)
 		n.creditAcc = make([]int, len(n.in))
 		n.cur = make([]int, len(n.in))
 		n.batch = cfg.MaxBatch
@@ -179,7 +179,7 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		n.kin = make([]Input, max(len(n.in), 1))
 		n.kout = make([]any, max(len(n.out), 1))
 		n.present = make([]bool, max(len(n.out), 1))
-		n.acc = make([][]Message, len(n.out))
+		n.acc = make([]*[]Message, len(n.out))
 		n.accDummy = make([]int, len(n.out))
 		n.allTrue = make([]bool, len(n.out))
 		for i := range n.allTrue {
@@ -216,24 +216,24 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 	}
 	for _, n := range e.nodes {
 		n.upMB = make([]*mailbox, len(n.in))
-		n.upPos = make([]int, len(n.in))
+		n.upPos = make([]int32, len(n.in))
 		for i, edge := range n.in {
 			up := e.nodes[g.Edge(edge).From]
 			n.upMB[i], n.upPos[i] = up.mb, edgeIndex(up.out, edge)
 			if c, ok := cfg.Cross[edge]; ok {
-				e.cross[edge].to, e.cross[edge].inPos = n, i
-				n.upMB[i], n.upPos[i] = c.Credits.mb, int(edge)
+				e.cross[edge].to, e.cross[edge].inPos = n, int32(i)
+				n.upMB[i], n.upPos[i] = c.Credits.mb, int32(edge)
 			}
 		}
 		n.downMB = make([]*mailbox, len(n.out))
-		n.downPos = make([]int, len(n.out))
+		n.downPos = make([]int32, len(n.out))
 		n.outCap = make([]int, len(n.out))
 		for i, edge := range n.out {
 			down := e.nodes[g.Edge(edge).To]
 			n.downMB[i], n.downPos[i] = down.mb, edgeIndex(down.in, edge)
 			if c, ok := cfg.Cross[edge]; ok {
-				e.cross[edge].from, e.cross[edge].outPos = n, i
-				n.downMB[i], n.downPos[i] = c.Msgs.mb, int(edge)
+				e.cross[edge].from, e.cross[edge].outPos = n, int32(i)
+				n.downMB[i], n.downPos[i] = c.Msgs.mb, int32(edge)
 			}
 			n.outCap[i] = g.Edge(edge).Buf
 		}
@@ -263,10 +263,10 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 	return e, nil
 }
 
-func edgeIndex(edges []graph.EdgeID, e graph.EdgeID) int {
+func edgeIndex(edges []graph.EdgeID, e graph.EdgeID) int32 {
 	for i, x := range edges {
 		if x == e {
-			return i
+			return int32(i)
 		}
 	}
 	panic("stream: edge not in neighbour order")
@@ -344,7 +344,7 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 }
 
 // takeBufs returns buffers for a new session: scrubbed ones from the free
-// list, or fresh ones when it is empty.  The sink channel and the span
+// list, or fresh ones when it is empty.  The sink ring and the span
 // scratch are made the first time a session needs them and kept after.
 // Caller holds e.mu.
 func (e *Engine) takeBufs(cfg SessionConfig) *sessionBufs {
@@ -353,29 +353,23 @@ func (e *Engine) takeBufs(cfg SessionConfig) *sessionBufs {
 		b, e.free[k] = e.free[k], nil
 		e.free = e.free[:k]
 	} else {
-		// Size the ingest ring to the grant window (next power of two for
-		// mask indexing): occupancy never exceeds outstanding grants, so
-		// the pump never has to wait for ring space.
-		rcap := 1
-		for rcap < e.srcWin {
-			rcap <<= 1
-		}
+		// Each ring (a power of two, for mask indexing) holds its window:
+		// the ingest ring's occupancy never exceeds outstanding grants, so
+		// the pump never waits for ring space.
 		b = &sessionBufs{
-			live:      make([]ownedCounter, len(e.nodes)),
-			data:      make([]int64, e.g.NumEdges()),
-			dummies:   make([]int64, e.g.NumEdges()),
-			occupancy: make([]atomic.Int64, e.g.NumEdges()),
-			ready:     make(chan struct{}, 1),
-			ring:      make([]any, rcap),
-			ringMask:  uint64(rcap - 1),
+			live:  make([]ownedCounter, len(e.nodes)),
+			at:    make([]*nodeSession, len(e.nodes)),
+			edges: make([]edgeCounts, e.g.NumEdges()),
+			ready: make(chan struct{}, 1),
+			ring:  make([]any, 1<<bits.Len(uint(e.srcWin-1))),
 		}
 	}
-	if cfg.Sink != nil && b.sinkCh == nil {
-		// Every queued emission carries at least one payload and the
-		// element count is capped at sinkWin, so sinkWin slots never
-		// block a batched sinkEmit.
-		b.sinkCh = make(chan emission, e.sinkWin)
-		b.wake = make(chan struct{}, 1)
+	if cfg.Sink != nil && b.emits == nil {
+		// Every emission carries at least one payload and the payloads
+		// outstanding at the pump are capped at sinkWin, so sinkWin slots
+		// always have room for the next.
+		b.emits = make([]emission, 1<<bits.Len(uint(e.sinkWin-1)))
+		b.sinkWake = make(chan struct{}, 1)
 	}
 	if cfg.SpanSource != nil && b.scratch == nil {
 		b.scratch = make([]any, e.srcWin)
@@ -450,7 +444,7 @@ func (e *Engine) watchdog() {
 // snapshot renders the session's per-edge occupancy (sent, not yet
 // consumed) and names the edges whose credit window is exhausted — the
 // channels the wedged session's producers were blocked on.  Reads are
-// the session's occupancy atomics: racy but indicative, and safe from the
+// the session's edge atomics: racy but indicative, and safe from the
 // watchdog goroutine (the node-owned inflight counters are never touched
 // here).
 func (e *Engine) snapshot(ses *EngineSession) (map[string]string, []string) {
@@ -458,7 +452,7 @@ func (e *Engine) snapshot(ses *EngineSession) (map[string]string, []string) {
 	var stalled []string
 	for i := 0; i < e.g.NumEdges(); i++ {
 		ed := e.g.Edge(graph.EdgeID(i))
-		occ := ses.occupancy[i].Load()
+		occ := ses.edges[i].occupancy()
 		key := fmt.Sprintf("%s→%s", e.g.Name(ed.From), e.g.Name(ed.To))
 		chans[key] = fmt.Sprintf("%d/%d", occ, ed.Buf)
 		if ed.Buf > 0 && occ >= int64(ed.Buf) {
@@ -471,12 +465,13 @@ func (e *Engine) snapshot(ses *EngineSession) (map[string]string, []string) {
 
 // emission is one sink delivery queued for the session's sink pump: a
 // single firing (seq/payload) or, from the batched hot path, a span of
-// consecutive firings (seqs/pays, non-nil marks the batched form).
+// consecutive firings in pooled arrays (seqs/pays, non-nil marks the
+// batched form).
 type emission struct {
 	seq     uint64
 	payload any
-	seqs    []uint64
-	pays    []any
+	seqs    *[]uint64
+	pays    *[]any
 }
 
 // ingestWindow is how many payloads a session's ingest pump may have
@@ -493,7 +488,7 @@ const ingestWindow = 16
 // its sink pump.  One would round-trip an evSinkDone per firing and
 // serialize the sink; a small window pipelines the handoff while still
 // bounding how far a session can run ahead of a slow Sink.  Order is
-// unaffected (FIFO channel, single pump) and so is the error contract:
+// unaffected (FIFO ring, single pump) and so is the error contract:
 // the pump stops at the first Emit error, so queued emissions behind it
 // are never delivered.
 const sinkWindow = 16
@@ -525,9 +520,6 @@ type EngineSession struct {
 	// external counts in-flight Source/Sink callbacks (blocked user code
 	// is not a wedge).
 	external atomic.Int64
-	// sinkData is written by the sink node's goroutine and read at
-	// completion, like the per-edge counts.
-	sinkData int64
 	// Ingest handoff.  The source node issues grants by adding to readyN
 	// and waking the pump through the one-slot ready channel; the pump
 	// publishes each payload to the single-producer single-consumer ring
@@ -547,6 +539,19 @@ type EngineSession struct {
 
 	_ [64]byte
 
+	// Sink handoff, the ingest ring's mirror: the sink node stores each
+	// emission at emTail (publish), and the pump delivers up to it, clears
+	// the slots, stores emHead and acks with one evSinkDone.  The node never
+	// reads the head: the sink window bounds what is outstanding.  The pump
+	// raises sinkParked before it blocks on sinkWake; whoever lowers it owes
+	// the one token.  sinkData is the sink node's count, read at completion.
+	emTail     atomic.Uint64
+	emHead     atomic.Uint64
+	sinkParked atomic.Bool
+	sinkData   int64
+
+	_ [64]byte
+
 	// holds counts who still uses the buffers (see unhold).
 	holds atomic.Int32
 	// timersArmed counts the session's armed time-aware flush timers; the
@@ -562,10 +567,13 @@ type EngineSession struct {
 	endOnce sync.Once
 	err     error
 	stats   *Stats
-	// abortAcks counts nodes that have processed this session's evAbort;
-	// done closes on the last ack, so Wait/Done imply full quiescence: no
-	// node loop will invoke a kernel for this session afterwards (which
-	// is what makes the public layer's Stateful re-initialization safe).
+	// checkouts and abortAcks count nodes through with the session and
+	// nodes that processed its evAbort (failures only).  done closes on the
+	// last checkout of a finished session or the last ack of a failed one,
+	// so Wait/Done imply full quiescence: no node loop will invoke a kernel
+	// for this session afterwards (which is what makes the public layer's
+	// Stateful re-initialization safe), nor touch its buffers.
+	checkouts atomic.Int64
 	abortAcks atomic.Int64
 	doneOnce  sync.Once
 	done      chan struct{}
@@ -579,36 +587,30 @@ type EngineSession struct {
 // use while it streams and that no one reads once it is over.  The engine
 // keeps them on a free list, so a short session does not rebuild them.
 type sessionBufs struct {
-	// live[n] counts node n's protocol events for the watchdog, which sums
-	// them: one padded counter per node, bumped only by that node's
-	// goroutine — once per batch of absorbed events (markDirty) and once
-	// per firing — so liveness accounting never bounces a cache line
-	// between cores.  Sends and sink hand-offs need no bump of their own:
-	// they run, without blocking, in the advance pass of an event or a
-	// firing that already counted.
+	// live[n] counts node n's advances of the session for the watchdog,
+	// which sums them: one padded counter per node, bumped once per
+	// advance by that node's goroutine alone.  An advance follows every
+	// absorbed batch of the session's events and runs its every firing,
+	// send and sink hand-off, so it is the one liveness fact needed.
 	live []ownedCounter
-	// occupancy[e] counts messages sent but not yet consumed on edge e,
-	// for deadlock snapshots (racy reads by the watchdog).
-	occupancy []atomic.Int64
-	// data/dummies are each written by exactly one node goroutine and
-	// read at completion (the sink node's final EOS happens-after every
-	// send, via the mailbox chain).
-	data    []int64
-	dummies []int64
+	// at[n] is node n's state for the session, nil before its evOpen and
+	// after its retire; only node n's goroutine touches its slot.
+	at []*nodeSession
+	// edges[e] is edge e's counts, each half written by one end.
+	edges []edgeCounts
 
 	// ready wakes the ingest pump (grants, and end); ring is the ingest
-	// ring, ringMask its index mask; scratch is the span ingest pump's
-	// fill buffer (made for the first SpanSource session).
-	ready    chan struct{}
-	ring     []any
-	ringMask uint64
-	scratch  []any
+	// ring; scratch is the span ingest pump's fill buffer (made for the
+	// first SpanSource session).
+	ready   chan struct{}
+	ring    []any
+	scratch []any
 
-	// sinkCh carries the sink node's emissions to the sink pump, and end
-	// wakes the pump through wake; both are made for the first session
-	// with a Sink.
-	sinkCh chan emission
-	wake   chan struct{}
+	// emits is the sink ring and sinkWake the parked sink pump's wake
+	// channel (see EngineSession.emTail); both are made for the first
+	// session with a Sink.
+	emits    []emission
+	sinkWake chan struct{}
 }
 
 // ownedCounter is an atomic counter alone on its cache line: one
@@ -618,8 +620,27 @@ type ownedCounter struct {
 	_ [56]byte
 }
 
+// edgeCounts is one edge's counts for one session, on two cache lines
+// each written by one node alone: the producer's sent (EOS included) and
+// data/dummies by kind, read at completion (the sink node's final EOS
+// happens-after every send), and the consumer's consumed, taken once per
+// advance with the credit ack.
+type edgeCounts struct {
+	sent          atomic.Int64
+	data, dummies int64
+	_             [40]byte
+	consumed      atomic.Int64
+	_             [56]byte
+}
+
+// occupancy is sent − consumed; consumed is read first, so never < 0.
+func (c *edgeCounts) occupancy() int64 {
+	d := c.consumed.Load()
+	return c.sent.Load() - d
+}
+
 // unhold gives up one of the session's holds on its buffers.  The done
-// resolution holds them (node loops write them until the last abort ack)
+// resolution holds them (node loops write them until done closes)
 // and so does each pump until it returns — a pump stuck in user code that
 // ignores its context keeps them until it comes back.  The last hold to
 // go scrubs them and returns them to the engine's free list, or leaves
@@ -639,32 +660,32 @@ func (s *EngineSession) unhold() {
 
 // scrub empties the buffers for their next session: counters zeroed (the
 // atomics with stores, since a watchdog scan that listed the old session
-// may still read them), ring and scratch cleared so no payload outlives
-// its session, stale ready and wake tokens drained, and emissions the sink
-// pump never took handed back to the pools.
+// may still read them), rings and scratch cleared so no payload outlives
+// its session, a stale ready token drained, and emissions the sink pump
+// never delivered handed back to the pools.  (Each node empties its own
+// at slot when it retires.)
 func (b *sessionBufs) scrub() {
 	for i := range b.live {
 		b.live[i].n.Store(0)
 	}
-	for i := range b.occupancy {
-		b.occupancy[i].Store(0)
+	for i := range b.edges {
+		c := &b.edges[i]
+		c.sent.Store(0)
+		c.consumed.Store(0)
+		c.data, c.dummies = 0, 0
 	}
-	clear(b.data)
-	clear(b.dummies)
 	clear(b.ring)
 	clear(b.scratch)
-	for {
-		select {
-		case <-b.ready:
-		case <-b.wake:
-		case em := <-b.sinkCh:
-			if em.pays != nil {
-				payFree.put(em.pays)
-				seqFree.put(em.seqs)
-			}
-		default:
-			return
+	for i := range b.emits {
+		if em := &b.emits[i]; em.pays != nil {
+			payFree.put(em.pays)
+			seqFree.put(em.seqs)
 		}
+	}
+	clear(b.emits)
+	select {
+	case <-b.ready:
+	default:
 	}
 }
 
@@ -697,16 +718,17 @@ func (s *EngineSession) Wait() (*Stats, error) {
 }
 
 // end resolves the session exactly once: record the outcome, wake the
-// pumps so they see it, cancel the session context with it as the cause
-// (unblocking Source/Sink calls that honour it), and post the abort that
-// makes every node drop the session's state.  done closes only when the
-// last node acknowledges the abort (see handle evAbort), so observers of
-// Wait/Done see a fully detached session.
+// pumps so they see it, and cancel the session context with it as the
+// cause (unblocking Source/Sink calls that honour it).  A failure also
+// posts the abort that makes every node drop the session's state, and done
+// closes on the last node's ack (absorb); a finished session has retired
+// at every node on its own, and done closes on the last checkout.  Either
+// way observers of Wait/Done see a fully detached session.
 //
 // The pumps wait on their own channels, not on the context: its done
 // channel is then made only if user code asks for it.  The pokes follow
-// the ended store and never block (one-slot channels; a token already
-// there wakes the pump just as well).
+// the ended store and never block (a one-slot channel, where a token
+// already there wakes the pump just as well, and the sink's parked flag).
 func (s *EngineSession) end(err error, stats *Stats) {
 	s.endOnce.Do(func() {
 		s.ended.Store(true)
@@ -716,10 +738,7 @@ func (s *EngineSession) end(err error, stats *Stats) {
 		case s.ready <- struct{}{}:
 		default:
 		}
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
+		s.wakeSink()
 		if m := s.e.cfg.Obs; m != nil {
 			sm := m.Sessions()
 			sm.Active.Add(-1)
@@ -734,10 +753,23 @@ func (s *EngineSession) end(err error, stats *Stats) {
 		if s.stopParent != nil {
 			s.stopParent()
 		}
-		for _, n := range s.e.nodes {
-			n.mb.post(event{kind: evAbort, ses: s})
+		if err != nil {
+			for _, n := range s.e.nodes {
+				n.mb.post(event{kind: evAbort, ses: s})
+			}
 		}
 	})
+}
+
+// checkout records that one node has retired the session and run its last
+// advance.  The last checkout follows the sink's end call (the sink retires
+// only once finished), so err is settled: a finished session resolves
+// here, a failed one on its abort acks — its buffers wait for every ack, so
+// no abort outlives them to reach the next session's state.
+func (s *EngineSession) checkout() {
+	if s.checkouts.Add(1) == int64(len(s.e.nodes)) && s.err == nil {
+		s.closeDone()
+	}
 }
 
 // callbackFailed ends the session with a Source or Sink error — unless
@@ -757,14 +789,14 @@ func (s *EngineSession) callbackFailed(what string, err error) {
 // here is safe.
 func (s *EngineSession) finishFromSink() {
 	stats := &Stats{
-		Data:     make(map[graph.EdgeID]int64, len(s.data)),
-		Dummies:  make(map[graph.EdgeID]int64, len(s.dummies)),
+		Data:     make(map[graph.EdgeID]int64, len(s.edges)),
+		Dummies:  make(map[graph.EdgeID]int64, len(s.edges)),
 		SinkData: s.sinkData,
 		Elapsed:  time.Since(s.start),
 	}
-	for i := range s.data {
-		stats.Data[graph.EdgeID(i)] = s.data[i]
-		stats.Dummies[graph.EdgeID(i)] = s.dummies[i]
+	for i := range s.edges {
+		stats.Data[graph.EdgeID(i)] = s.edges[i].data
+		stats.Dummies[graph.EdgeID(i)] = s.edges[i].dummies
 	}
 	s.end(nil, stats)
 }
@@ -785,6 +817,7 @@ func (s *EngineSession) ingestPump(src *engineNode) {
 		s.spanIngestPump(src)
 		return
 	}
+	mask := uint64(len(s.ring) - 1)
 	for {
 		g := s.readyN.Swap(0)
 		if g == 0 {
@@ -807,7 +840,7 @@ func (s *EngineSession) ingestPump(src *engineNode) {
 			}
 			if ok {
 				t := s.ingTail.Load()
-				s.ring[t&s.ringMask] = payload
+				s.ring[t&mask] = payload
 				s.ingTail.Store(t + 1)
 			} else {
 				// After the last payload's tail store, so the drain that
@@ -835,7 +868,7 @@ func (s *EngineSession) ingestPump(src *engineNode) {
 // store publishes it, and one kick wakes the source node — so a fast
 // source pays the handoff per window instead of per payload.
 func (s *EngineSession) spanIngestPump(src *engineNode) {
-	scratch := s.scratch
+	scratch, mask := s.scratch, uint64(len(s.ring)-1)
 	for {
 		g := s.readyN.Swap(0)
 		if g == 0 {
@@ -866,7 +899,7 @@ func (s *EngineSession) spanIngestPump(src *engineNode) {
 			}
 			t := s.ingTail.Load()
 			for j := 0; j < n; j++ {
-				s.ring[(t+uint64(j))&s.ringMask] = scratch[j]
+				s.ring[(t+uint64(j))&mask] = scratch[j]
 				scratch[j] = nil
 			}
 			s.ingTail.Store(t + uint64(n))
@@ -884,74 +917,86 @@ func (s *EngineSession) spanIngestPump(src *engineNode) {
 	}
 }
 
-// sinkPump delivers the session's emissions in order, draining the
-// window eagerly and acknowledging each drained run with one batched
-// evSinkDone (cnt = count), so a fast sink costs one mailbox round-trip
-// per batch rather than per emission.  The pump stops at the first Emit
-// error; emissions still queued behind it are never delivered.
+// sinkPump delivers the session's emissions in order, draining the ring
+// eagerly and acknowledging each drained run with one batched evSinkDone
+// (cnt = count), so a fast sink costs one mailbox round-trip per batch
+// rather than per emission.  The pump stops at the first Emit error, or
+// once the session has ended; emissions still queued are never delivered.
 func (s *EngineSession) sinkPump(sink *engineNode) {
 	defer s.unhold()
-	for {
-		select {
-		case em := <-s.sinkCh:
-			acked := 0
-			for {
-				if em.pays != nil {
-					// Batched span: one EmitSpan when the sink offers it,
-					// else Emit per element, in sequence order, under one
-					// external-callback window for the whole run.
-					failed := false
-					s.external.Add(1)
-					if s.spanSink != nil {
-						if err := s.spanSink(s.ctx, em.seqs, em.pays); err != nil {
-							s.callbackFailed("sink", err)
-							failed = true
-						} else {
-							acked += len(em.pays)
-						}
-					} else {
-						for j := range em.pays {
-							if err := s.sink(s.ctx, em.seqs[j], em.pays[j]); err != nil {
-								s.callbackFailed("sink", err)
-								failed = true
-								break
-							}
-							acked++
-						}
-					}
-					s.external.Add(-1)
-					if failed {
-						return
-					}
-					// Recycle the emission buffers: the Emit/EmitSpan
-					// contract says the slices are only valid during the
-					// call, so once delivered they go back to the pools.
-					payFree.put(em.pays)
-					seqFree.put(em.seqs)
-				} else {
-					s.external.Add(1)
-					err := s.sink(s.ctx, em.seq, em.payload)
-					s.external.Add(-1)
-					if err != nil {
-						s.callbackFailed("sink", err)
-						return
-					}
-					acked++
+	mask := uint64(len(s.emits) - 1)
+	for h := uint64(0); !s.ended.Load(); {
+		acked := 0
+		for t := s.emTail.Load(); h != t; t = s.emTail.Load() {
+			for ; h != t; h++ {
+				em := &s.emits[h&mask]
+				n, err := s.deliver(em)
+				if err != nil {
+					s.callbackFailed("sink", err)
+					return
 				}
-				more := false
-				select {
-				case em = <-s.sinkCh:
-					more = true
-				default:
-				}
-				if !more {
-					break
-				}
+				acked += n
+				*em = emission{}
 			}
-			sink.mb.post(event{kind: evSinkDone, ses: s, cnt: acked})
-		case <-s.wake: // only end pokes it
-			return
 		}
+		if acked == 0 {
+			s.parkSink(h)
+			continue
+		}
+		s.emHead.Store(h)
+		sink.mb.post(event{kind: evSinkDone, ses: s, cnt: acked})
+	}
+}
+
+// deliver hands one emission to the sink under one external-callback
+// window (one EmitSpan, or Emit per element) and returns its payloads.
+func (s *EngineSession) deliver(em *emission) (int, error) {
+	s.external.Add(1)
+	defer s.external.Add(-1)
+	if em.pays == nil {
+		return 1, s.sink(s.ctx, em.seq, em.payload)
+	}
+	seqs, pays := *em.seqs, *em.pays
+	var err error
+	if s.spanSink != nil {
+		err = s.spanSink(s.ctx, seqs, pays)
+	} else {
+		for j := 0; j < len(pays) && err == nil; j++ {
+			err = s.sink(s.ctx, seqs[j], pays[j])
+		}
+	}
+	if err == nil { // the slices were valid only during the call
+		payFree.put(em.pays)
+		seqFree.put(em.seqs)
+	}
+	return len(pays), err
+}
+
+// parkSink blocks the sink pump until the ring holds more than h or the
+// session ends: a publish or end racing the re-check sees the flag.
+func (s *EngineSession) parkSink(h uint64) {
+	s.sinkParked.Store(true)
+	if s.emTail.Load() == h && !s.ended.Load() {
+		<-s.sinkWake
+	} else if !s.sinkParked.CompareAndSwap(true, false) {
+		<-s.sinkWake // a waker cleared the flag first: take its token
+	}
+}
+
+// publish hands the sink pump one emission: a slot write and a tail
+// store, and a wake only when the pump is parked.
+func (s *EngineSession) publish(em emission) {
+	t := s.emTail.Load()
+	s.emits[t&uint64(len(s.emits)-1)] = em
+	s.emTail.Store(t + 1)
+	s.wakeSink()
+}
+
+// wakeSink wakes a parked sink pump; whoever clears the flag sends the one
+// token, so the one-slot channel never blocks.
+func (s *EngineSession) wakeSink() {
+	if s.sinkParked.Load() && s.sinkParked.CompareAndSwap(true, false) {
+		s.sinkWake <- struct{}{}
 	}
 }
 
@@ -970,60 +1015,53 @@ const (
 	evAbort
 )
 
-// event is one unit of work for a node loop.  Carrying the session
-// pointer (not just the id) lets late events for an ended session be
-// dropped without a registry lookup.
+// event is one unit of work for a node loop, 64 bytes.  Carrying the
+// session pointer (not just the id) lets late events for an ended session
+// be dropped without a registry lookup.
 type event struct {
 	kind evKind
+	pos  int32 // in-edge position (evMsg), out-edge position (evCredit)
+	cnt  int   // batched count (evCredit, evSinkDone)
 	ses  *EngineSession
-	pos  int // in-edge position (evMsg), out-edge position (evCredit)
-	cnt  int // batched count (evCredit, evSinkDone)
 	msg  Message
 	// span is a batched evMsg: a run of messages — data and dummies
 	// interleaved in sequence order — delivered as one event (one mailbox
-	// post instead of len(span)).  A run always ships whole, so its
-	// receiver owns the backing array.
-	span []Message
-	// free marks a span the receiver recycles: after absorbing it, the
-	// receiver zeroes it and returns it to spanFree.
-	free bool
+	// post instead of len(span)).  A run always ships whole, in an array
+	// drawn from spanFree, so its receiver owns it: after absorbing it,
+	// the receiver returns it there.
+	span *[]Message
 }
 
 // slicePool recycles slice backing arrays.  It pools *[]T, not []T —
 // boxing a slice header into the pool's interface allocates on every Put —
-// and keeps the emptied boxes in a second pool, so a steady-state
-// get/put cycle allocates nothing.
-type slicePool[T any] struct{ full, boxes sync.Pool }
+// and the box travels with its array, so a steady-state get/put cycle
+// allocates nothing.
+type slicePool[T any] struct{ p sync.Pool }
 
 // get returns an empty slice with capacity ≥ k.
-func (p *slicePool[T]) get(k int) []T {
-	if b, _ := p.full.Get().(*[]T); b != nil {
-		s := *b
-		*b = nil
-		p.boxes.Put(b)
-		if cap(s) >= k {
-			return s[:0]
-		}
-	}
-	return make([]T, 0, k)
-}
-
-// put zeroes s (pooled arrays never retain payloads) and recycles it.
-func (p *slicePool[T]) put(s []T) {
-	clear(s)
-	b, _ := p.boxes.Get().(*[]T)
+func (p *slicePool[T]) get(k int) *[]T {
+	b, _ := p.p.Get().(*[]T)
 	if b == nil {
 		b = new([]T)
 	}
-	*b = s[:0]
-	p.full.Put(b)
+	if cap(*b) < k {
+		*b = make([]T, 0, k)
+	}
+	return b
+}
+
+// put zeroes the slice (pooled arrays keep no payloads) and recycles it.
+func (p *slicePool[T]) put(b *[]T) {
+	clear(*b)
+	*b = (*b)[:0]
+	p.p.Put(b)
 }
 
 // spanFree recycles run backing arrays across the engine's hot path:
 // fireRun draws its out-edge accumulators from it and the absorbing node
-// returns each span (event.free) after copying it out.  seqFree and
-// payFree recycle the batched sink-emission buffers; the sink pump
-// returns them after delivering a span.
+// returns each span after copying it out.  seqFree and payFree recycle
+// the batched sink-emission buffers; the sink pump returns them after
+// delivering a span.
 var (
 	spanFree slicePool[Message]
 	seqFree  slicePool[uint64]
@@ -1035,27 +1073,36 @@ var (
 // themselves: all flow control lives in the per-session credit windows.
 // The consumer drains whole batches (takeAll), so the lock is taken once
 // per batch, not once per event, and the two slices ping-pong: memory is
-// bounded by the largest backlog, not by total traffic.
+// bounded by the largest backlog, not by total traffic.  A consumer that
+// finds the queue empty raises parked and waits on wake; the post (or
+// close) that lowers the flag owes it the one token.
 type mailbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	q      []event
+	parked bool
 	closed bool
+	wake   chan struct{}
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
+func newMailbox() *mailbox { return &mailbox{wake: make(chan struct{}, 1)} }
 
 func (m *mailbox) post(ev event) {
 	m.mu.Lock()
 	if !m.closed {
 		m.q = append(m.q, ev)
-		m.cond.Signal()
 	}
+	m.unlock()
+}
+
+// unlock releases the lock and wakes a parked consumer — after Unlock, so
+// that it does not wake into the lock its waker still holds.
+func (m *mailbox) unlock() {
+	wake := m.parked
+	m.parked = false
 	m.mu.Unlock()
+	if wake {
+		m.wake <- struct{}{}
+	}
 }
 
 // takeAll blocks for the next batch of events, handing ownership of the
@@ -1063,23 +1110,22 @@ func (m *mailbox) post(ev event) {
 // queue.  It returns ok=false when the mailbox is closed and drained.
 func (m *mailbox) takeAll(spare []event) ([]event, bool) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	for len(m.q) == 0 && !m.closed {
-		m.cond.Wait()
-	}
-	if len(m.q) == 0 {
-		return nil, false
+		m.parked = true
+		m.mu.Unlock()
+		<-m.wake
+		m.mu.Lock()
 	}
 	evs := m.q
 	m.q = spare[:0]
-	return evs, true
+	m.mu.Unlock()
+	return evs, len(evs) > 0
 }
 
 func (m *mailbox) close() {
 	m.mu.Lock()
 	m.closed = true
-	m.cond.Broadcast()
-	m.mu.Unlock()
+	m.unlock()
 }
 
 // engineNode is one resident node loop.
@@ -1095,9 +1141,9 @@ type engineNode struct {
 	// edge's position in the neighbour's order — or, for a cross edge, its
 	// carrier's outbox, tagged with the edge id.
 	upMB    []*mailbox
-	upPos   []int
+	upPos   []int32
 	downMB  []*mailbox
-	downPos []int
+	downPos []int32
 	outCap  []int
 
 	// batch is the node's vectorization width (>= 1): how many aligned
@@ -1117,9 +1163,8 @@ type engineNode struct {
 	timed  TimedKernel
 	queued bool
 
-	// sess, the dirty list, and the scratch below are owned by the node
+	// The dirty list and the scratch below are owned by the node
 	// goroutine; the scratch is reused by every firing of every session.
-	sess  map[proto.SessionID]*nodeSession
 	dirty []*nodeSession
 	// retiring holds the batch's retired sessions until its advance loop
 	// is over, and free the released ones the next evOpen reuses (at most
@@ -1138,11 +1183,11 @@ type engineNode struct {
 	// acc[i] accumulates the pass's run for out-pos i (drawn from
 	// spanFree, shipped with the event) and accDummy[i] counts the dummies
 	// in it.
-	acc      [][]Message
+	acc      []*[]Message
 	accDummy []int
 	// emSeqs/emPays accumulate a sink's emissions the same way.
-	emSeqs []uint64
-	emPays []any
+	emSeqs *[]uint64
+	emPays *[]any
 	// allTrue is the constant all-edges-emitted mask handed to FireRun
 	// by a ProcessSpan stretch.
 	allTrue []bool
@@ -1174,7 +1219,7 @@ const obsSampleRate = 8
 type nodeSession struct {
 	ses *EngineSession
 	// live is this node's slot of the session's liveness counters.
-	live *atomic.Int64
+	live *ownedCounter
 	// heads[i] is the FIFO of arrived, unconsumed messages on in-pos i.
 	heads []fifo[Message]
 	// engine is this session's dummy-protocol state at this node.
@@ -1250,7 +1295,9 @@ func (n *engineNode) run() {
 		}
 		n.dirty = n.dirty[:0]
 		for i, ns := range n.retiring {
+			ses := ns.ses
 			n.release(ns)
+			ses.checkout()
 			n.retiring[i] = nil
 		}
 		n.retiring = n.retiring[:0]
@@ -1269,8 +1316,8 @@ func (n *engineNode) obsDrainSession(ses *EngineSession) {
 	if m == nil {
 		return
 	}
-	for e := range ses.occupancy {
-		if r := ses.occupancy[e].Load(); r != 0 {
+	for e := range ses.edges {
+		if r := ses.edges[e].occupancy(); r != 0 {
 			m.Edge(e).Consumed.Add(r)
 		}
 	}
@@ -1278,7 +1325,6 @@ func (n *engineNode) obsDrainSession(ses *EngineSession) {
 
 func (n *engineNode) markDirty(ns *nodeSession) {
 	if !ns.dirty {
-		ns.live.Add(1) // an absorbed event is liveness; once per batch is enough
 		ns.dirty = true
 		n.dirty = append(n.dirty, ns)
 	}
@@ -1294,9 +1340,9 @@ func (n *engineNode) markDirty(ns *nodeSession) {
 // struct, proto.Engine and per-out-edge slices.  A node with one in-edge
 // of Buf 64 thus retains at most 16 × (8 + 0.3) KB ≈ 133 KB.  The engine's
 // free list of session buffers (takeBufs, unhold) has the same cap; one
-// entry is a padded counter per node, three counters per edge, the ingest
-// ring and span scratch (a grant window each) and the sink channel (a
-// sink window of 72-byte emissions), about 2.5 KB on a five-node chain.
+// entry is a padded counter and a state slot per node, two lines per edge,
+// the ingest ring and span scratch (a grant window each) and the sink ring
+// (a sink window of 40-byte emissions), about 2 KB on a five-node chain.
 const freeSessions = 16
 
 // openSession returns the node's state for a new session: a released one
@@ -1318,17 +1364,17 @@ func (n *engineNode) openSession(ses *EngineSession) *nodeSession {
 			ns.stallSince = make([]int64, len(n.out))
 		}
 	}
-	ns.ses, ns.live = ses, &ses.live[n.id].n
+	ns.ses, ns.live = ses, &ses.live[n.id]
 	return ns
 }
 
 // retire is the one exit of a node session: the session was aborted, or
 // it is over at this node (EOS sent, or the sink finished).  It detaches
-// the state from the node at once and queues it for release after the
-// batch's advance loop, since n.dirty may still hold it.  Retiring twice
-// is a no-op — a sink that finishes inside advance retires in finishSink
-// and again in advance's reclaim — so one state never reaches the free
-// list twice.
+// the state from the node at once and queues it for release and checkout
+// after the batch's advance loop (n.dirty may still hold it, and the
+// advance may still count).  Retiring twice is a no-op — a sink that
+// finishes inside advance retires in finishSink and again in advance's
+// reclaim — so one state never reaches the free list twice.
 func (n *engineNode) retire(ns *nodeSession) {
 	if ns.retired {
 		return
@@ -1337,7 +1383,7 @@ func (n *engineNode) retire(ns *nodeSession) {
 	if n.timed != nil {
 		n.stopTimer(ns)
 	}
-	delete(n.sess, ns.ses.id)
+	ns.ses.at[n.id] = nil
 	n.retiring = append(n.retiring, ns)
 }
 
@@ -1371,7 +1417,7 @@ func (n *engineNode) release(ns *nodeSession) {
 // batch's advance pass.
 func (n *engineNode) absorb(ev *event) {
 	if ev.kind == evAbort {
-		if ns := n.sess[ev.ses.id]; ns != nil {
+		if ns := ev.ses.at[n.id]; ns != nil {
 			n.retire(ns)
 		}
 		if ev.ses.abortAcks.Add(1) == int64(len(n.e.nodes)) {
@@ -1380,29 +1426,27 @@ func (n *engineNode) absorb(ev *event) {
 		}
 		return
 	}
-	// Events queued ahead of an ended session's abort are dead: dropping
-	// them here (not just at the state lookup) stops kernel invocations
-	// for the old stream as soon as end() runs.
+	// Events of an ended session are dead: dropping them stops kernel
+	// invocations for the old stream as soon as end() runs, before the
+	// slot is read — after done, the buffers may serve the next session.
 	if ev.ses.ended.Load() {
 		return
 	}
 	if ev.kind == evOpen {
 		ns := n.openSession(ev.ses)
-		n.sess[ev.ses.id] = ns
+		ev.ses.at[n.id] = ns
 		n.markDirty(ns)
 		return
 	}
-	ns := n.sess[ev.ses.id]
+	ns := ev.ses.at[n.id]
 	if ns == nil {
-		return // session ended or drained here; late event
+		return // session drained here; late event
 	}
 	switch ev.kind {
 	case evMsg:
 		if ev.span != nil {
-			ns.heads[ev.pos].pushAll(ev.span)
-			if ev.free {
-				spanFree.put(ev.span)
-			}
+			ns.heads[ev.pos].pushAll(*ev.span)
+			spanFree.put(ev.span)
 		} else {
 			ns.heads[ev.pos].push(ev.msg)
 		}
@@ -1424,7 +1468,7 @@ func (n *engineNode) absorb(ev *event) {
 		h := ev.ses.ingHead.Load()
 		t := ev.ses.ingTail.Load()
 		if t != h {
-			ring, mask := ev.ses.ring, ev.ses.ringMask
+			ring, mask := ev.ses.ring, uint64(len(ev.ses.ring)-1)
 			for i := h; i < t; i++ {
 				ns.ingestQ.push(ring[i&mask])
 				ring[i&mask] = nil
@@ -1464,6 +1508,7 @@ func (n *engineNode) advance(ns *nodeSession) {
 	if ns.retired {
 		return
 	}
+	ns.live.n.Store(ns.live.n.Load() + 1) // one writer: no locked add
 	n.flush(ns)
 	if n.queued {
 		n.advanceQueued(ns)
@@ -1553,14 +1598,13 @@ func (n *engineNode) endStream(ns *nodeSession) {
 }
 
 // flushCredits acks this advance's consumed heads upstream, one batched
-// credit event per in-edge, and takes them off the edge's occupancy in
-// the same step: per message, the decrement kept the counter's cache
-// line bouncing between the edge's two nodes.
+// credit event per in-edge, and counts them consumed in the same step.
 func (n *engineNode) flushCredits(ns *nodeSession) {
 	for i, c := range n.creditAcc {
 		if c > 0 {
 			n.creditAcc[i] = 0
-			ns.ses.occupancy[n.in[i]].Add(-int64(c))
+			d := &ns.ses.edges[n.in[i]].consumed
+			d.Store(d.Load() + int64(c))
 			n.upMB[i].post(event{kind: evCredit, ses: ns.ses, pos: n.upPos[i], cnt: c})
 		}
 	}
@@ -1597,13 +1641,14 @@ func (n *engineNode) flush(ns *nodeSession) {
 }
 
 // ship sends each out-edge the run the pass accumulated for it, whole:
-// one window update, one occupancy add and one post per edge, whatever
+// one window update, one count update and one post per edge, whatever
 // the run's length and mix.  A run one longer than the window held at
 // pass start ends in the firing that stopped the pass; that message
 // parks, exactly as a per-message firing's blocked send would.
 func (n *engineNode) ship(ns *nodeSession) {
 	var now int64
-	for i, run := range n.acc {
+	for i, b := range n.acc {
+		run := *b
 		m, d := len(run), n.accDummy[i]
 		if m == 0 {
 			continue
@@ -1621,7 +1666,7 @@ func (n *engineNode) ship(ns *nodeSession) {
 		}
 		switch {
 		case m == 0:
-			n.acc[i] = run
+			*b = run
 		case m == 1:
 			// A run of one travels in the event itself and the
 			// accumulator stays with the node: batch 1 never touches
@@ -1629,10 +1674,11 @@ func (n *engineNode) ship(ns *nodeSession) {
 			n.sent(ns, i, 1, 1-d, d, &now)
 			n.downMB[i].post(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i], msg: run[0]})
 			run[0] = Message{}
-			n.acc[i] = run[:0]
+			*b = run[:0]
 		default:
+			*b = run
 			n.sent(ns, i, m, m-d, d, &now)
-			n.downMB[i].post(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i], span: run, free: true})
+			n.downMB[i].post(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i], span: b})
 			n.acc[i] = nil
 		}
 		if parks {
@@ -1643,16 +1689,16 @@ func (n *engineNode) ship(ns *nodeSession) {
 }
 
 // sent accounts for m messages leaving on out-pos i — the window, the
-// session's per-edge counts by kind (an EOS is neither), occupancy and
+// session's per-edge counts (in all, and by kind: an EOS is neither) and
 // telemetry — with no look at the messages themselves.
 func (n *engineNode) sent(ns *nodeSession, i, m, data, dummies int, now *int64) {
 	ns.inflight[i] += m
-	edge := n.out[i]
-	ns.ses.data[edge] += int64(data)
+	c := &ns.ses.edges[n.out[i]]
+	c.sent.Store(c.sent.Load() + int64(m))
+	c.data += int64(data)
 	if dummies != 0 {
-		ns.ses.dummies[edge] += int64(dummies)
+		c.dummies += int64(dummies)
 	}
-	ns.ses.occupancy[edge].Add(int64(m))
 	if n.obsOut != nil {
 		n.obsUnstall(ns, i, now)
 		om := n.obsOut[i]
@@ -1754,7 +1800,6 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 			n.cur[i] = 0
 		}
 	}
-	ns.live.Add(int64(fired))
 	if n.obsN != nil {
 		n.obsN.Firings.Add(int64(data))
 	}
@@ -1785,8 +1830,8 @@ func (n *engineNode) fire(ns *nodeSession) (fired, data int, eos bool) {
 	}
 	need = min(need, n.batch)
 	nOut := len(n.out)
-	for i := range n.acc {
-		if cap(n.acc[i]) < need {
+	for i, b := range n.acc {
+		if b == nil || cap(*b) < need {
 			n.acc[i] = spanFree.get(need)
 		}
 	}
@@ -1794,7 +1839,7 @@ func (n *engineNode) fire(ns *nodeSession) (fired, data int, eos bool) {
 	emits := nOut == 0 && ns.ses.sink != nil // firings go to the sink pump
 	if emits {
 		sinkRoom = n.e.sinkWin - ns.sinkInflight
-		if cap(n.emPays) < need {
+		if n.emPays == nil || cap(*n.emPays) < need {
 			n.emSeqs, n.emPays = seqFree.get(need), payFree.get(need)
 		}
 	}
@@ -1811,14 +1856,15 @@ pass:
 					// Every edge emits on every element: never a dummy.
 					ns.engine.FireRun(n.spanSeq[0], n.spanSeq[vec-1], n.allTrue)
 				} else if emits {
-					n.emSeqs = append(n.emSeqs, n.spanSeq[:vec]...)
-					n.emPays = append(n.emPays, n.spanOut[:vec]...)
+					*n.emSeqs = append(*n.emSeqs, n.spanSeq[:vec]...)
+					*n.emPays = append(*n.emPays, n.spanOut[:vec]...)
 				}
-				for i, run := range n.acc {
+				for i, b := range n.acc {
+					run := *b
 					for j := 0; j < vec; j++ {
 						run = append(run, Message{Seq: n.spanSeq[j], Kind: Data, Payload: n.spanOut[j]})
 					}
-					n.acc[i] = run
+					*b = run
 					full = full || len(run) > n.room(ns, i)
 				}
 				if !n.queued {
@@ -1875,22 +1921,22 @@ pass:
 			n.kern.ProcessInto(seq, n.kin, n.kout, n.present)
 			data++
 			if emits {
-				n.emSeqs = append(n.emSeqs, seq)
-				n.emPays = append(n.emPays, n.sinkPayload())
+				*n.emSeqs = append(*n.emSeqs, seq)
+				*n.emPays = append(*n.emPays, n.sinkPayload())
 			}
 		}
 		dummy := ns.engine.Fire(seq, n.present[:nOut])
-		for i := 0; i < nOut; i++ {
+		for i, b := range n.acc {
 			switch {
 			case n.present[i]:
-				n.acc[i] = append(n.acc[i], Message{Seq: seq, Kind: Data, Payload: n.kout[i]})
+				*b = append(*b, Message{Seq: seq, Kind: Data, Payload: n.kout[i]})
 			case dummy[i]:
-				n.acc[i] = append(n.acc[i], Message{Seq: seq, Kind: Dummy})
+				*b = append(*b, Message{Seq: seq, Kind: Dummy})
 				n.accDummy[i]++
 			default:
 				continue
 			}
-			full = full || len(n.acc[i]) > n.room(ns, i)
+			full = full || len(*b) > n.room(ns, i)
 		}
 		if anyData {
 			clear(n.kin)
@@ -1910,8 +1956,8 @@ pass:
 // firing (a dummy, an EOS, or nothing yet) to the per-firing path.
 func (n *engineNode) stretch(ns *nodeSession, fired, limit int) int {
 	k := min(n.batch-fired, limit)
-	for i, run := range n.acc {
-		k = min(k, n.room(ns, i)-len(run)+1)
+	for i, b := range n.acc {
+		k = min(k, n.room(ns, i)-len(*b)+1)
 	}
 	if n.queued {
 		q := ns.ingestQ.live()[fired:]
@@ -1959,14 +2005,15 @@ func (n *engineNode) sinkEmit(ns *nodeSession, data int) {
 	if ns.ses.sink == nil {
 		return
 	}
-	// The pass stopped at the pump window's room and every queued
-	// emission carries at least one payload: the send never blocks.
+	// The pass stopped at the pump window's room, so the ring has a free
+	// slot (see EngineSession.emTail).
 	if data == 1 {
-		ns.ses.sinkCh <- emission{seq: n.emSeqs[0], payload: n.emPays[0]}
-		n.emPays[0] = nil
-		n.emSeqs, n.emPays = n.emSeqs[:0], n.emPays[:0]
+		seqs, pays := *n.emSeqs, *n.emPays
+		ns.ses.publish(emission{seq: seqs[0], payload: pays[0]})
+		pays[0] = nil
+		*n.emSeqs, *n.emPays = seqs[:0], pays[:0]
 	} else {
-		ns.ses.sinkCh <- emission{seqs: n.emSeqs, pays: n.emPays}
+		ns.ses.publish(emission{seqs: n.emSeqs, pays: n.emPays})
 		n.emSeqs, n.emPays = nil, nil
 	}
 	ns.sinkInflight += data
@@ -2010,7 +2057,6 @@ func (n *engineNode) consumeTimed(ns *nodeSession) bool {
 		}
 	}
 	n.popHeads(ns, 0, k)
-	ns.live.Add(int64(data))
 	if n.obsN != nil {
 		n.obsN.Firings.Add(int64(data))
 	}

@@ -1,17 +1,20 @@
 package stream
 
 // Layer microbenchmarks for the pieces a message crosses between two
-// kernels: the head queue, the mailbox, and one pass of the firing loop —
-// a batch-1 all-data firing, a 64-firing pass over runs that mix data
-// and dummies, and a time-aware node's ingest of a 64-head run — and the
-// layer above them, one short session.  Every benchmark's ns/op and
-// allocs/op are per message, except the session's, which are per session.
+// kernels: the head queue, the mailbox (drained in batches, and one hop
+// between two parked loops), the sink ring's handoff to its pump, and one
+// pass of the firing loop — a batch-1 all-data firing, a 64-firing pass
+// over runs that mix data and dummies, and a time-aware node's ingest of a
+// 64-head run — and the layer above them, one short session.  Every
+// benchmark's ns/op and allocs/op are per message, except the session's,
+// which are per session.
 //
-//	go test -run '^$' -bench 'Fifo|Mailbox|Fire|MixedRun|TimedIngest|SessionCycle' -benchmem ./internal/stream
+//	go test -run '^$' -bench 'Fifo|Mailbox|SinkHandoff|Fire|MixedRun|TimedIngest|SessionCycle' -benchmem ./internal/stream
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -56,6 +59,133 @@ func BenchmarkMailboxPostTake(b *testing.B) {
 	}
 }
 
+// BenchmarkMailboxPostTakeParked is the mailbox hop between two node loops
+// at batch 1: two goroutines pass one event back and forth through two
+// mailboxes, so every post finds its consumer parked and wakes it.  Per op
+// is one hop.
+func BenchmarkMailboxPostTakeParked(b *testing.B) {
+	ping, pong := newMailbox(), newMailbox()
+	echoed := make(chan struct{})
+	go func() {
+		defer close(echoed)
+		var spare []event
+		for {
+			evs, ok := ping.takeAll(spare)
+			if !ok {
+				return
+			}
+			for range evs {
+				pong.post(event{kind: evCredit, cnt: 1})
+			}
+			clear(evs)
+			spare = evs
+		}
+	}()
+	var spare []event
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 2 {
+		ping.post(event{kind: evMsg, msg: Message{Seq: uint64(i), Kind: Data}})
+		evs, _ := pong.takeAll(spare)
+		clear(evs)
+		spare = evs
+	}
+	b.StopTimer()
+	ping.close()
+	<-echoed
+}
+
+// BenchmarkSinkHandoff is the sink rim at batch 1: per op, the sink node
+// publishes one emission to the session's sink ring, and the pump delivers
+// it to a no-op Sink and acks it into the sink node's mailbox, which the
+// benchmark drains whenever a sink window is outstanding.
+func BenchmarkSinkHandoff(b *testing.B) {
+	r := newSinkRig(b)
+	inflight := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for inflight == r.ses.e.sinkWin {
+			inflight -= r.acks()
+		}
+		r.ses.publish(emission{seq: uint64(i)})
+		inflight++
+	}
+	b.StopTimer()
+	r.stop()
+}
+
+// TestSinkRingWakesParkedPump hands the sink pump one emission at a time,
+// spinning until the pump has delivered it and then a random few hundred
+// nanoseconds more, so the next publish lands all over the pump's way to
+// parking on the empty ring.  One lost between the pump's last look at
+// the tail and its raising the parked flag is never delivered.
+func TestSinkRingWakesParkedPump(t *testing.T) {
+	r := newSinkRig(t)
+	defer r.stop()
+	rng := rand.New(rand.NewSource(1))
+	for i := uint64(0); i < 5000; i++ {
+		r.ses.publish(emission{seq: i})
+		for deadline := time.Now().Add(5 * time.Second); r.ses.emHead.Load() != i+1; {
+			if time.Now().After(deadline) {
+				t.Fatalf("emission %d was never delivered: the pump slept through its publish", i)
+			}
+		}
+		for spin := rng.Intn(512); spin > 0; spin-- {
+			spun++
+		}
+		if i%1024 == 1023 {
+			r.acks() // keep the mailbox short; the acks themselves are not checked
+		}
+	}
+}
+
+var spun int
+
+// sinkRig is a session's sink pump running against the sink node of a
+// built-and-closed engine, whose mailbox the caller drains for the acks.
+type sinkRig struct {
+	ses    *EngineSession
+	sink   *engineNode
+	spare  []event
+	pumped chan struct{}
+}
+
+func newSinkRig(tb testing.TB) *sinkRig {
+	e, err := NewEngine(workload.Pipeline(3, 4), nil, Config{WatchdogTimeout: time.Hour})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e.Close()
+	r := &sinkRig{sink: e.sink, pumped: make(chan struct{})}
+	r.sink.mb.closed = false
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cfg := SessionConfig{Sink: func(context.Context, uint64, any) error { return nil }}
+	r.ses = &EngineSession{id: 1, e: e, ctx: ctx, cancel: cancel, sink: cfg.Sink, sessionBufs: e.takeBufs(cfg)}
+	go func() {
+		defer close(r.pumped)
+		r.ses.sinkPump(r.sink)
+	}()
+	return r
+}
+
+// acks takes the next batch of the pump's acks and returns how many
+// payloads they cover, 0 once the mailbox is closed.
+func (r *sinkRig) acks() (n int) {
+	evs, _ := r.sink.mb.takeAll(r.spare)
+	for j := range evs {
+		n += evs[j].cnt
+		evs[j] = event{}
+	}
+	r.spare = evs
+	return n
+}
+
+func (r *sinkRig) stop() {
+	r.ses.end(nil, nil)
+	<-r.pumped
+}
+
 // firingBench is one node of a built-and-closed engine with one session
 // opened on it by hand: the benchmark's goroutine is the only one touching
 // the node, so what it times is the firing loop's own cost.  The mailboxes
@@ -81,7 +211,14 @@ func newFiringBench(b testing.TB, g *graph.Graph, node graph.NodeID, ks map[grap
 	}
 	ses := &EngineSession{id: 1, e: e, sessionBufs: e.takeBufs(SessionConfig{})}
 	n.absorb(&event{kind: evOpen, ses: ses})
-	return &firingBench{n: n, ns: n.sess[ses.id]}
+	return &firingBench{n: n, ns: ses.at[node]}
+}
+
+// spanOf copies run into a pooled span, the form a node ships a run in.
+func spanOf(run []Message) *[]Message {
+	b := spanFree.get(len(run))
+	*b = append(*b, run...)
+	return b
 }
 
 // recycle drains what the node sent, as the receivers would, and returns
@@ -95,7 +232,7 @@ func (f *firingBench) recycle() (msgs int) {
 		evs, _ := mb.takeAll(f.spare)
 		for j := range evs {
 			if evs[j].span != nil {
-				msgs += len(evs[j].span)
+				msgs += len(*evs[j].span)
 				spanFree.put(evs[j].span)
 			} else {
 				msgs++

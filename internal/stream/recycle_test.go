@@ -114,12 +114,12 @@ func TestFreeListBoundedAfterSessionBurst(t *testing.T) {
 
 // TestSessionBufsScrubbed drives the buffers through every way a session
 // leaves them — finished with and without a sink, on the plain and the span
-// pumps, cancelled with a blocked sink (emissions queued in the sink
-// channel), failed by its source mid-fill, and stuck in a Source.Next that
-// ignores its context until after the engine's next sessions ran — and
-// checks each free-listed set once every hold is gone: every counter zero,
-// ring and scratch empty, no token or emission left in a channel, and no set
-// listed twice.
+// pumps, cancelled with a blocked sink (emissions queued in the sink ring),
+// failed by its source mid-fill, and stuck in a Source.Next that ignores its
+// context until after the engine's next sessions ran — and checks each
+// free-listed set once every hold is gone: every counter zero, every state
+// slot empty, both rings and the scratch empty, no token left in a channel,
+// and no set listed twice.
 func TestSessionBufsScrubbed(t *testing.T) {
 	e, err := NewEngine(workload.Pipeline(4, 8), nil, Config{MaxBatch: 8, WatchdogTimeout: 10 * time.Second})
 	if err != nil {
@@ -163,7 +163,7 @@ func TestSessionBufsScrubbed(t *testing.T) {
 	finish(SessionConfig{SpanSource: spanSrc(), Sink: sink, SpanSink: spanSink})
 
 	// Cancelled with its sink blocked, once backpressure has stopped its
-	// source: the sink channel holds the emissions behind the blocked one.
+	// source: the sink ring holds the emissions behind the blocked one.
 	var pulled atomic.Int64
 	next := SyntheticSource(1 << 20)
 	blocked := open(SessionConfig{
@@ -183,7 +183,7 @@ func TestSessionBufsScrubbed(t *testing.T) {
 			still++
 		}
 	}
-	if len(blocked.sinkCh) == 0 {
+	if sinkQueued(blocked) == 0 {
 		t.Fatal("a stalled session with a blocked sink has no emission queued")
 	}
 	blocked.Fail(context.Canceled)
@@ -248,9 +248,14 @@ func TestSessionBufsScrubbed(t *testing.T) {
 				t.Fatalf("live[%d] = %d after scrub", i, b.live[i].n.Load())
 			}
 		}
-		for i := range b.occupancy {
-			if b.occupancy[i].Load() != 0 || b.data[i] != 0 || b.dummies[i] != 0 {
-				t.Fatalf("edge %d counters after scrub: occupancy %d, data %d, dummies %d", i, b.occupancy[i].Load(), b.data[i], b.dummies[i])
+		for i := range b.edges {
+			if c := &b.edges[i]; c.sent.Load() != 0 || c.consumed.Load() != 0 || c.data != 0 || c.dummies != 0 {
+				t.Fatalf("edge %d counters after scrub: sent %d, consumed %d, data %d, dummies %d", i, c.sent.Load(), c.consumed.Load(), c.data, c.dummies)
+			}
+		}
+		for i, ns := range b.at {
+			if ns != nil {
+				t.Fatalf("node %d's state slot still set after scrub", i)
 			}
 		}
 		for _, s := range [][]any{b.ring, b.scratch} {
@@ -260,14 +265,23 @@ func TestSessionBufsScrubbed(t *testing.T) {
 				}
 			}
 		}
-		if len(b.ready) != 0 || len(b.wake) != 0 || len(b.sinkCh) != 0 {
-			t.Fatalf("after scrub: %d ready, %d wake tokens, %d emissions", len(b.ready), len(b.wake), len(b.sinkCh))
+		for i, em := range b.emits {
+			if em != (emission{}) {
+				t.Fatalf("sink ring slot %d still holds %+v after scrub", i, em)
+			}
+		}
+		if len(b.ready) != 0 || len(b.sinkWake) != 0 {
+			t.Fatalf("after scrub: %d ready, %d sink wake tokens", len(b.ready), len(b.sinkWake))
 		}
 	}
 	if !seen[stuck.sessionBufs] {
 		t.Fatal("the stuck session's buffers did not return to the free list once its pump did")
 	}
 }
+
+// sinkQueued is how many emissions the session's sink ring holds, read
+// through its atomics.
+func sinkQueued(s *EngineSession) uint64 { return s.emTail.Load() - s.emHead.Load() }
 
 // freeBufs waits until every set of buffers the sessions used is back —
 // a pump may give its hold up after its session resolved, and Close does

@@ -107,7 +107,7 @@ func TestTimedIngestReadsClockPerRun(t *testing.T) {
 		for j := range run {
 			run[j] = Message{Seq: uint64(i + j), Kind: Data, Payload: j}
 		}
-		f.n.absorb(&event{kind: evMsg, ses: f.ns.ses, span: run})
+		f.n.absorb(&event{kind: evMsg, ses: f.ns.ses, span: spanOf(run)})
 		f.n.advance(f.ns)
 	}
 	if k.n != n {
@@ -135,7 +135,7 @@ func TestTimedTimerArmedOncePerDeadline(t *testing.T) {
 			run[j] = Message{Seq: uint64(seq), Kind: Data, Payload: j}
 			seq++
 		}
-		f.n.absorb(&event{kind: evMsg, ses: f.ns.ses, span: run})
+		f.n.absorb(&event{kind: evMsg, ses: f.ns.ses, span: spanOf(run)})
 		f.n.advance(f.ns)
 	}
 	for i := 0; i < runs; i++ {
@@ -162,13 +162,13 @@ func TestTimedIngestSplitsRunsAtDummies(t *testing.T) {
 	f := newTimedBench(t, k, 64)
 	up := f.n.upMB[0]
 	up.closed = false
-	f.n.absorb(&event{kind: evMsg, ses: f.ns.ses, span: []Message{
+	f.n.absorb(&event{kind: evMsg, ses: f.ns.ses, span: spanOf([]Message{
 		{Seq: 0, Kind: Data, Payload: "a"},
 		{Seq: 1, Kind: Dummy},
 		{Seq: 2, Kind: Data, Payload: "b"},
 		{Seq: 3, Kind: Data, Payload: "c"},
 		{Seq: proto.EOSSeq, Kind: EOS},
-	}})
+	})})
 	f.n.advance(f.ns)
 	if got, want := fmt.Sprint(k.calls), "[ingest[0] ingest[2 3] flush]"; got != want {
 		t.Errorf("kernel saw %s, want %s", got, want)

@@ -151,10 +151,10 @@ func TestRecycledNodeSessionsMatchFresh(t *testing.T) {
 
 // TestRecycledStreamSessionsMatchFresh is the stream half of the same
 // check: the engine keeps a finished session's counters, ingest ring, span
-// scratch and sink channel for the next Open (internal/stream, unhold).
+// scratch and sink ring for the next Open (internal/stream, unhold).
 // On one resident engine, clean sessions — alternately a plain Source and
 // Sink and a SpanSource and SpanSink — are interleaved with a session
-// cancelled while its sink blocks (its sink channel full at the end) and
+// cancelled while its sink blocks (its sink ring full at the end) and
 // with one whose Source blocks in Next ignoring its context: it is
 // cancelled, clean sessions run while its pump still holds its buffers,
 // and then it is released.  Every clean session's per-edge counts and sink
