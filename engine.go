@@ -554,15 +554,12 @@ func (b distributedBackend) newEngine(p *Pipeline) (backendEngine, error) {
 		part[id] = w
 	}
 	eng, err := dist.NewEngine(g, part, p.kernels, dist.Config{
-		Algorithm:         p.alg,
-		Intervals:         p.intervals,
-		WatchdogTimeout:   p.watchdog,
-		MaxBatch:          p.maxBatch,
-		NodeBatch:         p.resolvedNodeBatch(),
-		Obs:               p.obsMetrics(),
-		HeartbeatInterval: p.hbInterval,
-		HeartbeatMiss:     p.hbMiss,
-		Restart:           p.restart,
+		Algorithm:       p.alg,
+		Intervals:       p.intervals,
+		WatchdogTimeout: p.watchdog,
+		MaxBatch:        p.maxBatch,
+		NodeBatch:       p.resolvedNodeBatch(),
+		Obs:             p.obsMetrics(),
 	})
 	if err != nil {
 		return nil, err

@@ -24,9 +24,9 @@
 //	go run ./examples/streamserve
 //
 // With -chaos the example instead runs the fault-tolerance smoke test:
-// the scrub topology spread across THREE resident TCP workers serving
-// concurrent client sessions, with heartbeats, worker restart, and
-// session retry armed.  Mid-load it kills the middle worker and fails
+// the scrub topology spread across THREE loopback TCP workers serving
+// concurrent client sessions with session retry armed.  Mid-load it kills
+// the middle worker's links, which the engine re-dials in place, and fails
 // (exit 1) unless every session still completes with its full,
 // exactly-once output — zero lost sessions:
 //
@@ -369,9 +369,10 @@ func (s *chaosSink) Emit(_ context.Context, seq uint64, _ any) error {
 
 // chaosTier is the CI chaos smoke test: concurrent sessions over three
 // TCP workers, the middle worker killed mid-load, zero lost sessions
-// required.  The recovery stack — heartbeats, worker restart, session
-// retry over a rewound source with sink de-duplication — must make the
-// kill invisible to every client except as latency.
+// required.  The recovery stack — the engine re-linking the killed
+// worker in place, session retry over a rewound source with sink
+// de-duplication — must make the kill invisible to every client except
+// as latency.
 func chaosTier() {
 	obs := streamdag.NewObserver()
 	topo := streamdag.NewTopology()
@@ -394,8 +395,6 @@ func chaosTier() {
 			"ingest": "edge", "scrub": "core", "deliver": "relay",
 		})),
 		streamdag.WithWatchdog(30*time.Second),
-		streamdag.WithHeartbeat(25*time.Millisecond, 3),
-		streamdag.WithWorkerRestart(),
 		streamdag.WithRetry(streamdag.RetryPolicy{MaxAttempts: 5, Backoff: 10 * time.Millisecond}),
 	)
 	if err != nil {
@@ -494,13 +493,13 @@ func chaosTier() {
 	}
 
 	snap := obs.Snapshot()
-	if snap.Faults.WorkersDown < 1 || snap.Faults.Reconnects < 1 || snap.Faults.SessionRetries < 1 {
+	if snap.Faults.WorkersDown < 1 || snap.Faults.SessionRetries < 1 {
 		log.Fatalf("streamserve: fault counters unconvincing: %+v", snap.Faults)
 	}
 	fmt.Printf("  zero lost sessions: %d/%d completed exactly-once (%d lines each) %.0fms after the kill\n",
 		clients, clients, wantKept, time.Since(tKill).Seconds()*1000)
-	fmt.Printf("  fault metrics: workers_down=%d reconnects=%d session_retries=%d heartbeats_missed=%d\n",
-		snap.Faults.WorkersDown, snap.Faults.Reconnects, snap.Faults.SessionRetries, snap.Faults.HeartbeatsMissed)
+	fmt.Printf("  fault metrics: workers_down=%d session_retries=%d\n",
+		snap.Faults.WorkersDown, snap.Faults.SessionRetries)
 }
 
 // pacedReqSource delivers n counting payloads with a fixed think-time

@@ -16,17 +16,16 @@ import (
 
 // This file is the fault-tolerance surface of the Pipeline API, built on
 // internal/fault: typed worker-death errors, session retry with a
-// dead-letter sink for poisoned payloads, heartbeats and worker restart
-// on the Distributed backend, and graceful drain with a resumable
-// checkpoint.
+// dead-letter sink for poisoned payloads, and graceful drain with a
+// resumable checkpoint.
 //
-// There is one recovery protocol, and it works around sessions: a dead
-// worker fails its sessions fast with a *WorkerDownError naming it, the
-// supervisor respawns the worker and re-dials the mesh, and the retry
-// layer here re-opens the failed sessions on the repaired topology.  A
-// ReplayableSource plus the sink's high-water de-duplication make the
-// retried stream exactly-once: the surviving output is bit-identical to
-// a run with no fault at all.
+// There is one recovery protocol, and it works around sessions: a worker
+// going down on the Distributed backend fails its sessions fast with a
+// *WorkerDownError naming it while the engine re-dials its links in
+// place, and the retry layer here re-opens the failed sessions on the
+// re-linked topology.  A ReplayableSource plus the sink's high-water
+// de-duplication make the retried stream exactly-once: the surviving
+// output is bit-identical to a run with no fault at all.
 
 // WorkerDownError reports that a named worker died and which sessions
 // its death took down; errors.As against Session.Wait's error to decide
@@ -95,30 +94,6 @@ func WithRetry(p RetryPolicy) Option {
 // also marks sink delivery errors as retryable.
 func WithDeadLetter(sink DeadLetterSink) Option {
 	return func(c *buildConfig) { c.dlq = sink }
-}
-
-// WithHeartbeat enables liveness tracking on the Distributed backend:
-// workers beat their peers every interval (any frame counts as a beat,
-// so loaded links pay nothing) and a worker silent for miss intervals
-// (miss < 1 defaults to 3) is declared down — its sessions fail with a
-// *WorkerDownError naming it instead of wedging until the watchdog
-// guesses.  The other backends have no transport and ignore it.
-func WithHeartbeat(interval time.Duration, miss int) Option {
-	return func(c *buildConfig) {
-		if interval < 0 && c.err == nil {
-			c.err = fmt.Errorf("streamdag: build: negative heartbeat interval %v", interval)
-		}
-		c.hbInterval = interval
-		c.hbMiss = miss
-	}
-}
-
-// WithWorkerRestart lets the Distributed backend respawn a dead worker:
-// fresh listener, peers re-dialed, so sessions retried by WithRetry land
-// on a whole topology again.  Without it the engine stays degraded after
-// a worker death — Open reports the dead worker until Close.
-func WithWorkerRestart() Option {
-	return func(c *buildConfig) { c.restart = true }
 }
 
 // ---------------------------------------------------------------------
@@ -192,11 +167,13 @@ func (e *Engine) Resume(ck *Checkpoint) error {
 	return nil
 }
 
-// KillWorker crashes the named worker of a Distributed engine
-// mid-stream — listener and links drop, active sessions fail with a
-// *WorkerDownError — exercising the same recovery path a real crash
-// would.  With WithWorkerRestart the worker respawns and the mesh
-// re-forms.  Backends without workers return an error.
+// KillWorker drops every link the named worker of a Distributed engine
+// shares with a peer, mid-stream: the active sessions fail with a
+// *WorkerDownError naming it, exactly as when one of those links breaks,
+// and the links are re-dialed before KillWorker returns, so the next
+// Open (or WithRetry's next attempt) runs on a whole mesh.  It is the
+// chaos hook WithRetry is tested against.  Backends without workers
+// return an error.
 func (e *Engine) KillWorker(name string) error {
 	return e.curGen().impl.killWorker(name)
 }

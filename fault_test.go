@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// Public-API fault-tolerance tests: the distributed kill/restart/retry
+// Public-API fault-tolerance tests: the distributed kill/re-link/retry
 // path end-to-end, dead-letter routing for poisoned payloads,
 // drain/checkpoint/resume, and the unsupported-backend edges.
 
@@ -45,9 +45,9 @@ func (g *gateSink) Emit(ctx context.Context, seq uint64, payload any) error {
 
 // TestDistributedKillRetryBitIdentical is the end-to-end acceptance run
 // on the real TCP backend: kill one of three workers mid-stream; with
-// heartbeats, worker restart, and session retry configured the session
-// must complete with output bit-identical to a run with no fault —
-// exactly-once, in order, every per-edge count equal.
+// session retry configured, and no other fault option, the session must
+// complete on the re-linked mesh with output bit-identical to a run with
+// no fault — exactly-once, in order, every per-edge count equal.
 func TestDistributedKillRetryBitIdentical(t *testing.T) {
 	const n = 120
 	assign := map[string]string{"A": "w0", "B": "w1", "C": "w2", "D": "w0"}
@@ -66,8 +66,6 @@ func TestDistributedKillRetryBitIdentical(t *testing.T) {
 	o := NewObserver()
 	p, err := Build(fig1Topo(), append(base,
 		WithBackend(Distributed(assign)),
-		WithHeartbeat(20*time.Millisecond, 3),
-		WithWorkerRestart(),
 		WithRetry(RetryPolicy{MaxAttempts: 4, Backoff: 5 * time.Millisecond}),
 		WithObserver(o))...)
 	if err != nil {
@@ -99,9 +97,6 @@ func TestDistributedKillRetryBitIdentical(t *testing.T) {
 	if f.WorkersDown < 1 {
 		t.Errorf("workers_down = %d, want >= 1", f.WorkersDown)
 	}
-	if f.Reconnects < 1 {
-		t.Errorf("reconnects = %d, want >= 1", f.Reconnects)
-	}
 	if f.SessionRetries < 1 {
 		t.Errorf("session_retries = %d, want >= 1", f.SessionRetries)
 	}
@@ -109,13 +104,22 @@ func TestDistributedKillRetryBitIdentical(t *testing.T) {
 
 // TestDistributedKillTypedError pins the no-retry contract: a worker
 // death fails the session with a *WorkerDownError naming the worker and
-// the affected session, and without WithWorkerRestart the engine stays
-// degraded — further Opens report the dead worker.
+// the affected session, and the engine is never left degraded — an Open
+// after the kill runs on the re-linked mesh and delivers the reference
+// stream.
 func TestDistributedKillTypedError(t *testing.T) {
 	assign := map[string]string{"A": "w0", "B": "w1", "C": "w2", "D": "w0"}
-	p, err := Build(fig1Topo(), append(fig1Kernels(),
-		WithWatchdog(10*time.Second),
-		WithBackend(Distributed(assign)))...)
+	base := append(fig1Kernels(), WithWatchdog(10*time.Second))
+	ref, err := Build(fig1Topo(), base...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refCol Collector
+	refStats, err := ref.Run(context.Background(), SliceSource(payloads(120)...), &refCol)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	p, err := Build(fig1Topo(), append(base, WithBackend(Distributed(assign)))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +151,16 @@ func TestDistributedKillTypedError(t *testing.T) {
 		t.Error("Sessions empty, want the killed session's ID")
 	}
 
-	// Degraded engine: no restart configured, so Open refuses with the
-	// dead worker's name.
-	if _, err := eng.Open(context.Background(), SliceSource(payloads(4)...), DiscardSink()); !IsWorkerDown(err) {
-		t.Errorf("Open on degraded engine = %v, want worker-down", err)
+	var after Collector
+	ses, err = eng.Open(context.Background(), SliceSource(payloads(120)...), &after)
+	if err != nil {
+		t.Fatalf("Open after the kill: %v", err)
 	}
+	stats, err := ses.Wait()
+	if err != nil {
+		t.Fatalf("session opened after the kill: %v", err)
+	}
+	requireSameStream(t, "after the kill", refStats, stats, refCol.Emissions(), after.Emissions())
 
 	if err := eng.KillWorker("nosuch"); err == nil {
 		t.Error("KillWorker(nosuch): no error")
@@ -502,14 +511,5 @@ func TestKillWorkerUnsupportedBackends(t *testing.T) {
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestHeartbeatOptionValidation: a negative interval is a build error.
-func TestHeartbeatOptionValidation(t *testing.T) {
-	_, err := Build(fig1Topo(), append(fig1Kernels(),
-		WithHeartbeat(-time.Second, 3))...)
-	if err == nil || !strings.Contains(err.Error(), "heartbeat") {
-		t.Fatalf("Build with negative heartbeat = %v, want build error", err)
 	}
 }

@@ -33,11 +33,6 @@ import (
 //	             per-session windows are what carry the paper's finite
 //	             buffer capacities — and with them the deadlock-freedom
 //	             guarantee — stream-by-stream over a shared wire.
-//	'b' beat   — no body beyond the type: a liveness heartbeat on an
-//	             otherwise idle link.  The sender is identified by the
-//	             connection's hello; receivers treat ANY arriving frame
-//	             as a beat, so heartbeats only flow when the link is
-//	             quiet and cost nothing under load.
 //
 // Edge IDs are global (both sides build them from the same topology), so
 // frames need no further addressing.  A link writer concatenates the
@@ -46,7 +41,6 @@ const (
 	frameHello  byte = 'H'
 	frameRun    byte = 'S'
 	frameCredit byte = 'c'
-	frameBeat   byte = 'b'
 )
 
 const helloMagic = "SDG2"
@@ -110,13 +104,6 @@ func parseHello(body []byte) (string, error) {
 		return "", fmt.Errorf("dist: bad hello frame")
 	}
 	return string(body[1+len(helloMagic):]), nil
-}
-
-// appendBeat appends a heartbeat frame.
-func appendBeat(dst []byte) []byte {
-	dst, start := beginFrame(dst, frameBeat)
-	endFrame(dst, start)
-	return dst
 }
 
 // appendRun appends run as run frames (length headers included) and

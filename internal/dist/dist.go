@@ -1,10 +1,11 @@
-// Package dist is the TCP-distributed runtime for streaming computations
-// with filtering: the topology's nodes are partitioned across named
-// workers, and an edge whose two ends sit on different workers crosses a
-// real TCP link.  The node semantics are not re-implemented here: one
-// resident stream.Engine runs every node — spans, ProcessSpan, span
-// sources and sinks, timed stages, the watchdog and its wedge report —
-// and this package is the detour its cross edges take (stream/cross.go).
+// Package dist is the loopback-partitioned runtime for streaming
+// computations with filtering: the topology's nodes are partitioned across
+// named workers, all hosted in this process, and an edge whose two ends
+// sit on different workers crosses a real TCP link.  The node semantics
+// are not re-implemented here: one resident stream.Engine runs every node
+// — spans, ProcessSpan, span sources and sinks, timed stages, the
+// watchdog and its wedge report — and this package is the detour its
+// cross edges take (stream/cross.go).
 // The producing node's sends and the consuming node's credit returns are
 // posted into the sending worker's per-link outbox; a link writer drains
 // the outbox, encodes each wake-up's parcels as run and credit frames
@@ -22,18 +23,18 @@
 // again, and node loops never wait on a writer at all (outbox posts do
 // not block).
 //
-// Lifecycle: NewEngine builds one resident worker per partition name —
-// a loopback listener, a dialed link to every peer it shares an edge
-// with — all hosted in the calling process, plus the stream engine over
-// the whole topology; Engine.Open serves each stream as a session;
-// Engine.Close tears everything down.  Workers in separate processes are
-// not supported: sessions, their counters and their Source/Sink live in
-// the one process.
+// Lifecycle: NewEngine gives every partition name a loopback listener and
+// dials a link for each direction of every worker pair that shares an
+// edge, plus the stream engine over the whole topology; Engine.Open
+// serves each stream as a session; Engine.KillWorker drops a worker's
+// links and re-dials them in place; Engine.Close tears everything down.
+// Workers in separate processes are not supported: sessions, their
+// counters and their Source/Sink live in the one process, so a worker
+// cannot go silent without one of its links breaking.
 package dist
 
 import (
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -75,22 +76,6 @@ type Config struct {
 	// hosts them in-process.  Nil compiles instrumentation out of the hot
 	// paths.
 	Obs *obs.Metrics
-	// HeartbeatInterval enables liveness tracking: each worker sends a
-	// beat frame to every peer it holds a link to once per interval (any
-	// frame counts as a beat, so loaded links pay nothing), and a monitor
-	// declares a worker down — failing its sessions with a
-	// *fault.WorkerDownError naming it — after HeartbeatMiss intervals of
-	// silence.  Zero disables heartbeats: a dead worker is then noticed
-	// only when a read or write on one of its links fails.
-	HeartbeatInterval time.Duration
-	// HeartbeatMiss is how many consecutive silent intervals are
-	// tolerated before a worker is declared down; <1 defaults to 3.
-	HeartbeatMiss int
-	// Restart re-spawns a dead in-process worker (fresh listener, peers
-	// re-dialed) so sessions retried by the layer above land on a whole
-	// topology again.  Without it the engine stays degraded: sessions
-	// touching the dead worker's nodes fail with *fault.WorkerDownError.
-	Restart bool
 }
 
 // Stats is a session's traffic summary.
@@ -106,22 +91,10 @@ type EngineSession = stream.EngineSession
 // failure recorded against sessions still active when Close runs.
 var ErrEngineClosed = stream.ErrEngineClosed
 
-// addrsMu serializes access to the address book the in-process workers
-// share: listen publishes bound addresses into it while other workers may
-// be listening or dialing concurrently.
-var addrsMu sync.Mutex
-
-// peerLink is an outbound connection to one peer worker; all frames this
-// worker sends to that peer share it.
+// peerLink is the dialed end of one direction's connection; its link
+// writer is the only goroutine that writes on it once it carries traffic.
 type peerLink struct {
 	conn net.Conn
-	// gen is the generation of the peer this link was dialed against (the
-	// Engine bumps a worker's generation every time it is declared down),
-	// so errors surfacing on a stale link after the peer was already
-	// replaced are recognized and suppressed.
-	gen int
-	// mu orders the link writer's batches with the heartbeat sender.
-	mu sync.Mutex
 	// stats, when non-nil, receives this link's transmit-side wire
 	// telemetry.
 	stats *obs.LinkMetrics
@@ -130,9 +103,7 @@ type peerLink struct {
 // write sends frames — one or more complete frames carrying bodies
 // protocol messages and credits — in one conn.Write.
 func (p *peerLink) write(frames []byte, nframes, bodies int) error {
-	p.mu.Lock()
 	n, err := p.conn.Write(frames)
-	p.mu.Unlock()
 	if p.stats != nil {
 		p.stats.TxFrames.Add(int64(nframes))
 		p.stats.TxBodies.Add(int64(bodies))
@@ -141,10 +112,16 @@ func (p *peerLink) write(frames []byte, nframes, bodies int) error {
 	return err
 }
 
+// feeds reports whether c is the accepted end of the link: on loopback
+// the dialed end's local address is the accepted end's remote address.
+func (p *peerLink) feeds(c net.Conn) bool {
+	return p != nil && p.conn.LocalAddr().String() == c.RemoteAddr().String()
+}
+
 // carrier is one direction of one worker pair: the outbox the stream
 // engine posts that direction's cross-edge traffic into, and the link
 // currently carrying it.  The outbox lives as long as the Engine; the
-// link swaps when either end is restarted.
+// link is replaced whenever either end's links are re-dialed (relink).
 type carrier struct {
 	from, to string
 	box      *stream.Outbox

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -89,161 +90,115 @@ func openCounted(t *testing.T, eng *Engine, id proto.SessionID, inputs, after in
 	return ses, midway, n, &mu
 }
 
-// TestEngineKillWorkerTyped: killing one of three workers mid-run fails
-// the active session with a *fault.WorkerDownError naming the worker
-// and listing the session, not a generic transport error and not a
-// DeadlockError.  Without Restart the engine stays degraded: Open
-// reports the dead worker too.
-func TestEngineKillWorkerTyped(t *testing.T) {
-	g, part, cfg := faultTopo(t)
-	eng, err := NewEngine(g, part, engineKernels(g, keepAll), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	ses, midway, _, _ := openCounted(t, eng, 1, 50000, 5)
-	<-midway
-	if err := eng.KillWorker("w1"); err != nil {
-		t.Fatal(err)
-	}
-	_, werr := ses.Wait()
-	var wd *fault.WorkerDownError
-	if !errors.As(werr, &wd) {
-		t.Fatalf("session error %T %v, want *fault.WorkerDownError", werr, werr)
-	}
-	if wd.Worker != "w1" {
-		t.Fatalf("dead worker %q, want w1", wd.Worker)
-	}
-	found := false
-	for _, id := range wd.Sessions {
-		if id == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("affected sessions %v do not include 1", wd.Sessions)
-	}
-
-	// Degraded engine: no restart configured, so new sessions are
-	// refused with the same typed error.
-	if _, err := eng.Open(SessionIO{ID: 2, Source: func(context.Context) (any, bool, error) { return nil, false, nil }}); !fault.IsWorkerDown(err) {
-		t.Fatalf("open on degraded engine: %v, want WorkerDownError", err)
-	}
-	if err := eng.KillWorker("nosuch"); err == nil {
-		t.Fatal("killing an unknown worker succeeded")
-	}
-}
-
-// TestEngineKillWorkerRestart: with Restart on, the supervisor respawns
-// the dead worker, survivors re-dial it, and a session opened right
-// after the kill (Open waits out the repair) completes in full.
-func TestEngineKillWorkerRestart(t *testing.T) {
-	g, part, cfg := faultTopo(t)
-	cfg.Restart = true
-	cfg.HeartbeatInterval = 20 * time.Millisecond
-	m := graphMetrics(g)
-	cfg.Obs = m
-	eng, err := NewEngine(g, part, engineKernels(g, keepAll), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	ses, midway, _, _ := openCounted(t, eng, 1, 50000, 5)
-	<-midway
-	if err := eng.KillWorker("w2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, werr := ses.Wait(); !fault.IsWorkerDown(werr) {
-		t.Fatalf("killed session error: %v", werr)
-	}
-
-	// The retry: a fresh session on the repaired mesh must run to
-	// completion with every payload delivered.
-	const inputs = 300
-	ses2, _, n, mu := openCounted(t, eng, 2, inputs, 1)
-	if _, err := ses2.Wait(); err != nil {
-		t.Fatalf("post-restart session: %v", err)
-	}
-	mu.Lock()
-	got := *n
-	mu.Unlock()
-	if got != inputs {
-		t.Fatalf("post-restart session delivered %d payloads, want %d", got, inputs)
-	}
-
-	snap := m.Snapshot()
-	if snap.Faults.WorkersDown < 1 {
-		t.Fatalf("WorkersDown = %d, want >= 1", snap.Faults.WorkersDown)
-	}
-	if snap.Faults.Reconnects < 1 {
-		t.Fatalf("Reconnects = %d, want >= 1", snap.Faults.Reconnects)
-	}
-}
-
-// TestEngineKillWorkerRestartCoalesced exercises the repair path at
-// MaxBatch > 1, where the links being swapped carry spans and a link
-// writer may be mid-batch when its connection drops.
-func TestEngineKillWorkerRestartCoalesced(t *testing.T) {
-	g, part, cfg := faultTopo(t)
-	cfg.Restart = true
-	cfg.MaxBatch = 16
-	eng, err := NewEngine(g, part, engineKernels(g, keepAll), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	ses, midway, _, _ := openCounted(t, eng, 1, 50000, 5)
-	<-midway
-	if err := eng.KillWorker("w0"); err != nil {
-		t.Fatal(err)
-	}
-	if _, werr := ses.Wait(); !fault.IsWorkerDown(werr) {
-		t.Fatalf("killed session error: %v", werr)
-	}
-	const inputs = 200
-	ses2, _, n, mu := openCounted(t, eng, 2, inputs, 1)
-	if _, err := ses2.Wait(); err != nil {
-		t.Fatalf("post-restart session: %v", err)
-	}
-	mu.Lock()
-	got := *n
-	mu.Unlock()
-	if got != inputs {
-		t.Fatalf("post-restart session delivered %d payloads, want %d", got, inputs)
-	}
-}
-
-// TestEngineHeartbeatIdleNoFalsePositive: an idle engine with fast
-// heartbeats must never declare anyone down — the beat senders keep the
-// quiet links alive through many miss windows.
-func TestEngineHeartbeatIdleNoFalsePositive(t *testing.T) {
-	g, part, cfg := faultTopo(t)
-	cfg.HeartbeatInterval = 5 * time.Millisecond
-	cfg.HeartbeatMiss = 2
-	m := graphMetrics(g)
-	cfg.Obs = m
-	eng, err := NewEngine(g, part, engineKernels(g, keepAll), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	time.Sleep(200 * time.Millisecond) // 20 miss windows of idleness
-	if snap := m.Snapshot(); snap.Faults.WorkersDown != 0 || snap.Faults.HeartbeatsMissed != 0 {
-		t.Fatalf("idle engine declared workers down: %+v", snap.Faults)
-	}
-	// And the engine still works.
-	const inputs = 100
-	ses, _, n, mu := openCounted(t, eng, 1, inputs, 1)
+// requireComplete opens a session of inputs payloads and requires it to
+// deliver every one.
+func requireComplete(t *testing.T, eng *Engine, id proto.SessionID, inputs int) {
+	t.Helper()
+	ses, _, n, mu := openCounted(t, eng, id, inputs, 1)
 	if _, err := ses.Wait(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("session %d: %v", id, err)
 	}
 	mu.Lock()
-	got := *n
-	mu.Unlock()
-	if got != inputs {
-		t.Fatalf("delivered %d payloads, want %d", got, inputs)
+	defer mu.Unlock()
+	if *n != inputs {
+		t.Fatalf("session %d delivered %d payloads, want %d", id, *n, inputs)
+	}
+}
+
+// TestEngineKillWorkerTyped kills each of three workers in turn, one of
+// them twice in a row, at batch 1 and 16 (where the dropped links carry
+// spans and a writer may be mid-batch).  A kill fails exactly the
+// sessions active at that moment with a *fault.WorkerDownError naming the
+// worker and listing them — not a generic transport error, not a
+// DeadlockError — and re-links in place: a session opened after it
+// delivers every payload.  A kill racing Open returns cleanly and leaves
+// each racing session complete or failed by it; one racing Close returns
+// nil or ErrEngineClosed, and TestMain finds no goroutine left behind.
+func TestEngineKillWorkerTyped(t *testing.T) {
+	for _, batch := range []int{1, 16} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			g, part, cfg := faultTopo(t)
+			cfg.MaxBatch = batch
+			m := graphMetrics(g)
+			cfg.Obs = m
+			eng, err := NewEngine(g, part, engineKernels(g, keepAll), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+
+			var id proto.SessionID
+			next := func() proto.SessionID { id++; return id }
+			kills := 0
+			for _, name := range []string{"w0", "w1", "w2"} {
+				a, b := next(), next()
+				sa, midA, _, _ := openCounted(t, eng, a, 50000, 5)
+				sb, midB, _, _ := openCounted(t, eng, b, 50000, 5)
+				<-midA
+				<-midB
+				if err := eng.KillWorker(name); err != nil {
+					t.Fatal(err)
+				}
+				kills++
+				if name == "w0" {
+					// A second kill right after the first finds no session
+					// active and must leave the mesh whole all the same.
+					if err := eng.KillWorker("w1"); err != nil {
+						t.Fatal(err)
+					}
+					kills++
+				}
+				for _, ses := range []*EngineSession{sa, sb} {
+					_, werr := ses.Wait()
+					var wd *fault.WorkerDownError
+					if !errors.As(werr, &wd) {
+						t.Fatalf("session %d error %T %v, want *fault.WorkerDownError", ses.ID(), werr, werr)
+					}
+					if wd.Worker != name || wd.Addr == "" {
+						t.Fatalf("session %d: dead worker %q at %q, want %s", ses.ID(), wd.Worker, wd.Addr, name)
+					}
+					if want := []uint64{uint64(a), uint64(b)}; !slices.Equal(wd.Sessions, want) {
+						t.Fatalf("kill of %s lists sessions %v, want exactly %v", name, wd.Sessions, want)
+					}
+				}
+				requireComplete(t, eng, next(), 300)
+			}
+			if got := m.Snapshot().Faults.WorkersDown; got != int64(kills) {
+				t.Fatalf("WorkersDown = %d, want %d", got, kills)
+			}
+			if err := eng.KillWorker("nosuch"); err == nil {
+				t.Fatal("killing an unknown worker succeeded")
+			}
+
+			const inputs = 200
+			killed := make(chan error, 1)
+			go func() { killed <- eng.KillWorker("w1") }()
+			for i := 0; i < 4; i++ {
+				s := next()
+				ses, _, n, mu := openCounted(t, eng, s, inputs, 1)
+				if _, err := ses.Wait(); err != nil {
+					if !fault.IsWorkerDown(err) {
+						t.Fatalf("session %d racing a kill: %v", s, err)
+					}
+					continue
+				}
+				mu.Lock()
+				got := *n
+				mu.Unlock()
+				if got != inputs {
+					t.Fatalf("session %d racing a kill delivered %d payloads, want %d", s, got, inputs)
+				}
+			}
+			if err := <-killed; err != nil {
+				t.Fatal(err)
+			}
+			requireComplete(t, eng, next(), inputs)
+
+			go func() { killed <- eng.KillWorker("w2") }()
+			eng.Close()
+			if err := <-killed; err != nil && !errors.Is(err, ErrEngineClosed) {
+				t.Fatalf("KillWorker racing Close: %v", err)
+			}
+		})
 	}
 }

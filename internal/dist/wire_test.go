@@ -84,13 +84,14 @@ func TestHostileFramesFailTheEngine(t *testing.T) {
 		{"credit larger than what is in flight", appendCredit(nil, 1, 1, 3)[4:], []string{"credit for 3 messages", "s1→s2", "0 in flight"}},
 		{"short credit frame", appendCredit(nil, 1, 1, 1)[4:12], []string{"bad credit frame"}},
 		{"unknown frame type", []byte{'?', 1, 2, 3}, []string{`unknown frame type '?'`, `from "w0"`}},
+		{"retired beat frame", []byte{'b'}, []string{`unknown frame type 'b'`, `from "w0"`}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := wireEngine(t)
 			ses, cancel := openIdle(t, eng, 1)
 			defer cancel()
-			c, err := net.Dial("tcp", eng.addrOf("w1"))
+			c, err := net.Dial("tcp", eng.listeners["w1"].Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +136,7 @@ func FuzzFrameBody(f *testing.F) {
 	f.Add(mixed[4:])
 	f.Add(mixed64[4:])
 	f.Add(appendCredit(nil, 1, 1, 2)[4:])
-	f.Add(appendBeat(nil)[4:])
+	f.Add(appendHello(nil, "w0")[4:])
 	f.Add(runBody(1, 0, 0))
 	f.Add(runBody(1, 0, 2, 1, byte(stream.Data), pString, 200))
 	f.Add(runBody(1, 7, 1, 1, byte(stream.Dummy)))
@@ -145,7 +146,6 @@ func FuzzFrameBody(f *testing.F) {
 	f.Add([]byte{'B', 0, 0, 0, 1})
 
 	eng := wireEngine(f)
-	w1 := eng.workers[eng.byName["w1"]]
 	var id uint64
 	var scratch []stream.Message
 	words := boxUint64.Arena()
@@ -159,7 +159,7 @@ func FuzzFrameBody(f *testing.F) {
 			body = append([]byte(nil), body...)
 			binary.BigEndian.PutUint64(body[1:], id)
 		}
-		_ = w1.handleBody("w0", body, &scratch, &words)
+		_ = eng.handleBody("w0", "w1", body, &scratch, &words)
 		cancel()
 		select {
 		case <-ses.Done():
@@ -174,7 +174,6 @@ func FuzzFrameBody(f *testing.F) {
 // error rather than running on with a widened window.
 func TestCreditNeverDrivesInflightNegative(t *testing.T) {
 	eng := wireEngine(t)
-	w0 := eng.workers[eng.byName["w0"]]
 	release := make(chan struct{})
 	n := 0
 	ses, err := eng.Open(SessionIO{ID: 1, Source: func(ctx context.Context) (any, bool, error) {
@@ -196,7 +195,7 @@ func TestCreditNeverDrivesInflightNegative(t *testing.T) {
 	// from w1 returning wireBuf of them passes the capacity check and must
 	// be caught by the node that owns the count.
 	var scratch []stream.Message
-	if err := w0.handleBody("w1", appendCredit(nil, 1, graph.EdgeID(0), wireBuf)[4:], &scratch, nil); err != nil {
+	if err := eng.handleBody("w1", "w0", appendCredit(nil, 1, graph.EdgeID(0), wireBuf)[4:], &scratch, nil); err != nil {
 		t.Fatalf("dispatcher rejected a credit within the edge's capacity: %v", err)
 	}
 	select {

@@ -1,15 +1,13 @@
 // Package fault is the engine-wide fault-tolerance vocabulary shared by
 // the backends and the public API: typed worker-death errors, session
-// retry policies, dead-letter routing for poisoned payloads, heartbeat
-// liveness detection, and the checkpoint a drained engine hands its
-// successor.
+// retry policies, dead-letter routing for poisoned payloads, and the
+// checkpoint a drained engine hands its successor.
 //
 // Like internal/proto, the package is pure mechanism: no goroutines, no
-// sockets, no clocks of its own.  The distributed backend feeds the
-// Detector real heartbeat arrivals; the public retry layer turns
-// RetryPolicy into actual sleeps.
-// That split keeps every policy decision deterministic and unit-testable
-// without a network.
+// sockets, no clocks of its own.  The distributed backend raises
+// WorkerDownError; the public retry layer turns RetryPolicy into actual
+// sleeps.  That split keeps every policy decision deterministic and
+// unit-testable without a network.
 package fault
 
 import (
@@ -17,16 +15,15 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
 
-// WorkerDownError reports that a named worker died (heartbeats missed or
-// its TCP link broke) and which sessions the death took down.  It
+// WorkerDownError reports that a named worker went down (it was killed,
+// or one of its TCP links broke) and which sessions that took down.  It
 // replaces the generic I/O error or deadlock-watchdog trip a dead link
 // used to surface as: callers can errors.As for it, read the worker
-// name, and decide to retry on the surviving (or repaired) topology.
+// name, and decide to retry on the re-linked topology.
 type WorkerDownError struct {
 	// Worker is the partition name of the dead worker.
 	Worker string
@@ -154,102 +151,6 @@ func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.letters)
-}
-
-// Detector tracks per-worker heartbeat arrivals and decides liveness.
-// Time is explicit (callers pass now) so the distributed monitor can use
-// the wall clock while tests drive it deterministically.  Safe for
-// concurrent use.
-type Detector struct {
-	interval time.Duration
-	miss     int
-
-	mu   sync.Mutex
-	last map[string]time.Time
-	dead map[string]bool
-}
-
-// NewDetector builds a detector expecting a beat from each named worker
-// every interval; a worker is declared down after miss consecutive
-// intervals without one (miss < 1 behaves as 1).
-func NewDetector(interval time.Duration, miss int, workers []string, now time.Time) *Detector {
-	if miss < 1 {
-		miss = 1
-	}
-	d := &Detector{
-		interval: interval,
-		miss:     miss,
-		last:     make(map[string]time.Time, len(workers)),
-		dead:     make(map[string]bool, len(workers)),
-	}
-	for _, w := range workers {
-		d.last[w] = now
-	}
-	return d
-}
-
-// Beat records a heartbeat (or any frame — traffic is liveness) from
-// worker w.  Beats from workers the detector is not tracking, or ones
-// already declared dead, are ignored; Revive resurrects.
-func (d *Detector) Beat(w string, now time.Time) {
-	d.mu.Lock()
-	if _, ok := d.last[w]; ok && !d.dead[w] {
-		d.last[w] = now
-	}
-	d.mu.Unlock()
-}
-
-// Expired returns the tracked workers whose last beat is more than
-// miss×interval before now, sorted, marking each dead so it is reported
-// exactly once.
-func (d *Detector) Expired(now time.Time) []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []string
-	deadline := time.Duration(d.miss) * d.interval
-	for w, last := range d.last {
-		if d.dead[w] {
-			continue
-		}
-		if now.Sub(last) > deadline {
-			d.dead[w] = true
-			out = append(out, w)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// MarkDead declares w down immediately (link-error attribution), and
-// reports whether this call was the first to do so.
-func (d *Detector) MarkDead(w string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.last[w]; !ok {
-		return false
-	}
-	if d.dead[w] {
-		return false
-	}
-	d.dead[w] = true
-	return true
-}
-
-// Revive resurrects w (after a successful restart) and resets its beat.
-func (d *Detector) Revive(w string, now time.Time) {
-	d.mu.Lock()
-	if _, ok := d.last[w]; ok {
-		d.dead[w] = false
-		d.last[w] = now
-	}
-	d.mu.Unlock()
-}
-
-// Dead reports whether w is currently declared down.
-func (d *Detector) Dead(w string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.dead[w]
 }
 
 // Checkpoint is what Drain hands a successor engine: the topology it

@@ -45,56 +45,6 @@ func TestRetryPolicyAttempts(t *testing.T) {
 	}
 }
 
-func TestDetectorLiveness(t *testing.T) {
-	t0 := time.Unix(0, 0)
-	interval := 10 * time.Millisecond
-	d := NewDetector(interval, 3, []string{"w0", "w1", "w2"}, t0)
-
-	// Within the deadline nothing expires.
-	if exp := d.Expired(t0.Add(2 * interval)); len(exp) != 0 {
-		t.Fatalf("early Expired = %v, want none", exp)
-	}
-	// Beats keep a worker alive past the deadline of its initial stamp.
-	d.Beat("w1", t0.Add(3*interval))
-	exp := d.Expired(t0.Add(4 * interval))
-	if !reflect.DeepEqual(exp, []string{"w0", "w2"}) {
-		t.Fatalf("Expired = %v, want [w0 w2] (sorted)", exp)
-	}
-	// Expiry reports each worker once.
-	if exp := d.Expired(t0.Add(5 * interval)); len(exp) != 0 {
-		t.Fatalf("second Expired = %v, want none (already reported)", exp)
-	}
-	if !d.Dead("w0") || d.Dead("w1") {
-		t.Fatalf("Dead: w0=%v w1=%v, want true/false", d.Dead("w0"), d.Dead("w1"))
-	}
-	// Beats from a dead worker are ignored until Revive.
-	d.Beat("w0", t0.Add(6*interval))
-	if !d.Dead("w0") {
-		t.Fatal("a beat resurrected a dead worker")
-	}
-	d.Revive("w0", t0.Add(6*interval))
-	if d.Dead("w0") {
-		t.Fatal("Revive did not resurrect w0")
-	}
-	d.Beat("w1", t0.Add(6*interval))
-	if exp := d.Expired(t0.Add(8 * interval)); len(exp) != 0 {
-		t.Fatalf("Expired after revive = %v, want none", exp)
-	}
-}
-
-func TestDetectorMarkDead(t *testing.T) {
-	d := NewDetector(time.Millisecond, 1, []string{"w0"}, time.Unix(0, 0))
-	if !d.MarkDead("w0") {
-		t.Fatal("first MarkDead = false, want true")
-	}
-	if d.MarkDead("w0") {
-		t.Fatal("second MarkDead = true, want false (report once)")
-	}
-	if d.MarkDead("unknown") {
-		t.Fatal("MarkDead of untracked worker = true")
-	}
-}
-
 func TestQueue(t *testing.T) {
 	var q Queue
 	if q.Len() != 0 {

@@ -94,19 +94,13 @@ type SessionMetrics struct {
 	Latency Histogram
 }
 
-// FaultMetrics is the fault-domain's counters: liveness misses, worker
-// recovery, session retries, dead-lettered payloads, and drains.  One
-// set per Metrics — faults are an engine-wide concern, not per-node.
+// FaultMetrics is the fault-domain's counters: workers down, session
+// retries, dead-lettered payloads, and drains.  One set per Metrics —
+// faults are an engine-wide concern, not per-node.
 type FaultMetrics struct {
-	// HeartbeatsMissed counts heartbeat deadlines that expired (one per
-	// worker declared down by the detector).
-	HeartbeatsMissed atomic.Int64
-	// WorkersDown counts workers declared dead (by missed heartbeats or
-	// link-error attribution).
+	// WorkersDown counts workers whose links were dropped and re-dialed
+	// (KillWorker, or a link that broke).
 	WorkersDown atomic.Int64
-	// Reconnects counts successful worker restarts plus peer link
-	// re-dials after a death.
-	Reconnects atomic.Int64
 	// SessionRetries counts session re-open attempts by the retry layer.
 	SessionRetries atomic.Int64
 	// DeadLettered counts payloads routed to the dead-letter sink.
@@ -357,13 +351,11 @@ type SessionSnapshot struct {
 
 // FaultSnapshot is the fault-domain counters at snapshot time.
 type FaultSnapshot struct {
-	HeartbeatsMissed int64 `json:"heartbeats_missed"`
-	WorkersDown      int64 `json:"workers_down"`
-	Reconnects       int64 `json:"reconnects"`
-	SessionRetries   int64 `json:"session_retries"`
-	DeadLettered     int64 `json:"dead_lettered"`
-	Drains           int64 `json:"drains"`
-	DrainTime        int64 `json:"drain_time"`
+	WorkersDown    int64 `json:"workers_down"`
+	SessionRetries int64 `json:"session_retries"`
+	DeadLettered   int64 `json:"dead_lettered"`
+	Drains         int64 `json:"drains"`
+	DrainTime      int64 `json:"drain_time"`
 }
 
 // ScaleSnapshot is the autoscaler counters at snapshot time.
@@ -465,13 +457,11 @@ func (m *Metrics) Snapshot() *Snapshot {
 	}
 	f := &m.life.faults
 	s.Faults = FaultSnapshot{
-		HeartbeatsMissed: f.HeartbeatsMissed.Load(),
-		WorkersDown:      f.WorkersDown.Load(),
-		Reconnects:       f.Reconnects.Load(),
-		SessionRetries:   f.SessionRetries.Load(),
-		DeadLettered:     f.DeadLettered.Load(),
-		Drains:           f.Drains.Load(),
-		DrainTime:        f.DrainTime.Load(),
+		WorkersDown:    f.WorkersDown.Load(),
+		SessionRetries: f.SessionRetries.Load(),
+		DeadLettered:   f.DeadLettered.Load(),
+		Drains:         f.Drains.Load(),
+		DrainTime:      f.DrainTime.Load(),
 	}
 	sc := &m.life.scale
 	s.Scale = ScaleSnapshot{
@@ -553,13 +543,11 @@ func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
 		Latency:   s.Sessions.Latency.delta(&prev.Sessions.Latency),
 	}
 	d.Faults = FaultSnapshot{
-		HeartbeatsMissed: s.Faults.HeartbeatsMissed - prev.Faults.HeartbeatsMissed,
-		WorkersDown:      s.Faults.WorkersDown - prev.Faults.WorkersDown,
-		Reconnects:       s.Faults.Reconnects - prev.Faults.Reconnects,
-		SessionRetries:   s.Faults.SessionRetries - prev.Faults.SessionRetries,
-		DeadLettered:     s.Faults.DeadLettered - prev.Faults.DeadLettered,
-		Drains:           s.Faults.Drains - prev.Faults.Drains,
-		DrainTime:        s.Faults.DrainTime - prev.Faults.DrainTime,
+		WorkersDown:    s.Faults.WorkersDown - prev.Faults.WorkersDown,
+		SessionRetries: s.Faults.SessionRetries - prev.Faults.SessionRetries,
+		DeadLettered:   s.Faults.DeadLettered - prev.Faults.DeadLettered,
+		Drains:         s.Faults.Drains - prev.Faults.Drains,
+		DrainTime:      s.Faults.DrainTime - prev.Faults.DrainTime,
 	}
 	d.Scale = ScaleSnapshot{
 		ScaleUps:         s.Scale.ScaleUps - prev.Scale.ScaleUps,
@@ -710,15 +698,9 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 	p("# TYPE streamdag_sink_msgs_total counter\n")
 	p("streamdag_sink_msgs_total %d\n", s.Sessions.SinkMsgs)
 
-	p("# HELP streamdag_fault_heartbeats_missed_total Heartbeat deadlines expired.\n")
-	p("# TYPE streamdag_fault_heartbeats_missed_total counter\n")
-	p("streamdag_fault_heartbeats_missed_total %d\n", s.Faults.HeartbeatsMissed)
-	p("# HELP streamdag_fault_workers_down_total Workers declared dead.\n")
+	p("# HELP streamdag_fault_workers_down_total Workers whose links were dropped and re-dialed.\n")
 	p("# TYPE streamdag_fault_workers_down_total counter\n")
 	p("streamdag_fault_workers_down_total %d\n", s.Faults.WorkersDown)
-	p("# HELP streamdag_fault_reconnects_total Worker restarts and link re-dials.\n")
-	p("# TYPE streamdag_fault_reconnects_total counter\n")
-	p("streamdag_fault_reconnects_total %d\n", s.Faults.Reconnects)
 	p("# HELP streamdag_fault_session_retries_total Session re-open attempts by the retry layer.\n")
 	p("# TYPE streamdag_fault_session_retries_total counter\n")
 	p("streamdag_fault_session_retries_total %d\n", s.Faults.SessionRetries)

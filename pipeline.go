@@ -53,11 +53,8 @@ type Pipeline struct {
 	onStep      *stepHook          // simulator virtual-clock tap for the controller
 
 	// Fault-tolerance configuration (see fault.go).
-	retry      RetryPolicy
-	dlq        DeadLetterSink
-	hbInterval time.Duration
-	hbMiss     int
-	restart    bool
+	retry RetryPolicy
+	dlq   DeadLetterSink
 
 	// Flow-compiled pipelines carry the shared runtime type-error slot
 	// and the per-Run reset hooks (stateful stage state, see stage.go);
@@ -96,9 +93,6 @@ type buildConfig struct {
 	elastic    map[string]Elastic
 	retry      RetryPolicy
 	dlq        DeadLetterSink
-	hbInterval time.Duration
-	hbMiss     int
-	restart    bool
 	clk        clock.Clock
 	err        error // first option error; reported by Build
 }
@@ -289,7 +283,6 @@ func Build(t *Topology, opts ...Option) (*Pipeline, error) {
 		origKernels: kernels, cycleLimit: cfg.cycleLimit,
 		elastic: cfg.elastic,
 		retry:   cfg.retry, dlq: cfg.dlq,
-		hbInterval: cfg.hbInterval, hbMiss: cfg.hbMiss, restart: cfg.restart,
 		clk: cfg.clk,
 	}
 	// Resolve the time-aware stages' clock: an explicit WithClock wins;
@@ -640,17 +633,18 @@ type distributedBackend struct {
 	assign map[string]string
 }
 
-// Distributed executes the pipeline across TCP-connected workers, all
-// hosted in the calling process on loopback listeners: assign maps every
-// node name (of the executed topology — expanded names like "work.1"
-// when replicating) to a worker name.  Cross-worker channels keep their
-// finite capacities over the wire via credit-based flow control, so the
-// dummy intervals protect the distributed run exactly as they protect
-// the in-process one.  The Source is pulled by the worker hosting the
-// topology's source node and the Sink fed by the worker hosting the
-// sink; payloads crossing workers must round-trip the wire codec
-// (scalars, strings, []byte natively; other types via gob.Register).
-// Workers in separate processes are not currently supported.
+// Distributed is the loopback-partitioned backend: every worker lives in
+// the calling process, and every channel between two workers is a real
+// loopback TCP link.  assign maps every node name (of the executed
+// topology — expanded names like "work.1" when replicating) to a worker
+// name.  Cross-worker channels keep their finite capacities over the
+// wire via credit-based flow control, so the dummy intervals protect the
+// distributed run exactly as they protect the in-process one.  The Source
+// is pulled by the worker hosting the topology's source node and the Sink
+// fed by the worker hosting the sink; payloads crossing workers must
+// round-trip the wire codec (scalars, strings, []byte natively; other
+// types via gob.Register).  Workers in separate processes are not
+// currently supported.
 func Distributed(assign map[string]string) Backend {
 	return distributedBackend{assign: assign}
 }
