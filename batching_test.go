@@ -357,27 +357,26 @@ func TestTimedIngestAllocBudget(t *testing.T) {
 	}
 }
 
-// mapChainAllocs is the allocations per input of three uint64 Maps, each
-// tapped with tap when it is non-nil, at the given batch width: payloads
-// boxed in advance and all past the runtime's preallocated small integers,
-// from a SliceSource into a DiscardSink, so what is counted is what the
-// Maps box and what the engine itself costs per message.
-func mapChainAllocs(t *testing.T, batch int, tap func(any)) float64 {
+// threeMaps is the chain the Map allocation gates run.
+func threeMaps() []Stage {
+	return []Stage{
+		Map("s1", func(v uint64) uint64 { return v + 7 }),
+		Map("s2", func(v uint64) uint64 { return 3 * v }),
+		Map("s3", func(v uint64) uint64 { return v ^ 0xff00 }),
+	}
+}
+
+// mapChainAllocs is the allocations per input of a chain of uint64
+// stages at the given batch width: payloads boxed in advance and all past
+// the runtime's preallocated small integers, from a SliceSource into a
+// DiscardSink, so what is counted is what the stages box and what the
+// engine itself costs per message.
+func mapChainAllocs(t *testing.T, batch int, stages ...Stage) float64 {
 	t.Helper()
 	const inputs = 1 << 14
 	input := make([]any, inputs)
 	for i := range input {
 		input[i] = uint64(1000 + i)
-	}
-	stages := []Stage{
-		Map("s1", func(v uint64) uint64 { return v + 7 }),
-		Map("s2", func(v uint64) uint64 { return 3 * v }),
-		Map("s3", func(v uint64) uint64 { return v ^ 0xff00 }),
-	}
-	if tap != nil {
-		for i, s := range stages {
-			stages[i] = s.Tap(tap)
-		}
 	}
 	opts := []Option{WithWatchdog(10 * time.Second)}
 	if batch > 1 {
@@ -415,7 +414,7 @@ func TestSpanMapAllocBudget(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("allocation benchmark")
 	}
-	perInput := mapChainAllocs(t, 64, nil)
+	perInput := mapChainAllocs(t, 64, threeMaps()...)
 	t.Logf("%.4f allocations per input", perInput)
 	if perInput > 0.02 {
 		t.Errorf("an input through three Maps allocates %.3f times; want at most 0.02", perInput)
@@ -431,10 +430,46 @@ func TestBatch1MapAllocBudget(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("allocation benchmark")
 	}
-	perInput := mapChainAllocs(t, 1, nil)
+	perInput := mapChainAllocs(t, 1, threeMaps()...)
 	t.Logf("%.4f allocations per input", perInput)
 	if perInput > 0.05 {
 		t.Errorf("an input through three batch-1 Maps allocates %.3f times; want at most 0.05", perInput)
+	}
+}
+
+// TestFilterChainAllocBudget is the allocation gate of the filtering
+// stages, which fire through ProcessInto into node scratch: Map →
+// FilterStage → Map, with the filter passing half the inputs, costs at
+// most a twentieth of an allocation per input at batch 1 and 64 — the
+// filter forwards the interface value it received — and Map → FilterMap
+// → Map at most one box per forwarded element (0.5) plus a twentieth.
+// Through a map-returning Process each filtering firing paid a map and a
+// box (≈ 1.5).
+func TestFilterChainAllocBudget(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("allocation benchmark")
+	}
+	even := func(v uint64) bool { return v%2 == 0 }
+	chains := []struct {
+		name   string
+		middle Stage
+		budget float64
+	}{
+		{"FilterStage", FilterStage("keep", even), 0.05},
+		{"FilterMap", FilterMap("keep", func(v uint64) (uint64, bool) { return 3 * v, even(v) }), 0.55},
+	}
+	for _, c := range chains {
+		for _, batch := range []int{1, 64} {
+			perInput := mapChainAllocs(t, batch,
+				Map("pre", func(v uint64) uint64 { return v + 7 }),
+				c.middle,
+				Map("post", func(v uint64) uint64 { return v ^ 0xff00 }))
+			t.Logf("%s at batch %d: %.4f allocations per input", c.name, batch, perInput)
+			if perInput > c.budget {
+				t.Errorf("Map → %s → Map at batch %d allocates %.3f times per input; want at most %.2f",
+					c.name, batch, perInput, c.budget)
+			}
+		}
 	}
 }
 
@@ -446,8 +481,12 @@ func TestTappedMapKeepsItsArena(t *testing.T) {
 		t.Skip("allocation benchmark")
 	}
 	var seen atomic.Int64
-	plain := mapChainAllocs(t, 1, nil)
-	tapped := mapChainAllocs(t, 1, func(any) { seen.Add(1) })
+	plain := mapChainAllocs(t, 1, threeMaps()...)
+	stages := threeMaps()
+	for i, s := range stages {
+		stages[i] = s.Tap(func(any) { seen.Add(1) })
+	}
+	tapped := mapChainAllocs(t, 1, stages...)
 	t.Logf("allocations per input: %.4f untapped, %.4f tapped", plain, tapped)
 	if seen.Load() == 0 {
 		t.Fatal("the taps saw nothing")

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"sync/atomic"
+
+	"streamdag/internal/stream"
 )
 
 // This file is the Flow builder: a generics-based, composable layer over
@@ -250,23 +252,17 @@ func (f *Flow[In, Out]) Compile(opts ...Option) (*Pipeline, error) {
 // in one call, and the first mismatch declines to the per-element path
 // that records the error.
 func sourceFactory[In any](slot *stageErrSlot) kernelFactory {
+	check := func(seq uint64, in []Input) (any, bool) {
+		p := in[0].Payload
+		_, ok := castPayload[In](slot, "source", seq, p)
+		return p, ok
+	}
 	return func(nIn, nOut int) Kernel {
-		return flowSourceKernel[In]{nOut: nOut, slot: slot}
+		return flowSourceKernel[In]{keepKernel{nOut: nOut, decide: check}}
 	}
 }
 
-type flowSourceKernel[In any] struct {
-	nOut int
-	slot *stageErrSlot
-}
-
-func (k flowSourceKernel[In]) Process(seq uint64, in []Input) map[int]any {
-	p := in[0].Payload
-	if _, ok := castPayload[In](k.slot, "source", seq, p); !ok {
-		return nil
-	}
-	return broadcast(k.nOut, p)
-}
+type flowSourceKernel[In any] struct{ keepKernel }
 
 // ProcessSpan forwards each checked payload as the interface value it
 // arrived in: converting the asserted In back to any would allocate a
@@ -299,10 +295,15 @@ type flowSinkKernel[Out any] struct {
 }
 
 func (k flowSinkKernel[Out]) Process(seq uint64, in []Input) map[int]any {
+	return stream.MapForm(k, 0, seq, in)
+}
+
+// ProcessInto emits nothing: the firing delivers its input
+// (stream.SinkPayload).
+func (k flowSinkKernel[Out]) ProcessInto(seq uint64, in []Input, _ []any, _ []bool) {
 	if p, ok := firstPresent(in); ok {
 		castPayload[Out](k.slot, "sink", seq, p)
 	}
-	return nil
 }
 
 func (k flowSinkKernel[Out]) ProcessSpan(seq0 uint64, in, out []any) int {

@@ -57,11 +57,12 @@ type SplitBundle struct {
 	In []stream.Input
 }
 
-// MergeBundle is the payload a replica sends to the merger: the original
-// kernel's outputs keyed by original out-edge position.  An empty Outs
-// means the kernel filtered the input entirely.
+// MergeBundle is the payload a replica sends to the merger, the mirror
+// of SplitBundle: the original kernel's output slots, one per original
+// out-edge position, Present where it emitted.  A bundle with no present
+// slot means the kernel filtered the input entirely.
 type MergeBundle struct {
-	Outs map[int]any
+	Outs []stream.Input
 }
 
 func init() {
@@ -323,24 +324,20 @@ func (r *Result) Kernels(orig map[graph.NodeID]stream.Kernel) map[graph.NodeID]s
 			inner = stream.Passthrough(gr.origOut)
 		}
 		for _, rep := range gr.replicas {
-			ks[rep] = replicaKernel(inner)
+			ks[rep] = replicaKernel{inner: stream.SliceForm(inner), nOut: gr.origOut}
 		}
-		ks[gr.merge] = mergerKernel()
+		ks[gr.merge] = mergerKernel(gr.origOut)
 	}
 	return ks
 }
 
 // splitterKernel routes the aligned inputs of sequence number s, as one
-// SplitBundle, to replica s mod k.  It is a stream.SliceKernel: on an
-// Engine the firing costs the bundle (the inputs are node scratch and
-// must be copied) and nothing else.
+// SplitBundle, to replica s mod k: the firing costs the bundle (the
+// inputs are node scratch and must be copied) and nothing else.
 type splitterKernel int
 
 func (k splitterKernel) Process(seq uint64, in []stream.Input) map[int]any {
-	if b, ok := k.bundle(in); ok {
-		return map[int]any{int(seq % uint64(k)): b}
-	}
-	return nil
+	return stream.MapForm(k, int(k), seq, in)
 }
 
 func (k splitterKernel) ProcessInto(seq uint64, in []stream.Input, out []any, present []bool) {
@@ -359,40 +356,53 @@ func (splitterKernel) bundle(in []stream.Input) (SplitBundle, bool) {
 	return SplitBundle{}, false
 }
 
-// replicaKernel runs the original kernel on the bundled inputs and
-// forwards its outputs to the merger.  It emits a MergeBundle even when
-// the kernel filtered everything, keeping the replica's subsequence
-// dense so the merger observes the filtering decision itself.
-func replicaKernel(inner stream.Kernel) stream.Kernel {
-	return stream.KernelFunc(func(seq uint64, in []stream.Input) map[int]any {
-		if !in[0].Present {
-			return nil
-		}
-		b := in[0].Payload.(SplitBundle)
-		return map[int]any{0: MergeBundle{Outs: inner.Process(seq, b.In)}}
-	})
+// replicaKernel fires the original kernel on the bundled inputs, into
+// fresh slots, and forwards them to the merger.  It emits a MergeBundle
+// even when the kernel filtered everything, keeping the replica's
+// subsequence dense so the merger observes the filtering decision itself.
+type replicaKernel struct {
+	inner stream.SliceKernel
+	nOut  int // the original node's out-degree
 }
 
-// mergerKernel re-emits the replica's outputs on the original out-edge
-// positions.  At most one replica carries data for any sequence number
-// (the splitter routed it), and the minimum-sequence alignment rule
-// fires the merger in strict sequence order, so emission order and
-// per-edge counts match the unreplicated node exactly.  Its output is
-// the map the bundle already carries, so it allocates nothing through
-// the Engine's Process adapter either.
-func mergerKernel() stream.Kernel {
-	return stream.KernelFunc(func(_ uint64, in []stream.Input) map[int]any {
-		for _, i := range in {
-			if i.Present {
-				b := i.Payload.(MergeBundle)
-				if len(b.Outs) == 0 {
-					return nil
-				}
-				return b.Outs
+func (k replicaKernel) Process(seq uint64, in []stream.Input) map[int]any {
+	return stream.MapForm(k, 1, seq, in)
+}
+
+func (k replicaKernel) ProcessInto(seq uint64, in []stream.Input, out []any, present []bool) {
+	if !in[0].Present {
+		return
+	}
+	vals, emitted := make([]any, k.nOut), make([]bool, k.nOut)
+	k.inner.ProcessInto(seq, in[0].Payload.(SplitBundle).In, vals, emitted)
+	outs := make([]stream.Input, k.nOut)
+	for i := range outs {
+		outs[i] = stream.Input{Present: emitted[i], Payload: vals[i]}
+	}
+	out[0], present[0] = MergeBundle{Outs: outs}, true
+}
+
+// mergerKernel copies the replica's slots onto the original out-edge
+// positions; its value is the original out-degree.  At most one replica
+// carries data for any sequence number (the splitter routed it), and the
+// minimum-sequence alignment rule fires the merger in strict sequence
+// order, so emission order and per-edge counts match the unreplicated
+// node exactly.
+type mergerKernel int
+
+func (k mergerKernel) Process(seq uint64, in []stream.Input) map[int]any {
+	return stream.MapForm(k, int(k), seq, in)
+}
+
+func (mergerKernel) ProcessInto(_ uint64, in []stream.Input, out []any, present []bool) {
+	for _, i := range in {
+		if i.Present {
+			for o, s := range i.Payload.(MergeBundle).Outs {
+				out[o], present[o] = s.Payload, s.Present
 			}
+			return
 		}
-		return nil
-	})
+	}
 }
 
 // Filter maps a simulator filter from the original graph onto the

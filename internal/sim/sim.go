@@ -80,11 +80,11 @@ type Config struct {
 	// when Source is nil.
 	Inputs uint64
 	// Kernels switches the simulator into kernel mode: instead of the
-	// payload-less Filter, every node runs its stream.Kernel — the exact
-	// contract of the goroutine and distributed runtimes — and messages
-	// carry payloads.  Kernels must be pure for the confluence argument
-	// (and therefore the deadlock oracle) to hold.  Missing entries
-	// default to stream.Passthrough.
+	// payload-less Filter, every node fires its stream.Kernel through
+	// stream.SliceForm — the exact call of the goroutine and distributed
+	// runtimes — and messages carry payloads.  Kernels must be pure for
+	// the confluence argument (and therefore the deadlock oracle) to hold.
+	// Missing entries default to stream.Passthrough.
 	Kernels map[graph.NodeID]stream.Kernel
 	// Source, when non-nil, supplies the payloads injected at the source
 	// node; Inputs is then ignored.
@@ -210,12 +210,17 @@ type node struct {
 	// protocol decisions live in internal/proto, shared with the
 	// goroutine and distributed runtimes.
 	engine *proto.Engine
-	// kernel is the node's compute code in kernel mode; nil in filter
+	// kernel is the node's compute code in kernel mode, fired through
+	// its stream.SliceForm like on the runtime backends; nil in filter
 	// mode.
-	kernel stream.Kernel
-	// emitted, seqs and ins are per-firing scratch: the data mask handed
-	// to the engine, the input heads' sequence numbers, and the aligned
-	// inputs (a source has one, its ingested payload).
+	kernel stream.SliceKernel
+	// outs, emitted, seqs and ins are per-firing scratch: the kernel's
+	// output slots and the data mask handed to the engine (one slot each
+	// per out-edge, one at a sink: the SinkPayload hook), the input heads'
+	// sequence numbers, and the aligned inputs (a source has one, its
+	// ingested payload).  In kernel mode the mask is the kernel's
+	// presence slice.
+	outs    []any
 	emitted []bool
 	seqs    []uint64
 	ins     []stream.Input
@@ -333,15 +338,17 @@ func newState(g *graph.Graph, filter Filter, cfg Config) *state {
 			nd.obsN = cfg.Obs.Node(int(n))
 		}
 		nd.engine = proto.NewEngine(nd.out, protoConfig(cfg))
-		nd.emitted = make([]bool, len(nd.out))
+		nd.outs = make([]any, max(len(nd.out), 1))
+		nd.emitted = make([]bool, max(len(nd.out), 1))
 		nd.seqs = make([]uint64, len(nd.in))
 		nd.ins = make([]stream.Input, max(len(nd.in), 1))
 		if s.kernelMode {
-			nd.kernel = cfg.Kernels[n]
-			if nd.kernel == nil {
-				nd.kernel = stream.Passthrough(len(nd.out))
+			k := cfg.Kernels[n]
+			if k == nil {
+				k = stream.Passthrough(len(nd.out))
 			}
-			if tk, ok := nd.kernel.(stream.TimedKernel); ok && len(nd.in) == 1 && len(nd.out) > 0 && cfg.Clock != nil {
+			nd.kernel = stream.SliceForm(k)
+			if tk, ok := k.(stream.TimedKernel); ok && len(nd.in) == 1 && len(nd.out) > 0 && cfg.Clock != nil {
 				nd.timed = tk
 			}
 		}
@@ -718,9 +725,9 @@ func (s *state) drainTimed(nd *node) {
 // fire is one firing of nd at sequence number seq on the aligned inputs
 // in nd.ins: decide which out-edges carry data, deliver a sink's data,
 // and queue the data plus the dummies the protocol engine requires.  In
-// kernel mode the kernel decides (an edge carries data iff it has an
-// output) and its outputs are the payloads; in filter mode the Filter
-// decides.  A firing without data emits none, but may still dummy.
+// kernel mode the kernel's ProcessInto decides (an edge carries data iff
+// its slot is present) and its slots are the payloads; in filter mode the
+// Filter decides.  A firing without data emits none, but may still dummy.
 //
 // Protocol notes (see DESIGN.md, "Fidelity notes"):
 //
@@ -747,44 +754,42 @@ func (s *state) fire(nd *node, seq uint64, anyData bool) {
 			nd.obsN.Firings.Add(1)
 		}
 	}
-	var outs map[int]any
-	if anyData && s.kernelMode {
-		outs = nd.kernel.Process(seq, nd.ins)
+	if !s.kernelMode {
+		for i, e := range nd.out {
+			nd.emitted[i] = anyData && s.filter(nd.id, seq, e)
+		}
+	} else if anyData {
+		nd.kernel.ProcessInto(seq, nd.ins, nd.outs, nd.emitted)
 	}
 	if anyData && len(nd.out) == 0 {
-		if err := s.sinkDeliver(seq, nd.ins, outs); err != nil {
+		if err := s.sinkDeliver(nd, seq); err != nil {
 			s.fail("sink error", fmt.Errorf("sim: sink: %w", err))
 			return
 		}
 	}
-	for i, e := range nd.out {
-		if s.kernelMode {
-			_, nd.emitted[i] = outs[i]
-		} else {
-			nd.emitted[i] = anyData && s.filter(nd.id, seq, e)
-		}
-	}
-	dummy := nd.engine.Fire(seq, nd.emitted)
+	dummy := nd.engine.Fire(seq, nd.emitted[:len(nd.out)])
 	for i, e := range nd.out {
 		switch {
 		case nd.emitted[i]:
-			nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: seq, kind: Data, payload: outs[i]}})
+			nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: seq, kind: Data, payload: nd.outs[i]}})
 		case dummy[i]:
 			nd.pending = append(nd.pending, pendingMsg{edge: e, msg: message{seq: seq, kind: Dummy}})
 		}
 	}
+	clear(nd.outs) // the next firing's slots arrive zeroed
+	clear(nd.emitted)
 	s.trace(nd, seq, anyData)
 }
 
 // sinkDeliver records one data-carrying sink firing and hands its
 // payload to the Sink.
-func (s *state) sinkDeliver(seq uint64, ins []stream.Input, outs map[int]any) error {
+func (s *state) sinkDeliver(nd *node, seq uint64) error {
 	s.res.SinkData++
 	if s.obsS != nil {
 		s.obsS.SinkMsgs.Add(1)
 	}
 	if s.cfg.Sink != nil {
-		return s.cfg.Sink(s.cfg.Ctx, seq, stream.SinkPayload(ins, outs))
+		return s.cfg.Sink(s.cfg.Ctx, seq, stream.SinkPayload(nd.ins, nd.outs, nd.emitted))
 	}
 	return nil
 }

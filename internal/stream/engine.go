@@ -185,11 +185,7 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		for i := range n.allTrue {
 			n.allTrue[i] = true
 		}
-		if sk, ok := k.(SliceKernel); ok {
-			n.kern = sk
-		} else {
-			n.kern = mapAdapter{k}
-		}
+		n.kern = SliceForm(k)
 		if tk, ok := k.(TimedKernel); ok && len(n.in) == 1 && len(n.out) > 0 {
 			// A time-aware node fires its kernel's emissions, queued like
 			// a source's payloads, unchanged on every out-edge.
@@ -1149,10 +1145,10 @@ type engineNode struct {
 	// batch is the node's vectorization width (>= 1): how many aligned
 	// firings one pass of fireRun may take.
 	batch int
-	// kern is the kernel in the firing path's calling convention (a
-	// Process-only kernel is adapted once, at NewEngine).  spanK is non-nil
-	// when the node has at most one in-edge and the kernel vectorizes
-	// (SpanKernel), at any batch width — batch 1 is a span of length one.
+	// kern is the kernel's SliceForm, resolved once at NewEngine.  spanK
+	// is non-nil when the node has at most one in-edge and the kernel
+	// vectorizes (SpanKernel), at any batch width — batch 1 is a span of
+	// length one.
 	kern  SliceKernel
 	spanK SpanKernel
 	// timed is non-nil when the kernel is time-aware (TimedKernel); the
@@ -1922,7 +1918,7 @@ pass:
 			data++
 			if emits {
 				*n.emSeqs = append(*n.emSeqs, seq)
-				*n.emPays = append(*n.emPays, n.sinkPayload())
+				*n.emPays = append(*n.emPays, SinkPayload(n.kin, n.kout, n.present))
 			}
 		}
 		dummy := ns.engine.Fire(seq, n.present[:nOut])
@@ -1976,20 +1972,6 @@ func (n *engineNode) stretch(ns *nodeSession, fired, limit int) int {
 		n.spanIn[j], n.spanSeq[j] = q[j].Payload, q[j].Seq
 	}
 	return k
-}
-
-// sinkPayload is SinkPayload on the firing's scratch: the kernel's slot-0
-// output when it chose to return one, else the first present input.
-func (n *engineNode) sinkPayload() any {
-	if n.present[0] {
-		return n.kout[0]
-	}
-	for _, i := range n.kin {
-		if i.Present {
-			return i.Payload
-		}
-	}
-	return nil
 }
 
 // sinkEmit counts the pass's data sink firings and hands them to the

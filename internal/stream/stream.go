@@ -81,18 +81,29 @@ type KernelFunc func(seq uint64, in []Input) map[int]any
 // Process implements Kernel.
 func (f KernelFunc) Process(seq uint64, in []Input) map[int]any { return f(seq, in) }
 
-// SliceKernel is the calling convention of the Engine's firing path: the
-// outputs go into node-owned scratch instead of a fresh map.  ProcessInto
-// sets out[i] and present[i] = true for every out-edge position i it
-// emits on; both slices arrive zeroed, one slot per out-edge (one slot,
-// the SinkPayload hook, at a node without out-edges), and like in they
-// are reused by the next firing.  NewEngine adapts every other Kernel
-// once, so the firing path never reads a map; the library's routing
-// kernels and replication's splitter implement it natively, and a routed
-// firing allocates nothing.
+// SliceKernel is the one calling convention inside the module: the
+// Engine, the simulator and a replica all fire a kernel through
+// ProcessInto, whose outputs go into caller-owned scratch instead of a
+// fresh map.  ProcessInto sets out[i] and present[i] = true for every
+// out-edge position i it emits on; both slices arrive zeroed, one slot per
+// out-edge (one slot, the SinkPayload hook, at a node without out-edges),
+// and like in they are reused by the next firing.  SliceForm adapts a
+// Kernel that has only Process; every kernel of the library implements
+// ProcessInto natively and its Process is MapForm, so a routed or
+// filtering firing allocates no map.
 type SliceKernel interface {
 	Kernel
 	ProcessInto(seq uint64, in []Input, out []any, present []bool)
+}
+
+// SliceForm returns how k is fired: k itself when it is a SliceKernel,
+// otherwise an adapter that reads its Process map — the one place a
+// map-returning Process is called.
+func SliceForm(k Kernel) SliceKernel {
+	if sk, ok := k.(SliceKernel); ok {
+		return sk
+	}
+	return mapAdapter{k}
 }
 
 // mapAdapter is the SliceKernel form of a Kernel that only has Process.
@@ -103,6 +114,24 @@ func (a mapAdapter) ProcessInto(seq uint64, in []Input, out []any, present []boo
 	for i := range out {
 		out[i], present[i] = outs[i]
 	}
+}
+
+// MapForm is the Process of a SliceKernel: one ProcessInto into
+// max(nOut, 1) fresh slots, read back as a map of the positions it
+// emitted on (nil when it emitted on none).
+func MapForm(k SliceKernel, nOut int, seq uint64, in []Input) map[int]any {
+	out, present := make([]any, max(nOut, 1)), make([]bool, max(nOut, 1))
+	k.ProcessInto(seq, in, out, present)
+	var outs map[int]any
+	for i, ok := range present {
+		if ok {
+			if outs == nil {
+				outs = make(map[int]any, len(out))
+			}
+			outs[i] = out[i]
+		}
+	}
+	return outs
 }
 
 // SpanKernel is an optional extension of Kernel for the vectorized hot
@@ -120,11 +149,11 @@ func (a mapAdapter) ProcessInto(seq uint64, in []Input, out []any, present []boo
 // per-node copy, PerNode, boxes its outputs into chunks it keeps across
 // calls, internal/box): an interface value is immutable, so sharing is
 // never visible.  Returning n < len(in) declines element
-// n — the engine fires it through Process and offers what follows to
+// n — the engine fires it through ProcessInto and offers what follows to
 // ProcessSpan again, in order, so a kernel may vectorize the common case
 // and fall back per element for filtering, per-edge divergence, or type
 // errors.  The engine calls ProcessSpan only at nodes with at most one
-// in-edge, where it would have called Process once per element with a
+// in-edge, where it would have fired the kernel once per element with a
 // single present input, so a stateful kernel observes the same element
 // sequence either way.  Kernels that do not implement the interface are
 // simply invoked per element.
@@ -135,10 +164,10 @@ type SpanKernel interface {
 
 // PerNode is implemented by a kernel that keeps per-node state for its
 // span path.  One kernel value serves every engine built from the same
-// kernels and, behind a Process-only wrapper, every replica of a
-// replicated node, so NewEngine calls ForNode once per node and runs the
-// copy it returns there: the node's own loop is the copy's only caller.
-// The simulator calls only Process and never asks for a copy.
+// kernels and every replica of a replicated node, so NewEngine calls
+// ForNode once per node and runs the copy it returns there: the node's
+// own loop is the copy's only caller.  The simulator and the replicas
+// fire the shared value through ProcessInto and never ask for a copy.
 type PerNode interface {
 	Kernel
 	ForNode() Kernel
@@ -148,23 +177,8 @@ type PerNode interface {
 // out-edge; it vectorizes trivially (ProcessSpan copies the run).
 type passthroughKernel struct{ outs int }
 
-func (p passthroughKernel) Process(_ uint64, in []Input) map[int]any {
-	var payload any
-	ok := false
-	for _, i := range in {
-		if i.Present {
-			payload, ok = i.Payload, true
-			break
-		}
-	}
-	if !ok && len(in) > 0 {
-		return nil
-	}
-	out := make(map[int]any, p.outs)
-	for i := 0; i < p.outs; i++ {
-		out[i] = payload
-	}
-	return out
+func (p passthroughKernel) Process(seq uint64, in []Input) map[int]any {
+	return MapForm(p, p.outs, seq, in)
 }
 
 func (p passthroughKernel) ProcessInto(_ uint64, in []Input, out []any, present []bool) {
@@ -317,13 +331,13 @@ func (e *DeadlockError) Error() string {
 	return b.String()
 }
 
-// SinkPayload selects what a sink firing delivers: the kernel's output
-// for key 0 when it chose to return one (a sink node has no out-edges,
-// so key 0 is a transformation hook, not a channel), otherwise the first
-// present input payload.
-func SinkPayload(in []Input, outs map[int]any) any {
-	if v, ok := outs[0]; ok {
-		return v
+// SinkPayload selects what a sink firing delivers, on the Engine and in
+// the simulator alike: the kernel's slot-0 output when it emitted one (a
+// sink node has no out-edges, so slot 0 is a transformation hook, not a
+// channel), otherwise the first present input payload.
+func SinkPayload(in []Input, out []any, present []bool) any {
+	if present[0] {
+		return out[0]
 	}
 	for _, i := range in {
 		if i.Present {

@@ -28,29 +28,14 @@ type Input = stream.Input
 // contract.
 type SpanKernel = stream.SpanKernel
 
-// mapKernel is a single-input map kernel that vectorizes: Process
-// applies fn to the (single present) input payload and broadcasts the
-// result on all outs edges; ProcessSpan does the same for a whole run
-// with no per-element allocation.  Process always includes out-position
-// 0, so at a sink node both paths deliver fn's result.
+// mapKernel is a single-input map kernel that vectorizes: a keepKernel
+// that emits fn of the (single present) input payload in every slot,
+// plus ProcessSpan, which does the same for a whole run with no
+// per-element allocation.  A sink node has one slot, position 0, so at a
+// sink both paths deliver fn's result.
 type mapKernel struct {
-	outs int
-	fn   func(any) any
-}
-
-func (m mapKernel) Process(_ uint64, in []Input) map[int]any {
-	for _, i := range in {
-		if i.Present {
-			r := m.fn(i.Payload)
-			outs := make(map[int]any, m.outs+1)
-			outs[0] = r
-			for o := 1; o < m.outs; o++ {
-				outs[o] = r
-			}
-			return outs
-		}
-	}
-	return nil // nothing present: the firing filters
+	keepKernel
+	fn func(any) any
 }
 
 func (m mapKernel) ProcessSpan(_ uint64, in, out []any) int {
@@ -67,7 +52,13 @@ func (m mapKernel) ProcessSpan(_ uint64, in, out []any) int {
 // per element — use it for hot single-input stages in preference to a
 // hand-rolled KernelFunc.
 func MapKernel(outs int, fn func(any) any) Kernel {
-	return mapKernel{outs: outs, fn: fn}
+	each := func(_ uint64, in []Input) (any, bool) {
+		if p, ok := firstPresent(in); ok {
+			return fn(p), true
+		}
+		return nil, false // nothing present: the firing filters
+	}
+	return mapKernel{keepKernel: keepKernel{nOut: outs, decide: each}, fn: fn}
 }
 
 // RunStats summarizes a completed session.
@@ -85,8 +76,9 @@ type Filter = workload.FilterFunc
 // RouteKernels builds a kernel per node that forwards the first present
 // payload (the sequence number at the source) on the out-edges selected
 // by f — the runtime counterpart of simulating with the same filter.
-// The kernels implement stream.SliceKernel, so a routed firing on an
-// Engine allocates nothing.
+// Every backend fires them through ProcessInto into node scratch, so a
+// routed firing allocates nothing; Process, their map form, is kept for
+// callers holding a plain Kernel.
 func RouteKernels(t *Topology, f Filter) map[NodeID]Kernel {
 	ks := make(map[NodeID]Kernel, t.g.NumNodes())
 	for n := 0; n < t.g.NumNodes(); n++ {
@@ -104,23 +96,14 @@ type routeKernel struct {
 }
 
 func (k routeKernel) payload(seq uint64, in []Input) any {
-	for _, i := range in {
-		if i.Present {
-			return i.Payload
-		}
+	if p, ok := firstPresent(in); ok {
+		return p
 	}
 	return seq
 }
 
 func (k routeKernel) Process(seq uint64, in []Input) map[int]any {
-	payload := k.payload(seq, in)
-	outs := make(map[int]any, len(k.out))
-	for i, e := range k.out {
-		if k.f(k.id, seq, e) {
-			outs[i] = payload
-		}
-	}
-	return outs
+	return stream.MapForm(k, len(k.out), seq, in)
 }
 
 func (k routeKernel) ProcessInto(seq uint64, in []Input, out []any, present []bool) {

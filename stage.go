@@ -18,9 +18,9 @@ import (
 //
 // Filtering is first-class: FilterStage (and the bool results of
 // FilterMap, Stateful, and merge join functions) compile to kernels that
-// omit every out-key — the paper's "filtered with respect to all output
-// channels" — so the deadlock-avoidance protocol underneath is what
-// makes these stages safe to compose.
+// leave every out-slot absent — the paper's "filtered with respect to all
+// output channels" — so the deadlock-avoidance protocol underneath is
+// what makes these stages safe to compose.
 
 // Stage is one typed processing step of a Flow.  Stages are created with
 // the constructors in this file and composed with Flow.Then, Sequence,
@@ -184,14 +184,53 @@ func firstPresent(in []Input) (any, bool) {
 	return nil, false
 }
 
-// broadcast emits v on every out-edge — stage nodes forward their result
-// to whatever follows them, including every branch head under a Split.
-func broadcast(nOut int, v any) map[int]any {
-	out := make(map[int]any, nOut)
-	for i := 0; i < nOut; i++ {
-		out[i] = v
+// firstAs is a single-input stage's element: the first present payload
+// asserted to A; a mismatch is recorded and, like an absent input,
+// filters the firing.
+func firstAs[A any](slot *stageErrSlot, stage string, seq uint64, in []Input) (A, bool) {
+	p, ok := firstPresent(in)
+	if !ok {
+		var zero A
+		return zero, false
 	}
-	return out
+	return castPayload[A](slot, stage, seq, p)
+}
+
+// keepKernel is the chassis the stages lower onto: decide maps one
+// firing's aligned inputs to the element the node emits in every
+// out-slot — stage nodes forward their result to whatever follows them,
+// including every branch head under a Split — or keep = false to filter
+// it.
+type keepKernel struct {
+	nOut   int
+	decide func(seq uint64, in []Input) (v any, keep bool)
+}
+
+func (k keepKernel) Process(seq uint64, in []Input) map[int]any {
+	return stream.MapForm(k, k.nOut, seq, in)
+}
+
+func (k keepKernel) ProcessInto(seq uint64, in []Input, out []any, present []bool) {
+	if v, keep := k.decide(seq, in); keep {
+		for i := range out {
+			out[i], present[i] = v, true
+		}
+	}
+}
+
+// keepFactory lowers a stage whose node is a bare keepKernel.
+func keepFactory(decide func(seq uint64, in []Input) (any, bool)) kernelFactory {
+	return func(_, nOut int) Kernel { return keepKernel{nOut: nOut, decide: decide} }
+}
+
+// kept is a stage function's (element, keep) result as decide's: v is
+// converted to any only once it is kept, so a filtered element is never
+// boxed.
+func kept[T any](v T, keep bool) (any, bool) {
+	if !keep {
+		return nil, false
+	}
+	return v, true
 }
 
 // assertAs asserts v to T, treating a nil payload as the zero value of
@@ -243,24 +282,29 @@ func (s *mapStage[A, B]) outType() reflect.Type { return typeOf[B]() }
 
 func (s *mapStage[A, B]) lower(lw *lowering, from string) (string, error) {
 	fn, name, slot, boxer := s.fn, s.name, lw.slot, box.For[B]()
+	each := func(seq uint64, in []Input) (any, bool) {
+		if v, ok := firstAs[A](slot, name, seq, in); ok {
+			return fn(v), true
+		}
+		return nil, false
+	}
 	return s.lowerSimple(lw, from, func(nIn, nOut int) Kernel {
-		return flowMapKernel[A, B]{nOut: nOut, name: name, slot: slot, fn: fn, boxer: boxer}
+		return flowMapKernel[A, B]{keepKernel: keepKernel{nOut: nOut, decide: each}, fn: fn, boxer: boxer}
 	})
 }
 
-// flowMapKernel is the lowered form of a Map stage.  It implements
-// SpanKernel so batched backends apply fn across a whole run in one
-// call; a payload whose dynamic type is not A declines the rest of the
-// span, which routes it to Process — the per-element path that records
-// the StageTypeError and filters it.  The lowered kernel is shared by
-// every engine built from the pipeline and by a replicated stage's
-// replicas (which call only Process), so ProcessSpan runs only on an
-// engine node's own copy (ForNode), whose arena boxes the node's outputs
-// into chunks it keeps across calls (internal/box).
+// flowMapKernel is the lowered form of a Map stage: a keepKernel that
+// keeps every well-typed element, plus ProcessSpan, so batched backends
+// apply fn across a whole run in one call.  A payload whose dynamic type
+// is not A declines the rest of the span, which routes it to ProcessInto
+// — the per-element path that records the StageTypeError and filters it.
+// The lowered kernel is shared by every engine built from the pipeline,
+// by the simulator and by a replicated stage's replicas, which fire it
+// through ProcessInto and box its outputs as Go does; ProcessSpan runs
+// only on an engine node's own copy (ForNode), whose arena boxes the
+// node's outputs into chunks it keeps across calls (internal/box).
 type flowMapKernel[A, B any] struct {
-	nOut  int
-	name  string
-	slot  *stageErrSlot
+	keepKernel
 	fn    func(A) B
 	boxer box.Boxer[B]
 	arena *box.Arena[B] // set in the per-node copy only
@@ -271,18 +315,6 @@ func (k flowMapKernel[A, B]) ForNode() Kernel {
 	a := k.boxer.Arena()
 	k.arena = &a
 	return k
-}
-
-func (k flowMapKernel[A, B]) Process(seq uint64, in []Input) map[int]any {
-	p, ok := firstPresent(in)
-	if !ok {
-		return nil
-	}
-	v, ok := castPayload[A](k.slot, k.name, seq, p)
-	if !ok {
-		return nil
-	}
-	return broadcast(k.nOut, k.fn(v))
 }
 
 func (k flowMapKernel[A, B]) ProcessSpan(_ uint64, in, out []any) int {
@@ -319,19 +351,16 @@ func (s *filterStage[A]) outType() reflect.Type { return typeOf[A]() }
 
 func (s *filterStage[A]) lower(lw *lowering, from string) (string, error) {
 	pred, name, slot := s.pred, s.name, lw.slot
-	return s.lowerSimple(lw, from, func(nIn, nOut int) Kernel {
-		return KernelFunc(func(seq uint64, in []Input) map[int]any {
-			p, ok := firstPresent(in)
-			if !ok {
-				return nil
-			}
-			v, ok := castPayload[A](slot, name, seq, p)
-			if !ok || !pred(v) {
-				return nil
-			}
-			return broadcast(nOut, v)
-		})
-	})
+	return s.lowerSimple(lw, from, keepFactory(func(seq uint64, in []Input) (any, bool) {
+		p, ok := firstPresent(in)
+		if !ok {
+			return nil, false
+		}
+		// Forward the interface value that arrived: converting v back to
+		// any would box it again.
+		v, ok := castPayload[A](slot, name, seq, p)
+		return p, ok && pred(v)
+	}))
 }
 
 type filterMapStage[A, B any] struct {
@@ -352,23 +381,12 @@ func (s *filterMapStage[A, B]) outType() reflect.Type { return typeOf[B]() }
 
 func (s *filterMapStage[A, B]) lower(lw *lowering, from string) (string, error) {
 	fn, name, slot := s.fn, s.name, lw.slot
-	return s.lowerSimple(lw, from, func(nIn, nOut int) Kernel {
-		return KernelFunc(func(seq uint64, in []Input) map[int]any {
-			p, ok := firstPresent(in)
-			if !ok {
-				return nil
-			}
-			v, ok := castPayload[A](slot, name, seq, p)
-			if !ok {
-				return nil
-			}
-			out, keep := fn(v)
-			if !keep {
-				return nil
-			}
-			return broadcast(nOut, out)
-		})
-	})
+	return s.lowerSimple(lw, from, keepFactory(func(seq uint64, in []Input) (any, bool) {
+		if v, ok := firstAs[A](slot, name, seq, in); ok {
+			return kept(fn(v))
+		}
+		return nil, false
+	}))
 }
 
 type statefulStage[A, B, S any] struct {
@@ -407,24 +425,15 @@ func (s *statefulStage[A, B, S]) lower(lw *lowering, from string) (string, error
 	*cell = s.init
 	init, fn, name, slot := s.init, s.fn, s.name, lw.slot
 	lw.resets = append(lw.resets, func() { *cell = init })
-	return s.lowerSimple(lw, from, func(nIn, nOut int) Kernel {
-		return KernelFunc(func(seq uint64, in []Input) map[int]any {
-			p, ok := firstPresent(in)
-			if !ok {
-				return nil
-			}
-			v, ok := castPayload[A](slot, name, seq, p)
-			if !ok {
-				return nil
-			}
-			next, out, keep := fn(*cell, v)
-			*cell = next
-			if !keep {
-				return nil
-			}
-			return broadcast(nOut, out)
-		})
-	})
+	return s.lowerSimple(lw, from, keepFactory(func(seq uint64, in []Input) (any, bool) {
+		v, ok := firstAs[A](slot, name, seq, in)
+		if !ok {
+			return nil, false
+		}
+		next, out, keep := fn(*cell, v)
+		*cell = next
+		return kept(out, keep)
+	}))
 }
 
 // ---------------------------------------------------------------------
@@ -529,7 +538,7 @@ func (b *stageBase) wrapTap(mk kernelFactory) kernelFactory {
 	}
 	return func(nIn, nOut int) Kernel {
 		inner := mk(nIn, nOut)
-		tk := tapKernel{k: inner, fn: fn}
+		tk := tapKernel{k: stream.SliceForm(inner), nOut: nOut, fn: fn}
 		if sk, ok := inner.(SpanKernel); ok {
 			return tapSpanKernel{tapKernel: tk, sk: sk}
 		}
@@ -538,20 +547,23 @@ func (b *stageBase) wrapTap(mk kernelFactory) kernelFactory {
 }
 
 // tapKernel forwards to the wrapped kernel and hands each emitted element
-// to the tap function.  Stage kernels broadcast one value across all
-// out-edges, so observing any single map entry observes the element.
+// to the tap function.  Stage kernels emit one value in every out-slot,
+// so slot 0 observes the element.
 type tapKernel struct {
-	k  Kernel
-	fn func(any)
+	k    stream.SliceKernel
+	nOut int
+	fn   func(any)
 }
 
 func (t tapKernel) Process(seq uint64, in []Input) map[int]any {
-	out := t.k.Process(seq, in)
-	for _, v := range out {
-		t.fn(v)
-		break
+	return stream.MapForm(t, t.nOut, seq, in)
+}
+
+func (t tapKernel) ProcessInto(seq uint64, in []Input, out []any, present []bool) {
+	t.k.ProcessInto(seq, in, out, present)
+	if present[0] {
+		t.fn(out[0])
 	}
-	return out
 }
 
 // tapSpanKernel is the vectorized tap: the inner span commits a prefix,
@@ -569,7 +581,8 @@ func (t tapSpanKernel) ForNode() Kernel {
 		return t
 	}
 	k := pn.ForNode()
-	return tapSpanKernel{tapKernel: tapKernel{k: k, fn: t.fn}, sk: k.(SpanKernel)}
+	t.k, t.sk = stream.SliceForm(k), k.(SpanKernel)
+	return t
 }
 
 func (t tapSpanKernel) ProcessSpan(seq0 uint64, in, out []any) int {
@@ -653,32 +666,32 @@ func (s *mergeStage[A, Out]) lower(*lowering, string) (string, error) {
 
 func (s *mergeStage[A, Out]) mergeLower(lw *lowering, froms []string) (string, error) {
 	join, name, slot := s.join, s.name, lw.slot
-	return s.lowerMerge(lw, froms, func(nIn, nOut int) Kernel {
-		return KernelFunc(func(seq uint64, in []Input) map[int]any {
-			parts := make([]Maybe[A], len(in))
-			anyOK := false
-			for i, inp := range in {
-				if !inp.Present {
-					continue
-				}
-				if v, ok := castPayload[A](slot, name, seq, inp.Payload); ok {
-					parts[i] = Maybe[A]{Value: v, OK: true}
-					anyOK = true
-				}
-			}
-			// The join fires only when at least one branch produced an
-			// element; if every present input failed its type cast, the
-			// firing is filtered (the error is already recorded).
-			if !anyOK {
-				return nil
-			}
-			out, keep := join(parts)
-			if !keep {
-				return nil
-			}
-			return broadcast(nOut, out)
-		})
-	})
+	return s.lowerMerge(lw, froms, keepFactory(func(seq uint64, in []Input) (any, bool) {
+		parts := make([]Maybe[A], len(in))
+		anyOK := false
+		for i, inp := range in {
+			parts[i] = maybeOf[A](slot, name, seq, inp)
+			anyOK = anyOK || parts[i].OK
+		}
+		// The join fires only when at least one branch produced an
+		// element; if every present input failed its type cast, the
+		// firing is filtered (the error is already recorded).
+		if !anyOK {
+			return nil, false
+		}
+		return kept(join(parts))
+	}))
+}
+
+// maybeOf is one merge slot: the branch's element when it produced one of
+// type T; a mismatch is recorded and counts as absent.
+func maybeOf[T any](slot *stageErrSlot, stage string, seq uint64, in Input) Maybe[T] {
+	if in.Present {
+		if v, ok := castPayload[T](slot, stage, seq, in.Payload); ok {
+			return Maybe[T]{Value: v, OK: true}
+		}
+	}
+	return Maybe[T]{}
 }
 
 type merge2Stage[A, B, Out any] struct {
@@ -709,30 +722,13 @@ func (s *merge2Stage[A, B, Out]) lower(*lowering, string) (string, error) {
 
 func (s *merge2Stage[A, B, Out]) mergeLower(lw *lowering, froms []string) (string, error) {
 	join, name, slot := s.join, s.name, lw.slot
-	return s.lowerMerge(lw, froms, func(nIn, nOut int) Kernel {
-		return KernelFunc(func(seq uint64, in []Input) map[int]any {
-			var a Maybe[A]
-			var b Maybe[B]
-			if in[0].Present {
-				if v, ok := castPayload[A](slot, name, seq, in[0].Payload); ok {
-					a = Maybe[A]{Value: v, OK: true}
-				}
-			}
-			if in[1].Present {
-				if v, ok := castPayload[B](slot, name, seq, in[1].Payload); ok {
-					b = Maybe[B]{Value: v, OK: true}
-				}
-			}
-			if !a.OK && !b.OK {
-				return nil // every present input failed its cast
-			}
-			out, keep := join(a, b)
-			if !keep {
-				return nil
-			}
-			return broadcast(nOut, out)
-		})
-	})
+	return s.lowerMerge(lw, froms, keepFactory(func(seq uint64, in []Input) (any, bool) {
+		a, b := maybeOf[A](slot, name, seq, in[0]), maybeOf[B](slot, name, seq, in[1])
+		if !a.OK && !b.OK {
+			return nil, false // every present input failed its cast
+		}
+		return kept(join(a, b))
+	}))
 }
 
 type merge3Stage[A, B, C, Out any] struct {
@@ -766,36 +762,15 @@ func (s *merge3Stage[A, B, C, Out]) lower(*lowering, string) (string, error) {
 
 func (s *merge3Stage[A, B, C, Out]) mergeLower(lw *lowering, froms []string) (string, error) {
 	join, name, slot := s.join, s.name, lw.slot
-	return s.lowerMerge(lw, froms, func(nIn, nOut int) Kernel {
-		return KernelFunc(func(seq uint64, in []Input) map[int]any {
-			var a Maybe[A]
-			var b Maybe[B]
-			var c Maybe[C]
-			if in[0].Present {
-				if v, ok := castPayload[A](slot, name, seq, in[0].Payload); ok {
-					a = Maybe[A]{Value: v, OK: true}
-				}
-			}
-			if in[1].Present {
-				if v, ok := castPayload[B](slot, name, seq, in[1].Payload); ok {
-					b = Maybe[B]{Value: v, OK: true}
-				}
-			}
-			if in[2].Present {
-				if v, ok := castPayload[C](slot, name, seq, in[2].Payload); ok {
-					c = Maybe[C]{Value: v, OK: true}
-				}
-			}
-			if !a.OK && !b.OK && !c.OK {
-				return nil // every present input failed its cast
-			}
-			out, keep := join(a, b, c)
-			if !keep {
-				return nil
-			}
-			return broadcast(nOut, out)
-		})
-	})
+	return s.lowerMerge(lw, froms, keepFactory(func(seq uint64, in []Input) (any, bool) {
+		a := maybeOf[A](slot, name, seq, in[0])
+		b := maybeOf[B](slot, name, seq, in[1])
+		c := maybeOf[C](slot, name, seq, in[2])
+		if !a.OK && !b.OK && !c.OK {
+			return nil, false // every present input failed its cast
+		}
+		return kept(join(a, b, c))
+	}))
 }
 
 type splitStage struct {
