@@ -93,7 +93,8 @@ func e3() error {
 }
 
 // e2e11 demonstrates the Fig. 2 deadlock and both remedies: the
-// unprotected run must deadlock and both protected runs complete.
+// unprotected run must deadlock and both protected runs complete.  The
+// unprotected run's blocked-node snapshot is printed under the table.
 func e2e11() error {
 	header("E2/E11", "Fig. 2 deadlock and avoidance")
 	g := workload.Fig2Triangle(2)
@@ -111,7 +112,7 @@ func e2e11() error {
 	fmt.Println("| protection | completed | data msgs | dummy msgs |")
 	fmt.Println("|---|---|---|---|")
 	var errs []error
-	run := func(label string, alg cs4.Algorithm, iv map[graph.EdgeID]ival.Interval) {
+	run := func(label string, alg cs4.Algorithm, iv map[graph.EdgeID]ival.Interval) *sim.Result {
 		r := sim.Run(g, sim.Filter(filter), sim.Config{
 			Algorithm: alg, Intervals: iv, Inputs: 1000,
 		})
@@ -119,14 +120,19 @@ func e2e11() error {
 		if protected := iv != nil; r.Completed != protected {
 			errs = append(errs, fmt.Errorf("E2/E11: Fig. 2 with protection %q: completed = %v, want %v", label, r.Completed, protected))
 		}
+		return r
 	}
-	run("none", cs4.Propagation, nil)
+	unprotected := run("none", cs4.Propagation, nil)
 	for _, alg := range []cs4.Algorithm{cs4.Propagation, cs4.NonPropagation} {
 		iv, err := d.Intervals(alg)
 		if err != nil {
 			return fmt.Errorf("E2/E11: %v intervals: %w", alg, err)
 		}
 		run(alg.String(), alg, iv)
+	}
+	fmt.Printf("\nunprotected: %s after %d steps\n\n", unprotected.Reason, unprotected.Steps)
+	for _, b := range unprotected.Blocked {
+		fmt.Printf("- %s\n", b)
 	}
 	return errors.Join(errs...)
 }

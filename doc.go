@@ -54,25 +54,14 @@
 // session, engine down; services streaming more than once should hold
 // an Engine.
 //
-// # Batched hot path
+// # Backends and batching
 //
-// WithMaxBatch(n) (per-stage: Stage.Batch) lets the runtime backends
-// carry runs of up to n consecutive messages — data and the dummies
-// between them, out of any node, splits and joins included — as one
-// transport unit: one channel operation, one credit batch, one TCP
-// frame per run.  That multiplies throughput on chains of cheap
-// kernels (~4x at n = 64 on the goroutine backend, ~3.5x over TCP
-// workers) and on filtering split/joins, where most messages are
-// dummies (~3x).
-// Batching never changes the logical stream: credits stay in payload
-// units, kernels observe every element in sequence order, and per-edge
-// data/dummy counts are identical to an unbatched run.  Kernels may
-// opt into vectorized execution by implementing SpanKernel; Sources
-// and Sinks opt into bulk ingestion/delivery via SpanSource and
-// SpanSink.  The default n = 1 is the same path at length one: a
-// SpanKernel's ProcessSpan then receives spans of a single element, on
-// engine scratch it must not retain — as is the input slice a Kernel's
-// Process receives, at every n.
+// WithBackend picks the goroutine runtime (the default), the
+// deterministic simulator, or loopback-TCP workers; WithMaxBatch (per
+// stage: Stage.Batch) lets the runtime backends carry runs of up to n
+// messages per transport unit without changing the logical stream.
+// DESIGN.md tells both stories once: "Architecture", "Distributed
+// transport" and "Batched hot path".
 //
 // # Time-aware stages
 //

@@ -48,6 +48,8 @@ type StageTypeError struct {
 	Runtime bool
 }
 
+// Error names the stage and both types, and the sequence number of a
+// mid-stream mismatch.
 func (e *StageTypeError) Error() string {
 	got := "<nil>"
 	if e.Got != nil {

@@ -126,6 +126,9 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.WatchdogTimeout < 0 {
+		return nil, fmt.Errorf("stream: watchdog timeout %v must not be negative", cfg.WatchdogTimeout)
+	}
 	if cfg.WatchdogTimeout == 0 {
 		cfg.WatchdogTimeout = time.Second
 	}

@@ -250,7 +250,8 @@ type Config struct {
 	// Intervals are per-edge dummy intervals (nil disables avoidance).
 	Intervals map[graph.EdgeID]ival.Interval
 	// WatchdogTimeout is how long the watchdog waits without progress in
-	// a session before declaring it deadlocked.  Zero defaults to one second.
+	// a session before declaring it deadlocked.  Zero defaults to one second;
+	// a negative timeout is a NewEngine error.
 	WatchdogTimeout time.Duration
 	// MaxBatch is the width of the Engine's firing pass: a node takes up
 	// to MaxBatch aligned firings per protocol step — at any in-degree,

@@ -184,18 +184,6 @@ func WithObserver(o *Observer) Option {
 	return func(c *buildConfig) { c.observer = o }
 }
 
-// Observe attaches o to an already-built pipeline — the post-Build
-// counterpart of WithObserver, usable any time before Engine()/Run.  A
-// nil o detaches.  Engines already started keep whatever observer they
-// saw at start.
-func Observe(p *Pipeline, o *Observer) error {
-	if o == nil {
-		p.obs = nil
-		return nil
-	}
-	return o.attach(p)
-}
-
 // obsMetrics resolves the pipeline's telemetry collector for the
 // backends; nil (the default) compiles instrumentation out.
 func (p *Pipeline) obsMetrics() *obs.Metrics {

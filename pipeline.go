@@ -47,7 +47,6 @@ type Pipeline struct {
 	// scale.go).
 	origKernels map[NodeID]Kernel // keyed by ORIGINAL topology IDs
 	plan        ReplicationPlan
-	cycleLimit  int
 	scale       *ScalePolicy       // autoscaler policy; nil without WithAutoscale
 	elastic     map[string]Elastic // Stage.Elastic marks, by original node name
 	onStep      *stepHook          // simulator virtual-clock tap for the controller
@@ -72,6 +71,7 @@ type KernelConflictError struct {
 	Node string
 }
 
+// Error names the doubly-assigned node.
 func (e *KernelConflictError) Error() string {
 	return fmt.Sprintf("streamdag: build: node %q is assigned two kernels", e.Node)
 }
@@ -82,7 +82,6 @@ type buildConfig struct {
 	backend    Backend
 	watchdog   time.Duration
 	maxBatch   int
-	cycleLimit int
 	plan       ReplicationPlan
 	kernelMaps []map[NodeID]Kernel
 	named      []namedKernel
@@ -130,16 +129,28 @@ func WithReplication(plan ReplicationPlan) Option {
 	}
 }
 
-// WithBackend selects the execution backend (default Goroutines).
+// WithBackend selects the execution backend (default Goroutines).  A
+// nil b is a Build error.
 func WithBackend(b Backend) Option {
-	return func(c *buildConfig) { c.backend = b }
+	return func(c *buildConfig) {
+		if b == nil && c.err == nil {
+			c.err = errors.New("streamdag: build: nil Backend")
+		}
+		c.backend = b
+	}
 }
 
 // WithWatchdog sets how long the runtime backends wait without progress
-// before reporting deadlock (default one second).  Time spent blocked
-// in Source or Sink callbacks does not count as stalled.
+// before reporting deadlock (default one second, which zero selects).  Time
+// spent blocked in Source or Sink callbacks does not count as stalled.
+// A negative d is a Build error.
 func WithWatchdog(d time.Duration) Option {
-	return func(c *buildConfig) { c.watchdog = d }
+	return func(c *buildConfig) {
+		if d < 0 && c.err == nil {
+			c.err = fmt.Errorf("streamdag: build: watchdog %v must not be negative", d)
+		}
+		c.watchdog = d
+	}
 }
 
 // WithMaxBatch sets the transport batch size of the runtime backends
@@ -165,12 +176,6 @@ func WithMaxBatch(n int) Option {
 		}
 		c.maxBatch = n
 	}
-}
-
-// WithCycleLimit bounds the exhaustive interval fallback used for
-// general (non-CS4) topologies (default DefaultCycleLimit).
-func WithCycleLimit(n int) Option {
-	return func(c *buildConfig) { c.cycleLimit = n }
 }
 
 // WithKernel assigns node name's compute kernel.  Names refer to the
@@ -227,10 +232,9 @@ func WithClock(c Clock) Option {
 // compute the per-edge dummy intervals for the chosen protocol.
 func Build(t *Topology, opts ...Option) (*Pipeline, error) {
 	cfg := buildConfig{
-		alg:        Propagation,
-		backend:    Goroutines(),
-		cycleLimit: DefaultCycleLimit,
-		avoidance:  true,
+		alg:       Propagation,
+		backend:   Goroutines(),
+		avoidance: true,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -280,9 +284,9 @@ func Build(t *Topology, opts ...Option) (*Pipeline, error) {
 		backend: cfg.backend, alg: cfg.alg,
 		watchdog: cfg.watchdog, avoidance: cfg.avoidance,
 		maxBatch:    cfg.maxBatch,
-		origKernels: kernels, cycleLimit: cfg.cycleLimit,
-		elastic: cfg.elastic,
-		retry:   cfg.retry, dlq: cfg.dlq,
+		origKernels: kernels,
+		elastic:     cfg.elastic,
+		retry:       cfg.retry, dlq: cfg.dlq,
 		clk: cfg.clk,
 	}
 	// Resolve the time-aware stages' clock: an explicit WithClock wins;
@@ -395,7 +399,6 @@ func (p *Pipeline) applyPlan(plan ReplicationPlan) error {
 	if err != nil {
 		return err
 	}
-	a.ExhaustiveCycleLimit = p.cycleLimit
 	p.analysis = a
 	p.intervals = nil
 	if p.avoidance {

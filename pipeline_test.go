@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"streamdag/internal/stream"
 )
 
 // The Pipeline API's core promise: one Build + Run surface, real user
@@ -89,6 +91,29 @@ func backendsFor(t *testing.T, topo func() *Topology, opts ...Option) map[string
 	}
 	out[pd.backend.String()] = pd
 	return out
+}
+
+// TestBuildRejectsBadOptions pins that an option value no backend can
+// honour fails Build: a negative watchdog used to panic the process from
+// the watchdog goroutine's ticker at Run, and a nil backend dereferenced
+// nil at Engine.
+func TestBuildRejectsBadOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"negative watchdog", WithWatchdog(-time.Second)},
+		{"nil backend", WithBackend(nil)},
+	} {
+		if _, err := Build(fig1Topo(), tc.opt); err == nil {
+			t.Errorf("%s: Build accepted it", tc.name)
+		}
+	}
+	e, err := stream.NewEngine(fig1Topo().Graph(), nil, stream.Config{WatchdogTimeout: -time.Second})
+	if err == nil {
+		e.Close()
+		t.Error("stream.NewEngine accepted a negative watchdog timeout")
+	}
 }
 
 // TestPipelineCrossBackendPayloads is the acceptance check: the same
