@@ -522,12 +522,12 @@ func TestBatchOptionValidation(t *testing.T) {
 }
 
 // spanProbe is a span-capable source and sink that records how it was
-// driven: the longest fill it was asked for and the longest run it was
-// handed.
+// driven: the longest fill it was asked for, the longest run it was
+// handed, and how many emissions came through Emit instead of EmitSpan.
 type spanProbe struct {
 	countingSource
-	maxFill, maxRun int
-	seqs            []uint64
+	maxFill, maxRun, emits int
+	seqs                   []uint64
 }
 
 func (p *spanProbe) NextSpan(ctx context.Context, buf []any) (int, bool, error) {
@@ -538,6 +538,7 @@ func (p *spanProbe) NextSpan(ctx context.Context, buf []any) (int, bool, error) 
 }
 
 func (p *spanProbe) Emit(_ context.Context, seq uint64, _ any) error {
+	p.emits++
 	p.seqs = append(p.seqs, seq)
 	return nil
 }
@@ -552,9 +553,10 @@ func (p *spanProbe) EmitSpan(_ context.Context, seqs []uint64, _ []any) error {
 
 // TestDistributedSpanEndpointsAndStageBatch pins that the Distributed
 // backend runs the span path end to end: a SpanSource is filled in bulk,
-// a SpanSink is handed runs, and a Stage.Batch mark vectorizes its stage
-// (both were silently dropped before the backend ran the stream engine's
-// node loops).
+// a SpanSink is handed runs — and every emission, single firings
+// included — and a Stage.Batch mark vectorizes its stage (both were
+// silently dropped before the backend ran the stream engine's node
+// loops).
 func TestDistributedSpanEndpointsAndStageBatch(t *testing.T) {
 	const inputs = 5000
 	o := NewObserver()
@@ -584,6 +586,9 @@ func TestDistributedSpanEndpointsAndStageBatch(t *testing.T) {
 	}
 	if probe.maxRun < 2 {
 		t.Errorf("SpanSink was never handed a run longer than %d", probe.maxRun)
+	}
+	if probe.emits != 0 {
+		t.Errorf("%d emissions bypassed EmitSpan through Emit", probe.emits)
 	}
 	for _, n := range o.Snapshot().Nodes {
 		switch n.Name {

@@ -421,33 +421,40 @@ func (p *Pipeline) resolvedNodeBatch() map[graph.NodeID]int {
 type goroutineEngine struct{ eng *stream.Engine }
 
 func (goroutineBackend) newEngine(p *Pipeline) (backendEngine, error) {
-	eng, err := stream.NewEngine(p.topo.g, p.kernels, stream.Config{
-		Algorithm:       p.alg,
-		Intervals:       p.intervals,
-		WatchdogTimeout: p.watchdog,
-		MaxBatch:        p.maxBatch,
-		NodeBatch:       p.resolvedNodeBatch(),
-		Obs:             p.obsMetrics(),
-	})
+	eng, err := stream.NewEngine(p.topo.g, p.kernels, p.engineConfig())
 	if err != nil {
 		return nil, err
 	}
 	return &goroutineEngine{eng: eng}, nil
 }
 
+// engineConfig is the stream engine's configuration on both backends that
+// run it (the distributed one adds its cross edges).
+func (p *Pipeline) engineConfig() stream.Config {
+	return stream.Config{
+		Algorithm:       p.alg,
+		Intervals:       p.intervals,
+		WatchdogTimeout: p.watchdog,
+		MaxBatch:        p.maxBatch,
+		NodeBatch:       p.resolvedNodeBatch(),
+		Obs:             p.obsMetrics(),
+	}
+}
+
 // sessionConfig is the session the goroutine and distributed backends
-// open for a public Open: the endpoints' bulk forms ride along whenever
-// the source or sink offers them.
+// open for a public Open: one form per direction, the bulk one whenever
+// the source or sink offers it.
 func sessionConfig(ctx context.Context, id SessionID, source Source, sink Sink, onDone stream.DoneHook) stream.SessionConfig {
-	cfg := stream.SessionConfig{ID: id, Ctx: ctx, Source: sourceFunc(source), OnDone: onDone}
+	cfg := stream.SessionConfig{ID: id, Ctx: ctx, OnDone: onDone}
 	if ss, ok := source.(SpanSource); ok {
 		cfg.SpanSource = ss.NextSpan
+	} else {
+		cfg.Source = source.Next
 	}
-	if sink != nil {
-		cfg.Sink = sinkFunc(sink)
-		if bs, ok := sink.(SpanSink); ok {
-			cfg.SpanSink = bs.EmitSpan
-		}
+	if bs, ok := sink.(SpanSink); ok {
+		cfg.SpanSink = bs.EmitSpan
+	} else if sink != nil {
+		cfg.Sink = sink.Emit
 	}
 	return cfg
 }
@@ -504,9 +511,9 @@ func (simulatorBackend) newEngine(p *Pipeline) (backendEngine, error) {
 }
 
 func (se *simEngine) open(ctx context.Context, id SessionID, source Source, sink Sink, onDone stream.DoneHook) (backendSession, error) {
-	io := sim.SessionIO{ID: id, Ctx: ctx, Source: sourceFunc(source), OnDone: onDone}
+	io := sim.SessionIO{ID: id, Ctx: ctx, Source: source.Next, OnDone: onDone}
 	if sink != nil {
-		io.Sink = sinkFunc(sink)
+		io.Sink = sink.Emit
 	}
 	ses, err := se.eng.Open(io)
 	if err != nil {
@@ -553,14 +560,7 @@ func (b distributedBackend) newEngine(p *Pipeline) (backendEngine, error) {
 		}
 		part[id] = w
 	}
-	eng, err := dist.NewEngine(g, part, p.kernels, dist.Config{
-		Algorithm:       p.alg,
-		Intervals:       p.intervals,
-		WatchdogTimeout: p.watchdog,
-		MaxBatch:        p.maxBatch,
-		NodeBatch:       p.resolvedNodeBatch(),
-		Obs:             p.obsMetrics(),
-	})
+	eng, err := dist.NewEngine(g, part, p.kernels, p.engineConfig())
 	if err != nil {
 		return nil, err
 	}

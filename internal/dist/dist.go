@@ -36,11 +36,8 @@ package dist
 import (
 	"net"
 	"sync/atomic"
-	"time"
 
-	"streamdag/internal/cs4"
 	"streamdag/internal/graph"
-	"streamdag/internal/ival"
 	"streamdag/internal/obs"
 	"streamdag/internal/stream"
 )
@@ -48,35 +45,14 @@ import (
 // Partition assigns every node of the topology to a named worker.
 type Partition map[graph.NodeID]string
 
-// Config parameterizes NewEngine (mirrors stream.Config).
-type Config struct {
-	// Algorithm selects the dummy protocol when Intervals != nil.
-	Algorithm cs4.Algorithm
-	// Intervals are per-edge dummy intervals (nil disables avoidance).
-	Intervals map[graph.EdgeID]ival.Interval
-	// WatchdogTimeout is how long the watchdog waits without progress in
-	// a session (messages moved, credits exchanged, on any worker) before
-	// declaring it deadlocked.  Zero defaults to one second.
-	WatchdogTimeout time.Duration
-	// DialTimeout bounds connection establishment to each peer.  Zero
-	// defaults to ten seconds.
-	DialTimeout time.Duration
-	// MaxBatch is stream.Config.MaxBatch: the vectorization width of the
-	// node loops, and so the longest run a single send puts in one frame.
-	// The wire itself has no batching knob: a link writer is always on
-	// and always eager — it writes whatever is queued per wake-up, never
-	// waiting for more — so the message timing the protocol observes, and
-	// each session's logical stream, are the same at every width.
-	MaxBatch int
-	// NodeBatch is stream.Config.NodeBatch (the Flow tier's Stage.Batch).
-	NodeBatch map[graph.NodeID]int
-	// Obs, when non-nil, receives per-node/per-edge/per-session
-	// telemetry, plus per-link wire stats (frames, bodies, bytes) keyed
-	// "sender→receiver".  All workers share the one Metrics — the Engine
-	// hosts them in-process.  Nil compiles instrumentation out of the hot
-	// paths.
-	Obs *obs.Metrics
-}
+// Config parameterizes NewEngine: it is the stream engine's own, and
+// NewEngine sets Cross from the partition.  MaxBatch is the longest run a
+// single send puts in one frame; the wire itself has no batching knob — a
+// link writer writes whatever is queued per wake-up, never waiting for
+// more — so the message timing the protocol observes, and each session's
+// logical stream, are the same at every width.  Obs also receives
+// per-link wire stats (frames, bodies, bytes) keyed "sender→receiver".
+type Config = stream.Config
 
 // Stats is a session's traffic summary.
 type Stats = stream.Stats

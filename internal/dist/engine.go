@@ -60,13 +60,10 @@ type Engine struct {
 	wg sync.WaitGroup // link writers, accept loops, frame readers
 }
 
-// NewEngine starts the node loops, binds one listener per distinct
-// partition name, and dials the peer mesh; ingestion and delivery are per
-// session (SessionIO).
+// NewEngine starts the node loops (stream.NewEngine validates g), binds
+// one listener per distinct partition name, and dials the peer mesh;
+// ingestion and delivery are per session (SessionIO).
 func NewEngine(g *graph.Graph, partition Partition, kernels map[graph.NodeID]stream.Kernel, cfg Config) (*Engine, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
 	e := &Engine{
 		g: g, part: partition, cfg: cfg,
 		carriers:  make(map[[2]string]*carrier),
@@ -87,15 +84,8 @@ func NewEngine(g *graph.Graph, partition Partition, kernels map[graph.NodeID]str
 			cross[ed.ID] = stream.CrossEdge{Msgs: e.carrier(from, to).box, Credits: e.carrier(to, from).box}
 		}
 	}
-	eng, err := stream.NewEngine(g, kernels, stream.Config{
-		Algorithm:       cfg.Algorithm,
-		Intervals:       cfg.Intervals,
-		WatchdogTimeout: cfg.WatchdogTimeout,
-		MaxBatch:        cfg.MaxBatch,
-		NodeBatch:       cfg.NodeBatch,
-		Cross:           cross,
-		Obs:             cfg.Obs,
-	})
+	cfg.Cross = cross
+	eng, err := stream.NewEngine(g, kernels, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -283,16 +273,15 @@ func (e *Engine) relink(name string, cause error) error {
 	return nil
 }
 
+// dialTimeout bounds connecting to a worker's loopback listener.
+const dialTimeout = 10 * time.Second
+
 // dial connects c's direction to the receiving worker's listener, sends
 // the hello, and swaps the new link in before closing the one it
 // replaces, so the writer never finds the direction without a link.
 func (e *Engine) dial(c *carrier) error {
-	timeout := e.cfg.DialTimeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
 	addr := e.listeners[c.to].Addr().String()
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	conn, err := (&net.Dialer{Timeout: dialTimeout}).Dial("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("dist: worker %q cannot reach %q at %s: %w", c.from, c.to, addr, err)
 	}

@@ -57,18 +57,21 @@ type SessionConfig struct {
 	// ID tags the session's protocol messages; the caller (the public
 	// Engine) allocates ids, nonzero and unique per engine.
 	ID proto.SessionID
-	// Source supplies the session's payloads; required.
+	// Source supplies the session's payloads one call per payload; each
+	// is published before the next is asked for.  Source or SpanSource is
+	// required.
 	Source SourceFunc
 	// SpanSource, when non-nil, is used instead of Source: the ingest
 	// pump fills whole grant windows in one call.  Offer it only for
 	// sources safe under SpanSourceFunc's bulk-publication contract.
 	SpanSource SpanSourceFunc
 	// Sink receives the session's sink-node data firings in ascending
-	// sequence order; nil discards (firings are still counted).
+	// sequence order, one call each; with neither Sink nor SpanSink the
+	// firings are discarded (and still counted).
 	Sink SinkFunc
-	// SpanSink, when non-nil, receives whole batched emission runs in
-	// one call instead of Sink per element (Sink still handles unbatched
-	// emissions and is required whenever SpanSink is set).
+	// SpanSink, when non-nil, is used instead of Sink: it receives every
+	// emission, a batched run in one call and a single firing as a run of
+	// one.
 	SpanSink SpanSinkFunc
 	// Ctx cancels the session (not the engine) with its cause; nil means
 	// Background.
@@ -277,9 +280,6 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 	if cfg.Source == nil && cfg.SpanSource == nil {
 		return nil, errors.New("stream: engine session requires a Source")
 	}
-	if cfg.SpanSink != nil && cfg.Sink == nil {
-		return nil, errors.New("stream: engine session with a SpanSink requires a Sink")
-	}
 	if cfg.ID == 0 {
 		return nil, errors.New("stream: engine session requires a nonzero id")
 	}
@@ -299,7 +299,7 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 	}
 	// One hold for the done resolution and one per pump (see unhold).
 	holds := int32(2)
-	if cfg.Sink != nil {
+	if ses.hasSink() {
 		holds++
 	}
 	ses.holds.Store(holds)
@@ -316,7 +316,7 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 	}
 	// The buffers are in place before the session is registered: the
 	// watchdog reads the counters of every registered session.
-	ses.sessionBufs = e.takeBufs(cfg)
+	ses.sessionBufs = e.takeBufs(ses.hasSink())
 	e.sessions[ses.id] = ses
 	e.mu.Unlock()
 	if m := e.cfg.Obs; m != nil {
@@ -335,7 +335,7 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 	if parent.Done() != nil {
 		ses.stopParent = context.AfterFunc(parent, func() { ses.end(context.Cause(parent), nil) })
 	}
-	if cfg.Sink != nil {
+	if ses.hasSink() {
 		go ses.sinkPump(e.sink)
 	}
 	go ses.ingestPump(e.source)
@@ -343,10 +343,9 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 }
 
 // takeBufs returns buffers for a new session: scrubbed ones from the free
-// list, or fresh ones when it is empty.  The sink ring and the span
-// scratch are made the first time a session needs them and kept after.
-// Caller holds e.mu.
-func (e *Engine) takeBufs(cfg SessionConfig) *sessionBufs {
+// list, or fresh ones when it is empty.  The sink ring is made the first
+// time a session with a sink needs it and kept after.  Caller holds e.mu.
+func (e *Engine) takeBufs(sink bool) *sessionBufs {
 	var b *sessionBufs
 	if k := len(e.free) - 1; k >= 0 {
 		b, e.free[k] = e.free[k], nil
@@ -354,24 +353,23 @@ func (e *Engine) takeBufs(cfg SessionConfig) *sessionBufs {
 	} else {
 		// Each ring (a power of two, for mask indexing) holds its window:
 		// the ingest ring's occupancy never exceeds outstanding grants, so
-		// the pump never waits for ring space.
+		// the pump never waits for ring space.  The pump's fill scratch
+		// holds one window too.
 		b = &sessionBufs{
-			live:  make([]ownedCounter, len(e.nodes)),
-			at:    make([]*nodeSession, len(e.nodes)),
-			edges: make([]edgeCounts, e.g.NumEdges()),
-			ready: make(chan struct{}, 1),
-			ring:  make([]any, 1<<bits.Len(uint(e.srcWin-1))),
+			live:    make([]ownedCounter, len(e.nodes)),
+			at:      make([]*nodeSession, len(e.nodes)),
+			edges:   make([]edgeCounts, e.g.NumEdges()),
+			ready:   make(chan struct{}, 1),
+			ring:    make([]any, 1<<bits.Len(uint(e.srcWin-1))),
+			scratch: make([]any, e.srcWin),
 		}
 	}
-	if cfg.Sink != nil && b.emits == nil {
+	if sink && b.emits == nil {
 		// Every emission carries at least one payload and the payloads
 		// outstanding at the pump are capped at sinkWin, so sinkWin slots
 		// always have room for the next.
 		b.emits = make([]emission, 1<<bits.Len(uint(e.sinkWin-1)))
 		b.sinkWake = make(chan struct{}, 1)
-	}
-	if cfg.SpanSource != nil && b.scratch == nil {
-		b.scratch = make([]any, e.srcWin)
 	}
 	return b
 }
@@ -548,6 +546,9 @@ type EngineSession struct {
 	emHead     atomic.Uint64
 	sinkParked atomic.Bool
 	sinkData   int64
+	// oneSeq/onePay are the pump's run of one for a single emission.
+	oneSeq [1]uint64
+	onePay [1]any
 
 	_ [64]byte
 
@@ -599,15 +600,14 @@ type sessionBufs struct {
 	edges []edgeCounts
 
 	// ready wakes the ingest pump (grants, and end); ring is the ingest
-	// ring; scratch is the span ingest pump's fill buffer (made for the
-	// first SpanSource session).
+	// ring; scratch is the pump's fill buffer.
 	ready   chan struct{}
 	ring    []any
 	scratch []any
 
 	// emits is the sink ring and sinkWake the parked sink pump's wake
 	// channel (see EngineSession.emTail); both are made for the first
-	// session with a Sink.
+	// session with a sink.
 	emits    []emission
 	sinkWake chan struct{}
 }
@@ -703,6 +703,10 @@ func (s *EngineSession) closeDone() {
 		close(s.done)
 	})
 }
+
+// hasSink reports whether the session delivers its emissions (a sink pump
+// runs) rather than only counting them.
+func (s *EngineSession) hasSink() bool { return s.sink != nil || s.spanSink != nil }
 
 // ID returns the session's id.
 func (s *EngineSession) ID() proto.SessionID { return s.id }
@@ -800,23 +804,19 @@ func (s *EngineSession) finishFromSink() {
 	s.end(nil, stats)
 }
 
-// ingestPump pulls the session's payloads.  Each grant buys exactly one
-// Source.Next call, and the node keeps up to the ingest window of
-// grants outstanding, so a session's source runs ahead a bounded window
-// and a slow consumer applies backpressure to its own source only.
-// Every payload is published to the shared buffer before the next Next
-// call — a request/response feedback source never sees the engine hold
-// one payload while demanding another — but the publish is one slot
-// write and a tail store on the lock-free SPSC ring, and the mailbox kick
-// coalesces: under load the source node drains whole runs of payloads
-// per event.
+// ingestPump pulls the session's payloads.  Each grant buys one payload,
+// and the node keeps up to the ingest window of grants outstanding, so a
+// session's source runs ahead a bounded window and a slow consumer
+// applies backpressure to its own source only.  Each fill is published
+// before the next is asked for — a request/response feedback source,
+// filled one payload per call, never sees the engine hold one payload
+// while demanding another — but the publish is slot writes and one tail
+// store on the lock-free SPSC ring, and the mailbox kick coalesces: under
+// load the source node drains whole runs of payloads per event, and a
+// SpanSource pays the handoff per window.
 func (s *EngineSession) ingestPump(src *engineNode) {
 	defer s.unhold()
-	if s.spanSrc != nil {
-		s.spanIngestPump(src)
-		return
-	}
-	mask := uint64(len(s.ring) - 1)
+	scratch, mask := s.scratch, uint64(len(s.ring)-1)
 	for {
 		g := s.readyN.Swap(0)
 		if g == 0 {
@@ -830,18 +830,26 @@ func (s *EngineSession) ingestPump(src *engineNode) {
 		// watchdog only needs to know user code may be blocking, not how
 		// many calls deep the run is.
 		s.external.Add(1)
-		for ; g > 0; g-- {
-			payload, ok, err := s.source(s.ctx)
+		for g > 0 {
+			m := min(g, int64(len(scratch)))
+			n, eof, err := s.fill(scratch[:m])
 			if err != nil {
 				s.external.Add(-1)
 				s.callbackFailed("source", err)
 				return
 			}
-			if ok {
-				t := s.ingTail.Load()
-				s.ring[t&mask] = payload
-				s.ingTail.Store(t + 1)
-			} else {
+			if n < 0 || int64(n) > m {
+				s.external.Add(-1)
+				s.end(fmt.Errorf("stream: span source filled %d of a %d-payload buffer", n, m), nil)
+				return
+			}
+			t := s.ingTail.Load()
+			for j := 0; j < n; j++ {
+				s.ring[(t+uint64(j))&mask] = scratch[j]
+				scratch[j] = nil
+			}
+			s.ingTail.Store(t + uint64(n))
+			if eof = eof || n == 0; eof { // an empty error-free fill ends the stream
 				// After the last payload's tail store, so the drain that
 				// observes EOF has observed every payload.
 				s.ingEOF.Store(true)
@@ -853,67 +861,29 @@ func (s *EngineSession) ingestPump(src *engineNode) {
 			if !s.ingKick.Load() && s.ingKick.CompareAndSwap(false, true) {
 				src.mb.post(event{kind: evIngest, ses: s})
 			}
-			if !ok {
+			if eof {
 				s.external.Add(-1)
 				return
 			}
+			g -= int64(n)
 		}
 		s.external.Add(-1)
 	}
 }
 
-// spanIngestPump is ingestPump's bulk counterpart for SpanSource
-// sessions: one NextSpan call fills a whole grant window, one tail
-// store publishes it, and one kick wakes the source node — so a fast
-// source pays the handoff per window instead of per payload.
-func (s *EngineSession) spanIngestPump(src *engineNode) {
-	scratch, mask := s.scratch, uint64(len(s.ring)-1)
-	for {
-		g := s.readyN.Swap(0)
-		if g == 0 {
-			if s.ended.Load() {
-				return
-			}
-			<-s.ready
-			continue
-		}
-		for g > 0 {
-			m := g
-			if m > int64(len(scratch)) {
-				m = int64(len(scratch))
-			}
-			s.external.Add(1)
-			n, eof, err := s.spanSrc(s.ctx, scratch[:m])
-			s.external.Add(-1)
-			if err != nil {
-				s.callbackFailed("source", err)
-				return
-			}
-			if n < 0 || int64(n) > m {
-				s.end(fmt.Errorf("stream: span source filled %d of a %d-payload buffer", n, m), nil)
-				return
-			}
-			if n == 0 {
-				eof = true // an empty error-free fill ends the stream
-			}
-			t := s.ingTail.Load()
-			for j := 0; j < n; j++ {
-				s.ring[(t+uint64(j))&mask] = scratch[j]
-				scratch[j] = nil
-			}
-			s.ingTail.Store(t + uint64(n))
-			if eof {
-				s.ingEOF.Store(true)
-			}
-			if !s.ingKick.Load() && s.ingKick.CompareAndSwap(false, true) {
-				src.mb.post(event{kind: evIngest, ses: s})
-			}
-			if eof {
-				return
-			}
-			g -= int64(n)
-		}
+// fill asks the source for up to len(buf) payloads: one NextSpan call for
+// a SpanSource, otherwise one Next call for one payload, which keeps
+// SourceFunc's one-at-a-time contract.
+func (s *EngineSession) fill(buf []any) (int, bool, error) {
+	if s.spanSrc != nil {
+		return s.spanSrc(s.ctx, buf)
 	}
+	payload, ok, err := s.source(s.ctx)
+	if err != nil || !ok {
+		return 0, true, err
+	}
+	buf[0] = payload
+	return 1, false, nil
 }
 
 // sinkPump delivers the session's emissions in order, draining the ring
@@ -948,15 +918,18 @@ func (s *EngineSession) sinkPump(sink *engineNode) {
 }
 
 // deliver hands one emission to the sink under one external-callback
-// window (one EmitSpan, or Emit per element) and returns its payloads.
+// window (one EmitSpan, or Emit per element) and returns its payloads.  A
+// single firing goes to EmitSpan as a run of one, from the session's
+// one-slot scratch.
 func (s *EngineSession) deliver(em *emission) (int, error) {
-	s.external.Add(1)
-	defer s.external.Add(-1)
-	if em.pays == nil {
-		return 1, s.sink(s.ctx, em.seq, em.payload)
+	seqs, pays := s.oneSeq[:], s.onePay[:]
+	if em.pays != nil {
+		seqs, pays = *em.seqs, *em.pays
+	} else {
+		seqs[0], pays[0] = em.seq, em.payload
 	}
-	seqs, pays := *em.seqs, *em.pays
 	var err error
+	s.external.Add(1)
 	if s.spanSink != nil {
 		err = s.spanSink(s.ctx, seqs, pays)
 	} else {
@@ -964,7 +937,9 @@ func (s *EngineSession) deliver(em *emission) (int, error) {
 			err = s.sink(s.ctx, seqs[j], pays[j])
 		}
 	}
-	if err == nil { // the slices were valid only during the call
+	s.external.Add(-1)
+	s.onePay[0] = nil
+	if em.pays != nil && err == nil { // the slices were valid only during the call
 		payFree.put(em.pays)
 		seqFree.put(em.seqs)
 	}
@@ -1340,7 +1315,7 @@ func (n *engineNode) markDirty(ns *nodeSession) {
 // of Buf 64 thus retains at most 16 × (8 + 0.3) KB ≈ 133 KB.  The engine's
 // free list of session buffers (takeBufs, unhold) has the same cap; one
 // entry is a padded counter and a state slot per node, two lines per edge,
-// the ingest ring and span scratch (a grant window each) and the sink ring
+// the ingest ring and fill scratch (a grant window each) and the sink ring
 // (a sink window of 40-byte emissions), about 2 KB on a five-node chain.
 const freeSessions = 16
 
@@ -1835,7 +1810,7 @@ func (n *engineNode) fire(ns *nodeSession) (fired, data int, eos bool) {
 		}
 	}
 	sinkRoom := n.batch
-	emits := nOut == 0 && ns.ses.sink != nil // firings go to the sink pump
+	emits := nOut == 0 && ns.ses.hasSink() // firings go to the sink pump
 	if emits {
 		sinkRoom = n.e.sinkWin - ns.sinkInflight
 		if n.emPays == nil || cap(*n.emPays) < need {
@@ -1987,7 +1962,7 @@ func (n *engineNode) sinkEmit(ns *nodeSession, data int) {
 	if n.obsS != nil {
 		n.obsS.SinkMsgs.Add(int64(data))
 	}
-	if ns.ses.sink == nil {
+	if !ns.ses.hasSink() {
 		return
 	}
 	// The pass stopped at the pump window's room, so the ring has a free

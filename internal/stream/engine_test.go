@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -314,24 +313,43 @@ func TestEngineOpenAfterCloseFails(t *testing.T) {
 	}
 }
 
-// TestEngineSpanSinkRequiresSink: a SpanSink only takes batched runs, and
-// without a Sink no sink pump starts, so the session's emissions would be
-// dropped without a word.  Open refuses it instead.
-func TestEngineSpanSinkRequiresSink(t *testing.T) {
-	eng, err := stream.NewEngine(workload.Pipeline(3, 2), nil, stream.Config{MaxBatch: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	_, err = eng.Open(stream.SessionConfig{
-		ID: 1, Source: stream.SyntheticSource(10),
-		SpanSink: func(context.Context, []uint64, []any) error { return nil },
-	})
-	if err == nil || !strings.Contains(err.Error(), "requires a Sink") {
-		t.Fatalf("Open with a SpanSink and no Sink = %v, want an error naming the missing Sink", err)
-	}
-	if len(eng.Active()) != 0 {
-		t.Fatal("a refused session was registered")
+// TestEngineSpanSinkAlone: a session whose only sink is a SpanSink gets
+// every emission through it — batched runs and single firings (runs of
+// one) alike — in ascending order, at batch 1 and at batch 64.
+func TestEngineSpanSinkAlone(t *testing.T) {
+	const inputs = 1000
+	for _, batch := range []int{1, 64} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			eng, err := stream.NewEngine(workload.Pipeline(3, 128), nil, stream.Config{MaxBatch: batch, WatchdogTimeout: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			var seqs []uint64
+			var pays []any
+			ses, err := eng.Open(stream.SessionConfig{
+				ID: 1, Source: stream.SyntheticSource(inputs),
+				SpanSink: func(_ context.Context, s []uint64, p []any) error {
+					seqs, pays = append(seqs, s...), append(pays, p...)
+					return nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := ses.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.SinkData != inputs || len(seqs) != inputs {
+				t.Fatalf("SinkData = %d, SpanSink got %d emissions, want %d", stats.SinkData, len(seqs), inputs)
+			}
+			for i, seq := range seqs {
+				if seq != uint64(i) || pays[i] != uint64(i) {
+					t.Fatalf("emission %d = (%d, %v), want (%d, %d)", i, seq, pays[i], i, i)
+				}
+			}
+		})
 	}
 }
 

@@ -160,8 +160,8 @@ func newSinkRig(tb testing.TB) *sinkRig {
 	r := &sinkRig{sink: e.sink, pumped: make(chan struct{})}
 	r.sink.mb.closed = false
 	ctx, cancel := context.WithCancelCause(context.Background())
-	cfg := SessionConfig{Sink: func(context.Context, uint64, any) error { return nil }}
-	r.ses = &EngineSession{id: 1, e: e, ctx: ctx, cancel: cancel, sink: cfg.Sink, sessionBufs: e.takeBufs(cfg)}
+	sink := func(context.Context, uint64, any) error { return nil }
+	r.ses = &EngineSession{id: 1, e: e, ctx: ctx, cancel: cancel, sink: sink, sessionBufs: e.takeBufs(true)}
 	go func() {
 		defer close(r.pumped)
 		r.ses.sinkPump(r.sink)
@@ -209,7 +209,7 @@ func newFiringBench(b testing.TB, g *graph.Graph, node graph.NodeID, ks map[grap
 	for _, mb := range n.downMB {
 		mb.closed = false
 	}
-	ses := &EngineSession{id: 1, e: e, sessionBufs: e.takeBufs(SessionConfig{})}
+	ses := &EngineSession{id: 1, e: e, sessionBufs: e.takeBufs(false)}
 	n.absorb(&event{kind: evOpen, ses: ses})
 	return &firingBench{n: n, ns: ses.at[node]}
 }

@@ -58,9 +58,9 @@ type HistogramSnapshot = obs.HistogramSnapshot
 type TimeSnapshot = obs.TimeSnapshot
 
 // Observer collects telemetry for one compiled topology.  Create it with
-// NewObserver, attach it with WithObserver at Build/Compile (or Observe
-// after), and read it with Snapshot, Handler, or the Write methods at any
-// time — including while streams are running.  One Observer may be
+// NewObserver, attach it with WithObserver at Build/Compile (or with
+// Flow.Observe), and read it with Snapshot, Handler, or the Write methods
+// at any time — including while streams are running.  One Observer may be
 // re-attached across rebuilds of the identical topology (counters keep
 // accumulating); attaching it to a different topology is an error.
 type Observer struct {

@@ -589,18 +589,6 @@ func injectClock(ks map[NodeID]Kernel, c clock.Clock) {
 	}
 }
 
-// sourceFunc adapts the public Source to the internal callback shape.
-func sourceFunc(s Source) stream.SourceFunc {
-	return func(ctx context.Context) (any, bool, error) { return s.Next(ctx) }
-}
-
-// sinkFunc adapts the public Sink to the internal callback shape.
-func sinkFunc(s Sink) stream.SinkFunc {
-	return func(ctx context.Context, seq uint64, payload any) error {
-		return s.Emit(ctx, seq, payload)
-	}
-}
-
 // goroutineBackend executes on the in-process concurrent runtime.
 type goroutineBackend struct{}
 

@@ -400,3 +400,68 @@ func TestPipelineWithoutAvoidance(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestResponseSourceOneAtATime pins Source's one-at-a-time promise
+// on the runtime backends: a request/response source whose Next for
+// payload i+1 waits until the Sink has received payload i must stream to
+// the end, so the engine never holds one payload while it asks for the
+// next — at batch 1 and at batch 64 alike.
+func TestRequestResponseSourceOneAtATime(t *testing.T) {
+	const inputs = 300
+	for _, batch := range []int{1, 64} {
+		for _, backend := range []string{"goroutines", "simulator", "distributed"} {
+			t.Run(fmt.Sprintf("%s/batch%d", backend, batch), func(t *testing.T) {
+				if backend == "simulator" {
+					t.Skip("the simulator runs Source and Sink on its one scheduler goroutine, so a Next that waits for the Sink would block the run")
+				}
+				pipe, err := NewFlow[uint64, uint64]().Then(
+					Map("a", func(v uint64) uint64 { return v + 1 }),
+					Map("b", func(v uint64) uint64 { return 2 * v }),
+				).Compile(WithMaxBatch(batch))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pipe.backend = parityBackends(pipe)[backend]
+				received := make(chan uint64, 1) // the one reply outstanding
+				next := uint64(0)
+				src := SourceFunc(func(ctx context.Context) (any, bool, error) {
+					if next > 0 { // the reply to payload next-1 comes first
+						select {
+						case <-received:
+						case <-ctx.Done():
+							return nil, false, ctx.Err()
+						}
+					}
+					if next == inputs {
+						return nil, false, nil
+					}
+					next++
+					return next - 1, true, nil
+				})
+				var got []uint64
+				sink := SinkFunc(func(ctx context.Context, seq uint64, payload any) error {
+					got = append(got, payload.(uint64))
+					select {
+					case received <- seq:
+						return nil
+					case <-ctx.Done():
+						return ctx.Err()
+					}
+				})
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				if _, err := pipe.Run(ctx, src, sink); err != nil {
+					t.Fatalf("after %d of %d payloads: %v", len(got), inputs, err)
+				}
+				if len(got) != inputs {
+					t.Fatalf("sink received %d payloads, want %d", len(got), inputs)
+				}
+				for i, v := range got {
+					if want := 2 * uint64(i+1); v != want {
+						t.Fatalf("payload %d = %d, want %d", i, v, want)
+					}
+				}
+			})
+		}
+	}
+}

@@ -321,10 +321,11 @@ func cancelWhenStalled(t *testing.T, eng *Engine, quiet int64) {
 // 1, the session_churn shape.  Payloads stay below 256 so no box is counted;
 // what is left is the session's own set-up and teardown.  Node state and
 // the stream session's buffers are recycled, and the release hook is the
-// Session pointer itself, so the 17 left are what a session cannot share:
+// Session pointer itself, so the 15 left are what a session cannot share:
 //   - the public Session (1);
-//   - the Source/Sink adapters and the NextSpan/EmitSpan method values (4),
-//     since stream.SessionConfig's endpoint fields are funcs;
+//   - one endpoint method value per direction, NextSpan or Next and
+//     EmitSpan or Emit (2), since stream.SessionConfig's endpoint fields
+//     are funcs;
 //   - the test's own CountingSource (1);
 //   - the stream session struct and its done channel, which callers keep
 //     and which closes (2);

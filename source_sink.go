@@ -31,15 +31,16 @@ type SourceFunc func(ctx context.Context) (payload any, ok bool, err error)
 func (f SourceFunc) Next(ctx context.Context) (any, bool, error) { return f(ctx) }
 
 // SpanSource is the optional bulk-ingestion extension of Source: the
-// runtime's ingest pump hands NextSpan a whole grant window to fill in
-// one call — n payloads (order preserved, sequence numbers assigned as
-// if each had been returned by Next) plus eof when the stream ends; eof
-// may accompany a final non-empty fill, and an error-free zero fill
-// also ends the stream.  The payloads of one fill are published to the
-// topology together, so implement SpanSource only when payloads never
-// depend on the downstream observing earlier ones — counters, slices,
-// replay logs.  A request/response feedback source must stick to
-// Source, whose one-at-a-time contract the runtime preserves.
+// runtime backends' ingest pump hands NextSpan a whole grant window to
+// fill in one call — n payloads (order preserved, sequence numbers
+// assigned as if each had been returned by Next) plus eof when the stream
+// ends; eof may accompany a final non-empty fill, and an error-free zero
+// fill also ends the stream.  Next is then called only by the Simulator.
+// The payloads of one fill are published to the topology together, so
+// implement SpanSource only when payloads never depend on the downstream
+// observing earlier ones — counters, slices, replay logs.  A
+// request/response feedback source must stick to Source: the runtime
+// calls its Next once per payload and publishes each before the next.
 type SpanSource interface {
 	Source
 	NextSpan(ctx context.Context, buf []any) (n int, eof bool, err error)
@@ -179,12 +180,12 @@ func ChannelSink(ch chan<- Emission) Sink {
 	})
 }
 
-// SpanSink is the optional bulk-delivery extension of Sink: a batched
-// runtime hands EmitSpan a whole emission run (parallel seqs/pays
-// slices, ascending sequence order) in one call instead of calling Emit
-// per element.  The slices are only valid for the duration of the call.
-// Unbatched emissions still arrive through Emit, so implementations
-// must keep both paths consistent.
+// SpanSink is the optional bulk-delivery extension of Sink: the runtime
+// backends deliver every emission through EmitSpan — a batched run
+// (parallel seqs/pays slices, ascending sequence order) in one call, a
+// single firing as a run of one.  The slices are only valid for the
+// duration of the call.  The Simulator calls Emit per element, so
+// implementations must keep both paths consistent.
 type SpanSink interface {
 	Sink
 	EmitSpan(ctx context.Context, seqs []uint64, pays []any) error
