@@ -306,9 +306,6 @@ func TestRoutedFiringAllocBudget(t *testing.T) {
 	}
 }
 
-// raceDetector is set by race_test.go in -race builds.
-var raceDetector bool
-
 // TestTimedIngestAllocBudget is the allocation gate of the time-aware
 // path: Map → TumblingWindow(1h) → Map on a fake clock at batch 64.  The
 // window node ingests runs into kernel-owned scratch and one open window,
@@ -317,7 +314,7 @@ var raceDetector bool
 // allocation.  (A clock-keyed slice per element, as the per-element ingest
 // once built, is one.)
 func TestTimedIngestAllocBudget(t *testing.T) {
-	if testing.Short() || raceDetector {
+	if testing.Short() {
 		t.Skip("allocation benchmark")
 	}
 	const inputs = 1 << 14
@@ -411,7 +408,7 @@ func mapChainAllocs(t *testing.T, batch int, stages ...Stage) float64 {
 // arena keeps across spans, so an input costs the pipeline at most a
 // fiftieth of an allocation, not one box per stage (≈ 3).
 func TestSpanMapAllocBudget(t *testing.T) {
-	if testing.Short() || raceDetector {
+	if testing.Short() {
 		t.Skip("allocation benchmark")
 	}
 	perInput := mapChainAllocs(t, 64, threeMaps()...)
@@ -427,7 +424,7 @@ func TestSpanMapAllocBudget(t *testing.T) {
 // Maps cost at most a twentieth of an allocation per input, not one box
 // per stage (≈ 3).
 func TestBatch1MapAllocBudget(t *testing.T) {
-	if testing.Short() || raceDetector {
+	if testing.Short() {
 		t.Skip("allocation benchmark")
 	}
 	perInput := mapChainAllocs(t, 1, threeMaps()...)
@@ -446,7 +443,7 @@ func TestBatch1MapAllocBudget(t *testing.T) {
 // Through a map-returning Process each filtering firing paid a map and a
 // box (≈ 1.5).
 func TestFilterChainAllocBudget(t *testing.T) {
-	if testing.Short() || raceDetector {
+	if testing.Short() {
 		t.Skip("allocation benchmark")
 	}
 	even := func(v uint64) bool { return v%2 == 0 }
@@ -477,7 +474,7 @@ func TestFilterChainAllocBudget(t *testing.T) {
 // hands each node the tap over the Map's own per-node copy, so a tapped
 // chain at batch 1 allocates no more than the untapped one.
 func TestTappedMapKeepsItsArena(t *testing.T) {
-	if testing.Short() || raceDetector {
+	if testing.Short() {
 		t.Skip("allocation benchmark")
 	}
 	var seen atomic.Int64

@@ -41,8 +41,7 @@ type crossEnds struct {
 // everything queued per wake-up.
 type Outbox struct {
 	mb    *mailbox
-	spare []event
-	one   [1]Message
+	spare batch
 }
 
 // NewOutbox returns an empty outbox.
@@ -65,37 +64,28 @@ type Parcel struct {
 // Drain blocks for the next batch and calls visit for each parcel in
 // post order, skipping sessions that have ended; it reports false when
 // the outbox is closed and drained.  A parcel's Run is valid only during
-// the call: the span goes back to the engine's pool afterwards.  One
+// the call: the outbox reuses its storage for the next batch.  One
 // goroutine drains an outbox at a time.
 func (o *Outbox) Drain(visit func(Parcel)) bool {
-	evs, ok := o.mb.takeAll(o.spare)
+	b, ok := o.mb.takeAll(o.spare)
 	if !ok {
 		return false
 	}
-	for i := range evs {
-		ev := &evs[i]
-		if !ev.ses.ended.Load() {
-			p := Parcel{Session: ev.ses, Edge: graph.EdgeID(ev.pos)}
-			switch {
-			case ev.kind == evCredit:
-				p.Credits = ev.cnt
-			case ev.span != nil:
-				p.Run = *ev.span
-			default:
-				o.one[0] = ev.msg
-				p.Run = o.one[:]
-			}
-			visit(p)
+	for i := range b.evs {
+		ev := &b.evs[i]
+		if ev.ses.ended.Load() {
+			continue
 		}
-		// The writer is where a span's in-process ownership ends; the
-		// receiving side's Deliver starts a fresh one.
-		if ev.span != nil {
-			spanFree.put(ev.span)
+		p := Parcel{Session: ev.ses, Edge: graph.EdgeID(ev.pos)}
+		if ev.kind == evCredit {
+			p.Credits = ev.cnt
+		} else {
+			p.Run = b.arena[ev.off : ev.off+ev.cnt]
 		}
-		evs[i] = event{}
+		visit(p)
 	}
-	o.one[0] = Message{}
-	o.spare = evs
+	b.reset()
+	o.spare = b
 	return true
 }
 
@@ -113,14 +103,7 @@ func (e *Engine) Deliver(sid proto.SessionID, edge graph.EdgeID, run []Message) 
 		return nil
 	}
 	c := &e.cross[edge]
-	ev := event{kind: evMsg, ses: ses, pos: c.inPos}
-	if len(run) == 1 {
-		ev.msg = run[0]
-	} else {
-		ev.span = spanFree.get(len(run))
-		*ev.span = append(*ev.span, run...)
-	}
-	c.to.mb.post(ev)
+	c.to.mb.postRun(event{kind: evMsg, ses: ses, pos: c.inPos}, run)
 	return nil
 }
 

@@ -69,9 +69,8 @@ type SessionConfig struct {
 	// sequence order, one call each; with neither Sink nor SpanSink the
 	// firings are discarded (and still counted).
 	Sink SinkFunc
-	// SpanSink, when non-nil, is used instead of Sink: it receives every
-	// emission, a batched run in one call and a single firing as a run of
-	// one.
+	// SpanSink, when non-nil, is used instead of Sink: one call carries
+	// the emissions the pump found queued (see SpanSinkFunc).
 	SpanSink SpanSinkFunc
 	// Ctx cancels the session (not the engine) with its cause; nil means
 	// Background.
@@ -185,7 +184,7 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		n.kin = make([]Input, max(len(n.in), 1))
 		n.kout = make([]any, max(len(n.out), 1))
 		n.present = make([]bool, max(len(n.out), 1))
-		n.acc = make([]*[]Message, len(n.out))
+		n.acc = make([][]Message, len(n.out))
 		n.accDummy = make([]int, len(n.out))
 		n.allTrue = make([]bool, len(n.out))
 		for i := range n.allTrue {
@@ -364,11 +363,11 @@ func (e *Engine) takeBufs(sink bool) *sessionBufs {
 			scratch: make([]any, e.srcWin),
 		}
 	}
-	if sink && b.emits == nil {
-		// Every emission carries at least one payload and the payloads
-		// outstanding at the pump are capped at sinkWin, so sinkWin slots
-		// always have room for the next.
-		b.emits = make([]emission, 1<<bits.Len(uint(e.sinkWin-1)))
+	if sink && b.emPay == nil {
+		// The payloads outstanding at the pump are capped at sinkWin, so
+		// sinkWin slots always have room for the next pass.
+		b.emSeq = make([]uint64, 1<<bits.Len(uint(e.sinkWin-1)))
+		b.emPay = make([]any, len(b.emSeq))
 		b.sinkWake = make(chan struct{}, 1)
 	}
 	return b
@@ -460,17 +459,6 @@ func (e *Engine) snapshot(ses *EngineSession) (map[string]string, []string) {
 	return chans, stalled
 }
 
-// emission is one sink delivery queued for the session's sink pump: a
-// single firing (seq/payload) or, from the batched hot path, a span of
-// consecutive firings in pooled arrays (seqs/pays, non-nil marks the
-// batched form).
-type emission struct {
-	seq     uint64
-	payload any
-	seqs    *[]uint64
-	pays    *[]any
-}
-
 // ingestWindow is how many payloads a session's ingest pump may have
 // outstanding (granted or queued at the source node).  One would
 // round-trip a grant per payload; a small window pipelines ingestion
@@ -536,19 +524,17 @@ type EngineSession struct {
 
 	_ [64]byte
 
-	// Sink handoff, the ingest ring's mirror: the sink node stores each
-	// emission at emTail (publish), and the pump delivers up to it, clears
-	// the slots, stores emHead and acks with one evSinkDone.  The node never
-	// reads the head: the sink window bounds what is outstanding.  The pump
-	// raises sinkParked before it blocks on sinkWake; whoever lowers it owes
-	// the one token.  sinkData is the sink node's count, read at completion.
+	// Sink handoff, the ingest ring's mirror: the sink node copies each
+	// pass's emissions in at emTail (publish), and the pump delivers up to
+	// it, clears the slots, stores emHead and acks with one evSinkDone.  The
+	// node never reads the head: the sink window bounds what is outstanding.
+	// The pump raises sinkParked before it blocks on sinkWake; whoever
+	// lowers it owes the one token.  sinkData is the sink node's count, read
+	// at completion.
 	emTail     atomic.Uint64
 	emHead     atomic.Uint64
 	sinkParked atomic.Bool
 	sinkData   int64
-	// oneSeq/onePay are the pump's run of one for a single emission.
-	oneSeq [1]uint64
-	onePay [1]any
 
 	_ [64]byte
 
@@ -605,10 +591,11 @@ type sessionBufs struct {
 	ring    []any
 	scratch []any
 
-	// emits is the sink ring and sinkWake the parked sink pump's wake
-	// channel (see EngineSession.emTail); both are made for the first
-	// session with a sink.
-	emits    []emission
+	// emSeq/emPay are the sink ring, one slot per payload, and sinkWake
+	// the parked sink pump's wake channel (see EngineSession.emTail); all
+	// are made for the first session with a sink.
+	emSeq    []uint64
+	emPay    []any
 	sinkWake chan struct{}
 }
 
@@ -660,9 +647,8 @@ func (s *EngineSession) unhold() {
 // scrub empties the buffers for their next session: counters zeroed (the
 // atomics with stores, since a watchdog scan that listed the old session
 // may still read them), rings and scratch cleared so no payload outlives
-// its session, a stale ready token drained, and emissions the sink pump
-// never delivered handed back to the pools.  (Each node empties its own
-// at slot when it retires.)
+// its session, and a stale ready token drained.  (Each node empties its
+// own at slot when it retires.)
 func (b *sessionBufs) scrub() {
 	for i := range b.live {
 		b.live[i].n.Store(0)
@@ -675,13 +661,7 @@ func (b *sessionBufs) scrub() {
 	}
 	clear(b.ring)
 	clear(b.scratch)
-	for i := range b.emits {
-		if em := &b.emits[i]; em.pays != nil {
-			payFree.put(em.pays)
-			seqFree.put(em.seqs)
-		}
-	}
-	clear(b.emits)
+	clear(b.emPay)
 	select {
 	case <-b.ready:
 	default:
@@ -893,57 +873,45 @@ func (s *EngineSession) fill(buf []any) (int, bool, error) {
 // once the session has ended; emissions still queued are never delivered.
 func (s *EngineSession) sinkPump(sink *engineNode) {
 	defer s.unhold()
-	mask := uint64(len(s.emits) - 1)
 	for h := uint64(0); !s.ended.Load(); {
-		acked := 0
+		start := h
 		for t := s.emTail.Load(); h != t; t = s.emTail.Load() {
-			for ; h != t; h++ {
-				em := &s.emits[h&mask]
-				n, err := s.deliver(em)
-				if err != nil {
-					s.callbackFailed("sink", err)
-					return
-				}
-				acked += n
-				*em = emission{}
+			if err := s.deliver(h, t); err != nil {
+				s.callbackFailed("sink", err)
+				return
 			}
+			h = t
 		}
-		if acked == 0 {
+		if h == start {
 			s.parkSink(h)
 			continue
 		}
 		s.emHead.Store(h)
-		sink.mb.post(event{kind: evSinkDone, ses: s, cnt: acked})
+		sink.mb.post(event{kind: evSinkDone, ses: s, cnt: int(h - start)})
 	}
 }
 
-// deliver hands one emission to the sink under one external-callback
-// window (one EmitSpan, or Emit per element) and returns its payloads.  A
-// single firing goes to EmitSpan as a run of one, from the session's
-// one-slot scratch.
-func (s *EngineSession) deliver(em *emission) (int, error) {
-	seqs, pays := s.oneSeq[:], s.onePay[:]
-	if em.pays != nil {
-		seqs, pays = *em.seqs, *em.pays
-	} else {
-		seqs[0], pays[0] = em.seq, em.payload
-	}
-	var err error
+// deliver hands the ring's slots [h, t) to the sink under one
+// external-callback window — one EmitSpan, or two where the ring wraps,
+// or Emit per element — and clears them.
+func (s *EngineSession) deliver(h, t uint64) (err error) {
 	s.external.Add(1)
-	if s.spanSink != nil {
-		err = s.spanSink(s.ctx, seqs, pays)
-	} else {
-		for j := 0; j < len(pays) && err == nil; j++ {
-			err = s.sink(s.ctx, seqs[j], pays[j])
+	for h != t && err == nil {
+		i := int(h & uint64(len(s.emPay)-1))
+		j := min(i+int(t-h), len(s.emPay))
+		seqs, pays := s.emSeq[i:j], s.emPay[i:j]
+		if s.spanSink != nil {
+			err = s.spanSink(s.ctx, seqs, pays)
+		} else {
+			for k := 0; k < len(pays) && err == nil; k++ {
+				err = s.sink(s.ctx, seqs[k], pays[k])
+			}
 		}
+		clear(pays)
+		h += uint64(j - i)
 	}
 	s.external.Add(-1)
-	s.onePay[0] = nil
-	if em.pays != nil && err == nil { // the slices were valid only during the call
-		payFree.put(em.pays)
-		seqFree.put(em.seqs)
-	}
-	return len(pays), err
+	return err
 }
 
 // parkSink blocks the sink pump until the ring holds more than h or the
@@ -957,12 +925,16 @@ func (s *EngineSession) parkSink(h uint64) {
 	}
 }
 
-// publish hands the sink pump one emission: a slot write and a tail
-// store, and a wake only when the pump is parked.
-func (s *EngineSession) publish(em emission) {
+// publish copies one pass's emissions into the sink ring: slot writes
+// and a tail store, and a wake only when the pump is parked.
+func (s *EngineSession) publish(seqs []uint64, pays []any) {
 	t := s.emTail.Load()
-	s.emits[t&uint64(len(s.emits)-1)] = em
-	s.emTail.Store(t + 1)
+	mask := uint64(len(s.emPay) - 1)
+	for j := range pays {
+		k := (t + uint64(j)) & mask
+		s.emSeq[k], s.emPay[k] = seqs[j], pays[j]
+	}
+	s.emTail.Store(t + uint64(len(pays)))
 	s.wakeSink()
 }
 
@@ -989,70 +961,46 @@ const (
 	evAbort
 )
 
-// event is one unit of work for a node loop, 64 bytes.  Carrying the
+// event is one unit of work for a node loop, 32 bytes.  Carrying the
 // session pointer (not just the id) lets late events for an ended session
-// be dropped without a registry lookup.
+// be dropped without a registry lookup.  An evMsg is a run of messages —
+// data and dummies interleaved in sequence order, one or a batch — whose
+// copy sits in its batch's arena at [off, off+cnt).
 type event struct {
 	kind evKind
 	pos  int32 // in-edge position (evMsg), out-edge position (evCredit)
-	cnt  int   // batched count (evCredit, evSinkDone)
+	cnt  int   // batched count (evCredit, evSinkDone), run length (evMsg)
 	ses  *EngineSession
-	msg  Message
-	// span is a batched evMsg: a run of messages — data and dummies
-	// interleaved in sequence order — delivered as one event (one mailbox
-	// post instead of len(span)).  A run always ships whole, in an array
-	// drawn from spanFree, so its receiver owns it: after absorbing it,
-	// the receiver returns it there.
-	span *[]Message
+	off  int // run offset in the batch's arena (evMsg)
 }
 
-// slicePool recycles slice backing arrays.  It pools *[]T, not []T —
-// boxing a slice header into the pool's interface allocates on every Put —
-// and the box travels with its array, so a steady-state get/put cycle
-// allocates nothing.
-type slicePool[T any] struct{ p sync.Pool }
-
-// get returns an empty slice with capacity ≥ k.
-func (p *slicePool[T]) get(k int) *[]T {
-	b, _ := p.p.Get().(*[]T)
-	if b == nil {
-		b = new([]T)
-	}
-	if cap(*b) < k {
-		*b = make([]T, 0, k)
-	}
-	return b
+// batch is a mailbox's queue: its events in post order and the arena
+// holding their runs.
+type batch struct {
+	evs   []event
+	arena []Message
 }
 
-// put zeroes the slice (pooled arrays keep no payloads) and recycles it.
-func (p *slicePool[T]) put(b *[]T) {
-	clear(*b)
-	*b = (*b)[:0]
-	p.p.Put(b)
+// reset zeroes the batch (no payload outlives its absorb) for reuse.
+func (b *batch) reset() {
+	clear(b.evs)
+	clear(b.arena)
+	b.evs, b.arena = b.evs[:0], b.arena[:0]
 }
-
-// spanFree recycles run backing arrays across the engine's hot path:
-// fireRun draws its out-edge accumulators from it and the absorbing node
-// returns each span after copying it out.  seqFree and payFree recycle
-// the batched sink-emission buffers; the sink pump returns them after
-// delivering a span.
-var (
-	spanFree slicePool[Message]
-	seqFree  slicePool[uint64]
-	payFree  slicePool[any]
-)
 
 // mailbox is the unbounded MPSC queue feeding one node loop.  Posts
 // never block, which is what keeps the node loops deadlock-free among
-// themselves: all flow control lives in the per-session credit windows.
-// The consumer drains whole batches (takeAll), so the lock is taken once
-// per batch, not once per event, and the two slices ping-pong: memory is
-// bounded by the largest backlog, not by total traffic.  A consumer that
-// finds the queue empty raises parked and waits on wake; the post (or
-// close) that lowers the flag owes it the one token.
+// themselves: all flow control lives in the per-session credit windows,
+// which also bound what the queue holds.  A run is copied in on post, so
+// the sender keeps its buffer and no buffer changes goroutine.  The
+// consumer drains whole batches (takeAll), so the lock is taken once per
+// batch, not once per event, and two batches ping-pong: memory is bounded
+// by the largest backlog, not by total traffic.  A consumer that finds
+// the queue empty raises parked and waits on wake; the post (or close)
+// that lowers the flag owes it the one token.
 type mailbox struct {
 	mu     sync.Mutex
-	q      []event
+	q      batch
 	parked bool
 	closed bool
 	wake   chan struct{}
@@ -1063,7 +1011,18 @@ func newMailbox() *mailbox { return &mailbox{wake: make(chan struct{}, 1)} }
 func (m *mailbox) post(ev event) {
 	m.mu.Lock()
 	if !m.closed {
-		m.q = append(m.q, ev)
+		m.q.evs = append(m.q.evs, ev)
+	}
+	m.unlock()
+}
+
+// postRun posts an evMsg carrying a copy of run.
+func (m *mailbox) postRun(ev event, run []Message) {
+	m.mu.Lock()
+	if !m.closed {
+		ev.off, ev.cnt = len(m.q.arena), len(run)
+		m.q.arena = append(m.q.arena, run...)
+		m.q.evs = append(m.q.evs, ev)
 	}
 	m.unlock()
 }
@@ -1079,21 +1038,21 @@ func (m *mailbox) unlock() {
 	}
 }
 
-// takeAll blocks for the next batch of events, handing ownership of the
-// queued slice to the caller and installing spare (cleared) as the new
+// takeAll blocks for the next batch, handing ownership of the queued one
+// to the caller and installing spare (reset by its owner) as the new
 // queue.  It returns ok=false when the mailbox is closed and drained.
-func (m *mailbox) takeAll(spare []event) ([]event, bool) {
+func (m *mailbox) takeAll(spare batch) (batch, bool) {
 	m.mu.Lock()
-	for len(m.q) == 0 && !m.closed {
+	for len(m.q.evs) == 0 && !m.closed {
 		m.parked = true
 		m.mu.Unlock()
 		<-m.wake
 		m.mu.Lock()
 	}
-	evs := m.q
-	m.q = spare[:0]
+	b := m.q
+	m.q = spare
 	m.mu.Unlock()
-	return evs, len(evs) > 0
+	return b, len(b.evs) > 0
 }
 
 func (m *mailbox) close() {
@@ -1154,14 +1113,13 @@ type engineNode struct {
 	present         []bool
 	spanIn, spanOut []any
 	spanSeq         []uint64
-	// acc[i] accumulates the pass's run for out-pos i (drawn from
-	// spanFree, shipped with the event) and accDummy[i] counts the dummies
-	// in it.
-	acc      []*[]Message
+	// acc[i] accumulates the pass's run for out-pos i and accDummy[i]
+	// counts the dummies in it; ship copies the run out and empties it.
+	acc      [][]Message
 	accDummy []int
 	// emSeqs/emPays accumulate a sink's emissions the same way.
-	emSeqs *[]uint64
-	emPays *[]any
+	emSeqs []uint64
+	emPays []any
 	// allTrue is the constant all-edges-emitted mask handed to FireRun
 	// by a ProcessSpan stretch.
 	allTrue []bool
@@ -1239,9 +1197,9 @@ type nodeSession struct {
 }
 
 func (n *engineNode) run() {
-	var spare []event
+	var spare batch
 	for {
-		evs, ok := n.mb.takeAll(spare)
+		b, ok := n.mb.takeAll(spare)
 		if !ok {
 			return
 		}
@@ -1249,10 +1207,10 @@ func (n *engineNode) run() {
 		// advance each touched session once — so a batch of arrivals
 		// costs one fire loop and one batched credit ack per session,
 		// not one per event.
-		for i := range evs {
-			n.absorb(&evs[i])
-			evs[i] = event{} // release references before slice reuse
+		for i := range b.evs {
+			n.absorb(&b.evs[i], b.arena)
 		}
+		b.reset() // release references before reuse
 		var t0 time.Time
 		if n.obsN != nil && len(n.dirty) > 0 {
 			if n.obsTick++; n.obsTick&(obsSampleRate-1) == 0 {
@@ -1275,7 +1233,7 @@ func (n *engineNode) run() {
 			n.retiring[i] = nil
 		}
 		n.retiring = n.retiring[:0]
-		spare = evs
+		spare = b
 	}
 }
 
@@ -1316,7 +1274,8 @@ func (n *engineNode) markDirty(ns *nodeSession) {
 // free list of session buffers (takeBufs, unhold) has the same cap; one
 // entry is a padded counter and a state slot per node, two lines per edge,
 // the ingest ring and fill scratch (a grant window each) and the sink ring
-// (a sink window of 40-byte emissions), about 2 KB on a five-node chain.
+// (a sink window of 24-byte seq and payload slots), about 2 KB on a
+// five-node chain.
 const freeSessions = 16
 
 // openSession returns the node's state for a new session: a released one
@@ -1388,8 +1347,8 @@ func (n *engineNode) release(ns *nodeSession) {
 }
 
 // absorb applies one event's state change and marks the session for the
-// batch's advance pass.
-func (n *engineNode) absorb(ev *event) {
+// batch's advance pass; arena holds the batch's runs.
+func (n *engineNode) absorb(ev *event, arena []Message) {
 	if ev.kind == evAbort {
 		if ns := ev.ses.at[n.id]; ns != nil {
 			n.retire(ns)
@@ -1418,12 +1377,7 @@ func (n *engineNode) absorb(ev *event) {
 	}
 	switch ev.kind {
 	case evMsg:
-		if ev.span != nil {
-			ns.heads[ev.pos].pushAll(*ev.span)
-			spanFree.put(ev.span)
-		} else {
-			ns.heads[ev.pos].push(ev.msg)
-		}
+		ns.heads[ev.pos].pushAll(arena[ev.off : ev.off+ev.cnt])
 	case evCredit:
 		if ev.cnt > ns.inflight[ev.pos] {
 			n.failCredit(ns, ev)
@@ -1598,19 +1552,18 @@ func (n *engineNode) flush(ns *nodeSession) {
 			n.obsStall(ns, i, &now)
 			continue
 		}
-		m := ns.pendingMsg[i]
-		ns.pendingSet[i] = false
-		ns.pendingMsg[i] = Message{}
-		ns.pendingN--
 		data, dummies := 0, 0
-		switch m.Kind {
+		switch ns.pendingMsg[i].Kind {
 		case Data:
 			data = 1
 		case Dummy:
 			dummies = 1
 		}
 		n.sent(ns, i, 1, data, dummies, &now)
-		n.downMB[i].post(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i], msg: m})
+		n.downMB[i].postRun(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i]}, ns.pendingMsg[i:i+1])
+		ns.pendingSet[i] = false
+		ns.pendingMsg[i] = Message{}
+		ns.pendingN--
 	}
 }
 
@@ -1621,44 +1574,29 @@ func (n *engineNode) flush(ns *nodeSession) {
 // parks, exactly as a per-message firing's blocked send would.
 func (n *engineNode) ship(ns *nodeSession) {
 	var now int64
-	for i, b := range n.acc {
-		run := *b
+	for i, run := range n.acc {
 		m, d := len(run), n.accDummy[i]
 		if m == 0 {
 			continue
 		}
 		n.accDummy[i] = 0
-		var over Message // copied out: a shipped run's array is the receiver's
 		parks := m > n.room(ns, i)
 		if parks {
 			m--
-			over, run[m] = run[m], Message{}
-			if over.Kind == Dummy {
+			if run[m].Kind == Dummy {
 				d--
 			}
-			run = run[:m]
 		}
-		switch {
-		case m == 0:
-			*b = run
-		case m == 1:
-			// A run of one travels in the event itself and the
-			// accumulator stays with the node: batch 1 never touches
-			// the span pool.
-			n.sent(ns, i, 1, 1-d, d, &now)
-			n.downMB[i].post(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i], msg: run[0]})
-			run[0] = Message{}
-			*b = run[:0]
-		default:
-			*b = run
+		if m > 0 {
 			n.sent(ns, i, m, m-d, d, &now)
-			n.downMB[i].post(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i], span: b})
-			n.acc[i] = nil
+			n.downMB[i].postRun(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i]}, run[:m])
 		}
 		if parks {
-			n.setPending(ns, i, over)
+			n.setPending(ns, i, run[m])
 			n.obsStall(ns, i, &now)
 		}
+		clear(run)
+		n.acc[i] = run[:0]
 	}
 }
 
@@ -1792,30 +1730,18 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 // data-only firings where it vectorizes (stretch); dummy-only firings
 // never reach it.
 func (n *engineNode) fire(ns *nodeSession) (fired, data int, eos bool) {
-	need := ns.ingestQ.len() // what is queued bounds the pass's firings
 	if !n.queued {
 		for i := range ns.heads {
-			k := ns.heads[i].len()
-			if k == 0 {
+			if ns.heads[i].len() == 0 {
 				return 0, 0, false // the common empty pass, before any set-up
 			}
-			need += k
 		}
 	}
-	need = min(need, n.batch)
 	nOut := len(n.out)
-	for i, b := range n.acc {
-		if b == nil || cap(*b) < need {
-			n.acc[i] = spanFree.get(need)
-		}
-	}
 	sinkRoom := n.batch
 	emits := nOut == 0 && ns.ses.hasSink() // firings go to the sink pump
 	if emits {
 		sinkRoom = n.e.sinkWin - ns.sinkInflight
-		if n.emPays == nil || cap(*n.emPays) < need {
-			n.emSeqs, n.emPays = seqFree.get(need), payFree.get(need)
-		}
 	}
 pass:
 	for full := false; fired < n.batch && data < sinkRoom && !full; {
@@ -1830,15 +1756,14 @@ pass:
 					// Every edge emits on every element: never a dummy.
 					ns.engine.FireRun(n.spanSeq[0], n.spanSeq[vec-1], n.allTrue)
 				} else if emits {
-					*n.emSeqs = append(*n.emSeqs, n.spanSeq[:vec]...)
-					*n.emPays = append(*n.emPays, n.spanOut[:vec]...)
+					n.emSeqs = append(n.emSeqs, n.spanSeq[:vec]...)
+					n.emPays = append(n.emPays, n.spanOut[:vec]...)
 				}
-				for i, b := range n.acc {
-					run := *b
+				for i, run := range n.acc {
 					for j := 0; j < vec; j++ {
 						run = append(run, Message{Seq: n.spanSeq[j], Kind: Data, Payload: n.spanOut[j]})
 					}
-					*b = run
+					n.acc[i] = run
 					full = full || len(run) > n.room(ns, i)
 				}
 				if !n.queued {
@@ -1895,22 +1820,23 @@ pass:
 			n.kern.ProcessInto(seq, n.kin, n.kout, n.present)
 			data++
 			if emits {
-				*n.emSeqs = append(*n.emSeqs, seq)
-				*n.emPays = append(*n.emPays, SinkPayload(n.kin, n.kout, n.present))
+				n.emSeqs = append(n.emSeqs, seq)
+				n.emPays = append(n.emPays, SinkPayload(n.kin, n.kout, n.present))
 			}
 		}
 		dummy := ns.engine.Fire(seq, n.present[:nOut])
-		for i, b := range n.acc {
+		for i, run := range n.acc {
 			switch {
 			case n.present[i]:
-				*b = append(*b, Message{Seq: seq, Kind: Data, Payload: n.kout[i]})
+				run = append(run, Message{Seq: seq, Kind: Data, Payload: n.kout[i]})
 			case dummy[i]:
-				*b = append(*b, Message{Seq: seq, Kind: Dummy})
+				run = append(run, Message{Seq: seq, Kind: Dummy})
 				n.accDummy[i]++
 			default:
 				continue
 			}
-			full = full || len(*b) > n.room(ns, i)
+			n.acc[i] = run
+			full = full || len(run) > n.room(ns, i)
 		}
 		if anyData {
 			clear(n.kin)
@@ -1930,8 +1856,8 @@ pass:
 // firing (a dummy, an EOS, or nothing yet) to the per-firing path.
 func (n *engineNode) stretch(ns *nodeSession, fired, limit int) int {
 	k := min(n.batch-fired, limit)
-	for i, b := range n.acc {
-		k = min(k, n.room(ns, i)-len(*b)+1)
+	for i, run := range n.acc {
+		k = min(k, n.room(ns, i)-len(run)+1)
 	}
 	if n.queued {
 		q := ns.ingestQ.live()[fired:]
@@ -1952,8 +1878,8 @@ func (n *engineNode) stretch(ns *nodeSession, fired, limit int) int {
 	return k
 }
 
-// sinkEmit counts the pass's data sink firings and hands them to the
-// session's pump as one emission.
+// sinkEmit counts the pass's data sink firings and copies them into the
+// session's sink ring.
 func (n *engineNode) sinkEmit(ns *nodeSession, data int) {
 	if data == 0 {
 		return
@@ -1965,17 +1891,11 @@ func (n *engineNode) sinkEmit(ns *nodeSession, data int) {
 	if !ns.ses.hasSink() {
 		return
 	}
-	// The pass stopped at the pump window's room, so the ring has a free
-	// slot (see EngineSession.emTail).
-	if data == 1 {
-		seqs, pays := *n.emSeqs, *n.emPays
-		ns.ses.publish(emission{seq: seqs[0], payload: pays[0]})
-		pays[0] = nil
-		*n.emSeqs, *n.emPays = seqs[:0], pays[:0]
-	} else {
-		ns.ses.publish(emission{seqs: n.emSeqs, pays: n.emPays})
-		n.emSeqs, n.emPays = nil, nil
-	}
+	// The pass stopped at the pump window's room, so the ring has room
+	// for it (see EngineSession.emTail).
+	ns.ses.publish(n.emSeqs, n.emPays)
+	clear(n.emPays)
+	n.emSeqs, n.emPays = n.emSeqs[:0], n.emPays[:0]
 	ns.sinkInflight += data
 }
 

@@ -42,19 +42,20 @@ func benchFifo(b *testing.B, depth int) {
 func BenchmarkFifoPushPopDepth1(b *testing.B)   { benchFifo(b, 1) }
 func BenchmarkFifoPushPopDepth256(b *testing.B) { benchFifo(b, 256) }
 
-// BenchmarkMailboxPostTake posts single-message events and drains them in
-// batches of 16, the two slices ping-ponging as in engineNode.run.
+// BenchmarkMailboxPostTake posts runs of one message and drains them in
+// batches of 16, the two batches ping-ponging as in engineNode.run.
 func BenchmarkMailboxPostTake(b *testing.B) {
 	mb := newMailbox()
-	var spare []event
+	var spare batch
+	run := make([]Message, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mb.post(event{kind: evMsg, msg: Message{Seq: uint64(i), Kind: Data}})
+		run[0] = Message{Seq: uint64(i), Kind: Data}
+		mb.postRun(event{kind: evMsg}, run)
 		if i%16 == 15 {
-			evs, _ := mb.takeAll(spare)
-			clear(evs)
-			spare = evs
+			spare, _ = mb.takeAll(spare)
+			spare.reset()
 		}
 	}
 }
@@ -68,27 +69,28 @@ func BenchmarkMailboxPostTakeParked(b *testing.B) {
 	echoed := make(chan struct{})
 	go func() {
 		defer close(echoed)
-		var spare []event
+		var spare batch
 		for {
-			evs, ok := ping.takeAll(spare)
+			b, ok := ping.takeAll(spare)
 			if !ok {
 				return
 			}
-			for range evs {
+			for range b.evs {
 				pong.post(event{kind: evCredit, cnt: 1})
 			}
-			clear(evs)
-			spare = evs
+			b.reset()
+			spare = b
 		}
 	}()
-	var spare []event
+	var spare batch
+	run := make([]Message, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 2 {
-		ping.post(event{kind: evMsg, msg: Message{Seq: uint64(i), Kind: Data}})
-		evs, _ := pong.takeAll(spare)
-		clear(evs)
-		spare = evs
+		run[0] = Message{Seq: uint64(i), Kind: Data}
+		ping.postRun(event{kind: evMsg}, run)
+		spare, _ = pong.takeAll(spare)
+		spare.reset()
 	}
 	b.StopTimer()
 	ping.close()
@@ -102,13 +104,15 @@ func BenchmarkMailboxPostTakeParked(b *testing.B) {
 func BenchmarkSinkHandoff(b *testing.B) {
 	r := newSinkRig(b)
 	inflight := 0
+	seq, pay := make([]uint64, 1), make([]any, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for inflight == r.ses.e.sinkWin {
 			inflight -= r.acks()
 		}
-		r.ses.publish(emission{seq: uint64(i)})
+		seq[0] = uint64(i)
+		r.ses.publish(seq, pay)
 		inflight++
 	}
 	b.StopTimer()
@@ -124,8 +128,10 @@ func TestSinkRingWakesParkedPump(t *testing.T) {
 	r := newSinkRig(t)
 	defer r.stop()
 	rng := rand.New(rand.NewSource(1))
+	seq, pay := make([]uint64, 1), make([]any, 1)
 	for i := uint64(0); i < 5000; i++ {
-		r.ses.publish(emission{seq: i})
+		seq[0] = i
+		r.ses.publish(seq, pay)
 		for deadline := time.Now().Add(5 * time.Second); r.ses.emHead.Load() != i+1; {
 			if time.Now().After(deadline) {
 				t.Fatalf("emission %d was never delivered: the pump slept through its publish", i)
@@ -147,7 +153,7 @@ var spun int
 type sinkRig struct {
 	ses    *EngineSession
 	sink   *engineNode
-	spare  []event
+	spare  batch
 	pumped chan struct{}
 }
 
@@ -172,12 +178,12 @@ func newSinkRig(tb testing.TB) *sinkRig {
 // acks takes the next batch of the pump's acks and returns how many
 // payloads they cover, 0 once the mailbox is closed.
 func (r *sinkRig) acks() (n int) {
-	evs, _ := r.sink.mb.takeAll(r.spare)
-	for j := range evs {
-		n += evs[j].cnt
-		evs[j] = event{}
+	b, _ := r.sink.mb.takeAll(r.spare)
+	for j := range b.evs {
+		n += b.evs[j].cnt
 	}
-	r.spare = evs
+	b.reset()
+	r.spare = b
 	return n
 }
 
@@ -190,12 +196,12 @@ func (r *sinkRig) stop() {
 // opened on it by hand: the benchmark's goroutine is the only one touching
 // the node, so what it times is the firing loop's own cost.  The mailboxes
 // of the node's consumers are reopened and drained by the benchmark the
-// way a receiving node would (recycle), so sends cost a real post and runs
-// return to the pool.
+// way a receiving node would (recycle), so sends cost a real post and the
+// mailboxes reuse their storage.
 type firingBench struct {
 	n     *engineNode
 	ns    *nodeSession
-	spare []event
+	spare batch
 }
 
 func newFiringBench(b testing.TB, g *graph.Graph, node graph.NodeID, ks map[graph.NodeID]Kernel, cfg Config) *firingBench {
@@ -210,15 +216,14 @@ func newFiringBench(b testing.TB, g *graph.Graph, node graph.NodeID, ks map[grap
 		mb.closed = false
 	}
 	ses := &EngineSession{id: 1, e: e, sessionBufs: e.takeBufs(false)}
-	n.absorb(&event{kind: evOpen, ses: ses})
+	n.absorb(&event{kind: evOpen, ses: ses}, nil)
 	return &firingBench{n: n, ns: ses.at[node]}
 }
 
-// spanOf copies run into a pooled span, the form a node ships a run in.
-func spanOf(run []Message) *[]Message {
-	b := spanFree.get(len(run))
-	*b = append(*b, run...)
-	return b
+// runOf is the evMsg carrying run for ses, with run as its arena: absorb's
+// arguments for a run posted alone.
+func runOf(ses *EngineSession, run []Message) (*event, []Message) {
+	return &event{kind: evMsg, ses: ses, cnt: len(run)}, run
 }
 
 // recycle drains what the node sent, as the receivers would, and returns
@@ -226,20 +231,15 @@ func spanOf(run []Message) *[]Message {
 func (f *firingBench) recycle() (msgs int) {
 	for i, mb := range f.n.downMB {
 		f.ns.inflight[i] = 0
-		if len(mb.q) == 0 {
+		if len(mb.q.evs) == 0 {
 			continue // takeAll would wait
 		}
-		evs, _ := mb.takeAll(f.spare)
-		for j := range evs {
-			if evs[j].span != nil {
-				msgs += len(*evs[j].span)
-				spanFree.put(evs[j].span)
-			} else {
-				msgs++
-			}
-			evs[j] = event{}
+		b, _ := mb.takeAll(f.spare)
+		for j := range b.evs {
+			msgs += b.evs[j].cnt
 		}
-		f.spare = evs
+		b.reset()
+		f.spare = b
 	}
 	return msgs
 }

@@ -265,9 +265,9 @@ func TestSessionBufsScrubbed(t *testing.T) {
 				}
 			}
 		}
-		for i, em := range b.emits {
-			if em != (emission{}) {
-				t.Fatalf("sink ring slot %d still holds %+v after scrub", i, em)
+		for i, v := range b.emPay {
+			if v != nil {
+				t.Fatalf("sink ring slot %d still holds %v after scrub", i, v)
 			}
 		}
 		if len(b.ready) != 0 || len(b.sinkWake) != 0 {

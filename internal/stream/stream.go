@@ -223,10 +223,12 @@ type SpanSourceFunc func(ctx context.Context, buf []any) (n int, eof bool, err e
 // blocked sink (backpressure) unblocks when the session dies.
 type SinkFunc func(ctx context.Context, seq uint64, payload any) error
 
-// SpanSinkFunc is the bulk form of SinkFunc: one call delivers a whole
-// batched emission run (parallel seqs/pays slices, ascending sequence
-// order, valid only for the duration of the call).  An error aborts the
-// session; the elements of the failing span count as undelivered.
+// SpanSinkFunc is the bulk form of SinkFunc: one call carries the
+// emissions the sink pump found queued — one or more firings, in order,
+// up to the sink window, split over two calls where the ring wraps — as
+// parallel seqs/pays slices valid only for the duration of the call.  An
+// error aborts the session; the elements of the failing span count as
+// undelivered.
 type SpanSinkFunc func(ctx context.Context, seqs []uint64, pays []any) error
 
 // SyntheticSource ingests n payloads that are the sequence numbers

@@ -107,7 +107,7 @@ func TestTimedIngestReadsClockPerRun(t *testing.T) {
 		for j := range run {
 			run[j] = Message{Seq: uint64(i + j), Kind: Data, Payload: j}
 		}
-		f.n.absorb(&event{kind: evMsg, ses: f.ns.ses, span: spanOf(run)})
+		f.n.absorb(runOf(f.ns.ses, run))
 		f.n.advance(f.ns)
 	}
 	if k.n != n {
@@ -135,7 +135,7 @@ func TestTimedTimerArmedOncePerDeadline(t *testing.T) {
 			run[j] = Message{Seq: uint64(seq), Kind: Data, Payload: j}
 			seq++
 		}
-		f.n.absorb(&event{kind: evMsg, ses: f.ns.ses, span: spanOf(run)})
+		f.n.absorb(runOf(f.ns.ses, run))
 		f.n.advance(f.ns)
 	}
 	for i := 0; i < runs; i++ {
@@ -145,7 +145,7 @@ func TestTimedTimerArmedOncePerDeadline(t *testing.T) {
 		t.Errorf("%d runs in one window armed the timer %d times and read the clock %d times; want 1 and %d",
 			runs, arms, reads, runs+1)
 	}
-	f.n.absorb(&event{kind: evTick, ses: f.ns.ses})
+	f.n.absorb(&event{kind: evTick, ses: f.ns.ses}, nil)
 	f.n.advance(f.ns)
 	feed()
 	if arms := clk.arms.Load(); arms != 2 {
@@ -162,19 +162,19 @@ func TestTimedIngestSplitsRunsAtDummies(t *testing.T) {
 	f := newTimedBench(t, k, 64)
 	up := f.n.upMB[0]
 	up.closed = false
-	f.n.absorb(&event{kind: evMsg, ses: f.ns.ses, span: spanOf([]Message{
+	f.n.absorb(runOf(f.ns.ses, []Message{
 		{Seq: 0, Kind: Data, Payload: "a"},
 		{Seq: 1, Kind: Dummy},
 		{Seq: 2, Kind: Data, Payload: "b"},
 		{Seq: 3, Kind: Data, Payload: "c"},
 		{Seq: proto.EOSSeq, Kind: EOS},
-	})})
+	}))
 	f.n.advance(f.ns)
 	if got, want := fmt.Sprint(k.calls), "[ingest[0] ingest[2 3] flush]"; got != want {
 		t.Errorf("kernel saw %s, want %s", got, want)
 	}
-	if len(up.q) != 1 || up.q[0].kind != evCredit || up.q[0].cnt != 5 {
-		t.Errorf("upstream got %+v, want one credit for 5 heads", up.q)
+	if len(up.q.evs) != 1 || up.q.evs[0].kind != evCredit || up.q.evs[0].cnt != 5 {
+		t.Errorf("upstream got %+v, want one credit for 5 heads", up.q.evs)
 	}
 	if !f.ns.done {
 		t.Error("EOS did not end the stream at the node")

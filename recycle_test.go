@@ -335,7 +335,7 @@ func cancelWhenStalled(t *testing.T, eng *Engine, quiet int64) {
 //
 // The budget is 20.
 func TestSessionCycleAllocBudget(t *testing.T) {
-	if testing.Short() || raceDetector {
+	if testing.Short() {
 		t.Skip("allocation benchmark")
 	}
 	pipe, err := NewFlow[uint64, uint64]().Buffer(256).Then(

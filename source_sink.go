@@ -181,10 +181,11 @@ func ChannelSink(ch chan<- Emission) Sink {
 }
 
 // SpanSink is the optional bulk-delivery extension of Sink: the runtime
-// backends deliver every emission through EmitSpan — a batched run
-// (parallel seqs/pays slices, ascending sequence order) in one call, a
-// single firing as a run of one.  The slices are only valid for the
-// duration of the call.  The Simulator calls Emit per element, so
+// backends deliver every emission through EmitSpan.  One call carries the
+// emissions the sink pump found queued — one or more firings, as parallel
+// seqs/pays slices in ascending sequence order, up to the sink window,
+// split over two calls where the pump's ring wraps.  The slices are only
+// valid for the duration of the call.  The Simulator calls Emit per element, so
 // implementations must keep both paths consistent.
 type SpanSink interface {
 	Sink
