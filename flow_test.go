@@ -470,3 +470,112 @@ func TestTypedSinkMismatch(t *testing.T) {
 		t.Fatalf("err = %v, want *StageTypeError at sink seq 7", err)
 	}
 }
+
+// TestStageKnobPolicy pins which knobs each stage kind accepts: every
+// constructor under every knob, compiled in a position the stage may
+// hold (a merge as the join of a Split), plus the misplacements, against
+// the exact Compile error.  Rows absent from want compile.
+func TestStageKnobPolicy(t *testing.T) {
+	id := func(v int) int { return v }
+	join := func(p []Maybe[int]) (int, bool) { return 0, true }
+	join2 := func(a, b Maybe[int]) (int, bool) { return 0, true }
+	join3 := func(a, b, c Maybe[int]) (int, bool) { return 0, true }
+	ctors := []struct {
+		name string
+		mk   func(knob func(Stage) Stage) Stage
+	}{
+		{"Map", func(k func(Stage) Stage) Stage { return k(Map("s", id)) }},
+		{"FilterStage", func(k func(Stage) Stage) Stage { return k(FilterStage("s", evens)) }},
+		{"FilterMap", func(k func(Stage) Stage) Stage {
+			return k(FilterMap("s", func(v int) (int, bool) { return v, true }))
+		}},
+		{"Stateful", func(k func(Stage) Stage) Stage {
+			return k(Stateful("s", 0, func(s, v int) (int, int, bool) { return s, v, true }))
+		}},
+		{"Merge", func(k func(Stage) Stage) Stage { return Split(k(Merge("s", join)), Map("b0", id), Map("b1", id)) }},
+		{"Merge2", func(k func(Stage) Stage) Stage { return Split(k(Merge2("s", join2)), Map("b0", id), Map("b1", id)) }},
+		{"Merge3", func(k func(Stage) Stage) Stage {
+			return Split(k(Merge3("s", join3)), Map("b0", id), Map("b1", id), Map("b2", id))
+		}},
+		{"Sequence", func(k func(Stage) Stage) Stage { return k(Sequence(Map("a", id), Map("b", id))) }},
+		{"Split", func(k func(Stage) Stage) Stage { return k(Split(Merge("j", join), Map("b0", id), Map("b1", id))) }},
+		{"TumblingWindow", func(k func(Stage) Stage) Stage { return k(TumblingWindow[int]("s", time.Millisecond)) }},
+		{"SlidingWindow", func(k func(Stage) Stage) Stage {
+			return k(SlidingWindow[int]("s", 2*time.Millisecond, time.Millisecond))
+		}},
+		{"SessionWindow", func(k func(Stage) Stage) Stage { return k(SessionWindow[int]("s", time.Millisecond)) }},
+		{"Throttle", func(k func(Stage) Stage) Stage { return k(Throttle[int]("s", time.Millisecond)) }},
+		{"Debounce", func(k func(Stage) Stage) Stage { return k(Debounce[int]("s", time.Millisecond)) }},
+		{"Dedupe", func(k func(Stage) Stage) Stage { return k(Dedupe[int]("s", time.Millisecond)) }},
+		{"Sample", func(k func(Stage) Stage) Stage { return k(Sample[int]("s", time.Millisecond)) }},
+	}
+	knobs := []struct {
+		name  string
+		apply func(Stage) Stage
+	}{
+		{"Replicate(1)", func(s Stage) Stage { return s.Replicate(1) }},
+		{"Replicate(2)", func(s Stage) Stage { return s.Replicate(2) }},
+		{"Elastic(1,2)", func(s Stage) Stage { return s.Elastic(1, 2) }},
+		{"Buffer(4)", func(s Stage) Stage { return s.Buffer(4) }},
+		{"Batch(4)", func(s Stage) Stage { return s.Batch(4) }},
+		{"Tap", func(s Stage) Stage { return s.Tap(func(any) {}) }},
+	}
+	want := map[string]string{
+		"Stateful/Replicate(2)":       "streamdag: flow: stateful stage \"s\" cannot be replicated (replicas would share its state)",
+		"Stateful/Elastic(1,2)":       "streamdag: flow: stateful stage \"s\" cannot be elastic (replicas would share its state)",
+		"Sequence/Replicate(2)":       "streamdag: flow: composite stage \"seq(a..b)\" cannot be replicated; replicate its member stages",
+		"Sequence/Elastic(1,2)":       "streamdag: flow: composite stage \"seq(a..b)\" cannot be elastic; mark its member stages",
+		"Sequence/Buffer(4)":          "streamdag: flow: composite stage \"seq(a..b)\" has no inbound channel of its own; set buffers on its member stages",
+		"Sequence/Batch(4)":           "streamdag: flow: composite stage \"seq(a..b)\" has no node of its own; set batch sizes on its member stages",
+		"Sequence/Tap":                "streamdag: flow: composite stage \"seq(a..b)\" has no node of its own; tap its member stages",
+		"Split/Replicate(2)":          "streamdag: flow: composite stage \"split(j)\" cannot be replicated; replicate its member stages",
+		"Split/Elastic(1,2)":          "streamdag: flow: composite stage \"split(j)\" cannot be elastic; mark its member stages",
+		"Split/Buffer(4)":             "streamdag: flow: composite stage \"split(j)\" has no inbound channel of its own; set buffers on its member stages",
+		"Split/Batch(4)":              "streamdag: flow: composite stage \"split(j)\" has no node of its own; set batch sizes on its member stages",
+		"Split/Tap":                   "streamdag: flow: composite stage \"split(j)\" has no node of its own; tap its member stages",
+		"TumblingWindow/Replicate(2)": `streamdag: flow: time-aware stage "s" cannot be replicated`,
+		"TumblingWindow/Elastic(1,2)": `streamdag: flow: time-aware stage "s" cannot be elastic`,
+		"SlidingWindow/Replicate(2)":  "streamdag: flow: time-aware stage \"s\" cannot be replicated",
+		"SlidingWindow/Elastic(1,2)":  "streamdag: flow: time-aware stage \"s\" cannot be elastic",
+		"SessionWindow/Replicate(2)":  "streamdag: flow: time-aware stage \"s\" cannot be replicated",
+		"SessionWindow/Elastic(1,2)":  "streamdag: flow: time-aware stage \"s\" cannot be elastic",
+		"Throttle/Replicate(2)":       "streamdag: flow: time-aware stage \"s\" cannot be replicated",
+		"Throttle/Elastic(1,2)":       "streamdag: flow: time-aware stage \"s\" cannot be elastic",
+		"Debounce/Replicate(2)":       "streamdag: flow: time-aware stage \"s\" cannot be replicated",
+		"Debounce/Elastic(1,2)":       "streamdag: flow: time-aware stage \"s\" cannot be elastic",
+		"Dedupe/Replicate(2)":         "streamdag: flow: time-aware stage \"s\" cannot be replicated",
+		"Dedupe/Elastic(1,2)":         "streamdag: flow: time-aware stage \"s\" cannot be elastic",
+		"Sample/Replicate(2)":         "streamdag: flow: time-aware stage \"s\" cannot be replicated",
+		"Sample/Elastic(1,2)":         "streamdag: flow: time-aware stage \"s\" cannot be elastic",
+		"Merge/linear":                "streamdag: flow: merge stage \"s\" must be the join of a Split",
+		"Throttle/in-Split-branch":    "streamdag: flow: time-aware stage \"s\" cannot run inside a Split branch: its re-sequenced output would not align with the sibling branches at the merge",
+		"Merge2/three-branches":       "streamdag: flow: Split join \"s\" takes 2 branches, got 3",
+		"Map/as-Split-join":           "streamdag: flow: Split join \"s\" must be a Merge, Merge2, or Merge3 stage",
+	}
+	rows := map[string]Stage{
+		"Merge/linear":             Merge("s", join),
+		"Throttle/in-Split-branch": Split(Merge("j", join), Throttle[int]("s", time.Millisecond), Map("b1", id)),
+		"Merge2/three-branches":    Split(Merge2("s", join2), Map("b0", id), Map("b1", id), Map("b2", id)),
+		"Map/as-Split-join":        Split(Map("s", id), Map("b0", id), Map("b1", id)),
+	}
+	for _, c := range ctors {
+		for _, k := range knobs {
+			rows[c.name+"/"+k.name] = c.mk(k.apply)
+		}
+	}
+	for name := range want {
+		if rows[name] == nil {
+			t.Errorf("want names no row %q", name)
+		}
+	}
+	for name, st := range rows {
+		_, err := NewFlow[int, any]().Then(st).Compile()
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != want[name] {
+			t.Errorf("%s: Compile error = %q, want %q", name, got, want[name])
+		}
+	}
+}

@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,7 +115,7 @@ func TestSimulatorSnapshotDeterministic(t *testing.T) {
 
 // TestStageTap pins the tap contract: fn sees exactly the elements the
 // stage forwards — post-transform, filtered elements excluded — at batch
-// 1 and on the vectorized span path.
+// 1 and on the vectorized span path, for every stage kind.
 func TestStageTap(t *testing.T) {
 	for _, batch := range []int{1, 64} {
 		batch := batch
@@ -156,6 +158,113 @@ func TestStageTap(t *testing.T) {
 				t.Errorf("filter tap saw %d of %d — filtering not observed", kept.Load(), mapped.Load())
 			}
 		})
+	}
+	t.Run("every-kind", testTapEveryKind)
+}
+
+// tapLog records what one stage's tap sees; taps may run on several
+// goroutines at once.
+type tapLog struct {
+	mu   sync.Mutex
+	seen []string
+}
+
+func (l *tapLog) tap(v any) {
+	l.mu.Lock()
+	l.seen = append(l.seen, fmt.Sprint(v))
+	l.mu.Unlock()
+}
+
+// sameMultiset reports whether a and b hold the same strings, in any
+// order.
+func sameMultiset(a, b []string) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
+}
+
+// testTapEveryKind is TestStageTap on every stage kind: a FilterMap, a
+// Stateful, a Merge2 join and a TumblingWindow each see exactly the
+// elements they forward, on the goroutine backend and the simulator, at
+// batch 1 and 64, and the last stage's tap sees what the sink receives.
+func testTapEveryKind(t *testing.T) {
+	const inputs = 200
+	// The stream each stage forwards, computed in plain Go.
+	var fm, st, mg []string
+	count := 0
+	for v := uint64(0); v < inputs; v++ {
+		if v%2 != 0 {
+			continue
+		}
+		w := v / 2
+		fm = append(fm, fmt.Sprint(w))
+		if count++; count%3 == 0 {
+			continue
+		}
+		st = append(st, fmt.Sprint(w+uint64(count)))
+		j := (w + uint64(count) + 1) * 10
+		if (w+uint64(count))%3 == 0 {
+			j++
+		}
+		mg = append(mg, fmt.Sprint(j))
+	}
+	for _, backend := range []Backend{Goroutines(), Simulator()} {
+		for _, batch := range []int{1, 64} {
+			backend, batch := backend, batch
+			t.Run(fmt.Sprintf("%s/batch%d", backend, batch), func(t *testing.T) {
+				var fmLog, stLog, mgLog, winLog tapLog
+				pipe, err := NewFlow[uint64, Window[uint64]]().
+					Then(
+						FilterMap("half", func(v uint64) (uint64, bool) { return v / 2, v%2 == 0 }).Tap(fmLog.tap),
+						Stateful("every", 0, func(n int, v uint64) (int, uint64, bool) {
+							n++
+							return n, v + uint64(n), n%3 != 0
+						}).Tap(stLog.tap),
+						Split(
+							Merge2("join", func(a, b Maybe[uint64]) (uint64, bool) {
+								j := a.Value * 10
+								if b.OK {
+									j++
+								}
+								return j, a.OK
+							}).Tap(mgLog.tap),
+							Map("inc", func(v uint64) uint64 { return v + 1 }),
+							FilterStage("thirds", func(v uint64) bool { return v%3 == 0 }),
+						),
+						TumblingWindow[uint64]("win", time.Millisecond).Tap(winLog.tap),
+					).
+					Compile(WithBackend(backend), WithMaxBatch(batch), WithWatchdog(10*time.Second))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var col TypedCollector[Window[uint64]]
+				if _, err := pipe.Run(context.Background(), CountingSource(inputs), &col); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []struct {
+					stage string
+					log   *tapLog
+					want  []string
+				}{{"half", &fmLog, fm}, {"every", &stLog, st}, {"join", &mgLog, mg}} {
+					if !sameMultiset(c.log.seen, c.want) {
+						t.Errorf("%s tap saw %d elements %v, want %d %v", c.stage, len(c.log.seen), c.log.seen, len(c.want), c.want)
+					}
+				}
+				var sunk []string
+				items := 0
+				for _, w := range col.Values() {
+					sunk = append(sunk, fmt.Sprint(w))
+					items += len(w.Items)
+				}
+				if !sameMultiset(winLog.seen, sunk) {
+					t.Errorf("window tap saw %v, sink got %v", winLog.seen, sunk)
+				}
+				if items != len(mg) {
+					t.Errorf("windows hold %d elements, the join forwarded %d", items, len(mg))
+				}
+			})
+		}
 	}
 }
 
