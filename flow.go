@@ -192,10 +192,10 @@ func (f *Flow[In, Out]) Compile(opts ...Option) (*Pipeline, error) {
 		if err := s.stageErr(); err != nil {
 			return nil, err
 		}
-		if !compatibleTypes(cur, s.inType()) {
-			return nil, &StageTypeError{Stage: s.Name(), Want: s.inType(), Got: cur}
+		if b := s.base(); !compatibleTypes(cur, b.in) {
+			return nil, &StageTypeError{Stage: b.name, Want: b.in, Got: cur}
 		}
-		cur = s.outType()
+		cur = s.base().out
 	}
 	if !compatibleTypes(cur, typeOf[Out]()) {
 		return nil, &StageTypeError{Stage: "sink", Want: typeOf[Out](), Got: cur}
@@ -216,7 +216,7 @@ func (f *Flow[In, Out]) Compile(opts ...Option) (*Pipeline, error) {
 	from := "source"
 	var err error
 	for _, s := range f.stages {
-		if from, err = s.lower(lw, from); err != nil {
+		if from, err = s.base().lower(lw, from); err != nil {
 			return nil, err
 		}
 	}

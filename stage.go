@@ -9,12 +9,18 @@ import (
 )
 
 // This file defines the typed stage primitives of the Flow builder: the
-// sealed Stage interface, the constructors (Map, FilterStage, FilterMap,
-// Stateful, Sequence, Split, Merge/Merge2/Merge3), and the per-stage
-// knobs (Replicate, Buffer).  A Stage is a description — nothing runs
-// until Flow.Compile lowers the stage graph to a Topology plus a kernel
-// map and hands it to Build, where classification and dummy-interval
-// computation happen exactly as for hand-wired topologies.
+// sealed Stage interface and its one implementation, the stage record;
+// the constructors (Map, FilterStage, FilterMap, Stateful, Sequence,
+// Split, Merge/Merge2/Merge3; the time-aware ones are in stage_time.go),
+// each of which fills in a record; and the per-stage knobs (Replicate,
+// Elastic, Buffer, Batch, Tap).  A record's kind decides which knobs it
+// accepts (knobErr) and how it lowers (lower, node).  A Stage is a
+// description — nothing runs until Flow.Compile lowers the stage graph
+// to a Topology plus a kernel map and hands it to Build, where
+// classification and dummy-interval computation happen exactly as for
+// hand-wired topologies.  The Tap hook rides in the kernel chassis:
+// keepKernel and flowMapKernel call it per kept element, timedCore at
+// emission.
 //
 // Filtering is first-class: FilterStage (and the bool results of
 // FilterMap, Stateful, and merge join functions) compile to kernels that
@@ -64,11 +70,7 @@ type Stage interface {
 	// Replicate.  Stateful and composite stages reject it at Compile.
 	Elastic(min, max int) Stage
 
-	inType() reflect.Type
-	outType() reflect.Type
-	// lower adds the stage's node(s) to the lowering, wires them from the
-	// upstream node, and returns the stage's exit node.
-	lower(lw *lowering, from string) (string, error)
+	base() *stage
 	stageErr() error
 }
 
@@ -87,10 +89,22 @@ func compatibleTypes(from, to reflect.Type) bool {
 	return from.Kind() == reflect.Interface
 }
 
-// stageBase carries the name and the per-stage knobs shared by every
-// stage implementation.  self points back at the outer stage so the
-// chaining methods can return it.
-type stageBase struct {
+// stageKind selects a stage's knob policy (knobErr) and its lowering.
+type stageKind uint8
+
+const (
+	kindNode     stageKind = iota // Map, FilterStage, FilterMap
+	kindStateful                  // Stateful
+	kindTimed                     // the time-aware stages (stage_time.go)
+	kindMerge                     // Merge, Merge2, Merge3
+	kindSeq                       // Sequence
+	kindSplit                     // Split
+)
+
+// stage is the one implementation of Stage: the name and knobs, the
+// kind, the boundary types, and what the kind lowers from — a kernel
+// builder for the node kinds, members for the composites.
+type stage struct {
 	name     string
 	replicas int
 	elMin    int // Elastic range; marked when elMax > 0
@@ -99,77 +113,167 @@ type stageBase struct {
 	batch    int
 	tap      func(any)
 	err      error
-	self     Stage
+
+	kind    stageKind
+	in, out reflect.Type
+	// kernel builds a node stage's kernel factory when the stage lowers;
+	// tap is the stage's Tap hook, nil when untapped.
+	kernel func(lw *lowering, tap func(any)) kernelFactory
+	// slots are a merge's per-branch input types; nil means any number
+	// of branches of type in.
+	slots []reflect.Type
+	// members are a Sequence's chain or a Split's branches; join is a
+	// Split's merge.
+	members []*stage
+	join    *stage
 }
 
-func (b *stageBase) Name() string { return b.name }
+func (s *stage) Name() string    { return s.name }
+func (s *stage) base() *stage    { return s }
+func (s *stage) stageErr() error { return s.err }
 
-func (b *stageBase) Replicate(k int) Stage {
-	if k < 1 && b.err == nil {
-		b.err = fmt.Errorf("streamdag: flow: stage %q: replica count %d must be positive", b.name, k)
+// knob records a knob setting, and its error when the value is invalid.
+func (s *stage) knob(bad bool, format string, args ...any) Stage {
+	if bad && s.err == nil {
+		s.err = fmt.Errorf("streamdag: flow: stage %q: "+format, append([]any{s.name}, args...)...)
 	}
-	b.replicas = k
-	return b.self
+	return s
 }
 
-func (b *stageBase) Elastic(min, max int) Stage {
-	if (min < 1 || max < min) && b.err == nil {
-		b.err = fmt.Errorf("streamdag: flow: stage %q: elastic range [%d, %d] is invalid (need 1 <= min <= max)", b.name, min, max)
+func (s *stage) Replicate(k int) Stage {
+	s.replicas = k
+	return s.knob(k < 1, "replica count %d must be positive", k)
+}
+
+func (s *stage) Elastic(min, max int) Stage {
+	s.elMin, s.elMax = min, max
+	return s.knob(min < 1 || max < min, "elastic range [%d, %d] is invalid (need 1 <= min <= max)", min, max)
+}
+
+func (s *stage) Buffer(n int) Stage {
+	s.buf = n
+	return s.knob(n < 1, "buffer capacity %d must be positive", n)
+}
+
+func (s *stage) Batch(n int) Stage {
+	s.batch = n
+	return s.knob(n < 1, "batch size %d must be positive", n)
+}
+
+func (s *stage) Tap(fn func(v any)) Stage {
+	s.tap = fn
+	return s.knob(fn == nil, "nil Tap function")
+}
+
+// knobErr is the knob policy of a stage in a linear position or a Split
+// branch.  Replicate(1) is a no-op everywhere (ReplicationPlan
+// semantics), so only counts that would actually expand are rejected.
+func (s *stage) knobErr(lw *lowering) error {
+	switch s.kind {
+	case kindStateful:
+		if s.replicas > 1 {
+			return fmt.Errorf("streamdag: flow: stateful stage %q cannot be replicated (replicas would share its state)", s.name)
+		}
+		if s.elMax > 0 {
+			return fmt.Errorf("streamdag: flow: stateful stage %q cannot be elastic (replicas would share its state)", s.name)
+		}
+	case kindTimed:
+		// A timed kernel is single-instance state, and its re-sequenced
+		// output cannot join a seq-keyed merge.
+		if s.replicas > 1 {
+			return fmt.Errorf("streamdag: flow: time-aware stage %q cannot be replicated", s.name)
+		}
+		if s.elMax > 0 {
+			return fmt.Errorf("streamdag: flow: time-aware stage %q cannot be elastic", s.name)
+		}
+		if lw.split > 0 {
+			return fmt.Errorf("streamdag: flow: time-aware stage %q cannot run inside a Split branch: its re-sequenced output would not align with the sibling branches at the merge", s.name)
+		}
+	case kindMerge:
+		return fmt.Errorf("streamdag: flow: merge stage %q must be the join of a Split", s.name)
+	case kindSeq, kindSplit:
+		switch {
+		case s.replicas > 1:
+			return fmt.Errorf("streamdag: flow: composite stage %q cannot be replicated; replicate its member stages", s.name)
+		case s.elMax > 0:
+			return fmt.Errorf("streamdag: flow: composite stage %q cannot be elastic; mark its member stages", s.name)
+		case s.buf > 0:
+			return fmt.Errorf("streamdag: flow: composite stage %q has no inbound channel of its own; set buffers on its member stages", s.name)
+		case s.batch > 0:
+			return fmt.Errorf("streamdag: flow: composite stage %q has no node of its own; set batch sizes on its member stages", s.name)
+		case s.tap != nil:
+			return fmt.Errorf("streamdag: flow: composite stage %q has no node of its own; tap its member stages", s.name)
+		}
 	}
-	b.elMin, b.elMax = min, max
-	return b.self
+	return nil
 }
 
-func (b *stageBase) Buffer(n int) Stage {
-	if n < 1 && b.err == nil {
-		b.err = fmt.Errorf("streamdag: flow: stage %q: buffer capacity %d must be positive", b.name, n)
-	}
-	b.buf = n
-	return b.self
-}
-
-func (b *stageBase) Batch(n int) Stage {
-	if n < 1 && b.err == nil {
-		b.err = fmt.Errorf("streamdag: flow: stage %q: batch size %d must be positive", b.name, n)
-	}
-	b.batch = n
-	return b.self
-}
-
-func (b *stageBase) Tap(fn func(v any)) Stage {
-	if fn == nil && b.err == nil {
-		b.err = fmt.Errorf("streamdag: flow: stage %q: nil Tap function", b.name)
-	}
-	b.tap = fn
-	return b.self
-}
-
-func (b *stageBase) stageErr() error { return b.err }
-
-func (b *stageBase) bufOr(def int) int {
-	if b.buf > 0 {
-		return b.buf
-	}
-	return def
-}
-
-// lowerSimple is the shared lowering of the single-node stages: one node
-// carrying the stage's kernel, one inbound channel, optional replication.
-func (b *stageBase) lowerSimple(lw *lowering, from string, mk kernelFactory) (string, error) {
-	if err := lw.addNode(b.name, b.wrapTap(mk)); err != nil {
+// lower adds the stage's node(s) to the lowering, wired from the
+// upstream node, and returns the stage's exit node.  Member errors are
+// re-checked: a knob call may have recorded one after Sequence or Split
+// captured the member.
+func (s *stage) lower(lw *lowering, from string) (string, error) {
+	if err := s.knobErr(lw); err != nil {
 		return "", err
 	}
-	if b.replicas > 1 {
-		lw.plan[b.name] = b.replicas
+	switch s.kind {
+	case kindSeq:
+		for _, m := range s.members {
+			if m.err != nil {
+				return "", m.err
+			}
+			var err error
+			if from, err = m.lower(lw, from); err != nil {
+				return "", err
+			}
+		}
+		return from, nil
+	case kindSplit:
+		if s.join.err != nil {
+			return "", s.join.err
+		}
+		exits := make([]string, len(s.members))
+		lw.split++
+		for i, b := range s.members {
+			err := b.err
+			if err == nil {
+				exits[i], err = b.lower(lw, from)
+			}
+			if err != nil {
+				lw.split--
+				return "", err
+			}
+		}
+		lw.split--
+		return s.join.node(lw, exits...)
 	}
-	if b.elMax > 0 {
-		lw.elastic[b.name] = Elastic{Min: b.elMin, Max: b.elMax}
+	return s.node(lw, from)
+}
+
+// node adds a node stage's node with its replication, elastic and batch
+// marks, and one inbound channel from each upstream node: one for a
+// linear stage, one per branch for a merge.
+func (s *stage) node(lw *lowering, froms ...string) (string, error) {
+	if err := lw.addNode(s.name, s.kernel(lw, s.tap)); err != nil {
+		return "", err
 	}
-	if b.batch > 0 {
-		lw.batch[b.name] = b.batch
+	if s.replicas > 1 {
+		lw.plan[s.name] = s.replicas
 	}
-	lw.connect(from, b.name, b.bufOr(lw.defBuf))
-	return b.name, nil
+	if s.elMax > 0 {
+		lw.elastic[s.name] = Elastic{Min: s.elMin, Max: s.elMax}
+	}
+	if s.batch > 0 {
+		lw.batch[s.name] = s.batch
+	}
+	buf := lw.defBuf
+	if s.buf > 0 {
+		buf = s.buf
+	}
+	for _, from := range froms {
+		lw.connect(from, s.name, buf)
+	}
+	return s.name, nil
 }
 
 // firstPresent returns the first present input payload; single-input
@@ -200,10 +304,11 @@ func firstAs[A any](slot *stageErrSlot, stage string, seq uint64, in []Input) (A
 // firing's aligned inputs to the element the node emits in every
 // out-slot — stage nodes forward their result to whatever follows them,
 // including every branch head under a Split — or keep = false to filter
-// it.
+// it.  tap, the stage's Tap hook, sees each kept element.
 type keepKernel struct {
 	nOut   int
 	decide func(seq uint64, in []Input) (v any, keep bool)
+	tap    func(any)
 }
 
 func (k keepKernel) Process(seq uint64, in []Input) map[int]any {
@@ -211,16 +316,26 @@ func (k keepKernel) Process(seq uint64, in []Input) map[int]any {
 }
 
 func (k keepKernel) ProcessInto(seq uint64, in []Input, out []any, present []bool) {
-	if v, keep := k.decide(seq, in); keep {
-		for i := range out {
-			out[i], present[i] = v, true
-		}
+	v, keep := k.decide(seq, in)
+	if !keep {
+		return
+	}
+	for i := range out {
+		out[i], present[i] = v, true
+	}
+	if k.tap != nil {
+		k.tap(v)
 	}
 }
 
-// keepFactory lowers a stage whose node is a bare keepKernel.
-func keepFactory(decide func(seq uint64, in []Input) (any, bool)) kernelFactory {
-	return func(_, nOut int) Kernel { return keepKernel{nOut: nOut, decide: decide} }
+// keepStage is a node stage whose kernel is a bare keepKernel; decide
+// builds the firing's decision when the stage lowers.
+func keepStage(name string, kind stageKind, in, out reflect.Type, decide func(lw *lowering) func(seq uint64, in []Input) (any, bool)) *stage {
+	return &stage{name: name, kind: kind, in: in, out: out,
+		kernel: func(lw *lowering, tap func(any)) kernelFactory {
+			d := decide(lw)
+			return func(_, nOut int) Kernel { return keepKernel{nOut: nOut, decide: d, tap: tap} }
+		}}
 }
 
 // kept is a stage function's (element, keep) result as decide's: v is
@@ -262,35 +377,24 @@ func castPayload[T any](slot *stageErrSlot, stage string, seq uint64, v any) (T,
 }
 
 // ---------------------------------------------------------------------
-// Single-node stages.
-
-type mapStage[A, B any] struct {
-	stageBase
-	fn func(A) B
-}
+// Node stages.
 
 // Map creates a stage that transforms every element with fn.  fn must be
 // pure if the stage is replicated.
 func Map[A, B any](name string, fn func(A) B) Stage {
-	s := &mapStage[A, B]{stageBase: stageBase{name: name}, fn: fn}
-	s.self = s
-	return s
-}
-
-func (s *mapStage[A, B]) inType() reflect.Type  { return typeOf[A]() }
-func (s *mapStage[A, B]) outType() reflect.Type { return typeOf[B]() }
-
-func (s *mapStage[A, B]) lower(lw *lowering, from string) (string, error) {
-	fn, name, slot, boxer := s.fn, s.name, lw.slot, box.For[B]()
-	each := func(seq uint64, in []Input) (any, bool) {
-		if v, ok := firstAs[A](slot, name, seq, in); ok {
-			return fn(v), true
-		}
-		return nil, false
-	}
-	return s.lowerSimple(lw, from, func(nIn, nOut int) Kernel {
-		return flowMapKernel[A, B]{keepKernel: keepKernel{nOut: nOut, decide: each}, fn: fn, boxer: boxer}
-	})
+	return &stage{name: name, kind: kindNode, in: typeOf[A](), out: typeOf[B](),
+		kernel: func(lw *lowering, tap func(any)) kernelFactory {
+			slot, boxer := lw.slot, box.For[B]()
+			each := func(seq uint64, in []Input) (any, bool) {
+				if v, ok := firstAs[A](slot, name, seq, in); ok {
+					return fn(v), true
+				}
+				return nil, false
+			}
+			return func(_, nOut int) Kernel {
+				return flowMapKernel[A, B]{keepKernel: keepKernel{nOut: nOut, decide: each, tap: tap}, fn: fn, boxer: boxer}
+			}
+		}}
 }
 
 // flowMapKernel is the lowered form of a Map stage: a keepKernel that
@@ -317,6 +421,7 @@ func (k flowMapKernel[A, B]) ForNode() Kernel {
 	return k
 }
 
+// ProcessSpan taps the committed elements after the span.
 func (k flowMapKernel[A, B]) ProcessSpan(_ uint64, in, out []any) int {
 	c, n := k.arena.Load(len(in)), len(in)
 	for j, p := range in {
@@ -328,12 +433,12 @@ func (k flowMapKernel[A, B]) ProcessSpan(_ uint64, in, out []any) int {
 		out[j] = k.arena.Box(k.fn(v), &c)
 	}
 	k.arena.Store(c)
+	if k.tap != nil {
+		for _, v := range out[:n] {
+			k.tap(v)
+		}
+	}
 	return n
-}
-
-type filterStage[A any] struct {
-	stageBase
-	pred func(A) bool
 }
 
 // FilterStage creates a stage that forwards only the elements pred
@@ -341,58 +446,31 @@ type filterStage[A any] struct {
 // the paper's filtering semantics, kept deadlock-free by the dummy
 // protocol the compiled pipeline runs under.
 func FilterStage[A any](name string, pred func(A) bool) Stage {
-	s := &filterStage[A]{stageBase: stageBase{name: name}, pred: pred}
-	s.self = s
-	return s
-}
-
-func (s *filterStage[A]) inType() reflect.Type  { return typeOf[A]() }
-func (s *filterStage[A]) outType() reflect.Type { return typeOf[A]() }
-
-func (s *filterStage[A]) lower(lw *lowering, from string) (string, error) {
-	pred, name, slot := s.pred, s.name, lw.slot
-	return s.lowerSimple(lw, from, keepFactory(func(seq uint64, in []Input) (any, bool) {
-		p, ok := firstPresent(in)
-		if !ok {
-			return nil, false
+	return keepStage(name, kindNode, typeOf[A](), typeOf[A](), func(lw *lowering) func(uint64, []Input) (any, bool) {
+		return func(seq uint64, in []Input) (any, bool) {
+			p, ok := firstPresent(in)
+			if !ok {
+				return nil, false
+			}
+			// Forward the interface value that arrived: converting v back
+			// to any would box it again.
+			v, ok := castPayload[A](lw.slot, name, seq, p)
+			return p, ok && pred(v)
 		}
-		// Forward the interface value that arrived: converting v back to
-		// any would box it again.
-		v, ok := castPayload[A](slot, name, seq, p)
-		return p, ok && pred(v)
-	}))
-}
-
-type filterMapStage[A, B any] struct {
-	stageBase
-	fn func(A) (B, bool)
+	})
 }
 
 // FilterMap creates a stage that transforms and filters in one step: fn
 // returns the transformed element and whether to forward it.
 func FilterMap[A, B any](name string, fn func(A) (B, bool)) Stage {
-	s := &filterMapStage[A, B]{stageBase: stageBase{name: name}, fn: fn}
-	s.self = s
-	return s
-}
-
-func (s *filterMapStage[A, B]) inType() reflect.Type  { return typeOf[A]() }
-func (s *filterMapStage[A, B]) outType() reflect.Type { return typeOf[B]() }
-
-func (s *filterMapStage[A, B]) lower(lw *lowering, from string) (string, error) {
-	fn, name, slot := s.fn, s.name, lw.slot
-	return s.lowerSimple(lw, from, keepFactory(func(seq uint64, in []Input) (any, bool) {
-		if v, ok := firstAs[A](slot, name, seq, in); ok {
-			return kept(fn(v))
+	return keepStage(name, kindNode, typeOf[A](), typeOf[B](), func(lw *lowering) func(uint64, []Input) (any, bool) {
+		return func(seq uint64, in []Input) (any, bool) {
+			if v, ok := firstAs[A](lw.slot, name, seq, in); ok {
+				return kept(fn(v))
+			}
+			return nil, false
 		}
-		return nil, false
-	}))
-}
-
-type statefulStage[A, B, S any] struct {
-	stageBase
-	init S
-	fn   func(S, A) (S, B, bool)
+	})
 }
 
 // Stateful creates a stage that threads a state value through the
@@ -404,193 +482,58 @@ type statefulStage[A, B, S any] struct {
 // replicated.  Prefer value-typed states: a pointer- or map-typed init
 // is shared, not deep-copied, across re-initializations.
 func Stateful[A, B, S any](name string, init S, fn func(S, A) (S, B, bool)) Stage {
-	s := &statefulStage[A, B, S]{stageBase: stageBase{name: name}, init: init, fn: fn}
-	s.self = s
-	return s
-}
-
-func (s *statefulStage[A, B, S]) inType() reflect.Type  { return typeOf[A]() }
-func (s *statefulStage[A, B, S]) outType() reflect.Type { return typeOf[B]() }
-
-func (s *statefulStage[A, B, S]) lower(lw *lowering, from string) (string, error) {
-	if s.replicas > 1 {
-		return "", fmt.Errorf("streamdag: flow: stateful stage %q cannot be replicated (replicas would share its state)", s.name)
-	}
-	if s.elMax > 0 {
-		return "", fmt.Errorf("streamdag: flow: stateful stage %q cannot be elastic (replicas would share its state)", s.name)
-	}
-	// One state cell per Compile, reset at every Run, so neither a second
-	// Run nor a second Compile of the same Stage value sees stale state.
-	cell := new(S)
-	*cell = s.init
-	init, fn, name, slot := s.init, s.fn, s.name, lw.slot
-	lw.resets = append(lw.resets, func() { *cell = init })
-	return s.lowerSimple(lw, from, keepFactory(func(seq uint64, in []Input) (any, bool) {
-		v, ok := firstAs[A](slot, name, seq, in)
-		if !ok {
-			return nil, false
+	return keepStage(name, kindStateful, typeOf[A](), typeOf[B](), func(lw *lowering) func(uint64, []Input) (any, bool) {
+		// One state cell per Compile, reset at every Run, so neither a
+		// second Run nor a second Compile of the same Stage value sees
+		// stale state.
+		cell := new(S)
+		*cell = init
+		lw.resets = append(lw.resets, func() { *cell = init })
+		return func(seq uint64, in []Input) (any, bool) {
+			v, ok := firstAs[A](lw.slot, name, seq, in)
+			if !ok {
+				return nil, false
+			}
+			next, out, keep := fn(*cell, v)
+			*cell = next
+			return kept(out, keep)
 		}
-		next, out, keep := fn(*cell, v)
-		*cell = next
-		return kept(out, keep)
-	}))
+	})
 }
 
 // ---------------------------------------------------------------------
 // Composition: Sequence, Split, and the merge stages.
 
-type seqStage struct {
-	stageBase
-	stages []Stage
-}
-
 // Sequence composes stages into one linear sub-chain — useful as a
 // multi-stage branch of a Split.  Boundary types are checked when the
 // flow compiles.
 func Sequence(stages ...Stage) Stage {
-	s := &seqStage{stages: stages}
-	s.self = s
+	s := &stage{kind: kindSeq}
 	if len(stages) == 0 {
 		s.err = fmt.Errorf("streamdag: flow: Sequence requires at least one stage")
 		return s
 	}
-	s.name = fmt.Sprintf("seq(%s..%s)", stages[0].Name(), stages[len(stages)-1].Name())
-	// Propagate member errors before touching their types: a broken
-	// member's type accessors are not safe to call.
 	for _, st := range stages {
-		if err := st.stageErr(); err != nil {
-			s.err = err
+		s.members = append(s.members, st.base())
+	}
+	first, last := s.members[0], s.members[len(s.members)-1]
+	s.name = fmt.Sprintf("seq(%s..%s)", first.name, last.name)
+	s.in, s.out = first.in, last.out
+	// Propagate member errors before comparing types: a broken member's
+	// types may be unset.
+	for _, m := range s.members {
+		if m.err != nil {
+			s.err = m.err
 			return s
 		}
 	}
-	for i := 0; i+1 < len(stages); i++ {
-		if !compatibleTypes(stages[i].outType(), stages[i+1].inType()) {
-			s.err = &StageTypeError{
-				Stage: stages[i+1].Name(),
-				Want:  stages[i+1].inType(), Got: stages[i].outType(),
-			}
+	for i, m := range s.members[1:] {
+		if prev := s.members[i]; !compatibleTypes(prev.out, m.in) {
+			s.err = &StageTypeError{Stage: m.name, Want: m.in, Got: prev.out}
 			return s
 		}
 	}
 	return s
-}
-
-func (s *seqStage) inType() reflect.Type {
-	if len(s.stages) == 0 {
-		return typeOf[any]()
-	}
-	return s.stages[0].inType()
-}
-
-func (s *seqStage) outType() reflect.Type {
-	if len(s.stages) == 0 {
-		return typeOf[any]()
-	}
-	return s.stages[len(s.stages)-1].outType()
-}
-
-func (s *seqStage) lower(lw *lowering, from string) (string, error) {
-	if err := s.compositeKnobs(); err != nil {
-		return "", err
-	}
-	var err error
-	for _, st := range s.stages {
-		if serr := st.stageErr(); serr != nil {
-			return "", serr
-		}
-		if from, err = st.lower(lw, from); err != nil {
-			return "", err
-		}
-	}
-	return from, nil
-}
-
-func (b *stageBase) compositeKnobs() error {
-	// Replicate(1) is a no-op everywhere (ReplicationPlan semantics), so
-	// only counts that would actually expand are rejected here.
-	if b.replicas > 1 {
-		return fmt.Errorf("streamdag: flow: composite stage %q cannot be replicated; replicate its member stages", b.name)
-	}
-	if b.elMax > 0 {
-		return fmt.Errorf("streamdag: flow: composite stage %q cannot be elastic; mark its member stages", b.name)
-	}
-	if b.buf > 0 {
-		return fmt.Errorf("streamdag: flow: composite stage %q has no inbound channel of its own; set buffers on its member stages", b.name)
-	}
-	if b.batch > 0 {
-		return fmt.Errorf("streamdag: flow: composite stage %q has no node of its own; set batch sizes on its member stages", b.name)
-	}
-	if b.tap != nil {
-		return fmt.Errorf("streamdag: flow: composite stage %q has no node of its own; tap its member stages", b.name)
-	}
-	return nil
-}
-
-// wrapTap decorates a stage's kernel factory with its Tap hook; a stage
-// without one lowers the factory unchanged, so untapped stages pay
-// nothing.  The decorator preserves vectorization: when the inner kernel
-// is a SpanKernel, the wrapper is too, invoking fn once per committed
-// span element.
-func (b *stageBase) wrapTap(mk kernelFactory) kernelFactory {
-	fn := b.tap
-	if fn == nil {
-		return mk
-	}
-	return func(nIn, nOut int) Kernel {
-		inner := mk(nIn, nOut)
-		tk := tapKernel{k: stream.SliceForm(inner), nOut: nOut, fn: fn}
-		if sk, ok := inner.(SpanKernel); ok {
-			return tapSpanKernel{tapKernel: tk, sk: sk}
-		}
-		return tk
-	}
-}
-
-// tapKernel forwards to the wrapped kernel and hands each emitted element
-// to the tap function.  Stage kernels emit one value in every out-slot,
-// so slot 0 observes the element.
-type tapKernel struct {
-	k    stream.SliceKernel
-	nOut int
-	fn   func(any)
-}
-
-func (t tapKernel) Process(seq uint64, in []Input) map[int]any {
-	return stream.MapForm(t, t.nOut, seq, in)
-}
-
-func (t tapKernel) ProcessInto(seq uint64, in []Input, out []any, present []bool) {
-	t.k.ProcessInto(seq, in, out, present)
-	if present[0] {
-		t.fn(out[0])
-	}
-}
-
-// tapSpanKernel is the vectorized tap: the inner span commits a prefix,
-// and the tap sees exactly the committed elements.
-type tapSpanKernel struct {
-	tapKernel
-	sk SpanKernel
-}
-
-// ForNode implements stream.PerNode: when the tapped kernel keeps
-// per-node state, each node gets the tap over its own copy.
-func (t tapSpanKernel) ForNode() Kernel {
-	pn, ok := t.sk.(stream.PerNode)
-	if !ok {
-		return t
-	}
-	k := pn.ForNode()
-	t.k, t.sk = stream.SliceForm(k), k.(SpanKernel)
-	return t
-}
-
-func (t tapSpanKernel) ProcessSpan(seq0 uint64, in, out []any) int {
-	n := t.sk.ProcessSpan(seq0, in, out)
-	for j := 0; j < n; j++ {
-		t.fn(out[j])
-	}
-	return n
 }
 
 // Maybe is an optional value at a merge point: OK reports whether the
@@ -601,47 +544,17 @@ type Maybe[T any] struct {
 	OK    bool
 }
 
-// mergeJoiner is the extra surface of merge stages: Split needs their
-// arity and per-branch types, and lowers them with one inbound channel
-// per branch.
-type mergeJoiner interface {
-	Stage
-	arity() int // -1 = any number of branches
-	slotType(i int) reflect.Type
-	mergeLower(lw *lowering, froms []string) (string, error)
-}
-
-// errMergeOutsideSplit is returned when a merge stage appears in a
-// linear position.
-func errMergeOutsideSplit(name string) error {
-	return fmt.Errorf("streamdag: flow: merge stage %q must be the join of a Split", name)
-}
-
-// lowerMerge is the shared lowering of the merge stages — lowerSimple's
-// multi-input counterpart: one node carrying the join kernel, one
-// inbound channel per branch exit, optional replication.
-func (b *stageBase) lowerMerge(lw *lowering, froms []string, mk kernelFactory) (string, error) {
-	if err := lw.addNode(b.name, b.wrapTap(mk)); err != nil {
-		return "", err
-	}
-	if b.replicas > 1 {
-		lw.plan[b.name] = b.replicas
-	}
-	if b.elMax > 0 {
-		lw.elastic[b.name] = Elastic{Min: b.elMin, Max: b.elMax}
-	}
-	if b.batch > 0 {
-		lw.batch[b.name] = b.batch
-	}
-	for _, from := range froms {
-		lw.connect(from, b.name, b.bufOr(lw.defBuf))
-	}
-	return b.name, nil
-}
-
-type mergeStage[A, Out any] struct {
-	stageBase
-	join func([]Maybe[A]) (Out, bool)
+// joinStage is a merge's record: a node stage whose slots are the
+// branch types it joins, and whose decide fires only when at least one
+// branch produced an element of its slot's type — if every present
+// input failed its cast, the firing is filtered (the error is already
+// recorded).
+func joinStage(name string, in, out reflect.Type, slots []reflect.Type, decide func(slot *stageErrSlot, seq uint64, in []Input) (any, bool)) Stage {
+	s := keepStage(name, kindMerge, in, out, func(lw *lowering) func(uint64, []Input) (any, bool) {
+		return func(seq uint64, in []Input) (any, bool) { return decide(lw.slot, seq, in) }
+	})
+	s.slots = slots
+	return s
 }
 
 // Merge creates the fan-in join of a Split whose branches all produce A:
@@ -651,36 +564,18 @@ type mergeStage[A, Out any] struct {
 // produced an element.  Use Merge2/Merge3 for branches of distinct
 // types.
 func Merge[A, Out any](name string, join func(parts []Maybe[A]) (Out, bool)) Stage {
-	s := &mergeStage[A, Out]{stageBase: stageBase{name: name}, join: join}
-	s.self = s
-	return s
-}
-
-func (s *mergeStage[A, Out]) inType() reflect.Type      { return typeOf[A]() }
-func (s *mergeStage[A, Out]) outType() reflect.Type     { return typeOf[Out]() }
-func (s *mergeStage[A, Out]) arity() int                { return -1 }
-func (s *mergeStage[A, Out]) slotType(int) reflect.Type { return typeOf[A]() }
-func (s *mergeStage[A, Out]) lower(*lowering, string) (string, error) {
-	return "", errMergeOutsideSplit(s.name)
-}
-
-func (s *mergeStage[A, Out]) mergeLower(lw *lowering, froms []string) (string, error) {
-	join, name, slot := s.join, s.name, lw.slot
-	return s.lowerMerge(lw, froms, keepFactory(func(seq uint64, in []Input) (any, bool) {
+	return joinStage(name, typeOf[A](), typeOf[Out](), nil, func(slot *stageErrSlot, seq uint64, in []Input) (any, bool) {
 		parts := make([]Maybe[A], len(in))
 		anyOK := false
 		for i, inp := range in {
 			parts[i] = maybeOf[A](slot, name, seq, inp)
 			anyOK = anyOK || parts[i].OK
 		}
-		// The join fires only when at least one branch produced an
-		// element; if every present input failed its type cast, the
-		// firing is filtered (the error is already recorded).
 		if !anyOK {
 			return nil, false
 		}
 		return kept(join(parts))
-	}))
+	})
 }
 
 // maybeOf is one merge slot: the branch's element when it produced one of
@@ -694,89 +589,32 @@ func maybeOf[T any](slot *stageErrSlot, stage string, seq uint64, in Input) Mayb
 	return Maybe[T]{}
 }
 
-type merge2Stage[A, B, Out any] struct {
-	stageBase
-	join func(Maybe[A], Maybe[B]) (Out, bool)
-}
-
 // Merge2 creates the fan-in join of a two-branch Split with distinctly
 // typed branches; see Merge.
 func Merge2[A, B, Out any](name string, join func(a Maybe[A], b Maybe[B]) (Out, bool)) Stage {
-	s := &merge2Stage[A, B, Out]{stageBase: stageBase{name: name}, join: join}
-	s.self = s
-	return s
-}
-
-func (s *merge2Stage[A, B, Out]) inType() reflect.Type  { return typeOf[A]() }
-func (s *merge2Stage[A, B, Out]) outType() reflect.Type { return typeOf[Out]() }
-func (s *merge2Stage[A, B, Out]) arity() int            { return 2 }
-func (s *merge2Stage[A, B, Out]) slotType(i int) reflect.Type {
-	if i == 0 {
-		return typeOf[A]()
-	}
-	return typeOf[B]()
-}
-func (s *merge2Stage[A, B, Out]) lower(*lowering, string) (string, error) {
-	return "", errMergeOutsideSplit(s.name)
-}
-
-func (s *merge2Stage[A, B, Out]) mergeLower(lw *lowering, froms []string) (string, error) {
-	join, name, slot := s.join, s.name, lw.slot
-	return s.lowerMerge(lw, froms, keepFactory(func(seq uint64, in []Input) (any, bool) {
+	slots := []reflect.Type{typeOf[A](), typeOf[B]()}
+	return joinStage(name, slots[0], typeOf[Out](), slots, func(slot *stageErrSlot, seq uint64, in []Input) (any, bool) {
 		a, b := maybeOf[A](slot, name, seq, in[0]), maybeOf[B](slot, name, seq, in[1])
 		if !a.OK && !b.OK {
-			return nil, false // every present input failed its cast
+			return nil, false
 		}
 		return kept(join(a, b))
-	}))
-}
-
-type merge3Stage[A, B, C, Out any] struct {
-	stageBase
-	join func(Maybe[A], Maybe[B], Maybe[C]) (Out, bool)
+	})
 }
 
 // Merge3 creates the fan-in join of a three-branch Split with distinctly
 // typed branches; see Merge.
 func Merge3[A, B, C, Out any](name string, join func(a Maybe[A], b Maybe[B], c Maybe[C]) (Out, bool)) Stage {
-	s := &merge3Stage[A, B, C, Out]{stageBase: stageBase{name: name}, join: join}
-	s.self = s
-	return s
-}
-
-func (s *merge3Stage[A, B, C, Out]) inType() reflect.Type  { return typeOf[A]() }
-func (s *merge3Stage[A, B, C, Out]) outType() reflect.Type { return typeOf[Out]() }
-func (s *merge3Stage[A, B, C, Out]) arity() int            { return 3 }
-func (s *merge3Stage[A, B, C, Out]) slotType(i int) reflect.Type {
-	switch i {
-	case 0:
-		return typeOf[A]()
-	case 1:
-		return typeOf[B]()
-	}
-	return typeOf[C]()
-}
-func (s *merge3Stage[A, B, C, Out]) lower(*lowering, string) (string, error) {
-	return "", errMergeOutsideSplit(s.name)
-}
-
-func (s *merge3Stage[A, B, C, Out]) mergeLower(lw *lowering, froms []string) (string, error) {
-	join, name, slot := s.join, s.name, lw.slot
-	return s.lowerMerge(lw, froms, keepFactory(func(seq uint64, in []Input) (any, bool) {
+	slots := []reflect.Type{typeOf[A](), typeOf[B](), typeOf[C]()}
+	return joinStage(name, slots[0], typeOf[Out](), slots, func(slot *stageErrSlot, seq uint64, in []Input) (any, bool) {
 		a := maybeOf[A](slot, name, seq, in[0])
 		b := maybeOf[B](slot, name, seq, in[1])
 		c := maybeOf[C](slot, name, seq, in[2])
 		if !a.OK && !b.OK && !c.OK {
-			return nil, false // every present input failed its cast
+			return nil, false
 		}
 		return kept(join(a, b, c))
-	}))
-}
-
-type splitStage struct {
-	stageBase
-	branches []Stage
-	merge    mergeJoiner
+	})
 }
 
 // Split fans the stream out and back in: every element is broadcast to
@@ -788,90 +626,49 @@ type splitStage struct {
 // type; each branch's output type must match the corresponding merge
 // slot.
 func Split(merge Stage, branches ...Stage) Stage {
-	s := &splitStage{branches: branches}
-	s.self = s
-	mj, ok := merge.(mergeJoiner)
-	if !ok {
-		s.err = fmt.Errorf("streamdag: flow: Split join %q must be a Merge, Merge2, or Merge3 stage",
-			merge.Name())
+	j := merge.base()
+	s := &stage{kind: kindSplit, join: j}
+	if j.kind != kindMerge {
+		s.err = fmt.Errorf("streamdag: flow: Split join %q must be a Merge, Merge2, or Merge3 stage", j.name)
 		return s
 	}
-	s.merge = mj
-	s.name = fmt.Sprintf("split(%s)", merge.Name())
+	s.name = fmt.Sprintf("split(%s)", j.name)
 	switch {
 	case len(branches) < 2:
-		s.err = fmt.Errorf("streamdag: flow: Split %q requires at least two branches", merge.Name())
-	case mj.arity() >= 0 && mj.arity() != len(branches):
-		s.err = fmt.Errorf("streamdag: flow: Split join %q takes %d branches, got %d",
-			merge.Name(), mj.arity(), len(branches))
+		s.err = fmt.Errorf("streamdag: flow: Split %q requires at least two branches", j.name)
+	case j.slots != nil && len(j.slots) != len(branches):
+		s.err = fmt.Errorf("streamdag: flow: Split join %q takes %d branches, got %d", j.name, len(j.slots), len(branches))
 	}
 	if s.err != nil {
 		return s
 	}
-	// Propagate member errors before touching their types: a broken
-	// branch's type accessors are not safe to call.
-	if err := merge.stageErr(); err != nil {
-		s.err = err
-		return s
-	}
 	for _, b := range branches {
-		if err := b.stageErr(); err != nil {
-			s.err = err
+		s.members = append(s.members, b.base())
+	}
+	s.in, s.out = s.members[0].in, j.out
+	// Propagate member errors before comparing types: a broken member's
+	// types may be unset.
+	for _, m := range append([]*stage{j}, s.members...) {
+		if m.err != nil {
+			s.err = m.err
 			return s
 		}
 	}
-	for i, b := range branches {
-		if b.inType() != branches[0].inType() {
+	for i, b := range s.members {
+		if b.in != s.in {
 			// Want is what this branch declares; Got is what the split
 			// feeds every branch (the first branch's input type).
-			s.err = &StageTypeError{Stage: b.Name(), Want: b.inType(), Got: branches[0].inType()}
+			s.err = &StageTypeError{Stage: b.name, Want: b.in, Got: s.in}
 			return s
 		}
-		if !compatibleTypes(b.outType(), mj.slotType(i)) {
-			s.err = &StageTypeError{Stage: merge.Name(), Want: mj.slotType(i), Got: b.outType()}
+		slot := j.in
+		if j.slots != nil {
+			slot = j.slots[i]
+		}
+		if !compatibleTypes(b.out, slot) {
+			s.err = &StageTypeError{Stage: j.name, Want: slot, Got: b.out}
 			return s
 		}
 	}
 	return s
-}
-
-func (s *splitStage) inType() reflect.Type {
-	if len(s.branches) == 0 {
-		return typeOf[any]()
-	}
-	return s.branches[0].inType()
-}
-
-func (s *splitStage) outType() reflect.Type {
-	if s.merge == nil {
-		return typeOf[any]()
-	}
-	return s.merge.outType()
-}
-
-func (s *splitStage) lower(lw *lowering, from string) (string, error) {
-	if err := s.compositeKnobs(); err != nil {
-		return "", err
-	}
-	// Re-check member errors: knob calls (Replicate, Buffer) may have
-	// recorded one after Split captured the members at construction.
-	if err := s.merge.stageErr(); err != nil {
-		return "", err
-	}
-	exits := make([]string, len(s.branches))
-	lw.split++
-	for i, b := range s.branches {
-		if err := b.stageErr(); err != nil {
-			lw.split--
-			return "", err
-		}
-		exit, err := b.lower(lw, from)
-		if err != nil {
-			lw.split--
-			return "", err
-		}
-		exits[i] = exit
-	}
-	lw.split--
-	return s.merge.mergeLower(lw, exits)
 }

@@ -10,8 +10,10 @@ import (
 )
 
 // This file is the time-aware stage library: windows (tumbling, sliding,
-// session), Throttle, Debounce, Dedupe, and Sample.  Each lowers to a
-// kernel implementing stream.TimedKernel, so the backends run it on the
+// session), Throttle, Debounce, Dedupe, and Sample.  Each is a stage
+// record of kind kindTimed built by timedStage, and lowers to a kernel
+// on the timedCore chassis (which carries the stage's name, error slot
+// and tap) implementing stream.TimedKernel, so the backends run it on the
 // re-sequenced timed path: the node consumes its input without firing at
 // input seqs and fires only for its own emissions at a dense private
 // sequence with an all-true mask.  A never-filtering output needs no
@@ -75,27 +77,20 @@ func alignTime(t time.Time, step time.Duration) time.Time {
 	return clock.Epoch.Add(d - off)
 }
 
-// timedStageKernel is what the time-aware stages hand to lowerTimed: a
-// timed kernel plus the hooks the lowering drives (per-run reset, tap
-// installation).
-type timedStageKernel interface {
-	stream.TimedKernel
-	reset()
-	setTap(func(any))
-}
-
 // timedCore is the chassis embedded by every time-aware kernel: the
-// injected clock, the emission queue drained by TakeEmissions, and the
-// stage's tap hook.  setClock is the injection point Build uses (see
-// pipeline.go); until injection the core falls back to the wall clock.
+// stage's name, the Compile's error slot and the stage's tap, the
+// injected clock, and the emission queue drained by TakeEmissions.
+// setClock is the injection point Build uses (see pipeline.go); until
+// injection the core falls back to the wall clock.
 type timedCore struct {
+	name  string
+	slot  *stageErrSlot
+	tap   func(any)
 	clk   clock.Clock
 	queue []any
-	tap   func(any)
 }
 
 func (c *timedCore) setClock(k clock.Clock) { c.clk = k }
-func (c *timedCore) setTap(fn func(any))    { c.tap = fn }
 
 func (c *timedCore) TimedClock() clock.Clock {
 	if c.clk == nil {
@@ -115,10 +110,8 @@ func processOne(k stream.TimedKernel, seq uint64, in []Input) map[int]any {
 	return nil
 }
 
-// emit queues v for the next TakeEmissions drain.  The tap runs here —
-// at emission, where the stage's output actually materializes — because
-// the timed lowering bypasses wrapTap (a wrapper would hide the
-// TimedKernel methods from the backends).
+// emit queues v for the next TakeEmissions drain; the tap runs here, at
+// emission, where the stage's output materializes.
 func (c *timedCore) emit(v any) {
 	if c.tap != nil {
 		c.tap(v)
@@ -134,42 +127,29 @@ func (c *timedCore) TakeEmissions() []any {
 
 func (c *timedCore) resetCore() { c.queue = nil }
 
-// lowerTimed is lowerSimple's counterpart for the time-aware stages.
-// The kernel instance is created by the caller at lower time — the
-// factory closes over it, so autoscale re-plans (which re-invoke
-// factories) keep the same state and the same injected clock — and is
-// registered for per-run reset.  Replication, elasticity, and Split
-// branches are rejected: a timed kernel is single-instance state, and
-// its re-sequenced output cannot join a seq-keyed merge.
-func (b *stageBase) lowerTimed(lw *lowering, from string, k timedStageKernel) (string, error) {
-	if b.replicas > 1 {
-		return "", fmt.Errorf("streamdag: flow: time-aware stage %q cannot be replicated", b.name)
-	}
-	if b.elMax > 0 {
-		return "", fmt.Errorf("streamdag: flow: time-aware stage %q cannot be elastic", b.name)
-	}
-	if lw.split > 0 {
-		return "", fmt.Errorf("streamdag: flow: time-aware stage %q cannot run inside a Split branch: its re-sequenced output would not align with the sibling branches at the merge", b.name)
-	}
-	k.setTap(b.tap)
-	lw.resets = append(lw.resets, k.reset)
-	if err := lw.addNode(b.name, func(nIn, nOut int) Kernel { return k }); err != nil {
-		return "", err
-	}
-	if b.batch > 0 {
-		lw.batch[b.name] = b.batch
-	}
-	lw.connect(from, b.name, b.bufOr(lw.defBuf))
-	return b.name, nil
+// timedKernel is a time-aware stage's kernel: the timed path, plus the
+// per-run reset.
+type timedKernel interface {
+	stream.TimedKernel
+	reset()
+}
+
+// timedStage is the one constructor of the time-aware stages.  Each
+// Compile makes the kernel once, with mk, and registers its reset; the
+// node's factory returns that same instance on every call, so autoscale
+// re-plans (which re-invoke factories) keep its state and its injected
+// clock.
+func timedStage(name string, in, out reflect.Type, err error, mk func(c timedCore) timedKernel) Stage {
+	return &stage{name: name, kind: kindTimed, in: in, out: out, err: err,
+		kernel: func(lw *lowering, tap func(any)) kernelFactory {
+			k := mk(timedCore{name: name, slot: lw.slot, tap: tap})
+			lw.resets = append(lw.resets, k.reset)
+			return func(_, _ int) Kernel { return k }
+		}}
 }
 
 // ---------------------------------------------------------------------
 // Tumbling and sliding windows (one kernel: tumbling is slide == width).
-
-type windowStage[T any] struct {
-	stageBase
-	width, slide time.Duration
-}
 
 // TumblingWindow creates a stage that groups elements into consecutive
 // non-overlapping intervals of width and emits each interval's elements
@@ -177,12 +157,7 @@ type windowStage[T any] struct {
 // the fixed grid anchored at the Unix epoch, and an empty interval emits
 // nothing.
 func TumblingWindow[T any](name string, width time.Duration) Stage {
-	s := &windowStage[T]{stageBase: stageBase{name: name}, width: width, slide: width}
-	s.self = s
-	if width <= 0 {
-		s.err = fmt.Errorf("streamdag: flow: stage %q: window width %v must be positive", name, width)
-	}
-	return s
+	return SlidingWindow[T](name, width, width)
 }
 
 // SlidingWindow creates a stage that groups elements into overlapping
@@ -191,22 +166,15 @@ func TumblingWindow[T any](name string, width time.Duration) Stage {
 // window emits as a Window[T] when its end passes; empty windows emit
 // nothing.
 func SlidingWindow[T any](name string, width, slide time.Duration) Stage {
-	s := &windowStage[T]{stageBase: stageBase{name: name}, width: width, slide: slide}
-	s.self = s
+	var err error
 	if width <= 0 {
-		s.err = fmt.Errorf("streamdag: flow: stage %q: window width %v must be positive", name, width)
+		err = fmt.Errorf("streamdag: flow: stage %q: window width %v must be positive", name, width)
 	} else if slide <= 0 || slide > width {
-		s.err = fmt.Errorf("streamdag: flow: stage %q: slide %v must be in (0, %v]", name, slide, width)
+		err = fmt.Errorf("streamdag: flow: stage %q: slide %v must be in (0, %v]", name, slide, width)
 	}
-	return s
-}
-
-func (s *windowStage[T]) inType() reflect.Type  { return typeOf[T]() }
-func (s *windowStage[T]) outType() reflect.Type { return typeOf[Window[T]]() }
-
-func (s *windowStage[T]) lower(lw *lowering, from string) (string, error) {
-	k := &windowKernel[T]{name: s.name, slot: lw.slot, width: s.width, slide: s.slide}
-	return s.lowerTimed(lw, from, k)
+	return timedStage(name, typeOf[T](), typeOf[Window[T]](), err, func(c timedCore) timedKernel {
+		return &windowKernel[T]{timedCore: c, width: width, slide: slide}
+	})
 }
 
 // openWindow is one not-yet-closed window of a windowKernel.
@@ -217,8 +185,6 @@ type openWindow[T any] struct {
 
 type windowKernel[T any] struct {
 	timedCore
-	name         string
-	slot         *stageErrSlot
 	width, slide time.Duration
 	open         []*openWindow[T] // ascending by start
 	// vals is the run being ingested, cast; lastLen is how many items the
@@ -305,36 +271,22 @@ func (k *windowKernel[T]) NextDeadline() (time.Time, bool) {
 // ---------------------------------------------------------------------
 // Session windows.
 
-type sessionWindowStage[T any] struct {
-	stageBase
-	gap time.Duration
-}
-
 // SessionWindow creates a stage that groups bursts of elements separated
 // by quiet gaps: a session opens at the first element, extends with each
 // arrival, and closes — emitting one Window[T] spanning first arrival to
 // last arrival plus gap — once no element has arrived for gap.
 func SessionWindow[T any](name string, gap time.Duration) Stage {
-	s := &sessionWindowStage[T]{stageBase: stageBase{name: name}, gap: gap}
-	s.self = s
+	var err error
 	if gap <= 0 {
-		s.err = fmt.Errorf("streamdag: flow: stage %q: session gap %v must be positive", name, gap)
+		err = fmt.Errorf("streamdag: flow: stage %q: session gap %v must be positive", name, gap)
 	}
-	return s
-}
-
-func (s *sessionWindowStage[T]) inType() reflect.Type  { return typeOf[T]() }
-func (s *sessionWindowStage[T]) outType() reflect.Type { return typeOf[Window[T]]() }
-
-func (s *sessionWindowStage[T]) lower(lw *lowering, from string) (string, error) {
-	k := &sessionWindowKernel[T]{name: s.name, slot: lw.slot, gap: s.gap}
-	return s.lowerTimed(lw, from, k)
+	return timedStage(name, typeOf[T](), typeOf[Window[T]](), err, func(c timedCore) timedKernel {
+		return &sessionWindowKernel[T]{timedCore: c, gap: gap}
+	})
 }
 
 type sessionWindowKernel[T any] struct {
 	timedCore
-	name        string
-	slot        *stageErrSlot
 	gap         time.Duration
 	open        bool
 	start, last time.Time
@@ -399,37 +351,23 @@ func (k *sessionWindowKernel[T]) NextDeadline() (time.Time, bool) {
 // ---------------------------------------------------------------------
 // Throttle.
 
-type throttleStage[T any] struct {
-	stageBase
-	interval time.Duration
-}
-
 // Throttle creates a stage that passes an element through and then
 // drops everything arriving within interval of it (leading-edge rate
 // limiting).  The first element always passes.
 func Throttle[T any](name string, interval time.Duration) Stage {
-	s := &throttleStage[T]{stageBase: stageBase{name: name}, interval: interval}
-	s.self = s
+	var err error
 	if interval <= 0 {
-		s.err = fmt.Errorf("streamdag: flow: stage %q: throttle interval %v must be positive", name, interval)
+		err = fmt.Errorf("streamdag: flow: stage %q: throttle interval %v must be positive", name, interval)
 	}
-	return s
-}
-
-func (s *throttleStage[T]) inType() reflect.Type  { return typeOf[T]() }
-func (s *throttleStage[T]) outType() reflect.Type { return typeOf[T]() }
-
-func (s *throttleStage[T]) lower(lw *lowering, from string) (string, error) {
-	k := &throttleKernel[T]{name: s.name, slot: lw.slot, interval: s.interval}
-	return s.lowerTimed(lw, from, k)
+	return timedStage(name, typeOf[T](), typeOf[T](), err, func(c timedCore) timedKernel {
+		return &throttleKernel[T]{timedCore: c, interval: interval}
+	})
 }
 
 // throttleKernel is purely arrival-driven — it never arms a deadline, so
 // it adds no timer traffic and never wakes an idle pipeline.
 type throttleKernel[T any] struct {
 	timedCore
-	name     string
-	slot     *stageErrSlot
 	interval time.Duration
 	passed   bool
 	lastPass time.Time
@@ -466,36 +404,22 @@ func (k *throttleKernel[T]) NextDeadline() (time.Time, bool) { return time.Time{
 // ---------------------------------------------------------------------
 // Debounce.
 
-type debounceStage[T any] struct {
-	stageBase
-	quiet time.Duration
-}
-
 // Debounce creates a stage that holds the latest element and emits it
 // once quiet has elapsed with no newer arrival (trailing-edge): a burst
 // collapses to its final element.  A stream that ends while an element
 // is held emits it on flush.
 func Debounce[T any](name string, quiet time.Duration) Stage {
-	s := &debounceStage[T]{stageBase: stageBase{name: name}, quiet: quiet}
-	s.self = s
+	var err error
 	if quiet <= 0 {
-		s.err = fmt.Errorf("streamdag: flow: stage %q: debounce interval %v must be positive", name, quiet)
+		err = fmt.Errorf("streamdag: flow: stage %q: debounce interval %v must be positive", name, quiet)
 	}
-	return s
-}
-
-func (s *debounceStage[T]) inType() reflect.Type  { return typeOf[T]() }
-func (s *debounceStage[T]) outType() reflect.Type { return typeOf[T]() }
-
-func (s *debounceStage[T]) lower(lw *lowering, from string) (string, error) {
-	k := &debounceKernel[T]{name: s.name, slot: lw.slot, quiet: s.quiet}
-	return s.lowerTimed(lw, from, k)
+	return timedStage(name, typeOf[T](), typeOf[T](), err, func(c timedCore) timedKernel {
+		return &debounceKernel[T]{timedCore: c, quiet: quiet}
+	})
 }
 
 type debounceKernel[T any] struct {
 	timedCore
-	name    string
-	slot    *stageErrSlot
 	quiet   time.Duration
 	held    bool
 	pending T
@@ -558,29 +482,17 @@ func (k *debounceKernel[T]) NextDeadline() (time.Time, bool) {
 // ---------------------------------------------------------------------
 // Dedupe.
 
-type dedupeStage[T comparable] struct {
-	stageBase
-	ttl time.Duration
-}
-
 // Dedupe creates a stage that drops elements equal to one already seen
 // within the last ttl; an element seen longer ago than ttl passes again
 // (and restarts its ttl).  T must be comparable — equality is Go's ==.
 func Dedupe[T comparable](name string, ttl time.Duration) Stage {
-	s := &dedupeStage[T]{stageBase: stageBase{name: name}, ttl: ttl}
-	s.self = s
+	var err error
 	if ttl <= 0 {
-		s.err = fmt.Errorf("streamdag: flow: stage %q: dedupe ttl %v must be positive", name, ttl)
+		err = fmt.Errorf("streamdag: flow: stage %q: dedupe ttl %v must be positive", name, ttl)
 	}
-	return s
-}
-
-func (s *dedupeStage[T]) inType() reflect.Type  { return typeOf[T]() }
-func (s *dedupeStage[T]) outType() reflect.Type { return typeOf[T]() }
-
-func (s *dedupeStage[T]) lower(lw *lowering, from string) (string, error) {
-	k := &dedupeKernel[T]{name: s.name, slot: lw.slot, ttl: s.ttl}
-	return s.lowerTimed(lw, from, k)
+	return timedStage(name, typeOf[T](), typeOf[T](), err, func(c timedCore) timedKernel {
+		return &dedupeKernel[T]{timedCore: c, ttl: ttl}
+	})
 }
 
 // dedupeKernel expires lazily — entries are checked against ttl on
@@ -590,8 +502,6 @@ func (s *dedupeStage[T]) lower(lw *lowering, from string) (string, error) {
 // that never emit anything.
 type dedupeKernel[T comparable] struct {
 	timedCore
-	name string
-	slot *stageErrSlot
 	ttl  time.Duration
 	seen map[T]time.Time
 	ops  int
@@ -642,36 +552,22 @@ func (k *dedupeKernel[T]) NextDeadline() (time.Time, bool) { return time.Time{},
 // ---------------------------------------------------------------------
 // Sample.
 
-type sampleStage[T any] struct {
-	stageBase
-	interval time.Duration
-}
-
 // Sample creates a stage that conflates each interval-aligned slot of
 // processing time to the latest element observed in it, emitted when the
 // slot ends.  Slots with no arrivals emit nothing; a stream ending
 // mid-slot emits the held element on flush.
 func Sample[T any](name string, interval time.Duration) Stage {
-	s := &sampleStage[T]{stageBase: stageBase{name: name}, interval: interval}
-	s.self = s
+	var err error
 	if interval <= 0 {
-		s.err = fmt.Errorf("streamdag: flow: stage %q: sample interval %v must be positive", name, interval)
+		err = fmt.Errorf("streamdag: flow: stage %q: sample interval %v must be positive", name, interval)
 	}
-	return s
-}
-
-func (s *sampleStage[T]) inType() reflect.Type  { return typeOf[T]() }
-func (s *sampleStage[T]) outType() reflect.Type { return typeOf[T]() }
-
-func (s *sampleStage[T]) lower(lw *lowering, from string) (string, error) {
-	k := &sampleKernel[T]{name: s.name, slot: lw.slot, interval: s.interval}
-	return s.lowerTimed(lw, from, k)
+	return timedStage(name, typeOf[T](), typeOf[T](), err, func(c timedCore) timedKernel {
+		return &sampleKernel[T]{timedCore: c, interval: interval}
+	})
 }
 
 type sampleKernel[T any] struct {
 	timedCore
-	name     string
-	slot     *stageErrSlot
 	interval time.Duration
 	held     bool
 	latest   T

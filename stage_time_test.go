@@ -560,7 +560,7 @@ func TestTimedAfterFilteringSplit(t *testing.T) {
 func BenchmarkWindowKernelRun(b *testing.B) {
 	for _, run := range []int{1, 64} {
 		b.Run(fmt.Sprintf("run%d", run), func(b *testing.B) {
-			k := &windowKernel[int]{name: "win", width: time.Millisecond, slide: time.Millisecond}
+			k := &windowKernel[int]{timedCore: timedCore{name: "win"}, width: time.Millisecond, slide: time.Millisecond}
 			seqs, pays := make([]uint64, run), intPayloads(make([]int, run)...)
 			now := clock.Epoch
 			b.ReportAllocs()
