@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"streamdag/internal/clock"
@@ -539,8 +538,10 @@ func (s simSession) wait() (*RunStats, error) {
 		if res.Err != nil {
 			return nil, res.Err
 		}
-		return nil, fmt.Errorf("streamdag: simulator session %d %s: %s",
-			s.ses.ID(), res.Reason, strings.Join(res.Blocked, "; "))
+		if res.Reason == "deadlock" {
+			return nil, &DeadlockError{Session: s.ses.ID(), Channels: res.Channels, Stalled: res.Stalled}
+		}
+		return nil, fmt.Errorf("streamdag: simulator session %d %s", s.ses.ID(), res.Reason)
 	}
 	// The resolved session's counts are final: its maps become the stats.
 	return &RunStats{Data: res.DataMsgs, Dummies: res.DummyMsgs, SinkData: res.SinkData, Elapsed: res.Elapsed}, nil

@@ -173,6 +173,11 @@ type Result struct {
 	// Blocked describes the stuck configuration on deadlock: for each
 	// node, what it is waiting for.
 	Blocked []string
+	// Channels and Stalled are the wedge on deadlock in the runtime
+	// backends' form (stream.DeadlockError): "from→to" to
+	// "occupied/capacity" for every edge, and the full edges, sorted.
+	Channels map[string]string
+	Stalled  []string
 }
 
 // TotalData sums data messages across edges.
@@ -447,6 +452,7 @@ func (s *state) advanceOnce() (done bool) {
 		}
 		s.res.Reason = "deadlock"
 		s.res.Blocked = s.describeBlocked()
+		s.res.Channels, s.res.Stalled = stream.Wedge(s.g, func(e graph.EdgeID) int64 { return int64(len(s.chans[e].buf)) })
 		return true
 	}
 	return false

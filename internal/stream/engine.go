@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -411,22 +410,33 @@ func (e *Engine) Close() error {
 // period, with no in-flight Source/Sink callback and no armed timer, is
 // wedged, and fails with a DeadlockError naming it.  Sessions blocked in
 // user code (a quiet source, a backpressuring sink) are the outside
-// world's pace, not deadlock.
+// world's pace, not deadlock; so is a node loop that held one batch for
+// the whole period (a slow kernel), and no session fails in that scan.
 func (e *Engine) watchdog() {
 	ticker := time.NewTicker(e.cfg.WatchdogTimeout)
 	defer ticker.Stop()
+	taken := make([]uint64, len(e.nodes))
 	for {
 		select {
 		case <-e.stop:
 			return
 		case <-ticker.C:
+			busy := false
+			for i, n := range e.nodes {
+				if n.mb.busy(&taken[i]) {
+					busy = true
+				}
+			}
 			for _, ses := range e.Active() {
 				var cur int64
 				for i := range ses.live {
 					cur += ses.live[i].n.Load()
 				}
-				if ses.watched && cur == ses.lastProgress && ses.external.Load() == 0 && ses.timersArmed.Load() == 0 {
-					chans, stalled := e.snapshot(ses)
+				if !busy && ses.watched && cur == ses.lastProgress && ses.external.Load() == 0 && ses.timersArmed.Load() == 0 {
+					// The session's edge atomics: racy but indicative, and
+					// safe from this goroutine (the node-owned inflight
+					// counters are never touched here).
+					chans, stalled := Wedge(e.g, func(id graph.EdgeID) int64 { return ses.edges[id].occupancy() })
 					ses.end(&DeadlockError{Session: ses.id, Channels: chans, Stalled: stalled}, nil)
 					continue
 				}
@@ -435,28 +445,6 @@ func (e *Engine) watchdog() {
 			}
 		}
 	}
-}
-
-// snapshot renders the session's per-edge occupancy (sent, not yet
-// consumed) and names the edges whose credit window is exhausted — the
-// channels the wedged session's producers were blocked on.  Reads are
-// the session's edge atomics: racy but indicative, and safe from the
-// watchdog goroutine (the node-owned inflight counters are never touched
-// here).
-func (e *Engine) snapshot(ses *EngineSession) (map[string]string, []string) {
-	chans := make(map[string]string, e.g.NumEdges())
-	var stalled []string
-	for i := 0; i < e.g.NumEdges(); i++ {
-		ed := e.g.Edge(graph.EdgeID(i))
-		occ := ses.edges[i].occupancy()
-		key := fmt.Sprintf("%s→%s", e.g.Name(ed.From), e.g.Name(ed.To))
-		chans[key] = fmt.Sprintf("%d/%d", occ, ed.Buf)
-		if ed.Buf > 0 && occ >= int64(ed.Buf) {
-			stalled = append(stalled, key)
-		}
-	}
-	sort.Strings(stalled)
-	return chans, stalled
 }
 
 // ingestWindow is how many payloads a session's ingest pump may have
@@ -1004,6 +992,8 @@ type mailbox struct {
 	parked bool
 	closed bool
 	wake   chan struct{}
+	// taken counts the batches handed out, for the watchdog's busy check.
+	taken uint64
 }
 
 func newMailbox() *mailbox { return &mailbox{wake: make(chan struct{}, 1)} }
@@ -1051,8 +1041,20 @@ func (m *mailbox) takeAll(spare batch) (batch, bool) {
 	}
 	b := m.q
 	m.q = spare
+	m.taken++
 	m.mu.Unlock()
 	return b, len(b.evs) > 0
+}
+
+// busy reports whether the consumer still holds the batch it had when
+// the count read *seen: it is unparked and has taken none since.  It
+// stores the current count in *seen.
+func (m *mailbox) busy(seen *uint64) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b := !m.parked && m.taken == *seen
+	*seen = m.taken
+	return b
 }
 
 func (m *mailbox) close() {

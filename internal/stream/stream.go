@@ -299,7 +299,8 @@ func (s *Stats) TotalDummies() int64 {
 }
 
 // DeadlockError reports a wedged session with a channel-state snapshot.
-// Every runtime backend returns this one type.
+// Every backend returns this one type; the simulator fills it from its
+// exact deadlock check.
 type DeadlockError struct {
 	// Session is the wedged logical stream.  An engine serving several
 	// sessions wedges stream-by-stream — each session owns its protocol
@@ -332,6 +333,26 @@ func (e *DeadlockError) Error() string {
 		fmt.Fprintf(&b, "; stalled on: %s", strings.Join(e.Stalled, ", "))
 	}
 	return b.String()
+}
+
+// Wedge renders a wedged session's snapshot for its DeadlockError from
+// each edge's occupancy (sent, not yet consumed): every edge as
+// "occupied/capacity", and the full edges — the channels its producers
+// were blocked on — sorted.
+func Wedge(g *graph.Graph, occupancy func(graph.EdgeID) int64) (map[string]string, []string) {
+	chans := make(map[string]string, g.NumEdges())
+	var stalled []string
+	for i := 0; i < g.NumEdges(); i++ {
+		ed := g.Edge(graph.EdgeID(i))
+		occ := occupancy(graph.EdgeID(i))
+		key := fmt.Sprintf("%s→%s", g.Name(ed.From), g.Name(ed.To))
+		chans[key] = fmt.Sprintf("%d/%d", occ, ed.Buf)
+		if ed.Buf > 0 && occ >= int64(ed.Buf) {
+			stalled = append(stalled, key)
+		}
+	}
+	sort.Strings(stalled)
+	return chans, stalled
 }
 
 // SinkPayload selects what a sink firing delivers, on the Engine and in

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -395,9 +397,47 @@ func TestPipelineWithoutAvoidance(t *testing.T) {
 		if !errors.As(err, &dl) {
 			t.Fatalf("batch %d: unprotected run returned %v; want *DeadlockError", batch, err)
 		}
+		// The simulator reports the same wedge, in the same error type.
+		_, err = build(WithoutAvoidance(), WithMaxBatch(batch), WithBackend(Simulator())).Run(context.Background(), CountingSource(200), nil)
+		var sdl *DeadlockError
+		if !errors.As(err, &sdl) {
+			t.Fatalf("batch %d: unprotected simulator run returned %v; want *DeadlockError", batch, err)
+		}
+		if !maps.Equal(sdl.Channels, dl.Channels) || !slices.Equal(sdl.Stalled, dl.Stalled) {
+			t.Errorf("batch %d: simulator wedge %v, goroutine wedge %v", batch, sdl, dl)
+		}
 		if _, err := build(WithMaxBatch(batch)).Run(context.Background(), CountingSource(200), nil); err != nil {
 			t.Fatalf("batch %d: protected run failed: %v", batch, err)
 		}
+	}
+}
+
+// TestSlowKernelIsNotDeadlock pins that the watchdog tells a slow kernel
+// from a wedge: a Map that sleeps three watchdog periods per element
+// holds its node loop on one batch, and the run completes on both
+// runtime backends.
+func TestSlowKernelIsNotDeadlock(t *testing.T) {
+	const period, inputs = 100 * time.Millisecond, 4
+	for _, backend := range []string{"goroutines", "distributed"} {
+		t.Run(backend, func(t *testing.T) {
+			pipe, err := NewFlow[uint64, uint64]().Then(
+				Map("slow", func(v uint64) uint64 {
+					time.Sleep(3 * period)
+					return v
+				}),
+			).Compile(WithWatchdog(period))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pipe.backend = parityBackends(pipe)[backend]
+			stats, err := pipe.Run(context.Background(), CountingSource(inputs), nil)
+			if err != nil {
+				t.Fatalf("slow kernel reported as %v", err)
+			}
+			if stats.SinkData != inputs {
+				t.Fatalf("sink got %d elements, want %d", stats.SinkData, inputs)
+			}
+		})
 	}
 }
 

@@ -64,9 +64,10 @@ func MapKernel(outs int, fn func(any) any) Kernel {
 // RunStats summarizes a completed session.
 type RunStats = stream.Stats
 
-// DeadlockError is a session's outcome when the watchdog of a runtime
-// backend (Goroutines or Distributed) finds it wedged; it names the
-// session and carries a channel-occupancy snapshot.
+// DeadlockError is a session's outcome when it wedges, on every
+// backend: the watchdog of Goroutines or Distributed, or the
+// Simulator's exact check, finds it; it names the session and carries a
+// channel-occupancy snapshot.
 type DeadlockError = stream.DeadlockError
 
 // Filter decides routing for simulation and for RouteKernels: whether a

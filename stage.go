@@ -209,20 +209,20 @@ func (s *stage) knobErr(lw *lowering) error {
 }
 
 // lower adds the stage's node(s) to the lowering, wired from the
-// upstream node, and returns the stage's exit node.  Member errors are
-// re-checked: a knob call may have recorded one after Sequence or Split
-// captured the member.
+// upstream node, and returns the stage's exit node.  It re-checks the
+// stage's error: a knob call may have recorded one after Sequence or
+// Split captured the stage.
 func (s *stage) lower(lw *lowering, from string) (string, error) {
+	if s.err != nil {
+		return "", s.err
+	}
 	if err := s.knobErr(lw); err != nil {
 		return "", err
 	}
+	var err error
 	switch s.kind {
 	case kindSeq:
 		for _, m := range s.members {
-			if m.err != nil {
-				return "", m.err
-			}
-			var err error
 			if from, err = m.lower(lw, from); err != nil {
 				return "", err
 			}
@@ -235,12 +235,7 @@ func (s *stage) lower(lw *lowering, from string) (string, error) {
 		exits := make([]string, len(s.members))
 		lw.split++
 		for i, b := range s.members {
-			err := b.err
-			if err == nil {
-				exits[i], err = b.lower(lw, from)
-			}
-			if err != nil {
-				lw.split--
+			if exits[i], err = b.lower(lw, from); err != nil {
 				return "", err
 			}
 		}
@@ -300,14 +295,17 @@ func firstAs[A any](slot *stageErrSlot, stage string, seq uint64, in []Input) (A
 	return castPayload[A](slot, stage, seq, p)
 }
 
-// keepKernel is the chassis the stages lower onto: decide maps one
-// firing's aligned inputs to the element the node emits in every
-// out-slot — stage nodes forward their result to whatever follows them,
-// including every branch head under a Split — or keep = false to filter
-// it.  tap, the stage's Tap hook, sees each kept element.
+// decideFunc maps one firing's aligned inputs to the element a stage
+// node emits in every out-slot — stage nodes forward their result to
+// whatever follows them, including every branch head under a Split — or
+// keep = false to filter it.
+type decideFunc func(seq uint64, in []Input) (v any, keep bool)
+
+// keepKernel is the chassis the stages lower onto: it emits what decide
+// keeps, and tap, the stage's Tap hook, sees each kept element.
 type keepKernel struct {
 	nOut   int
-	decide func(seq uint64, in []Input) (v any, keep bool)
+	decide decideFunc
 	tap    func(any)
 }
 
@@ -330,7 +328,7 @@ func (k keepKernel) ProcessInto(seq uint64, in []Input, out []any, present []boo
 
 // keepStage is a node stage whose kernel is a bare keepKernel; decide
 // builds the firing's decision when the stage lowers.
-func keepStage(name string, kind stageKind, in, out reflect.Type, decide func(lw *lowering) func(seq uint64, in []Input) (any, bool)) *stage {
+func keepStage(name string, kind stageKind, in, out reflect.Type, decide func(lw *lowering) decideFunc) *stage {
 	return &stage{name: name, kind: kind, in: in, out: out,
 		kernel: func(lw *lowering, tap func(any)) kernelFactory {
 			d := decide(lw)
@@ -446,7 +444,8 @@ func (k flowMapKernel[A, B]) ProcessSpan(_ uint64, in, out []any) int {
 // the paper's filtering semantics, kept deadlock-free by the dummy
 // protocol the compiled pipeline runs under.
 func FilterStage[A any](name string, pred func(A) bool) Stage {
-	return keepStage(name, kindNode, typeOf[A](), typeOf[A](), func(lw *lowering) func(uint64, []Input) (any, bool) {
+	return keepStage(name, kindNode, typeOf[A](), typeOf[A](), func(lw *lowering) decideFunc {
+		slot := lw.slot
 		return func(seq uint64, in []Input) (any, bool) {
 			p, ok := firstPresent(in)
 			if !ok {
@@ -454,7 +453,7 @@ func FilterStage[A any](name string, pred func(A) bool) Stage {
 			}
 			// Forward the interface value that arrived: converting v back
 			// to any would box it again.
-			v, ok := castPayload[A](lw.slot, name, seq, p)
+			v, ok := castPayload[A](slot, name, seq, p)
 			return p, ok && pred(v)
 		}
 	})
@@ -463,9 +462,10 @@ func FilterStage[A any](name string, pred func(A) bool) Stage {
 // FilterMap creates a stage that transforms and filters in one step: fn
 // returns the transformed element and whether to forward it.
 func FilterMap[A, B any](name string, fn func(A) (B, bool)) Stage {
-	return keepStage(name, kindNode, typeOf[A](), typeOf[B](), func(lw *lowering) func(uint64, []Input) (any, bool) {
+	return keepStage(name, kindNode, typeOf[A](), typeOf[B](), func(lw *lowering) decideFunc {
+		slot := lw.slot
 		return func(seq uint64, in []Input) (any, bool) {
-			if v, ok := firstAs[A](lw.slot, name, seq, in); ok {
+			if v, ok := firstAs[A](slot, name, seq, in); ok {
 				return kept(fn(v))
 			}
 			return nil, false
@@ -482,15 +482,15 @@ func FilterMap[A, B any](name string, fn func(A) (B, bool)) Stage {
 // replicated.  Prefer value-typed states: a pointer- or map-typed init
 // is shared, not deep-copied, across re-initializations.
 func Stateful[A, B, S any](name string, init S, fn func(S, A) (S, B, bool)) Stage {
-	return keepStage(name, kindStateful, typeOf[A](), typeOf[B](), func(lw *lowering) func(uint64, []Input) (any, bool) {
+	return keepStage(name, kindStateful, typeOf[A](), typeOf[B](), func(lw *lowering) decideFunc {
 		// One state cell per Compile, reset at every Run, so neither a
 		// second Run nor a second Compile of the same Stage value sees
 		// stale state.
-		cell := new(S)
+		cell, slot := new(S), lw.slot
 		*cell = init
 		lw.resets = append(lw.resets, func() { *cell = init })
 		return func(seq uint64, in []Input) (any, bool) {
-			v, ok := firstAs[A](lw.slot, name, seq, in)
+			v, ok := firstAs[A](slot, name, seq, in)
 			if !ok {
 				return nil, false
 			}
@@ -544,19 +544,6 @@ type Maybe[T any] struct {
 	OK    bool
 }
 
-// joinStage is a merge's record: a node stage whose slots are the
-// branch types it joins, and whose decide fires only when at least one
-// branch produced an element of its slot's type — if every present
-// input failed its cast, the firing is filtered (the error is already
-// recorded).
-func joinStage(name string, in, out reflect.Type, slots []reflect.Type, decide func(slot *stageErrSlot, seq uint64, in []Input) (any, bool)) Stage {
-	s := keepStage(name, kindMerge, in, out, func(lw *lowering) func(uint64, []Input) (any, bool) {
-		return func(seq uint64, in []Input) (any, bool) { return decide(lw.slot, seq, in) }
-	})
-	s.slots = slots
-	return s
-}
-
 // Merge creates the fan-in join of a Split whose branches all produce A:
 // join receives one Maybe per branch (in branch order — absent when that
 // branch filtered this sequence number) and returns the joined element
@@ -564,17 +551,23 @@ func joinStage(name string, in, out reflect.Type, slots []reflect.Type, decide f
 // produced an element.  Use Merge2/Merge3 for branches of distinct
 // types.
 func Merge[A, Out any](name string, join func(parts []Maybe[A]) (Out, bool)) Stage {
-	return joinStage(name, typeOf[A](), typeOf[Out](), nil, func(slot *stageErrSlot, seq uint64, in []Input) (any, bool) {
-		parts := make([]Maybe[A], len(in))
-		anyOK := false
-		for i, inp := range in {
-			parts[i] = maybeOf[A](slot, name, seq, inp)
-			anyOK = anyOK || parts[i].OK
+	return keepStage(name, kindMerge, typeOf[A](), typeOf[Out](), func(lw *lowering) decideFunc {
+		slot := lw.slot
+		return func(seq uint64, in []Input) (any, bool) {
+			parts := make([]Maybe[A], len(in))
+			anyOK := false
+			for i, inp := range in {
+				parts[i] = maybeOf[A](slot, name, seq, inp)
+				anyOK = anyOK || parts[i].OK
+			}
+			// The join fires only when at least one branch produced an
+			// element; if every present input failed its type cast, the
+			// firing is filtered (the error is already recorded).
+			if !anyOK {
+				return nil, false
+			}
+			return kept(join(parts))
 		}
-		if !anyOK {
-			return nil, false
-		}
-		return kept(join(parts))
 	})
 }
 
@@ -592,29 +585,37 @@ func maybeOf[T any](slot *stageErrSlot, stage string, seq uint64, in Input) Mayb
 // Merge2 creates the fan-in join of a two-branch Split with distinctly
 // typed branches; see Merge.
 func Merge2[A, B, Out any](name string, join func(a Maybe[A], b Maybe[B]) (Out, bool)) Stage {
-	slots := []reflect.Type{typeOf[A](), typeOf[B]()}
-	return joinStage(name, slots[0], typeOf[Out](), slots, func(slot *stageErrSlot, seq uint64, in []Input) (any, bool) {
-		a, b := maybeOf[A](slot, name, seq, in[0]), maybeOf[B](slot, name, seq, in[1])
-		if !a.OK && !b.OK {
-			return nil, false
+	s := keepStage(name, kindMerge, typeOf[A](), typeOf[Out](), func(lw *lowering) decideFunc {
+		slot := lw.slot
+		return func(seq uint64, in []Input) (any, bool) {
+			a, b := maybeOf[A](slot, name, seq, in[0]), maybeOf[B](slot, name, seq, in[1])
+			if !a.OK && !b.OK {
+				return nil, false // every present input failed its cast
+			}
+			return kept(join(a, b))
 		}
-		return kept(join(a, b))
 	})
+	s.slots = []reflect.Type{typeOf[A](), typeOf[B]()}
+	return s
 }
 
 // Merge3 creates the fan-in join of a three-branch Split with distinctly
 // typed branches; see Merge.
 func Merge3[A, B, C, Out any](name string, join func(a Maybe[A], b Maybe[B], c Maybe[C]) (Out, bool)) Stage {
-	slots := []reflect.Type{typeOf[A](), typeOf[B](), typeOf[C]()}
-	return joinStage(name, slots[0], typeOf[Out](), slots, func(slot *stageErrSlot, seq uint64, in []Input) (any, bool) {
-		a := maybeOf[A](slot, name, seq, in[0])
-		b := maybeOf[B](slot, name, seq, in[1])
-		c := maybeOf[C](slot, name, seq, in[2])
-		if !a.OK && !b.OK && !c.OK {
-			return nil, false
+	s := keepStage(name, kindMerge, typeOf[A](), typeOf[Out](), func(lw *lowering) decideFunc {
+		slot := lw.slot
+		return func(seq uint64, in []Input) (any, bool) {
+			a := maybeOf[A](slot, name, seq, in[0])
+			b := maybeOf[B](slot, name, seq, in[1])
+			c := maybeOf[C](slot, name, seq, in[2])
+			if !a.OK && !b.OK && !c.OK {
+				return nil, false // every present input failed its cast
+			}
+			return kept(join(a, b, c))
 		}
-		return kept(join(a, b, c))
 	})
+	s.slots = []reflect.Type{typeOf[A](), typeOf[B](), typeOf[C]()}
+	return s
 }
 
 // Split fans the stream out and back in: every element is broadcast to
