@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -77,9 +78,11 @@ func TestExportedNamesDocumented(t *testing.T) {
 	}
 }
 
-// TestOptionsAndStageMethodsShown requires every Build option
-// (With*/Without*) and every Stage method to appear in README.md or in
-// an example program, so no knob exists that no reader is shown.
+// TestOptionsAndStageMethodsShown requires every exported package-level
+// function — Build options (With*/Without*) and the constructors go/doc
+// files under their result types included — and every Stage method to
+// appear in README.md or in an example program, so no entry point
+// exists that no reader is shown.
 func TestOptionsAndStageMethodsShown(t *testing.T) {
 	var shown []string
 	paths, err := filepath.Glob("examples/*/main.go")
@@ -95,18 +98,9 @@ func TestOptionsAndStageMethodsShown(t *testing.T) {
 	}
 	text := strings.Join(shown, "\n")
 	pkg := rootDoc(t)
-	var options []string
-	for _, f := range pkg.Funcs {
-		if strings.HasPrefix(f.Name, "With") {
-			options = append(options, f.Name)
-		}
-	}
+	funcs := pkg.Funcs
 	for _, typ := range pkg.Types {
-		for _, f := range typ.Funcs {
-			if strings.HasPrefix(f.Name, "With") {
-				options = append(options, f.Name)
-			}
-		}
+		funcs = append(funcs, typ.Funcs...)
 		if typ.Name != "Stage" {
 			continue
 		}
@@ -119,12 +113,12 @@ func TestOptionsAndStageMethodsShown(t *testing.T) {
 			}
 		}
 	}
-	if len(options) == 0 {
-		t.Fatal("found no options")
+	if len(funcs) == 0 {
+		t.Fatal("found no functions")
 	}
-	for _, name := range options {
-		if !strings.Contains(text, name) {
-			t.Errorf("option %s appears in neither README.md nor an example", name)
+	for _, f := range funcs {
+		if !regexp.MustCompile(`\b` + f.Name + `\b`).MatchString(text) {
+			t.Errorf("func %s appears in neither README.md nor an example", f.Name)
 		}
 	}
 }

@@ -3,11 +3,12 @@ package streamdag
 import (
 	"strings"
 
+	"streamdag/internal/graph"
 	"streamdag/internal/lang"
 )
 
-// BuildTopology compiles topology-language source (see internal/lang for
-// the grammar) into a Topology:
+// BuildTopology parses src into a Topology.  It reads either text
+// format: the topology language (see internal/lang for the grammar),
 //
 //	topology video {
 //	  buffer 8
@@ -15,6 +16,11 @@ import (
 //	  segment -> (faces, plates, motion) ->[4] fuse
 //	  fuse -> archive
 //	}
+//
+// or the line-oriented format of internal/graph: "from to buf" triples,
+// "node name", "edge from to buf", and # comments.  Source whose first
+// word is the keyword "topology" is the language; anything else is
+// triples.
 //
 // Replication annotations ("replicate segment 4", or inline
 // "segment*4") are applied: the returned topology is the expanded one.
@@ -28,38 +34,40 @@ func BuildTopology(src string) (*Topology, error) {
 	return r.Topology(), nil
 }
 
-// BuildReplicated compiles topology-language source and applies its
+// BuildReplicated parses src as BuildTopology does and applies its
 // replication annotations, returning the expanded topology together
-// with the kernel/filter mappings (an identity mapping when the source
-// has no annotations).  Sources with annotations must describe a valid
-// two-terminal DAG and may not replicate its source or sink.
+// with the kernel/filter mappings (an identity mapping for triples and
+// for language source without annotations).  Sources with annotations
+// must describe a valid two-terminal DAG and may not replicate its
+// source or sink.
 func BuildReplicated(src string) (*Replicated, error) {
-	g, plan, err := lang.BuildPlan(src)
+	var (
+		g    *graph.Graph
+		plan map[string]int
+		err  error
+	)
+	if isDSL(src) {
+		g, plan, err = lang.BuildPlan(src)
+	} else {
+		g, err = graph.Parse(strings.NewReader(src))
+	}
 	if err != nil {
 		return nil, err
 	}
-	return Replicate(&Topology{g: g}, ReplicationPlan(plan))
+	return expand(&Topology{g: g}, plan)
 }
 
-// LooksLikeDSL reports whether src appears to be topology-language source
-// rather than the line-oriented triple format: its first non-comment,
-// non-blank token is the keyword "topology".
-func LooksLikeDSL(src string) bool {
+// isDSL reports whether src is topology-language source rather than
+// triples: the first word of its first non-blank, non-comment line is
+// the keyword "topology" itself, so a triple naming a node
+// "topology_src" stays a triple.
+func isDSL(src string) bool {
 	for _, line := range strings.Split(src, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		return strings.HasPrefix(line, "topology")
+		return strings.Fields(line)[0] == "topology"
 	}
 	return false
-}
-
-// LoadTopologyAuto parses src in either supported format, sniffing which
-// one it is.
-func LoadTopologyAuto(src string) (*Topology, error) {
-	if LooksLikeDSL(src) {
-		return BuildTopology(src)
-	}
-	return LoadTopology(strings.NewReader(src))
 }

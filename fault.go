@@ -4,20 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"streamdag/internal/fault"
-	"streamdag/internal/graph"
 	"streamdag/internal/obs"
 )
 
 // This file is the fault-tolerance surface of the Pipeline API, built on
 // internal/fault: typed worker-death errors, session retry with a
-// dead-letter sink for poisoned payloads, and graceful drain with a
-// resumable checkpoint.
+// dead-letter sink for poisoned payloads, and graceful drain.
 //
 // There is one recovery protocol, and it works around sessions: a worker
 // going down on the Distributed backend fails its sessions fast with a
@@ -49,13 +46,6 @@ type DeadLetterSink = fault.DeadLetterSink
 // DeadLetterQueue is an in-memory DeadLetterSink for tests and small
 // deployments.
 type DeadLetterQueue = fault.Queue
-
-// Checkpoint is the resumable state Engine.Drain returns; feed it to a
-// fresh Engine's Resume so session IDs continue instead of colliding.
-type Checkpoint = fault.Checkpoint
-
-// DecodeCheckpoint deserializes a Checkpoint.Encode'd checkpoint.
-func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return fault.DecodeCheckpoint(data) }
 
 // ErrEngineDraining is returned by Engine.Open while a Drain is in
 // progress (or after one completed).
@@ -100,15 +90,12 @@ func WithDeadLetter(sink DeadLetterSink) Option {
 // Engine-level fault operations.
 
 // Drain gracefully quiesces the engine: new Opens are refused with
-// ErrEngineDraining, in-flight sessions run to completion (or ctx
-// expires), and the returned Checkpoint carries what a successor engine
-// needs to resume — the topology fingerprint and the session-ID
-// allocator, so resumed streams never collide with drained ones.  An
-// in-flight session is one session however many attempts it takes:
-// under WithRetry, a failed session's retry (or a rescale's migration)
-// still opens during the drain.  The engine itself stays open for
-// inspection; Close it afterwards.
-func (e *Engine) Drain(ctx context.Context) (*Checkpoint, error) {
+// ErrEngineDraining and in-flight sessions run to completion (or ctx
+// expires).  An in-flight session is one session however many attempts
+// it takes: under WithRetry, a failed session's retry (or a rescale's
+// migration) still opens during the drain.  The engine itself stays
+// open for inspection; Close it afterwards.
+func (e *Engine) Drain(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -116,7 +103,7 @@ func (e *Engine) Drain(ctx context.Context) (*Checkpoint, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		return nil, ErrEngineClosed
+		return ErrEngineClosed
 	}
 	e.draining = true
 	if e.idle == nil {
@@ -130,10 +117,9 @@ func (e *Engine) Drain(ctx context.Context) (*Checkpoint, error) {
 	select {
 	case <-idle:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	e.mu.Lock()
-	ck := &Checkpoint{Topology: e.p.fingerprint(), NextSession: e.nextID}
 	m := e.p.obsMetrics()
 	e.mu.Unlock()
 	if m != nil {
@@ -142,27 +128,6 @@ func (e *Engine) Drain(ctx context.Context) (*Checkpoint, error) {
 		if !m.Virtual() {
 			f.DrainTime.Add(time.Since(began).Nanoseconds())
 		}
-	}
-	return ck, nil
-}
-
-// Resume primes a fresh engine from a Drain checkpoint: the session-ID
-// allocator continues where the drained engine stopped.  The checkpoint
-// must come from a pipeline with the same topology.
-func (e *Engine) Resume(ck *Checkpoint) error {
-	if ck == nil {
-		return errors.New("streamdag: Resume: nil checkpoint")
-	}
-	if fp := e.pipe().fingerprint(); ck.Topology != fp {
-		return fmt.Errorf("streamdag: Resume: checkpoint is for a different topology")
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrEngineClosed
-	}
-	if ck.NextSession > e.nextID {
-		e.nextID = ck.NextSession
 	}
 	return nil
 }
@@ -176,27 +141,6 @@ func (e *Engine) Resume(ck *Checkpoint) error {
 // return an error.
 func (e *Engine) KillWorker(name string) error {
 	return e.curGen().impl.killWorker(name)
-}
-
-// fingerprint identifies the executed topology for checkpoint
-// compatibility checks.
-func (p *Pipeline) fingerprint() string {
-	g := p.topo.g
-	var b strings.Builder
-	for n := 0; n < g.NumNodes(); n++ {
-		if n > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(g.Name(graph.NodeID(n)))
-	}
-	b.WriteByte('|')
-	for i, ed := range g.Edges() {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d>%d", ed.From, ed.To)
-	}
-	return b.String()
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,6 @@
 // Package fault is the engine-wide fault-tolerance vocabulary shared by
 // the backends and the public API: typed worker-death errors, session
-// retry policies, dead-letter routing for poisoned payloads, and the
-// checkpoint a drained engine hands its successor.
+// retry policies and dead-letter routing for poisoned payloads.
 //
 // Like internal/proto, the package is pure mechanism: no goroutines, no
 // sockets, no clocks of its own.  The distributed backend raises
@@ -11,8 +10,6 @@
 package fault
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -151,34 +148,4 @@ func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.letters)
-}
-
-// Checkpoint is what Drain hands a successor engine: the topology it
-// belongs to and the session-ID allocator, so resumed engines never
-// reuse an ID.  It carries no per-session state — Drain returns only
-// after every session has finished.
-type Checkpoint struct {
-	// Topology fingerprints the graph the checkpoint belongs to;
-	// restoring onto a different topology is refused.
-	Topology string
-	// NextSession is the engine's next unallocated session ID.
-	NextSession uint64
-}
-
-// Encode serializes the checkpoint with gob.
-func (c *Checkpoint) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		return nil, fmt.Errorf("fault: encode checkpoint: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeCheckpoint deserializes an Encode'd checkpoint.
-func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	var c Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&c); err != nil {
-		return nil, fmt.Errorf("fault: decode checkpoint: %w", err)
-	}
-	return &c, nil
 }

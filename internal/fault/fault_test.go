@@ -1,11 +1,8 @@
 package fault
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -90,65 +87,5 @@ func TestWorkerDownError(t *testing.T) {
 	// The minimal error still names the worker.
 	if msg := (&WorkerDownError{Worker: "w9"}).Error(); !strings.Contains(msg, `"w9"`) {
 		t.Errorf("minimal Error() = %q", msg)
-	}
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	ck := &Checkpoint{
-		Topology:    "A,B|0>1",
-		NextSession: 42,
-	}
-	blob, err := ck.Encode()
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	got, err := DecodeCheckpoint(blob)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, ck) {
-		t.Fatalf("round trip: %+v != %+v", got, ck)
-	}
-	if _, err := DecodeCheckpoint([]byte("not a checkpoint")); err == nil {
-		t.Fatal("Decode of garbage: no error")
-	}
-}
-
-// TestCheckpointDecodesOldSessions: checkpoints once carried a per-session
-// list that Drain never filled.  A blob encoded with it still decodes —
-// gob skips fields the receiver does not have — to the same topology and
-// allocator.
-func TestCheckpointDecodesOldSessions(t *testing.T) {
-	type nodeCheckpoint struct {
-		Node     int
-		LastSent []int64
-	}
-	type sessionCheckpoint struct {
-		Session, NextSeq   uint64
-		SinkSeq, SinkCount int64
-		Nodes              []nodeCheckpoint
-	}
-	type oldCheckpoint struct {
-		Topology    string
-		NextSession uint64
-		Sessions    []sessionCheckpoint
-	}
-	var buf bytes.Buffer
-	old := oldCheckpoint{
-		Topology: "A,B|0>1", NextSession: 42,
-		Sessions: []sessionCheckpoint{{
-			Session: 7, NextSeq: 130, SinkSeq: 119, SinkCount: 80,
-			Nodes: []nodeCheckpoint{{Node: 0, LastSent: []int64{129, -1}}},
-		}},
-	}
-	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeCheckpoint(buf.Bytes())
-	if err != nil {
-		t.Fatalf("Decode of a checkpoint with Sessions: %v", err)
-	}
-	if want := (&Checkpoint{Topology: "A,B|0>1", NextSession: 42}); !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded %+v, want %+v", got, want)
 	}
 }

@@ -334,7 +334,7 @@ func Build(t *Topology, opts ...Option) (*Pipeline, error) {
 				}
 			}
 		}
-		if _, err := Replicate(t, probe); err != nil {
+		if _, err := expand(t, probe); err != nil {
 			return nil, err
 		}
 		if cfg.observer == nil {
@@ -385,7 +385,7 @@ func (p *Pipeline) applyPlan(plan ReplicationPlan) error {
 		}
 	}
 	if len(plan) > 0 {
-		rep, err := Replicate(p.orig, plan)
+		rep, err := expand(p.orig, plan)
 		if err != nil {
 			return err
 		}
@@ -503,10 +503,6 @@ func (p *Pipeline) Algorithm() Algorithm { return p.alg }
 // executed (expanded) topology's edges; nil when built
 // WithoutAvoidance.
 func (p *Pipeline) Intervals() map[EdgeID]Interval { return p.intervals }
-
-// Replication returns the replication mapping, or nil when the pipeline
-// was built without WithReplication.
-func (p *Pipeline) Replication() *Replicated { return p.rep }
 
 // Run executes the pipeline on its backend: payloads pulled from source
 // flow through the topology under the dummy protocol, and sink-node

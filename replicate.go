@@ -28,16 +28,17 @@ type Replicated struct {
 	res  *replicate.Result
 }
 
-// Replicate expands the selected nodes of t into replicas wrapped by
-// splitter/merger pairs.  A node named n becomes n.split, n.1 … n.k,
-// n.merge; every original channel survives with its buffer, re-routed
-// around the diamond.  The topology must be a valid two-terminal DAG and
-// the plan may not name its unique source or sink.
+// expand replicates the selected nodes of t into replicas wrapped by
+// splitter/merger pairs: the one expansion behind WithReplication,
+// Stage.Replicate and BuildReplicated.  A node named n becomes n.split,
+// n.1 … n.k, n.merge; every original channel survives with its buffer,
+// re-routed around the diamond.  The topology must be a valid
+// two-terminal DAG and the plan may not name its unique source or sink.
 //
 // The expanded topology requires the dummy protocol: the round-robin
 // splitter filters per-edge, so run it with intervals computed by
 // Analyze on the replicated topology.
-func Replicate(t *Topology, plan ReplicationPlan) (*Replicated, error) {
+func expand(t *Topology, plan ReplicationPlan) (*Replicated, error) {
 	p := make(replicate.Plan, len(plan))
 	names := make([]string, 0, len(plan))
 	for name := range plan {
@@ -60,11 +61,6 @@ func Replicate(t *Topology, plan ReplicationPlan) (*Replicated, error) {
 
 // Topology returns the expanded topology; analyze and run this one.
 func (r *Replicated) Topology() *Topology { return r.topo }
-
-// Original returns the unexpanded topology the plan was applied to; its
-// node IDs key the kernel and filter mappings.  BuildReplicated callers
-// use it to look up original nodes by name.
-func (r *Replicated) Original() *Topology { return r.orig }
 
 // Kernels maps kernels keyed by ORIGINAL node IDs onto the expanded
 // topology: replicas share the replicated node's kernel (which must
@@ -94,12 +90,3 @@ func (r *Replicated) Replicas(name string) ([]NodeID, error) {
 	}
 	return r.res.Replicas(id), nil
 }
-
-// OriginalEdge maps an expanded-topology edge back to the original edge
-// it carries; ok = false for the synthetic splitter/merger channels.
-func (r *Replicated) OriginalEdge(e EdgeID) (EdgeID, bool) {
-	return r.res.OriginalEdge(e)
-}
-
-// NewEdge maps an original-topology edge to its expanded counterpart.
-func (r *Replicated) NewEdge(e EdgeID) EdgeID { return r.res.NewEdge(e) }

@@ -18,7 +18,7 @@ func fig1(t *testing.T) *Topology {
 
 func TestReplicatePublicAPI(t *testing.T) {
 	topo := fig1(t)
-	rep, err := Replicate(topo, ReplicationPlan{"B": 3})
+	rep, err := expand(topo, ReplicationPlan{"B": 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +40,13 @@ func TestReplicatePublicAPI(t *testing.T) {
 	if len(reps) != 3 {
 		t.Fatalf("replicas = %v", reps)
 	}
-	if _, err := Replicate(topo, ReplicationPlan{"nosuch": 2}); err == nil {
+	if _, err := expand(topo, ReplicationPlan{"nosuch": 2}); err == nil {
 		t.Error("unknown node accepted")
 	}
-	if _, err := Replicate(topo, ReplicationPlan{"A": 2}); err == nil {
+	if _, err := expand(topo, ReplicationPlan{"A": 2}); err == nil {
 		t.Error("source replication accepted")
 	}
-	if _, err := Replicate(topo, ReplicationPlan{"D": 2}); err == nil {
+	if _, err := expand(topo, ReplicationPlan{"D": 2}); err == nil {
 		t.Error("sink replication accepted")
 	}
 }
@@ -109,7 +109,7 @@ topology scaled {
 func TestReplicatedThreeBackendEquivalence(t *testing.T) {
 	const inputs = 300
 	topo := fig1(t)
-	rep, err := Replicate(topo, ReplicationPlan{"B": 3})
+	rep, err := expand(topo, ReplicationPlan{"B": 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestReplicatedThreeBackendEquivalence(t *testing.T) {
 func TestReplicatedBundlesOverTCP(t *testing.T) {
 	const inputs = 200
 	topo := fig1(t)
-	rep, err := Replicate(topo, ReplicationPlan{"B": 2})
+	rep, err := expand(topo, ReplicationPlan{"B": 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestReplicatedMatchesOriginalCounts(t *testing.T) {
 	const inputs = 400
 	topo := fig1(t)
 	f := PerInputBernoulli(0.2, 7)
-	rep, err := Replicate(topo, ReplicationPlan{"B": 4, "C": 2})
+	rep, err := expand(topo, ReplicationPlan{"B": 4, "C": 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,14 +284,11 @@ func TestReplicatedMatchesOriginalCounts(t *testing.T) {
 	}
 
 	for e := EdgeID(0); int(e) < topo.Graph().NumEdges(); e++ {
-		ne := rep.NewEdge(e)
+		ne := rep.res.NewEdge(e)
 		if baseRes.DataMsgs[e] != repRes.DataMsgs[ne] {
 			from, to, _ := topo.Edge(e)
 			t.Errorf("%s→%s: base %d data msgs, replicated %d",
 				from, to, baseRes.DataMsgs[e], repRes.DataMsgs[ne])
-		}
-		if oe, ok := rep.OriginalEdge(ne); !ok || oe != e {
-			t.Errorf("OriginalEdge(NewEdge(%d)) = %d, %v", e, oe, ok)
 		}
 	}
 	if baseRes.SinkData != repRes.SinkData {

@@ -49,9 +49,6 @@ type FakeClock = clock.Fake
 // round offsets.
 func NewFakeClock() *FakeClock { return clock.NewFake() }
 
-// NewFakeClockAt returns a FakeClock starting at t.
-func NewFakeClockAt(t time.Time) *FakeClock { return clock.NewFakeAt(t) }
-
 // Window is the emission type of the window stages: the elements that
 // fell into one [Start, End) interval of processing time, in arrival
 // order.

@@ -4,7 +4,6 @@ package streamdag
 
 import (
 	"fmt"
-	"io"
 
 	"streamdag/internal/cs4"
 	"streamdag/internal/cycles"
@@ -81,16 +80,6 @@ func (t *Topology) NodeName(n NodeID) string { return t.g.Name(n) }
 func (t *Topology) Edge(e EdgeID) (from, to string, buf int) {
 	ed := t.g.Edge(e)
 	return t.g.Name(ed.From), t.g.Name(ed.To), ed.Buf
-}
-
-// LoadTopology parses the text format of internal/graph: lines of
-// "from to buf" triples, "node name", "edge from to buf", and comments.
-func LoadTopology(r io.Reader) (*Topology, error) {
-	g, err := graph.Parse(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Topology{g: g}, nil
 }
 
 // Validate checks the model preconditions: a weakly connected DAG with

@@ -44,19 +44,6 @@ func TestTopologyBuilder(t *testing.T) {
 	}
 }
 
-func TestLoadTopology(t *testing.T) {
-	topo, err := LoadTopology(strings.NewReader("a b 1\nb c 2\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := topo.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTopology(strings.NewReader("garbage")); err == nil {
-		t.Error("bad input accepted")
-	}
-}
-
 func TestAnalyzeClasses(t *testing.T) {
 	cases := []struct {
 		name  string
