@@ -562,10 +562,11 @@ type EngineSession struct {
 // keeps them on a free list, so a short session does not rebuild them.
 type sessionBufs struct {
 	// live[n] counts node n's advances of the session for the watchdog,
-	// which sums them: one padded counter per node, bumped once per
-	// advance by that node's goroutine alone.  An advance follows every
-	// absorbed batch of the session's events and runs its every firing,
-	// send and sink hand-off, so it is the one liveness fact needed.
+	// which sums them: one padded counter per node, bumped as each
+	// advance begins and again when its sends are out, by that node's
+	// goroutine alone.  An advance follows every absorbed batch of the
+	// session's events and runs its every firing, send and sink
+	// hand-off, so it is the one liveness fact needed.
 	live []ownedCounter
 	// at[n] is node n's state for the session, nil before its evOpen and
 	// after its retire; only node n's goroutine touches its slot.
@@ -1447,6 +1448,11 @@ func (n *engineNode) advance(ns *nodeSession) {
 		}
 	}
 	n.flushCredits(ns)
+	// Bump again once the sends and acks are out: a long advance that
+	// began before a watchdog scan and ends just before the next one has
+	// moved the session, though its consumers may not have taken what it
+	// sent yet (a cross edge's frames can still be on the wire).
+	ns.live.n.Store(ns.live.n.Load() + 1)
 	if n.timed != nil {
 		n.armTimer(ns)
 	}
