@@ -54,7 +54,7 @@ func TestBuildTopologyFormats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := topo.Validate(); err != nil {
+			if err := topo.g.Validate(); err != nil {
 				t.Fatal(err)
 			}
 			if n := topo.Graph().NumEdges(); n != c.edges {

@@ -80,9 +80,14 @@ func TestExportedNamesDocumented(t *testing.T) {
 
 // TestOptionsAndStageMethodsShown requires every exported package-level
 // function — Build options (With*/Without*) and the constructors go/doc
-// files under their result types included — and every Stage method to
-// appear in README.md or in an example program, so no entry point
-// exists that no reader is shown.
+// files under their result types included —, every Stage method and
+// every exported method to appear in README.md or in an example program,
+// so no entry point exists that no reader is shown.  A method counts as
+// shown when "Name(" follows a "." or starts a line (chained-call
+// style).  Methods that implement an interface the package defines or
+// the standard library's error — Error, Emit, EmitSpan, Next, NextSpan,
+// Rewind and Process* — are called by the engine, not by readers, and
+// are exempt.
 func TestOptionsAndStageMethodsShown(t *testing.T) {
 	var shown []string
 	paths, err := filepath.Glob("examples/*/main.go")
@@ -119,6 +124,17 @@ func TestOptionsAndStageMethodsShown(t *testing.T) {
 	for _, f := range funcs {
 		if !regexp.MustCompile(`\b` + f.Name + `\b`).MatchString(text) {
 			t.Errorf("func %s appears in neither README.md nor an example", f.Name)
+		}
+	}
+	exempt := regexp.MustCompile(`^(Error|Emit|EmitSpan|Next|NextSpan|Rewind|Process.*)$`)
+	for _, typ := range pkg.Types {
+		for _, m := range typ.Methods {
+			if exempt.MatchString(m.Name) {
+				continue
+			}
+			if !regexp.MustCompile(`(?m)(\.|^\s*)` + m.Name + `\(`).MatchString(text) {
+				t.Errorf("method %s.%s appears in neither README.md nor an example", typ.Name, m.Name)
+			}
 		}
 	}
 }

@@ -111,11 +111,6 @@ func (p *Pipeline) Engine() (*Engine, error) {
 	return e, nil
 }
 
-// Pipeline returns the compiled pipeline the engine currently serves —
-// under autoscaling, the latest generation's (its Replication and
-// Topology reflect live rescales).
-func (e *Engine) Pipeline() *Pipeline { return e.pipe() }
-
 // pipe returns the current generation's pipeline.
 func (e *Engine) pipe() *Pipeline {
 	e.mu.Lock()

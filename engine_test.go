@@ -459,7 +459,7 @@ func TestEngineStatefulSingleSessionGate(t *testing.T) {
 	// Sequential sessions re-initialize the state: both see 1,3,6.
 	for round := 0; round < 2; round++ {
 		var col TypedCollector[uint64]
-		ses, err := eng.Open(context.Background(), SliceSourceOf[uint64](1, 2, 3), &col)
+		ses, err := eng.Open(context.Background(), SliceSource[uint64](1, 2, 3), &col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,7 +516,7 @@ func TestEngineStatefulCancelThenReopen(t *testing.T) {
 			t.Fatalf("iter %d: err = %v, want context.Canceled", i, err)
 		}
 		var col TypedCollector[uint64]
-		clean, err := eng.Open(context.Background(), SliceSourceOf[uint64](1, 2, 3), &col)
+		clean, err := eng.Open(context.Background(), SliceSource[uint64](1, 2, 3), &col)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func ExampleNewFlow() {
 
 	var col streamdag.TypedCollector[int]
 	stats, err := pipe.Run(context.Background(),
-		streamdag.SliceSourceOf(0, 1, 2, 3, 4, 5), &col)
+		streamdag.SliceSource(0, 1, 2, 3, 4, 5), &col)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -118,8 +118,14 @@ func flowTier() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("processed %d reads: %d alignments reported, %d dummies (%.3f/read), %.1fms\n\n",
-		reads, len(col.Emissions()), stats.TotalDummies(),
+	strong := 0
+	for _, c := range col.Values() {
+		if c.score >= 90 {
+			strong++
+		}
+	}
+	fmt.Printf("processed %d reads: %d alignments reported (%d scoring ≥ 90), %d dummies (%.3f/read), %.1fms\n\n",
+		reads, len(col.Emissions()), strong, stats.TotalDummies(),
 		float64(stats.TotalDummies())/reads, float64(stats.Elapsed.Microseconds())/1000)
 }
 

@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nrewrite: %s\n", desc)
+	fmt.Printf("\nrewrite: %s\nrewritten topology (Graphviz):\n%s", desc, ladder.DOT())
 
 	// Run the rewritten topology under adversarial routing at the
 	// source, on the deterministic simulator backend.

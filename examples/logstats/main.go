@@ -54,9 +54,9 @@ func (s winStat) String() string {
 
 // burst synthesizes the replayed log burst: n lines with a seeded level
 // mix, so every run replays the identical stream.
-func burst(n int) []any {
+func burst(n int) []string {
 	rng := rand.New(rand.NewSource(42))
-	lines := make([]any, n)
+	lines := make([]string, n)
 	for i := range lines {
 		var level string
 		switch r := rng.Intn(10); {
@@ -103,7 +103,7 @@ func buildFlow(width time.Duration, opts ...streamdag.Option) *streamdag.Pipelin
 
 // run streams the burst through a freshly compiled flow and returns the
 // per-window stats in emission order.
-func run(width time.Duration, lines []any, opts ...streamdag.Option) []winStat {
+func run(width time.Duration, lines []string, opts ...streamdag.Option) []winStat {
 	pipe := buildFlow(width, opts...)
 	col := &streamdag.Collector{}
 	if _, err := pipe.Run(context.Background(), streamdag.SliceSource(lines...), col); err != nil {
@@ -148,9 +148,9 @@ func main() {
 	var want winStat
 	for _, l := range lines {
 		switch {
-		case strings.HasPrefix(l.(string), "ERROR"):
+		case strings.HasPrefix(l, "ERROR"):
 			want.Errors++
-		case strings.HasPrefix(l.(string), "WARN"):
+		case strings.HasPrefix(l, "WARN"):
 			want.Warns++
 		default:
 			want.Infos++

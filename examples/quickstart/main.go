@@ -95,7 +95,7 @@ func main() {
 		lastSeq, lastVerdict = seq, verdict
 		return nil
 	})
-	stats, err := pipe.Run(context.Background(), streamdag.ChannelSourceOf(frames), sink)
+	stats, err := pipe.Run(context.Background(), streamdag.ChannelSource(frames), sink)
 	if err != nil {
 		log.Fatal(err)
 	}

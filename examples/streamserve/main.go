@@ -106,7 +106,6 @@ func main() {
 func typedTier() {
 	obs := streamdag.NewObserver()
 	eng, err := streamdag.NewFlow[string, string]().
-		Observe(obs).
 		Then(
 			streamdag.FilterStage("scrub", func(line string) bool {
 				return !strings.HasPrefix(line, "DEBUG ")
@@ -115,7 +114,7 @@ func typedTier() {
 				return "[ok] " + line
 			}),
 		).
-		CompileEngine(streamdag.WithWatchdog(10 * time.Second))
+		CompileEngine(streamdag.WithObserver(obs), streamdag.WithWatchdog(10*time.Second))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -169,7 +168,7 @@ func typedTier() {
 					kept++
 				}
 				if _, err := ses.Wait(); err != nil {
-					log.Fatal(err)
+					log.Fatalf("session %d: %v", ses.ID(), err)
 				}
 				mu.Lock()
 				results = append(results, result{c, r, kept, first})
@@ -286,18 +285,13 @@ func distributedTier() {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			batch := requestLines(c, 0)
-			payloads := make([]any, len(batch))
-			for i, line := range batch {
-				payloads[i] = line
-			}
-			ses, err := eng.Open(context.Background(), streamdag.SliceSource(payloads...), nil)
+			ses, err := eng.Open(context.Background(), streamdag.SliceSource(requestLines(c, 0)...), nil)
 			if err != nil {
 				log.Fatal(err)
 			}
 			stats, err := ses.Wait()
 			if err != nil {
-				log.Fatal(err)
+				log.Fatalf("session %d: %v", ses.ID(), err)
 			}
 			results[c] = result{c, stats.SinkData}
 		}(c)
@@ -429,18 +423,9 @@ func chaosTier() {
 	sinks := make([]*chaosSink, clients)
 	sessions := make([]*streamdag.Session, clients)
 	for c := 0; c < clients; c++ {
-		batch := requestLines(c, 0)
-		payloads := make([]any, 0, chaosLines)
-		for len(payloads) < chaosLines {
-			for _, line := range batch {
-				if len(payloads) == chaosLines {
-					break
-				}
-				payloads = append(payloads, line)
-			}
-		}
-		// Re-derive the severity prefix per padded index so the kept
-		// count matches wantKept exactly.
+		// The severity follows the line index, so the kept count matches
+		// wantKept exactly.
+		payloads := make([]string, chaosLines)
 		for i := range payloads {
 			sev := "INFO"
 			switch i % 3 {
@@ -470,7 +455,7 @@ func chaosTier() {
 	for c, ses := range sessions {
 		stats, err := ses.Wait()
 		if err != nil {
-			log.Printf("streamserve: session c%d lost: %v", c, err)
+			log.Printf("streamserve: session c%d (id %d) lost: %v", c, ses.ID(), err)
 			lost++
 			continue
 		}
@@ -578,9 +563,9 @@ func autoscaleTier() {
 	// one lump.
 	pipe, err := streamdag.NewFlow[uint64, uint64]().
 		Buffer(64).
-		Observe(obs).
 		Then(streamdag.Map("work", hot).Elastic(1, 4)).
 		Compile(
+			streamdag.WithObserver(obs),
 			streamdag.WithWatchdog(30*time.Second),
 			streamdag.WithAutoscale(streamdag.ScalePolicy{
 				Interval:        20 * time.Millisecond,

@@ -189,6 +189,41 @@ func TestRetryRequiresReplayableSource(t *testing.T) {
 	}
 }
 
+// TestTypedSliceSourceRetries: a SliceSource of a non-any element type is
+// a SpanSource and a ReplayableSource, so a WithRetry session opens on it
+// and the ingest pump fills whole spans from it.
+func TestTypedSliceSourceRetries(t *testing.T) {
+	src := SliceSource(1, 2, 3)
+	if _, ok := src.(SpanSource); !ok {
+		t.Errorf("SliceSource[int] is %T, not a SpanSource", src)
+	}
+	if _, ok := src.(ReplayableSource); !ok {
+		t.Errorf("SliceSource[int] is %T, not a ReplayableSource", src)
+	}
+	pipe, err := NewFlow[int, int]().
+		Then(Map("double", func(v int) int { return 2 * v })).
+		Compile(WithRetry(RetryPolicy{MaxAttempts: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := pipe.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var col TypedCollector[int]
+	ses, err := eng.Open(context.Background(), src, &col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ses.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := col.Values(), []int{2, 4, 6}; !reflect.DeepEqual(got, want) {
+		t.Errorf("values = %v, want %v", got, want)
+	}
+}
+
 // failingSink fails every delivery of one sequence number — a poisoned
 // payload — and passes the rest through to a Collector.
 type failingSink struct {

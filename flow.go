@@ -144,7 +144,6 @@ func (lw *lowering) kernels() map[NodeID]Kernel {
 type Flow[In, Out any] struct {
 	stages []Stage
 	buf    int
-	obs    *Observer
 }
 
 // NewFlow starts a flow that ingests In and emits Out.
@@ -156,14 +155,6 @@ func NewFlow[In, Out any]() *Flow[In, Out] {
 // channels; individual stages override it with Stage.Buffer.
 func (f *Flow[In, Out]) Buffer(n int) *Flow[In, Out] {
 	f.buf = n
-	return f
-}
-
-// Observe attaches o to the pipeline Compile builds — sugar for passing
-// WithObserver(o) to Compile.  A nil o (the default) compiles the
-// instrumentation out.
-func (f *Flow[In, Out]) Observe(o *Observer) *Flow[In, Out] {
-	f.obs = o
 	return f
 }
 
@@ -231,9 +222,6 @@ func (f *Flow[In, Out]) Compile(opts ...Option) (*Pipeline, error) {
 	}
 	if len(lw.elastic) > 0 {
 		buildOpts = append(buildOpts, withElasticMarks(lw.elastic))
-	}
-	if f.obs != nil {
-		buildOpts = append(buildOpts, WithObserver(f.obs))
 	}
 	pipe, err := Build(lw.topo, append(buildOpts, opts...)...)
 	if err != nil {

@@ -23,7 +23,7 @@ func runFlow(t *testing.T, f *Flow[int, int], n int, opts ...Option) ([]int, *Ru
 		ints[i] = i
 	}
 	var col TypedCollector[int]
-	stats, err := pipe.Run(context.Background(), SliceSourceOf(ints...), &col)
+	stats, err := pipe.Run(context.Background(), SliceSource(ints...), &col)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -79,7 +79,7 @@ func TestFlowClassifiesSP(t *testing.T) {
 		t.Fatalf("class = %v, want SP", pipe.Class())
 	}
 	var col TypedCollector[int]
-	if _, err := pipe.Run(context.Background(), SliceSourceOf(1, 2, 3, 4), &col); err != nil {
+	if _, err := pipe.Run(context.Background(), SliceSource(1, 2, 3, 4), &col); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{1, 4, 3, 8} // odd v: left only; even v: v+v
@@ -185,7 +185,7 @@ func TestFlowRuntimeTypeError(t *testing.T) {
 	// must be filtered at the source boundary (not panic) and the run
 	// must report the typed error.
 	var col TypedCollector[int]
-	_, err = pipe.Run(context.Background(), SliceSource(1, "oops", 3), &col)
+	_, err = pipe.Run(context.Background(), SliceSource[any](1, "oops", 3), &col)
 	var terr *StageTypeError
 	if !errors.As(err, &terr) {
 		t.Fatalf("err = %v, want *StageTypeError", err)
@@ -199,7 +199,7 @@ func TestFlowRuntimeTypeError(t *testing.T) {
 	}
 
 	// The slot is per-Run: a clean rerun succeeds.
-	if _, err := pipe.Run(context.Background(), SliceSourceOf(4, 5), &col); err != nil {
+	if _, err := pipe.Run(context.Background(), SliceSource(4, 5), &col); err != nil {
 		t.Fatalf("clean rerun: %v", err)
 	}
 
@@ -242,7 +242,7 @@ func TestFlowRuntimeSinkTypeError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("interface-typed boundary must defer to runtime: %v", err)
 	}
-	_, err = pipe.Run(context.Background(), SliceSourceOf(1, 2, 3), nil)
+	_, err = pipe.Run(context.Background(), SliceSource(1, 2, 3), nil)
 	var terr *StageTypeError
 	if !errors.As(err, &terr) {
 		t.Fatalf("err = %v, want *StageTypeError", err)
@@ -284,7 +284,7 @@ func TestFlowStatefulResetAcrossRuns(t *testing.T) {
 	}
 	for run := 0; run < 2; run++ {
 		var col TypedCollector[int]
-		if _, err := pipe.Run(context.Background(), SliceSourceOf(1, 2, 3), &col); err != nil {
+		if _, err := pipe.Run(context.Background(), SliceSource(1, 2, 3), &col); err != nil {
 			t.Fatal(err)
 		}
 		got := col.Values()
@@ -315,7 +315,7 @@ func TestFlowReplicateStage(t *testing.T) {
 		}
 	}
 	var col TypedCollector[int]
-	if _, err := pipe.Run(context.Background(), SliceSourceOf(0, 1, 2, 3, 4, 5), &col); err != nil {
+	if _, err := pipe.Run(context.Background(), SliceSource(0, 1, 2, 3, 4, 5), &col); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range col.Values() {
@@ -365,7 +365,7 @@ func TestFlowMergeAllCastsFailFiltered(t *testing.T) {
 		t.Fatal(err)
 	}
 	var col TypedCollector[int]
-	_, err = pipe.Run(context.Background(), SliceSourceOf(1, 2, 3), &col)
+	_, err = pipe.Run(context.Background(), SliceSource(1, 2, 3), &col)
 	var terr *StageTypeError
 	if !errors.As(err, &terr) || terr.Stage != "j" {
 		t.Fatalf("err = %v, want *StageTypeError at \"j\"", err)

@@ -26,7 +26,6 @@ package streamdag
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -58,11 +57,11 @@ type HistogramSnapshot = obs.HistogramSnapshot
 type TimeSnapshot = obs.TimeSnapshot
 
 // Observer collects telemetry for one compiled topology.  Create it with
-// NewObserver, attach it with WithObserver at Build/Compile (or with
-// Flow.Observe), and read it with Snapshot, Handler, or the Write methods
-// at any time — including while streams are running.  One Observer may be
-// re-attached across rebuilds of the identical topology (counters keep
-// accumulating); attaching it to a different topology is an error.
+// NewObserver, attach it with WithObserver at Build/Compile, and read it
+// with Snapshot or Handler at any time — including while streams are
+// running.  One Observer may be re-attached across rebuilds of the
+// identical topology (counters keep accumulating); attaching it to a
+// different topology is an error.
 type Observer struct {
 	mu sync.Mutex
 	m  *obs.Metrics
@@ -166,17 +165,6 @@ func (o *Observer) Handler() http.Handler {
 	})
 }
 
-// WritePrometheus writes the current snapshot in Prometheus text
-// exposition format.
-func (o *Observer) WritePrometheus(w io.Writer) error {
-	return obs.WritePrometheus(w, o.Snapshot())
-}
-
-// WriteExpvar writes the current snapshot as expvar-style JSON.
-func (o *Observer) WriteExpvar(w io.Writer) error {
-	return obs.WriteExpvar(w, o.Snapshot())
-}
-
 // WithObserver attaches o to the pipeline being built, so every backend
 // records telemetry into it.  A nil o is the default: no observer, zero
 // instrumentation cost on the hot paths.
@@ -200,6 +188,3 @@ func (e *Engine) Metrics() *Snapshot {
 	}
 	return &Snapshot{}
 }
-
-// Metrics returns the engine's telemetry snapshot (see Engine.Metrics).
-func (e *EngineOf[In, Out]) Metrics() *Snapshot { return e.eng.Metrics() }

@@ -242,7 +242,7 @@ func Build(t *Topology, opts ...Option) (*Pipeline, error) {
 	if cfg.err != nil {
 		return nil, cfg.err
 	}
-	if err := t.Validate(); err != nil {
+	if err := t.g.Validate(); err != nil {
 		return nil, err
 	}
 
@@ -495,9 +495,6 @@ func (p *Pipeline) Analysis() *Analysis { return p.analysis }
 
 // Class returns the topology family (SP, CS4, or General).
 func (p *Pipeline) Class() Class { return p.analysis.Class() }
-
-// Algorithm returns the dummy protocol the pipeline runs under.
-func (p *Pipeline) Algorithm() Algorithm { return p.alg }
 
 // Intervals returns the computed per-edge dummy intervals, keyed by the
 // executed (expanded) topology's edges; nil when built

@@ -11,8 +11,8 @@ import (
 // API: a Source supplies the payloads injected at the topology's source
 // node, and a Sink receives the sink node's data-carrying firings in
 // ascending sequence order.  Constructors cover the common shapes —
-// channels, slices, callbacks, a collector — plus a synthetic
-// sequence-number source.
+// channels and slices of any element type, callbacks, a collector —
+// plus a synthetic sequence-number source.
 
 // Source supplies the stream's payloads: Pipeline.Run pulls from it at
 // the topology's source node, assigning consecutive sequence numbers in
@@ -86,52 +86,58 @@ func (c *countingSource) Rewind() error {
 }
 
 // sliceSource implements SpanSource for SliceSource.
-type sliceSource struct {
-	payloads []any
-	i        int
+type sliceSource[T any] struct {
+	elems []T
+	i     int
 }
 
-func (s *sliceSource) Next(context.Context) (any, bool, error) {
-	if s.i >= len(s.payloads) {
+func (s *sliceSource[T]) Next(context.Context) (any, bool, error) {
+	if s.i >= len(s.elems) {
 		return nil, false, nil
 	}
-	v := s.payloads[s.i]
+	v := s.elems[s.i]
 	s.i++
 	return v, true, nil
 }
 
-func (s *sliceSource) NextSpan(_ context.Context, buf []any) (int, bool, error) {
-	k := copy(buf, s.payloads[s.i:])
-	s.i += k
-	return k, s.i >= len(s.payloads), nil
+func (s *sliceSource[T]) NextSpan(_ context.Context, buf []any) (int, bool, error) {
+	n := min(len(buf), len(s.elems)-s.i)
+	for k, v := range s.elems[s.i : s.i+n] {
+		buf[k] = v
+	}
+	s.i += n
+	return n, s.i >= len(s.elems), nil
 }
 
 // Rewind implements ReplayableSource: ingestion restarts at the first
-// payload.
-func (s *sliceSource) Rewind() error {
+// element.
+func (s *sliceSource[T]) Rewind() error {
 	s.i = 0
 	return nil
 }
 
-// ChannelSource ingests payloads from ch until it is closed.  A blocked
+// ChannelSource ingests elements from ch until it is closed.  A blocked
 // receive unblocks (and the run winds down) when the run's context is
 // cancelled.
-func ChannelSource(ch <-chan any) Source {
+func ChannelSource[T any](ch <-chan T) Source {
 	return SourceFunc(func(ctx context.Context) (any, bool, error) {
 		select {
 		case v, ok := <-ch:
-			return v, ok, nil
+			if !ok {
+				return nil, false, nil
+			}
+			return v, true, nil
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
 	})
 }
 
-// SliceSource ingests the given payloads in order, then ends the
+// SliceSource ingests the given elements in order, then ends the
 // stream.  It implements SpanSource, so batched runtimes ingest it in
-// bulk.
-func SliceSource(payloads ...any) Source {
-	return &sliceSource{payloads: payloads}
+// bulk, and ReplayableSource, so WithRetry can re-run it.
+func SliceSource[T any](elems ...T) Source {
+	return &sliceSource[T]{elems: elems}
 }
 
 // CountingSource is the synthetic arrangement: n payloads that are the

@@ -354,9 +354,9 @@ func TestWindowBatchReplicaComposition(t *testing.T) {
 func TestTimedWatchdogSuppression(t *testing.T) {
 	fake := NewFakeClock()
 	ob := NewObserver()
-	pipe, err := NewFlow[int, any]().Observe(ob).
+	pipe, err := NewFlow[int, any]().
 		Then(TumblingWindow[int]("win", 10*time.Millisecond)).
-		Compile(WithClock(fake), WithWatchdog(40*time.Millisecond))
+		Compile(WithObserver(ob), WithClock(fake), WithWatchdog(40*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"streamdag/internal/cs4"
-	"streamdag/internal/cycles"
 	"streamdag/internal/graph"
 	"streamdag/internal/ival"
 )
@@ -82,10 +81,6 @@ func (t *Topology) Edge(e EdgeID) (from, to string, buf int) {
 	return t.g.Name(ed.From), t.g.Name(ed.To), ed.Buf
 }
 
-// Validate checks the model preconditions: a weakly connected DAG with
-// exactly one source and one sink.
-func (t *Topology) Validate() error { return t.g.Validate() }
-
 // DOT renders the topology in Graphviz syntax.
 func (t *Topology) DOT() string { return t.g.DOT() }
 
@@ -150,16 +145,6 @@ func (a *Analysis) Intervals(alg Algorithm) (map[EdgeID]Interval, error) {
 		return nil, fmt.Errorf("streamdag: general topology too large for exhaustive analysis: %w", err)
 	}
 	return iv, nil
-}
-
-// IsCS4Exhaustive re-checks the CS4 property by enumerating cycles; it is
-// exponential and intended for tests and small graphs.
-func (t *Topology) IsCS4Exhaustive() (bool, string) {
-	ok, w := cycles.IsCS4(t.g)
-	if ok {
-		return true, ""
-	}
-	return false, w.Describe(t.g)
 }
 
 // RewriteButterfly applies the paper's conclusion: detect a 2×2 crossing

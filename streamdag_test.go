@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"streamdag/internal/cycles"
 )
 
 // runCounting is the one-stream lifecycle of the tests: Build, then
@@ -29,7 +31,7 @@ func fig2(t *testing.T) *Topology {
 
 func TestTopologyBuilder(t *testing.T) {
 	topo := fig2(t)
-	if err := topo.Validate(); err != nil {
+	if err := topo.g.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if topo.Node("A") != topo.Node("A") {
@@ -167,14 +169,15 @@ func TestRewriteButterflyPublic(t *testing.T) {
 	if a.Class() == General {
 		t.Error("rewrite did not reach CS4")
 	}
-	if ok, witness := nt.IsCS4Exhaustive(); !ok {
-		t.Errorf("exhaustive check disagrees: %s", witness)
+	if ok, witness := cycles.IsCS4(nt.g); !ok {
+		t.Errorf("exhaustive check disagrees: %s", witness.Describe(nt.g))
 	}
 }
 
 func TestIsCS4Exhaustive(t *testing.T) {
-	ok, witness := butterflyTopo().IsCS4Exhaustive()
-	if ok || witness == "" {
-		t.Errorf("butterfly: ok=%v witness=%q", ok, witness)
+	g := butterflyTopo().g
+	ok, witness := cycles.IsCS4(g)
+	if ok || witness == nil || witness.Describe(g) == "" {
+		t.Errorf("butterfly: ok=%v witness=%v", ok, witness)
 	}
 }

@@ -3,7 +3,6 @@ package streamdag
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"sync"
 )
 
@@ -14,8 +13,8 @@ import (
 // Out — without touching the any-based endpoints.
 
 // EngineOf is a typed handle over a resident Engine for a flow that
-// ingests In and emits Out.  Create it with Flow.CompileEngine; the
-// untyped Engine (for custom Sources/Sinks) is reachable via Engine.
+// ingests In and emits Out.  Create it with Flow.CompileEngine; for
+// custom Sources/Sinks use Compile + Pipeline.Engine instead.
 type EngineOf[In, Out any] struct {
 	eng *Engine
 }
@@ -35,10 +34,6 @@ func (f *Flow[In, Out]) CompileEngine(opts ...Option) (*EngineOf[In, Out], error
 	return &EngineOf[In, Out]{eng: eng}, nil
 }
 
-// Engine returns the underlying untyped Engine (for Open with custom
-// Source/Sink endpoints).
-func (e *EngineOf[In, Out]) Engine() *Engine { return e.eng }
-
 // Close closes the underlying Engine.
 func (e *EngineOf[In, Out]) Close() error { return e.eng.Close() }
 
@@ -48,17 +43,10 @@ func (e *EngineOf[In, Out]) Close() error { return e.eng.Close() }
 // backpressure, which stalls that session (and only that session) until
 // read or cancelled.
 func (e *EngineOf[In, Out]) Open(ctx context.Context) (*SessionOf[In, Out], error) {
-	in := make(chan any)
+	in := make(chan In)
 	mid := make(chan TypedEmission[Out], 1)
 	out := make(chan TypedEmission[Out])
-	sink := SinkFunc(func(ctx context.Context, seq uint64, payload any) error {
-		v, ok := assertAs[Out](payload)
-		if !ok {
-			return &StageTypeError{
-				Stage: "sink", Want: typeOf[Out](), Got: reflect.TypeOf(payload),
-				Seq: seq, Runtime: true,
-			}
-		}
+	sink := TypedSink(func(ctx context.Context, seq uint64, v Out) error {
 		select {
 		case mid <- TypedEmission[Out]{Seq: seq, Value: v}:
 			return nil
@@ -117,7 +105,7 @@ func (e *EngineOf[In, Out]) Open(ctx context.Context) (*SessionOf[In, Out], erro
 // typed ingestion and delivery channels.
 type SessionOf[In, Out any] struct {
 	ses *Session
-	in  chan any
+	in  chan In
 	out chan TypedEmission[Out]
 
 	// sendMu serializes Push against CloseSend so a racing CloseSend
@@ -128,9 +116,6 @@ type SessionOf[In, Out any] struct {
 
 // ID returns the session's id.
 func (s *SessionOf[In, Out]) ID() SessionID { return s.ses.ID() }
-
-// Session returns the underlying untyped session.
-func (s *SessionOf[In, Out]) Session() *Session { return s.ses }
 
 // Push ingests one element, blocking under backpressure; it fails when
 // ctx is cancelled, the session has ended, or CloseSend was called.  A

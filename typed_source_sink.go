@@ -25,52 +25,31 @@ func TypedSource[T any](next func(ctx context.Context) (T, bool, error)) Source 
 	})
 }
 
-// SliceSourceOf ingests the given elements in order, then ends the
-// stream — the typed SliceSource.
-func SliceSourceOf[T any](elems ...T) Source {
-	i := 0
-	return SourceFunc(func(context.Context) (any, bool, error) {
-		if i >= len(elems) {
-			return nil, false, nil
-		}
-		v := elems[i]
-		i++
-		return v, true, nil
-	})
-}
-
-// ChannelSourceOf ingests elements from ch until it is closed — the
-// typed ChannelSource.  A blocked receive unblocks when the run's
-// context is cancelled.
-func ChannelSourceOf[T any](ch <-chan T) Source {
-	return SourceFunc(func(ctx context.Context) (any, bool, error) {
-		select {
-		case v, ok := <-ch:
-			if !ok {
-				return nil, false, nil
-			}
-			return v, true, nil
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-	})
-}
-
 // TypedSink adapts a typed emit function to Sink.  A payload whose
 // dynamic type is not T aborts the run with a *StageTypeError naming the
 // sink — the delivery-side counterpart of the flow's stage boundary
 // checks.
 func TypedSink[T any](emit func(ctx context.Context, seq uint64, v T) error) Sink {
 	return SinkFunc(func(ctx context.Context, seq uint64, payload any) error {
-		v, ok := assertAs[T](payload)
-		if !ok {
-			return &StageTypeError{
-				Stage: "sink", Want: typeOf[T](), Got: reflect.TypeOf(payload),
-				Seq: seq, Runtime: true,
-			}
+		v, err := sinkValue[T](seq, payload)
+		if err != nil {
+			return err
 		}
 		return emit(ctx, seq, v)
 	})
+}
+
+// sinkValue asserts a sink delivery's payload as T; a payload of another
+// dynamic type is a runtime *StageTypeError naming the sink.
+func sinkValue[T any](seq uint64, payload any) (T, error) {
+	v, ok := assertAs[T](payload)
+	if !ok {
+		return v, &StageTypeError{
+			Stage: "sink", Want: typeOf[T](), Got: reflect.TypeOf(payload),
+			Seq: seq, Runtime: true,
+		}
+	}
+	return v, nil
 }
 
 // TypedEmission is one delivery at a typed collector.
@@ -90,12 +69,9 @@ type TypedCollector[T any] struct {
 
 // Emit implements Sink; a payload that is not T is a *StageTypeError.
 func (c *TypedCollector[T]) Emit(_ context.Context, seq uint64, payload any) error {
-	v, ok := assertAs[T](payload)
-	if !ok {
-		return &StageTypeError{
-			Stage: "sink", Want: typeOf[T](), Got: reflect.TypeOf(payload),
-			Seq: seq, Runtime: true,
-		}
+	v, err := sinkValue[T](seq, payload)
+	if err != nil {
+		return err
 	}
 	c.mu.Lock()
 	c.emissions = append(c.emissions, TypedEmission[T]{Seq: seq, Value: v})
