@@ -12,7 +12,10 @@
 //   - input alignment (MinSeq): the minimum-sequence-number firing rule
 //     that merges the heads of a node's in-channels;
 //   - the per-firing emission decision (Engine.Fire): per-edge dummy
-//     timers plus the Propagation cascade rule.
+//     timers plus the Propagation cascade rule, with two run forms that
+//     equal a stretch of Fire calls — Engine.FireRun for firings that
+//     emit data on every out-edge, Engine.FireDummyRun for dummy-only
+//     firings under the cascade.
 //
 // Backends own everything the engine does not: channels or sockets,
 // scheduling, kernels and payloads, and message delivery.  Because the
@@ -145,9 +148,10 @@ type Engine struct {
 type Counts struct {
 	// Fires is the number of per-element Fire decisions.
 	Fires int64
-	// Runs is the number of committed FireRun calls (ok=true); RunMsgs
-	// is the total sequence numbers they covered.  RunMsgs/Runs is the
-	// realized protocol batch size.
+	// Runs is the number of committed FireRun and FireDummyRun calls
+	// (ok=true); RunMsgs is the total firings they covered, so Fires +
+	// RunMsgs counts every firing.  RunMsgs/Runs is the realized
+	// protocol batch size.
 	Runs    int64
 	RunMsgs int64
 	// Dummies is the total dummy messages the engine mandated.
@@ -267,4 +271,27 @@ func (e *Engine) FireRun(first, last uint64, emitted []bool) (dummy []bool, ok b
 	e.counts.Runs++
 	e.counts.RunMsgs += int64(last-first) + 1
 	return e.dummy, true
+}
+
+// FireDummyRun records k ≥ 1 dummy-only firings — no data on any
+// out-edge — the last at sequence number last, in one step.  Under the
+// Propagation cascade each such firing sends a dummy on every out-edge,
+// so k calls of Fire with an all-false mask leave every timer at last
+// and mandate k dummies per out-edge, whatever the earlier firings'
+// sequence numbers: that is the state FireDummyRun leaves, and the
+// caller sends the k dummies on every out-edge.  Without the cascade
+// (Non-propagation, or no intervals) which firings send depends on each
+// one's sequence number, so FireDummyRun returns false WITHOUT mutating
+// any state and the caller falls back to per-element Fire.
+func (e *Engine) FireDummyRun(last uint64, k int) (ok bool) {
+	if !e.cascade || k < 1 {
+		return false
+	}
+	for i := range e.lastSent {
+		e.lastSent[i] = int64(last)
+	}
+	e.counts.Runs++
+	e.counts.RunMsgs += int64(k)
+	e.counts.Dummies += int64(k * len(e.lastSent))
+	return true
 }

@@ -1,6 +1,10 @@
 package proto
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"streamdag/internal/cs4"
@@ -117,16 +121,16 @@ func TestFireDataRefreshesTimer(t *testing.T) {
 	}
 }
 
-// cloneEngine copies an engine's mutable state so the same prefix can be
-// replayed down two paths.
+// cloneEngine copies an engine's state, its counts and its mask scratch
+// included, so the same prefix can be replayed down two paths.
 func cloneEngine(e *Engine) *Engine {
-	c := &Engine{
+	return &Engine{
 		lastSent: append([]int64(nil), e.lastSent...),
 		sendAt:   append([]uint64(nil), e.sendAt...),
 		cascade:  e.cascade,
-		dummy:    make([]bool, len(e.dummy)),
+		dummy:    append([]bool(nil), e.dummy...),
+		counts:   e.counts,
 	}
-	return c
 }
 
 // TestFireRunEquivalence checks FireRun against the per-element oracle: on
@@ -195,6 +199,89 @@ func TestFireRunEquivalence(t *testing.T) {
 								alg, mask, first, runLen, i, run.lastSent[i], ref.lastSent[i])
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestFireDummyRunEquivalence checks FireDummyRun against its oracle, k
+// calls of Fire with an all-false mask, from random start states (a prefix
+// of random masks at sparse sequence numbers) over random gaps, at
+// out-degrees 0 to 4 and under both algorithms.  Under the cascade it must
+// commit, leave the oracle's timers — every later firing decides the
+// oracle's dummies — and count the oracle's dummies and firings; without
+// it (Non-propagation, or no intervals) it must refuse and leave the
+// engine bit-identical.
+func TestFireDummyRunEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	mask := func(deg int) []bool {
+		m := make([]bool, deg)
+		for i := range m {
+			m[i] = rng.Intn(3) == 0
+		}
+		return m
+	}
+	for _, alg := range []cs4.Algorithm{cs4.Propagation, cs4.NonPropagation} {
+		for deg := 0; deg <= 4; deg++ {
+			for trial := 0; trial < 300; trial++ {
+				out := make([]graph.EdgeID, deg)
+				var iv map[graph.EdgeID]ival.Interval
+				if trial%10 != 0 { // one trial in ten runs with avoidance off
+					iv = make(map[graph.EdgeID]ival.Interval, deg)
+				}
+				for i := range out {
+					out[i] = graph.EdgeID(i)
+					if iv != nil && rng.Intn(4) > 0 {
+						iv[out[i]] = ival.FromInt(int64(1 + rng.Intn(6)))
+					}
+				}
+				cfg := Config{Algorithm: alg, Intervals: iv}
+				ref := NewEngine(out, cfg)
+				seq := uint64(rng.Intn(4))
+				for p := rng.Intn(10); p > 0; p-- {
+					ref.Fire(seq, mask(deg))
+					seq += 1 + uint64(rng.Intn(4))
+				}
+				run, before := cloneEngine(ref), cloneEngine(ref)
+				k := 1 + rng.Intn(8)
+				none := make([]bool, deg)
+				var last uint64
+				for j := 0; j < k; j++ {
+					ref.Fire(seq, none)
+					last, seq = seq, seq+1+uint64(rng.Intn(4))
+				}
+				label := fmt.Sprintf("%v deg %d trial %d", alg, deg, trial)
+				ok := run.FireDummyRun(last, k)
+				if !ref.cascade {
+					if ok {
+						t.Fatalf("%s: FireDummyRun committed without the cascade", label)
+					}
+					if !reflect.DeepEqual(run, before) {
+						t.Fatalf("%s: refused FireDummyRun changed the engine: %+v, was %+v", label, run, before)
+					}
+					continue
+				}
+				if !ok {
+					t.Fatalf("%s: FireDummyRun refused under the cascade", label)
+				}
+				rc, oc := run.Counts(), ref.Counts()
+				if rc.Dummies != oc.Dummies || rc.Fires+rc.RunMsgs != oc.Fires+oc.RunMsgs || rc.Runs != before.counts.Runs+1 {
+					t.Fatalf("%s: counts %+v after FireDummyRun, oracle %+v", label, rc, oc)
+				}
+				if !slices.Equal(run.lastSent, ref.lastSent) {
+					t.Fatalf("%s: timers %v after FireDummyRun, oracle %v", label, run.lastSent, ref.lastSent)
+				}
+				for p := 0; p < 20; p++ {
+					m := mask(deg)
+					want := append([]bool(nil), ref.Fire(seq, m)...)
+					if got := run.Fire(seq, m); !slices.Equal(got, want) {
+						t.Fatalf("%s: seq %d mask %v: dummies %v after FireDummyRun, oracle %v", label, seq, m, got, want)
+					}
+					seq += 1 + uint64(rng.Intn(4))
+				}
+				if run.Counts().Dummies != ref.Counts().Dummies {
+					t.Fatalf("%s: %d dummies after later firings, oracle %d", label, run.Counts().Dummies, ref.Counts().Dummies)
 				}
 			}
 		}

@@ -31,6 +31,13 @@ func engineRun(t *testing.T, g *graph.Graph, kernels map[graph.NodeID]stream.Ker
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	return sessionRun(t, eng, inputs)
+}
+
+// sessionRun drives one session on eng and returns its stats and sink
+// sequence.
+func sessionRun(t *testing.T, eng *stream.Engine, inputs uint64) (*stream.Stats, []stream.Message) {
+	t.Helper()
 	var seen []stream.Message
 	sink := func(_ context.Context, seq uint64, payload any) error {
 		seen = append(seen, stream.Message{Seq: seq, Kind: stream.Data, Payload: payload})

@@ -1288,6 +1288,7 @@ func (n *engineNode) openSession(ses *EngineSession) *nodeSession {
 	if k := len(n.free) - 1; k >= 0 {
 		ns, n.free[k] = n.free[k], nil
 		n.free = n.free[:k]
+		ns.engine.Reset()
 	} else {
 		ns = &nodeSession{
 			heads:      make([]fifo[Message], len(n.in)),
@@ -1327,7 +1328,9 @@ func (n *engineNode) retire(ns *nodeSession) {
 // to freeSessions; past the cap it is left to the collector.  Arrays stay,
 // zeroed (no payload outlives its session); scalars, the session pointer
 // and the flush timer — stopped at retire, its closure bound to the old
-// session — are dropped by rebuilding the struct around the arrays.
+// session — are dropped by rebuilding the struct around the arrays.  The
+// proto engine holds no payload and is reset when openSession reuses it,
+// so its counts stay readable until then.
 func (n *engineNode) release(ns *nodeSession) {
 	if len(n.free) >= freeSessions {
 		return
@@ -1336,7 +1339,6 @@ func (n *engineNode) release(ns *nodeSession) {
 		ns.heads[i].reset()
 	}
 	ns.ingestQ.reset()
-	ns.engine.Reset()
 	clear(ns.pendingMsg)
 	clear(ns.pendingSet)
 	clear(ns.inflight)
@@ -1681,7 +1683,8 @@ func (n *engineNode) popHeads(ns *nodeSession, i, k int) {
 // and batch width: a pass of up to batch firings, each aligned on the
 // minimum sequence number across the heads (a queued node's next payload
 // at its next sequence number is the trivial case) and each deciding its
-// dummies with its own proto.Fire, whose messages — data and dummies
+// dummies with its own proto.Fire (or its share of a FireDummyRun, which
+// equals those calls), whose messages — data and dummies
 // interleaved, in sequence order — accumulate into one run per out-edge
 // that ship sends once.  Protocol state, per-edge counts and sink order
 // are those of firing per message; only the grouping in transit differs.
@@ -1736,7 +1739,9 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 // in-edge) and how many carried data, or eos when every head is EOS.
 // The kernel runs once per data-carrying firing, or once per stretch of
 // data-only firings where it vectorizes (stretch); dummy-only firings
-// never reach it.
+// never reach it, and a stretch of them (dummyStretch) skips alignment
+// too: under the cascade it is one proto.FireDummyRun and one copy of
+// its dummies onto every out-edge's run.
 func (n *engineNode) fire(ns *nodeSession) (fired, data int, eos bool) {
 	if !n.queued {
 		for i := range ns.heads {
@@ -1791,6 +1796,11 @@ pass:
 			}
 			// The kernel declined element vec, or the cursor is not at a
 			// data firing: this one goes through the per-firing path.
+		}
+		if k := n.dummyStretch(ns, fired); k > 0 {
+			full = n.fireDummies(ns, k)
+			fired += k
+			continue
 		}
 		var seq uint64
 		anyData := n.queued
@@ -1882,6 +1892,70 @@ func (n *engineNode) stretch(ns *nodeSession, fired, limit int) int {
 			return j
 		}
 		n.spanIn[j], n.spanSeq[j] = q[j].Payload, q[j].Seq
+	}
+	return k
+}
+
+// fireDummies takes the k dummy-only firings dummyStretch found at the
+// cursor and reports whether an out-edge's run now passes its window.
+// Under the cascade they are one FireDummyRun, and every out-edge gets
+// the k dummies; otherwise each decides its dummies with its own Fire.
+func (n *engineNode) fireDummies(ns *nodeSession, k int) (full bool) {
+	q := ns.heads[0].live()[n.cur[0] : n.cur[0]+k]
+	if ns.engine.FireDummyRun(q[k-1].Seq, k) {
+		for i, run := range n.acc {
+			n.acc[i] = append(run, q...)
+			n.accDummy[i] += k
+		}
+	} else {
+		for _, m := range q {
+			for i, d := range ns.engine.Fire(m.Seq, n.present[:len(n.out)]) {
+				if d {
+					n.acc[i] = append(n.acc[i], m)
+					n.accDummy[i]++
+				}
+			}
+		}
+	}
+	for i := range n.cur {
+		n.cur[i] += k
+	}
+	for i, run := range n.acc {
+		full = full || len(run) > n.room(ns, i)
+	}
+	return full
+}
+
+// dummyStretch returns the length of the longest run of dummy-only
+// firings at the pass's cursor — each in-edge's j-th head a Dummy, all of
+// them at one sequence number, so alignment would consume exactly those
+// heads — that the batch and the out-edge windows allow, one past the
+// tightest window as in stretch.  Zero leaves the cursor's firing to the
+// per-firing path.
+func (n *engineNode) dummyStretch(ns *nodeSession, fired int) int {
+	if n.queued {
+		return 0
+	}
+	q0 := ns.heads[0].live()[n.cur[0]:]
+	if len(q0) == 0 || q0[0].Kind != Dummy {
+		return 0 // the common case off filtering paths, before any set-up
+	}
+	k := min(n.batch-fired, len(q0))
+	for i, run := range n.acc {
+		k = min(k, n.room(ns, i)-len(run)+1)
+	}
+	for i := 1; i < len(ns.heads); i++ {
+		k = min(k, ns.heads[i].len()-n.cur[i])
+	}
+	for j := 0; j < k; j++ {
+		if q0[j].Kind != Dummy {
+			return j
+		}
+		for i := 1; i < len(ns.heads); i++ {
+			if h := ns.heads[i].live()[n.cur[i]+j]; h.Kind != Dummy || h.Seq != q0[j].Seq {
+				return j
+			}
+		}
 	}
 	return k
 }

@@ -4,12 +4,13 @@ package stream
 // kernels: the head queue, the mailbox (drained in batches, and one hop
 // between two parked loops), the sink ring's handoff to its pump, and one
 // pass of the firing loop — a batch-1 all-data firing, a 64-firing pass
-// over runs that mix data and dummies, and a time-aware node's ingest of a
-// 64-head run — and the layer above them, one short session.  Every
-// benchmark's ns/op and allocs/op are per message, except the session's,
-// which are per session.
+// over runs that mix data and dummies (staggered across a join's inputs,
+// or aligned so the dummies form stretches), and a time-aware node's
+// ingest of a 64-head run — and the layer above them, one short session.
+// Every benchmark's ns/op and allocs/op are per message, except the
+// session's, which are per session.
 //
-//	go test -run '^$' -bench 'Fifo|Mailbox|SinkHandoff|Fire|MixedRun|TimedIngest|SessionCycle' -benchmem ./internal/stream
+//	go test -run '^$' -bench 'Fifo|Mailbox|SinkHandoff|Fire|MixedRun|AlignedDummy|TimedIngest|SessionCycle' -benchmem ./internal/stream
 
 import (
 	"context"
@@ -269,13 +270,10 @@ func BenchmarkFireOnceMapKernel(b *testing.B) {
 	benchFireOnce(b, KernelFunc(Passthrough(1).Process))
 }
 
-// benchMixedRunHop times a node with the given in-degree and one out-edge
-// consuming runs of 64 aligned sequence numbers per in-edge, one message in
-// ten data and the rest dummies, under the Propagation protocol: one pass
-// of 64 firings, most of them dummy-only (no kernel call, a cascade dummy
-// out), shipped as one mixed run.  Per edge message means per message
-// consumed or sent.
-func benchMixedRunHop(b *testing.B, inputs int) {
+// joinRig is a node with the given in-degree whose one out-edge has
+// capacity outBuf, every in-edge 64 deep, on the firing rig under alg
+// with every dummy interval 1.
+func joinRig(tb testing.TB, inputs, outBuf int, alg cs4.Algorithm) *firingBench {
 	g := graph.New()
 	src, join, out := g.AddNode("src"), g.AddNode("join"), g.AddNode("out")
 	for i := 0; i < inputs; i++ {
@@ -283,12 +281,62 @@ func benchMixedRunHop(b *testing.B, inputs int) {
 		g.AddEdge(src, w, 64)
 		g.AddEdge(w, join, 64)
 	}
-	g.AddEdge(join, out, 64)
+	g.AddEdge(join, out, outBuf)
 	iv := make(map[graph.EdgeID]ival.Interval, g.NumEdges())
 	for _, e := range g.Edges() {
 		iv[e.ID] = ival.FromInt(1)
 	}
-	f := newFiringBench(b, g, join, nil, Config{Algorithm: cs4.Propagation, Intervals: iv, MaxBatch: 64})
+	return newFiringBench(tb, g, join, nil, Config{Algorithm: alg, Intervals: iv, MaxBatch: 64})
+}
+
+// TestDummyStretchStopsAtItsWindow pins the window bound of a stretch of
+// dummy-only firings, under both protocols (every interval 1, so each
+// firing sends its dummy either way): a node whose out-window is 2, fed
+// 64 aligned dummies per in-edge, takes one pass that ships exactly the
+// window, parks the third firing's dummy and consumes three heads per
+// in-edge — what firing per message does.  A stretch that took all 64
+// would consume the run ahead of the full window, an effective buffer the
+// intervals were not computed against.
+func TestDummyStretchStopsAtItsWindow(t *testing.T) {
+	const window, run = 2, 64
+	for _, alg := range []cs4.Algorithm{cs4.Propagation, cs4.NonPropagation} {
+		for _, inputs := range []int{1, 2} {
+			f := joinRig(t, inputs, window, alg)
+			for j := uint64(0); j < run; j++ {
+				for in := 0; in < inputs; in++ {
+					f.ns.heads[in].push(Message{Seq: 10 + 3*j, Kind: Dummy})
+				}
+			}
+			if !f.n.fireRun(f.ns) {
+				t.Fatalf("%v, %d in: aligned dummies did not fire", alg, inputs)
+			}
+			for in := 0; in < inputs; in++ {
+				if left := f.ns.heads[in].len(); left != run-window-1 {
+					t.Errorf("%v, %d in: in-edge %d has %d heads left, want %d", alg, inputs, in, left, run-window-1)
+				}
+			}
+			if f.ns.inflight[0] != window || f.ns.pendingN != 1 ||
+				f.ns.pendingMsg[0] != (Message{Seq: 10 + 3*window, Kind: Dummy}) {
+				t.Errorf("%v, %d in: shipped %d, parked %d (%+v); want the window of %d shipped and the dummy at %d parked",
+					alg, inputs, f.ns.inflight[0], f.ns.pendingN, f.ns.pendingMsg[0], window, 10+3*window)
+			}
+			if sent := f.recycle(); sent != window {
+				t.Errorf("%v, %d in: %d messages posted downstream, want %d", alg, inputs, sent, window)
+			}
+		}
+	}
+}
+
+// benchMixedRunHop times a node with the given in-degree and one out-edge
+// consuming runs of 64 aligned sequence numbers per in-edge, one message in
+// ten data and the rest dummies, under the Propagation protocol: one pass
+// of 64 firings, most of them dummy-only (no kernel call, a cascade dummy
+// out), shipped as one mixed run.  In-edge i carries its data stagger × i
+// sequence numbers later than in-edge 0, so a stagger of 0 puts every
+// input's data at the same firings and leaves the rest stretches of
+// aligned dummies.  Per edge message means per message consumed or sent.
+func benchMixedRunHop(b *testing.B, inputs, stagger int) {
+	f := joinRig(b, inputs, 64, cs4.Propagation)
 	const run = 64
 	edgeMsgs := 0
 	b.ReportAllocs()
@@ -298,7 +346,7 @@ func benchMixedRunHop(b *testing.B, inputs int) {
 		for j := uint64(0); j < run; j++ {
 			for in := 0; in < inputs; in++ {
 				m := Message{Seq: base + j, Kind: Dummy}
-				if (int(j)+3*in)%10 == 0 {
+				if (int(j)+stagger*in)%10 == 0 {
 					m.Kind, m.Payload = Data, int(j)
 				}
 				f.ns.heads[in].push(m)
@@ -311,8 +359,9 @@ func benchMixedRunHop(b *testing.B, inputs int) {
 	}
 }
 
-func BenchmarkMixedRunHop1In(b *testing.B) { benchMixedRunHop(b, 1) }
-func BenchmarkMixedRunHop4In(b *testing.B) { benchMixedRunHop(b, 4) }
+func BenchmarkMixedRunHop1In(b *testing.B)     { benchMixedRunHop(b, 1, 3) }
+func BenchmarkMixedRunHop4In(b *testing.B)     { benchMixedRunHop(b, 4, 3) }
+func BenchmarkAlignedDummyHop4In(b *testing.B) { benchMixedRunHop(b, 4, 0) }
 
 // BenchmarkTimedIngestRun times a time-aware node's advance over a run of
 // 64 queued heads — all data, or every other one a dummy, which cuts the

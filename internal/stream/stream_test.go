@@ -181,6 +181,20 @@ func requireMatchesSim(t *testing.T, label string, g *graph.Graph, stats *stream
 	}
 }
 
+// stretchedRun is engineRun, also returning the session's firings in dummy
+// stretches at single- and multi-input nodes (stream.DummyRunFirings).
+func stretchedRun(t *testing.T, g *graph.Graph, kernels map[graph.NodeID]stream.Kernel, cfg stream.Config, inputs uint64) (stats *stream.Stats, seen []stream.Message, single, multi int64) {
+	t.Helper()
+	eng, err := stream.NewEngine(g, kernels, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	stats, seen = sessionRun(t, eng, inputs)
+	single, multi = stream.DummyRunFirings(eng)
+	return stats, seen, single, multi
+}
+
 // TestRuntimeMatchesSimulator is the differential check over generated
 // cases: per-node behavior is deterministic (a Kahn network), so whatever
 // the goroutine scheduling, the batch width or how runs happen to group
@@ -206,7 +220,10 @@ func TestRuntimeMatchesSimulator(t *testing.T) {
 	}
 	sort.Strings(names) // one rng: draw in a fixed order
 	const inputs = 300
-	var dummies, mixed int64 // what the cases exercised, so the check cannot go vacuous
+	// What the cases exercised, so the check cannot go vacuous: dummies,
+	// edges mixing both kinds, and firings that crossed a node with one
+	// in-edge, and one with more, as a stretch of dummies.
+	var dummies, mixed, stretched1, stretchedN int64
 	for _, name := range names {
 		for trial := 0; trial < 4; trial++ {
 			g := families[name]()
@@ -235,7 +252,8 @@ func TestRuntimeMatchesSimulator(t *testing.T) {
 				}
 				for _, batch := range []int{1, 7, 64} {
 					cfg.MaxBatch = batch
-					stats, seen := engineRun(t, g, filterKernels(g, filter), cfg, inputs)
+					stats, seen, single, multi := stretchedRun(t, g, filterKernels(g, filter), cfg, inputs)
+					stretched1, stretchedN = stretched1+single, stretchedN+multi
 					label := fmt.Sprintf("%s trial %d alg %v batch %d", name, trial, alg, batch)
 					requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
 				}
@@ -245,7 +263,11 @@ func TestRuntimeMatchesSimulator(t *testing.T) {
 	if dummies == 0 || mixed == 0 {
 		t.Fatalf("the generated cases sent %d dummies and had %d edges carrying both kinds; the test would not notice a protocol change", dummies, mixed)
 	}
-	t.Logf("%d dummies; %d (case, edge) pairs carried data and dummies interleaved", dummies, mixed)
+	if stretched1 == 0 || stretchedN == 0 {
+		t.Fatalf("%d firings crossed single-input nodes and %d multi-input nodes as dummy stretches; the test would not notice a stretch that breaks the protocol", stretched1, stretchedN)
+	}
+	t.Logf("%d dummies; %d (case, edge) pairs carried data and dummies interleaved; %d and %d firings in dummy stretches at single- and multi-input nodes",
+		dummies, mixed, stretched1, stretchedN)
 }
 
 func TestDefaultKernelsPassthrough(t *testing.T) {
