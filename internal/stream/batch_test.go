@@ -26,19 +26,19 @@ import (
 // plus the exact sink delivery sequence.
 func engineRun(t *testing.T, g *graph.Graph, kernels map[graph.NodeID]stream.Kernel, cfg stream.Config, inputs uint64) (*stream.Stats, []stream.Message) {
 	t.Helper()
+	stats, seen, _, _ := stretchedRun(t, g, kernels, cfg, inputs)
+	return stats, seen
+}
+
+// stretchedRun is engineRun, also returning the session's firings in dummy
+// stretches at single- and multi-input nodes (stream.DummyRunFirings).
+func stretchedRun(t *testing.T, g *graph.Graph, kernels map[graph.NodeID]stream.Kernel, cfg stream.Config, inputs uint64) (stats *stream.Stats, seen []stream.Message, single, multi int64) {
+	t.Helper()
 	eng, err := stream.NewEngine(g, kernels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	return sessionRun(t, eng, inputs)
-}
-
-// sessionRun drives one session on eng and returns its stats and sink
-// sequence.
-func sessionRun(t *testing.T, eng *stream.Engine, inputs uint64) (*stream.Stats, []stream.Message) {
-	t.Helper()
-	var seen []stream.Message
 	sink := func(_ context.Context, seq uint64, payload any) error {
 		seen = append(seen, stream.Message{Seq: seq, Kind: stream.Data, Payload: payload})
 		return nil
@@ -47,11 +47,11 @@ func sessionRun(t *testing.T, eng *stream.Engine, inputs uint64) (*stream.Stats,
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := ses.Wait()
-	if err != nil {
+	if stats, err = ses.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	return stats, seen
+	single, multi = stream.DummyRunFirings(eng)
+	return stats, seen, single, multi
 }
 
 // TestEngineBatchedParity pins the batched engine bit-identical to the

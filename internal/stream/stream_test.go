@@ -181,20 +181,6 @@ func requireMatchesSim(t *testing.T, label string, g *graph.Graph, stats *stream
 	}
 }
 
-// stretchedRun is engineRun, also returning the session's firings in dummy
-// stretches at single- and multi-input nodes (stream.DummyRunFirings).
-func stretchedRun(t *testing.T, g *graph.Graph, kernels map[graph.NodeID]stream.Kernel, cfg stream.Config, inputs uint64) (stats *stream.Stats, seen []stream.Message, single, multi int64) {
-	t.Helper()
-	eng, err := stream.NewEngine(g, kernels, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	stats, seen = sessionRun(t, eng, inputs)
-	single, multi = stream.DummyRunFirings(eng)
-	return stats, seen, single, multi
-}
-
 // TestRuntimeMatchesSimulator is the differential check over generated
 // cases: per-node behavior is deterministic (a Kahn network), so whatever
 // the goroutine scheduling, the batch width or how runs happen to group
