@@ -1944,16 +1944,19 @@ func (n *engineNode) dummyStretch(ns *nodeSession, fired int) int {
 	for i, run := range n.acc {
 		k = min(k, n.room(ns, i)-len(run)+1)
 	}
-	for i := 1; i < len(ns.heads); i++ {
-		k = min(k, ns.heads[i].len()-n.cur[i])
-	}
-	for j := 0; j < k; j++ {
+	for j := 1; j < k; j++ {
 		if q0[j].Kind != Dummy {
-			return j
+			k = j
+			break
 		}
-		for i := 1; i < len(ns.heads); i++ {
-			if h := ns.heads[i].live()[n.cur[i]+j]; h.Kind != Dummy || h.Seq != q0[j].Seq {
-				return j
+	}
+	for i := 1; i < len(ns.heads) && k > 0; i++ {
+		q := ns.heads[i].live()[n.cur[i]:]
+		k = min(k, len(q))
+		for j := 0; j < k; j++ {
+			if q[j].Kind != Dummy || q[j].Seq != q0[j].Seq {
+				k = j
+				break
 			}
 		}
 	}
