@@ -31,7 +31,7 @@ func engineRun(t *testing.T, g *graph.Graph, kernels map[graph.NodeID]stream.Ker
 }
 
 // stretchedRun is engineRun, also returning the session's firings in dummy
-// stretches at single- and multi-input nodes (stream.DummyRunFirings).
+// stretches at single- and multi-input nodes (stream.CountDummyRuns).
 func stretchedRun(t *testing.T, g *graph.Graph, kernels map[graph.NodeID]stream.Kernel, cfg stream.Config, inputs uint64) (stats *stream.Stats, seen []stream.Message, single, multi int64) {
 	t.Helper()
 	eng, err := stream.NewEngine(g, kernels, cfg)
@@ -39,6 +39,7 @@ func stretchedRun(t *testing.T, g *graph.Graph, kernels map[graph.NodeID]stream.
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	stretched := stream.CountDummyRuns(eng)
 	sink := func(_ context.Context, seq uint64, payload any) error {
 		seen = append(seen, stream.Message{Seq: seq, Kind: stream.Data, Payload: payload})
 		return nil
@@ -50,7 +51,8 @@ func stretchedRun(t *testing.T, g *graph.Graph, kernels map[graph.NodeID]stream.
 	if stats, err = ses.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	single, multi = stream.DummyRunFirings(eng)
+	eng.Close() // every node has retired the session
+	single, multi = stretched()
 	return stats, seen, single, multi
 }
 

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"streamdag/internal/clock"
+	"streamdag/internal/cs4"
 	"streamdag/internal/graph"
 	"streamdag/internal/obs"
 	"streamdag/internal/proto"
@@ -118,6 +119,10 @@ type Engine struct {
 
 	stop chan struct{}
 	wg   sync.WaitGroup
+
+	// onRetire, nil outside tests, sees each node session's protocol
+	// counts as it retires, with the node's in-degree.
+	onRetire func(inDegree int, c proto.Counts)
 }
 
 // NewEngine spins up the resident node loops for g; ingestion and
@@ -1288,7 +1293,6 @@ func (n *engineNode) openSession(ses *EngineSession) *nodeSession {
 	if k := len(n.free) - 1; k >= 0 {
 		ns, n.free[k] = n.free[k], nil
 		n.free = n.free[:k]
-		ns.engine.Reset()
 	} else {
 		ns = &nodeSession{
 			heads:      make([]fifo[Message], len(n.in)),
@@ -1322,15 +1326,16 @@ func (n *engineNode) retire(ns *nodeSession) {
 	}
 	ns.ses.at[n.id] = nil
 	n.retiring = append(n.retiring, ns)
+	if f := n.e.onRetire; f != nil {
+		f(len(n.in), ns.engine.Counts())
+	}
 }
 
 // release empties a retired session and keeps it for the next evOpen, up
 // to freeSessions; past the cap it is left to the collector.  Arrays stay,
 // zeroed (no payload outlives its session); scalars, the session pointer
 // and the flush timer — stopped at retire, its closure bound to the old
-// session — are dropped by rebuilding the struct around the arrays.  The
-// proto engine holds no payload and is reset when openSession reuses it,
-// so its counts stay readable until then.
+// session — are dropped by rebuilding the struct around the arrays.
 func (n *engineNode) release(ns *nodeSession) {
 	if len(n.free) >= freeSessions {
 		return
@@ -1339,6 +1344,7 @@ func (n *engineNode) release(ns *nodeSession) {
 		ns.heads[i].reset()
 	}
 	ns.ingestQ.reset()
+	ns.engine.Reset()
 	clear(ns.pendingMsg)
 	clear(ns.pendingSet)
 	clear(ns.inflight)
@@ -1797,9 +1803,8 @@ pass:
 			// The kernel declined element vec, or the cursor is not at a
 			// data firing: this one goes through the per-firing path.
 		}
-		if k := n.dummyStretch(ns, fired); k > 0 {
-			full = n.fireDummies(ns, k)
-			fired += k
+		if k, stop := n.dummyStretch(ns, fired); k > 0 {
+			fired, full = fired+k, stop
 			continue
 		}
 		var seq uint64
@@ -1896,51 +1901,28 @@ func (n *engineNode) stretch(ns *nodeSession, fired, limit int) int {
 	return k
 }
 
-// fireDummies takes the k dummy-only firings dummyStretch found at the
-// cursor and reports whether an out-edge's run now passes its window.
-// Under the cascade they are one FireDummyRun, and every out-edge gets
-// the k dummies; otherwise each decides its dummies with its own Fire.
-func (n *engineNode) fireDummies(ns *nodeSession, k int) (full bool) {
-	q := ns.heads[0].live()[n.cur[0] : n.cur[0]+k]
-	if ns.engine.FireDummyRun(q[k-1].Seq, k) {
-		for i, run := range n.acc {
-			n.acc[i] = append(run, q...)
-			n.accDummy[i] += k
-		}
-	} else {
-		for _, m := range q {
-			for i, d := range ns.engine.Fire(m.Seq, n.present[:len(n.out)]) {
-				if d {
-					n.acc[i] = append(n.acc[i], m)
-					n.accDummy[i]++
-				}
-			}
-		}
-	}
-	for i := range n.cur {
-		n.cur[i] += k
-	}
-	for i, run := range n.acc {
-		full = full || len(run) > n.room(ns, i)
-	}
-	return full
-}
-
-// dummyStretch returns the length of the longest run of dummy-only
-// firings at the pass's cursor — each in-edge's j-th head a Dummy, all of
-// them at one sequence number, so alignment would consume exactly those
-// heads — that the batch and the out-edge windows allow, one past the
-// tightest window as in stretch.  Zero leaves the cursor's firing to the
-// per-firing path.
-func (n *engineNode) dummyStretch(ns *nodeSession, fired int) int {
+// dummyStretch takes, in one step, the longest run of dummy-only firings
+// at the pass's cursor — each in-edge's j-th head a Dummy, all of them at
+// one sequence number, so alignment would consume exactly those heads —
+// that the batch and the out-edge windows allow, one past the tightest
+// window as in stretch.  Under the Propagation cascade each such firing
+// sends a dummy on every out-edge, so the run is one FireDummyRun and one
+// copy of its dummies onto every out-edge's run.  Without the cascade each
+// firing decides its own dummies: k = 0 leaves the cursor's firing to the
+// per-firing path.  full reports whether an out-edge's run now passes its
+// window.
+func (n *engineNode) dummyStretch(ns *nodeSession, fired int) (k int, full bool) {
 	if n.queued {
-		return 0
+		return 0, false
 	}
 	q0 := ns.heads[0].live()[n.cur[0]:]
 	if len(q0) == 0 || q0[0].Kind != Dummy {
-		return 0 // the common case off filtering paths, before any set-up
+		return 0, false // the common case off filtering paths, before any set-up
 	}
-	k := min(n.batch-fired, len(q0))
+	if n.e.cfg.Intervals == nil || n.e.cfg.Algorithm != cs4.Propagation {
+		return 0, false
+	}
+	k = min(n.batch-fired, len(q0))
 	for i, run := range n.acc {
 		k = min(k, n.room(ns, i)-len(run)+1)
 	}
@@ -1960,7 +1942,21 @@ func (n *engineNode) dummyStretch(ns *nodeSession, fired int) int {
 			}
 		}
 	}
-	return k
+	if k == 0 {
+		return 0, false
+	}
+	q0 = q0[:k]
+	ns.engine.FireDummyRun(q0[k-1].Seq, k)
+	for i, run := range n.acc {
+		run = append(run, q0...)
+		n.acc[i] = run
+		n.accDummy[i] += k
+		full = full || len(run) > n.room(ns, i)
+	}
+	for i := range n.cur {
+		n.cur[i] += k
+	}
+	return k, full
 }
 
 // sinkEmit counts the pass's data sink firings and copies them into the

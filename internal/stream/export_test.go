@@ -1,23 +1,32 @@
 package stream
 
-// DummyRunFirings sums what e's nodes with one in-edge and with more
-// took in committed proto runs (proto.Counts.RunMsgs) during the session
-// each node released last — read after that session's Wait, before the
-// engine's next Open.  A topology without SpanKernels commits no data run,
-// so these are the firings that crossed a node as dummy stretches under
-// the Propagation cascade.
-func DummyRunFirings(e *Engine) (single, multi int64) {
-	for _, n := range e.nodes {
-		if len(n.free) == 0 {
-			continue
-		}
-		c := n.free[len(n.free)-1].engine.Counts().RunMsgs
+import (
+	"sync"
+
+	"streamdag/internal/proto"
+)
+
+// CountDummyRuns makes e count, over the sessions it opens from now on,
+// what its nodes with one in-edge and with more took in committed proto
+// runs (proto.Counts.RunMsgs); read the sums after those sessions' Wait.
+// A topology without SpanKernels commits no data run, so these are the
+// firings that crossed a node as dummy stretches.
+func CountDummyRuns(e *Engine) (sums func() (single, multi int64)) {
+	var mu sync.Mutex
+	var single, multi int64
+	e.onRetire = func(in int, c proto.Counts) {
+		mu.Lock()
+		defer mu.Unlock()
 		switch {
-		case len(n.in) == 1:
-			single += c
-		case len(n.in) > 1:
-			multi += c
+		case in == 1:
+			single += c.RunMsgs
+		case in > 1:
+			multi += c.RunMsgs
 		}
 	}
-	return single, multi
+	return func() (int64, int64) {
+		mu.Lock()
+		defer mu.Unlock()
+		return single, multi
+	}
 }

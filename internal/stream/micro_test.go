@@ -290,8 +290,9 @@ func joinRig(tb testing.TB, inputs, outBuf int, alg cs4.Algorithm) *firingBench 
 }
 
 // TestDummyStretchStopsAtItsWindow pins the window bound of a stretch of
-// dummy-only firings, under both protocols (every interval 1, so each
-// firing sends its dummy either way): a node whose out-window is 2, fed
+// dummy-only firings under Propagation, and of the per-firing path that
+// takes them under Non-propagation (every interval 1, so each firing
+// sends its dummy either way): a node whose out-window is 2, fed
 // 64 aligned dummies per in-edge, takes one pass that ships exactly the
 // window, parks the third firing's dummy and consumes three heads per
 // in-edge — what firing per message does.  A stretch that took all 64
