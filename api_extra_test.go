@@ -1,7 +1,6 @@
 package streamdag
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -88,23 +87,5 @@ func TestDistributedPublicAPI(t *testing.T) {
 		WithAlgorithm(Propagation), WithWatchdog(5*time.Second),
 		WithBackend(Distributed(assign))); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSimulateTraceHook(t *testing.T) {
-	topo := fig2(t)
-	var events []string
-	r := Simulate(topo, PassAll, SimConfig{
-		Inputs: 5,
-		Trace:  func(s string) { events = append(events, s) },
-	})
-	if !r.Completed {
-		t.Fatal("should complete")
-	}
-	if len(events) == 0 {
-		t.Error("no trace events")
-	}
-	if !strings.Contains(strings.Join(events, "\n"), "A consumes") {
-		t.Errorf("trace lacks consume events: %v", events[:3])
 	}
 }

@@ -25,7 +25,9 @@ import (
 	"math"
 	"math/bits"
 	"net/http"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -233,13 +235,7 @@ type Metrics struct {
 // New builds a Metrics for a topology with the given node names and
 // edge labels (conventionally "from→to", indexed by EdgeID).
 func New(nodeNames, edgeNames []string) *Metrics {
-	return &Metrics{
-		nodeNames: append([]string(nil), nodeNames...),
-		edgeNames: append([]string(nil), edgeNames...),
-		nodes:     make([]NodeMetrics, len(nodeNames)),
-		edges:     make([]EdgeMetrics, len(edgeNames)),
-		life:      &lifecycle{links: make(map[string]*LinkMetrics)},
-	}
+	return newMetrics(nodeNames, edgeNames, &lifecycle{links: make(map[string]*LinkMetrics)})
 }
 
 // Rebind builds a Metrics for a new topology that shares m's lifecycle
@@ -248,34 +244,25 @@ func New(nodeNames, edgeNames []string) *Metrics {
 // new topology's names — while the shared totals carry over, and
 // engines still draining against m keep feeding them.
 func (m *Metrics) Rebind(nodeNames, edgeNames []string) *Metrics {
-	nm := &Metrics{
+	nm := newMetrics(nodeNames, edgeNames, m.life)
+	nm.virtual.Store(m.virtual.Load())
+	return nm
+}
+
+func newMetrics(nodeNames, edgeNames []string, life *lifecycle) *Metrics {
+	return &Metrics{
 		nodeNames: append([]string(nil), nodeNames...),
 		edgeNames: append([]string(nil), edgeNames...),
 		nodes:     make([]NodeMetrics, len(nodeNames)),
 		edges:     make([]EdgeMetrics, len(edgeNames)),
-		life:      m.life,
+		life:      life,
 	}
-	nm.virtual.Store(m.virtual.Load())
-	return nm
 }
 
 // Matches reports whether m was built for exactly this topology — the
 // attach-twice guard for observers reused across builds of one flow.
 func (m *Metrics) Matches(nodeNames, edgeNames []string) bool {
-	if len(nodeNames) != len(m.nodeNames) || len(edgeNames) != len(m.edgeNames) {
-		return false
-	}
-	for i, n := range nodeNames {
-		if m.nodeNames[i] != n {
-			return false
-		}
-	}
-	for i, e := range edgeNames {
-		if m.edgeNames[i] != e {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(m.nodeNames, nodeNames) && slices.Equal(m.edgeNames, edgeNames)
 }
 
 // Node returns node i's counters (i is the topology NodeID).
@@ -418,6 +405,143 @@ func (s *Snapshot) EdgeByName(name string) *EdgeSnapshot {
 	return nil
 }
 
+// The metric set: one row per metric, giving its Prometheus name and
+// help (a %s in either stands for the time unit, "ns" or "steps"), its
+// type, the snapshot field that holds it and the counter it is loaded
+// from.  Snapshot, Delta and WritePrometheus are loops over these
+// tables, so a new metric is a counter field, a snapshot field and one
+// row.  Written by hand beside them: the edge Depth gauge (Sent −
+// Consumed), the latency histogram and the link-name sort.
+
+// kind is a family's Prometheus type.  Delta subtracts counters and
+// keeps gauges at their current value.
+type kind string
+
+const (
+	counter kind = "counter"
+	gauge   kind = "gauge"
+)
+
+// family is one metric read from counter set C into snapshot S.
+type family[C, S any] struct {
+	name, help string
+	kind       kind
+	field      func(*S) *int64
+	src        func(*C) *atomic.Int64 // nil: derived in Snapshot
+}
+
+var nodeFamilies = []family[NodeMetrics, NodeSnapshot]{
+	{"streamdag_node_firings_total", "Data-carrying kernel firings per node.", counter,
+		func(s *NodeSnapshot) *int64 { return &s.Firings }, func(c *NodeMetrics) *atomic.Int64 { return &c.Firings }},
+	{"streamdag_node_service_time_%s_total", "Cumulative node service time (%s).", counter,
+		func(s *NodeSnapshot) *int64 { return &s.ServiceTime }, func(c *NodeMetrics) *atomic.Int64 { return &c.ServiceTime }},
+	{"streamdag_node_spans_total", "Vectorized span invocations per node.", counter,
+		func(s *NodeSnapshot) *int64 { return &s.Spans }, func(c *NodeMetrics) *atomic.Int64 { return &c.Spans }},
+	{"streamdag_node_span_msgs_total", "Elements carried by spans per node.", counter,
+		func(s *NodeSnapshot) *int64 { return &s.SpanMsgs }, func(c *NodeMetrics) *atomic.Int64 { return &c.SpanMsgs }},
+}
+
+var edgeFamilies = []family[EdgeMetrics, EdgeSnapshot]{
+	{"streamdag_edge_data_total", "Data messages sent per edge.", counter,
+		func(s *EdgeSnapshot) *int64 { return &s.Data }, func(c *EdgeMetrics) *atomic.Int64 { return &c.Data }},
+	{"streamdag_edge_dummies_total", "Protocol dummy messages sent per edge.", counter,
+		func(s *EdgeSnapshot) *int64 { return &s.Dummies }, func(c *EdgeMetrics) *atomic.Int64 { return &c.Dummies }},
+	{"streamdag_edge_queue_depth", "Messages currently queued per edge.", gauge,
+		func(s *EdgeSnapshot) *int64 { return &s.Depth }, nil},
+	{"streamdag_edge_credit_stalls_total", "Blocked-send episodes per edge.", counter,
+		func(s *EdgeSnapshot) *int64 { return &s.CreditStalls }, func(c *EdgeMetrics) *atomic.Int64 { return &c.CreditStalls }},
+	{"streamdag_edge_credit_stall_%s_total", "Cumulative blocked-send time per edge (%s).", counter,
+		func(s *EdgeSnapshot) *int64 { return &s.CreditStallTime }, func(c *EdgeMetrics) *atomic.Int64 { return &c.CreditStallTime }},
+}
+
+// lifeFamilies are the unlabeled totals: sessions, faults, scale, time.
+var lifeFamilies = []family[lifecycle, Snapshot]{
+	{"streamdag_sessions_opened_total", "Sessions opened.", counter,
+		func(s *Snapshot) *int64 { return &s.Sessions.Opened }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.Opened }},
+	{"streamdag_sessions_active", "Sessions currently open.", gauge,
+		func(s *Snapshot) *int64 { return &s.Sessions.Active }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.Active }},
+	{"streamdag_sessions_completed_total", "Sessions completed (EOF).", counter,
+		func(s *Snapshot) *int64 { return &s.Sessions.Completed }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.Completed }},
+	{"streamdag_sessions_failed_total", "Sessions ended with an error.", counter,
+		func(s *Snapshot) *int64 { return &s.Sessions.Failed }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.Failed }},
+	{"streamdag_sink_msgs_total", "Data-carrying sink deliveries.", counter,
+		func(s *Snapshot) *int64 { return &s.Sessions.SinkMsgs }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.SinkMsgs }},
+	{"streamdag_fault_workers_down_total", "Workers whose links were dropped and re-dialed.", counter,
+		func(s *Snapshot) *int64 { return &s.Faults.WorkersDown }, func(l *lifecycle) *atomic.Int64 { return &l.faults.WorkersDown }},
+	{"streamdag_fault_session_retries_total", "Session re-open attempts by the retry layer.", counter,
+		func(s *Snapshot) *int64 { return &s.Faults.SessionRetries }, func(l *lifecycle) *atomic.Int64 { return &l.faults.SessionRetries }},
+	{"streamdag_fault_dead_lettered_total", "Payloads routed to the dead-letter sink.", counter,
+		func(s *Snapshot) *int64 { return &s.Faults.DeadLettered }, func(l *lifecycle) *atomic.Int64 { return &l.faults.DeadLettered }},
+	{"streamdag_fault_drains_total", "Completed engine drains.", counter,
+		func(s *Snapshot) *int64 { return &s.Faults.Drains }, func(l *lifecycle) *atomic.Int64 { return &l.faults.Drains }},
+	{"streamdag_fault_drain_%s_total", "Cumulative drain duration (%s).", counter,
+		func(s *Snapshot) *int64 { return &s.Faults.DrainTime }, func(l *lifecycle) *atomic.Int64 { return &l.faults.DrainTime }},
+	{"streamdag_scale_ups_total", "Committed rescales that raised a node's replica count.", counter,
+		func(s *Snapshot) *int64 { return &s.Scale.ScaleUps }, func(l *lifecycle) *atomic.Int64 { return &l.scale.ScaleUps }},
+	{"streamdag_scale_downs_total", "Committed rescales that lowered a node's replica count.", counter,
+		func(s *Snapshot) *int64 { return &s.Scale.ScaleDowns }, func(l *lifecycle) *atomic.Int64 { return &l.scale.ScaleDowns }},
+	{"streamdag_scale_rescale_%s_total", "Cumulative re-plan and swap time (%s).", counter,
+		func(s *Snapshot) *int64 { return &s.Scale.RescaleTime }, func(l *lifecycle) *atomic.Int64 { return &l.scale.RescaleTime }},
+	{"streamdag_scale_sessions_migrated_total", "Sessions migrated off a retiring topology via the retry path.", counter,
+		func(s *Snapshot) *int64 { return &s.Scale.SessionsMigrated }, func(l *lifecycle) *atomic.Int64 { return &l.scale.SessionsMigrated }},
+	{"streamdag_scale_sessions_evicted_total", "Sessions cancelled at the rescale drain deadline.", counter,
+		func(s *Snapshot) *int64 { return &s.Scale.SessionsEvicted }, func(l *lifecycle) *atomic.Int64 { return &l.scale.SessionsEvicted }},
+	{"streamdag_time_timer_ticks_total", "Timer-driven flushes delivered to time-aware kernels.", counter,
+		func(s *Snapshot) *int64 { return &s.Time.TimerTicks }, func(l *lifecycle) *atomic.Int64 { return &l.timed.TimerTicks }},
+	{"streamdag_time_timed_emissions_total", "Elements emitted by time-aware kernels.", counter,
+		func(s *Snapshot) *int64 { return &s.Time.TimedEmissions }, func(l *lifecycle) *atomic.Int64 { return &l.timed.TimedEmissions }},
+}
+
+var linkFamilies = []family[LinkMetrics, LinkSnapshot]{
+	{"streamdag_link_tx_frames_total", "Wire frames written per worker link.", counter,
+		func(s *LinkSnapshot) *int64 { return &s.TxFrames }, func(c *LinkMetrics) *atomic.Int64 { return &c.TxFrames }},
+	{"streamdag_link_tx_bodies_total", "Protocol bodies sent per worker link.", counter,
+		func(s *LinkSnapshot) *int64 { return &s.TxBodies }, func(c *LinkMetrics) *atomic.Int64 { return &c.TxBodies }},
+	{"streamdag_link_tx_bytes_total", "Bytes written per worker link.", counter,
+		func(s *LinkSnapshot) *int64 { return &s.TxBytes }, func(c *LinkMetrics) *atomic.Int64 { return &c.TxBytes }},
+	{"streamdag_link_rx_frames_total", "Wire frames read per worker link.", counter,
+		func(s *LinkSnapshot) *int64 { return &s.RxFrames }, func(c *LinkMetrics) *atomic.Int64 { return &c.RxFrames }},
+	{"streamdag_link_rx_bytes_total", "Bytes read per worker link.", counter,
+		func(s *LinkSnapshot) *int64 { return &s.RxBytes }, func(c *LinkMetrics) *atomic.Int64 { return &c.RxBytes }},
+}
+
+// load copies each family's counter in c into its field of s.
+func load[C, S any](fams []family[C, S], c *C, s *S) {
+	for _, f := range fams {
+		if f.src != nil {
+			*f.field(s) = f.src(c).Load()
+		}
+	}
+}
+
+// sub subtracts prev's counters from s's; gauges keep s's value.
+func sub[C, S any](fams []family[C, S], s, prev *S) {
+	for _, f := range fams {
+		if f.kind == counter {
+			*f.field(s) -= *f.field(prev)
+		}
+	}
+}
+
+// writeFamilies writes each family's HELP and TYPE lines, then one
+// sample per row, labeled label="name(row)", or bare when label is "".
+func writeFamilies[C, S any](w io.Writer, unit string, fams []family[C, S], rows []S, label string, name func(*S) string) {
+	var b []byte
+	for _, f := range fams {
+		metric := strings.ReplaceAll(f.name, "%s", unit)
+		b = fmt.Appendf(b[:0], "# HELP %s %s\n# TYPE %s %s\n", metric, strings.ReplaceAll(f.help, "%s", unit), metric, f.kind)
+		for i := range rows {
+			b = append(b, metric...)
+			if label != "" {
+				b = append(append(append(b, '{'), label...), '=')
+				b = append(strconv.AppendQuote(b, name(&rows[i])), '}')
+			}
+			b = append(strconv.AppendInt(append(b, ' '), *f.field(&rows[i]), 10), '\n')
+		}
+		w.Write(b)
+	}
+}
+
 // Snapshot copies the current counter values.
 func (m *Metrics) Snapshot() *Snapshot {
 	s := &Snapshot{
@@ -426,56 +550,17 @@ func (m *Metrics) Snapshot() *Snapshot {
 		Edges:       make([]EdgeSnapshot, len(m.edges)),
 	}
 	for i := range m.nodes {
-		n := &m.nodes[i]
-		s.Nodes[i] = NodeSnapshot{
-			Name:        m.nodeNames[i],
-			Firings:     n.Firings.Load(),
-			ServiceTime: n.ServiceTime.Load(),
-			Spans:       n.Spans.Load(),
-			SpanMsgs:    n.SpanMsgs.Load(),
-		}
+		s.Nodes[i].Name = m.nodeNames[i]
+		load(nodeFamilies, &m.nodes[i], &s.Nodes[i])
 	}
 	for i := range m.edges {
 		e := &m.edges[i]
-		s.Edges[i] = EdgeSnapshot{
-			Name:            m.edgeNames[i],
-			Data:            e.Data.Load(),
-			Dummies:         e.Dummies.Load(),
-			Depth:           e.Sent.Load() - e.Consumed.Load(),
-			CreditStalls:    e.CreditStalls.Load(),
-			CreditStallTime: e.CreditStallTime.Load(),
-		}
+		s.Edges[i].Name = m.edgeNames[i]
+		s.Edges[i].Depth = e.Sent.Load() - e.Consumed.Load()
+		load(edgeFamilies, e, &s.Edges[i])
 	}
-	ss := &m.life.sessions
-	s.Sessions = SessionSnapshot{
-		Opened:    ss.Opened.Load(),
-		Active:    ss.Active.Load(),
-		Completed: ss.Completed.Load(),
-		Failed:    ss.Failed.Load(),
-		SinkMsgs:  ss.SinkMsgs.Load(),
-		Latency:   ss.Latency.snapshot(),
-	}
-	f := &m.life.faults
-	s.Faults = FaultSnapshot{
-		WorkersDown:    f.WorkersDown.Load(),
-		SessionRetries: f.SessionRetries.Load(),
-		DeadLettered:   f.DeadLettered.Load(),
-		Drains:         f.Drains.Load(),
-		DrainTime:      f.DrainTime.Load(),
-	}
-	sc := &m.life.scale
-	s.Scale = ScaleSnapshot{
-		ScaleUps:         sc.ScaleUps.Load(),
-		ScaleDowns:       sc.ScaleDowns.Load(),
-		RescaleTime:      sc.RescaleTime.Load(),
-		SessionsMigrated: sc.SessionsMigrated.Load(),
-		SessionsEvicted:  sc.SessionsEvicted.Load(),
-	}
-	tm := &m.life.timed
-	s.Time = TimeSnapshot{
-		TimerTicks:     tm.TimerTicks.Load(),
-		TimedEmissions: tm.TimedEmissions.Load(),
-	}
+	load(lifeFamilies, m.life, s)
+	s.Sessions.Latency = m.life.sessions.Latency.snapshot()
 	m.life.linkMu.Lock()
 	names := make([]string, 0, len(m.life.links))
 	for name := range m.life.links {
@@ -483,15 +568,8 @@ func (m *Metrics) Snapshot() *Snapshot {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		l := m.life.links[name]
-		s.Links = append(s.Links, LinkSnapshot{
-			Name:     name,
-			TxFrames: l.TxFrames.Load(),
-			TxBodies: l.TxBodies.Load(),
-			TxBytes:  l.TxBytes.Load(),
-			RxFrames: l.RxFrames.Load(),
-			RxBytes:  l.RxBytes.Load(),
-		})
+		s.Links = append(s.Links, LinkSnapshot{Name: name})
+		load(linkFamilies, m.life.links[name], &s.Links[len(s.Links)-1])
 	}
 	m.life.linkMu.Unlock()
 	return s
@@ -502,79 +580,41 @@ func (m *Metrics) Snapshot() *Snapshot {
 // their current values.  Nodes, edges, and links are matched by name —
 // entries absent from prev (a topology expanded by rescale) delta
 // against zero, and entries that disappeared are dropped.  A nil prev
-// returns s unchanged.  This is the windowed-rate helper the
-// bottleneck detector (and dashboards) build rates from: two snapshots
-// a known interval apart give rate = Delta / interval with no
-// re-derivation by hand.
+// returns s unchanged.  Two snapshots a known interval apart give
+// rate = Delta / interval; the bench harness reads its per-run figures
+// this way.  The autoscaler does not: it passes raw snapshots to
+// internal/scale, which keeps its own windows.
 func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
 	if prev == nil {
 		return s
 	}
-	d := &Snapshot{
-		VirtualTime: s.VirtualTime,
-		Nodes:       make([]NodeSnapshot, len(s.Nodes)),
-		Edges:       make([]EdgeSnapshot, len(s.Edges)),
-	}
-	for i, n := range s.Nodes {
-		if p := prev.NodeByName(n.Name); p != nil {
-			n.Firings -= p.Firings
-			n.ServiceTime -= p.ServiceTime
-			n.Spans -= p.Spans
-			n.SpanMsgs -= p.SpanMsgs
+	d := *s
+	d.Nodes = make([]NodeSnapshot, len(s.Nodes))
+	copy(d.Nodes, s.Nodes)
+	for i := range d.Nodes {
+		if p := prev.NodeByName(d.Nodes[i].Name); p != nil {
+			sub(nodeFamilies, &d.Nodes[i], p)
 		}
-		d.Nodes[i] = n
 	}
-	for i, e := range s.Edges {
-		if p := prev.EdgeByName(e.Name); p != nil {
-			e.Data -= p.Data
-			e.Dummies -= p.Dummies
-			e.CreditStalls -= p.CreditStalls
-			e.CreditStallTime -= p.CreditStallTime
-			// Depth is a gauge: keep the current value.
+	d.Edges = make([]EdgeSnapshot, len(s.Edges))
+	copy(d.Edges, s.Edges)
+	for i := range d.Edges {
+		if p := prev.EdgeByName(d.Edges[i].Name); p != nil {
+			sub(edgeFamilies, &d.Edges[i], p)
 		}
-		d.Edges[i] = e
 	}
-	d.Sessions = SessionSnapshot{
-		Opened:    s.Sessions.Opened - prev.Sessions.Opened,
-		Active:    s.Sessions.Active, // gauge
-		Completed: s.Sessions.Completed - prev.Sessions.Completed,
-		Failed:    s.Sessions.Failed - prev.Sessions.Failed,
-		SinkMsgs:  s.Sessions.SinkMsgs - prev.Sessions.SinkMsgs,
-		Latency:   s.Sessions.Latency.delta(&prev.Sessions.Latency),
-	}
-	d.Faults = FaultSnapshot{
-		WorkersDown:    s.Faults.WorkersDown - prev.Faults.WorkersDown,
-		SessionRetries: s.Faults.SessionRetries - prev.Faults.SessionRetries,
-		DeadLettered:   s.Faults.DeadLettered - prev.Faults.DeadLettered,
-		Drains:         s.Faults.Drains - prev.Faults.Drains,
-		DrainTime:      s.Faults.DrainTime - prev.Faults.DrainTime,
-	}
-	d.Scale = ScaleSnapshot{
-		ScaleUps:         s.Scale.ScaleUps - prev.Scale.ScaleUps,
-		ScaleDowns:       s.Scale.ScaleDowns - prev.Scale.ScaleDowns,
-		RescaleTime:      s.Scale.RescaleTime - prev.Scale.RescaleTime,
-		SessionsMigrated: s.Scale.SessionsMigrated - prev.Scale.SessionsMigrated,
-		SessionsEvicted:  s.Scale.SessionsEvicted - prev.Scale.SessionsEvicted,
-	}
-	d.Time = TimeSnapshot{
-		TimerTicks:     s.Time.TimerTicks - prev.Time.TimerTicks,
-		TimedEmissions: s.Time.TimedEmissions - prev.Time.TimedEmissions,
-	}
-	for _, l := range s.Links {
-		for i := range prev.Links {
-			if prev.Links[i].Name == l.Name {
-				p := &prev.Links[i]
-				l.TxFrames -= p.TxFrames
-				l.TxBodies -= p.TxBodies
-				l.TxBytes -= p.TxBytes
-				l.RxFrames -= p.RxFrames
-				l.RxBytes -= p.RxBytes
+	sub(lifeFamilies, &d, prev)
+	d.Sessions.Latency = s.Sessions.Latency.delta(&prev.Sessions.Latency)
+	d.Links = slices.Clone(s.Links)
+	for i := range d.Links {
+		for j := range prev.Links {
+			if prev.Links[j].Name == d.Links[i].Name {
+				sub(linkFamilies, &d.Links[i], &prev.Links[j])
 				break
 			}
 		}
-		d.Links = append(d.Links, l)
 	}
-	return d
+	return &d
 }
 
 // delta subtracts prev bucket-wise (matched by upper bound).
@@ -634,108 +674,9 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 	u := s.timeUnit()
 	bw := &errWriter{w: w}
 	p := func(format string, args ...any) { fmt.Fprintf(bw, format, args...) }
-
-	p("# HELP streamdag_node_firings_total Data-carrying kernel firings per node.\n")
-	p("# TYPE streamdag_node_firings_total counter\n")
-	for _, n := range s.Nodes {
-		p("streamdag_node_firings_total{node=%q} %d\n", n.Name, n.Firings)
-	}
-	p("# HELP streamdag_node_service_time_%s_total Cumulative node service time (%s).\n", u, u)
-	p("# TYPE streamdag_node_service_time_%s_total counter\n", u)
-	for _, n := range s.Nodes {
-		p("streamdag_node_service_time_%s_total{node=%q} %d\n", u, n.Name, n.ServiceTime)
-	}
-	p("# HELP streamdag_node_spans_total Vectorized span invocations per node.\n")
-	p("# TYPE streamdag_node_spans_total counter\n")
-	for _, n := range s.Nodes {
-		p("streamdag_node_spans_total{node=%q} %d\n", n.Name, n.Spans)
-	}
-	p("# HELP streamdag_node_span_msgs_total Elements carried by spans per node.\n")
-	p("# TYPE streamdag_node_span_msgs_total counter\n")
-	for _, n := range s.Nodes {
-		p("streamdag_node_span_msgs_total{node=%q} %d\n", n.Name, n.SpanMsgs)
-	}
-
-	p("# HELP streamdag_edge_data_total Data messages sent per edge.\n")
-	p("# TYPE streamdag_edge_data_total counter\n")
-	for _, e := range s.Edges {
-		p("streamdag_edge_data_total{edge=%q} %d\n", e.Name, e.Data)
-	}
-	p("# HELP streamdag_edge_dummies_total Protocol dummy messages sent per edge.\n")
-	p("# TYPE streamdag_edge_dummies_total counter\n")
-	for _, e := range s.Edges {
-		p("streamdag_edge_dummies_total{edge=%q} %d\n", e.Name, e.Dummies)
-	}
-	p("# HELP streamdag_edge_queue_depth Messages currently queued per edge.\n")
-	p("# TYPE streamdag_edge_queue_depth gauge\n")
-	for _, e := range s.Edges {
-		p("streamdag_edge_queue_depth{edge=%q} %d\n", e.Name, e.Depth)
-	}
-	p("# HELP streamdag_edge_credit_stalls_total Blocked-send episodes per edge.\n")
-	p("# TYPE streamdag_edge_credit_stalls_total counter\n")
-	for _, e := range s.Edges {
-		p("streamdag_edge_credit_stalls_total{edge=%q} %d\n", e.Name, e.CreditStalls)
-	}
-	p("# HELP streamdag_edge_credit_stall_%s_total Cumulative blocked-send time per edge (%s).\n", u, u)
-	p("# TYPE streamdag_edge_credit_stall_%s_total counter\n", u)
-	for _, e := range s.Edges {
-		p("streamdag_edge_credit_stall_%s_total{edge=%q} %d\n", u, e.Name, e.CreditStallTime)
-	}
-
-	p("# HELP streamdag_sessions_opened_total Sessions opened.\n")
-	p("# TYPE streamdag_sessions_opened_total counter\n")
-	p("streamdag_sessions_opened_total %d\n", s.Sessions.Opened)
-	p("# HELP streamdag_sessions_active Sessions currently open.\n")
-	p("# TYPE streamdag_sessions_active gauge\n")
-	p("streamdag_sessions_active %d\n", s.Sessions.Active)
-	p("# HELP streamdag_sessions_completed_total Sessions completed (EOF).\n")
-	p("# TYPE streamdag_sessions_completed_total counter\n")
-	p("streamdag_sessions_completed_total %d\n", s.Sessions.Completed)
-	p("# HELP streamdag_sessions_failed_total Sessions ended with an error.\n")
-	p("# TYPE streamdag_sessions_failed_total counter\n")
-	p("streamdag_sessions_failed_total %d\n", s.Sessions.Failed)
-	p("# HELP streamdag_sink_msgs_total Data-carrying sink deliveries.\n")
-	p("# TYPE streamdag_sink_msgs_total counter\n")
-	p("streamdag_sink_msgs_total %d\n", s.Sessions.SinkMsgs)
-
-	p("# HELP streamdag_fault_workers_down_total Workers whose links were dropped and re-dialed.\n")
-	p("# TYPE streamdag_fault_workers_down_total counter\n")
-	p("streamdag_fault_workers_down_total %d\n", s.Faults.WorkersDown)
-	p("# HELP streamdag_fault_session_retries_total Session re-open attempts by the retry layer.\n")
-	p("# TYPE streamdag_fault_session_retries_total counter\n")
-	p("streamdag_fault_session_retries_total %d\n", s.Faults.SessionRetries)
-	p("# HELP streamdag_fault_dead_lettered_total Payloads routed to the dead-letter sink.\n")
-	p("# TYPE streamdag_fault_dead_lettered_total counter\n")
-	p("streamdag_fault_dead_lettered_total %d\n", s.Faults.DeadLettered)
-	p("# HELP streamdag_fault_drains_total Completed engine drains.\n")
-	p("# TYPE streamdag_fault_drains_total counter\n")
-	p("streamdag_fault_drains_total %d\n", s.Faults.Drains)
-	p("# HELP streamdag_fault_drain_%s_total Cumulative drain duration (%s).\n", u, u)
-	p("# TYPE streamdag_fault_drain_%s_total counter\n", u)
-	p("streamdag_fault_drain_%s_total %d\n", u, s.Faults.DrainTime)
-
-	p("# HELP streamdag_scale_ups_total Committed rescales that raised a node's replica count.\n")
-	p("# TYPE streamdag_scale_ups_total counter\n")
-	p("streamdag_scale_ups_total %d\n", s.Scale.ScaleUps)
-	p("# HELP streamdag_scale_downs_total Committed rescales that lowered a node's replica count.\n")
-	p("# TYPE streamdag_scale_downs_total counter\n")
-	p("streamdag_scale_downs_total %d\n", s.Scale.ScaleDowns)
-	p("# HELP streamdag_scale_rescale_%s_total Cumulative re-plan and swap time (%s).\n", u, u)
-	p("# TYPE streamdag_scale_rescale_%s_total counter\n", u)
-	p("streamdag_scale_rescale_%s_total %d\n", u, s.Scale.RescaleTime)
-	p("# HELP streamdag_scale_sessions_migrated_total Sessions migrated off a retiring topology via the retry path.\n")
-	p("# TYPE streamdag_scale_sessions_migrated_total counter\n")
-	p("streamdag_scale_sessions_migrated_total %d\n", s.Scale.SessionsMigrated)
-	p("# HELP streamdag_scale_sessions_evicted_total Sessions cancelled at the rescale drain deadline.\n")
-	p("# TYPE streamdag_scale_sessions_evicted_total counter\n")
-	p("streamdag_scale_sessions_evicted_total %d\n", s.Scale.SessionsEvicted)
-
-	p("# HELP streamdag_time_timer_ticks_total Timer-driven flushes delivered to time-aware kernels.\n")
-	p("# TYPE streamdag_time_timer_ticks_total counter\n")
-	p("streamdag_time_timer_ticks_total %d\n", s.Time.TimerTicks)
-	p("# HELP streamdag_time_timed_emissions_total Elements emitted by time-aware kernels.\n")
-	p("# TYPE streamdag_time_timed_emissions_total counter\n")
-	p("streamdag_time_timed_emissions_total %d\n", s.Time.TimedEmissions)
+	writeFamilies(bw, u, nodeFamilies, s.Nodes, "node", func(n *NodeSnapshot) string { return n.Name })
+	writeFamilies(bw, u, edgeFamilies, s.Edges, "edge", func(e *EdgeSnapshot) string { return e.Name })
+	writeFamilies(bw, u, lifeFamilies, []Snapshot{*s}, "", nil)
 
 	p("# HELP streamdag_session_latency_%s Session open-to-EOF latency (%s).\n", u, u)
 	p("# TYPE streamdag_session_latency_%s histogram\n", u)
@@ -749,37 +690,13 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 	p("streamdag_session_latency_%s_count %d\n", u, s.Sessions.Latency.Count)
 
 	if len(s.Links) > 0 {
-		p("# HELP streamdag_link_tx_frames_total Wire frames written per worker link.\n")
-		p("# TYPE streamdag_link_tx_frames_total counter\n")
-		for _, l := range s.Links {
-			p("streamdag_link_tx_frames_total{link=%q} %d\n", l.Name, l.TxFrames)
-		}
-		p("# HELP streamdag_link_tx_bodies_total Protocol bodies sent per worker link.\n")
-		p("# TYPE streamdag_link_tx_bodies_total counter\n")
-		for _, l := range s.Links {
-			p("streamdag_link_tx_bodies_total{link=%q} %d\n", l.Name, l.TxBodies)
-		}
-		p("# HELP streamdag_link_tx_bytes_total Bytes written per worker link.\n")
-		p("# TYPE streamdag_link_tx_bytes_total counter\n")
-		for _, l := range s.Links {
-			p("streamdag_link_tx_bytes_total{link=%q} %d\n", l.Name, l.TxBytes)
-		}
-		p("# HELP streamdag_link_rx_frames_total Wire frames read per worker link.\n")
-		p("# TYPE streamdag_link_rx_frames_total counter\n")
-		for _, l := range s.Links {
-			p("streamdag_link_rx_frames_total{link=%q} %d\n", l.Name, l.RxFrames)
-		}
-		p("# HELP streamdag_link_rx_bytes_total Bytes read per worker link.\n")
-		p("# TYPE streamdag_link_rx_bytes_total counter\n")
-		for _, l := range s.Links {
-			p("streamdag_link_rx_bytes_total{link=%q} %d\n", l.Name, l.RxBytes)
-		}
+		writeFamilies(bw, u, linkFamilies, s.Links, "link", func(l *LinkSnapshot) string { return l.Name })
 	}
 	return bw.err
 }
 
-// errWriter latches the first write error so the long fprintf chain in
-// WritePrometheus doesn't need per-line checks.
+// errWriter latches the first write error so WritePrometheus's loops
+// don't need per-line checks.
 type errWriter struct {
 	w   io.Writer
 	err error

@@ -298,10 +298,6 @@ func (r *Result) OriginalEdge(e graph.EdgeID) (graph.EdgeID, bool) {
 // NewEdge maps an original edge to its expanded counterpart.
 func (r *Result) NewEdge(e graph.EdgeID) graph.EdgeID { return r.newEdge[e] }
 
-// OriginalNode maps an expanded node to the original node it descends
-// from (splitters, replicas, and mergers map to the replicated node).
-func (r *Result) OriginalNode(n graph.NodeID) graph.NodeID { return r.origNode[n] }
-
 // Kernels maps kernels keyed by original node onto the expanded graph:
 // plain nodes keep their kernel, each replica wraps the replicated
 // node's kernel (nil defaults to passthrough over the original

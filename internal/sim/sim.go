@@ -103,9 +103,6 @@ type Config struct {
 	// runtime backends, and the reference schedule fires one element per
 	// step at any width (see the package doc).
 	MaxBatch int
-	// Trace, if non-nil, receives one line per consume/emit event; for
-	// debugging only.
-	Trace func(string)
 	// Obs, when non-nil, receives per-node/per-edge/per-session telemetry.
 	// The simulator stamps it virtual: every duration metric (service
 	// time, credit-stall time, session latency) is measured in scheduler
@@ -784,7 +781,6 @@ func (s *state) fire(nd *node, seq uint64, anyData bool) {
 	}
 	clear(nd.outs) // the next firing's slots arrive zeroed
 	clear(nd.emitted)
-	s.trace(nd, seq, anyData)
 }
 
 // sinkDeliver records one data-carrying sink firing and hands its
@@ -798,23 +794,6 @@ func (s *state) sinkDeliver(nd *node, seq uint64) error {
 		return s.cfg.Sink(s.cfg.Ctx, seq, stream.SinkPayload(nd.ins, nd.outs, nd.emitted))
 	}
 	return nil
-}
-
-// trace reports one firing's queued messages (pending is empty when a
-// firing begins, so the queue is exactly this firing's output).
-func (s *state) trace(nd *node, seq uint64, haveData bool) {
-	if s.cfg.Trace == nil {
-		return
-	}
-	desc := fmt.Sprintf("%s consumes %d (data=%v):", s.g.Name(nd.id), seq, haveData)
-	for _, p := range nd.pending {
-		kind := "data"
-		if p.msg.kind == Dummy {
-			kind = "dummy"
-		}
-		desc += fmt.Sprintf(" %s(%d)→%s", kind, p.msg.seq, s.g.Name(s.g.Edge(p.edge).To))
-	}
-	s.cfg.Trace(desc)
 }
 
 // describeBlocked renders the stuck configuration (the full/empty pattern

@@ -391,7 +391,7 @@ func (p *Pipeline) applyPlan(plan ReplicationPlan) error {
 		}
 		p.rep = rep
 		p.topo = rep.Topology()
-		kernels = rep.Kernels(kernels)
+		kernels = rep.res.Kernels(kernels)
 	}
 	p.kernels = kernels
 

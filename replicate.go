@@ -62,24 +62,6 @@ func expand(t *Topology, plan ReplicationPlan) (*Replicated, error) {
 // Topology returns the expanded topology; analyze and run this one.
 func (r *Replicated) Topology() *Topology { return r.topo }
 
-// Kernels maps kernels keyed by ORIGINAL node IDs onto the expanded
-// topology: replicas share the replicated node's kernel (which must
-// therefore be safe for concurrent use), and the synthetic splitter and
-// merger kernels are supplied automatically.  The result is what
-// Build(r.Topology(), WithKernels(...)) expects for the expanded
-// topology.
-func (r *Replicated) Kernels(orig map[NodeID]Kernel) map[NodeID]Kernel {
-	return r.res.Kernels(orig)
-}
-
-// Filter maps a Filter written against the original topology onto the
-// expanded one, for Simulate and RouteKernels.  Simulating the expanded
-// topology with the mapped filter reproduces, edge for edge, the data
-// counts of simulating the original topology with the original filter.
-func (r *Replicated) Filter(orig Filter) Filter {
-	return r.res.Filter(orig)
-}
-
 // Replicas returns the node IDs (in the expanded topology) that run the
 // named node's kernel: its replicas when expanded, the node itself
 // otherwise.  Use it to spread replicas across distributed workers.

@@ -80,7 +80,7 @@ topology scaled {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := rep.Filter(PerInputBernoulli(0.5, 3))
+	f := rep.res.Filter(PerInputBernoulli(0.5, 3))
 	res := Simulate(nt, f, SimConfig{Inputs: 200, Algorithm: NonPropagation, Intervals: iv})
 	if !res.Completed {
 		t.Fatalf("deadlocked: %v", res.Blocked)
@@ -114,7 +114,7 @@ func TestReplicatedThreeBackendEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	nt := rep.Topology()
-	filter := rep.Filter(PerInputBernoulli(0.35, 41))
+	filter := rep.res.Filter(PerInputBernoulli(0.35, 41))
 
 	for _, alg := range []Algorithm{Propagation, NonPropagation} {
 		a, err := Analyze(nt)
@@ -219,7 +219,7 @@ func TestReplicatedBundlesOverTCP(t *testing.T) {
 			assign[name] = "alpha"
 		}
 	}
-	distRes, err := runCounting(nt, inputs, WithKernels(rep.Kernels(orig)),
+	distRes, err := runCounting(nt, inputs, WithKernels(rep.res.Kernels(orig)),
 		WithAlgorithm(NonPropagation), WithWatchdog(5*time.Second),
 		WithBackend(Distributed(assign)))
 	if err != nil {
@@ -227,7 +227,7 @@ func TestReplicatedBundlesOverTCP(t *testing.T) {
 	}
 	distSink := distRes.SinkData
 
-	local, err := runCounting(nt, inputs, WithKernels(rep.Kernels(orig)),
+	local, err := runCounting(nt, inputs, WithKernels(rep.res.Kernels(orig)),
 		WithAlgorithm(NonPropagation), WithWatchdog(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func TestReplicatedMatchesOriginalCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repRes := Simulate(nt, rep.Filter(f), SimConfig{
+	repRes := Simulate(nt, rep.res.Filter(f), SimConfig{
 		Inputs: inputs, Algorithm: NonPropagation, Intervals: riv,
 	})
 	if !repRes.Completed {

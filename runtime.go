@@ -123,8 +123,6 @@ type SimConfig struct {
 	Intervals map[EdgeID]Interval
 	// MaxSteps bounds the scheduler (0 = unbounded).
 	MaxSteps int64
-	// Trace, if non-nil, receives one line per consume/emit event.
-	Trace func(string)
 }
 
 // SimResult is the simulator's outcome, including exact deadlock
@@ -141,7 +139,6 @@ func Simulate(t *Topology, f Filter, cfg SimConfig) *SimResult {
 		Algorithm: cfg.Algorithm,
 		Intervals: cfg.Intervals,
 		MaxSteps:  cfg.MaxSteps,
-		Trace:     cfg.Trace,
 	})
 }
 
