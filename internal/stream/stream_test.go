@@ -187,10 +187,16 @@ func requireMatchesSim(t *testing.T, label string, g *graph.Graph, stats *stream
 // in transit, per-edge data counts, per-edge dummy counts and the sink
 // sequence must equal the deterministic simulator's.  Topologies are
 // drawn from the three CS4 generators with buffer capacities from
-// [1, maxBuf], the source filters per edge (the split whose branches the
-// dummies keep alive) and every other node per input, under both
-// protocols; batch 7 and 64 against capacities of 1 and 2 make nearly
-// every pass end at a window, batch 64 against 64 makes long mixed runs.
+// [1, maxBuf], under both protocols and two filter classes: the source
+// filters per edge (the split whose branches the dummies keep alive) and
+// every other node per input; or every node filters per edge, so that
+// interior nodes emit data on some out-edges and not others and the
+// dummy timers decide what is sent.  The per-edge class is outside what
+// Propagation guarantees (ROADMAP item 23): a case the simulator wedges
+// on is skipped and counted, and the test fails when none ran or more
+// than half were skipped.  Batch 7 and 64 against capacities of 1 and 2
+// make nearly every pass end at a window, batch 64 against 64 makes long
+// mixed runs.
 func TestRuntimeMatchesSimulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	families := map[string]func() *graph.Graph{}
@@ -208,14 +214,23 @@ func TestRuntimeMatchesSimulator(t *testing.T) {
 	const inputs = 300
 	// What the cases exercised, so the check cannot go vacuous: dummies,
 	// edges mixing both kinds, and firings that crossed a node with one
-	// in-edge, and one with more, as a stretch of dummies.
+	// in-edge, and one with more, as a stretch of dummies; and how many
+	// per-edge cases ran and were skipped.
 	var dummies, mixed, stretched1, stretchedN int64
+	var perEdgeRan, perEdgeSkipped int
 	for _, name := range names {
 		for trial := 0; trial < 4; trial++ {
 			g := families[name]()
 			seed := uint64(trial)
-			filter := workload.SourceRouting(g.Source(), workload.Bernoulli(0.4, seed),
-				workload.PerInputBernoulli(0.7, seed))
+			filters := []struct {
+				name    string
+				f       workload.FilterFunc
+				perEdge bool
+			}{
+				{"source-routing", workload.SourceRouting(g.Source(), workload.Bernoulli(0.4, seed),
+					workload.PerInputBernoulli(0.7, seed)), false},
+				{"per-edge", workload.Bernoulli(0.6, seed), true},
+			}
 			d, err := cs4.Classify(g)
 			if err != nil {
 				t.Fatalf("%s trial %d: %v\n%s", name, trial, err, g)
@@ -225,23 +240,31 @@ func TestRuntimeMatchesSimulator(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := stream.Config{Algorithm: alg, Intervals: iv, WatchdogTimeout: 5 * time.Second}
-				ref, refSeen := simRun(g, filterKernels(g, filter), cfg, inputs)
-				if !ref.Completed {
-					t.Fatalf("%s trial %d: simulator: %s\n%s", name, trial, ref.Reason, g)
-				}
-				dummies += ref.TotalDummy()
-				for _, e := range g.Edges() {
-					if ref.DataMsgs[e.ID] > 0 && ref.DummyMsgs[e.ID] > 0 {
-						mixed++
+				for _, fc := range filters {
+					cfg := stream.Config{Algorithm: alg, Intervals: iv, WatchdogTimeout: 5 * time.Second}
+					ref, refSeen := simRun(g, filterKernels(g, fc.f), cfg, inputs)
+					switch {
+					case !ref.Completed && fc.perEdge:
+						perEdgeSkipped++
+						continue
+					case !ref.Completed:
+						t.Fatalf("%s trial %d %s: simulator: %s\n%s", name, trial, fc.name, ref.Reason, g)
+					case fc.perEdge:
+						perEdgeRan++
 					}
-				}
-				for _, batch := range []int{1, 7, 64} {
-					cfg.MaxBatch = batch
-					stats, seen, single, multi := stretchedRun(t, g, filterKernels(g, filter), cfg, inputs)
-					stretched1, stretchedN = stretched1+single, stretchedN+multi
-					label := fmt.Sprintf("%s trial %d alg %v batch %d", name, trial, alg, batch)
-					requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
+					dummies += ref.TotalDummy()
+					for _, e := range g.Edges() {
+						if ref.DataMsgs[e.ID] > 0 && ref.DummyMsgs[e.ID] > 0 {
+							mixed++
+						}
+					}
+					for _, batch := range []int{1, 7, 64} {
+						cfg.MaxBatch = batch
+						stats, seen, single, multi := stretchedRun(t, g, filterKernels(g, fc.f), cfg, inputs)
+						stretched1, stretchedN = stretched1+single, stretchedN+multi
+						label := fmt.Sprintf("%s trial %d alg %v %s batch %d", name, trial, alg, fc.name, batch)
+						requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
+					}
 				}
 			}
 		}
@@ -252,8 +275,11 @@ func TestRuntimeMatchesSimulator(t *testing.T) {
 	if stretched1 == 0 || stretchedN == 0 {
 		t.Fatalf("%d firings crossed single-input nodes and %d multi-input nodes as dummy stretches; the test would not notice a stretch that breaks the protocol", stretched1, stretchedN)
 	}
-	t.Logf("%d dummies; %d (case, edge) pairs carried data and dummies interleaved; %d and %d firings in dummy stretches at single- and multi-input nodes",
-		dummies, mixed, stretched1, stretchedN)
+	if perEdgeRan == 0 || perEdgeSkipped > (perEdgeRan+perEdgeSkipped)/2 {
+		t.Fatalf("%d per-edge filter cases ran and %d were skipped because the simulator wedged; the test would not see the dummy timers", perEdgeRan, perEdgeSkipped)
+	}
+	t.Logf("%d dummies; %d (case, edge) pairs carried data and dummies interleaved; %d and %d firings in dummy stretches at single- and multi-input nodes; %d per-edge filter cases ran, %d skipped (the simulator wedged)",
+		dummies, mixed, stretched1, stretchedN, perEdgeRan, perEdgeSkipped)
 }
 
 func TestDefaultKernelsPassthrough(t *testing.T) {
