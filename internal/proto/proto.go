@@ -122,6 +122,7 @@ func MinSeq(heads []uint64) uint64 {
 // Engine is the per-node protocol state: one dummy timer per out-edge.
 // It is not safe for concurrent use; each node owns one engine.
 type Engine struct {
+	_ [64]byte // apart from other nodes' engines in memory (see NewEngine)
 	// lastSent[i] is the sequence number of the last message (data or
 	// dummy) sent on out-edge i, or -1.  Timers measure distance in
 	// SEQUENCE NUMBERS, not in consumed inputs: a node fed sparse
@@ -139,6 +140,7 @@ type Engine struct {
 	// counts is the engine's span accounting (see Counts); plain fields
 	// because each node owns its engine single-threadedly.
 	counts Counts
+	_      [64]byte
 }
 
 // Counts is an Engine's firing accounting: how the node's traffic
@@ -164,11 +166,15 @@ func (e *Engine) Counts() Counts { return e.counts }
 // NewEngine returns the protocol engine for a node with the given
 // out-edges (in the backend's out-edge order, which indexes Fire's masks).
 func NewEngine(out []graph.EdgeID, cfg Config) *Engine {
+	// The arrays a firing writes fill whole cache lines: the engines of
+	// different nodes are made one after another, and tiny arrays side by
+	// side would make every firing of one evict the line from another's
+	// core.
 	e := &Engine{
-		lastSent: make([]int64, len(out)),
+		lastSent: make([]int64, len(out), (len(out)+7)/8*8),
 		sendAt:   make([]uint64, len(out)),
 		cascade:  cfg.Intervals != nil && cfg.Algorithm == cs4.Propagation,
-		dummy:    make([]bool, len(out)),
+		dummy:    make([]bool, len(out), (len(out)+63)/64*64),
 	}
 	for i, edge := range out {
 		e.lastSent[i] = -1

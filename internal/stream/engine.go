@@ -20,9 +20,10 @@ package stream
 // never block on anything but their own mailbox:
 //
 //   - sends that find a full window park in a per-session pending slot and
-//     retry when the consumer returns a credit (the simulator's pending
-//     semantics — a firing's sends proceed independently per edge, and the
-//     node consumes its next input only when all of them have landed);
+//     retry when the consumer's consumed count makes room (the simulator's
+//     pending semantics — a firing's sends proceed independently per edge,
+//     and the node consumes its next input only when all of them have
+//     landed);
 //   - Source.Next and Sink.Emit, which may block indefinitely, run in
 //     per-session pump goroutines that exchange payloads with the source
 //     and sink node loops through grant tokens, so a quiet source or a
@@ -37,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,6 +101,10 @@ type Engine struct {
 	// cross[edge] names both ends of a Config.Cross edge (zero otherwise):
 	// where Deliver and Credit re-enter the node loops.
 	cross []crossEnds
+	// rings[edge] places a local edge's ring in every session's slots,
+	// ringSlots long (see ring).
+	rings     []ring
+	ringSlots int
 
 	// srcWin/sinkWin are the ingest and sink pump windows, in payload
 	// units; the defaults scale with the endpoint nodes' batch widths so
@@ -123,7 +129,30 @@ type Engine struct {
 	// onRetire, nil outside tests, sees each node session's protocol
 	// counts as it retires, with the node's in-degree.
 	onRetire func(inDegree int, c proto.Counts)
+	// events, nil outside tests, counts the events the node loops take,
+	// by kind.
+	events *[evKinds]atomic.Int64
 }
+
+// ring places one local edge's ring in a session's slots: [off,
+// off+mask+1), a power of two at least the edge's Buf, which the window
+// never exceeds.  peer is the node at the edge's far end — the consumer in
+// Engine.rings and a node's outRing, the producer in its inRing — and nil
+// for an edge on the post path: a cross edge, or one whose Buf is past
+// maxRingBuf.
+type ring struct {
+	off  int
+	mask uint64
+	peer *engineNode
+}
+
+// maxRingBuf is the largest Buf an in-process edge gets a ring for.  A
+// ring is allocated whole with a session's buffers, one 32-byte slot per
+// message of window rounded up to a power of two, and the engine keeps up
+// to freeSessions sets: at 1024 that is at most 64 KB per edge per set.
+// A larger window keeps the mailbox path, whose head queue grows only to
+// what the session actually holds.
+const maxRingBuf = 1024
 
 // NewEngine spins up the resident node loops for g; ingestion and
 // delivery are per session (SessionConfig).  g must be a two-terminal
@@ -174,8 +203,8 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 				n.obsOut[i] = m.Edge(int(edge))
 			}
 		}
-		n.creditAcc = make([]int, len(n.in))
-		n.cur = make([]int, len(n.in))
+		n.creditAcc = lineSlice[int](len(n.in))
+		n.cur = lineSlice[int](len(n.in))
 		n.batch = cfg.MaxBatch
 		if b, ok := cfg.NodeBatch[id]; ok {
 			n.batch = b
@@ -185,11 +214,14 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		}
 		// Sources receive one synthetic input; a node without out-edges
 		// keeps one output slot, the SinkPayload hook.
-		n.kin = make([]Input, max(len(n.in), 1))
-		n.kout = make([]any, max(len(n.out), 1))
-		n.present = make([]bool, max(len(n.out), 1))
-		n.acc = make([][]Message, len(n.out))
-		n.accDummy = make([]int, len(n.out))
+		n.kin = lineSlice[Input](max(len(n.in), 1))
+		n.kout = lineSlice[any](max(len(n.out), 1))
+		n.present = lineSlice[bool](max(len(n.out), 1))
+		n.acc = lineSlice[[]Message](len(n.out))
+		for i := range n.acc {
+			n.acc[i] = lineSlice[Message](n.batch)[:0]
+		}
+		n.accDummy = lineSlice[int](len(n.out))
 		n.allTrue = make([]bool, len(n.out))
 		for i := range n.allTrue {
 			n.allTrue[i] = true
@@ -204,27 +236,44 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		}
 		n.queued = len(n.in) == 0 || n.timed != nil
 		if n.spanK != nil {
-			n.spanIn = make([]any, n.batch)
-			n.spanOut = make([]any, n.batch)
-			n.spanSeq = make([]uint64, n.batch)
+			n.spanIn = lineSlice[any](n.batch)
+			n.spanOut = lineSlice[any](n.batch)
+			n.spanSeq = lineSlice[uint64](n.batch)
+		}
+		if len(n.out) == 0 {
+			n.emSeqs = lineSlice[uint64](n.batch)[:0]
+			n.emPays = lineSlice[any](n.batch)[:0]
 		}
 		e.nodes[i] = n
 	}
 	// Wire the neighbour tables: whose mailbox takes in-position i's
 	// credits and out-position i's messages, and the position the event
-	// carries.  A local edge posts straight into the neighbour's mailbox
-	// under the edge's position in the neighbour's order; a cross edge
-	// posts into its carrier's outbox under the edge id, and comes back
-	// in through Deliver/Credit on the far side of the wire.
+	// carries.  A local edge is a ring per session (rings); past
+	// maxRingBuf it posts straight into the neighbour's mailbox under the
+	// edge's position in the neighbour's order.  A cross edge posts into
+	// its carrier's outbox under the edge id, and comes back in through
+	// Deliver/Credit on the far side of the wire.
 	if len(cfg.Cross) > 0 {
 		e.cross = make([]crossEnds, g.NumEdges())
+	}
+	e.rings = make([]ring, g.NumEdges())
+	for _, ed := range g.Edges() {
+		if _, cross := cfg.Cross[ed.ID]; !cross && ed.Buf <= maxRingBuf {
+			size := max(2, 1<<bits.Len(uint(ed.Buf-1))) // a line at least
+			e.rings[ed.ID] = ring{off: e.ringSlots, mask: uint64(size - 1), peer: e.nodes[ed.To]}
+			e.ringSlots += size
+		}
 	}
 	for _, n := range e.nodes {
 		n.upMB = make([]*mailbox, len(n.in))
 		n.upPos = make([]int32, len(n.in))
+		n.inRing = make([]ring, len(n.in))
 		for i, edge := range n.in {
 			up := e.nodes[g.Edge(edge).From]
 			n.upMB[i], n.upPos[i] = up.mb, edgeIndex(up.out, edge)
+			if r := e.rings[edge]; r.peer != nil {
+				n.inRing[i] = ring{off: r.off, mask: r.mask, peer: up}
+			}
 			if c, ok := cfg.Cross[edge]; ok {
 				e.cross[edge].to, e.cross[edge].inPos = n, int32(i)
 				n.upMB[i], n.upPos[i] = c.Credits.mb, int32(edge)
@@ -241,6 +290,10 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 				n.downMB[i], n.downPos[i] = c.Msgs.mb, int32(edge)
 			}
 			n.outCap[i] = g.Edge(edge).Buf
+		}
+		n.outRing = make([]ring, len(n.out))
+		for i, edge := range n.out {
+			n.outRing[i] = e.rings[edge]
 		}
 	}
 	e.source = e.nodes[g.Source()]
@@ -266,6 +319,26 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		e.watchdog()
 	}()
 	return e, nil
+}
+
+// lineSlice returns n zero Ts in an array that fills whole cache lines.
+// A node's scratch is written at every firing, by that node's goroutine
+// alone; made at NewEngine or at a session's open one node after another,
+// small arrays of different nodes would sit side by side in one line and
+// every firing of one would evict the line from the other's core.  An
+// array whose size is a multiple of 64 bytes is allocated from a size
+// class of such multiples, so it starts on a line boundary too.
+func lineSlice[T any](n int) []T {
+	size := int(reflect.TypeFor[T]().Size())
+	per := 64 / gcd(size, 64)
+	return make([]T, n, (n+per-1)/per*per)
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 func edgeIndex(edges []graph.EdgeID, e graph.EdgeID) int32 {
@@ -356,12 +429,15 @@ func (e *Engine) takeBufs(sink bool) *sessionBufs {
 	} else {
 		// Each ring (a power of two, for mask indexing) holds its window:
 		// the ingest ring's occupancy never exceeds outstanding grants, so
-		// the pump never waits for ring space.  The pump's fill scratch
-		// holds one window too.
+		// the pump never waits for ring space, and an edge ring's never
+		// exceeds the edge's Buf.  The pump's fill scratch holds one window
+		// too.
 		b = &sessionBufs{
 			live:    make([]ownedCounter, len(e.nodes)),
 			at:      make([]*nodeSession, len(e.nodes)),
 			edges:   make([]edgeCounts, e.g.NumEdges()),
+			kicks:   make([]kickFlag, len(e.nodes)),
+			slots:   make([]Message, e.ringSlots),
 			ready:   make(chan struct{}, 1),
 			ring:    make([]any, 1<<bits.Len(uint(e.srcWin-1))),
 			scratch: make([]any, e.srcWin),
@@ -502,18 +578,18 @@ type EngineSession struct {
 	// and waking the pump through the one-slot ready channel; the pump
 	// publishes each payload to the single-producer single-consumer ring
 	// as soon as Source.Next returns it — never holding one back while
-	// demanding another — and posts one coalesced evIngest kick (ingKick)
-	// per drain cycle rather than one event per payload.  The ring never
-	// fills: occupancy is bounded by the source node's outstanding grants,
-	// which never exceed the ingest window the ring is sized for.  Only
-	// the pump writes ingTail and only the source node's goroutine writes
-	// ingHead; ingEOF is set (once) after the last payload's tail store,
-	// so a reader that observes it also observes every payload.
+	// demanding another — and kicks the source node (EngineSession.kick)
+	// once per drain cycle rather than posting one event per payload.  The
+	// ring never fills: occupancy is bounded by the source node's
+	// outstanding grants, which never exceed the ingest window the ring is
+	// sized for.  Only the pump writes ingTail and only the source node's
+	// goroutine writes ingHead; ingEOF is set (once) after the last
+	// payload's tail store, so a reader that observes it also observes
+	// every payload.
 	readyN  atomic.Int64
 	ingHead atomic.Uint64
 	ingTail atomic.Uint64
 	ingEOF  atomic.Bool
-	ingKick atomic.Bool
 
 	_ [64]byte
 
@@ -578,6 +654,13 @@ type sessionBufs struct {
 	at []*nodeSession
 	// edges[e] is edge e's counts, each half written by one end.
 	edges []edgeCounts
+	// kicks[n] is raised while an evKick for the session is queued at node
+	// n (see EngineSession.kick).
+	kicks []kickFlag
+	// slots holds the rings of the local edges, each at its ring's offset
+	// (see ring): the messages a producer has sent and its consumer has
+	// not yet taken into its heads.
+	slots []Message
 
 	// ready wakes the ingest pump (grants, and end); ring is the ingest
 	// ring; scratch is the pump's fill buffer.
@@ -600,17 +683,31 @@ type ownedCounter struct {
 	_ [56]byte
 }
 
-// edgeCounts is one edge's counts for one session, on two cache lines
-// each written by one node alone: the producer's sent (EOS included) and
-// data/dummies by kind, read at completion (the sink node's final EOS
-// happens-after every send), and the consumer's consumed, taken once per
-// advance with the credit ack.
+// edgeCounts is one edge's counts for one session, on two cache lines,
+// each written by one node (but for the stalled flag): the producer's sent
+// (EOS included) and data/dummies by kind, read at completion (the sink
+// node's final EOS happens-after every send), and the consumer's consumed,
+// stored once per advance.  On a local edge sent is also the ring's tail,
+// taken (the consumer's alone) its head, and sent − consumed the window's
+// occupancy, which the producer reads instead of being sent credits;
+// stalled is raised by a producer whose send parked on the full window and
+// lowered by whichever of the two ends first finds room (see park and
+// flushCredits).
 type edgeCounts struct {
 	sent          atomic.Int64
 	data, dummies int64
 	_             [40]byte
 	consumed      atomic.Int64
-	_             [56]byte
+	taken         int64
+	stalled       atomic.Bool
+	_             [44]byte
+}
+
+// kickFlag is one node's kick flag for one session, alone on its cache
+// line: raised by the producers that post the kick, lowered by the node.
+type kickFlag struct {
+	raised atomic.Bool
+	_      [60]byte
 }
 
 // occupancy is sent − consumed; consumed is read first, so never < 0.
@@ -629,8 +726,8 @@ func (s *EngineSession) unhold() {
 	if s.holds.Add(-1) != 0 {
 		return
 	}
-	s.scrub()
 	e := s.e
+	s.scrub(e)
 	e.mu.Lock()
 	if len(e.free) < freeSessions {
 		e.free = append(e.free, s.sessionBufs)
@@ -638,19 +735,29 @@ func (s *EngineSession) unhold() {
 	e.mu.Unlock()
 }
 
-// scrub empties the buffers for their next session: counters zeroed (the
-// atomics with stores, since a watchdog scan that listed the old session
-// may still read them), rings and scratch cleared so no payload outlives
-// its session, and a stale ready token drained.  (Each node empties its
+// scrub empties the buffers for their next session: counters and flags
+// zeroed (the atomics with stores, since a watchdog scan that listed the
+// old session may still read them), rings and scratch cleared so no
+// payload outlives its session, and a stale ready token drained.  (Each node empties its
 // own at slot when it retires.)
-func (b *sessionBufs) scrub() {
+func (b *sessionBufs) scrub(e *Engine) {
 	for i := range b.live {
 		b.live[i].n.Store(0)
+		b.kicks[i].raised.Store(false)
 	}
 	for i := range b.edges {
 		c := &b.edges[i]
+		if r := e.rings[i]; r.peer != nil {
+			// Consumers clear the slots they take; an aborted session
+			// leaves at most a window's worth behind.
+			for h, t := c.taken, c.sent.Load(); h != t; h++ {
+				b.slots[r.off+int(uint64(h)&r.mask)] = Message{}
+			}
+		}
 		c.sent.Store(0)
 		c.consumed.Store(0)
+		c.taken = 0
+		c.stalled.Store(false)
 		c.data, c.dummies = 0, 0
 	}
 	clear(b.ring)
@@ -828,13 +935,7 @@ func (s *EngineSession) ingestPump(src *engineNode) {
 				// observes EOF has observed every payload.
 				s.ingEOF.Store(true)
 			}
-			// Load-then-CAS: skip the bus-locked op while the kick is
-			// already armed.  A drain clears the kick before reading the
-			// tail, so a payload published after its read re-arms and
-			// re-posts — none are stranded.
-			if !s.ingKick.Load() && s.ingKick.CompareAndSwap(false, true) {
-				src.mb.post(event{kind: evIngest, ses: s})
-			}
+			s.kick(src)
 			if eof {
 				s.external.Add(-1)
 				return
@@ -946,13 +1047,15 @@ func (s *EngineSession) wakeSink() {
 type evKind uint8
 
 const (
-	evOpen evKind = iota
-	evMsg
-	evCredit
-	evIngest // coalesced kick: drain the session's shared ingest buffer
+	evOpen   evKind = iota
+	evMsg           // a run on a cross edge, or a local edge past maxRingBuf
+	evCredit        // credits returned on such an edge
+	evKick          // coalesced kick: drain the rings that feed this node for the session
+	evWake          // a consumer made room on a local out-edge where a send parked
 	evSinkDone
 	evTick // a time-aware node's flush timer fired for the session
 	evAbort
+	evKinds
 )
 
 // event is one unit of work for a node loop, 32 bytes.  Carrying the
@@ -984,7 +1087,7 @@ func (b *batch) reset() {
 
 // mailbox is the unbounded MPSC queue feeding one node loop.  Posts
 // never block, which is what keeps the node loops deadlock-free among
-// themselves: all flow control lives in the per-session credit windows,
+// themselves: all flow control lives in the per-session edge windows,
 // which also bound what the queue holds.  A run is copied in on post, so
 // the sender keeps its buffer and no buffer changes goroutine.  The
 // consumer drains whole batches (takeAll), so the lock is taken once per
@@ -993,6 +1096,7 @@ func (b *batch) reset() {
 // the queue empty raises parked and waits on wake; the post (or close)
 // that lowers the flag owes it the one token.
 type mailbox struct {
+	_      [64]byte // apart from its neighbours in memory (see lineSlice)
 	mu     sync.Mutex
 	q      batch
 	parked bool
@@ -1000,6 +1104,7 @@ type mailbox struct {
 	wake   chan struct{}
 	// taken counts the batches handed out, for the watchdog's busy check.
 	taken uint64
+	_     [64]byte
 }
 
 func newMailbox() *mailbox { return &mailbox{wake: make(chan struct{}, 1)} }
@@ -1071,16 +1176,21 @@ func (m *mailbox) close() {
 
 // engineNode is one resident node loop.
 type engineNode struct {
+	_   [64]byte // apart from its neighbours in memory (see lineSlice)
 	e   *Engine
 	id  graph.NodeID
 	in  []graph.EdgeID
 	out []graph.EdgeID
 	mb  *mailbox
 
-	// upMB[i] takes in-edge i's credit returns and downMB[i] out-edge i's
-	// messages: the neighbour's mailbox, tagged upPos/downPos with the
-	// edge's position in the neighbour's order — or, for a cross edge, its
-	// carrier's outbox, tagged with the edge id.
+	// inRing[i] and outRing[i] are in-edge i's and out-edge i's rings.
+	// An edge without one is on the post path: upMB[i] takes in-edge i's
+	// credit returns and downMB[i] out-edge i's messages — the neighbour's
+	// mailbox, tagged upPos/downPos with the edge's position in the
+	// neighbour's order, or, for a cross edge, its carrier's outbox, tagged
+	// with the edge id.
+	inRing  []ring
+	outRing []ring
 	upMB    []*mailbox
 	upPos   []int32
 	downMB  []*mailbox
@@ -1145,6 +1255,7 @@ type engineNode struct {
 	// the observer's overhead on near-zero-cost stages, so only one pass
 	// in obsSampleRate is timed and the reading scaled back up.
 	obsTick uint
+	_       [64]byte
 }
 
 // obsSampleRate is the ServiceTime sampling stride: one advance pass in
@@ -1157,6 +1268,7 @@ const obsSampleRate = 8
 // (release), so a short session does not rebuild its slices, its
 // proto.Engine and its head arrays at every node.
 type nodeSession struct {
+	_   [64]byte // apart from its neighbours in memory (see lineSlice)
 	ses *EngineSession
 	// live is this node's slot of the session's liveness counters.
 	live *ownedCounter
@@ -1202,6 +1314,7 @@ type nodeSession struct {
 	timer      clock.Timer
 	timerArmed bool
 	armedAt    time.Time
+	_          [64]byte
 }
 
 func (n *engineNode) run() {
@@ -1213,8 +1326,13 @@ func (n *engineNode) run() {
 		}
 		// Two-phase batch: absorb every event's state change first, then
 		// advance each touched session once — so a batch of arrivals
-		// costs one fire loop and one batched credit ack per session,
+		// costs one fire loop and one consumed-count store per session,
 		// not one per event.
+		if k := n.e.events; k != nil {
+			for i := range b.evs {
+				k[b.evs[i].kind].Add(1)
+			}
+		}
 		for i := range b.evs {
 			n.absorb(&b.evs[i], b.arena)
 		}
@@ -1295,14 +1413,14 @@ func (n *engineNode) openSession(ses *EngineSession) *nodeSession {
 		n.free = n.free[:k]
 	} else {
 		ns = &nodeSession{
-			heads:      make([]fifo[Message], len(n.in)),
+			heads:      lineSlice[fifo[Message]](len(n.in)),
 			engine:     proto.NewEngine(n.out, proto.Config{Algorithm: n.e.cfg.Algorithm, Intervals: n.e.cfg.Intervals}),
-			pendingMsg: make([]Message, len(n.out)),
-			pendingSet: make([]bool, len(n.out)),
-			inflight:   make([]int, len(n.out)),
+			pendingMsg: lineSlice[Message](len(n.out)),
+			pendingSet: lineSlice[bool](len(n.out)),
+			inflight:   lineSlice[int](len(n.out)),
 		}
 		if n.obsN != nil {
-			ns.stallSince = make([]int64, len(n.out))
+			ns.stallSince = lineSlice[int64](len(n.out))
 		}
 	}
 	ns.ses, ns.live = ses, &ses.live[n.id]
@@ -1395,29 +1513,15 @@ func (n *engineNode) absorb(ev *event, arena []Message) {
 			return
 		}
 		ns.inflight[ev.pos] -= ev.cnt
-	case evIngest:
-		// Clear the kick before draining: a payload published after the
-		// drain re-arms it and posts a fresh event, so none are stranded.
-		ev.ses.ingKick.Store(false)
-		// EOF before tail: the pump stores the tail of its last payload
-		// before setting EOF, so seeing EOF here means the tail read below
-		// covers the whole stream — srcDone is never set with payloads
-		// still in the ring.
-		eof := ev.ses.ingEOF.Load()
-		h := ev.ses.ingHead.Load()
-		t := ev.ses.ingTail.Load()
-		if t != h {
-			ring, mask := ev.ses.ring, uint64(len(ev.ses.ring)-1)
-			for i := h; i < t; i++ {
-				ns.ingestQ.push(ring[i&mask])
-				ring[i&mask] = nil
-			}
-			ev.ses.ingHead.Store(t)
-			ns.grants -= int(t - h)
-		}
-		if eof && !ns.srcDone {
-			ns.srcDone = true
-			ns.grants-- // the grant the EOS-returning Next consumed
+	case evKick:
+		// Lower the flag before reading the tails: a message published
+		// after the read raises it again and posts a fresh kick, so none
+		// are stranded.
+		ev.ses.kicks[n.id].raised.Store(false)
+		if len(n.in) == 0 {
+			n.drainIngest(ns)
+		} else {
+			n.drain(ns)
 		}
 	case evSinkDone:
 		ns.sinkInflight -= ev.cnt
@@ -1425,6 +1529,66 @@ func (n *engineNode) absorb(ev *event, arena []Message) {
 		ns.tickDue = true
 	}
 	n.markDirty(ns)
+}
+
+// drainIngest moves the payloads the ingest pump published into the
+// source's firing queue.
+func (n *engineNode) drainIngest(ns *nodeSession) {
+	s := ns.ses
+	// EOF before tail: the pump stores the tail of its last payload before
+	// setting EOF, so seeing EOF here means the tail read below covers the
+	// whole stream — srcDone is never set with payloads still in the ring.
+	eof := s.ingEOF.Load()
+	h := s.ingHead.Load()
+	t := s.ingTail.Load()
+	if t != h {
+		ring, mask := s.ring, uint64(len(s.ring)-1)
+		for i := h; i < t; i++ {
+			ns.ingestQ.push(ring[i&mask])
+			ring[i&mask] = nil
+		}
+		s.ingHead.Store(t)
+		ns.grants -= int(t - h)
+	}
+	if eof && !ns.srcDone {
+		ns.srcDone = true
+		ns.grants-- // the grant the EOS-returning Next consumed
+	}
+}
+
+// drain moves what the producers published on the node's in-edge rings
+// since the last drain into the heads, clearing the slots it takes.  The
+// heads then hold at most the window, as the ring does.
+func (n *engineNode) drain(ns *nodeSession) {
+	for i, r := range n.inRing {
+		if r.peer == nil {
+			continue
+		}
+		c := &ns.ses.edges[n.in[i]]
+		h, t := c.taken, c.sent.Load()
+		if h == t {
+			continue
+		}
+		slots := ns.ses.slots[r.off : r.off+int(r.mask)+1]
+		for c.taken = t; h != t; {
+			j := int(uint64(h) & r.mask)
+			run := slots[j:min(len(slots), j+int(t-h))]
+			ns.heads[i].pushAll(run)
+			clear(run)
+			h += int64(len(run))
+		}
+	}
+}
+
+// kick raises node n's kick flag for the session and, if it was lowered,
+// posts the evKick that will lower it: one event per drain cycle, however
+// many runs are published meanwhile.  Load-then-CAS skips the bus-locked
+// op while the flag is already raised.
+func (s *EngineSession) kick(n *engineNode) {
+	f := &s.kicks[n.id].raised
+	if !f.Load() && f.CompareAndSwap(false, true) {
+		n.mb.post(event{kind: evKick, ses: s})
+	}
 }
 
 // failCredit fails a session that was returned more credits than it has
@@ -1448,11 +1612,22 @@ func (n *engineNode) advance(ns *nodeSession) {
 		return
 	}
 	ns.live.n.Store(ns.live.n.Load() + 1) // one writer: no locked add
-	n.flush(ns)
-	if n.queued {
-		n.advanceQueued(ns)
-	} else {
-		for !ns.done && ns.pendingN == 0 && n.fireRun(ns) {
+	for i, r := range n.outRing {
+		// Where a stale count could stop the first pass short.
+		if r.peer != nil && n.room(ns, i) <= n.batch {
+			n.reload(ns, i)
+		}
+	}
+	for {
+		n.flush(ns)
+		if n.queued {
+			n.advanceQueued(ns)
+		} else {
+			for !ns.done && ns.pendingN == 0 && n.fireRun(ns) {
+			}
+		}
+		if ns.pendingN == 0 || !n.park(ns) {
+			break
 		}
 	}
 	n.flushCredits(ns)
@@ -1541,17 +1716,57 @@ func (n *engineNode) endStream(ns *nodeSession) {
 	n.flush(ns)
 }
 
-// flushCredits acks this advance's consumed heads upstream, one batched
-// credit event per in-edge, and counts them consumed in the same step.
+// flushCredits counts this advance's consumed heads in each in-edge's
+// consumed line.  On a ring that count is the credit: the producer reads
+// it, and is woken only if a send of its has parked on the edge — the
+// consumer stores the count, then looks at the stalled flag, the mirror of
+// park's order, so one of the two sees the other.  An edge on the post
+// path gets one batched credit event.
 func (n *engineNode) flushCredits(ns *nodeSession) {
-	for i, c := range n.creditAcc {
-		if c > 0 {
+	for i, k := range n.creditAcc {
+		if k > 0 {
 			n.creditAcc[i] = 0
-			d := &ns.ses.edges[n.in[i]].consumed
-			d.Store(d.Load() + int64(c))
-			n.upMB[i].post(event{kind: evCredit, ses: ns.ses, pos: n.upPos[i], cnt: c})
+			c := &ns.ses.edges[n.in[i]]
+			c.consumed.Store(c.consumed.Load() + int64(k))
+			if p := n.inRing[i].peer; p == nil {
+				n.upMB[i].post(event{kind: evCredit, ses: ns.ses, pos: n.upPos[i], cnt: k})
+			} else if c.stalled.Load() && c.stalled.CompareAndSwap(true, false) {
+				p.mb.post(event{kind: evWake, ses: ns.ses})
+			}
 		}
 	}
+}
+
+// reload recounts out-pos i's in-flight messages, a local edge's, from
+// its consumer's consumed line; the count kept between reloads only
+// grows, so a stale one errs on the full side.
+func (n *engineNode) reload(ns *nodeSession, i int) {
+	c := &ns.ses.edges[n.out[i]]
+	ns.inflight[i] = int(c.sent.Load() - c.consumed.Load())
+}
+
+// park raises the stalled flag of every local out-edge where a send is
+// parked, then reloads its count: a consumer that stored its count before
+// the flag went up is seen here, one that stores it after sees the flag
+// and wakes the node (Dekker's order: each side stores, then loads the
+// other's word).  Reports whether a window had room after all, lowering
+// that edge's flag again; a consumer that lowered it first sends one
+// spare wake.
+func (n *engineNode) park(ns *nodeSession) (room bool) {
+	for i, set := range ns.pendingSet {
+		if !set || n.outRing[i].peer == nil {
+			continue
+		}
+		c := &ns.ses.edges[n.out[i]]
+		if !c.stalled.Load() {
+			c.stalled.Store(true)
+		}
+		if n.reload(ns, i); n.room(ns, i) > 0 {
+			c.stalled.CompareAndSwap(true, false)
+			room = true
+		}
+	}
+	return room
 }
 
 // flush delivers parked sends whose windows have room.
@@ -1575,8 +1790,7 @@ func (n *engineNode) flush(ns *nodeSession) {
 		case Dummy:
 			dummies = 1
 		}
-		n.sent(ns, i, 1, data, dummies, &now)
-		n.downMB[i].postRun(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i]}, ns.pendingMsg[i:i+1])
+		n.send(ns, i, ns.pendingMsg[i:i+1], data, dummies, &now)
 		ns.pendingSet[i] = false
 		ns.pendingMsg[i] = Message{}
 		ns.pendingN--
@@ -1584,10 +1798,11 @@ func (n *engineNode) flush(ns *nodeSession) {
 }
 
 // ship sends each out-edge the run the pass accumulated for it, whole:
-// one window update, one count update and one post per edge, whatever
+// one window update, one count update and one publish per edge, whatever
 // the run's length and mix.  A run one longer than the window held at
 // pass start ends in the firing that stopped the pass; that message
-// parks, exactly as a per-message firing's blocked send would.
+// parks, exactly as a per-message firing's blocked send would — unless a
+// reload of a local edge's count finds the room after all.
 func (n *engineNode) ship(ns *nodeSession) {
 	var now int64
 	for i, run := range n.acc {
@@ -1597,6 +1812,10 @@ func (n *engineNode) ship(ns *nodeSession) {
 		}
 		n.accDummy[i] = 0
 		parks := m > n.room(ns, i)
+		if parks && n.outRing[i].peer != nil {
+			n.reload(ns, i)
+			parks = m > n.room(ns, i)
+		}
 		if parks {
 			m--
 			if run[m].Kind == Dummy {
@@ -1604,8 +1823,7 @@ func (n *engineNode) ship(ns *nodeSession) {
 			}
 		}
 		if m > 0 {
-			n.sent(ns, i, m, m-d, d, &now)
-			n.downMB[i].postRun(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i]}, run[:m])
+			n.send(ns, i, run[:m], m-d, d, &now)
 		}
 		if parks {
 			n.setPending(ns, i, run[m])
@@ -1616,13 +1834,22 @@ func (n *engineNode) ship(ns *nodeSession) {
 	}
 }
 
-// sent accounts for m messages leaving on out-pos i — the window, the
+// send puts run on out-pos i and accounts for it — the window, the
 // session's per-edge counts (in all, and by kind: an EOS is neither) and
-// telemetry — with no look at the messages themselves.
-func (n *engineNode) sent(ns *nodeSession, i, m, data, dummies int, now *int64) {
+// telemetry — with no look at the messages themselves.  On a local edge
+// the run is copied into the ring before the tail (sent) moves past it,
+// and the consumer is kicked; otherwise it is posted.
+func (n *engineNode) send(ns *nodeSession, i int, run []Message, data, dummies int, now *int64) {
+	m, r := len(run), &n.outRing[i]
 	ns.inflight[i] += m
 	c := &ns.ses.edges[n.out[i]]
-	c.sent.Store(c.sent.Load() + int64(m))
+	t := c.sent.Load()
+	if r.peer != nil {
+		// The window keeps [t, t+m) clear of what the consumer has yet to
+		// take, so the run wraps at most once.
+		slots := ns.ses.slots[r.off : r.off+int(r.mask)+1]
+		copy(slots, run[copy(slots[int(uint64(t)&r.mask):], run):])
+	}
 	c.data += int64(data)
 	if dummies != 0 {
 		c.dummies += int64(dummies)
@@ -1635,6 +1862,12 @@ func (n *engineNode) sent(ns *nodeSession, i, m, data, dummies int, now *int64) 
 			om.Dummies.Add(int64(dummies))
 		}
 		om.Sent.Add(int64(m))
+	}
+	c.sent.Store(t + int64(m))
+	if r.peer != nil {
+		ns.ses.kick(r.peer)
+	} else {
+		n.downMB[i].postRun(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i]}, run)
 	}
 }
 

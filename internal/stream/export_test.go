@@ -2,6 +2,7 @@ package stream
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"streamdag/internal/proto"
 )
@@ -28,5 +29,17 @@ func CountDummyRuns(e *Engine) (sums func() (single, multi int64)) {
 		mu.Lock()
 		defer mu.Unlock()
 		return single, multi
+	}
+}
+
+// CountEvents makes e count the events its node loops take from their
+// mailboxes from now on, by kind: runs and credits posted on an edge
+// without a ring, kicks to drain rings, and stall wakes; read the sums
+// after the sessions' Wait.
+func CountEvents(e *Engine) (sums func() (msgs, credits, kicks, wakes int64)) {
+	e.events = new([evKinds]atomic.Int64)
+	return func() (int64, int64, int64, int64) {
+		k := e.events
+		return k[evMsg].Load(), k[evCredit].Load(), k[evKick].Load(), k[evWake].Load()
 	}
 }

@@ -196,9 +196,10 @@ func (r *sinkRig) stop() {
 // firingBench is one node of a built-and-closed engine with one session
 // opened on it by hand: the benchmark's goroutine is the only one touching
 // the node, so what it times is the firing loop's own cost.  The mailboxes
-// of the node's consumers are reopened and drained by the benchmark the
-// way a receiving node would (recycle), so sends cost a real post and the
-// mailboxes reuse their storage.
+// of the node's consumers are reopened, and the benchmark takes what the
+// node sent the way a receiving node would (recycle): its out-edge rings
+// are drained and their kicks taken, so sends cost a real publish and
+// kick, and the mailboxes reuse their storage.
 type firingBench struct {
 	n     *engineNode
 	ns    *nodeSession
@@ -227,17 +228,29 @@ func runOf(ses *EngineSession, run []Message) (*event, []Message) {
 	return &event{kind: evMsg, ses: ses, cnt: len(run)}, run
 }
 
-// recycle drains what the node sent, as the receivers would, and returns
-// the credit an undrained downstream never does.
+// recycle drains what the node sent, as the receivers would, and counts
+// it all consumed, which an undrained downstream never does.
 func (f *firingBench) recycle() (msgs int) {
+	ses := f.ns.ses
 	for i, mb := range f.n.downMB {
 		f.ns.inflight[i] = 0
+		if r := f.n.outRing[i]; r.peer != nil {
+			c := &ses.edges[f.n.out[i]]
+			for t := c.sent.Load(); c.taken != t; c.taken++ {
+				ses.slots[r.off+int(uint64(c.taken)&r.mask)] = Message{}
+				msgs++
+			}
+			c.consumed.Store(c.taken)
+			ses.kicks[r.peer.id].raised.Store(false)
+		}
 		if len(mb.q.evs) == 0 {
 			continue // takeAll would wait
 		}
 		b, _ := mb.takeAll(f.spare)
 		for j := range b.evs {
-			msgs += b.evs[j].cnt
+			if b.evs[j].kind == evMsg {
+				msgs += b.evs[j].cnt
+			}
 		}
 		b.reset()
 		f.spare = b

@@ -156,12 +156,14 @@ func TestTimedTimerArmedOncePerDeadline(t *testing.T) {
 // TestTimedIngestSplitsRunsAtDummies pins what a mixed run becomes: the
 // data stretches reach the kernel whole and in order, a dummy only ends a
 // stretch, EOS is the Flush, and every head consumed — whatever its kind —
-// is credited upstream in the advance's one batched ack.
+// is counted in the in-edge's consumed line in the advance's one store,
+// with no event upstream: the producer has no send parked.
 func TestTimedIngestSplitsRunsAtDummies(t *testing.T) {
 	k := &stubTimed{clk: clock.NewFake(), keep: true}
 	f := newTimedBench(t, k, 64)
 	up := f.n.upMB[0]
 	up.closed = false
+	f.ns.ses.edges[f.n.in[0]].sent.Store(5) // as the producer would have
 	f.n.absorb(runOf(f.ns.ses, []Message{
 		{Seq: 0, Kind: Data, Payload: "a"},
 		{Seq: 1, Kind: Dummy},
@@ -173,8 +175,8 @@ func TestTimedIngestSplitsRunsAtDummies(t *testing.T) {
 	if got, want := fmt.Sprint(k.calls), "[ingest[0] ingest[2 3] flush]"; got != want {
 		t.Errorf("kernel saw %s, want %s", got, want)
 	}
-	if len(up.q.evs) != 1 || up.q.evs[0].kind != evCredit || up.q.evs[0].cnt != 5 {
-		t.Errorf("upstream got %+v, want one credit for 5 heads", up.q.evs)
+	if got := f.ns.ses.edges[f.n.in[0]].consumed.Load(); got != 5 || len(up.q.evs) != 0 {
+		t.Errorf("consumed = %d and upstream got %+v; want 5 heads consumed and no event", got, up.q.evs)
 	}
 	if !f.ns.done {
 		t.Error("EOS did not end the stream at the node")
