@@ -1,8 +1,10 @@
 package stream
 
 // Layer microbenchmarks for the pieces a message crosses between two
-// kernels: the head queue, the mailbox (drained in batches, and one hop
-// between two parked loops), the sink ring's handoff to its pump, and one
+// kernels: the head queue, a local edge's ring (publish to consumed
+// count), the mailbox that cross edges and control events still take
+// (drained in batches, and one hop between two parked loops), the sink
+// ring's handoff to its pump, and one
 // pass of the firing loop — a batch-1 all-data firing, a 64-firing pass
 // over runs that mix data and dummies (staggered across a join's inputs,
 // or aligned so the dummies form stretches), and a time-aware node's
@@ -10,12 +12,13 @@ package stream
 // Every benchmark's ns/op and allocs/op are per message, except the
 // session's, which are per session.
 //
-//	go test -run '^$' -bench 'Fifo|Mailbox|SinkHandoff|Fire|MixedRun|AlignedDummy|TimedIngest|SessionCycle' -benchmem ./internal/stream
+//	go test -run '^$' -bench 'Fifo|RingHop|Mailbox|SinkHandoff|Fire|MixedRun|AlignedDummy|TimedIngest|SessionCycle' -benchmem ./internal/stream
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -42,6 +45,78 @@ func benchFifo(b *testing.B, depth int) {
 
 func BenchmarkFifoPushPopDepth1(b *testing.B)   { benchFifo(b, 1) }
 func BenchmarkFifoPushPopDepth256(b *testing.B) { benchFifo(b, 256) }
+
+// benchRingHop times a local edge's transport for runs of n messages,
+// per message: the producer publishes the run to the edge's ring and
+// kicks the consumer; the consumer takes the kick from its mailbox,
+// drains the ring into its head queue, pops the run and stores its
+// consumed count; the producer reloads its window from that count.  Both
+// ends are nodes of a built-and-closed engine with a session opened on
+// them by hand, driven from one goroutine.
+func benchRingHop(b *testing.B, n int) {
+	e, err := NewEngine(workload.Pipeline(3, 256), nil, Config{WatchdogTimeout: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.Close()
+	prod, cons := e.nodes[0], e.nodes[1]
+	cons.mb.closed = false
+	ses := &EngineSession{id: 1, e: e, sessionBufs: e.takeBufs(false)}
+	prod.absorb(&event{kind: evOpen, ses: ses}, nil)
+	cons.absorb(&event{kind: evOpen, ses: ses}, nil)
+	pns, cns := ses.at[prod.id], ses.at[cons.id]
+	run := make([]Message, n)
+	var spare batch
+	var now int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += n {
+		for j := range run {
+			run[j] = Message{Seq: uint64(i + j), Kind: Data}
+		}
+		prod.send(pns, 0, run, n, 0, &now)
+		kicks, _ := cons.mb.takeAll(spare)
+		for j := range kicks.evs {
+			cons.absorb(&kicks.evs[j], kicks.arena)
+		}
+		kicks.reset()
+		spare = kicks
+		cns.dirty, cons.dirty = false, cons.dirty[:0]
+		cons.popHeads(cns, 0, n)
+		cons.flushCredits(cns)
+		prod.reload(pns, 0)
+	}
+	b.StopTimer()
+	if pns.inflight[0] != 0 || cns.heads[0].len() != 0 {
+		b.Fatalf("%d in flight and %d queued after the last hop", pns.inflight[0], cns.heads[0].len())
+	}
+}
+
+func BenchmarkRingHopB1(b *testing.B)  { benchRingHop(b, 1) }
+func BenchmarkRingHopB64(b *testing.B) { benchRingHop(b, 64) }
+
+// TestLineSliceFillsWholeLines pins what keeps one node's firing scratch
+// off another's cache lines: every array lineSlice makes is a whole
+// number of lines long and starts on a line boundary — or, past 512 bytes
+// of pointerful elements, 8 bytes after one, behind the allocator's type
+// header in a slot that is itself a multiple of 64 bytes long.
+func TestLineSliceFillsWholeLines(t *testing.T) {
+	check := func(name string, v reflect.Value, size int) {
+		t.Helper()
+		p, n := v.Pointer(), v.Cap()*size
+		header := n > 512 && v.Type().Elem().Kind() != reflect.Bool && v.Type().Elem().Kind() != reflect.Int
+		if n%64 != 0 || p%64 != 0 && !(header && p%64 == 8) {
+			t.Errorf("%s: array at %#x, %d bytes; want a whole number of lines from a line boundary", name, p, n)
+		}
+	}
+	for _, n := range []int{1, 2, 3, 7, 64} {
+		check(fmt.Sprintf("[]bool(%d)", n), reflect.ValueOf(lineSlice[bool](n)), 1)
+		check(fmt.Sprintf("[]int(%d)", n), reflect.ValueOf(lineSlice[int](n)), 8)
+		check(fmt.Sprintf("[]any(%d)", n), reflect.ValueOf(lineSlice[any](n)), 16)
+		check(fmt.Sprintf("[][]Message(%d)", n), reflect.ValueOf(lineSlice[[]Message](n)), 24)
+		check(fmt.Sprintf("[]Message(%d)", n), reflect.ValueOf(lineSlice[Message](n)), 32)
+	}
+}
 
 // BenchmarkMailboxPostTake posts runs of one message and drains them in
 // batches of 16, the two batches ping-ponging as in engineNode.run.

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"streamdag/internal/graph"
 	"streamdag/internal/proto"
 	"streamdag/internal/workload"
 )
@@ -117,9 +118,9 @@ func TestFreeListBoundedAfterSessionBurst(t *testing.T) {
 // pumps, cancelled with a blocked sink (emissions queued in the sink ring),
 // failed by its source mid-fill, and stuck in a Source.Next that ignores its
 // context until after the engine's next sessions ran — and checks each
-// free-listed set once every hold is gone: every counter zero, every state
-// slot empty, both rings and the scratch empty, no token left in a channel,
-// and no set listed twice.
+// free-listed set once every hold is gone: every counter and flag zero,
+// every state slot empty, every ring and the scratch empty, no token left
+// in a channel, and no set listed twice.
 func TestSessionBufsScrubbed(t *testing.T) {
 	e, err := NewEngine(workload.Pipeline(4, 8), nil, Config{MaxBatch: 8, WatchdogTimeout: 10 * time.Second})
 	if err != nil {
@@ -249,8 +250,19 @@ func TestSessionBufsScrubbed(t *testing.T) {
 			}
 		}
 		for i := range b.edges {
-			if c := &b.edges[i]; c.sent.Load() != 0 || c.consumed.Load() != 0 || c.data != 0 || c.dummies != 0 {
-				t.Fatalf("edge %d counters after scrub: sent %d, consumed %d, data %d, dummies %d", i, c.sent.Load(), c.consumed.Load(), c.data, c.dummies)
+			if c := &b.edges[i]; c.sent.Load() != 0 || c.consumed.Load() != 0 || c.taken != 0 || c.stalled.Load() || c.data != 0 || c.dummies != 0 {
+				t.Fatalf("edge %d counters after scrub: sent %d, consumed %d, taken %d, stalled %v, data %d, dummies %d",
+					i, c.sent.Load(), c.consumed.Load(), c.taken, c.stalled.Load(), c.data, c.dummies)
+			}
+		}
+		for i := range b.kicks {
+			if b.kicks[i].raised.Load() {
+				t.Fatalf("node %d's kick flag still raised after scrub", i)
+			}
+		}
+		for i, m := range b.slots {
+			if m != (Message{}) {
+				t.Fatalf("edge ring slot %d still holds %+v after scrub", i, m)
 			}
 		}
 		for i, ns := range b.at {
@@ -303,6 +315,57 @@ func freeBufs(t *testing.T, e *Engine, sessions []*EngineSession) []*sessionBufs
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("%d sets of session buffers on the free list after 5 s; want %d", len(free), want)
+		}
+	}
+}
+
+// TestAbortedRingScrubbed cancels a session while an edge ring holds
+// messages its consumer never took: s1's kernel blocks on the first
+// message, the source fills the window behind it, and the kick that
+// would drain them arrives after the session ended, so it is dropped.
+// The scrub must clear those slots before the buffers serve another
+// session.
+func TestAbortedRingScrubbed(t *testing.T) {
+	g := workload.Pipeline(3, 8)
+	s1 := g.MustNode("s1")
+	started, release := make(chan struct{}), make(chan struct{})
+	blocking := KernelFunc(func(seq uint64, in []Input) map[int]any {
+		if seq == 0 {
+			close(started)
+			<-release
+		}
+		return map[int]any{0: in[0].Payload}
+	})
+	e, err := NewEngine(g, map[graph.NodeID]Kernel{s1: blocking}, Config{WatchdogTimeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := SyntheticSource(100)
+	ses, err := e.Open(SessionConfig{ID: 1, Source: func(ctx context.Context) (any, bool, error) {
+		v, ok, err := next(ctx)
+		if ok && v.(uint64) > 0 {
+			<-started // the rest land in the ring after s1's one drain
+		}
+		return v, ok, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &ses.edges[g.Out(g.MustNode("s0"))[0]]
+	for in.sent.Load() < 8 {
+		time.Sleep(time.Millisecond)
+	}
+	ses.Fail(context.Canceled)
+	close(release)
+	if _, err := ses.Wait(); err != context.Canceled {
+		t.Fatalf("Wait: %v, want context.Canceled", err)
+	}
+	e.Close()
+	for _, b := range freeBufs(t, e, []*EngineSession{ses}) {
+		for i, m := range b.slots {
+			if m != (Message{}) {
+				t.Fatalf("edge ring slot %d still holds %+v after scrub", i, m)
+			}
 		}
 	}
 }

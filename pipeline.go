@@ -156,15 +156,14 @@ func WithWatchdog(d time.Duration) Option {
 // WithMaxBatch sets the transport batch size of the runtime backends
 // (default 1).  With n > 1 the hot path carries runs of up to n
 // consecutive messages — data and the dummies between them, out of any
-// node — as a single unit: one channel operation, one credit batch, and
-// (on the distributed backend) one coalesced wire frame per run instead
+// node — as a single unit: one publish to the edge's ring (or, across
+// workers, one coalesced wire frame and one credit batch) per run instead
 // of per message, multiplying throughput on chains of cheap kernels and
-// on filtering split/joins.  Batching is transport-level only: credits
-// are still accounted in message units (a run of k messages consumes k
+// on filtering split/joins.  Batching is transport-level only: windows
+// are still accounted in message units (a run of k messages takes k
 // window slots, and a node stops firing at a full window exactly where
 // it would per message), kernels still fire once per element in sequence
-// order,
-// and the logical stream — per-edge data and dummy counts, sink
+// order, and the logical stream — per-edge data and dummy counts, sink
 // delivery order — is identical to an unbatched run.  n = 1 moves one
 // message at a time; Flow stages can override their own node's batch
 // size with Stage.Batch.  The Simulator ignores n: it fires one element
