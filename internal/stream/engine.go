@@ -534,8 +534,8 @@ func (e *Engine) watchdog() {
 // while still bounding a session's run-ahead over its own sends.
 // Grants travel as a counter (readyN) with a one-slot wake channel, and
 // ingested payloads land in a lock-free SPSC ring drained in bulk by
-// the source node on a coalesced kick event — so a fast source costs
-// one mailbox post per drain cycle, not one per payload.
+// the source node on a coalesced kick — so a fast source costs one
+// mailbox post per drain cycle, not one per payload, as a local edge does.
 const ingestWindow = 16
 
 // sinkWindow is how many emissions a session may have outstanding at
@@ -738,8 +738,8 @@ func (s *EngineSession) unhold() {
 // scrub empties the buffers for their next session: counters and flags
 // zeroed (the atomics with stores, since a watchdog scan that listed the
 // old session may still read them), rings and scratch cleared so no
-// payload outlives its session, and a stale ready token drained.  (Each node empties its
-// own at slot when it retires.)
+// payload outlives its session, and a stale ready token drained.  (Each
+// node empties its own at slot when it retires.)
 func (b *sessionBufs) scrub(e *Engine) {
 	for i := range b.live {
 		b.live[i].n.Store(0)
@@ -1277,14 +1277,15 @@ type nodeSession struct {
 	// engine is this session's dummy-protocol state at this node.
 	engine *proto.Engine
 	// pendingMsg[i]/pendingSet[i] park the one message a pass may produce
-	// beyond out-pos i's window — its last firing's, or an EOS — until a
-	// credit makes room; pendingN counts set slots.  A node fires only
+	// beyond out-pos i's window — its last firing's, or an EOS — until the
+	// window has room; pendingN counts set slots.  A node fires only
 	// with no pending sends.
 	pendingMsg []Message
 	pendingSet []bool
 	pendingN   int
-	// inflight[i] counts messages sent but not yet credited on out-pos i;
-	// the window is full at outCap[i].
+	// inflight[i] counts messages sent but not yet credited on out-pos i
+	// (on a ring: as of the last reload, so never too few); the window is
+	// full at outCap[i].
 	inflight []int
 	// stallSince[i] is the wall-clock ns at which out-pos i's current
 	// blocked-send episode began (0 = not stalled); allocated only with
@@ -1398,10 +1399,11 @@ func (n *engineNode) markDirty(ns *nodeSession) {
 // struct, proto.Engine and per-out-edge slices.  A node with one in-edge
 // of Buf 64 thus retains at most 16 × (8 + 0.3) KB ≈ 133 KB.  The engine's
 // free list of session buffers (takeBufs, unhold) has the same cap; one
-// entry is a padded counter and a state slot per node, two lines per edge,
-// the ingest ring and fill scratch (a grant window each) and the sink ring
-// (a sink window of 24-byte seq and payload slots), about 2 KB on a
-// five-node chain.
+// entry is two padded lines and a state slot per node, two lines and a
+// ring per edge (a window of 32-byte slots), the ingest ring and fill
+// scratch (a grant window each) and the sink ring (a sink window of
+// 24-byte seq and payload slots): about 34 KB on a five-node chain of
+// Buf 256, 32 KB of it the rings.
 const freeSessions = 16
 
 // openSession returns the node's state for a new session: a released one
@@ -1658,8 +1660,8 @@ func (n *engineNode) advance(ns *nodeSession) {
 // which is kept granted up to the ingest window; a time-aware node
 // refills its own, by delivering a due flush-timer tick and consuming
 // inputs, but only with the queue empty and nothing parked — a tick that
-// finds sends parked is deferred (the credit that drains them re-runs the
-// advance) and the timer stays disarmed meanwhile, so a genuinely wedged
+// finds sends parked is deferred (the wake or credit that drains them
+// re-runs the advance) and the timer stays disarmed meanwhile, so a genuinely wedged
 // downstream still trips the watchdog instead of being masked by an
 // immediately-due timer respinning forever.
 func (n *engineNode) advanceQueued(ns *nodeSession) {

@@ -258,8 +258,9 @@ type Config struct {
 	// MaxBatch is the width of the Engine's firing pass: a node takes up
 	// to MaxBatch aligned firings per protocol step — at any in-degree,
 	// data and dummies alike — and forwards what they send as one run per
-	// out-edge (one mailbox post, one credit batch), stopping early at the
-	// first send an out-edge window cannot take.  Zero or one fires per
+	// out-edge (one ring publish, or across workers one post and one
+	// credit batch), stopping early at the first send an out-edge window
+	// cannot take.  Zero or one fires per
 	// element (a SpanKernel then sees spans of length one); the logical
 	// stream is bit-identical at every width.  Credits stay in message
 	// units — a run of k messages consumes k credits — so the windowed
