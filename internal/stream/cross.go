@@ -27,8 +27,10 @@ type CrossEdge struct {
 	Credits *Outbox
 }
 
-// crossEnds locates a cross edge's two ends in the node loops.
+// crossEnds locates a cross edge's carriers and its two ends in the node
+// loops.
 type crossEnds struct {
+	CrossEdge
 	from   *engineNode // producer, at out-position outPos
 	to     *engineNode // consumer, at in-position inPos
 	outPos int32

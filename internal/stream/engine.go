@@ -101,10 +101,6 @@ type Engine struct {
 	// cross[edge] names both ends of a Config.Cross edge (zero otherwise):
 	// where Deliver and Credit re-enter the node loops.
 	cross []crossEnds
-	// rings[edge] places a local edge's ring in every session's slots,
-	// ringSlots long (see ring).
-	rings     []ring
-	ringSlots int
 
 	// srcWin/sinkWin are the ingest and sink pump windows, in payload
 	// units; the defaults scale with the endpoint nodes' batch widths so
@@ -134,25 +130,13 @@ type Engine struct {
 	events *[evKinds]atomic.Int64
 }
 
-// ring places one local edge's ring in a session's slots: [off,
-// off+mask+1), a power of two at least the edge's Buf, which the window
-// never exceeds.  peer is the node at the edge's far end — the consumer in
-// Engine.rings and a node's outRing, the producer in its inRing — and nil
-// for an edge on the post path: a cross edge, or one whose Buf is past
-// maxRingBuf.
-type ring struct {
-	off  int
-	mask uint64
-	peer *engineNode
-}
-
-// maxRingBuf is the largest Buf an in-process edge gets a ring for.  A
-// ring is allocated whole with a session's buffers, one 32-byte slot per
-// message of window rounded up to a power of two, and the engine keeps up
-// to freeSessions sets: at 1024 that is at most 64 KB per edge per set.
-// A larger window keeps the mailbox path, whose head queue grows only to
-// what the session actually holds.
-const maxRingBuf = 1024
+// minRing is the slot count a local edge's ring starts at, in its
+// session's first send on the edge.  A ring grows by doubling only when
+// the messages in flight on the edge outgrow it, so it never holds more
+// than twice the deepest window the edge's sessions used, and never more
+// than twice its Buf; a session of a few messages never pays for a wide
+// window, as a head queue does not (see fifo).
+const minRing = 8
 
 // NewEngine spins up the resident node loops for g; ingestion and
 // delivery are per session (SessionConfig).  g must be a two-terminal
@@ -219,7 +203,8 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		n.present = lineSlice[bool](max(len(n.out), 1))
 		n.acc = lineSlice[[]Message](len(n.out))
 		for i := range n.acc {
-			n.acc[i] = lineSlice[Message](n.batch)[:0]
+			// A line to start; append's doublings keep whole lines.
+			n.acc[i] = lineSlice[Message](1)[:0]
 		}
 		n.accDummy = lineSlice[int](len(n.out))
 		n.allTrue = make([]bool, len(n.out))
@@ -241,59 +226,37 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 			n.spanSeq = lineSlice[uint64](n.batch)
 		}
 		if len(n.out) == 0 {
-			n.emSeqs = lineSlice[uint64](n.batch)[:0]
-			n.emPays = lineSlice[any](n.batch)[:0]
+			n.emSeqs = lineSlice[uint64](1)[:0]
+			n.emPays = lineSlice[any](1)[:0]
 		}
 		e.nodes[i] = n
 	}
-	// Wire the neighbour tables: whose mailbox takes in-position i's
-	// credits and out-position i's messages, and the position the event
-	// carries.  A local edge is a ring per session (rings); past
-	// maxRingBuf it posts straight into the neighbour's mailbox under the
-	// edge's position in the neighbour's order.  A cross edge posts into
-	// its carrier's outbox under the edge id, and comes back in through
-	// Deliver/Credit on the far side of the wire.
+	// Wire the neighbour tables.  A local edge is a ring per session
+	// between its two nodes (upNode, downNode).  A cross edge has no
+	// neighbour node: its runs and credits go to its carriers' outboxes
+	// (Engine.cross) and come back in through Deliver and Credit on the far
+	// side of the wire.
 	if len(cfg.Cross) > 0 {
 		e.cross = make([]crossEnds, g.NumEdges())
 	}
-	e.rings = make([]ring, g.NumEdges())
-	for _, ed := range g.Edges() {
-		if _, cross := cfg.Cross[ed.ID]; !cross && ed.Buf <= maxRingBuf {
-			size := max(2, 1<<bits.Len(uint(ed.Buf-1))) // a line at least
-			e.rings[ed.ID] = ring{off: e.ringSlots, mask: uint64(size - 1), peer: e.nodes[ed.To]}
-			e.ringSlots += size
-		}
-	}
 	for _, n := range e.nodes {
-		n.upMB = make([]*mailbox, len(n.in))
-		n.upPos = make([]int32, len(n.in))
-		n.inRing = make([]ring, len(n.in))
+		n.upNode = make([]*engineNode, len(n.in))
 		for i, edge := range n.in {
-			up := e.nodes[g.Edge(edge).From]
-			n.upMB[i], n.upPos[i] = up.mb, edgeIndex(up.out, edge)
-			if r := e.rings[edge]; r.peer != nil {
-				n.inRing[i] = ring{off: r.off, mask: r.mask, peer: up}
-			}
+			n.upNode[i] = e.nodes[g.Edge(edge).From]
 			if c, ok := cfg.Cross[edge]; ok {
-				e.cross[edge].to, e.cross[edge].inPos = n, int32(i)
-				n.upMB[i], n.upPos[i] = c.Credits.mb, int32(edge)
+				e.cross[edge].CrossEdge, e.cross[edge].to, e.cross[edge].inPos = c, n, int32(i)
+				n.upNode[i] = nil
 			}
 		}
-		n.downMB = make([]*mailbox, len(n.out))
-		n.downPos = make([]int32, len(n.out))
+		n.downNode = make([]*engineNode, len(n.out))
 		n.outCap = make([]int, len(n.out))
 		for i, edge := range n.out {
-			down := e.nodes[g.Edge(edge).To]
-			n.downMB[i], n.downPos[i] = down.mb, edgeIndex(down.in, edge)
+			n.downNode[i] = e.nodes[g.Edge(edge).To]
 			if c, ok := cfg.Cross[edge]; ok {
-				e.cross[edge].from, e.cross[edge].outPos = n, int32(i)
-				n.downMB[i], n.downPos[i] = c.Msgs.mb, int32(edge)
+				e.cross[edge].CrossEdge, e.cross[edge].from, e.cross[edge].outPos = c, n, int32(i)
+				n.downNode[i] = nil
 			}
 			n.outCap[i] = g.Edge(edge).Buf
-		}
-		n.outRing = make([]ring, len(n.out))
-		for i, edge := range n.out {
-			n.outRing[i] = e.rings[edge]
 		}
 	}
 	e.source = e.nodes[g.Source()]
@@ -339,15 +302,6 @@ func gcd(a, b int) int {
 		a, b = b, a%b
 	}
 	return a
-}
-
-func edgeIndex(edges []graph.EdgeID, e graph.EdgeID) int32 {
-	for i, x := range edges {
-		if x == e {
-			return int32(i)
-		}
-	}
-	panic("stream: edge not in neighbour order")
 }
 
 // Open starts one logical stream over the resident topology and returns
@@ -427,17 +381,15 @@ func (e *Engine) takeBufs(sink bool) *sessionBufs {
 		b, e.free[k] = e.free[k], nil
 		e.free = e.free[:k]
 	} else {
-		// Each ring (a power of two, for mask indexing) holds its window:
-		// the ingest ring's occupancy never exceeds outstanding grants, so
-		// the pump never waits for ring space, and an edge ring's never
-		// exceeds the edge's Buf.  The pump's fill scratch holds one window
-		// too.
+		// The ingest ring (a power of two, for mask indexing) holds its
+		// window: its occupancy never exceeds outstanding grants, so the
+		// pump never waits for ring space.  The pump's fill scratch holds
+		// one window too.  Edge rings are made at their first send.
 		b = &sessionBufs{
 			live:    make([]ownedCounter, len(e.nodes)),
 			at:      make([]*nodeSession, len(e.nodes)),
 			edges:   make([]edgeCounts, e.g.NumEdges()),
 			kicks:   make([]kickFlag, len(e.nodes)),
-			slots:   make([]Message, e.ringSlots),
 			ready:   make(chan struct{}, 1),
 			ring:    make([]any, 1<<bits.Len(uint(e.srcWin-1))),
 			scratch: make([]any, e.srcWin),
@@ -657,10 +609,6 @@ type sessionBufs struct {
 	// kicks[n] is raised while an evKick for the session is queued at node
 	// n (see EngineSession.kick).
 	kicks []kickFlag
-	// slots holds the rings of the local edges, each at its ring's offset
-	// (see ring): the messages a producer has sent and its consumer has
-	// not yet taken into its heads.
-	slots []Message
 
 	// ready wakes the ingest pump (grants, and end); ring is the ingest
 	// ring; scratch is the pump's fill buffer.
@@ -687,16 +635,27 @@ type ownedCounter struct {
 // each written by one node (but for the stalled flag): the producer's sent
 // (EOS included) and data/dummies by kind, read at completion (the sink
 // node's final EOS happens-after every send), and the consumer's consumed,
-// stored once per advance.  On a local edge sent is also the ring's tail,
-// taken (the consumer's alone) its head, and sent − consumed the window's
-// occupancy, which the producer reads instead of being sent credits;
-// stalled is raised by a producer whose send parked on the full window and
-// lowered by whichever of the two ends first finds room (see park and
-// flushCredits).
+// stored once per advance.
+//
+// A local edge is also a single-producer/single-consumer ring: the
+// producer copies each run into ring's slots (message k at k mod the
+// length) and then stores sent, its tail; the consumer loads sent and
+// copies the slots up to it into its heads, taken (its alone) counting
+// what it took.  sent − consumed is the window's occupancy, which the
+// producer reads instead of being sent credits, and it never writes a
+// slot the consumer may still take: it grows the ring, copying the live
+// slots across, before its in-flight count outgrows it.  Slots are not
+// cleared as they are taken — the consumer only reads them, so a growth
+// can copy them without a race — so a ring keeps up to its length of
+// consumed payloads until they are overwritten or the buffers are
+// scrubbed.  stalled is raised by a producer whose send parked on the
+// full window and lowered by whichever of the two ends first finds room
+// (see park and flushCredits).
 type edgeCounts struct {
 	sent          atomic.Int64
 	data, dummies int64
-	_             [40]byte
+	ring          atomic.Pointer[[]Message]
+	_             [32]byte
 	consumed      atomic.Int64
 	taken         int64
 	stalled       atomic.Bool
@@ -726,8 +685,8 @@ func (s *EngineSession) unhold() {
 	if s.holds.Add(-1) != 0 {
 		return
 	}
+	s.scrub()
 	e := s.e
-	s.scrub(e)
 	e.mu.Lock()
 	if len(e.free) < freeSessions {
 		e.free = append(e.free, s.sessionBufs)
@@ -740,19 +699,17 @@ func (s *EngineSession) unhold() {
 // old session may still read them), rings and scratch cleared so no
 // payload outlives its session, and a stale ready token drained.  (Each
 // node empties its own at slot when it retires.)
-func (b *sessionBufs) scrub(e *Engine) {
+func (b *sessionBufs) scrub() {
 	for i := range b.live {
 		b.live[i].n.Store(0)
 		b.kicks[i].raised.Store(false)
 	}
 	for i := range b.edges {
 		c := &b.edges[i]
-		if r := e.rings[i]; r.peer != nil {
-			// Consumers clear the slots they take; an aborted session
-			// leaves at most a window's worth behind.
-			for h, t := c.taken, c.sent.Load(); h != t; h++ {
-				b.slots[r.off+int(uint64(h)&r.mask)] = Message{}
-			}
+		if p := c.ring.Load(); p != nil {
+			// Message k went to slot k mod the length, so a session that
+			// sent fewer than that wrote only the slots below its count.
+			clear((*p)[:min(c.sent.Load(), int64(len(*p)))])
 		}
 		c.sent.Store(0)
 		c.consumed.Store(0)
@@ -1048,8 +1005,8 @@ type evKind uint8
 
 const (
 	evOpen   evKind = iota
-	evMsg           // a run on a cross edge, or a local edge past maxRingBuf
-	evCredit        // credits returned on such an edge
+	evMsg           // a run that crossed the wire (Deliver)
+	evCredit        // credits that crossed the wire (Credit)
 	evKick          // coalesced kick: drain the rings that feed this node for the session
 	evWake          // a consumer made room on a local out-edge where a send parked
 	evSinkDone
@@ -1183,19 +1140,12 @@ type engineNode struct {
 	out []graph.EdgeID
 	mb  *mailbox
 
-	// inRing[i] and outRing[i] are in-edge i's and out-edge i's rings.
-	// An edge without one is on the post path: upMB[i] takes in-edge i's
-	// credit returns and downMB[i] out-edge i's messages — the neighbour's
-	// mailbox, tagged upPos/downPos with the edge's position in the
-	// neighbour's order, or, for a cross edge, its carrier's outbox, tagged
-	// with the edge id.
-	inRing  []ring
-	outRing []ring
-	upMB    []*mailbox
-	upPos   []int32
-	downMB  []*mailbox
-	downPos []int32
-	outCap  []int
+	// upNode[i] and downNode[i] are the nodes at the far ends of in-edge
+	// i and out-edge i, nil for a cross edge; outCap[i] is out-edge i's
+	// window.
+	upNode   []*engineNode
+	downNode []*engineNode
+	outCap   []int
 
 	// batch is the node's vectorization width (>= 1): how many aligned
 	// firings one pass of fireRun may take.
@@ -1400,10 +1350,10 @@ func (n *engineNode) markDirty(ns *nodeSession) {
 // of Buf 64 thus retains at most 16 × (8 + 0.3) KB ≈ 133 KB.  The engine's
 // free list of session buffers (takeBufs, unhold) has the same cap; one
 // entry is two padded lines and a state slot per node, two lines and a
-// ring per edge (a window of 32-byte slots), the ingest ring and fill
-// scratch (a grant window each) and the sink ring (a sink window of
-// 24-byte seq and payload slots): about 34 KB on a five-node chain of
-// Buf 256, 32 KB of it the rings.
+// ring per edge (32-byte slots, at most twice the deepest window its
+// sessions used; see minRing), the ingest ring and fill scratch (a grant
+// window each) and the sink ring (a sink window of 24-byte seq and
+// payload slots): about 2 KB on a five-node chain, plus the rings.
 const freeSessions = 16
 
 // openSession returns the node's state for a new session: a released one
@@ -1559,11 +1509,11 @@ func (n *engineNode) drainIngest(ns *nodeSession) {
 }
 
 // drain moves what the producers published on the node's in-edge rings
-// since the last drain into the heads, clearing the slots it takes.  The
-// heads then hold at most the window, as the ring does.
+// since the last drain into the heads, which then hold at most the
+// window, as the ring does.
 func (n *engineNode) drain(ns *nodeSession) {
-	for i, r := range n.inRing {
-		if r.peer == nil {
+	for i, up := range n.upNode {
+		if up == nil {
 			continue
 		}
 		c := &ns.ses.edges[n.in[i]]
@@ -1571,12 +1521,12 @@ func (n *engineNode) drain(ns *nodeSession) {
 		if h == t {
 			continue
 		}
-		slots := ns.ses.slots[r.off : r.off+int(r.mask)+1]
+		slots := *c.ring.Load() // after the tail: a ring that grew for it
+		mask := uint64(len(slots) - 1)
 		for c.taken = t; h != t; {
-			j := int(uint64(h) & r.mask)
+			j := int(uint64(h) & mask)
 			run := slots[j:min(len(slots), j+int(t-h))]
 			ns.heads[i].pushAll(run)
-			clear(run)
 			h += int64(len(run))
 		}
 	}
@@ -1614,9 +1564,9 @@ func (n *engineNode) advance(ns *nodeSession) {
 		return
 	}
 	ns.live.n.Store(ns.live.n.Load() + 1) // one writer: no locked add
-	for i, r := range n.outRing {
+	for i, down := range n.downNode {
 		// Where a stale count could stop the first pass short.
-		if r.peer != nil && n.room(ns, i) <= n.batch {
+		if down != nil && n.room(ns, i) <= n.batch {
 			n.reload(ns, i)
 		}
 	}
@@ -1722,18 +1672,19 @@ func (n *engineNode) endStream(ns *nodeSession) {
 // consumed line.  On a ring that count is the credit: the producer reads
 // it, and is woken only if a send of its has parked on the edge — the
 // consumer stores the count, then looks at the stalled flag, the mirror of
-// park's order, so one of the two sees the other.  An edge on the post
-// path gets one batched credit event.
+// park's order, so one of the two sees the other.  A cross edge gets one
+// batched credit event in its carrier's outbox.
 func (n *engineNode) flushCredits(ns *nodeSession) {
 	for i, k := range n.creditAcc {
 		if k > 0 {
 			n.creditAcc[i] = 0
 			c := &ns.ses.edges[n.in[i]]
 			c.consumed.Store(c.consumed.Load() + int64(k))
-			if p := n.inRing[i].peer; p == nil {
-				n.upMB[i].post(event{kind: evCredit, ses: ns.ses, pos: n.upPos[i], cnt: k})
+			if up := n.upNode[i]; up == nil {
+				edge := n.in[i]
+				n.e.cross[edge].Credits.mb.post(event{kind: evCredit, ses: ns.ses, pos: int32(edge), cnt: k})
 			} else if c.stalled.Load() && c.stalled.CompareAndSwap(true, false) {
-				p.mb.post(event{kind: evWake, ses: ns.ses})
+				up.mb.post(event{kind: evWake, ses: ns.ses})
 			}
 		}
 	}
@@ -1756,7 +1707,7 @@ func (n *engineNode) reload(ns *nodeSession, i int) {
 // spare wake.
 func (n *engineNode) park(ns *nodeSession) (room bool) {
 	for i, set := range ns.pendingSet {
-		if !set || n.outRing[i].peer == nil {
+		if !set || n.downNode[i] == nil {
 			continue
 		}
 		c := &ns.ses.edges[n.out[i]]
@@ -1814,7 +1765,7 @@ func (n *engineNode) ship(ns *nodeSession) {
 		}
 		n.accDummy[i] = 0
 		parks := m > n.room(ns, i)
-		if parks && n.outRing[i].peer != nil {
+		if parks && n.downNode[i] != nil {
 			n.reload(ns, i)
 			parks = m > n.room(ns, i)
 		}
@@ -1840,18 +1791,20 @@ func (n *engineNode) ship(ns *nodeSession) {
 // session's per-edge counts (in all, and by kind: an EOS is neither) and
 // telemetry — with no look at the messages themselves.  On a local edge
 // the run is copied into the ring before the tail (sent) moves past it,
-// and the consumer is kicked; otherwise it is posted.
+// and the consumer is kicked; a cross edge's run is posted to its outbox.
 func (n *engineNode) send(ns *nodeSession, i int, run []Message, data, dummies int, now *int64) {
-	m, r := len(run), &n.outRing[i]
-	ns.inflight[i] += m
+	m, down := len(run), n.downNode[i]
 	c := &ns.ses.edges[n.out[i]]
 	t := c.sent.Load()
-	if r.peer != nil {
-		// The window keeps [t, t+m) clear of what the consumer has yet to
-		// take, so the run wraps at most once.
-		slots := ns.ses.slots[r.off : r.off+int(r.mask)+1]
-		copy(slots, run[copy(slots[int(uint64(t)&r.mask):], run):])
+	if down != nil {
+		// The ring holds everything in flight with the run, so the run
+		// wraps at most once and overwrites nothing the consumer has yet
+		// to take.
+		slots := c.grow(t, ns.inflight[i], ns.inflight[i]+m)
+		mask := len(slots) - 1
+		copy(slots, run[copy(slots[int(t)&mask:], run):])
 	}
+	ns.inflight[i] += m
 	c.data += int64(data)
 	if dummies != 0 {
 		c.dummies += int64(dummies)
@@ -1866,11 +1819,31 @@ func (n *engineNode) send(ns *nodeSession, i int, run []Message, data, dummies i
 		om.Sent.Add(int64(m))
 	}
 	c.sent.Store(t + int64(m))
-	if r.peer != nil {
-		ns.ses.kick(r.peer)
+	if down != nil {
+		ns.ses.kick(down)
 	} else {
-		n.downMB[i].postRun(event{kind: evMsg, ses: ns.ses, pos: n.downPos[i]}, run)
+		edge := n.out[i]
+		n.e.cross[edge].Msgs.mb.postRun(event{kind: evMsg, ses: ns.ses, pos: int32(edge)}, run)
 	}
+}
+
+// grow returns the edge's ring, made or grown first if need messages in
+// flight would not fit: a power of two from minRing up, onto which the
+// live messages — the last live up to the tail t — are copied.  A growth
+// stores the new ring before the tail that covers its first new slot.
+func (c *edgeCounts) grow(t int64, live, need int) []Message {
+	var old []Message
+	if p := c.ring.Load(); p != nil {
+		if old = *p; need <= len(old) {
+			return old
+		}
+	}
+	slots := make([]Message, max(minRing, 1<<bits.Len(uint(need-1))))
+	for k := t - int64(live); k < t; k++ {
+		slots[int(k)&(len(slots)-1)] = old[int(k)&(len(old)-1)]
+	}
+	c.ring.Store(&slots)
+	return slots
 }
 
 // obsStall opens out-pos i's blocked-send episode (first blocked flush

@@ -289,8 +289,8 @@ func newFiringBench(b testing.TB, g *graph.Graph, node graph.NodeID, ks map[grap
 	}
 	e.Close()
 	n := e.nodes[node]
-	for _, mb := range n.downMB {
-		mb.closed = false
+	for _, down := range n.downNode {
+		down.mb.closed = false
 	}
 	ses := &EngineSession{id: 1, e: e, sessionBufs: e.takeBufs(false)}
 	n.absorb(&event{kind: evOpen, ses: ses}, nil)
@@ -303,32 +303,23 @@ func runOf(ses *EngineSession, run []Message) (*event, []Message) {
 	return &event{kind: evMsg, ses: ses, cnt: len(run)}, run
 }
 
-// recycle drains what the node sent, as the receivers would, and counts
+// recycle takes what the node sent, as the receivers would, and counts
 // it all consumed, which an undrained downstream never does.
 func (f *firingBench) recycle() (msgs int) {
 	ses := f.ns.ses
-	for i, mb := range f.n.downMB {
+	for i, down := range f.n.downNode {
+		c := &ses.edges[f.n.out[i]]
+		t := c.sent.Load()
+		msgs += int(t - c.taken)
+		c.taken = t
+		c.consumed.Store(t)
 		f.ns.inflight[i] = 0
-		if r := f.n.outRing[i]; r.peer != nil {
-			c := &ses.edges[f.n.out[i]]
-			for t := c.sent.Load(); c.taken != t; c.taken++ {
-				ses.slots[r.off+int(uint64(c.taken)&r.mask)] = Message{}
-				msgs++
-			}
-			c.consumed.Store(c.taken)
-			ses.kicks[r.peer.id].raised.Store(false)
+		ses.kicks[down.id].raised.Store(false)
+		if len(down.mb.q.evs) > 0 { // else takeAll would wait
+			b, _ := down.mb.takeAll(f.spare)
+			b.reset()
+			f.spare = b
 		}
-		if len(mb.q.evs) == 0 {
-			continue // takeAll would wait
-		}
-		b, _ := mb.takeAll(f.spare)
-		for j := range b.evs {
-			if b.evs[j].kind == evMsg {
-				msgs += b.evs[j].cnt
-			}
-		}
-		b.reset()
-		f.spare = b
 	}
 	return msgs
 }

@@ -260,11 +260,7 @@ func TestSessionBufsScrubbed(t *testing.T) {
 				t.Fatalf("node %d's kick flag still raised after scrub", i)
 			}
 		}
-		for i, m := range b.slots {
-			if m != (Message{}) {
-				t.Fatalf("edge ring slot %d still holds %+v after scrub", i, m)
-			}
-		}
+		requireRingsClear(t, b)
 		for i, ns := range b.at {
 			if ns != nil {
 				t.Fatalf("node %d's state slot still set after scrub", i)
@@ -362,9 +358,62 @@ func TestAbortedRingScrubbed(t *testing.T) {
 	}
 	e.Close()
 	for _, b := range freeBufs(t, e, []*EngineSession{ses}) {
-		for i, m := range b.slots {
-			if m != (Message{}) {
-				t.Fatalf("edge ring slot %d still holds %+v after scrub", i, m)
+		requireRingsClear(t, b)
+	}
+}
+
+// requireRingsClear fails if a scrubbed set's edge rings hold a message.
+func requireRingsClear(t *testing.T, b *sessionBufs) {
+	t.Helper()
+	for e := range b.edges {
+		if p := b.edges[e].ring.Load(); p != nil {
+			for i, m := range *p {
+				if m != (Message{}) {
+					t.Fatalf("edge %d's ring slot %d still holds %+v after scrub", e, i, m)
+				}
+			}
+		}
+	}
+}
+
+// TestRingGrowsWithUse pins what an edge ring costs: a short session on
+// wide windows makes rings of a few slots, not of the window, and a long
+// one grows them no further than the window, rounded up to a power of
+// two; both deliver every input on every edge.
+func TestRingGrowsWithUse(t *testing.T) {
+	const buf = 2048
+	g := workload.Fig1SplitJoin(buf)
+	for _, tc := range []struct {
+		inputs   uint64
+		maxSlots int
+	}{{5, minRing}, {20000, buf}} {
+		e, err := NewEngine(g, nil, Config{WatchdogTimeout: 10 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ses, err := e.Open(SessionConfig{ID: 1, Source: SyntheticSource(tc.inputs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := ses.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		for _, ed := range g.Edges() {
+			if stats.Data[ed.ID] != int64(tc.inputs) {
+				t.Errorf("%d inputs: edge %d carried %d", tc.inputs, ed.ID, stats.Data[ed.ID])
+			}
+		}
+		for _, b := range freeBufs(t, e, []*EngineSession{ses}) {
+			for i := range b.edges {
+				p := b.edges[i].ring.Load()
+				if p == nil {
+					t.Fatalf("%d inputs: edge %d has no ring", tc.inputs, i)
+				}
+				if n := len(*p); n < minRing || n > tc.maxSlots {
+					t.Errorf("%d inputs: edge %d's ring has %d slots; want %d to %d", tc.inputs, i, n, minRing, tc.maxSlots)
+				}
 			}
 		}
 	}

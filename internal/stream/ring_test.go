@@ -91,21 +91,3 @@ func TestLocalChainPostsNoRunsOrCredits(t *testing.T) {
 		}
 	}
 }
-
-// TestWideWindowKeepsPostPath runs a split/join whose windows are too
-// wide to ring eagerly: its edges keep the mailbox path cross edges use,
-// runs and credits as events, and match the simulator as the rings do.
-func TestWideWindowKeepsPostPath(t *testing.T) {
-	const inputs = 5000
-	g := workload.Fig1SplitJoin(2048)
-	ks := filterKernels(g, workload.PassAll)
-	ref, refSeen := simRun(g, ks, stream.Config{}, inputs)
-	for _, batch := range []int{1, 64} {
-		stats, seen, msgs, credits, _, wakes := countedRun(t, g, ks, stream.Config{MaxBatch: batch, WatchdogTimeout: 10 * time.Second}, inputs)
-		label := fmt.Sprintf("batch %d", batch)
-		requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
-		if msgs == 0 || credits == 0 || wakes != 0 {
-			t.Errorf("%s: %d run events, %d credit events and %d stall wakes; want runs and credits posted, no wakes", label, msgs, credits, wakes)
-		}
-	}
-}

@@ -161,7 +161,7 @@ func TestTimedTimerArmedOncePerDeadline(t *testing.T) {
 func TestTimedIngestSplitsRunsAtDummies(t *testing.T) {
 	k := &stubTimed{clk: clock.NewFake(), keep: true}
 	f := newTimedBench(t, k, 64)
-	up := f.n.upMB[0]
+	up := f.n.upNode[0].mb
 	up.closed = false
 	f.ns.ses.edges[f.n.in[0]].sent.Store(5) // as the producer would have
 	f.n.absorb(runOf(f.ns.ses, []Message{
