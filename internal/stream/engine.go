@@ -238,23 +238,26 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 	// side of the wire.
 	if len(cfg.Cross) > 0 {
 		e.cross = make([]crossEnds, g.NumEdges())
+		for edge, c := range cfg.Cross {
+			e.cross[edge].CrossEdge = c
+		}
 	}
 	for _, n := range e.nodes {
 		n.upNode = make([]*engineNode, len(n.in))
 		for i, edge := range n.in {
-			n.upNode[i] = e.nodes[g.Edge(edge).From]
-			if c, ok := cfg.Cross[edge]; ok {
-				e.cross[edge].CrossEdge, e.cross[edge].to, e.cross[edge].inPos = c, n, int32(i)
-				n.upNode[i] = nil
+			if _, ok := cfg.Cross[edge]; ok {
+				e.cross[edge].to, e.cross[edge].inPos = n, int32(i)
+			} else {
+				n.upNode[i] = e.nodes[g.Edge(edge).From]
 			}
 		}
 		n.downNode = make([]*engineNode, len(n.out))
 		n.outCap = make([]int, len(n.out))
 		for i, edge := range n.out {
-			n.downNode[i] = e.nodes[g.Edge(edge).To]
-			if c, ok := cfg.Cross[edge]; ok {
-				e.cross[edge].CrossEdge, e.cross[edge].from, e.cross[edge].outPos = c, n, int32(i)
-				n.downNode[i] = nil
+			if _, ok := cfg.Cross[edge]; ok {
+				e.cross[edge].from, e.cross[edge].outPos = n, int32(i)
+			} else {
+				n.downNode[i] = e.nodes[g.Edge(edge).To]
 			}
 			n.outCap[i] = g.Edge(edge).Buf
 		}
@@ -290,7 +293,9 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 // small arrays of different nodes would sit side by side in one line and
 // every firing of one would evict the line from the other's core.  An
 // array whose size is a multiple of 64 bytes is allocated from a size
-// class of such multiples, so it starts on a line boundary too.
+// class of such multiples, so it starts on a line boundary too (or, past
+// 512 bytes of pointerful elements, 8 bytes after one, behind the
+// allocator's type header).
 func lineSlice[T any](n int) []T {
 	size := int(reflect.TypeFor[T]().Size())
 	per := 64 / gcd(size, 64)
