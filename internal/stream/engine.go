@@ -1549,8 +1549,9 @@ func (s *EngineSession) kick(n *engineNode) {
 }
 
 // failCredit fails a session that was returned more credits than it has
-// in flight on an out-edge.  Only a remote consumer can do that (a corrupt
-// or hostile credit frame): a local one acks exactly what it popped.
+// in flight on an out-edge.  Credits come only from a remote consumer (a
+// local one's count is its consumed line), and only a corrupt or hostile
+// credit frame can overpay.
 // Kept out of absorb so the check costs the hot path one compare.
 //
 //go:noinline
