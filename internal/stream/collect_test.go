@@ -54,9 +54,9 @@ func TestCancelledSessionPayloadsCollected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); pulls.Load() <= before || sinkQueued(ses) < uint64(e.sinkWin); time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); pulls.Load() <= before || ses.emit.occupancy() < int64(e.sinkWin); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("after 5 s: %d pulls, %d emissions queued", pulls.Load(), sinkQueued(ses))
+			t.Fatalf("after 5 s: %d pulls, %d emissions queued", pulls.Load(), ses.emit.occupancy())
 		}
 	}
 	ses.Fail(context.Canceled)

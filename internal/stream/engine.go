@@ -25,8 +25,8 @@ package stream
 //     and the node consumes its next input only when all of them have
 //     landed);
 //   - Source.Next and Sink.Emit, which may block indefinitely, run in
-//     per-session pump goroutines that exchange payloads with the source
-//     and sink node loops through grant tokens, so a quiet source or a
+//     per-session pump goroutines that meet the source and sink node loops
+//     through rings windowed like a local edge's, so a quiet source or a
 //     backpressuring sink stalls only its own session.
 //
 // A per-engine watchdog watches each session's own liveness counters and
@@ -64,7 +64,7 @@ type SessionConfig struct {
 	// required.
 	Source SourceFunc
 	// SpanSource, when non-nil, is used instead of Source: the ingest
-	// pump fills whole grant windows in one call.  Offer it only for
+	// pump fills the room in its window in one call.  Offer it only for
 	// sources safe under SpanSourceFunc's bulk-publication contract.
 	SpanSource SpanSourceFunc
 	// Sink receives the session's sink-node data firings in ascending
@@ -387,22 +387,21 @@ func (e *Engine) takeBufs(sink bool) *sessionBufs {
 		e.free = e.free[:k]
 	} else {
 		// The ingest ring (a power of two, for mask indexing) holds its
-		// window: its occupancy never exceeds outstanding grants, so the
-		// pump never waits for ring space.  The pump's fill scratch holds
-		// one window too.  Edge rings are made at their first send.
+		// window, and so does the pump's fill scratch.  Edge rings are
+		// made at their first send.
 		b = &sessionBufs{
 			live:    make([]ownedCounter, len(e.nodes)),
 			at:      make([]*nodeSession, len(e.nodes)),
 			edges:   make([]edgeCounts, e.g.NumEdges()),
 			kicks:   make([]kickFlag, len(e.nodes)),
-			ready:   make(chan struct{}, 1),
+			ingest:  new(edgeCounts),
+			emit:    new(edgeCounts),
+			srcWake: make(chan struct{}, 1),
 			ring:    make([]any, 1<<bits.Len(uint(e.srcWin-1))),
 			scratch: make([]any, e.srcWin),
 		}
 	}
 	if sink && b.emPay == nil {
-		// The payloads outstanding at the pump are capped at sinkWin, so
-		// sinkWin slots always have room for the next pass.
 		b.emSeq = make([]uint64, 1<<bits.Len(uint(e.sinkWin-1)))
 		b.emPay = make([]any, len(b.emSeq))
 		b.sinkWake = make(chan struct{}, 1)
@@ -486,31 +485,29 @@ func (e *Engine) watchdog() {
 }
 
 // ingestWindow is how many payloads a session's ingest pump may have
-// outstanding (granted or queued at the source node).  One would
-// round-trip a grant per payload; a small window pipelines ingestion
+// published that its source node has not yet fired: the ingest rim's
+// window, measured as the ring's tail (sent) minus the source node's
+// count of fired payloads (consumed), as a local edge's is.  One would
+// stop the pump at every payload; a small window pipelines ingestion
 // while still bounding a session's run-ahead over its own sends.
-// Grants travel as a counter (readyN) with a one-slot wake channel, and
-// ingested payloads land in a lock-free SPSC ring drained in bulk by
-// the source node on a coalesced kick — so a fast source costs one
-// mailbox post per drain cycle, not one per payload, as a local edge does.
 const ingestWindow = 16
 
-// sinkWindow is how many emissions a session may have outstanding at
-// its sink pump.  One would round-trip an evSinkDone per firing and
-// serialize the sink; a small window pipelines the handoff while still
-// bounding how far a session can run ahead of a slow Sink.  Order is
-// unaffected (FIFO ring, single pump) and so is the error contract:
-// the pump stops at the first Emit error, so queued emissions behind it
-// are never delivered.
+// sinkWindow is the sink rim's window: how many emissions the sink node
+// may have published that its pump has not yet delivered, measured as
+// tail minus the pump's count.  One would serialize the sink on the
+// handoff; a small window pipelines it while still bounding how far a
+// session can run ahead of a slow Sink.  Order is unaffected (FIFO ring,
+// single pump) and so is the error contract: the pump stops at the first
+// Emit error, so queued emissions behind it are never delivered.
 const sinkWindow = 16
 
 // EngineSession is one logical stream being served by an Engine.
 //
 // Its fields fall in three groups, padded apart: what every node loop
 // reads on every message and nobody writes once the session streams, what
-// the pumps and the rim nodes write on every message, and the cold rest.
-// A read-mostly field on a line the pumps write would miss in every node's
-// cache at every message.
+// the pumps write at every callback, and the cold rest.  A read-mostly
+// field on a line the pumps write would miss in every node's cache at
+// every message.
 type EngineSession struct {
 	id       proto.SessionID
 	e        *Engine
@@ -531,36 +528,6 @@ type EngineSession struct {
 	// external counts in-flight Source/Sink callbacks (blocked user code
 	// is not a wedge).
 	external atomic.Int64
-	// Ingest handoff.  The source node issues grants by adding to readyN
-	// and waking the pump through the one-slot ready channel; the pump
-	// publishes each payload to the single-producer single-consumer ring
-	// as soon as Source.Next returns it — never holding one back while
-	// demanding another — and kicks the source node (EngineSession.kick)
-	// once per drain cycle rather than posting one event per payload.  The
-	// ring never fills: occupancy is bounded by the source node's
-	// outstanding grants, which never exceed the ingest window the ring is
-	// sized for.  Only the pump writes ingTail and only the source node's
-	// goroutine writes ingHead; ingEOF is set (once) after the last
-	// payload's tail store, so a reader that observes it also observes
-	// every payload.
-	readyN  atomic.Int64
-	ingHead atomic.Uint64
-	ingTail atomic.Uint64
-	ingEOF  atomic.Bool
-
-	_ [64]byte
-
-	// Sink handoff, the ingest ring's mirror: the sink node copies each
-	// pass's emissions in at emTail (publish), and the pump delivers up to
-	// it, clears the slots, stores emHead and acks with one evSinkDone.  The
-	// node never reads the head: the sink window bounds what is outstanding.
-	// The pump raises sinkParked before it blocks on sinkWake; whoever
-	// lowers it owes the one token.  sinkData is the sink node's count, read
-	// at completion.
-	emTail     atomic.Uint64
-	emHead     atomic.Uint64
-	sinkParked atomic.Bool
-	sinkData   int64
 
 	_ [64]byte
 
@@ -615,15 +582,20 @@ type sessionBufs struct {
 	// n (see EngineSession.kick).
 	kicks []kickFlag
 
-	// ready wakes the ingest pump (grants, and end); ring is the ingest
-	// ring; scratch is the pump's fill buffer.
-	ready   chan struct{}
+	// The rims: ingest's producer is the ingest pump and its consumer the
+	// source node, emit's producer the sink node and its consumer the sink
+	// pump.  Each is an edge's counts, on lines of its own.
+	ingest, emit *edgeCounts
+
+	// ring is the ingest ring, scratch the ingest pump's fill buffer, and
+	// srcWake the pump's wake channel (see await).
 	ring    []any
 	scratch []any
+	srcWake chan struct{}
 
-	// emSeq/emPay are the sink ring, one slot per payload, and sinkWake
-	// the parked sink pump's wake channel (see EngineSession.emTail); all
-	// are made for the first session with a sink.
+	// emSeq/emPay are the sink ring, one slot per emission in parallel
+	// arrays, and sinkWake the sink pump's wake channel; all are made for
+	// the first session with a sink.
 	emSeq    []uint64
 	emPay    []any
 	sinkWake chan struct{}
@@ -653,18 +625,26 @@ type ownedCounter struct {
 // cleared as they are taken — the consumer only reads them, so a growth
 // can copy them without a race — so a ring keeps up to its length of
 // consumed payloads until they are overwritten or the buffers are
-// scrubbed.  stalled is raised by a producer whose send parked on the
-// full window and lowered by whichever of the two ends first finds room
-// (see park and flushCredits).
+// scrubbed.  stalled is raised by a producer that found the window full
+// and lowered by whichever of the two ends first finds room (see stall
+// and consume).
+//
+// The rims use the same counts and the same rule, with their own rings
+// (sessionBufs): a pump producer waits on its channel under stalled, and
+// a pump consumer under parked, raised while it waits for the tail to
+// move (see await).  eof is the ingest rim's end of stream, stored after
+// the last payload's tail.
 type edgeCounts struct {
 	sent          atomic.Int64
 	data, dummies int64
 	ring          atomic.Pointer[[]Message]
-	_             [32]byte
+	eof           atomic.Bool
+	_             [31]byte
 	consumed      atomic.Int64
 	taken         int64
 	stalled       atomic.Bool
-	_             [44]byte
+	parked        atomic.Bool
+	_             [43]byte
 }
 
 // kickFlag is one node's kick flag for one session, alone on its cache
@@ -678,6 +658,72 @@ type kickFlag struct {
 func (c *edgeCounts) occupancy() int64 {
 	d := c.consumed.Load()
 	return c.sent.Load() - d
+}
+
+// consume adds k to the consumer's count and reports whether the producer
+// stalled on the full window and is owed one wake, which the caller sends:
+// the count is stored before the flag is read, the mirror of stall's
+// order, so one of the two sees the other.
+func (c *edgeCounts) consume(k int64) (wake bool) {
+	c.consumed.Store(c.consumed.Load() + k)
+	return c.stalled.Load() && c.stalled.CompareAndSwap(true, false)
+}
+
+// stall raises the stalled flag of a node producer that needs occupancy
+// below window, then re-reads the consumer's count: a consumer that stored
+// it before the flag went up is seen here, one that stores it after sees
+// the flag (Dekker's order: each side stores, then loads the other's
+// word).  Reports whether the window had room after all, lowering the flag
+// again; a consumer that lowered it first sends one spare wake.
+func (c *edgeCounts) stall(window int64) (room bool) {
+	if !c.stalled.Load() {
+		c.stalled.Store(true)
+	}
+	if c.occupancy() < window {
+		c.stalled.CompareAndSwap(true, false)
+		return true
+	}
+	return false
+}
+
+// scrub zeroes the counts and flags for the next session and clears the
+// ring slots the session wrote.
+func (c *edgeCounts) scrub() {
+	if p := c.ring.Load(); p != nil {
+		// Message k went to slot k mod the length, so a session that sent
+		// fewer than that wrote only the slots below its count.
+		clear((*p)[:min(c.sent.Load(), int64(len(*p)))])
+	}
+	c.sent.Store(0)
+	c.consumed.Store(0)
+	c.taken = 0
+	c.stalled.Store(false)
+	c.parked.Store(false)
+	c.eof.Store(false)
+	c.data, c.dummies = 0, 0
+}
+
+// await blocks a pump on wake while blocked() holds and the session
+// lasts.  The pump raises flag, then re-checks both — a waker that stored
+// its count or the end before the flag went up is seen here, one after
+// sees the flag — and a waker that lowers the flag owes the one token
+// (wakePump), which the pump takes even when it found no need to wait,
+// so the one-slot channel never holds a stale one.
+func (s *EngineSession) await(flag *atomic.Bool, wake chan struct{}, blocked func() bool) {
+	flag.Store(true)
+	if blocked() && !s.ended.Load() {
+		<-wake
+	} else if !flag.CompareAndSwap(true, false) {
+		<-wake
+	}
+}
+
+// wakePump sends a pump waiting under flag its one token, if it is
+// waiting: whoever lowers the flag sends, so the send never blocks.
+func wakePump(flag *atomic.Bool, wake chan struct{}) {
+	if flag.Load() && flag.CompareAndSwap(true, false) {
+		wake <- struct{}{}
+	}
 }
 
 // unhold gives up one of the session's holds on its buffers.  The done
@@ -701,34 +747,22 @@ func (s *EngineSession) unhold() {
 
 // scrub empties the buffers for their next session: counters and flags
 // zeroed (the atomics with stores, since a watchdog scan that listed the
-// old session may still read them), rings and scratch cleared so no
-// payload outlives its session, and a stale ready token drained.  (Each
-// node empties its own at slot when it retires.)
+// old session may still read them), and rings and scratch cleared so no
+// payload outlives its session.  (Each node empties its own at slot when
+// it retires.)
 func (b *sessionBufs) scrub() {
 	for i := range b.live {
 		b.live[i].n.Store(0)
 		b.kicks[i].raised.Store(false)
 	}
 	for i := range b.edges {
-		c := &b.edges[i]
-		if p := c.ring.Load(); p != nil {
-			// Message k went to slot k mod the length, so a session that
-			// sent fewer than that wrote only the slots below its count.
-			clear((*p)[:min(c.sent.Load(), int64(len(*p)))])
-		}
-		c.sent.Store(0)
-		c.consumed.Store(0)
-		c.taken = 0
-		c.stalled.Store(false)
-		c.data, c.dummies = 0, 0
+		b.edges[i].scrub()
 	}
+	b.ingest.scrub()
+	b.emit.scrub()
 	clear(b.ring)
 	clear(b.scratch)
 	clear(b.emPay)
-	select {
-	case <-b.ready:
-	default:
-	}
 }
 
 // closeDone resolves Wait/Done exactly once: the session leaves the
@@ -772,19 +806,15 @@ func (s *EngineSession) Wait() (*Stats, error) {
 // way observers of Wait/Done see a fully detached session.
 //
 // The pumps wait on their own channels, not on the context: its done
-// channel is then made only if user code asks for it.  The pokes follow
-// the ended store and never block (a one-slot channel, where a token
-// already there wakes the pump just as well, and the sink's parked flag).
+// channel is then made only if user code asks for it.  The wakes follow
+// the ended store (see await).
 func (s *EngineSession) end(err error, stats *Stats) {
 	s.endOnce.Do(func() {
 		s.ended.Store(true)
 		s.err = err
 		s.stats = stats
-		select {
-		case s.ready <- struct{}{}:
-		default:
-		}
-		s.wakeSink()
+		wakePump(&s.ingest.stalled, s.srcWake)
+		wakePump(&s.emit.parked, s.sinkWake)
 		if m := s.e.cfg.Obs; m != nil {
 			sm := m.Sessions()
 			sm.Active.Add(-1)
@@ -837,7 +867,7 @@ func (s *EngineSession) finishFromSink() {
 	stats := &Stats{
 		Data:     make(map[graph.EdgeID]int64, len(s.edges)),
 		Dummies:  make(map[graph.EdgeID]int64, len(s.edges)),
-		SinkData: s.sinkData,
+		SinkData: s.emit.data,
 		Elapsed:  time.Since(s.start),
 	}
 	for i := range s.edges {
@@ -847,64 +877,52 @@ func (s *EngineSession) finishFromSink() {
 	s.end(nil, stats)
 }
 
-// ingestPump pulls the session's payloads.  Each grant buys one payload,
-// and the node keeps up to the ingest window of grants outstanding, so a
-// session's source runs ahead a bounded window and a slow consumer
-// applies backpressure to its own source only.  Each fill is published
-// before the next is asked for — a request/response feedback source,
-// filled one payload per call, never sees the engine hold one payload
-// while demanding another — but the publish is slot writes and one tail
-// store on the lock-free SPSC ring, and the mailbox kick coalesces: under
-// load the source node drains whole runs of payloads per event, and a
-// SpanSource pays the handoff per window.
+// ingestPump pulls the session's payloads into the ingest rim while its
+// window has room, so a session's source runs ahead a bounded window and
+// a slow consumer applies backpressure to its own source only.  Each fill
+// is published before the next is asked for — a request/response
+// feedback source, filled one payload per call, never sees the engine
+// hold one payload while demanding another — but the publish is slot
+// writes and one tail store, and the kick coalesces: under load the
+// source node drains whole runs of payloads per event, and a SpanSource
+// fills the window's room in one call.  A full window parks the pump
+// until the source node's count moves.
 func (s *EngineSession) ingestPump(src *engineNode) {
 	defer s.unhold()
-	scratch, mask := s.scratch, uint64(len(s.ring)-1)
-	for {
-		g := s.readyN.Swap(0)
-		if g == 0 {
-			if s.ended.Load() {
-				return
-			}
-			<-s.ready
+	c, win, mask := s.ingest, int64(len(s.scratch)), int64(len(s.ring)-1)
+	full := func() bool { return c.occupancy() == win }
+	for t := int64(0); !s.ended.Load(); {
+		m := win - (t - c.consumed.Load())
+		if m == 0 {
+			s.await(&c.stalled, s.srcWake, full)
 			continue
 		}
-		// One external-callback window covers the whole granted run: the
-		// watchdog only needs to know user code may be blocking, not how
-		// many calls deep the run is.
 		s.external.Add(1)
-		for g > 0 {
-			m := min(g, int64(len(scratch)))
-			n, eof, err := s.fill(scratch[:m])
-			if err != nil {
-				s.external.Add(-1)
-				s.callbackFailed("source", err)
-				return
-			}
-			if n < 0 || int64(n) > m {
-				s.external.Add(-1)
-				s.end(fmt.Errorf("stream: span source filled %d of a %d-payload buffer", n, m), nil)
-				return
-			}
-			t := s.ingTail.Load()
-			for j := 0; j < n; j++ {
-				s.ring[(t+uint64(j))&mask] = scratch[j]
-				scratch[j] = nil
-			}
-			s.ingTail.Store(t + uint64(n))
-			if eof = eof || n == 0; eof { // an empty error-free fill ends the stream
-				// After the last payload's tail store, so the drain that
-				// observes EOF has observed every payload.
-				s.ingEOF.Store(true)
-			}
-			s.kick(src)
-			if eof {
-				s.external.Add(-1)
-				return
-			}
-			g -= int64(n)
-		}
+		n, eof, err := s.fill(s.scratch[:m])
 		s.external.Add(-1)
+		if err != nil {
+			s.callbackFailed("source", err)
+			return
+		}
+		if n < 0 || int64(n) > m {
+			s.end(fmt.Errorf("stream: span source filled %d of a %d-payload buffer", n, m), nil)
+			return
+		}
+		for j := 0; j < n; j++ {
+			s.ring[(t+int64(j))&mask] = s.scratch[j]
+			s.scratch[j] = nil
+		}
+		t += int64(n)
+		c.sent.Store(t)
+		if eof = eof || n == 0; eof { // an empty error-free fill ends the stream
+			// After the last payload's tail store, so the drain that
+			// observes EOF has observed every payload.
+			c.eof.Store(true)
+		}
+		s.kick(src)
+		if eof {
+			return
+		}
 	}
 }
 
@@ -923,38 +941,39 @@ func (s *EngineSession) fill(buf []any) (int, bool, error) {
 	return 1, false, nil
 }
 
-// sinkPump delivers the session's emissions in order, draining the ring
-// eagerly and acknowledging each drained run with one batched evSinkDone
-// (cnt = count), so a fast sink costs one mailbox round-trip per batch
-// rather than per emission.  The pump stops at the first Emit error, or
-// once the session has ended; emissions still queued are never delivered.
+// sinkPump delivers the session's emissions in order, draining the sink
+// rim eagerly: each delivery covers everything published when it began,
+// and stores the pump's count after it, so a fast sink costs one store per
+// run of emissions and wakes the sink node only if it stalled on the full
+// window.  The pump stops at the first Emit error, or once the session has
+// ended; emissions still queued are never delivered.
 func (s *EngineSession) sinkPump(sink *engineNode) {
 	defer s.unhold()
-	for h := uint64(0); !s.ended.Load(); {
-		start := h
-		for t := s.emTail.Load(); h != t; t = s.emTail.Load() {
-			if err := s.deliver(h, t); err != nil {
-				s.callbackFailed("sink", err)
-				return
-			}
-			h = t
-		}
-		if h == start {
-			s.parkSink(h)
+	c := s.emit
+	empty := func() bool { return c.occupancy() == 0 }
+	for !s.ended.Load() {
+		h, t := c.consumed.Load(), c.sent.Load()
+		if h == t {
+			s.await(&c.parked, s.sinkWake, empty)
 			continue
 		}
-		s.emHead.Store(h)
-		sink.mb.post(event{kind: evSinkDone, ses: s, cnt: int(h - start)})
+		if err := s.deliver(h, t); err != nil {
+			s.callbackFailed("sink", err)
+			return
+		}
+		if c.consume(t - h) {
+			sink.mb.post(event{kind: evWake, ses: s})
+		}
 	}
 }
 
 // deliver hands the ring's slots [h, t) to the sink under one
 // external-callback window — one EmitSpan, or two where the ring wraps,
 // or Emit per element — and clears them.
-func (s *EngineSession) deliver(h, t uint64) (err error) {
+func (s *EngineSession) deliver(h, t int64) (err error) {
 	s.external.Add(1)
 	for h != t && err == nil {
-		i := int(h & uint64(len(s.emPay)-1))
+		i := int(h & int64(len(s.emPay)-1))
 		j := min(i+int(t-h), len(s.emPay))
 		seqs, pays := s.emSeq[i:j], s.emPay[i:j]
 		if s.spanSink != nil {
@@ -965,42 +984,24 @@ func (s *EngineSession) deliver(h, t uint64) (err error) {
 			}
 		}
 		clear(pays)
-		h += uint64(j - i)
+		h += int64(j - i)
 	}
 	s.external.Add(-1)
 	return err
 }
 
-// parkSink blocks the sink pump until the ring holds more than h or the
-// session ends: a publish or end racing the re-check sees the flag.
-func (s *EngineSession) parkSink(h uint64) {
-	s.sinkParked.Store(true)
-	if s.emTail.Load() == h && !s.ended.Load() {
-		<-s.sinkWake
-	} else if !s.sinkParked.CompareAndSwap(true, false) {
-		<-s.sinkWake // a waker cleared the flag first: take its token
-	}
-}
-
-// publish copies one pass's emissions into the sink ring: slot writes
-// and a tail store, and a wake only when the pump is parked.
+// publish copies one pass's emissions into the sink ring: slot writes,
+// a tail store, and a wake only when the pump waits.
 func (s *EngineSession) publish(seqs []uint64, pays []any) {
-	t := s.emTail.Load()
-	mask := uint64(len(s.emPay) - 1)
+	c := s.emit
+	t := c.sent.Load()
+	mask := int64(len(s.emPay) - 1)
 	for j := range pays {
-		k := (t + uint64(j)) & mask
+		k := (t + int64(j)) & mask
 		s.emSeq[k], s.emPay[k] = seqs[j], pays[j]
 	}
-	s.emTail.Store(t + uint64(len(pays)))
-	s.wakeSink()
-}
-
-// wakeSink wakes a parked sink pump; whoever clears the flag sends the one
-// token, so the one-slot channel never blocks.
-func (s *EngineSession) wakeSink() {
-	if s.sinkParked.Load() && s.sinkParked.CompareAndSwap(true, false) {
-		s.sinkWake <- struct{}{}
-	}
+	c.sent.Store(t + int64(len(pays)))
+	wakePump(&c.parked, s.sinkWake)
 }
 
 // ---------------------------------------------------------------------
@@ -1013,9 +1014,8 @@ const (
 	evMsg           // a run that crossed the wire (Deliver)
 	evCredit        // credits that crossed the wire (Credit)
 	evKick          // coalesced kick: drain the rings that feed this node for the session
-	evWake          // a consumer made room on a local out-edge where a send parked
-	evSinkDone
-	evTick // a time-aware node's flush timer fired for the session
+	evWake          // a consumer made room in a window where the node stalled
+	evTick          // a time-aware node's flush timer fired for the session
 	evAbort
 	evKinds
 )
@@ -1028,7 +1028,7 @@ const (
 type event struct {
 	kind evKind
 	pos  int32 // in-edge position (evMsg), out-edge position (evCredit)
-	cnt  int   // batched count (evCredit, evSinkDone), run length (evMsg)
+	cnt  int   // batched count (evCredit), run length (evMsg)
 	ses  *EngineSession
 	off  int // run offset in the batch's arena (evMsg)
 }
@@ -1247,19 +1247,17 @@ type nodeSession struct {
 	// an observer attached, owned by the node goroutine.
 	stallSince []int64
 
-	// The firing queue of a queued node: a source's granted payloads, a
+	// The firing queue of a queued node: a source's drained payloads, a
 	// time-aware node's matured emissions.  nextSeq is the sequence number
-	// the queue's head fires at, and srcDone says nothing more will be
-	// queued, so EOS follows the last firing.
-	nextSeq      uint64
-	ingestQ      fifo[any]
-	srcDone      bool
-	grants       int  // source only: grant tokens outstanding at the pump
-	sinkInflight int  // sink only: emissions outstanding at the pump
-	finishOnIdle bool // sink only: EOS consumed, waiting for the pump
-	done         bool
-	retired      bool // detached from the node; skip advances (see retire)
-	dirty        bool // queued in the node's per-batch advance list
+	// the queue's head fires at — at the source, also the ingest rim's
+	// consumed count — and srcDone says nothing more will be queued, so
+	// EOS follows the last firing.
+	nextSeq uint64
+	ingestQ fifo[any]
+	srcDone bool
+	done    bool
+	retired bool // detached from the node; skip advances (see retire)
+	dirty   bool // queued in the node's per-batch advance list
 
 	// Time-aware node state (n.timed != nil only).  tickDue records an
 	// absorbed but not-yet-delivered flush-timer wakeup; timer is the
@@ -1356,7 +1354,7 @@ func (n *engineNode) markDirty(ns *nodeSession) {
 // free list of session buffers (takeBufs, unhold) has the same cap; one
 // entry is two padded lines and a state slot per node, two lines and a
 // ring per edge (32-byte slots, at most twice the deepest window its
-// sessions used; see minRing), the ingest ring and fill scratch (a grant
+// sessions used; see minRing), the ingest ring and fill scratch (an ingest
 // window each) and the sink ring (a sink window of 24-byte seq and
 // payload slots): about 2 KB on a five-node chain, plus the rings.
 const freeSessions = 16
@@ -1388,9 +1386,8 @@ func (n *engineNode) openSession(ses *EngineSession) *nodeSession {
 // it is over at this node (EOS sent, or the sink finished).  It detaches
 // the state from the node at once and queues it for release and checkout
 // after the batch's advance loop (n.dirty may still hold it, and the
-// advance may still count).  Retiring twice is a no-op — a sink that
-// finishes inside advance retires in finishSink and again in advance's
-// reclaim — so one state never reaches the free list twice.
+// advance may still count).  Retiring twice is a no-op, so one state
+// never reaches the free list twice.
 func (n *engineNode) retire(ns *nodeSession) {
 	if ns.retired {
 		return
@@ -1480,8 +1477,6 @@ func (n *engineNode) absorb(ev *event, arena []Message) {
 		} else {
 			n.drain(ns)
 		}
-	case evSinkDone:
-		ns.sinkInflight -= ev.cnt
 	case evTick:
 		ns.tickDue = true
 	}
@@ -1489,28 +1484,20 @@ func (n *engineNode) absorb(ev *event, arena []Message) {
 }
 
 // drainIngest moves the payloads the ingest pump published into the
-// source's firing queue.
+// source's firing queue, clearing their slots; they stay in the pump's
+// window until they fire.
 func (n *engineNode) drainIngest(ns *nodeSession) {
-	s := ns.ses
+	c, ring := ns.ses.ingest, ns.ses.ring
 	// EOF before tail: the pump stores the tail of its last payload before
 	// setting EOF, so seeing EOF here means the tail read below covers the
 	// whole stream — srcDone is never set with payloads still in the ring.
-	eof := s.ingEOF.Load()
-	h := s.ingHead.Load()
-	t := s.ingTail.Load()
-	if t != h {
-		ring, mask := s.ring, uint64(len(s.ring)-1)
-		for i := h; i < t; i++ {
-			ns.ingestQ.push(ring[i&mask])
-			ring[i&mask] = nil
-		}
-		s.ingHead.Store(t)
-		ns.grants -= int(t - h)
+	eof := c.eof.Load()
+	t, mask := c.sent.Load(), int64(len(ring)-1)
+	for ; c.taken < t; c.taken++ {
+		ns.ingestQ.push(ring[c.taken&mask])
+		ring[c.taken&mask] = nil
 	}
-	if eof && !ns.srcDone {
-		ns.srcDone = true
-		ns.grants-- // the grant the EOS-returning Next consumed
-	}
+	ns.srcDone = ns.srcDone || eof
 }
 
 // drain moves what the producers published on the node's in-edge rings
@@ -1563,8 +1550,7 @@ func (n *engineNode) failCredit(ns *nodeSession, ev *event) {
 
 // advance drives the session's state machine at this node as far as it
 // can go without blocking: flush parked sends, fire while inputs align
-// and sends land, re-grant the ingest window, ack consumed heads, and
-// reclaim drained state.
+// and sends land, store the consumed counts, and reclaim drained state.
 func (n *engineNode) advance(ns *nodeSession) {
 	if ns.retired {
 		return
@@ -1584,7 +1570,7 @@ func (n *engineNode) advance(ns *nodeSession) {
 			for !ns.done && ns.pendingN == 0 && n.fireRun(ns) {
 			}
 		}
-		if ns.pendingN == 0 || !n.park(ns) {
+		if !n.park(ns) {
 			break
 		}
 	}
@@ -1597,23 +1583,22 @@ func (n *engineNode) advance(ns *nodeSession) {
 	if n.timed != nil {
 		n.armTimer(ns)
 	}
-	// A sink whose EOS arrived while Emits were still at the pump
-	// finishes on the pump's final ack.
-	if ns.done && ns.finishOnIdle && ns.sinkInflight == 0 {
-		n.finishSink(ns)
-		return
-	}
-	// Reclaim drained state — except at a sink still waiting for its
-	// pump's final Emit (finishSink retires it then).
-	if ns.done && ns.pendingN == 0 && !ns.finishOnIdle {
-		n.retire(ns)
+	// Reclaim drained state.  A sink's goes once its pump has delivered
+	// every emission (park waits for that), and completes the session.
+	if ns.done && ns.pendingN == 0 {
+		if len(n.out) > 0 {
+			n.retire(ns)
+		} else if ns.ses.emit.occupancy() == 0 {
+			n.retire(ns)
+			ns.ses.finishFromSink()
+		}
 	}
 }
 
 // advanceQueued is the advance body of a queued node: fire the queue
 // while sends land, and end the stream once nothing more will be queued
 // and the queue has drained.  The source's queue is refilled by its pump,
-// which is kept granted up to the ingest window; a time-aware node
+// which runs ahead up to the ingest window; a time-aware node
 // refills its own, by delivering a due flush-timer tick and consuming
 // inputs, but only with the queue empty and nothing parked — a tick that
 // finds sends parked is deferred (the wake or credit that drains them
@@ -1643,31 +1628,12 @@ loop:
 			break loop
 		}
 	}
-	// Keep the pump running ahead, up to the ingest window of
-	// outstanding payloads (granted or queued) — backpressure still
-	// propagates once the queue fills, but a fast source no longer
-	// round-trips a grant per payload: grants post as one counter add
-	// plus a non-blocking wake.
-	if n.timed == nil && !ns.done && !ns.srcDone {
-		if k := n.e.srcWin - ns.grants - ns.ingestQ.len(); k > 0 {
-			ns.grants += k
-			ns.ses.readyN.Add(int64(k))
-			select {
-			case ns.ses.ready <- struct{}{}:
-			default:
-			}
-		}
-	}
 }
 
-// endStream finishes the session at this node after its last firing:
-// EOS on every out-edge, or the session's completion at the sink.
+// endStream finishes the session at this node after its last firing: EOS
+// on every out-edge (advance completes the session at the sink).
 func (n *engineNode) endStream(ns *nodeSession) {
 	ns.done = true
-	if len(n.out) == 0 {
-		n.finishSink(ns)
-		return
-	}
 	for i := range n.out {
 		n.setPending(ns, i, Message{Seq: proto.EOSSeq, Kind: EOS})
 	}
@@ -1675,21 +1641,27 @@ func (n *engineNode) endStream(ns *nodeSession) {
 }
 
 // flushCredits counts this advance's consumed heads in each in-edge's
-// consumed line.  On a ring that count is the credit: the producer reads
-// it, and is woken only if a send of its has parked on the edge — the
-// consumer stores the count, then looks at the stalled flag, the mirror of
-// park's order, so one of the two sees the other.  A cross edge gets one
-// batched credit event in its carrier's outbox.
+// consumed line, and the source's fired payloads in the ingest rim's.  On
+// a ring that count is the credit: the producer reads it, and is woken
+// only if it stalled on the full window (see consume).  A cross edge gets
+// one batched credit event in its carrier's outbox.
 func (n *engineNode) flushCredits(ns *nodeSession) {
+	if len(n.in) == 0 {
+		c := ns.ses.ingest
+		if k := int64(ns.nextSeq) - c.consumed.Load(); k > 0 && c.consume(k) {
+			ns.ses.srcWake <- struct{}{}
+		}
+		return
+	}
 	for i, k := range n.creditAcc {
 		if k > 0 {
 			n.creditAcc[i] = 0
 			c := &ns.ses.edges[n.in[i]]
-			c.consumed.Store(c.consumed.Load() + int64(k))
 			if up := n.upNode[i]; up == nil {
+				c.consumed.Store(c.consumed.Load() + int64(k))
 				edge := n.in[i]
 				n.e.cross[edge].Credits.mb.post(event{kind: evCredit, ses: ns.ses, pos: int32(edge), cnt: k})
-			} else if c.stalled.Load() && c.stalled.CompareAndSwap(true, false) {
+			} else if c.consume(int64(k)) {
 				up.mb.post(event{kind: evWake, ses: ns.ses})
 			}
 		}
@@ -1704,24 +1676,25 @@ func (n *engineNode) reload(ns *nodeSession, i int) {
 	ns.inflight[i] = int(c.sent.Load() - c.consumed.Load())
 }
 
-// park raises the stalled flag of every local out-edge where a send is
-// parked, then reloads its count: a consumer that stored its count before
-// the flag went up is seen here, one that stores it after sees the flag
-// and wakes the node (Dekker's order: each side stores, then loads the
-// other's word).  Reports whether a window had room after all, lowering
-// that edge's flag again; a consumer that lowered it first sends one
-// spare wake.
+// park stalls (see stall) on every local out-edge where a send is parked,
+// and at a sink on the sink rim while the node waits on its pump: for room
+// in a full window, or, with EOS consumed, for the ring to drain.  Reports
+// whether a window had room after all.
 func (n *engineNode) park(ns *nodeSession) (room bool) {
+	if len(n.out) == 0 {
+		w := int64(n.e.sinkWin)
+		if ns.done {
+			w = 1
+		}
+		c := ns.ses.emit
+		return c.occupancy() >= w && c.stall(w)
+	}
+	if ns.pendingN == 0 {
+		return false
+	}
 	for i, set := range ns.pendingSet {
-		if !set || n.downNode[i] == nil {
-			continue
-		}
-		c := &ns.ses.edges[n.out[i]]
-		if !c.stalled.Load() {
-			c.stalled.Store(true)
-		}
-		if n.reload(ns, i); n.room(ns, i) > 0 {
-			c.stalled.CompareAndSwap(true, false)
+		if set && n.downNode[i] != nil && ns.ses.edges[n.out[i]].stall(int64(n.outCap[i])) {
+			n.reload(ns, i)
 			room = true
 		}
 	}
@@ -1974,7 +1947,7 @@ func (n *engineNode) fire(ns *nodeSession) (fired, data int, eos bool) {
 	sinkRoom := n.batch
 	emits := nOut == 0 && ns.ses.hasSink() // firings go to the sink pump
 	if emits {
-		sinkRoom = n.e.sinkWin - ns.sinkInflight
+		sinkRoom = n.e.sinkWin - int(ns.ses.emit.occupancy())
 	}
 pass:
 	for full := false; fired < n.batch && data < sinkRoom && !full; {
@@ -2179,19 +2152,18 @@ func (n *engineNode) sinkEmit(ns *nodeSession, data int) {
 	if data == 0 {
 		return
 	}
-	ns.ses.sinkData += int64(data)
+	ns.ses.emit.data += int64(data)
 	if n.obsS != nil {
 		n.obsS.SinkMsgs.Add(int64(data))
 	}
 	if !ns.ses.hasSink() {
 		return
 	}
-	// The pass stopped at the pump window's room, so the ring has room
-	// for it (see EngineSession.emTail).
+	// The pass stopped at the sink window's room, so the ring has room
+	// for it.
 	ns.ses.publish(n.emSeqs, n.emPays)
 	clear(n.emPays)
 	n.emSeqs, n.emPays = n.emSeqs[:0], n.emPays[:0]
-	ns.sinkInflight += data
 }
 
 // consumeTimed consumes one run of a time-aware node's input: up to batch
@@ -2304,15 +2276,4 @@ func (n *engineNode) stopTimer(ns *nodeSession) {
 		ns.timerArmed = false
 		ns.ses.timersArmed.Add(-1)
 	}
-}
-
-// finishSink resolves the session at the sink node: immediately when the
-// pump is idle, or on the final evSinkDone otherwise.
-func (n *engineNode) finishSink(ns *nodeSession) {
-	if ns.sinkInflight > 0 {
-		ns.finishOnIdle = true
-		return
-	}
-	n.retire(ns)
-	ns.ses.finishFromSink()
 }

@@ -3,8 +3,8 @@ package stream
 // Layer microbenchmarks for the pieces a message crosses between two
 // kernels: the head queue, a local edge's ring (publish to consumed
 // count), the mailbox that cross edges and control events still take
-// (drained in batches, and one hop between two parked loops), the sink
-// ring's handoff to its pump, and one
+// (drained in batches, and one hop between two parked loops), the two
+// rims' handoffs between a pump and its node, and one
 // pass of the firing loop — a batch-1 all-data firing, a 64-firing pass
 // over runs that mix data and dummies (staggered across a join's inputs,
 // or aligned so the dummies form stretches), and a time-aware node's
@@ -12,13 +12,14 @@ package stream
 // Every benchmark's ns/op and allocs/op are per message, except the
 // session's, which are per session.
 //
-//	go test -run '^$' -bench 'Fifo|RingHop|Mailbox|SinkHandoff|Fire|MixedRun|AlignedDummy|TimedIngest|SessionCycle' -benchmem ./internal/stream
+//	go test -run '^$' -bench 'Fifo|RingHop|Mailbox|Handoff|Fire|MixedRun|AlignedDummy|TimedIngest|SessionCycle' -benchmem ./internal/stream
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,57 +176,118 @@ func BenchmarkMailboxPostTakeParked(b *testing.B) {
 
 // BenchmarkSinkHandoff is the sink rim at batch 1: per op, the sink node
 // publishes one emission to the session's sink ring, and the pump delivers
-// it to a no-op Sink and acks it into the sink node's mailbox, which the
-// benchmark drains whenever a sink window is outstanding.
+// it to a no-op Sink and stores its count.  On a full window the benchmark
+// stalls as the sink node does (park) and takes the pump's wake from the
+// node's mailbox.
 func BenchmarkSinkHandoff(b *testing.B) {
-	r := newSinkRig(b)
-	inflight := 0
+	r := newSinkRig(b, nil)
+	c, w := r.ses.emit, int64(r.ses.e.sinkWin)
 	seq, pay := make([]uint64, 1), make([]any, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for inflight == r.ses.e.sinkWin {
-			inflight -= r.acks()
+		for c.occupancy() >= w && !c.stall(w) {
+			r.wakes()
 		}
 		seq[0] = uint64(i)
 		r.ses.publish(seq, pay)
-		inflight++
 	}
 	b.StopTimer()
 	r.stop()
 }
 
-// TestSinkRingWakesParkedPump hands the sink pump one emission at a time,
-// spinning until the pump has delivered it and then a random few hundred
-// nanoseconds more, so the next publish lands all over the pump's way to
-// parking on the empty ring.  One lost between the pump's last look at
-// the tail and its raising the parked flag is never delivered.
+// BenchmarkIngestHandoff is the ingest rim at batch 1: per op, the pump
+// takes one payload from a Source, publishes it to the session's ingest
+// ring and kicks the source node.  The benchmark is the source node: it
+// takes the kick, drains the ring into the firing queue, fires what it
+// drained (pops it, with no kernel and no send) and stores its count,
+// which wakes the pump if it stalled on the full window.
+func BenchmarkIngestHandoff(b *testing.B) {
+	e, err := NewEngine(workload.Pipeline(3, 4), nil, Config{WatchdogTimeout: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.Close()
+	src := e.source
+	src.mb.closed = false
+	left, one := b.N, any(1)
+	source := func(context.Context) (any, bool, error) {
+		if left == 0 {
+			return nil, false, nil
+		}
+		left--
+		return one, true, nil
+	}
+	ses := &EngineSession{id: 1, e: e, ctx: context.Background(), source: source, sessionBufs: e.takeBufs(false)}
+	src.absorb(&event{kind: evOpen, ses: ses}, nil)
+	ns := ses.at[src.id]
+	ns.dirty, src.dirty = false, src.dirty[:0]
+	pumped := make(chan struct{})
+	var spare batch
+	b.ReportAllocs()
+	b.ResetTimer()
+	go func() {
+		defer close(pumped)
+		ses.ingestPump(src)
+	}()
+	for !ns.srcDone || ns.ingestQ.len() > 0 {
+		kicks, _ := src.mb.takeAll(spare)
+		for j := range kicks.evs {
+			src.absorb(&kicks.evs[j], kicks.arena)
+		}
+		kicks.reset()
+		spare = kicks
+		ns.dirty, src.dirty = false, src.dirty[:0]
+		k := ns.ingestQ.len()
+		ns.ingestQ.pop(k)
+		ns.nextSeq += uint64(k)
+		src.flushCredits(ns)
+	}
+	b.StopTimer()
+	<-pumped
+}
+
+// TestSinkRingWakesParkedPump hands the sink pump one emission at a time.
+// The Sink records each one and spins a random while before it returns;
+// the test spins a random while after it sees the record, then publishes
+// the next, so the publish lands all over the pump's way from the Sink
+// back to parking on the empty ring.  One lost between the pump's last
+// look at the tail and its raising the parked flag is never delivered.
 func TestSinkRingWakesParkedPump(t *testing.T) {
-	r := newSinkRig(t)
+	var emitted atomic.Int64
+	emitted.Store(-1)
+	pumpRng := rand.New(rand.NewSource(2))
+	r := newSinkRig(t, func(_ context.Context, seq uint64, _ any) error {
+		emitted.Store(int64(seq))
+		spin(pumpRng.Intn(256))
+		return nil
+	})
 	defer r.stop()
 	rng := rand.New(rand.NewSource(1))
 	seq, pay := make([]uint64, 1), make([]any, 1)
-	for i := uint64(0); i < 5000; i++ {
-		seq[0] = i
+	for i := int64(0); i < 5000; i++ {
+		seq[0] = uint64(i)
 		r.ses.publish(seq, pay)
-		for deadline := time.Now().Add(5 * time.Second); r.ses.emHead.Load() != i+1; {
+		for deadline := time.Now().Add(5 * time.Second); emitted.Load() != i; {
 			if time.Now().After(deadline) {
 				t.Fatalf("emission %d was never delivered: the pump slept through its publish", i)
 			}
 		}
-		for spin := rng.Intn(512); spin > 0; spin-- {
-			spun++
-		}
-		if i%1024 == 1023 {
-			r.acks() // keep the mailbox short; the acks themselves are not checked
-		}
+		spin(rng.Intn(64))
 	}
 }
 
-var spun int
+var spun atomic.Int64
+
+// spin busy-waits n steps of a few nanoseconds each.
+func spin(n int) {
+	for ; n > 0; n-- {
+		spun.Add(1)
+	}
+}
 
 // sinkRig is a session's sink pump running against the sink node of a
-// built-and-closed engine, whose mailbox the caller drains for the acks.
+// built-and-closed engine, whose mailbox the caller drains for the wakes.
 type sinkRig struct {
 	ses    *EngineSession
 	sink   *engineNode
@@ -233,7 +295,8 @@ type sinkRig struct {
 	pumped chan struct{}
 }
 
-func newSinkRig(tb testing.TB) *sinkRig {
+// newSinkRig runs the pump with sink, or a no-op Sink when it is nil.
+func newSinkRig(tb testing.TB, sink SinkFunc) *sinkRig {
 	e, err := NewEngine(workload.Pipeline(3, 4), nil, Config{WatchdogTimeout: time.Hour})
 	if err != nil {
 		tb.Fatal(err)
@@ -242,7 +305,9 @@ func newSinkRig(tb testing.TB) *sinkRig {
 	r := &sinkRig{sink: e.sink, pumped: make(chan struct{})}
 	r.sink.mb.closed = false
 	ctx, cancel := context.WithCancelCause(context.Background())
-	sink := func(context.Context, uint64, any) error { return nil }
+	if sink == nil {
+		sink = func(context.Context, uint64, any) error { return nil }
+	}
 	r.ses = &EngineSession{id: 1, e: e, ctx: ctx, cancel: cancel, sink: sink, sessionBufs: e.takeBufs(true)}
 	go func() {
 		defer close(r.pumped)
@@ -251,16 +316,11 @@ func newSinkRig(tb testing.TB) *sinkRig {
 	return r
 }
 
-// acks takes the next batch of the pump's acks and returns how many
-// payloads they cover, 0 once the mailbox is closed.
-func (r *sinkRig) acks() (n int) {
+// wakes takes the next batch of the pump's wakes.
+func (r *sinkRig) wakes() {
 	b, _ := r.sink.mb.takeAll(r.spare)
-	for j := range b.evs {
-		n += b.evs[j].cnt
-	}
 	b.reset()
 	r.spare = b
-	return n
 }
 
 func (r *sinkRig) stop() {

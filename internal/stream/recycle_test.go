@@ -8,6 +8,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,12 +19,11 @@ import (
 	"streamdag/internal/workload"
 )
 
-// TestNodeSessionReleasedOnce is the regression test of the double exit: a
-// sink without a pump finishes its stream inside advance (endStream →
-// finishSink), and advance's reclaim then retires the same state again.
-// Retiring must be idempotent, or one state is released twice and handed
-// to two sessions.  After 100 sessions, half of them sinkless, no free list
-// may hold a state twice, or hold one still bound to a session.
+// TestNodeSessionReleasedOnce is the regression test of a double exit: a
+// session's state must leave its node once, or one state is released
+// twice and handed to two sessions.  After 100 sessions, half of them
+// sinkless, no free list may hold a state twice, or hold one still bound
+// to a session.
 func TestNodeSessionReleasedOnce(t *testing.T) {
 	e, err := NewEngine(workload.Pipeline(4, 2), nil, Config{WatchdogTimeout: 10 * time.Second})
 	if err != nil {
@@ -184,7 +184,7 @@ func TestSessionBufsScrubbed(t *testing.T) {
 			still++
 		}
 	}
-	if sinkQueued(blocked) == 0 {
+	if blocked.emit.occupancy() == 0 {
 		t.Fatal("a stalled session with a blocked sink has no emission queued")
 	}
 	blocked.Fail(context.Canceled)
@@ -250,11 +250,10 @@ func TestSessionBufsScrubbed(t *testing.T) {
 			}
 		}
 		for i := range b.edges {
-			if c := &b.edges[i]; c.sent.Load() != 0 || c.consumed.Load() != 0 || c.taken != 0 || c.stalled.Load() || c.data != 0 || c.dummies != 0 {
-				t.Fatalf("edge %d counters after scrub: sent %d, consumed %d, taken %d, stalled %v, data %d, dummies %d",
-					i, c.sent.Load(), c.consumed.Load(), c.taken, c.stalled.Load(), c.data, c.dummies)
-			}
+			requireCountsScrubbed(t, fmt.Sprintf("edge %d", i), &b.edges[i])
 		}
+		requireCountsScrubbed(t, "ingest rim", b.ingest)
+		requireCountsScrubbed(t, "sink rim", b.emit)
 		for i := range b.kicks {
 			if b.kicks[i].raised.Load() {
 				t.Fatalf("node %d's kick flag still raised after scrub", i)
@@ -278,8 +277,8 @@ func TestSessionBufsScrubbed(t *testing.T) {
 				t.Fatalf("sink ring slot %d still holds %v after scrub", i, v)
 			}
 		}
-		if len(b.ready) != 0 || len(b.sinkWake) != 0 {
-			t.Fatalf("after scrub: %d ready, %d sink wake tokens", len(b.ready), len(b.sinkWake))
+		if len(b.srcWake) != 0 || len(b.sinkWake) != 0 {
+			t.Fatalf("after scrub: %d ingest, %d sink wake tokens", len(b.srcWake), len(b.sinkWake))
 		}
 	}
 	if !seen[stuck.sessionBufs] {
@@ -287,9 +286,15 @@ func TestSessionBufsScrubbed(t *testing.T) {
 	}
 }
 
-// sinkQueued is how many emissions the session's sink ring holds, read
-// through its atomics.
-func sinkQueued(s *EngineSession) uint64 { return s.emTail.Load() - s.emHead.Load() }
+// requireCountsScrubbed fails if an edge's or a rim's counts or flags
+// survived a scrub.
+func requireCountsScrubbed(t *testing.T, what string, c *edgeCounts) {
+	t.Helper()
+	if c.sent.Load() != 0 || c.consumed.Load() != 0 || c.taken != 0 || c.stalled.Load() || c.parked.Load() || c.eof.Load() || c.data != 0 || c.dummies != 0 {
+		t.Fatalf("%s counters after scrub: sent %d, consumed %d, taken %d, stalled %v, parked %v, eof %v, data %d, dummies %d",
+			what, c.sent.Load(), c.consumed.Load(), c.taken, c.stalled.Load(), c.parked.Load(), c.eof.Load(), c.data, c.dummies)
+	}
+}
 
 // freeBufs waits until every set of buffers the sessions used is back —
 // a pump may give its hold up after its session resolved, and Close does

@@ -12,8 +12,9 @@ import (
 )
 
 // countedRun is one session of inputs through a fresh engine with a sink,
-// counting the events the node loops took by kind.
-func countedRun(t *testing.T, g *graph.Graph, ks map[graph.NodeID]stream.Kernel, cfg stream.Config, inputs uint64) (stats *stream.Stats, seen []stream.Message, msgs, credits, kicks, wakes int64) {
+// counting the events the node loops took by kind.  pace, when non-nil,
+// runs in the Sink before each emission is recorded.
+func countedRun(t *testing.T, g *graph.Graph, ks map[graph.NodeID]stream.Kernel, cfg stream.Config, inputs uint64, pace func()) (stats *stream.Stats, seen []stream.Message, msgs, credits, kicks, wakes int64) {
 	t.Helper()
 	eng, err := stream.NewEngine(g, ks, cfg)
 	if err != nil {
@@ -22,6 +23,9 @@ func countedRun(t *testing.T, g *graph.Graph, ks map[graph.NodeID]stream.Kernel,
 	defer eng.Close()
 	events := stream.CountEvents(eng)
 	sink := func(_ context.Context, seq uint64, payload any) error {
+		if pace != nil {
+			pace()
+		}
 		seen = append(seen, stream.Message{Seq: seq, Kind: stream.Data, Payload: payload})
 		return nil
 	}
@@ -62,12 +66,52 @@ func TestStalledProducerWokenByConsumption(t *testing.T) {
 		}
 		for _, batch := range []int{1, 64} {
 			cfg := stream.Config{MaxBatch: batch, WatchdogTimeout: 2 * time.Second}
-			stats, seen, _, _, _, wakes := countedRun(t, g, ks, cfg, inputs)
+			stats, seen, _, _, _, wakes := countedRun(t, g, ks, cfg, inputs, nil)
 			label := fmt.Sprintf("buf %d batch %d", buf, batch)
 			requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
 			if wakes == 0 {
 				t.Errorf("%s: no producer was woken from a stall; the test would not notice a lost wake", label)
 			}
+		}
+	}
+}
+
+// TestRimWindowsWakeTheirProducers fills both rims' windows, where a pump
+// meets its node.  A stage that spins at every firing, behind the source,
+// stops the source node firing, so the ingest pump fills its window and
+// parks until the source node's count moves.  A Sink that blocks on every
+// 200th emission lets the sink node fill the sink window and stall until
+// the pump's count moves.  Nothing else restarts either producer: a lost
+// wake on either rim wedges the session, which the watchdog reports.
+// Counts and the sink sequence must equal the simulator's.
+func TestRimWindowsWakeTheirProducers(t *testing.T) {
+	const inputs, every = 2000, 200
+	g := workload.Pipeline(3, 4)
+	ks := filterKernels(g, workload.PassAll)
+	slow := g.MustNode("s1")
+	fast := ks[slow]
+	ks[slow] = stream.KernelFunc(func(seq uint64, in []stream.Input) map[int]any {
+		for start := time.Now(); time.Since(start) < 5*time.Microsecond; {
+		}
+		return fast.(stream.KernelFunc)(seq, in)
+	})
+	ref, refSeen := simRun(g, ks, stream.Config{}, inputs)
+	if !ref.Completed {
+		t.Fatalf("simulator: %s", ref.Reason)
+	}
+	for _, batch := range []int{1, 64} {
+		emitted := 0
+		pace := func() {
+			if emitted++; emitted%every == 0 {
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+		cfg := stream.Config{MaxBatch: batch, WatchdogTimeout: 2 * time.Second}
+		stats, seen, _, _, _, wakes := countedRun(t, g, ks, cfg, inputs, pace)
+		label := fmt.Sprintf("batch %d", batch)
+		requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
+		if wakes == 0 {
+			t.Errorf("%s: no node was woken from a stall; the windows never filled", label)
 		}
 	}
 }
@@ -81,7 +125,7 @@ func TestLocalChainPostsNoRunsOrCredits(t *testing.T) {
 	const inputs, hops = 20000, 4
 	for _, buf := range []int{2, 256} {
 		_, _, msgs, credits, kicks, wakes := countedRun(t, workload.Pipeline(hops+1, buf), nil,
-			stream.Config{MaxBatch: 1, WatchdogTimeout: 10 * time.Second}, inputs)
+			stream.Config{MaxBatch: 1, WatchdogTimeout: 10 * time.Second}, inputs, nil)
 		t.Logf("buf %d: %d messages over %d hops took %d kicks and %d stall wakes", buf, inputs, hops, kicks, wakes)
 		if msgs != 0 || credits != 0 {
 			t.Errorf("buf %d: the node loops took %d run events and %d credit events; want none on local edges", buf, msgs, credits)

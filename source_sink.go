@@ -31,7 +31,7 @@ type SourceFunc func(ctx context.Context) (payload any, ok bool, err error)
 func (f SourceFunc) Next(ctx context.Context) (any, bool, error) { return f(ctx) }
 
 // SpanSource is the optional bulk-ingestion extension of Source: the
-// runtime backends' ingest pump hands NextSpan a whole grant window to
+// runtime backends' ingest pump hands NextSpan the room in its window to
 // fill in one call — n payloads (order preserved, sequence numbers
 // assigned as if each had been returned by Next) plus eof when the stream
 // ends; eof may accompany a final non-empty fill, and an error-free zero
