@@ -1493,11 +1493,14 @@ func (n *engineNode) drainIngest(ns *nodeSession) {
 	// whole stream — srcDone is never set with payloads still in the ring.
 	eof := c.eof.Load()
 	t, mask := c.sent.Load(), int64(len(ring)-1)
-	for ; c.taken < t; c.taken++ {
-		ns.ingestQ.push(ring[c.taken&mask])
-		ring[c.taken&mask] = nil
+	for h := c.taken; h < t; h++ {
+		ns.ingestQ.push(ring[h&mask])
+		ring[h&mask] = nil
 	}
-	ns.srcDone = ns.srcDone || eof
+	c.taken = t
+	if eof {
+		ns.srcDone = true
+	}
 }
 
 // drain moves what the producers published on the node's in-edge rings
@@ -1656,12 +1659,11 @@ func (n *engineNode) flushCredits(ns *nodeSession) {
 	for i, k := range n.creditAcc {
 		if k > 0 {
 			n.creditAcc[i] = 0
-			c := &ns.ses.edges[n.in[i]]
+			wake := ns.ses.edges[n.in[i]].consume(int64(k))
 			if up := n.upNode[i]; up == nil {
-				c.consumed.Store(c.consumed.Load() + int64(k))
 				edge := n.in[i]
 				n.e.cross[edge].Credits.mb.post(event{kind: evCredit, ses: ns.ses, pos: int32(edge), cnt: k})
-			} else if c.consume(int64(k)) {
+			} else if wake {
 				up.mb.post(event{kind: evWake, ses: ns.ses})
 			}
 		}
@@ -1678,16 +1680,18 @@ func (n *engineNode) reload(ns *nodeSession, i int) {
 
 // park stalls (see stall) on every local out-edge where a send is parked,
 // and at a sink on the sink rim while the node waits on its pump: for room
-// in a full window, or, with EOS consumed, for the ring to drain.  Reports
-// whether a window had room after all.
+// in the window when its firing stopped with input it could take (only a
+// full window stops it then; see fire), or, with EOS consumed, for the
+// ring to drain (advance re-reads the count before it completes the
+// session, so that check may race the pump).  Reports whether a window
+// had room after all.
 func (n *engineNode) park(ns *nodeSession) (room bool) {
 	if len(n.out) == 0 {
-		w := int64(n.e.sinkWin)
-		if ns.done {
-			w = 1
-		}
 		c := ns.ses.emit
-		return c.occupancy() >= w && c.stall(w)
+		if ns.done {
+			return c.occupancy() > 0 && c.stall(1)
+		}
+		return n.aligned(ns) && c.stall(int64(n.e.sinkWin))
 	}
 	if ns.pendingN == 0 {
 		return false
@@ -1936,12 +1940,8 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 // too: under the cascade it is one proto.FireDummyRun and one copy of
 // its dummies onto every out-edge's run.
 func (n *engineNode) fire(ns *nodeSession) (fired, data int, eos bool) {
-	if !n.queued {
-		for i := range ns.heads {
-			if ns.heads[i].len() == 0 {
-				return 0, 0, false // the common empty pass, before any set-up
-			}
-		}
+	if !n.aligned(ns) {
+		return 0, 0, false // the common empty pass, before any set-up
 	}
 	nOut := len(n.out)
 	sinkRoom := n.batch
@@ -2057,6 +2057,21 @@ pass:
 		fired++
 	}
 	return fired, data, eos
+}
+
+// aligned reports whether the node holds input for a firing: a message
+// on every in-edge, or a queued node's next payload.  A firing then takes
+// at least one unless the sink window is full.
+func (n *engineNode) aligned(ns *nodeSession) bool {
+	if n.queued {
+		return ns.ingestQ.len() > 0
+	}
+	for i := range ns.heads {
+		if ns.heads[i].len() == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // stretch stages, in spanIn/spanSeq, the longest run of data-only firings

@@ -3,10 +3,12 @@ package stream_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"streamdag/internal/graph"
+	"streamdag/internal/proto"
 	"streamdag/internal/stream"
 	"streamdag/internal/workload"
 )
@@ -56,8 +58,7 @@ func TestStalledProducerWokenByConsumption(t *testing.T) {
 		join := g.MustNode("D")
 		fast := ks[join]
 		ks[join] = stream.KernelFunc(func(seq uint64, in []stream.Input) map[int]any {
-			for start := time.Now(); time.Since(start) < 20*time.Microsecond; {
-			}
+			spinFor(20 * time.Microsecond)
 			return fast.(stream.KernelFunc)(seq, in)
 		})
 		ref, refSeen := simRun(g, ks, stream.Config{}, inputs)
@@ -79,20 +80,24 @@ func TestStalledProducerWokenByConsumption(t *testing.T) {
 // TestRimWindowsWakeTheirProducers fills both rims' windows, where a pump
 // meets its node.  A stage that spins at every firing, behind the source,
 // stops the source node firing, so the ingest pump fills its window and
-// parks until the source node's count moves.  A Sink that blocks on every
-// 200th emission lets the sink node fill the sink window and stall until
-// the pump's count moves.  Nothing else restarts either producer: a lost
+// parks until the source node's count moves.  A Sink that spins a random
+// while at every emission, longer on average than the stage, and blocks
+// on every 500th, keeps the sink window full, so the sink node stalls on
+// it again and again, with input queued, while the pump's count moves at
+// random moments.  Then short sessions on a chain that holds a whole
+// session: all of it reaches the sink's heads before the pump has taken
+// a window, so the sink node's last advance stalls with input queued, and
+// no kick will come after.  Nothing else restarts either producer: a lost
 // wake on either rim wedges the session, which the watchdog reports.
 // Counts and the sink sequence must equal the simulator's.
 func TestRimWindowsWakeTheirProducers(t *testing.T) {
-	const inputs, every = 2000, 200
+	const inputs, every = 5000, 500
 	g := workload.Pipeline(3, 4)
 	ks := filterKernels(g, workload.PassAll)
 	slow := g.MustNode("s1")
 	fast := ks[slow]
 	ks[slow] = stream.KernelFunc(func(seq uint64, in []stream.Input) map[int]any {
-		for start := time.Now(); time.Since(start) < 5*time.Microsecond; {
-		}
+		spinFor(time.Microsecond)
 		return fast.(stream.KernelFunc)(seq, in)
 	})
 	ref, refSeen := simRun(g, ks, stream.Config{}, inputs)
@@ -100,11 +105,12 @@ func TestRimWindowsWakeTheirProducers(t *testing.T) {
 		t.Fatalf("simulator: %s", ref.Reason)
 	}
 	for _, batch := range []int{1, 64} {
-		emitted := 0
+		emitted, rng := 0, rand.New(rand.NewSource(int64(batch)))
 		pace := func() {
 			if emitted++; emitted%every == 0 {
 				time.Sleep(5 * time.Millisecond)
 			}
+			spinFor(time.Duration(rng.Intn(3000)))
 		}
 		cfg := stream.Config{MaxBatch: batch, WatchdogTimeout: 2 * time.Second}
 		stats, seen, _, _, _, wakes := countedRun(t, g, ks, cfg, inputs, pace)
@@ -113,6 +119,44 @@ func TestRimWindowsWakeTheirProducers(t *testing.T) {
 		if wakes == 0 {
 			t.Errorf("%s: no node was woken from a stall; the windows never filled", label)
 		}
+	}
+
+	g = workload.Pipeline(3, 1024)
+	ks = filterKernels(g, workload.PassAll)
+	for _, tc := range []struct {
+		batch    int
+		inputs   uint64
+		sessions int
+	}{{1, 48, 2000}, {64, 400, 300}} {
+		ref, refSeen := simRun(g, ks, stream.Config{}, tc.inputs)
+		eng, err := stream.NewEngine(g, ks, stream.Config{MaxBatch: tc.batch, WatchdogTimeout: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tc.sessions; i++ {
+			var seen []stream.Message
+			sink := func(_ context.Context, seq uint64, payload any) error {
+				seen = append(seen, stream.Message{Seq: seq, Kind: stream.Data, Payload: payload})
+				return nil
+			}
+			ses, err := eng.Open(stream.SessionConfig{ID: proto.SessionID(i + 1), Source: stream.SyntheticSource(tc.inputs), Sink: sink})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := ses.Wait()
+			if err != nil {
+				eng.Close()
+				t.Fatalf("batch %d, session %d: %v", tc.batch, i, err)
+			}
+			requireMatchesSim(t, fmt.Sprintf("batch %d, session %d", tc.batch, i), g, stats, seen, ref, refSeen)
+		}
+		eng.Close()
+	}
+}
+
+// spinFor busy-waits d.
+func spinFor(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
 	}
 }
 
