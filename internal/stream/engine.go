@@ -891,15 +891,23 @@ func (s *EngineSession) ingestPump(src *engineNode) {
 	defer s.unhold()
 	c, win, mask := s.ingest, int64(len(s.scratch)), int64(len(s.ring)-1)
 	full := func() bool { return c.occupancy() == win }
-	for t := int64(0); !s.ended.Load(); {
-		m := win - (t - c.consumed.Load())
+	// One external-callback window covers each run of fills the window
+	// has room for: the watchdog only needs to know that user code may be
+	// blocking, not how many calls deep the run is.
+	s.external.Add(1)
+	defer s.external.Add(-1)
+	for t, m := int64(0), int64(0); !s.ended.Load(); {
 		if m == 0 {
-			s.await(&c.stalled, s.srcWake, full)
-			continue
+			// The room is re-read only once the last reading is used up,
+			// as the source node's count moves on every firing.
+			if m = win - (t - c.consumed.Load()); m == 0 {
+				s.external.Add(-1)
+				s.await(&c.stalled, s.srcWake, full)
+				s.external.Add(1)
+				continue
+			}
 		}
-		s.external.Add(1)
 		n, eof, err := s.fill(s.scratch[:m])
-		s.external.Add(-1)
 		if err != nil {
 			s.callbackFailed("source", err)
 			return
@@ -912,7 +920,7 @@ func (s *EngineSession) ingestPump(src *engineNode) {
 			s.ring[(t+int64(j))&mask] = s.scratch[j]
 			s.scratch[j] = nil
 		}
-		t += int64(n)
+		t, m = t+int64(n), m-int64(n)
 		c.sent.Store(t)
 		if eof = eof || n == 0; eof { // an empty error-free fill ends the stream
 			// After the last payload's tail store, so the drain that
