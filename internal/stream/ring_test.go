@@ -133,6 +133,7 @@ func TestRimWindowsWakeTheirProducers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer eng.Close()
 		for i := 0; i < tc.sessions; i++ {
 			var seen []stream.Message
 			sink := func(_ context.Context, seq uint64, payload any) error {
@@ -145,12 +146,10 @@ func TestRimWindowsWakeTheirProducers(t *testing.T) {
 			}
 			stats, err := ses.Wait()
 			if err != nil {
-				eng.Close()
 				t.Fatalf("batch %d, session %d: %v", tc.batch, i, err)
 			}
 			requireMatchesSim(t, fmt.Sprintf("batch %d, session %d", tc.batch, i), g, stats, seen, ref, refSeen)
 		}
-		eng.Close()
 	}
 }
 
