@@ -29,9 +29,13 @@ package stream
 //     through rings windowed like a local edge's, so a quiet source or a
 //     backpressuring sink stalls only its own session.
 //
-// A per-engine watchdog watches each session's own liveness counters and
-// in-flight Source/Sink callbacks, so a wedged session is reported as a
-// DeadlockError naming that session while its neighbours keep streaming.
+// Everything a session uses while it streams is one record, sessionBufs:
+// its edge and rim counts and rings, and every node's state for it.  The
+// engine keeps records on one free list, a node starts its state at the
+// first event it takes for the session, and a per-engine watchdog reads
+// the session's edge counts and in-flight Source/Sink callbacks, so a
+// wedged session is reported as a DeadlockError naming that session while
+// its neighbours keep streaming.
 
 import (
 	"context"
@@ -115,7 +119,7 @@ type Engine struct {
 	// mailbox teardown cannot strand a Wait.
 	sessions map[proto.SessionID]*EngineSession
 	closed   bool
-	// free holds scrubbed session buffers for the next Open, at most
+	// free holds scrubbed session records for the next Open, at most
 	// freeSessions (see EngineSession.unhold).
 	free []*sessionBufs
 
@@ -328,9 +332,10 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 		ctx: sctx, cancel: cancel,
 		source: cfg.Source, spanSrc: cfg.SpanSource,
 		sink: cfg.Sink, spanSink: cfg.SpanSink,
-		done:   make(chan struct{}),
-		start:  time.Now(),
-		onDone: cfg.OnDone,
+		done:         make(chan struct{}),
+		start:        time.Now(),
+		onDone:       cfg.OnDone,
+		lastProgress: -1,
 	}
 	// One hold for the done resolution and one per pump (see unhold).
 	holds := int32(2)
@@ -350,22 +355,15 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 		return nil, fmt.Errorf("stream: session id %d already open", ses.id)
 	}
 	// The buffers are in place before the session is registered: the
-	// watchdog reads the counters of every registered session.
-	ses.sessionBufs = e.takeBufs(ses.hasSink())
+	// watchdog reads the counts of every registered session.  No node is
+	// told of the session; each starts its state at its first event.
+	e.takeBufs(ses)
 	e.sessions[ses.id] = ses
 	e.mu.Unlock()
 	if m := e.cfg.Obs; m != nil {
 		sm := m.Sessions()
 		sm.Opened.Add(1)
 		sm.Active.Add(1)
-	}
-
-	// Every node must learn about the session before its first message
-	// can flow, so the evOpen posts complete before the ingest pump
-	// starts (mailboxes are FIFO, and messages for a session only ever
-	// follow its payloads).
-	for _, n := range e.nodes {
-		n.mb.post(event{kind: evOpen, ses: ses})
 	}
 	if parent.Done() != nil {
 		ses.stopParent = context.AfterFunc(parent, func() { ses.end(context.Cause(parent), nil) })
@@ -377,10 +375,11 @@ func (e *Engine) Open(cfg SessionConfig) (*EngineSession, error) {
 	return ses, nil
 }
 
-// takeBufs returns buffers for a new session: scrubbed ones from the free
-// list, or fresh ones when it is empty.  The sink ring is made the first
-// time a session with a sink needs it and kept after.  Caller holds e.mu.
-func (e *Engine) takeBufs(sink bool) *sessionBufs {
+// takeBufs gives ses its record: a scrubbed one from the free list, or a
+// fresh one when it is empty; ses takes the record's next generation.  The
+// sink ring is made the first time a session with a sink needs it and
+// kept after.  Caller holds e.mu.
+func (e *Engine) takeBufs(ses *EngineSession) {
 	var b *sessionBufs
 	if k := len(e.free) - 1; k >= 0 {
 		b, e.free[k] = e.free[k], nil
@@ -390,8 +389,7 @@ func (e *Engine) takeBufs(sink bool) *sessionBufs {
 		// window, and so does the pump's fill scratch.  Edge rings are
 		// made at their first send.
 		b = &sessionBufs{
-			live:    make([]ownedCounter, len(e.nodes)),
-			at:      make([]*nodeSession, len(e.nodes)),
+			states:  make([]nodeSession, len(e.nodes)),
 			edges:   make([]edgeCounts, e.g.NumEdges()),
 			kicks:   make([]kickFlag, len(e.nodes)),
 			ingest:  new(edgeCounts),
@@ -400,13 +398,25 @@ func (e *Engine) takeBufs(sink bool) *sessionBufs {
 			ring:    make([]any, 1<<bits.Len(uint(e.srcWin-1))),
 			scratch: make([]any, e.srcWin),
 		}
+		for i, n := range e.nodes {
+			ns := &b.states[i]
+			ns.heads = lineSlice[fifo[Message]](len(n.in))
+			ns.engine = proto.NewEngine(n.out, proto.Config{Algorithm: e.cfg.Algorithm, Intervals: e.cfg.Intervals})
+			ns.pendingMsg = lineSlice[Message](len(n.out))
+			ns.pendingSet = lineSlice[bool](len(n.out))
+			ns.inflight = lineSlice[int](len(n.out))
+			if n.obsN != nil {
+				ns.stallSince = lineSlice[int64](len(n.out))
+			}
+		}
 	}
-	if sink && b.emPay == nil {
+	if ses.hasSink() && b.emPay == nil {
 		b.emSeq = make([]uint64, 1<<bits.Len(uint(e.sinkWin-1)))
 		b.emPay = make([]any, len(b.emSeq))
 		b.sinkWake = make(chan struct{}, 1)
 	}
-	return b
+	b.gen++
+	ses.sessionBufs, ses.gen = b, b.gen
 }
 
 // Close fails every active session with ErrEngineClosed and drains the
@@ -443,9 +453,9 @@ func (e *Engine) Close() error {
 }
 
 // watchdog scans the active sessions once per period: a session whose
-// liveness counters, summed over the nodes, did not move across a full
-// period, with no in-flight Source/Sink callback and no armed timer, is
-// wedged, and fails with a DeadlockError naming it.  Sessions blocked in
+// edge counts (progress) did not move across a full period, with no
+// in-flight Source/Sink callback and no armed timer, is wedged, and fails
+// with a DeadlockError naming it.  Sessions blocked in
 // user code (a quiet source, a backpressuring sink) are the outside
 // world's pace, not deadlock; so is a node loop that held one batch for
 // the whole period (a slow kernel), and no session fails in that scan.
@@ -465,11 +475,8 @@ func (e *Engine) watchdog() {
 				}
 			}
 			for _, ses := range e.Active() {
-				var cur int64
-				for i := range ses.live {
-					cur += ses.live[i].n.Load()
-				}
-				if !busy && ses.watched && cur == ses.lastProgress && ses.external.Load() == 0 && ses.timersArmed.Load() == 0 {
+				cur := ses.progress()
+				if !busy && cur == ses.lastProgress && ses.external.Load() == 0 && ses.timersArmed.Load() == 0 {
 					// The session's edge atomics: racy but indicative, and
 					// safe from this goroutine (the node-owned inflight
 					// counters are never touched here).
@@ -478,7 +485,6 @@ func (e *Engine) watchdog() {
 					continue
 				}
 				ses.lastProgress = cur
-				ses.watched = true
 			}
 		}
 	}
@@ -518,9 +524,11 @@ type EngineSession struct {
 	sink     SinkFunc
 	spanSink SpanSinkFunc
 	// The session's buffers, borrowed from the engine's free list for as
-	// long as the session holds them (see unhold).  The pointer is set
-	// before the session is registered and never changes.
+	// long as the session holds them (see unhold), and the record's
+	// generation they were taken at.  Both are set before the session is
+	// registered and never change.
 	*sessionBufs
+	gen   uint64
 	ended atomic.Bool // set once, by end
 
 	_ [64]byte
@@ -538,9 +546,10 @@ type EngineSession struct {
 	// session quietly idle inside an open window is the clock's pace, not
 	// a wedge).
 	timersArmed atomic.Int64
-	// lastProgress/watched belong to the engine watchdog goroutine.
+	// lastProgress belongs to the engine watchdog goroutine: the session's
+	// progress at the last scan, -1 before the first (progress is never
+	// negative).
 	lastProgress int64
-	watched      bool
 	start        time.Time
 
 	endOnce sync.Once
@@ -563,19 +572,15 @@ type EngineSession struct {
 }
 
 // sessionBufs are the parts of a session that its node loops and pumps
-// use while it streams and that no one reads once it is over.  The engine
-// keeps them on a free list, so a short session does not rebuild them.
+// use while it streams and that no one reads once it is over: the one
+// record of a session's bookkeeping.  The engine keeps scrubbed records on
+// its free list, so a short session rebuilds none of them.
 type sessionBufs struct {
-	// live[n] counts node n's advances of the session for the watchdog,
-	// which sums them: one padded counter per node, bumped as each
-	// advance begins and again when its sends are out, by that node's
-	// goroutine alone.  An advance follows every absorbed batch of the
-	// session's events and runs its every firing, send and sink
-	// hand-off, so it is the one liveness fact needed.
-	live []ownedCounter
-	// at[n] is node n's state for the session, nil before its evOpen and
-	// after its retire; only node n's goroutine touches its slot.
-	at []*nodeSession
+	// states[n] is node n's state for the session, built with the record
+	// and touched by node n's goroutine alone (see nodeSession).  gen
+	// counts the sessions that took the record (takeBufs).
+	states []nodeSession
+	gen    uint64
 	// edges[e] is edge e's counts, each half written by one end.
 	edges []edgeCounts
 	// kicks[n] is raised while an evKick for the session is queued at node
@@ -599,13 +604,6 @@ type sessionBufs struct {
 	emSeq    []uint64
 	emPay    []any
 	sinkWake chan struct{}
-}
-
-// ownedCounter is an atomic counter alone on its cache line: one
-// goroutine bumps it, the watchdog reads it.
-type ownedCounter struct {
-	n atomic.Int64
-	_ [56]byte
 }
 
 // edgeCounts is one edge's counts for one session, on two cache lines,
@@ -748,11 +746,11 @@ func (s *EngineSession) unhold() {
 // scrub empties the buffers for their next session: counters and flags
 // zeroed (the atomics with stores, since a watchdog scan that listed the
 // old session may still read them), and rings and scratch cleared so no
-// payload outlives its session.  (Each node empties its own at slot when
-// it retires.)
+// payload outlives its session.  The node states are not scrubbed here: a
+// node resets its own when it retires it (release), as a late event may
+// still read it.
 func (b *sessionBufs) scrub() {
-	for i := range b.live {
-		b.live[i].n.Store(0)
+	for i := range b.kicks {
 		b.kicks[i].raised.Store(false)
 	}
 	for i := range b.edges {
@@ -763,6 +761,17 @@ func (b *sessionBufs) scrub() {
 	clear(b.ring)
 	clear(b.scratch)
 	clear(b.emPay)
+}
+
+// progress is the watchdog's figure for the session: its edges' and rims'
+// sent and consumed counts, summed.  Every firing, send, consumption and
+// rim handoff moves one of them.
+func (b *sessionBufs) progress() int64 {
+	p := b.ingest.sent.Load() + b.ingest.consumed.Load() + b.emit.sent.Load() + b.emit.consumed.Load()
+	for i := range b.edges {
+		p += b.edges[i].sent.Load() + b.edges[i].consumed.Load()
+	}
+	return p
 }
 
 // closeDone resolves Wait/Done exactly once: the session leaves the
@@ -801,7 +810,7 @@ func (s *EngineSession) Wait() (*Stats, error) {
 // pumps so they see it, and cancel the session context with it as the
 // cause (unblocking Source/Sink calls that honour it).  A failure also
 // posts the abort that makes every node drop the session's state, and done
-// closes on the last node's ack (absorb); a finished session has retired
+// closes on the last node's ack (run); a finished session has retired
 // at every node on its own, and done closes on the last checkout.  Either
 // way observers of Wait/Done see a fully detached session.
 //
@@ -1018,12 +1027,11 @@ func (s *EngineSession) publish(seqs []uint64, pays []any) {
 type evKind uint8
 
 const (
-	evOpen   evKind = iota
-	evMsg           // a run that crossed the wire (Deliver)
-	evCredit        // credits that crossed the wire (Credit)
-	evKick          // coalesced kick: drain the rings that feed this node for the session
-	evWake          // a consumer made room in a window where the node stalled
-	evTick          // a time-aware node's flush timer fired for the session
+	evMsg    evKind = iota // a run that crossed the wire (Deliver)
+	evCredit               // credits that crossed the wire (Credit)
+	evKick                 // coalesced kick: drain the rings that feed this node for the session
+	evWake                 // a consumer made room in a window where the node stalled
+	evTick                 // a time-aware node's flush timer fired for the session
 	evAbort
 	evKinds
 )
@@ -1177,14 +1185,13 @@ type engineNode struct {
 	timed  TimedKernel
 	queued bool
 
-	// The dirty list and the scratch below are owned by the node
-	// goroutine; the scratch is reused by every firing of every session.
-	dirty []*nodeSession
-	// retiring holds the batch's retired sessions until its advance loop
-	// is over, and free the released ones the next evOpen reuses (at most
-	// freeSessions; see retire and release).
+	// The lists and the scratch below are owned by the node goroutine;
+	// the scratch is reused by every firing of every session.  retiring
+	// and acks hold the batch's retired states and aborted sessions until
+	// its advance loop is over (see run).
+	dirty     []*nodeSession
 	retiring  []*nodeSession
-	free      []*nodeSession
+	acks      []*EngineSession
 	creditAcc []int // per in-pos credits consumed this advance
 	cur       []int // per in-pos heads taken by the pass in progress
 	// kin, kout and present are a firing's kernel arguments; spanIn,
@@ -1226,15 +1233,20 @@ type engineNode struct {
 // power of two keeps the tick test a mask.
 const obsSampleRate = 8
 
-// nodeSession is one node's protocol state for one session.  A node
-// recycles them: a retired one is emptied and kept for the next evOpen
-// (release), so a short session does not rebuild its slices, its
-// proto.Engine and its head arrays at every node.
+// nodeSession is one node's protocol state for one session, part of the
+// session's record (sessionBufs.states) and recycled with it, so a short
+// session does not rebuild its slices, its proto.Engine and its head
+// arrays at every node.  Only its node touches it.  The node starts it at
+// its first event for a session (gen, the record's generation, is then
+// the session's), and retires and then releases it when the session is
+// over here: a late event of the session — a spare wake, a tick, a credit
+// after the last send — finds its generation retired or released (no
+// session) and is dropped.  A later session's first event finds an older
+// generation.
 type nodeSession struct {
 	_   [64]byte // apart from its neighbours in memory (see lineSlice)
 	ses *EngineSession
-	// live is this node's slot of the session's liveness counters.
-	live *ownedCounter
+	gen uint64
 	// heads[i] is the FIFO of arrived, unconsumed messages on in-pos i.
 	heads []fifo[Message]
 	// engine is this session's dummy-protocol state at this node.
@@ -1264,7 +1276,7 @@ type nodeSession struct {
 	ingestQ fifo[any]
 	srcDone bool
 	done    bool
-	retired bool // detached from the node; skip advances (see retire)
+	retired bool // over at this node; skip advances (see retire)
 	dirty   bool // queued in the node's per-batch advance list
 
 	// Time-aware node state (n.timed != nil only).  tickDue records an
@@ -1289,7 +1301,11 @@ func (n *engineNode) run() {
 		// Two-phase batch: absorb every event's state change first, then
 		// advance each touched session once — so a batch of arrivals
 		// costs one fire loop and one consumed-count store per session,
-		// not one per event.
+		// not one per event.  Retired states are released and check out,
+		// and aborts are acked, only after the advance loop: the last
+		// checkout or ack resolves the session and lists its record for
+		// the next one, so this node must be through with its state in it
+		// by then, n.dirty and n.retiring included.
 		if k := n.e.events; k != nil {
 			for i := range b.evs {
 				k[b.evs[i].kind].Add(1)
@@ -1321,6 +1337,14 @@ func (n *engineNode) run() {
 			n.retiring[i] = nil
 		}
 		n.retiring = n.retiring[:0]
+		for i, ses := range n.acks {
+			if ses.abortAcks.Add(1) == int64(len(n.e.nodes)) {
+				n.obsDrainSession(ses)
+				ses.closeDone()
+			}
+			n.acks[i] = nil
+		}
+		n.acks = n.acks[:0]
 		spare = b
 	}
 }
@@ -1350,52 +1374,28 @@ func (n *engineNode) markDirty(ns *nodeSession) {
 	}
 }
 
-// freeSessions caps a node's free list of released sessions.  The list
-// only has to cover the sessions that retire between two opens (the
-// harness's session_churn keeps four in flight), and what each one keeps
-// is bounded: its arrays, emptied — a head array under 4 × its in-edge's
-// Buf messages of 32 bytes (a head never holds more than the edge's
-// window; see fifo), a queued node's ingest array under 4 × the longest
-// queue it held (a source's is its ingest window) — plus about 0.3 KB of
-// struct, proto.Engine and per-out-edge slices.  A node with one in-edge
-// of Buf 64 thus retains at most 16 × (8 + 0.3) KB ≈ 133 KB.  The engine's
-// free list of session buffers (takeBufs, unhold) has the same cap; one
-// entry is two padded lines and a state slot per node, two lines and a
-// ring per edge (32-byte slots, at most twice the deepest window its
-// sessions used; see minRing), the ingest ring and fill scratch (an ingest
-// window each) and the sink ring (a sink window of 24-byte seq and
-// payload slots): about 2 KB on a five-node chain, plus the rings.
+// freeSessions caps the engine's free list of session records (takeBufs,
+// unhold).  The list only has to cover the sessions that end between two
+// opens (the harness's session_churn keeps four in flight), and what one
+// record keeps is bounded: per node, its state — about 0.5 KB of struct,
+// proto.Engine and per-out-edge slices, a head array under 4 × its
+// in-edge's Buf messages of 32 bytes (a head never holds more than the
+// edge's window; see fifo), and a queued node's ingest array under 4 × the
+// longest queue it held (a source's is its ingest window) — and a kick
+// line; per edge, two lines of counts and a ring (32-byte slots, at most
+// twice the deepest window its sessions used; see minRing); the ingest
+// ring and fill scratch (an ingest window each) and the sink ring (a sink
+// window of 24-byte seq and payload slots), about 1 KB.  A five-node
+// chain of Buf 64 thus keeps at most 16 × (4 × 8 + 5 × 0.5 + 4 × 4 + 1) KB
+// ≈ 0.8 MB.
 const freeSessions = 16
 
-// openSession returns the node's state for a new session: a released one
-// from the free list, or a fresh one when the list is empty.
-func (n *engineNode) openSession(ses *EngineSession) *nodeSession {
-	var ns *nodeSession
-	if k := len(n.free) - 1; k >= 0 {
-		ns, n.free[k] = n.free[k], nil
-		n.free = n.free[:k]
-	} else {
-		ns = &nodeSession{
-			heads:      lineSlice[fifo[Message]](len(n.in)),
-			engine:     proto.NewEngine(n.out, proto.Config{Algorithm: n.e.cfg.Algorithm, Intervals: n.e.cfg.Intervals}),
-			pendingMsg: lineSlice[Message](len(n.out)),
-			pendingSet: lineSlice[bool](len(n.out)),
-			inflight:   lineSlice[int](len(n.out)),
-		}
-		if n.obsN != nil {
-			ns.stallSince = lineSlice[int64](len(n.out))
-		}
-	}
-	ns.ses, ns.live = ses, &ses.live[n.id]
-	return ns
-}
-
 // retire is the one exit of a node session: the session was aborted, or
-// it is over at this node (EOS sent, or the sink finished).  It detaches
-// the state from the node at once and queues it for release and checkout
-// after the batch's advance loop (n.dirty may still hold it, and the
-// advance may still count).  Retiring twice is a no-op, so one state
-// never reaches the free list twice.
+// it is over at this node (EOS sent, or the sink finished).  It marks the
+// state retired at once, which drops the session's later events here, and
+// queues it for release and checkout after the batch's advance loop
+// (n.dirty may still hold it).  Retiring twice is a no-op, so a state
+// checks out once.
 func (n *engineNode) retire(ns *nodeSession) {
 	if ns.retired {
 		return
@@ -1404,22 +1404,18 @@ func (n *engineNode) retire(ns *nodeSession) {
 	if n.timed != nil {
 		n.stopTimer(ns)
 	}
-	ns.ses.at[n.id] = nil
 	n.retiring = append(n.retiring, ns)
 	if f := n.e.onRetire; f != nil {
 		f(len(n.in), ns.engine.Counts())
 	}
 }
 
-// release empties a retired session and keeps it for the next evOpen, up
-// to freeSessions; past the cap it is left to the collector.  Arrays stay,
-// zeroed (no payload outlives its session); scalars, the session pointer
-// and the flush timer — stopped at retire, its closure bound to the old
-// session — are dropped by rebuilding the struct around the arrays.
+// release resets a retired state for the record's next session: arrays
+// emptied (no payload outlives its session here, even while the record
+// waits for a pump), and the scalars, the session pointer and the flush
+// timer — stopped at retire, its closure bound to the old session —
+// dropped by rebuilding the struct around the arrays and the generation.
 func (n *engineNode) release(ns *nodeSession) {
-	if len(n.free) >= freeSessions {
-		return
-	}
 	for i := range ns.heads {
 		ns.heads[i].reset()
 	}
@@ -1430,41 +1426,33 @@ func (n *engineNode) release(ns *nodeSession) {
 	clear(ns.inflight)
 	clear(ns.stallSince)
 	*ns = nodeSession{
-		heads: ns.heads, engine: ns.engine, ingestQ: ns.ingestQ,
+		gen: ns.gen, heads: ns.heads, engine: ns.engine, ingestQ: ns.ingestQ,
 		pendingMsg: ns.pendingMsg, pendingSet: ns.pendingSet,
 		inflight: ns.inflight, stallSince: ns.stallSince,
 	}
-	n.free = append(n.free, ns)
 }
 
 // absorb applies one event's state change and marks the session for the
 // batch's advance pass; arena holds the batch's runs.
 func (n *engineNode) absorb(ev *event, arena []Message) {
+	ns := &ev.ses.states[n.id]
 	if ev.kind == evAbort {
-		if ns := ev.ses.at[n.id]; ns != nil {
+		if ns.ses == ev.ses {
 			n.retire(ns)
 		}
-		if ev.ses.abortAcks.Add(1) == int64(len(n.e.nodes)) {
-			n.obsDrainSession(ev.ses)
-			ev.ses.closeDone()
-		}
+		n.acks = append(n.acks, ev.ses)
 		return
 	}
 	// Events of an ended session are dead: dropping them stops kernel
 	// invocations for the old stream as soon as end() runs, before the
-	// slot is read — after done, the buffers may serve the next session.
+	// state is read — after done, the record may serve the next session.
 	if ev.ses.ended.Load() {
 		return
 	}
-	if ev.kind == evOpen {
-		ns := n.openSession(ev.ses)
-		ev.ses.at[n.id] = ns
-		n.markDirty(ns)
-		return
-	}
-	ns := ev.ses.at[n.id]
-	if ns == nil {
-		return // session drained here; late event
+	if ns.gen != ev.ses.gen {
+		ns.ses, ns.gen = ev.ses, ev.ses.gen // the session's first event here
+	} else if ns.retired || ns.ses == nil {
+		return // retired or released here: a late event
 	}
 	switch ev.kind {
 	case evMsg:
@@ -1566,7 +1554,6 @@ func (n *engineNode) advance(ns *nodeSession) {
 	if ns.retired {
 		return
 	}
-	ns.live.n.Store(ns.live.n.Load() + 1) // one writer: no locked add
 	for i, down := range n.downNode {
 		// Where a stale count could stop the first pass short.
 		if down != nil && n.room(ns, i) <= n.batch {
@@ -1586,11 +1573,6 @@ func (n *engineNode) advance(ns *nodeSession) {
 		}
 	}
 	n.flushCredits(ns)
-	// Bump again once the sends and acks are out: a long advance that
-	// began before a watchdog scan and ends just before the next one has
-	// moved the session, though its consumers may not have taken what it
-	// sent yet (a cross edge's frames can still be on the wire).
-	ns.live.n.Store(ns.live.n.Load() + 1)
 	if n.timed != nil {
 		n.armTimer(ns)
 	}

@@ -52,7 +52,7 @@ func BenchmarkFifoPushPopDepth256(b *testing.B) { benchFifo(b, 256) }
 // kicks the consumer; the consumer takes the kick from its mailbox,
 // drains the ring into its head queue, pops the run and stores its
 // consumed count; the producer reloads its window from that count.  Both
-// ends are nodes of a built-and-closed engine with a session opened on
+// ends are nodes of a built-and-closed engine with a session started on
 // them by hand, driven from one goroutine.
 func benchRingHop(b *testing.B, n int) {
 	e, err := NewEngine(workload.Pipeline(3, 256), nil, Config{WatchdogTimeout: time.Hour})
@@ -62,10 +62,9 @@ func benchRingHop(b *testing.B, n int) {
 	e.Close()
 	prod, cons := e.nodes[0], e.nodes[1]
 	cons.mb.closed = false
-	ses := &EngineSession{id: 1, e: e, sessionBufs: e.takeBufs(false)}
-	prod.absorb(&event{kind: evOpen, ses: ses}, nil)
-	cons.absorb(&event{kind: evOpen, ses: ses}, nil)
-	pns, cns := ses.at[prod.id], ses.at[cons.id]
+	ses := &EngineSession{id: 1, e: e}
+	e.takeBufs(ses)
+	pns, cns := startOn(prod, ses), startOn(cons, ses)
 	run := make([]Message, n)
 	var spare batch
 	var now int64
@@ -218,10 +217,9 @@ func BenchmarkIngestHandoff(b *testing.B) {
 		left--
 		return one, true, nil
 	}
-	ses := &EngineSession{id: 1, e: e, ctx: context.Background(), source: source, sessionBufs: e.takeBufs(false)}
-	src.absorb(&event{kind: evOpen, ses: ses}, nil)
-	ns := ses.at[src.id]
-	ns.dirty, src.dirty = false, src.dirty[:0]
+	ses := &EngineSession{id: 1, e: e, ctx: context.Background(), source: source}
+	e.takeBufs(ses)
+	ns := startOn(src, ses)
 	pumped := make(chan struct{})
 	var spare batch
 	b.ReportAllocs()
@@ -308,7 +306,8 @@ func newSinkRig(tb testing.TB, sink SinkFunc) *sinkRig {
 	if sink == nil {
 		sink = func(context.Context, uint64, any) error { return nil }
 	}
-	r.ses = &EngineSession{id: 1, e: e, ctx: ctx, cancel: cancel, sink: sink, sessionBufs: e.takeBufs(true)}
+	r.ses = &EngineSession{id: 1, e: e, ctx: ctx, cancel: cancel, sink: sink}
+	e.takeBufs(r.ses)
 	go func() {
 		defer close(r.pumped)
 		r.ses.sinkPump(r.sink)
@@ -329,7 +328,7 @@ func (r *sinkRig) stop() {
 }
 
 // firingBench is one node of a built-and-closed engine with one session
-// opened on it by hand: the benchmark's goroutine is the only one touching
+// started on it by hand: the benchmark's goroutine is the only one touching
 // the node, so what it times is the firing loop's own cost.  The mailboxes
 // of the node's consumers are reopened, and the benchmark takes what the
 // node sent the way a receiving node would (recycle): its out-edge rings
@@ -352,9 +351,19 @@ func newFiringBench(b testing.TB, g *graph.Graph, node graph.NodeID, ks map[grap
 	for _, down := range n.downNode {
 		down.mb.closed = false
 	}
-	ses := &EngineSession{id: 1, e: e, sessionBufs: e.takeBufs(false)}
-	n.absorb(&event{kind: evOpen, ses: ses}, nil)
-	return &firingBench{n: n, ns: ses.at[node]}
+	ses := &EngineSession{id: 1, e: e}
+	e.takeBufs(ses)
+	return &firingBench{n: n, ns: startOn(n, ses)}
+}
+
+// startOn starts node n's state for ses as the session's first event there
+// does — here a kick that finds nothing to drain — and takes it off the
+// node's advance list.
+func startOn(n *engineNode, ses *EngineSession) *nodeSession {
+	n.absorb(&event{kind: evKick, ses: ses}, nil)
+	ns := &ses.states[n.id]
+	ns.dirty, n.dirty = false, n.dirty[:0]
+	return ns
 }
 
 // runOf is the evMsg carrying run for ses, with run as its arena: absorb's

@@ -1,9 +1,9 @@
 package stream
 
-// Tests of the free lists of retired sessions — each node's (engine.go,
-// retire and release) and the engine's of session buffers (takeBufs and
-// unhold) — read after Close: the node loops have exited, so the test
-// goroutine sees their final state.
+// Tests of the engine's free list of session records (engine.go: takeBufs,
+// unhold and scrub), which holds every node's state for a session with the
+// session's buffers — read after Close: the node loops have exited, so the
+// test goroutine sees their final state.
 
 import (
 	"context"
@@ -20,10 +20,9 @@ import (
 )
 
 // TestNodeSessionReleasedOnce is the regression test of a double exit: a
-// session's state must leave its node once, or one state is released
+// session must leave each node once, or a record is scrubbed and listed
 // twice and handed to two sessions.  After 100 sessions, half of them
-// sinkless, no free list may hold a state twice, or hold one still bound
-// to a session.
+// sinkless, the free list must pass requireFreeList.
 func TestNodeSessionReleasedOnce(t *testing.T) {
 	e, err := NewEngine(workload.Pipeline(4, 2), nil, Config{WatchdogTimeout: 10 * time.Second})
 	if err != nil {
@@ -32,6 +31,7 @@ func TestNodeSessionReleasedOnce(t *testing.T) {
 	sink := func(context.Context, uint64, any) error { return nil }
 	var wg sync.WaitGroup
 	errs := make(chan error, 100)
+	opened := make(chan *EngineSession, 100)
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -43,6 +43,7 @@ func TestNodeSessionReleasedOnce(t *testing.T) {
 				}
 				ses, err := e.Open(cfg)
 				if err == nil {
+					opened <- ses
 					_, err = ses.Wait()
 				}
 				if err != nil {
@@ -57,27 +58,133 @@ func TestNodeSessionReleasedOnce(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	for _, n := range e.nodes {
-		if len(n.free) == 0 {
-			t.Errorf("node %d kept no retired session", n.id)
+	close(opened)
+	var sessions []*EngineSession
+	for ses := range opened {
+		sessions = append(sessions, ses)
+	}
+	requireFreeList(t, freeBufs(t, e, sessions))
+}
+
+// requireFreeList fails unless the engine's free list is sound: no record
+// is listed twice, the list keeps at most freeSessions, and every node
+// state in a listed record is reset — bound to no session, not retired,
+// its heads and firing queue empty, and no send pending.
+func requireFreeList(t *testing.T, free []*sessionBufs) {
+	t.Helper()
+	if len(free) > freeSessions {
+		t.Errorf("the engine keeps %d session records; the cap is %d", len(free), freeSessions)
+	}
+	seen := make(map[*sessionBufs]bool, len(free))
+	for _, b := range free {
+		if seen[b] {
+			t.Fatal("one session record is on the free list twice")
 		}
-		seen := make(map[*nodeSession]bool, len(n.free))
-		for _, ns := range n.free {
-			if seen[ns] {
-				t.Fatalf("node %d: one session state is on the free list twice", n.id)
-			}
-			seen[ns] = true
-			if ns.ses != nil || ns.retired {
-				t.Fatalf("node %d: a free-listed state was not reset", n.id)
-			}
+		seen[b] = true
+		for i := range b.states {
+			requireStateReset(t, i, &b.states[i])
 		}
 	}
 }
 
+// requireStateReset fails if a node's state for a session survived its
+// release.
+func requireStateReset(t *testing.T, node int, ns *nodeSession) {
+	t.Helper()
+	if ns.ses != nil || ns.retired || ns.dirty || ns.done || ns.srcDone || ns.nextSeq != 0 || ns.pendingN != 0 || ns.timer != nil || ns.timerArmed {
+		t.Fatalf("node %d's state not reset: session %p, retired %v, dirty %v, done %v, srcDone %v, nextSeq %d, pending %d, timer %v",
+			node, ns.ses, ns.retired, ns.dirty, ns.done, ns.srcDone, ns.nextSeq, ns.pendingN, ns.timer != nil)
+	}
+	for i := range ns.heads {
+		if n := ns.heads[i].len(); n != 0 {
+			t.Fatalf("node %d's head %d holds %d messages", node, i, n)
+		}
+	}
+	if n := ns.ingestQ.len(); n != 0 {
+		t.Fatalf("node %d's firing queue holds %d payloads", node, n)
+	}
+	for i := range ns.pendingSet {
+		if ns.pendingSet[i] || ns.pendingMsg[i] != (Message{}) || ns.inflight[i] != 0 {
+			t.Fatalf("node %d's out-edge %d: pending %v %+v, %d in flight", node, i, ns.pendingSet[i], ns.pendingMsg[i], ns.inflight[i])
+		}
+	}
+}
+
+// TestAbortAckAfterAdvance pins the ordering rule that keeps a node off a
+// record it no longer owns: a node acks an abort only after its batch's
+// advance loop, with its releases and checkouts, because the session's
+// last ack resolves it and lists its record, this node's state in it
+// included, for the next session.  One node of a built-and-closed engine
+// is driven by hand: it starts the session on a kick and holds a payload
+// in its head; then it takes one batch holding a late kick and the abort,
+// whose ack is the session's last.  When the ack resolves the session, the
+// node must be through with the batch — nothing on its advance or
+// retiring lists, its state released — and after the batch the record is
+// listed and reset.
+func TestAbortAckAfterAdvance(t *testing.T) {
+	g := workload.Pipeline(3, 4)
+	e, err := NewEngine(g, nil, Config{WatchdogTimeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	n := e.nodes[g.MustNode("s1")]
+	n.mb.closed = false
+	ctx, cancel := context.WithCancelCause(context.Background())
+	hook := &scrubProbe{t: t, n: n}
+	ses := &EngineSession{id: 1, e: e, ctx: ctx, cancel: cancel, done: make(chan struct{}), onDone: hook}
+	e.takeBufs(ses)
+	ses.holds.Store(1) // the done resolution's: no pump runs
+	ses.abortAcks.Store(int64(len(e.nodes) - 1))
+	hook.ns = startOn(n, ses)
+	hook.ns.heads[0].push(Message{Seq: 0, Kind: Data, Payload: new(int)})
+
+	boom := errors.New("boom")
+	ses.kick(n)
+	ses.end(boom, nil) // posts the abort behind the kick
+	if got := len(n.mb.q.evs); got != 2 {
+		t.Fatalf("the node's batch holds %d events, want the kick and the abort", got)
+	}
+	n.mb.close()
+	n.run() // takes the batch, then finds the mailbox closed
+	if !hook.resolved {
+		t.Fatal("the session's last abort ack did not resolve it")
+	}
+	if _, err := ses.Wait(); err != boom {
+		t.Fatalf("Wait = %v, want boom", err)
+	}
+	e.mu.Lock()
+	free := append([]*sessionBufs(nil), e.free...)
+	e.mu.Unlock()
+	if len(free) != 1 || free[0] != ses.sessionBufs {
+		t.Fatalf("the free list holds %d records, want the session's", len(free))
+	}
+	requireFreeList(t, free)
+}
+
+// scrubProbe is the OnDone hook of TestAbortAckAfterAdvance: it runs just
+// after the record's scrub, on the node's goroutine.
+type scrubProbe struct {
+	t        *testing.T
+	n        *engineNode
+	ns       *nodeSession
+	resolved bool
+}
+
+func (p *scrubProbe) SessionDone() {
+	p.resolved = true
+	if len(p.n.dirty) != 0 || len(p.n.retiring) != 0 {
+		p.t.Fatalf("the record was scrubbed with %d states on the node's advance list and %d on its retiring list", len(p.n.dirty), len(p.n.retiring))
+	}
+	if k := p.ns.heads[0].len(); k != 0 {
+		p.t.Fatalf("the record was scrubbed before the node released its state: its head holds %d messages", k)
+	}
+}
+
 // TestFreeListBoundedAfterSessionBurst: 1,000 sessions open at once — all
-// of them live at every node before any streams — and drain; each node then
-// keeps at most freeSessions of their states, and the engine at most
-// freeSessions of their buffers, not all 1,000.
+// of them holding their records before any streams — and drain; the
+// engine then keeps at most freeSessions of their records, not all 1,000,
+// and the list passes requireFreeList.
 func TestFreeListBoundedAfterSessionBurst(t *testing.T) {
 	e, err := NewEngine(workload.Pipeline(4, 2), nil, Config{WatchdogTimeout: 10 * time.Second})
 	if err != nil {
@@ -103,14 +210,11 @@ func TestFreeListBoundedAfterSessionBurst(t *testing.T) {
 		}
 	}
 	e.Close()
-	for _, n := range e.nodes {
-		if len(n.free) > freeSessions {
-			t.Errorf("node %d keeps %d retired sessions; the cap is %d", n.id, len(n.free), freeSessions)
-		}
+	free := freeBufs(t, e, sessions)
+	if len(free) == 0 {
+		t.Error("the engine keeps no session record")
 	}
-	if free := freeBufs(t, e, sessions); len(free) == 0 || len(free) > freeSessions {
-		t.Errorf("the engine keeps %d sessions' buffers; want 1 to %d", len(free), freeSessions)
-	}
+	requireFreeList(t, free)
 }
 
 // TestSessionBufsScrubbed drives the buffers through every way a session
@@ -119,8 +223,9 @@ func TestFreeListBoundedAfterSessionBurst(t *testing.T) {
 // failed by its source mid-fill, and stuck in a Source.Next that ignores its
 // context until after the engine's next sessions ran — and checks each
 // free-listed set once every hold is gone: every counter and flag zero,
-// every state slot empty, every ring and the scratch empty, no token left
-// in a channel, and no set listed twice.
+// every ring and the scratch empty, no token left in a channel, and the
+// list sound (requireFreeList: every node state reset, no set listed
+// twice).
 func TestSessionBufsScrubbed(t *testing.T) {
 	e, err := NewEngine(workload.Pipeline(4, 8), nil, Config{MaxBatch: 8, WatchdogTimeout: 10 * time.Second})
 	if err != nil {
@@ -238,17 +343,10 @@ func TestSessionBufsScrubbed(t *testing.T) {
 	e.Close()
 
 	free := freeBufs(t, e, opened)
+	requireFreeList(t, free)
 	seen := make(map[*sessionBufs]bool, len(free))
 	for _, b := range free {
-		if seen[b] {
-			t.Fatal("one set of session buffers is on the free list twice")
-		}
 		seen[b] = true
-		for i := range b.live {
-			if b.live[i].n.Load() != 0 {
-				t.Fatalf("live[%d] = %d after scrub", i, b.live[i].n.Load())
-			}
-		}
 		for i := range b.edges {
 			requireCountsScrubbed(t, fmt.Sprintf("edge %d", i), &b.edges[i])
 		}
@@ -260,11 +358,6 @@ func TestSessionBufsScrubbed(t *testing.T) {
 			}
 		}
 		requireRingsClear(t, b)
-		for i, ns := range b.at {
-			if ns != nil {
-				t.Fatalf("node %d's state slot still set after scrub", i)
-			}
-		}
 		for _, s := range [][]any{b.ring, b.scratch} {
 			for i, v := range s {
 				if v != nil {

@@ -195,7 +195,10 @@ func WithKernels(ks map[NodeID]Kernel) Option {
 // WithRouting installs forwarding kernels driven by f (see
 // RouteKernels) for every node the other kernel options leave unset:
 // each node forwards its first present payload on the out-edges f
-// selects.  f is written against the original topology.
+// selects.  f is written against the original topology.  Until ROADMAP
+// item 23 lands, per-edge filters at interior splits are outside the
+// Propagation guarantee (a split inside another cycle can deadlock);
+// SourceRouting is inside it.
 func WithRouting(f Filter) Option {
 	return func(c *buildConfig) { c.routing = f }
 }

@@ -148,6 +148,9 @@ var (
 	// PassAll never filters.
 	PassAll = workload.PassAll
 	// Bernoulli forwards each (node, seq, edge) with probability p.
+	// Until ROADMAP item 23 lands, such per-edge filters at interior
+	// splits are outside the Propagation guarantee; SourceRouting is
+	// inside it.
 	Bernoulli = workload.Bernoulli
 	// PerInputBernoulli filters whole inputs (all outputs or none).
 	PerInputBernoulli = workload.PerInputBernoulli
