@@ -14,8 +14,9 @@
 package cs4
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"streamdag/internal/cycles"
 	"streamdag/internal/graph"
@@ -130,68 +131,78 @@ func general(g *graph.Graph) *Decomposition {
 // serialComponents splits g at articulation points into biconnected
 // components and orders them into a serial chain from source to sink.  It
 // fails if the block structure is not a chain of two-terminal blocks
-// (which cannot happen for CS4 graphs).
+// (which cannot happen for CS4 graphs).  g has passed Validate, so its
+// topological order starts at the unique source and ends at the unique
+// sink.
 func serialComponents(g *graph.Graph) ([]*Component, error) {
-	blocks := g.BiconnectedComponents()
-	comps := make([]*Component, 0, len(blocks))
-	for _, edges := range blocks {
-		src, snk, err := blockTerminals(g, edges)
-		if err != nil {
-			return nil, err
-		}
-		comps = append(comps, &Component{Edges: edges, Src: src, Snk: snk})
-	}
-	// Chain order: sort by topological position of sources; then verify
-	// consecutive terminals coincide.
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	pos := make([]int, g.NumNodes())
+	pos := make([]int32, g.NumNodes())
 	for i, n := range order {
-		pos[n] = i
+		pos[n] = int32(i)
 	}
-	sort.Slice(comps, func(i, j int) bool { return pos[comps[i].Src] < pos[comps[j].Src] })
-	cur := g.Source()
+	ends := make([]uint8, g.NumNodes())
+	blocks := g.BiconnectedComponents()
+	slab := make([]Component, len(blocks))
+	comps := make([]*Component, len(blocks))
+	for i, edges := range blocks {
+		src, snk, err := blockTerminals(g, edges, ends)
+		if err != nil {
+			return nil, err
+		}
+		slab[i] = Component{Edges: edges, Src: src, Snk: snk}
+		comps[i] = &slab[i]
+	}
+	// Chain order: sort by topological position of sources; then verify
+	// consecutive terminals coincide.
+	slices.SortFunc(comps, func(a, b *Component) int { return cmp.Compare(pos[a.Src], pos[b.Src]) })
+	cur := order[0]
 	for _, c := range comps {
 		if c.Src != cur {
 			return nil, fmt.Errorf("cs4: blocks do not chain at %q", g.Name(c.Src))
 		}
 		cur = c.Snk
 	}
-	if cur != g.Sink() {
+	if cur != order[len(order)-1] {
 		return nil, fmt.Errorf("cs4: chain does not end at the sink")
 	}
 	return comps, nil
 }
 
 // blockTerminals finds the unique source and sink of a biconnected block.
-func blockTerminals(g *graph.Graph, edges []graph.EdgeID) (src, snk graph.NodeID, err error) {
-	hasIn := map[graph.NodeID]bool{}
-	hasOut := map[graph.NodeID]bool{}
+// ends is per-node scratch, zero on entry and left zero on return: bit 1
+// of ends[n] says a block edge leaves n, bit 2 that one enters it.
+func blockTerminals(g *graph.Graph, edges []graph.EdgeID, ends []uint8) (src, snk graph.NodeID, err error) {
 	for _, id := range edges {
 		e := g.Edge(id)
-		hasOut[e.From] = true
-		hasIn[e.To] = true
+		ends[e.From] |= 1
+		ends[e.To] |= 2
 	}
 	src, snk = -1, -1
-	for n := range hasOut {
-		if !hasIn[n] {
-			if src != -1 {
-				return 0, 0, fmt.Errorf("cs4: block has two sources")
-			}
-			src = n
+	srcs, snks := 0, 0
+	for _, id := range edges {
+		e := g.Edge(id)
+		if ends[e.From] == 1 && e.From != src {
+			src = e.From
+			srcs++
+		}
+		if ends[e.To] == 2 && e.To != snk {
+			snk = e.To
+			snks++
 		}
 	}
-	for n := range hasIn {
-		if !hasOut[n] {
-			if snk != -1 {
-				return 0, 0, fmt.Errorf("cs4: block has two sinks")
-			}
-			snk = n
-		}
+	for _, id := range edges {
+		e := g.Edge(id)
+		ends[e.From], ends[e.To] = 0, 0
 	}
-	if src == -1 || snk == -1 {
+	switch {
+	case srcs > 1:
+		return 0, 0, fmt.Errorf("cs4: block has two sources")
+	case snks > 1:
+		return 0, 0, fmt.Errorf("cs4: block has two sinks")
+	case src == -1 || snk == -1:
 		return 0, 0, fmt.Errorf("cs4: block lacks a source or sink")
 	}
 	return src, snk, nil

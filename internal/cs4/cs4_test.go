@@ -214,3 +214,23 @@ func TestRewriteButterflyNoCrossing(t *testing.T) {
 		t.Error("pipeline has no crossing; rewrite should fail")
 	}
 }
+
+// BenchmarkClassify times Classify on the harness's splitjoin_filter graph
+// (12 nodes, 14 edges, one SP component) and on a 5-node chain (four
+// serial components), the set-up cost every Build pays before its
+// intervals.
+func BenchmarkClassify(b *testing.B) {
+	for _, c := range goldenCorpus(b) {
+		if c.name != "splitjoin-filter" && c.name != "pipeline5" {
+			continue
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Classify(c.g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

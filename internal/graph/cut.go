@@ -16,6 +16,14 @@ type halfEdge struct {
 
 func (g *Graph) undirectedAdj() [][]halfEdge {
 	adj := make([][]halfEdge, len(g.names))
+	// Every node's list is a window of one array, sized by its degree.
+	flat := make([]halfEdge, 2*len(g.edges))
+	off := 0
+	for n := range adj {
+		d := len(g.out[n]) + len(g.in[n])
+		adj[n] = flat[off : off : off+d]
+		off += d
+	}
 	for _, e := range g.edges {
 		adj[e.From] = append(adj[e.From], halfEdge{e.ID, e.To})
 		adj[e.To] = append(adj[e.To], halfEdge{e.ID, e.From})
@@ -115,7 +123,10 @@ func (g *Graph) BiconnectedComponents() [][]EdgeID {
 	low := make([]int, n)
 	timer := 0
 	var comps [][]EdgeID
-	var estack []EdgeID
+	estack := make([]EdgeID, 0, len(g.edges))
+	// Every edge is in one component: the components are windows of one
+	// array.
+	flat := make([]EdgeID, 0, len(g.edges))
 
 	type frame struct {
 		node   NodeID
@@ -123,17 +134,18 @@ func (g *Graph) BiconnectedComponents() [][]EdgeID {
 		idx    int
 	}
 	pop := func(until EdgeID) {
-		var comp []EdgeID
+		start := len(flat)
 		for len(estack) > 0 {
 			e := estack[len(estack)-1]
 			estack = estack[:len(estack)-1]
-			comp = append(comp, e)
+			flat = append(flat, e)
 			if e == until {
 				break
 			}
 		}
-		comps = append(comps, comp)
+		comps = append(comps, flat[start:len(flat):len(flat)])
 	}
+	stack := make([]frame, 0, n)
 	for start := 0; start < n; start++ {
 		if disc[start] != 0 {
 			continue
@@ -141,7 +153,7 @@ func (g *Graph) BiconnectedComponents() [][]EdgeID {
 		timer++
 		disc[start] = timer
 		low[start] = timer
-		stack := []frame{{node: NodeID(start), parent: -1}}
+		stack = append(stack, frame{node: NodeID(start), parent: -1})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			if f.idx < len(adj[f.node]) {

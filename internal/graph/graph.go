@@ -153,22 +153,20 @@ func (g *Graph) TopoOrder() ([]NodeID, error) {
 	for _, e := range g.edges {
 		indeg[e.To]++
 	}
-	queue := make([]NodeID, 0, len(g.names))
+	// Kahn's algorithm; the order is its own FIFO queue, taken from the
+	// front as it grows at the back.
+	order := make([]NodeID, 0, len(g.names))
 	for n := range g.names {
 		if indeg[n] == 0 {
-			queue = append(queue, NodeID(n))
+			order = append(order, NodeID(n))
 		}
 	}
-	order := make([]NodeID, 0, len(g.names))
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, e := range g.out[n] {
+	for i := 0; i < len(order); i++ {
+		for _, e := range g.out[order[i]] {
 			to := g.edges[e].To
 			indeg[to]--
 			if indeg[to] == 0 {
-				queue = append(queue, to)
+				order = append(order, to)
 			}
 		}
 	}
@@ -246,24 +244,26 @@ func (g *Graph) WeaklyConnected() bool {
 // or -1 when the graph is weakly connected.
 func (g *Graph) disconnectedFrom(start NodeID) NodeID {
 	seen := make([]bool, len(g.names))
-	stack := []NodeID{start}
+	stack := make([]NodeID, 1, len(g.names))
+	stack[0] = start
 	seen[start] = true
 	count := 1
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		visit := func(m NodeID) {
-			if !seen[m] {
+		for _, e := range g.out[n] {
+			if m := g.edges[e].To; !seen[m] {
 				seen[m] = true
 				count++
 				stack = append(stack, m)
 			}
 		}
-		for _, e := range g.out[n] {
-			visit(g.edges[e].To)
-		}
 		for _, e := range g.in[n] {
-			visit(g.edges[e].From)
+			if m := g.edges[e].From; !seen[m] {
+				seen[m] = true
+				count++
+				stack = append(stack, m)
+			}
 		}
 	}
 	if count == len(g.names) {

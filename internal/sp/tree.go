@@ -14,6 +14,7 @@ package sp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"streamdag/internal/graph"
@@ -91,182 +92,224 @@ func IsSP(g *graph.Graph) bool {
 	return err == nil
 }
 
-// DecomposeSubgraph decomposes the subgraph of g induced by the given edge
-// set, with the given terminals.  It is used by the ladder package to
-// decompose the SP-DAG fragments of an SP-ladder.  All endpoints of edges
-// must be reachable between src and snk within the edge set; interior
-// vertices must have all their g-incident edges... only the listed edges are
-// considered.
+// DecomposeSubgraph decomposes the subgraph of g formed by the given
+// edges alone, as a two-terminal graph from src to snk; the other edges of
+// g are ignored, even where they meet the subgraph's vertices.  It is used
+// on the serial components of a CS4 graph and, through Residual, on the
+// fragments of an SP-ladder.
 func DecomposeSubgraph(g *graph.Graph, edges []graph.EdgeID, src, snk graph.NodeID) (*Tree, error) {
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("sp: empty edge set")
 	}
+	if len(edges) == 1 {
+		// A serial component of a chain: one edge, its own tree.
+		if e := g.Edge(edges[0]); e.From == src && e.To == snk {
+			return &Tree{Kind: Leaf, Edge: e.ID, Src: src, Snk: snk, LBuf: int64(e.Buf), Hops: 1}, nil
+		}
+	}
 	r := newReducer(g, edges, src, snk)
-	return r.run()
-}
-
-// superEdge is a working edge of the reduction: a contracted SP component.
-type superEdge struct {
-	from, to graph.NodeID
-	tree     *Tree
-	dead     bool
-}
-
-type reducer struct {
-	g        *graph.Graph
-	src, snk graph.NodeID
-	out      map[graph.NodeID][]*superEdge
-	in       map[graph.NodeID][]*superEdge
-	// rep[from][to] is the current representative super-edge between a node
-	// pair, for O(1) parallel-merge detection.
-	rep   map[graph.NodeID]map[graph.NodeID]*superEdge
-	queue []graph.NodeID // candidates for series reduction
-	live  int
-}
-
-func newReducer(g *graph.Graph, edges []graph.EdgeID, src, snk graph.NodeID) *reducer {
-	r := &reducer{
-		g:   g,
-		src: src,
-		snk: snk,
-		out: make(map[graph.NodeID][]*superEdge),
-		in:  make(map[graph.NodeID][]*superEdge),
-		rep: make(map[graph.NodeID]map[graph.NodeID]*superEdge),
-	}
-	for _, id := range edges {
-		e := g.Edge(id)
-		leaf := &Tree{Kind: Leaf, Edge: id, Src: e.From, Snk: e.To, LBuf: int64(e.Buf), Hops: 1}
-		r.insert(&superEdge{from: e.From, to: e.To, tree: leaf})
-	}
-	// Seed the series queue with every interior endpoint.
-	seen := map[graph.NodeID]bool{}
-	for _, id := range edges {
-		e := g.Edge(id)
-		for _, n := range []graph.NodeID{e.From, e.To} {
-			if !seen[n] {
-				seen[n] = true
-				r.queue = append(r.queue, n)
-			}
-		}
-	}
-	return r
-}
-
-// insert adds se, immediately applying parallel reduction if a super-edge
-// with the same endpoints exists, and enqueues the endpoints for series
-// checks.
-func (r *reducer) insert(se *superEdge) {
-	if m := r.rep[se.from]; m != nil {
-		if other := m[se.to]; other != nil && !other.dead {
-			// Parallel reduction: Pc(other, se).
-			other.dead = true
-			r.live--
-			t := compose(Parallel, other.tree, se.tree)
-			se = &superEdge{from: se.from, to: se.to, tree: t}
-			r.detach(se.from, se.to)
-		}
-	}
-	if r.rep[se.from] == nil {
-		r.rep[se.from] = make(map[graph.NodeID]*superEdge)
-	}
-	r.rep[se.from][se.to] = se
-	r.out[se.from] = append(r.out[se.from], se)
-	r.in[se.to] = append(r.in[se.to], se)
-	r.live++
-	r.queue = append(r.queue, se.from, se.to)
-}
-
-// detach clears the representative entry for a node pair.
-func (r *reducer) detach(from, to graph.NodeID) {
-	if m := r.rep[from]; m != nil {
-		delete(m, to)
-	}
-}
-
-// compact removes dead super-edges from an adjacency list in place.
-func compact(list []*superEdge) []*superEdge {
-	w := 0
-	for _, se := range list {
-		if !se.dead {
-			list[w] = se
-			w++
-		}
-	}
-	return list[:w]
-}
-
-func (r *reducer) run() (*Tree, error) {
-	for len(r.queue) > 0 {
-		v := r.queue[len(r.queue)-1]
-		r.queue = r.queue[:len(r.queue)-1]
-		if v == r.src || v == r.snk {
-			continue
-		}
-		r.in[v] = compact(r.in[v])
-		r.out[v] = compact(r.out[v])
-		if len(r.in[v]) != 1 || len(r.out[v]) != 1 {
-			continue
-		}
-		a := r.in[v][0]
-		b := r.out[v][0]
-		// Series reduction: splice v, composing Sc(a, b).
-		a.dead = true
-		b.dead = true
-		r.live -= 2
-		r.detach(a.from, a.to)
-		r.detach(b.from, b.to)
-		t := compose(Series, a.tree, b.tree)
-		r.insert(&superEdge{from: a.from, to: b.to, tree: t})
-	}
+	r.reduce()
 	if r.live != 1 {
 		return nil, &NotSPError{Remaining: r.live}
 	}
 	// The sole survivor spans src→snk.
-	for _, se := range r.out[r.src] {
-		if !se.dead {
-			se.tree.setParents(nil)
-			return se.tree, nil
+	if r.src >= 0 {
+		if se := r.adj[r.src].outHead; se >= 0 {
+			t := r.ses[se].tree
+			t.setParents(nil)
+			return t, nil
 		}
 	}
 	return nil, fmt.Errorf("sp: internal error: surviving super-edge not at source")
 }
 
-// Residual runs the same reduction but, instead of failing on non-SP
-// graphs, returns the irreducible skeleton: the set of surviving
-// super-edges, each carrying the decomposition tree of the SP fragment it
-// contracts.  The ladder package recognizes SP-ladders from this skeleton.
-// If the graph is SP the skeleton has exactly one super-edge.
-func Residual(g *graph.Graph, edges []graph.EdgeID, src, snk graph.NodeID) []*Fragment {
-	r := newReducer(g, edges, src, snk)
+// superEdge is a working edge of the reduction: a contracted SP component
+// between two local vertices.  While it lives it is linked, newest first,
+// into its tail's out-list and its head's in-list; -1 ends a list.
+type superEdge struct {
+	from, to         int32
+	tree             *Tree
+	nextOut, prevOut int32
+	nextIn, prevIn   int32
+}
+
+// vertex is a local vertex's adjacency: the heads of its live out- and
+// in-lists and their lengths, and whether the queue's seeding has met it.
+type vertex struct {
+	outHead, inHead int32
+	outDeg, inDeg   int32
+	seen            bool
+}
+
+// reducer runs the reduction over dense local indices: vertex i is
+// nodes[i], and super-edges and trees live in slabs sized for the worst
+// case up front (m edges make at most m−1 compositions), so the pointers
+// into them never move.
+type reducer struct {
+	nodes    []graph.NodeID // local vertex → node, ascending
+	src, snk int32          // local terminals, -1 if not an endpoint
+	adj      []vertex
+	ses      []superEdge
+	trees    []Tree
+	queue    []int32 // candidates for series reduction, taken last first
+	live     int
+}
+
+func newReducer(g *graph.Graph, edges []graph.EdgeID, src, snk graph.NodeID) *reducer {
+	m := len(edges)
+	nodes := make([]graph.NodeID, 0, 2*m)
+	for _, id := range edges {
+		e := g.Edge(id)
+		nodes = append(nodes, e.From, e.To)
+	}
+	slices.Sort(nodes)
+	nodes = slices.Compact(nodes)
+	r := &reducer{
+		nodes: nodes,
+		adj:   make([]vertex, len(nodes)),
+		ses:   make([]superEdge, 0, 2*m-1),
+		trees: make([]Tree, 0, 2*m-1),
+		queue: make([]int32, 0, 4*m+len(nodes)),
+	}
+	r.src, r.snk = r.local(src), r.local(snk)
+	for i := range r.adj {
+		r.adj[i] = vertex{outHead: -1, inHead: -1}
+	}
+	for _, id := range edges {
+		e := g.Edge(id)
+		r.trees = append(r.trees, Tree{Kind: Leaf, Edge: id, Src: e.From, Snk: e.To, LBuf: int64(e.Buf), Hops: 1})
+		r.insert(r.local(e.From), r.local(e.To), &r.trees[len(r.trees)-1])
+	}
+	// Seed the series queue with every endpoint in first-seen order: the
+	// leaves' inserts queued them edge by edge, tail then head.
+	for _, v := range r.queue[:2*m] {
+		if !r.adj[v].seen {
+			r.adj[v].seen = true
+			r.queue = append(r.queue, v)
+		}
+	}
+	return r
+}
+
+// local returns the local index of node n, or -1 if no edge touches it.
+func (r *reducer) local(n graph.NodeID) int32 {
+	if i, ok := slices.BinarySearch(r.nodes, n); ok {
+		return int32(i)
+	}
+	return -1
+}
+
+// insert adds a super-edge from → to carrying t, first applying parallel
+// reduction if a live super-edge with the same endpoints exists, and
+// queues the endpoints for series checks.  The partner is looked for in
+// the shorter of from's out-list and to's in-list, newest first: the
+// super-edge the last reduction made is where a split/join's next branch
+// meets it.
+func (r *reducer) insert(from, to int32, t *Tree) {
+	if other := r.partner(from, to); other >= 0 {
+		// Parallel reduction: Pc(other, t).
+		t = r.compose(Parallel, r.ses[other].tree, t)
+		r.kill(other)
+	}
+	i := int32(len(r.ses))
+	f, h := &r.adj[from], &r.adj[to]
+	r.ses = append(r.ses, superEdge{
+		from: from, to: to, tree: t,
+		nextOut: f.outHead, prevOut: -1,
+		nextIn: h.inHead, prevIn: -1,
+	})
+	if f.outHead >= 0 {
+		r.ses[f.outHead].prevOut = i
+	}
+	if h.inHead >= 0 {
+		r.ses[h.inHead].prevIn = i
+	}
+	f.outHead, h.inHead = i, i
+	f.outDeg++
+	h.inDeg++
+	r.live++
+	r.queue = append(r.queue, from, to)
+}
+
+// partner returns the live super-edge from → to, or -1.
+func (r *reducer) partner(from, to int32) int32 {
+	if r.adj[from].outDeg <= r.adj[to].inDeg {
+		for i := r.adj[from].outHead; i >= 0; i = r.ses[i].nextOut {
+			if r.ses[i].to == to {
+				return i
+			}
+		}
+		return -1
+	}
+	for i := r.adj[to].inHead; i >= 0; i = r.ses[i].nextIn {
+		if r.ses[i].from == from {
+			return i
+		}
+	}
+	return -1
+}
+
+// kill unlinks super-edge i from both of its lists.
+func (r *reducer) kill(i int32) {
+	se := &r.ses[i]
+	if se.prevOut >= 0 {
+		r.ses[se.prevOut].nextOut = se.nextOut
+	} else {
+		r.adj[se.from].outHead = se.nextOut
+	}
+	if se.nextOut >= 0 {
+		r.ses[se.nextOut].prevOut = se.prevOut
+	}
+	if se.prevIn >= 0 {
+		r.ses[se.prevIn].nextIn = se.nextIn
+	} else {
+		r.adj[se.to].inHead = se.nextIn
+	}
+	if se.nextIn >= 0 {
+		r.ses[se.nextIn].prevIn = se.prevIn
+	}
+	r.adj[se.from].outDeg--
+	r.adj[se.to].inDeg--
+	r.live--
+}
+
+// reduce applies series reductions, each followed by the parallel
+// reduction its insert finds, until no queued interior vertex has exactly
+// one live in-edge and one live out-edge.
+func (r *reducer) reduce() {
 	for len(r.queue) > 0 {
 		v := r.queue[len(r.queue)-1]
 		r.queue = r.queue[:len(r.queue)-1]
-		if v == r.src || v == r.snk {
+		if v == r.src || v == r.snk || r.adj[v].inDeg != 1 || r.adj[v].outDeg != 1 {
 			continue
 		}
-		r.in[v] = compact(r.in[v])
-		r.out[v] = compact(r.out[v])
-		if len(r.in[v]) != 1 || len(r.out[v]) != 1 {
-			continue
-		}
-		a := r.in[v][0]
-		b := r.out[v][0]
-		a.dead = true
-		b.dead = true
-		r.live -= 2
-		r.detach(a.from, a.to)
-		r.detach(b.from, b.to)
-		r.insert(&superEdge{from: a.from, to: b.to, tree: compose(Series, a.tree, b.tree)})
+		// Series reduction: splice v, composing Sc(a, b).
+		a, b := r.adj[v].inHead, r.adj[v].outHead
+		from, to := r.ses[a].from, r.ses[b].to
+		t := r.compose(Series, r.ses[a].tree, r.ses[b].tree)
+		r.kill(a)
+		r.kill(b)
+		r.insert(from, to, t)
 	}
-	var frags []*Fragment
-	seen := map[*superEdge]bool{}
-	for _, list := range r.out {
-		for _, se := range list {
-			if !se.dead && !seen[se] {
-				seen[se] = true
-				se.tree.setParents(nil)
-				frags = append(frags, &Fragment{From: se.from, To: se.to, Tree: se.tree})
-			}
+}
+
+// Residual runs the same reduction but, instead of failing on non-SP
+// graphs, returns the irreducible skeleton: the set of surviving
+// super-edges, each carrying the decomposition tree of the SP fragment it
+// contracts, ordered by tail node.  The ladder package recognizes
+// SP-ladders from this skeleton.  If the graph is SP the skeleton has
+// exactly one super-edge.
+func Residual(g *graph.Graph, edges []graph.EdgeID, src, snk graph.NodeID) []*Fragment {
+	r := newReducer(g, edges, src, snk)
+	r.reduce()
+	slab := make([]Fragment, 0, r.live)
+	frags := make([]*Fragment, 0, r.live)
+	for v := range r.adj {
+		for i := r.adj[v].outHead; i >= 0; i = r.ses[i].nextOut {
+			se := &r.ses[i]
+			se.tree.setParents(nil)
+			slab = append(slab, Fragment{From: r.nodes[se.from], To: r.nodes[se.to], Tree: se.tree})
+			frags = append(frags, &slab[len(slab)-1])
 		}
 	}
 	return frags
@@ -278,35 +321,23 @@ type Fragment struct {
 	Tree     *Tree
 }
 
-func compose(k Kind, l, r *Tree) *Tree {
-	t := &Tree{Kind: k, L: l, R: r}
+// compose makes the tree of a series or parallel composition in the slab.
+func (r *reducer) compose(k Kind, l, rt *Tree) *Tree {
+	t := Tree{Kind: k, L: l, R: rt}
 	switch k {
 	case Series:
-		t.Src, t.Snk = l.Src, r.Snk
-		t.LBuf = l.LBuf + r.LBuf
-		t.Hops = l.Hops + r.Hops
+		t.Src, t.Snk = l.Src, rt.Snk
+		t.LBuf = l.LBuf + rt.LBuf
+		t.Hops = l.Hops + rt.Hops
 	case Parallel:
 		t.Src, t.Snk = l.Src, l.Snk
-		t.LBuf = min64(l.LBuf, r.LBuf)
-		t.Hops = max64(l.Hops, r.Hops)
+		t.LBuf = min(l.LBuf, rt.LBuf)
+		t.Hops = max(l.Hops, rt.Hops)
 	default:
 		panic("sp: compose of leaf")
 	}
-	return t
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	r.trees = append(r.trees, t)
+	return &r.trees[len(r.trees)-1]
 }
 
 func (t *Tree) setParents(p *Tree) {
