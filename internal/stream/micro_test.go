@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"streamdag/internal/clock"
 	"streamdag/internal/cs4"
@@ -115,6 +116,80 @@ func TestLineSliceFillsWholeLines(t *testing.T) {
 		check(fmt.Sprintf("[]any(%d)", n), reflect.ValueOf(lineSlice[any](n)), 16)
 		check(fmt.Sprintf("[][]Message(%d)", n), reflect.ValueOf(lineSlice[[]Message](n)), 24)
 		check(fmt.Sprintf("[]Message(%d)", n), reflect.ValueOf(lineSlice[Message](n)), 32)
+	}
+}
+
+// TestNodeScratchOwnsItsLines checks what NewEngine's per-engine arrays
+// must keep from one allocation per array: no cache line holds firing
+// scratch of two nodes.  The graph mixes fan-outs, fan-ins and a sink
+// with span kernels at two batch widths, one short enough for every array
+// to share chunks and one long enough for the span arrays to take their
+// own.
+func TestNodeScratchOwnsItsLines(t *testing.T) {
+	g, err := graph.ParseString("a b 4\na c 4\na d 4\nb e 4\nc e 4\nd e 4\ne f 4\nf g 4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []int{3, 64} {
+		e, err := NewEngine(g, nil, Config{MaxBatch: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := map[uintptr]graph.NodeID{}
+		claim := func(n *engineNode, name string, v reflect.Value) {
+			if v.Cap() == 0 {
+				return
+			}
+			p := v.Pointer()
+			end := p + uintptr(v.Cap())*v.Type().Elem().Size()
+			for line := p / 64; line <= (end-1)/64; line++ {
+				if o, ok := owner[line]; ok && o != n.id {
+					t.Errorf("batch %d: node %d's %s shares line %#x with node %d", batch, n.id, name, line*64, o)
+				}
+				owner[line] = n.id
+			}
+		}
+		for _, n := range e.nodes {
+			for name, s := range map[string]any{
+				"creditAcc": n.creditAcc, "cur": n.cur, "kin": n.kin, "kout": n.kout,
+				"present": n.present, "acc": n.acc, "accDummy": n.accDummy,
+				"spanIn": n.spanIn, "spanOut": n.spanOut, "spanSeq": n.spanSeq,
+				"emSeqs": n.emSeqs, "emPays": n.emPays,
+			} {
+				claim(n, name, reflect.ValueOf(s))
+			}
+			for i, run := range n.acc {
+				claim(n, fmt.Sprintf("acc[%d]", i), reflect.ValueOf(run))
+			}
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestEdgeCountsLayout pins edgeCounts at two whole lines, the consumer's
+// half (consumed, taken, stalled, parked) on the second: an edge's
+// consumer then never writes the line its producer's sent, counts and ring
+// pointer sit on, in edges[] as alone.
+func TestEdgeCountsLayout(t *testing.T) {
+	var c edgeCounts
+	if n := unsafe.Sizeof(c); n != 128 {
+		t.Errorf("edgeCounts is %d bytes, want 128", n)
+	}
+	if end := unsafe.Offsetof(c.eof) + unsafe.Sizeof(c.eof); end > 64 {
+		t.Errorf("producer half ends at %d, past the first line", end)
+	}
+	for name, off := range map[string]uintptr{
+		"consumed": unsafe.Offsetof(c.consumed), "taken": unsafe.Offsetof(c.taken),
+		"stalled": unsafe.Offsetof(c.stalled), "parked": unsafe.Offsetof(c.parked),
+	} {
+		if off < 64 {
+			t.Errorf("%s at offset %d, want the second line", name, off)
+		}
+	}
+	if off := unsafe.Offsetof(c.consumed); off != 64 {
+		t.Errorf("consumed at offset %d, want 64", off)
 	}
 }
 
