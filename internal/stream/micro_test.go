@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"streamdag/internal/clock"
 	"streamdag/internal/cs4"
@@ -173,23 +172,25 @@ func TestNodeScratchOwnsItsLines(t *testing.T) {
 // consumer then never writes the line its producer's sent, counts and ring
 // pointer sit on, in edges[] as alone.
 func TestEdgeCountsLayout(t *testing.T) {
-	var c edgeCounts
-	if n := unsafe.Sizeof(c); n != 128 {
+	typ := reflect.TypeFor[edgeCounts]()
+	if n := typ.Size(); n != 128 {
 		t.Errorf("edgeCounts is %d bytes, want 128", n)
 	}
-	if end := unsafe.Offsetof(c.eof) + unsafe.Sizeof(c.eof); end > 64 {
-		t.Errorf("producer half ends at %d, past the first line", end)
-	}
-	for name, off := range map[string]uintptr{
-		"consumed": unsafe.Offsetof(c.consumed), "taken": unsafe.Offsetof(c.taken),
-		"stalled": unsafe.Offsetof(c.stalled), "parked": unsafe.Offsetof(c.parked),
-	} {
-		if off < 64 {
-			t.Errorf("%s at offset %d, want the second line", name, off)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Name {
+		case "sent", "data", "dummies", "ring", "eof":
+			if end := f.Offset + f.Type.Size(); end > 64 {
+				t.Errorf("producer's %s ends at offset %d, past the first line", f.Name, end)
+			}
+		case "consumed", "taken", "stalled", "parked":
+			if f.Offset < 64 {
+				t.Errorf("consumer's %s at offset %d, want the second line", f.Name, f.Offset)
+			}
 		}
 	}
-	if off := unsafe.Offsetof(c.consumed); off != 64 {
-		t.Errorf("consumed at offset %d, want 64", off)
+	if f, _ := typ.FieldByName("consumed"); f.Offset != 64 {
+		t.Errorf("consumed at offset %d, want 64", f.Offset)
 	}
 }
 
