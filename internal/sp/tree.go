@@ -92,11 +92,10 @@ func IsSP(g *graph.Graph) bool {
 	return err == nil
 }
 
-// DecomposeSubgraph decomposes the subgraph of g formed by the given
-// edges alone, as a two-terminal graph from src to snk; the other edges of
-// g are ignored, even where they meet the subgraph's vertices.  It is used
-// on the serial components of a CS4 graph and, through Residual, on the
-// fragments of an SP-ladder.
+// DecomposeSubgraph decomposes the subgraph formed by the given edges of
+// g alone, as a two-terminal graph from src to snk: edges of g outside the
+// set are ignored, even where they meet its vertices.  Package cs4
+// decomposes each serial component of a graph with it.
 func DecomposeSubgraph(g *graph.Graph, edges []graph.EdgeID, src, snk graph.NodeID) (*Tree, error) {
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("sp: empty edge set")

@@ -312,16 +312,18 @@ func (n *engineNode) start() {
 	n.run()
 }
 
-// nodeStack is the stack a node goroutine grows to before its loop: the
-// smallest frame after which a first firing on the benchmark harness's six
-// workloads grows the stack no further.
+// nodeStack is the frame a node goroutine takes before its loop.  It
+// grows a 2 KB starting stack to 4 KB, the smallest stack in which a
+// first firing on each of the benchmark harness's six workloads grew it no
+// further (measured with adaptive start sizes off); a start size the
+// runtime has already raised to 4 KB is not grown at all.
 const nodeStack = 2 << 10
 
 // growStack takes a nodeStack-byte frame, so that the runtime grows the
-// goroutine's stack once, while its only other frame is the start
-// closure's, instead of copying a deep advance → fire → kernel stack in
-// several doublings during the node's first firing.  The stack keeps its
-// size until a garbage collection finds it mostly idle.
+// goroutine's stack while its only other frame is the start closure's,
+// instead of copying a deep advance → fire → kernel stack during the
+// node's first firing.  The stack keeps its size until a garbage
+// collection finds it mostly idle.
 //
 //go:noinline
 func growStack() {
@@ -687,10 +689,11 @@ type sessionBufs struct {
 }
 
 // edgeCounts is one edge's counts for one session, 128 bytes on two cache
-// lines (the consumer's half at offset 64), each written by one node (but for the stalled flag): the producer's sent
-// (EOS included) and data/dummies by kind, read at completion (the sink
-// node's final EOS happens-after every send), and the consumer's consumed,
-// stored once per advance.
+// lines (the consumer's half at offset 64), each written by one node (but
+// for the stalled flag): the producer's sent (EOS included) and
+// data/dummies by kind, read at completion (the sink node's final EOS
+// happens-after every send), and the consumer's consumed, stored once per
+// advance.
 //
 // A local edge is also a single-producer/single-consumer ring: the
 // producer copies each run into ring's slots (message k at k mod the
