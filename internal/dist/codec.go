@@ -25,18 +25,19 @@ import (
 //	             every later one ≥ 1), a kind byte and — Data only — an
 //	             encoded payload.  It is one span of the stream engine on
 //	             a cross edge: a run of 1 is a dummy, an EOS or a lone
-//	             datum.  The sender holds count of the session's credits
-//	             for the edge, so count never exceeds the edge's capacity.
-//	'c' credit — session uint64, edge uint32, count uint32: the consumer
-//	             of a cross edge popped count messages of the session,
-//	             releasing as many slots of the producer's window.  The
-//	             per-session windows are what carry the paper's finite
-//	             buffer capacities — and with them the deadlock-freedom
-//	             guarantee — stream-by-stream over a shared wire.
+//	             datum.  The sender's window had room for the run, so it
+//	             never holds the receive ring past the edge's capacity.
+//	'c' credit — session uint64, edge uint32, consumed uint64: how many
+//	             of the session's messages the consumer of a cross edge
+//	             has consumed in all, the producer's window's consumed
+//	             count; a repeated one changes nothing.  The per-session
+//	             windows carry the paper's finite buffer capacities — and
+//	             with them the deadlock-freedom guarantee — stream by
+//	             stream over a shared wire.
 //
 // Edge IDs are global (both sides build them from the same topology), so
-// frames need no further addressing.  A link writer concatenates the
-// frames of one drain into a single write; there is no aggregate frame.
+// frames need no further addressing.  A link writer writes the frames
+// encoded since its last write in one write; there is no aggregate frame.
 const (
 	frameHello  byte = 'H'
 	frameRun    byte = 'S'
@@ -61,13 +62,17 @@ const runHeader = 1 + 8 + 4 + 4
 // outsizes every previous one; the returned body aliases *buf and is
 // valid until the next call.  Safe on the read path because every parser
 // copies the bytes it retains (decodePayload copies strings, byte slices
-// and gob values).
+// and gob values).  The length header is read into *buf too: a local
+// array would escape through r and cost an allocation per frame.
 func readFrame(r io.Reader, buf *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(*buf) < 4 {
+		*buf = make([]byte, 4)
+	}
+	hdr := (*buf)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("dist: bad frame length %d", n)
 	}
@@ -196,23 +201,23 @@ func decodeRun(b []byte, count int, run []stream.Message, words *box.Arena[uint6
 	return run, nil
 }
 
-// appendCredit appends a credit frame returning n credits.
-func appendCredit(dst []byte, sid proto.SessionID, e graph.EdgeID, n int) []byte {
+// appendCredit appends a credit frame carrying the consumed count.
+func appendCredit(dst []byte, sid proto.SessionID, e graph.EdgeID, consumed uint64) []byte {
 	dst, start := beginFrame(dst, frameCredit)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(sid))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(e))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	dst = binary.BigEndian.AppendUint64(dst, consumed)
 	endFrame(dst, start)
 	return dst
 }
 
-func parseCredit(body []byte) (proto.SessionID, graph.EdgeID, int, error) {
-	if len(body) != 17 {
+func parseCredit(body []byte) (proto.SessionID, graph.EdgeID, uint64, error) {
+	if len(body) != 21 {
 		return 0, 0, 0, fmt.Errorf("dist: bad credit frame (%d bytes)", len(body))
 	}
 	return proto.SessionID(binary.BigEndian.Uint64(body[1:])),
 		graph.EdgeID(binary.BigEndian.Uint32(body[9:])),
-		int(binary.BigEndian.Uint32(body[13:])), nil
+		binary.BigEndian.Uint64(body[13:]), nil
 }
 
 // Payload encoding: one type byte plus a fixed or length-prefixed value

@@ -2,26 +2,18 @@
 // computations with filtering: the topology's nodes are partitioned across
 // named workers, all hosted in this process, and an edge whose two ends
 // sit on different workers crosses a real TCP link.  The node semantics
-// are not re-implemented here: one resident stream.Engine runs every node
-// — spans, ProcessSpan, span sources and sinks, timed stages, the
-// watchdog and its wedge report — and this package is the detour its
-// cross edges take (stream/cross.go).
-// The producing node's sends and the consuming node's credit returns are
-// posted into the sending worker's per-link outbox; a link writer drains
-// the outbox, encodes each wake-up's parcels as run and credit frames
-// (codec.go) and issues one write; the receiving worker's frame reader
-// decodes them and posts the same events into the real node's mailbox.
-// The sender-side window is the stream engine's own per-session
-// inflight-vs-capacity check, so a cross edge never holds more messages
-// than the capacity the deadlock-avoidance intervals of Buhler et al.
-// were computed against, by the same code as in-process.
+// are not re-implemented here: one resident stream.Engine runs every node,
+// and a cross edge keeps the local window rule (stream/cross.go).  The
+// producing node encodes each run as frames (codec.go) into the carrier
+// of its direction, whose link writer sends what is pending in one write;
+// the receiving worker's frame reader copies the run into the session's
+// receive ring; and the consuming node's consumed count comes back,
+// cumulative, in a credit frame.
 //
 // Nothing on the wire path can wedge the protocol.  A frame reader never
-// blocks on a session: mailboxes are unbounded, and what a session can
-// have queued in them is bounded by its windows.  So a peer's socket
-// always drains, a link writer stuck in a full socket always gets going
-// again, and node loops never wait on a writer at all (outbox posts do
-// not block).
+// blocks on a session — a run fits its ring's window, or fails the engine
+// — so a peer's socket always drains, a link writer stuck in a full socket
+// always gets going again, and node loops never wait on a writer.
 //
 // Lifecycle: NewEngine gives every partition name a loopback listener and
 // dials a link for each direction of every worker pair that shares an
@@ -35,10 +27,12 @@ package dist
 
 import (
 	"net"
+	"sync"
 	"sync/atomic"
 
 	"streamdag/internal/graph"
 	"streamdag/internal/obs"
+	"streamdag/internal/proto"
 	"streamdag/internal/stream"
 )
 
@@ -71,6 +65,8 @@ var ErrEngineClosed = stream.ErrEngineClosed
 // writer is the only goroutine that writes on it once it carries traffic.
 type peerLink struct {
 	conn net.Conn
+	// local is conn's local address, the accepted end's remote one.
+	local string
 	// stats, when non-nil, receives this link's transmit-side wire
 	// telemetry.
 	stats *obs.LinkMetrics
@@ -88,19 +84,20 @@ func (p *peerLink) write(frames []byte, nframes, bodies int) error {
 	return err
 }
 
-// feeds reports whether c is the accepted end of the link: on loopback
-// the dialed end's local address is the accepted end's remote address.
-func (p *peerLink) feeds(c net.Conn) bool {
-	return p != nil && p.conn.LocalAddr().String() == c.RemoteAddr().String()
+// feeds reports whether the accepted connection whose remote address is
+// remote is the link's far end: on loopback the dialed end's local
+// address is the accepted end's remote address.
+func (p *peerLink) feeds(remote string) bool {
+	return p != nil && p.local == remote
 }
 
-// carrier is one direction of one worker pair: the outbox the stream
-// engine posts that direction's cross-edge traffic into, and the link
-// currently carrying it.  The outbox lives as long as the Engine; the
-// link is replaced whenever either end's links are re-dialed (relink).
+// carrier is one direction of one worker pair (a stream.Carrier): the
+// frames the node loops encoded for that direction and not yet written,
+// and the link currently carrying them.  The carrier lives as long as the
+// Engine; the link is replaced whenever either end's links are re-dialed
+// (relink).
 type carrier struct {
 	from, to string
-	box      *stream.Outbox
 	link     atomic.Pointer[peerLink]
 	// fence makes the wire a synchronization edge inside this process:
 	// the writer bumps it before a write and the reader of the same
@@ -109,4 +106,45 @@ type carrier struct {
 	// receiving node does with the message — which a socket alone would
 	// not establish, although all workers share one address space.
 	fence atomic.Uint64
+
+	// mu guards the frames the node loops encoded and the writer has yet
+	// to take, and their counts for the link's telemetry.  wake holds a
+	// token while there are frames to take, and closes for the writer's
+	// exit.
+	mu             sync.Mutex
+	pending        []byte
+	frames, bodies int
+	wake           chan struct{}
+}
+
+// Run appends run's frames to the pending bytes, which an error leaves as
+// they were, and wakes the writer.
+func (c *carrier) Run(sid proto.SessionID, edge graph.EdgeID, run []stream.Message) error {
+	c.mu.Lock()
+	buf, n, err := appendRun(c.pending, sid, edge, run)
+	c.pending = buf
+	if err == nil {
+		c.frames, c.bodies = c.frames+n, c.bodies+len(run)
+	}
+	c.mu.Unlock()
+	c.signal()
+	return err
+}
+
+// Credit appends a credit frame carrying the consumed count and wakes the
+// writer.
+func (c *carrier) Credit(sid proto.SessionID, edge graph.EdgeID, consumed uint64) {
+	c.mu.Lock()
+	c.pending = appendCredit(c.pending, sid, edge, consumed)
+	c.frames, c.bodies = c.frames+1, c.bodies+1
+	c.mu.Unlock()
+	c.signal()
+}
+
+// signal leaves the writer its wake token, unless one is waiting already.
+func (c *carrier) signal() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
 }

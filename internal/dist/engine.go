@@ -41,8 +41,8 @@ type Engine struct {
 	part Partition
 	cfg  Config
 
-	// eng runs every node of the topology; carriers are the detours of its
-	// cross edges, one per direction of every worker pair sharing an edge.
+	// eng runs every node of the topology; carriers carry its cross edges,
+	// one per direction of every worker pair sharing an edge.
 	// Neither map changes after NewEngine, and neither does listeners, the
 	// one loopback listener per worker.
 	eng       *stream.Engine
@@ -81,7 +81,7 @@ func NewEngine(g *graph.Graph, partition Partition, kernels map[graph.NodeID]str
 	cross := make(map[graph.EdgeID]stream.CrossEdge)
 	for _, ed := range g.Edges() {
 		if from, to := partition[ed.From], partition[ed.To]; from != to {
-			cross[ed.ID] = stream.CrossEdge{Msgs: e.carrier(from, to).box, Credits: e.carrier(to, from).box}
+			cross[ed.ID] = stream.CrossEdge{Msgs: e.carrier(from, to), Credits: e.carrier(to, from)}
 		}
 	}
 	cfg.Cross = cross
@@ -123,39 +123,30 @@ func (e *Engine) carrier(from, to string) *carrier {
 	key := [2]string{from, to}
 	c := e.carriers[key]
 	if c == nil {
-		c = &carrier{from: from, to: to, box: stream.NewOutbox()}
+		c = &carrier{from: from, to: to, wake: make(chan struct{}, 1)}
 		e.carriers[key] = c
 	}
 	return c
 }
 
-// writeLoop is the from→to link's writer: it encodes everything the node
-// loops queued per wake-up into one buffer and issues one write on
-// whichever link currently carries the direction.  It never waits for a
-// batch to fill, so flow-control timing is what the node loops make it,
-// and per-link FIFO order holds because messages and credits share the
-// one outbox.  A parcel that cannot be encoded fails its session; a
-// write that fails on the current link re-links the peer (the sessions
-// fail with it, and what they still had queued is dropped on arrival).
+// writeLoop is the from→to link's writer: per wake-up it swaps out every
+// frame the node loops encoded into the carrier and issues one write on
+// whichever link currently carries the direction, until Close closes its
+// wake channel.  It never waits for a batch to fill, so flow-control
+// timing is what the node loops make it, and per-link FIFO order holds
+// because runs and credits share the one carrier.  A write that fails on
+// the current link re-links the peer (the sessions fail with it, and what
+// they still had pending is dropped on arrival).
 func (e *Engine) writeLoop(c *carrier) {
 	defer e.wg.Done()
 	var buf []byte
-	var frames, bodies int
-	encode := func(p stream.Parcel) {
-		if p.Run == nil {
-			buf = appendCredit(buf, p.Session.ID(), p.Edge, p.Credits)
-			frames, bodies = frames+1, bodies+p.Credits
-			return
-		}
-		var n int
-		var err error
-		if buf, n, err = appendRun(buf, p.Session.ID(), p.Edge, p.Run); err != nil {
-			p.Session.Fail(err)
-			return
-		}
-		frames, bodies = frames+n, bodies+len(p.Run)
-	}
-	for c.box.Drain(encode) {
+	for open := true; open; {
+		_, open = <-c.wake
+		c.mu.Lock()
+		buf, c.pending = c.pending, buf
+		frames, bodies := c.frames, c.bodies
+		c.frames, c.bodies = 0, 0
+		c.mu.Unlock()
 		if link := c.link.Load(); link != nil && len(buf) > 0 {
 			c.fence.Add(1)
 			if err := link.write(buf, frames, bodies); err != nil {
@@ -165,7 +156,7 @@ func (e *Engine) writeLoop(c *carrier) {
 		if cap(buf) > 1<<20 {
 			buf = nil // don't pin a one-off huge batch
 		}
-		buf, frames, bodies = buf[:0], 0, 0
+		buf = buf[:0]
 	}
 }
 
@@ -204,7 +195,7 @@ func (e *Engine) Close() error {
 		c.Close()
 	}
 	for _, c := range e.carriers {
-		c.box.Close()
+		close(c.wake) // the node loops, the only senders, are gone
 		if link := c.link.Load(); link != nil {
 			link.conn.Close()
 		}
@@ -247,8 +238,8 @@ func (e *Engine) linkBroke(c *carrier, link *peerLink, peer string, err error) {
 // sessions with a *fault.WorkerDownError naming the worker, its address
 // and their IDs, then gives each direction the worker shares with a peer
 // a freshly dialed link before closing the old one.  Frames still on the
-// old links belong to the failed sessions, and the stream engine drops
-// them on arrival.
+// old links belong to the failed sessions: their readers drop the runs,
+// and the stream engine every frame of an ended session.
 func (e *Engine) relink(name string, cause error) error {
 	active := e.eng.Active()
 	ids := make([]uint64, len(active))
@@ -285,7 +276,7 @@ func (e *Engine) dial(c *carrier) error {
 	if err != nil {
 		return fmt.Errorf("dist: worker %q cannot reach %q at %s: %w", c.from, c.to, addr, err)
 	}
-	link := &peerLink{conn: conn}
+	link := &peerLink{conn: conn, local: conn.LocalAddr().String()}
 	if m := e.cfg.Obs; m != nil {
 		link.stats = m.Link(c.from + "→" + c.to)
 	}
@@ -333,12 +324,15 @@ func (e *Engine) acceptLoop(self string, ln net.Listener) {
 const readBuffer = 64 << 10
 
 // serveConn reads one connection accepted by worker self and hands the
-// frames' contents to the node loops.  It never blocks on a session —
-// deliveries are mailbox posts — so the peer's writer always drains.  The
-// frame buffer and the run scratch are reused across frames (parsers copy
-// whatever they retain, Deliver copies the run), and the frames' 8-byte
-// scalar payloads are boxed from one word arena per connection, which
-// this goroutine alone uses.
+// frames' contents to the stream engine.  It never blocks on a session —
+// a delivery is a copy into a ring whose window has room — so the peer's
+// writer always drains.  Only the connection that carries the link
+// delivers runs: one that the link no longer uses (or never did) has its
+// well-formed runs dropped, which keeps one producer per receive ring.
+// The frame buffer and the run scratch are reused across frames (parsers
+// copy whatever they retain, Deliver copies the run), and the frames'
+// 8-byte scalar payloads are boxed from one word arena per connection,
+// which this goroutine alone uses.
 func (e *Engine) serveConn(self string, c net.Conn) {
 	defer e.wg.Done()
 	defer func() {
@@ -367,10 +361,11 @@ func (e *Engine) serveConn(self string, c net.Conn) {
 	}
 	var run []stream.Message
 	words := boxUint64.Arena()
+	remote := c.RemoteAddr().String()
 	for {
 		body, err := readFrame(r, &buf)
 		if err != nil {
-			if link := in.link.Load(); link.feeds(c) {
+			if link := in.link.Load(); link.feeds(remote) {
 				e.linkBroke(in, link, peer, fmt.Errorf("dist: link from %q to %q broke: %w", peer, self, err))
 			}
 			return
@@ -380,7 +375,7 @@ func (e *Engine) serveConn(self string, c net.Conn) {
 			rx.RxFrames.Add(1)
 			rx.RxBytes.Add(int64(len(body)) + 4)
 		}
-		if err := e.handleBody(peer, self, body, &run, &words); err != nil {
+		if err := e.handleBody(peer, self, in.link.Load().feeds(remote), body, &run, &words); err != nil {
 			e.fail(err)
 			return
 		}
@@ -388,25 +383,31 @@ func (e *Engine) serveConn(self string, c net.Conn) {
 }
 
 // handleBody dispatches one frame body that worker self received from
-// peer; an error fails the engine's sessions and tears the connection
-// down.  Everything in the frame is input from outside the program: the
-// edge must be one that runs between the two workers in the frame's
-// direction, and a count must fit the edge's capacity — what the sender's
-// window would have allowed — before anything is decoded or posted.
-// Frames for sessions that are not open are dropped by the stream engine,
-// not errors: a session that failed keeps receiving its peers' in-flight
-// frames until they observe the teardown.
-func (e *Engine) handleBody(peer, self string, body []byte, run *[]stream.Message, words *box.Arena[uint64]) error {
+// peer, on a connection that carries the link if feeds; an error fails
+// the engine's sessions and tears the connection down.  Everything in the
+// frame is input from outside the program: the edge must be one that
+// runs between the two workers in the frame's direction, and a run must
+// fit the edge's capacity — what the sender's window would have allowed —
+// before anything is decoded or delivered.  Frames for sessions that are
+// not open are dropped by the stream engine, not errors: a session that
+// failed keeps receiving its peers' in-flight frames until they observe
+// the teardown.
+func (e *Engine) handleBody(peer, self string, feeds bool, body []byte, run *[]stream.Message, words *box.Arena[uint64]) error {
 	switch body[0] {
 	case frameRun:
 		sid, edge, count, elems, err := parseRunHeader(body)
 		if err != nil {
 			return err
 		}
-		if err = e.checkCross(edge, count, peer, self); err == nil {
+		if err = e.checkCross(edge, peer, self); err == nil && (count < 1 || count > e.g.Edge(edge).Buf) {
+			err = fmt.Errorf("count %d outside the edge's capacity 1..%d", count, e.g.Edge(edge).Buf)
+		}
+		if err == nil {
 			var msgs []stream.Message
 			if msgs, err = decodeRun(elems, count, *run, words); err == nil {
-				err = e.eng.Deliver(sid, edge, msgs)
+				if feeds {
+					err = e.eng.Deliver(sid, edge, msgs)
+				}
 				clear(msgs)
 				*run = msgs
 			}
@@ -416,35 +417,29 @@ func (e *Engine) handleBody(peer, self string, body []byte, run *[]stream.Messag
 		}
 		return nil
 	case frameCredit:
-		sid, edge, n, err := parseCredit(body)
+		sid, edge, consumed, err := parseCredit(body)
 		if err != nil {
 			return err
 		}
-		if err = e.checkCross(edge, n, self, peer); err == nil {
-			err = e.eng.Credit(sid, edge, n)
-		}
-		if err != nil {
+		if err = e.checkCross(edge, self, peer); err != nil {
 			return fmt.Errorf("dist: worker %q: credit frame from %q for session %d on edge %d: %w", self, peer, sid, edge, err)
 		}
+		e.eng.Credit(sid, edge, consumed)
 		return nil
 	default:
 		return fmt.Errorf("dist: worker %q: unknown frame type %q from %q", self, body[0], peer)
 	}
 }
 
-// checkCross accepts a frame's edge and count if the edge runs from a
-// node on worker from to a node on worker to and the count is one the
-// edge's window allows.
-func (e *Engine) checkCross(edge graph.EdgeID, count int, from, to string) error {
+// checkCross accepts a frame's edge if it runs from a node on worker
+// from to a node on worker to.
+func (e *Engine) checkCross(edge graph.EdgeID, from, to string) error {
 	if int(edge) >= e.g.NumEdges() {
 		return errors.New("no such edge")
 	}
 	ed := e.g.Edge(edge)
 	if e.part[ed.From] != from || e.part[ed.To] != to {
 		return fmt.Errorf("the edge runs %q→%q, not %q→%q", e.part[ed.From], e.part[ed.To], from, to)
-	}
-	if count < 1 || count > ed.Buf {
-		return fmt.Errorf("count %d outside the edge's capacity 1..%d", count, ed.Buf)
 	}
 	return nil
 }

@@ -2,12 +2,14 @@ package dist
 
 // Layer microbenchmarks for what a message crosses between two workers
 // (ROADMAP 1a, dist slice): the run and credit codecs, and one loopback
-// link — post, write, read, deliver.  Every benchmark reports ns/msg and
+// link — encode, write, read, deliver.  Every benchmark reports ns/msg and
 // allocs/msg.
 //
 //	go test -run '^$' -bench 'Run|Credit|Link' ./internal/dist
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"runtime"
 	"testing"
@@ -91,8 +93,9 @@ func BenchmarkCreditFrame(b *testing.B) {
 
 // benchLink streams b.N sequence numbers from a source on one worker to
 // a sink on another: one cross edge, so a message's whole cost beyond the
-// two node loops is one link round trip (outbox post, encode, write,
-// read, decode, deliver) plus its share of a credit frame coming back.
+// two node loops is one link round trip (encode, write, read, decode,
+// deliver into the receive ring) plus its share of a credit frame coming
+// back.
 func benchLink(b *testing.B, batch int) {
 	g := workload.Pipeline(2, 256)
 	part := Partition{0: "w0", 1: "w1"}
@@ -135,10 +138,11 @@ func BenchmarkLinkRoundTripBatch1(b *testing.B)  { benchLink(b, 1) }
 func BenchmarkLinkRoundTripBatch64(b *testing.B) { benchLink(b, 64) }
 
 // TestRunCodecAllocations pins the codec's steady-state allocation
-// budget: encoding into a warmed buffer allocates nothing, and decoding
-// a run of 8-byte scalars carves all their boxes from the link's word
-// arena — at most one chunk per run, an eighth of one once the chunks
-// reach their cap.
+// budget: encoding into a warmed buffer allocates nothing, reading frames
+// from a link's buffered reader into a warmed frame buffer allocates
+// nothing, and decoding a run of 8-byte scalars carves all their boxes
+// from the link's word arena — at most one chunk per run, an eighth of
+// one once the chunks reach their cap.
 func TestRunCodecAllocations(t *testing.T) {
 	run := uint64Run(64)
 	buf, _, err := appendRun(nil, proto.SessionID(7), graph.EdgeID(3), run)
@@ -152,6 +156,18 @@ func TestRunCodecAllocations(t *testing.T) {
 		t.Errorf("encoding a 64-run and a credit into a warmed buffer: %v allocs, want 0", n)
 	}
 	wire, _, _ := appendRun(nil, 7, 3, run)
+	pair := appendCredit(append([]byte(nil), wire...), 7, 3, 64)
+	r := bufio.NewReaderSize(bytes.NewReader(bytes.Repeat(pair, 101)), readBuffer)
+	var frame []byte
+	if n := testing.AllocsPerRun(100, func() {
+		for range 2 {
+			if _, err := readFrame(r, &frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("reading a run frame and a credit frame: %v allocs, want 0", n)
+	}
 	scratch := make([]stream.Message, 0, 64)
 	words := boxUint64.Arena()
 	if n := testing.AllocsPerRun(100, func() {

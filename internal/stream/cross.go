@@ -1,16 +1,14 @@
 package stream
 
 // This file is the seam a transport plugs into: an edge named in
-// Config.Cross keeps both of its nodes in this Engine — same node loops,
-// same per-session credit window, same counters — but the producer's
-// messages and the consumer's credit returns are posted into the edge's
-// outboxes instead of the neighbour's mailbox.  The transport drains the
-// outboxes, moves the parcels however it likes (internal/dist: one TCP
-// link per worker pair), and hands them back on the far side through
-// Deliver and Credit.  The sender-side window is the node's own
-// inflight-vs-capacity check, so a cross edge never holds more messages —
-// queued, on the wire or unconsumed — than the capacity the dummy
-// intervals were computed against.
+// Config.Cross keeps both of its nodes in this Engine and the window rule
+// of a local edge, split across a wire.  The producer stores sent, hands
+// the run to the edge's Msgs carrier, and reads the consumed count that
+// Credit stores.  The consumer drains a receive ring whose one producer
+// is the transport's reader (Deliver), and hands its consumed count,
+// absolute, to the Credits carrier.  Both halves hold sent − consumed to
+// the edge's Buf, so a cross edge never holds more messages — queued, on
+// the wire or unconsumed — than the dummy intervals were computed for.
 
 import (
 	"fmt"
@@ -19,119 +17,106 @@ import (
 	"streamdag/internal/proto"
 )
 
+// Carrier takes one direction of a transport link.  Run takes a run that
+// a producing node sent on a cross edge going that way; its error (a
+// payload the transport cannot carry) fails the session.  Credit takes
+// the consumed count a consuming node reached on a cross edge coming
+// back.  Node loops call both, so neither may wait on the far side.
+type Carrier interface {
+	Run(sid proto.SessionID, edge graph.EdgeID, run []Message) error
+	Credit(sid proto.SessionID, edge graph.EdgeID, consumed uint64)
+}
+
 // CrossEdge names the carriers of one cross edge: Msgs takes what the
 // producing node sends, Credits what the consuming node acknowledges.
-// Edges that share a transport link share an Outbox.
 type CrossEdge struct {
-	Msgs    *Outbox
-	Credits *Outbox
+	Msgs, Credits Carrier
 }
 
-// crossEnds locates a cross edge's carriers and its two ends in the node
-// loops.
+// crossEnds locates a cross edge's carriers, its two nodes, and its
+// receive side, edges[recv] in a session's record.
 type crossEnds struct {
 	CrossEdge
-	from   *engineNode // producer, at out-position outPos
-	to     *engineNode // consumer, at in-position inPos
-	outPos int32
-	inPos  int32
+	from, to *engineNode
+	recv     int
 }
 
-// Outbox is the unbounded queue between the node loops and one transport
-// writer.  Posts never block — its occupancy is bounded by the posting
-// sessions' windows, like a node's mailbox — and the single drainer takes
-// everything queued per wake-up.
-type Outbox struct {
-	mb    *mailbox
-	spare batch
-}
-
-// NewOutbox returns an empty outbox.
-func NewOutbox() *Outbox { return &Outbox{mb: newMailbox()} }
-
-// Close wakes the drainer for exit; Drain returns false once the queue
-// is empty.  Later posts are dropped.
-func (o *Outbox) Close() { o.mb.close() }
-
-// Parcel is one unit drained from an Outbox: a run of messages for the
-// edge's consumer (Run, in send order) or, when Run is nil, Credits
-// acknowledged messages for its producer.
-type Parcel struct {
-	Session *EngineSession
-	Edge    graph.EdgeID
-	Run     []Message
-	Credits int
-}
-
-// Drain blocks for the next batch and calls visit for each parcel in
-// post order, skipping sessions that have ended; it reports false when
-// the outbox is closed and drained.  A parcel's Run is valid only during
-// the call: the outbox reuses its storage for the next batch.  One
-// goroutine drains an outbox at a time.
-func (o *Outbox) Drain(visit func(Parcel)) bool {
-	b, ok := o.mb.takeAll(o.spare)
-	if !ok {
-		return false
+// inSlot is the index of edge's consumer-side counts in a session's
+// edges: the edge's own, or a cross edge's receive side.
+func (e *Engine) inSlot(edge graph.EdgeID) int {
+	if int(edge) < len(e.cross) && e.cross[edge].to != nil {
+		return e.cross[edge].recv
 	}
-	for i := range b.evs {
-		ev := &b.evs[i]
-		if ev.ses.ended.Load() {
-			continue
-		}
-		p := Parcel{Session: ev.ses, Edge: graph.EdgeID(ev.pos)}
-		if ev.kind == evCredit {
-			p.Credits = ev.cnt
-		} else {
-			p.Run = b.arena[ev.off : ev.off+ev.cnt]
-		}
-		visit(p)
-	}
-	b.reset()
-	o.spare = b
-	return true
+	return int(edge)
 }
 
-// Deliver hands a run that crossed the wire on edge to the edge's
-// consuming node, for the session with that id; run is copied.  A session
-// that is not (or no longer) open drops the run — its peers' frames stay
-// in flight until they observe the teardown.  The error is for an edge
-// not named in Config.Cross.
+// Deliver copies a run that crossed the wire on edge, a cross edge, into
+// the receive ring of the session with that id, as a local producer's
+// send would, and kicks the consuming node.  A session that is not (or no
+// longer) open drops the run: its peers' frames stay in flight until they
+// observe the teardown.  The caller is the ring's one producer.  The
+// error is for a run that would hold the edge past its Buf: more than the
+// sender's window allowed.
 func (e *Engine) Deliver(sid proto.SessionID, edge graph.EdgeID, run []Message) error {
-	if int(edge) >= len(e.cross) || e.cross[edge].to == nil {
-		return fmt.Errorf("stream: edge %d is not a cross edge", edge)
-	}
-	ses := e.session(sid)
-	if ses == nil || len(run) == 0 {
+	x := &e.cross[edge]
+	ses := e.hold(sid)
+	if ses == nil {
 		return nil
 	}
-	c := &e.cross[edge]
-	c.to.mb.postRun(event{kind: evMsg, ses: ses, pos: c.inPos}, run)
+	defer ses.unhold()
+	c := &ses.edges[x.recv]
+	t := c.sent.Load()
+	live := int(t - c.consumed.Load())
+	if buf := e.g.Edge(edge).Buf; live+len(run) > buf {
+		return fmt.Errorf("stream: session %d: run of %d on edge %s with %d of its %d unconsumed",
+			sid, len(run), e.edgeName(edge), live, buf)
+	}
+	slots := c.grow(t, live, live+len(run))
+	mask := len(slots) - 1
+	copy(slots, run[copy(slots[int(t)&mask:], run):])
+	c.sent.Store(t + int64(len(run)))
+	ses.kick(x.to)
 	return nil
 }
 
-// Credit returns n credits that crossed the wire on edge to the edge's
-// producing node.  More than the session has in flight there fails the
-// session (the node owns the count); the error is for an edge not named
-// in Config.Cross.
-func (e *Engine) Credit(sid proto.SessionID, edge graph.EdgeID, n int) error {
-	if int(edge) >= len(e.cross) || e.cross[edge].from == nil {
-		return fmt.Errorf("stream: edge %d is not a cross edge", edge)
+// Credit stores consumed, the count the far consumer of edge, a cross
+// edge, acknowledged, as the producer's consumed count for the session
+// with that id, and wakes the producing node if it stalled on the full
+// window, as a local consumer's consume does.  Counts are absolute: one
+// no larger than the last is a repeat and changes nothing, and one above
+// what the producer sent fails the session.
+func (e *Engine) Credit(sid proto.SessionID, edge graph.EdgeID, consumed uint64) {
+	ses := e.hold(sid)
+	if ses == nil {
+		return
 	}
-	if ses := e.session(sid); ses != nil && n > 0 {
-		c := &e.cross[edge]
-		c.from.mb.post(event{kind: evCredit, ses: ses, pos: c.outPos, cnt: n})
+	defer ses.unhold()
+	c := &ses.edges[edge]
+	if sent := c.sent.Load(); consumed > uint64(sent) {
+		ses.end(fmt.Errorf("stream: session %d: credit for %d messages on edge %s, of %d sent",
+			sid, consumed, e.edgeName(edge), sent), nil)
+	} else if c.credit(int64(consumed)) {
+		e.cross[edge].from.mb.post(event{kind: evWake, ses: ses})
 	}
-	return nil
 }
 
-// session returns the open session with the given id, or nil.
-func (e *Engine) session(id proto.SessionID) *EngineSession {
+func (e *Engine) edgeName(edge graph.EdgeID) string {
+	ed := e.g.Edge(edge)
+	return e.g.Name(ed.From) + "→" + e.g.Name(ed.To)
+}
+
+// hold returns the open session with the given id with a hold taken on
+// its record (see unhold), or nil.  The hold is taken under e.mu while
+// the session is registered, so its done hold still stands and the
+// record cannot be scrubbed while the caller writes it.
+func (e *Engine) hold(id proto.SessionID) *EngineSession {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	s := e.sessions[id]
-	e.mu.Unlock()
 	if s == nil || s.ended.Load() {
 		return nil
 	}
+	s.holds.Add(1)
 	return s
 }
 

@@ -257,27 +257,28 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 	}
 	// Wire the neighbour tables.  A local edge is a ring per session
 	// between its two nodes (upNode, downNode).  A cross edge has no
-	// neighbour node: its runs and credits go to its carriers' outboxes
-	// (Engine.cross) and come back in through Deliver and Credit on the far
-	// side of the wire.
+	// neighbour node: its runs and credits go to its carriers and come back
+	// through Deliver and Credit (Engine.cross), into a receive side placed
+	// after the graph's edges in a session's record.
 	if len(cfg.Cross) > 0 {
 		e.cross = make([]crossEnds, g.NumEdges())
-		for edge, c := range cfg.Cross {
-			e.cross[edge].CrossEdge = c
+		recv := g.NumEdges()
+		for edge := range e.cross {
+			if c, ok := cfg.Cross[graph.EdgeID(edge)]; ok {
+				ed := g.Edge(graph.EdgeID(edge))
+				e.cross[edge] = crossEnds{CrossEdge: c, from: e.nodes[ed.From], to: e.nodes[ed.To], recv: recv}
+				recv++
+			}
 		}
 	}
 	for _, n := range e.nodes {
 		for i, edge := range n.in {
-			if _, ok := cfg.Cross[edge]; ok {
-				e.cross[edge].to, e.cross[edge].inPos = n, int32(i)
-			} else {
+			if _, ok := cfg.Cross[edge]; !ok {
 				n.upNode[i] = e.nodes[g.Edge(edge).From]
 			}
 		}
 		for i, edge := range n.out {
-			if _, ok := cfg.Cross[edge]; ok {
-				e.cross[edge].from, e.cross[edge].outPos = n, int32(i)
-			} else {
+			if _, ok := cfg.Cross[edge]; !ok {
 				n.downNode[i] = e.nodes[g.Edge(edge).To]
 			}
 			n.outCap[i] = g.Edge(edge).Buf
@@ -472,7 +473,7 @@ func (e *Engine) takeBufs(ses *EngineSession) {
 		// made at their first send.
 		b = &sessionBufs{
 			states:  make([]nodeSession, len(e.nodes)),
-			edges:   make([]edgeCounts, e.g.NumEdges()),
+			edges:   make([]edgeCounts, e.g.NumEdges()+len(e.cfg.Cross)),
 			kicks:   make([]kickFlag, len(e.nodes)),
 			ingest:  new(edgeCounts),
 			emit:    new(edgeCounts),
@@ -663,7 +664,8 @@ type sessionBufs struct {
 	// counts the sessions that took the record (takeBufs).
 	states []nodeSession
 	gen    uint64
-	// edges[e] is edge e's counts, each half written by one end.
+	// edges[e] is edge e's counts, each half written by one end; past the
+	// graph's edges come the cross edges' receive sides (see cross.go).
 	edges []edgeCounts
 	// kicks[n] is raised while an evKick for the session is queued at node
 	// n (see EngineSession.kick).
@@ -837,13 +839,14 @@ func (s *EngineSession) callbackFailed(what string, err error) {
 // happens-after every node's last send, so reading the plain counters
 // here is safe.
 func (s *EngineSession) finishFromSink() {
+	edges := s.e.g.NumEdges()
 	stats := &Stats{
-		Data:     make(map[graph.EdgeID]int64, len(s.edges)),
-		Dummies:  make(map[graph.EdgeID]int64, len(s.edges)),
+		Data:     make(map[graph.EdgeID]int64, edges),
+		Dummies:  make(map[graph.EdgeID]int64, edges),
 		SinkData: s.emit.data,
 		Elapsed:  time.Since(s.start),
 	}
-	for i := range s.edges {
+	for i := range edges {
 		stats.Data[graph.EdgeID(i)] = s.edges[i].data
 		stats.Dummies[graph.EdgeID(i)] = s.edges[i].dummies
 	}
@@ -991,56 +994,34 @@ func (s *EngineSession) publish(seqs []uint64, pays []any) {
 type evKind uint8
 
 const (
-	evMsg    evKind = iota // a run that crossed the wire (Deliver)
-	evCredit               // credits that crossed the wire (Credit)
-	evKick                 // coalesced kick: drain the rings that feed this node for the session
-	evWake                 // a consumer made room in a window where the node stalled
-	evTick                 // a time-aware node's flush timer fired for the session
+	evKick evKind = iota // coalesced kick: drain the rings that feed this node for the session
+	evWake               // a consumer made room in a window where the node stalled
+	evTick               // a time-aware node's flush timer fired for the session
 	evAbort
 	evKinds
 )
 
-// event is one unit of work for a node loop, 32 bytes.  Carrying the
+// event is one unit of work for a node loop, 16 bytes.  Carrying the
 // session pointer (not just the id) lets late events for an ended session
-// be dropped without a registry lookup.  An evMsg is a run of messages —
-// data and dummies interleaved in sequence order, one or a batch — whose
-// copy sits in its batch's arena at [off, off+cnt).
+// be dropped without a registry lookup.  Messages never ride in events:
+// they cross in rings, which a kick tells the node to drain.
 type event struct {
 	kind evKind
-	pos  int32 // in-edge position (evMsg), out-edge position (evCredit)
-	cnt  int   // batched count (evCredit), run length (evMsg)
 	ses  *EngineSession
-	off  int // run offset in the batch's arena (evMsg)
-}
-
-// batch is a mailbox's queue: its events in post order and the arena
-// holding their runs.
-type batch struct {
-	evs   []event
-	arena []Message
-}
-
-// reset zeroes the batch (no payload outlives its absorb) for reuse.
-func (b *batch) reset() {
-	clear(b.evs)
-	clear(b.arena)
-	b.evs, b.arena = b.evs[:0], b.arena[:0]
 }
 
 // mailbox is the unbounded MPSC queue feeding one node loop.  Posts
 // never block, which is what keeps the node loops deadlock-free among
 // themselves: all flow control lives in the per-session edge windows,
-// which also bound what the queue holds.  A run is copied in on post, so
-// the sender keeps its buffer and no buffer changes goroutine.  The
-// consumer drains whole batches (takeAll), so the lock is taken once per
-// batch, not once per event, and two batches ping-pong: memory is bounded
-// by the largest backlog, not by total traffic.  A consumer that finds
-// the queue empty raises parked and waits on wake; the post (or close)
-// that lowers the flag owes it the one token.
+// and kicks coalesce.  The consumer drains whole batches (takeAll), so
+// the lock is taken once per batch, not once per event, and two batches
+// ping-pong: memory is bounded by the largest backlog, not by total
+// traffic.  A consumer that finds the queue empty raises parked and waits
+// on wake; the post (or close) that lowers the flag owes it the one token.
 type mailbox struct {
 	_      [64]byte // apart from its neighbours in memory (see lineSlice)
 	mu     sync.Mutex
-	q      batch
+	q      []event
 	parked bool
 	closed bool
 	wake   chan struct{}
@@ -1049,23 +1030,10 @@ type mailbox struct {
 	_     [64]byte
 }
 
-func newMailbox() *mailbox { return &mailbox{wake: make(chan struct{}, 1)} }
-
 func (m *mailbox) post(ev event) {
 	m.mu.Lock()
 	if !m.closed {
-		m.q.evs = append(m.q.evs, ev)
-	}
-	m.unlock()
-}
-
-// postRun posts an evMsg carrying a copy of run.
-func (m *mailbox) postRun(ev event, run []Message) {
-	m.mu.Lock()
-	if !m.closed {
-		ev.off, ev.cnt = len(m.q.arena), len(run)
-		m.q.arena = append(m.q.arena, run...)
-		m.q.evs = append(m.q.evs, ev)
+		m.q = append(m.q, ev)
 	}
 	m.unlock()
 }
@@ -1082,11 +1050,11 @@ func (m *mailbox) unlock() {
 }
 
 // takeAll blocks for the next batch, handing ownership of the queued one
-// to the caller and installing spare (reset by its owner) as the new
+// to the caller and installing spare (emptied by its owner) as the new
 // queue.  It returns ok=false when the mailbox is closed and drained.
-func (m *mailbox) takeAll(spare batch) (batch, bool) {
+func (m *mailbox) takeAll(spare []event) ([]event, bool) {
 	m.mu.Lock()
-	for len(m.q.evs) == 0 && !m.closed {
+	for len(m.q) == 0 && !m.closed {
 		m.parked = true
 		m.mu.Unlock()
 		<-m.wake
@@ -1096,7 +1064,7 @@ func (m *mailbox) takeAll(spare batch) (batch, bool) {
 	m.q = spare
 	m.taken++
 	m.mu.Unlock()
-	return b, len(b.evs) > 0
+	return b, len(b) > 0
 }
 
 // busy reports whether the consumer still holds the batch it had when
@@ -1222,9 +1190,9 @@ type nodeSession struct {
 	pendingMsg []Message
 	pendingSet []bool
 	pendingN   int
-	// inflight[i] counts messages sent but not yet credited on out-pos i
-	// (on a ring: as of the last reload, so never too few); the window is
-	// full at outCap[i].
+	// inflight[i] counts out-pos i's messages sent and not yet consumed,
+	// as of the last reload (so never too few); the window is full at
+	// outCap[i].
 	inflight []int
 	// stallSince[i] is the wall-clock ns at which out-pos i's current
 	// blocked-send episode began (0 = not stalled); allocated only with
@@ -1256,7 +1224,7 @@ type nodeSession struct {
 }
 
 func (n *engineNode) run() {
-	var spare batch
+	var spare []event
 	for {
 		b, ok := n.mb.takeAll(spare)
 		if !ok {
@@ -1271,14 +1239,14 @@ func (n *engineNode) run() {
 		// the next one, so this node must be through with its state in it
 		// by then, n.dirty and n.retiring included.
 		if k := n.e.events; k != nil {
-			for i := range b.evs {
-				k[b.evs[i].kind].Add(1)
+			for i := range b {
+				k[b[i].kind].Add(1)
 			}
 		}
-		for i := range b.evs {
-			n.absorb(&b.evs[i], b.arena)
+		for i := range b {
+			n.absorb(&b[i])
 		}
-		b.reset() // release references before reuse
+		clear(b) // release references before reuse
 		var t0 time.Time
 		if n.obsN != nil && len(n.dirty) > 0 {
 			if n.obsTick++; n.obsTick&(obsSampleRate-1) == 0 {
@@ -1309,7 +1277,7 @@ func (n *engineNode) run() {
 			n.acks[i] = nil
 		}
 		n.acks = n.acks[:0]
-		spare = b
+		spare = b[:0]
 	}
 }
 
@@ -1324,8 +1292,10 @@ func (n *engineNode) obsDrainSession(ses *EngineSession) {
 	if m == nil {
 		return
 	}
-	for e := range ses.edges {
-		if r := ses.edges[e].occupancy(); r != 0 {
+	for e := range n.e.g.NumEdges() {
+		// A cross edge's consumer counts on its receive side.
+		consumed := ses.edges[n.e.inSlot(graph.EdgeID(e))].consumed.Load()
+		if r := ses.edges[e].sent.Load() - consumed; r != 0 {
 			m.Edge(e).Consumed.Add(r)
 		}
 	}
@@ -1397,8 +1367,8 @@ func (n *engineNode) release(ns *nodeSession) {
 }
 
 // absorb applies one event's state change and marks the session for the
-// batch's advance pass; arena holds the batch's runs.
-func (n *engineNode) absorb(ev *event, arena []Message) {
+// batch's advance pass.
+func (n *engineNode) absorb(ev *event) {
 	ns := &ev.ses.states[n.id]
 	if ev.kind == evAbort {
 		if ns.ses == ev.ses {
@@ -1419,14 +1389,6 @@ func (n *engineNode) absorb(ev *event, arena []Message) {
 		return // retired or released here: a late event
 	}
 	switch ev.kind {
-	case evMsg:
-		ns.heads[ev.pos].pushAll(arena[ev.off : ev.off+ev.cnt])
-	case evCredit:
-		if ev.cnt > ns.inflight[ev.pos] {
-			n.failCredit(ns, ev)
-			return
-		}
-		ns.inflight[ev.pos] -= ev.cnt
 	case evKick:
 		// Lower the flag before reading the tails: a message published
 		// after the read raises it again and posts a fresh kick, so none
@@ -1454,19 +1416,6 @@ func (s *EngineSession) kick(n *engineNode) {
 	}
 }
 
-// failCredit fails a session that was returned more credits than it has
-// in flight on an out-edge.  Credits come only from a remote consumer (a
-// local one's count is its consumed line), and only a corrupt or hostile
-// credit frame can overpay.
-// Kept out of absorb so the check costs the hot path one compare.
-//
-//go:noinline
-func (n *engineNode) failCredit(ns *nodeSession, ev *event) {
-	ed := n.e.g.Edge(n.out[ev.pos])
-	ns.ses.end(fmt.Errorf("stream: session %d: credit for %d messages on edge %s→%s with %d in flight",
-		ns.ses.id, ev.cnt, n.e.g.Name(ed.From), n.e.g.Name(ed.To), ns.inflight[ev.pos]), nil)
-}
-
 // advance drives the session's state machine at this node as far as it
 // can go without blocking: flush parked sends, fire while inputs align
 // and sends land, store the consumed counts, and reclaim drained state.
@@ -1474,9 +1423,9 @@ func (n *engineNode) advance(ns *nodeSession) {
 	if ns.retired {
 		return
 	}
-	for i, down := range n.downNode {
+	for i := range n.out {
 		// Where a stale count could stop the first pass short.
-		if down != nil && n.room(ns, i) <= n.batch {
+		if n.room(ns, i) <= n.batch {
 			n.reload(ns, i)
 		}
 	}
@@ -1554,10 +1503,10 @@ func (n *engineNode) endStream(ns *nodeSession) {
 }
 
 // flushCredits counts this advance's consumed heads in each in-edge's
-// consumed line, and the source's fired payloads in the ingest rim's.  On
-// a ring that count is the credit: the producer reads it, and is woken
-// only if it stalled on the full window (see consume).  A cross edge gets
-// one batched credit event in its carrier's outbox.
+// consumed line, and the source's fired payloads in the ingest rim's.
+// That count is the credit: a local producer reads it, and is woken only
+// if it stalled on the full window (see consume); a cross edge's is
+// handed, absolute, to its Credits carrier.
 func (n *engineNode) flushCredits(ns *nodeSession) {
 	if len(n.in) == 0 {
 		c := ns.ses.ingest
@@ -1569,10 +1518,11 @@ func (n *engineNode) flushCredits(ns *nodeSession) {
 	for i, k := range n.creditAcc {
 		if k > 0 {
 			n.creditAcc[i] = 0
-			wake := ns.ses.edges[n.in[i]].consume(int64(k))
+			edge := n.in[i]
+			c := &ns.ses.edges[n.e.inSlot(edge)]
+			wake := c.consume(int64(k))
 			if up := n.upNode[i]; up == nil {
-				edge := n.in[i]
-				n.e.cross[edge].Credits.mb.post(event{kind: evCredit, ses: ns.ses, pos: int32(edge), cnt: k})
+				n.e.cross[edge].Credits.Credit(ns.ses.id, edge, uint64(c.consumed.Load()))
 			} else if wake {
 				up.mb.post(event{kind: evWake, ses: ns.ses})
 			}
@@ -1580,15 +1530,15 @@ func (n *engineNode) flushCredits(ns *nodeSession) {
 	}
 }
 
-// reload recounts out-pos i's in-flight messages, a local edge's, from
-// its consumer's consumed line; the count kept between reloads only
-// grows, so a stale one errs on the full side.
+// reload recounts out-pos i's in-flight messages from its consumer's
+// consumed count (a cross edge's as its last credit stored it); the count
+// kept between reloads only grows, so a stale one errs on the full side.
 func (n *engineNode) reload(ns *nodeSession, i int) {
 	c := &ns.ses.edges[n.out[i]]
 	ns.inflight[i] = int(c.sent.Load() - c.consumed.Load())
 }
 
-// park stalls (see stall) on every local out-edge where a send is parked,
+// park stalls (see stall) on every out-edge where a send is parked,
 // and at a sink on the sink rim while the node waits on its pump: for room
 // in the window when its firing stopped with input it could take (only a
 // full window stops it then; see fire), or, with EOS consumed, for the
@@ -1607,7 +1557,7 @@ func (n *engineNode) park(ns *nodeSession) (room bool) {
 		return false
 	}
 	for i, set := range ns.pendingSet {
-		if set && n.downNode[i] != nil && ns.ses.edges[n.out[i]].stall(int64(n.outCap[i])) {
+		if set && ns.ses.edges[n.out[i]].stall(int64(n.outCap[i])) {
 			n.reload(ns, i)
 			room = true
 		}
@@ -1648,7 +1598,7 @@ func (n *engineNode) flush(ns *nodeSession) {
 // the run's length and mix.  A run one longer than the window held at
 // pass start ends in the firing that stopped the pass; that message
 // parks, exactly as a per-message firing's blocked send would — unless a
-// reload of a local edge's count finds the room after all.
+// reload of the edge's count finds the room after all.
 func (n *engineNode) ship(ns *nodeSession) {
 	var now int64
 	for i, run := range n.acc {
@@ -1657,11 +1607,10 @@ func (n *engineNode) ship(ns *nodeSession) {
 			continue
 		}
 		n.accDummy[i] = 0
-		parks := m > n.room(ns, i)
-		if parks && n.downNode[i] != nil {
+		if m > n.room(ns, i) {
 			n.reload(ns, i)
-			parks = m > n.room(ns, i)
 		}
+		parks := m > n.room(ns, i)
 		if parks {
 			m--
 			if run[m].Kind == Dummy {
@@ -1684,7 +1633,8 @@ func (n *engineNode) ship(ns *nodeSession) {
 // session's per-edge counts (in all, and by kind: an EOS is neither) and
 // telemetry — with no look at the messages themselves.  On a local edge
 // the run is copied into the ring before the tail (sent) moves past it,
-// and the consumer is kicked; a cross edge's run is posted to its outbox.
+// and the consumer is kicked; a cross edge's is handed to its Msgs carrier
+// after the tail moves, so no credit for it can find sent short of it.
 func (n *engineNode) send(ns *nodeSession, i int, run []Message, data, dummies int, now *int64) {
 	m, down := len(run), n.downNode[i]
 	c := &ns.ses.edges[n.out[i]]
@@ -1714,9 +1664,8 @@ func (n *engineNode) send(ns *nodeSession, i int, run []Message, data, dummies i
 	c.sent.Store(t + int64(m))
 	if down != nil {
 		ns.ses.kick(down)
-	} else {
-		edge := n.out[i]
-		n.e.cross[edge].Msgs.mb.postRun(event{kind: evMsg, ses: ns.ses, pos: int32(edge)}, run)
+	} else if err := n.e.cross[n.out[i]].Msgs.Run(ns.ses.id, n.out[i], run); err != nil {
+		ns.ses.end(err, nil)
 	}
 }
 

@@ -2,8 +2,8 @@ package stream
 
 // Layer microbenchmarks for the pieces a message crosses between two
 // kernels: the head queue, a local edge's ring (publish to consumed
-// count), the mailbox that cross edges and control events still take
-// (drained in batches, and one hop between two parked loops), the two
+// count), the mailbox that kicks and wakes take (drained in batches, and
+// one hop between two parked loops), the two
 // rims' handoffs between a pump and its node, and one
 // pass of the firing loop — a batch-1 all-data firing, a 64-firing pass
 // over runs that mix data and dummies (staggered across a join's inputs,
@@ -66,7 +66,7 @@ func benchRingHop(b *testing.B, n int) {
 	e.takeBufs(ses)
 	pns, cns := startOn(prod, ses), startOn(cons, ses)
 	run := make([]Message, n)
-	var spare batch
+	var spare []event
 	var now int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -76,11 +76,10 @@ func benchRingHop(b *testing.B, n int) {
 		}
 		prod.send(pns, 0, run, n, 0, &now)
 		kicks, _ := cons.mb.takeAll(spare)
-		for j := range kicks.evs {
-			cons.absorb(&kicks.evs[j], kicks.arena)
+		for j := range kicks {
+			cons.absorb(&kicks[j])
 		}
-		kicks.reset()
-		spare = kicks
+		spare = reuse(kicks)
 		cns.dirty, cons.dirty = false, cons.dirty[:0]
 		cons.popHeads(cns, 0, n)
 		cons.flushCredits(cns)
@@ -194,20 +193,26 @@ func TestEdgeCountsLayout(t *testing.T) {
 	}
 }
 
-// BenchmarkMailboxPostTake posts runs of one message and drains them in
+// reuse empties a batch a node loop took, for its next takeAll.
+func reuse(b []event) []event {
+	clear(b)
+	return b[:0]
+}
+
+func newMailbox() *mailbox { return &mailbox{wake: make(chan struct{}, 1)} }
+
+// BenchmarkMailboxPostTake posts one kick per op and drains them in
 // batches of 16, the two batches ping-ponging as in engineNode.run.
 func BenchmarkMailboxPostTake(b *testing.B) {
 	mb := newMailbox()
-	var spare batch
-	run := make([]Message, 1)
+	var spare []event
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run[0] = Message{Seq: uint64(i), Kind: Data}
-		mb.postRun(event{kind: evMsg}, run)
+		mb.post(event{kind: evKick})
 		if i%16 == 15 {
 			spare, _ = mb.takeAll(spare)
-			spare.reset()
+			spare = reuse(spare)
 		}
 	}
 }
@@ -221,28 +226,25 @@ func BenchmarkMailboxPostTakeParked(b *testing.B) {
 	echoed := make(chan struct{})
 	go func() {
 		defer close(echoed)
-		var spare batch
+		var spare []event
 		for {
 			b, ok := ping.takeAll(spare)
 			if !ok {
 				return
 			}
-			for range b.evs {
-				pong.post(event{kind: evCredit, cnt: 1})
+			for range b {
+				pong.post(event{kind: evWake})
 			}
-			b.reset()
-			spare = b
+			spare = reuse(b)
 		}
 	}()
-	var spare batch
-	run := make([]Message, 1)
+	var spare []event
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 2 {
-		run[0] = Message{Seq: uint64(i), Kind: Data}
-		ping.postRun(event{kind: evMsg}, run)
+		ping.post(event{kind: evKick})
 		spare, _ = pong.takeAll(spare)
-		spare.reset()
+		spare = reuse(spare)
 	}
 	b.StopTimer()
 	ping.close()
@@ -297,7 +299,7 @@ func BenchmarkIngestHandoff(b *testing.B) {
 	e.takeBufs(ses)
 	ns := startOn(src, ses)
 	pumped := make(chan struct{})
-	var spare batch
+	var spare []event
 	b.ReportAllocs()
 	b.ResetTimer()
 	go func() {
@@ -306,11 +308,10 @@ func BenchmarkIngestHandoff(b *testing.B) {
 	}()
 	for !ns.srcDone || ns.ingestQ.len() > 0 {
 		kicks, _ := src.mb.takeAll(spare)
-		for j := range kicks.evs {
-			src.absorb(&kicks.evs[j], kicks.arena)
+		for j := range kicks {
+			src.absorb(&kicks[j])
 		}
-		kicks.reset()
-		spare = kicks
+		spare = reuse(kicks)
 		ns.dirty, src.dirty = false, src.dirty[:0]
 		k := ns.ingestQ.len()
 		ns.ingestQ.pop(k)
@@ -365,7 +366,7 @@ func spin(n int) {
 type sinkRig struct {
 	ses    *EngineSession
 	sink   *engineNode
-	spare  batch
+	spare  []event
 	pumped chan struct{}
 }
 
@@ -394,8 +395,7 @@ func newSinkRig(tb testing.TB, sink SinkFunc) *sinkRig {
 // wakes takes the next batch of the pump's wakes.
 func (r *sinkRig) wakes() {
 	b, _ := r.sink.mb.takeAll(r.spare)
-	b.reset()
-	r.spare = b
+	r.spare = reuse(b)
 }
 
 func (r *sinkRig) stop() {
@@ -413,7 +413,7 @@ func (r *sinkRig) stop() {
 type firingBench struct {
 	n     *engineNode
 	ns    *nodeSession
-	spare batch
+	spare []event
 }
 
 func newFiringBench(b testing.TB, g *graph.Graph, node graph.NodeID, ks map[graph.NodeID]Kernel, cfg Config) *firingBench {
@@ -436,16 +436,10 @@ func newFiringBench(b testing.TB, g *graph.Graph, node graph.NodeID, ks map[grap
 // does — here a kick that finds nothing to drain — and takes it off the
 // node's advance list.
 func startOn(n *engineNode, ses *EngineSession) *nodeSession {
-	n.absorb(&event{kind: evKick, ses: ses}, nil)
+	n.absorb(&event{kind: evKick, ses: ses})
 	ns := &ses.states[n.id]
 	ns.dirty, n.dirty = false, n.dirty[:0]
 	return ns
-}
-
-// runOf is the evMsg carrying run for ses, with run as its arena: absorb's
-// arguments for a run posted alone.
-func runOf(ses *EngineSession, run []Message) (*event, []Message) {
-	return &event{kind: evMsg, ses: ses, cnt: len(run)}, run
 }
 
 // recycle takes what the node sent, as the receivers would, and counts
@@ -460,10 +454,9 @@ func (f *firingBench) recycle() (msgs int) {
 		c.consumed.Store(t)
 		f.ns.inflight[i] = 0
 		ses.kicks[down.id].raised.Store(false)
-		if len(down.mb.q.evs) > 0 { // else takeAll would wait
+		if len(down.mb.q) > 0 { // else takeAll would wait
 			b, _ := down.mb.takeAll(f.spare)
-			b.reset()
-			f.spare = b
+			f.spare = reuse(b)
 		}
 	}
 	return msgs

@@ -142,7 +142,7 @@ func TestAbortAckAfterAdvance(t *testing.T) {
 	boom := errors.New("boom")
 	ses.kick(n)
 	ses.end(boom, nil) // posts the abort behind the kick
-	if got := len(n.mb.q.evs); got != 2 {
+	if got := len(n.mb.q); got != 2 {
 		t.Fatalf("the node's batch holds %d events, want the kick and the abort", got)
 	}
 	n.mb.close()

@@ -36,6 +36,10 @@ import (
 // a pump consumer under parked, raised while it waits for the tail to
 // move (see await).  eof is the ingest rim's end of stream, stored after
 // the last payload's tail.
+//
+// A cross edge splits the counts across the wire (cross.go): the
+// producer's are ringless, their consumed stored from credits (credit);
+// the consumer's are a receive ring whose sent the reader stores.
 type edgeCounts struct {
 	sent          atomic.Int64
 	data, dummies int64
@@ -69,6 +73,19 @@ func (c *edgeCounts) occupancy() int64 {
 func (c *edgeCounts) consume(k int64) (wake bool) {
 	c.consumed.Store(c.consumed.Load() + k)
 	return c.stalled.Load() && c.stalled.CompareAndSwap(true, false)
+}
+
+// credit raises the producer's consumed count of a cross edge to n, the
+// far consumer's absolute count, and reports whether the producer is owed
+// a wake, as consume does; a count no larger than the current one is a
+// repeat and changes nothing.
+func (c *edgeCounts) credit(n int64) (wake bool) {
+	for cur := c.consumed.Load(); n > cur; cur = c.consumed.Load() {
+		if c.consumed.CompareAndSwap(cur, n) {
+			return c.stalled.Load() && c.stalled.CompareAndSwap(true, false)
+		}
+	}
+	return false
 }
 
 // stall raises the stalled flag of a node producer that needs occupancy
@@ -149,14 +166,11 @@ func (n *engineNode) drainIngest(ns *nodeSession) {
 }
 
 // drain moves what the producers published on the node's in-edge rings
-// since the last drain into the heads, which then hold at most the
-// window, as the ring does.
+// (a cross edge's receive ring included) since the last drain into the
+// heads, which then hold at most the window, as the ring does.
 func (n *engineNode) drain(ns *nodeSession) {
-	for i, up := range n.upNode {
-		if up == nil {
-			continue
-		}
-		c := &ns.ses.edges[n.in[i]]
+	for i, edge := range n.in {
+		c := &ns.ses.edges[n.e.inSlot(edge)]
 		h, t := c.taken, c.sent.Load()
 		if h == t {
 			continue

@@ -258,8 +258,8 @@ type Config struct {
 	// MaxBatch is the width of the Engine's firing pass: a node takes up
 	// to MaxBatch aligned firings per protocol step — at any in-degree,
 	// data and dummies alike — and forwards what they send as one run per
-	// out-edge (one ring publish, or across workers one post and one
-	// credit batch), stopping early at the first send an out-edge window
+	// out-edge (one ring publish, or across workers one frame and one
+	// credit frame), stopping early at the first send an out-edge window
 	// cannot take.  Zero or one fires per
 	// element (a SpanKernel then sees spans of length one); the logical
 	// stream is bit-identical at every width.  Credits stay in message
@@ -271,8 +271,8 @@ type Config struct {
 	// tier's Stage.Batch knob); absent nodes use MaxBatch.
 	NodeBatch map[graph.NodeID]int
 	// Cross names the edges a transport carries between workers
-	// (cross.go); every other edge is a mailbox hop.  Nil outside
-	// internal/dist.
+	// (cross.go); every other edge is a ring between its nodes.  Nil
+	// outside internal/dist.
 	Cross map[graph.EdgeID]CrossEdge
 	// Obs, when non-nil, receives per-node, per-edge, and per-session
 	// telemetry (see internal/obs).  Nil — the default — compiles the

@@ -107,7 +107,7 @@ func TestTimedIngestReadsClockPerRun(t *testing.T) {
 		for j := range run {
 			run[j] = Message{Seq: uint64(i + j), Kind: Data, Payload: j}
 		}
-		f.n.absorb(runOf(f.ns.ses, run))
+		f.ns.heads[0].pushAll(run)
 		f.n.advance(f.ns)
 	}
 	if k.n != n {
@@ -135,7 +135,7 @@ func TestTimedTimerArmedOncePerDeadline(t *testing.T) {
 			run[j] = Message{Seq: uint64(seq), Kind: Data, Payload: j}
 			seq++
 		}
-		f.n.absorb(runOf(f.ns.ses, run))
+		f.ns.heads[0].pushAll(run)
 		f.n.advance(f.ns)
 	}
 	for i := 0; i < runs; i++ {
@@ -145,7 +145,7 @@ func TestTimedTimerArmedOncePerDeadline(t *testing.T) {
 		t.Errorf("%d runs in one window armed the timer %d times and read the clock %d times; want 1 and %d",
 			runs, arms, reads, runs+1)
 	}
-	f.n.absorb(&event{kind: evTick, ses: f.ns.ses}, nil)
+	f.n.absorb(&event{kind: evTick, ses: f.ns.ses})
 	f.n.advance(f.ns)
 	feed()
 	if arms := clk.arms.Load(); arms != 2 {
@@ -164,19 +164,19 @@ func TestTimedIngestSplitsRunsAtDummies(t *testing.T) {
 	up := f.n.upNode[0].mb
 	up.closed = false
 	f.ns.ses.edges[f.n.in[0]].sent.Store(5) // as the producer would have
-	f.n.absorb(runOf(f.ns.ses, []Message{
+	f.ns.heads[0].pushAll([]Message{
 		{Seq: 0, Kind: Data, Payload: "a"},
 		{Seq: 1, Kind: Dummy},
 		{Seq: 2, Kind: Data, Payload: "b"},
 		{Seq: 3, Kind: Data, Payload: "c"},
 		{Seq: proto.EOSSeq, Kind: EOS},
-	}))
+	})
 	f.n.advance(f.ns)
 	if got, want := fmt.Sprint(k.calls), "[ingest[0] ingest[2 3] flush]"; got != want {
 		t.Errorf("kernel saw %s, want %s", got, want)
 	}
-	if got := f.ns.ses.edges[f.n.in[0]].consumed.Load(); got != 5 || len(up.q.evs) != 0 {
-		t.Errorf("consumed = %d and upstream got %+v; want 5 heads consumed and no event", got, up.q.evs)
+	if got := f.ns.ses.edges[f.n.in[0]].consumed.Load(); got != 5 || len(up.q) != 0 {
+		t.Errorf("consumed = %d and upstream got %+v; want 5 heads consumed and no event", got, up.q)
 	}
 	if !f.ns.done {
 		t.Error("EOS did not end the stream at the node")
