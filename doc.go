@@ -80,8 +80,4 @@
 // Time-aware stages take exactly one input stream and cannot be
 // replicated or placed inside a Split branch — Compile rejects those
 // placements with an explanatory error.
-//
-// Simulate runs the bare deterministic simulator on a topology and a
-// filter, with no kernels or payloads — the oracle the test suites
-// compare the backends against.
 package streamdag

@@ -85,7 +85,7 @@ func TestEngineSingleSessionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := Simulate(topo, f, SimConfig{Inputs: n, Algorithm: Propagation, Intervals: iv})
+	oracle := simulate(topo, f, simConfig{Inputs: n, Algorithm: Propagation, Intervals: iv})
 	if !oracle.Completed {
 		t.Fatalf("simulator deadlocked: %v", oracle.Blocked)
 	}

@@ -3,6 +3,8 @@ package streamdag
 import (
 	"testing"
 	"time"
+
+	"streamdag/internal/sim"
 )
 
 // The goroutine runtime and the deterministic simulator now drive the
@@ -25,6 +27,21 @@ func fig3ish(t *testing.T) *Topology {
 	return topo
 }
 
+// simConfig parameterizes simulate.
+type simConfig struct {
+	Inputs    uint64
+	Algorithm Algorithm
+	Intervals map[EdgeID]Interval
+}
+
+// simulate runs the deterministic simulator on a bare topology and
+// filter, with no kernels or payloads: exact deadlock detection and
+// schedule-independent counts, the oracle the backends are compared
+// against.
+func simulate(t *Topology, f Filter, cfg simConfig) *sim.Result {
+	return sim.Run(t.g, sim.Filter(f), sim.Config{Inputs: cfg.Inputs, Algorithm: cfg.Algorithm, Intervals: cfg.Intervals})
+}
+
 func assertRunMatchesSimulate(t *testing.T, topo *Topology, f Filter, alg Algorithm, inputs uint64) {
 	t.Helper()
 	a, err := Analyze(topo)
@@ -35,7 +52,7 @@ func assertRunMatchesSimulate(t *testing.T, topo *Topology, f Filter, alg Algori
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRes := Simulate(topo, f, SimConfig{
+	simRes := simulate(topo, f, simConfig{
 		Inputs: inputs, Algorithm: alg, Intervals: iv,
 	})
 	if !simRes.Completed {

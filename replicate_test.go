@@ -81,7 +81,7 @@ topology scaled {
 		t.Fatal(err)
 	}
 	f := rep.res.Filter(PerInputBernoulli(0.5, 3))
-	res := Simulate(nt, f, SimConfig{Inputs: 200, Algorithm: NonPropagation, Intervals: iv})
+	res := simulate(nt, f, simConfig{Inputs: 200, Algorithm: NonPropagation, Intervals: iv})
 	if !res.Completed {
 		t.Fatalf("deadlocked: %v", res.Blocked)
 	}
@@ -126,7 +126,7 @@ func TestReplicatedThreeBackendEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		simRes := Simulate(nt, filter, SimConfig{
+		simRes := simulate(nt, filter, simConfig{
 			Inputs: inputs, Algorithm: alg, Intervals: iv,
 		})
 		if !simRes.Completed {
@@ -260,7 +260,7 @@ func TestReplicatedMatchesOriginalCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRes := Simulate(topo, f, SimConfig{
+	baseRes := simulate(topo, f, simConfig{
 		Inputs: inputs, Algorithm: NonPropagation, Intervals: biv,
 	})
 	if !baseRes.Completed {
@@ -276,7 +276,7 @@ func TestReplicatedMatchesOriginalCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repRes := Simulate(nt, rep.res.Filter(f), SimConfig{
+	repRes := simulate(nt, rep.res.Filter(f), simConfig{
 		Inputs: inputs, Algorithm: NonPropagation, Intervals: riv,
 	})
 	if !repRes.Completed {

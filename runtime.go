@@ -2,7 +2,6 @@ package streamdag
 
 import (
 	"streamdag/internal/graph"
-	"streamdag/internal/sim"
 	"streamdag/internal/stream"
 	"streamdag/internal/workload"
 )
@@ -114,32 +113,6 @@ func (k routeKernel) ProcessInto(seq uint64, in []Input, out []any, present []bo
 			out[i], present[i] = payload, true
 		}
 	}
-}
-
-// SimConfig parameterizes Simulate.
-type SimConfig struct {
-	Inputs    uint64
-	Algorithm Algorithm
-	Intervals map[EdgeID]Interval
-	// MaxSteps bounds the scheduler (0 = unbounded).
-	MaxSteps int64
-}
-
-// SimResult is the simulator's outcome, including exact deadlock
-// detection and per-edge traffic counts.
-type SimResult = sim.Result
-
-// Simulate runs the deterministic simulator on a bare topology and
-// filter: exact deadlock detection, schedule-independent results.  It is
-// the oracle the test suites compare the backends against; to stream real
-// payloads through kernels, Build with WithBackend(Simulator()).
-func Simulate(t *Topology, f Filter, cfg SimConfig) *SimResult {
-	return sim.Run(t.g, sim.Filter(f), sim.Config{
-		Inputs:    cfg.Inputs,
-		Algorithm: cfg.Algorithm,
-		Intervals: cfg.Intervals,
-		MaxSteps:  cfg.MaxSteps,
-	})
 }
 
 // Filtering behavior constructors, re-exported from the workload

@@ -129,7 +129,7 @@ func TestEndToEndDeadlockAndAvoidance(t *testing.T) {
 	}
 	drop := DropEdge(2) // A→C is edge 2 in fig2
 	// Unprotected: simulator detects deadlock; runtime's watchdog agrees.
-	r := Simulate(topo, drop, SimConfig{Inputs: 100})
+	r := simulate(topo, drop, simConfig{Inputs: 100})
 	if r.Completed {
 		t.Fatal("expected simulated deadlock")
 	}
@@ -143,7 +143,7 @@ func TestEndToEndDeadlockAndAvoidance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := Simulate(topo, drop, SimConfig{Inputs: 100, Algorithm: alg, Intervals: iv})
+		r := simulate(topo, drop, simConfig{Inputs: 100, Algorithm: alg, Intervals: iv})
 		if !r.Completed {
 			t.Fatalf("%v: simulated deadlock: %v", alg, r.Blocked)
 		}
