@@ -16,8 +16,8 @@ import (
 )
 
 // TestCrossEdgePayloadsCollected: the storage a cross edge's runs pass
-// through on the sending worker — the outbox the link writer drains — must
-// not keep a session's payloads alive once the session is over.  On a
+// through — the receive ring the link reader fills — must not keep a
+// session's payloads alive once the session is over.  On a
 // four-stage chain split over two workers, one session completes and one
 // is cancelled mid-stream with its sink blocked; with the engine still up,
 // every payload the sources made must then be collectable.

@@ -148,7 +148,7 @@ type TimeMetrics struct {
 // LinkMetrics is one distributed worker→peer link's transport counters.
 type LinkMetrics struct {
 	TxFrames atomic.Int64 // wire frames written (run, credit, hello, beat)
-	TxBodies atomic.Int64 // protocol units carried: a run frame's messages, a credit frame's credits
+	TxBodies atomic.Int64 // protocol units carried: a run frame's messages, one per credit frame
 	TxBytes  atomic.Int64
 	RxFrames atomic.Int64
 	RxBytes  atomic.Int64
