@@ -238,8 +238,8 @@ func (e *Engine) linkBroke(c *carrier, link *peerLink, peer string, err error) {
 // sessions with a *fault.WorkerDownError naming the worker, its address
 // and their IDs, then gives each direction the worker shares with a peer
 // a freshly dialed link before closing the old one.  Frames still on the
-// old links belong to the failed sessions: their readers drop the runs,
-// and the stream engine every frame of an ended session.
+// old links belong to the failed sessions: their readers drop them, and
+// so does the stream engine, for an ended session.
 func (e *Engine) relink(name string, cause error) error {
 	active := e.eng.Active()
 	ids := make([]uint64, len(active))
@@ -326,9 +326,9 @@ const readBuffer = 64 << 10
 // serveConn reads one connection accepted by worker self and hands the
 // frames' contents to the stream engine.  It never blocks on a session —
 // a delivery is a copy into a ring whose window has room — so the peer's
-// writer always drains.  Only the connection that carries the link
-// delivers runs: one that the link no longer uses (or never did) has its
-// well-formed runs dropped, which keeps one producer per receive ring.
+// writer always drains.  Only the connection that carries the link hands
+// frames on: a replaced or stray one has its well-formed frames dropped,
+// which keeps one writer per receive ring and per consumed count.
 // The frame buffer and the run scratch are reused across frames (parsers
 // copy whatever they retain, Deliver copies the run), and the frames'
 // 8-byte scalar payloads are boxed from one word arena per connection,
@@ -424,7 +424,9 @@ func (e *Engine) handleBody(peer, self string, feeds bool, body []byte, run *[]s
 		if err = e.checkCross(edge, self, peer); err != nil {
 			return fmt.Errorf("dist: worker %q: credit frame from %q for session %d on edge %d: %w", self, peer, sid, edge, err)
 		}
-		e.eng.Credit(sid, edge, consumed)
+		if feeds {
+			e.eng.Credit(sid, edge, consumed)
+		}
 		return nil
 	default:
 		return fmt.Errorf("dist: worker %q: unknown frame type %q from %q", self, body[0], peer)

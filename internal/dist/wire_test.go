@@ -6,7 +6,7 @@ package dist
 // sessions with an error naming the frame — never panic a reader or a
 // node loop, never hang, never let a credit pass what was sent.  A frame
 // that parses and fits the topology on a connection the link does not use
-// is dropped if it is a run.
+// is dropped.
 
 import (
 	"context"
@@ -114,20 +114,24 @@ func requireMatchesSim(t *testing.T, eng *Engine, ses *EngineSession) {
 	assertMatchesSim(t, eng.g, stats, sim.Run(eng.g, sim.Filter(workload.PassAll), sim.Config{Inputs: wireInputs}))
 }
 
-// strayFrames dials worker w1 as a second "w0", a connection the link
-// does not use, writes the frames with the given bodies on it, and
-// returns once w1 has read them: w1 counts every frame it reads from w0,
-// and the link itself carries none while the test's sessions wait.
-func strayFrames(t *testing.T, eng *Engine, bodies ...[]byte) {
+// sendFrames writes the frames with the given bodies to worker w1 from
+// "w0" — on the w0→w1 link's own connection, or with stray on a second
+// connection that says hello as w0 — and returns once w1 has read them:
+// w1 counts every frame it reads from w0, and the link itself carries
+// none while the test's sessions wait.
+func sendFrames(t *testing.T, eng *Engine, stray bool, bodies ...[]byte) {
 	t.Helper()
-	c, err := net.Dial("tcp", eng.listeners["w1"].Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
 	rx := &eng.cfg.Obs.Link("w0→w1").RxFrames
 	before := rx.Load()
-	wire := appendHello(nil, "w0")
+	c, wire := eng.carriers[[2]string{"w0", "w1"}].link.Load().conn, []byte(nil)
+	if stray {
+		var err error
+		if c, err = net.Dial("tcp", eng.listeners["w1"].Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		wire = appendHello(nil, "w0")
+	}
 	for _, body := range bodies {
 		wire = append(wire, frame(body)...)
 	}
@@ -136,7 +140,7 @@ func strayFrames(t *testing.T, eng *Engine, bodies ...[]byte) {
 	}
 	for deadline := time.Now().Add(10 * time.Second); rx.Load() < before+int64(len(bodies)); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("w1 read %d of the %d stray frames", rx.Load()-before, len(bodies))
+			t.Fatalf("w1 read %d of the %d frames", rx.Load()-before, len(bodies))
 		}
 	}
 }
@@ -147,37 +151,41 @@ func TestHostileFramesFailTheEngine(t *testing.T) {
 	cases := []struct {
 		name string
 		body []byte // arrives at w1 on a connection that said hello as w0
+		// link sends the frame on the w0→w1 link's own connection: a
+		// stray one drops well-formed frames, and only malformed ones fail
+		// the engine from there.
+		link bool
 		// want is what the session's error says; nil for a legal frame,
 		// after which the session completes as the simulator says.
 		want []string
 	}{
-		{"run of zero", runBody(1, 0, 0), []string{"run frame", "edge 0", "count 0"}},
-		{"run longer than the edge's capacity", runBody(1, 0, wireBuf+1, dummy...), []string{"run frame", "count 9", "capacity 1..8"}},
-		{"run on an edge that leaves this worker", runBody(1, 1, 1, dummy...), []string{"run frame", "edge 1", `the edge runs "w1"→"w0"`}},
-		{"run on an edge that does not exist", runBody(1, 99, 1, dummy...), []string{"run frame", "edge 99", "no such edge"}},
-		{"run with a truncated element", runBody(1, 0, 2, append(append([]byte(nil), datum...), datum[:6]...)...), []string{"run frame", "edge 0", "element 1 of 2"}},
-		{"run shorter than its count", runBody(1, 0, 3, dummy...), []string{"run frame", "truncated at element 1 of 3"}},
-		{"credit of zero", appendCredit(nil, 1, 1, 0)[4:], nil},
-		{"credit larger than the edge's capacity", appendCredit(nil, 1, 1, wireBuf+1)[4:], []string{"credit for 9 messages", "s1→s2", "of 0 sent"}},
-		{"credit on an edge this worker consumes", appendCredit(nil, 1, 0, 1)[4:], []string{"credit frame", "edge 0", `the edge runs "w0"→"w1"`}},
-		{"credit larger than what is in flight", appendCredit(nil, 1, 1, 3)[4:], []string{"credit for 3 messages", "s1→s2", "of 0 sent"}},
-		{"short credit frame", appendCredit(nil, 1, 1, 1)[4:12], []string{"bad credit frame"}},
-		{"unknown frame type", []byte{'?', 1, 2, 3}, []string{`unknown frame type '?'`, `from "w0"`}},
-		{"retired beat frame", []byte{'b'}, []string{`unknown frame type 'b'`, `from "w0"`}},
+		{"run of zero", runBody(1, 0, 0), false, []string{"run frame", "edge 0", "count 0"}},
+		{"run longer than the edge's capacity", runBody(1, 0, wireBuf+1, dummy...), false, []string{"run frame", "count 9", "capacity 1..8"}},
+		{"run on an edge that leaves this worker", runBody(1, 1, 1, dummy...), false, []string{"run frame", "edge 1", `the edge runs "w1"→"w0"`}},
+		{"run on an edge that does not exist", runBody(1, 99, 1, dummy...), false, []string{"run frame", "edge 99", "no such edge"}},
+		{"run with a truncated element", runBody(1, 0, 2, append(append([]byte(nil), datum...), datum[:6]...)...), false, []string{"run frame", "edge 0", "element 1 of 2"}},
+		{"run shorter than its count", runBody(1, 0, 3, dummy...), false, []string{"run frame", "truncated at element 1 of 3"}},
+		{"credit of zero", appendCredit(nil, 1, 1, 0)[4:], true, nil},
+		{"credit larger than the edge's capacity", appendCredit(nil, 1, 1, wireBuf+1)[4:], true, []string{"credit for 9 messages", "s1→s2", "of 0 sent"}},
+		{"credit on an edge this worker consumes", appendCredit(nil, 1, 0, 1)[4:], false, []string{"credit frame", "edge 0", `the edge runs "w0"→"w1"`}},
+		{"credit larger than what is in flight", appendCredit(nil, 1, 1, 3)[4:], true, []string{"credit for 3 messages", "s1→s2", "of 0 sent"}},
+		{"short credit frame", appendCredit(nil, 1, 1, 1)[4:12], false, []string{"bad credit frame"}},
+		{"unknown frame type", []byte{'?', 1, 2, 3}, false, []string{`unknown frame type '?'`, `from "w0"`}},
+		{"retired beat frame", []byte{'b'}, false, []string{`unknown frame type 'b'`, `from "w0"`}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := wireEngine(t)
 			if tc.want == nil {
 				ses, release, _ := openGated(t, eng, 1)
-				strayFrames(t, eng, tc.body)
+				sendFrames(t, eng, !tc.link, tc.body)
 				release()
 				requireMatchesSim(t, eng, ses)
 				return
 			}
 			ses, cancel := openIdle(t, eng, 1)
 			defer cancel()
-			strayFrames(t, eng, tc.body)
+			sendFrames(t, eng, !tc.link, tc.body)
 			select {
 			case <-ses.Done():
 			case <-time.After(10 * time.Second):
@@ -288,11 +296,12 @@ func TestCreditNeverDrivesInflightNegative(t *testing.T) {
 }
 
 // TestStrayConnectionRunDropped sends a valid run for an open session —
-// the first datum on edge 0 — on a second connection that says hello as
-// "w0".  Only the link's own connection may feed a receive ring, so the
-// run never reaches s1: the sink never sees its payload, and the session
-// completes as the simulator says, which a second copy of sequence
-// number 0 at s1 would break.
+// the first datum on edge 0 — and a well-formed credit on edge 1 on a
+// second connection that says hello as "w0".  Only the link's own
+// connection hands frames on, so the run never reaches s1: the sink never
+// sees its payload, and the session completes as the simulator says,
+// which a second copy of sequence number 0 at s1 would break, as would
+// the credit, far above anything s1 sends.
 func TestStrayConnectionRunDropped(t *testing.T) {
 	eng := wireEngine(t)
 	ses, release, seen := openGated(t, eng, 1)
@@ -300,7 +309,7 @@ func TestStrayConnectionRunDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strayFrames(t, eng, run[4:])
+	sendFrames(t, eng, true, run[4:], appendCredit(nil, 1, 1, 1<<40)[4:])
 	release()
 	requireMatchesSim(t, eng, ses)
 	for _, p := range *seen {

@@ -82,9 +82,9 @@ func (e *Engine) Deliver(sid proto.SessionID, edge graph.EdgeID, run []Message) 
 // Credit stores consumed, the count the far consumer of edge, a cross
 // edge, acknowledged, as the producer's consumed count for the session
 // with that id, and wakes the producing node if it stalled on the full
-// window, as a local consumer's consume does.  Counts are absolute: one
-// no larger than the last is a repeat and changes nothing, and one above
-// what the producer sent fails the session.
+// window, as consume does.  Counts are absolute: one no larger than the
+// last is a repeat and changes nothing, and one above what the producer
+// sent fails the session.  The caller is the count's one writer.
 func (e *Engine) Credit(sid proto.SessionID, edge graph.EdgeID, consumed uint64) {
 	ses := e.hold(sid)
 	if ses == nil {

@@ -75,17 +75,15 @@ func (c *edgeCounts) consume(k int64) (wake bool) {
 	return c.stalled.Load() && c.stalled.CompareAndSwap(true, false)
 }
 
-// credit raises the producer's consumed count of a cross edge to n, the
-// far consumer's absolute count, and reports whether the producer is owed
-// a wake, as consume does; a count no larger than the current one is a
-// repeat and changes nothing.
+// credit raises a cross edge producer's consumed count to n, the far
+// consumer's absolute count, for its one writer (the link's reader), and
+// reports whether the producer is owed a wake, as consume does.
 func (c *edgeCounts) credit(n int64) (wake bool) {
-	for cur := c.consumed.Load(); n > cur; cur = c.consumed.Load() {
-		if c.consumed.CompareAndSwap(cur, n) {
-			return c.stalled.Load() && c.stalled.CompareAndSwap(true, false)
-		}
+	if n <= c.consumed.Load() {
+		return false
 	}
-	return false
+	c.consumed.Store(n)
+	return c.stalled.Load() && c.stalled.CompareAndSwap(true, false)
 }
 
 // stall raises the stalled flag of a node producer that needs occupancy
