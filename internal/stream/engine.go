@@ -139,7 +139,8 @@ type Engine struct {
 // the messages in flight on the edge outgrow it, so it never holds more
 // than twice the deepest window the edge's sessions used, and never more
 // than twice its Buf; a session of a few messages never pays for a wide
-// window, as a head queue does not (see fifo).
+// window.  The consumer reads the slots in place, so the ring is the
+// edge's only buffer.
 const minRing = 8
 
 // NewEngine spins up the resident node loops for g; ingestion and
@@ -169,7 +170,7 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 	slab := make([]engineNode, g.NumNodes())
 	mbs := make([]mailbox, g.NumNodes())
 	nbrs := make([]*engineNode, 2*g.NumEdges())
-	caps := make([]int, g.NumEdges())
+	inAtAndCaps := make([]int, 2*g.NumEdges())
 	trues := make([]bool, g.NumEdges())
 	var (
 		ints  lineArena[int]
@@ -195,7 +196,8 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		n.in, n.out = g.In(id), g.Out(id)
 		n.mb = &mbs[i]
 		n.upNode, n.downNode = carve(&nbrs, len(n.in)), carve(&nbrs, len(n.out))
-		n.outCap = carve(&caps, len(n.out))
+		n.inAt = carve(&inAtAndCaps, len(n.in))
+		n.outCap = carve(&inAtAndCaps, len(n.out))
 		if m := cfg.Obs; m != nil {
 			// Resolve every telemetry pointer once, here, so the hot path
 			// pays a nil check when the observer is off and a direct
@@ -211,7 +213,6 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 				n.obsOut[i] = m.Edge(int(edge))
 			}
 		}
-		n.creditAcc = ints.take(len(n.in))
 		n.cur = ints.take(len(n.in))
 		n.batch = cfg.MaxBatch
 		if b, ok := cfg.NodeBatch[id]; ok {
@@ -249,10 +250,6 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 			n.spanOut = anys.take(n.batch)
 			n.spanSeq = seqs.take(n.batch)
 		}
-		if len(n.out) == 0 {
-			n.emSeqs = seqs.take(1)[:0]
-			n.emPays = anys.take(1)[:0]
-		}
 		e.nodes[i] = n
 	}
 	// Wire the neighbour tables.  A local edge is a ring per session
@@ -276,6 +273,7 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 			if _, ok := cfg.Cross[edge]; !ok {
 				n.upNode[i] = e.nodes[g.Edge(edge).From]
 			}
+			n.inAt[i] = e.inSlot(edge)
 		}
 		for i, edge := range n.out {
 			if _, ok := cfg.Cross[edge]; !ok {
@@ -483,7 +481,6 @@ func (e *Engine) takeBufs(ses *EngineSession) {
 		}
 		for i, n := range e.nodes {
 			ns := &b.states[i]
-			ns.heads = lineSlice[fifo[Message]](len(n.in))
 			ns.engine = proto.NewEngine(n.out, proto.Config{Algorithm: e.cfg.Algorithm, Intervals: e.cfg.Intervals})
 			ns.pendingMsg = lineSlice[Message](len(n.out))
 			ns.pendingSet = lineSlice[bool](len(n.out))
@@ -945,7 +942,7 @@ func (s *EngineSession) sinkPump(sink *engineNode) {
 			s.callbackFailed("sink", err)
 			return
 		}
-		if c.consume(t - h) {
+		if c.consume(t) {
 			sink.mb.post(event{kind: evWake, ses: s})
 		}
 	}
@@ -974,17 +971,19 @@ func (s *EngineSession) deliver(h, t int64) (err error) {
 	return err
 }
 
-// publish copies one pass's emissions into the sink ring: slot writes,
-// a tail store, and a wake only when the pump waits.
-func (s *EngineSession) publish(seqs []uint64, pays []any) {
+// emitAt writes a pass's k-th emission straight into its slot of the sink
+// ring, past the tail: a slot the pump neither reads nor clears until
+// publish moves the tail past it, as the pass stops at the window's room.
+func (s *EngineSession) emitAt(k int, seq uint64, pay any) {
+	j := int(s.emit.sent.Load()+int64(k)) & (len(s.emPay) - 1)
+	s.emSeq[j], s.emPay[j] = seq, pay
+}
+
+// publish hands the pump the pass's n emissions written by emitAt: a tail
+// store, and a wake only when the pump waits.
+func (s *EngineSession) publish(n int) {
 	c := s.emit
-	t := c.sent.Load()
-	mask := int64(len(s.emPay) - 1)
-	for j := range pays {
-		k := (t + int64(j)) & mask
-		s.emSeq[k], s.emPay[k] = seqs[j], pays[j]
-	}
-	c.sent.Store(t + int64(len(pays)))
+	c.sent.Store(c.sent.Load() + int64(n))
 	wakePump(&c.parked, s.sinkWake)
 }
 
@@ -1094,10 +1093,12 @@ type engineNode struct {
 	mb  *mailbox
 
 	// upNode[i] and downNode[i] are the nodes at the far ends of in-edge
-	// i and out-edge i, nil for a cross edge; outCap[i] is out-edge i's
-	// window.
+	// i and out-edge i, nil for a cross edge; inAt[i] is in-edge i's index
+	// in a session's edges (a cross edge's receive side), and outCap[i] is
+	// out-edge i's window.
 	upNode   []*engineNode
 	downNode []*engineNode
+	inAt     []int
 	outCap   []int
 
 	// batch is the node's vectorization width (>= 1): how many aligned
@@ -1112,8 +1113,8 @@ type engineNode struct {
 	// timed is non-nil when the kernel is time-aware (TimedKernel); the
 	// node then consumes its input silently and fires only for the
 	// kernel's own emissions, re-sequenced (see timed.go).  queued marks
-	// the nodes whose firings come from ns.ingestQ at ns.nextSeq rather
-	// than from aligned heads: the source and the time-aware nodes.
+	// the nodes whose firings come from ns.q at ns.nextSeq rather than
+	// from aligned heads: the source and the time-aware nodes.
 	timed  TimedKernel
 	queued bool
 
@@ -1121,11 +1122,10 @@ type engineNode struct {
 	// the scratch is reused by every firing of every session.  retiring
 	// and acks hold the batch's retired states and aborted sessions until
 	// its advance loop is over (see run).
-	dirty     []*nodeSession
-	retiring  []*nodeSession
-	acks      []*EngineSession
-	creditAcc []int // per in-pos credits consumed this advance
-	cur       []int // per in-pos heads taken by the pass in progress
+	dirty    []*nodeSession
+	retiring []*nodeSession
+	acks     []*EngineSession
+	cur      []int // per in-pos heads taken by the pass in progress
 	// kin, kout and present are a firing's kernel arguments; spanIn,
 	// spanOut and spanSeq, batch long, a ProcessSpan stretch's.
 	kin             []Input
@@ -1137,9 +1137,6 @@ type engineNode struct {
 	// counts the dummies in it; ship copies the run out and empties it.
 	acc      [][]Message
 	accDummy []int
-	// emSeqs/emPays accumulate a sink's emissions the same way.
-	emSeqs []uint64
-	emPays []any
 	// allTrue is the constant all-edges-emitted mask handed to FireRun
 	// by a ProcessSpan stretch.
 	allTrue []bool
@@ -1167,8 +1164,7 @@ const obsSampleRate = 8
 
 // nodeSession is one node's protocol state for one session, part of the
 // session's record (sessionBufs.states) and recycled with it, so a short
-// session does not rebuild its slices, its proto.Engine and its head
-// arrays at every node.  Only its node touches it.  The node starts it at
+// session does not rebuild its slices and its proto.Engine at every node.  Only its node touches it.  The node starts it at
 // its first event for a session (gen, the record's generation, is then
 // the session's), and retires and then releases it when the session is
 // over here: a late event of the session — a spare wake, a tick, a credit
@@ -1179,8 +1175,6 @@ type nodeSession struct {
 	_   [64]byte // apart from its neighbours in memory (see lineSlice)
 	ses *EngineSession
 	gen uint64
-	// heads[i] is the FIFO of arrived, unconsumed messages on in-pos i.
-	heads []fifo[Message]
 	// engine is this session's dummy-protocol state at this node.
 	engine *proto.Engine
 	// pendingMsg[i]/pendingSet[i] park the one message a pass may produce
@@ -1199,13 +1193,14 @@ type nodeSession struct {
 	// an observer attached, owned by the node goroutine.
 	stallSince []int64
 
-	// The firing queue of a queued node: a source's drained payloads, a
-	// time-aware node's matured emissions.  nextSeq is the sequence number
-	// the queue's head fires at — at the source, also the ingest rim's
-	// consumed count — and srcDone says nothing more will be queued, so
-	// EOS follows the last firing.
+	// The firing queue of a queued node: a segment of the ingest ring at
+	// the source (ingestSegment), the slice TakeEmissions handed over at a
+	// time-aware node; each slot is cleared as it fires.  nextSeq is the
+	// sequence number the queue's head fires at — at the source, also the
+	// ingest rim's consumed count — and srcDone says nothing more will be
+	// queued, so EOS follows the last firing.
 	nextSeq uint64
-	ingestQ fifo[any]
+	q       []any
 	srcDone bool
 	done    bool
 	retired bool // over at this node; skip advances (see retire)
@@ -1312,16 +1307,13 @@ func (n *engineNode) markDirty(ns *nodeSession) {
 // unhold).  The list only has to cover the sessions that end between two
 // opens (the harness's session_churn keeps four in flight), and what one
 // record keeps is bounded: per node, its state — about 0.5 KB of struct,
-// proto.Engine and per-out-edge slices, a head array under 4 × its
-// in-edge's Buf messages of 32 bytes (a head never holds more than the
-// edge's window; see fifo), and a queued node's ingest array under 4 × the
-// longest queue it held (a source's is its ingest window) — and a kick
-// line; per edge, two lines of counts and a ring (32-byte slots, at most
-// twice the deepest window its sessions used; see minRing); the ingest
-// ring and fill scratch (an ingest window each) and the sink ring (a sink
-// window of 24-byte seq and payload slots), about 1 KB.  A five-node
-// chain of Buf 64 thus keeps at most 16 × (4 × 8 + 5 × 0.5 + 4 × 4 + 1) KB
-// ≈ 0.8 MB.
+// proto.Engine and per-out-edge slices — and a kick line; per edge, two
+// lines of counts and a ring (32-byte slots, at most twice the deepest
+// window its sessions used; see minRing), which its consumer reads in
+// place; the ingest ring and fill scratch (an ingest window each) and the
+// sink ring (a sink window of 24-byte seq and payload slots), about 1 KB.
+// A five-node chain of Buf 64 thus keeps at most 16 × (5 × 0.5 + 4 × 4 +
+// 1) KB ≈ 0.3 MB.
 const freeSessions = 16
 
 // retire is the one exit of a node session: the session was aborted, or
@@ -1346,21 +1338,21 @@ func (n *engineNode) retire(ns *nodeSession) {
 
 // release resets a retired state for the record's next session: arrays
 // emptied (no payload outlives its session here, even while the record
-// waits for a pump), and the scalars, the session pointer and the flush
-// timer — stopped at retire, its closure bound to the old session —
-// dropped by rebuilding the struct around the arrays and the generation.
+// waits for a pump), and the scalars, the firing queue, the session
+// pointer and the flush timer — stopped at retire, its closure bound to
+// the old session — dropped by rebuilding the struct around its arrays and
+// the generation.  It is not inlined: its struct literal would widen the
+// frame of run, which sits at the bottom of every node goroutine's stack.
+//
+//go:noinline
 func (n *engineNode) release(ns *nodeSession) {
-	for i := range ns.heads {
-		ns.heads[i].reset()
-	}
-	ns.ingestQ.reset()
 	ns.engine.Reset()
 	clear(ns.pendingMsg)
 	clear(ns.pendingSet)
 	clear(ns.inflight)
 	clear(ns.stallSince)
 	*ns = nodeSession{
-		gen: ns.gen, heads: ns.heads, engine: ns.engine, ingestQ: ns.ingestQ,
+		gen: ns.gen, engine: ns.engine,
 		pendingMsg: ns.pendingMsg, pendingSet: ns.pendingSet,
 		inflight: ns.inflight, stallSince: ns.stallSince,
 	}
@@ -1459,9 +1451,9 @@ func (n *engineNode) advance(ns *nodeSession) {
 
 // advanceQueued is the advance body of a queued node: fire the queue
 // while sends land, and end the stream once nothing more will be queued
-// and the queue has drained.  The source's queue is refilled by its pump,
-// which runs ahead up to the ingest window; a time-aware node
-// refills its own, by delivering a due flush-timer tick and consuming
+// and the queue has drained.  The source's queue is the next segment of
+// what its pump published, which runs ahead up to the ingest window; a
+// time-aware node refills its own, by delivering a due flush-timer tick and consuming
 // inputs, but only with the queue empty and nothing parked — a tick that
 // finds sends parked is deferred (the wake or credit that drains them
 // re-runs the advance) and the timer stays disarmed meanwhile, so a genuinely wedged
@@ -1471,10 +1463,11 @@ func (n *engineNode) advanceQueued(ns *nodeSession) {
 loop:
 	for !ns.done && ns.pendingN == 0 {
 		switch {
-		case ns.ingestQ.len() > 0:
+		case len(ns.q) > 0:
 			if !n.fireRun(ns) {
 				break loop // degenerate source-sink: pump window full
 			}
+		case n.timed == nil && ns.ingestSegment():
 		case ns.srcDone:
 			n.endStream(ns)
 		case n.timed == nil:
@@ -1502,30 +1495,29 @@ func (n *engineNode) endStream(ns *nodeSession) {
 	n.flush(ns)
 }
 
-// flushCredits counts this advance's consumed heads in each in-edge's
-// consumed line, and the source's fired payloads in the ingest rim's.
-// That count is the credit: a local producer reads it, and is woken only
-// if it stalled on the full window (see consume); a cross edge's is
-// handed, absolute, to its Credits carrier.
+// flushCredits stores each in-edge's head, the messages the node took,
+// as its consumed count, and the source's fired payloads as the ingest
+// rim's.  That count is the credit: a local producer reads it, and is
+// woken only if it stalled on the full window (see consume); a cross
+// edge's is handed, absolute, to its Credits carrier.
 func (n *engineNode) flushCredits(ns *nodeSession) {
 	if len(n.in) == 0 {
-		c := ns.ses.ingest
-		if k := int64(ns.nextSeq) - c.consumed.Load(); k > 0 && c.consume(k) {
+		c, k := ns.ses.ingest, int64(ns.nextSeq)
+		if k != c.consumed.Load() && c.consume(k) {
 			ns.ses.srcWake <- struct{}{}
 		}
 		return
 	}
-	for i, k := range n.creditAcc {
-		if k > 0 {
-			n.creditAcc[i] = 0
-			edge := n.in[i]
-			c := &ns.ses.edges[n.e.inSlot(edge)]
-			wake := c.consume(int64(k))
-			if up := n.upNode[i]; up == nil {
-				n.e.cross[edge].Credits.Credit(ns.ses.id, edge, uint64(c.consumed.Load()))
-			} else if wake {
-				up.mb.post(event{kind: evWake, ses: ns.ses})
-			}
+	for i, at := range n.inAt {
+		c := &ns.ses.edges[at]
+		if c.head == c.consumed.Load() {
+			continue
+		}
+		wake := c.consume(c.head)
+		if up := n.upNode[i]; up == nil {
+			n.e.cross[n.in[i]].Credits.Credit(ns.ses.id, n.in[i], uint64(c.head))
+		} else if wake {
+			up.mb.post(event{kind: evWake, ses: ns.ses})
 		}
 	}
 }
@@ -1705,15 +1697,19 @@ func (n *engineNode) setPending(ns *nodeSession, pos int, m Message) {
 	ns.pendingN++
 }
 
-// popHeads consumes the first k messages of in-pos i; the credit is
-// accumulated and acked in one batch by flushCredits at the end of the
-// advance.
+// inEdge is in-pos i's counts in the session: the consumer's view of its
+// ring.
+func (n *engineNode) inEdge(ns *nodeSession, i int) *edgeCounts {
+	return &ns.ses.edges[n.inAt[i]]
+}
+
+// popHeads takes the first k messages of in-pos i; flushCredits stores
+// the head as the consumed count at the end of the advance.
 func (n *engineNode) popHeads(ns *nodeSession, i, k int) {
-	ns.heads[i].pop(k)
+	n.inEdge(ns, i).head += int64(k)
 	if n.obsIn != nil {
 		n.obsIn[i].Consumed.Add(int64(k))
 	}
-	n.creditAcc[i] += k
 }
 
 // fireRun is the node's one firing body, at every in-degree, output mask
@@ -1741,7 +1737,7 @@ func (n *engineNode) popHeads(ns *nodeSession, i, k int) {
 func (n *engineNode) fireRun(ns *nodeSession) bool {
 	fired, data, eos := n.fire(ns)
 	if eos {
-		for i := range ns.heads {
+		for i := range n.in {
 			n.popHeads(ns, i, 1)
 		}
 		n.endStream(ns)
@@ -1751,7 +1747,8 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 		return false
 	}
 	if n.queued {
-		ns.ingestQ.pop(fired)
+		clear(ns.q[:fired])
+		ns.q = ns.q[fired:]
 		ns.nextSeq += uint64(fired)
 	}
 	for i, c := range n.cur {
@@ -1802,8 +1799,9 @@ pass:
 					// Every edge emits on every element: never a dummy.
 					ns.engine.FireRun(n.spanSeq[0], n.spanSeq[vec-1], n.allTrue)
 				} else if emits {
-					n.emSeqs = append(n.emSeqs, n.spanSeq[:vec]...)
-					n.emPays = append(n.emPays, n.spanOut[:vec]...)
+					for j := 0; j < vec; j++ {
+						ns.ses.emitAt(data+j, n.spanSeq[j], n.spanOut[j])
+					}
 				}
 				for i, run := range n.acc {
 					for j := 0; j < vec; j++ {
@@ -1837,26 +1835,25 @@ pass:
 		var seq uint64
 		anyData := n.queued
 		if n.queued {
-			q := ns.ingestQ.live()
-			if fired == len(q) {
+			if fired == len(ns.q) {
 				break
 			}
-			seq, n.kin[0] = ns.nextSeq+uint64(fired), Input{Present: true, Payload: q[fired]}
+			seq, n.kin[0] = ns.nextSeq+uint64(fired), Input{Present: true, Payload: ns.q[fired]}
 		} else {
 			seq = proto.EOSSeq
-			for i := range ns.heads {
-				q := ns.heads[i].live()
-				if n.cur[i] == len(q) {
+			for i := range n.in {
+				c := n.inEdge(ns, i)
+				if n.cur[i] == c.queued() {
 					break pass // an input has nothing queued: no alignment yet
 				}
-				seq = min(seq, q[n.cur[i]].Seq)
+				seq = min(seq, c.at(n.cur[i]).Seq)
 			}
 			if seq == proto.EOSSeq {
 				eos = fired == 0 // else after this pass's run
 				break
 			}
-			for i := range ns.heads {
-				h := &ns.heads[i].live()[n.cur[i]]
+			for i := range n.in {
+				h := n.inEdge(ns, i).at(n.cur[i])
 				n.kin[i] = Input{}
 				if h.Seq == seq {
 					n.cur[i]++
@@ -1868,11 +1865,10 @@ pass:
 		}
 		if anyData {
 			n.kern.ProcessInto(seq, n.kin, n.kout, n.present)
-			data++
 			if emits {
-				n.emSeqs = append(n.emSeqs, seq)
-				n.emPays = append(n.emPays, SinkPayload(n.kin, n.kout, n.present))
+				ns.ses.emitAt(data, seq, SinkPayload(n.kin, n.kout, n.present))
 			}
+			data++
 		}
 		dummy := ns.engine.Fire(seq, n.present[:nOut])
 		for i, run := range n.acc {
@@ -1904,10 +1900,10 @@ pass:
 // at least one unless the sink window is full.
 func (n *engineNode) aligned(ns *nodeSession) bool {
 	if n.queued {
-		return ns.ingestQ.len() > 0
+		return len(ns.q) > 0
 	}
-	for i := range ns.heads {
-		if ns.heads[i].len() == 0 {
+	for i := range n.in {
+		if n.inEdge(ns, i).queued() == 0 {
 			return false
 		}
 	}
@@ -1925,20 +1921,21 @@ func (n *engineNode) stretch(ns *nodeSession, fired, limit int) int {
 		k = min(k, n.room(ns, i)-len(run)+1)
 	}
 	if n.queued {
-		q := ns.ingestQ.live()[fired:]
+		q := ns.q[fired:]
 		k = min(k, len(q))
 		for j := 0; j < k; j++ {
 			n.spanIn[j], n.spanSeq[j] = q[j], ns.nextSeq+uint64(fired+j)
 		}
 		return k
 	}
-	q := ns.heads[0].live()[n.cur[0]:]
-	k = min(k, len(q))
+	c, cur := n.inEdge(ns, 0), n.cur[0]
+	k = min(k, c.queued()-cur)
 	for j := 0; j < k; j++ {
-		if q[j].Kind != Data {
+		m := c.at(cur + j)
+		if m.Kind != Data {
 			return j
 		}
-		n.spanIn[j], n.spanSeq[j] = q[j].Payload, q[j].Seq
+		n.spanIn[j], n.spanSeq[j] = m.Payload, m.Seq
 	}
 	return k
 }
@@ -1957,28 +1954,28 @@ func (n *engineNode) dummyStretch(ns *nodeSession, fired int) (k int, full bool)
 	if n.queued {
 		return 0, false
 	}
-	q0 := ns.heads[0].live()[n.cur[0]:]
-	if len(q0) == 0 || q0[0].Kind != Dummy {
+	c0, cur0 := n.inEdge(ns, 0), n.cur[0]
+	if c0.queued() == cur0 || c0.at(cur0).Kind != Dummy {
 		return 0, false // the common case off filtering paths, before any set-up
 	}
 	if n.e.cfg.Intervals == nil || n.e.cfg.Algorithm != cs4.Propagation {
 		return 0, false
 	}
-	k = min(n.batch-fired, len(q0))
+	k = min(n.batch-fired, c0.queued()-cur0)
 	for i, run := range n.acc {
 		k = min(k, n.room(ns, i)-len(run)+1)
 	}
 	for j := 1; j < k; j++ {
-		if q0[j].Kind != Dummy {
+		if c0.at(cur0+j).Kind != Dummy {
 			k = j
 			break
 		}
 	}
-	for i := 1; i < len(ns.heads) && k > 0; i++ {
-		q := ns.heads[i].live()[n.cur[i]:]
-		k = min(k, len(q))
+	for i := 1; i < len(n.in) && k > 0; i++ {
+		c := n.inEdge(ns, i)
+		k = min(k, c.queued()-n.cur[i])
 		for j := 0; j < k; j++ {
-			if q[j].Kind != Dummy || q[j].Seq != q0[j].Seq {
+			if m := c.at(n.cur[i] + j); m.Kind != Dummy || m.Seq != c0.at(cur0+j).Seq {
 				k = j
 				break
 			}
@@ -1987,10 +1984,10 @@ func (n *engineNode) dummyStretch(ns *nodeSession, fired int) (k int, full bool)
 	if k == 0 {
 		return 0, false
 	}
-	q0 = q0[:k]
-	ns.engine.FireDummyRun(q0[k-1].Seq, k)
+	ns.engine.FireDummyRun(c0.at(cur0+k-1).Seq, k)
+	a, b := c0.run(cur0, k)
 	for i, run := range n.acc {
-		run = append(run, q0...)
+		run = append(append(run, a...), b...)
 		n.acc[i] = run
 		n.accDummy[i] += k
 		full = full || len(run) > n.room(ns, i)
@@ -2001,8 +1998,8 @@ func (n *engineNode) dummyStretch(ns *nodeSession, fired int) (k int, full bool)
 	return k, full
 }
 
-// sinkEmit counts the pass's data sink firings and copies them into the
-// session's sink ring.
+// sinkEmit counts the pass's data sink firings and publishes them to the
+// sink pump, written into the sink ring as they fired (emitAt).
 func (n *engineNode) sinkEmit(ns *nodeSession, data int) {
 	if data == 0 {
 		return
@@ -2014,11 +2011,7 @@ func (n *engineNode) sinkEmit(ns *nodeSession, data int) {
 	if !ns.ses.hasSink() {
 		return
 	}
-	// The pass stopped at the sink window's room, so the ring has room
-	// for it.
-	ns.ses.publish(n.emSeqs, n.emPays)
-	clear(n.emPays)
-	n.emSeqs, n.emPays = n.emSeqs[:0], n.emPays[:0]
+	ns.ses.publish(data)
 }
 
 // consumeTimed consumes one run of a time-aware node's input: up to batch
@@ -2029,17 +2022,21 @@ func (n *engineNode) sinkEmit(ns *nodeSession, data int) {
 // what the run matured is queued to fire in the node's private
 // output-sequence space (see timed.go).  Reports whether it consumed.
 func (n *engineNode) consumeTimed(ns *nodeSession) bool {
-	q := ns.heads[0].live()
-	if len(q) == 0 {
+	c := n.inEdge(ns, 0)
+	q := min(c.queued(), n.batch)
+	if q == 0 {
 		return false
 	}
-	q = q[:min(len(q), n.batch)]
 	now := n.timed.TimedClock().Now()
 	k, data := 0, 0
-	for k < len(q) {
+	for k < q {
 		m := 0
-		for ; k < len(q) && q[k].Kind == Data && q[k].Seq != proto.EOSSeq; k++ {
-			n.spanIn[m], n.spanSeq[m] = q[k].Payload, q[k].Seq
+		for ; k < q; k++ {
+			h := c.at(k)
+			if h.Kind != Data || h.Seq == proto.EOSSeq {
+				break
+			}
+			n.spanIn[m], n.spanSeq[m] = h.Payload, h.Seq
 			m++
 		}
 		if m > 0 {
@@ -2047,11 +2044,11 @@ func (n *engineNode) consumeTimed(ns *nodeSession) bool {
 			clear(n.spanIn[:m])
 			data += m
 		}
-		if k == len(q) {
+		if k == q {
 			break
 		}
 		k++ // the head that ended the stretch: a dummy is dropped
-		if q[k-1].Seq == proto.EOSSeq {
+		if c.at(k-1).Seq == proto.EOSSeq {
 			n.stopTimer(ns)
 			n.timed.Flush()
 			ns.srcDone = true
@@ -2066,16 +2063,17 @@ func (n *engineNode) consumeTimed(ns *nodeSession) bool {
 	return true
 }
 
-// queueEmissions moves the kernel's matured emissions to the firing
-// queue: each fires at the node's next output sequence number, broadcast
-// on every out-edge with the all-emitted mask — never a dummy; see
-// timed.go for why re-sequencing is protocol-safe.
+// queueEmissions makes the kernel's matured emissions, the slice
+// TakeEmissions hands over, the firing queue, which is empty (advanceQueued
+// refills only an empty one): each fires at the node's next output
+// sequence number, broadcast on every out-edge with the all-emitted mask —
+// never a dummy; see timed.go for why re-sequencing is protocol-safe.
 func (n *engineNode) queueEmissions(ns *nodeSession) {
 	ems := n.timed.TakeEmissions()
 	if len(ems) == 0 {
 		return
 	}
-	ns.ingestQ.pushAll(ems)
+	ns.q = ems
 	if m := n.e.cfg.Obs; m != nil {
 		m.Time().TimedEmissions.Add(int64(len(ems)))
 	}

@@ -1,8 +1,7 @@
 package stream
 
 // Layer microbenchmarks for the pieces a message crosses between two
-// kernels: the head queue, a local edge's ring (publish to consumed
-// count), the mailbox that kicks and wakes take (drained in batches, and
+// kernels: a local edge's ring (publish to consumed count), the mailbox that kicks and wakes take (drained in batches, and
 // one hop between two parked loops), the two
 // rims' handoffs between a pump and its node, and one
 // pass of the firing loop — a batch-1 all-data firing, a 64-firing pass
@@ -12,7 +11,7 @@ package stream
 // Every benchmark's ns/op and allocs/op are per message, except the
 // session's, which are per session.
 //
-//	go test -run '^$' -bench 'Fifo|RingHop|Mailbox|Handoff|Fire|MixedRun|AlignedDummy|TimedIngest|SessionCycle' -benchmem ./internal/stream
+//	go test -run '^$' -bench 'RingHop|Mailbox|Handoff|Fire|MixedRun|AlignedDummy|TimedIngest|SessionCycle' -benchmem ./internal/stream
 
 import (
 	"context"
@@ -31,40 +30,16 @@ import (
 	"streamdag/internal/workload"
 )
 
-func benchFifo(b *testing.B, depth int) {
-	var q fifo[Message]
-	for i := 0; i < depth; i++ {
-		q.push(Message{Seq: uint64(i), Kind: Data, Payload: i})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.push(Message{Seq: uint64(i), Kind: Data, Payload: i & 0xff})
-		q.pop(1)
-	}
-}
-
-func BenchmarkFifoPushPopDepth1(b *testing.B)   { benchFifo(b, 1) }
-func BenchmarkFifoPushPopDepth256(b *testing.B) { benchFifo(b, 256) }
-
 // benchRingHop times a local edge's transport for runs of n messages,
 // per message: the producer publishes the run to the edge's ring and
 // kicks the consumer; the consumer takes the kick from its mailbox,
-// drains the ring into its head queue, pops the run and stores its
-// consumed count; the producer reloads its window from that count.  Both
+// drains the ring (loads its tail and then the ring), takes the run in
+// place and stores its consumed count; the producer reloads its window from that count.  Both
 // ends are nodes of a built-and-closed engine with a session started on
 // them by hand, driven from one goroutine.
 func benchRingHop(b *testing.B, n int) {
-	e, err := NewEngine(workload.Pipeline(3, 256), nil, Config{WatchdogTimeout: time.Hour})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e.Close()
-	prod, cons := e.nodes[0], e.nodes[1]
+	prod, cons, pns, cns := ringRig(b)
 	cons.mb.closed = false
-	ses := &EngineSession{id: 1, e: e}
-	e.takeBufs(ses)
-	pns, cns := startOn(prod, ses), startOn(cons, ses)
 	run := make([]Message, n)
 	var spare []event
 	var now int64
@@ -86,13 +61,91 @@ func benchRingHop(b *testing.B, n int) {
 		prod.reload(pns, 0)
 	}
 	b.StopTimer()
-	if pns.inflight[0] != 0 || cns.heads[0].len() != 0 {
-		b.Fatalf("%d in flight and %d queued after the last hop", pns.inflight[0], cns.heads[0].len())
+	if q := cons.inEdge(cns, 0).queued(); pns.inflight[0] != 0 || q != 0 {
+		b.Fatalf("%d in flight and %d queued after the last hop", pns.inflight[0], q)
 	}
 }
 
 func BenchmarkRingHopB1(b *testing.B)  { benchRingHop(b, 1) }
 func BenchmarkRingHopB64(b *testing.B) { benchRingHop(b, 64) }
+
+// ringRig is a local edge of 256 slots between the first two nodes of a
+// built-and-closed engine, with a session started on both by hand.
+func ringRig(tb testing.TB) (prod, cons *engineNode, pns, cns *nodeSession) {
+	e, err := NewEngine(workload.Pipeline(3, 256), nil, Config{WatchdogTimeout: time.Hour})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e.Close()
+	prod, cons = e.nodes[0], e.nodes[1]
+	ses := &EngineSession{id: 1, e: e}
+	e.takeBufs(ses)
+	return prod, cons, startOn(prod, ses), startOn(cons, ses)
+}
+
+// TestRingGrowthKeepsConsumerView holds a consumer's view of a local
+// edge's ring — messages it drained and has yet to take, and messages
+// published since that it has yet to drain — while the producer grows the
+// ring from minRing past 128 slots and wraps it at every size.  Every
+// message the consumer has yet to take must read as the one sent, from
+// the ring it drained last before a drain and from the grown one after: a
+// drain that kept an older ring, or a growth that copied one live message
+// too few, reads a slot the producer never wrote there.
+func TestRingGrowthKeepsConsumerView(t *testing.T) {
+	prod, cons, pns, cns := ringRig(t)
+	c := cons.inEdge(cns, 0)
+	check := func(step int, when string) {
+		t.Helper()
+		for k := 0; k < c.queued(); k++ {
+			if got, want := c.at(k).Seq, uint64(c.head)+uint64(k)+1; got != want {
+				t.Fatalf("step %d, %s: message %d of the %d yet to take reads seq %d, want %d (ring of %d slots)",
+					step, when, k, c.queued(), got, want, len(c.slots))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	// Runs of at most minRing, so that only held messages grow the ring;
+	// message k carries seq k+1, so that an unwritten slot reads 0.
+	run := make([]Message, minRing)
+	var seq uint64
+	var now int64
+	grewHolding, wraps := 0, 0
+	for step := 0; step < 600; step++ {
+		prod.reload(pns, 0)
+		m := min(1+rng.Intn(len(run)), prod.room(pns, 0))
+		for j := range run[:m] {
+			seq++
+			run[j] = Message{Seq: seq, Kind: Data}
+		}
+		before, held := c.ring.Load(), c.sent.Load() > c.head
+		prod.send(pns, 0, run[:m], m, 0, &now)
+		if c.ring.Load() != before && held {
+			grewHolding++
+		}
+		check(step, "before the drain")
+		if rng.Intn(2) == 0 {
+			cons.drain(cns)
+			check(step, "after the drain")
+		}
+		// Take fewer than were sent until the window is full, then as many.
+		take := rng.Intn(c.queued() + 1)
+		if step < 200 {
+			take = min(take, rng.Intn(3))
+		}
+		if h := int(c.head) & (len(c.slots) - 1); len(c.slots) > 0 && h+take > len(c.slots) {
+			wraps++
+		}
+		cons.popHeads(cns, 0, take)
+		cons.flushCredits(cns)
+		check(step, "after taking")
+	}
+	n := len(*c.ring.Load())
+	t.Logf("the ring grew %d times while the consumer held messages, to %d slots; the consumer took across its end %d times", grewHolding, n, wraps)
+	if grewHolding < 5 || n < 256 || wraps == 0 {
+		t.Errorf("the ring grew %d times while the consumer held messages, to %d slots, and the consumer took across its end %d times; want 5, 256 and more than 0",
+			grewHolding, n, wraps)
+	}
+}
 
 // TestLineSliceFillsWholeLines pins what keeps one node's firing scratch
 // off another's cache lines: every array lineSlice makes is a whole
@@ -149,10 +202,9 @@ func TestNodeScratchOwnsItsLines(t *testing.T) {
 		}
 		for _, n := range e.nodes {
 			for name, s := range map[string]any{
-				"creditAcc": n.creditAcc, "cur": n.cur, "kin": n.kin, "kout": n.kout,
+				"cur": n.cur, "kin": n.kin, "kout": n.kout,
 				"present": n.present, "acc": n.acc, "accDummy": n.accDummy,
 				"spanIn": n.spanIn, "spanOut": n.spanOut, "spanSeq": n.spanSeq,
-				"emSeqs": n.emSeqs, "emPays": n.emPays,
 			} {
 				claim(n, name, reflect.ValueOf(s))
 			}
@@ -167,9 +219,9 @@ func TestNodeScratchOwnsItsLines(t *testing.T) {
 }
 
 // TestEdgeCountsLayout pins edgeCounts at two whole lines, the consumer's
-// half (consumed, taken, stalled, parked) on the second: an edge's
-// consumer then never writes the line its producer's sent, counts and ring
-// pointer sit on, in edges[] as alone.
+// half (consumed, taken, head, slots, stalled, parked) on the second: an
+// edge's consumer then never writes the line its producer's sent, counts
+// and ring pointer sit on, in edges[] as alone.
 func TestEdgeCountsLayout(t *testing.T) {
 	typ := reflect.TypeFor[edgeCounts]()
 	if n := typ.Size(); n != 128 {
@@ -182,7 +234,7 @@ func TestEdgeCountsLayout(t *testing.T) {
 			if end := f.Offset + f.Type.Size(); end > 64 {
 				t.Errorf("producer's %s ends at offset %d, past the first line", f.Name, end)
 			}
-		case "consumed", "taken", "stalled", "parked":
+		case "consumed", "taken", "head", "slots", "stalled", "parked":
 			if f.Offset < 64 {
 				t.Errorf("consumer's %s at offset %d, want the second line", f.Name, f.Offset)
 			}
@@ -252,22 +304,22 @@ func BenchmarkMailboxPostTakeParked(b *testing.B) {
 }
 
 // BenchmarkSinkHandoff is the sink rim at batch 1: per op, the sink node
-// publishes one emission to the session's sink ring, and the pump delivers
+// writes one emission into the session's sink ring and publishes it, and
+// the pump delivers
 // it to a no-op Sink and stores its count.  On a full window the benchmark
 // stalls as the sink node does (park) and takes the pump's wake from the
 // node's mailbox.
 func BenchmarkSinkHandoff(b *testing.B) {
 	r := newSinkRig(b, nil)
 	c, w := r.ses.emit, int64(r.ses.e.sinkWin)
-	seq, pay := make([]uint64, 1), make([]any, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for c.occupancy() >= w && !c.stall(w) {
 			r.wakes()
 		}
-		seq[0] = uint64(i)
-		r.ses.publish(seq, pay)
+		r.ses.emitAt(0, uint64(i), nil)
+		r.ses.publish(1)
 	}
 	b.StopTimer()
 	r.stop()
@@ -276,9 +328,9 @@ func BenchmarkSinkHandoff(b *testing.B) {
 // BenchmarkIngestHandoff is the ingest rim at batch 1: per op, the pump
 // takes one payload from a Source, publishes it to the session's ingest
 // ring and kicks the source node.  The benchmark is the source node: it
-// takes the kick, drains the ring into the firing queue, fires what it
-// drained (pops it, with no kernel and no send) and stores its count,
-// which wakes the pump if it stalled on the full window.
+// takes the kick, loads the tail, fires what it loaded in place (clears
+// its slots, with no kernel and no send) and stores its count, which
+// wakes the pump if it stalled on the full window.
 func BenchmarkIngestHandoff(b *testing.B) {
 	e, err := NewEngine(workload.Pipeline(3, 4), nil, Config{WatchdogTimeout: time.Hour})
 	if err != nil {
@@ -306,16 +358,17 @@ func BenchmarkIngestHandoff(b *testing.B) {
 		defer close(pumped)
 		ses.ingestPump(src)
 	}()
-	for !ns.srcDone || ns.ingestQ.len() > 0 {
+	for !ns.srcDone || ses.ingest.taken != int64(ns.nextSeq) {
 		kicks, _ := src.mb.takeAll(spare)
 		for j := range kicks {
 			src.absorb(&kicks[j])
 		}
 		spare = reuse(kicks)
 		ns.dirty, src.dirty = false, src.dirty[:0]
-		k := ns.ingestQ.len()
-		ns.ingestQ.pop(k)
-		ns.nextSeq += uint64(k)
+		for ns.ingestSegment() {
+			clear(ns.q)
+			ns.nextSeq += uint64(len(ns.q))
+		}
 		src.flushCredits(ns)
 	}
 	b.StopTimer()
@@ -339,10 +392,9 @@ func TestSinkRingWakesParkedPump(t *testing.T) {
 	})
 	defer r.stop()
 	rng := rand.New(rand.NewSource(1))
-	seq, pay := make([]uint64, 1), make([]any, 1)
 	for i := int64(0); i < 5000; i++ {
-		seq[0] = uint64(i)
-		r.ses.publish(seq, pay)
+		r.ses.emitAt(0, uint64(i), nil)
+		r.ses.publish(1)
 		for deadline := time.Now().Add(5 * time.Second); emitted.Load() != i; {
 			if time.Now().After(deadline) {
 				t.Fatalf("emission %d was never delivered: the pump slept through its publish", i)
@@ -442,6 +494,22 @@ func startOn(n *engineNode, ses *EngineSession) *nodeSession {
 	return ns
 }
 
+// pushIn publishes msgs on node n's in-edge i as one run, as its producer
+// would once it saw the messages the node took counted as consumed, and
+// drains the node's in-edges, as a kick would.
+func pushIn(n *engineNode, ns *nodeSession, i int, msgs ...Message) {
+	c := n.inEdge(ns, i)
+	c.consumed.Store(c.head)
+	t := c.sent.Load()
+	live := int(t - c.head)
+	slots := c.grow(t, live, live+len(msgs))
+	for j, m := range msgs {
+		slots[(int(t)+j)&(len(slots)-1)] = m
+	}
+	c.sent.Store(t + int64(len(msgs)))
+	n.drain(ns)
+}
+
 // recycle takes what the node sent, as the receivers would, and counts
 // it all consumed, which an undrained downstream never does.
 func (f *firingBench) recycle() (msgs int) {
@@ -450,7 +518,7 @@ func (f *firingBench) recycle() (msgs int) {
 		c := &ses.edges[f.n.out[i]]
 		t := c.sent.Load()
 		msgs += int(t - c.taken)
-		c.taken = t
+		c.taken, c.head = t, t
 		c.consumed.Store(t)
 		f.ns.inflight[i] = 0
 		ses.kicks[down.id].raised.Store(false)
@@ -462,8 +530,8 @@ func (f *firingBench) recycle() (msgs int) {
 	return msgs
 }
 
-// benchFireOnce times one batch-1 firing of a single-input node — head
-// push, one pass, send — with the given kernel.
+// benchFireOnce times one batch-1 firing of a single-input node — a
+// one-message publish and drain, one pass, send — with the given kernel.
 func benchFireOnce(b *testing.B, k Kernel) {
 	g := workload.Pipeline(3, 4)
 	mid := g.MustNode("s1")
@@ -471,7 +539,7 @@ func benchFireOnce(b *testing.B, k Kernel) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.ns.heads[0].push(Message{Seq: uint64(i), Kind: Data, Payload: i & 0xff})
+		pushIn(f.n, f.ns, 0, Message{Seq: uint64(i), Kind: Data, Payload: i & 0xff})
 		if !f.n.fireRun(f.ns) {
 			b.Fatal("aligned head did not fire")
 		}
@@ -520,16 +588,18 @@ func TestDummyStretchStopsAtItsWindow(t *testing.T) {
 	for _, alg := range []cs4.Algorithm{cs4.Propagation, cs4.NonPropagation} {
 		for _, inputs := range []int{1, 2} {
 			f := joinRig(t, inputs, window, alg)
-			for j := uint64(0); j < run; j++ {
-				for in := 0; in < inputs; in++ {
-					f.ns.heads[in].push(Message{Seq: 10 + 3*j, Kind: Dummy})
-				}
+			dummies := make([]Message, run)
+			for j := range dummies {
+				dummies[j] = Message{Seq: 10 + 3*uint64(j), Kind: Dummy}
+			}
+			for in := 0; in < inputs; in++ {
+				pushIn(f.n, f.ns, in, dummies...)
 			}
 			if !f.n.fireRun(f.ns) {
 				t.Fatalf("%v, %d in: aligned dummies did not fire", alg, inputs)
 			}
 			for in := 0; in < inputs; in++ {
-				if left := f.ns.heads[in].len(); left != run-window-1 {
+				if left := f.n.inEdge(f.ns, in).queued(); left != run-window-1 {
 					t.Errorf("%v, %d in: in-edge %d has %d heads left, want %d", alg, inputs, in, left, run-window-1)
 				}
 			}
@@ -556,21 +626,23 @@ func TestDummyStretchStopsAtItsWindow(t *testing.T) {
 func benchMixedRunHop(b *testing.B, inputs, stagger int) {
 	f := joinRig(b, inputs, 64, cs4.Propagation)
 	const run = 64
+	msgs := make([]Message, run)
 	edgeMsgs := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += edgeMsgs {
 		base := uint64(i) * run
-		for j := uint64(0); j < run; j++ {
-			for in := 0; in < inputs; in++ {
-				m := Message{Seq: base + j, Kind: Dummy}
-				if (int(j)+stagger*in)%10 == 0 {
-					m.Kind, m.Payload = Data, int(j)
+		for in := 0; in < inputs; in++ {
+			for j := range msgs {
+				m := Message{Seq: base + uint64(j), Kind: Dummy}
+				if (j+stagger*in)%10 == 0 {
+					m.Kind, m.Payload = Data, j
 				}
-				f.ns.heads[in].push(m)
+				msgs[j] = m
 			}
+			pushIn(f.n, f.ns, in, msgs...)
 		}
-		if !f.n.fireRun(f.ns) || f.ns.heads[0].len() != 0 {
+		if !f.n.fireRun(f.ns) || f.n.inEdge(f.ns, 0).queued() != 0 {
 			b.Fatal("a run of aligned heads did not fire in one pass")
 		}
 		edgeMsgs = run*inputs + f.recycle()
@@ -594,18 +666,20 @@ func BenchmarkTimedIngestRun(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			f := newTimedBench(b, &stubTimed{clk: clock.NewFake()}, 64)
 			const run = 64
+			msgs := make([]Message, run)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += run {
-				for j := 0; j < run; j++ {
+				for j := range msgs {
 					m := Message{Seq: uint64(i + j), Kind: Data, Payload: j}
 					if tc.dummies && j%2 == 1 {
 						m = Message{Seq: m.Seq, Kind: Dummy}
 					}
-					f.ns.heads[0].push(m)
+					msgs[j] = m
 				}
+				pushIn(f.n, f.ns, 0, msgs...)
 				f.n.advance(f.ns)
-				if f.ns.heads[0].len() != 0 {
+				if f.n.inEdge(f.ns, 0).queued() != 0 {
 					b.Fatal("a run of queued heads was not consumed in one advance")
 				}
 			}

@@ -69,7 +69,7 @@ func TestNodeSessionReleasedOnce(t *testing.T) {
 // requireFreeList fails unless the engine's free list is sound: no record
 // is listed twice, the list keeps at most freeSessions, and every node
 // state in a listed record is reset — bound to no session, not retired,
-// its heads and firing queue empty, and no send pending.
+// its firing queue empty, and no send pending.
 func requireFreeList(t *testing.T, free []*sessionBufs) {
 	t.Helper()
 	if len(free) > freeSessions {
@@ -95,12 +95,7 @@ func requireStateReset(t *testing.T, node int, ns *nodeSession) {
 		t.Fatalf("node %d's state not reset: session %p, retired %v, dirty %v, done %v, srcDone %v, nextSeq %d, pending %d, timer %v",
 			node, ns.ses, ns.retired, ns.dirty, ns.done, ns.srcDone, ns.nextSeq, ns.pendingN, ns.timer != nil)
 	}
-	for i := range ns.heads {
-		if n := ns.heads[i].len(); n != 0 {
-			t.Fatalf("node %d's head %d holds %d messages", node, i, n)
-		}
-	}
-	if n := ns.ingestQ.len(); n != 0 {
+	if n := len(ns.q); n != 0 {
 		t.Fatalf("node %d's firing queue holds %d payloads", node, n)
 	}
 	for i := range ns.pendingSet {
@@ -116,7 +111,7 @@ func requireStateReset(t *testing.T, node int, ns *nodeSession) {
 // last ack resolves it and lists its record, this node's state in it
 // included, for the next session.  One node of a built-and-closed engine
 // is driven by hand: it starts the session on a kick and holds a payload
-// in its head; then it takes one batch holding a late kick and the abort,
+// on its in-edge; then it takes one batch holding a late kick and the abort,
 // whose ack is the session's last.  When the ack resolves the session, the
 // node must be through with the batch — nothing on its advance or
 // retiring lists, its state released — and after the batch the record is
@@ -137,7 +132,7 @@ func TestAbortAckAfterAdvance(t *testing.T) {
 	ses.holds.Store(1) // the done resolution's: no pump runs
 	ses.abortAcks.Store(int64(len(e.nodes) - 1))
 	hook.ns = startOn(n, ses)
-	hook.ns.heads[0].push(Message{Seq: 0, Kind: Data, Payload: new(int)})
+	pushIn(n, hook.ns, 0, Message{Seq: 0, Kind: Data, Payload: new(int)})
 
 	boom := errors.New("boom")
 	ses.kick(n)
@@ -176,8 +171,8 @@ func (p *scrubProbe) SessionDone() {
 	if len(p.n.dirty) != 0 || len(p.n.retiring) != 0 {
 		p.t.Fatalf("the record was scrubbed with %d states on the node's advance list and %d on its retiring list", len(p.n.dirty), len(p.n.retiring))
 	}
-	if k := p.ns.heads[0].len(); k != 0 {
-		p.t.Fatalf("the record was scrubbed before the node released its state: its head holds %d messages", k)
+	if p.ns.ses != nil {
+		p.t.Fatal("the record was scrubbed before the node released its state")
 	}
 }
 
@@ -383,9 +378,9 @@ func TestSessionBufsScrubbed(t *testing.T) {
 // survived a scrub.
 func requireCountsScrubbed(t *testing.T, what string, c *edgeCounts) {
 	t.Helper()
-	if c.sent.Load() != 0 || c.consumed.Load() != 0 || c.taken != 0 || c.stalled.Load() || c.parked.Load() || c.eof.Load() || c.data != 0 || c.dummies != 0 {
-		t.Fatalf("%s counters after scrub: sent %d, consumed %d, taken %d, stalled %v, parked %v, eof %v, data %d, dummies %d",
-			what, c.sent.Load(), c.consumed.Load(), c.taken, c.stalled.Load(), c.parked.Load(), c.eof.Load(), c.data, c.dummies)
+	if c.sent.Load() != 0 || c.consumed.Load() != 0 || c.taken != 0 || c.head != 0 || c.slots != nil || c.stalled.Load() || c.parked.Load() || c.eof.Load() || c.data != 0 || c.dummies != 0 {
+		t.Fatalf("%s counters after scrub: sent %d, consumed %d, taken %d, head %d, slots %v, stalled %v, parked %v, eof %v, data %d, dummies %d",
+			what, c.sent.Load(), c.consumed.Load(), c.taken, c.head, c.slots != nil, c.stalled.Load(), c.parked.Load(), c.eof.Load(), c.data, c.dummies)
 	}
 }
 

@@ -1,7 +1,8 @@
 package stream
 
 // This file is the window rule every edge of a session follows, local or
-// cross, and both rims: the counts, the ring slots and the stall and wake
+// cross, and both rims: the counts, the ring slots — the handoff's one
+// buffer, which the consumer reads in place — and the stall and wake
 // handshake between one producer and one consumer.
 
 import (
@@ -18,23 +19,30 @@ import (
 //
 // A local edge is also a single-producer/single-consumer ring: the
 // producer copies each run into ring's slots (message k at k mod the
-// length) and then stores sent, its tail; the consumer loads sent and
-// copies the slots up to it into its heads, taken (its alone) counting
-// what it took.  sent − consumed is the window's occupancy, which the
-// producer reads instead of being sent credits, and it never writes a
-// slot the consumer may still take: it grows the ring, copying the live
-// slots across, before its in-flight count outgrows it.  Slots are not
-// cleared as they are taken — the consumer only reads them, so a growth
-// can copy them without a race — so a ring keeps up to its length of
-// consumed payloads until they are overwritten or the buffers are
+// length) and then stores sent, its tail.  The consumer reads the slots in
+// place: a drain loads the tail into taken and, after it, the ring into
+// slots; head counts the messages it has taken since, and consumed is
+// head as of its last advance.  sent − consumed is the window's
+// occupancy, which the producer reads instead of being sent credits, and
+// it never writes a slot in [consumed, sent), which holds every message
+// the consumer has yet to take.  Before its in-flight count outgrows the
+// ring it grows it, copying every live slot across before it stores the
+// new ring: the ring a drain loads after the tail holds [head, taken), and
+// an older one the consumer still reads is never written again.  Slots are
+// not cleared as they are taken — the consumer only reads them, so a
+// growth can copy them without a race — so a ring keeps up to its length
+// of consumed payloads until they are overwritten or the buffers are
 // scrubbed.  stalled is raised by a producer that found the window full
 // and lowered by whichever of the two ends first finds room (see stall
 // and consume).
 //
 // The rims use the same counts and the same rule, with their own rings
-// (sessionBufs): a pump producer waits on its channel under stalled, and
-// a pump consumer under parked, raised while it waits for the tail to
-// move (see await).  eof is the ingest rim's end of stream, stored after
+// (sessionBufs), each the rim's one buffer too: the source node fires the
+// ingest ring's payloads in place and clears each slot as it fires it,
+// before its count lets the pump reuse the slot, and the sink node writes
+// each emission straight into its free slot of the sink ring (emitAt).  A
+// pump producer waits on its channel under stalled, and a pump consumer
+// under parked, raised while it waits for the tail to move (see await).  eof is the ingest rim's end of stream, stored after
 // the last payload's tail.
 //
 // A cross edge splits the counts across the wire (cross.go): the
@@ -47,10 +55,11 @@ type edgeCounts struct {
 	eof           atomic.Bool // 4 bytes: the producer's line ends at 64
 	_             [28]byte
 	consumed      atomic.Int64
-	taken         int64
+	taken, head   int64
+	slots         []Message
 	stalled       atomic.Bool
 	parked        atomic.Bool
-	_             [40]byte
+	_             [8]byte
 }
 
 // kickFlag is one node's kick flag for one session, alone on its cache
@@ -66,13 +75,33 @@ func (c *edgeCounts) occupancy() int64 {
 	return c.sent.Load() - d
 }
 
-// consume adds k to the consumer's count and reports whether the producer
-// stalled on the full window and is owed one wake, which the caller sends:
-// the count is stored before the flag is read, the mirror of stall's
-// order, so one of the two sees the other.
-func (c *edgeCounts) consume(k int64) (wake bool) {
-	c.consumed.Store(c.consumed.Load() + k)
+// consume raises the consumer's count to n and reports whether the
+// producer stalled on the full window and is owed one wake, which the
+// caller sends: the count is stored before the flag is read, the mirror of
+// stall's order, so one of the two sees the other.
+func (c *edgeCounts) consume(n int64) (wake bool) {
+	c.consumed.Store(n)
 	return c.stalled.Load() && c.stalled.CompareAndSwap(true, false)
+}
+
+// queued is how many of the messages the consumer drained it has yet to
+// take.
+func (c *edgeCounts) queued() int { return int(c.taken - c.head) }
+
+// at is the k-th message the consumer has yet to take, in place in the
+// ring it loaded at its last drain.
+func (c *edgeCounts) at(k int) *Message {
+	return &c.slots[(int(c.head)+k)&(len(c.slots)-1)]
+}
+
+// run is the k messages the consumer has yet to take from its j-th on, in
+// place: a second slice where the ring wraps.
+func (c *edgeCounts) run(j, k int) (a, b []Message) {
+	s := (int(c.head) + j) & (len(c.slots) - 1)
+	if s+k <= len(c.slots) {
+		return c.slots[s : s+k], nil
+	}
+	return c.slots[s:], c.slots[:s+k-len(c.slots)]
 }
 
 // credit raises a cross edge producer's consumed count to n, the far
@@ -113,7 +142,7 @@ func (c *edgeCounts) scrub() {
 	}
 	c.sent.Store(0)
 	c.consumed.Store(0)
-	c.taken = 0
+	c.taken, c.head, c.slots = 0, 0, nil
 	c.stalled.Store(false)
 	c.parked.Store(false)
 	c.eof.Store(false)
@@ -143,43 +172,41 @@ func wakePump(flag *atomic.Bool, wake chan struct{}) {
 	}
 }
 
-// drainIngest moves the payloads the ingest pump published into the
-// source's firing queue, clearing their slots; they stay in the pump's
-// window until they fire.
+// drainIngest loads what the ingest pump published: the source fires it
+// in place (see ingestSegment), clearing each slot as it fires.
 func (n *engineNode) drainIngest(ns *nodeSession) {
-	c, ring := ns.ses.ingest, ns.ses.ring
+	c := ns.ses.ingest
 	// EOF before tail: the pump stores the tail of its last payload before
 	// setting EOF, so seeing EOF here means the tail read below covers the
-	// whole stream — srcDone is never set with payloads still in the ring.
+	// whole stream — srcDone is never set with payloads still unloaded.
 	eof := c.eof.Load()
-	t, mask := c.sent.Load(), int64(len(ring)-1)
-	for h := c.taken; h < t; h++ {
-		ns.ingestQ.push(ring[h&mask])
-		ring[h&mask] = nil
-	}
-	c.taken = t
+	c.taken = c.sent.Load()
 	if eof {
 		ns.srcDone = true
 	}
 }
 
-// drain moves what the producers published on the node's in-edge rings
-// (a cross edge's receive ring included) since the last drain into the
-// heads, which then hold at most the window, as the ring does.
+// ingestSegment points the source's firing queue at the payloads it has
+// loaded and yet to fire, in place in the ingest ring: from nextSeq up to
+// the tail or the ring's end, whichever comes first.  Reports whether the
+// queue holds any.
+func (ns *nodeSession) ingestSegment() bool {
+	ring, h := ns.ses.ring, int64(ns.nextSeq)
+	j := int(h & int64(len(ring)-1))
+	ns.q = ring[j : j+int(min(ns.ses.ingest.taken-h, int64(len(ring)-j)))]
+	return len(ns.q) > 0
+}
+
+// drain makes what the producers published on the node's in-edge rings
+// (a cross edge's receive ring included) since the last drain the node's
+// to take, in place: it loads each tail and, after it, the ring, which
+// then holds every message up to that tail the node has yet to take.
 func (n *engineNode) drain(ns *nodeSession) {
-	for i, edge := range n.in {
-		c := &ns.ses.edges[n.e.inSlot(edge)]
-		h, t := c.taken, c.sent.Load()
-		if h == t {
-			continue
-		}
-		slots := *c.ring.Load() // after the tail: a ring that grew for it
-		mask := uint64(len(slots) - 1)
-		for c.taken = t; h != t; {
-			j := int(uint64(h) & mask)
-			run := slots[j:min(len(slots), j+int(t-h))]
-			ns.heads[i].pushAll(run)
-			h += int64(len(run))
+	for _, k := range n.inAt {
+		c := &ns.ses.edges[k]
+		if t := c.sent.Load(); t != c.taken {
+			c.taken = t
+			c.slots = *c.ring.Load() // after the tail: a ring that grew for it
 		}
 	}
 }

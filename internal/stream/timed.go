@@ -29,13 +29,16 @@ import (
 // sequence space — which is why the Flow builder rejects time-aware
 // stages inside Split branches, where a seq-keyed merge join awaits.
 //
-// Input reaches the kernel in runs: a node takes what is queued on its
-// in-edge, reads the clock once, and hands each maximal stretch of data
-// heads — at most its batch width long — to Ingest with that reading
-// (dummies are dropped, EOS is the Flush).  A run's elements thus all
-// "arrive" when the node took the run up: exactly when each would have read
-// the clock itself on a fake clock or the simulator, where time cannot move
-// inside a pass, and at most one run early on the wall clock.  Process is
+// Input reaches the kernel in runs: a node whose emissions have all fired
+// takes up to its batch width of what its in-edge's ring holds for it,
+// read in place, reads the clock once, and hands each maximal stretch of
+// data messages to Ingest with that reading (dummies are dropped, EOS is
+// the Flush).  A run's elements thus all "arrive" when the node took the
+// run up: exactly when each would have read the clock itself on a fake
+// clock or the simulator, where time cannot move inside a pass, and at
+// most one run early on the wall clock.  The node then fires from the
+// slice TakeEmissions hands over, clearing each element as it fires it,
+// and calls the kernel again only once that slice is spent.  Process is
 // the one-element form for holders of a plain Kernel; no engine calls it.
 type TimedKernel interface {
 	Kernel
@@ -64,7 +67,8 @@ type TimedKernel interface {
 
 	// TakeEmissions returns the queued emissions in order and clears the
 	// queue.  Each element becomes one firing (broadcast on every
-	// out-edge) at the node's next output sequence number.
+	// out-edge) at the node's next output sequence number; the engines
+	// fire from the returned slice in place.
 	TakeEmissions() []any
 
 	// NextDeadline returns the earliest instant at which Tick would

@@ -107,7 +107,7 @@ func TestTimedIngestReadsClockPerRun(t *testing.T) {
 		for j := range run {
 			run[j] = Message{Seq: uint64(i + j), Kind: Data, Payload: j}
 		}
-		f.ns.heads[0].pushAll(run)
+		pushIn(f.n, f.ns, 0, run...)
 		f.n.advance(f.ns)
 	}
 	if k.n != n {
@@ -135,7 +135,7 @@ func TestTimedTimerArmedOncePerDeadline(t *testing.T) {
 			run[j] = Message{Seq: uint64(seq), Kind: Data, Payload: j}
 			seq++
 		}
-		f.ns.heads[0].pushAll(run)
+		pushIn(f.n, f.ns, 0, run...)
 		f.n.advance(f.ns)
 	}
 	for i := 0; i < runs; i++ {
@@ -163,14 +163,13 @@ func TestTimedIngestSplitsRunsAtDummies(t *testing.T) {
 	f := newTimedBench(t, k, 64)
 	up := f.n.upNode[0].mb
 	up.closed = false
-	f.ns.ses.edges[f.n.in[0]].sent.Store(5) // as the producer would have
-	f.ns.heads[0].pushAll([]Message{
-		{Seq: 0, Kind: Data, Payload: "a"},
-		{Seq: 1, Kind: Dummy},
-		{Seq: 2, Kind: Data, Payload: "b"},
-		{Seq: 3, Kind: Data, Payload: "c"},
-		{Seq: proto.EOSSeq, Kind: EOS},
-	})
+	pushIn(f.n, f.ns, 0,
+		Message{Seq: 0, Kind: Data, Payload: "a"},
+		Message{Seq: 1, Kind: Dummy},
+		Message{Seq: 2, Kind: Data, Payload: "b"},
+		Message{Seq: 3, Kind: Data, Payload: "c"},
+		Message{Seq: proto.EOSSeq, Kind: EOS},
+	)
 	f.n.advance(f.ns)
 	if got, want := fmt.Sprint(k.calls), "[ingest[0] ingest[2 3] flush]"; got != want {
 		t.Errorf("kernel saw %s, want %s", got, want)
