@@ -92,6 +92,13 @@ type SessionMetrics struct {
 	Failed    atomic.Int64
 	// SinkMsgs counts data-carrying sink deliveries across sessions.
 	SinkMsgs atomic.Int64
+	// IngestWakes counts the times a source node woke its session's
+	// ingest pump, stalled on a full ingest window; SinkWakes the times
+	// the sink node and its session's sink pump woke each other across
+	// the sink rim (a parked pump, or a sink node stalled on a full sink
+	// window).  Both are written only at the wake, never per message.
+	IngestWakes atomic.Int64
+	SinkWakes   atomic.Int64
 	// Latency is open→EOF per session (ns, or steps in virtual mode).
 	Latency Histogram
 }
@@ -328,12 +335,14 @@ type EdgeSnapshot struct {
 
 // SessionSnapshot is the session counters at snapshot time.
 type SessionSnapshot struct {
-	Opened    int64             `json:"opened"`
-	Active    int64             `json:"active"`
-	Completed int64             `json:"completed"`
-	Failed    int64             `json:"failed"`
-	SinkMsgs  int64             `json:"sink_msgs"`
-	Latency   HistogramSnapshot `json:"latency"`
+	Opened      int64             `json:"opened"`
+	Active      int64             `json:"active"`
+	Completed   int64             `json:"completed"`
+	Failed      int64             `json:"failed"`
+	SinkMsgs    int64             `json:"sink_msgs"`
+	IngestWakes int64             `json:"ingest_wakes"`
+	SinkWakes   int64             `json:"sink_wakes"`
+	Latency     HistogramSnapshot `json:"latency"`
 }
 
 // FaultSnapshot is the fault-domain counters at snapshot time.
@@ -466,6 +475,10 @@ var lifeFamilies = []family[lifecycle, Snapshot]{
 		func(s *Snapshot) *int64 { return &s.Sessions.Failed }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.Failed }},
 	{"streamdag_sink_msgs_total", "Data-carrying sink deliveries.", counter,
 		func(s *Snapshot) *int64 { return &s.Sessions.SinkMsgs }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.SinkMsgs }},
+	{"streamdag_ingest_wakes_total", "Ingest pumps woken by their source node from a full ingest window.", counter,
+		func(s *Snapshot) *int64 { return &s.Sessions.IngestWakes }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.IngestWakes }},
+	{"streamdag_sink_wakes_total", "Wakes across the sink rim: sink pumps woken by their sink node and sink nodes woken by their pump.", counter,
+		func(s *Snapshot) *int64 { return &s.Sessions.SinkWakes }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.SinkWakes }},
 	{"streamdag_fault_workers_down_total", "Workers whose links were dropped and re-dialed.", counter,
 		func(s *Snapshot) *int64 { return &s.Faults.WorkersDown }, func(l *lifecycle) *atomic.Int64 { return &l.faults.WorkersDown }},
 	{"streamdag_fault_session_retries_total", "Session re-open attempts by the retry layer.", counter,

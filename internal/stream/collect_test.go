@@ -27,7 +27,9 @@ func TestCancelledSessionPayloadsCollected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	const before = 30 // payloads the source makes before it gets stuck
+	// Payloads the source makes before it gets stuck: enough to fill the
+	// sink ring, with some left queued in the ingest ring and on the edges.
+	before := int64(e.sinkWin) + 14
 	var (
 		mu      sync.Mutex
 		made    []weak.Pointer[[64]byte]
@@ -68,7 +70,7 @@ func TestCancelledSessionPayloadsCollected(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(made) <= before {
+	if int64(len(made)) <= before {
 		t.Fatalf("the released source made %d payloads; it should have made more than %d", len(made), before)
 	}
 	// A node empties its retired session state right after the batch that

@@ -68,7 +68,8 @@ type SessionConfig struct {
 	// required.
 	Source SourceFunc
 	// SpanSource, when non-nil, is used instead of Source: the ingest
-	// pump fills the room in its window in one call.  Offer it only for
+	// pump has it fill its ring's free segment in place, up to the room in
+	// its window, in one call (two where the ring wraps).  Offer it only for
 	// sources safe under SpanSourceFunc's bulk-publication contract.
 	SpanSource SpanSourceFunc
 	// Sink receives the session's sink-node data firings in ascending
@@ -106,9 +107,8 @@ type Engine struct {
 	// where Deliver and Credit re-enter the node loops.
 	cross []crossEnds
 
-	// srcWin/sinkWin are the ingest and sink pump windows, in payload
-	// units; the defaults scale with the endpoint nodes' batch widths so
-	// a batched source or sink never starves its own vectorized runs.
+	// srcWin/sinkWin are the ingest and sink rim windows, in payload
+	// units (see rimWindow).
 	srcWin  int
 	sinkWin int
 
@@ -284,14 +284,8 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 	}
 	e.source = e.nodes[g.Source()]
 	e.sink = e.nodes[g.Sink()]
-	e.srcWin = ingestWindow
-	if w := 2 * e.source.batch; w > e.srcWin {
-		e.srcWin = w
-	}
-	e.sinkWin = sinkWindow
-	if w := 2 * e.sink.batch; w > e.sinkWin {
-		e.sinkWin = w
-	}
+	e.srcWin = max(rimWindow, 2*e.source.batch)
+	e.sinkWin = max(rimWindow, 2*e.sink.batch)
 	for _, n := range e.nodes {
 		e.wg.Add(1)
 		go n.start()
@@ -467,8 +461,8 @@ func (e *Engine) takeBufs(ses *EngineSession) {
 		e.free = e.free[:k]
 	} else {
 		// The ingest ring (a power of two, for mask indexing) holds its
-		// window, and so does the pump's fill scratch.  Edge rings are
-		// made at their first send.
+		// window; the pump fills it in place.  Edge rings are made at
+		// their first send.
 		b = &sessionBufs{
 			states:  make([]nodeSession, len(e.nodes)),
 			edges:   make([]edgeCounts, e.g.NumEdges()+len(e.cfg.Cross)),
@@ -477,7 +471,6 @@ func (e *Engine) takeBufs(ses *EngineSession) {
 			emit:    new(edgeCounts),
 			srcWake: make(chan struct{}, 1),
 			ring:    make([]any, 1<<bits.Len(uint(e.srcWin-1))),
-			scratch: make([]any, e.srcWin),
 		}
 		for i, n := range e.nodes {
 			ns := &b.states[i]
@@ -570,22 +563,22 @@ func (e *Engine) watchdog() {
 	}
 }
 
-// ingestWindow is how many payloads a session's ingest pump may have
-// published that its source node has not yet fired: the ingest rim's
-// window, measured as the ring's tail (sent) minus the source node's
-// count of fired payloads (consumed), as a local edge's is.  One would
-// stop the pump at every payload; a small window pipelines ingestion
-// while still bounding a session's run-ahead over its own sends.
-const ingestWindow = 16
-
-// sinkWindow is the sink rim's window: how many emissions the sink node
-// may have published that its pump has not yet delivered, measured as
-// tail minus the pump's count.  One would serialize the sink on the
-// handoff; a small window pipelines it while still bounding how far a
-// session can run ahead of a slow Sink.  Order is unaffected (FIFO ring,
-// single pump) and so is the error contract: the pump stops at the first
-// Emit error, so queued emissions behind it are never delivered.
-const sinkWindow = 16
+// rimWindow is both rims' window: on the ingest rim, how many payloads
+// the pump may have published that the source node has not yet fired; on
+// the sink rim, how many emissions the sink node may have published that
+// its pump has not yet delivered — each measured as a local edge's is, the
+// ring's tail (sent) minus the consumer's count.  A rim node of batch b
+// gets 2b where that is wider, so a batched source or sink never starves
+// its own runs.  The rims lie outside the paper's graph, so no dummy
+// interval depends on their windows.  At batch 1 both rims sit full, and a
+// full window costs a wake round per window of messages: 64 cut a batch-1
+// chain's CPU per message to about 0.8 of 16's, and a wider window grows
+// every session record's rings for less.  The window still bounds how far
+// a session's source runs ahead, and how far a session runs ahead of a
+// slow Sink.  Order is unaffected (FIFO rings, single pumps) and so is the
+// error contract: the sink pump stops at the first Emit error, so queued
+// emissions behind it are never delivered.
+const rimWindow = 64
 
 // EngineSession is one logical stream being served by an Engine.
 //
@@ -673,10 +666,9 @@ type sessionBufs struct {
 	// pump.  Each is an edge's counts, on lines of its own.
 	ingest, emit *edgeCounts
 
-	// ring is the ingest ring, scratch the ingest pump's fill buffer, and
-	// srcWake the pump's wake channel (see await).
+	// ring is the ingest ring, which the pump fills in place, and srcWake
+	// the pump's wake channel (see await).
 	ring    []any
-	scratch []any
 	srcWake chan struct{}
 
 	// emSeq/emPay are the sink ring, one slot per emission in parallel
@@ -708,8 +700,8 @@ func (s *EngineSession) unhold() {
 
 // scrub empties the buffers for their next session: counters and flags
 // zeroed (the atomics with stores, since a watchdog scan that listed the
-// old session may still read them), and rings and scratch cleared so no
-// payload outlives its session.  The node states are not scrubbed here: a
+// old session may still read them), and rings cleared so no payload
+// outlives its session.  The node states are not scrubbed here: a
 // node resets its own when it retires it (release), as a late event may
 // still read it.
 func (b *sessionBufs) scrub() {
@@ -722,7 +714,6 @@ func (b *sessionBufs) scrub() {
 	b.ingest.scrub()
 	b.emit.scrub()
 	clear(b.ring)
-	clear(b.scratch)
 	clear(b.emPay)
 }
 
@@ -855,14 +846,15 @@ func (s *EngineSession) finishFromSink() {
 // a slow consumer applies backpressure to its own source only.  Each fill
 // is published before the next is asked for — a request/response
 // feedback source, filled one payload per call, never sees the engine
-// hold one payload while demanding another — but the publish is slot
-// writes and one tail store, and the kick coalesces: under load the
-// source node drains whole runs of payloads per event, and a SpanSource
-// fills the window's room in one call.  A full window parks the pump
-// until the source node's count moves.
+// hold one payload while demanding another — but a fill writes the ring's
+// free slots in place and the publish is one tail store, and the kick
+// coalesces: under load the source node drains whole runs of payloads per
+// event, and a SpanSource fills the window's room in one call, or two
+// where the ring wraps.  A full window parks the pump until the source
+// node's count moves.
 func (s *EngineSession) ingestPump(src *engineNode) {
 	defer s.unhold()
-	c, win, mask := s.ingest, int64(len(s.scratch)), int64(len(s.ring)-1)
+	c, win := s.ingest, int64(s.e.srcWin)
 	full := func() bool { return c.occupancy() == win }
 	// One external-callback window covers each run of fills the window
 	// has room for: the watchdog only needs to know that user code may be
@@ -880,18 +872,19 @@ func (s *EngineSession) ingestPump(src *engineNode) {
 				continue
 			}
 		}
-		n, eof, err := s.fill(s.scratch[:m])
+		// The free segment: from the tail up to the room or the ring's
+		// end.  The window is no wider than the ring, so no slot in it
+		// holds a payload the source node has yet to fire.
+		j := int(t) & (len(s.ring) - 1)
+		buf := s.ring[j : j+int(min(m, int64(len(s.ring)-j)))]
+		n, eof, err := s.fill(buf)
 		if err != nil {
 			s.callbackFailed("source", err)
 			return
 		}
-		if n < 0 || int64(n) > m {
-			s.end(fmt.Errorf("stream: span source filled %d of a %d-payload buffer", n, m), nil)
+		if n < 0 || n > len(buf) {
+			s.end(fmt.Errorf("stream: span source filled %d of a %d-payload buffer", n, len(buf)), nil)
 			return
-		}
-		for j := 0; j < n; j++ {
-			s.ring[(t+int64(j))&mask] = s.scratch[j]
-			s.scratch[j] = nil
 		}
 		t, m = t+int64(n), m-int64(n)
 		c.sent.Store(t)
@@ -944,6 +937,9 @@ func (s *EngineSession) sinkPump(sink *engineNode) {
 		}
 		if c.consume(t) {
 			sink.mb.post(event{kind: evWake, ses: s})
+			if sink.obsS != nil {
+				sink.obsS.SinkWakes.Add(1)
+			}
 		}
 	}
 }
@@ -980,11 +976,11 @@ func (s *EngineSession) emitAt(k int, seq uint64, pay any) {
 }
 
 // publish hands the pump the pass's n emissions written by emitAt: a tail
-// store, and a wake only when the pump waits.
-func (s *EngineSession) publish(n int) {
+// store, and a wake only when the pump waits.  Reports whether it woke it.
+func (s *EngineSession) publish(n int) (woke bool) {
 	c := s.emit
 	c.sent.Store(c.sent.Load() + int64(n))
-	wakePump(&c.parked, s.sinkWake)
+	return wakePump(&c.parked, s.sinkWake)
 }
 
 // ---------------------------------------------------------------------
@@ -1310,10 +1306,10 @@ func (n *engineNode) markDirty(ns *nodeSession) {
 // proto.Engine and per-out-edge slices — and a kick line; per edge, two
 // lines of counts and a ring (32-byte slots, at most twice the deepest
 // window its sessions used; see minRing), which its consumer reads in
-// place; the ingest ring and fill scratch (an ingest window each) and the
-// sink ring (a sink window of 24-byte seq and payload slots), about 1 KB.
-// A five-node chain of Buf 64 thus keeps at most 16 × (5 × 0.5 + 4 × 4 +
-// 1) KB ≈ 0.3 MB.
+// place; the ingest ring (an ingest window of 16-byte payload slots,
+// filled in place) and the sink ring (a sink window of 24-byte seq and
+// payload slots), about 2.5 KB at rimWindow.  A five-node chain of Buf 64
+// thus keeps at most 16 × (5 × 0.5 + 4 × 4 + 2.5) KB ≈ 0.3 MB.
 const freeSessions = 16
 
 // retire is the one exit of a node session: the session was aborted, or
@@ -1505,6 +1501,9 @@ func (n *engineNode) flushCredits(ns *nodeSession) {
 		c, k := ns.ses.ingest, int64(ns.nextSeq)
 		if k != c.consumed.Load() && c.consume(k) {
 			ns.ses.srcWake <- struct{}{}
+			if n.obsS != nil {
+				n.obsS.IngestWakes.Add(1)
+			}
 		}
 		return
 	}
@@ -2011,7 +2010,9 @@ func (n *engineNode) sinkEmit(ns *nodeSession, data int) {
 	if !ns.ses.hasSink() {
 		return
 	}
-	ns.ses.publish(data)
+	if ns.ses.publish(data) && n.obsS != nil {
+		n.obsS.SinkWakes.Add(1)
+	}
 }
 
 // consumeTimed consumes one run of a time-aware node's input: up to batch

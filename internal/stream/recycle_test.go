@@ -218,9 +218,8 @@ func TestFreeListBoundedAfterSessionBurst(t *testing.T) {
 // failed by its source mid-fill, and stuck in a Source.Next that ignores its
 // context until after the engine's next sessions ran — and checks each
 // free-listed set once every hold is gone: every counter and flag zero,
-// every ring and the scratch empty, no token left in a channel, and the
-// list sound (requireFreeList: every node state reset, no set listed
-// twice).
+// every ring empty, no token left in a channel, and the list sound
+// (requireFreeList: every node state reset, no set listed twice).
 func TestSessionBufsScrubbed(t *testing.T) {
 	e, err := NewEngine(workload.Pipeline(4, 8), nil, Config{MaxBatch: 8, WatchdogTimeout: 10 * time.Second})
 	if err != nil {
@@ -353,11 +352,9 @@ func TestSessionBufsScrubbed(t *testing.T) {
 			}
 		}
 		requireRingsClear(t, b)
-		for _, s := range [][]any{b.ring, b.scratch} {
-			for i, v := range s {
-				if v != nil {
-					t.Fatalf("slot %d still holds %v after scrub", i, v)
-				}
+		for i, v := range b.ring {
+			if v != nil {
+				t.Fatalf("ingest ring slot %d still holds %v after scrub", i, v)
 			}
 		}
 		for i, v := range b.emPay {

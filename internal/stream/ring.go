@@ -165,11 +165,14 @@ func (s *EngineSession) await(flag *atomic.Bool, wake chan struct{}, blocked fun
 }
 
 // wakePump sends a pump waiting under flag its one token, if it is
-// waiting: whoever lowers the flag sends, so the send never blocks.
-func wakePump(flag *atomic.Bool, wake chan struct{}) {
+// waiting, and reports whether it sent: whoever lowers the flag sends, so
+// the send never blocks.
+func wakePump(flag *atomic.Bool, wake chan struct{}) bool {
 	if flag.Load() && flag.CompareAndSwap(true, false) {
 		wake <- struct{}{}
+		return true
 	}
+	return false
 }
 
 // drainIngest loads what the ingest pump published: the source fires it

@@ -210,7 +210,10 @@ type SourceFunc func(ctx context.Context) (payload any, ok bool, err error)
 // SpanSourceFunc is the bulk form of SourceFunc: fill buf with up to
 // len(buf) payloads and return how many, plus eof when the stream ends
 // (eof may accompany a final non-empty fill; n == 0 with a nil error
-// also ends the stream).  Like SourceFunc it may block until at least
+// also ends the stream).  buf is the ingest ring's free segment, in
+// place: from the ring's tail up to the window's room or the ring's end,
+// so it may be shorter than the room where the ring wraps, and it is
+// valid only during the call.  Like SourceFunc it may block until at least
 // one payload is available — but the caller publishes the whole fill at
 // once, so only sources whose payloads never depend on the downstream
 // observing earlier ones (counters, slices, replay logs) should offer

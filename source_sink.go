@@ -31,11 +31,14 @@ type SourceFunc func(ctx context.Context) (payload any, ok bool, err error)
 func (f SourceFunc) Next(ctx context.Context) (any, bool, error) { return f(ctx) }
 
 // SpanSource is the optional bulk-ingestion extension of Source: the
-// runtime backends' ingest pump hands NextSpan the room in its window to
-// fill in one call — n payloads (order preserved, sequence numbers
-// assigned as if each had been returned by Next) plus eof when the stream
-// ends; eof may accompany a final non-empty fill, and an error-free zero
-// fill also ends the stream.  Next is then called only by the Simulator.
+// runtime backends' ingest pump hands NextSpan the free segment of its
+// ingest ring to fill in one call — n payloads (order preserved, sequence
+// numbers assigned as if each had been returned by Next) plus eof when
+// the stream ends; eof may accompany a final non-empty fill, and an
+// error-free zero fill also ends the stream.  buf is the ring itself, so
+// it may be shorter than the window's room where the ring wraps (the next
+// call gets the rest), and it is valid only during the call: keep no
+// reference to it.  Next is then called only by the Simulator.
 // The payloads of one fill are published to the topology together, so
 // implement SpanSource only when payloads never depend on the downstream
 // observing earlier ones — counters, slices, replay logs.  A
