@@ -58,8 +58,8 @@
 //
 // WithBackend picks the goroutine runtime (the default), the
 // deterministic simulator, or loopback-TCP workers; WithMaxBatch (per
-// stage: Stage.Batch) lets the runtime backends carry runs of up to n
-// messages per transport unit without changing the logical stream.
+// stage: Stage.Batch) hands vectorizing kernels spans of up to n elements
+// per call without changing the logical stream.
 // DESIGN.md tells both stories once: "Architecture", "Distributed
 // transport" and "Batched hot path".
 //

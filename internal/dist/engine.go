@@ -174,7 +174,8 @@ func (e *Engine) Open(io SessionIO) (*EngineSession, error) {
 }
 
 // Close fails every active session with ErrEngineClosed and tears the
-// node loops, listeners and links down; idempotent.
+// node loops, listeners and links down; idempotent.  Both ends of every
+// link close at once (closeNow): no session is left to carry.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -192,12 +193,12 @@ func (e *Engine) Close() error {
 		ln.Close()
 	}
 	for _, c := range conns {
-		c.Close()
+		closeNow(c)
 	}
 	for _, c := range e.carriers {
 		close(c.wake) // the node loops, the only senders, are gone
 		if link := c.link.Load(); link != nil {
-			link.conn.Close()
+			closeNow(link.conn)
 		}
 	}
 	e.wg.Wait()
@@ -269,7 +270,9 @@ const dialTimeout = 10 * time.Second
 
 // dial connects c's direction to the receiving worker's listener, sends
 // the hello, and swaps the new link in before closing the one it
-// replaces, so the writer never finds the direction without a link.
+// replaces, so the writer never finds the direction without a link.  The
+// old link closes at once (closeNow): what it could still carry belongs
+// to the sessions relink failed.
 func (e *Engine) dial(c *carrier) error {
 	addr := e.listeners[c.to].Addr().String()
 	conn, err := (&net.Dialer{Timeout: dialTimeout}).Dial("tcp", addr)
@@ -285,9 +288,20 @@ func (e *Engine) dial(c *carrier) error {
 		return err
 	}
 	if old := c.link.Swap(link); old != nil {
-		old.conn.Close()
+		closeNow(old.conn)
 	}
 	return nil
+}
+
+// closeNow closes c with a reset rather than the orderly shutdown, so
+// neither end is left in TIME_WAIT holding a loopback port for a minute:
+// a link closes only once every frame it could still carry belongs to an
+// ended session.
+func closeNow(c net.Conn) {
+	if tc, ok := c.(*net.TCPConn); ok {
+		_ = tc.SetLinger(0)
+	}
+	c.Close()
 }
 
 // fail is the engine-wide failure path (a frame that violates the

@@ -3,6 +3,10 @@ package dist
 import (
 	"context"
 	"fmt"
+	"net"
+	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -161,4 +165,80 @@ func TestEngineSessionsMatchSoloRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestCloseLeavesNoTimeWait pins that a link closes with a reset, not the
+// orderly shutdown: after a session, a KillWorker that replaces both
+// links, and Close, the kernel's TCP tables hold no TIME_WAIT socket
+// (state 06) on any connection between a link's dialed end and the
+// listener it reached.  Each such socket would hold a loopback port for a
+// minute.  Skips where /proc/net/tcp cannot be read.
+func TestCloseLeavesNoTimeWait(t *testing.T) {
+	if _, err := os.ReadFile("/proc/net/tcp"); err != nil {
+		t.Skipf("no TCP table to read: %v", err)
+	}
+	g := workload.Pipeline(3, 64)
+	eng, err := NewEngine(g, Partition{0: "w0", 1: "w1", 2: "w0"}, nil, Config{MaxBatch: 1, WatchdogTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// links are the port pairs, dialed end and listener, of every link
+	// the engine has used.
+	links := map[[2]int]bool{}
+	note := func() {
+		for _, c := range eng.carriers {
+			local, err := net.ResolveTCPAddr("tcp", c.link.Load().local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln := eng.listeners[c.to].Addr().(*net.TCPAddr)
+			links[[2]int{local.Port, ln.Port}] = true
+		}
+	}
+	run := func() {
+		ses, err := eng.Open(SessionIO{ID: proto.SessionID(len(links) + 1), Source: stream.SyntheticSource(2000)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ses.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	note()
+	run()
+	if err := eng.KillWorker("w1"); err != nil {
+		t.Fatal(err)
+	}
+	note()
+	run()
+	eng.Close()
+	if len(links) != 4 {
+		t.Fatalf("noted %d links, want the 2 dialed at NewEngine and the 2 KillWorker re-dialed", len(links))
+	}
+	for _, table := range []string{"/proc/net/tcp", "/proc/net/tcp6"} {
+		b, err := os.ReadFile(table)
+		if err != nil {
+			continue
+		}
+		for _, line := range strings.Split(string(b), "\n")[1:] {
+			f := strings.Fields(line)
+			if len(f) < 4 || f[3] != "06" {
+				continue
+			}
+			local, remote := hexPort(f[1]), hexPort(f[2])
+			if links[[2]int{local, remote}] || links[[2]int{remote, local}] {
+				t.Errorf("%s: a link's socket %s → %s is in TIME_WAIT after Close", table, f[1], f[2])
+			}
+		}
+	}
+}
+
+// hexPort is the port of a /proc/net/tcp address, "IP:PORT" in hex.
+func hexPort(addr string) int {
+	i := strings.LastIndexByte(addr, ':')
+	p, err := strconv.ParseUint(addr[i+1:], 16, 16)
+	if err != nil {
+		return -1
+	}
+	return int(p)
 }

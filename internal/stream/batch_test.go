@@ -190,8 +190,16 @@ func TestMixedRunAccountingByKind(t *testing.T) {
 // X, so X's next advance sees them all at once.  Channels plus parked
 // sends absorb 69 of the second session's 100 inputs, so it must wedge;
 // a node that consumed the whole run ahead of its full window would have
-// drained A, let EOS through and released the join.
+// drained A, let EOS through and released the join.  At batch 1 a pass
+// is still passWidth firings wide, so the same 64-wide pass meets the
+// 2-deep window.
 func TestBatchedNodeStopsAtItsWindow(t *testing.T) {
+	for _, batch := range []int{1, 64} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) { nodeStopsAtItsWindow(t, batch) })
+	}
+}
+
+func nodeStopsAtItsWindow(t *testing.T, batch int) {
 	g := graph.New()
 	a, x, j := g.AddNode("A"), g.AddNode("X"), g.AddNode("J")
 	g.AddEdge(a, x, 64)
@@ -226,7 +234,7 @@ func TestBatchedNodeStopsAtItsWindow(t *testing.T) {
 		})
 	}
 	eng, err := stream.NewEngine(g, map[graph.NodeID]stream.Kernel{a: forward(a), x: forward(x), j: forward(j)},
-		stream.Config{MaxBatch: 64, WatchdogTimeout: 300 * time.Millisecond})
+		stream.Config{MaxBatch: batch, WatchdogTimeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,6 +388,93 @@ func TestBatch1HopAllocBudget(t *testing.T) {
 	t.Logf("batch-1 allocations per message per hop: %.3f", perHop)
 	if perHop > 1 {
 		t.Errorf("a batch-1 hop allocates %.2f times per message; want at most 1", perHop)
+	}
+}
+
+// spanRecorder is a passthrough SpanKernel that records the longest span
+// it was offered and how many elements it processed.  Only its node's
+// goroutine calls it.
+type spanRecorder struct {
+	longest, msgs atomic.Int64
+}
+
+func (k *spanRecorder) Process(_ uint64, in []stream.Input) map[int]any {
+	k.msgs.Add(1)
+	return map[int]any{0: in[0].Payload}
+}
+
+func (k *spanRecorder) ProcessSpan(_ uint64, in, out []any) int {
+	if n := int64(len(in)); n > k.longest.Load() {
+		k.longest.Store(n)
+	}
+	k.msgs.Add(int64(len(in)))
+	copy(out, in)
+	return len(in)
+}
+
+// loopCarrier carries the cross edges of an engine that holds both ends
+// of each: it hands every run and every credit straight back to the
+// engine, counting the runs — one per send, whatever the run's length.
+type loopCarrier struct {
+	e    *stream.Engine
+	runs atomic.Int64
+}
+
+func (c *loopCarrier) Run(sid proto.SessionID, edge graph.EdgeID, run []stream.Message) error {
+	c.runs.Add(1)
+	return c.e.Deliver(sid, edge, run)
+}
+
+func (c *loopCarrier) Credit(sid proto.SessionID, edge graph.EdgeID, consumed uint64) {
+	c.e.Credit(sid, edge, consumed)
+}
+
+// TestBatch1PassShipsRuns pins what batch means: the span a kernel call
+// takes, not the run a pass ships.  A batch-1 chain's nodes each offer
+// their SpanKernel one element at a time, yet a pass takes up to
+// passWidth firings and sends them as one run per out-edge, so the chain
+// sends far fewer runs than it carries messages — one per message and
+// hop is what a one-firing pass would make.  Every edge is a cross edge
+// on a loopCarrier, which counts the sends; a send is the same call on a
+// local edge, a ring publish.
+func TestBatch1PassShipsRuns(t *testing.T) {
+	const inputs, hops = 20000, 4
+	g := workload.Pipeline(hops+1, 256)
+	ks := make(map[graph.NodeID]stream.Kernel, hops)
+	recs := make([]*spanRecorder, hops)
+	for i := range recs {
+		recs[i] = &spanRecorder{}
+		ks[graph.NodeID(i)] = recs[i]
+	}
+	loop := &loopCarrier{}
+	cross := make(map[graph.EdgeID]stream.CrossEdge, hops)
+	for _, ed := range g.Edges() {
+		cross[ed.ID] = stream.CrossEdge{Msgs: loop, Credits: loop}
+	}
+	eng, err := stream.NewEngine(g, ks, stream.Config{MaxBatch: 1, Cross: cross, WatchdogTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	loop.e = eng
+	ses, err := eng.Open(stream.SessionConfig{ID: 1, Source: stream.SyntheticSource(inputs),
+		Sink: func(context.Context, uint64, any) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ses.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close() // every node is through with the session
+	for i, k := range recs {
+		if l, m := k.longest.Load(), k.msgs.Load(); l != 1 || m != inputs {
+			t.Errorf("node %d: longest span %d over %d elements; want spans of 1 over %d", i, l, m, inputs)
+		}
+	}
+	sends := loop.runs.Load()
+	t.Logf("%d messages over %d hops took %d sends", inputs, hops, sends)
+	if sends >= inputs/8 {
+		t.Errorf("%d sends for %d messages over %d hops; want fewer than %d", sends, inputs, hops, inputs/8)
 	}
 }
 

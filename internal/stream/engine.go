@@ -221,6 +221,7 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		if n.batch < 1 {
 			n.batch = 1
 		}
+		n.pass = max(n.batch, passWidth)
 		// Sources receive one synthetic input; a node without out-edges
 		// keeps one output slot, the SinkPayload hook.
 		n.kin = ins.take(max(len(n.in), 1))
@@ -579,6 +580,17 @@ func (e *Engine) watchdog() {
 // error contract: the sink pump stops at the first Emit error, so queued
 // emissions behind it are never delivered.
 const rimWindow = 64
+
+// passWidth is the fewest firings a node's pass may take, whatever its
+// batch: a batch-1 node still fires each element through its kernel alone
+// but ships the pass's firings as one run per out-edge, one publish and
+// one kick, rather than one per message.  It is rimWindow, so a batch-1
+// source's pass can fire all that one ingest wake delivers.  The pass
+// still stops at the first firing that sends past an out-edge window, so
+// its width adds no buffering the dummy intervals were not computed
+// against; a pass bounded by the windows alone cost batch-64 chains CPU
+// (ROADMAP item 2(b)).
+const passWidth = rimWindow
 
 // EngineSession is one logical stream being served by an Engine.
 //
@@ -1097,9 +1109,11 @@ type engineNode struct {
 	inAt     []int
 	outCap   []int
 
-	// batch is the node's vectorization width (>= 1): how many aligned
-	// firings one pass of fireRun may take.
+	// batch is the node's vectorization width (>= 1): the longest span
+	// one ProcessSpan call takes.  pass, max(batch, passWidth), is how
+	// many aligned firings one pass of fireRun may take.
 	batch int
+	pass  int
 	// kern is the kernel's SliceForm, resolved once at NewEngine.  spanK
 	// is non-nil when the node has at most one in-edge and the kernel
 	// vectorizes (SpanKernel), at any batch width — batch 1 is a span of
@@ -1712,7 +1726,7 @@ func (n *engineNode) popHeads(ns *nodeSession, i, k int) {
 }
 
 // fireRun is the node's one firing body, at every in-degree, output mask
-// and batch width: a pass of up to batch firings, each aligned on the
+// and batch width: a pass of up to n.pass firings, each aligned on the
 // minimum sequence number across the heads (a queued node's next payload
 // at its next sequence number is the trivial case) and each deciding its
 // dummies with its own proto.Fire (or its share of a FireDummyRun, which
@@ -1780,13 +1794,13 @@ func (n *engineNode) fire(ns *nodeSession) (fired, data int, eos bool) {
 		return 0, 0, false // the common empty pass, before any set-up
 	}
 	nOut := len(n.out)
-	sinkRoom := n.batch
+	sinkRoom := n.pass
 	emits := nOut == 0 && ns.ses.hasSink() // firings go to the sink pump
 	if emits {
 		sinkRoom = n.e.sinkWin - int(ns.ses.emit.occupancy())
 	}
 pass:
-	for full := false; fired < n.batch && data < sinkRoom && !full; {
+	for full := false; fired < n.pass && data < sinkRoom && !full; {
 		if n.spanK != nil {
 			k := n.stretch(ns, fired, sinkRoom-data)
 			vec := 0
@@ -1910,12 +1924,13 @@ func (n *engineNode) aligned(ns *nodeSession) bool {
 }
 
 // stretch stages, in spanIn/spanSeq, the longest run of data-only firings
-// at the pass's cursor that the batch, the sink pump's window (limit) and
-// the out-edge windows allow — one past the tightest window: the firing
-// whose send parks — and returns its length.  Zero leaves the cursor's
+// at the pass's cursor that the batch (the span one ProcessSpan call may
+// take), the rest of the pass, the sink pump's window (limit) and the
+// out-edge windows allow — one past the tightest window: the firing whose
+// send parks — and returns its length.  Zero leaves the cursor's
 // firing (a dummy, an EOS, or nothing yet) to the per-firing path.
 func (n *engineNode) stretch(ns *nodeSession, fired, limit int) int {
-	k := min(n.batch-fired, limit)
+	k := min(n.batch, n.pass-fired, limit)
 	for i, run := range n.acc {
 		k = min(k, n.room(ns, i)-len(run)+1)
 	}
@@ -1942,7 +1957,7 @@ func (n *engineNode) stretch(ns *nodeSession, fired, limit int) int {
 // dummyStretch takes, in one step, the longest run of dummy-only firings
 // at the pass's cursor — each in-edge's j-th head a Dummy, all of them at
 // one sequence number, so alignment would consume exactly those heads —
-// that the batch and the out-edge windows allow, one past the tightest
+// that the pass and the out-edge windows allow, one past the tightest
 // window as in stretch.  Under the Propagation cascade each such firing
 // sends a dummy on every out-edge, so the run is one FireDummyRun and one
 // copy of its dummies onto every out-edge's run.  Without the cascade each
@@ -1960,7 +1975,7 @@ func (n *engineNode) dummyStretch(ns *nodeSession, fired int) (k int, full bool)
 	if n.e.cfg.Intervals == nil || n.e.cfg.Algorithm != cs4.Propagation {
 		return 0, false
 	}
-	k = min(n.batch-fired, c0.queued()-cur0)
+	k = min(n.pass-fired, c0.queued()-cur0)
 	for i, run := range n.acc {
 		k = min(k, n.room(ns, i)-len(run)+1)
 	}

@@ -557,8 +557,8 @@ func BenchmarkFireOnceMapKernel(b *testing.B) {
 
 // joinRig is a node with the given in-degree whose one out-edge has
 // capacity outBuf, every in-edge 64 deep, on the firing rig under alg
-// with every dummy interval 1.
-func joinRig(tb testing.TB, inputs, outBuf int, alg cs4.Algorithm) *firingBench {
+// with every dummy interval 1, at the given batch width.
+func joinRig(tb testing.TB, inputs, outBuf, batch int, alg cs4.Algorithm) *firingBench {
 	g := graph.New()
 	src, join, out := g.AddNode("src"), g.AddNode("join"), g.AddNode("out")
 	for i := 0; i < inputs; i++ {
@@ -571,7 +571,7 @@ func joinRig(tb testing.TB, inputs, outBuf int, alg cs4.Algorithm) *firingBench 
 	for _, e := range g.Edges() {
 		iv[e.ID] = ival.FromInt(1)
 	}
-	return newFiringBench(tb, g, join, nil, Config{Algorithm: alg, Intervals: iv, MaxBatch: 64})
+	return newFiringBench(tb, g, join, nil, Config{Algorithm: alg, Intervals: iv, MaxBatch: batch})
 }
 
 // TestDummyStretchStopsAtItsWindow pins the window bound of a stretch of
@@ -582,12 +582,19 @@ func joinRig(tb testing.TB, inputs, outBuf int, alg cs4.Algorithm) *firingBench 
 // window, parks the third firing's dummy and consumes three heads per
 // in-edge — what firing per message does.  A stretch that took all 64
 // would consume the run ahead of the full window, an effective buffer the
-// intervals were not computed against.
+// intervals were not computed against.  A batch-1 node's pass is
+// passWidth firings wide, so it must stop at the window the same way.
 func TestDummyStretchStopsAtItsWindow(t *testing.T) {
+	for _, batch := range []int{1, 64} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) { dummyStretchStopsAtItsWindow(t, batch) })
+	}
+}
+
+func dummyStretchStopsAtItsWindow(t *testing.T, batch int) {
 	const window, run = 2, 64
 	for _, alg := range []cs4.Algorithm{cs4.Propagation, cs4.NonPropagation} {
 		for _, inputs := range []int{1, 2} {
-			f := joinRig(t, inputs, window, alg)
+			f := joinRig(t, inputs, window, batch, alg)
 			dummies := make([]Message, run)
 			for j := range dummies {
 				dummies[j] = Message{Seq: 10 + 3*uint64(j), Kind: Dummy}
@@ -624,7 +631,7 @@ func TestDummyStretchStopsAtItsWindow(t *testing.T) {
 // input's data at the same firings and leaves the rest stretches of
 // aligned dummies.  Per edge message means per message consumed or sent.
 func benchMixedRunHop(b *testing.B, inputs, stagger int) {
-	f := joinRig(b, inputs, 64, cs4.Propagation)
+	f := joinRig(b, inputs, 64, 64, cs4.Propagation)
 	const run = 64
 	msgs := make([]Message, run)
 	edgeMsgs := 0

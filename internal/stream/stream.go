@@ -140,10 +140,11 @@ func MapForm(k SliceKernel, nOut int, seq uint64, in []Input) map[int]any {
 // of data elements in a single call: ProcessSpan receives the run's
 // payloads in (seq0 is the first one's sequence number), writes the
 // output payloads to out (len(out) == len(in)), and returns the length
-// of the prefix it processed.  The run is as long as the node's batch
-// width, its queued input and its out-edge windows allow and may have
-// length one at any Config.MaxBatch — at batch 1 every element is a span
-// of one — and in and out are engine scratch, reused by the next call: a
+// of the prefix it processed.  The span is as long as the node's batch
+// width (Config.MaxBatch), its queued input and its out-edge windows
+// allow and may have length one at any width — at batch 1 every element
+// is a span of one, though the pass ships many as one run — and in and
+// out are engine scratch, reused by the next call: a
 // kernel must never retain them.  The payloads it writes to out may share
 // a node-owned chunk with each other and with earlier calls' (a Flow Map's
 // per-node copy, PerNode, boxes its outputs into chunks it keeps across
@@ -258,14 +259,14 @@ type Config struct {
 	// a session before declaring it deadlocked.  Zero defaults to one second;
 	// a negative timeout is a NewEngine error.
 	WatchdogTimeout time.Duration
-	// MaxBatch is the width of the Engine's firing pass: a node takes up
-	// to MaxBatch aligned firings per protocol step — at any in-degree,
-	// data and dummies alike — and forwards what they send as one run per
-	// out-edge (one ring publish, or across workers one frame and one
-	// credit frame), stopping early at the first send an out-edge window
-	// cannot take.  Zero or one fires per
-	// element (a SpanKernel then sees spans of length one); the logical
-	// stream is bit-identical at every width.  Credits stay in message
+	// MaxBatch is the longest span one ProcessSpan call takes.  A node's
+	// firing pass is max(MaxBatch, 64) firings wide: it takes up to that
+	// many aligned firings per protocol step — at any in-degree, data and
+	// dummies alike — and forwards what they send as one run per out-edge
+	// (one ring publish, or across workers one frame and one credit
+	// frame), stopping early at the first send an out-edge window cannot
+	// take.  Zero or one hands a SpanKernel spans of length one; the
+	// logical stream is bit-identical at every width.  Credits stay in message
 	// units — a run of k messages consumes k credits — so the windowed
 	// backpressure semantics are unchanged, as are the per-edge logical
 	// data/dummy counts.

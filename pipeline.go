@@ -153,21 +153,21 @@ func WithWatchdog(d time.Duration) Option {
 	}
 }
 
-// WithMaxBatch sets the transport batch size of the runtime backends
-// (default 1).  With n > 1 the hot path carries runs of up to n
-// consecutive messages — data and the dummies between them, out of any
-// node — as a single unit: one publish to the edge's ring (or, across
-// workers, one coalesced wire frame and one credit batch) per run instead
-// of per message, multiplying throughput on chains of cheap kernels and
-// on filtering split/joins.  Batching is transport-level only: windows
-// are still accounted in message units (a run of k messages takes k
-// window slots, and a node stops firing at a full window exactly where
-// it would per message), kernels still fire once per element in sequence
-// order, and the logical stream — per-edge data and dummy counts, sink
-// delivery order — is identical to an unbatched run.  n = 1 moves one
-// message at a time; Flow stages can override their own node's batch
-// size with Stage.Batch.  The Simulator ignores n: it fires one element
-// per step, the reference schedule the batched backends must match.
+// WithMaxBatch sets the batch width n of the runtime backends (default
+// 1): the longest span of data elements one call of a vectorizing kernel
+// (a Flow Map's) takes.  A node takes up to max(n, 64) firings per pass
+// and carries what they send — data and the dummies between them, out of
+// any node — as one run per out-edge: one publish to the edge's ring (or,
+// across workers, one coalesced wire frame and one credit batch) per run
+// instead of per message.  Batching is transport-level only:
+// windows are still accounted in message units (a run of k messages
+// takes k window slots, and a node stops firing at a full window exactly
+// where it would per message), kernels still fire in sequence order, and
+// the logical stream — per-edge data and dummy counts, sink delivery
+// order — is identical at every n.  n = 1 hands a kernel one element
+// per call; Flow stages can override their own node's batch size with
+// Stage.Batch.  The Simulator ignores n: it fires one element per step,
+// the reference schedule the batched backends must match.
 func WithMaxBatch(n int) Option {
 	return func(c *buildConfig) {
 		if n < 1 && c.err == nil {

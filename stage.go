@@ -48,10 +48,11 @@ type Stage interface {
 	// channel; the Flow default applies when unset.  Composite stages
 	// (Sequence, Split) reject it — set buffers on their members.
 	Buffer(n int) Stage
-	// Batch sets this stage's transport batch size, overriding the
-	// pipeline default from WithMaxBatch in either direction (a hot
-	// stage can batch above the default, a latency-critical one can pin
-	// 1).  Batching never changes the logical stream — see WithMaxBatch.
+	// Batch sets this stage's batch size, overriding the pipeline
+	// default from WithMaxBatch in either direction: a hot stage can
+	// batch above the default, and pinning 1 makes each kernel call take
+	// one element (its runs still carry up to 64 messages per publish).
+	// Batching never changes the logical stream — see WithMaxBatch.
 	// Composite stages (Sequence, Split) reject it — set batch sizes on
 	// their member stages.
 	Batch(n int) Stage
