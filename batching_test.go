@@ -19,7 +19,7 @@ import (
 // must be observably indistinguishable from the same pipeline at batch
 // 1 on every backend — identical per-edge data and dummy counts and an
 // identical sink (seq, payload) sequence — including under replication,
-// filtering, per-stage Batch overrides, and concurrent engine sessions.
+// filtering and concurrent engine sessions.
 
 const batchingInputs = 1200
 
@@ -138,28 +138,6 @@ func TestSimulatorIgnoresBatch(t *testing.T) {
 			t.Errorf("batch %d: observer snapshot differs from batch 1:\n%s\n%s", batch, snap, refSnap)
 		}
 	}
-}
-
-// TestStageBatchOverrideParity pins the per-stage knob: Batch marks
-// override the pipeline default in both directions without changing the
-// logical stream, including across a replicated stage.
-func TestStageBatchOverrideParity(t *testing.T) {
-	refStats, refSeen := runBatching(t, "goroutines")
-
-	pipe, err := NewFlow[uint64, uint64]().Buffer(8).
-		Then(Map("pre", func(v uint64) uint64 { return 3 * v }).Batch(1)).
-		Then(Map("work", func(v uint64) uint64 { return v + 7 }).Replicate(4).Batch(8)).
-		Then(FilterStage("keep", func(v uint64) bool { return v%3 != 1 })).
-		Compile(WithWatchdog(10*time.Second), WithMaxBatch(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var col Collector
-	stats, err := pipe.Run(context.Background(), CountingSource(batchingInputs), &col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameStream(t, "stage overrides", refStats, stats, refSeen, col.Emissions())
 }
 
 // TestBatchedEngineSessionsParity runs concurrent sessions on one
@@ -503,19 +481,6 @@ func TestBatchOptionValidation(t *testing.T) {
 	if _, err := Build(topo, WithMaxBatch(-3)); err == nil {
 		t.Error("WithMaxBatch(-3) accepted")
 	}
-	if _, err := NewFlow[uint64, uint64]().
-		Then(Map("m", func(v uint64) uint64 { return v }).Batch(0)).
-		Compile(); err == nil {
-		t.Error("Stage.Batch(0) accepted")
-	}
-	if _, err := NewFlow[uint64, uint64]().
-		Then(Sequence(
-			Map("a", func(v uint64) uint64 { return v }),
-			Map("b", func(v uint64) uint64 { return v }),
-		).Batch(4)).
-		Compile(); err == nil {
-		t.Error("Batch on a composite stage accepted")
-	}
 }
 
 // spanProbe is a span-capable source and sink that records how it was
@@ -548,18 +513,17 @@ func (p *spanProbe) EmitSpan(_ context.Context, seqs []uint64, _ []any) error {
 	return nil
 }
 
-// TestDistributedSpanEndpointsAndStageBatch pins that the Distributed
-// backend runs the span path end to end: a SpanSource is filled in bulk,
-// a SpanSink is handed runs — and every emission, single firings
-// included — and a Stage.Batch mark vectorizes its stage (both were
-// silently dropped before the backend ran the stream engine's node
-// loops).
-func TestDistributedSpanEndpointsAndStageBatch(t *testing.T) {
+// TestDistributedSpanEndpoints pins that the Distributed backend runs
+// the span path end to end: a SpanSource is filled in bulk, a SpanSink
+// is handed runs — and every emission, single firings included — and a
+// batched stage vectorizes (all were silently dropped before the backend
+// ran the stream engine's node loops).
+func TestDistributedSpanEndpoints(t *testing.T) {
 	const inputs = 5000
 	o := NewObserver()
 	pipe, err := NewFlow[uint64, uint64]().Buffer(64).
 		Then(Map("a", func(v uint64) uint64 { return v + 1 })).
-		Then(Map("b", func(v uint64) uint64 { return 2 * v }).Batch(1)).
+		Then(Map("b", func(v uint64) uint64 { return 2 * v })).
 		Compile(WithWatchdog(10*time.Second), WithMaxBatch(32), WithObserver(o))
 	if err != nil {
 		t.Fatal(err)
@@ -588,15 +552,8 @@ func TestDistributedSpanEndpointsAndStageBatch(t *testing.T) {
 		t.Errorf("%d emissions bypassed EmitSpan through Emit", probe.emits)
 	}
 	for _, n := range o.Snapshot().Nodes {
-		switch n.Name {
-		case "a":
-			if n.SpanMsgs <= n.Spans {
-				t.Errorf("stage a at batch 32: %d span messages in %d spans", n.SpanMsgs, n.Spans)
-			}
-		case "b":
-			if n.SpanMsgs != n.Spans {
-				t.Errorf("stage b marked Batch(1): %d span messages in %d spans", n.SpanMsgs, n.Spans)
-			}
+		if n.Name == "a" && n.SpanMsgs <= n.Spans {
+			t.Errorf("stage a at batch 32: %d span messages in %d spans", n.SpanMsgs, n.Spans)
 		}
 	}
 }

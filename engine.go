@@ -387,30 +387,6 @@ type backendSession interface {
 	cancel(cause error)
 }
 
-// resolvedNodeBatch maps the pipeline's per-stage Batch marks (keyed by
-// original node name) onto the executed topology's node IDs: under
-// replication every replica of a marked node inherits its batch size.
-func (p *Pipeline) resolvedNodeBatch() map[graph.NodeID]int {
-	if len(p.nodeBatch) == 0 {
-		return nil
-	}
-	out := make(map[graph.NodeID]int, len(p.nodeBatch))
-	for name, b := range p.nodeBatch {
-		if p.rep != nil {
-			if ids, err := p.rep.Replicas(name); err == nil {
-				for _, id := range ids {
-					out[id] = b
-				}
-				continue
-			}
-		}
-		if id, ok := p.topo.g.NodeByName(name); ok {
-			out[id] = b
-		}
-	}
-	return out
-}
-
 // goroutineEngine adapts stream.Engine.
 type goroutineEngine struct{ eng *stream.Engine }
 
@@ -430,7 +406,6 @@ func (p *Pipeline) engineConfig() stream.Config {
 		Intervals:       p.intervals,
 		WatchdogTimeout: p.watchdog,
 		MaxBatch:        p.maxBatch,
-		NodeBatch:       p.resolvedNodeBatch(),
 		Obs:             p.obsMetrics(),
 	}
 }

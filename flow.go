@@ -92,7 +92,6 @@ type lowering struct {
 	names   map[string]bool
 	plan    ReplicationPlan
 	elastic map[string]Elastic // per-stage Elastic marks, keyed by node name
-	batch   map[string]int     // per-stage Batch marks, keyed by node name
 	slot    *stageErrSlot
 	resets  []func()
 	defBuf  int
@@ -197,7 +196,6 @@ func (f *Flow[In, Out]) Compile(opts ...Option) (*Pipeline, error) {
 		names:   make(map[string]bool),
 		plan:    make(ReplicationPlan),
 		elastic: make(map[string]Elastic),
-		batch:   make(map[string]int),
 		slot:    new(stageErrSlot),
 		defBuf:  f.buf,
 	}
@@ -229,9 +227,6 @@ func (f *Flow[In, Out]) Compile(opts ...Option) (*Pipeline, error) {
 	}
 	pipe.flowSlot = lw.slot
 	pipe.resets = lw.resets
-	if len(lw.batch) > 0 {
-		pipe.nodeBatch = lw.batch
-	}
 	return pipe, nil
 }
 

@@ -517,7 +517,6 @@ func TestStageKnobPolicy(t *testing.T) {
 		{"Replicate(2)", func(s Stage) Stage { return s.Replicate(2) }},
 		{"Elastic(1,2)", func(s Stage) Stage { return s.Elastic(1, 2) }},
 		{"Buffer(4)", func(s Stage) Stage { return s.Buffer(4) }},
-		{"Batch(4)", func(s Stage) Stage { return s.Batch(4) }},
 		{"Tap", func(s Stage) Stage { return s.Tap(func(any) {}) }},
 	}
 	want := map[string]string{
@@ -526,12 +525,10 @@ func TestStageKnobPolicy(t *testing.T) {
 		"Sequence/Replicate(2)":       "streamdag: flow: composite stage \"seq(a..b)\" cannot be replicated; replicate its member stages",
 		"Sequence/Elastic(1,2)":       "streamdag: flow: composite stage \"seq(a..b)\" cannot be elastic; mark its member stages",
 		"Sequence/Buffer(4)":          "streamdag: flow: composite stage \"seq(a..b)\" has no inbound channel of its own; set buffers on its member stages",
-		"Sequence/Batch(4)":           "streamdag: flow: composite stage \"seq(a..b)\" has no node of its own; set batch sizes on its member stages",
 		"Sequence/Tap":                "streamdag: flow: composite stage \"seq(a..b)\" has no node of its own; tap its member stages",
 		"Split/Replicate(2)":          "streamdag: flow: composite stage \"split(j)\" cannot be replicated; replicate its member stages",
 		"Split/Elastic(1,2)":          "streamdag: flow: composite stage \"split(j)\" cannot be elastic; mark its member stages",
 		"Split/Buffer(4)":             "streamdag: flow: composite stage \"split(j)\" has no inbound channel of its own; set buffers on its member stages",
-		"Split/Batch(4)":              "streamdag: flow: composite stage \"split(j)\" has no node of its own; set batch sizes on its member stages",
 		"Split/Tap":                   "streamdag: flow: composite stage \"split(j)\" has no node of its own; tap its member stages",
 		"TumblingWindow/Replicate(2)": `streamdag: flow: time-aware stage "s" cannot be replicated`,
 		"TumblingWindow/Elastic(1,2)": `streamdag: flow: time-aware stage "s" cannot be elastic`,

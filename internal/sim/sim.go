@@ -119,22 +119,23 @@ type Config struct {
 	OnStep func(step int64)
 	// Clock, when non-nil, is the virtual clock backing time-aware
 	// kernels (stream.TimedKernel): the simulator advances it
-	// deterministically — StepDuration of virtual time per scheduler
-	// round of this session — and delivers due flush-timer deadlines
-	// between consumes, so window boundaries are a pure function of the
-	// input and bit-identical across runs.  A round with no other
-	// progress jumps the clock to the earliest pending deadline instead
-	// of declaring deadlock: the stream is waiting for time, which the
-	// simulator can fast-forward.  The caller must inject the same Fake
+	// deterministically — roundTime (one millisecond) of virtual time
+	// per scheduler round of this session — and delivers due flush-timer
+	// deadlines between consumes, so window boundaries are a pure
+	// function of the input and bit-identical across runs.  A round with
+	// no other progress jumps the clock to the earliest pending deadline
+	// instead of declaring deadlock: the stream is waiting for time, which
+	// the simulator can fast-forward.  The caller must inject the same Fake
 	// into the kernels.  Concurrent sessions share the clock (it only
 	// moves forward), so per-session virtual time is deterministic only
 	// for serial sessions — which time-aware stages already force, being
 	// stateful.
 	Clock *clock.Fake
-	// StepDuration is the virtual time one scheduler round represents
-	// when Clock is set; it defaults to one millisecond.
-	StepDuration time.Duration
 }
+
+// roundTime is the virtual time one scheduler round represents when
+// Config.Clock is set.
+const roundTime = time.Millisecond
 
 // Rounding is the policy for integerizing rational intervals; it is the
 // protocol engine's Rounding.
@@ -318,10 +319,6 @@ func newState(g *graph.Graph, filter Filter, cfg Config) *state {
 	}
 	if cfg.Clock != nil {
 		s.vbase = cfg.Clock.Now()
-		s.stepDur = cfg.StepDuration
-		if s.stepDur <= 0 {
-			s.stepDur = time.Millisecond
-		}
 	}
 	for i := range s.chans {
 		s.chans[i].cap = g.Edge(graph.EdgeID(i)).Buf
@@ -396,11 +393,10 @@ type state struct {
 	failed     bool   // a source/sink error already set res.Reason/Err
 	// obsS is the session telemetry slot, nil when observation is off.
 	obsS *obs.SessionMetrics
-	// vbase/stepDur map this session's Steps onto the shared virtual
-	// clock (Clock != nil only): each round moves time to
-	// vbase + Steps·stepDur, never backwards.
-	vbase   time.Time
-	stepDur time.Duration
+	// vbase maps this session's Steps onto the shared virtual clock
+	// (Clock != nil only): each round moves time to
+	// vbase + Steps·roundTime, never backwards.
+	vbase time.Time
 }
 
 func (s *state) run() {
@@ -420,7 +416,7 @@ func (s *state) advanceOnce() (done bool) {
 	if s.cfg.Clock != nil {
 		// Virtual time is a pure function of this session's step count —
 		// Set never moves backwards, so a prior deadline jump holds.
-		s.cfg.Clock.Set(s.vbase.Add(time.Duration(s.res.Steps) * s.stepDur))
+		s.cfg.Clock.Set(s.vbase.Add(time.Duration(s.res.Steps) * roundTime))
 	}
 	progress := false
 	for _, nd := range s.nodes {

@@ -102,36 +102,6 @@ func TestEngineBatchedParity(t *testing.T) {
 	}
 }
 
-// TestEngineNodeBatchOverride pins that NodeBatch overrides MaxBatch per
-// node without changing the logical stream.
-func TestEngineNodeBatchOverride(t *testing.T) {
-	g := workload.Pipeline(4, 4)
-	base := stream.Config{WatchdogTimeout: 5 * time.Second}
-	const inputs = 500
-	refStats, refSeen := engineRun(t, g, nil, base, inputs)
-
-	cfg := base
-	cfg.MaxBatch = 32
-	cfg.NodeBatch = map[graph.NodeID]int{g.MustNode("s1"): 1, g.MustNode("s2"): 8}
-	stats, seen := engineRun(t, g, nil, cfg, inputs)
-	if stats.SinkData != refStats.SinkData {
-		t.Fatalf("SinkData = %d, want %d", stats.SinkData, refStats.SinkData)
-	}
-	for e, want := range refStats.Data {
-		if stats.Data[e] != want {
-			t.Errorf("edge %d data = %d, want %d", e, stats.Data[e], want)
-		}
-	}
-	if len(seen) != len(refSeen) {
-		t.Fatalf("%d sink deliveries, want %d", len(seen), len(refSeen))
-	}
-	for i := range seen {
-		if seen[i] != refSeen[i] {
-			t.Fatalf("sink[%d] = %+v, want %+v", i, seen[i], refSeen[i])
-		}
-	}
-}
-
 // TestMixedRunAccountingByKind pins the send side's accounting of runs
 // that carry data and dummies interleaved: on a 4-way split filtering
 // each branch at p = 0.1, at batch 64, the Observer's per-edge data and

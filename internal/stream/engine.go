@@ -107,10 +107,9 @@ type Engine struct {
 	// where Deliver and Credit re-enter the node loops.
 	cross []crossEnds
 
-	// srcWin/sinkWin are the ingest and sink rim windows, in payload
-	// units (see rimWindow).
-	srcWin  int
-	sinkWin int
+	// rimWin is the ingest and sink rims' one window, in payload units
+	// (see rimWindow).
+	rimWin int
 
 	mu sync.Mutex
 	// sessions holds every session from Open until its done channel
@@ -156,9 +155,11 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 	if cfg.WatchdogTimeout == 0 {
 		cfg.WatchdogTimeout = time.Second
 	}
+	batch := max(cfg.MaxBatch, 1)
 	e := &Engine{
 		g:        g,
 		cfg:      cfg,
+		rimWin:   max(rimWindow, 2*batch),
 		sessions: make(map[proto.SessionID]*EngineSession),
 		stop:     make(chan struct{}),
 	}
@@ -214,14 +215,8 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 			}
 		}
 		n.cur = ints.take(len(n.in))
-		n.batch = cfg.MaxBatch
-		if b, ok := cfg.NodeBatch[id]; ok {
-			n.batch = b
-		}
-		if n.batch < 1 {
-			n.batch = 1
-		}
-		n.pass = max(n.batch, passWidth)
+		n.batch = batch
+		n.pass = max(batch, passWidth)
 		// Sources receive one synthetic input; a node without out-edges
 		// keeps one output slot, the SinkPayload hook.
 		n.kin = ins.take(max(len(n.in), 1))
@@ -285,8 +280,6 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 	}
 	e.source = e.nodes[g.Source()]
 	e.sink = e.nodes[g.Sink()]
-	e.srcWin = max(rimWindow, 2*e.source.batch)
-	e.sinkWin = max(rimWindow, 2*e.sink.batch)
 	for _, n := range e.nodes {
 		e.wg.Add(1)
 		go n.start()
@@ -471,7 +464,7 @@ func (e *Engine) takeBufs(ses *EngineSession) {
 			ingest:  new(edgeCounts),
 			emit:    new(edgeCounts),
 			srcWake: make(chan struct{}, 1),
-			ring:    make([]any, 1<<bits.Len(uint(e.srcWin-1))),
+			ring:    make([]any, 1<<bits.Len(uint(e.rimWin-1))),
 		}
 		for i, n := range e.nodes {
 			ns := &b.states[i]
@@ -485,7 +478,7 @@ func (e *Engine) takeBufs(ses *EngineSession) {
 		}
 	}
 	if ses.hasSink() && b.emPay == nil {
-		b.emSeq = make([]uint64, 1<<bits.Len(uint(e.sinkWin-1)))
+		b.emSeq = make([]uint64, 1<<bits.Len(uint(e.rimWin-1)))
 		b.emPay = make([]any, len(b.emSeq))
 		b.sinkWake = make(chan struct{}, 1)
 	}
@@ -568,9 +561,9 @@ func (e *Engine) watchdog() {
 // the pump may have published that the source node has not yet fired; on
 // the sink rim, how many emissions the sink node may have published that
 // its pump has not yet delivered — each measured as a local edge's is, the
-// ring's tail (sent) minus the consumer's count.  A rim node of batch b
-// gets 2b where that is wider, so a batched source or sink never starves
-// its own runs.  The rims lie outside the paper's graph, so no dummy
+// ring's tail (sent) minus the consumer's count.  At batch b both rims get
+// 2b where that is wider, so a batched source or sink never starves its
+// own runs.  The rims lie outside the paper's graph, so no dummy
 // interval depends on their windows.  At batch 1 both rims sit full, and a
 // full window costs a wake round per window of messages: 64 cut a batch-1
 // chain's CPU per message to about 0.8 of 16's, and a wider window grows
@@ -866,7 +859,7 @@ func (s *EngineSession) finishFromSink() {
 // node's count moves.
 func (s *EngineSession) ingestPump(src *engineNode) {
 	defer s.unhold()
-	c, win := s.ingest, int64(s.e.srcWin)
+	c, win := s.ingest, int64(s.e.rimWin)
 	full := func() bool { return c.occupancy() == win }
 	// One external-callback window covers each run of fills the window
 	// has room for: the watchdog only needs to know that user code may be
@@ -1556,7 +1549,7 @@ func (n *engineNode) park(ns *nodeSession) (room bool) {
 		if ns.done {
 			return c.occupancy() > 0 && c.stall(1)
 		}
-		return n.aligned(ns) && c.stall(int64(n.e.sinkWin))
+		return n.aligned(ns) && c.stall(int64(n.e.rimWin))
 	}
 	if ns.pendingN == 0 {
 		return false
@@ -1797,7 +1790,7 @@ func (n *engineNode) fire(ns *nodeSession) (fired, data int, eos bool) {
 	sinkRoom := n.pass
 	emits := nOut == 0 && ns.ses.hasSink() // firings go to the sink pump
 	if emits {
-		sinkRoom = n.e.sinkWin - int(ns.ses.emit.occupancy())
+		sinkRoom = n.e.rimWin - int(ns.ses.emit.occupancy())
 	}
 pass:
 	for full := false; fired < n.pass && data < sinkRoom && !full; {

@@ -39,7 +39,7 @@ func TestSpanFillsWrapTheIngestRing(t *testing.T) {
 				ring, c := ses.ring, ses.ingest
 				t0 := c.sent.Load()
 				j := int(t0) & (len(ring) - 1)
-				room := int64(e.srcWin) - (t0 - c.consumed.Load())
+				room := int64(e.rimWin) - (t0 - c.consumed.Load())
 				var bad error
 				switch {
 				case len(buf) == 0:
@@ -125,7 +125,7 @@ func TestRimWakesCounted(t *testing.T) {
 	for deadline := time.Now().Add(5 * time.Second); !ses.emit.stalled.Load() || !ses.ingest.stalled.Load(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("after 5 s: %d of %d emissions and %d of %d payloads queued, not both rims full",
-				ses.emit.occupancy(), e.sinkWin, ses.ingest.occupancy(), e.srcWin)
+				ses.emit.occupancy(), e.rimWin, ses.ingest.occupancy(), e.rimWin)
 		}
 	}
 	close(release)
@@ -134,5 +134,49 @@ func TestRimWakesCounted(t *testing.T) {
 	}
 	if s := m.Snapshot().Sessions; s.IngestWakes == 0 || s.SinkWakes == 0 {
 		t.Fatalf("%d ingest and %d sink wakes counted; want both rims' wakes", s.IngestWakes, s.SinkWakes)
+	}
+}
+
+// TestRimWindowByNumber pins the rims' one window by number: under a
+// blocked sink both rims fill to exactly 64 payloads at batch 1 and to
+// exactly 256 (twice the batch) at batch 128, and never past it.  The
+// occupancies are read from outside, as the pumps' and nodes' counts.
+func TestRimWindowByNumber(t *testing.T) {
+	for _, tc := range []struct{ batch, want int64 }{{1, 64}, {128, 256}} {
+		t.Run(fmt.Sprintf("batch %d", tc.batch), func(t *testing.T) {
+			e, err := NewEngine(workload.Pipeline(3, 16), nil, Config{MaxBatch: int(tc.batch), WatchdogTimeout: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			release := make(chan struct{})
+			ses, err := e.Open(SessionConfig{
+				ID:     1,
+				Source: SyntheticSource(4000),
+				Sink: func(context.Context, uint64, any) error {
+					<-release
+					return nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				sink, ingest := ses.emit.occupancy(), ses.ingest.occupancy()
+				if sink > tc.want || ingest > tc.want {
+					t.Fatalf("%d emissions and %d payloads queued, past the window of %d", sink, ingest, tc.want)
+				}
+				if sink == tc.want && ingest == tc.want && ses.emit.stalled.Load() && ses.ingest.stalled.Load() {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("after 5 s: %d emissions and %d payloads queued, want both rims full at %d", sink, ingest, tc.want)
+				}
+			}
+			close(release)
+			if _, err := ses.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

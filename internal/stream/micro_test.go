@@ -311,7 +311,7 @@ func BenchmarkMailboxPostTakeParked(b *testing.B) {
 // node's mailbox.
 func BenchmarkSinkHandoff(b *testing.B) {
 	r := newSinkRig(b, nil)
-	c, w := r.ses.emit, int64(r.ses.e.sinkWin)
+	c, w := r.ses.emit, int64(r.ses.e.rimWin)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -259,21 +259,19 @@ type Config struct {
 	// a session before declaring it deadlocked.  Zero defaults to one second;
 	// a negative timeout is a NewEngine error.
 	WatchdogTimeout time.Duration
-	// MaxBatch is the longest span one ProcessSpan call takes.  A node's
-	// firing pass is max(MaxBatch, 64) firings wide: it takes up to that
-	// many aligned firings per protocol step — at any in-degree, data and
-	// dummies alike — and forwards what they send as one run per out-edge
-	// (one ring publish, or across workers one frame and one credit
-	// frame), stopping early at the first send an out-edge window cannot
-	// take.  Zero or one hands a SpanKernel spans of length one; the
-	// logical stream is bit-identical at every width.  Credits stay in message
-	// units — a run of k messages consumes k credits — so the windowed
-	// backpressure semantics are unchanged, as are the per-edge logical
-	// data/dummy counts.
+	// MaxBatch is the engine's one batch width: the longest span one
+	// ProcessSpan call takes, on every node.  A node's firing pass is
+	// max(MaxBatch, 64) firings wide: it takes up to that many aligned
+	// firings per protocol step — at any in-degree, data and dummies alike
+	// — and forwards what they send as one run per out-edge (one ring
+	// publish, or across workers one frame and one credit frame), stopping
+	// early at the first send an out-edge window cannot take.  Both rims'
+	// window is max(64, 2·MaxBatch) payloads.  Zero or one hands a
+	// SpanKernel spans of length one; the logical stream is bit-identical
+	// at every width.  Credits stay in message units — a run of k messages
+	// consumes k credits — so the windowed backpressure semantics are
+	// unchanged, as are the per-edge logical data/dummy counts.
 	MaxBatch int
-	// NodeBatch overrides MaxBatch for individual nodes (the Flow
-	// tier's Stage.Batch knob); absent nodes use MaxBatch.
-	NodeBatch map[graph.NodeID]int
 	// Cross names the edges a transport carries between workers
 	// (cross.go); every other edge is a ring between its nodes.  Nil
 	// outside internal/dist.

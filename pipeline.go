@@ -37,9 +37,8 @@ type Pipeline struct {
 	watchdog  time.Duration
 	avoidance bool
 	maxBatch  int
-	nodeBatch map[string]int // per-stage Batch marks, keyed by original node name
-	obs       *Observer      // telemetry collector; nil (the default) compiles instrumentation out
-	clk       clock.Clock    // time source of the time-aware stages; nil means backend default
+	obs       *Observer   // telemetry collector; nil (the default) compiles instrumentation out
+	clk       clock.Clock // time source of the time-aware stages; nil means backend default
 
 	// Rescale state: the pre-expansion kernel resolution and the live
 	// replication plan, kept so withPlan can re-derive the executed
@@ -164,10 +163,10 @@ func WithWatchdog(d time.Duration) Option {
 // takes k window slots, and a node stops firing at a full window exactly
 // where it would per message), kernels still fire in sequence order, and
 // the logical stream — per-edge data and dummy counts, sink delivery
-// order — is identical at every n.  n = 1 hands a kernel one element
-// per call; Flow stages can override their own node's batch size with
-// Stage.Batch.  The Simulator ignores n: it fires one element per step,
-// the reference schedule the batched backends must match.
+// order — is identical at every n.  n is every node's one batch width;
+// n = 1 hands a kernel one element per call.  The Simulator ignores n:
+// it fires one element per step, the reference schedule the batched
+// backends must match.
 func WithMaxBatch(n int) Option {
 	return func(c *buildConfig) {
 		if n < 1 && c.err == nil {

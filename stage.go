@@ -13,7 +13,7 @@ import (
 // the constructors (Map, FilterStage, FilterMap, Stateful, Sequence,
 // Split, Merge/Merge2/Merge3; the time-aware ones are in stage_time.go),
 // each of which fills in a record; and the per-stage knobs (Replicate,
-// Elastic, Buffer, Batch, Tap).  A record's kind decides which knobs it
+// Elastic, Buffer, Tap).  A record's kind decides which knobs it
 // accepts (knobErr) and how it lowers (lower, node).  A Stage is a
 // description — nothing runs until Flow.Compile lowers the stage graph
 // to a Topology plus a kernel map and hands it to Build, where
@@ -48,14 +48,6 @@ type Stage interface {
 	// channel; the Flow default applies when unset.  Composite stages
 	// (Sequence, Split) reject it — set buffers on their members.
 	Buffer(n int) Stage
-	// Batch sets this stage's batch size, overriding the pipeline
-	// default from WithMaxBatch in either direction: a hot stage can
-	// batch above the default, and pinning 1 makes each kernel call take
-	// one element (its runs still carry up to 64 messages per publish).
-	// Batching never changes the logical stream — see WithMaxBatch.
-	// Composite stages (Sequence, Split) reject it — set batch sizes on
-	// their member stages.
-	Batch(n int) Stage
 	// Tap installs an observation hook: fn sees every element the stage
 	// emits (after its transform, filtered elements excluded), without
 	// altering the stream.  fn runs on the node's hot path — on the
@@ -111,7 +103,6 @@ type stage struct {
 	elMin    int // Elastic range; marked when elMax > 0
 	elMax    int
 	buf      int
-	batch    int
 	tap      func(any)
 	err      error
 
@@ -156,11 +147,6 @@ func (s *stage) Buffer(n int) Stage {
 	return s.knob(n < 1, "buffer capacity %d must be positive", n)
 }
 
-func (s *stage) Batch(n int) Stage {
-	s.batch = n
-	return s.knob(n < 1, "batch size %d must be positive", n)
-}
-
 func (s *stage) Tap(fn func(v any)) Stage {
 	s.tap = fn
 	return s.knob(fn == nil, "nil Tap function")
@@ -200,8 +186,6 @@ func (s *stage) knobErr(lw *lowering) error {
 			return fmt.Errorf("streamdag: flow: composite stage %q cannot be elastic; mark its member stages", s.name)
 		case s.buf > 0:
 			return fmt.Errorf("streamdag: flow: composite stage %q has no inbound channel of its own; set buffers on its member stages", s.name)
-		case s.batch > 0:
-			return fmt.Errorf("streamdag: flow: composite stage %q has no node of its own; set batch sizes on its member stages", s.name)
 		case s.tap != nil:
 			return fmt.Errorf("streamdag: flow: composite stage %q has no node of its own; tap its member stages", s.name)
 		}
@@ -246,9 +230,9 @@ func (s *stage) lower(lw *lowering, from string) (string, error) {
 	return s.node(lw, from)
 }
 
-// node adds a node stage's node with its replication, elastic and batch
-// marks, and one inbound channel from each upstream node: one for a
-// linear stage, one per branch for a merge.
+// node adds a node stage's node with its replication and elastic marks,
+// and one inbound channel from each upstream node: one for a linear
+// stage, one per branch for a merge.
 func (s *stage) node(lw *lowering, froms ...string) (string, error) {
 	if err := lw.addNode(s.name, s.kernel(lw, s.tap)); err != nil {
 		return "", err
@@ -258,9 +242,6 @@ func (s *stage) node(lw *lowering, froms ...string) (string, error) {
 	}
 	if s.elMax > 0 {
 		lw.elastic[s.name] = Elastic{Min: s.elMin, Max: s.elMax}
-	}
-	if s.batch > 0 {
-		lw.batch[s.name] = s.batch
 	}
 	buf := lw.defBuf
 	if s.buf > 0 {

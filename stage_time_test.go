@@ -316,7 +316,7 @@ func TestWindowBatchReplicaComposition(t *testing.T) {
 		return NewFlow[int, any]().
 			Then(Map("scale", func(v int) int { return 2 * v }).Replicate(4)).
 			Then(Map("fold", func(v int) int { return v + 1 })).
-			Then(TumblingWindow[int]("win", time.Hour).Batch(64))
+			Then(TumblingWindow[int]("win", time.Hour))
 	}
 	for name, opts := range map[string][]Option{
 		"goroutines": {WithMaxBatch(64), WithClock(NewFakeClock()), WithWatchdog(10 * time.Second)},
