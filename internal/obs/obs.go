@@ -50,8 +50,9 @@ type NodeMetrics struct {
 	// and scaled) so the clock reads stay off the hot path; the other
 	// counters are exact.
 	ServiceTime atomic.Int64
-	// Spans counts vectorized ProcessSpan invocations; SpanMsgs the
-	// elements they carried.  SpanMsgs/Spans is the realized batch size.
+	// Spans counts ProcessSpan calls, one that declines its first element
+	// included; SpanMsgs the elements they took.  SpanMsgs/Spans is the
+	// realized batch size.
 	Spans    atomic.Int64
 	SpanMsgs atomic.Int64
 	_        pad

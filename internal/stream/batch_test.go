@@ -526,3 +526,124 @@ func TestDecliningSpanKernelParity(t *testing.T) {
 		requireMatchesSim(t, name, g, stats, seen, ref, refSeen)
 	}
 }
+
+// spanCall is one kernel call a spanTrace took: a ProcessSpan over n
+// elements from seq, or, with n < 0, a ProcessInto firing at seq.
+type spanCall struct {
+	seq uint64
+	n   int
+}
+
+// spanTrace is a SpanKernel that adds one to every payload and declines
+// every element whose sequence number is 6 mod 7, which then fires
+// through ProcessInto.  It records every call it takes, in order.  Only
+// its node's goroutine calls it.
+type spanTrace struct{ calls []spanCall }
+
+func spanTraceDeclines(seq uint64) bool { return seq%7 == 6 }
+
+func (k *spanTrace) Process(seq uint64, in []stream.Input) map[int]any {
+	return stream.MapForm(k, 1, seq, in)
+}
+
+func (k *spanTrace) ProcessInto(seq uint64, in []stream.Input, out []any, present []bool) {
+	k.calls = append(k.calls, spanCall{seq, -1})
+	out[0], present[0] = in[0].Payload.(uint64)+1, true
+}
+
+func (k *spanTrace) ProcessSpan(seq0 uint64, in, out []any) int {
+	k.calls = append(k.calls, spanCall{seq0, len(in)})
+	for j, p := range in {
+		if spanTraceDeclines(seq0 + uint64(j)) {
+			return j
+		}
+		out[j] = p.(uint64) + 1
+	}
+	return len(in)
+}
+
+// checkSpanTrace replays a node's calls against the span contract: the
+// kernel is offered every element first in a ProcessSpan call no longer
+// than the batch, the calls contiguous and in order; a call that declines
+// is followed at once by the ProcessInto firing of the declined element,
+// and the next call starts after it.  It returns the number of
+// ProcessSpan calls.
+func checkSpanTrace(t *testing.T, name string, calls []spanCall, batch int, inputs uint64) (spans int) {
+	t.Helper()
+	var next uint64
+	for i := 0; i < len(calls); i++ {
+		c := calls[i]
+		if c.n < 0 || c.seq != next || c.n > batch {
+			t.Fatalf("%s: call %d is %+v; want a ProcessSpan from %d of 1 to %d elements", name, i, c, next, batch)
+		}
+		spans++
+		took := c.n
+		for j := 0; j < c.n; j++ {
+			if spanTraceDeclines(c.seq + uint64(j)) {
+				took = j
+				break
+			}
+		}
+		if next += uint64(took); took == c.n {
+			continue
+		}
+		if i++; i == len(calls) || calls[i] != (spanCall{next, -1}) {
+			t.Fatalf("%s: the call after %+v is not the ProcessInto firing at %d", name, c, next)
+		}
+		next++
+	}
+	if next != inputs {
+		t.Fatalf("%s: the kernel took %d elements, want %d", name, next, inputs)
+	}
+	return spans
+}
+
+// TestSpanCallsAtMostABatch pins what a pass hands its kernel: however
+// long the stretch of data firings a pass stages, each ProcessSpan call
+// takes at most a batch of it, in order, and a decline ends the stretch
+// at the declined element, which fires alone.  Every node of a 5-stage
+// pipeline runs a spanTrace at batch 1, 3 and 64; the windows of 5 cut
+// the stretches short of a pass.  At batch 1 every element is a call of
+// its own.  The observer's Spans counts the ProcessSpan calls, and the
+// per-edge counts and the sink sequence are the simulator's.
+func TestSpanCallsAtMostABatch(t *testing.T) {
+	const inputs, nodes = 2000, 5
+	g := workload.Pipeline(nodes, 5)
+	traced := func() ([]*spanTrace, map[graph.NodeID]stream.Kernel) {
+		ks := make([]*spanTrace, nodes)
+		m := make(map[graph.NodeID]stream.Kernel, nodes)
+		for i := range ks {
+			ks[i] = &spanTrace{}
+			m[graph.NodeID(i)] = ks[i]
+		}
+		return ks, m
+	}
+	_, simKs := traced()
+	ref, refSeen := simRun(g, simKs, stream.Config{}, inputs)
+	if !ref.Completed {
+		t.Fatalf("simulator: %s", ref.Reason)
+	}
+	names := make([]string, nodes)
+	for i := range names {
+		names[i] = g.Name(graph.NodeID(i))
+	}
+	for _, batch := range []int{1, 3, 64} {
+		ks, kernels := traced()
+		m := obs.New(names, make([]string, g.NumEdges()))
+		cfg := stream.Config{MaxBatch: batch, Obs: m, WatchdogTimeout: 10 * time.Second}
+		stats, seen := engineRun(t, g, kernels, cfg, inputs)
+		label := fmt.Sprintf("batch %d", batch)
+		requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
+		snap := m.Snapshot()
+		for i, k := range ks {
+			name := fmt.Sprintf("%s, node %s", label, names[i])
+			spans := checkSpanTrace(t, name, k.calls, batch, inputs)
+			if batch == 1 && spans != inputs {
+				t.Errorf("%s: %d ProcessSpan calls over %d elements; want one each", name, spans, inputs)
+			}
+			if got := snap.Nodes[i].Spans; got != int64(spans) {
+				t.Errorf("%s: the observer counts %d spans; the kernel took %d calls", name, got, spans)
+			}
+		}
+	}
+}

@@ -466,14 +466,22 @@ func (e *Engine) takeBufs(ses *EngineSession) {
 			srcWake: make(chan struct{}, 1),
 			ring:    make([]any, 1<<bits.Len(uint(e.rimWin-1))),
 		}
+		// The node states' arrays are cut from the record's own chunks,
+		// each on lines of its own, as NewEngine cuts the node scratch.
+		var (
+			msgs   lineArena[Message]
+			bools  lineArena[bool]
+			ints   lineArena[int]
+			stalls lineArena[int64]
+		)
 		for i, n := range e.nodes {
 			ns := &b.states[i]
 			ns.engine = proto.NewEngine(n.out, proto.Config{Algorithm: e.cfg.Algorithm, Intervals: e.cfg.Intervals})
-			ns.pendingMsg = lineSlice[Message](len(n.out))
-			ns.pendingSet = lineSlice[bool](len(n.out))
-			ns.inflight = lineSlice[int](len(n.out))
+			ns.pendingMsg = msgs.take(len(n.out))
+			ns.pendingSet = bools.take(len(n.out))
+			ns.inflight = ints.take(len(n.out))
 			if n.obsN != nil {
-				ns.stallSince = lineSlice[int64](len(n.out))
+				ns.stallSince = stalls.take(len(n.out))
 			}
 		}
 	}
@@ -1130,7 +1138,8 @@ type engineNode struct {
 	acks     []*EngineSession
 	cur      []int // per in-pos heads taken by the pass in progress
 	// kin, kout and present are a firing's kernel arguments; spanIn,
-	// spanOut and spanSeq, batch long, a ProcessSpan stretch's.
+	// spanOut and spanSeq a stretch's, batch long until a pass may need
+	// more and then pass long (widenSpan).
 	kin             []Input
 	kout            []any
 	present         []bool
@@ -1722,8 +1731,8 @@ func (n *engineNode) popHeads(ns *nodeSession, i, k int) {
 // and batch width: a pass of up to n.pass firings, each aligned on the
 // minimum sequence number across the heads (a queued node's next payload
 // at its next sequence number is the trivial case) and each deciding its
-// dummies with its own proto.Fire (or its share of a FireDummyRun, which
-// equals those calls), whose messages — data and dummies
+// dummies with its own proto.Fire (or its share of a FireRun or a
+// FireDummyRun, which equal those calls), whose messages — data and dummies
 // interleaved, in sequence order — accumulate into one run per out-edge
 // that ship sends once.  Protocol state, per-edge counts and sink order
 // are those of firing per message; only the grouping in transit differs.
@@ -1777,14 +1786,18 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 // fire takes the pass's firings and accumulates their output, consuming
 // nothing yet: it returns how many firings it took (cur has them per
 // in-edge) and how many carried data, or eos when every head is EOS.
-// The kernel runs once per data-carrying firing, or once per stretch of
-// data-only firings where it vectorizes (stretch); dummy-only firings
+// The kernel runs once per data-carrying firing, or, where it vectorizes,
+// once per batch of a stretch of data-only firings (stretch), which is
+// one FireRun and one copy onto every out-edge's run; dummy-only firings
 // never reach it, and a stretch of them (dummyStretch) skips alignment
 // too: under the cascade it is one proto.FireDummyRun and one copy of
 // its dummies onto every out-edge's run.
 func (n *engineNode) fire(ns *nodeSession) (fired, data int, eos bool) {
 	if !n.aligned(ns) {
 		return 0, 0, false // the common empty pass, before any set-up
+	}
+	if len(n.spanIn) < n.pass && n.spanK != nil {
+		n.widenSpan(ns)
 	}
 	nOut := len(n.out)
 	sinkRoom := n.pass
@@ -1795,10 +1808,19 @@ func (n *engineNode) fire(ns *nodeSession) (fired, data int, eos bool) {
 pass:
 	for full := false; fired < n.pass && data < sinkRoom && !full; {
 		if n.spanK != nil {
+			// The kernel takes the stretch a batch at a time, in order;
+			// a decline ends it.
 			k := n.stretch(ns, fired, sinkRoom-data)
 			vec := 0
-			if k > 0 {
-				vec = n.spanK.ProcessSpan(n.spanSeq[0], n.spanIn[:k], n.spanOut[:k])
+			for vec < k {
+				end := min(vec+n.batch, k)
+				got := n.spanK.ProcessSpan(n.spanSeq[vec], n.spanIn[vec:end], n.spanOut[vec:end])
+				if n.obsN != nil {
+					n.obsN.Spans.Add(1)
+				}
+				if vec += got; vec < end {
+					break
+				}
 			}
 			if vec > 0 {
 				if nOut > 0 {
@@ -1821,13 +1843,11 @@ pass:
 				}
 				fired, data = fired+vec, data+vec
 				if n.obsN != nil {
-					n.obsN.Spans.Add(1)
 					n.obsN.SpanMsgs.Add(int64(vec))
 				}
 			}
-			for j := 0; j < k; j++ { // not clear(): a call per tiny slice
-				n.spanIn[j], n.spanOut[j] = nil, nil
-			}
+			clear(n.spanIn[:k])
+			clear(n.spanOut[:k])
 			if vec == k && k > 0 {
 				continue
 			}
@@ -1917,13 +1937,14 @@ func (n *engineNode) aligned(ns *nodeSession) bool {
 }
 
 // stretch stages, in spanIn/spanSeq, the longest run of data-only firings
-// at the pass's cursor that the batch (the span one ProcessSpan call may
-// take), the rest of the pass, the sink pump's window (limit) and the
-// out-edge windows allow — one past the tightest window: the firing whose
-// send parks — and returns its length.  Zero leaves the cursor's
-// firing (a dummy, an EOS, or nothing yet) to the per-firing path.
+// at the pass's cursor that the rest of the pass, the sink pump's window
+// (limit) and the out-edge windows allow — one past the tightest window:
+// the firing whose send parks — and returns its length.  Zero leaves the
+// cursor's firing (a dummy, an EOS, or nothing yet) to the per-firing
+// path.  The stretch is the pass's, not the batch's: fire hands it to the
+// kernel a batch at a time.
 func (n *engineNode) stretch(ns *nodeSession, fired, limit int) int {
-	k := min(n.batch, n.pass-fired, limit)
+	k := min(n.pass-fired, limit)
 	for i, run := range n.acc {
 		k = min(k, n.room(ns, i)-len(run)+1)
 	}
@@ -1945,6 +1966,28 @@ func (n *engineNode) stretch(ns *nodeSession, fired, limit int) int {
 		n.spanIn[j], n.spanSeq[j] = m.Payload, m.Seq
 	}
 	return k
+}
+
+// widenSpan gives the span scratch pass length, from its first batch
+// length, once a pass finds more than a batch queued besides an EOS: a
+// stretch may then be longer than a batch.  A node that never sees such a
+// pass, like every node of a one-message session, keeps its first lines.
+// fire calls it at the pass's start, so that stretch calls nothing and
+// keeps a leaf's frame.
+func (n *engineNode) widenSpan(ns *nodeSession) {
+	q := len(ns.q)
+	if !n.queued {
+		c := n.inEdge(ns, 0)
+		if q = c.queued(); c.at(q-1).Kind == EOS {
+			q--
+		}
+	}
+	if q <= len(n.spanIn) {
+		return
+	}
+	s := lineSlice[any](2 * n.pass)
+	n.spanIn, n.spanOut = s[:n.pass:n.pass], s[n.pass:]
+	n.spanSeq = lineSlice[uint64](n.pass)
 }
 
 // dummyStretch takes, in one step, the longest run of dummy-only firings

@@ -555,6 +555,86 @@ func BenchmarkFireOnceMapKernel(b *testing.B) {
 	benchFireOnce(b, KernelFunc(Passthrough(1).Process))
 }
 
+// flipKernel maps each int payload to its low bit flipped, in both forms:
+// small ints box without allocating, so a pass measures the engine.
+type flipKernel struct{}
+
+func (flipKernel) Process(seq uint64, in []Input) map[int]any {
+	return map[int]any{0: in[0].Payload.(int) ^ 1}
+}
+
+func (flipKernel) ProcessSpan(_ uint64, in, out []any) int {
+	for j, p := range in {
+		out[j] = p.(int) ^ 1
+	}
+	return len(in)
+}
+
+// benchSpanPass times one pass of 64 data firings at a one-in-edge node
+// whose kernel maps each element (flipKernel): the stretch's staging, the
+// kernel calls — one per element at batch 1, one per pass at 64 — the
+// protocol update, the run's copy and its send, per message.
+func benchSpanPass(b *testing.B, batch int) {
+	const run = 64
+	g := workload.Pipeline(3, run)
+	mid := g.MustNode("s1")
+	f := newFiringBench(b, g, mid, map[graph.NodeID]Kernel{mid: flipKernel{}}, Config{MaxBatch: batch})
+	msgs := make([]Message, run)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += run {
+		for j := range msgs {
+			msgs[j] = Message{Seq: uint64(i + j), Kind: Data, Payload: j}
+		}
+		pushIn(f.n, f.ns, 0, msgs...)
+		if !f.n.fireRun(f.ns) || f.n.inEdge(f.ns, 0).queued() != 0 {
+			b.Fatal("a run of 64 data heads did not fire in one pass")
+		}
+		f.recycle()
+	}
+}
+
+func BenchmarkSpanPassB1(b *testing.B)  { benchSpanPass(b, 1) }
+func BenchmarkSpanPassB64(b *testing.B) { benchSpanPass(b, 64) }
+
+// TestSpanScratchWidensForALongStretch pins when a node's span scratch
+// grows from a batch to a pass: at a pass that finds more than a batch
+// queued besides an EOS, before the stretch is staged.  A batch of data
+// and an EOS (a session shorter than a batch) leaves it as NewEngine cut
+// it; one more data message is a stretch longer than a batch, taken in
+// one pass.
+func TestSpanScratchWidensForALongStretch(t *testing.T) {
+	for _, batch := range []int{1, 3} {
+		for _, eos := range []bool{true, false} {
+			g := workload.Pipeline(3, 64)
+			mid := g.MustNode("s1")
+			f := newFiringBench(t, g, mid, map[graph.NodeID]Kernel{mid: flipKernel{}}, Config{MaxBatch: batch})
+			msgs := make([]Message, batch+1)
+			for j := range msgs {
+				msgs[j] = Message{Seq: uint64(j), Kind: Data, Payload: j}
+			}
+			if eos {
+				msgs[batch] = Message{Seq: proto.EOSSeq, Kind: EOS}
+			}
+			pushIn(f.n, f.ns, 0, msgs...)
+			if !f.n.fireRun(f.ns) {
+				t.Fatalf("batch %d: queued data did not fire", batch)
+			}
+			want, data := f.n.pass, batch+1
+			if eos {
+				want, data = batch, batch // the EOS is a pass of its own
+			}
+			if got := len(f.n.spanIn); got != want || len(f.n.spanOut) != want || len(f.n.spanSeq) != want {
+				t.Errorf("batch %d, EOS %v: span scratch %d/%d/%d long, want %d",
+					batch, eos, got, len(f.n.spanOut), len(f.n.spanSeq), want)
+			}
+			if sent := f.recycle(); sent != data {
+				t.Errorf("batch %d, EOS %v: %d messages sent, want %d", batch, eos, sent, data)
+			}
+		}
+	}
+}
+
 // joinRig is a node with the given in-degree whose one out-edge has
 // capacity outBuf, every in-edge 64 deep, on the firing rig under alg
 // with every dummy interval 1, at the given batch width.

@@ -386,7 +386,8 @@ func Map[A, B any](name string, fn func(A) B) Stage {
 // by the simulator and by a replicated stage's replicas, which fire it
 // through ProcessInto and box its outputs as Go does; ProcessSpan runs
 // only on an engine node's own copy (ForNode), whose arena boxes the
-// node's outputs into chunks it keeps across calls (internal/box).
+// node's outputs into chunks it keeps across calls (internal/box).  The
+// copy is a pointer, so a span call does not copy the kernel's fields.
 type flowMapKernel[A, B any] struct {
 	keepKernel
 	fn    func(A) B
@@ -398,11 +399,11 @@ type flowMapKernel[A, B any] struct {
 func (k flowMapKernel[A, B]) ForNode() Kernel {
 	a := k.boxer.Arena()
 	k.arena = &a
-	return k
+	return &k
 }
 
 // ProcessSpan taps the committed elements after the span.
-func (k flowMapKernel[A, B]) ProcessSpan(_ uint64, in, out []any) int {
+func (k *flowMapKernel[A, B]) ProcessSpan(_ uint64, in, out []any) int {
 	c, n := k.arena.Load(len(in)), len(in)
 	for j, p := range in {
 		v, ok := assertAs[A](p)
