@@ -185,7 +185,7 @@ func decodeRun(b []byte, count int, run []stream.Message, words *box.Arena[uint6
 		switch m.Kind {
 		case stream.Data:
 			var err error
-			if m.Payload, b, err = decodeRunPayload(b, words, &c); err != nil {
+			if m.Payload, b, err = decodePayload(b, words, &c); err != nil {
 				return nil, fmt.Errorf("dist: run frame element %d of %d: %w", i, count, err)
 			}
 		case stream.Dummy, stream.EOS:
@@ -277,30 +277,10 @@ var (
 	boxFloat64 = box.For[float64]()
 )
 
-// decodeRunPayload is decodePayload for an element of a run frame: an
-// 8-byte scalar is boxed into c, the chunk of the words arena its four
-// types share (box.Word), and anything else is decodePayload's.
-func decodeRunPayload(b []byte, words *box.Arena[uint64], c *[]uint64) (any, []byte, error) {
-	if len(b) < 9 {
-		return decodePayload(b)
-	}
-	u, rest := binary.BigEndian.Uint64(b[1:]), b[9:]
-	switch b[0] {
-	case pUint64:
-		return boxUint64.Word(u, words, c), rest, nil
-	case pInt64:
-		return boxInt64.Word(int64(u), words, c), rest, nil
-	case pInt:
-		return boxInt.Word(int(u), words, c), rest, nil
-	case pFloat64:
-		return boxFloat64.Word(math.Float64frombits(u), words, c), rest, nil
-	}
-	return decodePayload(b)
-}
-
 // decodePayload decodes the payload at the head of b and returns what
-// follows it.  Nothing it returns aliases b.
-func decodePayload(b []byte) (v any, rest []byte, err error) {
+// follows it.  An 8-byte scalar is boxed into c, the chunk of the words
+// arena its four types share (box.Word).  Nothing it returns aliases b.
+func decodePayload(b []byte, words *box.Arena[uint64], c *[]uint64) (v any, rest []byte, err error) {
 	if len(b) == 0 {
 		return nil, nil, fmt.Errorf("dist: empty payload")
 	}
@@ -315,13 +295,13 @@ func decodePayload(b []byte) (v any, rest []byte, err error) {
 		u, rest := binary.BigEndian.Uint64(b), b[8:]
 		switch t {
 		case pUint64:
-			return u, rest, nil
+			return boxUint64.Word(u, words, c), rest, nil
 		case pInt64:
-			return int64(u), rest, nil
+			return boxInt64.Word(int64(u), words, c), rest, nil
 		case pInt:
-			return int(u), rest, nil
+			return boxInt.Word(int(u), words, c), rest, nil
 		default:
-			return math.Float64frombits(u), rest, nil
+			return boxFloat64.Word(math.Float64frombits(u), words, c), rest, nil
 		}
 	case pBool:
 		if len(b) < 1 {

@@ -38,8 +38,10 @@ func TestPayloadRoundTrip(t *testing.T) {
 			t.Fatalf("%#v: encode: %v", p, err)
 		}
 	}
+	words := box.For[uint64]().Arena()
+	c := words.Load(len(payloads))
 	for _, p := range payloads {
-		got, rest, err := decodePayload(b)
+		got, rest, err := decodePayload(b, &words, &c)
 		if err != nil {
 			t.Fatalf("%#v: decode: %v", p, err)
 		}

@@ -1,11 +1,12 @@
 package graph
 
-// This file provides undirected connectivity structure: articulation points
-// and biconnected (2-edge/2-vertex-connected) components of the underlying
-// undirected multigraph.  Theorem V.7 of the paper characterizes CS4 DAGs as
-// serial compositions of SP-DAGs and SP-ladders; the serial join points are
-// exactly the articulation points of the undirected graph, so the CS4 layer
-// splits there and classifies each biconnected piece separately.
+// This file provides undirected connectivity structure: the biconnected
+// components of the underlying undirected multigraph.  Theorem V.7 of the
+// paper characterizes CS4 DAGs as serial compositions of SP-DAGs and
+// SP-ladders; the serial join points are exactly the articulation points of
+// the undirected graph, so the CS4 layer splits the edge set into its
+// biconnected components (which meet at those points) and classifies each
+// piece separately.
 
 // undirectedAdj builds, for each node, the list of (edge, otherEndpoint)
 // pairs regardless of direction.  Self-loops cannot occur in a DAG.
@@ -29,87 +30,6 @@ func (g *Graph) undirectedAdj() [][]halfEdge {
 		adj[e.To] = append(adj[e.To], halfEdge{e.ID, e.From})
 	}
 	return adj
-}
-
-// ArticulationPoints returns the articulation points of the underlying
-// undirected multigraph, in node-ID order.  A node is an articulation point
-// if removing it disconnects its connected component.  Parallel edges are
-// handled correctly (two parallel edges form a cycle, so neither endpoint is
-// cut by them alone).
-func (g *Graph) ArticulationPoints() []NodeID {
-	n := len(g.names)
-	adj := g.undirectedAdj()
-	disc := make([]int, n) // discovery time, 0 = unvisited
-	low := make([]int, n)  // lowest discovery reachable
-	isCut := make([]bool, n)
-	timer := 0
-
-	// Iterative DFS to survive deep graphs (pipelines can be very long).
-	type frame struct {
-		node   NodeID
-		parent EdgeID // edge used to enter node; -1 at roots
-		idx    int    // next adjacency index to explore
-		kids   int    // DFS children (roots only)
-	}
-	for start := 0; start < n; start++ {
-		if disc[start] != 0 {
-			continue
-		}
-		timer++
-		disc[start] = timer
-		low[start] = timer
-		stack := []frame{{node: NodeID(start), parent: -1}}
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.idx < len(adj[f.node]) {
-				he := adj[f.node][f.idx]
-				f.idx++
-				if he.e == f.parent {
-					// Skip only the single edge we entered on; a parallel
-					// edge with the same endpoints is a genuine cycle.
-					continue
-				}
-				if disc[he.other] != 0 {
-					if disc[he.other] < low[f.node] {
-						low[f.node] = disc[he.other]
-					}
-					continue
-				}
-				timer++
-				disc[he.other] = timer
-				low[he.other] = timer
-				f.kids++
-				stack = append(stack, frame{node: he.other, parent: he.e})
-				continue
-			}
-			// Pop; fold low into parent and apply the cut-vertex rule.
-			done := *f
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				p := &stack[len(stack)-1]
-				if low[done.node] < low[p.node] {
-					low[p.node] = low[done.node]
-				}
-				if len(stack) > 1 || p.parent != -1 {
-					if low[done.node] >= disc[p.node] {
-						isCut[p.node] = true
-					}
-				} else {
-					// p is the DFS root: cut iff ≥ 2 children.
-					if low[done.node] >= disc[p.node] && p.kids >= 2 {
-						isCut[p.node] = true
-					}
-				}
-			}
-		}
-	}
-	var cuts []NodeID
-	for i, c := range isCut {
-		if c {
-			cuts = append(cuts, NodeID(i))
-		}
-	}
-	return cuts
 }
 
 // BiconnectedComponents partitions the edge set into biconnected components

@@ -5,24 +5,16 @@ import (
 	"testing"
 )
 
-func names(g *Graph, ns []NodeID) []string {
-	out := make([]string, len(ns))
-	for i, n := range ns {
-		out[i] = g.Name(n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func TestArticulationDiamond(t *testing.T) {
+	// No cut vertex: the diamond is one biconnected component.
 	g := diamond(t)
-	if cuts := g.ArticulationPoints(); len(cuts) != 0 {
-		t.Errorf("diamond has cut vertices %v", names(g, cuts))
+	if comps := g.BiconnectedComponents(); len(comps) != 1 || len(comps[0]) != 4 {
+		t.Errorf("diamond components = %v, want one of 4 edges", comps)
 	}
 }
 
 func TestArticulationSerialDiamonds(t *testing.T) {
-	// Two diamonds joined at m: cut vertex is exactly m.
+	// Two diamonds joined at the cut vertex m.
 	g := New()
 	a := g.AddNode("a")
 	b := g.AddNode("b")
@@ -39,10 +31,6 @@ func TestArticulationSerialDiamonds(t *testing.T) {
 	g.AddEdge(m, e, 1)
 	g.AddEdge(d, z, 1)
 	g.AddEdge(e, z, 1)
-	got := names(g, g.ArticulationPoints())
-	if len(got) != 1 || got[0] != "m" {
-		t.Errorf("cuts = %v, want [m]", got)
-	}
 	comps := g.BiconnectedComponents()
 	if len(comps) != 2 {
 		t.Fatalf("got %d biconnected components, want 2", len(comps))
@@ -61,10 +49,6 @@ func TestArticulationPipeline(t *testing.T) {
 	c := g.AddNode("c")
 	g.AddEdge(a, b, 1)
 	g.AddEdge(b, c, 1)
-	got := names(g, g.ArticulationPoints())
-	if len(got) != 1 || got[0] != "b" {
-		t.Errorf("cuts = %v, want [b]", got)
-	}
 	comps := g.BiconnectedComponents()
 	if len(comps) != 2 || len(comps[0]) != 1 || len(comps[1]) != 1 {
 		t.Errorf("bridge components = %v", comps)
@@ -80,10 +64,6 @@ func TestArticulationParallelEdges(t *testing.T) {
 	g.AddEdge(a, b, 1)
 	g.AddEdge(a, b, 1)
 	g.AddEdge(b, c, 1)
-	got := names(g, g.ArticulationPoints())
-	if len(got) != 1 || got[0] != "b" {
-		t.Errorf("cuts = %v, want [b]", got)
-	}
 	comps := g.BiconnectedComponents()
 	if len(comps) != 2 {
 		t.Fatalf("components = %v, want 2", comps)
@@ -99,8 +79,7 @@ func TestArticulationParallelEdges(t *testing.T) {
 }
 
 func TestBiconnectedCoversAllEdges(t *testing.T) {
-	g := diamond(t)
-	h := g.Clone()
+	h := diamond(t)
 	x := h.AddNode("x")
 	h.AddEdge(h.MustNode("D"), x, 1)
 	comps := h.BiconnectedComponents()

@@ -231,15 +231,6 @@ func (g *Graph) Source() NodeID { return g.Sources()[0] }
 // Sink returns the unique sink.  Call only after Validate.
 func (g *Graph) Sink() NodeID { return g.Sinks()[0] }
 
-// WeaklyConnected reports whether the underlying undirected graph is
-// connected.  An empty graph is not connected.
-func (g *Graph) WeaklyConnected() bool {
-	if len(g.names) == 0 {
-		return false
-	}
-	return g.disconnectedFrom(0) == -1
-}
-
 // disconnectedFrom returns a node with no undirected path from start,
 // or -1 when the graph is weakly connected.
 func (g *Graph) disconnectedFrom(start NodeID) NodeID {
@@ -275,18 +266,6 @@ func (g *Graph) disconnectedFrom(start NodeID) NodeID {
 		}
 	}
 	return -1
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for _, name := range g.names {
-		c.AddNode(name)
-	}
-	for _, e := range g.edges {
-		c.AddEdge(e.From, e.To, e.Buf)
-	}
-	return c
 }
 
 // Reachable returns the set of nodes reachable from n by directed paths,

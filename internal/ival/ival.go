@@ -120,9 +120,6 @@ func (v Interval) Add(w Interval) Interval {
 	return FromRatio(v.num*w.den+w.num*v.den, v.den*w.den)
 }
 
-// AddInt returns v + n for integer n ≥ 0.
-func (v Interval) AddInt(n int64) Interval { return v.Add(FromInt(n)) }
-
 // DivInt returns v / n for integer n ≥ 1.  ∞ / n = ∞.
 func (v Interval) DivInt(n int64) Interval {
 	if n <= 0 {
@@ -135,36 +132,12 @@ func (v Interval) DivInt(n int64) Interval {
 }
 
 // Ceil returns ⌈v⌉ as an int64.  This is the rounding the paper applies in
-// Fig. 3 ("roundup").  Panics on ∞; use CeilOr for a defaulted variant.
+// Fig. 3 ("roundup").  Panics on ∞.
 func (v Interval) Ceil() int64 {
 	if v.IsInf() {
 		panic("ival: Ceil of +∞")
 	}
 	return (v.num + v.den - 1) / v.den
-}
-
-// Floor returns ⌊v⌋ as an int64.  Panics on ∞.
-func (v Interval) Floor() int64 {
-	if v.IsInf() {
-		panic("ival: Floor of +∞")
-	}
-	return v.num / v.den
-}
-
-// CeilOr returns ⌈v⌉, or def when v is +∞.
-func (v Interval) CeilOr(def int64) int64 {
-	if v.IsInf() {
-		return def
-	}
-	return v.Ceil()
-}
-
-// FloorOr returns ⌊v⌋, or def when v is +∞.
-func (v Interval) FloorOr(def int64) int64 {
-	if v.IsInf() {
-		return def
-	}
-	return v.Floor()
 }
 
 // Float returns v as a float64 (math.Inf(1) for ∞); for reporting only.

@@ -32,9 +32,6 @@ func TestFig3Rounding(t *testing.T) {
 	if got := FromRatio(8, 3).Ceil(); got != 3 {
 		t.Errorf("ceil(8/3) = %d", got)
 	}
-	if got := FromRatio(8, 3).Floor(); got != 2 {
-		t.Errorf("floor(8/3) = %d", got)
-	}
 }
 
 func TestCmpAndMin(t *testing.T) {
@@ -64,13 +61,13 @@ func TestCmpAndMin(t *testing.T) {
 }
 
 func TestArithmetic(t *testing.T) {
-	if got := FromInt(3).AddInt(4); !got.Equal(FromInt(7)) {
+	if got := FromInt(3).Add(FromInt(4)); !got.Equal(FromInt(7)) {
 		t.Errorf("3+4 = %v", got)
 	}
 	if got := FromRatio(1, 2).Add(FromRatio(1, 3)); !got.Equal(FromRatio(5, 6)) {
 		t.Errorf("1/2+1/3 = %v", got)
 	}
-	if got := Inf().AddInt(5); !got.IsInf() {
+	if got := Inf().Add(FromInt(5)); !got.IsInf() {
 		t.Errorf("∞+5 = %v", got)
 	}
 	if got := FromInt(8).DivInt(3); !got.Equal(FromRatio(8, 3)) {
@@ -82,15 +79,6 @@ func TestArithmetic(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	if got := Inf().CeilOr(-1); got != -1 {
-		t.Errorf("CeilOr = %d", got)
-	}
-	if got := FromRatio(7, 2).CeilOr(-1); got != 4 {
-		t.Errorf("CeilOr(7/2) = %d", got)
-	}
-	if got := Inf().FloorOr(42); got != 42 {
-		t.Errorf("FloorOr = %d", got)
-	}
 	if !math.IsInf(Inf().Float(), 1) {
 		t.Error("Float(∞) not +Inf")
 	}
@@ -113,7 +101,6 @@ func TestPanics(t *testing.T) {
 	mustPanic("neg ratio", func() { FromRatio(-1, 2) })
 	mustPanic("zero den", func() { FromRatio(1, 0) })
 	mustPanic("ceil inf", func() { Inf().Ceil() })
-	mustPanic("floor inf", func() { Inf().Floor() })
 	mustPanic("num inf", func() { Inf().Num() })
 	mustPanic("div zero", func() { FromInt(1).DivInt(0) })
 }

@@ -96,12 +96,3 @@ func HasK4Subdivision(g *graph.Graph) (has bool, core []graph.NodeID) {
 	sort.Slice(core, func(i, j int) bool { return core[i] < core[j] })
 	return true, core
 }
-
-// PrefilterCS4 is the fast necessary test of Lemma V.1: a graph with a K4
-// subdivision cannot be CS4.  It returns false (definitely not CS4) with
-// the core witness, or true (possibly CS4 — run the structural
-// classifier) with nil.
-func PrefilterCS4(g *graph.Graph) (possible bool, core []graph.NodeID) {
-	has, c := HasK4Subdivision(g)
-	return !has, c
-}

@@ -20,10 +20,6 @@ func TestButterflyHasK4(t *testing.T) {
 	if len(core) < 4 {
 		t.Errorf("core = %v, want ≥ 4 vertices", core)
 	}
-	ok, _ := k4.PrefilterCS4(g)
-	if ok {
-		t.Error("prefilter should rule the butterfly out")
-	}
 }
 
 func TestCS4FamiliesAreK4Free(t *testing.T) {
@@ -106,10 +102,10 @@ func TestAgreesWithExhaustiveOnGenerals(t *testing.T) {
 	flagged, tested := 0, 0
 	for trial := 0; trial < 80; trial++ {
 		g := workload.RandomLayeredDAG(rng, 1+rng.Intn(3), 1+rng.Intn(3), 4, 0.6)
-		possible, _ := k4.PrefilterCS4(g)
+		has, _ := k4.HasK4Subdivision(g)
 		ok, _ := cycles.IsCS4(g)
 		tested++
-		if !possible {
+		if has {
 			flagged++
 			if ok {
 				t.Fatalf("trial %d: prefilter rejected a CS4 graph (Lemma V.1 violated):\n%s",
@@ -129,12 +125,12 @@ func TestPrefilterConsistentWithClassifier(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 60; trial++ {
 		g := workload.RandomLayeredDAG(rng, 1+rng.Intn(3), 2, 4, 0.5)
-		possible, _ := k4.PrefilterCS4(g)
+		has, _ := k4.HasK4Subdivision(g)
 		d, err := cs4.Classify(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !possible && d.Class != cs4.ClassGeneral {
+		if has && d.Class != cs4.ClassGeneral {
 			t.Fatalf("trial %d: prefilter impossible but class %v:\n%s", trial, d.Class, g)
 		}
 	}

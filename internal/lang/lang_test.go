@@ -19,7 +19,7 @@ topology video {
 `
 
 func TestBuildVideo(t *testing.T) {
-	g, err := Build(videoSrc)
+	g, _, err := BuildPlan(videoSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestBuildVideo(t *testing.T) {
 }
 
 func TestChainSugar(t *testing.T) {
-	g, err := Build("topology p { a -> b -> c -> d }")
+	g, _, err := BuildPlan("topology p { a -> b -> c -> d }")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestChainSugar(t *testing.T) {
 }
 
 func TestFanInFanOut(t *testing.T) {
-	g, err := Build("topology sj { s -> (w1, w2, w3) -> j }")
+	g, _, err := BuildPlan("topology sj { s -> (w1, w2, w3) -> j }")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ topology lad {
   v2 -> u2
 }
 `
-	g, err := Build(src)
+	g, _, err := BuildPlan(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestParseErrors(t *testing.T) {
 		"empty":             "",
 	}
 	for name, src := range cases {
-		if _, err := Build(src); err == nil {
+		if _, _, err := BuildPlan(src); err == nil {
 			t.Errorf("%s: accepted %q", name, src)
 		}
 	}
@@ -192,14 +192,14 @@ func TestCompileErrors(t *testing.T) {
 		"empty block": "topology t { }",
 	}
 	for name, src := range cases {
-		if _, err := Build(src); err == nil {
+		if _, _, err := BuildPlan(src); err == nil {
 			t.Errorf("%s: accepted %q", name, src)
 		}
 	}
 }
 
 func TestSyntaxErrorPositions(t *testing.T) {
-	_, err := Build("topology t {\n  a -> b\n  c @ d\n}")
+	_, _, err := BuildPlan("topology t {\n  a -> b\n  c @ d\n}")
 	serr, ok := err.(*SyntaxError)
 	if !ok {
 		t.Fatalf("err = %T %v", err, err)
@@ -212,8 +212,8 @@ func TestSyntaxErrorPositions(t *testing.T) {
 	}
 }
 
-func TestParseFileReader(t *testing.T) {
-	f, err := ParseFile(strings.NewReader(videoSrc))
+func TestParseStringFile(t *testing.T) {
+	f, err := ParseString(videoSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestParseFileReader(t *testing.T) {
 }
 
 func TestComments(t *testing.T) {
-	g, err := Build("# header\ntopology t { # inline\n a -> b # trailing\n }")
+	g, _, err := BuildPlan("# header\ntopology t { # inline\n a -> b # trailing\n }")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package lang
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 
 	"streamdag/internal/graph"
@@ -59,15 +58,6 @@ func (p *parser) expect(k tokKind) (token, error) {
 		return t, errAt(t, "expected %v, found %v %q", k, t.kind, t.text)
 	}
 	return t, nil
-}
-
-// ParseFile parses a topology file.
-func ParseFile(r io.Reader) (*File, error) {
-	src, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return ParseString(string(src))
 }
 
 // ParseString parses topology source text.
@@ -269,13 +259,6 @@ func (p *parser) chain() (*Chain, error) {
 	return c, nil
 }
 
-// Compile elaborates a parsed file into a graph, discarding replication
-// annotations; see CompilePlan.
-func Compile(f *File) (*graph.Graph, error) {
-	g, _, err := CompilePlan(f)
-	return g, err
-}
-
 // CompilePlan elaborates a parsed file into a graph: groups connect
 // completely, buffers default as declared (or 1 if never declared), and
 // nodes appear in declaration/first-use order.  The returned plan maps
@@ -343,13 +326,6 @@ func CompilePlan(f *File) (*graph.Graph, map[string]int, error) {
 		plan[r.Node] = r.K
 	}
 	return g, plan, nil
-}
-
-// Build parses and compiles in one step, discarding replication
-// annotations; see BuildPlan.
-func Build(src string) (*graph.Graph, error) {
-	g, _, err := BuildPlan(src)
-	return g, err
 }
 
 // BuildPlan parses and compiles in one step, returning the base graph

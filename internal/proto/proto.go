@@ -60,16 +60,6 @@ const (
 	EOS
 )
 
-// Rounding is the policy for integerizing rational intervals.
-type Rounding int
-
-const (
-	// Ceil rounds intervals up (the paper's published Fig. 3 policy).
-	Ceil Rounding = iota
-	// Floor rounds intervals down (strictly more conservative).
-	Floor
-)
-
 // Config selects the protocol an Engine applies.
 type Config struct {
 	// Algorithm selects the dummy protocol used when Intervals != nil.
@@ -77,14 +67,12 @@ type Config struct {
 	// Intervals are the per-edge dummy intervals; nil disables dummy
 	// messages entirely (the unsafe baseline).  +∞ entries never send.
 	Intervals map[graph.EdgeID]ival.Interval
-	// Rounding converts rational intervals to integer send gaps.
-	// Defaults to ceiling.
-	Rounding Rounding
 }
 
 // Integerize converts the configured interval of e into an integer send
-// gap; 0 disables dummies on e (∞, or avoidance disabled).  Sub-unit
-// intervals clamp to 1: "send a dummy with every message".
+// gap by rounding it up (the paper's Fig. 3); 0 disables dummies on e (∞,
+// or avoidance disabled).  A zero interval clamps to 1: "send a dummy
+// with every message".
 func Integerize(cfg Config, e graph.EdgeID) uint64 {
 	if cfg.Intervals == nil {
 		return 0
@@ -93,16 +81,7 @@ func Integerize(cfg Config, e graph.EdgeID) uint64 {
 	if !ok || iv.IsInf() {
 		return 0
 	}
-	var n int64
-	if cfg.Rounding == Floor {
-		n = iv.Floor()
-	} else {
-		n = iv.Ceil()
-	}
-	if n < 1 {
-		n = 1
-	}
-	return uint64(n)
+	return uint64(max(iv.Ceil(), 1))
 }
 
 // MinSeq returns the smallest sequence number among the heads of a node's
@@ -229,10 +208,6 @@ func (e *Engine) Fire(seq uint64, emitted []bool) (dummy []bool) {
 	}
 	return e.dummy
 }
-
-// Gap returns the integerized send gap of out-edge i (0 = never), for
-// diagnostics and tests.
-func (e *Engine) Gap(i int) uint64 { return e.sendAt[i] }
 
 // FireRun records a contiguous run of firings — sequence numbers
 // first..last inclusive, every one of which emitted data on exactly the

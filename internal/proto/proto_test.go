@@ -17,18 +17,19 @@ func TestIntegerize(t *testing.T) {
 		0: ival.FromRatio(8, 3),
 		1: ival.Inf(),
 		2: ival.FromRatio(1, 3),
+		4: ival.FromInt(0),
 	}
 	cases := []struct {
 		cfg  Config
 		e    graph.EdgeID
 		want uint64
 	}{
-		{Config{Intervals: iv}, 0, 3},                  // ceil(8/3)
-		{Config{Intervals: iv, Rounding: Floor}, 0, 2}, // floor(8/3)
-		{Config{Intervals: iv}, 1, 0},                  // ∞ never sends
-		{Config{}, 0, 0},                               // avoidance disabled
-		{Config{Intervals: iv, Rounding: Floor}, 2, 1}, // sub-unit clamps
-		{Config{Intervals: iv}, 3, 0},                  // absent edge
+		{Config{Intervals: iv}, 0, 3}, // ceil(8/3)
+		{Config{Intervals: iv}, 1, 0}, // ∞ never sends
+		{Config{}, 0, 0},              // avoidance disabled
+		{Config{Intervals: iv}, 2, 1}, // ceil(1/3)
+		{Config{Intervals: iv}, 4, 1}, // a zero interval clamps to 1
+		{Config{Intervals: iv}, 3, 0}, // absent edge
 	}
 	for _, c := range cases {
 		if got := Integerize(c.cfg, c.e); got != c.want {

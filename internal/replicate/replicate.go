@@ -268,26 +268,6 @@ func (r *Result) Replicas(n graph.NodeID) []graph.NodeID {
 	return []graph.NodeID{r.newNode[n]}
 }
 
-// Splitter returns the synthetic splitter for original node n, or ok =
-// false when n was not replicated.
-func (r *Result) Splitter(n graph.NodeID) (graph.NodeID, bool) {
-	gr, ok := r.groups[n]
-	if !ok {
-		return 0, false
-	}
-	return gr.split, true
-}
-
-// Merger returns the synthetic merger for original node n, or ok = false
-// when n was not replicated.
-func (r *Result) Merger(n graph.NodeID) (graph.NodeID, bool) {
-	gr, ok := r.groups[n]
-	if !ok {
-		return 0, false
-	}
-	return gr.merge, true
-}
-
 // OriginalEdge maps an expanded edge back to the original edge it
 // carries; ok = false for the synthetic diamond edges.
 func (r *Result) OriginalEdge(e graph.EdgeID) (graph.EdgeID, bool) {

@@ -69,12 +69,6 @@ func TestApplyStructure(t *testing.T) {
 	if len(reps) != 3 {
 		t.Fatalf("replicas = %v", reps)
 	}
-	if sp, ok := r.Splitter(b); !ok || ng.Name(sp) != "B.split" {
-		t.Errorf("Splitter(B) = %v, %v", sp, ok)
-	}
-	if mg, ok := r.Merger(b); !ok || ng.Name(mg) != "B.merge" {
-		t.Errorf("Merger(B) = %v, %v", mg, ok)
-	}
 	// Every original edge survives with its buffer, re-routed around the
 	// diamond; diamond edges inherit the largest adjacent buffer.
 	for _, e := range g.Edges() {
@@ -86,7 +80,7 @@ func TestApplyStructure(t *testing.T) {
 			t.Errorf("OriginalEdge(%d) = %d, %v", ne.ID, oe, ok)
 		}
 	}
-	sp, _ := r.Splitter(b)
+	sp := ng.MustNode("B.split")
 	for _, e := range ng.Out(sp) {
 		if ng.Edge(e).Buf != 3 {
 			t.Errorf("diamond edge buffer = %d, want 3", ng.Edge(e).Buf)

@@ -72,10 +72,6 @@ type Config struct {
 	// Intervals are the per-edge dummy intervals; nil disables dummy
 	// messages entirely (the unsafe baseline).  +∞ entries never send.
 	Intervals map[graph.EdgeID]ival.Interval
-	// Rounding converts rational Non-Propagation intervals to integer
-	// send gaps.  The paper rounds up (Fig. 3); see cmd/experiments E10.
-	// Defaults to ceiling.
-	Rounding Rounding
 	// Inputs is the number of sequence numbers injected at the source
 	// when Source is nil.
 	Inputs uint64
@@ -136,17 +132,6 @@ type Config struct {
 // roundTime is the virtual time one scheduler round represents when
 // Config.Clock is set.
 const roundTime = time.Millisecond
-
-// Rounding is the policy for integerizing rational intervals; it is the
-// protocol engine's Rounding.
-type Rounding = proto.Rounding
-
-const (
-	// Ceil rounds intervals up (the paper's published policy).
-	Ceil = proto.Ceil
-	// Floor rounds intervals down (strictly more conservative).
-	Floor = proto.Floor
-)
 
 // Result summarizes a run.
 type Result struct {
@@ -361,14 +346,7 @@ func protoConfig(cfg Config) proto.Config {
 	return proto.Config{
 		Algorithm: cfg.Algorithm,
 		Intervals: cfg.Intervals,
-		Rounding:  cfg.Rounding,
 	}
-}
-
-// integerize converts the configured interval of e into a send gap; 0
-// disables dummies on e.  It delegates to the shared engine.
-func integerize(cfg Config, e graph.EdgeID) uint64 {
-	return proto.Integerize(protoConfig(cfg), e)
 }
 
 type chanState struct {

@@ -7,7 +7,6 @@ import (
 
 	"streamdag/internal/cs4"
 	"streamdag/internal/graph"
-	"streamdag/internal/ival"
 	"streamdag/internal/workload"
 )
 
@@ -308,14 +307,9 @@ func TestRoundingPolicy(t *testing.T) {
 	}
 	// Starve the a→c path entirely.
 	drop := workload.DropEdge(edgeByNames(t, g, "a", "c"))
-	for _, rounding := range []Rounding{Ceil, Floor} {
-		r := Run(g, Filter(drop), Config{
-			Algorithm: cs4.NonPropagation, Intervals: iv,
-			Rounding: rounding, Inputs: 500,
-		})
-		if !r.Completed {
-			t.Fatalf("rounding %v deadlocked: %v", rounding, r.Blocked)
-		}
+	r := Run(g, Filter(drop), Config{Algorithm: cs4.NonPropagation, Intervals: iv, Inputs: 500})
+	if !r.Completed {
+		t.Fatalf("ceiling deadlocked: %v", r.Blocked)
 	}
 }
 
@@ -333,30 +327,6 @@ func TestOverheadStats(t *testing.T) {
 	}
 	if r.TotalData() == 0 || r.Steps == 0 {
 		t.Error("stats not recorded")
-	}
-}
-
-func TestIntegerize(t *testing.T) {
-	iv := map[graph.EdgeID]ival.Interval{
-		0: ival.FromRatio(8, 3),
-		1: ival.Inf(),
-	}
-	if got := integerize(Config{Intervals: iv}, 0); got != 3 {
-		t.Errorf("ceil(8/3) gap = %d, want 3", got)
-	}
-	if got := integerize(Config{Intervals: iv, Rounding: Floor}, 0); got != 2 {
-		t.Errorf("floor(8/3) gap = %d, want 2", got)
-	}
-	if got := integerize(Config{Intervals: iv}, 1); got != 0 {
-		t.Errorf("∞ gap = %d, want 0 (never)", got)
-	}
-	if got := integerize(Config{}, 0); got != 0 {
-		t.Errorf("nil intervals gap = %d, want 0", got)
-	}
-	// Sub-unit intervals clamp to 1 (send every message).
-	iv[2] = ival.FromRatio(1, 3)
-	if got := integerize(Config{Intervals: iv, Rounding: Floor}, 2); got != 1 {
-		t.Errorf("floor(1/3) gap = %d, want 1", got)
 	}
 }
 

@@ -1810,7 +1810,7 @@ pass:
 		if n.spanK != nil {
 			// The kernel takes the stretch a batch at a time, in order;
 			// a decline ends it.
-			k := n.stretch(ns, fired, sinkRoom-data)
+			k, drained := n.stretch(ns, fired, sinkRoom-data)
 			vec := 0
 			for vec < k {
 				end := min(vec+n.batch, k)
@@ -1848,6 +1848,9 @@ pass:
 			}
 			clear(n.spanIn[:k])
 			clear(n.spanOut[:k])
+			if vec == k && drained {
+				break // the input ran out: the pass ends here
+			}
 			if vec == k && k > 0 {
 				continue
 			}
@@ -1939,33 +1942,38 @@ func (n *engineNode) aligned(ns *nodeSession) bool {
 // stretch stages, in spanIn/spanSeq, the longest run of data-only firings
 // at the pass's cursor that the rest of the pass, the sink pump's window
 // (limit) and the out-edge windows allow — one past the tightest window:
-// the firing whose send parks — and returns its length.  Zero leaves the
-// cursor's firing (a dummy, an EOS, or nothing yet) to the per-firing
-// path.  The stretch is the pass's, not the batch's: fire hands it to the
-// kernel a batch at a time.
-func (n *engineNode) stretch(ns *nodeSession, fired, limit int) int {
-	k := min(n.pass-fired, limit)
+// the firing whose send parks — and returns its length, and drained when
+// the input's end, not a bound, ended it.  Zero, not drained, leaves the
+// cursor's firing (a dummy or an EOS) to the per-firing path.  The stretch
+// is the pass's, not the batch's: fire hands it to the kernel a batch at a
+// time.
+func (n *engineNode) stretch(ns *nodeSession, fired, limit int) (k int, drained bool) {
+	k = min(n.pass-fired, limit)
 	for i, run := range n.acc {
 		k = min(k, n.room(ns, i)-len(run)+1)
 	}
 	if n.queued {
 		q := ns.q[fired:]
-		k = min(k, len(q))
+		if len(q) <= k {
+			k, drained = len(q), true
+		}
 		for j := 0; j < k; j++ {
 			n.spanIn[j], n.spanSeq[j] = q[j], ns.nextSeq+uint64(fired+j)
 		}
-		return k
+		return k, drained
 	}
 	c, cur := n.inEdge(ns, 0), n.cur[0]
-	k = min(k, c.queued()-cur)
+	if left := c.queued() - cur; left <= k {
+		k, drained = left, true
+	}
 	for j := 0; j < k; j++ {
 		m := c.at(cur + j)
 		if m.Kind != Data {
-			return j
+			return j, false
 		}
 		n.spanIn[j], n.spanSeq[j] = m.Payload, m.Seq
 	}
-	return k
+	return k, drained
 }
 
 // widenSpan gives the span scratch pass length, from its first batch
