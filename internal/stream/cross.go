@@ -2,13 +2,14 @@ package stream
 
 // This file is the seam a transport plugs into: an edge named in
 // Config.Cross keeps both of its nodes in this Engine and the window rule
-// of a local edge, split across a wire.  The producer stores sent, hands
-// the run to the edge's Msgs carrier, and reads the consumed count that
-// Credit stores.  The consumer drains a receive ring whose one producer
-// is the transport's reader (Deliver), and hands its consumed count,
-// absolute, to the Credits carrier.  Both halves hold sent − consumed to
-// the edge's Buf, so a cross edge never holds more messages — queued, on
-// the wire or unconsumed — than the dummy intervals were computed for.
+// of a local edge (ring.go), split across a wire.  The producer's half is
+// ringless: it hands each run to the edge's Msgs carrier, and Credit
+// stores the far consumer's count as its consumed.  The consumer drains a
+// receive ring whose one producer is the transport's reader (Deliver), and
+// hands its count, absolute, to the Credits carrier.  Both halves hold
+// sent − consumed to the edge's Buf, so a cross edge never holds more
+// messages — queued, on the wire or unconsumed — than the dummy intervals
+// were computed for.
 
 import (
 	"fmt"
@@ -50,13 +51,13 @@ func (e *Engine) inSlot(edge graph.EdgeID) int {
 	return int(edge)
 }
 
-// Deliver copies a run that crossed the wire on edge, a cross edge, into
+// Deliver publishes a run that crossed the wire on edge, a cross edge, on
 // the receive ring of the session with that id, as a local producer's
-// send would, and kicks the consuming node.  A session that is not (or no
-// longer) open drops the run: its peers' frames stay in flight until they
-// observe the teardown.  The caller is the ring's one producer.  The
-// error is for a run that would hold the edge past its Buf: more than the
-// sender's window allowed.
+// send would (put), and so kicks the consuming node.  A session that is
+// not (or no longer) open drops the run: its peers' frames stay in flight
+// until they observe the teardown.  The caller is the ring's one producer.
+// The error is for a run that would hold the edge past its Buf: more than
+// the sender's window allowed.
 func (e *Engine) Deliver(sid proto.SessionID, edge graph.EdgeID, run []Message) error {
 	x := &e.cross[edge]
 	ses := e.hold(sid)
@@ -65,26 +66,21 @@ func (e *Engine) Deliver(sid proto.SessionID, edge graph.EdgeID, run []Message) 
 	}
 	defer ses.unhold()
 	c := &ses.edges[x.recv]
-	t := c.sent.Load()
-	live := int(t - c.consumed.Load())
+	live := int(c.occupancy())
 	if buf := e.g.Edge(edge).Buf; live+len(run) > buf {
 		return fmt.Errorf("stream: session %d: run of %d on edge %s with %d of its %d unconsumed",
 			sid, len(run), e.edgeName(edge), live, buf)
 	}
-	slots := c.grow(t, live, live+len(run))
-	mask := len(slots) - 1
-	copy(slots, run[copy(slots[int(t)&mask:], run):])
-	c.sent.Store(t + int64(len(run)))
-	ses.kick(x.to)
+	ses.put(c, live, run, x.to)
 	return nil
 }
 
 // Credit stores consumed, the count the far consumer of edge, a cross
 // edge, acknowledged, as the producer's consumed count for the session
-// with that id, and wakes the producing node if it stalled on the full
-// window, as consume does.  Counts are absolute: one no larger than the
-// last is a repeat and changes nothing, and one above what the producer
-// sent fails the session.  The caller is the count's one writer.
+// with that id, and kicks the producing node if it stalled on the full
+// window (consume).  Counts are absolute: one no larger than the last is a
+// repeat and changes nothing, and one above what the producer sent fails
+// the session.  The caller is the count's one writer.
 func (e *Engine) Credit(sid proto.SessionID, edge graph.EdgeID, consumed uint64) {
 	ses := e.hold(sid)
 	if ses == nil {
@@ -92,11 +88,11 @@ func (e *Engine) Credit(sid proto.SessionID, edge graph.EdgeID, consumed uint64)
 	}
 	defer ses.unhold()
 	c := &ses.edges[edge]
-	if sent := c.sent.Load(); consumed > uint64(sent) {
+	if sent, ok := c.covers(consumed); !ok {
 		ses.end(fmt.Errorf("stream: session %d: credit for %d messages on edge %s, of %d sent",
 			sid, consumed, e.edgeName(edge), sent), nil)
-	} else if c.credit(int64(consumed)) {
-		e.cross[edge].from.mb.post(event{kind: evWake, ses: ses})
+	} else if c.consume(int64(consumed)) {
+		ses.kick(e.cross[edge].from)
 	}
 }
 

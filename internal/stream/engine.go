@@ -711,36 +711,6 @@ func (s *EngineSession) unhold() {
 	e.mu.Unlock()
 }
 
-// scrub empties the buffers for their next session: counters and flags
-// zeroed (the atomics with stores, since a watchdog scan that listed the
-// old session may still read them), and rings cleared so no payload
-// outlives its session.  The node states are not scrubbed here: a
-// node resets its own when it retires it (release), as a late event may
-// still read it.
-func (b *sessionBufs) scrub() {
-	for i := range b.kicks {
-		b.kicks[i].raised.Store(false)
-	}
-	for i := range b.edges {
-		b.edges[i].scrub()
-	}
-	b.ingest.scrub()
-	b.emit.scrub()
-	clear(b.ring)
-	clear(b.emPay)
-}
-
-// progress is the watchdog's figure for the session: its edges' and rims'
-// sent and consumed counts, summed.  Every firing, send, consumption and
-// rim handoff moves one of them.
-func (b *sessionBufs) progress() int64 {
-	p := b.ingest.sent.Load() + b.ingest.consumed.Load() + b.emit.sent.Load() + b.emit.consumed.Load()
-	for i := range b.edges {
-		p += b.edges[i].sent.Load() + b.edges[i].consumed.Load()
-	}
-	return p
-}
-
 // closeDone resolves Wait/Done exactly once: the session leaves the
 // engine's registry and gives up its buffers, OnDone runs, and done
 // closes.
@@ -789,8 +759,8 @@ func (s *EngineSession) end(err error, stats *Stats) {
 		s.ended.Store(true)
 		s.err = err
 		s.stats = stats
-		wakePump(&s.ingest.stalled, s.srcWake)
-		wakePump(&s.emit.parked, s.sinkWake)
+		s.wakePump(s.ingest)
+		s.wakePump(s.emit)
 		if m := s.e.cfg.Obs; m != nil {
 			sm := m.Sessions()
 			sm.Active.Add(-1)
@@ -868,7 +838,6 @@ func (s *EngineSession) finishFromSink() {
 func (s *EngineSession) ingestPump(src *engineNode) {
 	defer s.unhold()
 	c, win := s.ingest, int64(s.e.rimWin)
-	full := func() bool { return c.occupancy() == win }
 	// One external-callback window covers each run of fills the window
 	// has room for: the watchdog only needs to know that user code may be
 	// blocking, not how many calls deep the run is.
@@ -878,9 +847,9 @@ func (s *EngineSession) ingestPump(src *engineNode) {
 		if m == 0 {
 			// The room is re-read only once the last reading is used up,
 			// as the source node's count moves on every firing.
-			if m = win - (t - c.consumed.Load()); m == 0 {
+			if m = win - c.occupancy(); m == 0 {
 				s.external.Add(-1)
-				s.await(&c.stalled, s.srcWake, full)
+				s.await(c)
 				s.external.Add(1)
 				continue
 			}
@@ -900,13 +869,8 @@ func (s *EngineSession) ingestPump(src *engineNode) {
 			return
 		}
 		t, m = t+int64(n), m-int64(n)
-		c.sent.Store(t)
-		if eof = eof || n == 0; eof { // an empty error-free fill ends the stream
-			// After the last payload's tail store, so the drain that
-			// observes EOF has observed every payload.
-			c.eof.Store(true)
-		}
-		s.kick(src)
+		eof = eof || n == 0 // an empty error-free fill ends the stream
+		s.feed(src, t, eof)
 		if eof {
 			return
 		}
@@ -931,17 +895,16 @@ func (s *EngineSession) fill(buf []any) (int, bool, error) {
 // sinkPump delivers the session's emissions in order, draining the sink
 // rim eagerly: each delivery covers everything published when it began,
 // and stores the pump's count after it, so a fast sink costs one store per
-// run of emissions and wakes the sink node only if it stalled on the full
+// run of emissions and kicks the sink node only if it stalled on the full
 // window.  The pump stops at the first Emit error, or once the session has
 // ended; emissions still queued are never delivered.
 func (s *EngineSession) sinkPump(sink *engineNode) {
 	defer s.unhold()
 	c := s.emit
-	empty := func() bool { return c.occupancy() == 0 }
-	for !s.ended.Load() {
-		h, t := c.consumed.Load(), c.sent.Load()
+	for h := int64(0); !s.ended.Load(); {
+		t := h + c.occupancy() // h is the pump's own consumed count
 		if h == t {
-			s.await(&c.parked, s.sinkWake, empty)
+			s.await(c)
 			continue
 		}
 		if err := s.deliver(h, t); err != nil {
@@ -949,11 +912,12 @@ func (s *EngineSession) sinkPump(sink *engineNode) {
 			return
 		}
 		if c.consume(t) {
-			sink.mb.post(event{kind: evWake, ses: s})
+			s.kick(sink)
 			if sink.obsS != nil {
 				sink.obsS.SinkWakes.Add(1)
 			}
 		}
+		h = t
 	}
 }
 
@@ -980,22 +944,6 @@ func (s *EngineSession) deliver(h, t int64) (err error) {
 	return err
 }
 
-// emitAt writes a pass's k-th emission straight into its slot of the sink
-// ring, past the tail: a slot the pump neither reads nor clears until
-// publish moves the tail past it, as the pass stops at the window's room.
-func (s *EngineSession) emitAt(k int, seq uint64, pay any) {
-	j := int(s.emit.sent.Load()+int64(k)) & (len(s.emPay) - 1)
-	s.emSeq[j], s.emPay[j] = seq, pay
-}
-
-// publish hands the pump the pass's n emissions written by emitAt: a tail
-// store, and a wake only when the pump waits.  Reports whether it woke it.
-func (s *EngineSession) publish(n int) (woke bool) {
-	c := s.emit
-	c.sent.Store(c.sent.Load() + int64(n))
-	return wakePump(&c.parked, s.sinkWake)
-}
-
 // ---------------------------------------------------------------------
 // Node event loops.
 
@@ -1003,7 +951,6 @@ type evKind uint8
 
 const (
 	evKick evKind = iota // coalesced kick: drain the rings that feed this node for the session
-	evWake               // a consumer made room in a window where the node stalled
 	evTick               // a time-aware node's flush timer fired for the session
 	evAbort
 	evKinds
@@ -1176,13 +1123,13 @@ const obsSampleRate = 8
 
 // nodeSession is one node's protocol state for one session, part of the
 // session's record (sessionBufs.states) and recycled with it, so a short
-// session does not rebuild its slices and its proto.Engine at every node.  Only its node touches it.  The node starts it at
-// its first event for a session (gen, the record's generation, is then
-// the session's), and retires and then releases it when the session is
-// over here: a late event of the session — a spare wake, a tick, a credit
-// after the last send — finds its generation retired or released (no
-// session) and is dropped.  A later session's first event finds an older
-// generation.
+// session does not rebuild its slices and its proto.Engine at every node.
+// Only its node touches it.  The node starts it at its first event for a
+// session (gen, the record's generation, is then the session's), and
+// retires and then releases it when the session is over here: a late
+// event of the session — a spare kick, a tick — finds its generation
+// retired or released (no session) and is dropped.  A later session's
+// first event finds an older generation.
 type nodeSession struct {
 	_   [64]byte // apart from its neighbours in memory (see lineSlice)
 	ses *EngineSession
@@ -1300,9 +1247,7 @@ func (n *engineNode) obsDrainSession(ses *EngineSession) {
 		return
 	}
 	for e := range n.e.g.NumEdges() {
-		// A cross edge's consumer counts on its receive side.
-		consumed := ses.edges[n.e.inSlot(graph.EdgeID(e))].consumed.Load()
-		if r := ses.edges[e].sent.Load() - consumed; r != 0 {
+		if r := ses.residue(e, n.e.inSlot(graph.EdgeID(e))); r != 0 {
 			m.Edge(e).Consumed.Add(r)
 		}
 	}
@@ -1394,30 +1339,11 @@ func (n *engineNode) absorb(ev *event) {
 	}
 	switch ev.kind {
 	case evKick:
-		// Lower the flag before reading the tails: a message published
-		// after the read raises it again and posts a fresh kick, so none
-		// are stranded.
-		ev.ses.kicks[n.id].raised.Store(false)
-		if len(n.in) == 0 {
-			n.drainIngest(ns)
-		} else {
-			n.drain(ns)
-		}
+		n.drain(ns)
 	case evTick:
 		ns.tickDue = true
 	}
 	n.markDirty(ns)
-}
-
-// kick raises node n's kick flag for the session and, if it was lowered,
-// posts the evKick that will lower it: one event per drain cycle, however
-// many runs are published meanwhile.  Load-then-CAS skips the bus-locked
-// op while the flag is already raised.
-func (s *EngineSession) kick(n *engineNode) {
-	f := &s.kicks[n.id].raised
-	if !f.Load() && f.CompareAndSwap(false, true) {
-		n.mb.post(event{kind: evKick, ses: s})
-	}
 }
 
 // advance drives the session's state machine at this node as far as it
@@ -1465,12 +1391,12 @@ func (n *engineNode) advance(ns *nodeSession) {
 // while sends land, and end the stream once nothing more will be queued
 // and the queue has drained.  The source's queue is the next segment of
 // what its pump published, which runs ahead up to the ingest window; a
-// time-aware node refills its own, by delivering a due flush-timer tick and consuming
-// inputs, but only with the queue empty and nothing parked — a tick that
-// finds sends parked is deferred (the wake or credit that drains them
-// re-runs the advance) and the timer stays disarmed meanwhile, so a genuinely wedged
-// downstream still trips the watchdog instead of being masked by an
-// immediately-due timer respinning forever.
+// time-aware node refills its own, by delivering a due flush-timer tick
+// and consuming inputs, but only with the queue empty and nothing parked —
+// a tick that finds sends parked is deferred (the kick that drains them
+// re-runs the advance) and the timer stays disarmed meanwhile, so a
+// genuinely wedged downstream still trips the watchdog instead of being
+// masked by an immediately-due timer respinning forever.
 func (n *engineNode) advanceQueued(ns *nodeSession) {
 loop:
 	for !ns.done && ns.pendingN == 0 {
@@ -1507,42 +1433,11 @@ func (n *engineNode) endStream(ns *nodeSession) {
 	n.flush(ns)
 }
 
-// flushCredits stores each in-edge's head, the messages the node took,
-// as its consumed count, and the source's fired payloads as the ingest
-// rim's.  That count is the credit: a local producer reads it, and is
-// woken only if it stalled on the full window (see consume); a cross
-// edge's is handed, absolute, to its Credits carrier.
-func (n *engineNode) flushCredits(ns *nodeSession) {
-	if len(n.in) == 0 {
-		c, k := ns.ses.ingest, int64(ns.nextSeq)
-		if k != c.consumed.Load() && c.consume(k) {
-			ns.ses.srcWake <- struct{}{}
-			if n.obsS != nil {
-				n.obsS.IngestWakes.Add(1)
-			}
-		}
-		return
-	}
-	for i, at := range n.inAt {
-		c := &ns.ses.edges[at]
-		if c.head == c.consumed.Load() {
-			continue
-		}
-		wake := c.consume(c.head)
-		if up := n.upNode[i]; up == nil {
-			n.e.cross[n.in[i]].Credits.Credit(ns.ses.id, n.in[i], uint64(c.head))
-		} else if wake {
-			up.mb.post(event{kind: evWake, ses: ns.ses})
-		}
-	}
-}
-
 // reload recounts out-pos i's in-flight messages from its consumer's
 // consumed count (a cross edge's as its last credit stored it); the count
 // kept between reloads only grows, so a stale one errs on the full side.
 func (n *engineNode) reload(ns *nodeSession, i int) {
-	c := &ns.ses.edges[n.out[i]]
-	ns.inflight[i] = int(c.sent.Load() - c.consumed.Load())
+	ns.inflight[i] = int(ns.ses.edges[n.out[i]].occupancy())
 }
 
 // park stalls (see stall) on every out-edge where a send is parked,
@@ -1638,22 +1533,11 @@ func (n *engineNode) ship(ns *nodeSession) {
 
 // send puts run on out-pos i and accounts for it — the window, the
 // session's per-edge counts (in all, and by kind: an EOS is neither) and
-// telemetry — with no look at the messages themselves.  On a local edge
-// the run is copied into the ring before the tail (sent) moves past it,
-// and the consumer is kicked; a cross edge's is handed to its Msgs carrier
-// after the tail moves, so no credit for it can find sent short of it.
+// telemetry — with no look at the messages themselves, then publishes it
+// (put); a cross edge's run then goes to its Msgs carrier.
 func (n *engineNode) send(ns *nodeSession, i int, run []Message, data, dummies int, now *int64) {
-	m, down := len(run), n.downNode[i]
+	m, live := len(run), ns.inflight[i]
 	c := &ns.ses.edges[n.out[i]]
-	t := c.sent.Load()
-	if down != nil {
-		// The ring holds everything in flight with the run, so the run
-		// wraps at most once and overwrites nothing the consumer has yet
-		// to take.
-		slots := c.grow(t, ns.inflight[i], ns.inflight[i]+m)
-		mask := len(slots) - 1
-		copy(slots, run[copy(slots[int(t)&mask:], run):])
-	}
 	ns.inflight[i] += m
 	c.data += int64(data)
 	if dummies != 0 {
@@ -1668,11 +1552,11 @@ func (n *engineNode) send(ns *nodeSession, i int, run []Message, data, dummies i
 		}
 		om.Sent.Add(int64(m))
 	}
-	c.sent.Store(t + int64(m))
-	if down != nil {
-		ns.ses.kick(down)
-	} else if err := n.e.cross[n.out[i]].Msgs.Run(ns.ses.id, n.out[i], run); err != nil {
-		ns.ses.end(err, nil)
+	ns.ses.put(c, live, run, n.downNode[i])
+	if n.downNode[i] == nil {
+		if err := n.e.cross[n.out[i]].Msgs.Run(ns.ses.id, n.out[i], run); err != nil {
+			ns.ses.end(err, nil)
+		}
 	}
 }
 
@@ -1810,7 +1694,7 @@ pass:
 		if n.spanK != nil {
 			// The kernel takes the stretch a batch at a time, in order;
 			// a decline ends it.
-			k, drained := n.stretch(ns, fired, sinkRoom-data)
+			k := n.stretch(ns, fired, sinkRoom-data)
 			vec := 0
 			for vec < k {
 				end := min(vec+n.batch, k)
@@ -1848,9 +1732,6 @@ pass:
 			}
 			clear(n.spanIn[:k])
 			clear(n.spanOut[:k])
-			if vec == k && drained {
-				break // the input ran out: the pass ends here
-			}
 			if vec == k && k > 0 {
 				continue
 			}
@@ -1942,38 +1823,32 @@ func (n *engineNode) aligned(ns *nodeSession) bool {
 // stretch stages, in spanIn/spanSeq, the longest run of data-only firings
 // at the pass's cursor that the rest of the pass, the sink pump's window
 // (limit) and the out-edge windows allow — one past the tightest window:
-// the firing whose send parks — and returns its length, and drained when
-// the input's end, not a bound, ended it.  Zero, not drained, leaves the
+// the firing whose send parks — and returns its length.  Zero leaves the
 // cursor's firing (a dummy or an EOS) to the per-firing path.  The stretch
 // is the pass's, not the batch's: fire hands it to the kernel a batch at a
 // time.
-func (n *engineNode) stretch(ns *nodeSession, fired, limit int) (k int, drained bool) {
+func (n *engineNode) stretch(ns *nodeSession, fired, limit int) (k int) {
 	k = min(n.pass-fired, limit)
 	for i, run := range n.acc {
 		k = min(k, n.room(ns, i)-len(run)+1)
 	}
 	if n.queued {
-		q := ns.q[fired:]
-		if len(q) <= k {
-			k, drained = len(q), true
-		}
+		k = min(k, len(ns.q)-fired)
 		for j := 0; j < k; j++ {
-			n.spanIn[j], n.spanSeq[j] = q[j], ns.nextSeq+uint64(fired+j)
+			n.spanIn[j], n.spanSeq[j] = ns.q[fired+j], ns.nextSeq+uint64(fired+j)
 		}
-		return k, drained
+		return k
 	}
 	c, cur := n.inEdge(ns, 0), n.cur[0]
-	if left := c.queued() - cur; left <= k {
-		k, drained = left, true
-	}
+	k = min(k, c.queued()-cur)
 	for j := 0; j < k; j++ {
 		m := c.at(cur + j)
 		if m.Kind != Data {
-			return j, false
+			return j
 		}
 		n.spanIn[j], n.spanSeq[j] = m.Payload, m.Seq
 	}
-	return k, drained
+	return k
 }
 
 // widenSpan gives the span scratch pass length, from its first batch

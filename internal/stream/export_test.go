@@ -32,13 +32,10 @@ func CountDummyRuns(e *Engine) (sums func() (single, multi int64)) {
 	}
 }
 
-// CountEvents makes e count the events its node loops take from their
-// mailboxes from now on: kicks to drain rings, and stall wakes; read the
-// sums after the sessions' Wait.
-func CountEvents(e *Engine) (sums func() (kicks, wakes int64)) {
+// CountEvents makes e count the kicks its node loops take from their
+// mailboxes from now on, to drain rings or as stall wakes; read the sum
+// after the sessions' Wait.
+func CountEvents(e *Engine) (kicks func() int64) {
 	e.events = new([evKinds]atomic.Int64)
-	return func() (int64, int64) {
-		k := e.events
-		return k[evKick].Load(), k[evWake].Load()
-	}
+	return e.events[evKick].Load
 }

@@ -285,7 +285,7 @@ func BenchmarkMailboxPostTakeParked(b *testing.B) {
 				return
 			}
 			for range b {
-				pong.post(event{kind: evWake})
+				pong.post(event{kind: evKick})
 			}
 			spare = reuse(b)
 		}
@@ -444,9 +444,14 @@ func newSinkRig(tb testing.TB, sink SinkFunc) *sinkRig {
 	return r
 }
 
-// wakes takes the next batch of the pump's wakes.
+// wakes takes the next batch of the pump's wakes, kicks that lower the
+// sink node's kick flag as its loop would, so the next wake posts again.
 func (r *sinkRig) wakes() {
 	b, _ := r.sink.mb.takeAll(r.spare)
+	for j := range b {
+		r.sink.absorb(&b[j])
+	}
+	r.ses.states[r.sink.id].dirty, r.sink.dirty = false, r.sink.dirty[:0]
 	r.spare = reuse(b)
 }
 

@@ -8,16 +8,19 @@ import (
 	"time"
 
 	"streamdag/internal/graph"
+	"streamdag/internal/obs"
 	"streamdag/internal/proto"
 	"streamdag/internal/stream"
 	"streamdag/internal/workload"
 )
 
-// countedRun is one session of inputs through a fresh engine with a sink,
-// counting the events the node loops took by kind.  pace, when non-nil,
-// runs in the Sink before each emission is recorded.
-func countedRun(t *testing.T, g *graph.Graph, ks map[graph.NodeID]stream.Kernel, cfg stream.Config, inputs uint64, pace func()) (stats *stream.Stats, seen []stream.Message, kicks, wakes int64) {
+// countedRun is one session of inputs through a fresh engine with a sink
+// and an observer, counting the kicks the node loops took.  pace, when
+// non-nil, runs in the Sink before each emission is recorded.
+func countedRun(t *testing.T, g *graph.Graph, ks map[graph.NodeID]stream.Kernel, cfg stream.Config, inputs uint64, pace func()) (stats *stream.Stats, seen []stream.Message, kicks int64, m *obs.Metrics) {
 	t.Helper()
+	m = obs.New(make([]string, g.NumNodes()), make([]string, g.NumEdges()))
+	cfg.Obs = m
 	eng, err := stream.NewEngine(g, ks, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -38,18 +41,17 @@ func countedRun(t *testing.T, g *graph.Graph, ks map[graph.NodeID]stream.Kernel,
 	if stats, err = ses.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	kicks, wakes = events()
-	return stats, seen, kicks, wakes
+	return stats, seen, events(), m
 }
 
 // TestStalledProducerWokenByConsumption drives a split/join whose windows
 // hold one or two messages into a join that spins at every firing, so
 // the split and both branches park sends on full local windows over and
 // over.  Nothing but the join's consumption — its consumed count, and the
-// wake it posts to a producer that raised the edge's stalled flag — can
+// kick it owes a producer that raised the edge's stalled flag — can
 // restart them: a lost wake wedges the session, which the watchdog then
 // reports.  Counts and the sink sequence must equal the simulator's, and
-// the run must have taken stall wakes.
+// the observer must have counted producers stalled on a full edge.
 func TestStalledProducerWokenByConsumption(t *testing.T) {
 	const inputs = 300
 	for _, buf := range []int{1, 2} {
@@ -67,11 +69,15 @@ func TestStalledProducerWokenByConsumption(t *testing.T) {
 		}
 		for _, batch := range []int{1, 64} {
 			cfg := stream.Config{MaxBatch: batch, WatchdogTimeout: 2 * time.Second}
-			stats, seen, _, wakes := countedRun(t, g, ks, cfg, inputs, nil)
+			stats, seen, _, m := countedRun(t, g, ks, cfg, inputs, nil)
 			label := fmt.Sprintf("buf %d batch %d", buf, batch)
 			requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
-			if wakes == 0 {
-				t.Errorf("%s: no producer was woken from a stall; the test would not notice a lost wake", label)
+			stalls := int64(0)
+			for e := range g.NumEdges() {
+				stalls += m.Edge(e).CreditStalls.Load()
+			}
+			if stalls == 0 {
+				t.Errorf("%s: no producer stalled on a full edge; the test would not notice a lost wake", label)
 			}
 		}
 	}
@@ -89,7 +95,8 @@ func TestStalledProducerWokenByConsumption(t *testing.T) {
 // a window, so the sink node's last advance stalls with input queued, and
 // no kick will come after.  Nothing else restarts either producer: a lost
 // wake on either rim wedges the session, which the watchdog reports.
-// Counts and the sink sequence must equal the simulator's.
+// Counts and the sink sequence must equal the simulator's, and the
+// observer must have counted wakes across both rims.
 func TestRimWindowsWakeTheirProducers(t *testing.T) {
 	const inputs, every = 5000, 500
 	g := workload.Pipeline(3, 4)
@@ -113,11 +120,11 @@ func TestRimWindowsWakeTheirProducers(t *testing.T) {
 			spinFor(time.Duration(rng.Intn(3000)))
 		}
 		cfg := stream.Config{MaxBatch: batch, WatchdogTimeout: 2 * time.Second}
-		stats, seen, _, wakes := countedRun(t, g, ks, cfg, inputs, pace)
+		stats, seen, _, m := countedRun(t, g, ks, cfg, inputs, pace)
 		label := fmt.Sprintf("batch %d", batch)
 		requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
-		if wakes == 0 {
-			t.Errorf("%s: no node was woken from a stall; the windows never filled", label)
+		if s := m.Sessions(); s.IngestWakes.Load() == 0 || s.SinkWakes.Load() == 0 {
+			t.Errorf("%s: %d ingest and %d sink wakes; the rims' windows never filled", label, s.IngestWakes.Load(), s.SinkWakes.Load())
 		}
 	}
 
@@ -162,14 +169,18 @@ func spinFor(d time.Duration) {
 // TestLocalChainPostsNoRunsOrCredits pins the transport of an in-process
 // edge: on a batch-1 chain whose every edge is local, messages cross in
 // rings and credits are consumed counts, so the node loops take only
-// kicks, no more than the messages they carry, and the stall wakes of
-// producers that filled a window.
+// kicks — to drain, or to wake a producer that stalled on a full window —
+// no more than the messages they carry.
 func TestLocalChainPostsNoRunsOrCredits(t *testing.T) {
 	const inputs, hops = 20000, 4
 	for _, buf := range []int{2, 256} {
-		_, _, kicks, wakes := countedRun(t, workload.Pipeline(hops+1, buf), nil,
+		_, _, kicks, m := countedRun(t, workload.Pipeline(hops+1, buf), nil,
 			stream.Config{MaxBatch: 1, WatchdogTimeout: 10 * time.Second}, inputs, nil)
-		t.Logf("buf %d: %d messages over %d hops took %d kicks and %d stall wakes", buf, inputs, hops, kicks, wakes)
+		stalls := int64(0)
+		for e := range hops {
+			stalls += m.Edge(e).CreditStalls.Load()
+		}
+		t.Logf("buf %d: %d messages over %d hops took %d kicks; producers stalled on a full edge %d times", buf, inputs, hops, kicks, stalls)
 		if kicks == 0 || kicks > (hops+1)*inputs {
 			t.Errorf("buf %d: %d kicks for %d messages over %d hops and the ingest ring", buf, kicks, inputs, hops)
 		}
