@@ -51,10 +51,9 @@ var ErrEngineClosed = errors.New("streamdag: engine closed")
 // Simulator backend, concurrent sessions additionally require
 // non-blocking Sources and Sinks (see Simulator).
 type Engine struct {
+	p      *Pipeline
+	impl   backendEngine // the backend's resident runtime, one for the engine's life
 	mu     sync.Mutex
-	p      *Pipeline // the CURRENT generation's pipeline (rescales swap it)
-	cur    *engineGen
-	old    []*engineGen // retired generations still draining sessions
 	nextID uint64
 	// sessions holds every session from Open until it resolves (see
 	// Session.release); its length is the engine's active count.
@@ -63,36 +62,6 @@ type Engine struct {
 	draining bool
 	// idle is made by the first Drain and closed when sessions empties.
 	idle chan struct{}
-
-	scaleMu sync.Mutex // serializes rescales (manual and automatic)
-	ctl     *scaleController
-}
-
-// engineGen is one resident backend runtime serving one compiled
-// replication plan.  A live rescale starts a new generation and retires
-// the old one: new Opens land on the new runtime while the old one's
-// sessions drain (bounded by the policy's drain deadline), after which
-// its workers shut down.  Without autoscaling an Engine is exactly one
-// generation for its whole life.
-type engineGen struct {
-	seq  int
-	pipe *Pipeline
-	impl backendEngine
-
-	// Guarded by Engine.mu.
-	active      int  // sessions still owned by this generation
-	retired     bool // no longer Engine.cur
-	drainedDone bool // drained has been closed
-
-	drained   chan struct{} // closed when a retired generation empties
-	closeOnce sync.Once
-	closeErr  error
-}
-
-// closeImpl shuts the generation's backend runtime down exactly once.
-func (g *engineGen) closeImpl() error {
-	g.closeOnce.Do(func() { g.closeErr = g.impl.close() })
-	return g.closeErr
 }
 
 // Engine starts the pipeline's resident runtime on its backend and
@@ -102,27 +71,7 @@ func (p *Pipeline) Engine() (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &engineGen{seq: 1, pipe: p, impl: impl, drained: make(chan struct{})}
-	e := &Engine{p: p, cur: g, nextID: 1, sessions: make(map[SessionID]*Session)}
-	if p.scale != nil {
-		e.ctl = newScaleController(e)
-		e.ctl.start()
-	}
-	return e, nil
-}
-
-// pipe returns the current generation's pipeline.
-func (e *Engine) pipe() *Pipeline {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.p
-}
-
-// curGen returns the current generation.
-func (e *Engine) curGen() *engineGen {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cur
+	return &Engine{p: p, impl: impl, nextID: 1, sessions: make(map[SessionID]*Session)}, nil
 }
 
 // Open starts one logical stream: payloads pulled from source flow
@@ -165,16 +114,9 @@ func (e *Engine) Open(ctx context.Context, source Source, sink Sink) (*Session, 
 			e.p.flowSlot.clear()
 		}
 	}
-	g := e.cur
-	g.active++
 	id := SessionID(e.nextID)
 	e.nextID++
-	s := &Session{id: id, eng: e, gen: g}
-	if g.pipe.retry.Attempts() > 1 {
-		// Armed before the session is visible in e.sessions, so a drain
-		// deadline always finds the migration handle.
-		s.rc = &retryCtl{}
-	}
+	s := &Session{id: id, eng: e}
 	// Registered before the backend opens, so a concurrent Close always
 	// sees (and ends) this session.
 	e.sessions[id] = s
@@ -186,10 +128,10 @@ func (e *Engine) Open(ctx context.Context, source Source, sink Sink) (*Session, 
 	// fresh-generation resets.
 	var bs backendSession
 	var err error
-	if s.rc != nil {
+	if e.p.retry.Attempts() > 1 {
 		bs, err = e.openRetrying(s, ctx, id, source, sink)
 	} else {
-		bs, err = g.impl.open(ctx, id, source, sink, (*releaseHook)(s))
+		bs, err = e.impl.open(ctx, id, source, sink, (*releaseHook)(s))
 	}
 	if err != nil {
 		s.release()
@@ -210,11 +152,6 @@ func (e *Engine) Open(ctx context.Context, source Source, sink Sink) (*Session, 
 // resident workers; idempotent.  The Pipeline stays valid: a fresh
 // Engine (or Run) can follow.
 func (e *Engine) Close() error {
-	// The controller goes first so no rescale starts a fresh generation
-	// under a closing engine (idempotent; safe before the closed check).
-	if e.ctl != nil {
-		e.ctl.stop()
-	}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -225,9 +162,6 @@ func (e *Engine) Close() error {
 	for _, s := range e.sessions {
 		active = append(active, s)
 	}
-	gens := append([]*engineGen{}, e.old...)
-	cur := e.cur
-	gens = append(gens, cur)
 	e.mu.Unlock()
 	// End sessions first: the simulator's scheduler may be parked inside
 	// a session's blocking Source/Sink callback, and cancellation is what
@@ -235,25 +169,20 @@ func (e *Engine) Close() error {
 	for _, s := range active {
 		s.end(ErrEngineClosed)
 	}
-	for _, g := range gens {
-		g.closeImpl()
-	}
-	return cur.closeErr
+	return e.impl.close()
 }
 
 // Session is one logical stream being served by an Engine.
 type Session struct {
 	id  SessionID
 	eng *Engine
-	gen *engineGen // generation whose runtime serves the session (e.mu)
 	bs  backendSession
 	// cause is an end that arrived before bs was set (see end); e.mu.
 	cause   error
-	rc      *retryCtl // non-nil on retry-armed sessions (see fault.go)
 	slotErr *StageTypeError
 }
 
-// end ends the session with cause.  A Close or eviction can reach a
+// end ends the session with cause.  A Close can reach a
 // session before Open has its backend session; the cause is then
 // recorded under e.mu, and Open applies it once it has one.
 func (s *Session) end(cause error) {
@@ -279,13 +208,10 @@ func (s *Session) end(cause error) {
 func (s *Session) release() {
 	e := s.eng
 	e.mu.Lock()
-	// The slot is shared across generations (withPlan copies the
-	// pointer), so any generation's handle reads the same error.
 	if slot := e.p.flowSlot; slot != nil {
 		s.slotErr = slot.load()
 	}
 	delete(e.sessions, s.id)
-	e.releaseGenLocked(s.gen)
 	if len(e.sessions) == 0 && e.idle != nil {
 		// Draining: no Open registers a session after this, so the
 		// registry empties once.
@@ -300,24 +226,6 @@ func (s *Session) release() {
 type releaseHook Session
 
 func (h *releaseHook) SessionDone() { (*Session)(h).release() }
-
-// releaseGenLocked retires one session from its generation's
-// accounting; when a retired generation's last session leaves, its
-// drain gate opens and it drops off the engine's books.  Caller holds
-// e.mu.
-func (e *Engine) releaseGenLocked(g *engineGen) {
-	g.active--
-	if g.retired && g.active <= 0 && !g.drainedDone {
-		g.drainedDone = true
-		close(g.drained)
-		for i, o := range e.old {
-			if o == g {
-				e.old = append(e.old[:i], e.old[i+1:]...)
-				break
-			}
-		}
-	}
-}
 
 // ID returns the session's id — the tag its protocol messages carry,
 // and the id a DeadlockError names if the session wedges.
@@ -346,12 +254,11 @@ func (s *Session) Cancel() { s.bs.cancel(context.Canceled) }
 // data and dummy counts, the sink total, and the session's elapsed time.
 // An ended session's error is the cause that ended it, verbatim:
 // context.Canceled after Cancel, the Open context's cause when that ends
-// first, ErrEngineClosed after Engine.Close, ErrSessionEvicted after a
-// rescale's drain deadline.  For flow-compiled pipelines a payload that
-// reached a stage with the wrong dynamic type was filtered there, and
-// the first such mismatch is returned as a *StageTypeError (the error
-// slot is engine-scoped: under concurrent sessions it reports the
-// engine's first mismatch).
+// first, ErrEngineClosed after Engine.Close.  For flow-compiled
+// pipelines a payload that reached a stage with the wrong dynamic type
+// was filtered there, and the first such mismatch is returned as a
+// *StageTypeError (the error slot is engine-scoped: under concurrent
+// sessions it reports the engine's first mismatch).
 func (s *Session) Wait() (*RunStats, error) {
 	stats, err := s.bs.wait()
 	err = closedErr(err)
@@ -470,11 +377,6 @@ func (simulatorBackend) newEngine(p *Pipeline) (backendEngine, error) {
 		cfg.Clock = fake
 	} else if p.clk != nil && anyTimedKernel(p.kernels) {
 		return nil, errors.New("streamdag: time-aware stages on the Simulator need a deterministic clock: omit WithClock or pass a *FakeClock")
-	}
-	if p.onStep != nil {
-		// The autoscale controller rides the scheduler's round counter:
-		// virtual time, so scale decisions are deterministic.
-		cfg.OnStep = p.onStep.call
 	}
 	return &simEngine{eng: sim.NewEngine(p.topo.g, cfg)}, nil
 }

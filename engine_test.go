@@ -625,7 +625,7 @@ func TestEngineOpenAfterClose(t *testing.T) {
 // context.Canceled, its Open context's deadline with
 // context.DeadlineExceeded, Engine.Close with ErrEngineClosed — although
 // its Source, blocked on a quiet channel, answers every ending with
-// ctx.Err().  (TestRescaleEvictsBareSession covers ErrSessionEvicted.)
+// ctx.Err().
 func TestEngineCloseFailsActiveSessions(t *testing.T) {
 	ends := []struct {
 		name string

@@ -31,16 +31,6 @@
 // exactly-once output — zero lost sessions:
 //
 //	go run ./examples/streamserve -chaos
-//
-// With -autoscale it runs the elasticity smoke test instead: a typed
-// flow whose hot stage is marked Stage.Elastic(1, 4) behind
-// WithAutoscale serves a quiet → flood → quiet request pattern over one
-// resident engine.  The load spike must trigger at least one automatic
-// scale-out, and every session must deliver its full output with
-// strictly ascending sequence numbers — zero dropped, zero duplicated —
-// or the run fails (exit 1):
-//
-//	go run ./examples/streamserve -autoscale
 package main
 
 import (
@@ -87,17 +77,13 @@ func requestLines(client, request int) []string {
 
 func main() {
 	chaos := flag.Bool("chaos", false, "run the chaos tier instead: three TCP workers under concurrent load, one killed mid-stream; fails unless every session survives with exactly-once delivery")
-	autoscale := flag.Bool("autoscale", false, "run the autoscale tier instead: a quiet → flood → quiet load pattern over an elastic engine; fails unless the spike triggers a scale-out with zero dropped or duplicated messages")
 	flag.Parse()
-	switch {
-	case *chaos:
+	if *chaos {
 		chaosTier()
-	case *autoscale:
-		autoscaleTier()
-	default:
-		typedTier()
-		distributedTier()
+		return
 	}
+	typedTier()
+	distributedTier()
 }
 
 // typedTier serves the requests through a typed Flow engine: one
@@ -485,196 +471,4 @@ func chaosTier() {
 		clients, clients, wantKept, time.Since(tKill).Seconds()*1000)
 	fmt.Printf("  fault metrics: workers_down=%d session_retries=%d\n",
 		snap.Faults.WorkersDown, snap.Faults.SessionRetries)
-}
-
-// pacedReqSource delivers n counting payloads with a fixed think-time
-// gap between them — the quiet phases of the autoscale load pattern.
-type pacedReqSource struct {
-	next, n uint64
-	gap     time.Duration
-}
-
-func (p *pacedReqSource) Next(ctx context.Context) (any, bool, error) {
-	if p.next >= p.n {
-		return nil, false, nil
-	}
-	select {
-	case <-time.After(p.gap):
-	case <-ctx.Done():
-		return nil, false, ctx.Err()
-	}
-	v := p.next
-	p.next++
-	return v, true, nil
-}
-
-// ascendSink requires strictly ascending sequence numbers within its
-// session; a duplicate or reordering trips dup, a drop shows up as a
-// short count.  Sessions deliver serially, so no lock is needed.
-type ascendSink struct {
-	count   int64
-	lastSeq int64
-	dup     bool
-}
-
-func (s *ascendSink) Emit(_ context.Context, seq uint64, _ any) error {
-	if int64(seq) <= s.lastSeq {
-		s.dup = true
-	}
-	s.lastSeq = int64(seq)
-	s.count++
-	return nil
-}
-
-// autoscaleTier is the elasticity smoke test: a typed flow whose hot
-// stage is marked Elastic(1, 4) and driven by WithAutoscale serves a
-// quiet → flood → quiet request pattern over one resident engine.  The
-// flood must trigger at least one automatic scale-out, and every
-// session must deliver its full output in order — any drop, duplicate,
-// or missing scale-up fails the run.
-func autoscaleTier() {
-	const (
-		batch        = 200 // payloads per request session
-		quietBatches = 6
-		floodBatches = 15
-		spinIters    = 100_000 // CPU cost per payload at the hot stage
-	)
-	hot := func(v uint64) uint64 {
-		x := v | 1
-		for i := 0; i < spinIters; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-		}
-		return x
-	}
-
-	obs := streamdag.NewObserver()
-	type scaleEvt struct {
-		at time.Time // when OnEvent reported it, i.e. once the swap was applied
-		streamdag.ScaleEvent
-	}
-	var (
-		evMu   sync.Mutex
-		events []scaleEvt
-	)
-	// Shallow buffers bound the vectorized span size so utilization
-	// accrues smoothly across detector samples instead of landing in
-	// one lump.
-	pipe, err := streamdag.NewFlow[uint64, uint64]().
-		Buffer(64).
-		Then(streamdag.Map("work", hot).Elastic(1, 4)).
-		Compile(
-			streamdag.WithObserver(obs),
-			streamdag.WithWatchdog(30*time.Second),
-			streamdag.WithAutoscale(streamdag.ScalePolicy{
-				Interval:        20 * time.Millisecond,
-				Window:          4,
-				UpUtil:          0.80,
-				DownUtil:        0.15,
-				CooldownSamples: 8,
-				DrainTimeout:    5 * time.Second,
-				OnEvent: func(ev streamdag.ScaleEvent) {
-					evMu.Lock()
-					events = append(events, scaleEvt{time.Now(), ev})
-					evMu.Unlock()
-				},
-			}),
-		)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng, err := pipe.Engine()
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	type pendingReq struct {
-		ses  *streamdag.Session
-		sink *ascendSink
-	}
-	var (
-		delivered, dropped int64
-		dup                bool
-	)
-	finish := func(p pendingReq) {
-		if _, err := p.ses.Wait(); err != nil {
-			log.Fatalf("streamserve: autoscale session: %v", err)
-		}
-		delivered += p.sink.count
-		dropped += batch - p.sink.count
-		if p.sink.dup {
-			dup = true
-		}
-	}
-	// Keep two requests in flight: sessions serve out their life on the
-	// generation they were opened on, so back-to-back requests keep the
-	// newest generation busy while a drained one retires.
-	start := time.Now()
-	var floodStart time.Time
-	var q []pendingReq
-	for i := 0; i < quietBatches+floodBatches+quietBatches; i++ {
-		var src streamdag.Source
-		if i >= quietBatches && i < quietBatches+floodBatches {
-			if i == quietBatches {
-				floodStart = time.Now()
-			}
-			src = streamdag.CountingSource(batch) // flood: no think time
-		} else {
-			src = &pacedReqSource{n: batch, gap: 300 * time.Microsecond}
-		}
-		sink := &ascendSink{lastSeq: -1}
-		ses, err := eng.Open(context.Background(), src, sink)
-		if err != nil {
-			log.Fatalf("streamserve: autoscale open: %v", err)
-		}
-		q = append(q, pendingReq{ses, sink})
-		if len(q) == 2 {
-			finish(q[0])
-			q = q[1:]
-		}
-	}
-	for _, p := range q {
-		finish(p)
-	}
-	elapsed := time.Since(start)
-
-	status := eng.ScaleStatus()
-	if err := eng.Close(); err != nil {
-		log.Fatal(err)
-	}
-
-	evMu.Lock()
-	ups, downs := 0, 0
-	for _, ev := range events {
-		if ev.Err != nil || !ev.Auto {
-			continue
-		}
-		fmt.Printf("  scale event: %s %d->%d (%s)\n", ev.Node, ev.FromK, ev.ToK, ev.Reason)
-		if ev.ToK <= ev.FromK {
-			downs++
-			continue
-		}
-		ups++
-		if ups == 1 {
-			// Negative where the hot stage costs more than the quiet
-			// phase's think time: the quiet phase is already a spike.
-			fmt.Printf("  time to scale: %d ms from the first flood request to the first applied scale-up\n",
-				ev.at.Sub(floodStart).Milliseconds())
-		}
-	}
-	evMu.Unlock()
-
-	snap := obs.Snapshot()
-	fmt.Printf("autoscale tier: %d msgs in %.2fs, %d scale-ups, %d scale-downs, final k[work]=%d, evicted=%d migrated=%d\n",
-		delivered, elapsed.Seconds(), ups, downs, status.Plan["work"],
-		snap.Scale.SessionsEvicted, snap.Scale.SessionsMigrated)
-	switch {
-	case dropped != 0:
-		log.Fatalf("streamserve: autoscale: %d messages dropped", dropped)
-	case dup:
-		log.Fatal("streamserve: autoscale: duplicate delivery (sequence number regressed)")
-	case ups == 0:
-		log.Fatal("streamserve: autoscale: the load spike never triggered a scale-out")
-	}
 }

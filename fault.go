@@ -92,8 +92,8 @@ func WithDeadLetter(sink DeadLetterSink) Option {
 // Drain gracefully quiesces the engine: new Opens are refused with
 // ErrEngineDraining and in-flight sessions run to completion (or ctx
 // expires).  An in-flight session is one session however many attempts
-// it takes: under WithRetry, a failed session's retry (or a rescale's
-// migration) still opens during the drain.  The engine itself stays
+// it takes: under WithRetry, a failed session's retry still opens during
+// the drain.  The engine itself stays
 // open for inspection; Close it afterwards.
 func (e *Engine) Drain(ctx context.Context) error {
 	if ctx == nil {
@@ -119,10 +119,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	e.mu.Lock()
-	m := e.p.obsMetrics()
-	e.mu.Unlock()
-	if m != nil {
+	if m := e.p.obsMetrics(); m != nil {
 		f := m.Faults()
 		f.Drains.Add(1)
 		if !m.Virtual() {
@@ -140,85 +137,37 @@ func (e *Engine) Drain(ctx context.Context) error {
 // chaos hook WithRetry is tested against.  Backends without workers
 // return an error.
 func (e *Engine) KillWorker(name string) error {
-	return e.curGen().impl.killWorker(name)
+	return e.impl.killWorker(name)
 }
 
 // ---------------------------------------------------------------------
 // The retry layer.
-
-// retryCtl is the per-session handle the rescale path uses to move a
-// retry-armed session between engine generations: evict ends the
-// in-flight attempt and marks the session so the retry loop re-opens it
-// on the current generation (a migration) instead of counting the
-// failure.
-type retryCtl struct {
-	mu      sync.Mutex
-	attempt backendSession
-	evicted bool
-}
-
-// arm installs the attempt now in flight.  If an evict raced in before
-// the attempt opened, it fires immediately — the attempt dies at birth
-// and the loop migrates it.
-func (rc *retryCtl) arm(attempt backendSession) {
-	rc.mu.Lock()
-	rc.attempt = attempt
-	ev := rc.evicted
-	rc.mu.Unlock()
-	if ev {
-		attempt.cancel(ErrSessionEvicted)
-	}
-}
-
-// evict aborts the current attempt for migration.
-func (rc *retryCtl) evict() {
-	rc.mu.Lock()
-	rc.evicted = true
-	attempt := rc.attempt
-	rc.mu.Unlock()
-	if attempt != nil {
-		attempt.cancel(ErrSessionEvicted)
-	}
-}
-
-// takeEvicted consumes the pending-migration flag.
-func (rc *retryCtl) takeEvicted() bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	ev := rc.evicted
-	rc.evicted = false
-	return ev
-}
 
 // openRetrying drives a session through up to MaxAttempts backend
 // sessions.  The first attempt opens synchronously (so Open still
 // reports immediate failures); the controller goroutine watches it and
 // re-opens on retryable failures, rewinding the source and letting the
 // dedupSink suppress re-deliveries.  The session keeps one context
-// across its attempts, each a backend session under it, so a rescale's
-// drain deadline can end just the attempt — the session then migrates
-// to the new generation on its next one.
+// across its attempts, each a backend session under it.
 func (e *Engine) openRetrying(s *Session, parent context.Context, id SessionID, source Source, sink Sink) (backendSession, error) {
 	rs, ok := source.(ReplayableSource)
 	if !ok {
 		return nil, fmt.Errorf("streamdag: WithRetry requires a ReplayableSource, got %T: a retried session re-ingests from the start", source)
 	}
-	g := s.gen
 	var obsF *obs.FaultMetrics
-	if m := g.pipe.obsMetrics(); m != nil {
+	if m := e.p.obsMetrics(); m != nil {
 		obsF = m.Faults()
 	}
 	ds := &dedupSink{
-		inner: sink, dlq: g.pipe.dlq, session: uint64(id),
+		inner: sink, dlq: e.p.dlq, session: uint64(id),
 		obsF: obsF, hw: -1, errSeq: -1, prevErr: -1, attempt: 1,
 	}
 	ctx, cancel := context.WithCancelCause(parent)
-	first, err := g.impl.open(ctx, id, fenceSource(ds, 0, rs), attemptSink{d: ds}, nil)
+	first, err := e.impl.open(ctx, id, fenceSource(ds, 0, rs), attemptSink{d: ds}, nil)
 	if err != nil {
 		cancel(nil)
 		return nil, err
 	}
-	s.rc.arm(first)
 	out := &retrySession{doneC: make(chan struct{}), end: cancel}
 	go e.retryLoop(s, ctx, id, rs, ds, first, out)
 	return out, nil
@@ -248,7 +197,7 @@ func (e *Engine) retryLoop(s *Session, ctx context.Context, id SessionID, src Re
 		s.release()
 		close(out.doneC)
 	}()
-	pol := s.gen.pipe.retry
+	pol := e.p.retry
 	attempt := 1
 	for {
 		stats, err := bs.wait()
@@ -262,26 +211,20 @@ func (e *Engine) retryLoop(s *Session, ctx context.Context, id SessionID, src Re
 			out.err = context.Cause(ctx)
 			return
 		}
-		migrate := s.rc.takeEvicted()
-		if !migrate {
-			sinkFailed := ds.attemptFailed()
-			retryable := fault.IsWorkerDown(err) || (sinkFailed && ds.dlq != nil)
-			if !retryable || attempt >= pol.Attempts() {
-				out.err = err
-				return
-			}
-			if d := pol.Delay(attempt); d > 0 {
-				select {
-				case <-ctx.Done():
-					out.err = context.Cause(ctx)
-					return
-				case <-time.After(d):
-				}
-			}
-			// A migration is free: only genuine failures spend the
-			// attempt budget.
-			attempt++
+		retryable := fault.IsWorkerDown(err) || (ds.attemptFailed() && ds.dlq != nil)
+		if !retryable || attempt >= pol.Attempts() {
+			out.err = err
+			return
 		}
+		if d := pol.Delay(attempt); d > 0 {
+			select {
+			case <-ctx.Done():
+				out.err = context.Cause(ctx)
+				return
+			case <-time.After(d):
+			}
+		}
+		attempt++
 		// Advance the attempt epoch before rewinding: any straggling
 		// delivery or ingest from the cancelled attempt's pipeline is
 		// fenced off the shared sink and source from here on, so the
@@ -294,11 +237,6 @@ func (e *Engine) retryLoop(s *Session, ctx context.Context, id SessionID, src Re
 			out.err = fmt.Errorf("streamdag: session %d retry: rewind failed: %w (after: %v)", id, rerr, err)
 			return
 		}
-		// Re-home the session on the current generation: after a rescale
-		// the one it was opened on is draining or gone.  The dedup sink
-		// carries the high-water mark across, so the migrated stream stays
-		// exactly-once.
-		g := e.genMove(s)
 		// Re-initialize stateful and time-aware stage state before the
 		// replay: a retried stream re-ingests from payload zero, so
 		// half-filled windows and accumulator cells from the failed
@@ -307,40 +245,21 @@ func (e *Engine) retryLoop(s *Session, ctx context.Context, id SessionID, src Re
 		// attempt epoch advanced above fences the failed attempt's
 		// stragglers off the sink; the re-emitted prefix the replay
 		// produces is then suppressed by the dedup high-water mark.
-		for _, reset := range g.pipe.resets {
+		for _, reset := range e.p.resets {
 			reset()
 		}
-		if m := g.pipe.obsMetrics(); m != nil {
-			if migrate {
-				m.Scale().SessionsMigrated.Add(1)
-			} else {
-				m.Faults().SessionRetries.Add(1)
-			}
+		if ds.obsF != nil {
+			ds.obsF.SessionRetries.Add(1)
 		}
 		// A fresh backend session ID per attempt: the failed one may not
 		// be fully retired backend-side yet, and reuse would collide.
-		nbs, oerr := g.impl.open(ctx, e.allocBackendID(), fenceSource(ds, ep, src), attemptSink{d: ds, epoch: ep}, nil)
+		nbs, oerr := e.impl.open(ctx, e.allocBackendID(), fenceSource(ds, ep, src), attemptSink{d: ds, epoch: ep}, nil)
 		if oerr != nil {
 			out.err = fmt.Errorf("streamdag: session %d retry attempt %d: %w (after: %v)", id, attempt, oerr, err)
 			return
 		}
-		s.rc.arm(nbs)
 		bs = nbs
 	}
-}
-
-// genMove re-homes a session onto the current generation before its
-// next attempt, releasing its slot on the (possibly retired) old one.
-func (e *Engine) genMove(s *Session) *engineGen {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	g := e.cur
-	if s.gen != g {
-		e.releaseGenLocked(s.gen)
-		s.gen = g
-		g.active++
-	}
-	return g
 }
 
 // allocBackendID hands the retry layer session IDs from the engine's
@@ -388,8 +307,7 @@ func (d *dedupSink) emit(ctx context.Context, epoch, seq uint64, payload any) er
 	defer d.mu.Unlock()
 	if epoch != d.epoch.Load() {
 		// A later attempt owns the stream; this delivery is a straggler
-		// from one already cancelled (rescale eviction, worker death)
-		// whose pipeline has not fully wound down yet.
+		// from one already cancelled (a worker's death) whose pipeline has not fully wound down yet.
 		return nil
 	}
 	if int64(seq) <= d.hw {

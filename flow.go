@@ -87,14 +87,13 @@ type nodeSpec struct {
 // lowering accumulates the topology, kernels, replication plan, and
 // run-reset hooks while the stage graph lowers.
 type lowering struct {
-	topo    *Topology
-	specs   []nodeSpec
-	names   map[string]bool
-	plan    ReplicationPlan
-	elastic map[string]Elastic // per-stage Elastic marks, keyed by node name
-	slot    *stageErrSlot
-	resets  []func()
-	defBuf  int
+	topo   *Topology
+	specs  []nodeSpec
+	names  map[string]bool
+	plan   ReplicationPlan
+	slot   *stageErrSlot
+	resets []func()
+	defBuf int
 	// split counts the Split nesting depth while branches lower; the
 	// time-aware stages reject positions inside a branch, where their
 	// re-sequenced output would break the merge's seq-keyed join.
@@ -192,12 +191,11 @@ func (f *Flow[In, Out]) Compile(opts ...Option) (*Pipeline, error) {
 	}
 
 	lw := &lowering{
-		topo:    NewTopology(),
-		names:   make(map[string]bool),
-		plan:    make(ReplicationPlan),
-		elastic: make(map[string]Elastic),
-		slot:    new(stageErrSlot),
-		defBuf:  f.buf,
+		topo:   NewTopology(),
+		names:  make(map[string]bool),
+		plan:   make(ReplicationPlan),
+		slot:   new(stageErrSlot),
+		defBuf: f.buf,
 	}
 	if err := lw.addSynthetic("source", sourceFactory[In](lw.slot)); err != nil {
 		return nil, err
@@ -217,9 +215,6 @@ func (f *Flow[In, Out]) Compile(opts ...Option) (*Pipeline, error) {
 	buildOpts := []Option{WithKernels(lw.kernels())}
 	if len(lw.plan) > 0 {
 		buildOpts = append(buildOpts, WithReplication(lw.plan))
-	}
-	if len(lw.elastic) > 0 {
-		buildOpts = append(buildOpts, withElasticMarks(lw.elastic))
 	}
 	pipe, err := Build(lw.topo, append(buildOpts, opts...)...)
 	if err != nil {

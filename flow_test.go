@@ -515,35 +515,24 @@ func TestStageKnobPolicy(t *testing.T) {
 	}{
 		{"Replicate(1)", func(s Stage) Stage { return s.Replicate(1) }},
 		{"Replicate(2)", func(s Stage) Stage { return s.Replicate(2) }},
-		{"Elastic(1,2)", func(s Stage) Stage { return s.Elastic(1, 2) }},
 		{"Buffer(4)", func(s Stage) Stage { return s.Buffer(4) }},
 		{"Tap", func(s Stage) Stage { return s.Tap(func(any) {}) }},
 	}
 	want := map[string]string{
 		"Stateful/Replicate(2)":       "streamdag: flow: stateful stage \"s\" cannot be replicated (replicas would share its state)",
-		"Stateful/Elastic(1,2)":       "streamdag: flow: stateful stage \"s\" cannot be elastic (replicas would share its state)",
 		"Sequence/Replicate(2)":       "streamdag: flow: composite stage \"seq(a..b)\" cannot be replicated; replicate its member stages",
-		"Sequence/Elastic(1,2)":       "streamdag: flow: composite stage \"seq(a..b)\" cannot be elastic; mark its member stages",
 		"Sequence/Buffer(4)":          "streamdag: flow: composite stage \"seq(a..b)\" has no inbound channel of its own; set buffers on its member stages",
 		"Sequence/Tap":                "streamdag: flow: composite stage \"seq(a..b)\" has no node of its own; tap its member stages",
 		"Split/Replicate(2)":          "streamdag: flow: composite stage \"split(j)\" cannot be replicated; replicate its member stages",
-		"Split/Elastic(1,2)":          "streamdag: flow: composite stage \"split(j)\" cannot be elastic; mark its member stages",
 		"Split/Buffer(4)":             "streamdag: flow: composite stage \"split(j)\" has no inbound channel of its own; set buffers on its member stages",
 		"Split/Tap":                   "streamdag: flow: composite stage \"split(j)\" has no node of its own; tap its member stages",
 		"TumblingWindow/Replicate(2)": `streamdag: flow: time-aware stage "s" cannot be replicated`,
-		"TumblingWindow/Elastic(1,2)": `streamdag: flow: time-aware stage "s" cannot be elastic`,
 		"SlidingWindow/Replicate(2)":  "streamdag: flow: time-aware stage \"s\" cannot be replicated",
-		"SlidingWindow/Elastic(1,2)":  "streamdag: flow: time-aware stage \"s\" cannot be elastic",
 		"SessionWindow/Replicate(2)":  "streamdag: flow: time-aware stage \"s\" cannot be replicated",
-		"SessionWindow/Elastic(1,2)":  "streamdag: flow: time-aware stage \"s\" cannot be elastic",
 		"Throttle/Replicate(2)":       "streamdag: flow: time-aware stage \"s\" cannot be replicated",
-		"Throttle/Elastic(1,2)":       "streamdag: flow: time-aware stage \"s\" cannot be elastic",
 		"Debounce/Replicate(2)":       "streamdag: flow: time-aware stage \"s\" cannot be replicated",
-		"Debounce/Elastic(1,2)":       "streamdag: flow: time-aware stage \"s\" cannot be elastic",
 		"Dedupe/Replicate(2)":         "streamdag: flow: time-aware stage \"s\" cannot be replicated",
-		"Dedupe/Elastic(1,2)":         "streamdag: flow: time-aware stage \"s\" cannot be elastic",
 		"Sample/Replicate(2)":         "streamdag: flow: time-aware stage \"s\" cannot be replicated",
-		"Sample/Elastic(1,2)":         "streamdag: flow: time-aware stage \"s\" cannot be elastic",
 		"Merge/linear":                "streamdag: flow: merge stage \"s\" must be the join of a Split",
 		"Throttle/in-Split-branch":    "streamdag: flow: time-aware stage \"s\" cannot run inside a Split branch: its re-sequenced output would not align with the sibling branches at the merge",
 		"Merge2/three-branches":       "streamdag: flow: Split join \"s\" takes 2 branches, got 3",

@@ -40,7 +40,6 @@ func fillAll(m *Metrics, next *int64, links ...string) {
 	}
 	fill(m.Sessions(), next)
 	fill(m.Faults(), next)
-	fill(m.Scale(), next)
 	fill(m.Time(), next)
 	for _, l := range links {
 		fill(m.Link(l), next)

@@ -121,31 +121,11 @@ type FaultMetrics struct {
 	DrainTime atomic.Int64
 }
 
-// ScaleMetrics is the autoscaler's counters: rescale commits by
-// direction, swap latency, and what happened to the sessions that were
-// still running on the retiring topology.  One set per Metrics —
-// scaling, like faults, is an engine-wide concern.
-type ScaleMetrics struct {
-	// ScaleUps / ScaleDowns count committed rescales that raised /
-	// lowered a node's replica count.
-	ScaleUps   atomic.Int64
-	ScaleDowns atomic.Int64
-	// RescaleTime is the cumulative time spent re-planning and swapping
-	// (ns, or steps in virtual-time mode).
-	RescaleTime atomic.Int64
-	// SessionsMigrated counts sessions moved from a retiring generation
-	// onto the new topology via the retry path (rewind + dedup).
-	SessionsMigrated atomic.Int64
-	// SessionsEvicted counts sessions cancelled at the drain deadline
-	// because they had no retry path to migrate on.
-	SessionsEvicted atomic.Int64
-}
-
 // TimeMetrics is the time-aware stage library's counters: timer-driven
 // flushes delivered to timed kernels and the elements they emit (window
 // closes, debounce and sample flushes, throttle passes).  One set per
-// Metrics — timed behaviour is an engine-wide concern like faults and
-// scaling, and the per-node Firings/Spans counters already localize it.
+// Metrics — timed behaviour is an engine-wide concern like faults, and
+// the per-node Firings/Spans counters already localize it.
 type TimeMetrics struct {
 	// TimerTicks counts timer-driven Tick deliveries to timed kernels.
 	TimerTicks atomic.Int64
@@ -211,22 +191,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// lifecycle holds the counters that outlive any single topology:
-// session/fault/scale totals and transport links.  A Rebind (rescale
-// swapping in an expanded topology) shares the same lifecycle struct,
-// so engines still draining on the retired topology keep adding to the
-// counters the new snapshot reports — sessions are never lost from the
-// totals across a swap.
-type lifecycle struct {
-	sessions SessionMetrics
-	faults   FaultMetrics
-	scale    ScaleMetrics
-	timed    TimeMetrics
-
-	linkMu sync.Mutex
-	links  map[string]*LinkMetrics
-}
-
 // Metrics is the per-topology registry all backends write into.  Node
 // and edge slots are fixed at construction (indexed by the topology's
 // NodeID/EdgeID); link slots are registered by the distributed engine.
@@ -235,7 +199,13 @@ type Metrics struct {
 	edgeNames []string
 	nodes     []NodeMetrics
 	edges     []EdgeMetrics
-	life      *lifecycle
+
+	// The unlabeled totals and the transport links.
+	sessions SessionMetrics
+	faults   FaultMetrics
+	timed    TimeMetrics
+	linkMu   sync.Mutex
+	links    map[string]*LinkMetrics
 
 	virtual atomic.Bool
 }
@@ -243,27 +213,12 @@ type Metrics struct {
 // New builds a Metrics for a topology with the given node names and
 // edge labels (conventionally "from→to", indexed by EdgeID).
 func New(nodeNames, edgeNames []string) *Metrics {
-	return newMetrics(nodeNames, edgeNames, &lifecycle{links: make(map[string]*LinkMetrics)})
-}
-
-// Rebind builds a Metrics for a new topology that shares m's lifecycle
-// counters (sessions, faults, scale, links).  Per-node and per-edge
-// counters start at zero — a Prometheus counter reset, labeled by the
-// new topology's names — while the shared totals carry over, and
-// engines still draining against m keep feeding them.
-func (m *Metrics) Rebind(nodeNames, edgeNames []string) *Metrics {
-	nm := newMetrics(nodeNames, edgeNames, m.life)
-	nm.virtual.Store(m.virtual.Load())
-	return nm
-}
-
-func newMetrics(nodeNames, edgeNames []string, life *lifecycle) *Metrics {
 	return &Metrics{
 		nodeNames: append([]string(nil), nodeNames...),
 		edgeNames: append([]string(nil), edgeNames...),
 		nodes:     make([]NodeMetrics, len(nodeNames)),
 		edges:     make([]EdgeMetrics, len(edgeNames)),
-		life:      life,
+		links:     make(map[string]*LinkMetrics),
 	}
 }
 
@@ -280,26 +235,23 @@ func (m *Metrics) Node(i int) *NodeMetrics { return &m.nodes[i] }
 func (m *Metrics) Edge(i int) *EdgeMetrics { return &m.edges[i] }
 
 // Sessions returns the session lifecycle counters.
-func (m *Metrics) Sessions() *SessionMetrics { return &m.life.sessions }
+func (m *Metrics) Sessions() *SessionMetrics { return &m.sessions }
 
 // Faults returns the fault-domain counters.
-func (m *Metrics) Faults() *FaultMetrics { return &m.life.faults }
-
-// Scale returns the autoscaler counters.
-func (m *Metrics) Scale() *ScaleMetrics { return &m.life.scale }
+func (m *Metrics) Faults() *FaultMetrics { return &m.faults }
 
 // Time returns the time-aware stage counters.
-func (m *Metrics) Time() *TimeMetrics { return &m.life.timed }
+func (m *Metrics) Time() *TimeMetrics { return &m.timed }
 
 // Link returns (registering on first use) the counters for one
 // worker→peer transport link.
 func (m *Metrics) Link(name string) *LinkMetrics {
-	m.life.linkMu.Lock()
-	defer m.life.linkMu.Unlock()
-	l := m.life.links[name]
+	m.linkMu.Lock()
+	defer m.linkMu.Unlock()
+	l := m.links[name]
 	if l == nil {
 		l = &LinkMetrics{}
-		m.life.links[name] = l
+		m.links[name] = l
 	}
 	return l
 }
@@ -355,15 +307,6 @@ type FaultSnapshot struct {
 	DrainTime      int64 `json:"drain_time"`
 }
 
-// ScaleSnapshot is the autoscaler counters at snapshot time.
-type ScaleSnapshot struct {
-	ScaleUps         int64 `json:"scale_ups"`
-	ScaleDowns       int64 `json:"scale_downs"`
-	RescaleTime      int64 `json:"rescale_time"`
-	SessionsMigrated int64 `json:"sessions_migrated"`
-	SessionsEvicted  int64 `json:"sessions_evicted"`
-}
-
 // TimeSnapshot is the time-aware stage counters at snapshot time.
 type TimeSnapshot struct {
 	TimerTicks     int64 `json:"timer_ticks"`
@@ -390,7 +333,6 @@ type Snapshot struct {
 	Edges       []EdgeSnapshot  `json:"edges"`
 	Sessions    SessionSnapshot `json:"sessions"`
 	Faults      FaultSnapshot   `json:"faults"`
-	Scale       ScaleSnapshot   `json:"scale"`
 	Time        TimeSnapshot    `json:"time"`
 	Links       []LinkSnapshot  `json:"links,omitempty"`
 }
@@ -464,46 +406,36 @@ var edgeFamilies = []family[EdgeMetrics, EdgeSnapshot]{
 		func(s *EdgeSnapshot) *int64 { return &s.CreditStallTime }, func(c *EdgeMetrics) *atomic.Int64 { return &c.CreditStallTime }},
 }
 
-// lifeFamilies are the unlabeled totals: sessions, faults, scale, time.
-var lifeFamilies = []family[lifecycle, Snapshot]{
+// lifeFamilies are the unlabeled totals: sessions, faults, time.
+var lifeFamilies = []family[Metrics, Snapshot]{
 	{"streamdag_sessions_opened_total", "Sessions opened.", counter,
-		func(s *Snapshot) *int64 { return &s.Sessions.Opened }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.Opened }},
+		func(s *Snapshot) *int64 { return &s.Sessions.Opened }, func(m *Metrics) *atomic.Int64 { return &m.sessions.Opened }},
 	{"streamdag_sessions_active", "Sessions currently open.", gauge,
-		func(s *Snapshot) *int64 { return &s.Sessions.Active }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.Active }},
+		func(s *Snapshot) *int64 { return &s.Sessions.Active }, func(m *Metrics) *atomic.Int64 { return &m.sessions.Active }},
 	{"streamdag_sessions_completed_total", "Sessions completed (EOF).", counter,
-		func(s *Snapshot) *int64 { return &s.Sessions.Completed }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.Completed }},
+		func(s *Snapshot) *int64 { return &s.Sessions.Completed }, func(m *Metrics) *atomic.Int64 { return &m.sessions.Completed }},
 	{"streamdag_sessions_failed_total", "Sessions ended with an error.", counter,
-		func(s *Snapshot) *int64 { return &s.Sessions.Failed }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.Failed }},
+		func(s *Snapshot) *int64 { return &s.Sessions.Failed }, func(m *Metrics) *atomic.Int64 { return &m.sessions.Failed }},
 	{"streamdag_sink_msgs_total", "Data-carrying sink deliveries.", counter,
-		func(s *Snapshot) *int64 { return &s.Sessions.SinkMsgs }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.SinkMsgs }},
+		func(s *Snapshot) *int64 { return &s.Sessions.SinkMsgs }, func(m *Metrics) *atomic.Int64 { return &m.sessions.SinkMsgs }},
 	{"streamdag_ingest_wakes_total", "Ingest pumps woken by their source node from a full ingest window.", counter,
-		func(s *Snapshot) *int64 { return &s.Sessions.IngestWakes }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.IngestWakes }},
+		func(s *Snapshot) *int64 { return &s.Sessions.IngestWakes }, func(m *Metrics) *atomic.Int64 { return &m.sessions.IngestWakes }},
 	{"streamdag_sink_wakes_total", "Wakes across the sink rim: sink pumps woken by their sink node and sink nodes woken by their pump.", counter,
-		func(s *Snapshot) *int64 { return &s.Sessions.SinkWakes }, func(l *lifecycle) *atomic.Int64 { return &l.sessions.SinkWakes }},
+		func(s *Snapshot) *int64 { return &s.Sessions.SinkWakes }, func(m *Metrics) *atomic.Int64 { return &m.sessions.SinkWakes }},
 	{"streamdag_fault_workers_down_total", "Workers whose links were dropped and re-dialed.", counter,
-		func(s *Snapshot) *int64 { return &s.Faults.WorkersDown }, func(l *lifecycle) *atomic.Int64 { return &l.faults.WorkersDown }},
+		func(s *Snapshot) *int64 { return &s.Faults.WorkersDown }, func(m *Metrics) *atomic.Int64 { return &m.faults.WorkersDown }},
 	{"streamdag_fault_session_retries_total", "Session re-open attempts by the retry layer.", counter,
-		func(s *Snapshot) *int64 { return &s.Faults.SessionRetries }, func(l *lifecycle) *atomic.Int64 { return &l.faults.SessionRetries }},
+		func(s *Snapshot) *int64 { return &s.Faults.SessionRetries }, func(m *Metrics) *atomic.Int64 { return &m.faults.SessionRetries }},
 	{"streamdag_fault_dead_lettered_total", "Payloads routed to the dead-letter sink.", counter,
-		func(s *Snapshot) *int64 { return &s.Faults.DeadLettered }, func(l *lifecycle) *atomic.Int64 { return &l.faults.DeadLettered }},
+		func(s *Snapshot) *int64 { return &s.Faults.DeadLettered }, func(m *Metrics) *atomic.Int64 { return &m.faults.DeadLettered }},
 	{"streamdag_fault_drains_total", "Completed engine drains.", counter,
-		func(s *Snapshot) *int64 { return &s.Faults.Drains }, func(l *lifecycle) *atomic.Int64 { return &l.faults.Drains }},
+		func(s *Snapshot) *int64 { return &s.Faults.Drains }, func(m *Metrics) *atomic.Int64 { return &m.faults.Drains }},
 	{"streamdag_fault_drain_%s_total", "Cumulative drain duration (%s).", counter,
-		func(s *Snapshot) *int64 { return &s.Faults.DrainTime }, func(l *lifecycle) *atomic.Int64 { return &l.faults.DrainTime }},
-	{"streamdag_scale_ups_total", "Committed rescales that raised a node's replica count.", counter,
-		func(s *Snapshot) *int64 { return &s.Scale.ScaleUps }, func(l *lifecycle) *atomic.Int64 { return &l.scale.ScaleUps }},
-	{"streamdag_scale_downs_total", "Committed rescales that lowered a node's replica count.", counter,
-		func(s *Snapshot) *int64 { return &s.Scale.ScaleDowns }, func(l *lifecycle) *atomic.Int64 { return &l.scale.ScaleDowns }},
-	{"streamdag_scale_rescale_%s_total", "Cumulative re-plan and swap time (%s).", counter,
-		func(s *Snapshot) *int64 { return &s.Scale.RescaleTime }, func(l *lifecycle) *atomic.Int64 { return &l.scale.RescaleTime }},
-	{"streamdag_scale_sessions_migrated_total", "Sessions migrated off a retiring topology via the retry path.", counter,
-		func(s *Snapshot) *int64 { return &s.Scale.SessionsMigrated }, func(l *lifecycle) *atomic.Int64 { return &l.scale.SessionsMigrated }},
-	{"streamdag_scale_sessions_evicted_total", "Sessions cancelled at the rescale drain deadline.", counter,
-		func(s *Snapshot) *int64 { return &s.Scale.SessionsEvicted }, func(l *lifecycle) *atomic.Int64 { return &l.scale.SessionsEvicted }},
+		func(s *Snapshot) *int64 { return &s.Faults.DrainTime }, func(m *Metrics) *atomic.Int64 { return &m.faults.DrainTime }},
 	{"streamdag_time_timer_ticks_total", "Timer-driven flushes delivered to time-aware kernels.", counter,
-		func(s *Snapshot) *int64 { return &s.Time.TimerTicks }, func(l *lifecycle) *atomic.Int64 { return &l.timed.TimerTicks }},
+		func(s *Snapshot) *int64 { return &s.Time.TimerTicks }, func(m *Metrics) *atomic.Int64 { return &m.timed.TimerTicks }},
 	{"streamdag_time_timed_emissions_total", "Elements emitted by time-aware kernels.", counter,
-		func(s *Snapshot) *int64 { return &s.Time.TimedEmissions }, func(l *lifecycle) *atomic.Int64 { return &l.timed.TimedEmissions }},
+		func(s *Snapshot) *int64 { return &s.Time.TimedEmissions }, func(m *Metrics) *atomic.Int64 { return &m.timed.TimedEmissions }},
 }
 
 var linkFamilies = []family[LinkMetrics, LinkSnapshot]{
@@ -573,31 +505,29 @@ func (m *Metrics) Snapshot() *Snapshot {
 		s.Edges[i].Depth = e.Sent.Load() - e.Consumed.Load()
 		load(edgeFamilies, e, &s.Edges[i])
 	}
-	load(lifeFamilies, m.life, s)
-	s.Sessions.Latency = m.life.sessions.Latency.snapshot()
-	m.life.linkMu.Lock()
-	names := make([]string, 0, len(m.life.links))
-	for name := range m.life.links {
+	load(lifeFamilies, m, s)
+	s.Sessions.Latency = m.sessions.Latency.snapshot()
+	m.linkMu.Lock()
+	names := make([]string, 0, len(m.links))
+	for name := range m.links {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
 		s.Links = append(s.Links, LinkSnapshot{Name: name})
-		load(linkFamilies, m.life.links[name], &s.Links[len(s.Links)-1])
+		load(linkFamilies, m.links[name], &s.Links[len(s.Links)-1])
 	}
-	m.life.linkMu.Unlock()
+	m.linkMu.Unlock()
 	return s
 }
 
 // Delta returns s - prev: every counter becomes its increase since
 // prev, while point-in-time gauges (edge Depth, Active sessions) keep
 // their current values.  Nodes, edges, and links are matched by name —
-// entries absent from prev (a topology expanded by rescale) delta
-// against zero, and entries that disappeared are dropped.  A nil prev
-// returns s unchanged.  Two snapshots a known interval apart give
-// rate = Delta / interval; the bench harness reads its per-run figures
-// this way.  The autoscaler does not: it passes raw snapshots to
-// internal/scale, which keeps its own windows.
+// entries absent from prev delta against zero, and entries that
+// disappeared are dropped.  A nil prev returns s unchanged.  Two
+// snapshots a known interval apart give rate = Delta / interval; the
+// bench harness reads its per-run figures this way.
 func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
 	if prev == nil {
 		return s

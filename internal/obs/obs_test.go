@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestSnapshotDelta(t *testing.T) {
 	m := New([]string{"a", "b"}, []string{"a→b"})
@@ -23,7 +20,7 @@ func TestSnapshotDelta(t *testing.T) {
 	m.Edge(0).Sent.Add(2)
 	m.Sessions().Opened.Add(1)
 	m.Sessions().Latency.Observe(9)
-	m.Scale().ScaleUps.Add(1)
+	m.Faults().SessionRetries.Add(1)
 	cur := m.Snapshot()
 
 	d := cur.Delta(prev)
@@ -49,8 +46,8 @@ func TestSnapshotDelta(t *testing.T) {
 	if len(d.Sessions.Latency.Buckets) != 1 || d.Sessions.Latency.Buckets[0].Count != 1 {
 		t.Fatalf("latency buckets = %+v, want one bucket of 1", d.Sessions.Latency.Buckets)
 	}
-	if d.Scale.ScaleUps != 1 {
-		t.Fatalf("scale delta = %+v, want one up", d.Scale)
+	if d.Faults.SessionRetries != 1 {
+		t.Fatalf("fault delta = %+v, want one retry", d.Faults)
 	}
 	if cur.Delta(nil) != cur {
 		t.Fatal("Delta(nil) should return the snapshot unchanged")
@@ -68,58 +65,5 @@ func TestDeltaUnmatchedNames(t *testing.T) {
 	}
 	if d.NodeByName("work") != nil {
 		t.Fatal("vanished node should not appear in delta")
-	}
-}
-
-func TestRebindSharesLifecycle(t *testing.T) {
-	m := New([]string{"work"}, nil)
-	m.Sessions().Completed.Add(3)
-	m.Faults().SessionRetries.Add(2)
-	m.Scale().ScaleUps.Add(1)
-	m.Link("w0→w1").TxFrames.Add(7)
-	m.SetVirtual(true)
-
-	nm := m.Rebind([]string{"work.1", "work.2"}, []string{"work.1→work.2"})
-	if !nm.Virtual() {
-		t.Fatal("Rebind should carry virtual-time mode")
-	}
-	s := nm.Snapshot()
-	if s.Sessions.Completed != 3 || s.Faults.SessionRetries != 2 || s.Scale.ScaleUps != 1 {
-		t.Fatalf("rebound snapshot lost lifecycle counters: %+v %+v %+v",
-			s.Sessions, s.Faults, s.Scale)
-	}
-	if len(s.Links) != 1 || s.Links[0].TxFrames != 7 {
-		t.Fatalf("rebound snapshot lost links: %+v", s.Links)
-	}
-	// Writes through the OLD handle (an engine still draining) land in
-	// the new snapshot's totals.
-	m.Sessions().Completed.Add(1)
-	if got := nm.Snapshot().Sessions.Completed; got != 4 {
-		t.Fatalf("completed = %d after old-handle write, want 4", got)
-	}
-	// Per-topology counters restart.
-	if got := nm.Snapshot().NodeByName("work.1").Firings; got != 0 {
-		t.Fatalf("rebound node counter = %d, want 0", got)
-	}
-}
-
-func TestPrometheusScaleLines(t *testing.T) {
-	m := New(nil, nil)
-	m.Scale().ScaleUps.Add(2)
-	m.Scale().SessionsMigrated.Add(1)
-	var b strings.Builder
-	if err := WritePrometheus(&b, m.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"streamdag_scale_ups_total 2",
-		"streamdag_scale_downs_total 0",
-		"streamdag_scale_sessions_migrated_total 1",
-		"streamdag_scale_rescale_ns_total 0",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q", want)
-		}
 	}
 }

@@ -180,7 +180,6 @@ func (e *Engine) Close() error {
 func (e *Engine) schedule() {
 	defer close(e.done)
 	var active []*EngineSession
-	var rounds int64
 	for {
 		e.mu.Lock()
 		active = append(active, e.queue...)
@@ -211,11 +210,5 @@ func (e *Engine) schedule() {
 			active[i] = nil
 		}
 		active = live
-		// The virtual-clock hook fires after the sweep, so a session's
-		// completion (and its counters) is visible at its round.
-		rounds++
-		if e.cfg.OnStep != nil {
-			e.cfg.OnStep(rounds)
-		}
 	}
 }

@@ -105,14 +105,6 @@ type Config struct {
 	// steps, never wall clock, so two runs of the same configuration
 	// produce byte-identical snapshots.
 	Obs *obs.Metrics
-	// OnStep, when non-nil, is called by the Engine scheduler after each
-	// round that swept at least one active session, with the cumulative
-	// round count.  It runs on the scheduler goroutine — the autoscale
-	// controller uses it as a deterministic virtual clock, so "a burst at
-	// step N scales out at step M" is an exact table test.  It must not
-	// block; anything it starts (a topology swap) must complete or detach
-	// without waiting on this engine's scheduler.
-	OnStep func(step int64)
 	// Clock, when non-nil, is the virtual clock backing time-aware
 	// kernels (stream.TimedKernel): the simulator advances it
 	// deterministically — roundTime (one millisecond) of virtual time
@@ -721,9 +713,12 @@ func (s *state) drainTimed(nd *node) {
 //     filtering pass-through node (a recognizer that never fires, as in
 //     the paper's own Fig. 1 narrative) starves its cycle with no dummy to
 //     propagate, and no finite timer exists on its edges ([e] = ∞ for
-//     interior edges under Propagation).  Splits that emit data on some
-//     outputs are covered by timers: in a CS4 graph every out-edge of a
-//     node with two or more out-edges has a finite Propagation interval.
+//     interior edges under Propagation).  A split that emits data on
+//     some outputs does not cascade, and timers do not cover it either:
+//     per-edge filters at a split inside another cycle can leave an edge
+//     silent longer than the outer cycle's buffers absorb, and the run
+//     deadlocks (DESIGN.md "Protocol soundness", note 1;
+//     TestPropagationWitnessDeadlocks in internal/mc).
 func (s *state) fire(nd *node, seq uint64, anyData bool) {
 	if nd.obsN != nil {
 		nd.obsN.ServiceTime.Add(1)

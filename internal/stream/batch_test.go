@@ -382,51 +382,72 @@ func (k *spanRecorder) ProcessSpan(_ uint64, in, out []any) int {
 	return len(in)
 }
 
-// loopCarrier carries the cross edges of an engine that holds both ends
+// gateCarrier carries the cross edges of an engine that holds both ends
 // of each: it hands every run and every credit straight back to the
-// engine, counting the runs — one per send, whatever the run's length.
-type loopCarrier struct {
+// engine, counting the runs per edge — one per send, whatever the run's
+// length.  On edge gate it holds messages back until it has a whole
+// number of 64-message passes, or an EOS, and delivers them in one
+// Deliver, so that edge's consumer only ever finds whole passes queued.
+// Only the gate edge's producer goroutine touches held.
+type gateCarrier struct {
 	e    *stream.Engine
-	runs atomic.Int64
+	gate graph.EdgeID
+	held []stream.Message
+	runs []atomic.Int64
 }
 
-func (c *loopCarrier) Run(sid proto.SessionID, edge graph.EdgeID, run []stream.Message) error {
-	c.runs.Add(1)
-	return c.e.Deliver(sid, edge, run)
+func (c *gateCarrier) Run(sid proto.SessionID, edge graph.EdgeID, run []stream.Message) error {
+	c.runs[edge].Add(1)
+	if edge != c.gate {
+		return c.e.Deliver(sid, edge, run)
+	}
+	c.held = append(c.held, run...)
+	n := len(c.held) / 64 * 64
+	if c.held[len(c.held)-1].Kind == stream.EOS {
+		n = len(c.held)
+	}
+	if n == 0 {
+		return nil
+	}
+	err := c.e.Deliver(sid, edge, c.held[:n])
+	c.held = append(c.held[:0], c.held[n:]...)
+	return err
 }
 
-func (c *loopCarrier) Credit(sid proto.SessionID, edge graph.EdgeID, consumed uint64) {
+func (c *gateCarrier) Credit(sid proto.SessionID, edge graph.EdgeID, consumed uint64) {
 	c.e.Credit(sid, edge, consumed)
 }
 
 // TestBatch1PassShipsRuns pins what batch means: the span a kernel call
 // takes, not the run a pass ships.  A batch-1 chain's nodes each offer
-// their SpanKernel one element at a time, yet a pass takes up to
-// passWidth firings and sends them as one run per out-edge, so the chain
-// sends far fewer runs than it carries messages — one per message and
-// hop is what a one-firing pass would make.  Every edge is a cross edge
-// on a loopCarrier, which counts the sends; a send is the same call on a
-// local edge, a ring publish.
+// their SpanKernel one element at a time, yet a pass takes 64 firings
+// (passWidth) and sends them as one run per out-edge.  Every edge is a
+// cross edge on a gateCarrier, which counts the sends; a send is the same
+// call on a local edge, a ring publish.  The carrier delivers the source's
+// out-edge in whole passes, and every edge holds the whole stream, so no
+// window cuts a pass: each later hop sends exactly one run per 64 inputs
+// plus its EOS.  A pass that shipped per firing would send one run per
+// message, and one 32 firings wide twice the runs.
 func TestBatch1PassShipsRuns(t *testing.T) {
-	const inputs, hops = 20000, 4
-	g := workload.Pipeline(hops+1, 256)
+	const inputs, hops = 64 * 200, 4
+	g := workload.Pipeline(hops+1, inputs+64)
 	ks := make(map[graph.NodeID]stream.Kernel, hops)
 	recs := make([]*spanRecorder, hops)
 	for i := range recs {
 		recs[i] = &spanRecorder{}
 		ks[graph.NodeID(i)] = recs[i]
 	}
-	loop := &loopCarrier{}
+	gate := &gateCarrier{gate: 0, runs: make([]atomic.Int64, hops)}
 	cross := make(map[graph.EdgeID]stream.CrossEdge, hops)
 	for _, ed := range g.Edges() {
-		cross[ed.ID] = stream.CrossEdge{Msgs: loop, Credits: loop}
+		cross[ed.ID] = stream.CrossEdge{Msgs: gate, Credits: gate}
 	}
 	eng, err := stream.NewEngine(g, ks, stream.Config{MaxBatch: 1, Cross: cross, WatchdogTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	loop.e = eng
+	gate.e = eng
 	ses, err := eng.Open(stream.SessionConfig{ID: 1, Source: stream.SyntheticSource(inputs),
 		Sink: func(context.Context, uint64, any) error { return nil }})
 	if err != nil {
@@ -441,10 +462,12 @@ func TestBatch1PassShipsRuns(t *testing.T) {
 			t.Errorf("node %d: longest span %d over %d elements; want spans of 1 over %d", i, l, m, inputs)
 		}
 	}
-	sends := loop.runs.Load()
-	t.Logf("%d messages over %d hops took %d sends", inputs, hops, sends)
-	if sends >= inputs/8 {
-		t.Errorf("%d sends for %d messages over %d hops; want fewer than %d", sends, inputs, hops, inputs/8)
+	t.Logf("%d messages over %d hops: %d, %d, %d and %d sends per edge", inputs, hops,
+		gate.runs[0].Load(), gate.runs[1].Load(), gate.runs[2].Load(), gate.runs[3].Load())
+	for e := 1; e < hops; e++ {
+		if got, want := gate.runs[e].Load(), int64(inputs/64+1); got != want {
+			t.Errorf("edge %d: %d sends for %d messages; want %d, one per 64-firing pass and the EOS", e, got, inputs, want)
+		}
 	}
 }
 

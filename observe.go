@@ -111,33 +111,6 @@ func (o *Observer) attach(p *Pipeline) error {
 	return nil
 }
 
-// rebind re-targets the live observer at a rescaled clone's executed
-// topology: per-node/per-edge slots restart at the new layout while the
-// lifecycle counters (sessions, faults, scale, links) carry over — the
-// Prometheus counter-reset convention for a re-shaped collector.  The
-// previous collector keeps feeding the shared lifecycle totals from the
-// draining generation.  Returns it so a failed swap can restore.
-func (o *Observer) rebind(np *Pipeline) *obs.Metrics {
-	nodeNames, edgeNames := topoNames(np)
-	o.mu.Lock()
-	prev := o.m
-	if prev == nil {
-		o.m = obs.New(nodeNames, edgeNames)
-	} else {
-		o.m = prev.Rebind(nodeNames, edgeNames)
-	}
-	o.mu.Unlock()
-	np.obs = o
-	return prev
-}
-
-// restore undoes a rebind after a failed swap.
-func (o *Observer) restore(m *obs.Metrics) {
-	o.mu.Lock()
-	o.m = m
-	o.mu.Unlock()
-}
-
 // Snapshot returns a point-in-time copy of the collected telemetry; an
 // unattached observer returns an empty snapshot.  Safe to call while
 // streams are running — counters are read atomically, though a snapshot
@@ -183,8 +156,5 @@ func (p *Pipeline) obsMetrics() *obs.Metrics {
 // counts and credit stalls, and per-session latency, on every backend.
 // Without an attached Observer the snapshot is empty.
 func (e *Engine) Metrics() *Snapshot {
-	if o := e.pipe().obs; o != nil {
-		return o.Snapshot()
-	}
-	return &Snapshot{}
+	return e.p.obs.Snapshot()
 }

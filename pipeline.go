@@ -26,9 +26,7 @@ import (
 // once, then Run; a Pipeline is reusable across Runs as long as its
 // kernels are stateless (the library's own synthetic kernels are).
 type Pipeline struct {
-	orig      *Topology
-	topo      *Topology // expanded topology; == orig without replication
-	rep       *Replicated
+	topo      *Topology // expanded topology; the built one without replication
 	analysis  *Analysis
 	intervals map[EdgeID]Interval
 	kernels   map[NodeID]Kernel // keyed by expanded-topology IDs
@@ -39,16 +37,6 @@ type Pipeline struct {
 	maxBatch  int
 	obs       *Observer   // telemetry collector; nil (the default) compiles instrumentation out
 	clk       clock.Clock // time source of the time-aware stages; nil means backend default
-
-	// Rescale state: the pre-expansion kernel resolution and the live
-	// replication plan, kept so withPlan can re-derive the executed
-	// topology for a different k without redoing option handling (see
-	// scale.go).
-	origKernels map[NodeID]Kernel // keyed by ORIGINAL topology IDs
-	plan        ReplicationPlan
-	scale       *ScalePolicy       // autoscaler policy; nil without WithAutoscale
-	elastic     map[string]Elastic // Stage.Elastic marks, by original node name
-	onStep      *stepHook          // simulator virtual-clock tap for the controller
 
 	// Fault-tolerance configuration (see fault.go).
 	retry RetryPolicy
@@ -87,8 +75,6 @@ type buildConfig struct {
 	routing    Filter
 	avoidance  bool
 	observer   *Observer
-	scale      *ScalePolicy
-	elastic    map[string]Elastic
 	retry      RetryPolicy
 	dlq        DeadLetterSink
 	clk        clock.Clock
@@ -281,13 +267,10 @@ func Build(t *Topology, opts ...Option) (*Pipeline, error) {
 	}
 
 	p := &Pipeline{
-		orig: t, topo: t,
 		backend: cfg.backend, alg: cfg.alg,
 		watchdog: cfg.watchdog, avoidance: cfg.avoidance,
-		maxBatch:    cfg.maxBatch,
-		origKernels: kernels,
-		elastic:     cfg.elastic,
-		retry:       cfg.retry, dlq: cfg.dlq,
+		maxBatch: cfg.maxBatch,
+		retry:    cfg.retry, dlq: cfg.dlq,
 		clk: cfg.clk,
 	}
 	// Resolve the time-aware stages' clock: an explicit WithClock wins;
@@ -295,8 +278,7 @@ func Build(t *Topology, opts ...Option) (*Pipeline, error) {
 	// deterministic fake (advanced by the scheduler), and the runtime
 	// backends leave clk nil so the kernels default to the wall clock.
 	// Injection reaches the kernel instances themselves, which survive
-	// replication carry-over and autoscale re-plans, so every generation
-	// reads the same clock.
+	// replication carry-over, so every replica reads the same clock.
 	if p.clk == nil {
 		if _, isSim := cfg.backend.(simulatorBackend); isSim && anyTimedKernel(kernels) {
 			p.clk = clock.NewFake()
@@ -305,46 +287,7 @@ func Build(t *Topology, opts ...Option) (*Pipeline, error) {
 	if p.clk != nil {
 		injectClock(kernels, p.clk)
 	}
-	if cfg.scale != nil {
-		pol := cfg.scale.normalized()
-		if err := pol.validate(); err != nil {
-			return nil, err
-		}
-		p.scale = &pol
-		p.onStep = &stepHook{}
-		elastic := p.elasticNodes()
-		if len(elastic) == 0 {
-			return nil, errors.New("streamdag: build: WithAutoscale needs elastic nodes (ScalePolicy.Nodes or Stage.Elastic)")
-		}
-		// Probe-replicate every elastic node once so a node that cannot be
-		// replicated (source, sink, unknown name) fails at Build, not at
-		// the first live rescale.
-		probe := make(ReplicationPlan, len(elastic))
-		for name, el := range elastic {
-			if el.Min < 1 || el.Max < el.Min {
-				return nil, fmt.Errorf("streamdag: build: elastic range [%d, %d] for node %q is invalid", el.Min, el.Max, name)
-			}
-			probe[name] = 2
-			// An elastic floor above one is an initial replication plan.
-			if el.Min > 1 {
-				if _, set := cfg.plan[name]; !set {
-					if cfg.plan == nil {
-						cfg.plan = make(ReplicationPlan)
-					}
-					cfg.plan[name] = el.Min
-				}
-			}
-		}
-		if _, err := expand(t, probe); err != nil {
-			return nil, err
-		}
-		if cfg.observer == nil {
-			// The detector samples Engine.Metrics, so autoscaling implies
-			// an observer even when the caller didn't ask for one.
-			cfg.observer = NewObserver()
-		}
-	}
-	if err := p.applyPlan(cfg.plan); err != nil {
+	if err := p.applyPlan(t, cfg.plan, kernels); err != nil {
 		return nil, err
 	}
 	if err := p.validateTimed(); err != nil {
@@ -361,15 +304,11 @@ func Build(t *Topology, opts ...Option) (*Pipeline, error) {
 	return p, nil
 }
 
-// applyPlan derives the executed state from p.orig and plan: replication
-// expansion, kernel carry-over, classification, and dummy intervals.
-// Build calls it once; withPlan calls it on a clone for every live
-// rescale.
-func (p *Pipeline) applyPlan(plan ReplicationPlan) error {
-	p.plan = plan
-	p.rep = nil
-	p.topo = p.orig
-	kernels := p.origKernels
+// applyPlan derives the executed state from t, plan and the kernels
+// resolved against t: replication expansion, kernel carry-over,
+// classification, and dummy intervals.
+func (p *Pipeline) applyPlan(t *Topology, plan ReplicationPlan, kernels map[NodeID]Kernel) error {
+	p.topo = t
 	// Replication wraps the replicated node's kernel in per-replica
 	// adapters, which would silently erase a timed kernel's TimedKernel
 	// surface — the replicas would fall to the plain dispatch path and
@@ -379,18 +318,17 @@ func (p *Pipeline) applyPlan(plan ReplicationPlan) error {
 		if n == 1 {
 			continue
 		}
-		if id, ok := p.orig.g.NodeByName(name); ok {
+		if id, ok := t.g.NodeByName(name); ok {
 			if _, timed := kernels[id].(stream.TimedKernel); timed {
 				return fmt.Errorf("streamdag: replication: node %q is a time-aware stage and cannot be replicated — replicas would partition its single window state", name)
 			}
 		}
 	}
 	if len(plan) > 0 {
-		rep, err := expand(p.orig, plan)
+		rep, err := expand(t, plan)
 		if err != nil {
 			return err
 		}
-		p.rep = rep
 		p.topo = rep.Topology()
 		kernels = rep.res.Kernels(kernels)
 	}
@@ -418,9 +356,9 @@ func (p *Pipeline) applyPlan(plan ReplicationPlan) error {
 // loop only then), and a kernel instance may serve only one node —
 // replication shares the instance across replicas, which for a stateful
 // timed kernel would mean concurrent mutation of one window state.
-// Checked after every plan application as a backstop behind applyPlan's
-// explicit plan screen, so a structural violation fails at Build or at
-// the offending rescale, never silently at run time.  (A replicated
+// Checked after the plan is applied, as a backstop behind applyPlan's
+// explicit plan screen, so a structural violation fails at Build, never
+// silently at run time.  (A replicated
 // stage directly upstream is fine: expansion inserts a merge node, so
 // the timed node still sees exactly one ordered input edge.)
 func (p *Pipeline) validateTimed() error {
@@ -441,50 +379,6 @@ func (p *Pipeline) validateTimed() error {
 		}
 	}
 	return nil
-}
-
-// planBackend is implemented by backends whose engine construction
-// depends on the executed topology's node names (the distributed
-// backend's node→worker assignment); forPlan derives the backend for a
-// rescaled clone from the one serving the old plan.
-type planBackend interface {
-	forPlan(np, old *Pipeline) (Backend, error)
-}
-
-// withPlan clones p for a different replication plan.  The clone shares
-// the original topology, kernels, options, and stateful-stage cells with
-// p, recompiles the executed topology, and refuses the swap if the new
-// expansion would change the topology's class — the class is what the
-// deadlock-freedom proof quantifies over, so a rescale must never move
-// it.  The clone's observer is left nil; the caller rebinds the live
-// Observer against the new topology before starting an engine.
-func (p *Pipeline) withPlan(plan ReplicationPlan) (*Pipeline, error) {
-	np := new(Pipeline)
-	*np = *p
-	np.obs = nil
-	if p.onStep != nil {
-		// Each generation gets its own virtual-clock tap so retiring the
-		// old engine can't tick the controller for the new one.
-		np.onStep = &stepHook{}
-	}
-	if err := np.applyPlan(plan); err != nil {
-		return nil, err
-	}
-	if err := np.validateTimed(); err != nil {
-		return nil, err
-	}
-	if np.analysis.Class() != p.analysis.Class() {
-		return nil, fmt.Errorf("streamdag: rescale: expansion would change topology class %s → %s; refusing",
-			p.analysis.Class(), np.analysis.Class())
-	}
-	if pb, ok := np.backend.(planBackend); ok {
-		b, err := pb.forPlan(np, p)
-		if err != nil {
-			return nil, err
-		}
-		np.backend = b
-	}
-	return np, nil
 }
 
 // Topology returns the topology the pipeline executes — the expanded one

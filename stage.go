@@ -13,7 +13,7 @@ import (
 // the constructors (Map, FilterStage, FilterMap, Stateful, Sequence,
 // Split, Merge/Merge2/Merge3; the time-aware ones are in stage_time.go),
 // each of which fills in a record; and the per-stage knobs (Replicate,
-// Elastic, Buffer, Tap).  A record's kind decides which knobs it
+// Buffer, Tap).  A record's kind decides which knobs it
 // accepts (knobErr) and how it lowers (lower, node).  A Stage is a
 // description — nothing runs until Flow.Compile lowers the stage graph
 // to a Topology plus a kernel map and hands it to Build, where
@@ -56,12 +56,6 @@ type Stage interface {
 	// safe for concurrent use.  Composite stages (Sequence, Split) reject
 	// it — tap their member stages.
 	Tap(fn func(v any)) Stage
-	// Elastic marks the stage autoscalable between min and max replicas
-	// (min >= 1): under WithAutoscale the engine re-plans the stage's
-	// replica count live as its load moves.  The stage's function is
-	// shared by all replicas and must be safe for concurrent use, like
-	// Replicate.  Stateful and composite stages reject it at Compile.
-	Elastic(min, max int) Stage
 
 	base() *stage
 	stageErr() error
@@ -100,8 +94,6 @@ const (
 type stage struct {
 	name     string
 	replicas int
-	elMin    int // Elastic range; marked when elMax > 0
-	elMax    int
 	buf      int
 	tap      func(any)
 	err      error
@@ -137,11 +129,6 @@ func (s *stage) Replicate(k int) Stage {
 	return s.knob(k < 1, "replica count %d must be positive", k)
 }
 
-func (s *stage) Elastic(min, max int) Stage {
-	s.elMin, s.elMax = min, max
-	return s.knob(min < 1 || max < min, "elastic range [%d, %d] is invalid (need 1 <= min <= max)", min, max)
-}
-
 func (s *stage) Buffer(n int) Stage {
 	s.buf = n
 	return s.knob(n < 1, "buffer capacity %d must be positive", n)
@@ -161,17 +148,11 @@ func (s *stage) knobErr(lw *lowering) error {
 		if s.replicas > 1 {
 			return fmt.Errorf("streamdag: flow: stateful stage %q cannot be replicated (replicas would share its state)", s.name)
 		}
-		if s.elMax > 0 {
-			return fmt.Errorf("streamdag: flow: stateful stage %q cannot be elastic (replicas would share its state)", s.name)
-		}
 	case kindTimed:
 		// A timed kernel is single-instance state, and its re-sequenced
 		// output cannot join a seq-keyed merge.
 		if s.replicas > 1 {
 			return fmt.Errorf("streamdag: flow: time-aware stage %q cannot be replicated", s.name)
-		}
-		if s.elMax > 0 {
-			return fmt.Errorf("streamdag: flow: time-aware stage %q cannot be elastic", s.name)
 		}
 		if lw.split > 0 {
 			return fmt.Errorf("streamdag: flow: time-aware stage %q cannot run inside a Split branch: its re-sequenced output would not align with the sibling branches at the merge", s.name)
@@ -182,8 +163,6 @@ func (s *stage) knobErr(lw *lowering) error {
 		switch {
 		case s.replicas > 1:
 			return fmt.Errorf("streamdag: flow: composite stage %q cannot be replicated; replicate its member stages", s.name)
-		case s.elMax > 0:
-			return fmt.Errorf("streamdag: flow: composite stage %q cannot be elastic; mark its member stages", s.name)
 		case s.buf > 0:
 			return fmt.Errorf("streamdag: flow: composite stage %q has no inbound channel of its own; set buffers on its member stages", s.name)
 		case s.tap != nil:
@@ -230,8 +209,7 @@ func (s *stage) lower(lw *lowering, from string) (string, error) {
 	return s.node(lw, from)
 }
 
-// node adds a node stage's node with its replication and elastic marks,
-// and one inbound channel from each upstream node: one for a linear
+// node adds a node stage's node with its replication mark, and one inbound channel from each upstream node: one for a linear
 // stage, one per branch for a merge.
 func (s *stage) node(lw *lowering, froms ...string) (string, error) {
 	if err := lw.addNode(s.name, s.kernel(lw, s.tap)); err != nil {
@@ -239,9 +217,6 @@ func (s *stage) node(lw *lowering, froms ...string) (string, error) {
 	}
 	if s.replicas > 1 {
 		lw.plan[s.name] = s.replicas
-	}
-	if s.elMax > 0 {
-		lw.elastic[s.name] = Elastic{Min: s.elMin, Max: s.elMax}
 	}
 	buf := lw.defBuf
 	if s.buf > 0 {

@@ -25,7 +25,7 @@ import (
 // simulator injects its deterministic virtual clock automatically, the
 // wall backends default to the real clock).  All seven stages are
 // stateful — they register per-run resets like Stateful, confining the
-// pipeline to one session at a time — and reject Replicate, Elastic, and
+// pipeline to one session at a time — and reject Replicate and
 // positions inside a Split branch, where re-sequenced output would break
 // the merge's seq-keyed join.
 
@@ -133,9 +133,8 @@ type timedKernel interface {
 
 // timedStage is the one constructor of the time-aware stages.  Each
 // Compile makes the kernel once, with mk, and registers its reset; the
-// node's factory returns that same instance on every call, so autoscale
-// re-plans (which re-invoke factories) keep its state and its injected
-// clock.
+// node's factory returns that instance, whose reset and injected clock
+// are then the node's.
 func timedStage(name string, in, out reflect.Type, err error, mk func(c timedCore) timedKernel) Stage {
 	return &stage{name: name, kind: kindTimed, in: in, out: out, err: err,
 		kernel: func(lw *lowering, tap func(any)) kernelFactory {

@@ -68,9 +68,6 @@ func TestTimedStageValidation(t *testing.T) {
 	if err := compile(Throttle[int]("w", time.Second).Replicate(2)); err == nil {
 		t.Error("replicated time-aware stage compiled")
 	}
-	if err := compile(Throttle[int]("w", time.Second).Elastic(1, 4)); err == nil {
-		t.Error("elastic time-aware stage compiled")
-	}
 	_, err := NewFlow[int, any]().
 		Then(Split(Merge2("join", func(a Maybe[int], b Maybe[int]) (int, bool) { return a.Value + b.Value, true }),
 			Throttle[int]("thr", time.Second),
