@@ -3,7 +3,6 @@ package streamdag
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"runtime"
 	"strconv"
 	"sync"
@@ -42,13 +41,17 @@ func arenaBytes(v uint64) [64]byte {
 // between.  Each session splits its inputs into a Map to uint64, a Map to
 // a struct holding a string and a Map to [64]byte, and the join forwards
 // the three boxes the Maps made, untouched, to the sink.  The rows cover
-// batch 1 and 64, replicated Maps (whose replicas box as Go does) and
-// tapped ones (whose taps keep the boxes too).
+// channels 4 and 256 deep (named for the batch widths the engine had,
+// 1 and 64), replicated Maps (whose replicas box as Go does) and tapped
+// ones (whose taps keep the boxes too).
 func TestArenaValuesSurviveSessions(t *testing.T) {
 	const sessions, inputs = 8, 500
-	for _, batch := range []int{1, 64} {
+	for _, depth := range []struct {
+		name string
+		buf  int
+	}{{"batch1", 4}, {"batch64", 256}} {
 		for _, variant := range []string{"plain", "replicated", "tapped"} {
-			t.Run(fmt.Sprintf("batch%d/%s", batch, variant), func(t *testing.T) {
+			t.Run(depth.name+"/"+variant, func(t *testing.T) {
 				var mu sync.Mutex
 				var tapped []any
 				stages := []Stage{
@@ -75,12 +78,8 @@ func TestArenaValuesSurviveSessions(t *testing.T) {
 					}
 					return out, true
 				})
-				opts := []Option{WithWatchdog(10 * time.Second)}
-				if batch > 1 {
-					opts = append(opts, WithMaxBatch(batch))
-				}
-				pipe, err := NewFlow[uint64, []any]().Buffer(4 * batch).
-					Then(Split(join, stages...)).Compile(opts...)
+				pipe, err := NewFlow[uint64, []any]().Buffer(depth.buf).
+					Then(Split(join, stages...)).Compile(WithWatchdog(10 * time.Second))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,10 +2,8 @@ package streamdag
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,17 +13,18 @@ import (
 	"streamdag/internal/workload"
 )
 
-// Batching is transport-level only: a pipeline built WithMaxBatch(n)
-// must be observably indistinguishable from the same pipeline at batch
-// 1 on every backend — identical per-edge data and dummy counts and an
-// identical sink (seq, payload) sequence — including under replication,
-// filtering and concurrent engine sessions.
+// Batching is transport-level only: a pipeline's passes, which fire up to
+// 64 elements and ship them as one run, must be observably
+// indistinguishable from firing per element on every backend — identical
+// per-edge data and dummy counts and an identical sink (seq, payload)
+// sequence — including under replication, filtering and concurrent
+// engine sessions.
 
 const batchingInputs = 1200
 
 // batchingFlow is the parity workload with the acceptance features —
 // a FilterStage (dummy traffic, partial firings) and a Replicate(4)
-// stage (fan-out/fan-in) — compiled at the given batch sizes.
+// stage (fan-out/fan-in) — compiled with the given options.
 func batchingFlow(t *testing.T, opts ...Option) *Pipeline {
 	t.Helper()
 	pipe, err := NewFlow[uint64, uint64]().Buffer(8).
@@ -76,77 +75,25 @@ func requireSameStream(t *testing.T, label string, refStats, stats *RunStats, re
 	}
 }
 
-// TestBatchedParityAllBackends pins WithMaxBatch bit-identical to the
-// unbatched pipeline on all three backends.
+// TestBatchedParityAllBackends pins the pipeline bit-identical from run to
+// run on all three backends.
 func TestBatchedParityAllBackends(t *testing.T) {
 	for _, backend := range []string{"goroutines", "simulator", "distributed"} {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			refStats, refSeen := runBatching(t, backend)
-			for _, batch := range []int{16, 64} {
-				stats, seen := runBatching(t, backend, WithMaxBatch(batch))
-				requireSameStream(t, fmt.Sprintf("batch %d", batch), refStats, stats, refSeen, seen)
-			}
+			stats, seen := runBatching(t, backend)
+			requireSameStream(t, "rerun", refStats, stats, refSeen, seen)
 		})
 	}
 }
 
-// TestSimulatorIgnoresBatch pins that the Simulator does not model batch
-// width: the reference schedule fires one element per step, so at
-// WithMaxBatch 1, 7 and 64 a filtering split/join feeding a stateful
-// stage yields the same RunStats, the same sink sequence, and the same
-// observer snapshot — step counts, spans and session latency included.
-func TestSimulatorIgnoresBatch(t *testing.T) {
-	run := func(batch int) (*RunStats, []Emission, string) {
-		o := NewObserver()
-		pipe, err := NewFlow[uint64, uint64]().Buffer(4).
-			Then(Split(
-				Merge2("join", func(a, b Maybe[uint64]) (uint64, bool) { return a.Value + b.Value, a.OK || b.OK }),
-				FilterStage("thirds", func(v uint64) bool { return v%3 == 0 }),
-				FilterStage("odds", func(v uint64) bool { return v%2 == 1 }),
-			)).
-			Then(Stateful("runsum", uint64(0), func(sum, v uint64) (uint64, uint64, bool) { return sum + v, sum + v, true })).
-			Compile(WithBackend(Simulator()), WithMaxBatch(batch), WithObserver(o))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var col Collector
-		stats, err := pipe.Run(context.Background(), CountingSource(600), &col)
-		if err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		stats.Elapsed = 0 // wall clock: the one field the schedule does not decide
-		snap, err := json.Marshal(o.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats, col.Emissions(), string(snap)
-	}
-	refStats, refSeen, refSnap := run(1)
-	if refStats.TotalDummies() == 0 {
-		t.Fatal("the workload sent no dummies; it does not exercise filtering")
-	}
-	for _, batch := range []int{7, 64} {
-		stats, seen, snap := run(batch)
-		if !reflect.DeepEqual(stats, refStats) {
-			t.Errorf("batch %d: RunStats %+v, batch 1 %+v", batch, stats, refStats)
-		}
-		if !reflect.DeepEqual(seen, refSeen) {
-			t.Errorf("batch %d: sink sequence differs from batch 1", batch)
-		}
-		if snap != refSnap {
-			t.Errorf("batch %d: observer snapshot differs from batch 1:\n%s\n%s", batch, snap, refSnap)
-		}
-	}
-}
-
 // TestBatchedEngineSessionsParity runs concurrent sessions on one
-// batched resident engine: every session must see exactly the unbatched
-// single-run stream.
+// resident engine: every session must see exactly the single-run stream.
 func TestBatchedEngineSessionsParity(t *testing.T) {
 	refStats, refSeen := runBatching(t, "goroutines")
 
-	eng, err := batchingFlow(t, WithMaxBatch(64)).Engine()
+	eng, err := batchingFlow(t).Engine()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +129,10 @@ func TestBatchedEngineSessionsParity(t *testing.T) {
 // generated-case differential check (internal/stream's
 // TestRuntimeMatchesSimulator has the goroutine rows): random CS4
 // topologies with 64-deep channels, a source filtering per edge, every
-// node on its own worker so that every edge is a TCP hop, batch 64 — the
-// runs that mix data and dummies travel in the wire's run frames and must
-// leave per-edge data and dummy counts and the sink sequence exactly the
-// simulator's at batch 1.
+// node on its own worker so that every edge is a TCP hop — the runs that
+// mix data and dummies travel in the wire's run frames and must leave
+// per-edge data and dummy counts and the sink sequence exactly the
+// simulator's.
 func TestGeneratedMixedRunsCrossTheWire(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 3; trial++ {
@@ -213,7 +160,7 @@ func TestGeneratedMixedRunsCrossTheWire(t *testing.T) {
 		if refStats.TotalDummies() == 0 {
 			t.Fatalf("trial %d: no dummy traffic; the case would not notice a protocol change\n%s", trial, g)
 		}
-		stats, seen := run(WithBackend(Distributed(assign)), WithMaxBatch(64))
+		stats, seen := run(WithBackend(Distributed(assign)))
 		requireSameStream(t, fmt.Sprintf("trial %d", trial), refStats, stats, refSeen, seen)
 	}
 }
@@ -222,9 +169,9 @@ func TestGeneratedMixedRunsCrossTheWire(t *testing.T) {
 // on a 4-way split/join whose split filters each branch at p = 0.1 — data
 // on a tenth of the branch edges, dummies on most of the rest, a join
 // aligning four inputs — every node a RouteKernels kernel, a firing must
-// cost the stream engine well under one allocation at steady state, at
-// batch 64 and at batch 1: the kernels write into node scratch and the
-// runs are pooled, so what is left is per session.  (A result map or an
+// cost the stream engine well under one allocation at steady state: the
+// kernels write into node scratch and the runs are pooled, so what is
+// left is per session.  (A result map or an
 // input slice per firing, as Process-only kernels once cost, is one to
 // three.)
 func TestRoutedFiringAllocBudget(t *testing.T) {
@@ -250,42 +197,40 @@ func TestRoutedFiringAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	const inputs = 4096
-	for _, batch := range []int{1, 64} {
-		eng, err := stream.NewEngine(topo.Graph(), RouteKernels(topo, f), stream.Config{
-			Algorithm: Propagation, Intervals: iv, MaxBatch: batch, WatchdogTimeout: 10 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var id SessionID
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				id++
-				var next uint64
-				ses, err := eng.Open(stream.SessionConfig{ID: id, Source: func(context.Context) (any, bool, error) {
-					next++ // payloads below 256 box without allocating
-					return next % 200, next <= inputs, nil
-				}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := ses.Wait(); err != nil {
-					b.Fatal(err)
-				}
+	eng, err := stream.NewEngine(topo.Graph(), RouteKernels(topo, f), stream.Config{
+		Algorithm: Propagation, Intervals: iv, WatchdogTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var id SessionID
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			id++
+			var next uint64
+			ses, err := eng.Open(stream.SessionConfig{ID: id, Source: func(context.Context) (any, bool, error) {
+				next++ // payloads below 256 box without allocating
+				return next % 200, next <= inputs, nil
+			}})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-		eng.Close()
-		perFiring := float64(res.AllocsPerOp()) / inputs / float64(topo.Graph().NumNodes())
-		t.Logf("batch %d: %.3f allocations per firing (every node fires once per input)", batch, perFiring)
-		if perFiring > 0.25 {
-			t.Errorf("batch %d: a routed firing allocates %.2f times; want under 0.25", batch, perFiring)
+			if _, err := ses.Wait(); err != nil {
+				b.Fatal(err)
+			}
 		}
+	})
+	perFiring := float64(res.AllocsPerOp()) / inputs / float64(topo.Graph().NumNodes())
+	t.Logf("%.3f allocations per firing (every node fires once per input)", perFiring)
+	if perFiring > 0.25 {
+		t.Errorf("a routed firing allocates %.2f times; want under 0.25", perFiring)
 	}
 }
 
 // TestTimedIngestAllocBudget is the allocation gate of the time-aware
-// path: Map → TumblingWindow(1h) → Map on a fake clock at batch 64.  The
+// path: Map → TumblingWindow(1h) → Map on a fake clock.  The
 // window node ingests runs into kernel-owned scratch and one open window,
 // so a consumed input costs the whole pipeline — transport, kernels and
 // the per-session set-up spread over the stream — at most a twentieth of an
@@ -304,7 +249,7 @@ func TestTimedIngestAllocBudget(t *testing.T) {
 		Then(Map("pre", func(v int) int { return v + 1 })).
 		Then(TumblingWindow[int]("win", time.Hour)).
 		Then(Map("size", func(w Window[int]) int { return len(w.Items) % 200 })).
-		Compile(WithMaxBatch(64), WithClock(NewFakeClock()), WithWatchdog(10*time.Second))
+		Compile(WithClock(NewFakeClock()), WithWatchdog(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,22 +287,18 @@ func threeMaps() []Stage {
 }
 
 // mapChainAllocs is the allocations per input of a chain of uint64
-// stages at the given batch width: payloads boxed in advance and all past
+// stages over edges of buf messages: payloads boxed in advance and all past
 // the runtime's preallocated small integers, from a SliceSource into a
 // DiscardSink, so what is counted is what the stages box and what the
 // engine itself costs per message.
-func mapChainAllocs(t *testing.T, batch int, stages ...Stage) float64 {
+func mapChainAllocs(t *testing.T, buf int, stages ...Stage) float64 {
 	t.Helper()
 	const inputs = 1 << 14
 	input := make([]any, inputs)
 	for i := range input {
 		input[i] = uint64(1000 + i)
 	}
-	opts := []Option{WithWatchdog(10 * time.Second)}
-	if batch > 1 {
-		opts = append(opts, WithMaxBatch(batch))
-	}
-	pipe, err := NewFlow[uint64, uint64]().Buffer(256).Then(stages...).Compile(opts...)
+	pipe, err := NewFlow[uint64, uint64]().Buffer(buf).Then(stages...).Compile(WithWatchdog(10 * time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,25 +323,25 @@ func mapChainAllocs(t *testing.T, batch int, stages ...Stage) float64 {
 }
 
 // TestSpanMapAllocBudget is the allocation gate of the boxes a Map stage
-// makes at batch 64: each Map node boxes its outputs into chunks its own
-// arena keeps across spans, so an input costs the pipeline at most a
-// fiftieth of an allocation, not one box per stage (≈ 3).
+// makes: each Map node boxes its outputs into chunks its own arena keeps
+// across spans, a span of one included, so an input costs the pipeline at
+// most a fiftieth of an allocation, not one box per stage (≈ 3).
 func TestSpanMapAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation benchmark")
 	}
-	perInput := mapChainAllocs(t, 64, threeMaps()...)
+	perInput := mapChainAllocs(t, 256, threeMaps()...)
 	t.Logf("%.4f allocations per input", perInput)
 	if perInput > 0.02 {
 		t.Errorf("an input through three Maps allocates %.3f times; want at most 0.02", perInput)
 	}
 }
 
-// TestBatch1MapAllocBudget is the same gate at batch 1, where every span
-// has length one: a node's arena outlives its spans, so a run of one
-// carves a slot from the node's chunk like any other run, and the three
-// Maps cost at most a twentieth of an allocation per input, not one box
-// per stage (≈ 3).
+// TestBatch1MapAllocBudget is the same gate over edges of one message,
+// where the credit window cuts every span to length one: a node's arena
+// outlives its spans, so a run of one carves a slot from the node's chunk
+// like any other run, and the three Maps cost at most a twentieth of an
+// allocation per input, not one box per stage (≈ 3).
 func TestBatch1MapAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation benchmark")
@@ -408,15 +349,15 @@ func TestBatch1MapAllocBudget(t *testing.T) {
 	perInput := mapChainAllocs(t, 1, threeMaps()...)
 	t.Logf("%.4f allocations per input", perInput)
 	if perInput > 0.05 {
-		t.Errorf("an input through three batch-1 Maps allocates %.3f times; want at most 0.05", perInput)
+		t.Errorf("an input through three Maps on one-message edges allocates %.3f times; want at most 0.05", perInput)
 	}
 }
 
 // TestFilterChainAllocBudget is the allocation gate of the filtering
 // stages, which fire through ProcessInto into node scratch: Map →
 // FilterStage → Map, with the filter passing half the inputs, costs at
-// most a twentieth of an allocation per input at batch 1 and 64 — the
-// filter forwards the interface value it received — and Map → FilterMap
+// most a twentieth of an allocation per input — the filter forwards the
+// interface value it received — and Map → FilterMap
 // → Map at most one box per forwarded element (0.5) plus a twentieth.
 // Through a map-returning Process each filtering firing paid a map and a
 // box (≈ 1.5).
@@ -434,52 +375,38 @@ func TestFilterChainAllocBudget(t *testing.T) {
 		{"FilterMap", FilterMap("keep", func(v uint64) (uint64, bool) { return 3 * v, even(v) }), 0.55},
 	}
 	for _, c := range chains {
-		for _, batch := range []int{1, 64} {
-			perInput := mapChainAllocs(t, batch,
-				Map("pre", func(v uint64) uint64 { return v + 7 }),
-				c.middle,
-				Map("post", func(v uint64) uint64 { return v ^ 0xff00 }))
-			t.Logf("%s at batch %d: %.4f allocations per input", c.name, batch, perInput)
-			if perInput > c.budget {
-				t.Errorf("Map → %s → Map at batch %d allocates %.3f times per input; want at most %.2f",
-					c.name, batch, perInput, c.budget)
-			}
+		perInput := mapChainAllocs(t, 256,
+			Map("pre", func(v uint64) uint64 { return v + 7 }),
+			c.middle,
+			Map("post", func(v uint64) uint64 { return v ^ 0xff00 }))
+		t.Logf("%s: %.4f allocations per input", c.name, perInput)
+		if perInput > c.budget {
+			t.Errorf("Map → %s → Map allocates %.3f times per input; want at most %.2f",
+				c.name, perInput, c.budget)
 		}
 	}
 }
 
 // TestTappedMapKeepsItsArena: a Tap wraps a Map's kernel, and the wrapper
 // hands each node the tap over the Map's own per-node copy, so a tapped
-// chain at batch 1 allocates no more than the untapped one.
+// chain allocates no more than the untapped one.
 func TestTappedMapKeepsItsArena(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation benchmark")
 	}
 	var seen atomic.Int64
-	plain := mapChainAllocs(t, 1, threeMaps()...)
+	plain := mapChainAllocs(t, 256, threeMaps()...)
 	stages := threeMaps()
 	for i, s := range stages {
 		stages[i] = s.Tap(func(any) { seen.Add(1) })
 	}
-	tapped := mapChainAllocs(t, 1, stages...)
+	tapped := mapChainAllocs(t, 256, stages...)
 	t.Logf("allocations per input: %.4f untapped, %.4f tapped", plain, tapped)
 	if seen.Load() == 0 {
 		t.Fatal("the taps saw nothing")
 	}
 	if tapped > plain+0.01 {
-		t.Errorf("a tapped batch-1 chain allocates %.3f per input, the untapped one %.3f", tapped, plain)
-	}
-}
-
-// TestBatchOptionValidation pins the knobs' input checking.
-func TestBatchOptionValidation(t *testing.T) {
-	topo := NewTopology()
-	topo.Channel("source", "sink", 4)
-	if _, err := Build(topo, WithMaxBatch(0)); err == nil {
-		t.Error("WithMaxBatch(0) accepted")
-	}
-	if _, err := Build(topo, WithMaxBatch(-3)); err == nil {
-		t.Error("WithMaxBatch(-3) accepted")
+		t.Errorf("a tapped chain allocates %.3f per input, the untapped one %.3f", tapped, plain)
 	}
 }
 
@@ -524,7 +451,7 @@ func TestDistributedSpanEndpoints(t *testing.T) {
 	pipe, err := NewFlow[uint64, uint64]().Buffer(64).
 		Then(Map("a", func(v uint64) uint64 { return v + 1 })).
 		Then(Map("b", func(v uint64) uint64 { return 2 * v })).
-		Compile(WithWatchdog(10*time.Second), WithMaxBatch(32), WithObserver(o))
+		Compile(WithWatchdog(10*time.Second), WithObserver(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +480,7 @@ func TestDistributedSpanEndpoints(t *testing.T) {
 	}
 	for _, n := range o.Snapshot().Nodes {
 		if n.Name == "a" && n.SpanMsgs <= n.Spans {
-			t.Errorf("stage a at batch 32: %d span messages in %d spans", n.SpanMsgs, n.Spans)
+			t.Errorf("stage a: %d span messages in %d spans", n.SpanMsgs, n.Spans)
 		}
 	}
 }

@@ -32,7 +32,8 @@ func (k halfKernel) ProcessInto(_ uint64, in []Input, out []any, present []bool)
 // that serves as their reference and the replicas of a replicated node
 // fire a kernel through ProcessInto: a map-returning Process is only for
 // user Kernels that have nothing else.  Each backend runs source → work
-// → sink plain and with work replicated twice, at batch 1 and 64;
+// → sink plain and with work replicated twice, in two subtests named
+// for batch widths the engine no longer has, which run the one width;
 // Distributed alternates the nodes across two workers, so the replicas'
 // MergeBundles — all-absent ones for every filtered input — cross TCP
 // through the codec's gob fallback.  Counts and the sink sequence equal
@@ -40,9 +41,9 @@ func (k halfKernel) ProcessInto(_ uint64, in []Input, out []any, present []bool)
 func TestProcessBelongsToTheAdapter(t *testing.T) {
 	const inputs = 300
 	for _, k := range []int{1, 2} {
-		for _, batch := range []int{1, 64} {
+		for _, width := range []string{"batch1", "batch64"} {
 			for _, backend := range []string{"goroutines", "simulator", "distributed"} {
-				t.Run(fmt.Sprintf("k%d/batch%d/%s", k, batch, backend), func(t *testing.T) {
+				t.Run(fmt.Sprintf("k%d/%s/%s", k, width, backend), func(t *testing.T) {
 					var calls atomic.Int64
 					topo := NewTopology()
 					topo.Channel("source", "work", 8)
@@ -50,7 +51,7 @@ func TestProcessBelongsToTheAdapter(t *testing.T) {
 					pipe, err := Build(topo,
 						WithKernel("work", halfKernel{calls: &calls}),
 						WithReplication(ReplicationPlan{"work": k}),
-						WithMaxBatch(batch), WithWatchdog(10*time.Second))
+						WithWatchdog(10*time.Second))
 					if err != nil {
 						t.Fatal(err)
 					}

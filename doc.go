@@ -57,9 +57,10 @@
 // # Backends and batching
 //
 // WithBackend picks the goroutine runtime (the default), the
-// deterministic simulator, or loopback-TCP workers; WithMaxBatch, one
-// width for every node, hands vectorizing kernels spans of up to n
-// elements per call without changing the logical stream.
+// deterministic simulator, or loopback-TCP workers.  Every node of the
+// runtime backends fires in passes of up to 64 firings and hands a
+// vectorizing kernel each pass's stretch of data in one call, without
+// changing the logical stream.
 // DESIGN.md tells both stories once: "Architecture", "Distributed
 // transport" and "Batched hot path".
 //

@@ -312,7 +312,6 @@ func (p *Pipeline) engineConfig() stream.Config {
 		Algorithm:       p.alg,
 		Intervals:       p.intervals,
 		WatchdogTimeout: p.watchdog,
-		MaxBatch:        p.maxBatch,
 		Obs:             p.obsMetrics(),
 	}
 }
@@ -361,8 +360,8 @@ func (s streamSession) cancel(cause error)       { s.ses.Fail(cause) }
 type simEngine struct{ eng *sim.Engine }
 
 func (simulatorBackend) newEngine(p *Pipeline) (backendEngine, error) {
-	// No batch width: the simulator fires one element per step at any
-	// WithMaxBatch, which is what makes it the batched backends' oracle.
+	// The simulator fires one element per step, which is what makes it
+	// the runtime backends' oracle.
 	cfg := sim.Config{
 		Kernels:   p.kernels,
 		Algorithm: p.alg,

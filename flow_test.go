@@ -203,12 +203,12 @@ func TestFlowRuntimeTypeError(t *testing.T) {
 		t.Fatalf("clean rerun: %v", err)
 	}
 
-	// At batch 64 the Map itself meets the string, mid-span: it declines
+	// The Map itself meets the string, mid-span: it declines
 	// there, and every element it committed on either side — boxed into
 	// its node's chunk — must arrive with its value.
 	pipe, err = NewFlow[any, uint64]().
 		Then(Map("m", func(v uint64) uint64 { return 3 * v })).
-		Compile(WithWatchdog(5*time.Second), WithMaxBatch(64))
+		Compile(WithWatchdog(5 * time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestFlowRuntimeTypeError(t *testing.T) {
 	var wide TypedCollector[uint64]
 	_, err = pipe.Run(context.Background(), SliceSource(in...), &wide)
 	if !errors.As(err, &terr) || terr.Stage != "m" || !terr.Runtime || terr.Seq != 100 {
-		t.Fatalf("batch 64: err = %v, want the Map's *StageTypeError at seq 100", err)
+		t.Fatalf("mid-span: err = %v, want the Map's *StageTypeError at seq 100", err)
 	}
 	var want []uint64
 	for i := range in {
@@ -229,7 +229,7 @@ func TestFlowRuntimeTypeError(t *testing.T) {
 		}
 	}
 	if vals := wide.Values(); fmt.Sprint(vals) != fmt.Sprint(want) {
-		t.Fatalf("batch 64: surviving values %v, want %v", vals, want)
+		t.Fatalf("mid-span: surviving values %v, want %v", vals, want)
 	}
 }
 

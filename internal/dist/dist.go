@@ -41,11 +41,9 @@ type Partition map[graph.NodeID]string
 
 // Config parameterizes NewEngine: it is the stream engine's own, and
 // NewEngine sets Cross from the partition.  A single send puts one pass's
-// run, up to max(MaxBatch, 64) messages, in one frame; the wire itself
-// has no batching knob — a link writer writes whatever is queued per
-// wake-up, never waiting for more — so the message timing the protocol
-// observes, and each session's logical stream, are the same at every
-// width.  Obs also receives
+// run, up to 64 messages, in one frame; the wire itself has no batching
+// knob — a link writer writes whatever is queued per wake-up, never
+// waiting for more.  Obs also receives
 // per-link wire stats (frames, bodies, bytes) keyed "sender→receiver".
 type Config = stream.Config
 

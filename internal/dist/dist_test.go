@@ -71,10 +71,6 @@ func runOnce(g *graph.Graph, part Partition, kernels map[graph.NodeID]stream.Ker
 	return ses.Wait()
 }
 
-// batchWidths are the Config.MaxBatch settings the multi-worker cases
-// run at: per-element firing, and 64-wide spans.
-var batchWidths = []int{1, 64}
-
 // assertMatchesSim checks a session's per-edge data and dummy counts and
 // its sink total against the deterministic simulator's.
 func assertMatchesSim(t *testing.T, g *graph.Graph, stats *Stats, oracle *sim.Result) {
@@ -104,18 +100,13 @@ func TestFig2DeadlockWithoutIntervals(t *testing.T) {
 	if oracle := sim.Run(g, sim.Filter(filter), sim.Config{Inputs: inputs}); oracle.Completed {
 		t.Fatal("simulator completed; want deadlock")
 	}
-	for _, batch := range batchWidths {
-		_, err := runOnce(g, part, routeKernels(g, filter), Config{
-			WatchdogTimeout: 300 * time.Millisecond,
-			MaxBatch:        batch,
-		}, inputs)
-		if err == nil {
-			t.Fatalf("batch %d: session completed; want deadlock", batch)
-		}
-		var derr *stream.DeadlockError
-		if !errors.As(err, &derr) {
-			t.Fatalf("batch %d: no DeadlockError; got %v", batch, err)
-		}
+	_, err := runOnce(g, part, routeKernels(g, filter), Config{WatchdogTimeout: 300 * time.Millisecond}, inputs)
+	if err == nil {
+		t.Fatal("session completed; want deadlock")
+	}
+	var derr *stream.DeadlockError
+	if !errors.As(err, &derr) {
+		t.Fatalf("no DeadlockError; got %v", err)
 	}
 }
 
@@ -144,20 +135,17 @@ func TestFig2CompletesWithPropagation(t *testing.T) {
 	if !oracle.Completed {
 		t.Fatalf("simulator deadlocked: %v", oracle.Blocked)
 	}
-	for _, batch := range batchWidths {
-		stats, err := runOnce(g, part, routeKernels(g, filter), Config{
-			Algorithm:       cs4.Propagation,
-			Intervals:       iv,
-			WatchdogTimeout: 5 * time.Second,
-			MaxBatch:        batch,
-		}, inputs)
-		if err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		assertMatchesSim(t, g, stats, oracle)
-		if stats.SinkData != inputs {
-			t.Errorf("batch %d: sink consumed %d data msgs, want %d (nothing is filtered on the surviving path)", batch, stats.SinkData, inputs)
-		}
+	stats, err := runOnce(g, part, routeKernels(g, filter), Config{
+		Algorithm:       cs4.Propagation,
+		Intervals:       iv,
+		WatchdogTimeout: 5 * time.Second,
+	}, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesSim(t, g, stats, oracle)
+	if stats.SinkData != inputs {
+		t.Errorf("sink consumed %d data msgs, want %d (nothing is filtered on the surviving path)", stats.SinkData, inputs)
 	}
 }
 
@@ -178,23 +166,18 @@ func TestThreeWorkerPartition(t *testing.T) {
 	if !oracle.Completed {
 		t.Fatalf("simulator deadlocked: %v", oracle.Blocked)
 	}
-	for _, batch := range batchWidths {
-		stats, err := runOnce(g, part, nil, Config{
-			WatchdogTimeout: 5 * time.Second,
-			MaxBatch:        batch,
-		}, 500)
-		if err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		assertMatchesSim(t, g, stats, oracle)
-		if stats.SinkData != 500 {
-			t.Errorf("batch %d: sink consumed %d, want 500", batch, stats.SinkData)
-		}
+	stats, err := runOnce(g, part, nil, Config{WatchdogTimeout: 5 * time.Second}, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesSim(t, g, stats, oracle)
+	if stats.SinkData != 500 {
+		t.Errorf("sink consumed %d, want 500", stats.SinkData)
 	}
 }
 
 // TestFilteredSplitJoinSpansSplitAcrossFrames is where spans meet the
-// wire: a filtering split/join over three workers at MaxBatch 64 with
+// wire: a filtering split/join over three workers with
 // every edge — cross edges included — of capacity 8, so a node's 64-wide
 // span cannot ship whole: it parks, and leaves as window-sized prefixes
 // in separate run frames as credits come back.  Per-edge data and dummy
@@ -255,7 +238,7 @@ func TestFilteredSplitJoinSpansSplitAcrossFrames(t *testing.T) {
 	m := graphMetrics(g)
 	eng, err := NewEngine(g, part, kernels, Config{
 		Algorithm: cs4.Propagation, Intervals: iv,
-		WatchdogTimeout: 5 * time.Second, MaxBatch: 64, Obs: m,
+		WatchdogTimeout: 5 * time.Second, Obs: m,
 	})
 	if err != nil {
 		t.Fatal(err)

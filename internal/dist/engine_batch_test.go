@@ -1,9 +1,9 @@
 package dist
 
-// Batch-width parity: a resident engine with MaxBatch > 1 moves spans —
-// many messages per run frame, many frames per write — but the logical
-// stream each session observes — per-edge data/dummy counts and the
-// ordered sink sequence — must be identical to the unbatched engine's.
+// Run parity: a resident engine moves runs — many messages per run frame,
+// many frames per write — but the logical stream each session observes —
+// per-edge data/dummy counts and the ordered sink sequence — must be
+// identical from engine to engine.
 
 import (
 	"context"
@@ -96,31 +96,27 @@ func TestEngineCoalescedParity(t *testing.T) {
 	const inputs, sessions = 150, 3
 
 	refStats, refSeen := engineBatchRun(t, g, part, kernels, base, inputs, sessions)
-	for _, batch := range []int{16, 64} {
-		cfg := base
-		cfg.MaxBatch = batch
-		stats, seen := engineBatchRun(t, g, part, kernels, cfg, inputs, sessions)
-		for s := 0; s < sessions; s++ {
-			if stats[s].SinkData != refStats[s].SinkData {
-				t.Errorf("batch %d session %d: SinkData = %d, want %d", batch, s, stats[s].SinkData, refStats[s].SinkData)
+	stats, seen := engineBatchRun(t, g, part, kernels, base, inputs, sessions)
+	for s := 0; s < sessions; s++ {
+		if stats[s].SinkData != refStats[s].SinkData {
+			t.Errorf("session %d: SinkData = %d, want %d", s, stats[s].SinkData, refStats[s].SinkData)
+		}
+		for e, want := range refStats[s].Data {
+			if stats[s].Data[e] != want {
+				t.Errorf("session %d: edge %d data = %d, want %d", s, e, stats[s].Data[e], want)
 			}
-			for e, want := range refStats[s].Data {
-				if stats[s].Data[e] != want {
-					t.Errorf("batch %d session %d: edge %d data = %d, want %d", batch, s, e, stats[s].Data[e], want)
-				}
+		}
+		for e, want := range refStats[s].Dummies {
+			if stats[s].Dummies[e] != want {
+				t.Errorf("session %d: edge %d dummies = %d, want %d", s, e, stats[s].Dummies[e], want)
 			}
-			for e, want := range refStats[s].Dummies {
-				if stats[s].Dummies[e] != want {
-					t.Errorf("batch %d session %d: edge %d dummies = %d, want %d", batch, s, e, stats[s].Dummies[e], want)
-				}
-			}
-			if len(seen[s]) != len(refSeen[s]) {
-				t.Fatalf("batch %d session %d: %d sink deliveries, want %d", batch, s, len(seen[s]), len(refSeen[s]))
-			}
-			for i := range seen[s] {
-				if seen[s][i] != refSeen[s][i] {
-					t.Fatalf("batch %d session %d: sink[%d] = %q, want %q", batch, s, i, seen[s][i], refSeen[s][i])
-				}
+		}
+		if len(seen[s]) != len(refSeen[s]) {
+			t.Fatalf("session %d: %d sink deliveries, want %d", s, len(seen[s]), len(refSeen[s]))
+		}
+		for i := range seen[s] {
+			if seen[s][i] != refSeen[s][i] {
+				t.Fatalf("session %d: sink[%d] = %q, want %q", s, i, seen[s][i], refSeen[s][i])
 			}
 		}
 	}

@@ -178,7 +178,7 @@ func TestCloseLeavesNoTimeWait(t *testing.T) {
 		t.Skipf("no TCP table to read: %v", err)
 	}
 	g := workload.Pipeline(3, 64)
-	eng, err := NewEngine(g, Partition{0: "w0", 1: "w1", 2: "w0"}, nil, Config{MaxBatch: 1, WatchdogTimeout: 5 * time.Second})
+	eng, err := NewEngine(g, Partition{0: "w0", 1: "w1", 2: "w0"}, nil, Config{WatchdogTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,19 +106,19 @@ func requireComplete(t *testing.T, eng *Engine, id proto.SessionID, inputs int) 
 }
 
 // TestEngineKillWorkerTyped kills each of three workers in turn, one of
-// them twice in a row, at batch 1 and 16 (where the dropped links carry
-// spans and a writer may be mid-batch).  A kill fails exactly the
+// them twice in a row, while the dropped links carry runs and a writer
+// may be mid-batch.  A kill fails exactly the
 // sessions active at that moment with a *fault.WorkerDownError naming the
 // worker and listing them — not a generic transport error, not a
 // DeadlockError — and re-links in place: a session opened after it
 // delivers every payload.  A kill racing Open returns cleanly and leaves
 // each racing session complete or failed by it; one racing Close returns
 // nil or ErrEngineClosed, and TestMain finds no goroutine left behind.
+// The subtests, named for two batch widths the engine no longer has, run the one width.
 func TestEngineKillWorkerTyped(t *testing.T) {
-	for _, batch := range []int{1, 16} {
-		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+	for _, name := range []string{"batch1", "batch16"} {
+		t.Run(name, func(t *testing.T) {
 			g, part, cfg := faultTopo(t)
-			cfg.MaxBatch = batch
 			m := graphMetrics(g)
 			cfg.Obs = m
 			eng, err := NewEngine(g, part, engineKernels(g, keepAll), cfg)

@@ -95,11 +95,11 @@ func BenchmarkCreditFrame(b *testing.B) {
 // a sink on another: one cross edge, so a message's whole cost beyond the
 // two node loops is one link round trip (encode, write, read, decode,
 // deliver into the receive ring) plus its share of a credit frame coming
-// back.
-func benchLink(b *testing.B, batch int) {
+// back.  With span set the source fills the ingest ring in spans.
+func benchLink(b *testing.B, span bool) {
 	g := workload.Pipeline(2, 256)
 	part := Partition{0: "w0", 1: "w1"}
-	eng, err := NewEngine(g, part, nil, Config{MaxBatch: batch, WatchdogTimeout: time.Minute})
+	eng, err := NewEngine(g, part, nil, Config{WatchdogTimeout: time.Minute})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func benchLink(b *testing.B, batch int) {
 	var next uint64
 	n := uint64(b.N)
 	io := SessionIO{ID: 1, Source: stream.SyntheticSource(n)}
-	if batch > 1 {
+	if span {
 		io.SpanSource = func(_ context.Context, buf []any) (int, bool, error) {
 			k := 0
 			for ; k < len(buf) && next < n; k++ {
@@ -134,8 +134,8 @@ func benchLink(b *testing.B, batch int) {
 	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(n), "allocs/msg")
 }
 
-func BenchmarkLinkRoundTripBatch1(b *testing.B)  { benchLink(b, 1) }
-func BenchmarkLinkRoundTripBatch64(b *testing.B) { benchLink(b, 64) }
+func BenchmarkLinkRoundTrip(b *testing.B)     { benchLink(b, false) }
+func BenchmarkLinkRoundTripSpan(b *testing.B) { benchLink(b, true) }
 
 // TestRunCodecAllocations pins the codec's steady-state allocation
 // budget: encoding into a warmed buffer allocates nothing, reading frames

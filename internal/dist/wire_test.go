@@ -341,26 +341,24 @@ func TestCrossProducerWokenByCredit(t *testing.T) {
 			return map[int]any{0: in[0].Payload}
 		})}
 		oracle := sim.Run(g, sim.Filter(workload.PassAll), sim.Config{Inputs: inputs})
-		for _, batch := range []int{1, 64} {
-			m := graphMetrics(g)
-			eng, err := NewEngine(g, Partition{0: "w0", 1: "w1", 2: "w1"}, ks,
-				Config{MaxBatch: batch, WatchdogTimeout: 2 * time.Second, Obs: m})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ses, err := eng.Open(SessionIO{ID: 1, Source: stream.SyntheticSource(inputs)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats, err := ses.Wait()
-			eng.Close()
-			if err != nil {
-				t.Fatalf("buf %d batch %d: %v", buf, batch, err)
-			}
-			assertMatchesSim(t, g, stats, oracle)
-			if m.Edge(0).CreditStalls.Load() == 0 {
-				t.Errorf("buf %d batch %d: the producer never stalled on the cross edge; the test would not notice a lost wake", buf, batch)
-			}
+		m := graphMetrics(g)
+		eng, err := NewEngine(g, Partition{0: "w0", 1: "w1", 2: "w1"}, ks,
+			Config{WatchdogTimeout: 2 * time.Second, Obs: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ses, err := eng.Open(SessionIO{ID: 1, Source: stream.SyntheticSource(inputs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := ses.Wait()
+		eng.Close()
+		if err != nil {
+			t.Fatalf("buf %d: %v", buf, err)
+		}
+		assertMatchesSim(t, g, stats, oracle)
+		if m.Edge(0).CreditStalls.Load() == 0 {
+			t.Errorf("buf %d: the producer never stalled on the cross edge; the test would not notice a lost wake", buf)
 		}
 	}
 }

@@ -13,10 +13,10 @@
 // for validating the runtime itself.
 //
 // The simulator is a specification, not a second runtime: every step is
-// one firing of one element, and batch width is not modelled.  Batching
-// is a transport property of the runtime backends that must leave the
-// logical stream unchanged, which is exactly what comparing a batched
-// engine against this one-element schedule checks.
+// one firing of one element.  The runtime backends' passes, which fire up
+// to 64 elements and ship them as one run, are a transport property that
+// must leave the logical stream unchanged, which is exactly what comparing
+// the engine against this one-element schedule checks.
 package sim
 
 import (
@@ -95,9 +95,10 @@ type Config struct {
 	// MaxSteps bounds the scheduler; 0 means no bound.  Runs exceeding
 	// the bound report Completed=false with Reason "step budget".
 	MaxSteps int64
-	// MaxBatch is ignored: batch width is a transport property of the
-	// runtime backends, and the reference schedule fires one element per
-	// step at any width (see the package doc).
+	// MaxBatch is ignored: the reference schedule fires one element per
+	// step (see the package doc).
+	//
+	// Deprecated: the field has no effect.
 	MaxBatch int
 	// Obs, when non-nil, receives per-node/per-edge/per-session telemetry.
 	// The simulator stamps it virtual: every duration metric (service

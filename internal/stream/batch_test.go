@@ -1,10 +1,11 @@
 package stream_test
 
-// Batched hot-path tests at the transport level: the vectorized engine
-// (Config.MaxBatch > 1) must be observably indistinguishable from the
-// per-element engine — identical per-edge logical data/dummy counts and
-// an identical sink (seq, payload) sequence — must stop at its out-edge
-// windows like it, and must allocate per run, not per message.
+// Batched hot-path tests at the transport level: the engine, which fires
+// a pass of up to 64 firings and hands a SpanKernel each stretch of data
+// in one call, must be observably indistinguishable from firing per
+// element — identical per-edge logical data/dummy counts and an identical
+// sink (seq, payload) sequence — must stop at its out-edge windows like
+// it, and must allocate per run, not per message.
 
 import (
 	"context"
@@ -56,9 +57,9 @@ func stretchedRun(t *testing.T, g *graph.Graph, kernels map[graph.NodeID]stream.
 	return stats, seen, single, multi
 }
 
-// TestEngineBatchedParity pins the batched engine bit-identical to the
-// per-element one on a filtering workload whose runs mix kinds (dropped
-// edges, dummy traffic, cascade).
+// TestEngineBatchedParity pins the engine bit-identical from run to run on
+// a filtering workload whose runs mix kinds (dropped edges, dummy traffic,
+// cascade).
 func TestEngineBatchedParity(t *testing.T) {
 	g := workload.Fig2Triangle(2)
 	d, err := cs4.Classify(g)
@@ -74,37 +75,33 @@ func TestEngineBatchedParity(t *testing.T) {
 	base := stream.Config{Algorithm: cs4.Propagation, Intervals: iv, WatchdogTimeout: 5 * time.Second}
 
 	refStats, refSeen := engineRun(t, g, filterKernels(g, drop), base, inputs)
-	for _, batch := range []int{2, 16, 64} {
-		cfg := base
-		cfg.MaxBatch = batch
-		stats, seen := engineRun(t, g, filterKernels(g, drop), cfg, inputs)
-		if stats.SinkData != refStats.SinkData {
-			t.Errorf("batch %d: SinkData = %d, want %d", batch, stats.SinkData, refStats.SinkData)
+	stats, seen := engineRun(t, g, filterKernels(g, drop), base, inputs)
+	if stats.SinkData != refStats.SinkData {
+		t.Errorf("SinkData = %d, want %d", stats.SinkData, refStats.SinkData)
+	}
+	for e, want := range refStats.Data {
+		if stats.Data[e] != want {
+			t.Errorf("edge %d data = %d, want %d", e, stats.Data[e], want)
 		}
-		for e, want := range refStats.Data {
-			if stats.Data[e] != want {
-				t.Errorf("batch %d: edge %d data = %d, want %d", batch, e, stats.Data[e], want)
-			}
+	}
+	for e, want := range refStats.Dummies {
+		if stats.Dummies[e] != want {
+			t.Errorf("edge %d dummies = %d, want %d", e, stats.Dummies[e], want)
 		}
-		for e, want := range refStats.Dummies {
-			if stats.Dummies[e] != want {
-				t.Errorf("batch %d: edge %d dummies = %d, want %d", batch, e, stats.Dummies[e], want)
-			}
-		}
-		if len(seen) != len(refSeen) {
-			t.Fatalf("batch %d: %d sink deliveries, want %d", batch, len(seen), len(refSeen))
-		}
-		for i := range seen {
-			if seen[i] != refSeen[i] {
-				t.Fatalf("batch %d: sink[%d] = %+v, want %+v", batch, i, seen[i], refSeen[i])
-			}
+	}
+	if len(seen) != len(refSeen) {
+		t.Fatalf("%d sink deliveries, want %d", len(seen), len(refSeen))
+	}
+	for i := range seen {
+		if seen[i] != refSeen[i] {
+			t.Fatalf("sink[%d] = %+v, want %+v", i, seen[i], refSeen[i])
 		}
 	}
 }
 
 // TestMixedRunAccountingByKind pins the send side's accounting of runs
 // that carry data and dummies interleaved: on a 4-way split filtering
-// each branch at p = 0.1, at batch 64, the Observer's per-edge data and
+// each branch at p = 0.1, the Observer's per-edge data and
 // dummy totals, the session's Stats and the simulator agree exactly —
 // with windows of 64, where runs ship whole, and of 3, where nearly every
 // pass ends in a firing that overflows a window and parks.
@@ -129,7 +126,7 @@ func TestMixedRunAccountingByKind(t *testing.T) {
 			edges[i] = g.Name(e.From) + "→" + g.Name(e.To)
 		}
 		m := obs.New(nodes, edges)
-		cfg := stream.Config{Algorithm: cs4.Propagation, Intervals: iv, MaxBatch: 64, Obs: m, WatchdogTimeout: 5 * time.Second}
+		cfg := stream.Config{Algorithm: cs4.Propagation, Intervals: iv, Obs: m, WatchdogTimeout: 5 * time.Second}
 		const inputs = 3000
 		stats, seen := engineRun(t, g, filterKernels(g, filter), cfg, inputs)
 		ref, refSeen := simRun(g, filterKernels(g, filter), cfg, inputs)
@@ -160,16 +157,15 @@ func TestMixedRunAccountingByKind(t *testing.T) {
 // X, so X's next advance sees them all at once.  Channels plus parked
 // sends absorb 69 of the second session's 100 inputs, so it must wedge;
 // a node that consumed the whole run ahead of its full window would have
-// drained A, let EOS through and released the join.  At batch 1 a pass
-// is still passWidth firings wide, so the same 64-wide pass meets the
-// 2-deep window.
+// drained A, let EOS through and released the join.  The subtests, named
+// for two batch widths the engine no longer has, run the one width.
 func TestBatchedNodeStopsAtItsWindow(t *testing.T) {
-	for _, batch := range []int{1, 64} {
-		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) { nodeStopsAtItsWindow(t, batch) })
+	for _, name := range []string{"batch1", "batch64"} {
+		t.Run(name, nodeStopsAtItsWindow)
 	}
 }
 
-func nodeStopsAtItsWindow(t *testing.T, batch int) {
+func nodeStopsAtItsWindow(t *testing.T) {
 	g := graph.New()
 	a, x, j := g.AddNode("A"), g.AddNode("X"), g.AddNode("J")
 	g.AddEdge(a, x, 64)
@@ -204,7 +200,7 @@ func nodeStopsAtItsWindow(t *testing.T, batch int) {
 		})
 	}
 	eng, err := stream.NewEngine(g, map[graph.NodeID]stream.Kernel{a: forward(a), x: forward(x), j: forward(j)},
-		stream.Config{MaxBatch: batch, WatchdogTimeout: 300 * time.Millisecond})
+		stream.Config{WatchdogTimeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,14 +258,16 @@ func (k *reuseKernel) Process(_ uint64, in []stream.Input) map[int]any {
 	return k.outs
 }
 
-func benchEngineBatch(b *testing.B, batch int) {
+// BenchmarkEngineBatch streams sessions over a 3-node chain of
+// map-reusing kernels.
+func BenchmarkEngineBatch(b *testing.B) {
 	g := workload.Pipeline(3, 64)
 	kernels := make(map[graph.NodeID]stream.Kernel, g.NumNodes())
 	for n := 0; n < g.NumNodes(); n++ {
 		id := graph.NodeID(n)
 		kernels[id] = &reuseKernel{outs: make(map[int]any, g.OutDegree(id)), n: g.OutDegree(id)}
 	}
-	benchEngine(b, g, kernels, batch)
+	benchEngine(b, g, kernels)
 }
 
 // benchPerOp is how many messages one benchEngine iteration streams.
@@ -277,8 +275,8 @@ const benchPerOp = 4096
 
 // benchEngine streams one session of benchPerOp messages per iteration
 // over a resident engine for g.
-func benchEngine(b *testing.B, g *graph.Graph, kernels map[graph.NodeID]stream.Kernel, batch int) {
-	eng, err := stream.NewEngine(g, kernels, stream.Config{MaxBatch: batch, WatchdogTimeout: 5 * time.Second})
+func benchEngine(b *testing.B, g *graph.Graph, kernels map[graph.NodeID]stream.Kernel) {
+	eng, err := stream.NewEngine(g, kernels, stream.Config{WatchdogTimeout: 5 * time.Second})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -309,63 +307,54 @@ func benchEngine(b *testing.B, g *graph.Graph, kernels map[graph.NodeID]stream.K
 	}
 }
 
-func BenchmarkEngineBatch1(b *testing.B)  { benchEngineBatch(b, 1) }
-func BenchmarkEngineBatch64(b *testing.B) { benchEngineBatch(b, 64) }
-
 // TestBatchedAllocRegression is the allocation gate for kernels that only
 // have Process: with 4096 messages per session over a 3-node chain of
 // map-reusing kernels, the transport must come in far below one
-// allocation per message at batch 64 and at batch 1.
+// allocation per message.
 func TestBatchedAllocRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation benchmark")
 	}
-	res64 := testing.Benchmark(BenchmarkEngineBatch64)
-	res1 := testing.Benchmark(BenchmarkEngineBatch1)
-	const perOp = float64(benchPerOp)
-	per64 := float64(res64.AllocsPerOp()) / perOp
-	per1 := float64(res1.AllocsPerOp()) / perOp
-	t.Logf("allocs per message: batch64 = %.3f, batch1 = %.3f", per64, per1)
-	// Loose bound: well under one allocation per message at both widths.
-	// A map-returning kernel is adapted once at NewEngine and its input
-	// slice is node scratch at every width, so batch 1 no longer pays per
-	// message either; what is left is per run (pooled) and per session.
-	for name, per := range map[string]float64{"batch-64": per64, "batch-1": per1} {
-		if per > 0.75 {
-			t.Errorf("%s hot path allocates %.3f per message; want well under one (< 0.75)", name, per)
-		}
+	res := testing.Benchmark(BenchmarkEngineBatch)
+	per := float64(res.AllocsPerOp()) / benchPerOp
+	t.Logf("allocs per message: %.3f", per)
+	// Loose bound: well under one allocation per message.  A
+	// map-returning kernel is adapted once at NewEngine and its input
+	// slice is node scratch; what is left is per run (pooled) and per
+	// session.
+	if per > 0.75 {
+		t.Errorf("hot path allocates %.3f per message; want well under one (< 0.75)", per)
 	}
 }
 
-// TestBatch1HopAllocBudget is the batch-1 allocation gate of the hop
-// itself: a message crossing a 3-stage Passthrough chain at MaxBatch 1 —
-// four hops, every kernel a SpanKernel — must cost at most one allocation
-// per hop.  A batch-1 firing is a span of length one on node scratch and
-// Passthrough makes no payload, so a hop reads ≈ 0.001 and the budget is
-// generous; the Process path it replaced paid an input slice and an
-// output map per node.  Payload boxes are not a per-hop cost either: a
-// Flow Map boxes into its node's arena at batch 1 as at any width (the
-// root package's TestBatch1MapAllocBudget).
+// TestBatch1HopAllocBudget is the allocation gate of the hop itself: a
+// message crossing a 3-stage Passthrough chain — four hops, every kernel a
+// SpanKernel — must cost at most one allocation per hop.  A stretch is a
+// span on node scratch and Passthrough makes no payload, so a hop reads
+// ≈ 0.001 and the budget is generous; the Process path it replaced paid an
+// input slice and an output map per node.  Payload boxes are not a per-hop
+// cost either: a Flow Map boxes into its node's arena (the root package's
+// TestSpanMapAllocBudget).
 func TestBatch1HopAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation benchmark")
 	}
 	const hops = 4
 	res := testing.Benchmark(func(b *testing.B) {
-		benchEngine(b, workload.Pipeline(hops+1, 64), nil, 1)
+		benchEngine(b, workload.Pipeline(hops+1, 64), nil)
 	})
 	perHop := float64(res.AllocsPerOp()) / benchPerOp / hops
-	t.Logf("batch-1 allocations per message per hop: %.3f", perHop)
+	t.Logf("allocations per message per hop: %.3f", perHop)
 	if perHop > 1 {
-		t.Errorf("a batch-1 hop allocates %.2f times per message; want at most 1", perHop)
+		t.Errorf("a hop allocates %.2f times per message; want at most 1", perHop)
 	}
 }
 
 // spanRecorder is a passthrough SpanKernel that records the longest span
-// it was offered and how many elements it processed.  Only its node's
-// goroutine calls it.
+// it was offered, how many ProcessSpan calls it took and how many
+// elements it processed.  Only its node's goroutine calls it.
 type spanRecorder struct {
-	longest, msgs atomic.Int64
+	longest, calls, msgs atomic.Int64
 }
 
 func (k *spanRecorder) Process(_ uint64, in []stream.Input) map[int]any {
@@ -377,6 +366,7 @@ func (k *spanRecorder) ProcessSpan(_ uint64, in, out []any) int {
 	if n := int64(len(in)); n > k.longest.Load() {
 		k.longest.Store(n)
 	}
+	k.calls.Add(1)
 	k.msgs.Add(int64(len(in)))
 	copy(out, in)
 	return len(in)
@@ -418,16 +408,16 @@ func (c *gateCarrier) Credit(sid proto.SessionID, edge graph.EdgeID, consumed ui
 	c.e.Credit(sid, edge, consumed)
 }
 
-// TestBatch1PassShipsRuns pins what batch means: the span a kernel call
-// takes, not the run a pass ships.  A batch-1 chain's nodes each offer
-// their SpanKernel one element at a time, yet a pass takes 64 firings
-// (passWidth) and sends them as one run per out-edge.  Every edge is a
-// cross edge on a gateCarrier, which counts the sends; a send is the same
-// call on a local edge, a ring publish.  The carrier delivers the source's
-// out-edge in whole passes, and every edge holds the whole stream, so no
-// window cuts a pass: each later hop sends exactly one run per 64 inputs
-// plus its EOS.  A pass that shipped per firing would send one run per
-// message, and one 32 firings wide twice the runs.
+// TestBatch1PassShipsRuns pins a pass: it takes 64 firings (passWidth),
+// hands its SpanKernel the pass's stretch of data in one call and sends
+// the firings as one run per out-edge.  Every edge is a cross edge on a
+// gateCarrier, which counts the sends; a send is the same call on a local
+// edge, a ring publish.  The carrier delivers the source's out-edge in
+// whole passes, and every edge holds the whole stream, so no window cuts a
+// pass: each later node takes one 64-element call per pass, and each
+// later hop sends exactly one run per 64 inputs plus its EOS.  A pass that
+// shipped per firing would send one run per message, and one 32 firings
+// wide twice the runs.
 func TestBatch1PassShipsRuns(t *testing.T) {
 	const inputs, hops = 64 * 200, 4
 	g := workload.Pipeline(hops+1, inputs+64)
@@ -442,7 +432,7 @@ func TestBatch1PassShipsRuns(t *testing.T) {
 	for _, ed := range g.Edges() {
 		cross[ed.ID] = stream.CrossEdge{Msgs: gate, Credits: gate}
 	}
-	eng, err := stream.NewEngine(g, ks, stream.Config{MaxBatch: 1, Cross: cross, WatchdogTimeout: 10 * time.Second})
+	eng, err := stream.NewEngine(g, ks, stream.Config{Cross: cross, WatchdogTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,8 +448,11 @@ func TestBatch1PassShipsRuns(t *testing.T) {
 	}
 	eng.Close() // every node is through with the session
 	for i, k := range recs {
-		if l, m := k.longest.Load(), k.msgs.Load(); l != 1 || m != inputs {
-			t.Errorf("node %d: longest span %d over %d elements; want spans of 1 over %d", i, l, m, inputs)
+		if m := k.msgs.Load(); m != inputs {
+			t.Errorf("node %d: %d elements; want %d", i, m, inputs)
+		}
+		if l, c := k.longest.Load(), k.calls.Load(); i > 0 && (l != 64 || c != inputs/64) {
+			t.Errorf("node %d: %d calls, the longest %d elements; want one 64-element call per pass, %d", i, c, l, inputs/64)
 		}
 	}
 	t.Logf("%d messages over %d hops: %d, %d, %d and %d sends per edge", inputs, hops,
@@ -501,11 +494,11 @@ func (k *thirdsKernel) ProcessSpan(seq0 uint64, in, out []any) int {
 	return len(in)
 }
 
-// TestDecliningSpanKernelParity pins the span-of-one contract: a stateful
+// TestDecliningSpanKernelParity pins the decline contract: a stateful
 // SpanKernel that declines every third element sees each element exactly
-// once, in order, at batch 1 as at batch 64, and the filtering it does on
-// the declined elements yields the same per-edge data and dummy counts
-// and the same sink sequence on both — and on the simulator.
+// once, in order, and the filtering it does on the declined elements
+// yields the simulator's per-edge data and dummy counts and sink
+// sequence.
 func TestDecliningSpanKernelParity(t *testing.T) {
 	g := workload.Fig1SplitJoin(2)
 	d, err := cs4.Classify(g)
@@ -540,14 +533,10 @@ func TestDecliningSpanKernelParity(t *testing.T) {
 		t.Fatal("the filtering kernel produced no dummy traffic; the test would not notice a protocol change")
 	}
 
-	for _, batch := range []int{1, 64} {
-		k := &thirdsKernel{}
-		cfg.MaxBatch = batch
-		stats, seen := engineRun(t, g, map[graph.NodeID]stream.Kernel{g.MustNode("B"): k}, cfg, inputs)
-		name := fmt.Sprintf("batch %d", batch)
-		checkSeen(name, k)
-		requireMatchesSim(t, name, g, stats, seen, ref, refSeen)
-	}
+	k := &thirdsKernel{}
+	stats, seen := engineRun(t, g, map[graph.NodeID]stream.Kernel{g.MustNode("B"): k}, cfg, inputs)
+	checkSeen("engine", k)
+	requireMatchesSim(t, "engine", g, stats, seen, ref, refSeen)
 }
 
 // spanCall is one kernel call a spanTrace took: a ProcessSpan over n
@@ -558,12 +547,15 @@ type spanCall struct {
 }
 
 // spanTrace is a SpanKernel that adds one to every payload and declines
-// every element whose sequence number is 6 mod 7, which then fires
-// through ProcessInto.  It records every call it takes, in order.  Only
-// its node's goroutine calls it.
-type spanTrace struct{ calls []spanCall }
+// every element whose sequence number is every-1 mod every, which then
+// fires through ProcessInto.  It records every call it takes, in order.
+// Only its node's goroutine calls it.
+type spanTrace struct {
+	every uint64
+	calls []spanCall
+}
 
-func spanTraceDeclines(seq uint64) bool { return seq%7 == 6 }
+func (k *spanTrace) declines(seq uint64) bool { return seq%k.every == k.every-1 }
 
 func (k *spanTrace) Process(seq uint64, in []stream.Input) map[int]any {
 	return stream.MapForm(k, 1, seq, in)
@@ -577,7 +569,7 @@ func (k *spanTrace) ProcessInto(seq uint64, in []stream.Input, out []any, presen
 func (k *spanTrace) ProcessSpan(seq0 uint64, in, out []any) int {
 	k.calls = append(k.calls, spanCall{seq0, len(in)})
 	for j, p := range in {
-		if spanTraceDeclines(seq0 + uint64(j)) {
+		if k.declines(seq0 + uint64(j)) {
 			return j
 		}
 		out[j] = p.(uint64) + 1
@@ -586,23 +578,28 @@ func (k *spanTrace) ProcessSpan(seq0 uint64, in, out []any) int {
 }
 
 // checkSpanTrace replays a node's calls against the span contract: the
-// kernel is offered every element first in a ProcessSpan call no longer
-// than the batch, the calls contiguous and in order; a call that declines
+// kernel is offered every element first in a ProcessSpan call of at most
+// limit elements, the calls contiguous and in order; a call that declines
 // is followed at once by the ProcessInto firing of the declined element,
-// and the next call starts after it.  It returns the number of
-// ProcessSpan calls.
-func checkSpanTrace(t *testing.T, name string, calls []spanCall, batch int, inputs uint64) (spans int) {
+// and the next call starts after it.  With whole set, every stretch is
+// known: a pass takes the 64 elements from a multiple of 64, so a call
+// must take all of its pass that is left, up to the end of the stream.
+// It returns the number of ProcessSpan calls.
+func checkSpanTrace(t *testing.T, name string, k *spanTrace, limit int, whole bool, inputs uint64) (spans int) {
 	t.Helper()
 	var next uint64
-	for i := 0; i < len(calls); i++ {
-		c := calls[i]
-		if c.n < 0 || c.seq != next || c.n > batch {
-			t.Fatalf("%s: call %d is %+v; want a ProcessSpan from %d of 1 to %d elements", name, i, c, next, batch)
+	for i := 0; i < len(k.calls); i++ {
+		c := k.calls[i]
+		if c.n < 0 || c.seq != next || c.n > limit {
+			t.Fatalf("%s: call %d is %+v; want a ProcessSpan from %d of 1 to %d elements", name, i, c, next, limit)
+		}
+		if end := min((next/64+1)*64, inputs); whole && c.seq+uint64(c.n) != end {
+			t.Fatalf("%s: call %d is %+v; want the stretch from %d to %d in one call", name, i, c, next, end)
 		}
 		spans++
 		took := c.n
 		for j := 0; j < c.n; j++ {
-			if spanTraceDeclines(c.seq + uint64(j)) {
+			if k.declines(c.seq + uint64(j)) {
 				took = j
 				break
 			}
@@ -610,7 +607,7 @@ func checkSpanTrace(t *testing.T, name string, calls []spanCall, batch int, inpu
 		if next += uint64(took); took == c.n {
 			continue
 		}
-		if i++; i == len(calls) || calls[i] != (spanCall{next, -1}) {
+		if i++; i == len(k.calls) || k.calls[i] != (spanCall{next, -1}) {
 			t.Fatalf("%s: the call after %+v is not the ProcessInto firing at %d", name, c, next)
 		}
 		next++
@@ -621,22 +618,27 @@ func checkSpanTrace(t *testing.T, name string, calls []spanCall, batch int, inpu
 	return spans
 }
 
-// TestSpanCallsAtMostABatch pins what a pass hands its kernel: however
-// long the stretch of data firings a pass stages, each ProcessSpan call
-// takes at most a batch of it, in order, and a decline ends the stretch
-// at the declined element, which fires alone.  Every node of a 5-stage
-// pipeline runs a spanTrace at batch 1, 3 and 64; the windows of 5 cut
-// the stretches short of a pass.  At batch 1 every element is a call of
-// its own.  The observer's Spans counts the ProcessSpan calls, and the
-// per-edge counts and the sink sequence are the simulator's.
-func TestSpanCallsAtMostABatch(t *testing.T) {
-	const inputs, nodes = 2000, 5
-	g := workload.Pipeline(nodes, 5)
+// TestSpanCallsAtMostAPass pins what a pass hands its kernel: each stretch
+// of data firings it stages, in one ProcessSpan call of at most a pass
+// (64), in order; a decline ends the call at the declined element, which
+// fires alone, and the rest of the stretch is the next call.  Every node
+// of a 5-stage pipeline with windows of 5 runs a spanTrace that declines
+// one element in 7: a window cuts each stretch one past its room, so no
+// call takes more than 6.  The observer's Spans counts the ProcessSpan
+// calls, and the per-edge counts and the sink sequence are the
+// simulator's.  Then a chain's middle node is fed in whole passes, as in
+// TestBatch1PassShipsRuns, with one decline in 100 and a stream that ends
+// mid-pass: its calls are exactly the passes, cut at the declines and
+// where the data ends before the EOS.  A dummy cuts a stretch as the EOS
+// does; TestDummyStretchStopsAtItsWindow takes such runs.
+func TestSpanCallsAtMostAPass(t *testing.T) {
+	const inputs, nodes, window = 2000, 5, 5
+	g := workload.Pipeline(nodes, window)
 	traced := func() ([]*spanTrace, map[graph.NodeID]stream.Kernel) {
 		ks := make([]*spanTrace, nodes)
 		m := make(map[graph.NodeID]stream.Kernel, nodes)
 		for i := range ks {
-			ks[i] = &spanTrace{}
+			ks[i] = &spanTrace{every: 7}
 			m[graph.NodeID(i)] = ks[i]
 		}
 		return ks, m
@@ -650,23 +652,39 @@ func TestSpanCallsAtMostABatch(t *testing.T) {
 	for i := range names {
 		names[i] = g.Name(graph.NodeID(i))
 	}
-	for _, batch := range []int{1, 3, 64} {
-		ks, kernels := traced()
-		m := obs.New(names, make([]string, g.NumEdges()))
-		cfg := stream.Config{MaxBatch: batch, Obs: m, WatchdogTimeout: 10 * time.Second}
-		stats, seen := engineRun(t, g, kernels, cfg, inputs)
-		label := fmt.Sprintf("batch %d", batch)
-		requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
-		snap := m.Snapshot()
-		for i, k := range ks {
-			name := fmt.Sprintf("%s, node %s", label, names[i])
-			spans := checkSpanTrace(t, name, k.calls, batch, inputs)
-			if batch == 1 && spans != inputs {
-				t.Errorf("%s: %d ProcessSpan calls over %d elements; want one each", name, spans, inputs)
-			}
-			if got := snap.Nodes[i].Spans; got != int64(spans) {
-				t.Errorf("%s: the observer counts %d spans; the kernel took %d calls", name, got, spans)
-			}
+	ks, kernels := traced()
+	m := obs.New(names, make([]string, g.NumEdges()))
+	cfg := stream.Config{Obs: m, WatchdogTimeout: 10 * time.Second}
+	stats, seen := engineRun(t, g, kernels, cfg, inputs)
+	requireMatchesSim(t, "windows of 5", g, stats, seen, ref, refSeen)
+	snap := m.Snapshot()
+	for i, k := range ks {
+		name := fmt.Sprintf("node %s", names[i])
+		spans := checkSpanTrace(t, name, k, window+1, false, inputs)
+		if got := snap.Nodes[i].Spans; got != int64(spans) {
+			t.Errorf("%s: the observer counts %d spans; the kernel took %d calls", name, got, spans)
 		}
 	}
+
+	const streamed = 64*20 + 37
+	chain := workload.Pipeline(3, streamed+64)
+	mid := &spanTrace{every: 100}
+	gate := &gateCarrier{gate: 0, runs: make([]atomic.Int64, 1)}
+	eng, err := stream.NewEngine(chain, map[graph.NodeID]stream.Kernel{1: mid},
+		stream.Config{Cross: map[graph.EdgeID]stream.CrossEdge{0: {Msgs: gate, Credits: gate}}, WatchdogTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	gate.e = eng
+	ses, err := eng.Open(stream.SessionConfig{ID: 1, Source: stream.SyntheticSource(streamed),
+		Sink: func(context.Context, uint64, any) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ses.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close() // the middle node is through with the session
+	checkSpanTrace(t, "whole passes", mid, 64, true, streamed)
 }

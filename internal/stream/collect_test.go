@@ -29,7 +29,7 @@ func TestCancelledSessionPayloadsCollected(t *testing.T) {
 	defer e.Close()
 	// Payloads the source makes before it gets stuck: enough to fill the
 	// sink ring, with some left queued in the ingest ring and on the edges.
-	before := int64(e.rimWin) + 14
+	before := int64(rimWindow) + 14
 	var (
 		mu      sync.Mutex
 		made    []weak.Pointer[[64]byte]
@@ -56,7 +56,7 @@ func TestCancelledSessionPayloadsCollected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); pulls.Load() <= before || ses.emit.occupancy() < int64(e.rimWin); time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); pulls.Load() <= before || ses.emit.occupancy() < int64(rimWindow); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("after 5 s: %d pulls, %d emissions queued", pulls.Load(), ses.emit.occupancy())
 		}

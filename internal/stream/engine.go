@@ -41,7 +41,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -107,10 +106,6 @@ type Engine struct {
 	// where Deliver and Credit re-enter the node loops.
 	cross []crossEnds
 
-	// rimWin is the ingest and sink rims' one window, in payload units
-	// (see rimWindow).
-	rimWin int
-
 	mu sync.Mutex
 	// sessions holds every session from Open until its done channel
 	// closes (Active skips the ended ones).  Close force-resolves what is
@@ -155,11 +150,9 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 	if cfg.WatchdogTimeout == 0 {
 		cfg.WatchdogTimeout = time.Second
 	}
-	batch := max(cfg.MaxBatch, 1)
 	e := &Engine{
 		g:        g,
 		cfg:      cfg,
-		rimWin:   max(rimWindow, 2*batch),
 		sessions: make(map[proto.SessionID]*EngineSession),
 		stop:     make(chan struct{}),
 	}
@@ -215,8 +208,6 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 			}
 		}
 		n.cur = ints.take(len(n.in))
-		n.batch = batch
-		n.pass = max(batch, passWidth)
 		// Sources receive one synthetic input; a node without out-edges
 		// keeps one output slot, the SinkPayload hook.
 		n.kin = ins.take(max(len(n.in), 1))
@@ -242,9 +233,14 @@ func NewEngine(g *graph.Graph, kernels map[graph.NodeID]Kernel, cfg Config) (*En
 		}
 		n.queued = len(n.in) == 0 || n.timed != nil
 		if n.spanK != nil {
-			n.spanIn = anys.take(n.batch)
-			n.spanOut = anys.take(n.batch)
-			n.spanSeq = seqs.take(n.batch)
+			// A line, widened to a pass once a stretch needs more
+			// (widenSpan); a time-aware node stages up to a pass per clock
+			// reading (consumeTimed) from its first run.
+			w := 1
+			if n.timed != nil {
+				w = passWidth
+			}
+			n.spanIn, n.spanOut, n.spanSeq = anys.take(w), anys.take(w), seqs.take(w)
 		}
 		e.nodes[i] = n
 	}
@@ -454,9 +450,8 @@ func (e *Engine) takeBufs(ses *EngineSession) {
 		b, e.free[k] = e.free[k], nil
 		e.free = e.free[:k]
 	} else {
-		// The ingest ring (a power of two, for mask indexing) holds its
-		// window; the pump fills it in place.  Edge rings are made at
-		// their first send.
+		// The ingest ring holds its window; the pump fills it in place.
+		// Edge rings are made at their first send.
 		b = &sessionBufs{
 			states:  make([]nodeSession, len(e.nodes)),
 			edges:   make([]edgeCounts, e.g.NumEdges()+len(e.cfg.Cross)),
@@ -464,7 +459,7 @@ func (e *Engine) takeBufs(ses *EngineSession) {
 			ingest:  new(edgeCounts),
 			emit:    new(edgeCounts),
 			srcWake: make(chan struct{}, 1),
-			ring:    make([]any, 1<<bits.Len(uint(e.rimWin-1))),
+			ring:    make([]any, rimWindow),
 		}
 		// The node states' arrays are cut from the record's own chunks,
 		// each on lines of its own, as NewEngine cuts the node scratch.
@@ -486,7 +481,7 @@ func (e *Engine) takeBufs(ses *EngineSession) {
 		}
 	}
 	if ses.hasSink() && b.emPay == nil {
-		b.emSeq = make([]uint64, 1<<bits.Len(uint(e.rimWin-1)))
+		b.emSeq = make([]uint64, rimWindow)
 		b.emPay = make([]any, len(b.emSeq))
 		b.sinkWake = make(chan struct{}, 1)
 	}
@@ -565,33 +560,29 @@ func (e *Engine) watchdog() {
 	}
 }
 
+// passWidth is how many firings a node's pass may take: it ships them as
+// one run per out-edge, one publish and one kick, rather than one per
+// message, and hands each stretch of data-only firings to a SpanKernel in
+// one call.  The pass still stops at the first firing that sends past an
+// out-edge window, so its width adds no buffering the dummy intervals were
+// not computed against; a pass bounded by the windows alone cost chains
+// CPU (ROADMAP item 2(b)).
+const passWidth = 64
+
 // rimWindow is both rims' window: on the ingest rim, how many payloads
 // the pump may have published that the source node has not yet fired; on
 // the sink rim, how many emissions the sink node may have published that
 // its pump has not yet delivered — each measured as a local edge's is, the
-// ring's tail (sent) minus the consumer's count.  At batch b both rims get
-// 2b where that is wider, so a batched source or sink never starves its
-// own runs.  The rims lie outside the paper's graph, so no dummy
-// interval depends on their windows.  At batch 1 both rims sit full, and a
-// full window costs a wake round per window of messages: 64 cut a batch-1
-// chain's CPU per message to about 0.8 of 16's, and a wider window grows
-// every session record's rings for less.  The window still bounds how far
-// a session's source runs ahead, and how far a session runs ahead of a
-// slow Sink.  Order is unaffected (FIFO rings, single pumps) and so is the
-// error contract: the sink pump stops at the first Emit error, so queued
-// emissions behind it are never delivered.
-const rimWindow = 64
-
-// passWidth is the fewest firings a node's pass may take, whatever its
-// batch: a batch-1 node still fires each element through its kernel alone
-// but ships the pass's firings as one run per out-edge, one publish and
-// one kick, rather than one per message.  It is rimWindow, so a batch-1
-// source's pass can fire all that one ingest wake delivers.  The pass
-// still stops at the first firing that sends past an out-edge window, so
-// its width adds no buffering the dummy intervals were not computed
-// against; a pass bounded by the windows alone cost batch-64 chains CPU
-// (ROADMAP item 2(b)).
-const passWidth = rimWindow
+// ring's tail (sent) minus the consumer's count.  Two passes, so a span
+// source or sink fills or drains one pass's worth while the rim node
+// fires the other, and never starves its own runs; a power of two, so the
+// rings index by mask.  The rims lie outside the paper's graph, so no
+// dummy interval depends on their windows.  The window still bounds how
+// far a session's source runs ahead, and how far a session runs ahead of
+// a slow Sink.  Order is unaffected (FIFO rings, single pumps) and so is
+// the error contract: the sink pump stops at the first Emit error, so
+// queued emissions behind it are never delivered.
+const rimWindow = 2 * passWidth
 
 // EngineSession is one logical stream being served by an Engine.
 //
@@ -837,7 +828,7 @@ func (s *EngineSession) finishFromSink() {
 // node's count moves.
 func (s *EngineSession) ingestPump(src *engineNode) {
 	defer s.unhold()
-	c, win := s.ingest, int64(s.e.rimWin)
+	c, win := s.ingest, int64(rimWindow)
 	// One external-callback window covers each run of fills the window
 	// has room for: the watchdog only needs to know that user code may be
 	// blocking, not how many calls deep the run is.
@@ -1057,15 +1048,9 @@ type engineNode struct {
 	inAt     []int
 	outCap   []int
 
-	// batch is the node's vectorization width (>= 1): the longest span
-	// one ProcessSpan call takes.  pass, max(batch, passWidth), is how
-	// many aligned firings one pass of fireRun may take.
-	batch int
-	pass  int
 	// kern is the kernel's SliceForm, resolved once at NewEngine.  spanK
 	// is non-nil when the node has at most one in-edge and the kernel
-	// vectorizes (SpanKernel), at any batch width — batch 1 is a span of
-	// length one.
+	// vectorizes (SpanKernel).
 	kern  SliceKernel
 	spanK SpanKernel
 	// timed is non-nil when the kernel is time-aware (TimedKernel); the
@@ -1085,8 +1070,8 @@ type engineNode struct {
 	acks     []*EngineSession
 	cur      []int // per in-pos heads taken by the pass in progress
 	// kin, kout and present are a firing's kernel arguments; spanIn,
-	// spanOut and spanSeq a stretch's, batch long until a pass may need
-	// more and then pass long (widenSpan).
+	// spanOut and spanSeq a stretch's, a line long until a pass may need
+	// more and then passWidth long (widenSpan).
 	kin             []Input
 	kout            []any
 	present         []bool
@@ -1267,10 +1252,10 @@ func (n *engineNode) markDirty(ns *nodeSession) {
 // proto.Engine and per-out-edge slices — and a kick line; per edge, two
 // lines of counts and a ring (32-byte slots, at most twice the deepest
 // window its sessions used; see minRing), which its consumer reads in
-// place; the ingest ring (an ingest window of 16-byte payload slots,
-// filled in place) and the sink ring (a sink window of 24-byte seq and
-// payload slots), about 2.5 KB at rimWindow.  A five-node chain of Buf 64
-// thus keeps at most 16 × (5 × 0.5 + 4 × 4 + 2.5) KB ≈ 0.3 MB.
+// place; the ingest ring (a rimWindow of 16-byte payload slots, filled in
+// place) and the sink ring (a rimWindow of 24-byte seq and payload slots),
+// 5 KB at 128 slots.  A five-node chain of Buf 64 thus keeps at most
+// 16 × (5 × 0.5 + 4 × 4 + 5) KB ≈ 0.4 MB.
 const freeSessions = 16
 
 // retire is the one exit of a node session: the session was aborted, or
@@ -1355,7 +1340,7 @@ func (n *engineNode) advance(ns *nodeSession) {
 	}
 	for i := range n.out {
 		// Where a stale count could stop the first pass short.
-		if n.room(ns, i) <= n.batch {
+		if n.room(ns, i) <= passWidth {
 			n.reload(ns, i)
 		}
 	}
@@ -1453,7 +1438,7 @@ func (n *engineNode) park(ns *nodeSession) (room bool) {
 		if ns.done {
 			return c.occupancy() > 0 && c.stall(1)
 		}
-		return n.aligned(ns) && c.stall(int64(n.e.rimWin))
+		return n.aligned(ns) && c.stall(rimWindow)
 	}
 	if ns.pendingN == 0 {
 		return false
@@ -1611,8 +1596,8 @@ func (n *engineNode) popHeads(ns *nodeSession, i, k int) {
 	}
 }
 
-// fireRun is the node's one firing body, at every in-degree, output mask
-// and batch width: a pass of up to n.pass firings, each aligned on the
+// fireRun is the node's one firing body, at every in-degree and output
+// mask: a pass of up to passWidth firings, each aligned on the
 // minimum sequence number across the heads (a queued node's next payload
 // at its next sequence number is the trivial case) and each deciding its
 // dummies with its own proto.Fire (or its share of a FireRun or a
@@ -1671,39 +1656,34 @@ func (n *engineNode) fireRun(ns *nodeSession) bool {
 // nothing yet: it returns how many firings it took (cur has them per
 // in-edge) and how many carried data, or eos when every head is EOS.
 // The kernel runs once per data-carrying firing, or, where it vectorizes,
-// once per batch of a stretch of data-only firings (stretch), which is
-// one FireRun and one copy onto every out-edge's run; dummy-only firings
-// never reach it, and a stretch of them (dummyStretch) skips alignment
-// too: under the cascade it is one proto.FireDummyRun and one copy of
-// its dummies onto every out-edge's run.
+// once per stretch of data-only firings (stretch), which is one FireRun
+// and one copy onto every out-edge's run; dummy-only firings never reach
+// it, and a stretch of them (dummyStretch) skips alignment too: under the
+// cascade it is one proto.FireDummyRun and one copy of its dummies onto
+// every out-edge's run.
 func (n *engineNode) fire(ns *nodeSession) (fired, data int, eos bool) {
 	if !n.aligned(ns) {
 		return 0, 0, false // the common empty pass, before any set-up
 	}
-	if len(n.spanIn) < n.pass && n.spanK != nil {
+	if len(n.spanIn) < passWidth && n.spanK != nil {
 		n.widenSpan(ns)
 	}
 	nOut := len(n.out)
-	sinkRoom := n.pass
+	sinkRoom := passWidth
 	emits := nOut == 0 && ns.ses.hasSink() // firings go to the sink pump
 	if emits {
-		sinkRoom = n.e.rimWin - int(ns.ses.emit.occupancy())
+		sinkRoom = rimWindow - int(ns.ses.emit.occupancy())
 	}
 pass:
-	for full := false; fired < n.pass && data < sinkRoom && !full; {
+	for full := false; fired < passWidth && data < sinkRoom && !full; {
 		if n.spanK != nil {
-			// The kernel takes the stretch a batch at a time, in order;
-			// a decline ends it.
+			// The kernel takes the stretch in one call; a decline ends it.
 			k := n.stretch(ns, fired, sinkRoom-data)
 			vec := 0
-			for vec < k {
-				end := min(vec+n.batch, k)
-				got := n.spanK.ProcessSpan(n.spanSeq[vec], n.spanIn[vec:end], n.spanOut[vec:end])
+			if k > 0 {
+				vec = n.spanK.ProcessSpan(n.spanSeq[0], n.spanIn[:k], n.spanOut[:k])
 				if n.obsN != nil {
 					n.obsN.Spans.Add(1)
-				}
-				if vec += got; vec < end {
-					break
 				}
 			}
 			if vec > 0 {
@@ -1824,11 +1804,9 @@ func (n *engineNode) aligned(ns *nodeSession) bool {
 // at the pass's cursor that the rest of the pass, the sink pump's window
 // (limit) and the out-edge windows allow — one past the tightest window:
 // the firing whose send parks — and returns its length.  Zero leaves the
-// cursor's firing (a dummy or an EOS) to the per-firing path.  The stretch
-// is the pass's, not the batch's: fire hands it to the kernel a batch at a
-// time.
+// cursor's firing (a dummy or an EOS) to the per-firing path.
 func (n *engineNode) stretch(ns *nodeSession, fired, limit int) (k int) {
-	k = min(n.pass-fired, limit)
+	k = min(passWidth-fired, limit)
 	for i, run := range n.acc {
 		k = min(k, n.room(ns, i)-len(run)+1)
 	}
@@ -1851,10 +1829,10 @@ func (n *engineNode) stretch(ns *nodeSession, fired, limit int) (k int) {
 	return k
 }
 
-// widenSpan gives the span scratch pass length, from its first batch
-// length, once a pass finds more than a batch queued besides an EOS: a
-// stretch may then be longer than a batch.  A node that never sees such a
-// pass, like every node of a one-message session, keeps its first lines.
+// widenSpan gives the span scratch passWidth length, from its first line,
+// once a pass finds more queued besides an EOS than the line holds: a
+// stretch may then be longer.  A node that never sees such a pass, like
+// every node of a one-message session, keeps its first line.
 // fire calls it at the pass's start, so that stretch calls nothing and
 // keeps a leaf's frame.
 func (n *engineNode) widenSpan(ns *nodeSession) {
@@ -1868,9 +1846,9 @@ func (n *engineNode) widenSpan(ns *nodeSession) {
 	if q <= len(n.spanIn) {
 		return
 	}
-	s := lineSlice[any](2 * n.pass)
-	n.spanIn, n.spanOut = s[:n.pass:n.pass], s[n.pass:]
-	n.spanSeq = lineSlice[uint64](n.pass)
+	s := lineSlice[any](2 * passWidth)
+	n.spanIn, n.spanOut = s[:passWidth:passWidth], s[passWidth:]
+	n.spanSeq = lineSlice[uint64](passWidth)
 }
 
 // dummyStretch takes, in one step, the longest run of dummy-only firings
@@ -1894,7 +1872,7 @@ func (n *engineNode) dummyStretch(ns *nodeSession, fired int) (k int, full bool)
 	if n.e.cfg.Intervals == nil || n.e.cfg.Algorithm != cs4.Propagation {
 		return 0, false
 	}
-	k = min(n.pass-fired, c0.queued()-cur0)
+	k = min(passWidth-fired, c0.queued()-cur0)
 	for i, run := range n.acc {
 		k = min(k, n.room(ns, i)-len(run)+1)
 	}
@@ -1949,16 +1927,16 @@ func (n *engineNode) sinkEmit(ns *nodeSession, data int) {
 	}
 }
 
-// consumeTimed consumes one run of a time-aware node's input: up to batch
-// queued heads under one clock reading.  The input's protocol alignment is
-// absorbed silently — each stretch of data heads feeds the kernel in one
-// Ingest call (staged in the span scratch, idle between firing passes),
-// dummies are dropped, EOS flushes the kernel and ends the queue — and
-// what the run matured is queued to fire in the node's private
+// consumeTimed consumes one run of a time-aware node's input: up to
+// passWidth queued heads under one clock reading.  The input's protocol
+// alignment is absorbed silently — each stretch of data heads feeds the
+// kernel in one Ingest call (staged in the span scratch, idle between
+// firing passes), dummies are dropped, EOS flushes the kernel and ends the
+// queue — and what the run matured is queued to fire in the node's private
 // output-sequence space (see timed.go).  Reports whether it consumed.
 func (n *engineNode) consumeTimed(ns *nodeSession) bool {
 	c := n.inEdge(ns, 0)
-	q := min(c.queued(), n.batch)
+	q := min(c.queued(), passWidth)
 	if q == 0 {
 		return false
 	}

@@ -13,17 +13,16 @@ import (
 
 // TestSpanFillsWrapTheIngestRing: the ingest pump hands a SpanSource the
 // ingest ring's free segment in place, so a fill is cut at the ring's end
-// and the next resumes at slot 0.  Fills of 1–7 payloads, cycling, land
-// on the ring's end at every phase.  Each buf must lie in the ring at the
-// tail, stay within the window's room and not cross the ring's end, and
-// the sink must see every payload once and in order — at batch 1 and 7
-// (window 64, ring 64) and at batch 40 (window 80, ring 128, so the free
-// segment wraps before the room is used up).
+// and the next resumes at slot 0.  The source's fills cycle through 1 to
+// batch payloads, so that fills of 7 and of 40 land on the ring's end at
+// every phase.  Each buf must lie in the ring at the tail, stay within the
+// window's room and not cross the ring's end, and the sink must see every
+// payload once and in order.
 func TestSpanFillsWrapTheIngestRing(t *testing.T) {
 	const inputs = 3000
 	for _, batch := range []int{1, 7, 40} {
 		t.Run(fmt.Sprintf("batch %d", batch), func(t *testing.T) {
-			e, err := NewEngine(workload.Pipeline(3, 4), nil, Config{MaxBatch: batch, WatchdogTimeout: 5 * time.Second})
+			e, err := NewEngine(workload.Pipeline(3, 4), nil, Config{WatchdogTimeout: 5 * time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -39,7 +38,7 @@ func TestSpanFillsWrapTheIngestRing(t *testing.T) {
 				ring, c := ses.ring, ses.ingest
 				t0 := c.sent.Load()
 				j := int(t0) & (len(ring) - 1)
-				room := int64(e.rimWin) - (t0 - c.consumed.Load())
+				room := int64(rimWindow) - (t0 - c.consumed.Load())
 				var bad error
 				switch {
 				case len(buf) == 0:
@@ -57,7 +56,7 @@ func TestSpanFillsWrapTheIngestRing(t *testing.T) {
 				if j == 0 && t0 > 0 {
 					resumed++
 				}
-				k := min(calls%7+1, len(buf), inputs-next)
+				k := min(calls%batch+1, len(buf), inputs-next)
 				calls++
 				for i := range buf[:k] {
 					buf[i] = next
@@ -105,7 +104,7 @@ func TestSpanFillsWrapTheIngestRing(t *testing.T) {
 func TestRimWakesCounted(t *testing.T) {
 	g := workload.Pipeline(3, 4)
 	m := obs.New(make([]string, g.NumNodes()), make([]string, g.NumEdges()))
-	e, err := NewEngine(g, nil, Config{MaxBatch: 1, Obs: m, WatchdogTimeout: 5 * time.Second})
+	e, err := NewEngine(g, nil, Config{Obs: m, WatchdogTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +124,7 @@ func TestRimWakesCounted(t *testing.T) {
 	for deadline := time.Now().Add(5 * time.Second); !ses.emit.stalled.Load() || !ses.ingest.stalled.Load(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("after 5 s: %d of %d emissions and %d of %d payloads queued, not both rims full",
-				ses.emit.occupancy(), e.rimWin, ses.ingest.occupancy(), e.rimWin)
+				ses.emit.occupancy(), rimWindow, ses.ingest.occupancy(), rimWindow)
 		}
 	}
 	close(release)
@@ -138,45 +137,42 @@ func TestRimWakesCounted(t *testing.T) {
 }
 
 // TestRimWindowByNumber pins the rims' one window by number: under a
-// blocked sink both rims fill to exactly 64 payloads at batch 1 and to
-// exactly 256 (twice the batch) at batch 128, and never past it.  The
-// occupancies are read from outside, as the pumps' and nodes' counts.
+// blocked sink both rims fill to exactly 128 payloads, two passes, and
+// never past it.  The occupancies are read from outside, as the pumps' and
+// nodes' counts.
 func TestRimWindowByNumber(t *testing.T) {
-	for _, tc := range []struct{ batch, want int64 }{{1, 64}, {128, 256}} {
-		t.Run(fmt.Sprintf("batch %d", tc.batch), func(t *testing.T) {
-			e, err := NewEngine(workload.Pipeline(3, 16), nil, Config{MaxBatch: int(tc.batch), WatchdogTimeout: 5 * time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			release := make(chan struct{})
-			ses, err := e.Open(SessionConfig{
-				ID:     1,
-				Source: SyntheticSource(4000),
-				Sink: func(context.Context, uint64, any) error {
-					<-release
-					return nil
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-				sink, ingest := ses.emit.occupancy(), ses.ingest.occupancy()
-				if sink > tc.want || ingest > tc.want {
-					t.Fatalf("%d emissions and %d payloads queued, past the window of %d", sink, ingest, tc.want)
-				}
-				if sink == tc.want && ingest == tc.want && ses.emit.stalled.Load() && ses.ingest.stalled.Load() {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("after 5 s: %d emissions and %d payloads queued, want both rims full at %d", sink, ingest, tc.want)
-				}
-			}
-			close(release)
-			if _, err := ses.Wait(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	const want = 128
+	e, err := NewEngine(workload.Pipeline(3, 16), nil, Config{WatchdogTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	release := make(chan struct{})
+	ses, err := e.Open(SessionConfig{
+		ID:     1,
+		Source: SyntheticSource(4000),
+		Sink: func(context.Context, uint64, any) error {
+			<-release
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		sink, ingest := ses.emit.occupancy(), ses.ingest.occupancy()
+		if sink > want || ingest > want {
+			t.Fatalf("%d emissions and %d payloads queued, past the window of %d", sink, ingest, want)
+		}
+		if sink == want && ingest == want && ses.emit.stalled.Load() && ses.ingest.stalled.Load() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after 5 s: %d emissions and %d payloads queued, want both rims full at %d", sink, ingest, want)
+		}
+	}
+	close(release)
+	if _, err := ses.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,7 +4,7 @@ package stream
 // kernels: a local edge's ring (publish to consumed count), the mailbox that kicks and wakes take (drained in batches, and
 // one hop between two parked loops), the two
 // rims' handoffs between a pump and its node, and one
-// pass of the firing loop — a batch-1 all-data firing, a 64-firing pass
+// pass of the firing loop — a one-message all-data firing, a 64-firing pass
 // over runs that mix data and dummies (staggered across a join's inputs,
 // or aligned so the dummies form stretches), and a time-aware node's
 // ingest of a 64-head run — and the layer above them, one short session.
@@ -173,48 +173,45 @@ func TestLineSliceFillsWholeLines(t *testing.T) {
 // TestNodeScratchOwnsItsLines checks what NewEngine's per-engine arrays
 // must keep from one allocation per array: no cache line holds firing
 // scratch of two nodes.  The graph mixes fan-outs, fan-ins and a sink
-// with span kernels at two batch widths, one short enough for every array
-// to share chunks and one long enough for the span arrays to take their
-// own.
+// with span kernels, whose span arrays start a line long and share chunks
+// with the rest.
 func TestNodeScratchOwnsItsLines(t *testing.T) {
 	g, err := graph.ParseString("a b 4\na c 4\na d 4\nb e 4\nc e 4\nd e 4\ne f 4\nf g 4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batch := range []int{3, 64} {
-		e, err := NewEngine(g, nil, Config{MaxBatch: batch})
-		if err != nil {
-			t.Fatal(err)
+	e, err := NewEngine(g, nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := map[uintptr]graph.NodeID{}
+	claim := func(n *engineNode, name string, v reflect.Value) {
+		if v.Cap() == 0 {
+			return
 		}
-		owner := map[uintptr]graph.NodeID{}
-		claim := func(n *engineNode, name string, v reflect.Value) {
-			if v.Cap() == 0 {
-				return
+		p := v.Pointer()
+		end := p + uintptr(v.Cap())*v.Type().Elem().Size()
+		for line := p / 64; line <= (end-1)/64; line++ {
+			if o, ok := owner[line]; ok && o != n.id {
+				t.Errorf("node %d's %s shares line %#x with node %d", n.id, name, line*64, o)
 			}
-			p := v.Pointer()
-			end := p + uintptr(v.Cap())*v.Type().Elem().Size()
-			for line := p / 64; line <= (end-1)/64; line++ {
-				if o, ok := owner[line]; ok && o != n.id {
-					t.Errorf("batch %d: node %d's %s shares line %#x with node %d", batch, n.id, name, line*64, o)
-				}
-				owner[line] = n.id
-			}
+			owner[line] = n.id
 		}
-		for _, n := range e.nodes {
-			for name, s := range map[string]any{
-				"cur": n.cur, "kin": n.kin, "kout": n.kout,
-				"present": n.present, "acc": n.acc, "accDummy": n.accDummy,
-				"spanIn": n.spanIn, "spanOut": n.spanOut, "spanSeq": n.spanSeq,
-			} {
-				claim(n, name, reflect.ValueOf(s))
-			}
-			for i, run := range n.acc {
-				claim(n, fmt.Sprintf("acc[%d]", i), reflect.ValueOf(run))
-			}
+	}
+	for _, n := range e.nodes {
+		for name, s := range map[string]any{
+			"cur": n.cur, "kin": n.kin, "kout": n.kout,
+			"present": n.present, "acc": n.acc, "accDummy": n.accDummy,
+			"spanIn": n.spanIn, "spanOut": n.spanOut, "spanSeq": n.spanSeq,
+		} {
+			claim(n, name, reflect.ValueOf(s))
 		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
+		for i, run := range n.acc {
+			claim(n, fmt.Sprintf("acc[%d]", i), reflect.ValueOf(run))
 		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -269,8 +266,8 @@ func BenchmarkMailboxPostTake(b *testing.B) {
 	}
 }
 
-// BenchmarkMailboxPostTakeParked is the mailbox hop between two node loops
-// at batch 1: two goroutines pass one event back and forth through two
+// BenchmarkMailboxPostTakeParked is the mailbox hop between two node loops,
+// one event at a time: two goroutines pass one event back and forth through two
 // mailboxes, so every post finds its consumer parked and wakes it.  Per op
 // is one hop.
 func BenchmarkMailboxPostTakeParked(b *testing.B) {
@@ -303,15 +300,15 @@ func BenchmarkMailboxPostTakeParked(b *testing.B) {
 	<-echoed
 }
 
-// BenchmarkSinkHandoff is the sink rim at batch 1: per op, the sink node
-// writes one emission into the session's sink ring and publishes it, and
+// BenchmarkSinkHandoff is the sink rim, one message at a time: per op,
+// the sink node writes one emission into the session's sink ring and publishes it, and
 // the pump delivers
 // it to a no-op Sink and stores its count.  On a full window the benchmark
 // stalls as the sink node does (park) and takes the pump's wake from the
 // node's mailbox.
 func BenchmarkSinkHandoff(b *testing.B) {
 	r := newSinkRig(b, nil)
-	c, w := r.ses.emit, int64(r.ses.e.rimWin)
+	c, w := r.ses.emit, int64(rimWindow)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -325,8 +322,8 @@ func BenchmarkSinkHandoff(b *testing.B) {
 	r.stop()
 }
 
-// BenchmarkIngestHandoff is the ingest rim at batch 1: per op, the pump
-// takes one payload from a Source, publishes it to the session's ingest
+// BenchmarkIngestHandoff is the ingest rim, one message at a time: per
+// op, the pump takes one payload from a Source, publishes it to the session's ingest
 // ring and kicks the source node.  The benchmark is the source node: it
 // takes the kick, loads the tail, fires what it loaded in place (clears
 // its slots, with no kernel and no send) and stores its count, which
@@ -535,7 +532,7 @@ func (f *firingBench) recycle() (msgs int) {
 	return msgs
 }
 
-// benchFireOnce times one batch-1 firing of a single-input node — a
+// benchFireOnce times one one-message firing of a single-input node — a
 // one-message publish and drain, one pass, send — with the given kernel.
 func benchFireOnce(b *testing.B, k Kernel) {
 	g := workload.Pipeline(3, 4)
@@ -575,15 +572,15 @@ func (flipKernel) ProcessSpan(_ uint64, in, out []any) int {
 	return len(in)
 }
 
-// benchSpanPass times one pass of 64 data firings at a one-in-edge node
-// whose kernel maps each element (flipKernel): the stretch's staging, the
-// kernel calls — one per element at batch 1, one per pass at 64 — the
-// protocol update, the run's copy and its send, per message.
-func benchSpanPass(b *testing.B, batch int) {
+// BenchmarkSpanPass times one pass of 64 data firings at a one-in-edge
+// node whose kernel maps each element (flipKernel): the stretch's staging,
+// the one kernel call, the protocol update, the run's copy and its send,
+// per message.
+func BenchmarkSpanPass(b *testing.B) {
 	const run = 64
 	g := workload.Pipeline(3, run)
 	mid := g.MustNode("s1")
-	f := newFiringBench(b, g, mid, map[graph.NodeID]Kernel{mid: flipKernel{}}, Config{MaxBatch: batch})
+	f := newFiringBench(b, g, mid, map[graph.NodeID]Kernel{mid: flipKernel{}}, Config{})
 	msgs := make([]Message, run)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -599,51 +596,46 @@ func benchSpanPass(b *testing.B, batch int) {
 	}
 }
 
-func BenchmarkSpanPassB1(b *testing.B)  { benchSpanPass(b, 1) }
-func BenchmarkSpanPassB64(b *testing.B) { benchSpanPass(b, 64) }
-
 // TestSpanScratchWidensForALongStretch pins when a node's span scratch
-// grows from a batch to a pass: at a pass that finds more than a batch
-// queued besides an EOS, before the stretch is staged.  A batch of data
-// and an EOS (a session shorter than a batch) leaves it as NewEngine cut
-// it; one more data message is a stretch longer than a batch, taken in
-// one pass.
+// grows from the line NewEngine cut it to a pass: at a pass that finds
+// more than the line's one element queued besides an EOS, before the
+// stretch is staged.  One data message and an EOS (a one-message session)
+// leaves it a line; two data messages are a longer stretch, taken in one
+// pass.
 func TestSpanScratchWidensForALongStretch(t *testing.T) {
-	for _, batch := range []int{1, 3} {
-		for _, eos := range []bool{true, false} {
-			g := workload.Pipeline(3, 64)
-			mid := g.MustNode("s1")
-			f := newFiringBench(t, g, mid, map[graph.NodeID]Kernel{mid: flipKernel{}}, Config{MaxBatch: batch})
-			msgs := make([]Message, batch+1)
-			for j := range msgs {
-				msgs[j] = Message{Seq: uint64(j), Kind: Data, Payload: j}
-			}
-			if eos {
-				msgs[batch] = Message{Seq: proto.EOSSeq, Kind: EOS}
-			}
-			pushIn(f.n, f.ns, 0, msgs...)
-			if !f.n.fireRun(f.ns) {
-				t.Fatalf("batch %d: queued data did not fire", batch)
-			}
-			want, data := f.n.pass, batch+1
-			if eos {
-				want, data = batch, batch // the EOS is a pass of its own
-			}
-			if got := len(f.n.spanIn); got != want || len(f.n.spanOut) != want || len(f.n.spanSeq) != want {
-				t.Errorf("batch %d, EOS %v: span scratch %d/%d/%d long, want %d",
-					batch, eos, got, len(f.n.spanOut), len(f.n.spanSeq), want)
-			}
-			if sent := f.recycle(); sent != data {
-				t.Errorf("batch %d, EOS %v: %d messages sent, want %d", batch, eos, sent, data)
-			}
+	for _, eos := range []bool{true, false} {
+		g := workload.Pipeline(3, 64)
+		mid := g.MustNode("s1")
+		f := newFiringBench(t, g, mid, map[graph.NodeID]Kernel{mid: flipKernel{}}, Config{})
+		if got := len(f.n.spanIn); got != 1 || len(f.n.spanOut) != 1 || len(f.n.spanSeq) != 1 {
+			t.Fatalf("NewEngine cut span scratch %d/%d/%d long, want 1", got, len(f.n.spanOut), len(f.n.spanSeq))
+		}
+		msgs := []Message{{Seq: 0, Kind: Data, Payload: 0}, {Seq: 1, Kind: Data, Payload: 1}}
+		if eos {
+			msgs[1] = Message{Seq: proto.EOSSeq, Kind: EOS}
+		}
+		pushIn(f.n, f.ns, 0, msgs...)
+		if !f.n.fireRun(f.ns) {
+			t.Fatal("queued data did not fire")
+		}
+		want, data := passWidth, 2
+		if eos {
+			want, data = 1, 1 // the EOS is a pass of its own
+		}
+		if got := len(f.n.spanIn); got != want || len(f.n.spanOut) != want || len(f.n.spanSeq) != want {
+			t.Errorf("EOS %v: span scratch %d/%d/%d long, want %d",
+				eos, got, len(f.n.spanOut), len(f.n.spanSeq), want)
+		}
+		if sent := f.recycle(); sent != data {
+			t.Errorf("EOS %v: %d messages sent, want %d", eos, sent, data)
 		}
 	}
 }
 
 // joinRig is a node with the given in-degree whose one out-edge has
 // capacity outBuf, every in-edge 64 deep, on the firing rig under alg
-// with every dummy interval 1, at the given batch width.
-func joinRig(tb testing.TB, inputs, outBuf, batch int, alg cs4.Algorithm) *firingBench {
+// with every dummy interval 1.
+func joinRig(tb testing.TB, inputs, outBuf int, alg cs4.Algorithm) *firingBench {
 	g := graph.New()
 	src, join, out := g.AddNode("src"), g.AddNode("join"), g.AddNode("out")
 	for i := 0; i < inputs; i++ {
@@ -656,7 +648,7 @@ func joinRig(tb testing.TB, inputs, outBuf, batch int, alg cs4.Algorithm) *firin
 	for _, e := range g.Edges() {
 		iv[e.ID] = ival.FromInt(1)
 	}
-	return newFiringBench(tb, g, join, nil, Config{Algorithm: alg, Intervals: iv, MaxBatch: batch})
+	return newFiringBench(tb, g, join, nil, Config{Algorithm: alg, Intervals: iv})
 }
 
 // TestDummyStretchStopsAtItsWindow pins the window bound of a stretch of
@@ -667,19 +659,19 @@ func joinRig(tb testing.TB, inputs, outBuf, batch int, alg cs4.Algorithm) *firin
 // window, parks the third firing's dummy and consumes three heads per
 // in-edge — what firing per message does.  A stretch that took all 64
 // would consume the run ahead of the full window, an effective buffer the
-// intervals were not computed against.  A batch-1 node's pass is
-// passWidth firings wide, so it must stop at the window the same way.
+// intervals were not computed against.  The subtests, named for two batch
+// widths the engine no longer has, run the one width.
 func TestDummyStretchStopsAtItsWindow(t *testing.T) {
-	for _, batch := range []int{1, 64} {
-		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) { dummyStretchStopsAtItsWindow(t, batch) })
+	for _, name := range []string{"batch1", "batch64"} {
+		t.Run(name, dummyStretchStopsAtItsWindow)
 	}
 }
 
-func dummyStretchStopsAtItsWindow(t *testing.T, batch int) {
+func dummyStretchStopsAtItsWindow(t *testing.T) {
 	const window, run = 2, 64
 	for _, alg := range []cs4.Algorithm{cs4.Propagation, cs4.NonPropagation} {
 		for _, inputs := range []int{1, 2} {
-			f := joinRig(t, inputs, window, batch, alg)
+			f := joinRig(t, inputs, window, alg)
 			dummies := make([]Message, run)
 			for j := range dummies {
 				dummies[j] = Message{Seq: 10 + 3*uint64(j), Kind: Dummy}
@@ -716,7 +708,7 @@ func dummyStretchStopsAtItsWindow(t *testing.T, batch int) {
 // input's data at the same firings and leaves the rest stretches of
 // aligned dummies.  Per edge message means per message consumed or sent.
 func benchMixedRunHop(b *testing.B, inputs, stagger int) {
-	f := joinRig(b, inputs, 64, 64, cs4.Propagation)
+	f := joinRig(b, inputs, 64, cs4.Propagation)
 	const run = 64
 	msgs := make([]Message, run)
 	edgeMsgs := 0
@@ -756,7 +748,7 @@ func BenchmarkTimedIngestRun(b *testing.B) {
 		dummies bool
 	}{{"data", false}, {"half_dummies", true}} {
 		b.Run(tc.name, func(b *testing.B) {
-			f := newTimedBench(b, &stubTimed{clk: clock.NewFake()}, 64)
+			f := newTimedBench(b, &stubTimed{clk: clock.NewFake()})
 			const run = 64
 			msgs := make([]Message, run)
 			b.ReportAllocs()
@@ -781,7 +773,7 @@ func BenchmarkTimedIngestRun(b *testing.B) {
 
 // BenchmarkSessionCycle times one short session on a resident engine: Open
 // → Wait of 64 messages through a source, three passthrough stages and a
-// sink at batch 1, with a sink pump — the session's set-up, its messages
+// sink, with a sink pump — the session's set-up, its messages
 // and its teardown, per op.
 func BenchmarkSessionCycle(b *testing.B) {
 	e, err := NewEngine(workload.Pipeline(5, 256), nil, Config{WatchdogTimeout: time.Hour})

@@ -221,7 +221,7 @@ func TestFreeListBoundedAfterSessionBurst(t *testing.T) {
 // every ring empty, no token left in a channel, and the list sound
 // (requireFreeList: every node state reset, no set listed twice).
 func TestSessionBufsScrubbed(t *testing.T) {
-	e, err := NewEngine(workload.Pipeline(4, 8), nil, Config{MaxBatch: 8, WatchdogTimeout: 10 * time.Second})
+	e, err := NewEngine(workload.Pipeline(4, 8), nil, Config{WatchdogTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,7 +200,7 @@ func (s *EngineSession) kick(n *engineNode) {
 // channel and the occupancy it waits at.
 func (s *EngineSession) pumpWait(c *edgeCounts) (*atomic.Bool, chan struct{}, int64) {
 	if c == s.ingest {
-		return &c.stalled, s.srcWake, int64(s.e.rimWin)
+		return &c.stalled, s.srcWake, rimWindow
 	}
 	return &c.parked, s.sinkWake, 0
 }

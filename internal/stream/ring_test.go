@@ -67,18 +67,16 @@ func TestStalledProducerWokenByConsumption(t *testing.T) {
 		if !ref.Completed {
 			t.Fatalf("buf %d: simulator: %s", buf, ref.Reason)
 		}
-		for _, batch := range []int{1, 64} {
-			cfg := stream.Config{MaxBatch: batch, WatchdogTimeout: 2 * time.Second}
-			stats, seen, _, m := countedRun(t, g, ks, cfg, inputs, nil)
-			label := fmt.Sprintf("buf %d batch %d", buf, batch)
-			requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
-			stalls := int64(0)
-			for e := range g.NumEdges() {
-				stalls += m.Edge(e).CreditStalls.Load()
-			}
-			if stalls == 0 {
-				t.Errorf("%s: no producer stalled on a full edge; the test would not notice a lost wake", label)
-			}
+		cfg := stream.Config{WatchdogTimeout: 2 * time.Second}
+		stats, seen, _, m := countedRun(t, g, ks, cfg, inputs, nil)
+		label := fmt.Sprintf("buf %d", buf)
+		requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
+		stalls := int64(0)
+		for e := range g.NumEdges() {
+			stalls += m.Edge(e).CreditStalls.Load()
+		}
+		if stalls == 0 {
+			t.Errorf("%s: no producer stalled on a full edge; the test would not notice a lost wake", label)
 		}
 	}
 }
@@ -111,32 +109,27 @@ func TestRimWindowsWakeTheirProducers(t *testing.T) {
 	if !ref.Completed {
 		t.Fatalf("simulator: %s", ref.Reason)
 	}
-	for _, batch := range []int{1, 64} {
-		emitted, rng := 0, rand.New(rand.NewSource(int64(batch)))
-		pace := func() {
-			if emitted++; emitted%every == 0 {
-				time.Sleep(5 * time.Millisecond)
-			}
-			spinFor(time.Duration(rng.Intn(3000)))
+	emitted, rng := 0, rand.New(rand.NewSource(64))
+	pace := func() {
+		if emitted++; emitted%every == 0 {
+			time.Sleep(5 * time.Millisecond)
 		}
-		cfg := stream.Config{MaxBatch: batch, WatchdogTimeout: 2 * time.Second}
-		stats, seen, _, m := countedRun(t, g, ks, cfg, inputs, pace)
-		label := fmt.Sprintf("batch %d", batch)
-		requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
-		if s := m.Sessions(); s.IngestWakes.Load() == 0 || s.SinkWakes.Load() == 0 {
-			t.Errorf("%s: %d ingest and %d sink wakes; the rims' windows never filled", label, s.IngestWakes.Load(), s.SinkWakes.Load())
-		}
+		spinFor(time.Duration(rng.Intn(3000)))
+	}
+	stats, seen, _, m := countedRun(t, g, ks, stream.Config{WatchdogTimeout: 2 * time.Second}, inputs, pace)
+	requireMatchesSim(t, "paced sink", g, stats, seen, ref, refSeen)
+	if s := m.Sessions(); s.IngestWakes.Load() == 0 || s.SinkWakes.Load() == 0 {
+		t.Errorf("%d ingest and %d sink wakes; the rims' windows never filled", s.IngestWakes.Load(), s.SinkWakes.Load())
 	}
 
 	g = workload.Pipeline(3, 1024)
 	ks = filterKernels(g, workload.PassAll)
 	for _, tc := range []struct {
-		batch    int
 		inputs   uint64
 		sessions int
-	}{{1, 48, 2000}, {64, 400, 300}} {
+	}{{48, 2000}, {400, 300}} {
 		ref, refSeen := simRun(g, ks, stream.Config{}, tc.inputs)
-		eng, err := stream.NewEngine(g, ks, stream.Config{MaxBatch: tc.batch, WatchdogTimeout: 2 * time.Second})
+		eng, err := stream.NewEngine(g, ks, stream.Config{WatchdogTimeout: 2 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,9 +146,9 @@ func TestRimWindowsWakeTheirProducers(t *testing.T) {
 			}
 			stats, err := ses.Wait()
 			if err != nil {
-				t.Fatalf("batch %d, session %d: %v", tc.batch, i, err)
+				t.Fatalf("%d inputs, session %d: %v", tc.inputs, i, err)
 			}
-			requireMatchesSim(t, fmt.Sprintf("batch %d, session %d", tc.batch, i), g, stats, seen, ref, refSeen)
+			requireMatchesSim(t, fmt.Sprintf("%d inputs, session %d", tc.inputs, i), g, stats, seen, ref, refSeen)
 		}
 	}
 }
@@ -167,7 +160,7 @@ func spinFor(d time.Duration) {
 }
 
 // TestLocalChainPostsNoRunsOrCredits pins the transport of an in-process
-// edge: on a batch-1 chain whose every edge is local, messages cross in
+// edge: on a chain whose every edge is local, messages cross in
 // rings and credits are consumed counts, so the node loops take only
 // kicks — to drain, or to wake a producer that stalled on a full window —
 // no more than the messages they carry.
@@ -175,7 +168,7 @@ func TestLocalChainPostsNoRunsOrCredits(t *testing.T) {
 	const inputs, hops = 20000, 4
 	for _, buf := range []int{2, 256} {
 		_, _, kicks, m := countedRun(t, workload.Pipeline(hops+1, buf), nil,
-			stream.Config{MaxBatch: 1, WatchdogTimeout: 10 * time.Second}, inputs, nil)
+			stream.Config{WatchdogTimeout: 10 * time.Second}, inputs, nil)
 		stalls := int64(0)
 		for e := range hops {
 			stalls += m.Edge(e).CreditStalls.Load()

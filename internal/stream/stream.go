@@ -135,22 +135,20 @@ func MapForm(k SliceKernel, nOut int, seq uint64, in []Input) map[int]any {
 }
 
 // SpanKernel is an optional extension of Kernel for the vectorized hot
-// path.  A kernel that maps each element to exactly one output payload
-// — emitted on every out-edge, never filtered — can process a whole run
-// of data elements in a single call: ProcessSpan receives the run's
-// payloads in (seq0 is the first one's sequence number), writes the
-// output payloads to out (len(out) == len(in)), and returns the length
-// of the prefix it processed.  The span is as long as the node's batch
-// width (Config.MaxBatch), its queued input and its out-edge windows
-// allow and may have length one at any width — at batch 1 every element
-// is a span of one, though the pass ships many as one run — and in and
-// out are engine scratch, reused by the next call: a
-// kernel must never retain them.  The payloads it writes to out may share
-// a node-owned chunk with each other and with earlier calls' (a Flow Map's
-// per-node copy, PerNode, boxes its outputs into chunks it keeps across
-// calls, internal/box): an interface value is immutable, so sharing is
-// never visible.  Returning n < len(in) declines element
-// n — the engine fires it through ProcessInto and offers what follows to
+// path.  A kernel that maps each element to exactly one output payload —
+// emitted on every out-edge, never filtered — can process a whole run of
+// data elements in a single call: ProcessSpan receives the run's payloads
+// in (seq0 is the first one's sequence number), writes the output payloads
+// to out (len(out) == len(in)), and returns the length of the prefix it
+// processed.  The span is one stretch of a firing pass's data: at most 64
+// elements, as many as the node's queued input and its out-edge windows
+// allow, and it may hold one; in and out are engine scratch, reused by the
+// next call: a kernel must never retain them.  The payloads it writes to
+// out may share a node-owned chunk with each other and with earlier calls'
+// (a Flow Map's per-node copy, PerNode, boxes its outputs into chunks it
+// keeps across calls, internal/box): an interface value is immutable, so
+// sharing is never visible.  Returning n < len(in) declines element n — the
+// engine fires it through ProcessInto and offers what follows to
 // ProcessSpan again, in order, so a kernel may vectorize the common case
 // and fall back per element for filtering, per-edge divergence, or type
 // errors.  The engine calls ProcessSpan only at nodes with at most one
@@ -259,18 +257,15 @@ type Config struct {
 	// a session before declaring it deadlocked.  Zero defaults to one second;
 	// a negative timeout is a NewEngine error.
 	WatchdogTimeout time.Duration
-	// MaxBatch is the engine's one batch width: the longest span one
-	// ProcessSpan call takes, on every node.  A node's firing pass is
-	// max(MaxBatch, 64) firings wide: it takes up to that many aligned
-	// firings per protocol step — at any in-degree, data and dummies alike
-	// — and forwards what they send as one run per out-edge (one ring
-	// publish, or across workers one frame and one credit frame), stopping
-	// early at the first send an out-edge window cannot take.  Both rims'
-	// window is max(64, 2·MaxBatch) payloads.  Zero or one hands a
-	// SpanKernel spans of length one; the logical stream is bit-identical
-	// at every width.  Credits stay in message units — a run of k messages
-	// consumes k credits — so the windowed backpressure semantics are
-	// unchanged, as are the per-edge logical data/dummy counts.
+	// MaxBatch is ignored.  Every node's firing pass is 64 firings wide:
+	// it takes up to that many aligned firings per protocol step — at any
+	// in-degree, data and dummies alike — hands each stretch of data to a
+	// SpanKernel in one call, and forwards what they send as one run per
+	// out-edge (one ring publish, or across workers one frame and one
+	// credit frame), stopping early at the first send an out-edge window
+	// cannot take.  Both rims' window is 128 payloads.
+	//
+	// Deprecated: the engine has one width; the field has no effect.
 	MaxBatch int
 	// Cross names the edges a transport carries between workers
 	// (cross.go); every other edge is a ring between its nodes.  Nil

@@ -183,7 +183,7 @@ func requireMatchesSim(t *testing.T, label string, g *graph.Graph, stats *stream
 
 // TestRuntimeMatchesSimulator is the differential check over generated
 // cases: per-node behavior is deterministic (a Kahn network), so whatever
-// the goroutine scheduling, the batch width or how runs happen to group
+// the goroutine scheduling or how runs happen to group
 // in transit, per-edge data counts, per-edge dummy counts and the sink
 // sequence must equal the deterministic simulator's.  Topologies are
 // drawn from the three CS4 generators with buffer capacities from
@@ -194,9 +194,8 @@ func requireMatchesSim(t *testing.T, label string, g *graph.Graph, stats *stream
 // dummy timers decide what is sent.  The per-edge class is outside what
 // Propagation guarantees (ROADMAP item 23): a case the simulator wedges
 // on is skipped and counted, and the test fails when none ran or more
-// than half were skipped.  Batch 7 and 64 against capacities of 1 and 2
-// make nearly every pass end at a window, batch 64 against 64 makes long
-// mixed runs.
+// than half were skipped.  Capacities of 1 and 2 make nearly every pass
+// end at a window, and 64 makes long mixed runs.
 func TestRuntimeMatchesSimulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	families := map[string]func() *graph.Graph{}
@@ -258,13 +257,10 @@ func TestRuntimeMatchesSimulator(t *testing.T) {
 							mixed++
 						}
 					}
-					for _, batch := range []int{1, 7, 64} {
-						cfg.MaxBatch = batch
-						stats, seen, single, multi := stretchedRun(t, g, filterKernels(g, fc.f), cfg, inputs)
-						stretched1, stretchedN = stretched1+single, stretchedN+multi
-						label := fmt.Sprintf("%s trial %d alg %v %s batch %d", name, trial, alg, fc.name, batch)
-						requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
-					}
+					stats, seen, single, multi := stretchedRun(t, g, filterKernels(g, fc.f), cfg, inputs)
+					stretched1, stretchedN = stretched1+single, stretchedN+multi
+					label := fmt.Sprintf("%s trial %d alg %v %s", name, trial, alg, fc.name)
+					requireMatchesSim(t, label, g, stats, seen, ref, refSeen)
 				}
 			}
 		}

@@ -30,7 +30,7 @@ import (
 // stages inside Split branches, where a seq-keyed merge join awaits.
 //
 // Input reaches the kernel in runs: a node whose emissions have all fired
-// takes up to its batch width of what its in-edge's ring holds for it,
+// takes up to a pass (64) of what its in-edge's ring holds for it,
 // read in place, reads the clock once, and hands each maximal stretch of
 // data messages to Ingest with that reading (dummies are dropped, EOS is
 // the Flush).  A run's elements thus all "arrive" when the node took the

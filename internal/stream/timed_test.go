@@ -86,24 +86,24 @@ func (t countingTimer) Reset(d time.Duration) bool {
 	return t.Timer.Reset(d)
 }
 
-// newTimedBench puts k in the middle of a 3-node chain at the given batch
-// width and returns the hand-driven node.
-func newTimedBench(b testing.TB, k *stubTimed, batch int) *firingBench {
+// newTimedBench puts k in the middle of a 3-node chain and returns the
+// hand-driven node.
+func newTimedBench(b testing.TB, k *stubTimed) *firingBench {
 	g := workload.Pipeline(3, 4)
 	mid := g.MustNode("s1")
-	return newFiringBench(b, g, mid, map[graph.NodeID]Kernel{mid: k}, Config{MaxBatch: batch})
+	return newFiringBench(b, g, mid, map[graph.NodeID]Kernel{mid: k}, Config{})
 }
 
 // TestTimedIngestReadsClockPerRun pins the run contract's cost: a
-// time-aware node at batch 64 reads the clock once per run it picks up
+// time-aware node fed runs of 64 reads the clock once per run it picks up
 // (plus armTimer's reading when the deadline moves), not once per element.
 func TestTimedIngestReadsClockPerRun(t *testing.T) {
-	const n, batch = 64000, 64
+	const n, width = 64000, 64
 	clk := &countingClock{Fake: clock.NewFake()}
 	k := &stubTimed{clk: clk}
-	f := newTimedBench(t, k, batch)
-	run := make([]Message, batch)
-	for i := 0; i < n; i += batch {
+	f := newTimedBench(t, k)
+	run := make([]Message, width)
+	for i := 0; i < n; i += width {
 		for j := range run {
 			run[j] = Message{Seq: uint64(i + j), Kind: Data, Payload: j}
 		}
@@ -114,8 +114,8 @@ func TestTimedIngestReadsClockPerRun(t *testing.T) {
 		t.Fatalf("kernel ingested %d elements, want %d", k.n, n)
 	}
 	if reads := clk.reads.Load(); reads > n/16 {
-		t.Errorf("%d inputs at batch %d read the clock %d times; want at most %d (one per run and one per advance)",
-			n, batch, reads, n/16)
+		t.Errorf("%d inputs in runs of %d read the clock %d times; want at most %d (one per run and one per advance)",
+			n, width, reads, n/16)
 	}
 }
 
@@ -124,11 +124,11 @@ func TestTimedIngestReadsClockPerRun(t *testing.T) {
 // each run reads the clock once (its ingest); a delivered tick disarms
 // it, and the next run arms it again.
 func TestTimedTimerArmedOncePerDeadline(t *testing.T) {
-	const runs, batch = 100, 64
+	const runs, width = 100, 64
 	clk := &countingClock{Fake: clock.NewFake()}
 	k := &stubTimed{clk: clk}
-	f := newTimedBench(t, k, batch)
-	run := make([]Message, batch)
+	f := newTimedBench(t, k)
+	run := make([]Message, width)
 	seq := 0
 	feed := func() {
 		for j := range run {
@@ -160,7 +160,7 @@ func TestTimedTimerArmedOncePerDeadline(t *testing.T) {
 // with no event upstream: the producer has no send parked.
 func TestTimedIngestSplitsRunsAtDummies(t *testing.T) {
 	k := &stubTimed{clk: clock.NewFake(), keep: true}
-	f := newTimedBench(t, k, 64)
+	f := newTimedBench(t, k)
 	up := f.n.upNode[0].mb
 	up.closed = false
 	pushIn(f.n, f.ns, 0,

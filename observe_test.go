@@ -38,18 +38,15 @@ func runObserved(t *testing.T, backend string, opts ...Option) (*RunStats, *Snap
 }
 
 // TestObserverParityAllBackends pins the observer's per-edge counters to
-// the RunStats ground truth on all three backends, at batch 1 and the
-// vectorized batch 64, across the replicated (k=4) filtering workload.
+// the RunStats ground truth on all three backends, across the replicated
+// (k=4) filtering workload.  The subtests, named for two batch widths the engine no longer has,
+// run the one width.
 func TestObserverParityAllBackends(t *testing.T) {
 	for _, backend := range []string{"goroutines", "simulator", "distributed"} {
-		for _, batch := range []int{1, 64} {
-			backend, batch := backend, batch
-			t.Run(fmt.Sprintf("%s/batch%d", backend, batch), func(t *testing.T) {
-				var opts []Option
-				if batch > 1 {
-					opts = append(opts, WithMaxBatch(batch))
-				}
-				stats, snap := runObserved(t, backend, opts...)
+		for _, width := range []string{"batch1", "batch64"} {
+			backend := backend
+			t.Run(backend+"/"+width, func(t *testing.T) {
+				stats, snap := runObserved(t, backend)
 
 				for e, want := range stats.Data {
 					if got := snap.Edges[e].Data; got != want {
@@ -95,8 +92,8 @@ func TestObserverParityAllBackends(t *testing.T) {
 // TestSimulatorSnapshotDeterministic runs the simulator workload twice
 // with fresh observers: virtual-time snapshots must be byte-identical.
 func TestSimulatorSnapshotDeterministic(t *testing.T) {
-	_, first := runObserved(t, "simulator", WithMaxBatch(16))
-	_, second := runObserved(t, "simulator", WithMaxBatch(16))
+	_, first := runObserved(t, "simulator")
+	_, second := runObserved(t, "simulator")
 	if !first.VirtualTime {
 		t.Fatal("simulator snapshot is not marked virtual-time")
 	}
@@ -114,18 +111,15 @@ func TestSimulatorSnapshotDeterministic(t *testing.T) {
 }
 
 // TestStageTap pins the tap contract: fn sees exactly the elements the
-// stage forwards — post-transform, filtered elements excluded — at batch
-// 1 and on the vectorized span path, for every stage kind.
+// stage forwards — post-transform, filtered elements excluded — on the
+// span path, for every stage kind.  The subtests, named for two batch widths the engine no longer has, run
+// the one width.
 func TestStageTap(t *testing.T) {
-	for _, batch := range []int{1, 64} {
-		batch := batch
-		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+	for _, width := range []string{"batch1", "batch64"} {
+		t.Run(width, func(t *testing.T) {
 			const inputs = 300
 			var mapped, kept, sum atomic.Int64
 			opts := []Option{WithWatchdog(10 * time.Second)}
-			if batch > 1 {
-				opts = append(opts, WithMaxBatch(batch))
-			}
 			pipe, err := NewFlow[uint64, uint64]().
 				Then(
 					Map("double", func(v uint64) uint64 { return 2 * v }).Tap(func(v any) {
@@ -186,8 +180,8 @@ func sameMultiset(a, b []string) bool {
 
 // testTapEveryKind is TestStageTap on every stage kind: a FilterMap, a
 // Stateful, a Merge2 join and a TumblingWindow each see exactly the
-// elements they forward, on the goroutine backend and the simulator, at
-// batch 1 and 64, and the last stage's tap sees what the sink receives.
+// elements they forward, on the goroutine backend and the simulator, and
+// the last stage's tap sees what the sink receives.
 func testTapEveryKind(t *testing.T) {
 	const inputs = 200
 	// The stream each stage forwards, computed in plain Go.
@@ -210,9 +204,9 @@ func testTapEveryKind(t *testing.T) {
 		mg = append(mg, fmt.Sprint(j))
 	}
 	for _, backend := range []Backend{Goroutines(), Simulator()} {
-		for _, batch := range []int{1, 64} {
-			backend, batch := backend, batch
-			t.Run(fmt.Sprintf("%s/batch%d", backend, batch), func(t *testing.T) {
+		for _, width := range []string{"batch1", "batch64"} {
+			backend := backend
+			t.Run(fmt.Sprintf("%s/%s", backend, width), func(t *testing.T) {
 				var fmLog, stLog, mgLog, winLog tapLog
 				pipe, err := NewFlow[uint64, Window[uint64]]().
 					Then(
@@ -234,7 +228,7 @@ func testTapEveryKind(t *testing.T) {
 						),
 						TumblingWindow[uint64]("win", time.Millisecond).Tap(winLog.tap),
 					).
-					Compile(WithBackend(backend), WithMaxBatch(batch), WithWatchdog(10*time.Second))
+					Compile(WithBackend(backend), WithWatchdog(10*time.Second))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -295,7 +289,7 @@ func TestObserverDepthConvergesAfterCancel(t *testing.T) {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			obs := NewObserver()
-			pipe := batchingFlow(t, WithObserver(obs), WithMaxBatch(16))
+			pipe := batchingFlow(t, WithObserver(obs))
 			pipe.backend = parityBackends(pipe)[backend]
 			eng, err := pipe.Engine()
 			if err != nil {

@@ -34,7 +34,6 @@ type Pipeline struct {
 	alg       Algorithm
 	watchdog  time.Duration
 	avoidance bool
-	maxBatch  int
 	obs       *Observer   // telemetry collector; nil (the default) compiles instrumentation out
 	clk       clock.Clock // time source of the time-aware stages; nil means backend default
 
@@ -68,7 +67,6 @@ type buildConfig struct {
 	alg        Algorithm
 	backend    Backend
 	watchdog   time.Duration
-	maxBatch   int
 	plan       ReplicationPlan
 	kernelMaps []map[NodeID]Kernel
 	named      []namedKernel
@@ -138,28 +136,15 @@ func WithWatchdog(d time.Duration) Option {
 	}
 }
 
-// WithMaxBatch sets the batch width n of the runtime backends (default
-// 1): the longest span of data elements one call of a vectorizing kernel
-// (a Flow Map's) takes.  A node takes up to max(n, 64) firings per pass
-// and carries what they send — data and the dummies between them, out of
-// any node — as one run per out-edge: one publish to the edge's ring (or,
-// across workers, one coalesced wire frame and one credit batch) per run
-// instead of per message.  Batching is transport-level only:
-// windows are still accounted in message units (a run of k messages
-// takes k window slots, and a node stops firing at a full window exactly
-// where it would per message), kernels still fire in sequence order, and
-// the logical stream — per-edge data and dummy counts, sink delivery
-// order — is identical at every n.  n is every node's one batch width;
-// n = 1 hands a kernel one element per call.  The Simulator ignores n:
-// it fires one element per step, the reference schedule the batched
-// backends must match.
+// WithMaxBatch does nothing.  The runtime backends have one width: a
+// node takes up to 64 firings per pass, hands each stretch of data to a
+// vectorizing kernel (a Flow Map's) in one call, and carries what the
+// firings send as one run per out-edge (see DESIGN.md, "Batched hot
+// path").
+//
+// Deprecated: the engine has one width; n has no effect.
 func WithMaxBatch(n int) Option {
-	return func(c *buildConfig) {
-		if n < 1 && c.err == nil {
-			c.err = fmt.Errorf("streamdag: build: max batch %d must be positive", n)
-		}
-		c.maxBatch = n
-	}
+	return func(*buildConfig) {}
 }
 
 // WithKernel assigns node name's compute kernel.  Names refer to the
@@ -269,8 +254,7 @@ func Build(t *Topology, opts ...Option) (*Pipeline, error) {
 	p := &Pipeline{
 		backend: cfg.backend, alg: cfg.alg,
 		watchdog: cfg.watchdog, avoidance: cfg.avoidance,
-		maxBatch: cfg.maxBatch,
-		retry:    cfg.retry, dlq: cfg.dlq,
+		retry: cfg.retry, dlq: cfg.dlq,
 		clk: cfg.clk,
 	}
 	// Resolve the time-aware stages' clock: an explicit WithClock wins;

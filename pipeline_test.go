@@ -371,10 +371,9 @@ func TestPipelineSinkError(t *testing.T) {
 }
 
 // TestPipelineWithoutAvoidance reproduces the paper's deadlock through
-// the new API: the same build minus intervals wedges under filtering —
-// at batch 64 as at batch 1, since a batched node stops at its out-edge
-// windows (internal/stream's TestBatchedNodeStopsAtItsWindow pins the
-// exact count).
+// the new API: the same build minus intervals wedges under filtering,
+// since a node's pass stops at its out-edge windows (internal/stream's
+// TestBatchedNodeStopsAtItsWindow pins the exact count).
 func TestPipelineWithoutAvoidance(t *testing.T) {
 	topo := fig2(t)
 	var ac EdgeID
@@ -391,24 +390,22 @@ func TestPipelineWithoutAvoidance(t *testing.T) {
 		}
 		return p
 	}
-	for _, batch := range []int{1, 64} {
-		_, err := build(WithoutAvoidance(), WithMaxBatch(batch)).Run(context.Background(), CountingSource(200), nil)
-		var dl *DeadlockError
-		if !errors.As(err, &dl) {
-			t.Fatalf("batch %d: unprotected run returned %v; want *DeadlockError", batch, err)
-		}
-		// The simulator reports the same wedge, in the same error type.
-		_, err = build(WithoutAvoidance(), WithMaxBatch(batch), WithBackend(Simulator())).Run(context.Background(), CountingSource(200), nil)
-		var sdl *DeadlockError
-		if !errors.As(err, &sdl) {
-			t.Fatalf("batch %d: unprotected simulator run returned %v; want *DeadlockError", batch, err)
-		}
-		if !maps.Equal(sdl.Channels, dl.Channels) || !slices.Equal(sdl.Stalled, dl.Stalled) {
-			t.Errorf("batch %d: simulator wedge %v, goroutine wedge %v", batch, sdl, dl)
-		}
-		if _, err := build(WithMaxBatch(batch)).Run(context.Background(), CountingSource(200), nil); err != nil {
-			t.Fatalf("batch %d: protected run failed: %v", batch, err)
-		}
+	_, err := build(WithoutAvoidance()).Run(context.Background(), CountingSource(200), nil)
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("unprotected run returned %v; want *DeadlockError", err)
+	}
+	// The simulator reports the same wedge, in the same error type.
+	_, err = build(WithoutAvoidance(), WithBackend(Simulator())).Run(context.Background(), CountingSource(200), nil)
+	var sdl *DeadlockError
+	if !errors.As(err, &sdl) {
+		t.Fatalf("unprotected simulator run returned %v; want *DeadlockError", err)
+	}
+	if !maps.Equal(sdl.Channels, dl.Channels) || !slices.Equal(sdl.Stalled, dl.Stalled) {
+		t.Errorf("simulator wedge %v, goroutine wedge %v", sdl, dl)
+	}
+	if _, err := build().Run(context.Background(), CountingSource(200), nil); err != nil {
+		t.Fatalf("protected run failed: %v", err)
 	}
 }
 
@@ -445,19 +442,19 @@ func TestSlowKernelIsNotDeadlock(t *testing.T) {
 // on the runtime backends: a request/response source whose Next for
 // payload i+1 waits until the Sink has received payload i must stream to
 // the end, so the engine never holds one payload while it asks for the
-// next — at batch 1 and at batch 64 alike.
+// next.  The subtests, named for two batch widths the engine no longer has, run the one width.
 func TestRequestResponseSourceOneAtATime(t *testing.T) {
 	const inputs = 300
-	for _, batch := range []int{1, 64} {
+	for _, width := range []string{"batch1", "batch64"} {
 		for _, backend := range []string{"goroutines", "simulator", "distributed"} {
-			t.Run(fmt.Sprintf("%s/batch%d", backend, batch), func(t *testing.T) {
+			t.Run(backend+"/"+width, func(t *testing.T) {
 				if backend == "simulator" {
 					t.Skip("the simulator runs Source and Sink on its one scheduler goroutine, so a Next that waits for the Sink would block the run")
 				}
 				pipe, err := NewFlow[uint64, uint64]().Then(
 					Map("a", func(v uint64) uint64 { return v + 1 }),
 					Map("b", func(v uint64) uint64 { return 2 * v }),
-				).Compile(WithMaxBatch(batch))
+				).Compile()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -57,14 +57,16 @@ func TestRecycledNodeSessionsMatchFresh(t *testing.T) {
 		{"sp", func() *graph.Graph { return workload.RandomSP(rng, 3+rng.Intn(4), 8) }},
 		{"cs4", func() *graph.Graph { return workload.RandomCS4(rng, 1+rng.Intn(3), 8, 0.5) }},
 	} {
-		for _, batch := range []int{1, 64} {
+		// Two generated cases per family, named for the batch widths the
+		// engine had.
+		for _, width := range []string{"batch1", "batch64"} {
 			for _, observed := range []bool{false, true} {
-				opts := []Option{WithMaxBatch(batch)}
+				var opts []Option
 				if observed {
 					opts = append(opts, WithObserver(NewObserver()))
 				}
 				rows = append(rows, recycleRow{
-					name:   fmt.Sprintf("%s/batch%d/observer=%v", fam.name, batch, observed),
+					name:   fmt.Sprintf("%s/%s/observer=%v", fam.name, width, observed),
 					build:  routed(fam.gen(), uint64(len(rows))),
 					engine: opts,
 				})
@@ -97,7 +99,7 @@ func TestRecycledNodeSessionsMatchFresh(t *testing.T) {
 	rows = append(rows, recycleRow{
 		name:   "distributed",
 		build:  routed(g, 99),
-		engine: []Option{WithBackend(Distributed(assign)), WithMaxBatch(64)},
+		engine: []Option{WithBackend(Distributed(assign))},
 	})
 
 	const inputs = 400
@@ -188,9 +190,11 @@ func TestRecycledStreamSessionsMatchFresh(t *testing.T) {
 		name string
 		opts []Option
 	}{
+		// Named for batch widths the engine no longer has; the goroutine
+		// rows run the one width.
 		{"goroutines/batch1", nil},
-		{"goroutines/batch64", []Option{WithMaxBatch(64)}},
-		{"distributed/batch64", []Option{WithBackend(Distributed(assign)), WithMaxBatch(64)}},
+		{"goroutines/batch64", nil},
+		{"distributed/batch64", []Option{WithBackend(Distributed(assign))}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			pipe, err := build(row.opts...)
@@ -317,8 +321,8 @@ func cancelWhenStalled(t *testing.T, eng *Engine, quiet int64) {
 }
 
 // TestSessionCycleAllocBudget is the allocation gate of a short session on
-// a resident engine: Open → Wait of 64 messages through three Maps at batch
-// 1, the session_churn shape.  Payloads stay below 256 so no box is counted;
+// a resident engine: Open → Wait of 64 messages through three Maps, the
+// session_churn shape.  Payloads stay below 256 so no box is counted;
 // what is left is the session's own set-up and teardown.  Node state and
 // the stream session's buffers are recycled, and the release hook is the
 // Session pointer itself, so the 15 left are what a session cannot share:

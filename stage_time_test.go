@@ -178,11 +178,11 @@ func TestSimWindowDeterministic(t *testing.T) {
 }
 
 // TestSimTimedStagesDeterministic pins the non-window timed stages'
-// simulator output the same way, at every batch width: the simulator
-// ingests a run of one per step whatever the width.
+// simulator output the same way: the simulator ingests a run of one per
+// step.
 func TestSimTimedStagesDeterministic(t *testing.T) {
-	run := func(stage Stage, input []any, batch int) string {
-		out := runTimed(t, stage, input, WithBackend(Simulator()), WithMaxBatch(batch))
+	run := func(stage Stage, input []any) string {
+		out := runTimed(t, stage, input, WithBackend(Simulator()))
 		parts := make([]string, len(out))
 		for i, p := range out {
 			parts[i] = fmtTimed(p)
@@ -206,31 +206,25 @@ func TestSimTimedStagesDeterministic(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, batch := range timedBatches {
-				got := run(tc.mk(), tc.input, batch)
-				again := run(tc.mk(), tc.input, batch)
-				if got != again {
-					t.Fatalf("batch %d: repeated simulator runs differ:\n  %s\n  %s", batch, got, again)
-				}
-				if got != tc.want {
-					t.Errorf("batch %d: pinned output changed:\n got  %s\n want %s", batch, got, tc.want)
-				}
+			got := run(tc.mk(), tc.input)
+			again := run(tc.mk(), tc.input)
+			if got != again {
+				t.Fatalf("repeated simulator runs differ:\n  %s\n  %s", got, again)
+			}
+			if got != tc.want {
+				t.Errorf("pinned output changed:\n got  %s\n want %s", got, tc.want)
 			}
 		})
 	}
 }
 
-// timedBatches are the widths the run-form ingest is pinned at: a run of
-// one, a width that divides nothing, and the benchmark's.
-var timedBatches = []int{1, 7, 64}
-
 // TestTimedParityAcrossBackends runs every time-aware stage on all three
 // backends with intervals far longer than the test, on a fake clock (the
 // simulator's own, or one nobody advances): nothing closes mid-stream, so
 // each stage's output is determined by arrival order alone and must agree
-// across the goroutine runtime, the simulator, and the TCP workers, at
-// every batch width — on the short pinned input and on a long one, whose
-// 200 elements arrive in runs wider than one.
+// across the goroutine runtime, the simulator, and the TCP workers — on
+// the short pinned input and on a long one, whose 200 elements arrive in
+// runs wider than one.
 func TestTimedParityAcrossBackends(t *testing.T) {
 	const long = time.Hour
 	all, mod5 := make([]int, 200), make([]int, 200)
@@ -275,19 +269,17 @@ func TestTimedParityAcrossBackends(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for name, opts := range backends(tc.mk().Name()) {
-				for _, batch := range timedBatches {
-					for _, in := range []struct {
-						input []any
-						want  string
-					}{{tc.input, tc.want}, {tc.long, tc.longWant}} {
-						out := runTimed(t, tc.mk(), in.input, append(opts, WithMaxBatch(batch))...)
-						parts := make([]string, len(out))
-						for i, p := range out {
-							parts[i] = fmtTimed(p)
-						}
-						if got := strings.Join(parts, " "); got != in.want {
-							t.Errorf("%s, batch %d, %d inputs: got %q, want %q", name, batch, len(in.input), got, in.want)
-						}
+				for _, in := range []struct {
+					input []any
+					want  string
+				}{{tc.input, tc.want}, {tc.long, tc.longWant}} {
+					out := runTimed(t, tc.mk(), in.input, opts...)
+					parts := make([]string, len(out))
+					for i, p := range out {
+						parts[i] = fmtTimed(p)
+					}
+					if got := strings.Join(parts, " "); got != in.want {
+						t.Errorf("%s, %d inputs: got %q, want %q", name, len(in.input), got, in.want)
 					}
 				}
 			}
@@ -298,7 +290,7 @@ func TestTimedParityAcrossBackends(t *testing.T) {
 // TestWindowBatchReplicaComposition composes a window with the two
 // scale features it must coexist with: a Replicate(4) stage upstream
 // (joined back by a plain stage — a timed stage cannot directly follow
-// the replicas) and transport batching at 64.  Order and content are
+// the replicas) and transport batching.  Order and content are
 // exact on every backend: one window holding the whole transformed
 // stream in sequence order.
 func TestWindowBatchReplicaComposition(t *testing.T) {
@@ -316,8 +308,8 @@ func TestWindowBatchReplicaComposition(t *testing.T) {
 			Then(TumblingWindow[int]("win", time.Hour))
 	}
 	for name, opts := range map[string][]Option{
-		"goroutines": {WithMaxBatch(64), WithClock(NewFakeClock()), WithWatchdog(10 * time.Second)},
-		"simulator":  {WithMaxBatch(64), WithBackend(Simulator())},
+		"goroutines": {WithClock(NewFakeClock()), WithWatchdog(10 * time.Second)},
+		"simulator":  {WithBackend(Simulator())},
 	} {
 		pipe, err := flow().Compile(opts...)
 		if err != nil {
@@ -455,10 +447,10 @@ func TestTimedRetryReset(t *testing.T) {
 
 // TestTimedAfterFilteringSplit puts a window behind a split whose branches
 // both filter, so the merge forwards dummies for the sequence numbers
-// neither kept and the time-aware node's runs mix data and dummies.  At
-// every batch width, on every backend, the windows partition the merged
-// stream in order, and the per-edge data and dummy counts upstream of the
-// window — what the protocol computed — are the simulator's at batch 1.
+// neither kept and the time-aware node's runs mix data and dummies.  On
+// every backend, the windows partition the merged stream in order, and the
+// per-edge data and dummy counts upstream of the window — what the
+// protocol computed — are the simulator's.
 func TestTimedAfterFilteringSplit(t *testing.T) {
 	const n = 600
 	input := make([]any, n)
@@ -533,19 +525,16 @@ func TestTimedAfterFilteringSplit(t *testing.T) {
 	for name, backend := range map[string]Backend{
 		"goroutines": Goroutines(), "simulator": Simulator(), "distributed": Distributed(assign),
 	} {
-		for _, batch := range timedBatches {
-			label := fmt.Sprintf("%s, batch %d", name, batch)
-			opts := []Option{WithBackend(backend), WithMaxBatch(batch)}
-			if name != "simulator" {
-				opts = append(opts, WithClock(NewFakeClock()))
-			}
-			_, stats, windows := run(time.Hour, opts...)
-			checkPartition(label, windows)
-			for e := range refStats.Data {
-				if stats.Data[e] != refStats.Data[e] || stats.Dummies[e] != refStats.Dummies[e] {
-					t.Errorf("%s: edge %d carried %d data, %d dummies; the simulator %d, %d",
-						label, e, stats.Data[e], stats.Dummies[e], refStats.Data[e], refStats.Dummies[e])
-				}
+		opts := []Option{WithBackend(backend)}
+		if name != "simulator" {
+			opts = append(opts, WithClock(NewFakeClock()))
+		}
+		_, stats, windows := run(time.Hour, opts...)
+		checkPartition(name, windows)
+		for e := range refStats.Data {
+			if stats.Data[e] != refStats.Data[e] || stats.Dummies[e] != refStats.Dummies[e] {
+				t.Errorf("%s: edge %d carried %d data, %d dummies; the simulator %d, %d",
+					name, e, stats.Data[e], stats.Dummies[e], refStats.Data[e], refStats.Dummies[e])
 			}
 		}
 	}
